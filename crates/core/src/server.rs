@@ -266,7 +266,7 @@ impl DejaView {
         } else {
             None
         };
-        let playback = PlaybackEngine::new(record.clone());
+        let playback = PlaybackEngine::new(record.clone()).with_obs(obs.clone());
         DejaView {
             clipboard: String::new(),
             engine_config: engine,
@@ -429,7 +429,7 @@ impl DejaView {
     /// store so the registry-derived [`DejaView::storage`] stays exact.
     pub fn install_record(&mut self, store: dv_record::RecordStore) {
         *self.record.write() = store;
-        self.playback = PlaybackEngine::new(self.record.clone());
+        self.playback = self.playback();
         self.search_cache.clear();
         let stats = self.recorder.lock().stats();
         self.obs
@@ -718,7 +718,7 @@ impl DejaView {
     /// Creates a playback engine over the display record (PVR controls,
     /// §4.3).
     pub fn playback(&self) -> PlaybackEngine {
-        PlaybackEngine::new(self.record.clone())
+        PlaybackEngine::new(self.record.clone()).with_obs(self.obs.clone())
     }
 
     /// Reconstructs the screen at time `t` (the browse slider).
@@ -741,7 +741,9 @@ impl DejaView {
 
     /// Searches the record (§4.4): parses the query, finds satisfied
     /// intervals, and reconstructs a screenshot portal per hit —
-    /// offscreen, through the LRU screenshot cache.
+    /// offscreen, in time order so neighbouring portals continue from
+    /// each other, through the LRU screenshot cache — returned in rank
+    /// order.
     pub fn search(
         &mut self,
         query: &str,
@@ -760,23 +762,37 @@ impl DejaView {
         order: RankOrder,
     ) -> Result<Vec<SearchResult>, ServerError> {
         let hits = self.search_hits(query, order)?;
-        let mut results = Vec::with_capacity(hits.len());
-        for hit in hits {
-            let screenshot = self.screenshot_at(hit.time)?;
-            // Long matching periods come back as substreams with a
-            // first-last screenshot pair.
-            let last_screenshot = if hit.persistence >= self.substream_threshold {
-                Some(self.screenshot_at(hit.until)?)
-            } else {
-                None
-            };
-            results.push(SearchResult {
+        // Long matching periods come back as substreams with a
+        // first-last screenshot pair.
+        let threshold = self.substream_threshold;
+        let last_of = |hit: &SearchHit| (hit.persistence >= threshold).then_some(hit.until);
+        // Reconstruct every portal in time order, whatever the rank
+        // order: neighbours inside a keyframe interval then continue
+        // from each other instead of each replaying it from the start.
+        let mut times: Vec<Timestamp> = hits
+            .iter()
+            .flat_map(|hit| std::iter::once(hit.time).chain(last_of(hit)))
+            .collect();
+        times.sort_unstable();
+        times.dedup();
+        let portals = times
+            .iter()
+            .map(|&t| self.screenshot_at(t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let portal = |t: Timestamp| {
+            let at = times
+                .binary_search(&t)
+                .expect("every portal time was gathered");
+            portals[at].clone()
+        };
+        Ok(hits
+            .into_iter()
+            .map(|hit| SearchResult {
+                screenshot: portal(hit.time),
+                last_screenshot: last_of(&hit).map(portal),
                 hit,
-                screenshot,
-                last_screenshot,
-            });
-        }
-        Ok(results)
+            })
+            .collect())
     }
 
     /// Searches the record returning raw ranked hits without
@@ -1262,6 +1278,16 @@ mod tests {
         let shot = dv.browse(Timestamp::from_millis(500)).unwrap();
         assert!(shot.pixels.contains(&0x202020));
         assert!(!shot.pixels.contains(&0xFF0000));
+        // Dragging the slider forward continues from 0.5 s; the seek
+        // counters show how much of the scanned work was useful.
+        let shot = dv.browse(Timestamp::from_millis(1_500)).unwrap();
+        assert!(shot.pixels.contains(&0xFF0000));
+        let obs = dv.observability();
+        assert_eq!(obs.counter(names::RECORD_SEEK_KEYFRAME_LOADS), 1);
+        assert_eq!(obs.counter(names::RECORD_SEEK_RESUMED), 1);
+        let scanned = obs.counter(names::RECORD_SEEK_COMMANDS_SCANNED);
+        let applied = obs.counter(names::RECORD_SEEK_COMMANDS_APPLIED);
+        assert!(0 < applied && applied <= scanned, "{applied} of {scanned}");
     }
 
     #[test]

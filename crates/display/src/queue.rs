@@ -7,15 +7,75 @@
 //! recording frequency, updates that a later command completely overwrote
 //! are discarded.
 //!
-//! Dropping a queued command is only sound if nothing that remains in the
-//! queue *reads* the pixels it would have produced — a later `CopyArea`
-//! may source from the overwritten area. The queue tracks read
-//! dependencies and keeps such commands.
+//! Dropping a command is only sound if nothing that remains *reads* the
+//! pixels it would have produced — a later `CopyArea` may source from the
+//! overwritten area. That rule lives in [`OverwritePass`], which the
+//! playback engine's seek (§4.3) applies to encoded commands through
+//! their headers alone.
 
 use dv_time::Timestamp;
 
-use crate::command::DisplayCommand;
+use crate::command::{CommandMeta, DisplayCommand};
 use crate::rect::Rect;
+
+/// The overwrite rule, as one newest→oldest pass over a command run: a
+/// command is dropped when a later kept opaque command contains its
+/// rectangle and no kept command in between reads it.
+///
+/// The pass only looks at [`CommandMeta`], so it prunes decoded commands
+/// ([`CommandQueue`]) and encoded ones alike.
+#[derive(Clone, Debug, Default)]
+pub struct OverwritePass {
+    /// What the kept commands seen so far cover (`true`) or read
+    /// (`false`), newest first.
+    later: Vec<(Rect, bool)>,
+}
+
+impl OverwritePass {
+    /// Creates a pass.
+    pub fn new() -> Self {
+        OverwritePass::default()
+    }
+
+    /// Prunes `items` (oldest first) in place and returns how many were
+    /// dropped; the survivors keep their order.
+    pub fn prune<T>(&mut self, items: &mut Vec<T>, meta: impl Fn(&T) -> CommandMeta) -> usize {
+        self.later.clear();
+        // Survivors are swapped to the tail as the walk moves down, so
+        // the vector is neither rebuilt nor reallocated.
+        let mut kept_from = items.len();
+        for i in (0..items.len()).rev() {
+            if self.keeps(&meta(&items[i])) {
+                kept_from -= 1;
+                items.swap(i, kept_from);
+            }
+        }
+        items.drain(..kept_from);
+        kept_from
+    }
+
+    /// Decides the next-older command.
+    fn keeps(&mut self, meta: &CommandMeta) -> bool {
+        // Nearest kept command first: a cover found before any reader of
+        // this area is the "later opaque command with no read in between".
+        for (rect, covers) in self.later.iter().rev() {
+            if *covers {
+                if rect.contains(&meta.rect) {
+                    return false;
+                }
+            } else if rect.overlaps(&meta.rect) {
+                break;
+            }
+        }
+        if meta.opaque && !meta.rect.is_empty() {
+            self.later.push((meta.rect, true));
+        }
+        if let Some(read) = meta.reads {
+            self.later.push((read, false));
+        }
+        true
+    }
+}
 
 /// A timestamped command held in the queue.
 #[derive(Clone, PartialEq, Debug)]
@@ -45,6 +105,7 @@ pub struct QueuedCommand {
 pub struct CommandQueue {
     entries: Vec<QueuedCommand>,
     merged_away: u64,
+    pass: OverwritePass,
 }
 
 impl CommandQueue {
@@ -69,38 +130,16 @@ impl CommandQueue {
         self.merged_away
     }
 
-    /// Appends a command, discarding queued commands it makes irrelevant.
-    ///
-    /// A queued command is discarded when the new command's rectangle
-    /// fully covers it and no command between the two reads pixels from
-    /// the covered area.
+    /// Appends a command, discarding queued commands it makes irrelevant
+    /// by the [`OverwritePass`] rule.
     pub fn push(&mut self, time: Timestamp, command: DisplayCommand) {
-        let cover = command.rect();
-        if !cover.is_empty() && command.is_opaque() {
-            // Walk backwards accumulating the read-set of commands that
-            // stay; a command may be dropped only if nothing later reads
-            // what it wrote.
-            let mut reads: Vec<Rect> = match command.reads() {
-                Some(r) => vec![r],
-                None => Vec::new(),
-            };
-            let mut keep = Vec::with_capacity(self.entries.len());
-            for entry in self.entries.drain(..).rev() {
-                let target = entry.command.rect();
-                let read_conflict = reads.iter().any(|r| r.overlaps(&target));
-                if cover.contains(&target) && !read_conflict {
-                    self.merged_away += 1;
-                    continue;
-                }
-                if let Some(r) = entry.command.reads() {
-                    reads.push(r);
-                }
-                keep.push(entry);
-            }
-            keep.reverse();
-            self.entries = keep;
-        }
+        // Only a new cover can make anything droppable: the queue is
+        // already pruned, and a reader at the newest end only blocks.
+        let covers = command.is_opaque() && !command.rect().is_empty();
         self.entries.push(QueuedCommand { time, command });
+        if covers {
+            self.merged_away += self.pass.prune(&mut self.entries, |e| e.command.meta()) as u64;
+        }
     }
 
     /// Removes and returns all queued commands in order.
@@ -196,6 +235,41 @@ mod tests {
             },
         );
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn a_reader_that_is_itself_overwritten_blocks_nothing() {
+        // The copy reads the first fill, but its own output is covered
+        // by the third command and read by no one, so in one pass both
+        // the copy and the fill it read go.
+        let mut items = vec![
+            fill(Rect::new(0, 0, 4, 4), 1).meta(),
+            DisplayCommand::CopyArea {
+                src_x: 0,
+                src_y: 0,
+                rect: Rect::new(10, 10, 4, 4),
+            }
+            .meta(),
+            fill(Rect::new(0, 0, 16, 16), 2).meta(),
+        ];
+        let dropped = OverwritePass::new().prune(&mut items, |m| *m);
+        assert_eq!(dropped, 2);
+        assert_eq!(items, vec![fill(Rect::new(0, 0, 16, 16), 2).meta()]);
+    }
+
+    #[test]
+    fn push_prunes_in_place() {
+        let mut q = CommandQueue::new();
+        for i in 0..3 {
+            q.push(ts(i), fill(Rect::new(i as u32 * 4, 0, 2, 2), 1));
+        }
+        let buffer = q.peek().as_ptr();
+        // Covers the middle entry only; the vector has room for it.
+        q.push(ts(3), fill(Rect::new(4, 0, 4, 4), 2));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek().as_ptr(), buffer, "entries were rebuilt");
+        let times: Vec<_> = q.peek().iter().map(|e| e.time).collect();
+        assert_eq!(times, vec![ts(0), ts(2), ts(3)]);
     }
 
     #[test]

@@ -301,8 +301,8 @@ impl Drop for Span {
 
 /// Metric-name constants shared between the instrumented crates and
 /// the consumers (`Server::storage()`, `reproduce obs`). Streams:
-/// `display`, `text`, `index`, `checkpoint`, `lsfs`, `fault`, `net`,
-/// `server`.
+/// `display`, `record`, `text`, `index`, `checkpoint`, `lsfs`, `fault`,
+/// `net`, `server`.
 pub mod names {
     /// Commands generated by the virtual display driver.
     pub const DISPLAY_DRIVER_COMMANDS: &str = "display.driver_commands";
@@ -326,6 +326,15 @@ pub mod names {
     pub const DISPLAY_FLUSH: &str = "display.flush";
     /// Span: one keyframe capture + persist.
     pub const DISPLAY_KEYFRAME: &str = "display.keyframe";
+
+    /// Seeks that continued from the playback engine's own position.
+    pub const RECORD_SEEK_RESUMED: &str = "record.seek.resumed";
+    /// Seeks that restarted from a keyframe.
+    pub const RECORD_SEEK_KEYFRAME_LOADS: &str = "record.seek.keyframe_loads";
+    /// Command headers scanned by seeks (attempted work).
+    pub const RECORD_SEEK_COMMANDS_SCANNED: &str = "record.seek.commands_scanned";
+    /// Commands seeks decoded and applied after pruning (useful work).
+    pub const RECORD_SEEK_COMMANDS_APPLIED: &str = "record.seek.commands_applied";
 
     /// Accessibility events processed by the capture daemon.
     pub const TEXT_EVENTS: &str = "text.events";

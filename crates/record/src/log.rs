@@ -6,7 +6,9 @@
 //! `[time: u64 LE][encoded command]`; byte offsets into the log are the
 //! stable references the timeline index stores.
 
-use dv_display::{decode_command, encode_command, CodecError, DisplayCommand};
+use dv_display::{
+    decode_command, encode_command, peek_command, CodecError, CommandMeta, DisplayCommand,
+};
 use dv_time::Timestamp;
 
 /// The append-only command log.
@@ -53,6 +55,23 @@ impl CommandLog {
         self.data.len() as u64
     }
 
+    /// Splits the entry at `offset` into its time and encoded command,
+    /// or `None` at the end of the log.
+    fn entry_at(&self, offset: u64) -> Result<Option<(Timestamp, &[u8])>, CodecError> {
+        let Some(entry) = usize::try_from(offset)
+            .ok()
+            .and_then(|o| self.data.get(o..))
+            .filter(|e| !e.is_empty())
+        else {
+            return Ok(None);
+        };
+        let (time, command) = entry
+            .split_first_chunk::<8>()
+            .ok_or(CodecError::UnexpectedEof)?;
+        let time = Timestamp::from_nanos(u64::from_le_bytes(*time));
+        Ok(Some((time, command)))
+    }
+
     /// Reads the entry at `offset`, returning `(time, command,
     /// next_offset)`, or `None` at the end of the log.
     ///
@@ -64,20 +83,34 @@ impl CommandLog {
         &self,
         offset: u64,
     ) -> Result<Option<(Timestamp, DisplayCommand, u64)>, CodecError> {
-        if offset >= self.data.len() as u64 {
+        let Some((time, mut command)) = self.entry_at(offset)? else {
             return Ok(None);
-        }
-        let mut slice = &self.data[offset as usize..];
-        if slice.len() < 8 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let time =
-            Timestamp::from_nanos(u64::from_le_bytes(slice[..8].try_into().expect("8 bytes")));
-        slice = &slice[8..];
-        let before = slice.len();
-        let cmd = decode_command(&mut slice)?;
-        let consumed = 8 + (before - slice.len()) as u64;
+        };
+        let before = command.len();
+        let cmd = decode_command(&mut command)?;
+        let consumed = 8 + (before - command.len()) as u64;
         Ok(Some((time, cmd, offset + consumed)))
+    }
+
+    /// Like [`CommandLog::read_at`], but reads only the entry's header:
+    /// `(time, metadata, next_offset)` without decoding the payload.
+    /// Succeeds exactly when `read_at` would.
+    pub fn peek_at(
+        &self,
+        offset: u64,
+    ) -> Result<Option<(Timestamp, CommandMeta, u64)>, CodecError> {
+        let Some((time, command)) = self.entry_at(offset)? else {
+            return Ok(None);
+        };
+        let meta = peek_command(command)?;
+        Ok(Some((time, meta, offset + 8 + meta.len as u64)))
+    }
+
+    /// Overwrites the command tag of the entry at `offset` with one no
+    /// decoder knows.
+    #[cfg(test)]
+    pub(crate) fn corrupt_tag_at(&mut self, offset: u64) {
+        self.data[offset as usize + 8] = 0xEE;
     }
 
     /// Iterates entries starting at `offset`.

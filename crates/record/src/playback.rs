@@ -4,14 +4,22 @@
 //! index, play forward at the recorded rate or any scaled rate, fast
 //! forward keyframe-by-keyframe, rewind, and reconstruct screenshots
 //! offscreen for search results.
+//!
+//! A seek costs what changed since the nearest state the engine already
+//! holds: it continues from its own position when that lies between the
+//! target's keyframe and the target, reads only command headers to find
+//! what a newer command overwrote, and decodes just the survivors.
 
 use std::sync::Arc;
 
-use dv_display::{CommandQueue, CommandSink, DisplayCommand, Framebuffer, Rect, Screenshot};
+use dv_display::{
+    CommandMeta, CommandSink, DisplayCommand, Framebuffer, OverwritePass, Rect, Screenshot,
+};
+use dv_obs::{names, Obs};
 use dv_time::{Duration, Timestamp};
 
 use crate::cache::LruCache;
-use crate::recorder::DisplayRecord;
+use crate::recorder::{DisplayRecord, RecordStore};
 
 /// Errors produced by playback operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,7 +65,15 @@ pub struct PlaybackEngine {
     fb: Framebuffer,
     position: Timestamp,
     offset: u64,
+    /// Whether `fb` is the screen at `position` and `offset` the first
+    /// entry after it, so a seek may continue from here. Only a
+    /// successful seek, fast-forward or rewind establishes that.
+    primed: bool,
     shot_cache: LruCache<u64, Screenshot>,
+    obs: Obs,
+    /// Seek scratch: `(log offset, header)` of the commands in range.
+    scan: Vec<(u64, CommandMeta)>,
+    pass: OverwritePass,
 }
 
 impl PlaybackEngine {
@@ -72,8 +88,18 @@ impl PlaybackEngine {
             fb: Framebuffer::new(w, h),
             position: Timestamp::ZERO,
             offset: 0,
+            primed: false,
             shot_cache: LruCache::new(16),
+            obs: Obs::disabled(),
+            scan: Vec::new(),
+            pass: OverwritePass::new(),
         }
+    }
+
+    /// Counts seek work into `obs` (the `record.seek.*` counters).
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Sets the screenshot cache capacity (the paper's tunable LRU).
@@ -97,64 +123,74 @@ impl PlaybackEngine {
         &self.fb
     }
 
-    fn load_keyframe(&mut self, offset: u64) -> Result<Screenshot, PlaybackError> {
-        let record = self.record.clone();
-        let store = record.read();
-        if self.shot_cache.get(&offset).is_none() {
-            let shot = store.shots.load(offset).ok_or(PlaybackError::Corrupt)?;
-            self.shot_cache.put(offset, shot);
+    fn load_keyframe(
+        &mut self,
+        store: &RecordStore,
+        offset: u64,
+    ) -> Result<Screenshot, PlaybackError> {
+        if let Some(shot) = self.shot_cache.get(&offset) {
+            return Ok(shot.clone());
         }
-        Ok(self.shot_cache.get(&offset).expect("just inserted").clone())
+        let shot = store.shots.load(offset).ok_or(PlaybackError::Corrupt)?;
+        self.shot_cache.put(offset, shot.clone());
+        Ok(shot)
     }
 
     /// Skips directly to time `t` (§4.3): binary-search the timeline for
     /// the last keyframe at or before `t`, then replay the commands in
-    /// between, pruning those overwritten by newer ones.
+    /// between, pruning those overwritten by newer ones. When the engine
+    /// already stands between that keyframe and `t`, it replays from its
+    /// own position instead.
     pub fn seek(&mut self, t: Timestamp) -> Result<PlayStats, PlaybackError> {
-        let entry = {
-            let store = self.record.read();
-            if store.timeline.is_empty() {
-                return Err(PlaybackError::EmptyRecord);
-            }
-            *store
-                .timeline
-                .entry_at_or_before(t)
-                .ok_or(PlaybackError::BeforeRecord)?
+        let resumable = std::mem::take(&mut self.primed);
+        let record = self.record.clone();
+        let store = record.read();
+        if store.timeline.is_empty() {
+            return Err(PlaybackError::EmptyRecord);
+        }
+        let entry = *store
+            .timeline
+            .entry_at_or_before(t)
+            .ok_or(PlaybackError::BeforeRecord)?;
+        let mut stats = PlayStats::default();
+        let mut offset = if resumable && entry.time <= self.position && self.position <= t {
+            self.obs.incr(names::RECORD_SEEK_RESUMED);
+            self.offset
+        } else {
+            let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
+            self.fb = Framebuffer::from_screenshot(&shot);
+            stats.keyframes_presented = 1;
+            self.obs.incr(names::RECORD_SEEK_KEYFRAME_LOADS);
+            entry.command_offset
         };
-        let shot = self.load_keyframe(entry.screenshot_offset)?;
-        self.fb = Framebuffer::from_screenshot(&shot);
-        let mut stats = PlayStats {
-            keyframes_presented: 1,
-            ..PlayStats::default()
-        };
-        // Gather commands in (keyframe, t], pruning irrelevant ones: a
-        // command fully overwritten by a newer one (and not read in
-        // between) does not need to be applied.
-        let mut queue = CommandQueue::new();
-        let mut offset = entry.command_offset;
-        {
-            let store = self.record.read();
-            loop {
-                match store.log.read_at(offset) {
-                    Ok(Some((time, cmd, next))) => {
-                        if time > t {
-                            break;
-                        }
-                        queue.push(time, cmd);
-                        offset = next;
-                    }
-                    Ok(None) => break,
-                    Err(_) => return Err(PlaybackError::Corrupt),
+        // Headers only: a command fully overwritten by a newer one (and
+        // not read in between) is never decoded, let alone applied.
+        self.scan.clear();
+        loop {
+            match store.log.peek_at(offset) {
+                Ok(Some((time, meta, next))) if time <= t => {
+                    self.scan.push((offset, meta));
+                    offset = next;
                 }
+                Ok(_) => break,
+                Err(_) => return Err(PlaybackError::Corrupt),
             }
         }
-        stats.commands_pruned = queue.merged_away();
-        for entry in queue.flush() {
-            self.fb.apply(&entry.command);
-            stats.commands_applied += 1;
+        self.obs
+            .add(names::RECORD_SEEK_COMMANDS_SCANNED, self.scan.len() as u64);
+        stats.commands_pruned = self.pass.prune(&mut self.scan, |&(_, meta)| meta) as u64;
+        for &(at, _) in &self.scan {
+            match store.log.read_at(at) {
+                Ok(Some((_, cmd, _))) => self.fb.apply(&cmd),
+                _ => return Err(PlaybackError::Corrupt),
+            }
         }
+        stats.commands_applied = self.scan.len() as u64;
+        self.obs
+            .add(names::RECORD_SEEK_COMMANDS_APPLIED, stats.commands_applied);
         self.position = t;
         self.offset = offset;
+        self.primed = true;
         Ok(stats)
     }
 
@@ -182,7 +218,11 @@ impl PlaybackEngine {
                     self.offset = next;
                 }
                 Ok(None) => break,
-                Err(_) => return Err(PlaybackError::Corrupt),
+                Err(_) => {
+                    // `fb` is now ahead of `position`.
+                    self.primed = false;
+                    return Err(PlaybackError::Corrupt);
+                }
             }
         }
         self.position = self.position.max(t);
@@ -231,7 +271,11 @@ impl PlaybackEngine {
                     self.offset = next;
                 }
                 Ok(None) => break,
-                Err(_) => return Err(PlaybackError::Corrupt),
+                Err(_) => {
+                    // `fb` is now ahead of `position`.
+                    self.primed = false;
+                    return Err(PlaybackError::Corrupt);
+                }
             }
         }
         self.position = self.position.max(t);
@@ -246,27 +290,27 @@ impl PlaybackEngine {
         t: Timestamp,
         mut sink: Option<&mut dyn CommandSink>,
     ) -> Result<PlayStats, PlaybackError> {
-        let entries: Vec<_> = {
-            let store = self.record.read();
-            store.timeline.entries_in(self.position, t).to_vec()
-        };
-        if entries.is_empty() {
-            return self.play_until(t, sink);
-        }
+        let resumable = std::mem::take(&mut self.primed);
         let mut stats = PlayStats::default();
-        for entry in &entries {
-            let shot = self.load_keyframe(entry.screenshot_offset)?;
-            self.fb = Framebuffer::from_screenshot(&shot);
-            if let Some(s) = sink.as_deref_mut() {
-                s.submit(entry.time, &present_command(&shot));
+        {
+            let record = self.record.clone();
+            let store = record.read();
+            for entry in store.timeline.entries_in(self.position, t) {
+                let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
+                if let Some(s) = sink.as_deref_mut() {
+                    s.submit(entry.time, &present_command(&shot));
+                }
+                self.fb = Framebuffer::from_screenshot(&shot);
+                self.offset = entry.command_offset;
+                self.position = entry.time;
+                stats.keyframes_presented += 1;
             }
-            stats.keyframes_presented += 1;
         }
-        let last = entries.last().expect("non-empty");
-        self.offset = last.command_offset;
-        self.position = last.time;
         let tail = self.play_until(t, sink)?;
         stats.commands_applied += tail.commands_applied;
+        // Playing on from a keyframe primes the engine; playing on from
+        // wherever it stood leaves it as it was.
+        self.primed = resumable || stats.keyframes_presented > 0;
         Ok(stats)
     }
 
@@ -277,18 +321,21 @@ impl PlaybackEngine {
         t: Timestamp,
         mut sink: Option<&mut dyn CommandSink>,
     ) -> Result<PlayStats, PlaybackError> {
-        let entries: Vec<_> = {
-            let store = self.record.read();
-            store.timeline.entries_in(t, self.position).to_vec()
-        };
+        let resumable = std::mem::take(&mut self.primed);
         let mut stats = PlayStats::default();
-        for entry in entries.iter().rev() {
-            let shot = self.load_keyframe(entry.screenshot_offset)?;
-            if let Some(s) = sink.as_deref_mut() {
-                s.submit(entry.time, &present_command(&shot));
+        {
+            let record = self.record.clone();
+            let store = record.read();
+            for entry in store.timeline.entries_in(t, self.position).iter().rev() {
+                let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
+                if let Some(s) = sink.as_deref_mut() {
+                    s.submit(entry.time, &present_command(&shot));
+                }
+                stats.keyframes_presented += 1;
             }
-            stats.keyframes_presented += 1;
         }
+        // Presenting touched neither `fb` nor the cursor.
+        self.primed = resumable;
         let seek_stats = self.seek(t)?;
         if let Some(s) = sink {
             s.submit(t, &present_command(&self.fb.snapshot()));
@@ -300,11 +347,11 @@ impl PlaybackEngine {
 }
 
 /// Converts a screenshot into a full-screen raw command for presentation
-/// to a viewer sink.
+/// to a viewer sink, sharing its pixels.
 fn present_command(shot: &Screenshot) -> DisplayCommand {
     DisplayCommand::Raw {
         rect: Rect::new(0, 0, shot.width, shot.height),
-        pixels: Arc::new(shot.pixels.as_ref().clone()),
+        pixels: Arc::clone(&shot.pixels),
     }
 }
 
@@ -457,13 +504,91 @@ mod tests {
     }
 
     #[test]
-    fn keyframe_cache_hits_on_repeat_seeks() {
+    fn seek_resumes_forward_and_reloads_backward() {
         let (record, _) = sample_record();
-        let mut engine = PlaybackEngine::new(record);
+        let mut engine = PlaybackEngine::new(record.clone());
+        assert_eq!(engine.seek(ts(2_500)).unwrap().keyframes_presented, 1);
+        // Forward inside the keyframe interval: continue from 2.5 s and
+        // scan only the one command in (2.5 s, 2.6 s].
+        let forward = engine.seek(ts(2_600)).unwrap();
+        assert_eq!(forward.keyframes_presented, 0);
+        assert_eq!(forward.commands_applied + forward.commands_pruned, 1);
+        // Backward: the state at 2.6 s is no use for 2.1 s.
+        assert_eq!(engine.seek(ts(2_100)).unwrap().keyframes_presented, 1);
+        // Past the next keyframe: that keyframe is nearer than 2.1 s.
+        assert_eq!(engine.seek(ts(3_300)).unwrap().keyframes_presented, 1);
+        let mut fresh = PlaybackEngine::new(record);
+        fresh.seek(ts(3_300)).unwrap();
+        assert_eq!(engine.framebuffer(), fresh.framebuffer());
+        let (hits, misses) = engine.shot_cache.stats();
+        assert_eq!((hits, misses), (1, 2), "the 2 s keyframe was decoded once");
+    }
+
+    /// Regression: a seek that fails part-way has already replaced `fb`
+    /// with the keyframe; it must not seed a later resume.
+    #[test]
+    fn failed_seek_is_not_resumable() {
+        let (record, _) = sample_record();
+        // The entry at 2.7 s gets an unknown tag.
+        let at = {
+            let store = record.read();
+            let entry = *store.timeline.entry_at_or_before(ts(2_000)).unwrap();
+            let mut at = entry.command_offset;
+            while let Some((time, _, next)) = store.log.peek_at(at).unwrap() {
+                if time == ts(2_700) {
+                    break;
+                }
+                at = next;
+            }
+            at
+        };
+        record.write().log.corrupt_tag_at(at);
+        let mut engine = PlaybackEngine::new(record.clone());
+        engine.seek(ts(2_200)).unwrap();
+        assert_eq!(engine.seek(ts(2_900)), Err(PlaybackError::Corrupt));
+        assert_eq!(
+            engine.play_until(ts(2_900), None),
+            Err(PlaybackError::Corrupt)
+        );
+        let after_failure = engine.seek(ts(2_500)).unwrap();
+        assert_eq!(
+            after_failure.keyframes_presented, 1,
+            "restarts from the keyframe"
+        );
+        let mut fresh = PlaybackEngine::new(record);
+        fresh.seek(ts(2_500)).unwrap();
+        assert_eq!(engine.framebuffer(), fresh.framebuffer());
+    }
+
+    #[test]
+    fn fresh_engine_is_not_resumable() {
+        // Keyframe at t = 0 and `position == ZERO`, but the black `fb`
+        // of a new engine is not that keyframe.
+        let config = RecorderConfig::default();
+        let mut rec = DisplayRecorder::new(8, 8, config);
+        rec.submit(ts(0), &fill(Rect::new(0, 0, 8, 8), 5));
+        rec.force_keyframe(ts(0));
+        rec.submit(ts(10), &fill(Rect::new(0, 0, 1, 1), 6));
+        let mut engine = PlaybackEngine::new(rec.record());
+        // Playing on from wherever the engine stood does not prime it.
+        engine.fast_forward(ts(0), None).unwrap();
+        let stats = engine.seek(ts(5)).unwrap();
+        assert_eq!(stats.keyframes_presented, 1);
+        assert_eq!(engine.framebuffer().pixel(4, 4), 5);
+    }
+
+    #[test]
+    fn seek_counts_work_into_obs() {
+        let (record, _) = sample_record();
+        let obs = Obs::sim();
+        let mut engine = PlaybackEngine::new(record).with_obs(obs.clone());
         engine.seek(ts(2_500)).unwrap();
-        engine.seek(ts(2_600)).unwrap();
-        engine.seek(ts(2_700)).unwrap();
-        let (hits, _) = engine.shot_cache.stats();
-        assert!(hits >= 2, "repeat seeks should hit the screenshot cache");
+        engine.seek(ts(2_900)).unwrap();
+        assert_eq!(obs.counter(names::RECORD_SEEK_KEYFRAME_LOADS), 1);
+        assert_eq!(obs.counter(names::RECORD_SEEK_RESUMED), 1);
+        // Columns never overlap, so nothing is pruned: 2.1..=2.5 s after
+        // the 2 s keyframe, then 2.6..=2.9 s.
+        assert_eq!(obs.counter(names::RECORD_SEEK_COMMANDS_SCANNED), 9);
+        assert_eq!(obs.counter(names::RECORD_SEEK_COMMANDS_APPLIED), 9);
     }
 }

@@ -79,10 +79,11 @@ impl Timeline {
     }
 
     /// Returns the entries strictly between `after` and up to and
-    /// including time `t`, used by fast-forward's screenshot walk.
+    /// including time `t`, used by fast-forward's screenshot walk. Empty
+    /// when `t` is not after `after`.
     pub fn entries_in(&self, after: Timestamp, t: Timestamp) -> &[TimelineEntry] {
-        let lo = self.entries.partition_point(|e| e.time <= after);
         let hi = self.entries.partition_point(|e| e.time <= t);
+        let lo = self.entries[..hi].partition_point(|e| e.time <= after);
         &self.entries[lo..hi]
     }
 
@@ -178,6 +179,9 @@ mod tests {
         assert_eq!(range, &[entry(100), entry(250)]);
         let none = t.entries_in(Timestamp::from_millis(600), Timestamp::from_millis(700));
         assert!(none.is_empty());
+        // A reversed range (fast-forward to the past) is empty, not a panic.
+        let reversed = t.entries_in(Timestamp::from_millis(600), Timestamp::from_millis(100));
+        assert!(reversed.is_empty());
     }
 
     #[test]
