@@ -145,6 +145,11 @@ fn split_command(buf: &[u8]) -> Result<Parts<'_>, CodecError> {
                 return Err(CodecError::BadPayload("video payload too short"));
             };
             let (width, height) = (dims.get_u32_le(), dims.get_u32_le());
+            // Such a frame cannot be sampled; its planes would be empty
+            // and the length check below would let it through.
+            if width == 0 || height == 0 {
+                return Err(CodecError::BadPayload("video frame has no pixels"));
+            }
             let luma = u64::from(width) * u64::from(height);
             let chroma = u64::from(width.div_ceil(2)) * u64::from(height.div_ceil(2));
             (
@@ -375,6 +380,22 @@ mod tests {
             decode_command(&mut out.as_slice()),
             Err(CodecError::BadPayload(_))
         ));
+    }
+
+    /// Regression: a frame 0 wide or 0 high has empty planes, so its
+    /// eight-byte payload passed the length check, and applying the
+    /// decoded command panicked.
+    #[test]
+    fn video_frames_without_pixels_are_rejected() {
+        for (width, height) in [(0u32, 0u32), (0, 7), (7, 0)] {
+            let mut out = vec![TAG_VIDEO];
+            for v in [0u32, 0, 10, 10, 8, width, height] {
+                out.put_u32_le(v);
+            }
+            let why = CodecError::BadPayload("video frame has no pixels");
+            assert_eq!(peek_command(&out), Err(why.clone()));
+            assert_eq!(decode_command(&mut out.as_slice()), Err(why));
+        }
     }
 
     #[test]

@@ -187,6 +187,12 @@ impl VirtualDisplayDriver {
     /// Applies a pre-built command: updates the framebuffer, damage
     /// tracking and statistics, then fans it out to all sinks.
     pub fn submit(&mut self, cmd: DisplayCommand) {
+        // A frame without pixels shows nothing, and the codec refuses to
+        // decode one: it must not reach the sinks that encode what they
+        // are given (the record, the wire).
+        if matches!(&cmd, DisplayCommand::Video { frame, .. } if frame.is_empty()) {
+            return;
+        }
         let ts = self.clock.now();
         self.fb.apply(&cmd);
         self.damage
@@ -235,6 +241,14 @@ mod tests {
         let sink: SharedSink = Arc::new(Mutex::new(Collector { cmds: log.clone() }));
         driver.attach_sink(sink);
         (driver, log, clock)
+    }
+
+    #[test]
+    fn video_frame_without_pixels_reaches_no_sink() {
+        let (mut driver, log, _clock) = driver_with_sink();
+        driver.video_frame(Rect::new(0, 0, 8, 8), YuvFrame::from_luma(0, 3, Vec::new()));
+        assert!(log.lock().is_empty());
+        assert_eq!(driver.stats().commands, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::command::{DisplayCommand, Pixel};
+use crate::command::{yuv_to_rgb, DisplayCommand, Pixel, YuvFrame};
 use crate::rect::Rect;
 
 /// A full-screen pixel snapshot.
@@ -195,36 +195,7 @@ fn paint(pixels: &mut [Pixel], width: u32, screen: &Rect, cmd: &DisplayCommand) 
         DisplayCommand::Glyph { rect, bits, fg, bg } => {
             apply_glyph(pixels, width, screen, rect, bits, *fg, *bg)
         }
-        DisplayCommand::Video { rect, frame } => {
-            let r = rect.intersect(screen);
-            if rect.is_empty() || r.is_empty() {
-                return;
-            }
-            // Nearest-neighbour scale with precomputed column map
-            // and per-row RGB conversion of only the source pixels
-            // actually sampled; video is the hottest apply path.
-            let col_map: Vec<u32> = (r.x..r.right())
-                .map(|x| {
-                    (((x - rect.x) as u64 * frame.width as u64 / rect.w as u64)
-                        .min(frame.width as u64 - 1)) as u32
-                })
-                .collect();
-            let mut cached_fy = u32::MAX;
-            let mut row_rgb: Vec<Pixel> = Vec::new();
-            for y in r.y..r.bottom() {
-                let fy = (((y - rect.y) as u64 * frame.height as u64 / rect.h as u64)
-                    .min(frame.height as u64 - 1)) as u32;
-                if fy != cached_fy {
-                    cached_fy = fy;
-                    row_rgb.clear();
-                    row_rgb.extend((0..frame.width).map(|fx| frame.pixel_at(fx, fy)));
-                }
-                let dst = (y * width + r.x) as usize;
-                for (i, &fx) in col_map.iter().enumerate() {
-                    pixels[dst + i] = row_rgb[fx as usize];
-                }
-            }
-        }
+        DisplayCommand::Video { rect, frame } => apply_video(pixels, width, screen, rect, frame),
     }
 }
 
@@ -279,6 +250,100 @@ fn apply_copy(
     }
 }
 
+/// Scales `frame` into `rect`, nearest-neighbour: destination pixel
+/// `(x, y)` shows source pixel `((x - rect.x) * frame.width / rect.w,
+/// (y - rect.y) * frame.height / rect.h)`. A frame without pixels paints
+/// nothing.
+///
+/// Video is the hottest apply path, so a source pixel is converted to
+/// RGB only for a destination pixel that shows it. A destination row
+/// showing the same source row as the row above is copied from there;
+/// for any other, the samples its columns show are laid out plane by
+/// plane and converted in one pass.
+fn apply_video(pixels: &mut [Pixel], width: u32, screen: &Rect, rect: &Rect, frame: &YuvFrame) {
+    let r = rect.intersect(screen);
+    if r.is_empty() || frame.is_empty() {
+        return;
+    }
+    let (fw, fh) = (frame.width as usize, frame.height as usize);
+    let cw = fw.div_ceil(2);
+    // Sliced once, so the row loop indexes planes of a known size.
+    let y_plane = &frame.y[..fw * fh];
+    let u_plane = &frame.u[..cw * fh.div_ceil(2)];
+    let v_plane = &frame.v[..cw * fh.div_ceil(2)];
+    // `d < dst_len` for every pixel of `r`, so the sample is in range.
+    let sample = |d: u32, src_len: u32, dst_len: u32| {
+        (u64::from(d) * u64::from(src_len) / u64::from(dst_len)) as usize
+    };
+    let first_col = (r.x - rect.x) as usize;
+    let row_len = r.w as usize;
+    // At 1:1 a row shows the run of columns from `first_col`; otherwise
+    // the source column of each destination column.
+    let unscaled = rect.w == frame.width;
+    let cols: Vec<usize> = if unscaled {
+        Vec::new()
+    } else {
+        (r.x..r.right())
+            .map(|x| sample(x - rect.x, frame.width, rect.w))
+            .collect()
+    };
+    // The luma, U and V samples of one destination row. At 1:1 the
+    // chroma runs start `lead` columns early, on an even column, and
+    // cover whole pairs of columns.
+    let lead = first_col % 2;
+    let paired = (lead + row_len).next_multiple_of(2);
+    let mut samples = vec![0u8; row_len + 2 * (row_len + 2)];
+    let (ys, chroma) = samples.split_at_mut(row_len);
+    let (us, vs) = chroma.split_at_mut(row_len + 2);
+    let mut fy_above = usize::MAX;
+    for y in r.y..r.bottom() {
+        let fy = sample(y - rect.y, frame.height, rect.h);
+        let dst = (y * width + r.x) as usize;
+        if fy == fy_above {
+            let above = dst - width as usize;
+            pixels.copy_within(above..above + row_len, dst);
+            continue;
+        }
+        fy_above = fy;
+        let y_row = &y_plane[fy * fw..][..fw];
+        let u_row = &u_plane[fy / 2 * cw..][..cw];
+        let v_row = &v_plane[fy / 2 * cw..][..cw];
+        let out = &mut pixels[dst..dst + row_len];
+        if unscaled {
+            twice_each(&mut us[..paired], &u_row[first_col / 2..]);
+            twice_each(&mut vs[..paired], &v_row[first_col / 2..]);
+            convert_row(out, &y_row[first_col..], &us[lead..], &vs[lead..]);
+        } else {
+            for (i, &fx) in cols.iter().enumerate() {
+                ys[i] = y_row[fx];
+                us[i] = u_row[fx / 2];
+                vs[i] = v_row[fx / 2];
+            }
+            convert_row(out, ys, us, vs);
+        }
+    }
+}
+
+/// Fills `out` (of even length) with each byte of `src` twice over: the
+/// chroma samples of a run of columns that starts on an even one.
+fn twice_each(out: &mut [u8], src: &[u8]) {
+    for (pair, &sample) in out.chunks_exact_mut(2).zip(src) {
+        pair[0] = sample;
+        pair[1] = sample;
+    }
+}
+
+/// Converts `out.len()` samples, taken from the front of each plane.
+///
+/// Never inlined: as part of [`paint`] the loop was not vectorised and
+/// ran several times slower than compiled alone.
+#[inline(never)]
+fn convert_row(out: &mut [Pixel], ys: &[u8], us: &[u8], vs: &[u8]) {
+    for (((px, &y), &u), &v) in out.iter_mut().zip(ys).zip(us).zip(vs) {
+        *px = yuv_to_rgb(y, u, v);
+    }
+}
+
 fn apply_glyph(
     pixels: &mut [Pixel],
     width: u32,
@@ -309,6 +374,7 @@ fn apply_glyph(
 mod tests {
     use super::*;
     use crate::command::{rgb, Pattern, YuvFrame};
+    use proptest::prelude::*;
 
     fn fb() -> Framebuffer {
         Framebuffer::new(16, 16)
@@ -437,6 +503,93 @@ mod tests {
         assert_eq!(f.pixel(15, 0), rgb(0, 0, 0));
         assert_eq!(f.pixel(0, 15), rgb(0, 0, 0));
         assert_eq!(f.pixel(15, 15), rgb(255, 255, 255));
+    }
+
+    /// A frame with every plane drawn from `seed`.
+    fn noise_frame(width: u32, height: u32, seed: u64) -> YuvFrame {
+        let mut rng = TestRng::from_seed(seed);
+        let mut plane = |len: u32| (0..len).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>();
+        let chroma = width.div_ceil(2) * height.div_ceil(2);
+        YuvFrame {
+            width,
+            height,
+            y: plane(width * height),
+            u: plane(chroma),
+            v: plane(chroma),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The video kernel shows, in every pixel of its rectangle that
+        /// the clip lets through, what `YuvFrame::pixel_at` says of the
+        /// source pixel nearest-neighbour scaling picks — and touches
+        /// nothing else. Frames of odd and even sizes; rectangles the
+        /// frame's size, a multiple, a fraction or unrelated; clips that
+        /// cut the rectangle on any side, on odd and even columns.
+        #[test]
+        fn video_kernel_equals_per_pixel_sampling(
+            frame_size in (1..=33u32, 1..=33u32),
+            fit in (0..4u32, 0..4u32),
+            free_size in (1..80u32, 1..80u32),
+            origin in (0..40u32, 0..40u32),
+            clip in (0..24u32, 0..24u32, 1..=48u32, 1..=48u32),
+            seed in any::<u64>(),
+        ) {
+            const SIDE: u32 = 48;
+            const UNTOUCHED: Pixel = 0xDEAD_BEEF;
+            let fitted = |fit: u32, frame_len: u32, free: u32| match fit {
+                0 => frame_len,
+                1 => frame_len * 2,
+                2 => frame_len.div_ceil(2),
+                _ => free,
+            };
+            let (fw, fh) = frame_size;
+            let rect = Rect::new(
+                origin.0,
+                origin.1,
+                fitted(fit.0, fw, free_size.0),
+                fitted(fit.1, fh, free_size.1),
+            );
+            let clip = Rect::new(clip.0, clip.1, clip.2, clip.3).intersect(&Rect::screen(SIDE, SIDE));
+            let frame = noise_frame(fw, fh, seed);
+            let mut pixels = vec![UNTOUCHED; (SIDE * SIDE) as usize];
+            apply_video(&mut pixels, SIDE, &clip, &rect, &frame);
+            let shown = rect.intersect(&clip);
+            for y in 0..SIDE {
+                for x in 0..SIDE {
+                    let expected = if shown.contains_point(x, y) {
+                        frame.pixel_at((x - rect.x) * fw / rect.w, (y - rect.y) * fh / rect.h)
+                    } else {
+                        UNTOUCHED
+                    };
+                    prop_assert_eq!(
+                        pixels[(y * SIDE + x) as usize], expected,
+                        "pixel ({}, {}) of {:?} clipped by {:?}", x, y, rect, clip
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn video_frame_without_pixels_paints_nothing() {
+        for (width, height) in [(0, 0), (0, 4), (4, 0)] {
+            let mut f = fb();
+            let shot = f.snapshot();
+            f.apply(&DisplayCommand::Video {
+                rect: Rect::new(2, 2, 10, 10),
+                frame: Arc::new(YuvFrame {
+                    width,
+                    height,
+                    y: Vec::new(),
+                    u: Vec::new(),
+                    v: Vec::new(),
+                }),
+            });
+            assert_eq!(f.snapshot(), shot);
+        }
     }
 
     #[test]

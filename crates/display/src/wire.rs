@@ -20,7 +20,7 @@ use crate::command::DisplayCommand;
 use crate::driver::CommandSink;
 use crate::viewer::{InputEvent, Viewer};
 
-/// Error returned by [`ByteChannel::try_recv`] once the peer has
+/// Error returned by [`ByteChannel::recv_into`] once the peer has
 /// closed the channel and every buffered byte has been drained.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChannelClosed;
@@ -43,7 +43,7 @@ struct ChannelState {
 ///
 /// The channel has explicit lifecycle semantics: after
 /// [`close`](ByteChannel::close), buffered bytes still drain, but
-/// [`try_recv`](ByteChannel::try_recv) on an empty closed channel
+/// [`recv_into`](ByteChannel::recv_into) on an empty closed channel
 /// reports [`ChannelClosed`] instead of an empty read — so a consumer
 /// can distinguish "no bytes yet" from "peer gone". Bytes sent after
 /// close are discarded.
@@ -66,33 +66,30 @@ impl ByteChannel {
         if state.closed {
             return 0;
         }
-        state.queue.extend(bytes.iter().copied());
+        state.queue.extend(bytes);
         bytes.len()
     }
 
-    /// Removes and returns up to `max` bytes (empty when nothing is
-    /// buffered, whether or not the channel is closed). Prefer
-    /// [`try_recv`](ByteChannel::try_recv) when EOF matters.
-    pub fn recv(&self, max: usize) -> Vec<u8> {
-        let mut state = self.inner.lock();
-        let take = max.min(state.queue.len());
-        state.queue.drain(..take).collect()
-    }
-
-    /// Removes and returns up to `max` bytes, or [`ChannelClosed`] once
-    /// the channel is closed *and* fully drained. An empty `Ok` means
-    /// "no bytes yet, try again".
-    pub fn try_recv(&self, max: usize) -> Result<Vec<u8>, ChannelClosed> {
+    /// Moves up to `buf.len()` buffered bytes to the front of `buf` and
+    /// returns how many, or [`ChannelClosed`] once the channel is closed
+    /// *and* fully drained. `Ok(0)` means "no bytes yet, try again".
+    pub fn recv_into(&self, buf: &mut [u8]) -> Result<usize, ChannelClosed> {
         let mut state = self.inner.lock();
         if state.queue.is_empty() {
             return if state.closed {
                 Err(ChannelClosed)
             } else {
-                Ok(Vec::new())
+                Ok(0)
             };
         }
-        let take = max.min(state.queue.len());
-        Ok(state.queue.drain(..take).collect())
+        let take = buf.len().min(state.queue.len());
+        // The ring's contents are at most two runs: copy each whole.
+        let (head, tail) = state.queue.as_slices();
+        let from_head = take.min(head.len());
+        buf[..from_head].copy_from_slice(&head[..from_head]);
+        buf[from_head..take].copy_from_slice(&tail[..take - from_head]);
+        state.queue.drain(..take);
+        Ok(take)
     }
 
     /// Closes the channel: no further bytes are accepted, and readers
@@ -181,28 +178,32 @@ impl RemoteViewer {
     pub fn feed(&mut self, bytes: &[u8]) -> Result<usize, CodecError> {
         self.buffer.extend_from_slice(bytes);
         let mut applied = 0;
-        loop {
-            if self.buffer.len() < 8 + HEADER_LEN {
-                break;
+        // Consumed bytes leave the buffer once, after the loop: a burst
+        // of small commands must not shift the rest down per command.
+        let mut consumed = 0;
+        let outcome = loop {
+            let pending = &self.buffer[consumed..];
+            if pending.len() < 8 + HEADER_LEN {
+                break Ok(());
             }
             let ts = Timestamp::from_nanos(u64::from_le_bytes(
-                self.buffer[..8].try_into().expect("8 bytes"),
+                pending[..8].try_into().expect("8 bytes"),
             ));
-            let mut slice = &self.buffer[8..];
+            let mut slice = &pending[8..];
             let before = slice.len();
             match decode_command(&mut slice) {
                 Ok(cmd) => {
-                    let consumed = 8 + (before - slice.len());
+                    consumed += 8 + (before - slice.len());
                     self.viewer.submit(ts, &cmd);
-                    self.buffer.drain(..consumed);
                     self.received += 1;
                     applied += 1;
                 }
-                Err(CodecError::UnexpectedEof) => break, // Partial frame.
-                Err(e) => return Err(e),
+                Err(CodecError::UnexpectedEof) => break Ok(()), // Partial frame.
+                Err(e) => break Err(e),
             }
-        }
-        Ok(applied)
+        };
+        self.buffer.drain(..consumed);
+        outcome.map(|()| applied)
     }
 
     /// Pumps all currently available bytes from a channel.
@@ -225,16 +226,16 @@ impl RemoteViewer {
     /// Propagates stream corruption.
     pub fn poll(&mut self, channel: &ByteChannel) -> Result<PumpStatus, CodecError> {
         let mut applied = 0;
+        let mut chunk = [0u8; 1400]; // MTU-ish chunks.
         loop {
-            match channel.try_recv(1400) {
-                // MTU-ish chunks.
-                Ok(chunk) if chunk.is_empty() => {
+            match channel.recv_into(&mut chunk) {
+                Ok(0) => {
                     return Ok(PumpStatus {
                         applied,
                         eof: false,
                     })
                 }
-                Ok(chunk) => applied += self.feed(&chunk)?,
+                Ok(n) => applied += self.feed(&chunk[..n])?,
                 Err(ChannelClosed) => return Ok(PumpStatus { applied, eof: true }),
             }
         }
@@ -370,12 +371,9 @@ mod tests {
         }
         // Deliver one byte at a time: worst-case fragmentation.
         let mut remote = RemoteViewer::new(32, 32);
-        loop {
-            let chunk = channel.recv(1);
-            if chunk.is_empty() {
-                break;
-            }
-            remote.feed(&chunk).unwrap();
+        let mut byte = [0u8; 1];
+        while channel.recv_into(&mut byte) == Ok(1) {
+            remote.feed(&byte).unwrap();
         }
         assert_eq!(remote.received(), 10);
         assert_eq!(
@@ -395,7 +393,8 @@ mod tests {
                 color: 1,
             },
         );
-        let mut bytes = channel.recv(usize::MAX);
+        let mut bytes = vec![0u8; channel.len()];
+        assert_eq!(channel.recv_into(&mut bytes), Ok(bytes.len()));
         bytes[8] = 99; // Clobber the command tag.
         let mut remote = RemoteViewer::new(8, 8);
         assert!(remote.feed(&bytes).is_err());
@@ -461,7 +460,7 @@ mod tests {
         assert_eq!(channel.send(&[1, 2, 3]), 0);
         assert!(channel.is_closed());
         // Closed and drained: EOF, not an empty read.
-        assert_eq!(channel.try_recv(16), Err(ChannelClosed));
+        assert_eq!(channel.recv_into(&mut [0u8; 16]), Err(ChannelClosed));
         let pumped = remote.poll(&channel).unwrap();
         assert_eq!(
             pumped,
@@ -470,6 +469,94 @@ mod tests {
                 eof: true
             }
         );
+    }
+
+    /// A read that spans the ring's wrap point takes both runs, in
+    /// order, across any interleaving of writes and partial reads.
+    #[test]
+    fn recv_into_spans_the_ring_wrap() {
+        let channel = ByteChannel::new();
+        let mut sent = 0u32;
+        let mut received = 0u32;
+        let mut wrapped_reads = 0;
+        let mut buf = [0u8; 64];
+        // Writes outpace reads a little, so the ring's head walks
+        // around its buffer while the contents stay short of a regrow.
+        for round in 0..400usize {
+            let burst: Vec<u8> = (0..17 + round % 23)
+                .map(|_| {
+                    sent += 1;
+                    sent as u8
+                })
+                .collect();
+            assert_eq!(channel.send(&burst), burst.len());
+            let wrapped = !channel.inner.lock().queue.as_slices().1.is_empty();
+            let want = 13 + round % 29;
+            let got = channel.recv_into(&mut buf[..want]).unwrap();
+            assert_eq!(got, want.min((sent - received) as usize));
+            wrapped_reads += usize::from(wrapped && got > 0);
+            for &byte in &buf[..got] {
+                received += 1;
+                assert_eq!(byte, received as u8, "byte {received} out of order");
+            }
+        }
+        assert!(wrapped_reads > 0, "no read ever met a wrapped ring");
+        // The rest drains in order, then the channel is merely empty.
+        while let Ok(got @ 1..) = channel.recv_into(&mut buf) {
+            for &byte in &buf[..got] {
+                received += 1;
+                assert_eq!(byte, received as u8);
+            }
+        }
+        assert_eq!(received, sent);
+        assert_eq!(channel.recv_into(&mut buf), Ok(0));
+    }
+
+    #[test]
+    fn recv_into_reports_close_only_once_drained() {
+        let channel = ByteChannel::new();
+        channel.send(b"last words");
+        channel.close();
+        let mut buf = [0u8; 4];
+        // A zero-length read of a channel with bytes left is not EOF.
+        assert_eq!(channel.recv_into(&mut []), Ok(0));
+        let mut drained = Vec::new();
+        while let Ok(got) = channel.recv_into(&mut buf) {
+            drained.extend_from_slice(&buf[..got]);
+        }
+        assert_eq!(drained, b"last words");
+        assert_eq!(channel.recv_into(&mut buf), Err(ChannelClosed));
+        assert_eq!(channel.recv_into(&mut []), Err(ChannelClosed));
+    }
+
+    /// A burst of commands in one `feed` is consumed in one pass; what
+    /// precedes a corrupt command is applied and leaves the buffer.
+    #[test]
+    fn feed_applies_a_burst_up_to_a_corrupt_command() {
+        let channel = ByteChannel::new();
+        let mut encoder = StreamEncoder::new(channel.clone());
+        for i in 0..3u32 {
+            encoder.submit(
+                Timestamp::ZERO,
+                &DisplayCommand::SolidFill {
+                    rect: Rect::new(i, 0, 1, 1),
+                    color: i + 1,
+                },
+            );
+        }
+        let mut bytes = vec![0u8; channel.len()];
+        assert_eq!(channel.recv_into(&mut bytes), Ok(bytes.len()));
+        let one = bytes.len() / 3;
+        bytes[2 * one + 8] = 99; // Clobber the third command's tag.
+        let mut remote = RemoteViewer::new(8, 8);
+        assert_eq!(remote.feed(&bytes), Err(CodecError::BadTag(99)));
+        assert_eq!(remote.received(), 2);
+        assert_eq!(
+            remote.buffer.len(),
+            one,
+            "the applied commands left the buffer"
+        );
+        assert_eq!(remote.viewer.screenshot().pixels[..3], [1, 2, 0]);
     }
 
     #[test]

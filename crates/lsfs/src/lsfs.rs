@@ -960,6 +960,24 @@ impl Filesystem for Lsfs {
 mod tests {
     use super::*;
 
+    /// The journal is an on-disk format: the checksum a record carries
+    /// is pinned so the CRC implementation cannot drift with writer and
+    /// reader still agreeing.
+    #[test]
+    fn journal_record_checksum_is_pinned() {
+        let mut fs = Lsfs::new();
+        fs.create("/pinned").unwrap();
+        let disk = fs.disk();
+        let disk = disk.read();
+        let record = disk.read(
+            fs.last_journal,
+            (disk.bytes_written() - fs.last_journal) as usize,
+        );
+        assert_eq!(&record[..4], JOURNAL_MAGIC);
+        assert_eq!(record[4..8], 0xD0D0_DDB5u32.to_le_bytes());
+        assert!(read_journal_record(&disk, fs.last_journal).is_some());
+    }
+
     #[test]
     fn write_read_round_trip_spanning_blocks() {
         let mut fs = Lsfs::new();

@@ -152,6 +152,20 @@ mod tests {
         assert_eq!(dec.buffered(), 0);
     }
 
+    /// The frame is a wire format: one encoded message's bytes are
+    /// pinned, checksum included, so the CRC implementation cannot drift
+    /// with both ends still agreeing.
+    #[test]
+    fn encoded_frame_is_pinned() {
+        let payload = crate::proto::encode_message_vec(&crate::proto::Message::Ping {
+            nonce: 0x0123_4567_89AB_CDEF,
+        });
+        let wire = encode_frame_vec(&payload);
+        assert_eq!(wire[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(wire[4..8], 0x365F_CED7u32.to_le_bytes());
+        assert_eq!(wire[8..], payload);
+    }
+
     #[test]
     fn byte_at_a_time_delivery_reassembles() {
         let wire = encode_frame_vec(b"fragmented payload");

@@ -141,13 +141,8 @@ impl Transport for ByteChannel {
     }
 
     fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TransportError> {
-        match self.try_recv(buf.len()) {
-            Ok(chunk) => {
-                buf[..chunk.len()].copy_from_slice(&chunk);
-                Ok(chunk.len())
-            }
-            Err(ChannelClosed) => Err(TransportError::Closed),
-        }
+        self.recv_into(buf)
+            .map_err(|ChannelClosed| TransportError::Closed)
     }
 
     fn close(&mut self) {
@@ -262,15 +257,14 @@ impl Transport for LoopbackTransport {
             Some(IoFault::ShortRead) => self.plane.short_len(buf.len().min(self.chunk)).max(1),
             _ => buf.len().min(self.chunk),
         };
-        let chunk = match self.rx.try_recv(want) {
-            Ok(chunk) => chunk,
-            Err(ChannelClosed) => return Err(TransportError::Closed),
-        };
-        buf[..chunk.len()].copy_from_slice(&chunk);
+        let got = self
+            .rx
+            .recv_into(&mut buf[..want])
+            .map_err(|ChannelClosed| TransportError::Closed)?;
         if matches!(fault, Some(IoFault::Corrupt)) {
-            self.plane.mangle(&mut buf[..chunk.len()]);
+            self.plane.mangle(&mut buf[..got]);
         }
-        Ok(chunk.len())
+        Ok(got)
     }
 
     fn close(&mut self) {

@@ -335,6 +335,10 @@ pub mod names {
     pub const RECORD_SEEK_COMMANDS_SCANNED: &str = "record.seek.commands_scanned";
     /// Commands seeks decoded and applied after pruning (useful work).
     pub const RECORD_SEEK_COMMANDS_APPLIED: &str = "record.seek.commands_applied";
+    /// Command headers scanned by the recorder's keyframe catch-up.
+    pub const RECORD_CATCHUP_COMMANDS_SCANNED: &str = "record.catchup.commands_scanned";
+    /// Commands the catch-up decoded and applied after pruning.
+    pub const RECORD_CATCHUP_COMMANDS_APPLIED: &str = "record.catchup.commands_applied";
 
     /// Accessibility events processed by the capture daemon.
     pub const TEXT_EVENTS: &str = "text.events";

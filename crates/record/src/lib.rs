@@ -17,6 +17,7 @@ pub mod log;
 pub mod persist;
 pub mod playback;
 pub mod recorder;
+mod replay;
 pub mod screenshot;
 pub mod substream;
 pub mod timeline;

@@ -12,14 +12,13 @@
 
 use std::sync::Arc;
 
-use dv_display::{
-    CommandMeta, CommandSink, DisplayCommand, Framebuffer, OverwritePass, Rect, Screenshot,
-};
+use dv_display::{CommandSink, DisplayCommand, Framebuffer, Rect, Screenshot};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, Timestamp};
 
 use crate::cache::LruCache;
 use crate::recorder::{DisplayRecord, RecordStore};
+use crate::replay::PrunedReplay;
 
 /// Errors produced by playback operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,9 +70,7 @@ pub struct PlaybackEngine {
     primed: bool,
     shot_cache: LruCache<u64, Screenshot>,
     obs: Obs,
-    /// Seek scratch: `(log offset, header)` of the commands in range.
-    scan: Vec<(u64, CommandMeta)>,
-    pass: OverwritePass,
+    replay: PrunedReplay,
 }
 
 impl PlaybackEngine {
@@ -91,8 +88,7 @@ impl PlaybackEngine {
             primed: false,
             shot_cache: LruCache::new(16),
             obs: Obs::disabled(),
-            scan: Vec::new(),
-            pass: OverwritePass::new(),
+            replay: PrunedReplay::default(),
         }
     }
 
@@ -153,7 +149,7 @@ impl PlaybackEngine {
             .entry_at_or_before(t)
             .ok_or(PlaybackError::BeforeRecord)?;
         let mut stats = PlayStats::default();
-        let mut offset = if resumable && entry.time <= self.position && self.position <= t {
+        let from = if resumable && entry.time <= self.position && self.position <= t {
             self.obs.incr(names::RECORD_SEEK_RESUMED);
             self.offset
         } else {
@@ -163,33 +159,18 @@ impl PlaybackEngine {
             self.obs.incr(names::RECORD_SEEK_KEYFRAME_LOADS);
             entry.command_offset
         };
-        // Headers only: a command fully overwritten by a newer one (and
-        // not read in between) is never decoded, let alone applied.
-        self.scan.clear();
-        loop {
-            match store.log.peek_at(offset) {
-                Ok(Some((time, meta, next))) if time <= t => {
-                    self.scan.push((offset, meta));
-                    offset = next;
-                }
-                Ok(_) => break,
-                Err(_) => return Err(PlaybackError::Corrupt),
-            }
-        }
+        let done = self
+            .replay
+            .run(&store.log, from, t, &mut self.fb)
+            .map_err(|_| PlaybackError::Corrupt)?;
+        stats.commands_applied = done.applied;
+        stats.commands_pruned = done.scanned - done.applied;
         self.obs
-            .add(names::RECORD_SEEK_COMMANDS_SCANNED, self.scan.len() as u64);
-        stats.commands_pruned = self.pass.prune(&mut self.scan, |&(_, meta)| meta) as u64;
-        for &(at, _) in &self.scan {
-            match store.log.read_at(at) {
-                Ok(Some((_, cmd, _))) => self.fb.apply(&cmd),
-                _ => return Err(PlaybackError::Corrupt),
-            }
-        }
-        stats.commands_applied = self.scan.len() as u64;
+            .add(names::RECORD_SEEK_COMMANDS_SCANNED, done.scanned);
         self.obs
-            .add(names::RECORD_SEEK_COMMANDS_APPLIED, stats.commands_applied);
+            .add(names::RECORD_SEEK_COMMANDS_APPLIED, done.applied);
         self.position = t;
-        self.offset = offset;
+        self.offset = done.next;
         self.primed = true;
         Ok(stats)
     }

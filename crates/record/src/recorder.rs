@@ -22,6 +22,7 @@ use dv_display::{
 use dv_time::{Duration, Timestamp};
 
 use crate::log::CommandLog;
+use crate::replay::PrunedReplay;
 use crate::screenshot::ScreenshotStore;
 use crate::timeline::{Timeline, TimelineEntry};
 
@@ -122,15 +123,18 @@ pub struct RecordStats {
 ///
 /// The reconstruction framebuffer is maintained *lazily*: commands are
 /// only encoded and appended on the hot path, and the framebuffer
-/// catches up by replaying the log tail when a keyframe is due. This
-/// keeps per-command recording cost at its wire cost, which is what
-/// makes display recording overhead small (§6).
+/// catches up when a keyframe is due — by the pruned replay a seek
+/// uses, so of the log tail it has not yet seen it decodes and applies
+/// only what no newer command overwrote (of a run of video frames, the
+/// last). This keeps per-command recording cost at its wire cost, which
+/// is what makes display recording overhead small (§6).
 pub struct DisplayRecorder {
     config: RecorderConfig,
     record: DisplayRecord,
     fb: Framebuffer,
     /// Log offset up to which `fb` is current.
     fb_offset: u64,
+    replay: PrunedReplay,
     queue: CommandQueue,
     last_flush: Option<Timestamp>,
     last_keyframe: Option<Timestamp>,
@@ -170,6 +174,7 @@ impl DisplayRecorder {
             record,
             fb: Framebuffer::new(rw, rh),
             fb_offset: 0,
+            replay: PrunedReplay::default(),
             queue: CommandQueue::new(),
             last_flush: None,
             last_keyframe: None,
@@ -267,16 +272,21 @@ impl DisplayRecorder {
         );
     }
 
-    /// Catches the reconstruction framebuffer up to the log head by
-    /// replaying the tail it has not yet seen.
+    /// Catches the reconstruction framebuffer up to the log head.
     fn sync_fb(&mut self) {
         let store = self.record.read();
-        let mut offset = self.fb_offset;
-        while let Ok(Some((_, cmd, next))) = store.log.read_at(offset) {
-            self.fb.apply(&cmd);
-            offset = next;
+        // The log holds only what this recorder encoded; should it not
+        // read back, the framebuffer stays where it stands.
+        if let Ok(done) = self
+            .replay
+            .run(&store.log, self.fb_offset, Timestamp::MAX, &mut self.fb)
+        {
+            self.fb_offset = done.next;
+            self.obs
+                .add(names::RECORD_CATCHUP_COMMANDS_SCANNED, done.scanned);
+            self.obs
+                .add(names::RECORD_CATCHUP_COMMANDS_APPLIED, done.applied);
         }
-        self.fb_offset = offset;
     }
 
     /// Takes a keyframe now, regardless of the change threshold; the
@@ -565,6 +575,24 @@ mod tests {
             let shot = store.shots.load(entry.screenshot_offset).unwrap();
             assert_eq!(call.1, shot.content_hash());
         }
+    }
+
+    #[test]
+    fn catch_up_applies_only_what_survives() {
+        let obs = Obs::sim();
+        let mut rec = DisplayRecorder::new(32, 32, RecorderConfig::default());
+        rec.set_obs(obs.clone());
+        for i in 0..20 {
+            rec.submit(ts(i), &fill(Rect::new(0, 0, 32, 32), i as u32));
+        }
+        rec.force_keyframe(ts(100));
+        assert_eq!(obs.counter(names::RECORD_CATCHUP_COMMANDS_SCANNED), 20);
+        assert_eq!(obs.counter(names::RECORD_CATCHUP_COMMANDS_APPLIED), 1);
+        let record = rec.record();
+        let store = record.read();
+        let entry = store.timeline.entries().last().unwrap();
+        let shot = store.shots.load(entry.screenshot_offset).unwrap();
+        assert!(shot.pixels.iter().all(|&p| p == 19));
     }
 
     #[test]

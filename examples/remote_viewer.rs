@@ -53,10 +53,15 @@ fn main() {
     }
     println!("queued {} bytes on the wire", channel.len());
 
-    // The remote viewer pumps the channel in MTU-sized chunks and ends
-    // up pixel-identical to the server's screen.
+    // The remote viewer takes the bytes off the channel in MTU-sized
+    // chunks, as a network would deliver them, and ends up
+    // pixel-identical to the server's screen.
     let mut remote = RemoteViewer::new(1024, 768);
-    let applied = remote.pump(&channel).unwrap();
+    let mut packet = [0u8; 1400];
+    let mut applied = 0;
+    while let Ok(n @ 1..) = channel.recv_into(&mut packet) {
+        applied += remote.feed(&packet[..n]).unwrap();
+    }
     println!("remote viewer applied {applied} commands");
     assert_eq!(
         remote.viewer.screenshot().content_hash(),

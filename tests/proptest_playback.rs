@@ -17,8 +17,9 @@ use dv_display::{
     DisplayCommand, Framebuffer, Pattern, Rect, ScaleFactor, Screenshot, Viewer,
     VirtualDisplayDriver, VirtualOutput, YuvFrame, HEADER_LEN,
 };
+use dv_fault::{sites, FaultPlan, IoFault};
 use dv_index::RankOrder;
-use dv_record::{DisplayRecorder, PlaybackEngine, PlaybackError, RecorderConfig};
+use dv_record::{CommandLog, DisplayRecorder, PlaybackEngine, PlaybackError, RecorderConfig};
 use dv_time::{Duration, SimClock, Timestamp};
 
 const W: u32 = 48;
@@ -73,6 +74,39 @@ fn arb_command() -> impl Strategy<Value = DisplayCommand> {
             }
         }),
     ]
+}
+
+/// The bytes of a command whose payload length is the one its tag, its
+/// rectangle and (for video) its frame size call for, over degenerate
+/// geometry: rectangles and frames with a side of zero, one or two.
+fn arb_framed_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        1..=6u8,
+        (0..3u32, 0..3u32, 0..3u32, 0..3u32),
+        (0..3u32, 0..3u32),
+        any::<u8>(),
+    )
+        .prop_map(|(tag, (x, y, w, h), (fw, fh), fill)| {
+            let payload_len = match tag {
+                1 => 4 * w * h,
+                2 => 8,
+                3 => 4,
+                4 => 16,
+                5 => 8 + w.div_ceil(8) * h,
+                _ => 8 + fw * fh + 2 * fw.div_ceil(2) * fh.div_ceil(2),
+            };
+            let mut bytes = vec![tag];
+            for field in [x, y, w, h, payload_len] {
+                bytes.extend_from_slice(&field.to_le_bytes());
+            }
+            let mut payload = vec![fill; payload_len as usize];
+            if tag == 6 {
+                payload[..4].copy_from_slice(&fw.to_le_bytes());
+                payload[4..8].copy_from_slice(&fh.to_le_bytes());
+            }
+            bytes.extend_from_slice(&payload);
+            bytes
+        })
 }
 
 /// One step of a session in which a recorder and one long-lived playback
@@ -242,21 +276,24 @@ proptest! {
         }
     }
 
-    /// Neither reader panics on arbitrary bytes, and the peek accepts
-    /// exactly what the decoder accepts.
+    /// Neither reader panics on arbitrary bytes, the peek accepts
+    /// exactly what the decoder accepts, and whatever decodes also
+    /// applies without panicking.
     #[test]
     fn peek_never_panics_on_arbitrary_bytes(
         tag in 0..9u8,
         dims in prop::collection::vec(prop_oneof![0..4u32, any::<u32>()], 5),
         tail in prop::collection::vec(any::<u8>(), 0..80),
+        framed in arb_framed_bytes(),
     ) {
         let mut bytes = vec![tag];
         for field in &dims {
             bytes.extend_from_slice(&field.to_le_bytes());
         }
         bytes.extend_from_slice(&tail);
-        // Both with the drawn header in front and as pure noise.
-        for buf in [bytes.as_slice(), tail.as_slice()] {
+        // With the drawn header in front, as pure noise, and as a
+        // command that is well framed but degenerate.
+        for buf in [bytes.as_slice(), tail.as_slice(), framed.as_slice()] {
             let peeked = peek_command(buf);
             let mut rest = buf;
             let decoded = decode_command(&mut rest);
@@ -264,6 +301,18 @@ proptest! {
                 (Ok(meta), Ok(cmd)) => {
                     prop_assert_eq!(meta, cmd.meta());
                     prop_assert_eq!(meta.len, buf.len() - rest.len());
+                    let mut fb = Framebuffer::new(W, H);
+                    fb.apply(&cmd);
+                    // The same bytes as a stored log entry and as a
+                    // live command on the way to a viewer.
+                    let mut entry = 7u64.to_le_bytes().to_vec();
+                    entry.extend_from_slice(&buf[..meta.len]);
+                    let log = CommandLog::from_bytes(entry).expect("a one-entry log");
+                    let (_, logged, _) = log.read_at(0).expect("read").expect("entry");
+                    prop_assert_eq!(&logged, &cmd);
+                    let mut viewer = Viewer::new(W, H);
+                    viewer.submit(Timestamp::ZERO, &logged);
+                    prop_assert_eq!(viewer.screenshot(), fb.snapshot());
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(false, "peek {:?} but decode {:?}", a, b.map(|c| c.meta())),
@@ -376,6 +425,66 @@ proptest! {
             reference.snapshot().content_hash(),
             "divergence at probe {}ms of {} commands", probe_ms, total
         );
+    }
+
+    /// Every keyframe a recorder stores — its framebuffer caught up by
+    /// the pruned replay — is byte for byte the screen that applying its
+    /// log linearly, from black up to the keyframe's command offset,
+    /// shows: with copies reading areas later overwritten, bursts merged
+    /// by a flush interval, keyframes forced at arbitrary points and a
+    /// flush lost to an injected `record.log.append` fault.
+    #[test]
+    fn recorder_keyframes_equal_linear_replay_of_its_log(
+        cmds in prop::collection::vec(arb_command(), 8..80),
+        batches in prop::collection::vec((1..8usize, 0..120u64, any::<bool>()), 2..24),
+        flush_ms in prop_oneof![Just(0u64), 20..200u64],
+        dropped_flush in 0..12u64,
+    ) {
+        let config = RecorderConfig {
+            flush_interval: Duration::from_millis(flush_ms),
+            keyframe_interval: Duration::from_millis(150),
+            keyframe_min_change: 0.0,
+            ..RecorderConfig::default()
+        };
+        let mut recorder = DisplayRecorder::new(W, H, config);
+        if dropped_flush > 0 {
+            recorder.set_fault_plane(
+                FaultPlan::new(dropped_flush)
+                    .fail_nth(sites::RECORD_LOG_APPEND, dropped_flush, IoFault::Enospc)
+                    .build(),
+            );
+        }
+        let mut pool = cmds.iter().cycle();
+        let mut now_ms = 0u64;
+        for &(count, advance_ms, keyframe) in &batches {
+            now_ms += advance_ms;
+            let now = Timestamp::from_millis(now_ms);
+            for cmd in pool.by_ref().take(count) {
+                recorder.submit(now, cmd);
+            }
+            if keyframe {
+                recorder.force_keyframe(now);
+            }
+        }
+        recorder.force_keyframe(Timestamp::from_millis(now_ms + 1));
+
+        let record = recorder.record();
+        let store = record.read();
+        let mut linear = Framebuffer::new(W, H);
+        let mut at = 0;
+        for entry in store.timeline.entries() {
+            while at < entry.command_offset {
+                let (_, cmd, next) = store.log.read_at(at).expect("read").expect("entry");
+                linear.apply(&cmd);
+                at = next;
+            }
+            prop_assert_eq!(at, entry.command_offset);
+            let stored = store.shots.load(entry.screenshot_offset).expect("keyframe");
+            prop_assert!(
+                stored == linear.snapshot(),
+                "the keyframe at {:?} differs from linear replay of its log", entry.time
+            );
+        }
     }
 
     /// Merging a queue never changes the final screen contents.
