@@ -2351,10 +2351,7 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
         dv_lsfs::SharedBlobStore::in_memory(),
         dv_fault::FaultPlane::disabled(),
         obs.clone(),
-        dv_tidx::TidxConfig {
-            compact_fanin: 4,
-            ..dv_tidx::TidxConfig::default()
-        },
+        dv_tidx::TidxConfig::default(),
     );
 
     let segs = ((24.0 * scale) as u64).max(8);

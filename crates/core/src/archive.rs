@@ -4,9 +4,11 @@
 //! DejaView records what a user has seen" (§1) — which presumes the
 //! records outlive the recorder process. A *session archive* bundles
 //! everything needed to reopen a record: the display record (command
-//! log, keyframes, timeline), the text index, the checkpoint image
-//! store and the engine's image metadata, and the session file system's
-//! journaled log. A restored server can browse, search, **and revive**
+//! log, keyframes, timeline), the open text shard and the open visual
+//! strip (each in its sealed-segment payload form), the checkpoint
+//! image store — which also holds every sealed index segment and
+//! manifest — and the engine's image metadata, and the session file
+//! system's journaled log. A restored server can browse, search, **and revive**
 //! from the archived history, then continue recording into it.
 //!
 //! Live runtime state — revived sessions, open descriptors, the
@@ -23,7 +25,8 @@ use crate::config::Config;
 use crate::error::ServerError;
 use crate::server::DejaView;
 
-const MAGIC: &[u8; 8] = b"DVARC001";
+/// `DVARC001` archives lack the open-strip section and are rejected.
+const MAGIC: &[u8; 8] = b"DVARC002";
 
 /// An archive decoding error.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -39,7 +42,7 @@ impl std::error::Error for ArchiveError {}
 
 impl From<ArchiveError> for ServerError {
     fn from(e: ArchiveError) -> Self {
-        ServerError::Query(dv_index::ParseError(e.0.to_string()))
+        dv_lsfs::SegmentError::Failed(e.to_string()).into()
     }
 }
 
@@ -84,10 +87,13 @@ impl DejaView {
             encode_record(&store)
         };
         put_section(&mut out, &record_bytes);
-        // Text index, flushed through the fault plane with the server's
-        // retry policy.
+        // The two open buffers no seal has made durable yet: the text
+        // shard, flushed through the fault plane with the server's
+        // retry policy, and the visual strip (empty when recall is off).
         let index_bytes = self.flush_index_with_retry()?;
         put_section(&mut out, &index_bytes);
+        let strip_bytes = self.vidx().map_or(Vec::new(), |v| v.export_open());
+        put_section(&mut out, &strip_bytes);
         // Checkpoint blobs + engine metadata.
         let blob_bytes = self.store_mut().export();
         put_section(&mut out, &blob_bytes);
@@ -126,6 +132,7 @@ impl DejaView {
         let index_bytes = get_section(&mut buf)?;
         let index =
             dv_index::decode_index(index_bytes).map_err(|_| ArchiveError("corrupt text index"))?;
+        let strip_bytes = get_section(&mut buf)?;
         let blob_bytes = get_section(&mut buf)?.to_vec();
         let engine_bytes = get_section(&mut buf)?.to_vec();
         let fs_bytes = get_section(&mut buf)?;
@@ -144,13 +151,10 @@ impl DejaView {
             return Err(ArchiveError("corrupt engine metadata").into());
         }
         dv.install_session_fs(fs);
-        // Sealed index segments and their manifests travel inside the
-        // blob store export; rebuild the shard layout from the newest
-        // manifest so multi-shard search works over the archive. The
-        // visual strip rides the same store, so its layout recovers
-        // the same way.
-        dv.recover_index_shards()?;
-        dv.recover_visual()?;
+        // Sealed text and visual segments and their manifests travel
+        // inside the blob store export; rebuild both layouts from the
+        // newest manifests so queries span the archive.
+        dv.recover_indexes(strip_bytes)?;
         Ok(dv)
     }
 }
@@ -217,6 +221,45 @@ mod tests {
         assert_eq!(session.vee.process(Vpid(2)).unwrap().name, "editor");
     }
 
+    /// The open visual strip — keyframes no seal has made durable —
+    /// travels in the archive like the open text shard, and its id
+    /// allocator continues instead of restarting at 0.
+    #[test]
+    fn archive_carries_the_open_visual_strip() {
+        let mut dv = DejaView::new(Config {
+            width: 64,
+            height: 64,
+            ..Config::default()
+        });
+        dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 64), 0x101010);
+        dv.driver_mut().fill_rect(Rect::new(8, 8, 24, 24), 0xFF0000);
+        dv.clock().advance(Duration::from_secs(1));
+        dv.policy_tick().unwrap();
+        dv.force_keyframe();
+        let probe = dv.browse(Timestamp::from_secs(1)).unwrap();
+        let before = dv.visual_hits(&probe, 4).unwrap();
+        let open_before = dv.vidx().unwrap().stats().open_instances;
+        assert!(!before.is_empty() && open_before > 0, "nothing sealed yet");
+
+        let archive = dv.save_archive().unwrap();
+        let mut restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+        assert_eq!(restored.visual_hits(&probe, 4).unwrap(), before);
+        assert_eq!(restored.vidx().unwrap().stats().open_instances, open_before);
+        // A new scene allocates past every restored instance id.
+        restored
+            .driver_mut()
+            .fill_rect(Rect::new(32, 32, 24, 24), 0x00FF00);
+        restored.clock().advance(Duration::from_secs(1));
+        restored.force_keyframe();
+        let fresh = restored.browse(restored.now()).unwrap();
+        let hit = restored.visual_hits(&fresh, 1).unwrap().remove(0);
+        assert_eq!(hit.distance, 0);
+        assert!(
+            before.iter().all(|h| h.id < hit.id),
+            "{before:?} vs {hit:?}"
+        );
+    }
+
     #[test]
     fn restored_server_continues_recording() {
         let mut original = recorded_server();
@@ -242,6 +285,11 @@ mod tests {
         let mut original = recorded_server();
         let archive = original.save_archive().unwrap();
         assert!(DejaView::load_archive(Config::default(), b"junk").is_err());
+        // The previous format (no open-strip section) is refused by
+        // its magic, not misparsed.
+        let mut old_magic = archive.clone();
+        old_magic[..8].copy_from_slice(b"DVARC001");
+        assert!(DejaView::load_archive(Config::default(), &old_magic).is_err());
         assert!(DejaView::load_archive(Config::default(), &archive[..archive.len() / 3]).is_err());
         let mut extra = archive.clone();
         extra.push(0);

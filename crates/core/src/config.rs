@@ -40,39 +40,19 @@ pub struct Config {
     /// Attach the display recorder (disable to measure a run without
     /// display recording, as in Figure 2's component isolation).
     pub enable_display_recording: bool,
-    /// Attach the text-capture daemon and index.
+    /// Attach the text-capture daemon and the time-sharded index it
+    /// feeds (dv-tidx): the open shard seals into immutable segments
+    /// at checkpoint boundaries and queries fan out across shards.
     pub enable_text_capture: bool,
-    /// Shard the text index along the time axis: seal the open shard
-    /// into immutable segments at checkpoint boundaries and fan
-    /// queries out across shards. Disable to keep the whole record in
-    /// one in-memory index (the pre-sharding behavior).
-    pub enable_sharded_index: bool,
-    /// Session-time width of the open index shard; once the horizon
-    /// has advanced this far past the shard's start, the next
-    /// checkpoint seals it.
+    /// Session-time width of the open index shard and the open visual
+    /// strip; once the horizon has advanced this far past the buffer's
+    /// start, the next checkpoint seals it.
     pub index_shard_window: Duration,
-    /// FOCAL-style capture-time filtering (the paper's §4.2 lineage):
-    /// skip indexing a text state whose fingerprint equals the last
-    /// indexed state, so redundant re-captures cost nothing.
-    pub index_filter_redundant: bool,
-    /// How many same-level sealed segments one background compaction
-    /// merges (minimum 2).
-    pub index_compact_fanin: usize,
-    /// Decoded sealed segments kept hot for queries.
-    pub index_segment_cache: usize,
     /// Thumbnail-keyed visual recall: fingerprint every persisted
     /// keyframe into the dv-vidx strip, sealed at checkpoint
     /// boundaries like the sharded text index. Requires display
     /// recording.
     pub enable_visual_index: bool,
-    /// Width every keyframe thumbnail is resampled to.
-    pub thumbnail_w: u32,
-    /// Height every keyframe thumbnail is resampled to.
-    pub thumbnail_h: u32,
-    /// Hamming threshold under which consecutive keyframes coalesce
-    /// into one visual instance (must stay at or below
-    /// [`dv_vidx::EXACT_RADIUS`] so instances remain separable).
-    pub visual_near_dup_bits: u32,
     /// Fault-injection plane installed into every storage component
     /// (disk log, journal, blob store, checkpoint writeback, recorder
     /// persistence, index flush). Disabled by default: the sites are
@@ -115,15 +95,8 @@ impl Default for Config {
             store_latency: None,
             enable_display_recording: true,
             enable_text_capture: true,
-            enable_sharded_index: true,
             index_shard_window: Duration::from_secs(30),
-            index_filter_redundant: true,
-            index_compact_fanin: 4,
-            index_segment_cache: 16,
             enable_visual_index: true,
-            thumbnail_w: 64,
-            thumbnail_h: 48,
-            visual_near_dup_bits: 8,
             fault_plane: FaultPlane::disabled(),
             obs: Obs::disabled(),
             shared_store: None,
@@ -148,18 +121,18 @@ mod tests {
         assert!((config.policy.min_display_fraction - 0.05).abs() < 1e-9);
         assert!(!config.revive_network.default_enabled);
         assert!(config.revive_network.new_apps_enabled);
-        // Sharding ships on with a window far wider than the policy's
-        // checkpoint cadence, so short sessions behave exactly like the
-        // single-index path.
-        assert!(config.enable_sharded_index);
+        // The shard window is far wider than the policy's checkpoint
+        // cadence, so short sessions never leave the open shard.
+        assert!(config.enable_text_capture);
         assert_eq!(config.index_shard_window.as_millis(), 30_000);
-        assert!(config.index_filter_redundant);
-        // Visual recall ships on with a PDA-sized thumbnail and a
-        // coalescing threshold safely inside the exact-recall radius.
+        // Visual recall ships on; its PDA-sized thumbnail and a
+        // coalescing threshold safely inside the exact-recall radius
+        // are dv-vidx constants, like the lifecycle's fan-in and cache.
         assert!(config.enable_visual_index);
-        assert_eq!((config.thumbnail_w, config.thumbnail_h), (64, 48));
-        assert_eq!(config.visual_near_dup_bits, 8);
-        assert!(config.visual_near_dup_bits <= dv_vidx::EXACT_RADIUS);
+        assert_eq!((dv_vidx::THUMB_W, dv_vidx::THUMB_H), (64, 48));
+        assert_eq!(dv_vidx::NEAR_DUP_BITS, 8);
+        assert_eq!(dv_lsfs::sealed::COMPACT_FANIN, 4);
+        assert_eq!(dv_lsfs::sealed::SEGMENT_CACHE, 16);
         // Deferred write-back ships disabled: the synchronous path stays
         // the default until a deployment opts into commit workers.
         assert_eq!(config.engine.commit_workers, 0);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use dv_checkpoint::ReviveError;
 use dv_index::ParseError;
-use dv_lsfs::FsError;
+use dv_lsfs::{FsError, SegmentError};
 use dv_record::PlaybackError;
 use dv_vee::VeeError;
 
@@ -21,6 +21,11 @@ pub enum ServerError {
     Playback(PlaybackError),
     /// A query failed to parse.
     Query(ParseError),
+    /// A sealed-segment index (text shards, visual strips, or the
+    /// archive that carries them) could not answer: the checkpoint
+    /// asked for aged out of retention, or the index is disabled or
+    /// its blobs failed.
+    Segments(SegmentError),
     /// A revive failed.
     Revive(ReviveError),
     /// A file system operation failed.
@@ -39,6 +44,7 @@ impl fmt::Display for ServerError {
             ServerError::NoSuchResult(idx) => write!(f, "no search result at index {idx}"),
             ServerError::Playback(e) => write!(f, "playback: {e}"),
             ServerError::Query(e) => write!(f, "{e}"),
+            ServerError::Segments(e) => write!(f, "record store: {e}"),
             ServerError::Revive(e) => write!(f, "revive: {e}"),
             ServerError::Fs(e) => write!(f, "file system: {e}"),
             ServerError::Vee(e) => write!(f, "session: {e}"),
@@ -57,6 +63,12 @@ impl From<PlaybackError> for ServerError {
 impl From<ParseError> for ServerError {
     fn from(e: ParseError) -> Self {
         ServerError::Query(e)
+    }
+}
+
+impl From<SegmentError> for ServerError {
+    fn from(e: SegmentError) -> Self {
+        ServerError::Segments(e)
     }
 }
 

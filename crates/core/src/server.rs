@@ -19,7 +19,7 @@ use dv_checkpoint::{
 use dv_display::{InputEvent, Screenshot, Viewer, VirtualDisplayDriver};
 use dv_fault::FaultPlane;
 use dv_index::{parse_query, RankOrder, SearchHit, TextIndex};
-use dv_lsfs::{BlobStore, Lsfs, ReadOnlyFs, SharedBlobStore, SharedFs, UnionFs};
+use dv_lsfs::{BlobStore, Lsfs, ReadOnlyFs, SegmentError, SharedBlobStore, SharedFs, UnionFs};
 use dv_obs::{names, Obs, ObsSnapshot};
 use dv_record::{DisplayRecord, DisplayRecorder, LruCache, PlaybackEngine};
 use dv_tidx::{TidxConfig, TidxEngine};
@@ -63,8 +63,8 @@ pub struct DejaView {
     recorder: Arc<Mutex<DisplayRecorder>>,
     record: DisplayRecord,
     index: Arc<Mutex<TextIndex>>,
-    /// The sharded temporal index over `index` (None when disabled:
-    /// the whole record stays in the single in-memory index).
+    /// The sharded temporal index over `index` (None when text
+    /// capture is off).
     tidx: Option<Arc<TidxEngine>>,
     /// Thumbnail-keyed visual recall over the keyframe stream (None
     /// when disabled or when display recording is off).
@@ -119,15 +119,8 @@ impl DejaView {
             store_latency,
             enable_display_recording,
             enable_text_capture,
-            enable_sharded_index,
             index_shard_window,
-            index_filter_redundant,
-            index_compact_fanin,
-            index_segment_cache,
             enable_visual_index,
-            thumbnail_w,
-            thumbnail_h,
-            visual_near_dup_bits,
             fault_plane,
             obs,
             shared_store,
@@ -161,7 +154,7 @@ impl DejaView {
         let instance_counter = Arc::new(std::sync::atomic::AtomicU64::new(1));
         let mut desktop = Desktop::new();
         if enable_text_capture {
-            let mut sink = IndexSink::new(index.clone()).with_filter(index_filter_redundant);
+            let mut sink = IndexSink::new(index.clone());
             sink.set_obs(obs.clone());
             let mut daemon = CaptureDaemon::with_instance_counter(
                 clock.shared(),
@@ -215,57 +208,44 @@ impl DejaView {
         // surface as traced events no matter which component installed
         // its handle last.
         fault_plane.set_obs(obs.clone());
-        // The sharded index shares the open index with the capture
-        // sink and seals segments into the checkpoint store, under the
+        // Sealed index segments land in the checkpoint store, under the
         // tenant's namespace when a host assigned one.
-        let tidx = if enable_sharded_index && enable_text_capture {
-            Some(Arc::new(TidxEngine::new(
+        let segment_prefix = blob_prefix
+            .as_ref()
+            .map_or(String::new(), |prefix| format!("{prefix}."));
+        // The sharded index shares the open index with the capture
+        // sink.
+        let tidx = enable_text_capture.then(|| {
+            Arc::new(TidxEngine::new(
                 index.clone(),
                 store.clone(),
                 fault_plane.clone(),
                 obs.clone(),
                 TidxConfig {
-                    shard_window: index_shard_window,
-                    compact_fanin: index_compact_fanin,
-                    segment_cache: index_segment_cache,
-                    blob_prefix: match &blob_prefix {
-                        Some(prefix) => format!("{prefix}."),
-                        None => String::new(),
-                    },
+                    window: index_shard_window,
+                    blob_prefix: segment_prefix.clone(),
                 },
-            )))
-        } else {
-            None
-        };
+            ))
+        });
         // Visual recall hangs off the recorder's keyframe hook: every
         // *persisted* keyframe (suppressed duplicates never fire it)
-        // is thumbnailed and fingerprinted into the strip, which seals
-        // into the same checkpoint store under the tenant namespace.
-        let vidx = if enable_visual_index && enable_display_recording {
+        // is thumbnailed and fingerprinted into the strip.
+        let vidx = (enable_visual_index && enable_display_recording).then(|| {
             let engine = Arc::new(VidxEngine::new(
                 store.clone(),
                 fault_plane.clone(),
                 obs.clone(),
                 VidxConfig {
-                    thumb_w: thumbnail_w,
-                    thumb_h: thumbnail_h,
-                    near_dup_bits: visual_near_dup_bits,
-                    strip_window: index_shard_window,
-                    segment_cache: index_segment_cache,
-                    blob_prefix: match &blob_prefix {
-                        Some(prefix) => format!("{prefix}."),
-                        None => String::new(),
-                    },
+                    window: index_shard_window,
+                    blob_prefix: segment_prefix,
                 },
             ));
             let hook = engine.clone();
             recorder
                 .lock()
                 .set_keyframe_hook(Box::new(move |now, shot| hook.observe(now, shot)));
-            Some(engine)
-        } else {
-            None
-        };
+            engine
+        });
         let playback = PlaybackEngine::new(record.clone()).with_obs(obs.clone());
         DejaView {
             clipboard: String::new(),
@@ -558,8 +538,7 @@ impl DejaView {
         loop {
             match self.engine.checkpoint(&mut self.vee, &self.store) {
                 Ok(report) => {
-                    self.maybe_seal_index(report.counter);
-                    self.maybe_seal_visual(report.counter);
+                    self.seal_indexes(report.counter);
                     return Ok(report);
                 }
                 Err(e) => {
@@ -581,37 +560,25 @@ impl DejaView {
         }
     }
 
-    /// Seals the open index shard at a just-durable checkpoint when
-    /// its window has elapsed. A failed seal degrades (the open shard
-    /// stays authoritative and the seal retries at the next
-    /// checkpoint) but never fails the checkpoint itself.
-    fn maybe_seal_index(&mut self, counter: u64) {
+    /// Seals the open index shard and the open visual strip at a
+    /// just-durable checkpoint when their window has elapsed. A failed
+    /// seal degrades (the open buffer stays authoritative and the seal
+    /// retries at the next checkpoint) but never fails the checkpoint
+    /// itself.
+    fn seal_indexes(&mut self, counter: u64) {
         let now = self.now();
-        if let Some(tidx) = &self.tidx {
-            self.index.lock().advance_horizon(now);
-            if let Err(e) = tidx.maybe_seal(counter) {
+        self.index.lock().advance_horizon(now);
+        let sealed = [
+            ("index", self.tidx.as_ref().map(|e| e.maybe_seal(counter))),
+            ("visual", self.vidx.as_ref().map(|e| e.maybe_seal(counter))),
+        ];
+        for (what, outcome) in sealed {
+            if let Some(Err(e)) = outcome {
                 self.obs.incr(names::SERVER_DEGRADED_EVENTS);
                 self.obs.event(
                     "server",
                     names::EV_SERVER_RETRY,
-                    format!("index-seal ckpt={counter} error={e:?}"),
-                );
-            }
-        }
-    }
-
-    /// Seals the open visual strip at a just-durable checkpoint when
-    /// its window has elapsed. Degrades like the index seal: the open
-    /// strip stays authoritative and the seal retries at the next
-    /// checkpoint, never failing the checkpoint itself.
-    fn maybe_seal_visual(&mut self, counter: u64) {
-        if let Some(vidx) = &self.vidx {
-            if let Err(e) = vidx.maybe_seal(counter) {
-                self.obs.incr(names::SERVER_DEGRADED_EVENTS);
-                self.obs.event(
-                    "server",
-                    names::EV_SERVER_RETRY,
-                    format!("visual-seal ckpt={counter} error={e:?}"),
+                    format!("{what}-seal ckpt={counter} error={e:?}"),
                 );
             }
         }
@@ -636,7 +603,7 @@ impl DejaView {
                 Err(e) => {
                     self.obs.incr(names::SERVER_DEGRADED_EVENTS);
                     if attempt >= self.io_retry_limit {
-                        return Err(ServerError::Query(dv_index::ParseError(e.to_string())));
+                        return Err(SegmentError::Failed(e.to_string()).into());
                     }
                     attempt += 1;
                     self.obs.incr(names::SERVER_INDEX_FLUSH_RETRIES);
@@ -656,14 +623,6 @@ impl DejaView {
     /// policy).
     pub fn checkpoint_now(&mut self) -> Result<CheckpointReport, ServerError> {
         self.checkpoint_with_retry()
-    }
-
-    /// Flushes the text index as a storable segment (with the storage
-    /// retry policy). A multi-tenant host calls this on its fair
-    /// index-flush rotation; single-session embedders normally rely on
-    /// the archive path instead.
-    pub fn flush_index(&mut self) -> Result<Vec<u8>, ServerError> {
-        self.flush_index_with_retry()
     }
 
     /// Counts storage failures the server absorbed without stopping the
@@ -797,10 +756,8 @@ impl DejaView {
 
     /// Searches the record returning raw ranked hits without
     /// reconstructing screenshot portals — the cheap path a
-    /// multi-tenant host uses for cross-session queries. Routes
-    /// through the sharded engine when enabled (fanning out across the
-    /// open shard and the overlapping sealed segments), else the
-    /// single in-memory index.
+    /// multi-tenant host uses for cross-session queries. Fans out
+    /// across the open shard and the overlapping sealed segments.
     pub fn search_hits(
         &mut self,
         query: &dv_index::Query,
@@ -808,15 +765,7 @@ impl DejaView {
     ) -> Result<Vec<SearchHit>, ServerError> {
         let now = self.now();
         self.index.lock().advance_horizon(now);
-        match &self.tidx {
-            Some(tidx) => tidx
-                .search(query, order)
-                .map_err(|e| ServerError::Query(dv_index::ParseError(e.to_string()))),
-            None => {
-                let index = self.index.lock();
-                Ok(dv_index::search(&index, query, order))
-            }
-        }
+        Ok(Self::enabled(&self.tidx, "text")?.search(query, order)?)
     }
 
     /// Returns the sharded temporal index engine, when enabled.
@@ -829,37 +778,33 @@ impl DejaView {
         self.vidx.clone()
     }
 
+    /// The engine behind an index switch, or the typed "disabled".
+    fn enabled<'a, T>(engine: &'a Option<Arc<T>>, what: &str) -> Result<&'a T, ServerError> {
+        let disabled = || SegmentError::Failed(format!("{what} index disabled")).into();
+        engine.as_deref().ok_or_else(disabled)
+    }
+
     /// Visual recall (§4.4's search portal, keyed by appearance): the
     /// `k` visual instances nearest to a query screenshot, across
     /// every sealed strip segment plus the open strip. Results match
     /// a linear scan exactly (the dv-vidx pigeonhole rule) while
     /// probing sub-linearly.
     pub fn visual_hits(&self, probe: &Screenshot, k: usize) -> Result<Vec<VisualHit>, ServerError> {
-        let Some(vidx) = &self.vidx else {
-            return Err(ServerError::Query(dv_index::ParseError(
-                "visual index disabled".into(),
-            )));
-        };
-        vidx.query(probe, k)
-            .map_err(|e| ServerError::Query(dv_index::ParseError(e.to_string())))
+        Ok(Self::enabled(&self.vidx, "visual")?.query(probe, k)?)
     }
 
     /// Visual recall as of checkpoint `counter` — exactly the
     /// instances sealed at or before it, not the open strip. The
-    /// WYSIWYS guarantee for a revived session's visual view.
+    /// WYSIWYS guarantee for a revived session's visual view. A
+    /// counter below the retention floor reports
+    /// [`SegmentError::OutOfRetention`].
     pub fn visual_at_checkpoint(
         &self,
         counter: u64,
         probe: &Screenshot,
         k: usize,
     ) -> Result<Vec<VisualHit>, ServerError> {
-        let Some(vidx) = &self.vidx else {
-            return Err(ServerError::Query(dv_index::ParseError(
-                "visual index disabled".into(),
-            )));
-        };
-        vidx.query_at(counter, probe, k)
-            .map_err(|e| ServerError::Query(dv_index::ParseError(e.to_string())))
+        Ok(Self::enabled(&self.vidx, "visual")?.query_at(counter, probe, k)?)
     }
 
     /// Visual recall keyed by a past moment instead of a supplied
@@ -897,20 +842,12 @@ impl DejaView {
         self.take_me_back(last)
     }
 
-    /// Rebuilds the visual-strip layout from the manifests in the
-    /// checkpoint store (archive restore).
-    pub fn recover_visual(&mut self) -> Result<Option<u64>, ServerError> {
-        let Some(vidx) = &self.vidx else {
-            return Ok(None);
-        };
-        vidx.recover_latest()
-            .map_err(|e| ServerError::Query(dv_index::ParseError(e.to_string())))
-    }
-
     /// Searches the shard layout as of checkpoint `counter` — exactly
     /// the segments sealed at or before it, not the open shard. This
     /// is the WYSIWYS guarantee a revived session gets: its index view
-    /// is snapshot-consistent with its file system and memory.
+    /// is snapshot-consistent with its file system and memory. A
+    /// counter below the retention floor reports
+    /// [`SegmentError::OutOfRetention`].
     pub fn search_at_checkpoint(
         &self,
         counter: u64,
@@ -918,32 +855,30 @@ impl DejaView {
         order: RankOrder,
     ) -> Result<Vec<SearchHit>, ServerError> {
         let query = parse_query(query)?;
-        let Some(tidx) = &self.tidx else {
-            return Err(ServerError::Query(dv_index::ParseError(
-                "sharded index disabled".into(),
-            )));
-        };
-        tidx.search_at(counter, &query, order)
-            .map_err(|e| ServerError::Query(dv_index::ParseError(e.to_string())))
+        Ok(Self::enabled(&self.tidx, "text")?.search_at(counter, &query, order)?)
     }
 
-    /// Rebuilds the sharded-index layout from the manifests in the
-    /// checkpoint store (archive restore). The capture daemon's
-    /// instance counter is bumped past every archived segment so new
-    /// instances can never collide with sealed ones.
-    pub fn recover_index_shards(&mut self) -> Result<Option<u64>, ServerError> {
-        let Some(tidx) = self.tidx.clone() else {
-            return Ok(None);
-        };
-        let as_err =
-            |e: dv_tidx::TidxError| ServerError::Query(dv_index::ParseError(e.to_string()));
-        let recovered = tidx.recover_latest().map_err(as_err)?;
-        if recovered.is_some() {
-            let max = tidx.max_instance_id().map_err(as_err)?;
-            self.instance_counter
-                .fetch_max(max + 1, std::sync::atomic::Ordering::Relaxed);
+    /// Rebuilds both sealed-segment layouts from the manifests in the
+    /// checkpoint store, and the open visual strip from its archive
+    /// section (archive restore; the open text shard arrives through
+    /// [`DejaView::install_index`]). The capture daemon's instance
+    /// counter is bumped past every sealed instance so new ones can
+    /// never collide.
+    pub(crate) fn recover_indexes(&mut self, open_strip: &[u8]) -> Result<(), ServerError> {
+        if let Some(tidx) = &self.tidx {
+            tidx.recover_latest()?;
+            self.instance_counter.fetch_max(
+                tidx.stats().next_instance,
+                std::sync::atomic::Ordering::Relaxed,
+            );
         }
-        Ok(recovered)
+        if let Some(vidx) = &self.vidx {
+            vidx.recover_latest()?;
+            if !open_strip.is_empty() {
+                vidx.restore_open(open_strip)?;
+            }
+        }
+        Ok(())
     }
 
     fn screenshot_at(&mut self, t: Timestamp) -> Result<Screenshot, ServerError> {
@@ -1820,6 +1755,64 @@ mod tests {
         }
     }
 
+    /// A checkpoint whose segments compaction superseded and GC
+    /// reclaimed is reported as the typed retention miss — for text
+    /// and, now that strips compact too, for visual recall — not as a
+    /// query parse error.
+    #[test]
+    fn aged_out_checkpoints_report_out_of_retention() {
+        let mut dv = DejaView::new(Config {
+            width: 64,
+            height: 64,
+            index_shard_window: Duration::from_secs(1),
+            ..Config::default()
+        });
+        let clock = dv.clock();
+        let app = dv.desktop_mut().register_app("editor");
+        let root = dv.desktop_mut().root(app).unwrap();
+        let round = |dv: &mut DejaView, i: u32| {
+            clock.advance(Duration::from_secs(1));
+            dv.desktop_mut()
+                .add_node(app, root, Role::Paragraph, &format!("batch{i} marker"));
+            paint_scene(dv, i);
+            dv.force_keyframe();
+            dv.checkpoint_now().unwrap().counter
+        };
+        let counters: Vec<u64> = (0..4).map(|i| round(&mut dv, i)).collect();
+        let probe = dv.browse(Timestamp::from_secs(1)).unwrap();
+        let old = counters[1];
+        assert!(dv.tidx().unwrap().maybe_compact().unwrap());
+        assert!(dv.vidx().unwrap().maybe_compact().unwrap());
+        // The inputs stay until a newer manifest names the outputs.
+        let order = RankOrder::Chronological;
+        assert_eq!(
+            dv.search_at_checkpoint(old, "batch1", order).unwrap().len(),
+            1
+        );
+        assert!(!dv.visual_at_checkpoint(old, &probe, 1).unwrap().is_empty());
+        let newest = round(&mut dv, 4);
+        let aged_out = ServerError::Segments(SegmentError::OutOfRetention {
+            requested: old,
+            oldest: newest,
+        });
+        assert_eq!(
+            dv.search_at_checkpoint(old, "marker", order).unwrap_err(),
+            aged_out
+        );
+        assert_eq!(
+            dv.visual_at_checkpoint(old, &probe, 1).unwrap_err(),
+            aged_out
+        );
+        // The floor checkpoint and the live views still answer.
+        assert_eq!(
+            dv.search_at_checkpoint(newest, "batch1", order)
+                .unwrap()
+                .len(),
+            1
+        );
+        assert_eq!(dv.visual_hits(&probe, 1).unwrap()[0].distance, 0);
+    }
+
     #[test]
     fn visual_recall_respects_the_disable_switch() {
         let mut dv = DejaView::new(Config {
@@ -1832,7 +1825,8 @@ mod tests {
         dv.force_keyframe();
         assert!(dv.vidx().is_none());
         let probe = dv.browse(Timestamp::ZERO).unwrap();
-        assert!(dv.visual_hits(&probe, 1).is_err());
-        assert!(dv.visual_at_checkpoint(1, &probe, 1).is_err());
+        let disabled = ServerError::Segments(SegmentError::Failed("visual index disabled".into()));
+        assert_eq!(dv.visual_hits(&probe, 1).unwrap_err(), disabled);
+        assert_eq!(dv.visual_at_checkpoint(1, &probe, 1).unwrap_err(), disabled);
     }
 }

@@ -65,7 +65,6 @@ struct FpGroup {
 /// A [`TextSink`] writing into a shared [`TextIndex`].
 pub struct IndexSink {
     index: Arc<Mutex<TextIndex>>,
-    filter_redundant: bool,
     /// Fingerprint → its live group. An incoming state matching a live
     /// fingerprint is redundant: that content is already on screen and
     /// indexed.
@@ -78,22 +77,14 @@ pub struct IndexSink {
 }
 
 impl IndexSink {
-    /// Creates a sink over the shared index (redundant-state filtering
-    /// off).
+    /// Creates a sink over the shared index.
     pub fn new(index: Arc<Mutex<TextIndex>>) -> Self {
         IndexSink {
             index,
-            filter_redundant: false,
             live: HashMap::new(),
             by_id: HashMap::new(),
             obs: Obs::disabled(),
         }
-    }
-
-    /// Enables or disables FOCAL-style redundant-state filtering.
-    pub fn with_filter(mut self, enabled: bool) -> Self {
-        self.filter_redundant = enabled;
-        self
     }
 
     /// Installs the observability handle (`tidx.filtered` /
@@ -106,7 +97,7 @@ impl IndexSink {
 impl TextSink for IndexSink {
     fn text_shown(&mut self, instance: TextInstance) {
         // Annotations are deliberate user actions, never redundant.
-        if self.filter_redundant && !instance.annotation {
+        if !instance.annotation {
             let fp = fingerprint(&instance);
             if let Some(group) = self.live.get_mut(&fp) {
                 // Identical content is already visible — a re-capture
@@ -210,7 +201,7 @@ mod tests {
     fn redundant_states_are_filtered_at_capture_time() {
         let index = Arc::new(Mutex::new(TextIndex::new()));
         let obs = Obs::wall(dv_time::SimClock::new().shared());
-        let mut sink = IndexSink::new(index.clone()).with_filter(true);
+        let mut sink = IndexSink::new(index.clone());
         sink.set_obs(obs.clone());
         // The same display state re-captured three times: one instance.
         sink.text_shown(shown(1, 1, "same content"));
@@ -239,7 +230,7 @@ mod tests {
     #[test]
     fn duplicate_content_stays_visible_until_the_last_copy_hides() {
         let index = Arc::new(Mutex::new(TextIndex::new()));
-        let mut sink = IndexSink::new(index.clone()).with_filter(true);
+        let mut sink = IndexSink::new(index.clone());
         sink.text_shown(shown(1, 1, "dup content"));
         sink.text_shown(shown(2, 1, "dup content"));
         // The first node hides; the duplicate is still on screen.
@@ -266,7 +257,7 @@ mod tests {
     fn interleaved_nodes_filter_independently() {
         let index = Arc::new(Mutex::new(TextIndex::new()));
         let obs = Obs::wall(dv_time::SimClock::new().shared());
-        let mut sink = IndexSink::new(index.clone()).with_filter(true);
+        let mut sink = IndexSink::new(index.clone());
         sink.set_obs(obs.clone());
         sink.text_shown(shown(1, 1, "pane left"));
         sink.text_shown(shown(2, 1, "pane right"));
@@ -276,15 +267,6 @@ mod tests {
         sink.text_shown(shown(4, 2, "pane right"));
         assert_eq!(index.lock().stats().instances, 2);
         assert_eq!(obs.counter(names::TIDX_FILTERED), 2);
-    }
-
-    #[test]
-    fn filter_disabled_indexes_everything() {
-        let index = Arc::new(Mutex::new(TextIndex::new()));
-        let mut sink = IndexSink::new(index.clone());
-        sink.text_shown(shown(1, 1, "same content"));
-        sink.text_shown(shown(2, 2, "same content"));
-        assert_eq!(index.lock().stats().instances, 2);
     }
 
     #[test]

@@ -82,11 +82,14 @@ pub const TIDX_ALL: [&str; 2] = [TIDX_SEAL, TIDX_COMPACT];
 /// encode-and-persist into an immutable segment at a checkpoint
 /// boundary.
 pub const VIDX_FLUSH: &str = "vidx.flush";
+/// Strip compaction in `dv-vidx` — merging small sealed strips into
+/// one; a faulted merge leaves the inputs authoritative.
+pub const VIDX_COMPACT: &str = "vidx.compact";
 
 /// The visual-index sites. Kept out of [`ALL`] for the same reason as
 /// [`TIDX_ALL`]: the strip seals above the blob layer with its own
 /// fault tests in `dv-vidx`.
-pub const VIDX_ALL: [&str; 1] = [VIDX_FLUSH];
+pub const VIDX_ALL: [&str; 2] = [VIDX_FLUSH, VIDX_COMPACT];
 
 #[cfg(test)]
 mod tests {

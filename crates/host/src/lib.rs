@@ -5,7 +5,7 @@
 //! onto one node. This crate is that packing layer: a [`Host`] owns a
 //! **session registry** of independent [`dejaview::DejaView`] servers —
 //! each tenant keeps its own display, record, checkpoint, and file
-//! system state — while three resources become host-wide and shared:
+//! system state — while two resources become host-wide and shared:
 //!
 //! * the **blob store**: one [`dv_lsfs::SharedBlobStore`] holds every
 //!   tenant's checkpoint blobs, namespaced by a per-tenant blob prefix
@@ -14,10 +14,8 @@
 //!   pool serves every tenant's deferred checkpoint commits, one
 //!   *lane* per tenant, scheduled fairly (round-robin or
 //!   deficit-weighted) so a slow or faulted tenant cannot monopolize
-//!   the workers;
-//! * the **index-flush rotation**: [`Host::flush_index_round`] walks
-//!   tenants from a rotating cursor, so flush bandwidth is shared in
-//!   the same round-robin spirit.
+//!   the workers. Index compaction ([`Host::compact_round`]) rides
+//!   the same lanes as aux tasks.
 //!
 //! Isolation is the contract: each tenant carries its own
 //! [`dv_fault::FaultPlane`] and [`dv_obs::Obs`] handle, its commit lane
@@ -148,30 +146,23 @@ impl From<ServerError> for HostError {
     }
 }
 
-/// One hit of a cross-session query: which tenant's record satisfied
-/// the query, and when.
+/// One hit of a cross-session query, tagged with the tenant whose
+/// record produced it.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CrossHit {
+pub struct Cross<H> {
     /// Tenant id.
     pub tenant: u64,
     /// Tenant label.
     pub label: String,
-    /// The underlying index hit (times are on the shared host clock).
-    pub hit: SearchHit,
+    /// The tenant's own hit (times are on the shared host clock).
+    pub hit: H,
 }
 
-/// One hit of a cross-session visual query: which tenant's record
-/// looked like the probe, and when.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CrossVisualHit {
-    /// Tenant id.
-    pub tenant: u64,
-    /// Tenant label.
-    pub label: String,
-    /// The underlying visual instance (times are on the shared host
-    /// clock).
-    pub hit: VisualHit,
-}
+/// Which tenant's record satisfied a text query, and when.
+pub type CrossHit = Cross<SearchHit>;
+
+/// Which tenant's record looked like a visual probe, and when.
+pub type CrossVisualHit = Cross<VisualHit>;
 
 /// One registered session and its host-side bookkeeping.
 struct Tenant {
@@ -231,8 +222,6 @@ pub struct Host {
     tenants: BTreeMap<u64, Tenant>,
     next_tenant: u64,
     obs: Obs,
-    /// Which tenant leads the next index-flush round.
-    flush_cursor: u64,
     /// Which tenant leads the next background-compaction round.
     compact_cursor: u64,
     config: HostConfig,
@@ -279,7 +268,6 @@ impl Host {
             pool,
             tenants: BTreeMap::new(),
             next_tenant: 1,
-            flush_cursor: 0,
             compact_cursor: 0,
             config,
         }
@@ -528,43 +516,40 @@ impl Host {
         failures
     }
 
-    /// One fair index-flush round: every tenant's text index is flushed
-    /// as a storable segment, starting from a cursor that rotates by
-    /// one tenant per round, so no tenant permanently goes first (or
-    /// last) in the shared flush schedule. Returns `(tenant,
-    /// segment-or-error)` in the order served.
-    #[allow(clippy::type_complexity)]
-    pub fn flush_index_round(&mut self) -> Vec<(u64, Result<Vec<u8>, HostError>)> {
-        let ids = self.tenant_ids();
-        if ids.is_empty() {
-            return Vec::new();
+    /// Asks every tenant in id order and tags what comes back. `ask`
+    /// answers `None` for a tenant without the index in question; a
+    /// tenant whose query fails (e.g. a corrupt sealed segment)
+    /// degrades alone: its hits are skipped, everyone else's return.
+    fn fan_out<H>(
+        &mut self,
+        what: &str,
+        mut ask: impl FnMut(&mut DejaView) -> Option<Result<Vec<H>, ServerError>>,
+    ) -> Vec<Cross<H>> {
+        let mut merged = Vec::new();
+        for (&id, tenant) in self.tenants.iter_mut() {
+            match ask(&mut tenant.server) {
+                None => {}
+                Some(Ok(hits)) => merged.extend(hits.into_iter().map(|hit| Cross {
+                    tenant: id,
+                    label: tenant.label.clone(),
+                    hit,
+                })),
+                Some(Err(e)) => self.obs.event(
+                    "host",
+                    names::EV_HOST_SESSION,
+                    format!("tenant={} {what} error={e:?}", tenant.label),
+                ),
+            }
         }
-        let start = (self.flush_cursor as usize) % ids.len();
-        self.flush_cursor = self.flush_cursor.wrapping_add(1);
-        let mut results = Vec::with_capacity(ids.len());
-        for off in 0..ids.len() {
-            let id = ids[(start + off) % ids.len()];
-            let outcome = self
-                .tenants
-                .get_mut(&id)
-                .expect("registered tenant")
-                .server
-                .flush_index()
-                .map_err(HostError::Server);
-            results.push((id, outcome));
-        }
-        self.obs.incr(names::HOST_INDEX_FLUSH_ROUNDS);
-        results
+        merged
     }
 
     /// Evaluates one query against **every** tenant's record — the
     /// fleet-scale "which of my sessions saw this?" operation. The
-    /// query is parsed once; each tenant's sharded engine (or single
-    /// index) evaluates it independently; then the tagged hits are
-    /// merged by **global rank** under `order` and truncated to
-    /// `limit`. Per-tenant failures (e.g. a corrupt sealed segment)
-    /// degrade that tenant only: its hits are skipped, everyone else's
-    /// still return.
+    /// query is parsed once; each tenant's sharded engine evaluates it
+    /// independently; then the tagged hits are merged by **global
+    /// rank** under `order` and truncated to `limit`. Tenants without
+    /// text capture contribute nothing.
     pub fn search_all(
         &mut self,
         query: &str,
@@ -572,23 +557,9 @@ impl Host {
         limit: usize,
     ) -> Result<Vec<CrossHit>, HostError> {
         let query = parse_query(query).map_err(|e| HostError::Server(ServerError::Query(e)))?;
-        let mut merged: Vec<CrossHit> = Vec::new();
-        for (&id, tenant) in self.tenants.iter_mut() {
-            match tenant.server.search_hits(&query, order) {
-                Ok(hits) => merged.extend(hits.into_iter().map(|hit| CrossHit {
-                    tenant: id,
-                    label: tenant.label.clone(),
-                    hit,
-                })),
-                Err(e) => {
-                    self.obs.event(
-                        "host",
-                        names::EV_HOST_SESSION,
-                        format!("tenant={} cross-query error={e:?}", tenant.label),
-                    );
-                }
-            }
-        }
+        let mut merged = self.fan_out("cross-query", |dv| {
+            dv.tidx().map(|_| dv.search_hits(&query, order))
+        });
         dv_tidx::rank_by(&mut merged, order, |c| &c.hit);
         merged.truncate(limit);
         self.obs.incr(names::HOST_CROSS_QUERIES);
@@ -599,35 +570,21 @@ impl Host {
     /// strip — "which of my sessions ever looked like this?". Each
     /// tenant's dv-vidx engine answers independently (oracle-exact,
     /// sub-linear); the tagged hits are merged by global distance,
-    /// most-recent-first among ties, with the tenant id as the final
-    /// deterministic tie-break, and truncated to `k`. Tenants with the
-    /// visual index disabled contribute nothing; a tenant whose query
-    /// fails (e.g. a corrupt sealed strip) degrades that tenant only.
+    /// most-recent-first among ties, then tenant id and newest
+    /// instance as the deterministic tie-breaks, and truncated to `k`.
+    /// Tenants with the visual index disabled contribute nothing.
     pub fn visual_all(&mut self, probe: &Screenshot, k: usize) -> Vec<CrossVisualHit> {
-        let mut merged: Vec<CrossVisualHit> = Vec::new();
-        for (&id, tenant) in self.tenants.iter_mut() {
-            if tenant.server.vidx().is_none() {
-                continue;
-            }
-            match tenant.server.visual_hits(probe, k) {
-                Ok(hits) => merged.extend(hits.into_iter().map(|hit| CrossVisualHit {
-                    tenant: id,
-                    label: tenant.label.clone(),
-                    hit,
-                })),
-                Err(e) => {
-                    self.obs.event(
-                        "host",
-                        names::EV_HOST_SESSION,
-                        format!("tenant={} visual-query error={e:?}", tenant.label),
-                    );
-                }
-            }
-        }
-        merged.sort_by(|a, b| {
-            (a.hit.distance, std::cmp::Reverse(a.hit.last), a.tenant)
-                .cmp(&(b.hit.distance, std::cmp::Reverse(b.hit.last), b.tenant))
-                .then(std::cmp::Reverse(a.hit.id).cmp(&std::cmp::Reverse(b.hit.id)))
+        use std::cmp::Reverse;
+        let mut merged = self.fan_out("visual-query", |dv| {
+            dv.vidx().map(|_| dv.visual_hits(probe, k))
+        });
+        merged.sort_by_key(|c| {
+            (
+                c.hit.distance,
+                Reverse(c.hit.last),
+                c.tenant,
+                Reverse(c.hit.id),
+            )
         });
         merged.truncate(k);
         self.obs.incr(names::HOST_VISUAL_QUERIES);
@@ -635,12 +592,13 @@ impl Host {
     }
 
     /// One fair background-compaction round: walks tenants from a
-    /// rotating cursor and schedules each tenant's segment compaction
-    /// as an **aux task on that tenant's commit lane** of the shared
-    /// worker pool — compaction shares the pool's fair schedule with
-    /// checkpoint commits but consumes no capture quota, so it can
-    /// never block ingest. With a worker-less pool the compactions run
-    /// inline. Returns how many tenants had a compaction scheduled.
+    /// rotating cursor and schedules each tenant's text-segment and
+    /// strip compaction as an **aux task on that tenant's commit
+    /// lane** of the shared worker pool — compaction shares the pool's
+    /// fair schedule with checkpoint commits but consumes no capture
+    /// quota, so it can never block ingest. With a worker-less pool
+    /// the compactions run inline. Returns how many tenants had a
+    /// compaction scheduled.
     pub fn compact_round(&mut self) -> usize {
         let ids = self.tenant_ids();
         if ids.is_empty() {
@@ -651,19 +609,22 @@ impl Host {
         let mut scheduled = 0;
         for off in 0..ids.len() {
             let id = ids[(start + off) % ids.len()];
-            let tenant = self.tenants.get(&id).expect("registered tenant");
-            let Some(engine) = tenant.server.tidx() else {
+            let server = &self.tenants[&id].server;
+            let (text, strips) = (server.tidx(), server.vidx());
+            if text.is_none() && strips.is_none() {
                 continue;
+            }
+            // A compaction failure leaves the inputs authoritative;
+            // the tenant's own registry records the fault.
+            let compact = move || {
+                let _ = text.map(|e| e.maybe_compact());
+                let _ = strips.map(|e| e.maybe_compact());
             };
-            scheduled += 1;
             if self.config.commit_workers == 0 {
-                let _ = engine.maybe_compact();
-            } else if !self.pool.submit_aux(id as LaneId, move || {
-                // A compaction failure leaves the inputs authoritative;
-                // the tenant's own registry records the fault.
-                let _ = engine.maybe_compact();
-            }) {
-                scheduled -= 1;
+                compact();
+                scheduled += 1;
+            } else if self.pool.submit_aux(id as LaneId, compact) {
+                scheduled += 1;
             }
         }
         self.obs.incr(names::HOST_COMPACTION_ROUNDS);
@@ -936,22 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn index_flush_rotation_rotates_the_leader() {
-        let mut host = Host::new(HostConfig::default());
-        let a = host.create_session("a", tiny_config());
-        let b = host.create_session("b", tiny_config());
-        let c = host.create_session("c", tiny_config());
-        let leaders: Vec<u64> = (0..4).map(|_| host.flush_index_round()[0].0).collect();
-        assert_eq!(leaders, vec![a, b, c, a], "cursor rotates per round");
-        assert_eq!(
-            host.obs()
-                .snapshot()
-                .counter(names::HOST_INDEX_FLUSH_ROUNDS),
-            4
-        );
-    }
-
-    #[test]
     fn dropped_session_keeps_its_blobs() {
         let mut host = Host::new(HostConfig::default());
         let a = host.create_session("gone", tiny_config());
@@ -1060,13 +1005,7 @@ mod tests {
     #[test]
     fn compaction_rounds_run_on_the_shared_pool_without_blocking_ingest() {
         let mut host = Host::new(HostConfig::default());
-        let id = host.create_session(
-            "compacted",
-            Config {
-                index_compact_fanin: 3,
-                ..texty_config()
-            },
-        );
+        let id = host.create_session("compacted", texty_config());
         let mut prev = None;
         for i in 0..6 {
             prev = Some(show_and_checkpoint(
@@ -1079,7 +1018,7 @@ mod tests {
         host.flush_session(id).unwrap();
         let engine = host.session(id).unwrap().tidx().unwrap();
         let before = engine.stats().live_segments;
-        assert!(before >= 3, "1s window sealed per checkpoint: {before}");
+        assert!(before >= 4, "1s window sealed per checkpoint: {before}");
         let scheduled = host.compact_round();
         assert_eq!(scheduled, 1);
         // Ingest keeps flowing while compaction is queued/running.

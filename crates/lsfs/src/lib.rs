@@ -19,6 +19,10 @@
 //!   optionally layered on the `dv-cas` content-addressed chunk store
 //!   ([`BlobStore::enable_cas`]) so blobs dedup across checkpoints and
 //!   tenants.
+//! * [`SealedLog`] — the checkpoint-anchored sealed-segment lifecycle
+//!   (seal → publish → recover → compact → retire) the text and visual
+//!   indexes keep their immutable segments under, over a
+//!   [`SharedBlobStore`].
 
 #![deny(unsafe_code)]
 
@@ -32,6 +36,7 @@ pub mod lsfs;
 pub mod memfs;
 pub mod path;
 pub mod ro;
+pub mod sealed;
 pub mod shared;
 pub mod snapshot;
 pub mod union;
@@ -45,6 +50,10 @@ pub use gc::GcStats;
 pub use lsfs::{Lsfs, LsfsStats, BLOCK_SIZE};
 pub use memfs::MemFs;
 pub use ro::ReadOnlyFs;
+pub use sealed::{
+    Manifest, Names as SegmentNames, Payload, Sealed, SealedConfig, SealedLog, SegmentError,
+    SegmentMeta,
+};
 pub use shared::SharedFs;
 pub use snapshot::SnapshotView;
 pub use union::UnionFs;

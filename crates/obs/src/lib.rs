@@ -505,8 +505,6 @@ pub mod names {
     /// Checkpoints the host skipped because a tenant hit its
     /// storage-bytes quota.
     pub const HOST_QUOTA_REJECTIONS: &str = "host.quota_rejections";
-    /// Index-flush rotations the host completed (all tenants served).
-    pub const HOST_INDEX_FLUSH_ROUNDS: &str = "host.index_flush_rounds";
     /// Event name for one tenant hitting a quota.
     pub const EV_HOST_QUOTA: &str = "host.quota_exceeded";
     /// Event name for one tenant lifecycle change (create/drop).
@@ -560,6 +558,8 @@ pub mod names {
     pub const TIDX_SEALS: &str = "tidx.seals";
     /// Gauge: live (sealed, not yet superseded) segments.
     pub const TIDX_SEALED_SEGMENTS: &str = "tidx.sealed_segments";
+    /// Gauge: bytes of live sealed text segments in the store.
+    pub const TIDX_SEGMENT_BYTES: &str = "tidx.segment_bytes";
     /// Compaction merges completed.
     pub const TIDX_COMPACTIONS: &str = "tidx.compactions";
     /// Superseded segments physically reclaimed by GC.
@@ -595,6 +595,10 @@ pub mod names {
     pub const VIDX_SEALED_SEGMENTS: &str = "vidx.sealed_segments";
     /// Gauge: bytes of sealed thumbnail-strip segments in the store.
     pub const VIDX_STRIP_BYTES: &str = "vidx.strip_bytes";
+    /// Strip compaction merges completed.
+    pub const VIDX_COMPACTIONS: &str = "vidx.compactions";
+    /// Superseded strip segments physically reclaimed by GC.
+    pub const VIDX_GC_RECLAIMED: &str = "vidx.gc_reclaimed";
     /// Nearest-thumbnail queries evaluated.
     pub const VIDX_QUERIES: &str = "vidx.queries";
     /// Histogram: fingerprint comparisons per query; the band index
@@ -602,10 +606,14 @@ pub mod names {
     pub const VIDX_PROBES: &str = "vidx.probes";
     /// Span: one open-strip seal.
     pub const VIDX_SEAL: &str = "vidx.seal";
+    /// Span: one strip compaction merge.
+    pub const VIDX_COMPACT: &str = "vidx.compact";
     /// Span: one nearest-thumbnail query.
     pub const VIDX_QUERY: &str = "vidx.query";
     /// Event name for one sealed strip segment.
     pub const EV_VIDX_SEAL: &str = "vidx.sealed";
+    /// Event name for one strip compaction (inputs -> output).
+    pub const EV_VIDX_COMPACT: &str = "vidx.compacted";
     /// Host: cross-session visual queries served.
     pub const HOST_VISUAL_QUERIES: &str = "host.visual_queries";
 }

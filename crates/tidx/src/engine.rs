@@ -3,91 +3,39 @@
 //! One engine serves one session (tenant). Text states route into the
 //! **open shard** — the same mutable [`TextIndex`] the capture daemon
 //! already writes into — and at checkpoint boundaries the open shard
-//! **seals** into an immutable CRC-framed segment blob plus a manifest
-//! naming the checkpoint counter, so index durability is
-//! snapshot-consistent with the filesystem: a revive at checkpoint N
-//! queries exactly the segments sealed at or before N
-//! ([`TidxEngine::search_at`]). Small sealed segments are merged by
-//! background **compaction** ([`TidxEngine::maybe_compact`], designed
-//! to run as an aux task on the shared commit worker pool), and
-//! superseded inputs are reclaimed only after a *newer* checkpoint's
-//! manifest is durable — the dv-cas recycle discipline — so crash or
-//! revive at the latest sealed checkpoint never loses index state.
+//! **seals** into an immutable segment under the shared
+//! [`SealedLog`] lifecycle, so index durability is snapshot-consistent
+//! with the filesystem: a revive at checkpoint N queries exactly the
+//! segments sealed at or before N ([`TidxEngine::search_at`]).
+//! Publish order, compaction, retirement, GC and recovery are the
+//! lifecycle's; what is this crate's is the open shard, what carries
+//! across a seal (still-visible instances and the focus state), how
+//! text segments merge (the newest copy of an instance wins), and
+//! query evaluation.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dv_fault::{sites, FaultPlane, IoFault};
+use dv_fault::{sites, FaultPlane};
 use dv_index::{
     decode_index, flush_segment, IndexedInstance, Query, RankOrder, SearchHit, TextIndex,
 };
-use dv_lsfs::SharedBlobStore;
+use dv_lsfs::{
+    Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentMeta, SegmentNames,
+    SharedBlobStore,
+};
 use dv_obs::{names, Obs};
-use dv_time::{Duration, Timestamp};
+use dv_time::Timestamp;
 
 use crate::search::{build_ranked_hits, eval_sharded, query_bounds};
-use crate::segment::{
-    decode_manifest, encode_manifest, frame_segment, unframe_segment, Manifest, SegmentMeta,
-};
 
 /// A sharded-index operation failure.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TidxError {
-    /// The requested checkpoint predates the retention floor: GC has
-    /// reclaimed its manifest and segments, so the layout at that
-    /// checkpoint can no longer be revived. Not a corruption.
-    OutOfRetention {
-        /// The checkpoint counter that was asked for.
-        requested: u64,
-        /// The oldest counter that can still be revived.
-        oldest: u64,
-    },
-    /// An I/O, fault-injection, or blob-decoding failure.
-    Failed(String),
-}
+pub type TidxError = SegmentError;
 
-impl std::fmt::Display for TidxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TidxError::OutOfRetention { requested, oldest } => write!(
-                f,
-                "tidx error: checkpoint {requested} is out of retention (oldest revivable: {oldest})"
-            ),
-            TidxError::Failed(msg) => write!(f, "tidx error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TidxError {}
-
-/// Engine tuning.
-#[derive(Clone, Debug)]
-pub struct TidxConfig {
-    /// Session-time width of the open shard: once the index horizon
-    /// has advanced this far past the shard's start, the next
-    /// checkpoint seals it.
-    pub shard_window: Duration,
-    /// How many same-level segments one compaction merges (min 2).
-    pub compact_fanin: usize,
-    /// Decoded segments kept hot for queries (FIFO eviction).
-    pub segment_cache: usize,
-    /// Namespace prepended to segment/manifest blob names, so many
-    /// tenants share one blob store without collisions.
-    pub blob_prefix: String,
-}
-
-impl Default for TidxConfig {
-    fn default() -> Self {
-        TidxConfig {
-            shard_window: Duration::from_secs(30),
-            compact_fanin: 4,
-            segment_cache: 16,
-            blob_prefix: String::new(),
-        }
-    }
-}
+/// Engine tuning: the open shard's window and the blob namespace.
+pub type TidxConfig = SealedConfig;
 
 /// Aggregate shard-layout accounting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -101,333 +49,56 @@ pub struct TidxStats {
     pub last_sealed: u64,
     /// Next segment id to allocate.
     pub next_segment: u64,
+    /// One past the greatest instance id any seal has seen — an
+    /// archive restore bumps the capture daemon's allocator to it so
+    /// new instances never collide with sealed ones.
+    pub next_instance: u64,
 }
 
-struct ShardState {
-    /// Sealed segments serving queries, ordered by start time.
-    live: Vec<SegmentMeta>,
-    /// Superseded segments and the checkpoint counter after which each
-    /// may be physically reclaimed.
-    retired: Vec<(SegmentMeta, u64)>,
-    next_segment: u64,
-    /// Where the open shard's time window began.
-    open_start: Timestamp,
-    /// Counter of the newest durable manifest.
-    last_sealed_ckpt: u64,
-    /// The retention floor: checkpoints below this counter reference
-    /// segments GC has reclaimed and can no longer be revived.
-    oldest_revivable: u64,
-    /// At most one compaction runs at a time.
-    compacting: bool,
-    /// Decoded-segment cache, FIFO-evicted.
-    cache: HashMap<u64, Arc<TextIndex>>,
-    cache_order: VecDeque<u64>,
-}
+static NAMES: SegmentNames = SegmentNames {
+    stem: "tidx",
+    seg_magic: b"DVTSEG01",
+    seal_site: sites::TIDX_SEAL,
+    compact_site: sites::TIDX_COMPACT,
+    compact_span: names::TIDX_COMPACT,
+    seals: names::TIDX_SEALS,
+    compactions: names::TIDX_COMPACTIONS,
+    gc_reclaimed: names::TIDX_GC_RECLAIMED,
+    sealed_segments: names::TIDX_SEALED_SEGMENTS,
+    sealed_bytes: names::TIDX_SEGMENT_BYTES,
+    ev_seal: names::EV_TIDX_SEAL,
+    ev_compact: names::EV_TIDX_COMPACT,
+};
 
-/// The sharded temporal index engine for one session.
-pub struct TidxEngine {
-    open: Arc<Mutex<TextIndex>>,
-    store: SharedBlobStore,
+/// Text shards as sealed-segment payloads: a segment is a whole
+/// [`TextIndex`] in the `dv-index` flush format, written through the
+/// `index.segment.flush` fault site `plane` arms.
+pub struct TextShards {
     plane: FaultPlane,
-    obs: Obs,
-    config: TidxConfig,
-    state: Mutex<ShardState>,
 }
 
-impl TidxEngine {
-    /// Wraps an existing open index (shared with the capture daemon)
-    /// over `store`.
-    pub fn new(
-        open: Arc<Mutex<TextIndex>>,
-        store: SharedBlobStore,
-        plane: FaultPlane,
-        obs: Obs,
-        config: TidxConfig,
-    ) -> Self {
-        TidxEngine {
-            open,
-            store,
-            plane,
-            obs,
-            config,
-            state: Mutex::new(ShardState {
-                live: Vec::new(),
-                retired: Vec::new(),
-                next_segment: 0,
-                open_start: Timestamp::ZERO,
-                last_sealed_ckpt: 0,
-                oldest_revivable: 0,
-                compacting: false,
-                cache: HashMap::new(),
-                cache_order: VecDeque::new(),
-            }),
-        }
+impl Payload for TextShards {
+    type Segment = TextIndex;
+
+    fn encode(&self, index: &TextIndex) -> Result<Vec<u8>, String> {
+        flush_segment(index, &self.plane).map_err(|e| e.to_string())
     }
 
-    /// The open-shard index handle (the capture daemon's sink target).
-    pub fn open_index(&self) -> Arc<Mutex<TextIndex>> {
-        self.open.clone()
+    fn decode(&self, payload: &[u8]) -> Result<TextIndex, String> {
+        decode_index(payload).map_err(|e| e.to_string())
     }
 
-    /// Shard-layout accounting.
-    pub fn stats(&self) -> TidxStats {
-        let st = self.state.lock();
-        TidxStats {
-            live_segments: st.live.len(),
-            retired_segments: st.retired.len(),
-            last_sealed: st.last_sealed_ckpt,
-            next_segment: st.next_segment,
-        }
-    }
-
-    /// Live segment metadata, ordered by start time.
-    pub fn segments(&self) -> Vec<SegmentMeta> {
-        self.state.lock().live.clone()
-    }
-
-    fn seg_blob(&self, id: u64) -> String {
-        format!("{}tidxseg-{id:08}", self.config.blob_prefix)
-    }
-
-    fn man_blob(&self, counter: u64) -> String {
-        format!("{}tidxman-{counter:08}", self.config.blob_prefix)
-    }
-
-    /// Seals the open shard if its window has elapsed, anchoring the
-    /// segment to checkpoint `counter`. Call after each durable
-    /// checkpoint. An empty shard slides its window without sealing.
-    pub fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, TidxError> {
-        {
-            let idx = self.open.lock();
-            let horizon = idx.horizon();
-            let mut st = self.state.lock();
-            if horizon < st.open_start.saturating_add(self.config.shard_window) {
-                return Ok(None);
-            }
-            if idx.stats().instances == 0 {
-                st.open_start = horizon;
-                return Ok(None);
-            }
-        }
-        self.seal(counter).map(Some)
-    }
-
-    /// Unconditionally seals the open shard into an immutable segment
-    /// anchored to checkpoint `counter`, writes the manifest, swaps in
-    /// a fresh open shard carrying still-visible instances (original
-    /// ids and `shown` times) plus the current focus state, and
-    /// reclaims any retired segments whose window has passed.
-    ///
-    /// On any error the open shard and the previous layout stay
-    /// authoritative; the seal retries at the next checkpoint.
-    pub fn seal(&self, counter: u64) -> Result<SegmentMeta, TidxError> {
-        let _span = self.obs.span("tidx", names::TIDX_SEAL);
-        let mut idx = self.open.lock();
-        let horizon = idx.horizon();
-        let stats = idx.stats();
-        // Reuse the index flush path — and its `index.segment.flush`
-        // fault site — for the payload encoding.
-        let payload =
-            flush_segment(&idx, &self.plane).map_err(|e| TidxError::Failed(e.to_string()))?;
-        let mut framed = frame_segment(&payload);
-        match self.plane.check(sites::TIDX_SEAL) {
-            None | Some(IoFault::LatencySpike) => {}
-            // A mangled seal is caught by the CRC on first probe.
-            Some(IoFault::Corrupt) => self.plane.mangle(&mut framed),
-            Some(_) => return Err(TidxError::Failed("seal write faulted".into())),
-        }
-        let mut st = self.state.lock();
-        let id = st.next_segment;
-        let min_shown = idx
-            .all_instances()
-            .map(|i| i.shown)
-            .min()
-            .unwrap_or(st.open_start);
-        let meta = SegmentMeta {
-            id,
-            level: 0,
-            start: min_shown.min(st.open_start),
-            end: horizon,
-            sealed_at: counter,
-            bytes: framed.len() as u64,
-            instances: stats.instances,
-        };
-        let mut live = st.live.clone();
-        live.push(meta.clone());
-        live.sort_by_key(|m| (m.start, m.id));
-        // The GC below will reclaim every retired segment whose window
-        // has passed; bake the resulting retention floor into this
-        // manifest so a recovered engine knows it too.
-        let oldest_revivable = st
-            .retired
-            .iter()
-            .filter(|(_, reclaim_after)| *reclaim_after <= counter)
-            .map(|(_, reclaim_after)| *reclaim_after)
-            .fold(st.oldest_revivable, u64::max);
-        let manifest = Manifest {
-            counter,
-            next_segment: id + 1,
-            open_start: horizon,
-            oldest_revivable,
-            live: live.clone(),
-            retired: st.retired.clone(),
-        };
-        self.store
-            .put_deduped(&self.seg_blob(id), framed)
-            .map_err(|e| TidxError::Failed(format!("segment write failed: {e:?}")))?;
-        if let Err(e) = self
-            .store
-            .put_deduped(&self.man_blob(counter), encode_manifest(&manifest))
-        {
-            // The layout never became durable; drop the orphan segment.
-            self.store.lock().delete(&self.seg_blob(id));
-            return Err(TidxError::Failed(format!("manifest write failed: {e:?}")));
-        }
-        st.live = live;
-        st.next_segment = id + 1;
-        st.last_sealed_ckpt = counter;
-        st.open_start = horizon;
-        let reclaimed = self.gc_with(&mut st, counter);
-        let live_count = st.live.len();
-        drop(st);
-        // Rebuild the open shard: still-visible instances carry over
-        // with their original ids and shown times, so their global
-        // visibility is the contiguous union across shards.
-        let carried: Vec<IndexedInstance> = idx
-            .all_instances()
-            .filter(|i| i.hidden.is_none() && !i.annotation)
-            .cloned()
-            .collect();
-        let last_focus = idx.focus_history().last().map(|&(app, _)| app);
-        let obs_handle = idx.obs().clone();
-        let mut fresh = TextIndex::new();
-        for instance in carried {
-            fresh.add_instance(instance);
-        }
-        if let Some(app) = last_focus {
-            fresh.focus_change(app, horizon);
-        }
-        fresh.advance_horizon(horizon);
-        // Carried bytes were already counted when first indexed; reset
-        // the gauge-like byte counter to the fresh shard's footprint.
-        obs_handle.set_counter(names::INDEX_BYTES, fresh.stats().bytes);
-        fresh.set_obs(obs_handle);
-        *idx = fresh;
-        drop(idx);
-        self.obs.incr(names::TIDX_SEALS);
-        self.obs
-            .gauge_set(names::TIDX_SEALED_SEGMENTS, live_count as u64);
-        self.obs.event(
-            "tidx",
-            names::EV_TIDX_SEAL,
-            format!(
-                "segment={id} ckpt={counter} instances={} reclaimed={reclaimed}",
-                stats.instances
-            ),
-        );
-        Ok(meta)
-    }
-
-    /// Reclaims retired segments whose recycle window has passed: a
-    /// manifest with counter >= the segment's `reclaim_after` is
-    /// durable, so no revive at or after that checkpoint references
-    /// it. Returns the number of segments reclaimed.
-    pub fn gc(&self, durable_counter: u64) -> usize {
-        let mut st = self.state.lock();
-        self.gc_with(&mut st, durable_counter)
-    }
-
-    fn gc_with(&self, st: &mut ShardState, durable_counter: u64) -> usize {
-        let mut reclaimed = 0;
-        let mut keep = Vec::with_capacity(st.retired.len());
-        for (meta, reclaim_after) in st.retired.drain(..) {
-            if reclaim_after <= durable_counter {
-                self.store.lock().delete(&self.seg_blob(meta.id));
-                st.cache.remove(&meta.id);
-                st.cache_order.retain(|id| *id != meta.id);
-                // Manifests below `reclaim_after` list this segment as
-                // live; once it is gone they can never be revived.
-                st.oldest_revivable = st.oldest_revivable.max(reclaim_after);
-                self.obs.incr(names::TIDX_GC_RECLAIMED);
-                reclaimed += 1;
-            } else {
-                keep.push((meta, reclaim_after));
-            }
-        }
-        st.retired = keep;
-        if reclaimed > 0 {
-            // Reclaim the manifests that fell below the retention
-            // floor, so manifest storage stays bounded and a query
-            // there reports out-of-retention instead of missing blobs.
-            let prefix = format!("{}tidxman-", self.config.blob_prefix);
-            let stale: Vec<u64> = self
-                .store
-                .lock()
-                .names()
-                .into_iter()
-                .filter_map(|n| n.strip_prefix(&prefix).and_then(|s| s.parse::<u64>().ok()))
-                .filter(|c| *c < st.oldest_revivable)
-                .collect();
-            for counter in stale {
-                self.store.lock().delete(&self.man_blob(counter));
-            }
-        }
-        reclaimed
-    }
-
-    /// Merges one batch of small same-level segments into a
-    /// higher-level segment if any level has at least `compact_fanin`
-    /// of them. Inputs stay authoritative until the merged segment is
-    /// durably written, then retire under the recycle-after-checkpoint
-    /// discipline. Returns whether a compaction ran.
-    ///
-    /// Heavy work (decode, merge, re-encode) happens outside both the
-    /// open-shard lock and the layout lock, so ingest and queries are
-    /// never blocked; designed to run as an aux task on the shared
-    /// commit worker pool.
-    pub fn maybe_compact(&self) -> Result<bool, TidxError> {
-        let inputs = {
-            let mut st = self.state.lock();
-            if st.compacting {
-                return Ok(false);
-            }
-            let fanin = self.config.compact_fanin.max(2);
-            let mut by_level: BTreeMap<u32, Vec<SegmentMeta>> = BTreeMap::new();
-            for meta in &st.live {
-                by_level.entry(meta.level).or_default().push(meta.clone());
-            }
-            let Some((_, mut batch)) = by_level.into_iter().find(|(_, v)| v.len() >= fanin) else {
-                return Ok(false);
-            };
-            batch.sort_by_key(|m| (m.start, m.id));
-            batch.truncate(fanin);
-            st.compacting = true;
-            batch
-        };
-        let result = self.compact(&inputs);
-        self.state.lock().compacting = false;
-        result.map(|_| true)
-    }
-
-    fn compact(&self, inputs: &[SegmentMeta]) -> Result<SegmentMeta, TidxError> {
-        let _span = self.obs.span("tidx", names::TIDX_COMPACT);
-        // Merge in seal order: a carried instance appears in several
-        // inputs with the same id, and only the newest copy knows
-        // whether (and when) it was eventually hidden — a segment
-        // sealed while it was still open says `hidden: None` forever.
-        // The newest copy therefore overwrites older ones
-        // unconditionally (never by "latest end", which would let a
-        // stale open copy outrank the real close time).
-        let mut ordered: Vec<&SegmentMeta> = inputs.iter().collect();
-        ordered.sort_by_key(|m| (m.sealed_at, m.id));
-        let mut indexes = Vec::with_capacity(ordered.len());
-        for meta in &ordered {
-            indexes.push(self.segment_index(meta.id)?);
-        }
+    /// A carried instance appears in several inputs with the same id,
+    /// and only the newest copy knows whether (and when) it was
+    /// eventually hidden — a segment sealed while it was still open
+    /// says `hidden: None` forever. The newest copy therefore
+    /// overwrites older ones unconditionally (never by "latest end",
+    /// which would let a stale open copy outrank the real close time).
+    fn merge(&self, inputs: &[Arc<TextIndex>]) -> (TextIndex, u64) {
         let mut merged: BTreeMap<u64, IndexedInstance> = BTreeMap::new();
         let mut focus: Vec<(u32, Timestamp)> = Vec::new();
         let mut horizon = Timestamp::ZERO;
-        for index in &indexes {
+        for index in inputs {
             horizon = horizon.max(index.horizon());
             for instance in index.all_instances() {
                 merged.insert(instance.id, instance.clone());
@@ -444,125 +115,134 @@ impl TidxEngine {
             out.focus_change(app, t);
         }
         out.advance_horizon(horizon);
-        let payload =
-            flush_segment(&out, &self.plane).map_err(|e| TidxError::Failed(e.to_string()))?;
-        let mut framed = frame_segment(&payload);
-        match self.plane.check(sites::TIDX_COMPACT) {
-            None | Some(IoFault::LatencySpike) => {}
-            Some(IoFault::Corrupt) => self.plane.mangle(&mut framed),
-            Some(_) => return Err(TidxError::Failed("compaction write faulted".into())),
-        }
-        let (id, meta) = {
-            let mut st = self.state.lock();
-            let id = st.next_segment;
-            st.next_segment = id + 1;
-            let meta = SegmentMeta {
-                id,
-                level: inputs.iter().map(|m| m.level).max().unwrap_or(0) + 1,
-                start: inputs.iter().map(|m| m.start).min().expect("inputs"),
-                end: inputs.iter().map(|m| m.end).max().expect("inputs"),
-                sealed_at: inputs.iter().map(|m| m.sealed_at).max().expect("inputs"),
-                bytes: framed.len() as u64,
-                instances: out.stats().instances,
-            };
-            (id, meta)
+        let instances = out.stats().instances;
+        (out, instances)
+    }
+}
+
+/// The sharded temporal index engine for one session.
+pub struct TidxEngine {
+    open: Arc<Mutex<TextIndex>>,
+    obs: Obs,
+    log: SealedLog<TextShards>,
+}
+
+impl TidxEngine {
+    /// Wraps an existing open index (shared with the capture daemon)
+    /// over `store`.
+    pub fn new(
+        open: Arc<Mutex<TextIndex>>,
+        store: SharedBlobStore,
+        plane: FaultPlane,
+        obs: Obs,
+        config: TidxConfig,
+    ) -> Self {
+        let payload = TextShards {
+            plane: plane.clone(),
         };
-        self.store
-            .put_deduped(&self.seg_blob(id), framed)
-            .map_err(|e| TidxError::Failed(format!("compacted segment write failed: {e:?}")))?;
-        let mut st = self.state.lock();
-        // Read the recycle window only now, under the same lock that
-        // publishes the merged output: a seal that landed while the
-        // blob was being written bumped `last_sealed_ckpt`, and its
-        // manifest lists the inputs but not the output — so the inputs
-        // must stay revivable until a manifest written *after* this
-        // point (which includes the output) is durable.
-        let reclaim_after = st.last_sealed_ckpt + 1;
-        let input_ids: Vec<u64> = inputs.iter().map(|m| m.id).collect();
-        st.live.retain(|m| !input_ids.contains(&m.id));
-        st.live.push(meta.clone());
-        st.live.sort_by_key(|m| (m.start, m.id));
-        for input in inputs {
-            st.retired.push((input.clone(), reclaim_after));
-            st.cache.remove(&input.id);
-            st.cache_order.retain(|id| *id != input.id);
+        let log = SealedLog::new(payload, &NAMES, store, plane, obs.clone(), config);
+        TidxEngine { open, obs, log }
+    }
+
+    /// The open-shard index handle (the capture daemon's sink target).
+    pub fn open_index(&self) -> Arc<Mutex<TextIndex>> {
+        self.open.clone()
+    }
+
+    /// The sealed-segment lifecycle under this engine (layouts by
+    /// checkpoint, recovery, GC).
+    pub fn log(&self) -> &SealedLog<TextShards> {
+        &self.log
+    }
+
+    /// Shard-layout accounting.
+    pub fn stats(&self) -> TidxStats {
+        let layout = self.log.layout();
+        TidxStats {
+            live_segments: layout.live.len(),
+            retired_segments: layout.retired.len(),
+            last_sealed: layout.counter,
+            next_segment: layout.next_segment,
+            next_instance: layout.next_instance,
         }
-        let live_count = st.live.len();
-        drop(st);
-        self.obs.incr(names::TIDX_COMPACTIONS);
-        self.obs
-            .gauge_set(names::TIDX_SEALED_SEGMENTS, live_count as u64);
-        self.obs.event(
-            "tidx",
-            names::EV_TIDX_COMPACT,
-            format!(
-                "inputs={input_ids:?} output={id} level={} instances={}",
-                meta.level, meta.instances
-            ),
-        );
+    }
+
+    /// Live segment metadata, ordered by start time.
+    pub fn segments(&self) -> Vec<SegmentMeta> {
+        self.log.layout().live
+    }
+
+    /// Seals the open shard if its window has elapsed, anchoring the
+    /// segment to checkpoint `counter`. Call after each durable
+    /// checkpoint. An empty shard slides its window without sealing.
+    pub fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, TidxError> {
+        let mut idx = self.open.lock();
+        let is_empty = || idx.all_instances().next().is_none();
+        if !self.log.seal_due(idx.horizon(), is_empty) {
+            return Ok(None);
+        }
+        self.seal_open(counter, &mut idx).map(Some)
+    }
+
+    /// Unconditionally seals the open shard into an immutable segment
+    /// anchored to checkpoint `counter` and swaps in a fresh open
+    /// shard carrying still-visible instances (original ids and
+    /// `shown` times) plus the current focus state.
+    ///
+    /// On any error the open shard and the previous layout stay
+    /// authoritative; the seal retries at the next checkpoint.
+    pub fn seal(&self, counter: u64) -> Result<SegmentMeta, TidxError> {
+        self.seal_open(counter, &mut self.open.lock())
+    }
+
+    fn seal_open(&self, counter: u64, idx: &mut TextIndex) -> Result<SegmentMeta, TidxError> {
+        let _span = self.obs.span("tidx", names::TIDX_SEAL);
+        let horizon = idx.horizon();
+        let open_start = self.log.layout().open_start;
+        let sealed = Sealed {
+            start: idx
+                .all_instances()
+                .map(|i| i.shown)
+                .fold(open_start, Timestamp::min),
+            end: horizon,
+            instances: idx.stats().instances,
+            next_instance: idx.max_instance_id().saturating_add(1),
+        };
+        let meta = self.log.publish(counter, idx, sealed)?;
+        // Rebuild the open shard: still-visible instances carry over
+        // with their original ids and shown times, so their global
+        // visibility is the contiguous union across shards.
+        let mut fresh = TextIndex::new();
+        for instance in idx.all_instances() {
+            if instance.hidden.is_none() && !instance.annotation {
+                fresh.add_instance(instance.clone());
+            }
+        }
+        if let Some(&(app, _)) = idx.focus_history().last() {
+            fresh.focus_change(app, horizon);
+        }
+        fresh.advance_horizon(horizon);
+        // Carried bytes were already counted when first indexed; reset
+        // the gauge-like byte counter to the fresh shard's footprint.
+        let obs = idx.obs().clone();
+        obs.set_counter(names::INDEX_BYTES, fresh.stats().bytes);
+        fresh.set_obs(obs);
+        *idx = fresh;
         Ok(meta)
     }
 
-    fn segment_index(&self, id: u64) -> Result<Arc<TextIndex>, TidxError> {
-        if let Some(index) = self.state.lock().cache.get(&id) {
-            return Ok(index.clone());
-        }
-        let blob = self
-            .store
-            .lock()
-            .get(&self.seg_blob(id))
-            .ok_or_else(|| TidxError::Failed(format!("segment {id} missing")))?;
-        let payload = unframe_segment(&blob).map_err(|e| TidxError::Failed(e.to_string()))?;
-        let index = Arc::new(decode_index(payload).map_err(|e| TidxError::Failed(e.to_string()))?);
-        let mut st = self.state.lock();
-        if st.cache.len() >= self.config.segment_cache.max(1) {
-            if let Some(victim) = st.cache_order.pop_front() {
-                st.cache.remove(&victim);
-            }
-        }
-        st.cache.insert(id, index.clone());
-        st.cache_order.push_back(id);
-        Ok(index)
+    /// Merges one batch of small same-level segments into a
+    /// higher-level segment if any level has enough of them
+    /// ([`SealedLog::maybe_compact`]). Returns whether one ran.
+    pub fn maybe_compact(&self) -> Result<bool, TidxError> {
+        self.log.maybe_compact()
     }
 
     /// Evaluates `query` over the open shard plus every live segment
     /// overlapping the query's time bounds, returning globally ranked
     /// hits.
     pub fn search(&self, query: &Query, order: RankOrder) -> Result<Vec<SearchHit>, TidxError> {
-        self.obs.incr(names::TIDX_QUERIES);
-        let _span = self.obs.span("tidx", names::TIDX_QUERY);
-        let bounds = query_bounds(query);
-        let metas: Vec<SegmentMeta> = {
-            let st = self.state.lock();
-            st.live
-                .iter()
-                .filter(|m| match bounds {
-                    Some((s, e)) => m.start < e && s < m.end,
-                    None => true,
-                })
-                .cloned()
-                .collect()
-        };
-        let mut segments = Vec::with_capacity(metas.len());
-        for meta in &metas {
-            segments.push(self.segment_index(meta.id)?);
-        }
-        let open = self.open.lock();
-        self.obs
-            .observe(names::TIDX_SEGMENT_PROBES, segments.len() as u64 + 1);
-        // Oldest first, open shard last: the dedup in hit building
-        // keeps the most recent copy of a carried instance.
-        let mut shards: Vec<&TextIndex> = segments.iter().map(|a| a.as_ref()).collect();
-        shards.push(&open);
-        let horizon = shards
-            .iter()
-            .map(|s| s.horizon())
-            .max()
-            .unwrap_or(Timestamp::ZERO);
-        let satisfied = eval_sharded(&shards, horizon, query);
-        Ok(build_ranked_hits(
-            &shards, &satisfied, query, horizon, order,
-        ))
+        self.search_layout(None, query, order)
     }
 
     /// Evaluates `query` against the shard layout as of checkpoint
@@ -575,27 +255,33 @@ impl TidxEngine {
         query: &Query,
         order: RankOrder,
     ) -> Result<Vec<SearchHit>, TidxError> {
+        self.search_layout(Some(counter), query, order)
+    }
+
+    /// The one query body: the live layout plus the open shard
+    /// (`at` = `None`), or the layout as of a checkpoint alone.
+    fn search_layout(
+        &self,
+        at: Option<u64>,
+        query: &Query,
+        order: RankOrder,
+    ) -> Result<Vec<SearchHit>, TidxError> {
         self.obs.incr(names::TIDX_QUERIES);
         let _span = self.obs.span("tidx", names::TIDX_QUERY);
-        let Some(manifest) = self.manifest_at_or_before(counter)? else {
-            return Ok(Vec::new());
-        };
         let bounds = query_bounds(query);
-        let metas: Vec<&SegmentMeta> = manifest
-            .live
+        let segments = self
+            .log
+            .segments_at(at, |m| bounds.is_none_or(|(s, e)| m.start < e && s < m.end))?;
+        let open = at.is_none().then(|| self.open.lock());
+        // Oldest first, open shard last: the dedup in hit building
+        // keeps the most recent copy of a carried instance.
+        let shards: Vec<&TextIndex> = segments
             .iter()
-            .filter(|m| match bounds {
-                Some((s, e)) => m.start < e && s < m.end,
-                None => true,
-            })
+            .map(|a| a.as_ref())
+            .chain(open.as_deref())
             .collect();
-        let mut segments = Vec::with_capacity(metas.len());
-        for meta in &metas {
-            segments.push(self.segment_index(meta.id)?);
-        }
         self.obs
-            .observe(names::TIDX_SEGMENT_PROBES, segments.len() as u64);
-        let shards: Vec<&TextIndex> = segments.iter().map(|a| a.as_ref()).collect();
+            .observe(names::TIDX_SEGMENT_PROBES, shards.len() as u64);
         let horizon = shards
             .iter()
             .map(|s| s.horizon())
@@ -607,69 +293,11 @@ impl TidxEngine {
         ))
     }
 
-    /// The highest instance id stored in any live segment (0 when none
-    /// are sealed) — an archive restore bumps the capture daemon's id
-    /// allocator past this so new instances never collide.
-    pub fn max_instance_id(&self) -> Result<u64, TidxError> {
-        let mut max = 0;
-        for meta in self.segments() {
-            max = max.max(self.segment_index(meta.id)?.max_instance_id());
-        }
-        Ok(max)
-    }
-
-    fn manifest_at_or_before(&self, counter: u64) -> Result<Option<Manifest>, TidxError> {
-        let oldest = self.state.lock().oldest_revivable;
-        if counter < oldest {
-            // The manifest that would answer this was GC'd along with
-            // the segments it referenced — a clean retention miss, not
-            // a corruption.
-            return Err(TidxError::OutOfRetention {
-                requested: counter,
-                oldest,
-            });
-        }
-        let prefix = format!("{}tidxman-", self.config.blob_prefix);
-        let best = self
-            .store
-            .lock()
-            .names()
-            .into_iter()
-            .filter_map(|n| n.strip_prefix(&prefix).and_then(|s| s.parse::<u64>().ok()))
-            .filter(|c| *c <= counter)
-            .max();
-        let Some(found) = best else {
-            return Ok(None);
-        };
-        let blob = self
-            .store
-            .lock()
-            .get(&self.man_blob(found))
-            .ok_or_else(|| TidxError::Failed(format!("manifest {found} missing")))?;
-        decode_manifest(&blob)
-            .map(Some)
-            .map_err(|e| TidxError::Failed(e.to_string()))
-    }
-
     /// Rebuilds the shard layout from the newest durable manifest (an
     /// archive import or restored store). Returns the manifest's
     /// checkpoint counter, or `None` when the store has no manifests.
     pub fn recover_latest(&self) -> Result<Option<u64>, TidxError> {
-        let Some(manifest) = self.manifest_at_or_before(u64::MAX)? else {
-            return Ok(None);
-        };
-        let mut st = self.state.lock();
-        st.live = manifest.live;
-        st.retired = manifest.retired;
-        st.next_segment = manifest.next_segment;
-        st.last_sealed_ckpt = manifest.counter;
-        st.oldest_revivable = manifest.oldest_revivable;
-        st.open_start = manifest.open_start;
-        st.cache.clear();
-        st.cache_order.clear();
-        self.obs
-            .gauge_set(names::TIDX_SEALED_SEGMENTS, st.live.len() as u64);
-        Ok(Some(manifest.counter))
+        Ok(self.log.recover_latest()?.map(|m| m.counter))
     }
 }
 
@@ -808,12 +436,9 @@ mod tests {
 
     #[test]
     fn compaction_preserves_results_and_reclaims_after_checkpoint() {
-        let eng = engine(TidxConfig {
-            compact_fanin: 3,
-            ..TidxConfig::default()
-        });
+        let eng = engine(TidxConfig::default());
         let open = eng.open_index();
-        for k in 0..3u64 {
+        for k in 0..4u64 {
             let base = k * 10_000;
             open.lock().add_instance(inst(
                 k + 1,
@@ -828,22 +453,22 @@ mod tests {
         }
         let query = parse_query("needle").unwrap();
         let before = eng.search(&query, RankOrder::Chronological).unwrap();
-        assert_eq!(before.len(), 3);
-        assert_eq!(eng.stats().live_segments, 3);
+        assert_eq!(before.len(), 4);
+        assert_eq!(eng.stats().live_segments, 4);
         assert!(eng.maybe_compact().unwrap());
         assert_eq!(eng.stats().live_segments, 1);
-        assert_eq!(eng.stats().retired_segments, 3);
+        assert_eq!(eng.stats().retired_segments, 4);
         let after = eng.search(&query, RankOrder::Chronological).unwrap();
         assert_eq!(before, after, "compaction must not change results");
         assert!(!eng.maybe_compact().unwrap(), "nothing left to merge");
         // Inputs are reclaimed only once a newer manifest is durable.
         open.lock()
-            .add_instance(inst(9, "app", "needle fresh", 40_000, Some(41_000)));
-        open.lock().advance_horizon(Timestamp::from_millis(42_000));
-        eng.seal(4).unwrap();
+            .add_instance(inst(9, "app", "needle fresh", 50_000, Some(51_000)));
+        open.lock().advance_horizon(Timestamp::from_millis(52_000));
+        eng.seal(5).unwrap();
         assert_eq!(eng.stats().retired_segments, 0, "GC ran at the next seal");
         let final_hits = eng.search(&query, RankOrder::Chronological).unwrap();
-        assert_eq!(final_hits.len(), 4);
+        assert_eq!(final_hits.len(), 5);
     }
 
     /// An instance carried open across one seal and closed before the
@@ -852,10 +477,7 @@ mod tests {
     /// segment's still-open copy has a "later" (unbounded) end.
     #[test]
     fn compaction_keeps_the_closed_copy_of_a_carried_instance() {
-        let eng = engine(TidxConfig {
-            compact_fanin: 2,
-            ..TidxConfig::default()
-        });
+        let eng = engine(TidxConfig::default());
         let open = eng.open_index();
         // Still open at the first seal: segment 0 records hidden=None.
         open.lock()
@@ -868,6 +490,14 @@ mod tests {
             .add_instance(inst(2, "app", "later needle", 8_000, Some(9_000)));
         open.lock().advance_horizon(Timestamp::from_millis(10_000));
         eng.seal(2).unwrap();
+        // Two more shards fill the compaction batch.
+        for k in 3..=4u64 {
+            open.lock()
+                .add_instance(inst(k, "app", "filler", k * 10_000, Some(k * 10_000 + 500)));
+            open.lock()
+                .advance_horizon(Timestamp::from_millis(k * 10_000 + 1_000));
+            eng.seal(k).unwrap();
+        }
         let all = parse_query("needle").unwrap();
         let window = parse_query("from:6 to:8 carried").unwrap();
         let before = eng.search(&all, RankOrder::Chronological).unwrap();
@@ -898,13 +528,10 @@ mod tests {
             store.clone(),
             FaultPlane::disabled(),
             Obs::disabled(),
-            TidxConfig {
-                compact_fanin: 3,
-                ..TidxConfig::default()
-            },
+            TidxConfig::default(),
         );
         let open = eng.open_index();
-        for k in 0..3u64 {
+        for k in 0..4u64 {
             let base = k * 10_000;
             open.lock().add_instance(inst(
                 k + 1,
@@ -926,31 +553,31 @@ mod tests {
                 .len(),
             1
         );
-        // Seal 4 makes a manifest referencing the compacted output
+        // Seal 5 makes a manifest referencing the compacted output
         // durable; GC then reclaims the inputs and every manifest that
         // still listed them as live.
         open.lock()
-            .add_instance(inst(9, "app", "needle fresh", 40_000, Some(41_000)));
-        open.lock().advance_horizon(Timestamp::from_millis(42_000));
-        eng.seal(4).unwrap();
+            .add_instance(inst(9, "app", "needle fresh", 50_000, Some(51_000)));
+        open.lock().advance_horizon(Timestamp::from_millis(52_000));
+        eng.seal(5).unwrap();
         assert_eq!(eng.stats().retired_segments, 0, "GC ran at the seal");
-        match eng.search_at(3, &query, RankOrder::Chronological) {
+        match eng.search_at(4, &query, RankOrder::Chronological) {
             Err(TidxError::OutOfRetention {
-                requested: 3,
-                oldest: 4,
+                requested: 4,
+                oldest: 5,
             }) => {}
             other => panic!("expected out-of-retention, got {other:?}"),
         }
         // The floor checkpoint and the live view still serve.
         assert_eq!(
-            eng.search_at(4, &query, RankOrder::Chronological)
+            eng.search_at(5, &query, RankOrder::Chronological)
                 .unwrap()
                 .len(),
-            4
+            5
         );
         assert_eq!(
             eng.search(&query, RankOrder::Chronological).unwrap().len(),
-            4
+            5
         );
         // A recovered engine learns the retention floor from the
         // manifest and reports the same clean error.
@@ -961,7 +588,7 @@ mod tests {
             Obs::disabled(),
             TidxConfig::default(),
         );
-        assert_eq!(fresh.recover_latest().unwrap(), Some(4));
+        assert_eq!(fresh.recover_latest().unwrap(), Some(5));
         assert!(matches!(
             fresh.search_at(2, &query, RankOrder::Chronological),
             Err(TidxError::OutOfRetention { .. })

@@ -8,13 +8,15 @@
 //! - text states route into the mutable **open shard** (the same index
 //!   the capture daemon already writes into);
 //! - at checkpoint boundaries the open shard **seals** into an
-//!   immutable CRC-framed segment blob plus a manifest named by the
-//!   checkpoint counter, so index durability is snapshot-consistent
-//!   with the recorded execution: a revive at checkpoint N queries
-//!   exactly the segments sealed at or before N;
+//!   immutable segment under the shared sealed-segment lifecycle
+//!   ([`dv_lsfs::SealedLog`]: CRC-framed blob, then a manifest named
+//!   by the checkpoint counter), so index durability is
+//!   snapshot-consistent with the recorded execution: a revive at
+//!   checkpoint N queries exactly the segments sealed at or before N;
 //! - background **compaction** merges small same-level segments into
-//!   higher levels to bound per-query probe counts, retiring inputs
-//!   under the recycle-only-after-checkpoint discipline dv-cas uses;
+//!   higher levels to bound per-query probe counts — the lifecycle
+//!   picks, retires and reclaims; this crate says how text segments
+//!   merge;
 //! - queries fan out across the open shard plus the overlapping sealed
 //!   segments, evaluating the boolean structure once globally and
 //!   merging per-shard interval sets, then rank hits with
@@ -29,11 +31,7 @@
 
 mod engine;
 mod search;
-mod segment;
 
-pub use engine::{TidxConfig, TidxEngine, TidxError, TidxStats};
+pub use dv_lsfs::SegmentMeta;
+pub use engine::{TextShards, TidxConfig, TidxEngine, TidxError, TidxStats};
 pub use search::{rank_by, rank_hits};
-pub use segment::{
-    decode_manifest, encode_manifest, frame_segment, unframe_segment, FrameError, Manifest,
-    SegmentMeta,
-};

@@ -4,8 +4,9 @@
 //! into the **open strip** — thumbnail + fingerprint, consecutive
 //! near-duplicates coalescing into interval-carrying visual instances
 //! — and at checkpoint boundaries the open strip **seals** into an
-//! immutable CRC-framed segment blob plus a manifest naming the
-//! checkpoint counter, so visual recall is snapshot-consistent with
+//! immutable segment under the shared [`SealedLog`] lifecycle (the
+//! one dv-tidx uses: publish order, compaction, retirement, GC and
+//! recovery are its), so visual recall is snapshot-consistent with
 //! the filesystem: a revive at checkpoint N queries exactly the
 //! instances sealed at or before N ([`VidxEngine::query_at`]).
 //!
@@ -20,75 +21,37 @@
 //! typical queries probe far fewer fingerprints.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use dv_display::{resample_screenshot, Screenshot};
-use dv_fault::{sites, FaultPlane, IoFault};
-use dv_lsfs::SharedBlobStore;
+use dv_fault::FaultPlane;
+use dv_lsfs::{
+    Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentMeta, SharedBlobStore,
+};
 use dv_obs::{names, Obs};
 use dv_record::encode_screenshot;
-use dv_time::{Duration, Timestamp};
+use dv_time::Timestamp;
 
 use crate::fingerprint::{Fingerprint, EXACT_RADIUS};
-use crate::index::BandIndex;
-use crate::segment::{
-    decode_manifest, decode_segment, encode_manifest, encode_segment, Manifest, SegmentMeta,
-};
+use crate::segment::{Strips, NAMES};
 use crate::strip::{Observed, VisualInstance, VisualStrip};
 
+/// Thumbnail width every keyframe is resampled to.
+pub const THUMB_W: u32 = 64;
+/// Thumbnail height every keyframe is resampled to.
+pub const THUMB_H: u32 = 48;
+/// Hamming threshold under which consecutive keyframes coalesce into
+/// one visual instance. At or below [`EXACT_RADIUS`], so distinct
+/// instances remain separable.
+pub const NEAR_DUP_BITS: u32 = 8;
+const _: () = assert!(NEAR_DUP_BITS <= EXACT_RADIUS);
+
 /// A visual-index operation failure.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum VidxError {
-    /// An I/O, fault-injection, or blob-decoding failure.
-    Failed(String),
-}
+pub type VidxError = SegmentError;
 
-impl std::fmt::Display for VidxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VidxError::Failed(msg) => write!(f, "vidx error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for VidxError {}
-
-/// Engine tuning.
-#[derive(Clone, Debug)]
-pub struct VidxConfig {
-    /// Thumbnail width every keyframe is resampled to.
-    pub thumb_w: u32,
-    /// Thumbnail height every keyframe is resampled to.
-    pub thumb_h: u32,
-    /// Hamming threshold under which consecutive keyframes coalesce
-    /// into one visual instance. Must stay at or below
-    /// [`EXACT_RADIUS`] so distinct instances remain separable.
-    pub near_dup_bits: u32,
-    /// Session-time width of the open strip: once the newest keyframe
-    /// is this far past the strip's start, the next checkpoint seals.
-    pub strip_window: Duration,
-    /// Decoded segments kept hot for queries (FIFO eviction).
-    pub segment_cache: usize,
-    /// Namespace prepended to segment/manifest blob names, so many
-    /// tenants share one blob store without collisions.
-    pub blob_prefix: String,
-}
-
-impl Default for VidxConfig {
-    fn default() -> Self {
-        VidxConfig {
-            thumb_w: 64,
-            thumb_h: 48,
-            near_dup_bits: 8,
-            strip_window: Duration::from_secs(30),
-            segment_cache: 16,
-            blob_prefix: String::new(),
-        }
-    }
-}
+/// Engine tuning: the open strip's window and the blob namespace.
+pub type VidxConfig = SealedConfig;
 
 /// Aggregate strip-layout accounting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -126,6 +89,19 @@ pub struct VisualHit {
     pub thumb: Vec<u8>,
 }
 
+impl VisualHit {
+    fn of(inst: &VisualInstance, fp: &Fingerprint) -> Self {
+        VisualHit {
+            id: inst.id,
+            distance: inst.fp.distance(fp),
+            first: inst.first,
+            last: inst.last,
+            frames: inst.frames,
+            thumb: inst.thumb.clone(),
+        }
+    }
+}
+
 /// Ranks hits by distance, most-recent-first among ties, newest id
 /// last for full determinism, and truncates to `k`.
 pub fn rank_visual_hits(hits: &mut Vec<VisualHit>, k: usize) {
@@ -133,32 +109,11 @@ pub fn rank_visual_hits(hits: &mut Vec<VisualHit>, k: usize) {
     hits.truncate(k);
 }
 
-struct SealedStrip {
-    instances: Vec<VisualInstance>,
-    index: BandIndex,
-}
-
-struct StripState {
-    /// Sealed segments serving queries, ordered by start time.
-    live: Vec<SegmentMeta>,
-    next_segment: u64,
-    /// Where the open strip's time window began.
-    open_start: Timestamp,
-    /// Counter of the newest durable manifest.
-    last_sealed_ckpt: u64,
-    /// Decoded-segment cache, FIFO-evicted.
-    cache: HashMap<u64, Arc<SealedStrip>>,
-    cache_order: VecDeque<u64>,
-}
-
 /// The visual-recall engine for one session.
 pub struct VidxEngine {
     open: Mutex<VisualStrip>,
-    store: SharedBlobStore,
-    plane: FaultPlane,
     obs: Obs,
-    config: VidxConfig,
-    state: Mutex<StripState>,
+    log: SealedLog<Strips>,
 }
 
 impl VidxEngine {
@@ -166,265 +121,160 @@ impl VidxEngine {
     pub fn new(store: SharedBlobStore, plane: FaultPlane, obs: Obs, config: VidxConfig) -> Self {
         VidxEngine {
             open: Mutex::new(VisualStrip::new(0)),
-            store,
-            plane,
+            log: SealedLog::new(Strips, &NAMES, store, plane, obs.clone(), config),
             obs,
-            config,
-            state: Mutex::new(StripState {
-                live: Vec::new(),
-                next_segment: 0,
-                open_start: Timestamp::ZERO,
-                last_sealed_ckpt: 0,
-                cache: HashMap::new(),
-                cache_order: VecDeque::new(),
-            }),
         }
+    }
+
+    /// The sealed-segment lifecycle under this engine (layouts by
+    /// checkpoint, recovery, GC).
+    pub fn log(&self) -> &SealedLog<Strips> {
+        &self.log
     }
 
     /// Strip-layout accounting.
     pub fn stats(&self) -> VidxStats {
         let open_instances = self.open.lock().instances().len();
-        let st = self.state.lock();
+        let layout = self.log.layout();
         VidxStats {
             open_instances,
-            live_segments: st.live.len(),
-            sealed_instances: st.live.iter().map(|m| m.instances).sum(),
-            strip_bytes: st.live.iter().map(|m| m.bytes).sum(),
-            last_sealed: st.last_sealed_ckpt,
-            next_segment: st.next_segment,
+            live_segments: layout.live.len(),
+            sealed_instances: layout.live.iter().map(|m| m.instances).sum(),
+            strip_bytes: layout.live.iter().map(|m| m.bytes).sum(),
+            last_sealed: layout.counter,
+            next_segment: layout.next_segment,
         }
     }
 
     /// Derives the query/capture fingerprint of an arbitrary-geometry
-    /// screenshot: resample to the configured thumbnail size, then
-    /// hash — the exact capture path, so queries and stored instances
-    /// live in the same space.
+    /// screenshot: resample to the thumbnail size, then hash — the
+    /// exact capture path, so queries and stored instances live in the
+    /// same space.
     pub fn fingerprint(&self, shot: &Screenshot) -> Fingerprint {
-        let thumb = resample_screenshot(shot, self.config.thumb_w, self.config.thumb_h);
-        Fingerprint::from_screenshot(&thumb)
+        Fingerprint::from_screenshot(&resample_screenshot(shot, THUMB_W, THUMB_H))
     }
 
     /// Observes one persisted keyframe: thumbnail it, fingerprint it,
     /// and append-or-coalesce into the open strip. Infallible — the
     /// strip is in-memory until sealed.
     pub fn observe(&self, now: Timestamp, shot: &Screenshot) {
-        let thumb = resample_screenshot(shot, self.config.thumb_w, self.config.thumb_h);
+        let thumb = resample_screenshot(shot, THUMB_W, THUMB_H);
         let fp = Fingerprint::from_screenshot(&thumb);
         let encoded = encode_screenshot(&thumb);
-        let outcome = self
-            .open
-            .lock()
-            .observe(now, fp, encoded, self.config.near_dup_bits);
+        let outcome = self.open.lock().observe(now, fp, encoded, NEAR_DUP_BITS);
         match outcome {
             Observed::Coalesced => self.obs.incr(names::VIDX_COALESCED),
             Observed::New => self.obs.incr(names::VIDX_KEYFRAMES),
         }
     }
 
-    fn seg_blob(&self, id: u64) -> String {
-        format!("{}vidxseg-{id:08}", self.config.blob_prefix)
-    }
-
-    fn man_blob(&self, counter: u64) -> String {
-        format!("{}vidxman-{counter:08}", self.config.blob_prefix)
-    }
-
     /// Seals the open strip if its window has elapsed, anchoring the
     /// segment to checkpoint `counter`. Call after each durable
     /// checkpoint. An empty strip slides its window without sealing.
     pub fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, VidxError> {
-        {
-            let strip = self.open.lock();
-            let horizon = strip.horizon;
-            let mut st = self.state.lock();
-            if horizon < st.open_start.saturating_add(self.config.strip_window) {
-                return Ok(None);
-            }
-            if strip.is_empty() {
-                st.open_start = horizon;
-                return Ok(None);
-            }
+        let mut strip = self.open.lock();
+        if !self.log.seal_due(strip.horizon, || strip.is_empty()) {
+            return Ok(None);
         }
-        self.seal(counter).map(Some)
+        self.seal_open(counter, &mut strip).map(Some)
     }
 
     /// Unconditionally seals the open strip into an immutable segment
-    /// anchored to checkpoint `counter`, writes the manifest, and
-    /// swaps in a fresh empty strip. Coalescing never spans a seal: a
-    /// screen still showing afterwards opens a new instance, exactly
-    /// like a fresh appearance.
+    /// anchored to checkpoint `counter` and swaps in a fresh empty
+    /// strip. Coalescing never spans a seal: a screen still showing
+    /// afterwards opens a new instance, exactly like a fresh
+    /// appearance.
     ///
     /// On any error the open strip and the previous layout stay
     /// authoritative; the seal retries at the next checkpoint.
     pub fn seal(&self, counter: u64) -> Result<SegmentMeta, VidxError> {
+        self.seal_open(counter, &mut self.open.lock())
+    }
+
+    fn seal_open(&self, counter: u64, strip: &mut VisualStrip) -> Result<SegmentMeta, VidxError> {
         let _span = self.obs.span("vidx", names::VIDX_SEAL);
-        let mut strip = self.open.lock();
-        let horizon = strip.horizon;
-        let mut framed = encode_segment(strip.instances());
-        match self.plane.check(sites::VIDX_FLUSH) {
-            None | Some(IoFault::LatencySpike) => {}
-            // A mangled seal is caught by the CRC on first probe.
-            Some(IoFault::Corrupt) => self.plane.mangle(&mut framed),
-            Some(_) => return Err(VidxError::Failed("strip seal write faulted".into())),
-        }
-        let mut st = self.state.lock();
-        let id = st.next_segment;
-        let meta = SegmentMeta {
-            id,
+        let sealed = Sealed {
             start: strip
                 .instances()
                 .first()
-                .map(|i| i.first)
-                .unwrap_or(st.open_start),
-            end: horizon,
-            sealed_at: counter,
-            bytes: framed.len() as u64,
+                .map_or(self.log.layout().open_start, |i| i.first),
+            end: strip.horizon,
             instances: strip.instances().len() as u64,
-        };
-        let mut live = st.live.clone();
-        live.push(meta.clone());
-        live.sort_by_key(|m| (m.start, m.id));
-        let manifest = Manifest {
-            counter,
-            next_segment: id + 1,
             next_instance: strip.next_id(),
-            open_start: horizon,
-            live: live.clone(),
         };
-        self.store
-            .put_deduped(&self.seg_blob(id), framed)
-            .map_err(|e| VidxError::Failed(format!("segment write failed: {e:?}")))?;
-        if let Err(e) = self
-            .store
-            .put_deduped(&self.man_blob(counter), encode_manifest(&manifest))
-        {
-            // The layout never became durable; drop the orphan segment.
-            self.store.lock().delete(&self.seg_blob(id));
-            return Err(VidxError::Failed(format!("manifest write failed: {e:?}")));
-        }
-        st.live = live;
-        st.next_segment = id + 1;
-        st.last_sealed_ckpt = counter;
-        st.open_start = horizon;
-        let live_count = st.live.len();
-        let strip_bytes: u64 = st.live.iter().map(|m| m.bytes).sum();
-        drop(st);
-        *strip = VisualStrip::new(manifest.next_instance);
-        strip.horizon = horizon;
-        drop(strip);
-        self.obs.incr(names::VIDX_SEALS);
-        self.obs
-            .gauge_set(names::VIDX_SEALED_SEGMENTS, live_count as u64);
-        self.obs.gauge_set(names::VIDX_STRIP_BYTES, strip_bytes);
-        self.obs.event(
-            "vidx",
-            names::EV_VIDX_SEAL,
-            format!(
-                "segment={id} ckpt={counter} instances={} bytes={}",
-                meta.instances, meta.bytes
-            ),
-        );
+        let meta = self.log.publish(counter, strip, sealed)?;
+        *strip = VisualStrip::new(sealed.next_instance);
+        strip.horizon = sealed.end;
         Ok(meta)
     }
 
-    fn segment(&self, id: u64) -> Result<Arc<SealedStrip>, VidxError> {
-        if let Some(seg) = self.state.lock().cache.get(&id) {
-            return Ok(seg.clone());
-        }
-        let blob = self
-            .store
-            .lock()
-            .get(&self.seg_blob(id))
-            .ok_or_else(|| VidxError::Failed(format!("segment {id} missing")))?;
-        let instances = decode_segment(&blob).map_err(|e| VidxError::Failed(e.to_string()))?;
-        let index = BandIndex::build(instances.iter().map(|i| i.fp));
-        let seg = Arc::new(SealedStrip { instances, index });
-        let mut st = self.state.lock();
-        if st.cache.len() >= self.config.segment_cache.max(1) {
-            if let Some(victim) = st.cache_order.pop_front() {
-                st.cache.remove(&victim);
-            }
-        }
-        st.cache.insert(id, seg.clone());
-        st.cache_order.push_back(id);
-        Ok(seg)
+    /// Merges one batch of small same-level strip segments into a
+    /// higher-level one if any level has enough of them
+    /// ([`SealedLog::maybe_compact`]). Returns whether one ran.
+    pub fn maybe_compact(&self) -> Result<bool, VidxError> {
+        self.log.maybe_compact()
     }
 
     /// Ranks the `k` nearest instances to `fp` across `shards`.
     /// Returns the hits plus the number of fingerprint comparisons
     /// performed (the probe count).
-    fn query_shards(
-        shards: &[(&[VisualInstance], &BandIndex)],
-        fp: &Fingerprint,
-        k: usize,
-    ) -> (Vec<VisualHit>, u64) {
-        let total: usize = shards.iter().map(|(inst, _)| inst.len()).sum();
-        let mut hits = Vec::new();
-        let mut probes = 0u64;
-        let mut near = 0usize;
-        for (instances, index) in shards {
-            for pos in index.candidates(fp) {
-                let inst = &instances[pos as usize];
-                let distance = inst.fp.distance(fp);
-                probes += 1;
-                if distance <= EXACT_RADIUS {
-                    near += 1;
-                }
-                hits.push(VisualHit {
-                    id: inst.id,
-                    distance,
-                    first: inst.first,
-                    last: inst.last,
-                    frames: inst.frames,
-                    thumb: inst.thumb.clone(),
-                });
-            }
-        }
+    fn query_shards(shards: &[&VisualStrip], fp: &Fingerprint, k: usize) -> (Vec<VisualHit>, u64) {
+        let total: usize = shards.iter().map(|s| s.instances().len()).sum();
+        let mut hits: Vec<VisualHit> = shards
+            .iter()
+            .flat_map(|s| {
+                let instances = s.instances();
+                s.index()
+                    .candidates(fp)
+                    .into_iter()
+                    .map(move |pos| VisualHit::of(&instances[pos as usize], fp))
+            })
+            .collect();
+        let mut probes = hits.len() as u64;
+        let near = hits.iter().filter(|h| h.distance <= EXACT_RADIUS).count();
         // Exactness rule: with >= k candidates inside the pigeonhole
         // radius, the oracle's top-k all lie within it and every such
         // instance is a candidate — ranking candidates is exact. A
         // sparser neighbourhood cannot prove that, so scan everything.
         if near < k && hits.len() < total {
-            hits.clear();
-            for (instances, _) in shards {
-                for inst in *instances {
-                    probes += 1;
-                    hits.push(VisualHit {
-                        id: inst.id,
-                        distance: inst.fp.distance(fp),
-                        first: inst.first,
-                        last: inst.last,
-                        frames: inst.frames,
-                        thumb: inst.thumb.clone(),
-                    });
-                }
-            }
+            hits = Self::scan(shards, fp);
+            probes += total as u64;
         }
         rank_visual_hits(&mut hits, k);
         (hits, probes)
+    }
+
+    fn scan(shards: &[&VisualStrip], fp: &Fingerprint) -> Vec<VisualHit> {
+        shards
+            .iter()
+            .flat_map(|s| s.instances())
+            .map(|inst| VisualHit::of(inst, fp))
+            .collect()
+    }
+
+    /// Runs `f` over the strips a query reads, oldest first: the live
+    /// sealed layout plus the open strip (`at` = `None`), or the
+    /// layout as of a checkpoint alone.
+    fn with_shards<R>(
+        &self,
+        at: Option<u64>,
+        f: impl FnOnce(&[&VisualStrip]) -> R,
+    ) -> Result<R, VidxError> {
+        let sealed = self.log.segments_at(at, |_| true)?;
+        let open = at.is_none().then(|| self.open.lock());
+        let shards: Vec<&VisualStrip> = sealed
+            .iter()
+            .map(|s| s.as_ref())
+            .chain(open.as_deref())
+            .collect();
+        Ok(f(&shards))
     }
 
     /// The `k` nearest visual instances to a query screenshot, over
     /// every sealed segment plus the open strip. Byte-identical to
     /// [`VidxEngine::query_linear`] by the exactness rule above.
     pub fn query(&self, probe: &Screenshot, k: usize) -> Result<Vec<VisualHit>, VidxError> {
-        let fp = self.fingerprint(probe);
-        self.obs.incr(names::VIDX_QUERIES);
-        let _span = self.obs.span("vidx", names::VIDX_QUERY);
-        let metas = self.state.lock().live.clone();
-        let mut segments = Vec::with_capacity(metas.len());
-        for meta in &metas {
-            segments.push(self.segment(meta.id)?);
-        }
-        let open = self.open.lock();
-        let mut shards: Vec<(&[VisualInstance], &BandIndex)> = segments
-            .iter()
-            .map(|s| (s.instances.as_slice(), &s.index))
-            .collect();
-        shards.push((open.instances(), open.index()));
-        let (hits, probes) = Self::query_shards(&shards, &fp, k);
-        self.obs.observe(names::VIDX_PROBES, probes);
-        Ok(hits)
+        self.query_layout(None, probe, k)
     }
 
     /// The `k` nearest instances as of checkpoint `counter` — the
@@ -437,21 +287,19 @@ impl VidxEngine {
         probe: &Screenshot,
         k: usize,
     ) -> Result<Vec<VisualHit>, VidxError> {
+        self.query_layout(Some(counter), probe, k)
+    }
+
+    fn query_layout(
+        &self,
+        at: Option<u64>,
+        probe: &Screenshot,
+        k: usize,
+    ) -> Result<Vec<VisualHit>, VidxError> {
         let fp = self.fingerprint(probe);
         self.obs.incr(names::VIDX_QUERIES);
         let _span = self.obs.span("vidx", names::VIDX_QUERY);
-        let Some(manifest) = self.manifest_at_or_before(counter)? else {
-            return Ok(Vec::new());
-        };
-        let mut segments = Vec::with_capacity(manifest.live.len());
-        for meta in &manifest.live {
-            segments.push(self.segment(meta.id)?);
-        }
-        let shards: Vec<(&[VisualInstance], &BandIndex)> = segments
-            .iter()
-            .map(|s| (s.instances.as_slice(), &s.index))
-            .collect();
-        let (hits, probes) = Self::query_shards(&shards, &fp, k);
+        let (hits, probes) = self.with_shards(at, |shards| Self::query_shards(shards, &fp, k))?;
         self.obs.observe(names::VIDX_PROBES, probes);
         Ok(hits)
     }
@@ -461,92 +309,54 @@ impl VidxEngine {
     /// recall and counts its probes as the brute-force baseline.
     pub fn query_linear(&self, probe: &Screenshot, k: usize) -> Result<Vec<VisualHit>, VidxError> {
         let fp = self.fingerprint(probe);
-        let metas = self.state.lock().live.clone();
-        let mut segments = Vec::with_capacity(metas.len());
-        for meta in &metas {
-            segments.push(self.segment(meta.id)?);
-        }
-        let open = self.open.lock();
-        let mut hits = Vec::new();
-        for inst in segments
-            .iter()
-            .flat_map(|s| s.instances.iter())
-            .chain(open.instances().iter())
-        {
-            hits.push(VisualHit {
-                id: inst.id,
-                distance: inst.fp.distance(&fp),
-                first: inst.first,
-                last: inst.last,
-                frames: inst.frames,
-                thumb: inst.thumb.clone(),
-            });
-        }
+        let mut hits = self.with_shards(None, |shards| Self::scan(shards, &fp))?;
         rank_visual_hits(&mut hits, k);
         Ok(hits)
     }
 
     /// Total instances a linear scan would probe (sealed + open).
     pub fn linear_probe_cost(&self) -> u64 {
-        let open = self.open.lock().instances().len() as u64;
-        let st = self.state.lock();
-        st.live.iter().map(|m| m.instances).sum::<u64>() + open
+        let stats = self.stats();
+        stats.sealed_instances + stats.open_instances as u64
     }
 
-    fn manifest_at_or_before(&self, counter: u64) -> Result<Option<Manifest>, VidxError> {
-        let prefix = format!("{}vidxman-", self.config.blob_prefix);
-        let best = self
-            .store
-            .lock()
-            .names()
-            .into_iter()
-            .filter_map(|n| n.strip_prefix(&prefix).and_then(|s| s.parse::<u64>().ok()))
-            .filter(|c| *c <= counter)
-            .max();
-        let Some(found) = best else {
-            return Ok(None);
-        };
-        let blob = self
-            .store
-            .lock()
-            .get(&self.man_blob(found))
-            .ok_or_else(|| VidxError::Failed(format!("manifest {found} missing")))?;
-        decode_manifest(&blob)
-            .map(Some)
-            .map_err(|e| VidxError::Failed(e.to_string()))
+    /// The open strip in segment-payload form, so an archive carries
+    /// what no seal has made durable yet.
+    pub fn export_open(&self) -> Vec<u8> {
+        Strips
+            .encode(&self.open.lock())
+            .expect("strip encoding cannot fail")
     }
 
     /// Rebuilds the strip layout from the newest durable manifest (an
     /// archive import or restored store). Returns the manifest's
     /// checkpoint counter, or `None` when the store has no manifests.
     pub fn recover_latest(&self) -> Result<Option<u64>, VidxError> {
-        let Some(manifest) = self.manifest_at_or_before(u64::MAX)? else {
+        let Some(manifest) = self.log.recover_latest()? else {
             return Ok(None);
         };
         let mut strip = self.open.lock();
-        let mut st = self.state.lock();
-        st.live = manifest.live;
-        st.next_segment = manifest.next_segment;
-        st.last_sealed_ckpt = manifest.counter;
-        st.open_start = manifest.open_start;
-        st.cache.clear();
-        st.cache_order.clear();
-        self.obs
-            .gauge_set(names::VIDX_SEALED_SEGMENTS, st.live.len() as u64);
-        self.obs.gauge_set(
-            names::VIDX_STRIP_BYTES,
-            st.live.iter().map(|m| m.bytes).sum(),
-        );
         *strip = VisualStrip::new(manifest.next_instance);
         strip.horizon = manifest.open_start;
         Ok(Some(manifest.counter))
+    }
+
+    /// Replaces the open strip with [`VidxEngine::export_open`] bytes,
+    /// continuing after whatever [`VidxEngine::recover_latest`]
+    /// restored.
+    pub fn restore_open(&self, payload: &[u8]) -> Result<(), VidxError> {
+        let mut restored = Strips.decode(payload).map_err(VidxError::Failed)?;
+        let mut strip = self.open.lock();
+        restored.resume(strip.next_id(), strip.horizon);
+        *strip = restored;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dv_fault::FaultPlan;
+    use dv_fault::{sites, FaultPlan, IoFault};
     use std::sync::Arc as StdArc;
 
     fn engine(config: VidxConfig) -> VidxEngine {
@@ -644,7 +454,7 @@ mod tests {
         let expect = eng.fingerprint(&scene(7));
         let got = eng.fingerprint(&perturbed(7));
         assert_eq!(hits[0].distance, expect.distance(&got));
-        assert!(hits[0].distance <= VidxConfig::default().near_dup_bits);
+        assert!(hits[0].distance <= NEAR_DUP_BITS);
     }
 
     #[test]
@@ -745,7 +555,7 @@ mod tests {
     #[test]
     fn maybe_seal_respects_the_strip_window() {
         let eng = engine(VidxConfig {
-            strip_window: Duration::from_secs(10),
+            window: dv_time::Duration::from_secs(10),
             ..VidxConfig::default()
         });
         eng.observe(ts(1_000), &scene(1));

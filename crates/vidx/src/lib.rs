@@ -17,9 +17,10 @@
 //! sub-linear in the number of instances — and is still byte-identical
 //! to a linear-scan oracle (the pigeonhole exactness rule documented on
 //! [`VidxEngine::query`]). Strips seal at checkpoint boundaries into
-//! CRC-framed immutable segments with counter-named manifests, so a
-//! revived session's visual recall is snapshot-consistent with its
-//! filesystem, exactly like the sharded text index.
+//! immutable segments under the same sealed-segment lifecycle as the
+//! sharded text index ([`dv_lsfs::SealedLog`]), so a revived session's
+//! visual recall is snapshot-consistent with its filesystem, strips
+//! compact, and manifests below the retention floor are reclaimed.
 
 #![deny(unsafe_code)]
 
@@ -29,11 +30,12 @@ pub mod index;
 pub mod segment;
 pub mod strip;
 
-pub use engine::{rank_visual_hits, VidxConfig, VidxEngine, VidxError, VidxStats, VisualHit};
+pub use dv_lsfs::SegmentMeta;
+pub use engine::{
+    rank_visual_hits, VidxConfig, VidxEngine, VidxError, VidxStats, VisualHit, NEAR_DUP_BITS,
+    THUMB_H, THUMB_W,
+};
 pub use fingerprint::{Fingerprint, BANDS, BAND_BITS, EXACT_RADIUS, FP_BITS};
 pub use index::BandIndex;
-pub use segment::{
-    decode_manifest, decode_segment, encode_manifest, encode_segment, FrameError, Manifest,
-    SegmentMeta,
-};
+pub use segment::Strips;
 pub use strip::{Observed, VisualInstance, VisualStrip};

@@ -1,227 +1,117 @@
-//! Immutable visual-segment and manifest blob formats.
+//! Thumbnail strips as sealed-segment payloads.
 //!
-//! A sealed strip segment is the instance list under the same CRC
-//! framing that guards the lsfs journal and the tidx segments, so a
-//! mangled blob is detected on first probe:
-//!
-//! ```text
-//! [magic "DVVSEG01"][crc32(payload) u32 LE][len u64 LE][payload ...]
-//! ```
-//!
-//! A manifest records the strip layout as of one checkpoint counter —
-//! live segments plus the id allocators — under magic `DVVMAN01`.
-//! Manifests are named by checkpoint counter, so a revive at
-//! checkpoint N reads the newest manifest at or before N and sees
-//! exactly the instances sealed by then. The visual index has no
-//! compaction or GC: thumbnails are tiny and strips append-only.
+//! A sealed strip segment is the instance list — count, then per
+//! instance id, fingerprint, interval, frame count and RLE thumbnail,
+//! all little-endian — inside the shared CRC frame
+//! ([`dv_lsfs::sealed`]) under magic `DVVSEG01`. Framing, manifests,
+//! blob names, publish order, GC and recovery are the lifecycle's;
+//! this module says only what a strip's bytes are and how strips
+//! merge.
+
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 
-use dv_fault::checksum::crc32;
+use dv_fault::sites;
+use dv_lsfs::{Payload, SegmentNames};
+use dv_obs::names;
 use dv_time::Timestamp;
 
 use crate::fingerprint::Fingerprint;
-use crate::strip::VisualInstance;
+use crate::strip::{VisualInstance, VisualStrip};
 
-const SEG_MAGIC: &[u8; 8] = b"DVVSEG01";
-const MAN_MAGIC: &[u8; 8] = b"DVVMAN01";
+pub(crate) static NAMES: SegmentNames = SegmentNames {
+    stem: "vidx",
+    seg_magic: b"DVVSEG01",
+    seal_site: sites::VIDX_FLUSH,
+    compact_site: sites::VIDX_COMPACT,
+    compact_span: names::VIDX_COMPACT,
+    seals: names::VIDX_SEALS,
+    compactions: names::VIDX_COMPACTIONS,
+    gc_reclaimed: names::VIDX_GC_RECLAIMED,
+    sealed_segments: names::VIDX_SEALED_SEGMENTS,
+    sealed_bytes: names::VIDX_STRIP_BYTES,
+    ev_seal: names::EV_VIDX_SEAL,
+    ev_compact: names::EV_VIDX_COMPACT,
+};
 
-/// A segment- or manifest-blob decoding error.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FrameError(pub &'static str);
+/// The thumbnail-strip payload: a segment decodes to a [`VisualStrip`]
+/// (instances plus their band index).
+pub struct Strips;
 
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "vidx frame error: {}", self.0)
-    }
-}
+impl Payload for Strips {
+    type Segment = VisualStrip;
 
-impl std::error::Error for FrameError {}
-
-/// Everything the engine needs to know about one sealed strip segment
-/// without decoding it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SegmentMeta {
-    /// Monotonic segment id; names the blob.
-    pub id: u64,
-    /// First instance's `first` time.
-    pub start: Timestamp,
-    /// The seal horizon: the latest keyframe time sealed.
-    pub end: Timestamp,
-    /// The checkpoint counter whose manifest first referenced this
-    /// segment — the snapshot-consistency anchor.
-    pub sealed_at: u64,
-    /// Framed blob size.
-    pub bytes: u64,
-    /// Visual instances stored.
-    pub instances: u64,
-}
-
-/// One parsed manifest: the strip layout as of `counter`.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct Manifest {
-    /// Checkpoint counter this layout is consistent with.
-    pub counter: u64,
-    /// Next segment id to allocate.
-    pub next_segment: u64,
-    /// Next visual-instance id to allocate.
-    pub next_instance: u64,
-    /// Where the open strip's window began when this was written.
-    pub open_start: Timestamp,
-    /// Sealed segments, ordered by `start`.
-    pub live: Vec<SegmentMeta>,
-}
-
-/// Wraps a payload in magic + CRC framing.
-fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(magic);
-    out.put_u32_le(crc32(payload));
-    out.put_u64_le(payload.len() as u64);
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Verifies framing and returns the payload slice.
-fn unframe<'a>(magic: &[u8; 8], mut buf: &'a [u8]) -> Result<&'a [u8], FrameError> {
-    if buf.len() < 20 || &buf[..8] != magic {
-        return Err(FrameError("bad magic"));
-    }
-    buf.advance(8);
-    let crc = buf.get_u32_le();
-    let len = buf.get_u64_le() as usize;
-    if buf.len() != len {
-        return Err(FrameError("length mismatch"));
-    }
-    if crc32(buf) != crc {
-        return Err(FrameError("crc mismatch"));
-    }
-    Ok(buf)
-}
-
-/// Serializes a strip's instances as a framed segment blob.
-pub fn encode_segment(instances: &[VisualInstance]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.put_u64_le(instances.len() as u64);
-    for inst in instances {
-        payload.put_u64_le(inst.id);
-        for word in inst.fp.0 {
-            payload.put_u64_le(word);
+    fn encode(&self, strip: &VisualStrip) -> Result<Vec<u8>, String> {
+        let instances = strip.instances();
+        let mut payload = Vec::new();
+        payload.put_u64_le(instances.len() as u64);
+        for inst in instances {
+            payload.put_u64_le(inst.id);
+            for word in inst.fp.0 {
+                payload.put_u64_le(word);
+            }
+            payload.put_u64_le(inst.first.as_nanos());
+            payload.put_u64_le(inst.last.as_nanos());
+            payload.put_u64_le(inst.frames);
+            payload.put_u64_le(inst.thumb.len() as u64);
+            payload.extend_from_slice(&inst.thumb);
         }
-        payload.put_u64_le(inst.first.as_nanos());
-        payload.put_u64_le(inst.last.as_nanos());
-        payload.put_u64_le(inst.frames);
-        payload.put_u64_le(inst.thumb.len() as u64);
-        payload.extend_from_slice(&inst.thumb);
+        Ok(payload)
     }
-    frame(SEG_MAGIC, &payload)
-}
 
-/// Verifies and parses a segment blob back into its instances.
-pub fn decode_segment(buf: &[u8]) -> Result<Vec<VisualInstance>, FrameError> {
-    let mut payload = unframe(SEG_MAGIC, buf)?;
-    if payload.len() < 8 {
-        return Err(FrameError("truncated instance count"));
-    }
-    let count = payload.get_u64_le();
-    let mut out = Vec::new();
-    for _ in 0..count {
-        // Fixed-size prefix: id + 4 fingerprint words + first + last
-        // + frames + thumbnail length = 9 u64s.
-        if payload.len() < 72 {
-            return Err(FrameError("truncated instance"));
+    fn decode(&self, mut payload: &[u8]) -> Result<VisualStrip, String> {
+        if payload.len() < 8 {
+            return Err("truncated instance count".into());
         }
-        let id = payload.get_u64_le();
-        let mut words = [0u64; 4];
-        for word in &mut words {
-            *word = payload.get_u64_le();
+        let count = payload.get_u64_le();
+        let mut out = Vec::new();
+        for _ in 0..count {
+            // Fixed-size prefix: id + 4 fingerprint words + first + last
+            // + frames + thumbnail length = 9 u64s.
+            if payload.len() < 72 {
+                return Err("truncated instance".into());
+            }
+            let id = payload.get_u64_le();
+            let mut words = [0u64; 4];
+            for word in &mut words {
+                *word = payload.get_u64_le();
+            }
+            let first = Timestamp::from_nanos(payload.get_u64_le());
+            let last = Timestamp::from_nanos(payload.get_u64_le());
+            let frames = payload.get_u64_le();
+            let thumb_len = payload.get_u64_le();
+            if (payload.len() as u64) < thumb_len {
+                return Err("truncated thumbnail".into());
+            }
+            let (thumb, rest) = payload.split_at(thumb_len as usize);
+            payload = rest;
+            out.push(VisualInstance {
+                id,
+                fp: Fingerprint(words),
+                first,
+                last,
+                frames,
+                thumb: thumb.to_vec(),
+            });
         }
-        let first = Timestamp::from_nanos(payload.get_u64_le());
-        let last = Timestamp::from_nanos(payload.get_u64_le());
-        let frames = payload.get_u64_le();
-        let thumb_len = payload.get_u64_le() as usize;
-        if payload.len() < thumb_len {
-            return Err(FrameError("truncated thumbnail"));
+        if !payload.is_empty() {
+            return Err("trailing bytes".into());
         }
-        let thumb = payload[..thumb_len].to_vec();
-        payload.advance(thumb_len);
-        out.push(VisualInstance {
-            id,
-            fp: Fingerprint(words),
-            first,
-            last,
-            frames,
-            thumb,
-        });
+        Ok(VisualStrip::from_instances(out))
     }
-    if !payload.is_empty() {
-        return Err(FrameError("trailing bytes"));
-    }
-    Ok(out)
-}
 
-fn put_meta(out: &mut Vec<u8>, meta: &SegmentMeta) {
-    out.put_u64_le(meta.id);
-    out.put_u64_le(meta.start.as_nanos());
-    out.put_u64_le(meta.end.as_nanos());
-    out.put_u64_le(meta.sealed_at);
-    out.put_u64_le(meta.bytes);
-    out.put_u64_le(meta.instances);
-}
-
-fn get_meta(buf: &mut &[u8]) -> Result<SegmentMeta, FrameError> {
-    if buf.len() < 48 {
-        return Err(FrameError("truncated segment meta"));
+    /// Strips never share an instance (coalescing breaks at a seal), so
+    /// merging is concatenation in time order.
+    fn merge(&self, inputs: &[Arc<VisualStrip>]) -> (VisualStrip, u64) {
+        let mut all: Vec<VisualInstance> = inputs
+            .iter()
+            .flat_map(|strip| strip.instances().iter().cloned())
+            .collect();
+        all.sort_by_key(|inst| (inst.first, inst.id));
+        let count = all.len() as u64;
+        (VisualStrip::from_instances(all), count)
     }
-    Ok(SegmentMeta {
-        id: buf.get_u64_le(),
-        start: Timestamp::from_nanos(buf.get_u64_le()),
-        end: Timestamp::from_nanos(buf.get_u64_le()),
-        sealed_at: buf.get_u64_le(),
-        bytes: buf.get_u64_le(),
-        instances: buf.get_u64_le(),
-    })
-}
-
-/// Serializes a manifest as a framed blob.
-pub fn encode_manifest(man: &Manifest) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.put_u64_le(man.counter);
-    payload.put_u64_le(man.next_segment);
-    payload.put_u64_le(man.next_instance);
-    payload.put_u64_le(man.open_start.as_nanos());
-    payload.put_u64_le(man.live.len() as u64);
-    for meta in &man.live {
-        put_meta(&mut payload, meta);
-    }
-    frame(MAN_MAGIC, &payload)
-}
-
-/// Verifies and parses a manifest blob.
-pub fn decode_manifest(buf: &[u8]) -> Result<Manifest, FrameError> {
-    let mut payload = unframe(MAN_MAGIC, buf)?;
-    if payload.len() < 40 {
-        return Err(FrameError("truncated manifest header"));
-    }
-    let counter = payload.get_u64_le();
-    let next_segment = payload.get_u64_le();
-    let next_instance = payload.get_u64_le();
-    let open_start = Timestamp::from_nanos(payload.get_u64_le());
-    let live_count = payload.get_u64_le();
-    let mut live = Vec::new();
-    for _ in 0..live_count {
-        live.push(get_meta(&mut payload)?);
-    }
-    if !payload.is_empty() {
-        return Err(FrameError("trailing bytes"));
-    }
-    Ok(Manifest {
-        counter,
-        next_segment,
-        next_instance,
-        open_start,
-        live,
-    })
 }
 
 #[cfg(test)]
@@ -239,50 +129,40 @@ mod tests {
         }
     }
 
-    fn meta(id: u64) -> SegmentMeta {
-        SegmentMeta {
-            id,
-            start: Timestamp::from_millis(id * 10),
-            end: Timestamp::from_millis(id * 10 + 10),
-            sealed_at: id,
-            bytes: 100 + id,
-            instances: id * 3,
-        }
+    fn round_trip(instances: Vec<VisualInstance>) -> VisualStrip {
+        let strip = VisualStrip::from_instances(instances);
+        Strips.decode(&Strips.encode(&strip).unwrap()).unwrap()
     }
 
     #[test]
-    fn segment_round_trips_and_detects_corruption() {
+    fn strip_payload_round_trips_and_rejects_truncation() {
         let instances = vec![inst(1), inst(2), inst(9)];
-        let framed = encode_segment(&instances);
-        assert_eq!(decode_segment(&framed).unwrap(), instances);
-        let mut mangled = framed.clone();
-        let last = mangled.len() - 1;
-        mangled[last] ^= 0xFF;
-        assert_eq!(decode_segment(&mangled), Err(FrameError("crc mismatch")));
-        for cut in [0, 10, 30, framed.len() - 1] {
-            assert!(decode_segment(&framed[..cut]).is_err(), "cut at {cut}");
+        let decoded = round_trip(instances.clone());
+        assert_eq!(decoded.instances(), instances);
+        assert_eq!(decoded.next_id(), 10);
+        assert_eq!(decoded.horizon, Timestamp::from_millis(95));
+        assert!(round_trip(Vec::new()).is_empty());
+        let payload = Strips
+            .encode(&VisualStrip::from_instances(instances))
+            .unwrap();
+        for cut in 0..payload.len() {
+            assert!(Strips.decode(&payload[..cut]).is_err(), "cut at {cut}");
         }
-        assert!(decode_segment(b"DVTSEG01 wrong family").is_err());
+        let mut trailing = payload;
+        trailing.push(0);
+        assert!(Strips.decode(&trailing).is_err());
     }
 
     #[test]
-    fn empty_segment_round_trips() {
-        assert_eq!(decode_segment(&encode_segment(&[])).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn manifest_round_trips_and_rejects_truncation() {
-        let man = Manifest {
-            counter: 42,
-            next_segment: 7,
-            next_instance: 120,
-            open_start: Timestamp::from_millis(500),
-            live: vec![meta(1), meta(4)],
-        };
-        let encoded = encode_manifest(&man);
-        assert_eq!(decode_manifest(&encoded).unwrap(), man);
-        for cut in [0, 12, 25, encoded.len() - 1] {
-            assert!(decode_manifest(&encoded[..cut]).is_err(), "cut at {cut}");
-        }
+    fn merge_concatenates_in_time_order() {
+        let late = Arc::new(VisualStrip::from_instances(vec![inst(5), inst(6)]));
+        let early = Arc::new(VisualStrip::from_instances(vec![inst(1), inst(2)]));
+        let (merged, count) = Strips.merge(&[late, early]);
+        assert_eq!(count, 4);
+        let ids: Vec<u64> = merged.instances().iter().map(|i| i.id).collect();
+        assert_eq!(ids, vec![1, 2, 5, 6]);
+        // The merged strip's band index addresses the merged order.
+        let pos = merged.index().candidates(&inst(5).fp);
+        assert!(pos.contains(&2));
     }
 }

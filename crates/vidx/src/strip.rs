@@ -61,6 +61,33 @@ impl VisualStrip {
         }
     }
 
+    /// Rebuilds a strip (and its band index) around decoded
+    /// `instances`, oldest first: the horizon is the last keyframe
+    /// they saw and ids allocate past the greatest one.
+    pub fn from_instances(instances: Vec<VisualInstance>) -> Self {
+        VisualStrip {
+            index: BandIndex::build(instances.iter().map(|i| i.fp)),
+            next_id: instances
+                .iter()
+                .map(|i| i.id.saturating_add(1))
+                .max()
+                .unwrap_or(0),
+            horizon: instances
+                .iter()
+                .map(|i| i.last)
+                .max()
+                .unwrap_or(Timestamp::ZERO),
+            instances,
+        }
+    }
+
+    /// Continues after sealed history: ids allocate from at least
+    /// `next_id` and the horizon is at least `horizon`.
+    pub fn resume(&mut self, next_id: u64, horizon: Timestamp) {
+        self.next_id = self.next_id.max(next_id);
+        self.horizon = self.horizon.max(horizon);
+    }
+
     /// Observes one keyframe. A fingerprint within `near_dup_bits` of
     /// the *newest* instance extends that instance's interval;
     /// anything else opens a new one. Only the newest instance can

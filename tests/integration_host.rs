@@ -274,6 +274,33 @@ fn latency_spike_tenant_stalls_alone() {
     );
 }
 
+fn visual_config() -> Config {
+    Config {
+        width: 64,
+        height: 48,
+        enable_display_recording: true,
+        enable_text_capture: false,
+        index_shard_window: Duration::from_millis(1000),
+        io_retry_backoff: Duration::from_millis(0),
+        ..Config::default()
+    }
+}
+// Per-grid-cell noise (4x3 tiles over 64x48 land one tile per
+// fingerprint cell), so distinct seeds give far-apart scenes.
+fn paint(server: &mut dejaview::DejaView, seed: u64) {
+    for ty in 0..16u32 {
+        for tx in 0..16u32 {
+            let hash = seed
+                .wrapping_add(((ty as u64) << 32) | tx as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let color = ((hash >> 40) & 0x00FF_FFFF) as u32;
+            server
+                .driver_mut()
+                .fill_rect(dv_display::Rect::new(tx * 4, ty * 3, 4, 3), color);
+        }
+    }
+}
+
 /// Two controllers' sessions record distinct visual histories side by
 /// side on one shared store; one is archived and revived as a third
 /// branch. All three views must stay query-consistent: every
@@ -284,33 +311,6 @@ fn latency_spike_tenant_stalls_alone() {
 /// playback.
 #[test]
 fn visual_views_agree_across_controllers_and_a_revived_branch() {
-    fn visual_config() -> Config {
-        Config {
-            width: 64,
-            height: 48,
-            enable_display_recording: true,
-            enable_text_capture: false,
-            index_shard_window: Duration::from_millis(1000),
-            io_retry_backoff: Duration::from_millis(0),
-            ..Config::default()
-        }
-    }
-    // Per-grid-cell noise (4x3 tiles over 64x48 land one tile per
-    // fingerprint cell), so distinct seeds give far-apart scenes.
-    fn paint(server: &mut dejaview::DejaView, seed: u64) {
-        for ty in 0..16u32 {
-            for tx in 0..16u32 {
-                let hash = seed
-                    .wrapping_add(((ty as u64) << 32) | tx as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let color = ((hash >> 40) & 0x00FF_FFFF) as u32;
-                server
-                    .driver_mut()
-                    .fill_rect(dv_display::Rect::new(tx * 4, ty * 3, 4, 3), color);
-            }
-        }
-    }
-
     let clock = SimClock::new();
     let mut host = Host::with_clock(pool_config(Duration::from_millis(0)), clock.clone());
     let alpha = host.create_session("ctrl-alpha", visual_config());
@@ -430,4 +430,60 @@ fn visual_views_agree_across_controllers_and_a_revived_branch() {
         alpha_probes[1].content_hash(),
         "pivot reconstructed a different screen"
     );
+}
+
+/// Strips share the text shards' lifecycle: a host compaction round
+/// merges them without changing any answer, the merged-away strips
+/// stay revivable until the next seal makes a manifest naming their
+/// replacement durable, and then every checkpoint below that seal —
+/// manifests included — ages out of the store.
+#[test]
+fn strips_compact_and_age_out_like_text_shards() {
+    let clock = SimClock::new();
+    let mut host = Host::with_clock(pool_config(Duration::from_millis(0)), clock.clone());
+    let id = host.create_session("strips", visual_config());
+    let round = |host: &mut Host, seed: u64| {
+        clock.advance(Duration::from_millis(1100));
+        let server = host.session_mut(id).expect("registered tenant");
+        paint(server, seed);
+        server.force_keyframe();
+        let probe = server.browse(server.now()).expect("recorded screen");
+        (host.checkpoint(id).expect("checkpoint").counter, probe)
+    };
+    let (counters, probes): (Vec<u64>, Vec<_>) = (1..=4).map(|seed| round(&mut host, seed)).unzip();
+    let vidx = host.session(id).expect("registered tenant").vidx().unwrap();
+    assert_eq!(vidx.stats().live_segments, 4, "one strip per checkpoint");
+
+    assert_eq!(host.compact_round(), 1);
+    host.flush_session(id).expect("aux lane drained");
+    assert_eq!(vidx.stats().live_segments, 1, "a full batch merged");
+    let old = counters[1];
+    for probe in &probes {
+        let hits = vidx.query(probe, 3).expect("query");
+        assert_eq!(hits[0].distance, 0);
+        assert_eq!(hits, vidx.query_linear(probe, 3).expect("oracle"));
+    }
+    let kept = vidx.query_at(old, &probes[1], 1).expect("inputs kept");
+    assert_eq!(kept[0].distance, 0);
+
+    let (newest, _) = round(&mut host, 5);
+    assert_eq!(
+        vidx.query_at(old, &probes[1], 4),
+        Err(dv_vidx::VidxError::OutOfRetention {
+            requested: old,
+            oldest: newest
+        })
+    );
+    assert_eq!(
+        vidx.query_at(newest, &probes[1], 1),
+        Ok(kept),
+        "the floor serves"
+    );
+    let manifests: Vec<String> = host.store().with(|s| s.names());
+    let manifests: Vec<&String> = manifests
+        .iter()
+        .filter(|n| n.contains("vidxman-"))
+        .collect();
+    assert_eq!(manifests, [&format!("strips.vidxman-{newest:08}")]);
+    assert!(host.storage_visual_bytes() > 0);
 }

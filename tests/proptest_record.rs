@@ -1,12 +1,13 @@
-//! Property tests for the visual-recall record formats (§4.4 recall
-//! by appearance).
+//! Property tests for the sealed-segment record formats and the
+//! visual-recall fingerprint (§4.4 recall by appearance).
 //!
 //! Three families of invariants:
 //!
-//! - **Hostile bytes**: the vidx segment/manifest decoders and the
+//! - **Hostile bytes**: the one segment frame/manifest decoder under
+//!   dv-tidx and dv-vidx, both payload decoders behind it, and the
 //!   thumbnail codec must reject arbitrary corruption with an error —
 //!   never a panic, never an out-of-bounds access.
-//! - **Round trips**: what the strip seals is what recovery decodes,
+//! - **Round trips**: what a seal writes is what recovery decodes,
 //!   for arbitrary instances, manifests, and screenshot geometries.
 //! - **Fingerprint geometry**: the properties the dHash-style
 //!   fingerprint must hold for near-duplicate coalescing and
@@ -22,12 +23,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use dv_display::Screenshot;
+use dv_fault::FaultPlane;
+use dv_lsfs::sealed::{decode_manifest, encode_manifest, frame};
+use dv_lsfs::{Manifest, Payload, SealedLog, SegmentMeta, SharedBlobStore};
+use dv_obs::Obs;
 use dv_record::{decode_screenshot, encode_screenshot};
+use dv_tidx::TidxEngine;
 use dv_time::Timestamp;
-use dv_vidx::{
-    decode_manifest, decode_segment, encode_manifest, encode_segment, Fingerprint, Manifest,
-    SegmentMeta, VisualInstance, EXACT_RADIUS,
-};
+use dv_vidx::{Fingerprint, Strips, VidxEngine, VisualInstance, VisualStrip, EXACT_RADIUS};
 
 /// Builds a `w x h` screenshot from a pixel pool, cycling when the
 /// pool is shorter than the screen.
@@ -87,26 +90,71 @@ fn noise_screen(seed: u64) -> Screenshot {
     }
 }
 
+fn text_engine(store: &SharedBlobStore) -> TidxEngine {
+    let (plane, obs) = (FaultPlane::disabled(), Obs::disabled());
+    TidxEngine::new(
+        Default::default(),
+        store.clone(),
+        plane,
+        obs,
+        Default::default(),
+    )
+}
+
+fn strip_engine(store: &SharedBlobStore) -> VidxEngine {
+    let (plane, obs) = (FaultPlane::disabled(), Obs::disabled());
+    VidxEngine::new(store.clone(), plane, obs, Default::default())
+}
+
+/// Stores `blob` as segment 0 and as the manifest of checkpoint 1 of
+/// `log`'s index, then reads both back the way a query and a recovery
+/// do. Errors are fine; panics are not.
+fn read_back<P: Payload>(store: &SharedBlobStore, log: &SealedLog<P>, blob: &[u8]) -> bool {
+    let stem = log.names().stem;
+    for name in [format!("{stem}seg-00000000"), format!("{stem}man-00000001")] {
+        store
+            .lock()
+            .put(&name, blob.to_vec())
+            .expect("in-memory put");
+    }
+    let _ = log.manifest_at_or_before(1);
+    let _ = log.recover_latest();
+    log.segment(0).is_ok()
+}
+
 fn valid_segment_bytes() -> Vec<u8> {
-    let inst = VisualInstance {
+    let strip = VisualStrip::from_instances(vec![VisualInstance {
         id: 7,
         fp: Fingerprint([1, 2, 3, 4]),
         first: Timestamp::from_millis(10),
         last: Timestamp::from_millis(30),
         frames: 3,
         thumb: encode_screenshot(&mosaic(1)),
-    };
-    encode_segment(&[inst])
+    }]);
+    frame(b"DVVSEG01", &Strips.encode(&strip).expect("strips encode"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random bytes never panic the visual-record decoders.
+    /// Random bytes never panic the segment and manifest decoders of
+    /// either index — bare, and inside a valid frame so they reach
+    /// the payload and manifest-body parsers the CRC otherwise guards.
     #[test]
     fn vidx_decoders_survive_random_bytes(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_segment(&data);
+        let store = SharedBlobStore::in_memory();
+        let (text, strips) = (text_engine(&store), strip_engine(&store));
+        let (text, strips) = (text.log(), strips.log());
+        read_back(&store, text, &data);
+        read_back(&store, strips, &data);
+        read_back(&store, text, &frame(text.names().seg_magic, &data));
+        read_back(&store, strips, &frame(strips.names().seg_magic, &data));
         let _ = decode_manifest(&data);
+        let framed_manifest = {
+            let valid = encode_manifest(&Manifest::default());
+            frame(valid[..8].try_into().expect("magic"), &data)
+        };
+        read_back(&store, strips, &framed_manifest);
         let _ = decode_screenshot(&data);
     }
 
@@ -116,10 +164,16 @@ proptest! {
     #[test]
     fn mutated_segments_never_panic(idx in 0usize..10_000, value in any::<u8>()) {
         let mut bytes = valid_segment_bytes();
+        let store = SharedBlobStore::in_memory();
+        let engine = strip_engine(&store);
+        prop_assert!(read_back(&store, engine.log(), &bytes), "the unmutated segment decodes");
         let idx = idx % bytes.len();
+        let changed = bytes[idx] != value;
         bytes[idx] = value;
-        if let Ok(instances) = decode_segment(&bytes) {
-            let _ = encode_segment(&instances);
+        let fresh = strip_engine(&store);
+        prop_assert_eq!(read_back(&store, fresh.log(), &bytes), !changed);
+        if let Ok(strip) = fresh.log().segment(0) {
+            let _ = Strips.encode(&strip);
         }
     }
 
@@ -146,8 +200,9 @@ proptest! {
                 thumb: encode_screenshot(&mosaic(fp_seed)),
             })
             .collect();
-        let decoded = decode_segment(&encode_segment(&instances)).expect("round trip");
-        prop_assert_eq!(decoded, instances);
+        let sealed = Strips.encode(&VisualStrip::from_instances(instances.clone()));
+        let decoded = Strips.decode(&sealed.expect("strips encode")).expect("round trip");
+        prop_assert_eq!(decoded.instances(), &instances[..]);
     }
 
     /// Arbitrary manifests survive the write/recover round trip.
@@ -157,27 +212,41 @@ proptest! {
         next_segment in any::<u64>(),
         next_instance in any::<u64>(),
         open_ms in 0u64..1 << 40,
+        oldest_revivable in any::<u64>(),
         metas in prop::collection::vec(
             (any::<u64>(), 0u64..1 << 40, 0u64..1 << 20, any::<u64>(), 0u64..1 << 20, 1u64..256),
             0..12
-        )
+        ),
+        retired in 0usize..12
     ) {
+        let mut live: Vec<SegmentMeta> = metas
+            .iter()
+            .map(|&(id, start_ms, span_ms, sealed_at, bytes, instances)| SegmentMeta {
+                id,
+                level: (id % 5) as u32,
+                start: Timestamp::from_millis(start_ms),
+                end: Timestamp::from_millis(start_ms + span_ms),
+                sealed_at,
+                bytes,
+                instances,
+            })
+            .collect();
+        let retired = live
+            .split_off(live.len().saturating_sub(retired))
+            .into_iter()
+            .map(|meta| {
+                let reclaim_after = meta.sealed_at.wrapping_add(1);
+                (meta, reclaim_after)
+            })
+            .collect();
         let manifest = Manifest {
             counter,
             next_segment,
             next_instance,
             open_start: Timestamp::from_millis(open_ms),
-            live: metas
-                .iter()
-                .map(|&(id, start_ms, span_ms, sealed_at, bytes, instances)| SegmentMeta {
-                    id,
-                    start: Timestamp::from_millis(start_ms),
-                    end: Timestamp::from_millis(start_ms + span_ms),
-                    sealed_at,
-                    bytes,
-                    instances,
-                })
-                .collect(),
+            oldest_revivable,
+            live,
+            retired,
         };
         let decoded = decode_manifest(&encode_manifest(&manifest)).expect("round trip");
         prop_assert_eq!(decoded, manifest);
