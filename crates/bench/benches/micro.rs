@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use dv_checkpoint::{compress, compress_parallel, decompress, Checkpointer, EngineConfig};
+use dv_checkpoint::{compress, decompress, Checkpointer, EngineConfig};
 use dv_display::{decode_command, encode_command_vec, DisplayCommand, Framebuffer, Rect};
 use dv_index::{parse_query, IndexedInstance, RankOrder, TextIndex};
 use dv_lsfs::{Filesystem, Lsfs, SharedBlobStore};
@@ -175,25 +175,6 @@ fn bench_checkpoint(c: &mut Criterion) {
         b.iter(|| {
             let compressed = compress(&data);
             decompress(&compressed).unwrap()
-        });
-    });
-    group.bench_function("rle_compress_parallel_8x256k_sections", |b| {
-        let sections: Vec<Vec<u8>> = (0..8)
-            .map(|k: u32| {
-                (0..256u32 << 10)
-                    .map(|i| {
-                        if i % 4096 < 2048 {
-                            0
-                        } else {
-                            (i.wrapping_mul(k + 3) % 251) as u8
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        b.iter(|| {
-            let container = compress_parallel(&sections, 4);
-            decompress(&container).unwrap()
         });
     });
     group.finish();

@@ -997,8 +997,9 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
     }
 }
 
-/// The deferred write-back comparison: inline commits versus the
-/// pipeline at 1, 2 and 4 workers, over byte-identical sessions.
+/// The deferred write-back comparison: the commit pipeline with no
+/// workers (the session thread commits, "inline") versus 1, 2 and 4
+/// workers, over byte-identical sessions.
 pub fn deferred_experiment(scale: f64) -> Vec<DeferredRow> {
     [0usize, 1, 2, 4]
         .iter()

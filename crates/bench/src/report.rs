@@ -50,7 +50,7 @@ fn vms(d: dv_time::Duration) -> f64 {
 
 /// Prints the deferred write-back comparison.
 pub fn print_deferred(rows: &[DeferredRow]) {
-    out!("Deferred write-back: per-checkpoint session-thread stall, inline vs pipeline");
+    out!("Deferred write-back: per-checkpoint session-thread stall, 0 commit workers (inline) vs 1/2/4");
     out!(
         "{:<14} {:>6} {:>11} {:>11} {:>10} {:>8} {:>9}  {:<18}",
         "config",

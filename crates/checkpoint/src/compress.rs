@@ -10,9 +10,10 @@
 //! Format: a stream of chunks, either `[0x00][len u32][literal bytes]`
 //! or `[0x01][len u32][byte]` (a run).
 //!
-//! The deferred write-back pipeline compresses the sections of an image
-//! (header, one per process, sockets) on parallel worker subtasks. The
-//! results are framed in a *chunked container*:
+//! [`compress`] is the per-section codec: the commit pipeline compresses
+//! the sections of an image (header, one per process, sockets) one
+//! subtask each, and frames the results in a *chunked container* — the
+//! one format a compressed image is stored in:
 //! `[0x02][chunk count u32]` then, per chunk,
 //! `[compressed len u32][compressed RLE stream]`. Decompressing the
 //! container concatenates the chunks' plaintexts, so it is
@@ -77,45 +78,6 @@ pub fn assemble_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
         out.extend_from_slice(chunk);
     }
     out
-}
-
-/// Compresses `sections` on up to `threads` OS threads and frames the
-/// results with [`assemble_chunks`]. With `threads <= 1` (or a single
-/// section) everything runs on the calling thread; output bytes are
-/// identical either way.
-pub fn compress_parallel(sections: &[Vec<u8>], threads: usize) -> Vec<u8> {
-    let workers = threads.min(sections.len());
-    if workers <= 1 {
-        let chunks: Vec<Vec<u8>> = sections.iter().map(|s| compress(s)).collect();
-        return assemble_chunks(&chunks);
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut chunks: Vec<Vec<u8>> = vec![Vec::new(); sections.len()];
-    let done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(section) = sections.get(i) else {
-                            break;
-                        };
-                        mine.push((i, compress(section)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("compress worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (i, chunk) in done {
-        chunks[i] = chunk;
-    }
-    assemble_chunks(&chunks)
 }
 
 /// Decompresses a [`compress`] stream or an [`assemble_chunks`]
@@ -250,22 +212,6 @@ mod tests {
         let container = assemble_chunks(&chunks);
         assert_eq!(container[0], 0x02);
         assert_eq!(decompress(&container).unwrap(), sections.concat());
-    }
-
-    #[test]
-    fn parallel_compression_is_deterministic() {
-        let sections: Vec<Vec<u8>> = (0..9)
-            .map(|k| {
-                (0..4096u32)
-                    .map(|i| (i.wrapping_mul(2654435761 + k) >> (7 + k % 5)) as u8)
-                    .collect()
-            })
-            .collect();
-        let serial = compress_parallel(&sections, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(compress_parallel(&sections, threads), serial);
-        }
-        assert_eq!(decompress(&serial).unwrap(), sections.concat());
     }
 
     #[test]

@@ -14,26 +14,24 @@
 //! * **incremental checkpoints**: only pages dirtied since the last
 //!   checkpoint are saved, via write-protect fault tracking;
 //! * **deferred writeback**: serialization and storage writes happen
-//!   after the session has resumed, into a preallocated buffer sized
-//!   from recent checkpoints.
+//!   after the session has resumed, on the engine's lane of a
+//!   [`CommitPipeline`] — the one path every image takes to the store.
 //!
 //! Each checkpoint reports a per-phase latency breakdown; *downtime* is
 //! quiesce + capture + FS snapshot, the quantity Figure 3 shows must
 //! stay in single-digit milliseconds.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use dv_fault::{sites, FaultPlane, IoFault};
+use dv_fault::FaultPlane;
 use dv_lsfs::{FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, PhaseBreakdown, PhaseTimer, Sleeper, Timestamp};
 use dv_vee::{FdObject, Process, RunState, Signal, SockState, Vee};
 
-use crate::compress::compress;
-use crate::image::{
-    encode_image, CheckpointImage, FdRecord, ImageKind, ProcessRecord, SocketRecord,
-};
-use crate::writeback::{encode_fault_of, CommitPipeline, FairPolicy, LaneId, PipelineConfig};
+use crate::image::{CheckpointImage, FdRecord, ImageKind, ProcessRecord, SocketRecord};
+use crate::writeback::{CommitPipeline, FairPolicy, LaneId, PipelineConfig};
 
 /// Hidden directory unlinked-open files are relinked into.
 pub const RELINK_DIR: &str = "/.dejaview";
@@ -53,27 +51,30 @@ pub struct EngineConfig {
     pub compress: bool,
     /// Upper bound on pre-quiesce waiting.
     pub pre_quiesce_timeout: Duration,
-    /// Step the waiter advances time by while pre-quiescing.
+    /// Step session time advances by while pre-quiescing.
     pub pre_quiesce_step: Duration,
     /// Ablation: copy page contents eagerly during capture instead of
     /// the deferred COW capture.
     pub disable_cow: bool,
-    /// Ablation: serialize and store the image *before* resuming the
+    /// Ablation: settle the image's commit *before* resuming the
     /// session, so writeback counts as downtime.
     pub disable_deferred_writeback: bool,
     /// Ablation: skip the pre-snapshot file system sync, leaving all
     /// dirty data to be written during the snapshot (downtime) window.
     pub disable_pre_snapshot: bool,
-    /// Worker threads for the deferred commit pipeline. `0` (the
-    /// default) commits inline on the session thread after resume, the
-    /// pre-pipeline behavior; `>= 1` hands captures to a worker pool
-    /// that encodes, compresses per-process sections in parallel, and
-    /// writes blobs in counter order off the session thread.
+    /// Worker threads in the engine's own commit pool. `0` (the
+    /// default) is no threads: the session thread runs the commit steps
+    /// itself, after resume. `>= 1` moves them — encode, per-section
+    /// compression, the in-order store write — off the session thread.
+    /// What is stored, and which checkpoints survive a fault, does not
+    /// depend on the count. Unused while the engine is attached to
+    /// another pool ([`Checkpointer::attach_pipeline`]).
     pub commit_workers: usize,
-    /// Maximum captures queued to the pipeline before backpressure
-    /// drains it and commits inline (bounds captured-page memory).
+    /// Maximum captures pending on the engine's lane before
+    /// backpressure: the session thread settles the lane and the new
+    /// capture before it moves on (bounds captured-page memory).
     pub commit_queue_depth: usize,
-    /// Store-write retries a pipeline worker attempts per commit.
+    /// Store-write retries per commit in the engine's own pool.
     pub commit_retry_limit: u32,
     /// Backoff before a commit retry; doubles per attempt.
     pub commit_retry_backoff: Duration,
@@ -120,7 +121,9 @@ pub struct CheckpointReport {
     /// Checkpoint counter assigned.
     pub counter: u64,
     /// Phase latency breakdown (pre-checkpoint, quiesce, capture,
-    /// fs-snapshot, writeback).
+    /// fs-snapshot, resume, writeback — the last being the session
+    /// thread's share of the commit: all of it when it ran the steps
+    /// itself, the hand-off otherwise).
     pub phases: PhaseBreakdown,
     /// Time the session was unresponsive.
     pub downtime: Duration,
@@ -132,8 +135,8 @@ pub struct CheckpointReport {
     pub raw_bytes: u64,
     /// Whether this was a full checkpoint.
     pub full: bool,
-    /// Whether the commit was handed to the pipeline. If so,
-    /// `stored_bytes`/`raw_bytes` are 0 here and land in
+    /// Whether the commit was still pending when the call returned. If
+    /// so, `stored_bytes`/`raw_bytes` are 0 here and land in
     /// [`EngineStats`] once the commit resolves (see
     /// [`Checkpointer::flush`]).
     pub deferred: bool,
@@ -152,35 +155,23 @@ pub struct EngineStats {
     pub raw_bytes: u64,
     /// Unlinked files relinked.
     pub relinks: u64,
-    /// Checkpoints whose writeback failed after the session resumed
+    /// Checkpoints lost after the session was quiesced: a failed
+    /// capture or snapshot point, or a commit that failed or cascaded
     /// (the session keeps running; the image is not retained).
     pub write_failures: u64,
-    /// Captures handed to the deferred commit pipeline.
+    /// Captures handed to the commit pipeline.
     pub queued: u64,
-    /// Deferred commits that resolved successfully.
+    /// Commits that resolved successfully.
     pub committed: u64,
-    /// Captures committed inline because the pipeline queue was full.
+    /// Captures the session thread settled before moving on because
+    /// the lane's queue was full.
     pub inline_fallbacks: u64,
     /// Total session-thread unresponsiveness (quiesce + capture +
     /// fs-snapshot) across all checkpoints, in wall nanoseconds.
     pub sync_downtime_nanos: u64,
-    /// Total time spent committing images outside the downtime window
-    /// (inline post-resume writeback, or pipeline enqueue-to-resolve),
-    /// in wall nanoseconds.
+    /// Total enqueue-to-resolve time of commits, in nanoseconds on the
+    /// engine's sleeper timebase (session time under a sim clock).
     pub async_commit_nanos: u64,
-}
-
-/// A function the engine calls to let session time pass while it waits
-/// (pre-quiesce). Tests and the simulation advance a `SimClock`; a
-/// wall-clock deployment would sleep.
-pub type WaitFn = Box<dyn FnMut(Duration) + Send>;
-
-/// This engine's attachment to a host-wide shared commit pipeline:
-/// which pipeline, which lane, and the lane's scheduling weight.
-struct SharedLane {
-    pipe: std::sync::Arc<CommitPipeline>,
-    lane: LaneId,
-    weight: u32,
 }
 
 /// The checkpoint engine for one session.
@@ -189,14 +180,13 @@ pub struct Checkpointer {
     blob_prefix: String,
     counter: u64,
     images: BTreeMap<u64, ImageMeta>,
-    buffer_estimate: usize,
-    recent_sizes: Vec<usize>,
     stats: EngineStats,
-    waiter: WaitFn,
     relink_seq: u64,
     plane: FaultPlane,
-    pipeline: Option<CommitPipeline>,
-    shared: Option<SharedLane>,
+    /// The pool this engine commits through and its lane there: the
+    /// engine's own pool, built at the first checkpoint, or one it was
+    /// attached to.
+    lane: Option<(Arc<CommitPipeline>, LaneId)>,
     force_full: bool,
     sleeper: Sleeper,
     last_async_error: Option<FsError>,
@@ -204,70 +194,42 @@ pub struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// Creates an engine with the given waiter.
-    pub fn new(config: EngineConfig, waiter: WaitFn) -> Self {
+    /// Creates an engine on a [`dv_time::SimClock`]: the pre-quiesce
+    /// wait, commit-retry backoff and injected latency spikes advance
+    /// the clock instead of really sleeping.
+    pub fn with_sim_clock(config: EngineConfig, clock: dv_time::SimClock) -> Self {
         Checkpointer {
             config,
             blob_prefix: "ckpt".to_string(),
             counter: 0,
             images: BTreeMap::new(),
-            buffer_estimate: 1 << 20,
-            recent_sizes: Vec::new(),
             stats: EngineStats::default(),
-            waiter,
             relink_seq: 0,
             plane: FaultPlane::disabled(),
-            pipeline: None,
-            shared: None,
+            lane: None,
             force_full: false,
-            sleeper: Sleeper::Wall,
+            sleeper: Sleeper::Sim(clock),
             last_async_error: None,
             obs: Obs::disabled(),
         }
     }
 
     /// Installs the fault-injection plane (sites
-    /// `checkpoint.image.encode` and `checkpoint.writeback`).
+    /// `checkpoint.image.encode` and `checkpoint.writeback`). Captures
+    /// already enqueued keep the plane they were enqueued under.
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.teardown_pipeline();
         plane.set_obs(self.obs.clone());
         self.plane = plane;
-        self.refresh_shared_lane();
     }
 
     /// Installs the observability handle: phase latencies, byte
-    /// accounting, and pipeline behavior (queue depth, worker compress
-    /// time, retries, inline fallbacks) report into the `checkpoint.*`
-    /// metrics. Tears down any live pipeline so workers pick up the
-    /// handle on the next checkpoint.
+    /// accounting, and pipeline behavior (queue depth, compress time,
+    /// retries, inline fallbacks) report into the `checkpoint.*`
+    /// metrics. Captures already enqueued keep the handle they were
+    /// enqueued under.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.teardown_pipeline();
         self.plane.set_obs(obs.clone());
         self.obs = obs;
-        self.refresh_shared_lane();
-    }
-
-    /// Creates an engine whose pre-quiesce wait advances a [`dv_time::SimClock`].
-    /// Commit-retry backoff in the pipeline also advances the clock
-    /// instead of really sleeping.
-    pub fn with_sim_clock(config: EngineConfig, clock: dv_time::SimClock) -> Self {
-        let waiter_clock = clock.clone();
-        let mut engine = Checkpointer::new(
-            config,
-            Box::new(move |d| {
-                waiter_clock.advance(d);
-            }),
-        );
-        engine.sleeper = Sleeper::Sim(clock);
-        engine
-    }
-
-    /// Chooses how the commit pipeline pays retry backoff and injected
-    /// latency spikes: really sleeping (default) or advancing a sim
-    /// clock. [`Checkpointer::with_sim_clock`] installs the sim variant.
-    pub fn set_sleeper(&mut self, sleeper: Sleeper) {
-        self.teardown_pipeline();
-        self.sleeper = sleeper;
     }
 
     /// Sets the blob-name prefix, so several engines (the main session
@@ -287,110 +249,107 @@ impl Checkpointer {
         self.stats
     }
 
-    /// Attaches this engine to a host-wide shared commit pipeline as
-    /// `lane`, replacing any owned pipeline. The lane is registered
-    /// with the engine's current fault plane and observability handle,
-    /// `commit_queue_depth` as its queue quota, and `weight` as its
-    /// scheduling weight. While attached, checkpoints defer to the
-    /// shared pool regardless of `commit_workers`.
-    pub fn attach_shared_pipeline(
-        &mut self,
-        pipe: std::sync::Arc<CommitPipeline>,
-        lane: LaneId,
-        weight: u32,
-    ) {
-        self.teardown_pipeline();
-        pipe.register_lane(
-            lane,
-            self.plane.clone(),
-            self.obs.clone(),
-            self.config.commit_queue_depth,
-            weight,
-        );
-        self.shared = Some(SharedLane { pipe, lane, weight });
+    /// Attaches this engine to `pipe` on a lane of its own — with
+    /// `commit_queue_depth` as its queue quota and `weight` as its
+    /// scheduling weight — after detaching from any pool it was on.
+    /// Returns the lane. Checkpoints into the pool's store commit
+    /// through it, whatever `commit_workers` says.
+    pub fn attach_pipeline(&mut self, pipe: Arc<CommitPipeline>, weight: u32) -> LaneId {
+        self.detach_pipeline();
+        let lane = pipe.add_lane(self.config.commit_queue_depth, weight);
+        self.lane = Some((pipe, lane));
+        lane
     }
 
-    /// Detaches from the shared pipeline: drains this engine's lane,
-    /// absorbs the outcomes, and removes the lane from the pool.
-    pub fn detach_shared_pipeline(&mut self) {
-        if let Some(sl) = self.shared.as_ref() {
-            sl.pipe.drain_lane(sl.lane);
-        }
-        self.reap();
-        if let Some(sl) = self.shared.take() {
-            sl.pipe.remove_lane(sl.lane);
+    /// Detaches from the pool: settles this engine's lane, absorbs the
+    /// outcomes (a failure is kept for the next
+    /// [`Checkpointer::flush`] to report), and closes the lane.
+    pub fn detach_pipeline(&mut self) {
+        self.settle();
+        if let Some((pipe, lane)) = self.lane.take() {
+            pipe.remove_lane(lane);
         }
     }
 
-    /// Re-registers the shared lane (if any) so the pool's workers see
-    /// the engine's current fault plane and observability handle.
-    fn refresh_shared_lane(&self) {
-        if let Some(sl) = self.shared.as_ref() {
-            sl.pipe.register_lane(
-                sl.lane,
-                self.plane.clone(),
-                self.obs.clone(),
-                self.config.commit_queue_depth,
-                sl.weight,
+    /// The pool this engine commits to `store` through. An engine that
+    /// is not attached to one builds its own here, with
+    /// `commit_workers` threads; sessions revived from this one attach
+    /// their engines to the same pool.
+    pub fn pipeline(&mut self, store: &SharedBlobStore) -> Arc<CommitPipeline> {
+        self.attachment(store).0
+    }
+
+    fn attachment(&mut self, store: &SharedBlobStore) -> (Arc<CommitPipeline>, LaneId) {
+        let attached = |(pipe, _): &(Arc<CommitPipeline>, LaneId)| pipe.writes_to(store);
+        if !self.lane.as_ref().is_some_and(attached) {
+            let own = CommitPipeline::new(
+                PipelineConfig {
+                    workers: self.config.commit_workers,
+                    retry_limit: self.config.commit_retry_limit,
+                    retry_backoff: self.config.commit_retry_backoff,
+                    compress: self.config.compress,
+                    fairness: FairPolicy::RoundRobin,
+                },
+                store.clone(),
+                self.sleeper.clone(),
             );
+            self.attach_pipeline(Arc::new(own), 1);
         }
+        self.lane.clone().expect("attached above")
     }
 
-    /// Blocks until this engine's pending commits — owned pipeline or
-    /// shared lane — have resolved. Outcomes stay queued for `reap`.
-    fn drain_pipeline(&self) {
-        if let Some(pipe) = self.pipeline.as_ref() {
-            pipe.drain();
-        }
-        if let Some(sl) = self.shared.as_ref() {
-            sl.pipe.drain_lane(sl.lane);
-        }
-    }
-
-    /// Deferred commits still pending in the pipeline.
+    /// Commits still pending in the pipeline.
     pub fn inflight(&self) -> usize {
-        if let Some(sl) = self.shared.as_ref() {
-            sl.pipe.inflight_lane(sl.lane)
-        } else {
-            self.pipeline.as_ref().map_or(0, CommitPipeline::inflight)
-        }
+        self.lane
+            .as_ref()
+            .map_or(0, |(pipe, lane)| pipe.inflight(*lane))
     }
 
-    /// Barrier: blocks until every deferred commit has resolved, then
+    /// Barrier: blocks until every pending commit has resolved, then
     /// folds the outcomes into the image metadata and statistics.
     ///
     /// # Errors
     ///
-    /// Returns the first asynchronous commit failure observed since the
-    /// previous flush (the session keeps running either way; the failed
-    /// image and any incrementals chained through it are not retained,
-    /// and the next checkpoint re-anchors with a forced full).
+    /// Returns the first commit failure observed since the previous
+    /// flush that no `checkpoint` call already returned (the session
+    /// keeps running either way; the failed image and any incrementals
+    /// chained through it are not retained, and the next checkpoint
+    /// re-anchors with a forced full).
     pub fn flush(&mut self) -> Result<(), FsError> {
-        self.drain_pipeline();
-        self.reap();
-        match self.last_async_error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.settle();
+        self.last_async_error.take().map_or(Ok(()), Err)
     }
 
-    /// Folds already-resolved deferred commits into the engine without
+    /// Blocks until this engine's lane is idle (running its steps here
+    /// when one is ready) and absorbs the outcomes.
+    fn settle(&mut self) {
+        if let Some((pipe, lane)) = self.lane.as_ref() {
+            pipe.drain(*lane);
+        }
+        self.reap(None);
+    }
+
+    /// Folds already-resolved commits into the engine without
     /// blocking. Successful commits become visible in
     /// [`Checkpointer::images`] here — and only here — so the metadata
-    /// map grows in counter order.
-    fn reap(&mut self) {
-        let outcomes = if let Some(sl) = self.shared.as_ref() {
-            sl.pipe.take_finished_lane(sl.lane)
-        } else if let Some(pipe) = self.pipeline.as_ref() {
-            pipe.take_finished()
-        } else {
-            return;
-        };
+    /// map grows in counter order. Returns the result of counter
+    /// `awaited` if it was among them; any other failure is kept for
+    /// [`Checkpointer::flush`].
+    fn reap(&mut self, awaited: Option<u64>) -> Option<Result<(u64, u64), FsError>> {
+        let (pipe, lane) = self.lane.as_ref()?;
+        let outcomes = pipe.take_finished(*lane);
+        if outcomes.is_empty() {
+            return None;
+        }
+        let depth = pipe.inflight(*lane) as u64;
+        let mut awaited_result = None;
         for outcome in outcomes {
             self.stats.async_commit_nanos += outcome.commit_nanos;
             self.obs
                 .add(names::CHECKPOINT_ASYNC_COMMIT_NANOS, outcome.commit_nanos);
-            match outcome.result {
+            let is_awaited = awaited == Some(outcome.counter);
+            let result = outcome.result.map_err(|e| e.as_fs_error());
+            match result {
                 Ok((raw_bytes, stored_bytes)) => {
                     self.images.insert(
                         outcome.counter,
@@ -409,67 +368,28 @@ impl Checkpointer {
                     self.obs.incr(names::CHECKPOINT_COMMITTED);
                     self.obs.add(names::CHECKPOINT_STORED_BYTES, stored_bytes);
                     self.obs.add(names::CHECKPOINT_RAW_BYTES, raw_bytes);
-                    self.note_raw_size(raw_bytes as usize);
                 }
                 Err(e) => {
-                    self.stats.write_failures += 1;
-                    self.obs.incr(names::CHECKPOINT_WRITE_FAILURES);
-                    self.force_full = true;
-                    if self.last_async_error.is_none() {
-                        self.last_async_error = Some(e.as_fs_error());
+                    self.note_lost_checkpoint();
+                    if !is_awaited && self.last_async_error.is_none() {
+                        self.last_async_error = Some(e);
                     }
                 }
             }
+            if is_awaited {
+                awaited_result = Some(result);
+            }
         }
-        self.obs
-            .gauge_set(names::CHECKPOINT_QUEUE_DEPTH, self.inflight() as u64);
+        self.obs.gauge_set(names::CHECKPOINT_QUEUE_DEPTH, depth);
+        awaited_result
     }
 
-    fn note_raw_size(&mut self, raw: usize) {
-        self.recent_sizes.push(raw);
-        if self.recent_sizes.len() > 8 {
-            self.recent_sizes.remove(0);
-        }
-        self.buffer_estimate =
-            self.recent_sizes.iter().sum::<usize>() / self.recent_sizes.len().max(1);
-    }
-
-    /// Lazily builds the pipeline bound to `store`, rebuilding if the
-    /// caller switched stores.
-    fn ensure_pipeline(&mut self, store: &SharedBlobStore) {
-        let rebuild = match &self.pipeline {
-            Some(pipe) => !pipe.writes_to(store),
-            None => true,
-        };
-        if rebuild {
-            self.teardown_pipeline();
-            self.pipeline = Some(CommitPipeline::new(
-                PipelineConfig {
-                    workers: self.config.commit_workers,
-                    queue_depth: self.config.commit_queue_depth,
-                    retry_limit: self.config.commit_retry_limit,
-                    retry_backoff: self.config.commit_retry_backoff,
-                    compress: self.config.compress,
-                    fairness: FairPolicy::RoundRobin,
-                },
-                store.clone(),
-                self.plane.clone(),
-                self.sleeper.clone(),
-                self.obs.clone(),
-            ));
-        }
-    }
-
-    /// Drains and absorbs pending commits — the owned pipeline (which
-    /// is then dropped) or the shared lane (which stays attached; the
-    /// caller re-registers it via `refresh_shared_lane`). Any failure
-    /// is kept for the next [`Checkpointer::flush`] to report.
-    fn teardown_pipeline(&mut self) {
-        if self.pipeline.is_some() || self.shared.is_some() {
-            self.drain_pipeline();
-            self.reap();
-            self.pipeline = None;
-        }
+    /// A quiesced checkpoint did not become an image: its dirty-page
+    /// set is gone, so the next checkpoint must be full.
+    fn note_lost_checkpoint(&mut self) {
+        self.stats.write_failures += 1;
+        self.obs.incr(names::CHECKPOINT_WRITE_FAILURES);
+        self.force_full = true;
     }
 
     /// Returns metadata for every stored image, in counter order.
@@ -607,18 +527,25 @@ impl Checkpointer {
 
     /// Takes one checkpoint of `vee`, storing the image in `store`.
     ///
-    /// With `commit_workers == 0` this is the classic synchronous path:
-    /// capture, snapshot, resume, then encode/compress/write inline on
-    /// this thread. With workers configured, the call returns right
-    /// after resume ([`CheckpointReport::deferred`] is set) and the
-    /// commit pipeline finishes the image off-thread; call
-    /// [`Checkpointer::flush`] to wait for (and account) those commits.
+    /// Capture, snapshot and resume happen here; the captured image
+    /// then takes the engine's lane of its commit pipeline. The call
+    /// returns with the commit still pending
+    /// ([`CheckpointReport::deferred`]) when the pool's workers will
+    /// finish it off-thread; call [`Checkpointer::flush`] to wait for
+    /// (and account) such commits. It returns with the commit resolved
+    /// when the session thread ran the steps itself: the pool has no
+    /// workers, the lane was full, or write-back deferral is ablated.
     ///
     /// # Errors
     ///
-    /// Returns the file system error if the snapshot point fails, or if
-    /// an inline commit fails. Deferred commit failures surface through
-    /// [`Checkpointer::flush`].
+    /// Returns the file system error if the pre-snapshot sync fails; if
+    /// a relink or the snapshot point fails; or if a commit that
+    /// resolved within the call failed. Whatever fails once the session
+    /// is quiesced, every process that was runnable is running again
+    /// when this returns, the failure is counted in
+    /// [`EngineStats::write_failures`], and the next checkpoint is
+    /// full. Failures of commits still pending on return surface
+    /// through [`Checkpointer::flush`].
     pub fn checkpoint(
         &mut self,
         vee: &mut Vee,
@@ -626,7 +553,7 @@ impl Checkpointer {
     ) -> Result<CheckpointReport, FsError> {
         // Absorb any commits that resolved since the last call: a failed
         // one forces this checkpoint full so the chain re-anchors.
-        self.reap();
+        self.reap(None);
         let mut timer = PhaseTimer::new();
         // A zero cadence would divide by zero; treat it as "always full".
         let full = self.force_full || self.counter.is_multiple_of(self.config.full_every.max(1));
@@ -642,17 +569,102 @@ impl Checkpointer {
         // Pre-quiesce: wait for uninterruptible sleepers, bounded.
         let mut waited = Duration::ZERO;
         while !vee.all_signal_ready() && waited < self.config.pre_quiesce_timeout {
-            (self.waiter)(self.config.pre_quiesce_step);
+            self.sleeper.sleep(self.config.pre_quiesce_step);
             waited += self.config.pre_quiesce_step;
             vee.tick();
         }
 
-        // --- Quiesce: stop every process. ---
+        // --- Quiesce: stop every process. From here to the resume
+        // phase nothing returns early. ---
         timer.enter("quiesce");
         let resume_states: Vec<(dv_vee::Vpid, RunState)> =
             vee.processes().map(|p| (p.vpid, p.state)).collect();
         vee.stop_all();
 
+        let captured = self.capture(vee, counter, full, &mut timer);
+
+        // --- Resume and writeback. The session runs again — downtime
+        // ends — before the image is handed to the pipeline; the
+        // ablation swaps the two and settles the commit while the
+        // session is still stopped. Either way every process that was
+        // runnable runs again before any failure propagates: a storage
+        // fault never leaves the session stopped. ---
+        let resume = |vee: &mut Vee| {
+            for &(vpid, state) in &resume_states {
+                // A process the user had stopped stays stopped.
+                if state == RunState::Runnable {
+                    let _ = vee.send_signal(vpid, Signal::Cont);
+                }
+            }
+        };
+        let defer = !self.config.disable_deferred_writeback;
+        if defer {
+            timer.enter("resume");
+            resume(vee);
+        }
+        let submitted = captured.map(|(image, pages_saved)| {
+            timer.enter("writeback");
+            (self.submit(image, store, !defer), pages_saved)
+        });
+        if !defer {
+            timer.enter("resume");
+            resume(vee);
+        }
+        let (resolved, pages_saved) = match submitted {
+            Ok(submitted) => submitted,
+            Err(e) => {
+                // The one exit for a checkpoint that was quiesced but
+                // never reached the pipeline: the counter is not
+                // consumed, and the dirty-page set it took is gone.
+                self.note_lost_checkpoint();
+                return Err(e);
+            }
+        };
+
+        self.counter = counter;
+        self.force_full = false;
+        self.stats.checkpoints += 1;
+        if full {
+            self.stats.full_checkpoints += 1;
+        }
+        let committed = if resolved {
+            self.reap(Some(counter))
+        } else {
+            None
+        };
+        let phases = timer.finish();
+        let mut downtime = phases.subset_total(&["quiesce", "capture", "fs-snapshot"]);
+        if !defer {
+            downtime += phases.get("writeback");
+        }
+        self.stats.sync_downtime_nanos += downtime.as_nanos();
+        self.observe_checkpoint(&phases, downtime, full);
+        // A commit that failed within the call consumed its counter
+        // like one that fails later would; the caller decides whether
+        // to retry, and the retry re-anchors with a full image.
+        let (raw_bytes, stored_bytes) = committed.transpose()?.unwrap_or((0, 0));
+        Ok(CheckpointReport {
+            counter,
+            phases,
+            downtime,
+            pages_saved,
+            stored_bytes,
+            raw_bytes,
+            full,
+            deferred: committed.is_none(),
+        })
+    }
+
+    /// Capture and file system snapshot, while every process is
+    /// stopped. Errors return to [`Checkpointer::checkpoint`], which
+    /// resumes the session before passing them on.
+    fn capture(
+        &mut self,
+        vee: &mut Vee,
+        counter: u64,
+        full: bool,
+        timer: &mut PhaseTimer,
+    ) -> Result<(CheckpointImage, usize), FsError> {
         // --- Capture: while stopped, gather state without copying. ---
         timer.enter("capture");
         let mut processes = Vec::with_capacity(vee.process_count());
@@ -705,7 +717,7 @@ impl Checkpointer {
                 // Ablation: pay the full memory copy while stopped.
                 captured
                     .into_iter()
-                    .filter_map(|(addr, page)| page.map(|p| (addr, std::sync::Arc::new(*p))))
+                    .filter_map(|(addr, page)| page.map(|p| (addr, Arc::new(*p))))
                     .collect()
             } else {
                 captured
@@ -763,176 +775,48 @@ impl Checkpointer {
             Ok(()) | Err(FsError::Unsupported) => {}
             Err(e) => return Err(e),
         }
+        Ok((image, pages_saved))
+    }
 
-        // --- Writeback: deferred past resume by default; the ablation
-        // pays it while the session is still stopped. ---
-        let blob = format!("{}-{counter:08}", self.blob_prefix);
-        let mut inline_result: Option<Result<(u64, u64), FsError>> = None;
-        if self.config.disable_deferred_writeback {
-            inline_result = Some(self.write_inline(&mut timer, &image, store, &blob));
-        }
-
-        // --- Resume: the session runs again; downtime ends here. Resume
-        // happens before a writeback failure propagates, so a storage
-        // fault never leaves the session stopped. ---
-        timer.enter("resume");
-        for (vpid, state) in resume_states {
-            // Only processes that were runnable before the quiesce are
-            // continued; a process stopped by the user stays stopped.
-            if state == RunState::Runnable {
-                let _ = vee.send_signal(vpid, Signal::Cont);
-            }
-        }
-
-        // --- Commit: hand the capture to the pipeline if configured,
-        // otherwise write inline on this thread. ---
-        let deferred = (self.shared.is_some() || self.config.commit_workers > 0)
-            && !self.config.disable_deferred_writeback;
-        if deferred {
-            timer.enter("enqueue");
-            if self.shared.is_none() {
-                self.ensure_pipeline(store);
-            }
-            let capacity = match self.shared.as_ref() {
-                Some(sl) => sl.pipe.has_capacity_lane(sl.lane),
-                None => self
-                    .pipeline
-                    .as_ref()
-                    .expect("pipeline just ensured")
-                    .has_capacity(),
-            };
-            if capacity {
-                // The encode fault site is consulted here, on the
-                // session thread, so injection schedules do not depend
-                // on worker interleaving.
-                let encode_fault =
-                    encode_fault_of(self.plane.check(sites::CHECKPOINT_IMAGE_ENCODE));
-                match self.shared.as_ref() {
-                    Some(sl) => sl
-                        .pipe
-                        .enqueue_lane(sl.lane, image, blob, full, encode_fault),
-                    None => self
-                        .pipeline
-                        .as_ref()
-                        .expect("pipeline just ensured")
-                        .enqueue(image, blob, full, encode_fault),
-                }
-                self.stats.queued += 1;
-                self.obs.incr(names::CHECKPOINT_QUEUED);
-                self.obs
-                    .gauge_set(names::CHECKPOINT_QUEUE_DEPTH, self.inflight() as u64);
-                self.counter = counter;
-                self.force_full = false;
-                self.stats.checkpoints += 1;
-                if full {
-                    self.stats.full_checkpoints += 1;
-                }
-                let phases = timer.finish();
-                let downtime = phases.subset_total(&["quiesce", "capture", "fs-snapshot"]);
-                self.stats.sync_downtime_nanos += downtime.as_nanos();
-                self.observe_checkpoint(&phases, downtime, full);
-                return Ok(CheckpointReport {
-                    counter,
-                    phases,
-                    downtime,
-                    pages_saved,
-                    stored_bytes: 0,
-                    raw_bytes: 0,
-                    full,
-                    deferred: true,
-                });
-            }
-            // Backpressure: the queue is full. Drain it (preserving
-            // strict commit order), absorb the outcomes, and commit this
-            // capture inline.
-            self.drain_pipeline();
-            self.reap();
+    /// Hands a capture to the engine's lane. Returns whether its commit
+    /// has resolved on return — `now` asked for it (the ablation),
+    /// the lane was full, or the pool has no workers and `enqueue` ran
+    /// the steps on this thread.
+    fn submit(&mut self, image: CheckpointImage, store: &SharedBlobStore, now: bool) -> bool {
+        let (pipe, lane) = self.attachment(store);
+        // Backpressure: a full lane is settled before it takes another
+        // capture, and this capture before the session moves on, so
+        // captured-page memory stays bounded by the quota and commit
+        // order stays strict.
+        let full_lane = !pipe.has_capacity(lane);
+        if full_lane {
             self.stats.inline_fallbacks += 1;
             self.obs.incr(names::CHECKPOINT_INLINE_FALLBACKS);
             self.obs.event(
                 "checkpoint",
                 names::EV_INLINE_FALLBACK,
-                format!("counter={counter}"),
+                format!("counter={}", image.counter),
             );
-            // A drained failure may have severed this capture's chain;
-            // committing it would leave an unrestorable incremental.
-            if let ImageKind::Incremental { prev } = image.kind {
-                if !self.images.contains_key(&prev) {
-                    self.stats.write_failures += 1;
-                    self.obs.incr(names::CHECKPOINT_WRITE_FAILURES);
-                    self.force_full = true;
-                    return Err(FsError::Io);
-                }
-            }
+            pipe.drain(lane);
         }
-
-        let (raw_bytes, stored_bytes) = match inline_result
-            .unwrap_or_else(|| self.write_inline(&mut timer, &image, store, &blob))
-        {
-            Ok(done) => done,
-            Err(e) => {
-                // The checkpoint is lost but the session runs on: the
-                // counter is not consumed, no metadata is recorded, and
-                // the caller decides whether to retry. The next
-                // checkpoint is forced full because this capture's
-                // dirty-page set is gone.
-                self.stats.write_failures += 1;
-                self.obs.incr(names::CHECKPOINT_WRITE_FAILURES);
-                self.force_full = true;
-                return Err(e);
-            }
-        };
-        self.note_raw_size(raw_bytes as usize);
-
-        let phases = timer.finish();
-        let mut downtime = phases.subset_total(&["quiesce", "capture", "fs-snapshot"]);
-        if self.config.disable_deferred_writeback {
-            downtime += phases.get("writeback");
-        } else {
-            self.stats.async_commit_nanos += phases.get("writeback").as_nanos();
-            self.obs.add(
-                names::CHECKPOINT_ASYNC_COMMIT_NANOS,
-                phases.get("writeback").as_nanos(),
-            );
+        let blob = format!("{}-{:08}", self.blob_prefix, image.counter);
+        pipe.enqueue(lane, image, blob, self.plane.clone(), self.obs.clone());
+        self.stats.queued += 1;
+        self.obs.incr(names::CHECKPOINT_QUEUED);
+        if now || full_lane {
+            pipe.drain(lane);
         }
-        self.stats.sync_downtime_nanos += downtime.as_nanos();
-        self.observe_checkpoint(&phases, downtime, full);
-        self.obs.add(names::CHECKPOINT_STORED_BYTES, stored_bytes);
-        self.obs.add(names::CHECKPOINT_RAW_BYTES, raw_bytes);
-        self.counter = counter;
-        self.force_full = false;
-        self.images.insert(
-            counter,
-            ImageMeta {
-                counter,
-                time: image.time,
-                kind: image.kind,
-                blob,
-                stored_bytes,
-                raw_bytes,
-            },
-        );
-        self.stats.checkpoints += 1;
-        if full {
-            self.stats.full_checkpoints += 1;
+        let resolved = now || full_lane || pipe.workers() == 0;
+        if !resolved {
+            self.obs
+                .gauge_set(names::CHECKPOINT_QUEUE_DEPTH, pipe.inflight(lane) as u64);
         }
-        self.stats.stored_bytes += stored_bytes;
-        self.stats.raw_bytes += raw_bytes;
-        Ok(CheckpointReport {
-            counter,
-            phases,
-            downtime,
-            pages_saved,
-            stored_bytes,
-            raw_bytes,
-            full,
-            deferred: false,
-        })
+        resolved
     }
 
     /// Folds one checkpoint's phase breakdown into the observability
     /// registry: per-phase downtime histograms plus the checkpoint
-    /// counters. Called once per successful checkpoint, deferred or not.
+    /// counters. Called once per checkpoint that reached the pipeline.
     fn observe_checkpoint(&self, phases: &PhaseBreakdown, downtime: Duration, full: bool) {
         self.obs.incr(names::CHECKPOINT_COUNT);
         if full {
@@ -949,46 +833,11 @@ impl Checkpointer {
         self.obs
             .add(names::CHECKPOINT_SYNC_DOWNTIME_NANOS, downtime.as_nanos());
     }
-
-    /// The synchronous commit: encode, (optionally) compress, fault
-    /// checks, and the store write, all on the calling thread.
-    fn write_inline(
-        &self,
-        timer: &mut PhaseTimer,
-        image: &CheckpointImage,
-        store: &SharedBlobStore,
-        blob: &str,
-    ) -> Result<(u64, u64), FsError> {
-        timer.enter("writeback");
-        let mut buffer = Vec::with_capacity(self.buffer_estimate);
-        buffer.extend_from_slice(&encode_image(image));
-        match self.plane.check(sites::CHECKPOINT_IMAGE_ENCODE) {
-            None | Some(IoFault::LatencySpike) => {}
-            Some(IoFault::Enospc) => return Err(FsError::NoSpace),
-            Some(IoFault::TornWrite) | Some(IoFault::ShortRead) => return Err(FsError::Io),
-            Some(IoFault::Corrupt) => self.plane.mangle(&mut buffer),
-        }
-        let raw_bytes = buffer.len() as u64;
-        let mut stored = if self.config.compress {
-            compress(&buffer)
-        } else {
-            buffer
-        };
-        match self.plane.check(sites::CHECKPOINT_WRITEBACK) {
-            None | Some(IoFault::LatencySpike) => {}
-            Some(IoFault::Enospc) => return Err(FsError::NoSpace),
-            Some(IoFault::TornWrite) | Some(IoFault::ShortRead) => return Err(FsError::Io),
-            Some(IoFault::Corrupt) => self.plane.mangle(&mut stored),
-        }
-        let stored_bytes = stored.len() as u64;
-        store.put_deduped(blob, stored)?;
-        Ok((raw_bytes, stored_bytes))
-    }
 }
 
 fn record_process(
     process: &Process,
-    pages: Vec<(u64, std::sync::Arc<dv_vee::PageBuf>)>,
+    pages: Vec<(u64, Arc<dv_vee::PageBuf>)>,
     relink_of: impl Fn(u32) -> Option<String>,
 ) -> ProcessRecord {
     ProcessRecord {
@@ -1032,6 +881,7 @@ fn record_process(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dv_fault::{sites, FaultPlan, IoFault};
     use dv_lsfs::Lsfs;
     use dv_time::SimClock;
     use dv_vee::{HostPidAllocator, Prot};
@@ -1250,26 +1100,31 @@ mod tests {
         };
         // Downtime is wall time: a deschedule spike inflates a single
         // sample arbitrarily, so compare the minimum of several runs
-        // (spikes only ever add time; the minimum is the clean signal).
-        let run = |config: EngineConfig| -> Duration {
-            (0..3)
-                .map(|_| run_once(config))
-                .min()
-                .expect("three samples")
-        };
-        let optimized = run(EngineConfig::default());
-        let no_incremental = run(EngineConfig {
-            full_every: 1,
-            ..EngineConfig::default()
-        });
-        let no_defer = run(EngineConfig {
-            disable_deferred_writeback: true,
-            ..EngineConfig::default()
-        });
-        let no_cow = run(EngineConfig {
-            disable_cow: true,
-            ..EngineConfig::default()
-        });
+        // (spikes only ever add time; the minimum is the clean signal),
+        // taken turn about so that a slow spell of the machine falls on
+        // every configuration alike.
+        let configs = [
+            EngineConfig::default(),
+            EngineConfig {
+                full_every: 1,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                disable_deferred_writeback: true,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                disable_cow: true,
+                ..EngineConfig::default()
+            },
+        ];
+        let mut best = [Duration::from_nanos(u64::MAX); 4];
+        for _ in 0..5 {
+            for (best, config) in best.iter_mut().zip(configs) {
+                *best = run_once(config).min(*best);
+            }
+        }
+        let [optimized, no_incremental, no_defer, no_cow] = best;
         assert!(
             no_defer > optimized,
             "synchronous writeback must add downtime ({no_defer} vs {optimized})"
@@ -1311,108 +1166,174 @@ mod tests {
         assert_eq!(&image.processes[0].pages[0].1[..19], b"ablated but correct");
     }
 
+    /// A session of one process over an `Lsfs` carrying `plane`, and
+    /// an engine with `config` on the same clock.
+    fn session(config: EngineConfig, plane: &FaultPlane) -> (Vee, Checkpointer, dv_vee::Vpid) {
+        let clock = SimClock::new();
+        let mut fs = Lsfs::new();
+        fs.set_fault_plane(plane.clone());
+        let mut vee = Vee::new(1, clock.shared(), Box::new(fs), HostPidAllocator::new());
+        let p = vee.spawn(None, "app").unwrap();
+        let mut engine = Checkpointer::with_sim_clock(config, clock);
+        engine.set_fault_plane(plane.clone());
+        (vee, engine, p)
+    }
+
     #[test]
-    fn deferred_commit_matches_inline() {
+    fn worker_count_does_not_change_what_is_stored() {
         let run = |workers: usize| -> Vec<(u64, Vec<u8>)> {
-            let clock = SimClock::new();
-            let mut vee = Vee::new(
-                1,
-                clock.shared(),
-                Box::new(Lsfs::new()),
-                HostPidAllocator::new(),
-            );
-            let mut engine = Checkpointer::with_sim_clock(
-                EngineConfig {
-                    compress: true,
-                    full_every: 3,
-                    commit_workers: workers,
-                    // Deep enough that no capture ever falls back
-                    // inline, even when test-suite load delays workers.
-                    commit_queue_depth: 8,
-                    ..EngineConfig::default()
-                },
-                clock,
-            );
+            let config = EngineConfig {
+                compress: true,
+                full_every: 3,
+                commit_workers: workers,
+                // Deep enough that no capture ever meets a full lane,
+                // even when test-suite load delays workers.
+                commit_queue_depth: 8,
+                ..EngineConfig::default()
+            };
+            let (mut vee, mut engine, p) = session(config, &FaultPlane::disabled());
             let store = SharedBlobStore::in_memory();
-            let p = vee.spawn(None, "app").unwrap();
             let addr = vee.mmap(p, 32 * 4096, Prot::ReadWrite).unwrap();
             for i in 0..5u8 {
                 vee.mem_write(p, addr + u64::from(i) * 4096, &vec![i + 1; 4096])
                     .unwrap();
                 let report = engine.checkpoint(&mut vee, &store).unwrap();
                 assert_eq!(report.deferred, workers > 0);
+                assert_eq!(report.raw_bytes > 0, workers == 0);
             }
             engine.flush().unwrap();
             let stats = engine.stats();
-            if workers > 0 {
-                assert_eq!(stats.queued, 5);
-                assert_eq!(stats.committed, 5);
-            }
-            assert_eq!(stats.write_failures, 0);
+            assert_eq!((stats.queued, stats.committed), (5, 5));
+            assert_eq!((stats.write_failures, stats.inline_fallbacks), (0, 0));
             assert!(stats.stored_bytes > 0 && stats.raw_bytes > stats.stored_bytes);
             engine
                 .images()
-                .map(|m| {
-                    let blob = store.lock().get(&m.blob).unwrap();
-                    let plain = crate::compress::decompress(&blob).unwrap();
-                    (m.counter, plain)
-                })
+                .map(|m| (m.counter, store.lock().get(&m.blob).unwrap().to_vec()))
                 .collect()
         };
-        let inline = run(0);
-        let deferred = run(2);
-        assert_eq!(inline.len(), 5);
-        assert_eq!(
-            inline, deferred,
-            "deferred commits must decompress to the same image bytes"
-        );
+        let on_the_caller = run(0);
+        assert_eq!(on_the_caller.len(), 5);
+        assert_eq!(on_the_caller[0].1[0], 0x02, "the chunked container");
+        assert_eq!(on_the_caller, run(2), "same bytes from two workers");
     }
 
     #[test]
-    fn backpressure_falls_back_to_inline_commit() {
-        let clock = SimClock::new();
-        let mut vee = Vee::new(
-            1,
-            clock.shared(),
-            Box::new(Lsfs::new()),
-            HostPidAllocator::new(),
-        );
-        let mut engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                full_every: 100,
-                commit_workers: 1,
-                commit_queue_depth: 1,
-                commit_retry_backoff: Duration::from_millis(40),
-                ..EngineConfig::default()
-            },
-            clock,
-        );
-        // Wall sleeper + a latency spike on every writeback: each
-        // pipeline commit stalls its worker for 40 ms, so the session
-        // thread reliably finds the depth-1 queue full.
-        engine.set_sleeper(Sleeper::Wall);
-        engine.set_fault_plane(
-            dv_fault::FaultPlan::new(11)
-                .every_nth(sites::CHECKPOINT_WRITEBACK, 1, IoFault::LatencySpike)
-                .build(),
-        );
+    fn a_full_lane_is_settled_by_the_session_thread() {
+        let config = EngineConfig {
+            commit_queue_depth: 1,
+            ..EngineConfig::default()
+        };
+        let (mut vee, mut engine, _p) = session(config, &FaultPlane::disabled());
         let store = SharedBlobStore::in_memory();
-        vee.spawn(None, "app").unwrap();
-        for _ in 0..4 {
-            engine.checkpoint(&mut vee, &store).unwrap();
-        }
+        // A pool whose only worker is parked on a neighbour's lane:
+        // nothing commits unless the session thread does it.
+        let pipe = Arc::new(CommitPipeline::new(
+            PipelineConfig {
+                workers: 1,
+                retry_limit: 0,
+                retry_backoff: Duration::ZERO,
+                compress: false,
+                fairness: FairPolicy::RoundRobin,
+            },
+            store.clone(),
+            Sleeper::Wall,
+        ));
+        let neighbour = pipe.add_lane(1, 1);
+        let (parked, started, gate) = crate::writeback::tests::parked_task();
+        pipe.submit_aux(neighbour, parked);
+        started.recv().unwrap();
+        engine.attach_pipeline(pipe.clone(), 1);
+        let deferred: Vec<bool> = (0..5)
+            .map(|_| engine.checkpoint(&mut vee, &store).unwrap().deferred)
+            .collect();
+        // Every second capture finds the depth-1 lane full, settles it
+        // and commits itself before the call returns.
+        assert_eq!(deferred, vec![true, false, true, false, true]);
+        assert_eq!(engine.stats().inline_fallbacks, 2);
+        assert_eq!(engine.inflight(), 1);
         engine.flush().unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.checkpoints, 4);
-        assert!(
-            stats.inline_fallbacks >= 2,
-            "queue-full captures must commit inline (got {})",
-            stats.inline_fallbacks
-        );
         assert_eq!(
             engine.images().map(|m| m.counter).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4],
+            vec![1, 2, 3, 4, 5],
             "fallbacks must not break counter order"
+        );
+        drop(gate);
+        pipe.drain(neighbour);
+    }
+
+    /// Whatever fails once the session is quiesced, the session runs
+    /// again, the failure is counted, and the dirty pages the failed
+    /// capture took are not lost to the next image.
+    #[test]
+    fn a_failed_snapshot_point_resumes_the_session_and_forces_a_full() {
+        let plane = FaultPlan::new(19)
+            .always(sites::LSFS_JOURNAL_COMMIT, IoFault::Enospc)
+            .build();
+        plane.disarm();
+        let (mut vee, mut engine, p) = session(EngineConfig::default(), &plane);
+        let store = SharedBlobStore::in_memory();
+        let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
+        vee.mem_write(p, addr, &[1]).unwrap();
+        engine.checkpoint(&mut vee, &store).unwrap();
+
+        vee.mem_write(p, addr, &[2]).unwrap();
+        plane.arm();
+        assert_eq!(
+            engine.checkpoint(&mut vee, &store).unwrap_err(),
+            FsError::NoSpace
+        );
+        plane.disarm();
+        assert_eq!(vee.process(p).unwrap().state, RunState::Runnable);
+        assert_eq!(engine.stats().write_failures, 1);
+        assert_eq!(
+            engine.stats().checkpoints,
+            1,
+            "the counter was not consumed"
+        );
+
+        let retried = engine.checkpoint(&mut vee, &store).unwrap();
+        assert_eq!(retried.counter, 2);
+        assert!(retried.full, "the failed capture's dirty set is gone");
+        assert_eq!(vee.process(p).unwrap().state, RunState::Runnable);
+        let (revived, _) = crate::restore::revive(
+            &mut store.lock(),
+            "ckpt",
+            &engine.chain_for(2).unwrap(),
+            false,
+            2,
+            vee.clock(),
+            Box::new(Lsfs::new()),
+            HostPidAllocator::new(),
+            &crate::restore::NetworkPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(revived.mem_read(p, addr, 1).unwrap(), [2]);
+    }
+
+    /// A commit that fails inside the call is returned by the call, not
+    /// again by `flush`, and consumes its counter like any failed
+    /// commit — at every worker count the same images survive.
+    #[test]
+    fn a_commit_failure_within_the_call_is_reported_once() {
+        let plane = FaultPlan::new(23)
+            .fail_nth(sites::CHECKPOINT_IMAGE_ENCODE, 2, IoFault::TornWrite)
+            .build();
+        let (mut vee, mut engine, _p) = session(EngineConfig::default(), &plane);
+        let store = SharedBlobStore::in_memory();
+        engine.checkpoint(&mut vee, &store).unwrap();
+        assert_eq!(
+            engine.checkpoint(&mut vee, &store).unwrap_err(),
+            FsError::Io
+        );
+        assert_eq!(engine.flush(), Ok(()));
+        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        assert!(report.full && report.counter == 3);
+        let stats = engine.stats();
+        assert_eq!((stats.checkpoints, stats.committed), (3, 2));
+        assert_eq!(stats.write_failures, 1);
+        assert_eq!(
+            engine.images().map(|m| m.counter).collect::<Vec<_>>(),
+            vec![1, 3]
         );
     }
 
@@ -1439,7 +1360,7 @@ mod tests {
         // at the writeback site); checkpoint 3 chains through it and
         // must cascade-fail without a store write.
         engine.set_fault_plane(
-            dv_fault::FaultPlan::new(3)
+            FaultPlan::new(3)
                 .fail_nth(sites::CHECKPOINT_WRITEBACK, 2, IoFault::Enospc)
                 .fail_nth(sites::CHECKPOINT_WRITEBACK, 3, IoFault::Enospc)
                 .build(),

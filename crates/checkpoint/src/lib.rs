@@ -18,9 +18,9 @@ pub mod policy;
 pub mod restore;
 pub mod writeback;
 
-pub use compress::{assemble_chunks, compress, compress_parallel, decompress};
+pub use compress::{assemble_chunks, compress, decompress};
 pub use engine::{
-    CheckpointReport, Checkpointer, EngineConfig, EngineStats, ImageMeta, WaitFn, RELINK_DIR,
+    CheckpointReport, Checkpointer, EngineConfig, EngineStats, ImageMeta, RELINK_DIR,
 };
 pub use image::{
     decode_image, encode_image, CheckpointImage, FdRecord, ImageError, ImageKind, ProcessRecord,

@@ -23,9 +23,10 @@ pub struct Config {
     /// keyframe cadence).
     pub recorder: RecorderConfig,
     /// Checkpoint engine parameters (full cadence, compression,
-    /// pre-quiesce bounds, and the deferred write-back pipeline's
-    /// worker count and queue depth — `commit_workers == 0` keeps the
-    /// classic synchronous write path).
+    /// pre-quiesce bounds, and the commit pipeline's worker count,
+    /// queue depth and retry policy — with `commit_workers == 0` the
+    /// session thread runs the commit steps itself). Sessions revived
+    /// from this one commit through the same pool.
     pub engine: EngineConfig,
     /// Checkpoint policy parameters and extension rules.
     pub policy: PolicyConfig,
@@ -133,8 +134,8 @@ mod tests {
         assert_eq!(dv_vidx::NEAR_DUP_BITS, 8);
         assert_eq!(dv_lsfs::sealed::COMPACT_FANIN, 4);
         assert_eq!(dv_lsfs::sealed::SEGMENT_CACHE, 16);
-        // Deferred write-back ships disabled: the synchronous path stays
-        // the default until a deployment opts into commit workers.
+        // The commit pool ships without threads: the session thread
+        // commits, after resume, until a deployment opts into workers.
         assert_eq!(config.engine.commit_workers, 0);
         assert_eq!(config.engine.commit_queue_depth, 4);
         assert_eq!(config.engine.commit_retry_limit, 3);

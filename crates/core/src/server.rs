@@ -360,22 +360,23 @@ impl DejaView {
     }
 
     /// Returns the checkpoint store, locked (Figure 7's cached/uncached
-    /// axis is driven by [`BlobStore::drop_caches`]). The deferred
-    /// write-back pipeline holds the same store; keep the guard short.
+    /// axis is driven by [`BlobStore::drop_caches`]). The commit
+    /// pipeline holds the same store; keep the guard short.
     pub fn store_mut(&mut self) -> MutexGuard<'_, BlobStore> {
         self.store.lock()
     }
 
     /// Returns a cloneable handle to the checkpoint store shared with
-    /// the deferred write-back pipeline.
+    /// the commit pipeline.
     pub fn store_handle(&self) -> SharedBlobStore {
         self.store.clone()
     }
 
-    /// Drains the checkpoint engine's deferred write-back pipeline,
-    /// blocking until every captured image has committed (or failed).
-    /// The first asynchronous commit failure since the last flush is
-    /// surfaced here and counted as one degradation event.
+    /// Drains the main engine's lane of the commit pipeline, blocking
+    /// until every captured image has committed (or failed). The first
+    /// commit failure since the last flush that no checkpoint call
+    /// already returned is surfaced here and counted as one
+    /// degradation event.
     pub fn flush_checkpoints(&mut self) -> Result<(), ServerError> {
         self.engine.flush().map_err(|e| {
             self.obs.incr(names::SERVER_DEGRADED_EVENTS);
@@ -529,9 +530,11 @@ impl DejaView {
     }
 
     /// Takes a checkpoint, retrying with exponential backoff (on the
-    /// session clock) when the storage layer fails. Each failed attempt
-    /// counts as one degradation event; the error is returned only once
-    /// the retry budget is exhausted.
+    /// session clock) what the engine could not absorb: a failed
+    /// snapshot point, or a commit that resolved within the call and
+    /// failed (its own store-write retries exhausted, or cascaded).
+    /// Each failed attempt counts as one degradation event; the error
+    /// is returned only once the retry budget is exhausted.
     fn checkpoint_with_retry(&mut self) -> Result<CheckpointReport, ServerError> {
         let mut backoff = self.io_retry_backoff;
         let mut attempt = 0u32;
@@ -1031,6 +1034,9 @@ impl DejaView {
         let mut engine = Checkpointer::with_sim_clock(self.engine_config, self.clock.clone())
             .with_blob_prefix(&revived_prefix);
         engine.set_fault_plane(self.fault_plane.clone());
+        // One pool per server, however many sessions it revives: the
+        // session's engine takes a lane on the main engine's pipeline.
+        engine.attach_pipeline(self.engine.pipeline(&self.store), 1);
         self.revived.insert(
             id,
             RevivedSession {
@@ -1065,16 +1071,18 @@ impl DejaView {
         self.revived.keys().copied().collect()
     }
 
-    /// Closes a revived session.
+    /// Closes a revived session, settling and closing its commit lane.
     pub fn close_session(&mut self, id: u64) -> Result<(), ServerError> {
-        self.revived
+        let mut session = self
+            .revived
             .remove(&id)
-            .map(|_| ())
-            .ok_or(ServerError::UnknownSession(id))
+            .ok_or(ServerError::UnknownSession(id))?;
+        session.engine.detach_pipeline();
+        Ok(())
     }
 
-    /// Returns the deferred write-back pipeline accounting for the main
-    /// session's engine, derived from the observability registry. Only
+    /// Returns the commit pipeline accounting for the main session's
+    /// engine, derived from the observability registry. Only
     /// `inflight` is a live queue-depth query; everything else is the
     /// `checkpoint.*` counters the engine bumps as it works.
     pub fn pipeline_stats(&self) -> PipelineBreakdown {
@@ -1511,20 +1519,39 @@ mod tests {
     #[test]
     fn checkpoint_failure_is_retried_and_counted() {
         use dv_fault::{sites, FaultPlan, IoFault};
-        // First writeback attempt fails; the backoff retry succeeds.
-        let plane = FaultPlan::new(7)
-            .fail_nth(sites::CHECKPOINT_WRITEBACK, 1, IoFault::Enospc)
-            .build();
-        let mut dv = DejaView::new(Config {
-            width: 64,
-            height: 64,
-            fault_plane: plane,
-            ..Config::default()
+        let tick_under = |engine: dv_checkpoint::EngineConfig| {
+            // The first store write fails.
+            let plane = FaultPlan::new(7)
+                .fail_nth(sites::CHECKPOINT_WRITEBACK, 1, IoFault::Enospc)
+                .build();
+            let mut dv = DejaView::new(Config {
+                width: 64,
+                height: 64,
+                fault_plane: plane,
+                engine,
+                ..Config::default()
+            });
+            dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 64), 1);
+            dv.clock().advance(Duration::from_secs(1));
+            let report = dv.policy_tick().unwrap().report;
+            (dv, report.expect("a retry recovered the checkpoint"))
+        };
+        // The commit step's own retry absorbs it — counted and traced,
+        // not silent — and the server never sees a failed checkpoint.
+        let (dv, report) = tick_under(dv_checkpoint::EngineConfig::default());
+        assert_eq!(report.counter, 1);
+        let obs = dv.observability();
+        assert_eq!(obs.counter(names::CHECKPOINT_COMMIT_RETRIES), 1);
+        assert_eq!(obs.events_named(names::EV_COMMIT_RETRY).len(), 1);
+        assert_eq!(dv.degraded_events(), 0);
+        assert_eq!(dv.engine().stats().write_failures, 0);
+        // With no commit retries to spend the commit fails, and the
+        // server's retry takes a second, forced-full checkpoint.
+        let (dv, report) = tick_under(dv_checkpoint::EngineConfig {
+            commit_retry_limit: 0,
+            ..dv_checkpoint::EngineConfig::default()
         });
-        dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 64), 1);
-        dv.clock().advance(Duration::from_secs(1));
-        let tick = dv.policy_tick().unwrap();
-        assert!(tick.report.is_some(), "retry recovered the checkpoint");
+        assert!(report.full && report.counter == 2);
         assert_eq!(dv.degraded_events(), 1);
         assert_eq!(dv.storage().degraded_events, 1);
         assert_eq!(dv.engine().stats().write_failures, 1);
@@ -1547,15 +1574,63 @@ mod tests {
         let tick = dv.policy_tick().unwrap();
         assert_eq!(tick.decision, Decision::Checkpoint);
         assert!(tick.report.is_none(), "exhausted retries degrade the tick");
-        // Initial attempt plus the full retry budget, all counted.
+        // Initial attempt plus the full retry budget, all counted —
+        // each one a commit that spent its own store-write retries.
+        let attempts = 1 + Config::default().io_retry_limit as u64;
+        assert_eq!(dv.degraded_events(), attempts);
+        assert_eq!(dv.engine().stats().write_failures, attempts);
         assert_eq!(
-            dv.degraded_events(),
-            1 + Config::default().io_retry_limit as u64
+            dv.observability().counter(names::CHECKPOINT_COMMIT_RETRIES),
+            attempts * Config::default().engine.commit_retry_limit as u64
         );
         // Recording and browsing continue past the degraded moment.
         assert!(dv.browse(Timestamp::from_millis(500)).is_ok());
         // An explicit checkpoint propagates the error instead.
         assert!(dv.checkpoint_now().is_err());
+    }
+
+    #[test]
+    fn revived_sessions_commit_on_the_servers_pool() {
+        let mut dv = DejaView::new(Config {
+            width: 64,
+            height: 64,
+            engine: dv_checkpoint::EngineConfig {
+                commit_workers: 2,
+                compress: true,
+                ..dv_checkpoint::EngineConfig::default()
+            },
+            ..Config::default()
+        });
+        dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 64), 1);
+        dv.clock().advance(Duration::from_secs(1));
+        assert!(dv.policy_tick().unwrap().report.is_some());
+        let store = dv.store_handle();
+        let pool = dv.engine_mut().pipeline(&store);
+        assert_eq!((pool.workers(), pool.lanes().len()), (2, 1));
+
+        // One lane per live revived session; still two threads.
+        let revived: Vec<u64> = (0..3)
+            .map(|_| dv.take_me_back(Timestamp::from_secs(1)).unwrap())
+            .collect();
+        assert_eq!((pool.workers(), pool.lanes().len()), (2, 4));
+        for &id in &revived {
+            let engine = &mut dv.session_mut(id).unwrap().engine;
+            assert!(Arc::ptr_eq(&engine.pipeline(&store), &pool));
+        }
+        // A revived session's image takes the same path to the store
+        // as the main session's: deferred to the pool, same format.
+        assert!(dv.checkpoint_session(revived[0]).unwrap().deferred);
+        dv.session_mut(revived[0]).unwrap().engine.flush().unwrap();
+        for blob in ["ckpt-00000001", "s1-00000001"] {
+            let first = store.lock().get(blob).expect("committed")[0];
+            assert_eq!(first, 0x02, "{blob} is the chunked container");
+        }
+        // Closing a session closes its lane.
+        dv.close_session(revived[1]).unwrap();
+        assert_eq!(pool.lanes().len(), 3);
+        dv.close_session(revived[0]).unwrap();
+        dv.close_session(revived[2]).unwrap();
+        assert_eq!(pool.lanes().len(), 1);
     }
 
     #[test]

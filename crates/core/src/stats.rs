@@ -77,19 +77,19 @@ impl StorageBreakdown {
 /// the session resumes").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineBreakdown {
-    /// Captures handed to the asynchronous commit pipeline.
+    /// Captures handed to the commit pipeline.
     pub queued: u64,
-    /// Deferred captures whose blobs have committed.
+    /// Captures whose blobs have committed.
     pub committed: u64,
     /// Captures currently queued or committing.
     pub inflight: u64,
-    /// Captures written inline because the queue was full.
+    /// Captures the session thread settled because the queue was full.
     pub inline_fallbacks: u64,
-    /// Session-thread downtime: quiesce + capture + snapshot (and, for
-    /// inline writes, encode + write-back).
+    /// Session-thread downtime: quiesce + capture + snapshot (and,
+    /// with write-back deferral ablated, the commit).
     pub sync_downtime: Duration,
-    /// Time spent encoding/compressing/writing after the session
-    /// resumed — work the deferred pipeline hides from downtime.
+    /// Enqueue-to-resolve time of commits, on the engine's sleeper
+    /// timebase — work deferred past the downtime window.
     pub async_commit: Duration,
 }
 

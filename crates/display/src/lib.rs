@@ -55,6 +55,4 @@ pub use queue::{CommandQueue, OverwritePass, QueuedCommand};
 pub use rect::{Rect, Region};
 pub use scale::{resample_screenshot, scale_command, scale_screenshot, ScaleFactor};
 pub use viewer::{InputEvent, Viewer, ViewerStats};
-pub use wire::{
-    decode_input, encode_input, ByteChannel, ChannelClosed, PumpStatus, RemoteViewer, StreamEncoder,
-};
+pub use wire::{decode_input, encode_input, ByteChannel, ChannelClosed};

@@ -10,12 +10,12 @@
 //! * the **blob store**: one [`dv_lsfs::SharedBlobStore`] holds every
 //!   tenant's checkpoint blobs, namespaced by a per-tenant blob prefix
 //!   so counters can never collide;
-//! * the **commit pool**: one [`dv_checkpoint::CommitPipeline`] worker
-//!   pool serves every tenant's deferred checkpoint commits, one
-//!   *lane* per tenant, scheduled fairly (round-robin or
-//!   deficit-weighted) so a slow or faulted tenant cannot monopolize
-//!   the workers. Index compaction ([`Host::compact_round`]) rides
-//!   the same lanes as aux tasks.
+//! * the **commit pool**: one [`dv_checkpoint::CommitPipeline`] serves
+//!   every tenant's checkpoint commits — the tenant's own session and
+//!   every session revived from it, one *lane* each — scheduled fairly
+//!   (round-robin or deficit-weighted) so a slow or faulted tenant
+//!   cannot monopolize the workers. Index compaction
+//!   ([`Host::compact_round`]) rides the same lanes as aux tasks.
 //!
 //! Isolation is the contract: each tenant carries its own
 //! [`dv_fault::FaultPlane`] and [`dv_obs::Obs`] handle, its commit lane
@@ -44,7 +44,7 @@ use dv_vidx::VisualHit;
 #[derive(Clone, Copy, Debug)]
 pub struct TenantQuotas {
     /// Captures the tenant may have pending in the shared commit pool
-    /// before backpressure commits inline on its own session thread.
+    /// before backpressure settles its lane on its own session thread.
     pub commit_queue_depth: usize,
     /// Stored checkpoint bytes after which the host rejects further
     /// checkpoints for this tenant (enforced against committed bytes,
@@ -68,7 +68,8 @@ impl Default for TenantQuotas {
 /// Host-wide configuration: the shared commit pool and default quotas.
 #[derive(Clone, Debug)]
 pub struct HostConfig {
-    /// Worker threads in the shared commit pool.
+    /// Worker threads in the shared commit pool; with `0` each
+    /// tenant's session thread runs its own commits and compactions.
     pub commit_workers: usize,
     /// How the pool divides bandwidth between tenant lanes.
     pub fairness: FairPolicy,
@@ -168,6 +169,8 @@ pub type CrossVisualHit = Cross<VisualHit>;
 struct Tenant {
     label: String,
     server: DejaView,
+    /// The main session's lane of the shared pool.
+    lane: LaneId,
     obs: Obs,
     quotas: TenantQuotas,
 }
@@ -250,16 +253,13 @@ impl Host {
         let pool = Arc::new(CommitPipeline::new(
             PipelineConfig {
                 workers: config.commit_workers,
-                queue_depth: config.default_quotas.commit_queue_depth,
                 retry_limit: config.commit_retry_limit,
                 retry_backoff: config.commit_retry_backoff,
                 compress: config.compress,
                 fairness: config.fairness,
             },
             store.clone(),
-            dv_fault::FaultPlane::disabled(),
             Sleeper::Sim(clock.clone()),
-            Obs::disabled(),
         ));
         Host {
             obs,
@@ -373,8 +373,9 @@ impl Host {
 
     /// Creates a session: a full [`DejaView`] server on the host clock,
     /// recording into the shared store under `label` as its blob
-    /// prefix, with its deferred commits flowing through the shared
-    /// pool on a lane of its own. The caller's `config` keeps its
+    /// prefix, with its commits — and those of sessions revived from
+    /// it — flowing through the shared pool on lanes of their own. The
+    /// caller's `config` keeps its
     /// per-tenant knobs (fault plane, policy, recorder); the host
     /// overrides the storage wiring, installs a per-tenant
     /// observability handle if the config's is disabled, and applies
@@ -395,21 +396,18 @@ impl Host {
         config.obs = obs.clone();
         config.shared_store = Some(self.store.clone());
         config.blob_prefix = Some(label.to_string());
-        // Commits go through the shared pool, never a per-session one.
-        config.engine.commit_workers = 0;
         config.engine.commit_queue_depth = quotas.commit_queue_depth;
         config.engine.compress = self.config.compress;
         let mut server = DejaView::with_clock(config, self.clock.clone());
-        server.engine_mut().attach_shared_pipeline(
-            self.pool.clone(),
-            id as LaneId,
-            quotas.commit_weight,
-        );
+        let lane = server
+            .engine_mut()
+            .attach_pipeline(self.pool.clone(), quotas.commit_weight);
         self.tenants.insert(
             id,
             Tenant {
                 label: label.to_string(),
                 server,
+                lane,
                 obs,
                 quotas,
             },
@@ -425,9 +423,10 @@ impl Host {
         id
     }
 
-    /// Drops a session: drains its commit lane, removes the lane from
-    /// the pool, and unregisters the tenant. The tenant's blobs stay in
-    /// the shared store (the record outlives the live session).
+    /// Drops a session: drains its commit lanes (its own and its
+    /// revived sessions'), removes them from the pool, and unregisters
+    /// the tenant. The tenant's blobs stay in the shared store (the
+    /// record outlives the live session).
     pub fn drop_session(&mut self, id: u64) -> Result<(), HostError> {
         let mut tenant = self
             .tenants
@@ -436,7 +435,10 @@ impl Host {
         // A degraded tenant still drops cleanly; its failure was
         // already counted against its own registry.
         let _ = tenant.server.flush_checkpoints();
-        tenant.server.engine_mut().detach_shared_pipeline();
+        for revived in tenant.server.sessions() {
+            let _ = tenant.server.close_session(revived);
+        }
+        tenant.server.engine_mut().detach_pipeline();
         self.obs.incr(names::HOST_SESSIONS_DROPPED);
         self.obs
             .gauge_set(names::HOST_SESSIONS, self.tenants.len() as u64);
@@ -596,9 +598,9 @@ impl Host {
     /// strip compaction as an **aux task on that tenant's commit
     /// lane** of the shared worker pool — compaction shares the pool's
     /// fair schedule with checkpoint commits but consumes no capture
-    /// quota, so it can never block ingest. With a worker-less pool
-    /// the compactions run inline. Returns how many tenants had a
-    /// compaction scheduled.
+    /// quota, so it can never block ingest. A pool without workers
+    /// runs each task on this thread as it is submitted. Returns how
+    /// many tenants had a compaction scheduled.
     pub fn compact_round(&mut self) -> usize {
         let ids = self.tenant_ids();
         if ids.is_empty() {
@@ -609,8 +611,8 @@ impl Host {
         let mut scheduled = 0;
         for off in 0..ids.len() {
             let id = ids[(start + off) % ids.len()];
-            let server = &self.tenants[&id].server;
-            let (text, strips) = (server.tidx(), server.vidx());
+            let tenant = &self.tenants[&id];
+            let (text, strips) = (tenant.server.tidx(), tenant.server.vidx());
             if text.is_none() && strips.is_none() {
                 continue;
             }
@@ -620,10 +622,7 @@ impl Host {
                 let _ = text.map(|e| e.maybe_compact());
                 let _ = strips.map(|e| e.maybe_compact());
             };
-            if self.config.commit_workers == 0 {
-                compact();
-                scheduled += 1;
-            } else if self.pool.submit_aux(id as LaneId, compact) {
+            if self.pool.submit_aux(tenant.lane, compact) {
                 scheduled += 1;
             }
         }
@@ -1004,7 +1003,19 @@ mod tests {
 
     #[test]
     fn compaction_rounds_run_on_the_shared_pool_without_blocking_ingest() {
-        let mut host = Host::new(HostConfig::default());
+        // Two workers, then none: the same round either way, only run
+        // by someone else.
+        for commit_workers in [2, 0] {
+            compaction_round_with(commit_workers);
+        }
+    }
+
+    fn compaction_round_with(commit_workers: usize) {
+        let mut host = Host::new(HostConfig {
+            commit_workers,
+            ..HostConfig::default()
+        });
+        assert_eq!(host.pool.workers(), commit_workers);
         let id = host.create_session("compacted", texty_config());
         let mut prev = None;
         for i in 0..6 {
@@ -1023,6 +1034,12 @@ mod tests {
         assert_eq!(scheduled, 1);
         // Ingest keeps flowing while compaction is queued/running.
         show_and_checkpoint(&mut host, id, prev, "page6 words");
+        if commit_workers == 0 {
+            // Nobody else will run them: both are done already.
+            assert!(engine.stats().live_segments < before);
+            assert_eq!(host.session(id).unwrap().engine().inflight(), 0);
+            assert!(host.store().lock().contains("compacted-00000007"));
+        }
         // Draining the lane waits for aux tasks too.
         host.flush_session(id).unwrap();
         assert!(
@@ -1042,6 +1059,27 @@ mod tests {
             host.obs().snapshot().counter(names::HOST_COMPACTION_ROUNDS),
             1
         );
+    }
+
+    #[test]
+    fn revived_sessions_ride_the_host_pool() {
+        let mut host = Host::new(HostConfig::default());
+        let id = host.create_session("tenant", tiny_config());
+        dirty_and_checkpoint(&mut host, id, 2);
+        host.flush_session(id).unwrap();
+        let server = host.session_mut(id).unwrap();
+        let revived = server.take_me_back(server.now()).unwrap();
+        assert!(server.checkpoint_session(revived).unwrap().deferred);
+        let engine = &mut server.session_mut(revived).unwrap().engine;
+        engine.flush().unwrap();
+        assert_eq!(host.pool.lanes().len(), 2, "tenant + its revived session");
+        // Main and revived sessions store the same (container) format.
+        for blob in ["tenant-00000002", "tenant.s1-00000001"] {
+            let first = host.store().lock().get(blob).expect("committed")[0];
+            assert_eq!(first, 0x02, "{blob}");
+        }
+        host.drop_session(id).unwrap();
+        assert!(host.pool.lanes().is_empty(), "every lane left with it");
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //!   seeded schedule.
 //! * [`TcpTransport`] — real `std::net` TCP in non-blocking mode, for
 //!   serving actual remote viewers.
-//!
-//! [`ByteChannel`] itself (the display crate's original TCP stand-in)
-//! also implements [`Transport`] as a one-directional stream, so
-//! pre-dv-net plumbing migrates without rewrites.
 
 use dv_display::{ByteChannel, ChannelClosed};
 use dv_fault::{sites, FaultPlane, IoFault};
@@ -129,28 +125,6 @@ pub trait Transport: Send {
                 closed: true,
             }
         }
-    }
-}
-
-impl Transport for ByteChannel {
-    fn send(&mut self, bytes: &[u8]) -> Result<usize, TransportError> {
-        if self.is_closed() {
-            return Err(TransportError::Closed);
-        }
-        Ok(ByteChannel::send(self, bytes))
-    }
-
-    fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TransportError> {
-        self.recv_into(buf)
-            .map_err(|ChannelClosed| TransportError::Closed)
-    }
-
-    fn close(&mut self) {
-        ByteChannel::close(self);
-    }
-
-    fn is_open(&self) -> bool {
-        !self.is_closed()
     }
 }
 
@@ -549,20 +523,6 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
-    }
-
-    #[test]
-    fn byte_channel_is_a_one_directional_transport() {
-        let mut writer = ByteChannel::new();
-        let mut reader = writer.clone();
-        Transport::send(&mut writer, b"framed").unwrap();
-        let mut buf = [0u8; 8];
-        assert_eq!(Transport::recv(&mut reader, &mut buf).unwrap(), 6);
-        Transport::close(&mut writer);
-        assert_eq!(
-            Transport::recv(&mut reader, &mut buf),
-            Err(TransportError::Closed)
-        );
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! For each combination the session must (1) never panic, (2) surface
 //! injected failures as counted degradation rather than silent loss,
-//! and (3) keep every byte of the pre-fault record usable: browse
-//! reproduces the same screen, search still finds the recorded text,
-//! and revive restores the pre-fault checkpoint.
+//! (3) leave every process that was running, running, and (4) keep
+//! every byte of the pre-fault record usable: browse reproduces the
+//! same screen, search still finds the recorded text, and revive
+//! restores the pre-fault checkpoint.
 
 mod common;
 
@@ -15,7 +16,9 @@ use dv_access::Role;
 use dv_display::Rect;
 use dv_fault::{sites, FaultPlan, FaultPlane, IoFault};
 use dv_index::RankOrder;
+use dv_obs::names;
 use dv_time::Duration;
+use dv_vee::{Prot, RunState, Vpid};
 
 const W: u32 = 96;
 const H: u32 = 64;
@@ -58,6 +61,15 @@ fn activity(dv: &mut DejaView, phase: u64, steps: u64) -> u64 {
     fs_errors
 }
 
+fn runnable(dv: &DejaView) -> Vec<Vpid> {
+    let running = |p: &&dv_vee::Process| p.state == RunState::Runnable;
+    dv.vee()
+        .processes()
+        .filter(running)
+        .map(|p| p.vpid)
+        .collect()
+}
+
 #[test]
 fn every_site_and_fault_degrades_gracefully() {
     let kinds = [
@@ -94,6 +106,7 @@ fn every_site_and_fault_degrades_gracefully() {
                 .content_hash();
 
             // --- Armed phase: the session absorbs the faults. ---
+            let running = runnable(&dv);
             plane.arm();
             let fs_errors = activity(&mut dv, 3, 4);
             // A revive under fault reads blobs back; it may fail, but
@@ -107,6 +120,11 @@ fn every_site_and_fault_degrades_gracefully() {
 
             let injected = plane.injected_at(site);
             assert!(injected > 0, "{label}: site was never exercised");
+            assert_eq!(
+                runnable(&dv),
+                running,
+                "{label}: a process was left stopped"
+            );
 
             // --- Failures are visible, not silent. ---
             let damaging = matches!(
@@ -114,8 +132,12 @@ fn every_site_and_fault_degrades_gracefully() {
                 IoFault::Enospc | IoFault::TornWrite | IoFault::ShortRead
             );
             if damaging && site != sites::LSFS_BLOB_GET {
-                let visible =
-                    dv.storage().degraded_events + dv.engine().stats().write_failures + fs_errors;
+                // A store fault the commit step's retry absorbed is
+                // counted there.
+                let visible = dv.storage().degraded_events
+                    + dv.engine().stats().write_failures
+                    + dv.observability().counter(names::CHECKPOINT_COMMIT_RETRIES)
+                    + fs_errors;
                 assert!(visible > 0, "{label}: {injected} faults left no trace");
             }
 
@@ -143,4 +165,45 @@ fn every_site_and_fault_degrades_gracefully() {
             dv.close_session(sid).expect("close revived session");
         }
     }
+}
+
+/// A snapshot point that fails mid-checkpoint costs one retry, not the
+/// session and not the memory dirtied since the last image: the tick
+/// still yields a checkpoint, everything runs on, and "Take me back"
+/// to it sees what the live session holds.
+#[test]
+fn failed_snapshot_point_is_retried_into_a_faithful_checkpoint() {
+    // With no file activity a checkpoint's only journal record is its
+    // snapshot mark: the second checkpoint's first attempt fails.
+    let plane = FaultPlan::new(common::seed_for("snapshot-point"))
+        .fail_nth(sites::LSFS_JOURNAL_COMMIT, 2, IoFault::Enospc)
+        .build();
+    let mut dv = server_with(plane.clone());
+    let init = dv.init_vpid();
+    let app = dv.vee_mut().spawn(Some(init), "app").expect("spawn");
+    let addr = dv.vee_mut().mmap(app, 4096, Prot::ReadWrite).expect("mmap");
+    let running = runnable(&dv);
+    let mut reports = Vec::new();
+    for value in [1u8, 2] {
+        dv.vee_mut().mem_write(app, addr, &[value]).expect("write");
+        dv.driver_mut()
+            .fill_rect(Rect::new(0, 0, W, H), u32::from(value));
+        dv.clock().advance(Duration::from_secs(1));
+        let tick = dv.policy_tick().expect("tick");
+        reports.push(tick.report.expect("the retry recovered the checkpoint"));
+    }
+    assert_eq!(plane.injected_at(sites::LSFS_JOURNAL_COMMIT), 1);
+    assert_eq!(dv.degraded_events(), 1, "one failed attempt, counted");
+    assert_eq!(dv.engine().stats().write_failures, 1);
+    assert_eq!(runnable(&dv), running);
+    assert!(
+        reports[1].full,
+        "the failed capture's dirty pages are re-captured"
+    );
+    assert_eq!(reports[1].counter, 2, "its counter was not consumed");
+
+    let sid = dv.take_me_back(dv.now()).expect("revive");
+    let revived = dv.session(sid).expect("revived session");
+    assert_eq!(revived.counter, 2);
+    assert_eq!(revived.vee.mem_read(app, addr, 1).expect("read"), [2]);
 }

@@ -8,9 +8,14 @@
 
 use proptest::prelude::*;
 
-use dv_checkpoint::{revive, Checkpointer, EngineConfig, NetworkPolicy};
+use std::sync::Arc;
+
+use dv_checkpoint::{
+    revive, Checkpointer, CommitPipeline, EngineConfig, FairPolicy, NetworkPolicy, PipelineConfig,
+};
+use dv_fault::{sites, FaultPlan, FaultPlane, IoFault};
 use dv_lsfs::{Lsfs, SharedBlobStore};
-use dv_time::SimClock;
+use dv_time::{SimClock, Sleeper};
 use dv_vee::{HostPidAllocator, Prot, Vee, Vpid, PAGE_SIZE};
 
 /// A memory operation over a bounded set of region slots.
@@ -57,16 +62,35 @@ struct Harness {
     p: Vpid,
     slots: [Option<(u64, u64, Prot)>; SLOTS], // (addr, pages, prot)
     checkpoints: u64,
+    /// Wait out every commit before the next op, and let commits fail:
+    /// under injected faults this makes *when* a failure is noticed —
+    /// and so which capture re-anchors — the same at any worker count.
+    settle_each: bool,
+}
+
+/// `workers` commit threads, a lane deep enough never to fill.
+fn engine_config(compress: bool, workers: usize) -> EngineConfig {
+    EngineConfig {
+        full_every: 3,
+        compress,
+        commit_workers: workers,
+        commit_queue_depth: 64,
+        ..EngineConfig::default()
+    }
 }
 
 impl Harness {
     fn new() -> Self {
-        Harness::with_workers(0)
+        Harness::alone(engine_config(false, 0))
     }
 
-    /// `workers > 0` routes commits through the deferred pipeline.
-    fn with_workers(workers: usize) -> Self {
-        let clock = SimClock::new();
+    fn alone(config: EngineConfig) -> Self {
+        Harness::with_engine(config, SharedBlobStore::in_memory(), SimClock::new())
+    }
+
+    /// A session recording into `store` through an engine with
+    /// `config`, whose pool (built at its first checkpoint) is its own.
+    fn with_engine(config: EngineConfig, store: SharedBlobStore, clock: SimClock) -> Self {
         let mut vee = Vee::new(
             1,
             clock.shared(),
@@ -74,24 +98,63 @@ impl Harness {
             HostPidAllocator::new(),
         );
         let p = vee.spawn(None, "app").unwrap();
-        let engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                full_every: 3,
-                commit_workers: workers,
-                commit_queue_depth: 64,
-                ..EngineConfig::default()
-            },
-            clock.clone(),
-        );
+        let engine = Checkpointer::with_sim_clock(config, clock.clone());
         Harness {
             vee,
             clock,
             engine,
-            store: SharedBlobStore::in_memory(),
+            store,
             p,
             slots: [None; SLOTS],
             checkpoints: 0,
+            settle_each: false,
         }
+    }
+
+    /// Two sessions on one store and one host-style pool of `workers`
+    /// threads: the session under test and a neighbour (blob prefix
+    /// `other`) that keeps its own lane busy.
+    fn on_a_shared_pool(compress: bool, workers: usize) -> (Self, Self) {
+        let (store, clock) = (SharedBlobStore::in_memory(), SimClock::new());
+        let pool = Arc::new(CommitPipeline::new(
+            PipelineConfig {
+                workers,
+                retry_limit: EngineConfig::default().commit_retry_limit,
+                retry_backoff: EngineConfig::default().commit_retry_backoff,
+                compress,
+                fairness: FairPolicy::RoundRobin,
+            },
+            store.clone(),
+            Sleeper::Sim(clock.clone()),
+        ));
+        let config = engine_config(compress, 0);
+        let mut main = Harness::with_engine(config, store.clone(), clock);
+        // The neighbour keeps session time of its own, so the session
+        // under test reads the clock it would read alone.
+        let mut neighbour = Harness::with_engine(config, store, SimClock::new());
+        neighbour.engine =
+            Checkpointer::with_sim_clock(config, neighbour.clock.clone()).with_blob_prefix("other");
+        main.engine.attach_pipeline(pool.clone(), 1);
+        neighbour.engine.attach_pipeline(pool, 1);
+        (main, neighbour)
+    }
+
+    /// Everything the engine retained, with the bytes it stored.
+    fn retained(&self) -> Vec<(u64, dv_checkpoint::ImageKind, String, u64, u64, Vec<u8>)> {
+        self.engine
+            .images()
+            .map(|m| {
+                let bytes = self.store.lock().get(&m.blob).expect("retained blob");
+                (
+                    m.counter,
+                    m.kind,
+                    m.blob.clone(),
+                    m.time.as_nanos(),
+                    m.raw_bytes,
+                    bytes.to_vec(),
+                )
+            })
+            .collect()
     }
 
     fn apply(&mut self, op: &MemOp) {
@@ -148,7 +211,12 @@ impl Harness {
             }
             MemOp::Checkpoint => {
                 self.clock.advance(dv_time::Duration::from_secs(1));
-                self.engine.checkpoint(&mut self.vee, &self.store).unwrap();
+                let taken = self.engine.checkpoint(&mut self.vee, &self.store);
+                if self.settle_each {
+                    let _ = self.engine.flush();
+                } else {
+                    taken.expect("no fault is armed");
+                }
                 self.checkpoints += 1;
             }
         }
@@ -231,37 +299,79 @@ proptest! {
         prop_assert_eq!(&*blob, &reencoded);
     }
 
-    /// The deferred commit pipeline is an implementation detail: for any
-    /// op sequence, the committed blobs are byte-identical to the
-    /// synchronous path's (uncompressed images; the compressed framing
-    /// equivalence is covered by the engine's own tests).
+    /// One commit path: who runs the commit steps — the session thread
+    /// (zero workers), 1, 2 or 4 threads of the engine's own pool, or a
+    /// pool shared with a busy neighbour — changes nothing about what
+    /// is retained or stored, compressed or not, down to the byte.
     #[test]
     fn deferred_pipeline_commits_identical_blobs(ops in prop::collection::vec(arb_op(), 1..40)) {
-        let mut inline = Harness::new();
-        let mut deferred = Harness::with_workers(2);
-        for op in &ops {
-            inline.apply(op);
-            deferred.apply(op);
+        for compress in [false, true] {
+            let fresh = |workers| Harness::alone(engine_config(compress, workers));
+            let run = |mut under_test: Harness, mut neighbour: Option<Harness>| {
+                for op in ops.iter().chain([&MemOp::Checkpoint]) {
+                    under_test.apply(op);
+                    if let Some(neighbour) = &mut neighbour {
+                        neighbour.apply(op);
+                    }
+                }
+                under_test.engine.flush().expect("drained");
+                under_test.retained()
+            };
+            let reference = run(fresh(0), None);
+            prop_assert!(!reference.is_empty());
+            prop_assert_eq!(reference[0].5[0] == 0x02, compress, "container iff compressed");
+            for workers in [0, 1, 2, 4] {
+                if workers > 0 {
+                    let own = run(fresh(workers), None);
+                    prop_assert!(own == reference, "own pool, {workers} workers, compress={compress}");
+                }
+                let (under_test, neighbour) = Harness::on_a_shared_pool(compress, workers);
+                let shared = run(under_test, Some(neighbour));
+                prop_assert!(shared == reference, "shared pool, {workers} workers, compress={compress}");
+            }
         }
-        inline.apply(&MemOp::Checkpoint);
-        deferred.apply(&MemOp::Checkpoint);
-        deferred.engine.flush().expect("drained");
+    }
 
-        let metas: Vec<(u64, String)> = inline
-            .engine
-            .images()
-            .map(|m| (m.counter, m.blob.clone()))
-            .collect();
-        let deferred_metas: Vec<(u64, String)> = deferred
-            .engine
-            .images()
-            .map(|m| (m.counter, m.blob.clone()))
-            .collect();
-        prop_assert_eq!(&metas, &deferred_metas);
-        for (_, blob) in &metas {
-            let a = inline.store.lock().get(blob).expect("inline blob");
-            let b = deferred.store.lock().get(blob).expect("deferred blob");
-            prop_assert_eq!(&*a, &*b, "blob {} diverged", blob);
-        }
+    /// One retry policy, one fault schedule: with a fault armed at both
+    /// checkpoint sites, the session thread and a two-worker pool
+    /// retry, fail, cascade and re-anchor alike — same retained images
+    /// and bytes (a `Corrupt` flip included), same counts, same number
+    /// of injections.
+    #[test]
+    fn faults_land_alike_at_zero_and_two_workers(
+        ops in prop::collection::vec(arb_op(), 1..40),
+        kind in 0..3usize,
+        encode_every in 2..6u64,
+        writeback_every in 2..5u64,
+        commit_retry_limit in 0..2u32,
+        seed in any::<u64>(),
+    ) {
+        let fault = [IoFault::Enospc, IoFault::Corrupt, IoFault::LatencySpike][kind];
+        let run = |workers: usize| {
+            let plane: FaultPlane = FaultPlan::new(seed)
+                .every_nth(sites::CHECKPOINT_IMAGE_ENCODE, encode_every, fault)
+                .every_nth(sites::CHECKPOINT_WRITEBACK, writeback_every, fault)
+                .build();
+            let mut h = Harness::alone(EngineConfig {
+                commit_retry_limit,
+                ..engine_config(true, workers)
+            });
+            h.engine.set_fault_plane(plane.clone());
+            h.settle_each = true;
+            for op in ops.iter().chain([&MemOp::Checkpoint]) {
+                h.apply(op);
+            }
+            let stats = h.engine.stats();
+            (
+                h.retained(),
+                (stats.checkpoints, stats.full_checkpoints, stats.committed, stats.write_failures),
+                plane.injected_at(sites::CHECKPOINT_IMAGE_ENCODE),
+                plane.injected_at(sites::CHECKPOINT_WRITEBACK),
+            )
+        };
+        let (on_the_caller, on_two_workers) = (run(0), run(2));
+        prop_assert!(on_the_caller == on_two_workers, "{fault:?}: {:?} vs {:?}", on_the_caller.1, on_two_workers.1);
+        let (_, (checkpoints, _, committed, failed), ..) = on_the_caller;
+        prop_assert_eq!(checkpoints, committed + failed);
     }
 }

@@ -8,12 +8,36 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use dv_checkpoint::{decode_image, decompress};
+use dv_checkpoint::{decode_image, decompress, Checkpointer, EngineConfig};
 use dv_display::{decode_command, encode_command_vec, DisplayCommand, Rect};
 use dv_index::decode_index;
 use dv_lsfs::journal::FsOp;
+use dv_lsfs::{BlobStore, Lsfs, SharedBlobStore};
 use dv_record::{decode_record, decode_screenshot, Timeline};
-use dv_time::Timestamp;
+use dv_time::{SimClock, Timestamp};
+use dv_vee::{HostPidAllocator, Vee};
+
+fn engine() -> Checkpointer {
+    Checkpointer::with_sim_clock(EngineConfig::default(), SimClock::new())
+}
+
+/// The metadata of an engine that has taken a few checkpoints.
+fn valid_engine_meta() -> Vec<u8> {
+    let clock = SimClock::new();
+    let fs = Box::new(Lsfs::new());
+    let mut vee = Vee::new(1, clock.shared(), fs, HostPidAllocator::new());
+    vee.spawn(None, "app").unwrap();
+    let config = EngineConfig {
+        full_every: 2,
+        ..EngineConfig::default()
+    };
+    let mut engine = Checkpointer::with_sim_clock(config, clock).with_blob_prefix("tenant");
+    let store = SharedBlobStore::in_memory();
+    for _ in 0..3 {
+        engine.checkpoint(&mut vee, &store).unwrap();
+    }
+    engine.export_meta()
+}
 
 fn valid_command_bytes() -> Vec<u8> {
     encode_command_vec(&DisplayCommand::Raw {
@@ -37,6 +61,11 @@ proptest! {
         let _ = decode_record(&data);
         let _ = decompress(&data);
         let _ = FsOp::decode(&data);
+        // Both are reached from `load_archive` with file contents; the
+        // engine's decoder is also fed past its magic.
+        let _ = engine().import_meta(&data);
+        let _ = engine().import_meta(&[b"DVENG001", &data[..]].concat());
+        let _ = BlobStore::in_memory().import(&data);
     }
 
     /// Mutating one byte of a valid command either still decodes (the
@@ -73,4 +102,19 @@ proptest! {
             prop_assert!(decode_image(&bytes).is_ok());
         }
     }
+}
+
+/// Every truncation of an engine's exported metadata is refused whole:
+/// the engine keeps the history it had.
+#[test]
+fn truncated_engine_meta_is_refused_cleanly() {
+    let bytes = valid_engine_meta();
+    let mut target = engine();
+    for cut in 0..bytes.len() {
+        assert!(target.import_meta(&bytes[..cut]).is_none(), "cut at {cut}");
+        assert_eq!(target.images().count(), 0);
+    }
+    assert!(target.import_meta(&bytes).is_some());
+    assert_eq!(target.images().count(), 3);
+    assert_eq!(target.blob_prefix(), "tenant");
 }
