@@ -1,919 +1,135 @@
-//! Regenerates the paper's evaluation tables and figures.
-//!
-//! Usage:
+//! Regenerates the paper's evaluation tables and figures, and runs the
+//! CI gate suites.
 //!
 //! ```text
-//! reproduce [EXPERIMENT] [--scale S]
+//! reproduce [EXPERIMENT] [--scale S] [--out P] [--baseline P]
 //!
-//! EXPERIMENT: table1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 |
-//!             policy | quality | faults | deferred | ablation |
-//!             obs | ci | net | host | dedup | index | visual |
-//!             summary | all
-//!             (default: all; `ci`, `obs`, `net`, `host`, `dedup`,
-//!             `index`, `visual`, and `summary` are not part of `all`)
-//! --scale S:  workload scale factor, 1.0 = paper-sized (default 0.25;
-//!             `ci`, `obs`, `net`, `host`, `dedup`, `index`, and
-//!             `visual` default to 1.0)
-//! --out P:      ci/obs/net/host/dedup/index/visual: where to write
-//!               the JSON (BENCH_ci.json / BENCH_obs.json /
-//!               BENCH_net.json / BENCH_host.json / BENCH_dedup.json /
-//!               BENCH_index.json / BENCH_visual.json)
-//! --baseline P: ci/net/index/visual/summary: checked-in baseline to
-//!               gate against (BENCH_baseline.json)
+//! EXPERIMENT: a paper experiment (table1, fig2..fig7, policy, quality,
+//!             deferred, faults, ablation), `all` of those (the
+//!             default), a gate suite (ci, obs, net, host, dedup,
+//!             index, visual) or `summary`. `--help` lists them.
+//! --scale S:    workload scale factor, 1.0 = paper-sized (default 0.25;
+//!               gate suites default to 1.0 for stable ratios)
+//! --out P:      gate suites: where to write the metrics
+//!               (default BENCH_<suite>.json)
+//! --baseline P: gate suites and summary: the checked-in baseline
+//!               (default BENCH_baseline.json)
 //! ```
 //!
-//! The `ci` experiment runs the deferred write-back comparison and the
-//! fault/crash matrix, writes machine-independent metrics (ratios and
-//! fractions, never absolute times) to `--out`, and exits nonzero if a
-//! lower-is-better metric regressed more than 20% over the baseline or
-//! a higher-is-better metric dropped below it.
+//! A gate suite runs its experiments, prints their tables, writes every
+//! metric to `--out` as flat `{key: number}` JSON — ratios, fractions
+//! and counts, never absolute times, so one machine's run can be held to
+//! another machine's baseline — and applies the rule the gate table
+//! ([`dv_bench::gates::SUITES`]) gives each metric. It exits 1 if a gate
+//! fails and 2 if a file it needs cannot be read or written; the
+//! baseline file is needed exactly when a rule takes its limit from it.
+//! What each suite measures is said where its metrics are computed, in
+//! `gates.rs`.
 //!
-//! The `obs` experiment profiles a fully recorded session through
-//! dv-obs, prints the per-stream overhead breakdown, writes the
-//! registry + trace snapshot JSON to `--out`, and exits nonzero if the
-//! instrumentation itself costs more than 5% of wall time on the
-//! deferred-pipeline workload.
-//!
-//! The `net` experiment serves one live session to 1/4/16/64 loopback
-//! viewers at full resolution, then runs the wide 64/256/1024-viewer
-//! sweep that stresses the readiness reactor. It prints throughput,
-//! tail latency, coalesce rates, and encodes-per-batch, writes
-//! machine-independent metrics to `--out`, and exits nonzero if any
-//! viewer diverged, any live batch was encoded more than once (the
-//! zero-copy fan-out invariant), the per-viewer unit cost grows more
-//! than 20% over the sweep's baseline point (1 viewer classic, 64
-//! wide), or a wide per-viewer ratio regressed 20% over `--baseline`.
-//!
-//! The `host` experiment packs 1/16/128/1024 recording sessions onto
-//! one shared commit pool, prints per-checkpoint unit costs and the
-//! cross-tenant interference measurement, writes machine-independent
-//! metrics to `--out`, and exits nonzero if the per-session unit cost
-//! at scale exceeds 1.25x of the single-session cost, a faulted tenant
-//! degraded a neighbour, or a neighbour's restore fingerprint changed.
-//!
-//! The `dedup` experiment drives a repetitive single-tenant and a
-//! 16-tenant-similar checkpoint workload through the dv-cas
-//! content-addressed store, writes dedup ratios, storage throughput,
-//! and restore-identity flags to `--out`, and exits nonzero if either
-//! workload dedups under 2x or any restore fingerprint differs from
-//! the dedup-off run.
-//!
-//! The `index` experiment sweeps the sharded text index over 1/16/128
-//! recording sessions (ingest through checkpoint-sealed shards, then
-//! cross-session queries merged by global rank), measures query-probe
-//! counts with and without background compaction, revives a session
-//! from an archive to verify snapshot-consistent search, writes
-//! machine-independent metrics to `--out`, and exits nonzero if the
-//! p99 per-tenant query unit cost at scale exceeds its limit or the
-//! baseline by 20%, compaction stopped reducing probes or changed an
-//! answer, or a revived query saw hits not sealed by its checkpoint.
-//!
-//! The `visual` experiment sweeps the thumbnail-keyed visual index
-//! over 1/16/128 recording sessions (keyframe fingerprints ingested
-//! through checkpoint-sealed strips, then cross-session
-//! nearest-thumbnail queries merged by global distance-then-recency
-//! order), checks every reply against a per-tenant linear-scan
-//! oracle, accounts fingerprint comparisons saved by the band index,
-//! revives a session from an archive to verify snapshot-consistent
-//! recall, writes machine-independent metrics to `--out`, and exits
-//! nonzero if recall drops under its floor, a reply diverges from the
-//! oracle, the band index stops probing sub-linearly, the p99
-//! per-tenant query unit cost at scale exceeds its limit or the
-//! baseline by 20%, or a revived query saw instances not sealed by
-//! its checkpoint.
-//!
-//! The `summary` experiment runs no workload: it reads every
-//! `BENCH_*.json` in the current directory and prints one GitHub-
-//! flavored markdown table (metric, value, baseline, threshold) for
-//! `$GITHUB_STEP_SUMMARY`.
+//! `summary` runs no workload: it reads the `BENCH_<suite>.json` files
+//! in the current directory and prints one GitHub-flavored markdown
+//! table (metric, value, baseline, threshold) for `$GITHUB_STEP_SUMMARY`,
+//! the threshold column rendered from the same gate table.
 
+use dv_bench::gates::{failures, parse_flat_json, to_flat_json, Gate, Rule, Suite, SUITES};
 use dv_bench::{
-    ablation_checkpoint_optimizations, ablation_mirror_tree, crash_consistency, dedup_experiment,
+    ablation_checkpoint_optimizations, ablation_mirror_tree, crash_consistency,
     deferred_experiment, faults_experiment, fig2_overhead, fig3_checkpoint_latency, fig4_storage,
-    fig5_browse_search, fig6_playback, fig7_revive, host_experiment, index_experiment,
-    net_experiment, net_wide_experiment, obs_experiment, policy_effectiveness, print_ablation,
-    print_crash, print_dedup, print_deferred, print_faults, print_fig2, print_fig3, print_fig4,
-    print_fig5, print_fig6, print_fig7, print_host, print_index, print_mirror_ablation, print_net,
-    print_obs, print_policy, print_quality, print_table1, print_visual, quality_tradeoff, table1,
-    visual_experiment,
+    fig5_browse_search, fig6_playback, fig7_revive, policy_effectiveness, print_ablation,
+    print_crash, print_deferred, print_faults, print_fig2, print_fig3, print_fig4, print_fig5,
+    print_fig6, print_fig7, print_mirror_ablation, print_policy, print_quality, print_table1,
+    quality_tradeoff, table1,
 };
 
-/// How much instrumented wall time may exceed uninstrumented wall time
-/// before the `obs` gate fails (5%).
-const OBS_OVERHEAD_LIMIT: f64 = 1.05;
+/// A paper experiment: its subcommand, and a function that runs it at a
+/// scale and prints its table.
+type Experiment = (&'static str, fn(f64));
 
-/// How much a lower-is-better metric may grow over its baseline before
-/// the gate fails.
-const REGRESSION_TOLERANCE: f64 = 1.20;
+/// The paper experiments `all` runs, in the paper's order.
+const PAPER: &[Experiment] = &[
+    ("table1", |s| print_table1(&table1(s))),
+    ("fig2", |s| print_fig2(&fig2_overhead(s))),
+    ("fig3", |s| print_fig3(&fig3_checkpoint_latency(s))),
+    ("fig4", |s| print_fig4(&fig4_storage(s))),
+    ("fig5", |s| print_fig5(&fig5_browse_search(s))),
+    ("fig6", |s| print_fig6(&fig6_playback(s))),
+    ("fig7", |s| print_fig7(&fig7_revive(s))),
+    ("policy", |s| print_policy(&policy_effectiveness(s))),
+    ("quality", |s| print_quality(&quality_tradeoff(s))),
+    ("deferred", |s| print_deferred(&deferred_experiment(s))),
+    ("faults", |s| {
+        print_faults(&faults_experiment(s));
+        println!();
+        print_crash(&crash_consistency(s));
+    }),
+    ("ablation", |s| {
+        print_ablation(&ablation_checkpoint_optimizations(s));
+        println!();
+        print_mirror_ablation(&ablation_mirror_tree((400.0 * s) as usize));
+    }),
+];
 
-/// How much the per-client unit cost at fan-out may exceed the
-/// single-viewer baseline before the `net` gate fails (20%). Fixed
-/// costs amortize across clients, so a healthy multiplexer sits well
-/// under 1.0; creeping past 1.2 means per-client work stopped scaling.
-const NET_OVERHEAD_LIMIT: f64 = 1.20;
-
-/// How much the per-checkpoint unit cost at high session counts may
-/// exceed the single-session baseline before the `host` gate fails.
-/// Machine-independent: both sides of the ratio come from the same run.
-const HOST_OVERHEAD_LIMIT: f64 = 1.25;
-
-/// How much neighbour session-thread stall may grow when one tenant
-/// fails every commit before the `host` gate fails. Fair lane
-/// scheduling keeps a faulted tenant's retry storm off its
-/// neighbours' threads, so a healthy host sits near 1.0.
-const HOST_INTERFERENCE_LIMIT: f64 = 1.50;
-
-/// The least the content-addressed store must shrink each dedup
-/// workload before the `dedup` gate fails. Both workloads repeat
-/// checkpoint content (across time, then across tenants), so a store
-/// that finds less than half the redundancy has stopped deduping.
-const DEDUP_RATIO_FLOOR: f64 = 2.0;
-
-/// How much the per-tenant p99 query unit cost at 16/128 sessions may
-/// exceed N x the single-session p99 before the `index` gate fails.
-/// Unit-cost ratios computed within one sweep pass, so one machine's
-/// run gates another machine's baseline.
-const INDEX_QUERY_LIMIT: f64 = 1.50;
-
-/// The least compaction must shrink the mean shards-probed-per-query
-/// before the `index` gate fails. Merging four-way over dozens of
-/// sealed segments should at least halve the probe count.
-const INDEX_PROBE_FLOOR: f64 = 1.5;
-
-/// How much the per-tenant p99 visual-query unit cost at 16/128
-/// sessions may exceed N x the single-session p99 before the `visual`
-/// gate fails. Unit-cost ratios computed within one sweep pass, so one
-/// machine's run gates another machine's baseline.
-const VISUAL_QUERY_LIMIT: f64 = 1.50;
-
-/// The least the band index must shrink fingerprint comparisons
-/// against a full linear scan at the 128-session point before the
-/// `visual` gate fails. Sixteen-band bucket probes over recurring
-/// scenes should touch a small constant candidate set per strip, so a
-/// healthy index sits far above 2x.
-const VISUAL_PROBE_FLOOR: f64 = 2.0;
-
-/// The least fraction of nearest-thumbnail queries that must return
-/// the linear-scan oracle's nearest instance before the `visual` gate
-/// fails. The pigeonhole exactness rule makes the engine byte-exact,
-/// so anything under 1.0 is a real regression; the floor leaves slack
-/// only for a deliberately weakened future index.
-const VISUAL_RECALL_FLOOR: f64 = 0.9;
-
-/// Serializes metrics as a flat JSON object, one metric per line.
-fn to_flat_json(metrics: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("  \"{key}\": {value:.6}{comma}\n"));
-    }
-    out.push_str("}\n");
-    out
+fn die(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
-/// Parses the flat JSON produced by [`to_flat_json`] (string keys to
-/// numbers only — not a general JSON parser).
-fn parse_flat_json(text: &str) -> Option<Vec<(String, f64)>> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut metrics = Vec::new();
-    for entry in body.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (key, value) = entry.split_once(':')?;
-        let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let value: f64 = value.trim().parse().ok()?;
-        metrics.push((key.to_string(), value));
-    }
-    Some(metrics)
+fn read_baseline(path: &str) -> Vec<(String, f64)> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(format!("cannot read the baseline {path}: {e}")));
+    parse_flat_json(&text).unwrap_or_else(|| die(format!("{path} is not valid metrics JSON")))
 }
 
-/// Gates `current` against `baseline`: metrics ending in `_ratio` are
-/// lower-is-better (fail over baseline x1.2); everything else is
-/// higher-is-better (fail under baseline). Metrics missing from the
-/// baseline pass. Returns the failures.
-fn gate(current: &[(String, f64)], baseline: &[(String, f64)]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (key, value) in current {
-        let Some((_, base)) = baseline.iter().find(|(k, _)| k == key) else {
-            continue;
-        };
-        if key.ends_with("_ratio") {
-            let limit = base * REGRESSION_TOLERANCE;
-            if *value > limit {
-                failures.push(format!(
-                    "{key}: {value:.4} exceeds baseline {base:.4} +20% ({limit:.4})"
-                ));
-            }
-        } else if *value < *base {
-            failures.push(format!(
-                "{key}: {value:.4} dropped below baseline {base:.4}"
-            ));
-        }
-    }
-    failures
-}
-
-/// Runs the CI benchmark suite and returns its metrics.
-fn ci_metrics(scale: f64) -> Vec<(String, f64)> {
-    let deferred = deferred_experiment(scale);
-    print_deferred(&deferred);
-    println!();
-    let faults = faults_experiment(scale.min(0.25));
-    print_faults(&faults);
-    println!();
-    let crash = crash_consistency(scale.min(0.25));
-    print_crash(&crash);
-    println!();
-
-    let mut metrics = Vec::new();
-    let inline = deferred
-        .iter()
-        .find(|r| r.workers == 0)
-        .expect("inline row");
-    for row in deferred.iter().filter(|r| r.workers >= 1) {
-        // Sync-downtime ratio: deferred stall over inline stall. A
-        // ratio, so one machine's baseline gates another machine's run.
-        metrics.push((
-            format!("deferred_stall_w{}_ratio", row.workers),
-            row.mean_stall.as_secs_f64() / inline.mean_stall.as_secs_f64().max(1e-12),
-        ));
-    }
-    let identical = deferred.iter().all(|r| r.fingerprint == inline.fingerprint);
-    metrics.push((
-        "deferred_restore_identical".to_string(),
-        if identical { 1.0 } else { 0.0 },
-    ));
-    let n = faults.len().max(1) as f64;
-    metrics.push((
-        "faults_browse_ok_fraction".to_string(),
-        faults.iter().filter(|r| r.browse_ok).count() as f64 / n,
-    ));
-    metrics.push((
-        "faults_search_ok_fraction".to_string(),
-        faults.iter().filter(|r| r.search_ok).count() as f64 / n,
-    ));
-    metrics.push((
-        "crash_recovered_fraction".to_string(),
-        crash.iter().filter(|r| r.recovered).count() as f64 / crash.len().max(1) as f64,
-    ));
-    metrics
-}
-
-fn run_ci(scale: f64, out: &str, baseline_path: &str) {
-    let metrics = ci_metrics(scale);
-    let json = to_flat_json(&metrics);
+/// Runs one gate suite: prints its tables, writes the flat metrics
+/// JSON, applies every rule, lists the failures, sets the exit code.
+fn run_suite(suite: &Suite, scale: f64, out: &str, baseline_path: &str) {
+    let gates = suite.gates(scale);
+    let json = to_flat_json(&gates);
     if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
+        die(format!("failed to write {out}: {e}"));
     }
-    println!("wrote {out}:\n{json}");
-    match std::fs::read_to_string(baseline_path) {
-        Ok(text) => {
-            let Some(baseline) = parse_flat_json(&text) else {
-                eprintln!("{baseline_path} is not valid metrics JSON");
-                std::process::exit(2);
-            };
-            let failures = gate(&metrics, &baseline);
-            if failures.is_empty() {
-                println!("bench gate: all metrics within 20% of {baseline_path}");
-            } else {
-                eprintln!("bench gate FAILED against {baseline_path}:");
-                for failure in &failures {
-                    eprintln!("  {failure}");
-                }
-                std::process::exit(1);
-            }
-        }
-        Err(_) => {
-            eprintln!("no baseline at {baseline_path}; wrote metrics without gating");
-        }
-    }
-}
-
-/// Runs the observability experiment: prints the per-stream breakdown,
-/// writes the full snapshot plus the overhead ratio as JSON to `out`,
-/// and exits nonzero if the instrumentation costs more than 5% of wall
-/// time on the deferred-pipeline workload.
-fn run_obs(scale: f64, out: &str) {
-    let report = obs_experiment(scale);
-    print_obs(&report);
-    let json = format!(
-        "{{\n  \"overhead_ratio\": {:.6},\n  \"snapshot\": {}}}\n",
-        report.overhead_ratio(),
-        report.snapshot.to_json(),
-    );
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out} ({} bytes)", json.len());
-    let ratio = report.overhead_ratio();
-    if ratio > OBS_OVERHEAD_LIMIT {
-        eprintln!(
-            "obs gate FAILED: instrumentation overhead {ratio:.3}x exceeds {OBS_OVERHEAD_LIMIT:.2}x"
-        );
-        std::process::exit(1);
-    }
-    println!("obs gate: instrumentation overhead {ratio:.3}x within {OBS_OVERHEAD_LIMIT:.2}x");
-}
-
-/// Runs both dv-net fan-out sweeps — the classic 1/4/16/64 sweep at
-/// full resolution and the wide 64/256/1024 sweep that stresses the
-/// readiness reactor — prints them, writes machine-independent metrics
-/// to `out`, and exits nonzero if any viewer diverged, any live batch
-/// was encoded more than once, or per-viewer overhead grows beyond
-/// 20% of the sweep's baseline point (1 viewer classic, 64 wide).
-fn run_net(scale: f64, out: &str, baseline_path: &str) {
-    let rows = net_experiment(scale);
-    print_net(&rows);
-    let wide = net_wide_experiment(scale);
-    print_net(&wide);
-
-    let mut metrics = Vec::new();
-    let mut failures = Vec::new();
-    for row in &rows {
-        metrics.push((
-            format!("net_converged_f{}", row.fanout),
-            if row.all_converged { 1.0 } else { 0.0 },
-        ));
-        metrics.push((
-            format!("net_throughput_fps_f{}", row.fanout),
-            row.throughput_fps(),
-        ));
-        metrics.push((
-            format!("net_round_p99_ms_f{}", row.fanout),
-            row.round_p99.as_secs_f64() * 1e3,
-        ));
-        metrics.push((
-            format!("net_coalesce_rate_f{}", row.fanout),
-            row.coalesce_rate(),
-        ));
-    }
-    let single = rows
-        .iter()
-        .find(|r| r.fanout == 1)
-        .expect("single-viewer baseline row");
-    for row in rows.iter().filter(|r| r.fanout > 1) {
-        // Per-client unit cost relative to one viewer: a ratio, so one
-        // machine's run gates another machine's baseline.
-        let ratio = row.per_client_command_us() / single.per_client_command_us().max(1e-9);
-        metrics.push((
-            format!("net_per_client_overhead_f{}_ratio", row.fanout),
-            ratio,
-        ));
-        if ratio > NET_OVERHEAD_LIMIT {
-            failures.push(format!(
-                "fanout {}: per-client overhead {ratio:.3}x exceeds {NET_OVERHEAD_LIMIT:.2}x of single-viewer cost",
-                row.fanout
-            ));
-        }
-    }
-
-    // Wide sweep: the 64-viewer row anchors per-viewer ratios so the
-    // 256- and 1024-viewer points gate reactor scaling, not absolute
-    // machine speed.
-    let anchor = wide
-        .iter()
-        .min_by_key(|r| r.fanout)
-        .expect("wide sweep anchor row");
-    for row in wide.iter().filter(|r| r.fanout > anchor.fanout) {
-        metrics.push((
-            format!("net_wide_converged_f{}", row.fanout),
-            if row.all_converged { 1.0 } else { 0.0 },
-        ));
-        metrics.push((
-            format!("net_encodes_per_batch_f{}", row.fanout),
-            row.encode_ratio(),
-        ));
-        let cpu_ratio = row.per_client_command_us() / anchor.per_client_command_us().max(1e-9);
-        metrics.push((
-            format!("net_per_viewer_cpu_f{}_ratio", row.fanout),
-            cpu_ratio,
-        ));
-        if cpu_ratio > NET_OVERHEAD_LIMIT {
-            failures.push(format!(
-                "fanout {}: per-viewer CPU {cpu_ratio:.3}x exceeds {NET_OVERHEAD_LIMIT:.2}x of the {}-viewer cost",
-                row.fanout, anchor.fanout
-            ));
-        }
-        metrics.push((
-            format!("net_round_p99_per_viewer_f{}_ratio", row.fanout),
-            row.p99_per_viewer_us() / anchor.p99_per_viewer_us().max(1e-9),
-        ));
-    }
-
-    // Cross-sweep invariants: every viewer converged, and every live
-    // batch was encoded exactly once however many viewers tapped it.
-    for row in rows.iter().chain(wide.iter()) {
-        if !row.all_converged {
-            failures.push(format!(
-                "fanout {}: a viewer diverged from the session",
-                row.fanout
-            ));
-        }
-        if (row.encode_ratio() - 1.0).abs() > 1e-9 {
-            failures.push(format!(
-                "fanout {}: {} encodes for {} live batches — fan-out is re-encoding",
-                row.fanout, row.live_encodes, row.live_batches
-            ));
-        }
-    }
-
-    let json = to_flat_json(&metrics);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out}:\n{json}");
-    if let Ok(text) = std::fs::read_to_string(baseline_path) {
-        if let Some(baseline) = parse_flat_json(&text) {
-            failures.extend(gate(&metrics, &baseline));
-        } else {
-            eprintln!("{baseline_path} is not valid metrics JSON");
-            std::process::exit(2);
-        }
+    println!("\nwrote {out}:\n{json}");
+    let baseline = if gates.iter().any(|g| g.rule.reads_baseline()) {
+        read_baseline(baseline_path)
     } else {
-        eprintln!("no baseline at {baseline_path}; skipping the baseline gate");
-    }
-    if failures.is_empty() {
+        Vec::new()
+    };
+    let failed = failures(&gates, &baseline);
+    if failed.is_empty() {
+        let gated = gates.iter().filter(|g| g.rule != Rule::Report).count();
         println!(
-            "net gate: all fan-outs converged, one encode per live batch, within {NET_OVERHEAD_LIMIT:.2}x per-viewer overhead up to 1024 viewers"
+            "{} gate: {gated} gated metrics within their limits, {} report-only",
+            suite.name,
+            gates.len() - gated
         );
     } else {
-        eprintln!("net gate FAILED:");
-        for failure in &failures {
+        eprintln!("{} gate FAILED:", suite.name);
+        for failure in &failed {
             eprintln!("  {failure}");
         }
         std::process::exit(1);
     }
 }
 
-/// Runs the dv-host experiment: prints the session sweep and the
-/// interference measurement, writes machine-independent metrics to
-/// `out`, and exits nonzero if per-session cost stopped scaling, a
-/// faulted tenant degraded a neighbour, or a neighbour's record
-/// changed under a neighbour's fault.
-fn run_host(scale: f64, out: &str) {
-    let report = host_experiment(scale);
-    print_host(&report);
-
-    let mut metrics = Vec::new();
-    let mut failures = Vec::new();
-    for row in &report.rows {
-        metrics.push((
-            format!("host_checkpoints_s{}", row.sessions),
-            row.checkpoints as f64,
-        ));
-        metrics.push((
-            format!("host_committed_s{}", row.sessions),
-            row.committed as f64,
-        ));
-    }
-    let single = report
-        .rows
-        .iter()
-        .find(|r| r.sessions == 1)
-        .expect("single-session baseline row");
-    for row in report.rows.iter().filter(|r| r.sessions > 1) {
-        // Per-checkpoint unit cost relative to one session: a ratio
-        // computed within the same sweep pass, so one machine's run
-        // gates another machine's baseline and machine drift between
-        // sweep points cancels.
-        let ratio = row.per_session_ratio;
-        metrics.push((
-            format!("host_per_session_overhead_s{}_ratio", row.sessions),
-            ratio,
-        ));
-        if ratio > HOST_OVERHEAD_LIMIT {
-            failures.push(format!(
-                "{} sessions: per-checkpoint cost {ratio:.3}x exceeds {HOST_OVERHEAD_LIMIT:.2}x of single-session cost",
-                row.sessions
-            ));
-        }
-    }
-    let stable = report
-        .rows
-        .iter()
-        .all(|r| r.fingerprint == single.fingerprint);
-    metrics.push((
-        "host_fingerprint_stable".to_string(),
-        if stable { 1.0 } else { 0.0 },
-    ));
-    if !stable {
-        failures.push("a tenant's restore fingerprint varied with neighbour count".to_string());
-    }
-    let interference = &report.interference;
-    let ratio = interference.interference_ratio();
-    metrics.push(("host_interference_ratio".to_string(), ratio));
-    metrics.push((
-        "host_fingerprints_match".to_string(),
-        if interference.fingerprints_match {
-            1.0
-        } else {
-            0.0
-        },
-    ));
-    metrics.push((
-        "host_neighbors_isolated".to_string(),
-        if interference.neighbors_degraded == 0 {
-            1.0
-        } else {
-            0.0
-        },
-    ));
-    if ratio > HOST_INTERFERENCE_LIMIT {
-        failures.push(format!(
-            "neighbour stall grew {ratio:.3}x under a faulted tenant (limit {HOST_INTERFERENCE_LIMIT:.2}x)"
-        ));
-    }
-    if interference.neighbors_degraded > 0 {
-        failures.push(format!(
-            "{} degradation(s) leaked onto clean neighbours",
-            interference.neighbors_degraded
-        ));
-    }
-    if !interference.fingerprints_match {
-        failures.push(
-            "a neighbour's restore fingerprint changed under a neighbour's fault".to_string(),
-        );
-    }
-    if interference.faulted_degraded == 0 {
-        failures.push(
-            "the faulted tenant did not degrade — the interference run proved nothing".to_string(),
-        );
-    }
-    if !interference.faulted_traced {
-        failures.push(
-            "the faulted tenant's failure left no trace in its labelled registry".to_string(),
-        );
-    }
-
-    let json = to_flat_json(&metrics);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out}:\n{json}");
-    if failures.is_empty() {
-        println!(
-            "host gate: per-session cost within {HOST_OVERHEAD_LIMIT:.2}x, interference within {HOST_INTERFERENCE_LIMIT:.2}x, tenants isolated"
-        );
-    } else {
-        eprintln!("host gate FAILED:");
-        for failure in &failures {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Runs the dv-cas dedup experiment: prints the workload table, writes
-/// metrics to `out`, and exits nonzero if either workload dedups under
-/// [`DEDUP_RATIO_FLOOR`] or any tenant's restore fingerprint differs
-/// from the dedup-off run.
-fn run_dedup(scale: f64, out: &str) {
-    let rows = dedup_experiment(scale);
-    print_dedup(&rows);
-
-    let mut metrics = Vec::new();
-    let mut failures = Vec::new();
-    let mut identical = true;
-    for row in &rows {
-        let tag = row.workload.replace('-', "_");
-        // Higher is better, so these deliberately do not carry the
-        // `_ratio` suffix the ci gate treats as lower-is-better.
-        metrics.push((format!("dedup_factor_{tag}"), row.dedup_ratio()));
-        metrics.push((format!("dedup_mbps_{tag}"), row.dedup_mbps));
-        metrics.push((format!("dedup_plain_mbps_{tag}"), row.plain_mbps));
-        if row.dedup_ratio() < DEDUP_RATIO_FLOOR {
-            failures.push(format!(
-                "{}: dedup ratio {:.2}x under the {DEDUP_RATIO_FLOOR:.1}x floor",
-                row.workload,
-                row.dedup_ratio()
-            ));
-        }
-        if !row.fingerprints_match {
-            identical = false;
-            failures.push(format!(
-                "{}: a restore fingerprint differs from the dedup-off run",
-                row.workload
-            ));
-        }
-    }
-    metrics.push((
-        "dedup_restore_identical".to_string(),
-        if identical { 1.0 } else { 0.0 },
-    ));
-
-    let json = to_flat_json(&metrics);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out}:\n{json}");
-    if failures.is_empty() {
-        println!(
-            "dedup gate: both workloads dedup >= {DEDUP_RATIO_FLOOR:.1}x with identical restores"
-        );
-    } else {
-        eprintln!("dedup gate FAILED:");
-        for failure in &failures {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Runs the sharded-index experiment: prints the session sweep, the
-/// compaction comparison, and the revive snapshot check, writes
-/// machine-independent metrics to `out`, gates the query-latency ratios
-/// against `baseline_path` (20% tolerance), and exits nonzero on any
-/// failure.
-fn run_index(scale: f64, out: &str, baseline_path: &str) {
-    let report = index_experiment(scale);
-    print_index(&report);
-
-    let mut metrics = Vec::new();
-    let mut failures = Vec::new();
-    for row in &report.rows {
-        metrics.push((format!("index_states_s{}", row.sessions), row.states as f64));
-        metrics.push((
-            format!("index_segments_s{}", row.sessions),
-            row.segments as f64,
-        ));
-    }
-    for row in report.rows.iter().filter(|r| r.sessions > 1) {
-        let ratio = row.unit_ratio;
-        metrics.push((format!("index_query_p99_s{}_ratio", row.sessions), ratio));
-        if ratio > INDEX_QUERY_LIMIT {
-            failures.push(format!(
-                "{} sessions: p99 query unit cost {ratio:.3}x exceeds {INDEX_QUERY_LIMIT:.2}x of single-session cost",
-                row.sessions
-            ));
-        }
-    }
-    let c = &report.compaction;
-    metrics.push(("index_probe_reduction".to_string(), c.probe_reduction()));
-    metrics.push((
-        "index_compaction_identical".to_string(),
-        if c.results_identical { 1.0 } else { 0.0 },
-    ));
-    metrics.push((
-        "index_snapshot_consistent".to_string(),
-        if report.snapshot_consistent { 1.0 } else { 0.0 },
-    ));
-    if c.probe_reduction() < INDEX_PROBE_FLOOR {
-        failures.push(format!(
-            "compaction reduced probes/query only {:.2}x ({:.1} -> {:.1}), under the {INDEX_PROBE_FLOOR:.1}x floor",
-            c.probe_reduction(),
-            c.probes_before,
-            c.probes_after
-        ));
-    }
-    if c.segments_after >= c.segments_before {
-        failures.push(format!(
-            "compaction did not reduce live segments ({} -> {})",
-            c.segments_before, c.segments_after
-        ));
-    }
-    if !c.results_identical {
-        failures.push("compaction changed a query answer".to_string());
-    }
-    if !report.snapshot_consistent {
-        failures.push(
-            "a revived session answered with hits not sealed at or before its checkpoint"
-                .to_string(),
-        );
-    }
-
-    let json = to_flat_json(&metrics);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out}:\n{json}");
-    if let Ok(text) = std::fs::read_to_string(baseline_path) {
-        if let Some(baseline) = parse_flat_json(&text) {
-            failures.extend(gate(&metrics, &baseline));
-        } else {
-            eprintln!("{baseline_path} is not valid metrics JSON");
-            std::process::exit(2);
-        }
-    } else {
-        eprintln!("no baseline at {baseline_path}; skipping the baseline gate");
-    }
-    if failures.is_empty() {
-        println!(
-            "index gate: query unit cost within {INDEX_QUERY_LIMIT:.2}x, probes reduced >= {INDEX_PROBE_FLOOR:.1}x, answers stable, revive snapshot-consistent"
-        );
-    } else {
-        eprintln!("index gate FAILED:");
-        for failure in &failures {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Runs the visual-recall experiment: prints the session sweep and the
-/// revive snapshot check, writes machine-independent metrics to `out`,
-/// gates recall, oracle-exactness, probe reduction, and the
-/// query-latency ratios against `baseline_path` (20% tolerance), and
-/// exits nonzero on any failure.
-fn run_visual(scale: f64, out: &str, baseline_path: &str) {
-    let report = visual_experiment(scale);
-    print_visual(&report);
-
-    let mut metrics = Vec::new();
-    let mut failures = Vec::new();
-    for row in &report.rows {
-        metrics.push((
-            format!("visual_keyframes_s{}", row.sessions),
-            row.keyframes as f64,
-        ));
-        metrics.push((
-            format!("visual_instances_s{}", row.sessions),
-            row.instances as f64,
-        ));
-        metrics.push((
-            format!("visual_segments_s{}", row.sessions),
-            row.segments as f64,
-        ));
-    }
-    // Recall and exactness gate on the weakest sweep point: one bad
-    // point is a correctness bug however the others look.
-    let recall = report.rows.iter().map(|r| r.recall).fold(1.0, f64::min);
-    let identical = report.rows.iter().map(|r| r.identical).fold(1.0, f64::min);
-    metrics.push(("visual_recall".to_string(), recall));
-    metrics.push(("visual_identical".to_string(), identical));
-    if recall < VISUAL_RECALL_FLOOR {
-        failures.push(format!(
-            "recall@1 {recall:.3} against the linear-scan oracle, under the {VISUAL_RECALL_FLOOR:.2} floor"
-        ));
-    }
-    if identical < 1.0 {
-        failures.push(format!(
-            "only {identical:.3} of replies matched the oracle merge exactly (pigeonhole exactness broken)"
-        ));
-    }
-    for row in report.rows.iter().filter(|r| r.sessions > 1) {
-        let ratio = row.unit_ratio;
-        metrics.push((format!("visual_query_p99_s{}_ratio", row.sessions), ratio));
-        if ratio > VISUAL_QUERY_LIMIT {
-            failures.push(format!(
-                "{} sessions: p99 query unit cost {ratio:.3}x exceeds {VISUAL_QUERY_LIMIT:.2}x of single-session cost",
-                row.sessions
-            ));
-        }
-    }
-    let widest = report.rows.last().expect("sweep has points");
-    metrics.push(("visual_probe_reduction".to_string(), widest.probe_reduction));
-    if widest.probe_reduction < VISUAL_PROBE_FLOOR {
-        failures.push(format!(
-            "{} sessions: band index cut fingerprint comparisons only {:.2}x, under the {VISUAL_PROBE_FLOOR:.1}x floor",
-            widest.sessions, widest.probe_reduction
-        ));
-    }
-    metrics.push((
-        "visual_snapshot_consistent".to_string(),
-        if report.snapshot_consistent { 1.0 } else { 0.0 },
-    ));
-    if !report.snapshot_consistent {
-        failures.push(
-            "a revived session answered with instances not sealed at or before its checkpoint"
-                .to_string(),
-        );
-    }
-
-    let json = to_flat_json(&metrics);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out}:\n{json}");
-    if let Ok(text) = std::fs::read_to_string(baseline_path) {
-        if let Some(baseline) = parse_flat_json(&text) {
-            failures.extend(gate(&metrics, &baseline));
-        } else {
-            eprintln!("{baseline_path} is not valid metrics JSON");
-            std::process::exit(2);
-        }
-    } else {
-        eprintln!("no baseline at {baseline_path}; skipping the baseline gate");
-    }
-    if failures.is_empty() {
-        println!(
-            "visual gate: oracle-exact recall, probes cut >= {VISUAL_PROBE_FLOOR:.1}x, query unit cost within {VISUAL_QUERY_LIMIT:.2}x, revive snapshot-consistent"
-        );
-    } else {
-        eprintln!("visual gate FAILED:");
-        for failure in &failures {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// The pass condition a gate applies to a metric, as a display string
-/// for the summary table, or `None` when the metric is informational.
-fn threshold_for(source: &str, key: &str) -> Option<String> {
-    match source {
-        "ci" => Some(if key.ends_with("_ratio") {
-            "<= baseline x1.20".to_string()
-        } else {
-            ">= baseline".to_string()
-        }),
-        "obs" if key == "overhead_ratio" => Some(format!("<= {OBS_OVERHEAD_LIMIT:.2}")),
-        "net" if key.ends_with("_ratio") => Some(format!("<= {NET_OVERHEAD_LIMIT:.2}")),
-        "net" if key.starts_with("net_encodes_per_batch") => Some("= 1.00".to_string()),
-        "net" if key.starts_with("net_converged") || key.starts_with("net_wide_converged") => {
-            Some(">= 1".to_string())
-        }
-        "host" if key == "host_interference_ratio" => {
-            Some(format!("<= {HOST_INTERFERENCE_LIMIT:.2}"))
-        }
-        "host" if key.ends_with("_ratio") => Some(format!("<= {HOST_OVERHEAD_LIMIT:.2}")),
-        "host"
-            if key == "host_fingerprint_stable"
-                || key == "host_fingerprints_match"
-                || key == "host_neighbors_isolated" =>
-        {
-            Some(">= 1".to_string())
-        }
-        "dedup" if key.starts_with("dedup_factor") => Some(format!(">= {DEDUP_RATIO_FLOOR:.1}")),
-        "dedup" if key == "dedup_restore_identical" => Some(">= 1".to_string()),
-        "index" if key.ends_with("_ratio") => Some(format!("<= {INDEX_QUERY_LIMIT:.2}")),
-        "index" if key == "index_probe_reduction" => Some(format!(">= {INDEX_PROBE_FLOOR:.1}")),
-        "index" if key == "index_snapshot_consistent" || key == "index_compaction_identical" => {
-            Some(">= 1".to_string())
-        }
-        "visual" if key.ends_with("_ratio") => Some(format!("<= {VISUAL_QUERY_LIMIT:.2}")),
-        "visual" if key == "visual_probe_reduction" => Some(format!(">= {VISUAL_PROBE_FLOOR:.1}")),
-        "visual" if key == "visual_recall" => Some(format!(">= {VISUAL_RECALL_FLOOR:.2}")),
-        "visual" if key == "visual_identical" || key == "visual_snapshot_consistent" => {
-            Some(">= 1".to_string())
-        }
-        _ => None,
-    }
-}
-
-/// Pulls the top-level `overhead_ratio` out of the obs JSON, which
-/// nests the full registry snapshot and so defies [`parse_flat_json`].
-fn extract_obs_overhead(text: &str) -> Option<f64> {
-    let rest = &text[text.find("\"overhead_ratio\"")?..];
-    let (_, after) = rest.split_once(':')?;
-    let end = after.find(',').unwrap_or(after.len());
-    after[..end].trim().parse().ok()
-}
-
-/// Reads every `BENCH_*.json` in the working directory and prints one
-/// markdown table (metric, value, baseline, threshold) meant for
-/// `$GITHUB_STEP_SUMMARY`. Runs no workload.
+/// Prints one markdown table over every `BENCH_<suite>.json` in the
+/// working directory. Runs no workload.
 fn run_summary(baseline_path: &str) {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .ok()
-        .and_then(|t| parse_flat_json(&t))
-        .unwrap_or_default();
-    let mut files: Vec<String> = std::fs::read_dir(".")
-        .map(|dir| {
-            dir.filter_map(|e| e.ok())
-                .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| {
-                    n.starts_with("BENCH_") && n.ends_with(".json") && n != "BENCH_baseline.json"
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    files.sort();
+    let read = |path: &str| {
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|t| parse_flat_json(&t))
+    };
+    let baseline = read(baseline_path).unwrap_or_default();
     println!("### Benchmark summary\n");
     println!("| metric | value | baseline | threshold |");
     println!("|---|---:|---:|---|");
     let mut printed = 0usize;
-    for file in &files {
-        let source = file
-            .trim_start_matches("BENCH_")
-            .trim_end_matches(".json")
-            .to_string();
-        let Ok(text) = std::fs::read_to_string(file) else {
-            continue;
-        };
-        let metrics = if source == "obs" {
-            extract_obs_overhead(&text)
-                .map(|v| vec![("overhead_ratio".to_string(), v)])
-                .unwrap_or_default()
-        } else {
-            parse_flat_json(&text).unwrap_or_default()
-        };
-        for (key, value) in &metrics {
-            let base = baseline
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| format!("{v:.4}"))
-                .unwrap_or_else(|| "-".to_string());
-            let threshold = threshold_for(&source, key).unwrap_or_else(|| "-".to_string());
-            println!("| `{key}` | {value:.4} | {base} | {threshold} |");
+    for suite in SUITES {
+        for (key, value) in read(&format!("BENCH_{}.json", suite.name)).unwrap_or_default() {
+            // A key the table no longer names (a file from an older
+            // build) is shown, not gated.
+            let rule = suite.rule_for(&key).unwrap_or(Rule::Report);
+            println!("{}", Gate { key, value, rule }.summary_row(&baseline));
             printed += 1;
         }
     }
@@ -923,39 +139,42 @@ fn run_summary(baseline_path: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment = "all".to_string();
     let mut scale: Option<f64> = None;
     let mut out: Option<String> = None;
     let mut baseline = "BENCH_baseline.json".to_string();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = Some(iter.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--scale requires a positive number");
-                    std::process::exit(2);
-                }));
+                scale = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| die("--scale requires a positive number".to_string())),
+                );
             }
             "--out" => {
-                out = Some(iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }));
+                out = Some(
+                    args.next()
+                        .unwrap_or_else(|| die("--out requires a path".to_string())),
+                );
             }
             "--baseline" => {
-                baseline = iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--baseline requires a path");
-                    std::process::exit(2);
-                });
+                baseline = args
+                    .next()
+                    .unwrap_or_else(|| die("--baseline requires a path".to_string()));
             }
             "--help" | "-h" => {
+                let paper: Vec<&str> = PAPER.iter().map(|p| p.0).collect();
+                let suites: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
                 eprintln!(
-                    "usage: reproduce [table1|fig2|fig3|fig4|fig5|fig6|fig7|policy|quality|faults|deferred|ablation|obs|ci|net|host|dedup|index|visual|summary|all] [--scale S] [--out P] [--baseline P]"
+                    "usage: reproduce [{}|all|{}|summary] [--scale S] [--out P] [--baseline P]",
+                    paper.join("|"),
+                    suites.join("|"),
                 );
                 return;
             }
-            other => experiment = other.to_string(),
+            _ => experiment = arg,
         }
     }
     if experiment == "summary" {
@@ -964,117 +183,31 @@ fn main() {
         run_summary(&baseline);
         return;
     }
+    let suite = SUITES.iter().find(|s| s.name == experiment);
+    let all = experiment == "all";
+    if suite.is_none() && !all && !PAPER.iter().any(|p| p.0 == experiment) {
+        die(format!(
+            "unknown experiment {experiment:?}; --help lists them"
+        ));
+    }
     // The gated experiments favor paper-sized runs for stable ratios.
-    let gated = experiment == "ci"
-        || experiment == "obs"
-        || experiment == "net"
-        || experiment == "host"
-        || experiment == "dedup"
-        || experiment == "index"
-        || experiment == "visual";
-    let scale = scale.unwrap_or(if gated { 1.0 } else { 0.25 });
+    let scale = scale.unwrap_or(if suite.is_some() { 1.0 } else { 0.25 });
     if scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        eprintln!("scale must be positive");
-        std::process::exit(2);
+        die("scale must be positive".to_string());
     }
     println!(
         "DejaView reproduction — experiment {experiment:?} at scale {scale} (1.0 = paper-sized)\n"
     );
-    let all = experiment == "all";
     let started = std::time::Instant::now();
-    if experiment == "ci" {
-        let out = out.unwrap_or_else(|| "BENCH_ci.json".to_string());
-        run_ci(scale, &out, &baseline);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
+    if let Some(suite) = suite {
+        let out = out.unwrap_or_else(|| format!("BENCH_{}.json", suite.name));
+        run_suite(suite, scale, &out, &baseline);
     }
-    if experiment == "obs" {
-        let out = out.unwrap_or_else(|| "BENCH_obs.json".to_string());
-        run_obs(scale, &out);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
-    }
-    if experiment == "net" {
-        let out = out.unwrap_or_else(|| "BENCH_net.json".to_string());
-        run_net(scale, &out, &baseline);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
-    }
-    if experiment == "host" {
-        let out = out.unwrap_or_else(|| "BENCH_host.json".to_string());
-        run_host(scale, &out);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
-    }
-    if experiment == "dedup" {
-        let out = out.unwrap_or_else(|| "BENCH_dedup.json".to_string());
-        run_dedup(scale, &out);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
-    }
-    if experiment == "index" {
-        let out = out.unwrap_or_else(|| "BENCH_index.json".to_string());
-        run_index(scale, &out, &baseline);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
-    }
-    if experiment == "visual" {
-        let out = out.unwrap_or_else(|| "BENCH_visual.json".to_string());
-        run_visual(scale, &out, &baseline);
-        eprintln!("done in {:?}", started.elapsed());
-        return;
-    }
-    if all || experiment == "table1" {
-        print_table1(&table1(scale));
-        println!();
-    }
-    if all || experiment == "fig2" {
-        print_fig2(&fig2_overhead(scale));
-        println!();
-    }
-    if all || experiment == "fig3" {
-        print_fig3(&fig3_checkpoint_latency(scale));
-        println!();
-    }
-    if all || experiment == "fig4" {
-        print_fig4(&fig4_storage(scale));
-        println!();
-    }
-    if all || experiment == "fig5" {
-        print_fig5(&fig5_browse_search(scale));
-        println!();
-    }
-    if all || experiment == "fig6" {
-        print_fig6(&fig6_playback(scale));
-        println!();
-    }
-    if all || experiment == "fig7" {
-        print_fig7(&fig7_revive(scale));
-        println!();
-    }
-    if all || experiment == "policy" {
-        print_policy(&policy_effectiveness(scale));
-        println!();
-    }
-    if all || experiment == "quality" {
-        print_quality(&quality_tradeoff(scale));
-        println!();
-    }
-    if all || experiment == "deferred" {
-        print_deferred(&deferred_experiment(scale));
-        println!();
-    }
-    if all || experiment == "faults" {
-        print_faults(&faults_experiment(scale));
-        println!();
-        print_crash(&crash_consistency(scale));
-        println!();
-    }
-    if all || experiment == "ablation" {
-        print_ablation(&ablation_checkpoint_optimizations(scale));
-        println!();
-        print_mirror_ablation(&ablation_mirror_tree((400.0 * scale) as usize));
-        println!();
+    for (name, run) in PAPER {
+        if all || experiment == *name {
+            run(scale);
+            println!();
+        }
     }
     eprintln!("done in {:?}", started.elapsed());
 }

@@ -6,39 +6,6 @@ use crate::experiments::{
     QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
 };
 use dv_checkpoint::PolicyStats;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// Mutes every table printer in this module. Tests that drive the
-/// experiment harness flip this on so `cargo test -q` output stays
-/// clean; the `reproduce` binary leaves it off.
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Relaxed);
-}
-
-/// Whether report printing is muted.
-pub fn is_quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
-}
-
-/// `println!` that respects [`set_quiet`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        if !is_quiet() {
-            println!($($arg)*);
-        }
-    };
-}
-
-/// `print!` that respects [`set_quiet`].
-macro_rules! outp {
-    ($($arg:tt)*) => {
-        if !is_quiet() {
-            print!($($arg)*);
-        }
-    };
-}
 
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -50,21 +17,14 @@ fn vms(d: dv_time::Duration) -> f64 {
 
 /// Prints the deferred write-back comparison.
 pub fn print_deferred(rows: &[DeferredRow]) {
-    out!("Deferred write-back: per-checkpoint session-thread stall, 0 commit workers (inline) vs 1/2/4");
-    out!(
+    println!("Deferred write-back: per-checkpoint session-thread stall, 0 commit workers (inline) vs 1/2/4");
+    println!(
         "{:<14} {:>6} {:>11} {:>11} {:>10} {:>8} {:>9}  {:<18}",
-        "config",
-        "ckpts",
-        "stall(ms)",
-        "max(ms)",
-        "wall(ms)",
-        "MB/s",
-        "fallback",
-        "fingerprint"
+        "config", "ckpts", "stall(ms)", "max(ms)", "wall(ms)", "MB/s", "fallback", "fingerprint"
     );
-    out!("{:-<96}", "");
+    println!("{:-<96}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<14} {:>6} {:>11.3} {:>11.3} {:>10.1} {:>8.1} {:>9}  {:016x}",
             row.config,
             row.checkpoints,
@@ -79,13 +39,13 @@ pub fn print_deferred(rows: &[DeferredRow]) {
     if let Some(inline) = rows.iter().find(|r| r.workers == 0) {
         let matched = rows.iter().all(|r| r.fingerprint == inline.fingerprint);
         for row in rows.iter().filter(|r| r.workers >= 1) {
-            out!(
+            println!(
                 "  {}: stall {:.2}x lower than inline",
                 row.config,
                 inline.mean_stall.as_secs_f64() / row.mean_stall.as_secs_f64().max(1e-12),
             );
         }
-        out!(
+        println!(
             "  restore results across configurations: {}",
             if matched { "identical" } else { "DIVERGED" }
         );
@@ -94,20 +54,14 @@ pub fn print_deferred(rows: &[DeferredRow]) {
 
 /// Prints the fault-injection matrix.
 pub fn print_faults(rows: &[FaultRow]) {
-    out!("Fault injection: every storage site x every fault kind (every 2nd check fails)");
-    out!(
+    println!("Fault injection: every storage site x every fault kind (every 2nd check fails)");
+    println!(
         "{:<26} {:<11} {:>8} {:>8} {:>6} {:>7} {:>7}",
-        "site",
-        "fault",
-        "injected",
-        "degraded",
-        "ckpts",
-        "browse",
-        "search"
+        "site", "fault", "injected", "degraded", "ckpts", "browse", "search"
     );
-    out!("{:-<80}", "");
+    println!("{:-<80}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<26} {:<11} {:>8} {:>8} {:>6} {:>7} {:>7}",
             row.site,
             row.fault,
@@ -122,17 +76,14 @@ pub fn print_faults(rows: &[FaultRow]) {
 
 /// Prints the power-cut recovery sweep.
 pub fn print_crash(rows: &[CrashRow]) {
-    out!("Crash consistency: power cut at increasing log prefixes, then reopen");
-    out!(
+    println!("Crash consistency: power cut at increasing log prefixes, then reopen");
+    println!(
         "{:<10} {:>10} {:>10} {:>10}",
-        "cut",
-        "log-bytes",
-        "recovered",
-        "snapshots"
+        "cut", "log-bytes", "recovered", "snapshots"
     );
-    out!("{:-<44}", "");
+    println!("{:-<44}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<10} {:>10} {:>10} {:>10}",
             format!("{:.0}%", row.cut_fraction * 100.0),
             row.cut_bytes,
@@ -144,36 +95,27 @@ pub fn print_crash(rows: &[CrashRow]) {
 
 /// Prints Table 1.
 pub fn print_table1(rows: &[Table1Row]) {
-    out!("Table 1: Application scenarios");
-    out!("{:-<100}", "");
+    println!("Table 1: Application scenarios");
+    println!("{:-<100}", "");
     for row in rows {
-        out!("{:<8} {}", row.name, row.description);
-        out!(
+        println!("{:<8} {}", row.name, row.description);
+        println!(
             "{:<8}   -> {} steps over {}, {} display commands, {} text instances",
-            "",
-            row.steps,
-            row.duration,
-            row.commands,
-            row.text_instances
+            "", row.steps, row.duration, row.commands, row.text_instances
         );
     }
 }
 
 /// Prints Figure 2 as normalized execution times.
 pub fn print_fig2(rows: &[OverheadRow]) {
-    out!("Figure 2: Recording runtime overhead (normalized execution time, baseline = 1.00)");
-    out!(
+    println!("Figure 2: Recording runtime overhead (normalized execution time, baseline = 1.00)");
+    println!(
         "{:<8} {:>10} {:>9} {:>9} {:>9} {:>9}",
-        "scenario",
-        "base(ms)",
-        "display",
-        "process",
-        "index",
-        "full"
+        "scenario", "base(ms)", "display", "process", "index", "full"
     );
-    out!("{:-<60}", "");
+    println!("{:-<60}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<8} {:>10.1} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             row.name,
             ms(row.baseline),
@@ -187,8 +129,8 @@ pub fn print_fig2(rows: &[OverheadRow]) {
 
 /// Prints Figure 3 as per-phase mean latencies.
 pub fn print_fig3(rows: &[CheckpointRow]) {
-    out!("Figure 3: Total checkpoint latency (mean per checkpoint, ms)");
-    out!(
+    println!("Figure 3: Total checkpoint latency (mean per checkpoint, ms)");
+    println!(
         "{:<8} {:>6} {:>9} {:>8} {:>8} {:>8} {:>10} {:>9} {:>9}",
         "scenario",
         "ckpts",
@@ -200,9 +142,9 @@ pub fn print_fig3(rows: &[CheckpointRow]) {
         "downtime",
         "max-down"
     );
-    out!("{:-<92}", "");
+    println!("{:-<92}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<8} {:>6} {:>9.3} {:>8.3} {:>8.3} {:>8.3} {:>10.3} {:>9.3} {:>9.3}",
             row.name,
             row.checkpoints,
@@ -219,21 +161,14 @@ pub fn print_fig3(rows: &[CheckpointRow]) {
 
 /// Prints Figure 4 as per-stream storage growth rates.
 pub fn print_fig4(rows: &[StorageRow]) {
-    out!("Figure 4: Recording storage growth (MB/s of session time)");
-    out!(
+    println!("Figure 4: Recording storage growth (MB/s of session time)");
+    println!(
         "{:<8} {:>9} {:>7} {:>7} {:>9} {:>11} {:>8} {:>10}",
-        "scenario",
-        "display",
-        "index",
-        "fs",
-        "process",
-        "proc(gz)",
-        "total",
-        "total(gz)"
+        "scenario", "display", "index", "fs", "process", "proc(gz)", "total", "total(gz)"
     );
-    out!("{:-<78}", "");
+    println!("{:-<78}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<8} {:>9.3} {:>7.3} {:>7.3} {:>9.3} {:>11.3} {:>8.3} {:>10.3}",
             row.name,
             row.display_mbps,
@@ -249,18 +184,14 @@ pub fn print_fig4(rows: &[StorageRow]) {
 
 /// Prints Figure 5 as browse/search latencies.
 pub fn print_fig5(rows: &[BrowseSearchRow]) {
-    out!("Figure 5: Browse and search latency (mean, ms)");
-    out!(
+    println!("Figure 5: Browse and search latency (mean, ms)");
+    println!(
         "{:<8} {:>10} {:>9} {:>10} {:>13}",
-        "scenario",
-        "search",
-        "browse",
-        "queries",
-        "browse-points"
+        "scenario", "search", "browse", "queries", "browse-points"
     );
-    out!("{:-<55}", "");
+    println!("{:-<55}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<8} {:>10.3} {:>9.3} {:>10} {:>13}",
             row.name,
             ms(row.search),
@@ -273,17 +204,14 @@ pub fn print_fig5(rows: &[BrowseSearchRow]) {
 
 /// Prints Figure 6 as playback speedups.
 pub fn print_fig6(rows: &[PlaybackRow]) {
-    out!("Figure 6: Playback speedup (entire record, fastest rate)");
-    out!(
+    println!("Figure 6: Playback speedup (entire record, fastest rate)");
+    println!(
         "{:<8} {:>12} {:>12} {:>9}",
-        "scenario",
-        "recorded(s)",
-        "wall(ms)",
-        "speedup"
+        "scenario", "recorded(s)", "wall(ms)", "speedup"
     );
-    out!("{:-<45}", "");
+    println!("{:-<45}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<8} {:>12.2} {:>12.1} {:>8.0}x",
             row.name,
             row.recorded.as_secs_f64(),
@@ -295,36 +223,33 @@ pub fn print_fig6(rows: &[PlaybackRow]) {
 
 /// Prints Figure 7 as five revive points per scenario.
 pub fn print_fig7(rows: &[ReviveRow]) {
-    out!("Figure 7: Revive latency (ms) at five points, uncached / cached");
-    out!("{:-<76}", "");
+    println!("Figure 7: Revive latency (ms) at five points, uncached / cached");
+    println!("{:-<76}", "");
     for row in rows {
-        outp!("{:<8}", row.name);
+        print!("{:<8}", row.name);
         for point in &row.points {
-            outp!(
+            print!(
                 "  [#{} {:.0}/{:.1}]",
                 point.counter,
                 ms(point.uncached),
                 ms(point.cached)
             );
         }
-        out!();
+        println!();
     }
-    out!("(uncached = checkpoint-store cache dropped, 2007-disk latency model)");
+    println!("(uncached = checkpoint-store cache dropped, 2007-disk latency model)");
 }
 
 /// Prints the §5.1.2 optimization ablation.
 pub fn print_ablation(rows: &[AblationRow]) {
-    out!("Ablation: checkpoint downtime with §5.1.2 optimizations disabled (octave, ms)");
-    out!(
+    println!("Ablation: checkpoint downtime with §5.1.2 optimizations disabled (octave, ms)");
+    println!(
         "{:<36} {:>12} {:>12} {:>12}",
-        "configuration",
-        "mean-down",
-        "max-down",
-        "mean-total"
+        "configuration", "mean-down", "max-down", "mean-total"
     );
-    out!("{:-<76}", "");
+    println!("{:-<76}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<36} {:>12.3} {:>12.3} {:>12.3}",
             row.config,
             vms(row.mean_downtime),
@@ -332,23 +257,20 @@ pub fn print_ablation(rows: &[AblationRow]) {
             vms(row.mean_total)
         );
     }
-    out!("(the paper reports the unoptimized mechanism could not sustain 1 checkpoint/s)");
+    println!("(the paper reports the unoptimized mechanism could not sustain 1 checkpoint/s)");
 }
 
 /// Prints the recording-quality trade-off.
 pub fn print_quality(rows: &[QualityRow]) {
-    out!("Recording quality vs storage (§2 trade-off, web workload)");
-    out!(
+    println!("Recording quality vs storage (§2 trade-off, web workload)");
+    println!(
         "{:<26} {:>14} {:>10} {:>10}",
-        "setting",
-        "display(KB)",
-        "commands",
-        "rel-size"
+        "setting", "display(KB)", "commands", "rel-size"
     );
-    out!("{:-<64}", "");
+    println!("{:-<64}", "");
     let full = rows.first().map(|r| r.display_bytes.max(1)).unwrap_or(1);
     for row in rows {
-        out!(
+        println!(
             "{:<26} {:>14.1} {:>10} {:>9.2}x",
             row.setting,
             row.display_bytes as f64 / 1e3,
@@ -360,18 +282,14 @@ pub fn print_quality(rows: &[QualityRow]) {
 
 /// Prints the mirror-tree ablation.
 pub fn print_mirror_ablation(rows: &[MirrorAblationRow]) {
-    out!("Ablation: capture daemon with vs without the mirror tree (§4.2)");
-    out!(
+    println!("Ablation: capture daemon with vs without the mirror tree (§4.2)");
+    println!(
         "{:<32} {:>8} {:>14} {:>12} {:>14}",
-        "daemon",
-        "events",
-        "delivery(ms)",
-        "per-evt(us)",
-        "tree-accesses"
+        "daemon", "events", "delivery(ms)", "per-evt(us)", "tree-accesses"
     );
-    out!("{:-<84}", "");
+    println!("{:-<84}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<32} {:>8} {:>14.3} {:>12.1} {:>14}",
             row.daemon,
             row.events,
@@ -380,24 +298,24 @@ pub fn print_mirror_ablation(rows: &[MirrorAblationRow]) {
             row.tree_accesses
         );
     }
-    out!("(events are delivered synchronously: delivery time blocks the application)");
+    println!("(events are delivered synchronously: delivery time blocks the application)");
 }
 
 /// Prints the dv-obs per-stream profile and the instrumentation
 /// overhead measurement.
 pub fn print_obs(report: &ObsReport) {
-    out!("Observability: per-stream instrumented busy time (wall-clock spans, web workload)");
-    out!("{:-<52}", "");
+    println!("Observability: per-stream instrumented busy time (wall-clock spans, web workload)");
+    println!("{:-<52}", "");
     for line in report.snapshot.render_breakdown().lines() {
-        out!("{line}");
+        println!("{line}");
     }
-    out!(
+    println!(
         "trace ring: {} events ({} dropped), checkpoints profiled: {}",
         report.snapshot.events.len(),
         report.snapshot.dropped_events,
         report.checkpoints,
     );
-    out!(
+    println!(
         "instrumentation overhead: {:.3}x wall ({:.1} ms instrumented vs {:.1} ms disabled, deferred-pipeline workload, min of 3)",
         report.overhead_ratio(),
         ms(report.instrumented_wall),
@@ -405,10 +323,11 @@ pub fn print_obs(report: &ObsReport) {
     );
 }
 
-/// Prints a dv-net fan-out sweep (classic or wide).
+/// Prints a dv-net fan-out sweep (classic or wide). Unit-cost ratios
+/// between rows are gate metrics, printed with the suite's other metrics.
 pub fn print_net(rows: &[NetRow]) {
-    out!("Remote access: dv-net loopback fan-out (one live session, N viewers)");
-    out!(
+    println!("Remote access: dv-net loopback fan-out (one live session, N viewers)");
+    println!(
         "{:<7} {:>9} {:>11} {:>11} {:>9} {:>9} {:>11} {:>11} {:>10} {:>10}",
         "clients",
         "commands",
@@ -421,9 +340,9 @@ pub fn print_net(rows: &[NetRow]) {
         "enc/batch",
         "converged"
     );
-    out!("{:-<107}", "");
+    println!("{:-<107}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<7} {:>9} {:>11} {:>11.1} {:>9.3} {:>9.3} {:>11.0} {:>10.2}% {:>10.3} {:>10}",
             row.fanout,
             row.commands,
@@ -437,53 +356,29 @@ pub fn print_net(rows: &[NetRow]) {
             if row.all_converged { "ok" } else { "DIVERGED" },
         );
     }
-    // Unit-cost growth vs the sweep's smallest point (1 viewer in the
-    // classic sweep, 64 in the wide one).
-    if let Some(base) = rows.iter().min_by_key(|r| r.fanout) {
-        for row in rows.iter().filter(|r| r.fanout > base.fanout) {
-            out!(
-                "  {} clients: {:.3}x per-client unit cost vs {}-viewer baseline",
-                row.fanout,
-                row.per_client_command_us() / base.per_client_command_us().max(1e-9),
-                base.fanout,
-            );
-        }
-    }
 }
 
 /// Prints the dv-host session sweep and interference measurement.
 pub fn print_host(report: &HostReport) {
-    out!("Multi-tenant host: N sessions over one shared commit pool");
-    out!(
+    println!("Multi-tenant host: N sessions over one shared commit pool");
+    println!(
         "{:<9} {:>12} {:>11} {:>9} {:>12} {:>18}",
-        "sessions",
-        "checkpoints",
-        "committed",
-        "inline",
-        "us/ckpt",
-        "fingerprint"
+        "sessions", "checkpoints", "committed", "inline", "us/ckpt", "fingerprint"
     );
-    out!("{:-<78}", "");
+    println!("{:-<78}", "");
     for row in &report.rows {
-        out!(
+        println!(
             "{:<9} {:>12} {:>11} {:>9} {:>12.2} {:>18x}",
             row.sessions,
             row.checkpoints,
             row.committed,
             row.inline_fallbacks,
-            row.per_checkpoint_us(),
+            row.checkpoint_p50.as_secs_f64() * 1e6,
             row.fingerprint,
         );
     }
-    for row in report.rows.iter().filter(|r| r.sessions > 1) {
-        out!(
-            "  {} sessions: {:.3}x per-checkpoint unit cost vs single session",
-            row.sessions,
-            row.per_session_ratio,
-        );
-    }
     let i = &report.interference;
-    out!(
+    println!(
         "  interference ({} clean neighbours of 1 faulted tenant): median neighbour \
          checkpoint {:.2}us clean vs {:.2}us faulted ({:.3}x)",
         i.neighbors,
@@ -491,7 +386,7 @@ pub fn print_host(report: &HostReport) {
         i.faulted_stall_p50.as_secs_f64() * 1e6,
         i.interference_ratio(),
     );
-    out!(
+    println!(
         "  neighbour degradations {}, faulted tenant degradations {}, neighbour \
          fingerprints {}, fault trace {}",
         i.neighbors_degraded,
@@ -511,19 +406,14 @@ pub fn print_host(report: &HostReport) {
 
 /// Prints the sharded-index measurement.
 pub fn print_index(report: &IndexReport) {
-    out!("Sharded index: ingest + cross-session query fan-out");
-    out!(
+    println!("Sharded index: ingest + cross-session query fan-out");
+    println!(
         "{:<9} {:>8} {:>9} {:>12} {:>11} {:>11}",
-        "sessions",
-        "states",
-        "segments",
-        "states/s",
-        "qry p50 us",
-        "qry p99 us"
+        "sessions", "states", "segments", "states/s", "qry p50 us", "qry p99 us"
     );
-    out!("{:-<66}", "");
+    println!("{:-<66}", "");
     for row in &report.rows {
-        out!(
+        println!(
             "{:<9} {:>8} {:>9} {:>12.0} {:>11.2} {:>11.2}",
             row.sessions,
             row.states,
@@ -533,15 +423,8 @@ pub fn print_index(report: &IndexReport) {
             row.query_p99.as_secs_f64() * 1e6,
         );
     }
-    for row in report.rows.iter().filter(|r| r.sessions > 1) {
-        out!(
-            "  {} sessions: {:.3}x per-tenant p99 unit cost vs single session",
-            row.sessions,
-            row.unit_ratio,
-        );
-    }
     let c = &report.compaction;
-    out!(
+    println!(
         "  compaction: {} -> {} live segments, {:.1} -> {:.1} probes/query ({:.2}x fewer), \
          p99 {:.2}us -> {:.2}us, answers {}",
         c.segments_before,
@@ -557,7 +440,7 @@ pub fn print_index(report: &IndexReport) {
             "CHANGED"
         },
     );
-    out!(
+    println!(
         "  revive snapshot consistency: {}",
         if report.snapshot_consistent {
             "exactly the hits sealed at or before each checkpoint"
@@ -569,8 +452,8 @@ pub fn print_index(report: &IndexReport) {
 
 /// Prints the dv-vidx visual-recall measurement.
 pub fn print_visual(report: &VisualReport) {
-    out!("Visual recall: nearest-thumbnail query fan-out vs the linear-scan oracle");
-    out!(
+    println!("Visual recall: nearest-thumbnail query fan-out vs the linear-scan oracle");
+    println!(
         "{:<9} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>11} {:>11}",
         "sessions",
         "keyframes",
@@ -582,9 +465,9 @@ pub fn print_visual(report: &VisualReport) {
         "qry p50 us",
         "qry p99 us"
     );
-    out!("{:-<92}", "");
+    println!("{:-<92}", "");
     for row in &report.rows {
-        out!(
+        println!(
             "{:<9} {:>9} {:>9} {:>9} {:>8.3} {:>9.3} {:>8.1}x {:>11.2} {:>11.2}",
             row.sessions,
             row.keyframes,
@@ -597,14 +480,7 @@ pub fn print_visual(report: &VisualReport) {
             row.query_p99.as_secs_f64() * 1e6,
         );
     }
-    for row in report.rows.iter().filter(|r| r.sessions > 1) {
-        out!(
-            "  {} sessions: {:.3}x per-tenant p99 unit cost vs single session",
-            row.sessions,
-            row.unit_ratio,
-        );
-    }
-    out!(
+    println!(
         "  revive snapshot consistency: {}",
         if report.snapshot_consistent {
             "exactly the instances sealed at or before each checkpoint"
@@ -616,8 +492,8 @@ pub fn print_visual(report: &VisualReport) {
 
 /// Prints the dv-cas dedup measurement.
 pub fn print_dedup(rows: &[DedupRow]) {
-    out!("Dedup: content-addressed chunk store under checkpoint traffic (vs dedup off)");
-    out!(
+    println!("Dedup: content-addressed chunk store under checkpoint traffic (vs dedup off)");
+    println!(
         "{:<14} {:>7} {:>6} {:>12} {:>13} {:>7} {:>7} {:>9} {:>10} {:>12}",
         "workload",
         "tenants",
@@ -630,9 +506,9 @@ pub fn print_dedup(rows: &[DedupRow]) {
         "plain-MB/s",
         "restores"
     );
-    out!("{:-<104}", "");
+    println!("{:-<104}", "");
     for row in rows {
-        out!(
+        println!(
             "{:<14} {:>7} {:>6} {:>12.1} {:>13.1} {:>6.2}x {:>7} {:>9.1} {:>10.1} {:>12}",
             row.workload,
             row.tenants,
@@ -651,7 +527,7 @@ pub fn print_dedup(rows: &[DedupRow]) {
         );
     }
     for row in rows {
-        out!(
+        println!(
             "  {}: {} chunk hits, stored {:.1}x less than dedup-off",
             row.workload,
             row.dedup_hits,
@@ -662,18 +538,17 @@ pub fn print_dedup(rows: &[DedupRow]) {
 
 /// Prints the §6 policy-effectiveness analysis.
 pub fn print_policy(stats: &PolicyStats) {
-    let total = stats.total() as f64;
     let skips = (stats.total() - stats.checkpoints) as f64;
-    out!("Checkpoint policy effectiveness (desktop trace, §6)");
-    out!("{:-<60}", "");
-    out!(
+    println!("Checkpoint policy effectiveness (desktop trace, §6)");
+    println!("{:-<60}", "");
+    println!(
         "evaluations: {}   checkpoints taken: {} ({:.0}% of the time; paper: ~20%)",
         stats.total(),
         stats.checkpoints,
         100.0 * stats.checkpoint_fraction()
     );
     if skips > 0.0 {
-        out!(
+        println!(
             "skips: {:.0}% no display activity (paper 13%), {:.0}% low display activity (paper 69%), {:.0}% text-edit rate (paper 18%), {:.0}% fullscreen/rate/other",
             100.0 * stats.no_display as f64 / skips,
             100.0 * stats.low_display as f64 / skips,
@@ -681,5 +556,4 @@ pub fn print_policy(stats: &PolicyStats) {
             100.0 * (stats.fullscreen + stats.rate_limited + stats.custom_rule) as f64 / skips,
         );
     }
-    let _ = total;
 }

@@ -1161,8 +1161,7 @@ mod tests {
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, b"ablated but correct").unwrap();
         let report = engine.checkpoint(&mut vee, &store).unwrap();
-        let image =
-            crate::restore::load_image(&mut store.lock(), "ckpt", report.counter, false).unwrap();
+        let image = crate::restore::load_image(&mut store.lock(), "ckpt", report.counter).unwrap();
         assert_eq!(&image.processes[0].pages[0].1[..19], b"ablated but correct");
     }
 
@@ -1299,7 +1298,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &engine.chain_for(2).unwrap(),
-            false,
             2,
             vee.clock(),
             Box::new(Lsfs::new()),

@@ -157,7 +157,7 @@ impl std::fmt::Display for ImageError {
 
 impl std::error::Error for ImageError {}
 
-const MAGIC: &[u8; 8] = b"DVCKPT01";
+pub(crate) const MAGIC: &[u8; 8] = b"DVCKPT01";
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.put_u32_le(s.len() as u32);

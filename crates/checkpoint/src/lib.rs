@@ -30,7 +30,9 @@ pub use policy::{
     CheckpointPolicy, Decision, LoadRule, PolicyConfig, PolicyInput, PolicyRule, PolicyStats,
     SkipReason,
 };
-pub use restore::{load_image, revive, NetworkPolicy, ReviveError, ReviveReport};
+pub use restore::{
+    load_image, restore_fingerprint, revive, NetworkPolicy, ReviveError, ReviveReport,
+};
 pub use writeback::{
     AuxTask, CommitError, CommitOutcome, CommitPipeline, FairPolicy, LaneId, PipelineConfig,
 };

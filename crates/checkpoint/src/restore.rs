@@ -9,6 +9,7 @@
 //! stateless ones restored, and network access follows the revive
 //! policy.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -20,7 +21,8 @@ use dv_vee::{
 };
 
 use crate::compress::decompress;
-use crate::image::{decode_image, CheckpointImage, FdRecord, ImageError};
+use crate::engine::Checkpointer;
+use crate::image::{decode_image, CheckpointImage, FdRecord, ImageError, MAGIC};
 
 /// Per-application network policy applied when reviving (§5.2: network
 /// access is disabled by default; the user can re-enable per app).
@@ -64,6 +66,9 @@ pub enum ReviveError {
     BadImage(ImageError),
     /// A file in the image could not be reopened in the restored view.
     FileRestore(String, FsError),
+    /// A region to fingerprint (vpid, address) is not mapped in the
+    /// revived session.
+    UnmappedRegion(u64, u64),
 }
 
 impl std::fmt::Display for ReviveError {
@@ -75,6 +80,9 @@ impl std::fmt::Display for ReviveError {
             }
             ReviveError::BadImage(e) => write!(f, "checkpoint image corrupt: {e}"),
             ReviveError::FileRestore(path, e) => write!(f, "cannot restore file {path}: {e}"),
+            ReviveError::UnmappedRegion(vpid, addr) => {
+                write!(f, "process {vpid} has nothing mapped at {addr:#x}")
+            }
         }
     }
 }
@@ -96,23 +104,29 @@ pub struct ReviveReport {
     pub files_reopened: usize,
 }
 
+/// The encoded image inside a stored blob, which describes itself: a
+/// raw image opens with its `DVCKPT01` magic, and anything else is
+/// compressed — a chunked container, or the bare stream older archives
+/// hold, neither of which can start with that magic's `D`.
+fn image_plaintext(counter: u64, data: &[u8]) -> Result<Cow<'_, [u8]>, ReviveError> {
+    if data.starts_with(MAGIC) {
+        Ok(Cow::Borrowed(data))
+    } else {
+        decompress(data)
+            .map(Cow::Owned)
+            .ok_or(ReviveError::BadCompression(counter))
+    }
+}
+
 /// Loads and decodes one image blob.
 pub fn load_image(
     store: &mut BlobStore,
     blob_prefix: &str,
     counter: u64,
-    compressed: bool,
 ) -> Result<CheckpointImage, ReviveError> {
     let blob = format!("{blob_prefix}-{counter:08}");
     let data = store.get(&blob).ok_or(ReviveError::MissingImage(counter))?;
-    let raw;
-    let bytes: &[u8] = if compressed {
-        raw = decompress(&data).ok_or(ReviveError::BadCompression(counter))?;
-        &raw
-    } else {
-        &data
-    };
-    decode_image(bytes).map_err(ReviveError::BadImage)
+    decode_image(&image_plaintext(counter, &data)?).map_err(ReviveError::BadImage)
 }
 
 /// Revives a session from the image chain `chain` (as produced by
@@ -126,7 +140,6 @@ pub fn revive(
     store: &mut BlobStore,
     blob_prefix: &str,
     chain: &[u64],
-    compressed: bool,
     vee_id: u64,
     clock: SharedClock,
     mut fs: Box<dyn Filesystem>,
@@ -141,7 +154,7 @@ pub fn revive(
     // state of the desktop session has been reinstated").
     let mut images = Vec::with_capacity(chain.len());
     for &counter in chain {
-        images.push(load_image(store, blob_prefix, counter, compressed)?);
+        images.push(load_image(store, blob_prefix, counter)?);
         report.images_loaded += 1;
     }
     let target = images.last().expect("non-empty chain");
@@ -281,6 +294,67 @@ pub fn revive(
     Ok((vee, report))
 }
 
+/// FNV-1a over `bytes`, folded into `hash`.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Fingerprints an engine's committed history and the state revived
+/// from its final checkpoint: FNV-1a over every image's counter and
+/// plaintext, then over the revived memory of each `(vpid, addr, len)`
+/// region. Two runs that recorded the same activity at the same session
+/// times produce the same fingerprint however their images were
+/// committed (worker count, dedup, compression timing) — the oracle
+/// equality the isolation tests and the bench gates assert. Settle the
+/// engine's commits (`flush`) first so the history is complete. The
+/// final revive's report comes back with the fingerprint (all zeroes
+/// for an engine that never checkpointed).
+pub fn restore_fingerprint(
+    engine: &Checkpointer,
+    store: &mut BlobStore,
+    regions: &[(Vpid, u64, usize)],
+) -> Result<(u64, ReviveReport), ReviveError> {
+    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+    let mut last = None;
+    for meta in engine.images() {
+        let data = store
+            .get(&meta.blob)
+            .ok_or(ReviveError::MissingImage(meta.counter))?;
+        fnv1a(&mut fingerprint, &meta.counter.to_le_bytes());
+        fnv1a(&mut fingerprint, &image_plaintext(meta.counter, &data)?);
+        last = Some(meta.counter);
+    }
+    let Some(last) = last else {
+        return Ok((fingerprint, ReviveReport::default()));
+    };
+    let chain = engine
+        .chain_for(last)
+        .ok_or(ReviveError::MissingImage(last))?;
+    // The revived environment exists only to be read back, so it gets a
+    // scratch file system, clock and pid space of its own.
+    let (revived, report) = revive(
+        store,
+        engine.blob_prefix(),
+        &chain,
+        0,
+        dv_time::SimClock::new().shared(),
+        Box::new(dv_lsfs::Lsfs::new()),
+        HostPidAllocator::new(),
+        &NetworkPolicy::default(),
+    )?;
+    for &(vpid, addr, len) in regions {
+        let memory = revived
+            .mem_read(vpid, addr, len)
+            .map_err(|_| ReviveError::UnmappedRegion(vpid.0, addr))?;
+        fnv1a(&mut fingerprint, &vpid.0.to_le_bytes());
+        fnv1a(&mut fingerprint, &memory);
+    }
+    Ok((fingerprint, report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +409,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             clock.shared(),
             revive_fs(),
@@ -383,7 +456,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             clock.shared(),
             revive_fs(),
@@ -415,7 +487,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             clock.shared(),
             revive_fs(),
@@ -443,7 +514,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             clock.shared(),
             revive_fs(),
@@ -479,7 +549,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             clock.shared(),
             revive_fs(),
@@ -525,7 +594,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             clock.shared(),
             Box::new(view),
@@ -548,7 +616,6 @@ mod tests {
             &mut store.lock(),
             "ckpt",
             &[7],
-            false,
             2,
             clock.shared(),
             revive_fs(),
@@ -583,18 +650,30 @@ mod tests {
         vee.mem_write(p, addr, b"compressed state").unwrap();
         engine.checkpoint(&mut vee, &store).unwrap();
         clock.advance(Duration::from_secs(1));
-        let (revived, _) = revive(
-            &mut store.lock(),
-            "ckpt",
-            &[1],
-            true,
-            2,
-            clock.shared(),
-            Box::new(Lsfs::new()),
-            host_pids(),
-            &NetworkPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(revived.mem_read(p, addr, 16).unwrap(), b"compressed state");
+        let revive_first = || {
+            let (revived, _) = revive(
+                &mut store.lock(),
+                "ckpt",
+                &[1],
+                2,
+                clock.shared(),
+                Box::new(Lsfs::new()),
+                host_pids(),
+                &NetworkPolicy::default(),
+            )
+            .unwrap();
+            revived.mem_read(p, addr, 16).unwrap()
+        };
+        assert_eq!(revive_first(), b"compressed state");
+
+        // The same image as older archives hold it: one bare stream,
+        // no container around it.
+        let blob = engine.images().next().unwrap().blob.clone();
+        let stored = store.lock().get(&blob).unwrap().to_vec();
+        assert_eq!(stored[0], 0x02, "the engine stores a chunked container");
+        let bare = crate::compress::compress(&decompress(&stored).unwrap());
+        assert!(bare[0] <= 0x01);
+        store.lock().put(&blob, bare).unwrap();
+        assert_eq!(revive_first(), b"compressed state");
     }
 }

@@ -124,6 +124,12 @@ impl DejaView {
         }
         config.width = buf.get_u32_le();
         config.height = buf.get_u32_le();
+        // Every component sizes a framebuffer from these two fields, so
+        // they are checked before any component is built.
+        let plausible = 1..=dv_record::MAX_SCREEN_SIDE;
+        if !plausible.contains(&config.width) || !plausible.contains(&config.height) {
+            return Err(ArchiveError("implausible screen size").into());
+        }
         let now = Timestamp::from_nanos(buf.get_u64_le());
 
         let record_bytes = get_section(&mut buf)?;
@@ -170,7 +176,11 @@ mod tests {
     use dv_vee::Vpid;
 
     fn recorded_server() -> DejaView {
-        let mut dv = DejaView::new(Config::default());
+        recorded_server_with(Config::default())
+    }
+
+    fn recorded_server_with(config: Config) -> DejaView {
+        let mut dv = DejaView::new(config);
         let init = dv.init_vpid();
         dv.vee_mut().spawn(Some(init), "editor").unwrap();
         dv.vee_mut().fs.mkdir_all("/home").unwrap();
@@ -219,6 +229,49 @@ mod tests {
             b"archived draft"
         );
         assert_eq!(session.vee.process(Vpid(2)).unwrap().name, "editor");
+    }
+
+    /// A stored image says whether it is compressed, so an archive
+    /// written under `engine.compress` revives under a reader whose
+    /// config never mentions it (this used to fail with
+    /// `BadImage("bad magic")`).
+    #[test]
+    fn compressed_archive_revives_under_a_default_config() {
+        let mut original = recorded_server_with(Config {
+            engine: dv_checkpoint::EngineConfig {
+                compress: true,
+                ..dv_checkpoint::EngineConfig::default()
+            },
+            ..Config::default()
+        });
+        let archive = original.save_archive().unwrap();
+        let mut restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+        let sid = restored.take_me_back(Timestamp::from_secs(2)).unwrap();
+        let session = restored.session(sid).unwrap();
+        assert_eq!(
+            session.vee.fs.read_all("/home/doc").unwrap(),
+            b"archived draft"
+        );
+        assert_eq!(session.vee.process(Vpid(2)).unwrap().name, "editor");
+    }
+
+    /// The header's screen size reaches every framebuffer constructor,
+    /// so a damaged one is refused before anything is built: a zero
+    /// side used to panic, a huge one to overflow `width * height` or
+    /// abort on the allocation.
+    #[test]
+    fn implausible_screen_sizes_are_refused() {
+        let archive = recorded_server().save_archive().unwrap();
+        for (at, bytes) in [
+            (8, 0u32.to_le_bytes()),
+            (12, 0u32.to_le_bytes()),
+            (8, u32::MAX.to_le_bytes()),
+            (12, 0x0001_0000u32.to_le_bytes()),
+        ] {
+            let mut damaged = archive.clone();
+            damaged[at..at + 4].copy_from_slice(&bytes);
+            assert!(DejaView::load_archive(Config::default(), &damaged).is_err());
+        }
     }
 
     /// The open visual strip — keyframes no seal has made durable —

@@ -83,7 +83,6 @@ pub struct DejaView {
     next_session_id: u64,
     revive_network: NetworkPolicy,
     engine_config: dv_checkpoint::EngineConfig,
-    compress: bool,
     width: u32,
     height: u32,
     clipboard: String,
@@ -138,7 +137,6 @@ impl DejaView {
         } else {
             Obs::new(clock.shared())
         };
-        let compress = engine.compress;
         let mut driver = VirtualDisplayDriver::new(width, height, clock.shared());
         driver.set_obs(obs.clone());
         let recorder = Arc::new(Mutex::new(DisplayRecorder::new(width, height, recorder)));
@@ -270,7 +268,6 @@ impl DejaView {
             revived: std::collections::BTreeMap::new(),
             next_session_id: 1,
             revive_network,
-            compress,
             width,
             height,
             pending_user_input: false,
@@ -529,38 +526,49 @@ impl DejaView {
         self.system_load = load;
     }
 
-    /// Takes a checkpoint, retrying with exponential backoff (on the
-    /// session clock) what the engine could not absorb: a failed
-    /// snapshot point, or a commit that resolved within the call and
-    /// failed (its own store-write retries exhausted, or cascaded).
-    /// Each failed attempt counts as one degradation event; the error
-    /// is returned only once the retry budget is exhausted.
-    fn checkpoint_with_retry(&mut self) -> Result<CheckpointReport, ServerError> {
+    /// Runs `op` under the storage retry policy: each failure counts as
+    /// one degradation event; up to `io_retry_limit` failures are
+    /// retried — counted under `retries`, traced as `label` — after an
+    /// exponential backoff on the session clock, and the error is
+    /// returned only once that budget is exhausted.
+    fn with_retry<T, E: std::fmt::Debug>(
+        &mut self,
+        label: &str,
+        retries: &'static str,
+        mut op: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<T, E> {
         let mut backoff = self.io_retry_backoff;
         let mut attempt = 0u32;
         loop {
-            match self.engine.checkpoint(&mut self.vee, &self.store) {
-                Ok(report) => {
-                    self.seal_indexes(report.counter);
-                    return Ok(report);
-                }
-                Err(e) => {
-                    self.obs.incr(names::SERVER_DEGRADED_EVENTS);
-                    if attempt >= self.io_retry_limit {
-                        return Err(e.into());
-                    }
-                    attempt += 1;
-                    self.obs.incr(names::SERVER_CHECKPOINT_RETRIES);
-                    self.obs.event(
-                        "server",
-                        names::EV_SERVER_RETRY,
-                        format!("checkpoint attempt={attempt} error={e:?}"),
-                    );
-                    self.clock.advance(backoff);
-                    backoff = Duration::from_nanos(backoff.as_nanos().saturating_mul(2));
-                }
+            let e = match op(self) {
+                Ok(done) => return Ok(done),
+                Err(e) => e,
+            };
+            self.obs.incr(names::SERVER_DEGRADED_EVENTS);
+            if attempt >= self.io_retry_limit {
+                return Err(e);
             }
+            attempt += 1;
+            self.obs.incr(retries);
+            self.obs.event(
+                "server",
+                names::EV_SERVER_RETRY,
+                format!("{label} attempt={attempt} error={e:?}"),
+            );
+            self.clock.advance(backoff);
+            backoff = Duration::from_nanos(backoff.as_nanos().saturating_mul(2));
         }
+    }
+
+    /// Takes a checkpoint, retrying what the engine could not absorb: a
+    /// failed snapshot point, or a commit that resolved within the call
+    /// and failed (its own store-write retries exhausted, or cascaded).
+    fn checkpoint_with_retry(&mut self) -> Result<CheckpointReport, ServerError> {
+        let report = self.with_retry("checkpoint", names::SERVER_CHECKPOINT_RETRIES, |dv| {
+            dv.engine.checkpoint(&mut dv.vee, &dv.store)
+        })?;
+        self.seal_indexes(report.counter);
+        Ok(report)
     }
 
     /// Seals the open index shard and the open visual strip at a
@@ -587,39 +595,17 @@ impl DejaView {
         }
     }
 
-    /// Flushes the text index as a storable segment, retrying failed
-    /// flushes with the same backoff policy as checkpoints. Corrupt
-    /// flushes succeed here (silent corruption) and are caught by
-    /// `decode_index` on reload.
+    /// Flushes the text index as a storable segment under the same
+    /// retry policy as checkpoints. Corrupt flushes succeed here (silent
+    /// corruption) and are caught by `decode_index` on reload.
     pub(crate) fn flush_index_with_retry(&mut self) -> Result<Vec<u8>, ServerError> {
-        let mut backoff = self.io_retry_backoff;
-        let mut attempt = 0u32;
-        loop {
-            let flushed = {
-                let now = self.now();
-                let mut index = self.index.lock();
-                index.advance_horizon(now);
-                dv_index::flush_segment(&index, &self.fault_plane)
-            };
-            match flushed {
-                Ok(bytes) => return Ok(bytes),
-                Err(e) => {
-                    self.obs.incr(names::SERVER_DEGRADED_EVENTS);
-                    if attempt >= self.io_retry_limit {
-                        return Err(SegmentError::Failed(e.to_string()).into());
-                    }
-                    attempt += 1;
-                    self.obs.incr(names::SERVER_INDEX_FLUSH_RETRIES);
-                    self.obs.event(
-                        "server",
-                        names::EV_SERVER_RETRY,
-                        format!("index-flush attempt={attempt} error={e:?}"),
-                    );
-                    self.clock.advance(backoff);
-                    backoff = Duration::from_nanos(backoff.as_nanos().saturating_mul(2));
-                }
-            }
-        }
+        self.with_retry("index-flush", names::SERVER_INDEX_FLUSH_RETRIES, |dv| {
+            let now = dv.now();
+            let mut index = dv.index.lock();
+            index.advance_horizon(now);
+            dv_index::flush_segment(&index, &dv.fault_plane)
+        })
+        .map_err(|e| SegmentError::Failed(e.to_string()).into())
     }
 
     /// Takes a checkpoint unconditionally (with the storage retry
@@ -1009,7 +995,6 @@ impl DejaView {
             &mut self.store.lock(),
             blob_prefix,
             chain,
-            self.compress,
             id,
             self.clock.shared(),
             Box::new(branch.clone()),

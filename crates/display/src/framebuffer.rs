@@ -89,7 +89,7 @@ impl Framebuffer {
         Framebuffer {
             width,
             height,
-            pixels: Arc::new(vec![0; (width * height) as usize]),
+            pixels: Arc::new(vec![0; width as usize * height as usize]),
         }
     }
 

@@ -640,9 +640,8 @@ impl Host {
     }
 
     /// Fingerprints a tenant's committed checkpoint history and the
-    /// state revived from its final checkpoint: FNV-1a over every
-    /// image's counter and decompressed plaintext, then over the
-    /// revived memory of each `(vpid, addr, len)` region. Two runs that
+    /// state revived from its final checkpoint, once its lane has
+    /// settled ([`dv_checkpoint::restore_fingerprint`]). Two runs that
     /// recorded the same tenant activity at the same session times
     /// produce the same fingerprint — the oracle equality the
     /// isolation tests assert.
@@ -653,61 +652,10 @@ impl Host {
     ) -> Result<u64, HostError> {
         // Settle the lane first so the fingerprint covers every commit.
         let _ = self.flush_session(id);
-        let tenant = self
-            .tenants
-            .get_mut(&id)
-            .ok_or(HostError::UnknownTenant(id))?;
-        let engine = tenant.server.engine();
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-        let metas: Vec<(u64, String)> = engine
-            .images()
-            .map(|m| (m.counter, m.blob.clone()))
-            .collect();
-        let compressed = self.config.compress;
-        for (counter, blob) in &metas {
-            fnv1a(&mut fingerprint, &counter.to_le_bytes());
-            let data =
-                self.store
-                    .with(|s| s.get(blob).map(|d| d.to_vec()))
-                    .ok_or(HostError::Server(ServerError::from(
-                        dv_lsfs::FsError::NotFound,
-                    )))?;
-            let plain = if compressed {
-                dv_checkpoint::decompress(&data)
-                    .ok_or(HostError::Server(ServerError::from(dv_lsfs::FsError::Io)))?
-            } else {
-                data
-            };
-            fnv1a(&mut fingerprint, &plain);
-        }
-        let Some((last, _)) = metas.last() else {
-            return Ok(fingerprint);
-        };
-        let last = *last;
-        let chain = engine
-            .chain_for(last)
-            .ok_or(HostError::Server(ServerError::from(dv_lsfs::FsError::Io)))?;
-        let prefix = engine.blob_prefix().to_string();
-        let (revived, _report) = dv_checkpoint::revive(
-            &mut self.store.lock(),
-            &prefix,
-            &chain,
-            compressed,
-            9_000 + id,
-            self.clock.shared(),
-            Box::new(dv_lsfs::Lsfs::new()),
-            dv_vee::HostPidAllocator::new(),
-            &dv_checkpoint::NetworkPolicy::default(),
-        )
-        .map_err(|_| HostError::Server(ServerError::from(dv_lsfs::FsError::Io)))?;
-        for &(vpid, addr, len) in regions {
-            fnv1a(&mut fingerprint, &vpid.0.to_le_bytes());
-            let memory = revived
-                .mem_read(vpid, addr, len)
-                .map_err(|_| HostError::Server(ServerError::from(dv_lsfs::FsError::Io)))?;
-            fnv1a(&mut fingerprint, &memory);
-        }
-        Ok(fingerprint)
+        let tenant = self.tenants.get(&id).ok_or(HostError::UnknownTenant(id))?;
+        dv_checkpoint::restore_fingerprint(tenant.server.engine(), &mut self.store.lock(), regions)
+            .map(|(fingerprint, _)| fingerprint)
+            .map_err(|e| HostError::Server(e.into()))
     }
 
     /// Snapshots observability across the host: the host's own
@@ -729,14 +677,6 @@ impl Host {
             rollup,
             tenants,
         }
-    }
-}
-
-/// FNV-1a over `bytes`, folded into `hash`.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
     }
 }
 

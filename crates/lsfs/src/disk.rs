@@ -17,6 +17,11 @@ use crate::error::{FsError, FsResult};
 /// Default segment capacity: 1 MiB, mirroring NILFS-scale segments.
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 1 << 20;
 
+/// Largest segment capacity [`Disk::from_bytes`] accepts: a thousand
+/// times what any writer here uses, small enough that a damaged header
+/// cannot make the first append after a load reserve an absurd segment.
+pub const MAX_SEGMENT_CAPACITY: usize = 1 << 30;
+
 /// An append-only, segment-backed byte log.
 #[derive(Debug)]
 pub struct Disk {
@@ -88,7 +93,7 @@ impl Disk {
     }
 
     /// Appends without fault injection: internal relocations (log
-    /// compaction, deserialization) that do not model device IO.
+    /// compaction, a torn journal prefix) that do not model device IO.
     pub(crate) fn append_raw(&mut self, data: &[u8]) -> u64 {
         let offset = self.len;
         let mut remaining = data;
@@ -160,18 +165,21 @@ impl Disk {
     }
 
     /// Reconstructs a log from [`Disk::to_bytes`] output. Returns
-    /// `None` on malformed data.
+    /// `None` on malformed data. The header is untrusted: lengths are
+    /// compared without arithmetic that can overflow, a segment
+    /// capacity no writer produces is refused (it would size the next
+    /// live append's reservation), and each segment is built from the
+    /// bytes actually present rather than reserved at `seg_capacity`.
     pub fn from_bytes(data: &[u8]) -> Option<Disk> {
-        if data.len() < 16 {
-            return None;
-        }
-        let seg_capacity = u64::from_le_bytes(data[..8].try_into().ok()?) as usize;
+        let body = data.get(16..)?;
+        let seg_capacity = usize::try_from(u64::from_le_bytes(data[..8].try_into().ok()?)).ok()?;
         let len = u64::from_le_bytes(data[8..16].try_into().ok()?);
-        if seg_capacity == 0 || data.len() as u64 != 16 + len {
+        if seg_capacity == 0 || seg_capacity > MAX_SEGMENT_CAPACITY || body.len() as u64 != len {
             return None;
         }
         let mut disk = Disk::with_segment_capacity(seg_capacity);
-        disk.append_raw(&data[16..]);
+        disk.segments = body.chunks(seg_capacity).map(<[u8]>::to_vec).collect();
+        disk.len = len;
         Some(disk)
     }
 }
@@ -239,6 +247,34 @@ mod tests {
         assert_eq!(restored.read(a, 12), b"first record");
         assert_eq!(restored.read(b, 40), vec![7u8; 40]);
         assert!(Disk::from_bytes(&disk.to_bytes()[..10]).is_none());
+        // A loaded log keeps appending where it left off.
+        let mut restored = restored;
+        let c = restored.append(b"after load").unwrap();
+        assert_eq!(c, disk.bytes_written());
+        assert_eq!(restored.read(c, 10), b"after load");
+        assert_eq!(restored.read(b, 40), vec![7u8; 40]);
+    }
+
+    /// Header fields are untrusted: a length near `u64::MAX` used to
+    /// overflow `16 + len`, and a huge segment capacity used to size a
+    /// `Vec::with_capacity` that aborted the process.
+    #[test]
+    fn hostile_headers_are_refused_without_allocating() {
+        let header = |cap: u64, len: u64| {
+            let mut bytes = cap.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes
+        };
+        assert!(Disk::from_bytes(&header(16, u64::MAX)).is_none());
+        assert!(Disk::from_bytes(&header(16, u64::MAX - 15)).is_none());
+        assert!(Disk::from_bytes(&header(0, 0)).is_none());
+        assert!(Disk::from_bytes(&header(u64::MAX, 0)).is_none());
+        assert!(Disk::from_bytes(&header(MAX_SEGMENT_CAPACITY as u64 + 1, 0)).is_none());
+        let mut huge = header(MAX_SEGMENT_CAPACITY as u64, 3);
+        huge.extend_from_slice(b"abc");
+        let disk = Disk::from_bytes(&huge).expect("largest accepted capacity");
+        assert_eq!(disk.read(0, 3), b"abc");
+        assert!(disk.segments[0].capacity() < 1024, "sized by the data");
     }
 
     #[test]

@@ -11,6 +11,10 @@ use std::sync::Arc;
 
 use dv_display::Screenshot;
 
+/// The widest or tallest screen a stored header may claim. Decoders
+/// refuse anything larger before sizing an allocation from it.
+pub const MAX_SCREEN_SIDE: u32 = 16_384;
+
 /// Encodes a screenshot as `[w u32][h u32]` followed by
 /// `[run_len u32][pixel u32]` pairs.
 pub fn encode_screenshot(shot: &Screenshot) -> Vec<u8> {
@@ -48,7 +52,7 @@ pub fn decode_screenshot(data: &[u8]) -> Option<Screenshot> {
     let height = u32::from_le_bytes(data[4..8].try_into().ok()?);
     // Reject implausible dimensions before allocating: corrupt data
     // must not drive allocation size.
-    if width > 16_384 || height > 16_384 {
+    if width > MAX_SCREEN_SIDE || height > MAX_SCREEN_SIDE {
         return None;
     }
     let total = width as usize * height as usize;

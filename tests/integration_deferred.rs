@@ -91,7 +91,6 @@ fn commits_in_flight_are_isolated_from_later_writes() {
             &mut store.lock(),
             engine.blob_prefix(),
             &chain,
-            true,
             2,
             clock.shared(),
             Box::new(Lsfs::new()),
@@ -182,7 +181,6 @@ fn drain_under_fault_accounts_every_queued_image() {
         &mut store.lock(),
         engine.blob_prefix(),
         &chain,
-        true,
         2,
         clock.shared(),
         Box::new(Lsfs::new()),

@@ -243,7 +243,6 @@ proptest! {
             &mut h.store.lock(),
             "ckpt",
             &chain,
-            false,
             2,
             h.clock.shared(),
             Box::new(Lsfs::new()),

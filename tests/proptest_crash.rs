@@ -265,7 +265,6 @@ proptest! {
             &mut store.lock(),
             "ckpt",
             &chain,
-            true,
             2,
             clock.shared(),
             Box::new(Lsfs::new()),

@@ -4,15 +4,16 @@
 //! error — never a panic, never an out-of-bounds access. Proptest feeds
 //! each decoder random bytes and randomly mutated valid encodings.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
+use dejaview::{Config, DejaView};
 use dv_checkpoint::{decode_image, decompress, Checkpointer, EngineConfig};
 use dv_display::{decode_command, encode_command_vec, DisplayCommand, Rect};
 use dv_index::decode_index;
 use dv_lsfs::journal::FsOp;
-use dv_lsfs::{BlobStore, Lsfs, SharedBlobStore};
+use dv_lsfs::{BlobStore, Disk, Filesystem, Lsfs, SharedBlobStore};
 use dv_record::{decode_record, decode_screenshot, Timeline};
 use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Vee};
@@ -37,6 +38,50 @@ fn valid_engine_meta() -> Vec<u8> {
         engine.checkpoint(&mut vee, &store).unwrap();
     }
     engine.export_meta()
+}
+
+/// A small but complete session archive — a display record, an open
+/// text shard, two checkpoints and a file — and the file system image
+/// inside it.
+fn valid_archive_and_fs_image() -> &'static (Vec<u8>, Vec<u8>) {
+    static VALID: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    VALID.get_or_init(|| {
+        let mut dv = DejaView::new(Config {
+            width: 64,
+            height: 48,
+            ..Config::default()
+        });
+        dv.vee_mut().fs.write_all("/doc", b"draft").unwrap();
+        let app = dv.desktop_mut().register_app("editor");
+        let root = dv.desktop_mut().root(app).unwrap();
+        dv.desktop_mut()
+            .add_node(app, root, dv_access::Role::Paragraph, "some words");
+        for color in [0x11_22_33, 0x44_55_66] {
+            dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 48), color);
+            dv.clock().advance(dv_time::Duration::from_secs(1));
+            dv.checkpoint_now().unwrap();
+        }
+        let archive = dv.save_archive().unwrap();
+        let fs_image = dv.session_fs_handle().with(|fs| fs.save()).unwrap();
+        (archive, fs_image)
+    })
+}
+
+/// One byte edit: anywhere, or — as often — within the first 40 bytes,
+/// where the headers whose fields size allocations live.
+fn edit() -> impl Strategy<Value = (usize, u8)> {
+    (prop_oneof![0usize..40, 0usize..1 << 16], any::<u8>())
+}
+
+/// `valid` with each edit applied (positions wrap) and at most `keep`
+/// bytes kept.
+fn damaged(valid: &[u8], edits: &[(usize, u8)], keep: usize) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    for &(at, value) in edits {
+        bytes[at % valid.len()] = value;
+    }
+    bytes.truncate(keep);
+    bytes
 }
 
 fn valid_command_bytes() -> Vec<u8> {
@@ -66,6 +111,28 @@ proptest! {
         let _ = engine().import_meta(&data);
         let _ = engine().import_meta(&[b"DVENG001", &data[..]].concat());
         let _ = BlobStore::in_memory().import(&data);
+        // The archive and the file system image inside it, bare and
+        // past their magics.
+        let _ = Disk::from_bytes(&data);
+        let _ = Lsfs::load(&data);
+        let _ = Lsfs::load(&[b"DVLSF002", &data[..]].concat());
+        let _ = DejaView::load_archive(Config::default(), &data);
+        let _ = DejaView::load_archive(Config::default(), &[b"DVARC002", &data[..]].concat());
+    }
+
+    /// A valid archive with one to three bytes changed, and half the
+    /// time cut short, loads or is refused — it never panics, overflows
+    /// or asks the allocator for what a damaged length field says. The
+    /// same holds for the file system image and the raw log inside it.
+    #[test]
+    fn damaged_archives_load_or_are_refused(
+        edits in prop::collection::vec(edit(), 1..4),
+        keep in prop_oneof![Just(usize::MAX), 0usize..1 << 14],
+    ) {
+        let (archive, fs_image) = valid_archive_and_fs_image();
+        let _ = DejaView::load_archive(Config::default(), &damaged(archive, &edits, keep));
+        let _ = Lsfs::load(&damaged(fs_image, &edits, keep));
+        let _ = Disk::from_bytes(&damaged(&fs_image[16..], &edits, keep));
     }
 
     /// Mutating one byte of a valid command either still decodes (the
