@@ -55,26 +55,29 @@ fn bench_display(c: &mut Criterion) {
 
 fn bench_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("index");
-    let mut index = TextIndex::new();
     let words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
-    for i in 0..5_000u64 {
-        let text = format!(
+    let instance = |i: u64| IndexedInstance {
+        id: i,
+        app_id: (i % 4) as u32,
+        app: format!("app{}", i % 4),
+        window: "w".into(),
+        role: "paragraph".into(),
+        text: format!(
             "{} {} {}",
             words[i as usize % 6],
             words[(i as usize + 1) % 6],
             words[(i as usize * 7 + 2) % 6]
-        );
-        index.add_instance(IndexedInstance {
-            id: i,
-            app_id: (i % 4) as u32,
-            app: format!("app{}", i % 4),
-            window: "w".into(),
-            role: "paragraph".into(),
-            text,
-            shown: Timestamp::from_millis(i * 10),
-            hidden: Some(Timestamp::from_millis(i * 10 + 500)),
-            annotation: false,
-        });
+        ),
+        shown: Timestamp::from_millis(i * 10),
+        hidden: Some(Timestamp::from_millis(i * 10 + 500)),
+        annotation: false,
+    };
+    let mut index = TextIndex::new();
+    // The same instances as four sealed segments of a quarter each.
+    let mut quarters: Vec<TextIndex> = (0..4).map(|_| TextIndex::new()).collect();
+    for i in 0..5_000u64 {
+        index.add_instance(instance(i));
+        quarters[(i / 1_250) as usize].add_instance(instance(i));
     }
     index.advance_horizon(Timestamp::from_secs(60));
     let simple = parse_query("alpha").unwrap();
@@ -84,6 +87,11 @@ fn bench_index(c: &mut Criterion) {
     });
     group.bench_function("query_contextual_5k_instances", |b| {
         b.iter(|| dv_index::search(&index, &complex, RankOrder::PersistenceAscending));
+    });
+    let segments: Vec<Vec<u8>> = quarters.iter().map(dv_index::encode_index).collect();
+    let inputs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
+    group.bench_function("compact_4x", |b| {
+        b.iter(|| dv_index::merge_segments(&inputs).expect("sound segments"));
     });
     group.finish();
 }

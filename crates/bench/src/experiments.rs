@@ -1974,6 +1974,9 @@ pub struct IndexCompactionRow {
     pub query_p99_before: std::time::Duration,
     /// 99th-percentile query latency after compaction.
     pub query_p99_after: std::time::Duration,
+    /// Compaction throughput: framed bytes of every segment merged on
+    /// the way to quiescence over the wall time of doing so, in MB/s.
+    pub compact_mb_per_s: f64,
     /// Whether every probe query returned identical hits before and
     /// after — compaction must never change an answer.
     pub results_identical: bool,
@@ -2200,7 +2203,12 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
 
     // Compaction to quiescence: each round merges the lowest level with
     // enough fan-in, exactly as the host's background rounds would.
+    let compacting = Instant::now();
     while engine.maybe_compact().expect("compact") {}
+    let compact_wall = compacting.elapsed();
+    // Every input of every merge sits retired until the next seal.
+    let retired = engine.log().layout().retired;
+    let merged_bytes: u64 = retired.iter().map(|(meta, _)| meta.bytes).sum();
     // Retired inputs recycle only once a manifest at or past the next
     // checkpoint is durable — mirror that by sealing once more.
     open.lock()
@@ -2217,6 +2225,7 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
         probes_after,
         query_p99_before: percentile(&lat_before, 0.99),
         query_p99_after: percentile(&lat_after, 0.99),
+        compact_mb_per_s: merged_bytes as f64 / 1e6 / compact_wall.as_secs_f64().max(1e-9),
         results_identical: answers_before == answers_after,
     }
 }

@@ -241,6 +241,7 @@ pub const SUITES: &[Suite] = &[
             ("index_segments_s*", Report),
             ("index_query_p99_s*_ratio", AtMost(Baseline)),
             ("index_probe_reduction", AtLeast(Baseline)),
+            ("index_compact_mb_per_s", Report),
             ("index_segments_reduced", MustHold),
             ("index_compaction_identical", MustHold),
             ("index_snapshot_consistent", MustHold),
@@ -568,6 +569,7 @@ fn index_metrics(report: &IndexReport) -> Vec<(String, f64)> {
     m.extend(
         [
             ("index_probe_reduction", c.probe_reduction()),
+            ("index_compact_mb_per_s", c.compact_mb_per_s),
             (
                 "index_segments_reduced",
                 flag(c.segments_after < c.segments_before),

@@ -426,7 +426,7 @@ pub fn print_index(report: &IndexReport) {
     let c = &report.compaction;
     println!(
         "  compaction: {} -> {} live segments, {:.1} -> {:.1} probes/query ({:.2}x fewer), \
-         p99 {:.2}us -> {:.2}us, answers {}",
+         p99 {:.2}us -> {:.2}us, merged at {:.0} MB/s, answers {}",
         c.segments_before,
         c.segments_after,
         c.probes_before,
@@ -434,6 +434,7 @@ pub fn print_index(report: &IndexReport) {
         c.probe_reduction(),
         c.query_p99_before.as_secs_f64() * 1e6,
         c.query_p99_after.as_secs_f64() * 1e6,
+        c.compact_mb_per_s,
         if c.results_identical {
             "identical"
         } else {

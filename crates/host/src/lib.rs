@@ -616,8 +616,9 @@ impl Host {
             if text.is_none() && strips.is_none() {
                 continue;
             }
-            // A compaction failure leaves the inputs authoritative;
-            // the tenant's own registry records the fault.
+            // A compaction failure leaves the inputs authoritative and
+            // is counted and traced in the tenant's own registry
+            // (`tidx.compact_failures`, `vidx.compact_failures`).
             let compact = move || {
                 let _ = text.map(|e| e.maybe_compact());
                 let _ = strips.map(|e| e.maybe_compact());

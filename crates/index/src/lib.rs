@@ -24,4 +24,6 @@ pub use query::{parse_query, ParseError, Query};
 pub use search::{
     contains_phrase, evaluate, query_terms, search, snippet_of, RankOrder, SearchHit,
 };
-pub use store::{decode_index, encode_index, flush_segment, StoreError};
+pub use store::{
+    decode_index, encode_index, flush_encoded, flush_segment, merge_segments, StoreError,
+};

@@ -51,8 +51,8 @@ pub use lsfs::{Lsfs, LsfsStats, BLOCK_SIZE};
 pub use memfs::MemFs;
 pub use ro::ReadOnlyFs;
 pub use sealed::{
-    Manifest, Names as SegmentNames, Payload, Sealed, SealedConfig, SealedLog, SegmentError,
-    SegmentMeta,
+    Manifest, MergeError, Names as SegmentNames, Payload, Sealed, SealedConfig, SealedLog,
+    SegmentError, SegmentMeta,
 };
 pub use shared::SharedFs;
 pub use snapshot::SnapshotView;

@@ -17,13 +17,14 @@
 //! ```
 //!
 //! [`SealedLog::maybe_compact`] merges [`COMPACT_FANIN`] same-level
-//! segments into one of the next level. The inputs *retire*: they are
-//! deleted only once a manifest written after the swap — one naming
-//! the output — is durable (the dv-cas recycle-only-after-checkpoint
-//! rule). That moves the **retention floor** up to that manifest's
-//! counter; older manifests name deleted segments, so they go in the
-//! same pass and a query below the floor reports
-//! [`SegmentError::OutOfRetention`] rather than a missing blob.
+//! segments into one of the next level — as encoded payloads, each
+//! verified against its frame and never decoded ([`Payload::merge`]).
+//! The inputs *retire*: they are deleted only once a manifest written
+//! after the swap — one naming the output — is durable (the dv-cas
+//! recycle-only-after-checkpoint rule). That moves the **retention
+//! floor** up to that manifest's counter; older manifests name deleted
+//! segments, so they go in the same pass and a query below the floor
+//! reports [`SegmentError::OutOfRetention`] rather than a missing blob.
 //!
 //! What a segment *contains* enters only through the three [`Payload`]
 //! functions and the [`Sealed`] values an engine passes at publish;
@@ -47,6 +48,8 @@ pub const COMPACT_FANIN: usize = 4;
 pub const SEGMENT_CACHE: usize = 16;
 
 const MAN_MAGIC: &[u8; 8] = b"DVSMAN03";
+/// Bytes of magic, CRC and length before a framed payload.
+const FRAME_HEADER: usize = 20;
 
 /// A segment- or manifest-blob decoding error.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -144,7 +147,7 @@ pub struct Manifest {
 
 /// Wraps a payload in magic + CRC framing.
 pub fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 20);
+    let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER);
     out.extend_from_slice(magic);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     put_u64(&mut out, payload.len() as u64);
@@ -263,8 +266,19 @@ pub fn decode_manifest(buf: &[u8]) -> Result<Manifest, FrameError> {
     Ok(man)
 }
 
+/// Why [`Payload::merge`] produced nothing.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum MergeError {
+    /// `inputs[n]` failed validation: that segment is damaged for good.
+    Input(usize, String),
+    /// The inputs were sound but the merged payload could not be
+    /// produced (a fault at the payload's own flush site); the same
+    /// merge may succeed later.
+    Output(String),
+}
+
 /// What one kind of segment holds: how a decoded segment turns into
-/// payload bytes and back, and how several merge into one.
+/// payload bytes and back, and how several encoded ones merge into one.
 pub trait Payload {
     /// A decoded segment — also the type of the engine's open buffer.
     type Segment;
@@ -275,9 +289,12 @@ pub trait Payload {
     /// Parses payload bytes whose frame already verified.
     fn decode(&self, payload: &[u8]) -> Result<Self::Segment, String>;
 
-    /// Merges `inputs` — ordered oldest seal first — into one segment,
-    /// returning it with its entry count.
-    fn merge(&self, inputs: &[Arc<Self::Segment>]) -> (Self::Segment, u64);
+    /// Merges encoded payloads whose frames already verified — ordered
+    /// oldest seal first — into the payload [`Self::encode`] would
+    /// write for their union, returning it with its entry count. The
+    /// bytes are as untrusted as [`Self::decode`]'s: an input `decode`
+    /// rejects must be rejected here too.
+    fn merge(&self, inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), MergeError>;
 }
 
 /// The strings one index's lifecycle is known by.
@@ -298,6 +315,8 @@ pub struct Names {
     pub seals: &'static str,
     /// Counter: compaction merges completed.
     pub compactions: &'static str,
+    /// Counter: compaction merges that failed.
+    pub compact_failures: &'static str,
     /// Counter: retired segments physically reclaimed.
     pub gc_reclaimed: &'static str,
     /// Gauge: live segments.
@@ -308,6 +327,8 @@ pub struct Names {
     pub ev_seal: &'static str,
     /// Event: one compaction (inputs -> output).
     pub ev_compact: &'static str,
+    /// Event: one failed compaction (inputs, error).
+    pub ev_compact_failed: &'static str,
 }
 
 /// Engine tuning.
@@ -350,6 +371,10 @@ struct State<S> {
     layout: Manifest,
     /// At most one compaction runs at a time.
     compacting: bool,
+    /// Live segments a compaction found unreadable. Batch selection
+    /// steps around them so one bad segment does not stop every other
+    /// merge; not persisted, so a recovered engine tries them again.
+    damaged: Vec<u64>,
     /// Decoded-segment cache, FIFO-evicted.
     cache: HashMap<u64, Arc<S>>,
     cache_order: VecDeque<u64>,
@@ -390,6 +415,7 @@ impl<P: Payload> SealedLog<P> {
         let state = Mutex::new(State {
             layout: Manifest::default(),
             compacting: false,
+            damaged: Vec::new(),
             cache: HashMap::new(),
             cache_order: VecDeque::new(),
         });
@@ -584,36 +610,80 @@ impl<P: Payload> SealedLog<P> {
         reclaim.len()
     }
 
+    /// The batch the next compaction merges: the lowest level's first
+    /// [`COMPACT_FANIN`] segments adjacent in time with none known to
+    /// be damaged among them.
+    fn pick_batch(st: &State<P::Segment>) -> Option<Vec<SegmentMeta>> {
+        // `live` is ordered by start, so consecutive segments of one
+        // level are adjacent in time; a damaged one breaks the run.
+        let mut runs: BTreeMap<u32, Vec<&SegmentMeta>> = BTreeMap::new();
+        for meta in &st.layout.live {
+            let run = runs.entry(meta.level).or_default();
+            if run.len() == COMPACT_FANIN {
+                continue;
+            }
+            if st.damaged.contains(&meta.id) {
+                run.clear();
+            } else {
+                run.push(meta);
+            }
+        }
+        let full = runs.into_values().find(|run| run.len() == COMPACT_FANIN)?;
+        Some(full.into_iter().cloned().collect())
+    }
+
     /// Merges one batch of same-level segments into a higher-level
-    /// segment if any level has at least [`COMPACT_FANIN`] of them.
+    /// segment if any level has [`COMPACT_FANIN`] adjacent sound ones.
     /// Returns whether a compaction ran.
     ///
-    /// Decode, merge and re-encode happen outside the layout lock (and
-    /// never touch the engine's open buffer), so ingest and queries
-    /// are not blocked; designed to run as an aux task on the shared
-    /// commit worker pool.
+    /// Each input blob is read once and its frame verified; the
+    /// payloads merge as bytes ([`Payload::merge`]) — nothing is
+    /// decoded, so the decoded-segment cache keeps what queries warmed.
+    /// All of it happens outside the layout lock (and never touches
+    /// the engine's open buffer), so ingest and queries are not
+    /// blocked; designed to run as an aux task on the shared commit
+    /// worker pool.
+    ///
+    /// Every failure is counted and traced and leaves the inputs live
+    /// and authoritative. An input that fails its frame or the merge's
+    /// validation is remembered, and later calls step around it; a
+    /// failed write of the output is not, so the same batch retries.
     pub fn maybe_compact(&self) -> Result<bool, SegmentError> {
         let inputs = {
             let mut st = self.state.lock();
             if st.compacting {
                 return Ok(false);
             }
-            let mut by_level: BTreeMap<u32, Vec<SegmentMeta>> = BTreeMap::new();
-            for meta in &st.layout.live {
-                by_level.entry(meta.level).or_default().push(meta.clone());
-            }
-            // `live` is ordered by start, so a level's first FANIN
-            // segments are adjacent in time.
-            let Some(mut batch) = by_level.into_values().find(|v| v.len() >= COMPACT_FANIN) else {
+            let Some(batch) = Self::pick_batch(&st) else {
                 return Ok(false);
             };
-            batch.truncate(COMPACT_FANIN);
             st.compacting = true;
             batch
         };
         let result = self.compact(&inputs);
         self.state.lock().compacting = false;
+        if let Err(e) = &result {
+            self.obs.incr(self.names.compact_failures);
+            let ids: Vec<u64> = inputs.iter().map(|m| m.id).collect();
+            self.obs.event(
+                self.names.stem,
+                self.names.ev_compact_failed,
+                format!("inputs={ids:?} error={e}"),
+            );
+        }
         result.map(|()| true)
+    }
+
+    /// Segment `id`'s blob, its frame verified: the payload is
+    /// everything past the [`FRAME_HEADER`].
+    fn verified_blob(&self, id: u64) -> Result<Arc<Vec<u8>>, SegmentError> {
+        let blob = self
+            .store
+            .lock()
+            .get(&self.blob("seg", id))
+            .ok_or_else(|| SegmentError::Failed(format!("segment {id} missing")))?;
+        unframe(self.names.seg_magic, &blob)?;
+        Ok(blob)
     }
 
     fn compact(&self, inputs: &[SegmentMeta]) -> Result<(), SegmentError> {
@@ -622,12 +692,22 @@ impl<P: Payload> SealedLog<P> {
         // `merge` must be able to tell which copy is the newest.
         let mut ordered: Vec<&SegmentMeta> = inputs.iter().collect();
         ordered.sort_by_key(|m| (m.sealed_at, m.id));
-        let decoded = ordered
+        let damaged = |id: u64, why: String| {
+            self.state.lock().damaged.push(id);
+            SegmentError::Failed(format!("segment {id} unreadable: {why}"))
+        };
+        let blobs = ordered
             .iter()
-            .map(|m| self.segment(m.id))
+            .map(|m| {
+                self.verified_blob(m.id)
+                    .map_err(|e| damaged(m.id, e.to_string()))
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let (merged, instances) = self.payload.merge(&decoded);
-        let payload = self.payload.encode(&merged).map_err(SegmentError::Failed)?;
+        let payloads: Vec<&[u8]> = blobs.iter().map(|blob| &blob[FRAME_HEADER..]).collect();
+        let (payload, instances) = self.payload.merge(&payloads).map_err(|e| match e {
+            MergeError::Input(n, why) => damaged(ordered[n].id, why),
+            MergeError::Output(why) => SegmentError::Failed(why),
+        })?;
         let id = {
             let layout = &mut self.state.lock().layout;
             let id = layout.next_segment;
@@ -683,13 +763,9 @@ impl<P: Payload> SealedLog<P> {
         if let Some(segment) = self.state.lock().cache.get(&id) {
             return Ok(segment.clone());
         }
-        let blob = self
-            .store
-            .lock()
-            .get(&self.blob("seg", id))
-            .ok_or_else(|| SegmentError::Failed(format!("segment {id} missing")))?;
-        let payload = unframe(self.names.seg_magic, &blob)?;
-        let segment = Arc::new(self.payload.decode(payload).map_err(SegmentError::Failed)?);
+        let blob = self.verified_blob(id)?;
+        let decoded = self.payload.decode(&blob[FRAME_HEADER..]);
+        let segment = Arc::new(decoded.map_err(SegmentError::Failed)?);
         let mut st = self.state.lock();
         if st.cache.len() >= SEGMENT_CACHE {
             if let Some(victim) = st.cache_order.pop_front() {
@@ -756,6 +832,7 @@ impl<P: Payload> SealedLog<P> {
         };
         let mut st = self.state.lock();
         st.layout = manifest;
+        st.damaged.clear();
         st.cache.clear();
         st.cache_order.clear();
         self.gc_locked(&mut st);
@@ -767,6 +844,7 @@ impl<P: Payload> SealedLog<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dv_fault::FaultPlan;
 
     fn meta(id: u64) -> SegmentMeta {
         SegmentMeta {
@@ -849,5 +927,180 @@ mod tests {
             decode_manifest(&frame(MAN_MAGIC, &trailing)),
             Err(FrameError("trailing bytes"))
         );
+    }
+
+    /// A toy payload: a segment is a strictly ascending id list.
+    struct Ids;
+
+    impl Payload for Ids {
+        type Segment = Vec<u64>;
+
+        fn encode(&self, ids: &Vec<u64>) -> Result<Vec<u8>, String> {
+            Ok(ids.iter().flat_map(|id| id.to_le_bytes()).collect())
+        }
+
+        fn decode(&self, payload: &[u8]) -> Result<Vec<u64>, String> {
+            let (words, rest) = payload.as_chunks::<8>();
+            if !rest.is_empty() {
+                return Err("ragged id list".into());
+            }
+            Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+        }
+
+        fn merge(&self, inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), MergeError> {
+            let mut all = Vec::new();
+            for (n, input) in inputs.iter().enumerate() {
+                let ids = self.decode(input).map_err(|e| MergeError::Input(n, e))?;
+                if ids.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(MergeError::Input(n, "ids out of order".into()));
+                }
+                all.extend(ids);
+            }
+            all.sort_unstable();
+            Ok((self.encode(&all).expect("infallible"), all.len() as u64))
+        }
+    }
+
+    static IDS: Names = Names {
+        stem: "ids",
+        seg_magic: b"DVISEG01",
+        seal_site: "ids.seal",
+        compact_site: "ids.compact",
+        compact_span: "ids.compact",
+        seals: "ids.seals",
+        compactions: "ids.compactions",
+        compact_failures: "ids.compact_failures",
+        gc_reclaimed: "ids.gc_reclaimed",
+        sealed_segments: "ids.sealed_segments",
+        sealed_bytes: "ids.sealed_bytes",
+        ev_seal: "ids.sealed",
+        ev_compact: "ids.compacted",
+        ev_compact_failed: "ids.compact_failed",
+    };
+
+    fn ids_log(store: &SharedBlobStore, plane: FaultPlane, obs: Obs) -> SealedLog<Ids> {
+        SealedLog::new(
+            Ids,
+            &IDS,
+            store.clone(),
+            plane,
+            obs,
+            SealedConfig::default(),
+        )
+    }
+
+    /// Seals `[10 * n, 10 * n + 1]` as segment `n` for each `n`.
+    fn publish(log: &SealedLog<Ids>, segments: std::ops::Range<u64>) {
+        for n in segments {
+            let sealed = Sealed {
+                start: Timestamp::from_millis(10 * n),
+                end: Timestamp::from_millis(10 * n + 2),
+                instances: 2,
+                next_instance: 10 * n + 2,
+            };
+            let meta = log.publish(n + 1, &vec![10 * n, 10 * n + 1], sealed);
+            assert_eq!(meta.unwrap().id, n);
+        }
+    }
+
+    fn live(log: &SealedLog<Ids>) -> Vec<u64> {
+        log.layout().live.iter().map(|m| m.id).collect()
+    }
+
+    /// Flips a payload byte of a stored segment.
+    fn damage(store: &SharedBlobStore, name: &str) {
+        let mut blob = (*store.lock().get(name).unwrap()).clone();
+        blob[FRAME_HEADER] ^= 0xFF;
+        store.put_deduped(name, blob).unwrap();
+    }
+
+    /// An unreadable input fails the compaction loudly — a counter and
+    /// an event naming the batch — without stopping other batches from
+    /// merging; a failed write of the output retries the same batch.
+    #[test]
+    fn a_damaged_input_is_reported_and_stepped_around() {
+        let store = SharedBlobStore::in_memory();
+        let plane = FaultPlan::new(5)
+            .fail_nth(IDS.compact_site, 1, IoFault::Enospc)
+            .build();
+        let obs = Obs::sim();
+        let log = ids_log(&store, plane, obs.clone());
+        publish(&log, 0..9);
+        damage(&store, "idsseg-00000000");
+        assert!(log.maybe_compact().is_err(), "segment 0 fails its CRC");
+        assert_eq!(obs.counter(IDS.compact_failures), 1);
+        let events = obs.events();
+        let event = events.iter().find(|e| e.name == IDS.ev_compact_failed);
+        let detail = &event.expect("the failure is traced").detail;
+        assert!(detail.contains("inputs=[0, 1, 2, 3]") && detail.contains("crc mismatch"));
+        assert_eq!(live(&log), (0..9).collect::<Vec<_>>(), "inputs stay live");
+        // The next batch clear of segment 0 hits the injected write
+        // fault, which is transient: the same four merge on the retry.
+        assert!(log.maybe_compact().is_err(), "output write faulted");
+        assert_eq!(obs.counter(IDS.compact_failures), 2);
+        assert_eq!(log.maybe_compact(), Ok(true));
+        assert_eq!(live(&log), vec![0, 10, 5, 6, 7, 8], "ordered by start");
+        assert_eq!(
+            *log.segment(10).unwrap(),
+            vec![10, 11, 20, 21, 30, 31, 40, 41]
+        );
+        assert_eq!(log.maybe_compact(), Ok(true));
+        assert_eq!(live(&log), vec![0, 10, 11]);
+        assert_eq!(log.maybe_compact(), Ok(false));
+        assert_eq!(obs.counter(IDS.compactions), 2);
+        // Sound segments still answer; the memory is this engine's
+        // alone, so a recovered one looks at segment 0 again.
+        assert!(log.segment(0).is_err());
+        publish(&log, 12..15);
+        assert_eq!(log.maybe_compact(), Ok(false), "0 is stepped around");
+        let fresh = ids_log(&store, FaultPlane::disabled(), Obs::disabled());
+        fresh.recover_latest().unwrap();
+        assert!(fresh.maybe_compact().is_err(), "tried again after recovery");
+        assert_eq!(fresh.maybe_compact(), Ok(false));
+    }
+
+    /// Records out of order under a valid frame are the merge's to
+    /// reject — never a silently mis-merged output.
+    #[test]
+    fn an_input_the_merge_rejects_stays_live() {
+        let store = SharedBlobStore::in_memory();
+        let log = ids_log(&store, FaultPlane::disabled(), Obs::disabled());
+        publish(&log, 0..3);
+        let sealed = Sealed {
+            start: Timestamp::from_millis(30),
+            end: Timestamp::from_millis(32),
+            instances: 2,
+            next_instance: 32,
+        };
+        log.publish(4, &vec![31, 30], sealed).unwrap();
+        let err = log.maybe_compact().unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("segment 3 unreadable: ids out of order"));
+        assert_eq!(live(&log), vec![0, 1, 2, 3]);
+        assert_eq!(
+            *log.segment(3).unwrap(),
+            vec![31, 30],
+            "decode still serves it"
+        );
+    }
+
+    /// Compaction reads encoded payloads, so it pushes nothing through
+    /// the decoded-segment cache: a full cache of query-warmed segments
+    /// is still warm afterwards.
+    #[test]
+    fn compaction_leaves_the_decoded_segment_cache_alone() {
+        let store = SharedBlobStore::in_memory();
+        let log = ids_log(&store, FaultPlane::disabled(), Obs::disabled());
+        let segments = (COMPACT_FANIN + SEGMENT_CACHE) as u64;
+        publish(&log, 0..segments);
+        let warm: Vec<_> = (COMPACT_FANIN as u64..segments)
+            .map(|id| log.segment(id).unwrap())
+            .collect();
+        assert_eq!(log.maybe_compact(), Ok(true));
+        assert_eq!(live(&log)[0], segments, "segments 0..4 merged");
+        for (id, cached) in (COMPACT_FANIN as u64..segments).zip(&warm) {
+            assert!(Arc::ptr_eq(cached, &log.segment(id).unwrap()), "{id}");
+        }
     }
 }

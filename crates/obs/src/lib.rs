@@ -562,6 +562,8 @@ pub mod names {
     pub const TIDX_SEGMENT_BYTES: &str = "tidx.segment_bytes";
     /// Compaction merges completed.
     pub const TIDX_COMPACTIONS: &str = "tidx.compactions";
+    /// Compaction merges that failed (inputs stay live).
+    pub const TIDX_COMPACT_FAILURES: &str = "tidx.compact_failures";
     /// Superseded segments physically reclaimed by GC.
     pub const TIDX_GC_RECLAIMED: &str = "tidx.gc_reclaimed";
     /// Sharded queries evaluated.
@@ -579,6 +581,8 @@ pub mod names {
     pub const EV_TIDX_SEAL: &str = "tidx.sealed";
     /// Event name for one compaction (inputs -> output).
     pub const EV_TIDX_COMPACT: &str = "tidx.compacted";
+    /// Event name for one failed compaction (inputs, error).
+    pub const EV_TIDX_COMPACT_FAILED: &str = "tidx.compact_failed";
     /// Host: cross-session queries served.
     pub const HOST_CROSS_QUERIES: &str = "host.cross_queries";
     /// Host: compaction rounds scheduled on the shared pool.
@@ -597,6 +601,8 @@ pub mod names {
     pub const VIDX_STRIP_BYTES: &str = "vidx.strip_bytes";
     /// Strip compaction merges completed.
     pub const VIDX_COMPACTIONS: &str = "vidx.compactions";
+    /// Strip compaction merges that failed (inputs stay live).
+    pub const VIDX_COMPACT_FAILURES: &str = "vidx.compact_failures";
     /// Superseded strip segments physically reclaimed by GC.
     pub const VIDX_GC_RECLAIMED: &str = "vidx.gc_reclaimed";
     /// Nearest-thumbnail queries evaluated.
@@ -614,6 +620,8 @@ pub mod names {
     pub const EV_VIDX_SEAL: &str = "vidx.sealed";
     /// Event name for one strip compaction (inputs -> output).
     pub const EV_VIDX_COMPACT: &str = "vidx.compacted";
+    /// Event name for one failed strip compaction (inputs, error).
+    pub const EV_VIDX_COMPACT_FAILED: &str = "vidx.compact_failed";
     /// Host: cross-session visual queries served.
     pub const HOST_VISUAL_QUERIES: &str = "host.visual_queries";
 }

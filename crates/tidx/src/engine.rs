@@ -13,17 +13,17 @@
 //! text segments merge (the newest copy of an instance wins), and
 //! query evaluation.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use dv_fault::{sites, FaultPlane};
 use dv_index::{
-    decode_index, flush_segment, IndexedInstance, Query, RankOrder, SearchHit, TextIndex,
+    decode_index, flush_encoded, flush_segment, merge_segments, Query, RankOrder, SearchHit,
+    TextIndex,
 };
 use dv_lsfs::{
-    Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentMeta, SegmentNames,
+    MergeError, Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentMeta, SegmentNames,
     SharedBlobStore,
 };
 use dv_obs::{names, Obs};
@@ -63,11 +63,13 @@ static NAMES: SegmentNames = SegmentNames {
     compact_span: names::TIDX_COMPACT,
     seals: names::TIDX_SEALS,
     compactions: names::TIDX_COMPACTIONS,
+    compact_failures: names::TIDX_COMPACT_FAILURES,
     gc_reclaimed: names::TIDX_GC_RECLAIMED,
     sealed_segments: names::TIDX_SEALED_SEGMENTS,
     sealed_bytes: names::TIDX_SEGMENT_BYTES,
     ev_seal: names::EV_TIDX_SEAL,
     ev_compact: names::EV_TIDX_COMPACT,
+    ev_compact_failed: names::EV_TIDX_COMPACT_FAILED,
 };
 
 /// Text shards as sealed-segment payloads: a segment is a whole
@@ -88,35 +90,15 @@ impl Payload for TextShards {
         decode_index(payload).map_err(|e| e.to_string())
     }
 
-    /// A carried instance appears in several inputs with the same id,
-    /// and only the newest copy knows whether (and when) it was
-    /// eventually hidden — a segment sealed while it was still open
-    /// says `hidden: None` forever. The newest copy therefore
-    /// overwrites older ones unconditionally (never by "latest end",
-    /// which would let a stale open copy outrank the real close time).
-    fn merge(&self, inputs: &[Arc<TextIndex>]) -> (TextIndex, u64) {
-        let mut merged: BTreeMap<u64, IndexedInstance> = BTreeMap::new();
-        let mut focus: Vec<(u32, Timestamp)> = Vec::new();
-        let mut horizon = Timestamp::ZERO;
-        for index in inputs {
-            horizon = horizon.max(index.horizon());
-            for instance in index.all_instances() {
-                merged.insert(instance.id, instance.clone());
-            }
-            focus.extend_from_slice(index.focus_history());
-        }
-        focus.sort_by_key(|&(_, t)| t);
-        focus.dedup();
-        let mut out = TextIndex::new();
-        for instance in merged.into_values() {
-            out.add_instance(instance);
-        }
-        for (app, t) in focus {
-            out.focus_change(app, t);
-        }
-        out.advance_horizon(horizon);
-        let instances = out.stats().instances;
-        (out, instances)
+    /// The newest copy of a carried instance wins
+    /// ([`merge_segments`]); the merged bytes pass the same
+    /// `index.segment.flush` site a seal's do.
+    fn merge(&self, inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), MergeError> {
+        let (merged, instances) =
+            merge_segments(inputs).map_err(|(n, e)| MergeError::Input(n, e.to_string()))?;
+        let merged =
+            flush_encoded(merged, &self.plane).map_err(|e| MergeError::Output(e.to_string()))?;
+        Ok((merged, instances))
     }
 }
 
@@ -305,7 +287,7 @@ impl TidxEngine {
 mod tests {
     use super::*;
     use dv_fault::{FaultPlan, IoFault};
-    use dv_index::parse_query;
+    use dv_index::{parse_query, IndexedInstance};
 
     fn engine(config: TidxConfig) -> TidxEngine {
         TidxEngine::new(
@@ -515,6 +497,91 @@ mod tests {
                 .is_empty(),
             "the carried instance stays hidden after its close time"
         );
+    }
+
+    /// A segment mangled on its way through `index.segment.flush`
+    /// carries a valid CRC, so only the merge's own validation can
+    /// refuse it. The refusal is counted and traced, leaves every input
+    /// live, and does not keep the other segments from compacting.
+    #[test]
+    fn a_segment_the_merge_refuses_is_reported_and_stepped_around() {
+        // Seed 1 lands the flipped byte inside a string: invalid UTF-8.
+        let plane = FaultPlan::new(1)
+            .fail_nth(sites::INDEX_SEGMENT_FLUSH, 1, IoFault::Corrupt)
+            .build();
+        let obs = Obs::sim();
+        let eng = TidxEngine::new(
+            Arc::new(Mutex::new(TextIndex::new())),
+            SharedBlobStore::in_memory(),
+            plane,
+            obs.clone(),
+            TidxConfig::default(),
+        );
+        let open = eng.open_index();
+        for k in 0..9u64 {
+            let base = k * 10_000;
+            let text = format!("needle batch{k}");
+            open.lock()
+                .add_instance(inst(k + 1, "app", &text, base, Some(base + 1_000)));
+            open.lock()
+                .advance_horizon(Timestamp::from_millis(base + 2_000));
+            eng.seal(k + 1).unwrap();
+        }
+        let later = parse_query("from:10 to:90 needle").unwrap();
+        let hits = eng.search(&later, RankOrder::Chronological).unwrap();
+        assert_eq!(hits.len(), 8);
+        let all = parse_query("needle").unwrap();
+        assert!(eng.search(&all, RankOrder::Chronological).is_err());
+
+        assert!(eng.maybe_compact().is_err(), "segment 0 does not scan");
+        assert_eq!(obs.counter(names::TIDX_COMPACT_FAILURES), 1);
+        let events = obs.events();
+        let failed = |e: &&dv_obs::TraceEvent| e.name == names::EV_TIDX_COMPACT_FAILED;
+        let event = events.iter().find(failed).expect("the failure is traced");
+        assert!(event
+            .detail
+            .starts_with("inputs=[0, 1, 2, 3] error=segment 0 unreadable"));
+        assert_eq!(eng.stats().live_segments, 9, "the inputs stay live");
+        assert_eq!(eng.search(&later, RankOrder::Chronological).unwrap(), hits);
+
+        assert_eq!(eng.maybe_compact(), Ok(true), "segments 1-4 merge");
+        assert_eq!(eng.maybe_compact(), Ok(true), "segments 5-8 merge");
+        assert_eq!(eng.maybe_compact(), Ok(false));
+        assert_eq!(eng.stats().live_segments, 3);
+        assert_eq!(obs.counter(names::TIDX_COMPACT_FAILURES), 1);
+        assert_eq!(eng.search(&later, RankOrder::Chronological).unwrap(), hits);
+    }
+
+    /// The merged bytes pass `index.segment.flush` like a seal's; a
+    /// fault there is the output's, not an input's, so the same batch
+    /// merges on the next call.
+    #[test]
+    fn a_flush_fault_during_compaction_retries_the_same_batch() {
+        // Checks one to four are the seals'; the fifth is the merge's.
+        let plane = FaultPlan::new(7)
+            .fail_nth(sites::INDEX_SEGMENT_FLUSH, 5, IoFault::Enospc)
+            .build();
+        let eng = TidxEngine::new(
+            Arc::new(Mutex::new(TextIndex::new())),
+            SharedBlobStore::in_memory(),
+            plane.clone(),
+            Obs::disabled(),
+            TidxConfig::default(),
+        );
+        let open = eng.open_index();
+        for k in 0..4u64 {
+            open.lock()
+                .add_instance(inst(k + 1, "app", "needle", k * 10_000, None));
+            open.lock()
+                .advance_horizon(Timestamp::from_millis(k * 10_000 + 2_000));
+            eng.seal(k + 1).unwrap();
+        }
+        let err = eng.maybe_compact().unwrap_err();
+        assert!(err.to_string().contains("no space left"), "{err}");
+        assert_eq!(plane.injected_at(sites::INDEX_SEGMENT_FLUSH), 1);
+        assert_eq!(eng.stats().live_segments, 4);
+        assert_eq!(eng.maybe_compact(), Ok(true));
+        assert_eq!(eng.stats().live_segments, 1);
     }
 
     /// GC reclaims manifests along with the segments they reference,

@@ -8,12 +8,10 @@
 //! this module says only what a strip's bytes are and how strips
 //! merge.
 
-use std::sync::Arc;
-
 use bytes::{Buf, BufMut};
 
 use dv_fault::sites;
-use dv_lsfs::{Payload, SegmentNames};
+use dv_lsfs::{MergeError, Payload, SegmentNames};
 use dv_obs::names;
 use dv_time::Timestamp;
 
@@ -28,12 +26,72 @@ pub(crate) static NAMES: SegmentNames = SegmentNames {
     compact_span: names::VIDX_COMPACT,
     seals: names::VIDX_SEALS,
     compactions: names::VIDX_COMPACTIONS,
+    compact_failures: names::VIDX_COMPACT_FAILURES,
     gc_reclaimed: names::VIDX_GC_RECLAIMED,
     sealed_segments: names::VIDX_SEALED_SEGMENTS,
     sealed_bytes: names::VIDX_STRIP_BYTES,
     ev_seal: names::EV_VIDX_SEAL,
     ev_compact: names::EV_VIDX_COMPACT,
+    ev_compact_failed: names::EV_VIDX_COMPACT_FAILED,
 };
+
+/// One instance record of an encoded strip, borrowed from its bytes.
+struct Record<'a> {
+    id: u64,
+    fp: Fingerprint,
+    first: Timestamp,
+    last: Timestamp,
+    frames: u64,
+    thumb: &'a [u8],
+    /// The record exactly as stored, id through thumbnail.
+    bytes: &'a [u8],
+}
+
+/// Validates an encoded strip — the only reader of its layout. No
+/// allocation is sized by the stored count: a record is pushed only
+/// after its bytes were found.
+fn scan(mut payload: &[u8]) -> Result<Vec<Record<'_>>, String> {
+    if payload.len() < 8 {
+        return Err("truncated instance count".into());
+    }
+    let count = payload.get_u64_le();
+    let mut out = Vec::new();
+    for _ in 0..count {
+        let start = payload;
+        // Fixed-size prefix: id + 4 fingerprint words + first + last
+        // + frames + thumbnail length = 9 u64s.
+        if payload.len() < 72 {
+            return Err("truncated instance".into());
+        }
+        let id = payload.get_u64_le();
+        let mut words = [0u64; 4];
+        for word in &mut words {
+            *word = payload.get_u64_le();
+        }
+        let first = Timestamp::from_nanos(payload.get_u64_le());
+        let last = Timestamp::from_nanos(payload.get_u64_le());
+        let frames = payload.get_u64_le();
+        let thumb_len = payload.get_u64_le();
+        if (payload.len() as u64) < thumb_len {
+            return Err("truncated thumbnail".into());
+        }
+        let (thumb, rest) = payload.split_at(thumb_len as usize);
+        payload = rest;
+        out.push(Record {
+            id,
+            fp: Fingerprint(words),
+            first,
+            last,
+            frames,
+            thumb,
+            bytes: &start[..start.len() - payload.len()],
+        });
+    }
+    if !payload.is_empty() {
+        return Err("trailing bytes".into());
+    }
+    Ok(out)
+}
 
 /// The thumbnail-strip payload: a segment decodes to a [`VisualStrip`]
 /// (instances plus their band index).
@@ -60,57 +118,33 @@ impl Payload for Strips {
         Ok(payload)
     }
 
-    fn decode(&self, mut payload: &[u8]) -> Result<VisualStrip, String> {
-        if payload.len() < 8 {
-            return Err("truncated instance count".into());
-        }
-        let count = payload.get_u64_le();
-        let mut out = Vec::new();
-        for _ in 0..count {
-            // Fixed-size prefix: id + 4 fingerprint words + first + last
-            // + frames + thumbnail length = 9 u64s.
-            if payload.len() < 72 {
-                return Err("truncated instance".into());
-            }
-            let id = payload.get_u64_le();
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = payload.get_u64_le();
-            }
-            let first = Timestamp::from_nanos(payload.get_u64_le());
-            let last = Timestamp::from_nanos(payload.get_u64_le());
-            let frames = payload.get_u64_le();
-            let thumb_len = payload.get_u64_le();
-            if (payload.len() as u64) < thumb_len {
-                return Err("truncated thumbnail".into());
-            }
-            let (thumb, rest) = payload.split_at(thumb_len as usize);
-            payload = rest;
-            out.push(VisualInstance {
-                id,
-                fp: Fingerprint(words),
-                first,
-                last,
-                frames,
-                thumb: thumb.to_vec(),
-            });
-        }
-        if !payload.is_empty() {
-            return Err("trailing bytes".into());
-        }
-        Ok(VisualStrip::from_instances(out))
+    fn decode(&self, payload: &[u8]) -> Result<VisualStrip, String> {
+        let instance = |r: Record| VisualInstance {
+            id: r.id,
+            fp: r.fp,
+            first: r.first,
+            last: r.last,
+            frames: r.frames,
+            thumb: r.thumb.to_vec(),
+        };
+        let instances = scan(payload)?.into_iter().map(instance).collect();
+        Ok(VisualStrip::from_instances(instances))
     }
 
     /// Strips never share an instance (coalescing breaks at a seal), so
     /// merging is concatenation in time order.
-    fn merge(&self, inputs: &[Arc<VisualStrip>]) -> (VisualStrip, u64) {
-        let mut all: Vec<VisualInstance> = inputs
-            .iter()
-            .flat_map(|strip| strip.instances().iter().cloned())
-            .collect();
-        all.sort_by_key(|inst| (inst.first, inst.id));
-        let count = all.len() as u64;
-        (VisualStrip::from_instances(all), count)
+    fn merge(&self, inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), MergeError> {
+        let mut all = Vec::new();
+        for (n, input) in inputs.iter().enumerate() {
+            all.extend(scan(input).map_err(|e| MergeError::Input(n, e))?);
+        }
+        all.sort_by_key(|r| (r.first, r.id));
+        let mut payload = Vec::with_capacity(inputs.iter().map(|input| input.len()).sum());
+        payload.put_u64_le(all.len() as u64);
+        for record in &all {
+            payload.extend_from_slice(record.bytes);
+        }
+        Ok((payload, all.len() as u64))
     }
 }
 
@@ -155,14 +189,27 @@ mod tests {
 
     #[test]
     fn merge_concatenates_in_time_order() {
-        let late = Arc::new(VisualStrip::from_instances(vec![inst(5), inst(6)]));
-        let early = Arc::new(VisualStrip::from_instances(vec![inst(1), inst(2)]));
-        let (merged, count) = Strips.merge(&[late, early]);
+        let encode = |ids: &[u64]| {
+            let strip = VisualStrip::from_instances(ids.iter().map(|&id| inst(id)).collect());
+            Strips.encode(&strip).unwrap()
+        };
+        let (late, early) = (encode(&[5, 6]), encode(&[1, 2]));
+        let (merged, count) = Strips.merge(&[&late, &early]).unwrap();
         assert_eq!(count, 4);
-        let ids: Vec<u64> = merged.instances().iter().map(|i| i.id).collect();
-        assert_eq!(ids, vec![1, 2, 5, 6]);
+        assert_eq!(
+            merged,
+            encode(&[1, 2, 5, 6]),
+            "what a seal of the union writes"
+        );
         // The merged strip's band index addresses the merged order.
+        let merged = Strips.decode(&merged).unwrap();
         let pos = merged.index().candidates(&inst(5).fp);
         assert!(pos.contains(&2));
+        // A damaged input is named by its position.
+        let cut = &late[..late.len() - 1];
+        assert!(matches!(
+            Strips.merge(&[&early, cut]),
+            Err(MergeError::Input(1, _))
+        ));
     }
 }

@@ -11,12 +11,13 @@ use proptest::prelude::*;
 use dejaview::{Config, DejaView};
 use dv_checkpoint::{decode_image, decompress, Checkpointer, EngineConfig};
 use dv_display::{decode_command, encode_command_vec, DisplayCommand, Rect};
-use dv_index::decode_index;
+use dv_index::{decode_index, encode_index, merge_segments, IndexedInstance, TextIndex};
 use dv_lsfs::journal::FsOp;
-use dv_lsfs::{BlobStore, Disk, Filesystem, Lsfs, SharedBlobStore};
+use dv_lsfs::{BlobStore, Disk, Filesystem, Lsfs, MergeError, Payload, SharedBlobStore};
 use dv_record::{decode_record, decode_screenshot, Timeline};
 use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Vee};
+use dv_vidx::{Fingerprint, Strips, VisualInstance, VisualStrip};
 
 fn engine() -> Checkpointer {
     Checkpointer::with_sim_clock(EngineConfig::default(), SimClock::new())
@@ -84,6 +85,87 @@ fn damaged(valid: &[u8], edits: &[(usize, u8)], keep: usize) -> Vec<u8> {
     bytes
 }
 
+/// A compaction merge over encoded payloads, beside the decoder that
+/// reads the same layout: a sound payload, whether bytes decode, and
+/// the merge.
+struct MergeCase {
+    valid: Vec<u8>,
+    decodes: fn(&[u8]) -> bool,
+    merge: Merge,
+}
+
+/// The merged bytes, or the position of the input the merge blames
+/// (if it blames one).
+type Merge = fn(&[&[u8]]) -> Result<Vec<u8>, Option<usize>>;
+
+fn merge_cases() -> [MergeCase; 2] {
+    let mut index = TextIndex::new();
+    for (id, text, hidden) in [(3, "some words — émigré", None), (9, "", Some(40))] {
+        index.add_instance(IndexedInstance {
+            id,
+            app_id: 2,
+            app: "editor".into(),
+            window: "日本語".into(),
+            role: String::new(),
+            text: text.into(),
+            shown: Timestamp::from_millis(id),
+            hidden: hidden.map(Timestamp::from_millis),
+            annotation: hidden.is_some(),
+        });
+    }
+    index.focus_change(2, Timestamp::from_millis(5));
+    let strip = VisualStrip::from_instances(
+        [(4u64, 3usize), (6, 0)]
+            .map(|(id, thumb)| VisualInstance {
+                id,
+                fp: Fingerprint([id; 4]),
+                first: Timestamp::from_millis(id),
+                last: Timestamp::from_millis(id + 1),
+                frames: 2,
+                thumb: vec![7; thumb],
+            })
+            .to_vec(),
+    );
+    [
+        MergeCase {
+            valid: encode_index(&index),
+            decodes: |bytes| decode_index(bytes).is_ok(),
+            merge: |inputs| match merge_segments(inputs) {
+                Ok((merged, _)) => Ok(merged),
+                Err((input, _)) => Err(Some(input)),
+            },
+        },
+        MergeCase {
+            valid: Strips.encode(&strip).expect("strips encode"),
+            decodes: |bytes| Strips.decode(bytes).is_ok(),
+            merge: |inputs| match Strips.merge(inputs) {
+                Ok((merged, _)) => Ok(merged),
+                Err(MergeError::Input(input, _)) => Err(Some(input)),
+                Err(MergeError::Output(_)) => Err(None),
+            },
+        },
+    ]
+}
+
+impl MergeCase {
+    /// Merges `hostile` beside the sound payload, on either side: the
+    /// merge refuses — blaming the hostile input — whatever the decoder
+    /// refuses, and whatever it produces decodes.
+    fn check(&self, hostile: &[u8]) {
+        for hostile_at in [0, 1] {
+            let mut inputs = [&self.valid[..]; 2];
+            inputs[hostile_at] = hostile;
+            match (self.merge)(&inputs) {
+                Ok(merged) => {
+                    assert!((self.decodes)(hostile), "merged what decode refuses");
+                    assert!((self.decodes)(&merged), "the merge's output is refused");
+                }
+                Err(blamed) => assert_eq!(blamed, Some(hostile_at)),
+            }
+        }
+    }
+}
+
 fn valid_command_bytes() -> Vec<u8> {
     encode_command_vec(&DisplayCommand::Raw {
         rect: Rect::new(1, 2, 8, 4),
@@ -135,6 +217,23 @@ proptest! {
         let _ = Disk::from_bytes(&damaged(&fs_image[16..], &edits, keep));
     }
 
+    /// Random bytes, and sound payloads with one to three bytes changed
+    /// (as often in the header as anywhere) and half the time cut
+    /// short, never panic a compaction merge or get past it when the
+    /// decoder would have refused them.
+    #[test]
+    fn merges_refuse_what_decoders_refuse(
+        data in prop::collection::vec(any::<u8>(), 0..512),
+        edits in prop::collection::vec(edit(), 1..4),
+        keep in prop_oneof![Just(usize::MAX), 0usize..256],
+    ) {
+        for case in merge_cases() {
+            case.check(&data);
+            case.check(&[&case.valid[..8], &data[..]].concat());
+            case.check(&damaged(&case.valid, &edits, keep));
+        }
+    }
+
     /// Mutating one byte of a valid command either still decodes (the
     /// flip hit payload data) or errors cleanly — and a re-decodable
     /// result re-encodes without panicking.
@@ -184,4 +283,32 @@ fn truncated_engine_meta_is_refused_cleanly() {
     assert!(target.import_meta(&bytes).is_some());
     assert_eq!(target.images().count(), 3);
     assert_eq!(target.blob_prefix(), "tenant");
+}
+
+/// Every truncation of a sound payload, and every 4- and 8-byte field
+/// position overwritten with a length that cannot be met (`MAX`, `MAX -
+/// 15`, one past the payload), is refused by the merges as by the
+/// decoders — by running out of bytes, never by sizing an allocation
+/// from the count.
+#[test]
+fn merges_refuse_truncated_and_inflated_payloads() {
+    for case in merge_cases() {
+        for cut in 0..case.valid.len() {
+            assert!(!(case.decodes)(&case.valid[..cut]), "cut at {cut}");
+            case.check(&case.valid[..cut]);
+        }
+        let len = case.valid.len() as u64;
+        for at in 0..case.valid.len() {
+            for value in [u64::MAX, u64::MAX - 15, len + 1] {
+                for width in [4, 8] {
+                    let mut hostile = case.valid.clone();
+                    // The low bytes: `value as u32` for a 4-byte field.
+                    let field = value.to_le_bytes();
+                    let end = (at + width).min(hostile.len());
+                    hostile[at..end].copy_from_slice(&field[..end - at]);
+                    case.check(&hostile);
+                }
+            }
+        }
+    }
 }
