@@ -5,12 +5,28 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use dv_checkpoint::{compress, decompress, Checkpointer, EngineConfig};
-use dv_display::{decode_command, encode_command_vec, DisplayCommand, Framebuffer, Rect};
+use dv_display::{
+    decode_command, encode_command_vec, CommandSink, DisplayCommand, Framebuffer, Pattern, Rect,
+};
 use dv_index::{parse_query, IndexedInstance, RankOrder, TextIndex};
 use dv_lsfs::{Filesystem, Lsfs, SharedBlobStore};
-use dv_record::{decode_screenshot, encode_screenshot};
+use dv_record::{decode_screenshot, encode_screenshot, DisplayRecorder, RecorderConfig};
 use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Prot, Vee};
+
+/// A framebuffer of pixels that differ from their neighbours.
+fn noise_fb(width: u32, height: u32) -> Framebuffer {
+    let mut fb = Framebuffer::new(width, height);
+    fb.apply(&DisplayCommand::Raw {
+        rect: Rect::new(0, 0, width, height),
+        pixels: Arc::new(
+            (0..width * height)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect(),
+        ),
+    });
+    fb
+}
 
 fn bench_display(c: &mut Criterion) {
     let mut group = c.benchmark_group("display");
@@ -35,6 +51,73 @@ fn bench_display(c: &mut Criterion) {
             color: 7,
         };
         b.iter(|| fb.apply(&cmd));
+    });
+    // One text line of scroll on a terminal: rows move up in place.
+    group.bench_function("fb_apply_copy_scroll_640x368", |b| {
+        let mut fb = noise_fb(640, 384);
+        let cmd = DisplayCommand::CopyArea {
+            src_x: 0,
+            src_y: 16,
+            rect: Rect::new(0, 0, 640, 368),
+        };
+        b.iter(|| fb.apply(&cmd));
+    });
+    // Every row overlaps itself: a pan to the right by eight pixels.
+    group.bench_function("fb_apply_copy_overlap_horizontal", |b| {
+        let mut fb = noise_fb(640, 384);
+        let cmd = DisplayCommand::CopyArea {
+            src_x: 0,
+            src_y: 0,
+            rect: Rect::new(8, 0, 632, 384),
+        };
+        b.iter(|| fb.apply(&cmd));
+    });
+    // A line of 80 cells of the 8x16 font: one command, as `draw_text`
+    // issues it.
+    group.bench_function("fb_apply_glyph_line_640x16", |b| {
+        let mut fb = Framebuffer::new(640, 384);
+        let cmd = DisplayCommand::Glyph {
+            rect: Rect::new(0, 32, 640, 16),
+            bits: Arc::new((0..80 * 16u32).map(|i| (i * 37) as u8).collect()),
+            fg: 0x00FF_FFFF,
+            bg: 0x0010_1010,
+        };
+        b.iter(|| fb.apply(&cmd));
+    });
+    group.bench_function("fb_apply_pattern_fill_1024x768", |b| {
+        let mut fb = Framebuffer::new(1024, 768);
+        let cmd = DisplayCommand::PatternFill {
+            rect: Rect::new(3, 5, 1024, 768),
+            pattern: Pattern {
+                bits: 0x8040_2010_0804_0201,
+                fg: 0x00FF_FFFF,
+                bg: 0,
+            },
+        };
+        b.iter(|| fb.apply(&cmd));
+    });
+    // A keyframe falling due over a screen that has not changed since
+    // the last one: what the recorder pays to find that out.
+    group.bench_function("keyframe_unchanged_check_1024x768", |b| {
+        let mut recorder = DisplayRecorder::new(1024, 768, RecorderConfig::default());
+        for i in 0..64u32 {
+            let cmd = DisplayCommand::SolidFill {
+                rect: Rect::new(i * 16, 0, 16, 768),
+                color: i % 5,
+            };
+            recorder.submit(Timestamp::from_millis(u64::from(i)), &cmd);
+        }
+        recorder.force_keyframe(Timestamp::from_secs(1));
+        let mut now = 1;
+        b.iter(|| {
+            now += 1;
+            recorder.force_keyframe(Timestamp::from_secs(now));
+        });
+        assert_eq!(
+            recorder.stats().keyframes,
+            2,
+            "every timed keyframe was suppressed"
+        );
     });
     group.bench_function("screenshot_rle_1024x768", |b| {
         let mut fb = Framebuffer::new(1024, 768);

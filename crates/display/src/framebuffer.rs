@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::command::{yuv_to_rgb, DisplayCommand, Pixel, YuvFrame};
+use crate::command::{yuv_to_rgb, DisplayCommand, Pattern, Pixel, YuvFrame};
 use crate::rect::Rect;
 
 /// A full-screen pixel snapshot.
@@ -129,11 +129,13 @@ impl Framebuffer {
 
     /// Reads back the pixels of `rect` (clamped to the screen), row-major.
     pub fn read_rect(&self, rect: &Rect) -> Vec<Pixel> {
-        read_rect(
-            &self.pixels,
-            self.width,
-            &rect.intersect(&self.screen_rect()),
-        )
+        let r = rect.intersect(&self.screen_rect());
+        let mut out = Vec::with_capacity(r.area() as usize);
+        for y in r.y..r.bottom() {
+            let start = (y * self.width + r.x) as usize;
+            out.extend_from_slice(&self.pixels[start..start + r.w as usize]);
+        }
+        out
     }
 
     /// Takes a full-screen snapshot, sharing the pixels.
@@ -182,31 +184,13 @@ fn paint(pixels: &mut [Pixel], width: u32, screen: &Rect, cmd: &DisplayCommand) 
             }
         }
         DisplayCommand::PatternFill { rect, pattern } => {
-            let r = rect.intersect(screen);
-            for y in r.y..r.bottom() {
-                for x in r.x..r.right() {
-                    // Anchor the tile at the command rect's origin so
-                    // the pattern is stable under clamping.
-                    let px = pattern.pixel_at(x - rect.x, y - rect.y);
-                    pixels[(y * width + x) as usize] = px;
-                }
-            }
+            apply_pattern(pixels, width, screen, rect, pattern)
         }
         DisplayCommand::Glyph { rect, bits, fg, bg } => {
             apply_glyph(pixels, width, screen, rect, bits, *fg, *bg)
         }
         DisplayCommand::Video { rect, frame } => apply_video(pixels, width, screen, rect, frame),
     }
-}
-
-/// Reads the pixels of `r`, which lies within the screen, row-major.
-fn read_rect(pixels: &[Pixel], width: u32, r: &Rect) -> Vec<Pixel> {
-    let mut out = Vec::with_capacity(r.area() as usize);
-    for y in r.y..r.bottom() {
-        let start = (y * width + r.x) as usize;
-        out.extend_from_slice(&pixels[start..start + r.w as usize]);
-    }
-    out
 }
 
 fn apply_raw(pixels: &mut [Pixel], width: u32, screen: &Rect, rect: &Rect, data: &[Pixel]) {
@@ -218,6 +202,15 @@ fn apply_raw(pixels: &mut [Pixel], width: u32, screen: &Rect, rect: &Rect, data:
     }
 }
 
+/// Copies the `rect`-sized block at `(src_x, src_y)` to `rect`, as if
+/// every pixel moved at once: the part of the source on screen lands
+/// position-for-position, and of that the part whose destination is on
+/// screen is kept.
+///
+/// Each row moves once, in place. Rows go top-down when the destination
+/// lies above its source and bottom-up otherwise, so a source row is
+/// always read before an overlapping destination row overwrites it; a
+/// row shifted along itself is one overlapping `copy_within`.
 fn apply_copy(
     pixels: &mut [Pixel],
     width: u32,
@@ -226,27 +219,55 @@ fn apply_copy(
     src_y: u32,
     rect: &Rect,
 ) {
-    // Read the source through a temporary buffer so overlapping
-    // source/destination (scrolling) behaves like a simultaneous copy.
-    let clamped_src = Rect::new(src_x, src_y, rect.w, rect.h).intersect(screen);
-    if clamped_src.is_empty() {
+    let src = Rect::new(src_x, src_y, rect.w, rect.h).intersect(screen);
+    if src.is_empty() {
         return;
     }
-    let src = read_rect(pixels, width, &clamped_src);
-    // Pixels copy position-for-position: destination offset mirrors
-    // the clamped source offset.
-    let dst_rect = Rect::new(
-        rect.x + (clamped_src.x - src_x),
-        rect.y + (clamped_src.y - src_y),
-        clamped_src.w,
-        clamped_src.h,
+    // An origin pushed past `u32::MAX` is off any screen either way.
+    let dst = Rect::new(
+        rect.x.saturating_add(src.x - src_x),
+        rect.y.saturating_add(src.y - src_y),
+        src.w,
+        src.h,
     );
-    let r = dst_rect.intersect(screen);
+    let r = dst.intersect(screen);
+    if r.is_empty() {
+        return;
+    }
+    let (stride, len) = (width as usize, r.w as usize);
+    let from_y = src.y + (r.y - dst.y);
+    let from = from_y as usize * stride + (src.x + (r.x - dst.x)) as usize;
+    let to = r.y as usize * stride + r.x as usize;
+    let mut move_row = |row: usize| {
+        let start = from + row * stride;
+        pixels.copy_within(start..start + len, to + row * stride);
+    };
+    if r.y < from_y {
+        (0..r.h as usize).for_each(&mut move_row);
+    } else {
+        (0..r.h as usize).rev().for_each(&mut move_row);
+    }
+}
+
+/// Tiles `pattern` over `rect`, anchored at the command rectangle's
+/// origin so the pattern is stable under clamping: the eight pixels a
+/// scanline repeats are expanded once, then copied along it.
+fn apply_pattern(pixels: &mut [Pixel], width: u32, screen: &Rect, rect: &Rect, pattern: &Pattern) {
+    let r = rect.intersect(screen);
+    if r.is_empty() {
+        return;
+    }
+    let first_col = (r.x - rect.x) % 8;
     for y in r.y..r.bottom() {
-        let src_row =
-            (y - dst_rect.y) as usize * clamped_src.w as usize + (r.x - dst_rect.x) as usize;
-        let dst = (y * width + r.x) as usize;
-        pixels[dst..dst + r.w as usize].copy_from_slice(&src[src_row..src_row + r.w as usize]);
+        let tile: [Pixel; 8] =
+            std::array::from_fn(|i| pattern.pixel_at(first_col + i as u32, y - rect.y));
+        let dst = y as usize * width as usize + r.x as usize;
+        let mut chunks = pixels[dst..dst + r.w as usize].chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&tile);
+        }
+        let rest = chunks.into_remainder();
+        rest.copy_from_slice(&tile[..rest.len()]);
     }
 }
 
@@ -344,6 +365,14 @@ fn convert_row(out: &mut [Pixel], ys: &[u8], us: &[u8], vs: &[u8]) {
     }
 }
 
+/// Paints a one-bit-per-pixel bitmap, most significant bit leftmost,
+/// each row starting on a byte: set bits `fg`, clear bits `bg`.
+///
+/// A bitmap shorter than `ceil(rect.w / 8) * rect.h` bytes is not an
+/// error: the rows and bytes it lacks read as zero, so they paint `bg`.
+/// One byte expands into eight pixels of the clipped row at a time; the
+/// pixels before the first whole byte (a clip on the left) and after
+/// the last are looked up singly.
 fn apply_glyph(
     pixels: &mut [Pixel],
     width: u32,
@@ -354,18 +383,35 @@ fn apply_glyph(
     bg: Pixel,
 ) {
     let r = rect.intersect(screen);
+    if r.is_empty() {
+        return;
+    }
     let stride = (rect.w as usize).div_ceil(8);
+    let first_col = (r.x - rect.x) as usize;
+    let ink = |byte: u8, bit: usize| if byte & (0x80 >> bit) != 0 { fg } else { bg };
     for y in r.y..r.bottom() {
-        let row = (y - rect.y) as usize;
-        for x in r.x..r.right() {
-            let col = (x - rect.x) as usize;
-            let byte = bits.get(row * stride + col / 8).copied().unwrap_or(0);
-            let px = if byte >> (7 - col % 8) & 1 == 1 {
-                fg
-            } else {
-                bg
-            };
-            pixels[(y * width + x) as usize] = px;
+        let row = bits.get((y - rect.y) as usize * stride..).unwrap_or(&[]);
+        let byte = |i: usize| row.get(i).copied().unwrap_or(0);
+        let single = |col: usize| ink(byte(col / 8), col % 8);
+        let dst = y as usize * width as usize + r.x as usize;
+        let out = &mut pixels[dst..dst + r.w as usize];
+        let (head, body) =
+            out.split_at_mut((first_col.next_multiple_of(8) - first_col).min(r.w as usize));
+        for (i, px) in head.iter_mut().enumerate() {
+            *px = single(first_col + i);
+        }
+        let body_col = first_col + head.len();
+        let mut chunks = body.chunks_exact_mut(8);
+        for (i, chunk) in (&mut chunks).enumerate() {
+            let byte = byte(body_col / 8 + i);
+            for (bit, px) in chunk.iter_mut().enumerate() {
+                *px = ink(byte, bit);
+            }
+        }
+        let rest = chunks.into_remainder();
+        let rest_col = first_col + r.w as usize - rest.len();
+        for (i, px) in rest.iter_mut().enumerate() {
+            *px = single(rest_col + i);
         }
     }
 }
@@ -453,6 +499,73 @@ mod tests {
         assert_eq!(f.pixel(0, 1), 2);
         assert_eq!(f.pixel(0, 2), 3);
         assert_eq!(f.pixel(0, 3), 3, "row 3 untouched");
+    }
+
+    /// Regression: a well-framed command whose `x + w` (or a copy's
+    /// `src_x + w`) passes `u32::MAX` decodes fine, then overflowed in
+    /// `Rect::intersect` — a panic in debug builds, a wrapped rectangle
+    /// and so a wrong clip in release builds.
+    #[test]
+    fn decoded_commands_past_the_coordinate_space_clip() {
+        use crate::codec::{decode_command, encode_command_vec};
+        let decoded = |cmd: &DisplayCommand| {
+            decode_command(&mut encode_command_vec(cmd).as_slice()).expect("well framed")
+        };
+        let mut f = fb();
+        f.apply(&decoded(&DisplayCommand::SolidFill {
+            rect: Rect::new(0, 0, 16, 16),
+            color: 5,
+        }));
+        let before = f.snapshot();
+        for off_screen in [
+            DisplayCommand::SolidFill {
+                rect: Rect::new(u32::MAX, 0, 2, 1),
+                color: 9,
+            },
+            DisplayCommand::CopyArea {
+                src_x: u32::MAX - 1,
+                src_y: 0,
+                rect: Rect::new(0, 0, 4, 4),
+            },
+            DisplayCommand::CopyArea {
+                src_x: 0,
+                src_y: 0,
+                rect: Rect::new(u32::MAX - 1, u32::MAX, 4, 4),
+            },
+            DisplayCommand::Glyph {
+                rect: Rect::new(3, u32::MAX - 2, 8, 8),
+                bits: Arc::new(vec![0xFF; 8]),
+                fg: 1,
+                bg: 2,
+            },
+        ] {
+            f.apply(&decoded(&off_screen));
+            assert_eq!(f.snapshot(), before, "{off_screen:?} painted");
+        }
+        // Over-wide and over-tall: the part on screen is painted.
+        f.apply(&decoded(&DisplayCommand::SolidFill {
+            rect: Rect::new(10, 3, u32::MAX - 5, 1),
+            color: 9,
+        }));
+        f.apply(&decoded(&DisplayCommand::CopyArea {
+            src_x: 8,
+            src_y: 3,
+            rect: Rect::new(0, 8, u32::MAX, u32::MAX - 2),
+        }));
+        for x in 0..16 {
+            assert_eq!(
+                f.pixel(x, 3),
+                if x < 10 { 5 } else { 9 },
+                "fill, column {x}"
+            );
+            assert_eq!(
+                f.pixel(x, 8),
+                if (2..8).contains(&x) { 9 } else { 5 },
+                "copy, column {x}"
+            );
+        }
+        assert_eq!(f.pixel(15, 2), 5);
+        assert_eq!(f.pixel(15, 4), 5);
     }
 
     #[test]
@@ -570,6 +683,174 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Side of the square buffer the kernel properties paint into.
+    const SIDE: u32 = 40;
+
+    /// The loops the row kernels replaced, kept as their oracle:
+    /// `CopyArea` through a copy of the source block, `Glyph` and
+    /// `PatternFill` one pixel at a time.
+    fn reference_paint(pixels: &mut [Pixel], width: u32, screen: &Rect, cmd: &DisplayCommand) {
+        match cmd {
+            DisplayCommand::CopyArea { src_x, src_y, rect } => {
+                let clamped_src = Rect::new(*src_x, *src_y, rect.w, rect.h).intersect(screen);
+                if clamped_src.is_empty() {
+                    return;
+                }
+                let mut src = Vec::new();
+                for y in clamped_src.y..clamped_src.bottom() {
+                    let start = (y * width + clamped_src.x) as usize;
+                    src.extend_from_slice(&pixels[start..start + clamped_src.w as usize]);
+                }
+                let dst_rect = Rect::new(
+                    rect.x + (clamped_src.x - src_x),
+                    rect.y + (clamped_src.y - src_y),
+                    clamped_src.w,
+                    clamped_src.h,
+                );
+                let r = dst_rect.intersect(screen);
+                for y in r.y..r.bottom() {
+                    let src_row = (y - dst_rect.y) as usize * clamped_src.w as usize
+                        + (r.x - dst_rect.x) as usize;
+                    let dst = (y * width + r.x) as usize;
+                    pixels[dst..dst + r.w as usize]
+                        .copy_from_slice(&src[src_row..src_row + r.w as usize]);
+                }
+            }
+            DisplayCommand::PatternFill { rect, pattern } => {
+                let r = rect.intersect(screen);
+                for y in r.y..r.bottom() {
+                    for x in r.x..r.right() {
+                        pixels[(y * width + x) as usize] = pattern.pixel_at(x - rect.x, y - rect.y);
+                    }
+                }
+            }
+            DisplayCommand::Glyph { rect, bits, fg, bg } => {
+                let r = rect.intersect(screen);
+                let stride = (rect.w as usize).div_ceil(8);
+                for y in r.y..r.bottom() {
+                    let row = (y - rect.y) as usize;
+                    for x in r.x..r.right() {
+                        let col = (x - rect.x) as usize;
+                        let byte = bits.get(row * stride + col / 8).copied().unwrap_or(0);
+                        let set = byte >> (7 - col % 8) & 1 == 1;
+                        pixels[(y * width + x) as usize] = if set { *fg } else { *bg };
+                    }
+                }
+            }
+            other => panic!("no reference loop for {other:?}"),
+        }
+    }
+
+    /// Paints `cmd`, clipped by `clip`, over the same noise with the
+    /// kernel and with the reference loop: `(kernel, reference)`.
+    fn kernel_and_reference(
+        cmd: &DisplayCommand,
+        clip: (u32, u32, u32, u32),
+        seed: u64,
+    ) -> (Vec<Pixel>, Vec<Pixel>) {
+        let clip = Rect::new(clip.0, clip.1, clip.2, clip.3).intersect(&Rect::screen(SIDE, SIDE));
+        let mut rng = TestRng::from_seed(seed);
+        let mut kernel: Vec<Pixel> = (0..SIDE * SIDE).map(|_| rng.next_u64() as Pixel).collect();
+        let mut reference = kernel.clone();
+        paint(&mut kernel, SIDE, &clip, cmd);
+        reference_paint(&mut reference, SIDE, &clip, cmd);
+        (kernel, reference)
+    }
+
+    /// A clip that is the whole buffer half the time, else any part.
+    fn clips() -> impl Strategy<Value = (u32, u32, u32, u32)> {
+        prop_oneof![
+            Just((0, 0, SIDE, SIDE)),
+            (0..SIDE / 2, 0..SIDE / 2, 1..=SIDE, 1..=SIDE),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// In-place row moves equal a copy through a buffer: every
+        /// direction of overlap (the distance is drawn per axis from
+        /// negative, zero and positive, so all nine combinations and a
+        /// copy onto itself occur), one-pixel-wide, full-width and
+        /// larger-than-screen blocks, and a source, a destination or
+        /// both cut by any edge of the clip or lying wholly outside it.
+        #[test]
+        fn copy_kernel_equals_copy_through_a_buffer(
+            src in (0..SIDE + 4, 0..SIDE + 4),
+            distance in (0..=12u32, 0..=12u32),
+            toward in (0..3u32, 0..3u32),
+            size in (
+                prop_oneof![Just(1), Just(SIDE), 1..SIDE + 8],
+                prop_oneof![Just(1), Just(SIDE), 1..SIDE + 8],
+            ),
+            clip in clips(),
+            seed in any::<u64>(),
+        ) {
+            let moved = |from: u32, by: u32, toward: u32| match toward {
+                0 => from,
+                1 => from.saturating_sub(by),
+                _ => from + by,
+            };
+            let cmd = DisplayCommand::CopyArea {
+                src_x: src.0,
+                src_y: src.1,
+                rect: Rect::new(
+                    moved(src.0, distance.0, toward.0),
+                    moved(src.1, distance.1, toward.1),
+                    size.0,
+                    size.1,
+                ),
+            };
+            let (kernel, reference) = kernel_and_reference(&cmd, clip, seed);
+            prop_assert_eq!(kernel, reference, "{:?} clipped by {:?}", cmd, clip);
+        }
+
+        /// Byte-wise expansion equals the per-pixel lookup: widths that
+        /// end inside, on and past a byte, bitmaps of the full length,
+        /// shorter (whole rows and part of a row missing) and empty,
+        /// clips on every side, and `fg == bg`.
+        #[test]
+        fn glyph_kernel_equals_per_pixel_lookup(
+            origin in (0..SIDE, 0..SIDE),
+            size in (1..=33u32, 1..=9u32),
+            kept in prop_oneof![Just(u32::MAX), 0..48u32],
+            colours in prop_oneof![Just((7, 7)), (any::<u32>(), any::<u32>())],
+            clip in clips(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::from_seed(seed ^ 0x5EED);
+            let full = size.0.div_ceil(8) * size.1;
+            let bits: Vec<u8> = (0..full.min(kept)).map(|_| rng.next_u64() as u8).collect();
+            let cmd = DisplayCommand::Glyph {
+                rect: Rect::new(origin.0, origin.1, size.0, size.1),
+                bits: Arc::new(bits),
+                fg: colours.0,
+                bg: colours.1,
+            };
+            let (kernel, reference) = kernel_and_reference(&cmd, clip, seed);
+            prop_assert_eq!(kernel, reference, "{:?} clipped by {:?}", cmd, clip);
+        }
+
+        /// Tiling an expanded pattern row equals `Pattern::pixel_at`
+        /// per pixel: rectangles that neither start nor end on a tile
+        /// boundary, clipped on every side.
+        #[test]
+        fn pattern_kernel_equals_per_pixel_lookup(
+            origin in (0..SIDE, 0..SIDE),
+            size in (1..SIDE + 8, 1..SIDE + 8),
+            bits in any::<u64>(),
+            clip in clips(),
+            seed in any::<u64>(),
+        ) {
+            let cmd = DisplayCommand::PatternFill {
+                rect: Rect::new(origin.0, origin.1, size.0, size.1),
+                pattern: Pattern { bits, fg: 0x00FF_FFFF, bg: 0x0000_0001 },
+            };
+            let (kernel, reference) = kernel_and_reference(&cmd, clip, seed);
+            prop_assert_eq!(kernel, reference, "{:?} clipped by {:?}", cmd, clip);
         }
     }
 

@@ -43,14 +43,18 @@ impl Rect {
         self.w as u64 * self.h as u64
     }
 
-    /// Returns the exclusive right edge.
+    /// Returns the exclusive right edge, saturating at `u32::MAX`.
+    ///
+    /// A decoded command may carry any `x` and `w`; an edge past the
+    /// coordinate space is past every screen, so saturating leaves each
+    /// clip against a screen exact and nothing overflows.
     pub const fn right(&self) -> u32 {
-        self.x + self.w
+        self.x.saturating_add(self.w)
     }
 
-    /// Returns the exclusive bottom edge.
+    /// Returns the exclusive bottom edge, saturating at `u32::MAX`.
     pub const fn bottom(&self) -> u32 {
-        self.y + self.h
+        self.y.saturating_add(self.h)
     }
 
     /// Returns whether `other` lies entirely within `self`.
@@ -291,6 +295,28 @@ mod tests {
         let u = a.union_bounds(&b);
         assert!(u.contains(&a) && u.contains(&b));
         assert_eq!(u, Rect::new(0, 0, 10, 10));
+    }
+
+    /// Edges past `u32::MAX` saturate: clips stay exact and nothing
+    /// overflows, in debug or release.
+    #[test]
+    fn edges_past_the_coordinate_space_saturate() {
+        let screen = Rect::screen(100, 50);
+        let far = Rect::new(u32::MAX, u32::MAX - 1, 2, 7);
+        assert_eq!((far.right(), far.bottom()), (u32::MAX, u32::MAX));
+        assert!(far.intersect(&screen).is_empty());
+        assert!(!screen.contains(&far));
+        let wide = Rect::new(10, 5, u32::MAX - 5, u32::MAX);
+        assert_eq!(wide.intersect(&screen), Rect::new(10, 5, 90, 45));
+        assert!(wide.contains(&Rect::new(10, 5, 90, 45)));
+        assert_eq!(
+            wide.union_bounds(&Rect::new(0, 0, 1, 1)),
+            Rect::new(0, 0, u32::MAX, u32::MAX)
+        );
+        assert_eq!(
+            screen.subtract(&wide).iter().map(Rect::area).sum::<u64>(),
+            5_000 - 90 * 45
+        );
     }
 
     #[test]

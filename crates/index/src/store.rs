@@ -14,7 +14,7 @@
 //! focus     count u64, then count x (app_id u32, gained_at u64)
 //! ```
 //!
-//! [`scan`] is the only reader of that layout.
+//! `scan` is the only reader of that layout.
 
 use bytes::{Buf, BufMut};
 

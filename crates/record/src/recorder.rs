@@ -23,7 +23,7 @@ use dv_time::{Duration, Timestamp};
 
 use crate::log::CommandLog;
 use crate::replay::PrunedReplay;
-use crate::screenshot::ScreenshotStore;
+use crate::screenshot::{encode_screenshot, ScreenshotStore};
 use crate::timeline::{Timeline, TimelineEntry};
 
 /// Callback invoked with every *persisted* keyframe (time + screenshot).
@@ -138,9 +138,6 @@ pub struct DisplayRecorder {
     queue: CommandQueue,
     last_flush: Option<Timestamp>,
     last_keyframe: Option<Timestamp>,
-    /// Content hash of the last *persisted* keyframe; a new keyframe
-    /// whose screen hashes identically is suppressed.
-    last_keyframe_hash: Option<u64>,
     damage_since_keyframe: Region,
     plane: FaultPlane,
     obs: Obs,
@@ -178,7 +175,6 @@ impl DisplayRecorder {
             queue: CommandQueue::new(),
             last_flush: None,
             last_keyframe: None,
-            last_keyframe_hash: None,
             damage_since_keyframe: Region::new(),
             plane: FaultPlane::disabled(),
             obs: Obs::disabled(),
@@ -299,12 +295,21 @@ impl DisplayRecorder {
         let _span = self.obs.span("display", names::DISPLAY_KEYFRAME);
         // A full-screen redraw of unchanged content (window refresh,
         // tab-switch round trip) passes the damage gate but would store a
-        // byte-identical screenshot; suppress it. The damage is cleared —
-        // the screen provably matches the last keyframe — so the next
+        // byte-identical screenshot; suppress it. The last *persisted*
+        // keyframe is the one the newest timeline entry names (never a
+        // screenshot orphaned by a failed timeline write), and equal
+        // encodings mean equal screens. The damage is cleared — the
+        // screen provably matches the last keyframe — so the next
         // interval does not retry a no-op.
         let shot = self.fb.snapshot();
-        let hash = shot.content_hash();
-        if self.last_keyframe_hash == Some(hash) {
+        let encoded = encode_screenshot(&shot);
+        let unchanged = {
+            let store = self.record.read();
+            let last = store.timeline.entries().last();
+            last.and_then(|entry| store.shots.encoded_at(entry.screenshot_offset))
+                == Some(encoded.as_slice())
+        };
+        if unchanged {
             self.skipped_identical_keyframes += 1;
             self.last_keyframe = Some(now);
             self.damage_since_keyframe.clear();
@@ -325,7 +330,7 @@ impl DisplayRecorder {
         }
         let mut store = self.record.write();
         let shot_bytes_before = store.shots.byte_len();
-        let screenshot_offset = store.shots.append(&shot);
+        let screenshot_offset = store.shots.append_encoded(&encoded);
         // Accounted even if the timeline entry below fails: the orphaned
         // screenshot bytes are still on storage, and `stats()` reads the
         // store's byte length directly.
@@ -357,7 +362,6 @@ impl DisplayRecorder {
             store.timeline.byte_len() - timeline_bytes_before,
         );
         self.last_keyframe = Some(now);
-        self.last_keyframe_hash = Some(hash);
         self.damage_since_keyframe.clear();
         drop(store);
         if let Some(hook) = self.keyframe_hook.as_mut() {
@@ -575,6 +579,101 @@ mod tests {
             let shot = store.shots.load(entry.screenshot_offset).unwrap();
             assert_eq!(call.1, shot.content_hash());
         }
+    }
+
+    /// A screenshot orphaned by a failed timeline write is not the last
+    /// persisted keyframe: the same screen, offered again, is stored.
+    #[test]
+    fn orphaned_screenshot_is_not_the_comparison_target() {
+        use dv_fault::FaultPlan;
+        let mut rec = DisplayRecorder::new(64, 64, RecorderConfig::default());
+        // The initial keyframe is the timeline write's first check.
+        rec.set_fault_plane(
+            FaultPlan::new(1)
+                .fail_nth(sites::RECORD_TIMELINE_PERSIST, 2, IoFault::Enospc)
+                .build(),
+        );
+        rec.submit(ts(0), &fill(Rect::new(0, 0, 64, 64), 7));
+        rec.force_keyframe(ts(1_000));
+        let orphaned = rec.stats();
+        assert_eq!((orphaned.keyframes, orphaned.dropped_keyframes), (2, 1));
+        assert_eq!(rec.record().read().timeline.len(), 1);
+        // Same screen as the orphan, but not as the keyframe at ts(0).
+        rec.force_keyframe(ts(2_000));
+        let stored = rec.stats();
+        assert_eq!(stored.skipped_identical_keyframes, 0);
+        assert_eq!((stored.keyframes, stored.dropped_keyframes), (3, 1));
+        rec.force_keyframe(ts(3_000));
+        assert_eq!(rec.stats().skipped_identical_keyframes, 1);
+        let record = rec.record();
+        let store = record.read();
+        let times: Vec<Timestamp> = store.timeline.entries().iter().map(|e| e.time).collect();
+        assert_eq!(times, [ts(0), ts(2_000)]);
+        let last = store.timeline.entries()[1].screenshot_offset;
+        assert!(store
+            .shots
+            .load(last)
+            .unwrap()
+            .pixels
+            .iter()
+            .all(|&p| p == 7));
+    }
+
+    /// The two keyframe sites are asked in the order and number they
+    /// always were: a suppressed keyframe asks neither, a failed
+    /// screenshot write does not ask the timeline. Pinned from the
+    /// recorder that hashed frames, for the same script.
+    #[test]
+    fn keyframe_fault_sites_are_checked_in_the_same_sequence() {
+        use dv_fault::FaultPlan;
+        let plane = FaultPlan::new(1)
+            .fail_nth(sites::RECORD_SCREENSHOT_PERSIST, 3, IoFault::TornWrite)
+            .fail_nth(sites::RECORD_TIMELINE_PERSIST, 3, IoFault::ShortRead)
+            .build();
+        let mut rec = DisplayRecorder::new(64, 64, RecorderConfig::default());
+        rec.set_fault_plane(plane.clone());
+        // (draw this colour first, or nothing) then force a keyframe.
+        let script = [
+            Some(1),
+            None,
+            Some(2),
+            Some(3),
+            None,
+            Some(3),
+            Some(4),
+            None,
+        ];
+        let mut seen = Vec::new();
+        for (i, draw) in script.into_iter().enumerate() {
+            let at = i as u64 * 1_000;
+            if let Some(color) = draw {
+                rec.submit(ts(at), &fill(Rect::new(0, 0, 64, 64), color));
+            }
+            rec.force_keyframe(ts(at + 500));
+            let per_site = plane.stats().sites;
+            let checks = |site: &str| per_site.get(site).map_or(0, |s| s.checks);
+            let stats = rec.stats();
+            seen.push((
+                checks(sites::RECORD_SCREENSHOT_PERSIST),
+                checks(sites::RECORD_TIMELINE_PERSIST),
+                stats.keyframes,
+                stats.skipped_identical_keyframes,
+                stats.dropped_keyframes,
+            ));
+        }
+        assert_eq!(
+            seen,
+            [
+                (2, 2, 2, 0, 0), // initial keyframe, then colour 1
+                (2, 2, 2, 1, 0), // unchanged: neither site asked
+                (3, 2, 2, 1, 1), // screenshot write torn: timeline not asked
+                (4, 3, 3, 1, 2), // timeline write fails: screenshot orphaned
+                (5, 4, 4, 1, 2), // colour 3 again: not yet persisted, stored
+                (5, 4, 4, 2, 2), // redrawn in the same colour: suppressed
+                (6, 5, 5, 2, 2),
+                (6, 5, 5, 3, 2),
+            ]
+        );
     }
 
     #[test]

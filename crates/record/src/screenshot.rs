@@ -95,30 +95,38 @@ impl ScreenshotStore {
 
     /// Appends a screenshot, returning its byte offset.
     pub fn append(&mut self, shot: &Screenshot) -> u64 {
+        self.append_encoded(&encode_screenshot(shot))
+    }
+
+    /// Appends what [`encode_screenshot`] returned for a screenshot,
+    /// returning its byte offset.
+    pub fn append_encoded(&mut self, encoded: &[u8]) -> u64 {
         let offset = self.data.len() as u64;
-        let encoded = encode_screenshot(shot);
         self.data
             .extend_from_slice(&(encoded.len() as u64).to_le_bytes());
-        self.data.extend_from_slice(&encoded);
+        self.data.extend_from_slice(encoded);
         self.count += 1;
         offset
     }
 
-    /// Loads the screenshot stored at `offset`.
+    /// Returns the encoded screenshot stored at `offset`, as
+    /// [`encode_screenshot`] wrote it.
     ///
     /// All offset arithmetic is checked: a corrupt or huge offset (e.g.
     /// from a damaged timeline) or a corrupt length prefix returns
     /// `None` instead of overflowing.
-    pub fn load(&self, offset: u64) -> Option<Screenshot> {
+    pub fn encoded_at(&self, offset: u64) -> Option<&[u8]> {
         let start = usize::try_from(offset).ok()?;
         let body = start.checked_add(8)?;
-        if body > self.data.len() {
-            return None;
-        }
-        let len =
-            usize::try_from(u64::from_le_bytes(self.data[start..body].try_into().ok()?)).ok()?;
-        let end = body.checked_add(len)?;
-        decode_screenshot(self.data.get(body..end)?)
+        let prefix = self.data.get(start..body)?;
+        let len = usize::try_from(u64::from_le_bytes(prefix.try_into().ok()?)).ok()?;
+        self.data.get(body..body.checked_add(len)?)
+    }
+
+    /// Loads the screenshot stored at `offset`; `None` if there is no
+    /// well-formed record there.
+    pub fn load(&self, offset: u64) -> Option<Screenshot> {
+        decode_screenshot(self.encoded_at(offset)?)
     }
 
     /// Returns the number of stored screenshots.
@@ -145,15 +153,12 @@ impl ScreenshotStore {
     /// screenshot. Returns `None` on malformed data.
     pub fn from_bytes(data: Vec<u8>) -> Option<ScreenshotStore> {
         let mut store = ScreenshotStore { data, count: 0 };
-        let mut offset = 0u64;
-        while offset < store.data.len() as u64 {
-            // `load` validates that `offset + 8` and the record body fit
-            // within the data (checked arithmetic), so the slice below
-            // cannot overflow or go out of bounds.
-            store.load(offset)?;
-            let start = usize::try_from(offset).ok()?;
-            let len = u64::from_le_bytes(store.data[start..start + 8].try_into().ok()?);
-            offset = offset.checked_add(8)?.checked_add(len)?;
+        let mut offset = 0;
+        while offset < store.data.len() {
+            let encoded = store.encoded_at(offset as u64)?;
+            decode_screenshot(encoded)?;
+            // The record lies within `data`, so its end cannot overflow.
+            offset += 8 + encoded.len();
             store.count += 1;
         }
         Some(store)

@@ -57,6 +57,14 @@ fn converge(svc: &mut NetService, clients: &mut [NetClient<LoopbackTransport>]) 
     }
 }
 
+/// Writes all of `bytes` to a raw wire end, however it chunks them.
+fn send_all(wire: &mut LoopbackTransport, bytes: &[u8]) {
+    let mut off = 0;
+    while off < bytes.len() {
+        off += wire.send(&bytes[off..]).unwrap();
+    }
+}
+
 /// A deterministic splash of drawing, distinct per `salt`.
 fn draw(svc: &mut NetService, salt: u32) {
     let d = svc.dv_mut().driver_mut();
@@ -492,10 +500,7 @@ fn rpcs_before_the_handshake_are_ignored() {
         order: RankOrder::Chronological,
         query: "live".to_string(),
     })));
-    let mut off = 0;
-    while off < bytes.len() {
-        off += wire.send(&bytes[off..]).unwrap();
-    }
+    send_all(&mut wire, &bytes);
     for _ in 0..10 {
         svc.poll();
     }
@@ -514,6 +519,52 @@ fn rpcs_before_the_handshake_are_ignored() {
         "server answered an RPC from an un-handshaken client"
     );
     assert_eq!(svc.client_count(), 1, "connection should survive, parked");
+}
+
+/// Regression: a server may send any well-framed rectangle. One whose
+/// right edge passes `u32::MAX` used to overflow in the client's clip —
+/// a panic in a debug build, a wrapped rectangle in a release build.
+#[test]
+fn client_clips_commands_past_the_coordinate_space() {
+    use dv_display::DisplayCommand;
+    let (mut wire, client_end) = LoopbackTransport::pair();
+    let mut client = NetClient::connect(client_end, "far-right");
+    let command = |cmd| Message::Command {
+        ts: Timestamp::ZERO,
+        cmd,
+    };
+    let messages = [
+        Message::Welcome {
+            version: PROTOCOL_VERSION,
+            width: W,
+            height: H,
+        },
+        command(DisplayCommand::SolidFill {
+            rect: Rect::new(u32::MAX, 0, 2, 1),
+            color: 9,
+        }),
+        command(DisplayCommand::CopyArea {
+            src_x: u32::MAX - 1,
+            src_y: 0,
+            rect: Rect::new(0, 0, 4, 4),
+        }),
+        command(DisplayCommand::SolidFill {
+            rect: Rect::new(10, 2, u32::MAX - 5, 1),
+            color: 7,
+        }),
+    ];
+    let mut bytes = Vec::new();
+    for msg in &messages {
+        bytes.extend(encode_frame_vec(&encode_message_vec(msg)));
+    }
+    send_all(&mut wire, &bytes);
+    assert_eq!(client.poll().unwrap(), messages.len());
+    let fb = client.framebuffer().expect("welcomed");
+    for x in 0..W {
+        assert_eq!(fb.pixel(x, 2), if x < 10 { 0 } else { 7 }, "column {x}");
+    }
+    assert!(fb.read_rect(&Rect::new(0, 0, W, 2)).iter().all(|&p| p == 0));
+    assert!(fb.read_rect(&Rect::new(0, 3, W, H)).iter().all(|&p| p == 0));
 }
 
 #[test]
