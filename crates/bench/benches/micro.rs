@@ -192,17 +192,31 @@ fn bench_lsfs(c: &mut Criterion) {
             fs.sync().unwrap();
         });
     });
-    group.bench_function("snapshot_point_1k_files", |b| {
+    let populated = |files: usize| {
         let mut fs = Lsfs::new();
-        for i in 0..1_000 {
+        for i in 0..files {
             fs.write_all(&format!("/file_{i}"), b"contents").unwrap();
         }
         fs.sync().unwrap();
-        let mut counter = 0;
-        b.iter(|| {
-            counter += 1;
-            fs.snapshot_point(counter).unwrap();
+        fs
+    };
+    for (name, files) in [
+        ("snapshot_point_1k_files", 1_000),
+        ("snapshot_point_16k_files", 16_384),
+    ] {
+        group.bench_function(name, |b| {
+            let mut fs = populated(files);
+            let mut counter = 0;
+            b.iter(|| {
+                counter += 1;
+                fs.snapshot_point(counter).unwrap();
+            });
         });
+    }
+    group.bench_function("snapshot_view_open_16k_files", |b| {
+        let mut fs = populated(16_384);
+        fs.snapshot_point(1).unwrap();
+        b.iter(|| fs.snapshot(1).unwrap());
     });
     group.finish();
 }

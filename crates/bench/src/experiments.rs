@@ -1224,6 +1224,80 @@ pub fn crash_consistency(scale: f64) -> Vec<CrashRow> {
 }
 
 // ---------------------------------------------------------------------
+// File-system snapshot cost against file-system size
+// ---------------------------------------------------------------------
+
+/// Inode counts of the snapshot-cost sweep; the first is the anchor.
+pub const FS_SNAPSHOT_SWEEP: &[usize] = &[256, 16_384];
+
+/// One point of the snapshot-cost sweep.
+pub struct FsSnapshotRow {
+    /// Files in the tree the snapshots were taken of.
+    pub inodes: usize,
+    /// Median `snapshot_point` after one 4 KiB write.
+    pub snapshot_p50: std::time::Duration,
+    /// That median over the first point's, same interleaved pass.
+    pub unit_ratio: f64,
+}
+
+/// What a snapshot point costs as the file system grows: one 4 KiB
+/// write to one file, then `snapshot_point` (timed: it syncs the block,
+/// journals the mark and retains the state), on trees of each size of
+/// [`FS_SNAPSHOT_SWEEP`]. The previous snapshot stays retained, as in a
+/// recording session, so the write pays whatever un-sharing costs.
+pub fn fs_snapshot_experiment(scale: f64) -> Vec<FsSnapshotRow> {
+    use dv_lsfs::{Filesystem, Lsfs};
+    let rounds = ((256.0 * scale) as u64).max(16);
+    let block = vec![0x5au8; dv_lsfs::BLOCK_SIZE];
+    let mut trees: Vec<(Lsfs, u64)> = FS_SNAPSHOT_SWEEP
+        .iter()
+        .map(|&inodes| {
+            let mut fs = Lsfs::new();
+            for i in 0..inodes {
+                fs.write_all(&format!("/f{i}"), &block).expect("populate");
+            }
+            fs.snapshot_point(0).expect("first snapshot");
+            (fs, 0)
+        })
+        .collect();
+    let sweep = interleaved_sweep(
+        FS_SNAPSHOT_SWEEP,
+        4,
+        0,
+        0.50,
+        |inodes| {
+            let point = FS_SNAPSHOT_SWEEP.iter().position(|&n| n == inodes);
+            let (fs, counter) = &mut trees[point.expect("a sweep point")];
+            warm_core();
+            let mut samples: Vec<std::time::Duration> = (0..rounds)
+                .map(|_| {
+                    *counter += 1;
+                    let path = format!("/f{}", *counter as usize * 97 % inodes);
+                    fs.write_at(&path, 0, &block).expect("write");
+                    let start = Instant::now();
+                    fs.snapshot_point(*counter).expect("snapshot");
+                    let took = start.elapsed();
+                    fs.drop_snapshot(*counter - 1);
+                    took
+                })
+                .collect();
+            samples.sort_unstable();
+            samples
+        },
+        |samples| samples,
+    );
+    FS_SNAPSHOT_SWEEP
+        .iter()
+        .zip(sweep)
+        .map(|(&inodes, (best, unit_ratio))| FsSnapshotRow {
+            inodes,
+            snapshot_p50: percentile(&best, 0.50),
+            unit_ratio,
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------
 // Remote access: client fan-out over dv-net
 // ---------------------------------------------------------------------
 
@@ -2634,6 +2708,8 @@ pub(crate) mod tests {
         LazyLock::new(|| deferred_experiment(0.05));
     pub(crate) static FAULTS: LazyLock<Vec<FaultRow>> = LazyLock::new(|| faults_experiment(0.02));
     pub(crate) static CRASH: LazyLock<Vec<CrashRow>> = LazyLock::new(|| crash_consistency(0.02));
+    pub(crate) static FS_SNAPSHOT: LazyLock<Vec<FsSnapshotRow>> =
+        LazyLock::new(|| fs_snapshot_experiment(0.02));
     pub(crate) static NET: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_experiment(0.05));
     pub(crate) static NET_WIDE: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_wide_experiment(0.02));
     pub(crate) static HOST: LazyLock<HostReport> = LazyLock::new(|| host_experiment(0.05));

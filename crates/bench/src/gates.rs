@@ -9,14 +9,14 @@
 //! `BENCH_baseline.json`, so a metric name carries no meaning.
 
 use crate::experiments::{
-    crash_consistency, dedup_experiment, deferred_experiment, faults_experiment, host_experiment,
-    index_experiment, net_experiment, net_wide_experiment, obs_experiment, visual_experiment,
-    CrashRow, DedupRow, DeferredRow, FaultRow, HostReport, IndexReport, NetRow, ObsReport,
-    VisualReport, VisualRow,
+    crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
+    fs_snapshot_experiment, host_experiment, index_experiment, net_experiment, net_wide_experiment,
+    obs_experiment, visual_experiment, CrashRow, DedupRow, DeferredRow, FaultRow, FsSnapshotRow,
+    HostReport, IndexReport, NetRow, ObsReport, VisualReport, VisualRow,
 };
 use crate::report::{
-    print_crash, print_dedup, print_deferred, print_faults, print_host, print_index, print_net,
-    print_obs, print_visual,
+    print_crash, print_dedup, print_deferred, print_faults, print_fs_snapshot, print_host,
+    print_index, print_net, print_obs, print_visual,
 };
 
 /// How far over its baseline an at-most metric may run before its gate
@@ -145,6 +145,9 @@ pub const SUITES: &[Suite] = &[
             ("faults_browse_ok_fraction", MustHold),
             ("faults_search_ok_fraction", MustHold),
             ("crash_recovered_fraction", MustHold),
+            // A snapshot point costs what was written since the last
+            // one, not what the file system holds.
+            ("fs_snapshot_i*_ratio", AtMost(Is(2.0))),
         ],
         measure: |scale| {
             let deferred = deferred_experiment(scale);
@@ -155,7 +158,10 @@ pub const SUITES: &[Suite] = &[
             println!();
             let crash = crash_consistency(scale.min(0.25));
             print_crash(&crash);
-            ci_metrics(&deferred, &faults, &crash)
+            println!();
+            let fs_snapshot = fs_snapshot_experiment(scale);
+            print_fs_snapshot(&fs_snapshot);
+            ci_metrics(&deferred, &faults, &crash, &fs_snapshot)
         },
     },
     Suite {
@@ -398,12 +404,13 @@ fn flag(holds: bool) -> f64 {
     f64::from(u8::from(holds))
 }
 
-/// The deferred write-back comparison plus the fault and power-cut
-/// matrices.
+/// The deferred write-back comparison, the fault and power-cut
+/// matrices, and snapshot cost against file-system size.
 fn ci_metrics(
     deferred: &[DeferredRow],
     faults: &[FaultRow],
     crash: &[CrashRow],
+    fs_snapshot: &[FsSnapshotRow],
 ) -> Vec<(String, f64)> {
     let inline = &deferred[0];
     let stall = |r: &DeferredRow| r.mean_stall.as_secs_f64();
@@ -436,6 +443,10 @@ fn ci_metrics(
         ]
         .map(|(key, value)| (key.to_string(), value)),
     );
+    for row in &fs_snapshot[1..] {
+        let key = format!("fs_snapshot_i{}_ratio", row.inodes);
+        m.push((key, row.unit_ratio));
+    }
     m
 }
 
@@ -641,7 +652,12 @@ mod tests {
         use crate::experiments::tests as smoke;
         let baseline = checked_in_baseline();
         let metrics = [
-            ci_metrics(&smoke::DEFERRED, &smoke::FAULTS, &smoke::CRASH),
+            ci_metrics(
+                &smoke::DEFERRED,
+                &smoke::FAULTS,
+                &smoke::CRASH,
+                &smoke::FS_SNAPSHOT,
+            ),
             obs_metrics(&obs_experiment(0.01)),
             net_metrics(&smoke::NET, &smoke::NET_WIDE),
             host_metrics(&smoke::HOST),

@@ -2,8 +2,8 @@
 
 use crate::experiments::{
     AblationRow, BrowseSearchRow, CheckpointRow, CrashRow, DedupRow, DeferredRow, FaultRow,
-    HostReport, IndexReport, MirrorAblationRow, NetRow, ObsReport, OverheadRow, PlaybackRow,
-    QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
+    FsSnapshotRow, HostReport, IndexReport, MirrorAblationRow, NetRow, ObsReport, OverheadRow,
+    PlaybackRow, QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
 };
 use dv_checkpoint::PolicyStats;
 
@@ -89,6 +89,21 @@ pub fn print_crash(rows: &[CrashRow]) {
             row.cut_bytes,
             if row.recovered { "ok" } else { "FAIL" },
             row.snapshots,
+        );
+    }
+}
+
+/// Prints the snapshot-cost sweep.
+pub fn print_fs_snapshot(rows: &[FsSnapshotRow]) {
+    println!("File-system snapshot: one 4 KiB write, then snapshot_point, by tree size");
+    println!("{:<10} {:>14} {:>10}", "inodes", "snapshot-p50", "ratio");
+    println!("{:-<36}", "");
+    for row in rows {
+        println!(
+            "{:<10} {:>11.1} us {:>10.2}",
+            row.inodes,
+            row.snapshot_p50.as_secs_f64() * 1e6,
+            row.unit_ratio,
         );
     }
 }

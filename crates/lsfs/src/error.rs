@@ -36,6 +36,9 @@ pub enum FsError {
     Io,
     /// The device is out of space (`ENOSPC`).
     NoSpace,
+    /// A write would end past the largest representable file offset
+    /// (`EFBIG`).
+    FileTooLarge,
 }
 
 impl fmt::Display for FsError {
@@ -54,6 +57,7 @@ impl fmt::Display for FsError {
             FsError::Busy => "resource busy",
             FsError::Io => "input/output error",
             FsError::NoSpace => "no space left on device",
+            FsError::FileTooLarge => "file too large",
         };
         f.write_str(msg)
     }

@@ -19,13 +19,14 @@
 //! would dangle, so the operation refuses with [`FsError::Busy`] while
 //! any exist.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::disk::Disk;
 use crate::error::{FsError, FsResult};
-use crate::journal::FsOp;
-use crate::lsfs::{FsState, Lsfs, BLOCK_SIZE, HOLE, ROOT_INO};
+use crate::journal::{FsOp, NO_PREV};
+use crate::lsfs::{FsState, LsInode, Lsfs, BLOCK_SIZE, HOLE, ROOT_INO};
+use crate::table::{InodeTable, Rebuilt, Seen};
 use crate::vfs::{FileType, Filesystem};
 
 /// Log occupancy statistics.
@@ -43,44 +44,30 @@ pub struct GcStats {
     pub snapshots: u64,
 }
 
-fn live_blocks(states: &[&FsState]) -> std::collections::HashSet<u64> {
-    let mut live = std::collections::HashSet::new();
+/// The blocks reachable from `states`. Retained snapshots share most
+/// of their table nodes, so each distinct node is read once.
+fn live_blocks<'a>(states: impl Iterator<Item = &'a FsState>) -> HashSet<u64> {
+    let mut live = HashSet::new();
+    let mut seen = Seen::new();
     for state in states {
-        for inode in state.inodes.values() {
-            for &block in inode.blocks.iter() {
-                if block != HOLE {
-                    live.insert(block);
-                }
-            }
-        }
+        state.inodes.for_each_unseen(&mut seen, |_, inode| {
+            live.extend(inode.blocks.iter().filter(|block| **block != HOLE));
+        });
     }
     live
 }
 
 impl Lsfs {
-    /// Releases the snapshot point `counter`; its exclusively-held
-    /// blocks become reclaimable. Returns whether it existed.
-    pub fn drop_snapshot(&mut self, counter: u64) -> bool {
-        let removed = self.snapshots_mut().remove(&counter).is_some();
-        if removed {
-            self.stats_mut().snapshots -= 1;
-            self.obs().gauge_sub(dv_obs::names::LSFS_SNAPSHOTS, 1);
-        }
-        removed
-    }
-
     /// Computes log occupancy.
     pub fn gc_stats(&self) -> GcStats {
-        let mut states: Vec<&FsState> = vec![self.state_ref()];
-        states.extend(self.snapshots_ref().values());
-        let live = live_blocks(&states);
+        let live = live_blocks(self.states());
         let disk_bytes = self.disk().read().bytes_written();
         let live_data_bytes = live.len() as u64 * BLOCK_SIZE as u64;
         GcStats {
             disk_bytes,
             live_data_bytes,
             reclaimable_bytes: disk_bytes.saturating_sub(live_data_bytes),
-            snapshots: self.snapshots_ref().len() as u64,
+            snapshots: self.snapshots.len() as u64,
         }
     }
 
@@ -113,9 +100,7 @@ impl Lsfs {
         {
             let old_disk = self.disk();
             let old_disk = old_disk.read();
-            let mut states: Vec<&FsState> = vec![self.state_ref()];
-            states.extend(self.snapshots_ref().values());
-            let mut live: Vec<u64> = live_blocks(&states).into_iter().collect();
+            let mut live: Vec<u64> = live_blocks(self.states()).into_iter().collect();
             live.sort_unstable();
             for block in live {
                 let data = old_disk.read(block, BLOCK_SIZE);
@@ -123,35 +108,38 @@ impl Lsfs {
             }
         }
 
-        // Rewrite pointers everywhere.
-        let rewrite = |state: &mut FsState| {
-            for inode in state.inodes.values_mut() {
-                if inode.blocks.iter().any(|b| *b != HOLE) {
-                    let blocks = Arc::make_mut(&mut inode.blocks);
-                    for block in blocks.iter_mut() {
-                        if *block != HOLE {
-                            *block = remap[block];
-                        }
-                    }
-                }
+        // Rewrite pointers everywhere. Every distinct table node and
+        // block list is rebuilt once and handed to all of its holders,
+        // so the states share after the pass what they shared before
+        // it. The old tables stay in place, keeping the addresses the
+        // two maps are keyed by alive, until every twin is built.
+        let mut rebuilt = Rebuilt::new();
+        let mut lists: HashMap<*const Vec<u64>, Arc<Vec<u64>>> = HashMap::new();
+        let mut rewrite = |inode: &mut LsInode| {
+            if inode.blocks.iter().any(|b| *b != HOLE) {
+                let twin = lists.entry(Arc::as_ptr(&inode.blocks)).or_insert_with(|| {
+                    let moved = |b: &u64| if *b == HOLE { HOLE } else { remap[b] };
+                    Arc::new(inode.blocks.iter().map(moved).collect())
+                });
+                inode.blocks = twin.clone();
             }
         };
-        rewrite(self.state_mut());
-        let counters: Vec<u64> = self.snapshots_ref().keys().copied().collect();
-        for counter in counters {
-            let mut state = self.snapshots_ref()[&counter].clone();
-            rewrite(&mut state);
-            self.snapshots_mut().insert(counter, state);
+        let twins: Vec<InodeTable> = self
+            .states()
+            .map(|state| state.inodes.map(&mut rebuilt, &mut rewrite))
+            .collect();
+        for (state, inodes) in self.states_mut().zip(twins) {
+            state.inodes = inodes;
         }
 
         // Install the fresh log — keeping the fault plane wired to the
         // device — and re-journal the live state.
         new_disk.set_fault_plane(self.disk().read().fault_plane());
         *self.disk().write() = new_disk;
-        self.reset_journal();
-        let ops = dump_state_ops(self.state_ref());
+        self.last_journal = NO_PREV; // a fresh chain: the compaction baseline
+        let ops = dump_state_ops(&self.state);
         for op in &ops {
-            self.append_journal(op)?;
+            self.log_op(op)?; // the state is already in place
         }
         let new_len = self.disk().read().bytes_written();
         Ok(old_len.saturating_sub(new_len))
@@ -165,42 +153,35 @@ impl Lsfs {
     /// violation found.
     pub fn check(&self) -> Result<(), String> {
         let disk_len = self.disk().read().bytes_written();
-        let mut states: Vec<(&str, &FsState)> = vec![("live", self.state_ref())];
-        let snapshot_names: Vec<String> = self
-            .snapshots_ref()
-            .keys()
-            .map(|c| format!("snapshot {c}"))
-            .collect();
-        for (name, state) in snapshot_names
-            .iter()
-            .map(String::as_str)
-            .zip(self.snapshots_ref().values())
-        {
-            states.push((name, state));
-        }
-        for (name, state) in states {
-            check_state(name, state, disk_len)?;
+        let mut seen = Seen::new();
+        check_state("live", &self.state, disk_len, &mut seen)?;
+        for (counter, state) in &self.snapshots {
+            check_state(&format!("snapshot {counter}"), state, disk_len, &mut seen)?;
         }
         Ok(())
     }
 }
 
-fn check_state(name: &str, state: &FsState, disk_len: u64) -> Result<(), String> {
-    use std::collections::HashMap;
+/// Checks one state. Reachability and link counts are properties of
+/// the whole tree and are checked per state; what an inode says about
+/// itself (size against block count, block pointers inside the log) is
+/// checked once per distinct table node, in the first state that
+/// reaches it.
+fn check_state(name: &str, state: &FsState, disk_len: u64, seen: &mut Seen) -> Result<(), String> {
     // Count directory references per inode, walking from the root.
     let mut refs: HashMap<u64, u32> = HashMap::new();
     let mut stack = vec![ROOT_INO];
-    let mut visited = std::collections::HashSet::new();
+    let mut visited = HashSet::new();
     while let Some(dir) = stack.pop() {
         if !visited.insert(dir) {
             return Err(format!("{name}: directory cycle at inode {dir}"));
         }
         let inode = state
             .inodes
-            .get(&dir)
+            .get(dir)
             .ok_or_else(|| format!("{name}: dangling directory inode {dir}"))?;
         for (entry, child) in inode.children.iter() {
-            let child_inode = state.inodes.get(child).ok_or_else(|| {
+            let child_inode = state.inodes.get(*child).ok_or_else(|| {
                 format!("{name}: entry {entry:?} points at missing inode {child}")
             })?;
             *refs.entry(*child).or_insert(0) += 1;
@@ -209,44 +190,49 @@ fn check_state(name: &str, state: &FsState, disk_len: u64) -> Result<(), String>
             }
         }
     }
-    for (ino, inode) in &state.inodes {
-        if *ino == ROOT_INO {
-            continue;
+    let mut result = Ok(());
+    state.inodes.for_each(|ino, inode| {
+        if result.is_ok() && ino != ROOT_INO {
+            result = check_links(name, ino, inode, refs.get(&ino).copied().unwrap_or(0));
         }
-        let reachable = refs.get(ino).copied().unwrap_or(0);
-        match inode.ftype {
-            FileType::Directory => {
-                if reachable != 1 {
-                    return Err(format!(
-                        "{name}: directory inode {ino} referenced {reachable} times"
-                    ));
-                }
-            }
-            FileType::Regular => {
-                // Orphans (nlink 0, handle-pinned) are legitimately
-                // unreachable; otherwise nlink must match references.
-                if inode.nlink > 0 && reachable != inode.nlink {
-                    return Err(format!(
-                        "{name}: inode {ino} nlink {} but {reachable} references",
-                        inode.nlink
-                    ));
-                }
-                let expected_blocks = (inode.size as usize).div_ceil(BLOCK_SIZE);
-                if inode.blocks.len() != expected_blocks {
-                    return Err(format!(
-                        "{name}: inode {ino} size {} implies {expected_blocks} blocks, has {}",
-                        inode.size,
-                        inode.blocks.len()
-                    ));
-                }
-                for &block in inode.blocks.iter() {
-                    if block != HOLE && block + BLOCK_SIZE as u64 > disk_len {
-                        return Err(format!(
-                            "{name}: inode {ino} block {block:#x} beyond log end {disk_len:#x}"
-                        ));
-                    }
-                }
-            }
+    });
+    state.inodes.for_each_unseen(seen, |ino, inode| {
+        if result.is_ok() && inode.ftype == FileType::Regular {
+            result = check_blocks(name, ino, inode, disk_len);
+        }
+    });
+    result
+}
+
+fn check_links(name: &str, ino: u64, inode: &LsInode, reachable: u32) -> Result<(), String> {
+    match inode.ftype {
+        FileType::Directory if reachable != 1 => Err(format!(
+            "{name}: directory inode {ino} referenced {reachable} times"
+        )),
+        // Orphans (nlink 0, handle-pinned) are legitimately
+        // unreachable; otherwise nlink must match references.
+        FileType::Regular if inode.nlink > 0 && reachable != inode.nlink => Err(format!(
+            "{name}: inode {ino} nlink {} but {reachable} references",
+            inode.nlink
+        )),
+        _ => Ok(()),
+    }
+}
+
+fn check_blocks(name: &str, ino: u64, inode: &LsInode, disk_len: u64) -> Result<(), String> {
+    let expected_blocks = (inode.size as usize).div_ceil(BLOCK_SIZE);
+    if inode.blocks.len() != expected_blocks {
+        return Err(format!(
+            "{name}: inode {ino} size {} implies {expected_blocks} blocks, has {}",
+            inode.size,
+            inode.blocks.len()
+        ));
+    }
+    for &block in inode.blocks.iter() {
+        if block != HOLE && block.saturating_add(BLOCK_SIZE as u64) > disk_len {
+            return Err(format!(
+                "{name}: inode {ino} block {block:#x} beyond log end {disk_len:#x}"
+            ));
         }
     }
     Ok(())
@@ -260,13 +246,13 @@ fn dump_state_ops(state: &FsState) -> Vec<FsOp> {
     let mut seen: HashMap<u64, ()> = HashMap::new();
     let mut stack = vec![ROOT_INO];
     while let Some(dir) = stack.pop() {
-        let children: Vec<(String, u64)> = state.inodes[&dir]
+        let children: Vec<(String, u64)> = state.inodes[dir]
             .children
             .iter()
             .map(|(name, ino)| (name.clone(), *ino))
             .collect();
         for (name, ino) in children {
-            let inode = &state.inodes[&ino];
+            let inode = &state.inodes[ino];
             match inode.ftype {
                 FileType::Directory => {
                     ops.push(FsOp::Mkdir {
@@ -449,5 +435,69 @@ mod tests {
         );
         assert_eq!(recovered.stat("/d/keep").unwrap().nlink, 2);
         assert_eq!(recovered.read_all("/d/churn").unwrap(), vec![9u8; 16 << 10]);
+    }
+
+    /// A snapshot is a root pointer: what two snapshots do not share is
+    /// the path that was written between them, opening views adds
+    /// nothing, and compaction keeps it that way.
+    #[test]
+    fn snapshots_share_all_but_the_written_path() {
+        use crate::ro::ReadOnlyFs;
+        let mut fs = Lsfs::new();
+        for dir in 0..10 {
+            fs.mkdir(&format!("/d{dir}")).unwrap();
+            for file in 0..1_000 {
+                fs.create(&format!("/d{dir}/f{file}")).unwrap();
+            }
+        }
+        fs.write_all("/d3/f500", &[3u8; 5_000]).unwrap();
+        fs.snapshot_point(1).unwrap();
+        fs.write_at("/d7/f123", 0, &[7u8; 4096]).unwrap();
+        fs.snapshot_point(2).unwrap();
+        let nodes = |fs: &Lsfs, counter: u64| fs.snapshots[&counter].inodes.node_set();
+        let (first, second) = (nodes(&fs, 1), nodes(&fs, 2));
+        // 10,011 inodes: 626 leaves under 40 + 3 + 1 branches.
+        assert_eq!(first.len(), 626 + 40 + 3 + 1);
+        assert_eq!(
+            first.difference(&second).count(),
+            4,
+            "one root-to-leaf path"
+        );
+        assert_eq!(second.difference(&first).count(), 4);
+        assert_eq!(fs.state.inodes.node_set(), second);
+
+        let holders = fs.snapshots[&2].inodes.root_holders();
+        let view = fs.snapshot(2).unwrap();
+        let copy = view.clone();
+        let boxed = view.clone_ro();
+        assert_eq!(fs.snapshots[&2].inodes.root_holders(), holders + 3);
+        assert_eq!(boxed.stat("/d7/f123").unwrap().size, 4096);
+        drop((view, copy, boxed));
+
+        for counter in 3..=200 {
+            let path = format!("/d{}/f{}", counter % 10, counter * 5 % 1_000);
+            fs.write_at(&path, 0, &[counter as u8; 100]).unwrap();
+            fs.snapshot_point(counter).unwrap();
+        }
+        let distinct = |fs: &Lsfs| {
+            let mut seen = Seen::new();
+            fs.states()
+                .for_each(|s| s.inodes.for_each_unseen(&mut seen, |_, _| {}));
+            seen.len()
+        };
+        let before = distinct(&fs);
+        assert!(before <= 670 + 199 * 4, "path copies, not table copies");
+        fs.compact().unwrap();
+        assert_eq!(distinct(&fs), before);
+        fs.check().unwrap();
+        assert_eq!(
+            fs.snapshot(1).unwrap().read_all("/d3/f500").unwrap(),
+            vec![3u8; 5_000]
+        );
+        assert_eq!(fs.snapshot(1).unwrap().stat("/d7/f123").unwrap().size, 0);
+        assert_eq!(
+            fs.snapshot(200).unwrap().read_all("/d7/f123").unwrap()[..4096],
+            [7u8; 4096]
+        );
     }
 }

@@ -140,41 +140,40 @@ impl<'a> Reader<'a> {
 }
 
 impl FsOp {
-    /// Encodes the operation to bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Appends the encoded operation to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             FsOp::Create { parent, name, ino } => {
                 out.push(1);
-                put_u64(&mut out, *parent);
-                put_str(&mut out, name);
-                put_u64(&mut out, *ino);
+                put_u64(out, *parent);
+                put_str(out, name);
+                put_u64(out, *ino);
             }
             FsOp::Mkdir { parent, name, ino } => {
                 out.push(2);
-                put_u64(&mut out, *parent);
-                put_str(&mut out, name);
-                put_u64(&mut out, *ino);
+                put_u64(out, *parent);
+                put_str(out, name);
+                put_u64(out, *ino);
             }
             FsOp::Write { ino, size, extents } => {
                 out.push(3);
-                put_u64(&mut out, *ino);
-                put_u64(&mut out, *size);
-                put_u64(&mut out, extents.len() as u64);
+                put_u64(out, *ino);
+                put_u64(out, *size);
+                put_u64(out, extents.len() as u64);
                 for (idx, off) in extents {
-                    put_u64(&mut out, *idx);
-                    put_u64(&mut out, *off);
+                    put_u64(out, *idx);
+                    put_u64(out, *off);
                 }
             }
             FsOp::Unlink { parent, name } => {
                 out.push(4);
-                put_u64(&mut out, *parent);
-                put_str(&mut out, name);
+                put_u64(out, *parent);
+                put_str(out, name);
             }
             FsOp::Rmdir { parent, name } => {
                 out.push(5);
-                put_u64(&mut out, *parent);
-                put_str(&mut out, name);
+                put_u64(out, *parent);
+                put_str(out, name);
             }
             FsOp::Rename {
                 from_parent,
@@ -183,30 +182,30 @@ impl FsOp {
                 to_name,
             } => {
                 out.push(6);
-                put_u64(&mut out, *from_parent);
-                put_str(&mut out, from_name);
-                put_u64(&mut out, *to_parent);
-                put_str(&mut out, to_name);
+                put_u64(out, *from_parent);
+                put_str(out, from_name);
+                put_u64(out, *to_parent);
+                put_str(out, to_name);
             }
             FsOp::Link { ino, parent, name } => {
                 out.push(7);
-                put_u64(&mut out, *ino);
-                put_u64(&mut out, *parent);
-                put_str(&mut out, name);
+                put_u64(out, *ino);
+                put_u64(out, *parent);
+                put_str(out, name);
             }
             FsOp::Release { ino } => {
                 out.push(8);
-                put_u64(&mut out, *ino);
+                put_u64(out, *ino);
             }
             FsOp::SnapshotMark { counter } => {
                 out.push(9);
-                put_u64(&mut out, *counter);
+                put_u64(out, *counter);
             }
         }
-        out
     }
 
-    /// Decodes an operation from bytes produced by [`FsOp::encode`].
+    /// Decodes an operation from bytes produced by
+    /// [`FsOp::encode_into`].
     pub fn decode(buf: &[u8]) -> FsResult<FsOp> {
         let (&tag, rest) = buf.split_first().ok_or(FsError::InvalidPath)?;
         let mut r = Reader { buf: rest };
@@ -268,7 +267,8 @@ mod tests {
     use super::*;
 
     fn round_trip(op: FsOp) {
-        let bytes = op.encode();
+        let mut bytes = Vec::new();
+        op.encode_into(&mut bytes);
         assert_eq!(FsOp::decode(&bytes).unwrap(), op);
     }
 

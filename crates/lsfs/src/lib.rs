@@ -39,6 +39,7 @@ pub mod ro;
 pub mod sealed;
 pub mod shared;
 pub mod snapshot;
+mod table;
 pub mod union;
 pub mod vfs;
 

@@ -3,10 +3,12 @@
 //! `Lsfs` reproduces the role NILFS plays in the paper (§5.1.1): every
 //! modifying transaction appends to the log — data blocks to the data
 //! log, metadata operations to the journal — so nothing ever overwrites
-//! the state an earlier snapshot depends on. A snapshot point is O(state
-//! clone) where all file *data* is shared through the append-only disk,
-//! and snapshots are identified by the checkpoint counter DejaView stores
-//! in both the checkpoint image and the file system log.
+//! the state an earlier snapshot depends on. A snapshot point is a root
+//! pointer: metadata lives in a persistent inode table
+//! ([`crate::table`]) that the snapshot and the live state share until
+//! one of them writes, and all file *data* is shared through the
+//! append-only disk. Snapshots are identified by the checkpoint counter
+//! DejaView stores in both the checkpoint image and the file system log.
 //!
 //! Writes are buffered dirty-block-style and committed by [`Lsfs::sync`];
 //! this is what makes the checkpoint engine's *pre-snapshot sync*
@@ -25,6 +27,7 @@ use crate::error::{FsError, FsResult};
 use crate::journal::{FsOp, NO_PREV};
 use crate::path;
 use crate::snapshot::SnapshotView;
+use crate::table::InodeTable;
 use crate::vfs::{DirEntry, FileType, Filesystem, Handle, Metadata};
 
 /// File data block size in bytes.
@@ -46,9 +49,11 @@ pub(crate) const JOURNAL_HEADER: usize = 20;
 
 /// An inode in the log-structured file system.
 ///
-/// Block lists and directory maps are behind `Arc` so cloning the whole
-/// [`FsState`] for a snapshot shares them; copy-on-write happens through
-/// `Arc::make_mut` on modification.
+/// Inodes are stored by value in the leaves of the inode table, so the
+/// first write to one after a snapshot copies its leaf. Block lists and
+/// directory maps are behind `Arc` so that copy shares them; the one
+/// being modified is then copied whole by `Arc::make_mut` (O(file
+/// blocks) or O(directory entries), once per snapshot interval).
 #[derive(Clone, Debug)]
 pub(crate) struct LsInode {
     pub ftype: FileType,
@@ -77,18 +82,55 @@ impl LsInode {
             ..LsInode::file()
         }
     }
+
+    /// Block `idx` as committed to the log; a hole reads as zeros.
+    pub(crate) fn block(&self, disk: &SharedDisk, idx: u64) -> Vec<u8> {
+        match self.blocks.get(idx as usize) {
+            Some(&off) if off != HOLE => disk.read().read(off, BLOCK_SIZE),
+            _ => vec![0; BLOCK_SIZE],
+        }
+    }
+}
+
+/// Reads `len` bytes at `offset` of a `size`-byte file out of the
+/// blocks `load` fetches. The range is clipped to the file — offsets
+/// come from processes and stored images, so one that ends past the
+/// file, or past `u64::MAX`, reads what is there.
+pub(crate) fn read_blocks(
+    size: u64,
+    offset: u64,
+    len: usize,
+    load: impl Fn(u64) -> Vec<u8>,
+) -> Vec<u8> {
+    let start = offset.min(size);
+    let end = offset.saturating_add(len as u64).min(size);
+    if start >= end {
+        return Vec::new();
+    }
+    let block_size = BLOCK_SIZE as u64;
+    let mut out = Vec::with_capacity((end - start) as usize);
+    for idx in start / block_size..=(end - 1) / block_size {
+        let block_start = idx * block_size;
+        let from = start.max(block_start) - block_start;
+        let to = end.min(block_start + block_size) - block_start;
+        out.extend_from_slice(&load(idx)[from as usize..to as usize]);
+    }
+    out
 }
 
 /// The complete metadata state of the file system at one instant.
+///
+/// Cloning it copies a root pointer and a counter; the clone and the
+/// original share every table node until one of them writes.
 #[derive(Clone, Debug)]
 pub(crate) struct FsState {
-    pub inodes: HashMap<u64, LsInode>,
+    pub inodes: InodeTable,
     pub next_ino: u64,
 }
 
 impl FsState {
     fn new() -> Self {
-        let mut inodes = HashMap::new();
+        let mut inodes = InodeTable::default();
         inodes.insert(ROOT_INO, LsInode::dir());
         FsState {
             inodes,
@@ -96,11 +138,10 @@ impl FsState {
         }
     }
 
-    pub(crate) fn resolve(&self, p: &str) -> FsResult<u64> {
-        let comps = path::components(p)?;
+    fn descend<'a>(&self, comps: impl IntoIterator<Item = &'a str>) -> FsResult<u64> {
         let mut cur = ROOT_INO;
         for comp in comps {
-            let node = &self.inodes[&cur];
+            let node = &self.inodes[cur];
             if node.ftype != FileType::Directory {
                 return Err(FsError::NotADirectory);
             }
@@ -109,29 +150,54 @@ impl FsState {
         Ok(cur)
     }
 
+    pub(crate) fn resolve(&self, p: &str) -> FsResult<u64> {
+        self.descend(path::components(p)?)
+    }
+
     pub(crate) fn resolve_parent<'a>(&self, p: &'a str) -> FsResult<(u64, &'a str)> {
         let (dirs, name) = path::split_parent(p)?;
-        let mut cur = ROOT_INO;
-        for comp in dirs {
-            let node = &self.inodes[&cur];
-            if node.ftype != FileType::Directory {
-                return Err(FsError::NotADirectory);
-            }
-            cur = *node.children.get(comp).ok_or(FsError::NotFound)?;
-        }
-        if self.inodes[&cur].ftype != FileType::Directory {
+        let cur = self.descend(dirs)?;
+        if self.inodes[cur].ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
         Ok((cur, name))
     }
 
+    /// Metadata as committed; a directory's size is 0.
+    pub(crate) fn stat(&self, p: &str) -> FsResult<Metadata> {
+        let ino = self.resolve(p)?;
+        let node = &self.inodes[ino];
+        Ok(Metadata {
+            ino,
+            ftype: node.ftype,
+            size: node.size,
+            nlink: node.nlink,
+            mtime: node.mtime,
+        })
+    }
+
+    pub(crate) fn readdir(&self, p: &str) -> FsResult<Vec<DirEntry>> {
+        let node = &self.inodes[self.resolve(p)?];
+        if node.ftype != FileType::Directory {
+            return Err(FsError::NotADirectory);
+        }
+        Ok(node
+            .children
+            .iter()
+            .map(|(name, child)| DirEntry {
+                name: name.clone(),
+                ftype: self.inodes[*child].ftype,
+            })
+            .collect())
+    }
+
     fn add_child(&mut self, parent: u64, name: &str, ino: u64) {
-        let dir = self.inodes.get_mut(&parent).expect("parent exists");
+        let dir = self.inodes.get_mut(parent).expect("parent exists");
         Arc::make_mut(&mut dir.children).insert(name.to_string(), ino);
     }
 
     fn remove_child(&mut self, parent: u64, name: &str) -> Option<u64> {
-        let dir = self.inodes.get_mut(&parent).expect("parent exists");
+        let dir = self.inodes.get_mut(parent).expect("parent exists");
         Arc::make_mut(&mut dir.children).remove(name)
     }
 
@@ -151,7 +217,7 @@ impl FsState {
                 self.next_ino = self.next_ino.max(ino + 1);
             }
             FsOp::Write { ino, size, extents } => {
-                let node = self.inodes.get_mut(ino).expect("written inode exists");
+                let node = self.inodes.get_mut(*ino).expect("written inode exists");
                 node.size = *size;
                 let nblocks = (*size as usize).div_ceil(BLOCK_SIZE);
                 let blocks = Arc::make_mut(&mut node.blocks);
@@ -162,11 +228,11 @@ impl FsState {
             }
             FsOp::Unlink { parent, name } => {
                 let ino = self.remove_child(*parent, name).expect("entry exists");
-                self.inodes.get_mut(&ino).expect("target exists").nlink -= 1;
+                self.inodes.get_mut(ino).expect("target exists").nlink -= 1;
             }
             FsOp::Rmdir { parent, name } => {
                 let ino = self.remove_child(*parent, name).expect("entry exists");
-                self.inodes.remove(&ino);
+                self.inodes.remove(ino);
             }
             FsOp::Rename {
                 from_parent,
@@ -175,7 +241,7 @@ impl FsState {
                 to_name,
             } => {
                 if let Some(existing) = self.remove_child(*to_parent, to_name) {
-                    let node = self.inodes.get_mut(&existing).expect("target exists");
+                    let node = self.inodes.get_mut(existing).expect("target exists");
                     match node.ftype {
                         FileType::Regular => {
                             node.nlink -= 1;
@@ -183,11 +249,11 @@ impl FsState {
                                 // Pins are runtime state; during replay
                                 // nothing is pinned. The live path keeps
                                 // pinned orphans by re-inserting below.
-                                self.inodes.remove(&existing);
+                                self.inodes.remove(existing);
                             }
                         }
                         FileType::Directory => {
-                            self.inodes.remove(&existing);
+                            self.inodes.remove(existing);
                         }
                     }
                 }
@@ -198,10 +264,13 @@ impl FsState {
             }
             FsOp::Link { ino, parent, name } => {
                 self.add_child(*parent, name, *ino);
-                self.inodes.get_mut(ino).expect("linked inode exists").nlink += 1;
+                self.inodes
+                    .get_mut(*ino)
+                    .expect("linked inode exists")
+                    .nlink += 1;
             }
             FsOp::Release { ino } => {
-                self.inodes.remove(ino);
+                self.inodes.remove(*ino);
             }
             FsOp::SnapshotMark { .. } => {}
         }
@@ -240,14 +309,14 @@ pub struct LsfsStats {
 /// ```
 pub struct Lsfs {
     disk: SharedDisk,
-    state: FsState,
+    pub(crate) state: FsState,
     dirty: BTreeMap<(u64, u64), Vec<u8>>,
     dirty_sizes: HashMap<u64, u64>,
     handles: HashMap<u64, u64>,
     next_handle: u64,
     pins: HashMap<u64, u32>,
-    snapshots: BTreeMap<u64, FsState>,
-    last_journal: u64,
+    pub(crate) snapshots: BTreeMap<u64, FsState>,
+    pub(crate) last_journal: u64,
     stats: LsfsStats,
     plane: FaultPlane,
     obs: Obs,
@@ -294,10 +363,6 @@ impl Lsfs {
         self.obs = obs;
     }
 
-    pub(crate) fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
     /// Recovers a file system by replaying the journal chain whose most
     /// recent record is at `head` (the pointer a superblock checkpoint
     /// region would hold in a real LFS). Snapshot points are
@@ -325,8 +390,7 @@ impl Lsfs {
         let mut fs = Lsfs::on_disk(disk);
         for op in &ops {
             if let FsOp::SnapshotMark { counter } = op {
-                fs.snapshots.insert(*counter, fs.state.clone());
-                fs.stats.snapshots += 1;
+                fs.retain_snapshot(*counter);
             } else {
                 fs.state.apply(op);
             }
@@ -422,41 +486,38 @@ impl Lsfs {
         Ok(SnapshotView::new(state.clone(), self.disk.clone()))
     }
 
+    /// Retains the current state as snapshot `counter`. A counter that
+    /// already names a snapshot is re-pointed, not counted again.
+    fn retain_snapshot(&mut self, counter: u64) {
+        if self.snapshots.insert(counter, self.state.clone()).is_none() {
+            self.stats.snapshots += 1;
+            self.obs.gauge_add(dv_obs::names::LSFS_SNAPSHOTS, 1);
+        }
+    }
+
+    /// Releases the snapshot point `counter`; its exclusively-held
+    /// blocks become reclaimable. Returns whether it existed.
+    pub fn drop_snapshot(&mut self, counter: u64) -> bool {
+        let removed = self.snapshots.remove(&counter).is_some();
+        if removed {
+            self.stats.snapshots -= 1;
+            self.obs.gauge_sub(dv_obs::names::LSFS_SNAPSHOTS, 1);
+        }
+        removed
+    }
+
     /// Returns the counters of all snapshot points, ascending.
     pub fn snapshot_counters(&self) -> Vec<u64> {
         self.snapshots.keys().copied().collect()
     }
 
-    /// Internal accessors for the log cleaner (`gc` module).
-    pub(crate) fn state_ref(&self) -> &FsState {
-        &self.state
+    /// The live state, then every retained snapshot.
+    pub(crate) fn states(&self) -> impl Iterator<Item = &FsState> {
+        std::iter::once(&self.state).chain(self.snapshots.values())
     }
 
-    pub(crate) fn state_mut(&mut self) -> &mut FsState {
-        &mut self.state
-    }
-
-    pub(crate) fn snapshots_ref(&self) -> &BTreeMap<u64, FsState> {
-        &self.snapshots
-    }
-
-    pub(crate) fn snapshots_mut(&mut self) -> &mut BTreeMap<u64, FsState> {
-        &mut self.snapshots
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut LsfsStats {
-        &mut self.stats
-    }
-
-    /// Starts a fresh journal chain (compaction baseline).
-    pub(crate) fn reset_journal(&mut self) {
-        self.last_journal = NO_PREV;
-    }
-
-    /// Appends a journal record without re-applying the operation (the
-    /// cleaner journals state that is already in place).
-    pub(crate) fn append_journal(&mut self, op: &FsOp) -> FsResult<()> {
-        self.log_op(op)
+    pub(crate) fn states_mut(&mut self) -> impl Iterator<Item = &mut FsState> {
+        std::iter::once(&mut self.state).chain(self.snapshots.values_mut())
     }
 
     /// Appends one framed journal record:
@@ -464,16 +525,17 @@ impl Lsfs {
     /// site `lsfs.journal.commit` or surfaced by the disk — the head
     /// pointer is left unchanged, so a torn record is invisible to the
     /// live chain and rejected by CRC during recovery.
-    fn log_op(&mut self, op: &FsOp) -> FsResult<()> {
-        let body = op.encode();
-        let mut payload = Vec::with_capacity(12 + body.len());
-        payload.extend_from_slice(&self.last_journal.to_le_bytes());
-        payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&body);
-        let mut record = Vec::with_capacity(JOURNAL_HEADER + body.len());
-        record.extend_from_slice(JOURNAL_MAGIC);
-        record.extend_from_slice(&checksum::crc32(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
+    pub(crate) fn log_op(&mut self, op: &FsOp) -> FsResult<()> {
+        // Most records (a create, a one-extent write) fit without growing.
+        let mut record = Vec::with_capacity(128);
+        record.resize(JOURNAL_HEADER, 0);
+        op.encode_into(&mut record);
+        let body_len = (record.len() - JOURNAL_HEADER) as u32;
+        record[..4].copy_from_slice(JOURNAL_MAGIC);
+        record[8..16].copy_from_slice(&self.last_journal.to_le_bytes());
+        record[16..20].copy_from_slice(&body_len.to_le_bytes());
+        let crc = checksum::crc32(&record[8..]);
+        record[4..8].copy_from_slice(&crc.to_le_bytes());
         match self.plane.check(sites::LSFS_JOURNAL_COMMIT) {
             None | Some(IoFault::LatencySpike) => {}
             Some(IoFault::Enospc) => return Err(FsError::NoSpace),
@@ -513,25 +575,23 @@ impl Lsfs {
         self.dirty_sizes
             .get(&ino)
             .copied()
-            .unwrap_or_else(|| self.state.inodes[&ino].size)
+            .unwrap_or_else(|| self.state.inodes[ino].size)
     }
 
     fn load_block(&self, ino: u64, idx: u64) -> Vec<u8> {
         if let Some(buf) = self.dirty.get(&(ino, idx)) {
             return buf.clone();
         }
-        let node = &self.state.inodes[&ino];
-        match node.blocks.get(idx as usize) {
-            Some(&off) if off != HOLE => self.disk.read().read(off, BLOCK_SIZE),
-            _ => vec![0; BLOCK_SIZE],
-        }
+        self.state.inodes[ino].block(&self.disk, idx)
     }
 
-    fn buffer_write(&mut self, ino: u64, offset: u64, data: &[u8]) {
+    fn buffer_write(&mut self, ino: u64, offset: u64, data: &[u8]) -> FsResult<()> {
         if data.is_empty() {
-            return;
+            return Ok(());
         }
-        let end = offset + data.len() as u64;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(FsError::FileTooLarge)?;
         let first = offset / BLOCK_SIZE as u64;
         let last = (end - 1) / BLOCK_SIZE as u64;
         for idx in first..=last {
@@ -546,26 +606,12 @@ impl Lsfs {
         if end > self.effective_size(ino) {
             self.dirty_sizes.insert(ino, end);
         }
+        Ok(())
     }
 
     fn read_range(&self, ino: u64, offset: u64, len: usize) -> Vec<u8> {
         let size = self.effective_size(ino);
-        let start = offset.min(size);
-        let end = (offset + len as u64).min(size);
-        if start >= end {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity((end - start) as usize);
-        let first = start / BLOCK_SIZE as u64;
-        let last = (end - 1) / BLOCK_SIZE as u64;
-        for idx in first..=last {
-            let block_start = idx * BLOCK_SIZE as u64;
-            let block = self.load_block(ino, idx);
-            let from = start.max(block_start) - block_start;
-            let to = end.min(block_start + BLOCK_SIZE as u64) - block_start;
-            out.extend_from_slice(&block[from as usize..to as usize]);
-        }
-        out
+        read_blocks(size, offset, len, |idx| self.load_block(ino, idx))
     }
 
     fn do_truncate(&mut self, ino: u64, size: u64) {
@@ -597,7 +643,7 @@ impl Lsfs {
     }
 
     fn release_if_orphan(&mut self, ino: u64) -> FsResult<()> {
-        if let Some(node) = self.state.inodes.get(&ino) {
+        if let Some(node) = self.state.inodes.get(ino) {
             if node.ftype == FileType::Regular && node.nlink == 0 && !self.pinned(ino) {
                 // Orphan data cannot be reached again; discard its
                 // buffered writes and journal the release.
@@ -656,7 +702,7 @@ impl Default for Lsfs {
 impl Filesystem for Lsfs {
     fn create(&mut self, p: &str) -> FsResult<()> {
         let (parent, name) = self.state.resolve_parent(p)?;
-        if self.state.inodes[&parent].children.contains_key(name) {
+        if self.state.inodes[parent].children.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
         let ino = self.state.next_ino;
@@ -669,7 +715,7 @@ impl Filesystem for Lsfs {
 
     fn mkdir(&mut self, p: &str) -> FsResult<()> {
         let (parent, name) = self.state.resolve_parent(p)?;
-        if self.state.inodes[&parent].children.contains_key(name) {
+        if self.state.inodes[parent].children.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
         let ino = self.state.next_ino;
@@ -682,16 +728,15 @@ impl Filesystem for Lsfs {
 
     fn write_at(&mut self, p: &str, offset: u64, data: &[u8]) -> FsResult<()> {
         let ino = self.state.resolve(p)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
-        self.buffer_write(ino, offset, data);
-        Ok(())
+        self.buffer_write(ino, offset, data)
     }
 
     fn truncate(&mut self, p: &str, size: u64) -> FsResult<()> {
         let ino = self.state.resolve(p)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
         self.do_truncate(ino, size);
@@ -700,7 +745,7 @@ impl Filesystem for Lsfs {
 
     fn read_at(&self, p: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let ino = self.state.resolve(p)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
         Ok(self.read_range(ino, offset, len))
@@ -708,11 +753,11 @@ impl Filesystem for Lsfs {
 
     fn unlink(&mut self, p: &str) -> FsResult<()> {
         let (parent, name) = self.state.resolve_parent(p)?;
-        let ino = *self.state.inodes[&parent]
+        let ino = *self.state.inodes[parent]
             .children
             .get(name)
             .ok_or(FsError::NotFound)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
         self.commit(FsOp::Unlink {
@@ -724,11 +769,11 @@ impl Filesystem for Lsfs {
 
     fn rmdir(&mut self, p: &str) -> FsResult<()> {
         let (parent, name) = self.state.resolve_parent(p)?;
-        let ino = *self.state.inodes[&parent]
+        let ino = *self.state.inodes[parent]
             .children
             .get(name)
             .ok_or(FsError::NotFound)?;
-        let node = &self.state.inodes[&ino];
+        let node = &self.state.inodes[ino];
         if node.ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
@@ -743,17 +788,17 @@ impl Filesystem for Lsfs {
 
     fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
         let src_ino = self.state.resolve(from)?;
-        let src_is_dir = self.state.inodes[&src_ino].ftype == FileType::Directory;
+        let src_is_dir = self.state.inodes[src_ino].ftype == FileType::Directory;
         if src_is_dir && path::starts_with(to, from) {
             return Err(FsError::InvalidPath);
         }
         let (to_parent, to_name) = self.state.resolve_parent(to)?;
         let mut pinned_survivor = None;
-        if let Some(&existing) = self.state.inodes[&to_parent].children.get(to_name) {
+        if let Some(&existing) = self.state.inodes[to_parent].children.get(to_name) {
             if existing == src_ino {
                 return Ok(());
             }
-            let target = &self.state.inodes[&existing];
+            let target = &self.state.inodes[existing];
             match target.ftype {
                 FileType::Regular => {
                     if src_is_dir {
@@ -776,7 +821,7 @@ impl Filesystem for Lsfs {
         let (from_parent, from_name) = self.state.resolve_parent(from)?;
         // Apply drops an unpinned replaced file; re-insert a pinned one
         // as an orphan so open handles stay valid.
-        let survivor = pinned_survivor.map(|ino| (ino, self.state.inodes[&ino].clone()));
+        let survivor = pinned_survivor.map(|ino| (ino, self.state.inodes[ino].clone()));
         self.commit(FsOp::Rename {
             from_parent,
             from_name: from_name.to_string(),
@@ -791,40 +836,20 @@ impl Filesystem for Lsfs {
     }
 
     fn readdir(&self, p: &str) -> FsResult<Vec<DirEntry>> {
-        let ino = self.state.resolve(p)?;
-        let node = &self.state.inodes[&ino];
-        if node.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
-        Ok(node
-            .children
-            .iter()
-            .map(|(name, child)| DirEntry {
-                name: name.clone(),
-                ftype: self.state.inodes[child].ftype,
-            })
-            .collect())
+        self.state.readdir(p)
     }
 
     fn stat(&self, p: &str) -> FsResult<Metadata> {
-        let ino = self.state.resolve(p)?;
-        let node = &self.state.inodes[&ino];
-        let size = match node.ftype {
-            FileType::Regular => self.effective_size(ino),
-            FileType::Directory => 0,
-        };
-        Ok(Metadata {
-            ino,
-            ftype: node.ftype,
-            size,
-            nlink: node.nlink,
-            mtime: node.mtime,
-        })
+        let mut meta = self.state.stat(p)?;
+        if meta.ftype == FileType::Regular {
+            meta.size = self.effective_size(meta.ino);
+        }
+        Ok(meta)
     }
 
     fn open(&mut self, p: &str) -> FsResult<Handle> {
         let ino = self.state.resolve(p)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
         let h = self.next_handle;
@@ -841,8 +866,7 @@ impl Filesystem for Lsfs {
 
     fn write_handle(&mut self, h: Handle, offset: u64, data: &[u8]) -> FsResult<()> {
         let ino = self.handle_ino(h)?;
-        self.buffer_write(ino, offset, data);
-        Ok(())
+        self.buffer_write(ino, offset, data)
     }
 
     fn handle_size(&self, h: Handle) -> FsResult<u64> {
@@ -853,7 +877,7 @@ impl Filesystem for Lsfs {
     fn link_handle(&mut self, h: Handle, p: &str) -> FsResult<()> {
         let ino = self.handle_ino(h)?;
         let (parent, name) = self.state.resolve_parent(p)?;
-        if self.state.inodes[&parent].children.contains_key(name) {
+        if self.state.inodes[parent].children.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
         self.commit(FsOp::Link {
@@ -882,9 +906,7 @@ impl Filesystem for Lsfs {
         // histograms don't double-count the same work.
         let _span = self.obs.span("lsfs", dv_obs::names::LSFS_SNAPSHOT);
         self.log_op(&FsOp::SnapshotMark { counter })?;
-        self.snapshots.insert(counter, self.state.clone());
-        self.stats.snapshots += 1;
-        self.obs.gauge_add(dv_obs::names::LSFS_SNAPSHOTS, 1);
+        self.retain_snapshot(counter);
         Ok(())
     }
 
@@ -904,7 +926,7 @@ impl Filesystem for Lsfs {
         let dirty = std::mem::take(&mut self.dirty);
         let dirty_sizes = std::mem::take(&mut self.dirty_sizes);
         for (i, &ino) in inos.iter().enumerate() {
-            let Some(node) = self.state.inodes.get(&ino) else {
+            let Some(node) = self.state.inodes.get(ino) else {
                 continue; // Released while dirty; nothing to persist.
             };
             let size = dirty_sizes.get(&ino).copied().unwrap_or(node.size);
@@ -1263,5 +1285,26 @@ mod tests {
         fs.rmdir("/a/b").unwrap();
         fs.rmdir("/a").unwrap();
         assert!(!fs.exists("/a"));
+    }
+
+    #[test]
+    fn retaking_a_snapshot_counter_counts_it_once() {
+        let obs = Obs::sim();
+        let mut fs = Lsfs::new();
+        fs.set_obs(obs.clone());
+        fs.write_all("/f", b"one").unwrap();
+        fs.snapshot_point(1).unwrap();
+        fs.write_all("/f", b"two").unwrap();
+        fs.snapshot_point(1).unwrap();
+        assert_eq!(fs.snapshot_counters(), vec![1]);
+        assert_eq!(fs.stats().snapshots, 1);
+        assert_eq!(obs.gauge(dv_obs::names::LSFS_SNAPSHOTS), 1);
+        assert_eq!(fs.snapshot(1).unwrap().read_all("/f").unwrap(), b"two");
+        // Replay of the two marks agrees.
+        let recovered = Lsfs::recover(fs.disk(), fs.journal_head()).unwrap();
+        assert_eq!(recovered.stats().snapshots, 1);
+        assert!(fs.drop_snapshot(1));
+        assert_eq!(fs.stats().snapshots, 0);
+        assert_eq!(obs.gauge(dv_obs::names::LSFS_SNAPSHOTS), 0);
     }
 }

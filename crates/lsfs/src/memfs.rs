@@ -138,17 +138,22 @@ impl Default for MemFs {
     }
 }
 
-fn write_into(data: &mut Vec<u8>, offset: u64, buf: &[u8]) {
-    let end = offset as usize + buf.len();
+/// Writes `buf` into an in-memory file at `offset`, zero-filling a gap.
+pub(crate) fn write_into(data: &mut Vec<u8>, offset: u64, buf: &[u8]) -> FsResult<()> {
+    let start = usize::try_from(offset).map_err(|_| FsError::FileTooLarge)?;
+    let end = start.checked_add(buf.len()).ok_or(FsError::FileTooLarge)?;
     if data.len() < end {
         data.resize(end, 0);
     }
-    data[offset as usize..end].copy_from_slice(buf);
+    data[start..end].copy_from_slice(buf);
+    Ok(())
 }
 
-fn read_from(data: &[u8], offset: u64, len: usize) -> Vec<u8> {
-    let start = (offset as usize).min(data.len());
-    let end = (start + len).min(data.len());
+/// Reads up to `len` bytes of an in-memory file from `offset`; a read
+/// past the end is empty.
+pub(crate) fn read_from(data: &[u8], offset: u64, len: usize) -> Vec<u8> {
+    let start = usize::try_from(offset).map_or(data.len(), |o| o.min(data.len()));
+    let end = start.saturating_add(len).min(data.len());
     data[start..end].to_vec()
 }
 
@@ -189,8 +194,7 @@ impl Filesystem for MemFs {
         if node.ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
-        write_into(&mut node.data, offset, data);
-        Ok(())
+        write_into(&mut node.data, offset, data)
     }
 
     fn truncate(&mut self, p: &str, size: u64) -> FsResult<()> {
@@ -360,8 +364,7 @@ impl Filesystem for MemFs {
             &mut self.inodes.get_mut(&ino).expect("handle target").data,
             offset,
             data,
-        );
-        Ok(())
+        )
     }
 
     fn handle_size(&self, h: Handle) -> FsResult<u64> {

@@ -12,14 +12,16 @@ use parking_lot::Mutex;
 
 use crate::disk::SharedDisk;
 use crate::error::{FsError, FsResult};
-use crate::lsfs::{FsState, BLOCK_SIZE, HOLE};
+use crate::lsfs::{read_blocks, FsState};
 use crate::vfs::{DirEntry, FileType, Filesystem, Handle, Metadata};
 
 /// A read-only view of one snapshot point.
 ///
-/// Cloning a view is cheap: metadata is shared copy-on-write and data
-/// lives on the shared disk. Every mutating [`Filesystem`] operation
-/// returns [`FsError::ReadOnly`].
+/// Opening or cloning a view copies a root pointer: the view, the
+/// snapshot it was opened from and the live file system share the nodes
+/// of one persistent inode table, and data lives on the shared disk.
+/// Every mutating [`Filesystem`] operation returns
+/// [`FsError::ReadOnly`].
 pub struct SnapshotView {
     state: FsState,
     disk: SharedDisk,
@@ -38,27 +40,8 @@ impl SnapshotView {
     }
 
     fn read_range(&self, ino: u64, offset: u64, len: usize) -> Vec<u8> {
-        let node = &self.state.inodes[&ino];
-        let size = node.size;
-        let start = offset.min(size);
-        let end = (offset + len as u64).min(size);
-        if start >= end {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity((end - start) as usize);
-        let first = start / BLOCK_SIZE as u64;
-        let last = (end - 1) / BLOCK_SIZE as u64;
-        for idx in first..=last {
-            let block_start = idx * BLOCK_SIZE as u64;
-            let block = match node.blocks.get(idx as usize) {
-                Some(&off) if off != HOLE => self.disk.read().read(off, BLOCK_SIZE),
-                _ => vec![0; BLOCK_SIZE],
-            };
-            let from = start.max(block_start) - block_start;
-            let to = end.min(block_start + BLOCK_SIZE as u64) - block_start;
-            out.extend_from_slice(&block[from as usize..to as usize]);
-        }
-        out
+        let node = &self.state.inodes[ino];
+        read_blocks(node.size, offset, len, |idx| node.block(&self.disk, idx))
     }
 }
 
@@ -87,7 +70,7 @@ impl Filesystem for SnapshotView {
 
     fn read_at(&self, p: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let ino = self.state.resolve(p)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
         Ok(self.read_range(ino, offset, len))
@@ -106,36 +89,16 @@ impl Filesystem for SnapshotView {
     }
 
     fn readdir(&self, p: &str) -> FsResult<Vec<DirEntry>> {
-        let ino = self.state.resolve(p)?;
-        let node = &self.state.inodes[&ino];
-        if node.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
-        Ok(node
-            .children
-            .iter()
-            .map(|(name, child)| DirEntry {
-                name: name.clone(),
-                ftype: self.state.inodes[child].ftype,
-            })
-            .collect())
+        self.state.readdir(p)
     }
 
     fn stat(&self, p: &str) -> FsResult<Metadata> {
-        let ino = self.state.resolve(p)?;
-        let node = &self.state.inodes[&ino];
-        Ok(Metadata {
-            ino,
-            ftype: node.ftype,
-            size: node.size,
-            nlink: node.nlink,
-            mtime: node.mtime,
-        })
+        self.state.stat(p)
     }
 
     fn open(&mut self, p: &str) -> FsResult<Handle> {
         let ino = self.state.resolve(p)?;
-        if self.state.inodes[&ino].ftype != FileType::Regular {
+        if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
         let mut next = self.next_handle.lock();
@@ -156,7 +119,7 @@ impl Filesystem for SnapshotView {
 
     fn handle_size(&self, h: Handle) -> FsResult<u64> {
         let ino = *self.handles.lock().get(&h.0).ok_or(FsError::BadHandle)?;
-        Ok(self.state.inodes[&ino].size)
+        Ok(self.state.inodes[ino].size)
     }
 
     fn link_handle(&mut self, _h: Handle, _p: &str) -> FsResult<()> {

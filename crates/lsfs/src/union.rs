@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use crate::error::{FsError, FsResult};
+use crate::memfs::{read_from, write_into};
 use crate::path;
 use crate::vfs::{DirEntry, FileType, Filesystem, Handle, Metadata};
 
@@ -503,11 +504,7 @@ impl<L: Filesystem, U: Filesystem> Filesystem for UnionFs<L, U> {
         match self.handles.get(&h.0).ok_or(FsError::BadHandle)? {
             UnionHandle::Upper(uh) => self.upper.read_handle(*uh, offset, len),
             UnionHandle::Lower { h: lh, .. } => self.lower.read_handle(*lh, offset, len),
-            UnionHandle::Detached { data } => {
-                let start = (offset as usize).min(data.len());
-                let end = (start + len).min(data.len());
-                Ok(data[start..end].to_vec())
-            }
+            UnionHandle::Detached { data } => Ok(read_from(data, offset, len)),
         }
     }
 
@@ -522,12 +519,7 @@ impl<L: Filesystem, U: Filesystem> Filesystem for UnionFs<L, U> {
                 let Some(UnionHandle::Detached { data: buf }) = self.handles.get_mut(&h.0) else {
                     unreachable!("entry matched above");
                 };
-                let end = offset as usize + data.len();
-                if buf.len() < end {
-                    buf.resize(end, 0);
-                }
-                buf[offset as usize..end].copy_from_slice(data);
-                Ok(())
+                write_into(buf, offset, data)
             }
             UnionHandle::Lower { path, h: lh } => {
                 let (path, lh) = (path.clone(), *lh);
@@ -539,20 +531,17 @@ impl<L: Filesystem, U: Filesystem> Filesystem for UnionFs<L, U> {
                 self.lower.close(lh)?;
                 if self.locate(&path) == Ok(Loc::Lower) {
                     self.copy_up_file(&path)?;
+                    // The lower handle is closed: re-point the entry
+                    // before a write that may be refused.
                     let uh = self.upper.open(&path)?;
-                    self.upper.write_handle(uh, offset, data)?;
                     self.handles.insert(h.0, UnionHandle::Upper(uh));
-                    Ok(())
+                    self.upper.write_handle(uh, offset, data)
                 } else {
                     let mut buf = content;
-                    let end = offset as usize + data.len();
-                    if buf.len() < end {
-                        buf.resize(end, 0);
-                    }
-                    buf[offset as usize..end].copy_from_slice(data);
+                    let written = write_into(&mut buf, offset, data);
                     self.handles
                         .insert(h.0, UnionHandle::Detached { data: buf });
-                    Ok(())
+                    written
                 }
             }
         }
@@ -794,5 +783,62 @@ mod tests {
         s2.unlink("/data/a").unwrap();
         assert_eq!(s1.read_all("/data/a").unwrap(), b"session-1");
         assert!(!s2.exists("/data/a"));
+    }
+
+    /// Offsets come from processes (`seek`) and from stored images:
+    /// the far end of the offset space reads as empty and refuses
+    /// writes, on every layer and through every kind of handle.
+    #[test]
+    fn offsets_at_the_end_of_the_range_neither_panic_nor_wrap() {
+        use crate::lsfs::Lsfs;
+        let mut base = Lsfs::new();
+        base.write_all("/f", b"0123456789").unwrap();
+        base.write_all("/g", b"lower only").unwrap();
+        base.snapshot_point(1).unwrap();
+        let mut view = base.snapshot(1).unwrap();
+        let mut union = UnionFs::new(base.snapshot(1).unwrap(), Lsfs::new());
+        union.write_at("/f", 0, b"U").unwrap(); // /f now lives in the upper Lsfs
+
+        let layers: [&mut dyn Filesystem; 3] = [&mut base, &mut view, &mut union];
+        for fs in layers {
+            for path in ["/f", "/g"] {
+                assert_eq!(fs.read_at(path, u64::MAX, 8).unwrap(), b"");
+                assert_eq!(fs.read_at(path, u64::MAX - 3, usize::MAX).unwrap(), b"");
+                assert_eq!(fs.read_at(path, 7, usize::MAX).unwrap().len(), 3);
+                let h = fs.open(path).unwrap();
+                assert_eq!(fs.read_handle(h, u64::MAX, 8).unwrap(), b"");
+                assert_eq!(fs.read_handle(h, 8, usize::MAX).unwrap().len(), 2);
+                let refused = fs.write_handle(h, u64::MAX, b"xy").unwrap_err();
+                assert!(matches!(refused, FsError::FileTooLarge | FsError::ReadOnly));
+                assert_eq!(
+                    fs.handle_size(h).unwrap(),
+                    10,
+                    "a refused write changes nothing"
+                );
+                fs.close(h).unwrap();
+                let refused = fs.write_at(path, u64::MAX - 1, b"xyz").unwrap_err();
+                assert!(matches!(refused, FsError::FileTooLarge | FsError::ReadOnly));
+                assert_eq!(fs.stat(path).unwrap().size, 10);
+            }
+        }
+        assert_eq!(
+            base.write_at("/f", u64::MAX, b"x"),
+            Err(FsError::FileTooLarge)
+        );
+        assert_eq!(
+            union.write_at("/g", u64::MAX, b"x"),
+            Err(FsError::FileTooLarge)
+        );
+
+        // A handle whose path was replaced is served from a private copy.
+        let mut union = UnionFs::new(lower(), MemFs::new());
+        let h = union.open("/data/a").unwrap();
+        union.unlink("/data/a").unwrap();
+        assert_eq!(
+            union.write_handle(h, u64::MAX, b"x"),
+            Err(FsError::FileTooLarge)
+        );
+        assert_eq!(union.read_handle(h, u64::MAX, usize::MAX).unwrap(), b"");
+        assert_eq!(union.read_handle(h, 1, usize::MAX).unwrap(), b"AA");
     }
 }

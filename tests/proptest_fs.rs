@@ -163,26 +163,59 @@ proptest! {
         }
     }
 
-    /// A snapshot reflects exactly the state at its snapshot point, no
-    /// matter what happens afterwards.
+    /// Every retained snapshot reflects exactly the state at its
+    /// snapshot point, no matter what happens afterwards — later
+    /// writes, later snapshots sharing its metadata, a save/load round
+    /// trip, or a compaction that rewrites every block pointer.
     #[test]
     fn lsfs_snapshot_isolation(
-        before in prop::collection::vec(arb_op(), 1..30),
+        rounds in prop::collection::vec(prop::collection::vec(arb_op(), 1..20), 1..6),
         after in prop::collection::vec(arb_op(), 1..30),
     ) {
         let mut lsfs = Lsfs::new();
         let mut oracle = MemFs::new();
-        for op in &before {
-            let _ = apply(&mut lsfs, op);
-            let _ = apply(&mut oracle, op);
+        let mut frozen = Vec::new();
+        for (i, ops) in rounds.iter().enumerate() {
+            for op in ops {
+                let _ = apply(&mut lsfs, op);
+                let _ = apply(&mut oracle, op);
+            }
+            lsfs.snapshot_point(i as u64 + 1).unwrap();
+            frozen.push(oracle.clone());
         }
-        lsfs.snapshot_point(1).unwrap();
         for op in &after {
             let _ = apply(&mut lsfs, op);
         }
-        let snap = lsfs.snapshot(1).unwrap();
-        if let Err(why) = assert_equivalent(&snap, &oracle, "/") {
-            prop_assert!(false, "snapshot drifted: {}", why);
+        let drift = |fs: &Lsfs| -> Result<(), String> {
+            if fs.snapshot_counters().len() != frozen.len() {
+                return Err(format!("{:?} retained", fs.snapshot_counters()));
+            }
+            for (i, oracle) in frozen.iter().enumerate() {
+                let snap = fs.snapshot(i as u64 + 1).map_err(|e| e.to_string())?;
+                assert_equivalent(&snap, oracle, "/").map_err(|why| format!("snapshot {}: {why}", i + 1))?;
+            }
+            Ok(())
+        };
+        if let Err(why) = drift(&lsfs) {
+            prop_assert!(false, "drift after later writes: {}", why);
+        }
+        let loaded = Lsfs::load(&lsfs.save().unwrap()).unwrap();
+        if let Err(why) = drift(&loaded) {
+            prop_assert!(false, "drift across save/load: {}", why);
+        }
+        lsfs.compact().unwrap();
+        if let Err(why) = drift(&lsfs) {
+            prop_assert!(false, "drift across compaction: {}", why);
+        }
+        for op in &after {
+            let _ = apply(&mut lsfs, op);
+        }
+        lsfs.sync().unwrap();
+        if let Err(why) = drift(&lsfs) {
+            prop_assert!(false, "drift after writes to the compacted log: {}", why);
+        }
+        if let Err(why) = lsfs.check() {
+            prop_assert!(false, "fsck: {}", why);
         }
     }
 

@@ -109,7 +109,10 @@ proptest! {
 
     /// Compaction preserves all observable state and never grows the log.
     #[test]
-    fn compaction_is_invisible(ops in prop::collection::vec(arb_op(), 1..40)) {
+    fn compaction_is_invisible(
+        ops in prop::collection::vec(arb_op(), 1..40),
+        more in prop::collection::vec(arb_op(), 0..20),
+    ) {
         let mut fs = Lsfs::new();
         let mut next_snapshot = 0;
         for op in &ops {
@@ -120,11 +123,27 @@ proptest! {
         let size_before = fs.gc_stats().disk_bytes;
         fs.compact().unwrap();
         let after = observe(&fs);
-        prop_assert_eq!(before, after, "compaction changed observable state");
+        prop_assert_eq!(&before, &after, "compaction changed observable state");
         if let Err(why) = fs.check() {
             prop_assert!(false, "fsck after compaction: {}", why);
         }
         prop_assert!(fs.gc_stats().disk_bytes <= size_before);
+        // The rewritten states share metadata as before: writing on
+        // through them must leave every earlier snapshot as it was,
+        // also across a second compaction.
+        for op in &more {
+            apply(&mut fs, op, &mut next_snapshot);
+        }
+        fs.compact().unwrap();
+        let old_snapshots = |seen: Vec<(String, Vec<u8>)>| -> Vec<(String, Vec<u8>)> {
+            seen.into_iter().filter(|(path, _)| before.iter().any(|(p, _)| p == path)
+                && path.starts_with("snap")).collect()
+        };
+        let frozen: Vec<_> = before.iter().filter(|(p, _)| p.starts_with("snap")).cloned().collect();
+        prop_assert_eq!(old_snapshots(observe(&fs)), frozen, "an old snapshot moved");
+        if let Err(why) = fs.check() {
+            prop_assert!(false, "fsck after the second compaction: {}", why);
+        }
         // The compacted fs stays fully functional.
         fs.write_all("/post-compact", b"still alive").unwrap();
         fs.sync().unwrap();
