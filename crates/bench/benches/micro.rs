@@ -6,10 +6,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use dv_checkpoint::{compress, decompress, Checkpointer, EngineConfig};
 use dv_display::{
-    decode_command, encode_command_vec, CommandSink, DisplayCommand, Framebuffer, Pattern, Rect,
+    decode_command, encode_command, encode_command_vec, CommandSink, DisplayCommand, Framebuffer,
+    Pattern, Rect, YuvFrame,
 };
+use dv_fault::checksum::crc32;
 use dv_index::{parse_query, IndexedInstance, RankOrder, TextIndex};
 use dv_lsfs::{Filesystem, Lsfs, SharedBlobStore};
+use dv_net::{decode_message, frame_message, FrameDecoder, LoopbackTransport, Message, Transport};
 use dv_record::{decode_screenshot, encode_screenshot, DisplayRecorder, RecorderConfig};
 use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Prot, Vee};
@@ -43,6 +46,27 @@ fn bench_display(c: &mut Criterion) {
             let mut slice = encoded.as_slice();
             decode_command(&mut slice).unwrap()
         });
+    });
+    // One document-scroll strip, as the log append and each viewer's
+    // wire frame encode it and each viewer and seek decode it.
+    let strip = DisplayCommand::Raw {
+        rect: Rect::new(0, 368, 704, 32),
+        pixels: Arc::new(
+            (0..704 * 32u32)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect(),
+        ),
+    };
+    group.bench_function("raw_strip_encode", |b| {
+        let mut out = Vec::with_capacity(strip.wire_size());
+        b.iter(|| {
+            out.clear();
+            encode_command(&strip, &mut out);
+        });
+    });
+    let strip_bytes = encode_command_vec(&strip);
+    group.bench_function("raw_strip_decode", |b| {
+        b.iter(|| decode_command(&mut strip_bytes.as_slice()).unwrap());
     });
     group.bench_function("fb_apply_fill_1024x768", |b| {
         let mut fb = Framebuffer::new(1024, 768);
@@ -131,6 +155,49 @@ fn bench_display(c: &mut Criterion) {
         b.iter(|| {
             let encoded = encode_screenshot(&shot);
             decode_screenshot(&encoded).unwrap()
+        });
+    });
+    group.finish();
+}
+
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    // The bytes of one 640x480 video frame, CRC'd once by each side.
+    let frame_sized: Vec<u8> = (0..448usize << 10).map(|i| (i * 131) as u8).collect();
+    group.bench_function("crc32_448k", |b| {
+        b.iter(|| crc32(&frame_sized));
+    });
+    // One viewer's share of a video step: frame the command, move it
+    // through a loopback pipe at the default 1,400-byte chunk, cut it
+    // out of the decoder, decode it and apply it.
+    group.bench_function("wire_video_frame", |b| {
+        let luma: Vec<u8> = (0..640 * 480usize).map(|i| (i * 7) as u8).collect();
+        let msg = Message::Command {
+            ts: Timestamp::from_millis(40),
+            cmd: DisplayCommand::Video {
+                rect: Rect::new(192, 144, 640, 480),
+                frame: Arc::new(YuvFrame::from_luma(640, 480, luma)),
+            },
+        };
+        let (mut server, mut viewer) = LoopbackTransport::pair();
+        let mut decoder = FrameDecoder::new();
+        let mut fb = Framebuffer::new(1024, 768);
+        let mut wire = Vec::new();
+        b.iter(|| {
+            wire.clear();
+            frame_message(&msg, &mut wire);
+            let mut sent = 0;
+            while sent < wire.len() {
+                sent += server.send(&wire[sent..]).unwrap();
+            }
+            let payload = decoder
+                .recv_frame(&mut viewer)
+                .unwrap()
+                .expect("whole frame");
+            match decode_message(payload).unwrap() {
+                Message::Command { cmd, .. } => fb.apply(&cmd),
+                other => panic!("sent a command, received {other:?}"),
+            }
         });
     });
     group.finish();
@@ -288,6 +355,7 @@ fn bench_checkpoint(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_display,
+    bench_wire,
     bench_index,
     bench_lsfs,
     bench_checkpoint

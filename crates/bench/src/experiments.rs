@@ -1298,6 +1298,114 @@ pub fn fs_snapshot_experiment(scale: f64) -> Vec<FsSnapshotRow> {
 }
 
 // ---------------------------------------------------------------------
+// Byte kernels of the wire and the log, each against its own yardstick
+// ---------------------------------------------------------------------
+
+/// One byte kernel timed beside the yardstick it is held to.
+pub struct KernelRow {
+    /// Gate key of the ratio.
+    pub key: &'static str,
+    /// What is divided by what.
+    pub what: &'static str,
+    /// Least time of the yardstick over the same bytes.
+    pub yardstick: std::time::Duration,
+    /// Least time of the kernel.
+    pub kernel: std::time::Duration,
+}
+
+impl KernelRow {
+    /// Kernel time over yardstick time.
+    pub fn ratio(&self) -> f64 {
+        self.kernel.as_secs_f64() / self.yardstick.as_secs_f64().max(1e-12)
+    }
+}
+
+/// The two byte kernels every viewer frame and log append pays, each as
+/// a ratio taken within one run so the limit holds on any machine:
+///
+/// - CRC32 per byte over a 448 KiB buffer (a `Video` frame) against the
+///   same bytes summed 2 KiB at a time, where only the single
+///   slicing-by-8 chain runs. Interleaved lanes put the long input
+///   well under 1; one chain for every length reads about 1.
+/// - Encoding a 704x32 `Raw` scroll strip against a `memcpy` of its
+///   90 KB. A slice-wise encode is a zero-fill plus a copy; a push per
+///   pixel read about 46.
+pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
+    use dv_display::{encode_command, DisplayCommand, Rect};
+    use dv_fault::checksum::crc32;
+    use std::sync::Arc;
+    const LONG: usize = 448 << 10;
+    const SHORT: usize = 2 << 10;
+    let rounds = ((64.0 * scale) as usize).max(8);
+    let least = |run: &mut dyn FnMut()| {
+        warm_core();
+        (0..rounds)
+            .map(|_| {
+                let start = Instant::now();
+                run();
+                start.elapsed()
+            })
+            .min()
+            .expect("at least eight rounds")
+    };
+    let data: Vec<u8> = (0..LONG).map(|i| (i * 131 + i / 7) as u8).collect();
+    let (_, (short, long)) = three_pairs(
+        |whole| {
+            let piece = if whole { LONG } else { SHORT };
+            least(&mut || {
+                for chunk in data.chunks(piece) {
+                    std::hint::black_box(crc32(std::hint::black_box(chunk)));
+                }
+            })
+        },
+        |&took| took,
+    );
+    let strip = DisplayCommand::Raw {
+        rect: Rect::new(0, 368, 704, 32),
+        pixels: Arc::new(
+            (0..704 * 32u32)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect(),
+        ),
+    };
+    let mut out = Vec::with_capacity(strip.wire_size());
+    let source = vec![0x5au8; strip.payload_size()];
+    let mut copied = vec![0u8; source.len()];
+    // Sixteen strips a round: one is too short to time.
+    let (_, (memcpy, encode)) = three_pairs(
+        |encode| {
+            least(&mut || {
+                for _ in 0..16 {
+                    if encode {
+                        out.clear();
+                        encode_command(std::hint::black_box(&strip), &mut out);
+                        std::hint::black_box(&out);
+                    } else {
+                        copied.copy_from_slice(std::hint::black_box(&source));
+                        std::hint::black_box(&copied);
+                    }
+                }
+            })
+        },
+        |&took| took,
+    );
+    vec![
+        KernelRow {
+            key: "crc_per_byte_448k_ratio",
+            what: "CRC32 of 448 KiB whole / 2 KiB at a time",
+            yardstick: short,
+            kernel: long,
+        },
+        KernelRow {
+            key: "raw_strip_encode_memcpy_ratio",
+            what: "704x32 Raw encode / memcpy of its bytes",
+            yardstick: memcpy,
+            kernel: encode,
+        },
+    ]
+}
+
+// ---------------------------------------------------------------------
 // Remote access: client fan-out over dv-net
 // ---------------------------------------------------------------------
 
@@ -2710,6 +2818,7 @@ pub(crate) mod tests {
     pub(crate) static CRASH: LazyLock<Vec<CrashRow>> = LazyLock::new(|| crash_consistency(0.02));
     pub(crate) static FS_SNAPSHOT: LazyLock<Vec<FsSnapshotRow>> =
         LazyLock::new(|| fs_snapshot_experiment(0.02));
+    pub(crate) static KERNELS: LazyLock<Vec<KernelRow>> = LazyLock::new(|| kernel_experiment(0.02));
     pub(crate) static NET: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_experiment(0.05));
     pub(crate) static NET_WIDE: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_wide_experiment(0.02));
     pub(crate) static HOST: LazyLock<HostReport> = LazyLock::new(|| host_experiment(0.05));

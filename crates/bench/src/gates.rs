@@ -10,13 +10,14 @@
 
 use crate::experiments::{
     crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
-    fs_snapshot_experiment, host_experiment, index_experiment, net_experiment, net_wide_experiment,
-    obs_experiment, visual_experiment, CrashRow, DedupRow, DeferredRow, FaultRow, FsSnapshotRow,
-    HostReport, IndexReport, NetRow, ObsReport, VisualReport, VisualRow,
+    fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
+    net_wide_experiment, obs_experiment, visual_experiment, CrashRow, DedupRow, DeferredRow,
+    FaultRow, FsSnapshotRow, HostReport, IndexReport, KernelRow, NetRow, ObsReport, VisualReport,
+    VisualRow,
 };
 use crate::report::{
     print_crash, print_dedup, print_deferred, print_faults, print_fs_snapshot, print_host,
-    print_index, print_net, print_obs, print_visual,
+    print_index, print_kernels, print_net, print_obs, print_visual,
 };
 
 /// How far over its baseline an at-most metric may run before its gate
@@ -148,6 +149,12 @@ pub const SUITES: &[Suite] = &[
             // A snapshot point costs what was written since the last
             // one, not what the file system holds.
             ("fs_snapshot_i*_ratio", AtMost(Is(2.0))),
+            // A frame-sized CRC runs interleaved lanes; a short one
+            // cannot. One chain at every length reads 1.0.
+            ("crc_per_byte_448k_ratio", AtMost(Is(0.7))),
+            // Pixels move as a slice: a zero-fill and a copy, not a
+            // push per pixel (which read 46).
+            ("raw_strip_encode_memcpy_ratio", AtMost(Is(8.0))),
         ],
         measure: |scale| {
             let deferred = deferred_experiment(scale);
@@ -161,7 +168,10 @@ pub const SUITES: &[Suite] = &[
             println!();
             let fs_snapshot = fs_snapshot_experiment(scale);
             print_fs_snapshot(&fs_snapshot);
-            ci_metrics(&deferred, &faults, &crash, &fs_snapshot)
+            println!();
+            let kernels = kernel_experiment(scale);
+            print_kernels(&kernels);
+            ci_metrics(&deferred, &faults, &crash, &fs_snapshot, &kernels)
         },
     },
     Suite {
@@ -405,12 +415,14 @@ fn flag(holds: bool) -> f64 {
 }
 
 /// The deferred write-back comparison, the fault and power-cut
-/// matrices, and snapshot cost against file-system size.
+/// matrices, snapshot cost against file-system size, and the byte
+/// kernels against their yardsticks.
 fn ci_metrics(
     deferred: &[DeferredRow],
     faults: &[FaultRow],
     crash: &[CrashRow],
     fs_snapshot: &[FsSnapshotRow],
+    kernels: &[KernelRow],
 ) -> Vec<(String, f64)> {
     let inline = &deferred[0];
     let stall = |r: &DeferredRow| r.mean_stall.as_secs_f64();
@@ -447,6 +459,7 @@ fn ci_metrics(
         let key = format!("fs_snapshot_i{}_ratio", row.inodes);
         m.push((key, row.unit_ratio));
     }
+    m.extend(kernels.iter().map(|row| (row.key.to_string(), row.ratio())));
     m
 }
 
@@ -657,6 +670,7 @@ mod tests {
                 &smoke::FAULTS,
                 &smoke::CRASH,
                 &smoke::FS_SNAPSHOT,
+                &smoke::KERNELS,
             ),
             obs_metrics(&obs_experiment(0.01)),
             net_metrics(&smoke::NET, &smoke::NET_WIDE),

@@ -2,8 +2,8 @@
 
 use crate::experiments::{
     AblationRow, BrowseSearchRow, CheckpointRow, CrashRow, DedupRow, DeferredRow, FaultRow,
-    FsSnapshotRow, HostReport, IndexReport, MirrorAblationRow, NetRow, ObsReport, OverheadRow,
-    PlaybackRow, QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
+    FsSnapshotRow, HostReport, IndexReport, KernelRow, MirrorAblationRow, NetRow, ObsReport,
+    OverheadRow, PlaybackRow, QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
 };
 use dv_checkpoint::PolicyStats;
 
@@ -104,6 +104,25 @@ pub fn print_fs_snapshot(rows: &[FsSnapshotRow]) {
             row.inodes,
             row.snapshot_p50.as_secs_f64() * 1e6,
             row.unit_ratio,
+        );
+    }
+}
+
+/// Prints the byte kernels beside their yardsticks.
+pub fn print_kernels(rows: &[KernelRow]) {
+    println!("Byte kernels: least time of each beside its yardstick, same run");
+    println!(
+        "{:<44} {:>12} {:>12} {:>8}",
+        "kernel / yardstick", "kernel", "yardstick", "ratio"
+    );
+    println!("{:-<80}", "");
+    for row in rows {
+        println!(
+            "{:<44} {:>9.1} us {:>9.1} us {:>8.2}",
+            row.what,
+            row.kernel.as_secs_f64() * 1e6,
+            row.yardstick.as_secs_f64() * 1e6,
+            row.ratio(),
         );
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 
-use crate::command::{CommandMeta, DisplayCommand, Pattern, YuvFrame};
+use crate::command::{CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
 use crate::rect::Rect;
 
 /// Encoded size of the fixed per-command header.
@@ -50,6 +50,26 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Appends `pixels` to `out`, four little-endian bytes each — the one
+/// pixel layout of the log, the wire and delta keyframes. The whole
+/// slice moves in one pass the compiler can turn into a block copy.
+pub fn encode_pixels(pixels: &[Pixel], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + pixels.len() * 4, 0);
+    for (bytes, px) in out[start..].chunks_exact_mut(4).zip(pixels) {
+        bytes.copy_from_slice(&px.to_le_bytes());
+    }
+}
+
+/// Reads back what [`encode_pixels`] wrote; trailing bytes short of a
+/// pixel are ignored (callers check the length against a rectangle).
+pub fn decode_pixels(bytes: &[u8]) -> Vec<Pixel> {
+    bytes
+        .chunks_exact(4)
+        .map(|px| Pixel::from_le_bytes(px.try_into().expect("four bytes")))
+        .collect()
+}
+
 /// Appends the encoded form of `cmd` to `out`.
 pub fn encode_command(cmd: &DisplayCommand, out: &mut Vec<u8>) {
     let tag = match cmd {
@@ -68,11 +88,7 @@ pub fn encode_command(cmd: &DisplayCommand, out: &mut Vec<u8>) {
     out.put_u32_le(rect.h);
     out.put_u32_le(cmd.payload_size() as u32);
     match cmd {
-        DisplayCommand::Raw { pixels, .. } => {
-            for px in pixels.iter() {
-                out.put_u32_le(*px);
-            }
-        }
+        DisplayCommand::Raw { pixels, .. } => encode_pixels(pixels, out),
         DisplayCommand::CopyArea { src_x, src_y, .. } => {
             out.put_u32_le(*src_x);
             out.put_u32_le(*src_y);
@@ -194,16 +210,10 @@ pub fn decode_command(buf: &mut &[u8]) -> Result<DisplayCommand, CodecError> {
     } = split_command(buf)?;
     *buf = &buf[HEADER_LEN + payload.len()..];
     Ok(match tag {
-        TAG_RAW => {
-            let mut pixels = Vec::with_capacity(payload.len() / 4);
-            while payload.remaining() >= 4 {
-                pixels.push(payload.get_u32_le());
-            }
-            DisplayCommand::Raw {
-                rect,
-                pixels: Arc::new(pixels),
-            }
-        }
+        TAG_RAW => DisplayCommand::Raw {
+            rect,
+            pixels: Arc::new(decode_pixels(payload)),
+        },
         TAG_COPY => DisplayCommand::CopyArea {
             src_x: payload.get_u32_le(),
             src_y: payload.get_u32_le(),
@@ -314,6 +324,42 @@ mod tests {
                 Err(CodecError::UnexpectedEof),
                 "cut at {cut}"
             );
+        }
+    }
+
+    /// The slice-wise pixel codec writes what the per-pixel loop it
+    /// replaced wrote, and reads it back, at ragged sizes; a raw command
+    /// cut anywhere is still "need more bytes".
+    #[test]
+    fn raw_encoding_is_pinned_to_the_per_pixel_layout() {
+        for (w, h) in [(0u32, 0u32), (1, 1), (3, 5), (704, 32)] {
+            let rect = Rect::new(7, 9, w, h);
+            let pixels: Vec<Pixel> = (0..w * h)
+                .map(|i| i.wrapping_mul(2_654_435_761) ^ 0x00C0_FFEE)
+                .collect();
+            let mut reference = vec![TAG_RAW];
+            for v in [rect.x, rect.y, rect.w, rect.h, w * h * 4] {
+                reference.put_u32_le(v);
+            }
+            for px in &pixels {
+                reference.put_u32_le(*px);
+            }
+            let cmd = DisplayCommand::Raw {
+                rect,
+                pixels: Arc::new(pixels),
+            };
+            // Appended behind bytes already in the buffer, as the log does.
+            let mut encoded = vec![0xAB; 5];
+            encode_command(&cmd, &mut encoded);
+            assert_eq!(encoded[5..], reference, "{w}x{h}");
+            assert_eq!(decode_command(&mut &reference[..]), Ok(cmd), "{w}x{h}");
+            for cut in 0..reference.len() {
+                assert_eq!(
+                    decode_command(&mut &reference[..cut]),
+                    Err(CodecError::UnexpectedEof),
+                    "{w}x{h} cut at {cut}"
+                );
+            }
         }
     }
 

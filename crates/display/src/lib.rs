@@ -45,7 +45,8 @@ pub mod viewer;
 pub mod wire;
 
 pub use codec::{
-    decode_command, encode_command, encode_command_vec, peek_command, CodecError, HEADER_LEN,
+    decode_command, decode_pixels, encode_command, encode_command_vec, encode_pixels, peek_command,
+    CodecError, HEADER_LEN,
 };
 pub use command::{rgb, CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
 pub use driver::{CommandSink, DriverStats, SharedSink, VirtualDisplayDriver};

@@ -135,17 +135,23 @@ pub fn resample_screenshot(shot: &Screenshot, w: u32, h: u32) -> Screenshot {
     }
 }
 
+/// Nearest-neighbour source index of each of `dst` destination
+/// positions along an axis `src` long: the one divide per position.
+/// Collected once per call for the columns, walked once for the rows.
+fn axis_map(src: u32, dst: u32) -> impl Iterator<Item = usize> {
+    (0..u64::from(dst))
+        .map(move |d| (d * u64::from(src) / u64::from(dst)).min(u64::from(src) - 1) as usize)
+}
+
 fn resample_pixels(src: &[Pixel], sw: u32, sh: u32, dw: u32, dh: u32) -> Vec<Pixel> {
     if dw == 0 || dh == 0 || sw == 0 || sh == 0 {
         return Vec::new();
     }
+    let columns: Vec<usize> = axis_map(sw, dw).collect();
     let mut out = Vec::with_capacity((dw * dh) as usize);
-    for y in 0..dh {
-        let sy = (y as u64 * sh as u64 / dh as u64).min(sh as u64 - 1) as u32;
-        for x in 0..dw {
-            let sx = (x as u64 * sw as u64 / dw as u64).min(sw as u64 - 1) as u32;
-            out.push(src[(sy * sw + sx) as usize]);
-        }
+    for sy in axis_map(sh, dh) {
+        let row = &src[sy * sw as usize..][..sw as usize];
+        out.extend(columns.iter().map(|&sx| row[sx]));
     }
     out
 }
@@ -156,15 +162,13 @@ fn resample_bits(src: &[u8], sw: u32, sh: u32, dw: u32, dh: u32) -> Vec<u8> {
     }
     let src_stride = (sw as usize).div_ceil(8);
     let dst_stride = (dw as usize).div_ceil(8);
+    let columns: Vec<usize> = axis_map(sw, dw).collect();
     let mut out = vec![0u8; dst_stride * dh as usize];
-    for y in 0..dh {
-        let sy = (y as u64 * sh as u64 / dh as u64).min(sh as u64 - 1) as usize;
-        for x in 0..dw {
-            let sx = (x as u64 * sw as u64 / dw as u64).min(sw as u64 - 1) as usize;
-            let bit = src[sy * src_stride + sx / 8] >> (7 - sx % 8) & 1;
-            if bit == 1 {
-                out[y as usize * dst_stride + x as usize / 8] |= 1 << (7 - x % 8);
-            }
+    for (sy, dst_row) in axis_map(sh, dh).zip(out.chunks_exact_mut(dst_stride)) {
+        let row = &src[sy * src_stride..][..src_stride];
+        for (x, &sx) in columns.iter().enumerate() {
+            let bit = row[sx / 8] >> (7 - sx % 8) & 1;
+            dst_row[x / 8] |= bit << (7 - x % 8);
         }
     }
     out
@@ -291,5 +295,56 @@ mod tests {
         // Upscaling a tiny screen fills the full target.
         let up = resample_screenshot(&thumb, 8, 2);
         assert_eq!(up.pixels.len(), 16);
+    }
+
+    /// The axis maps are the per-pixel formula hoisted, nothing else:
+    /// every destination pixel and bit still comes from
+    /// `floor(d * src / dst)` on each axis, clamped to the last source.
+    #[test]
+    fn resampling_matches_the_per_pixel_formula() {
+        let nearest = |d: u32, src: u32, dst: u32| {
+            (u64::from(d) * u64::from(src) / u64::from(dst)).min(u64::from(src) - 1) as usize
+        };
+        let mut rng = 0x5eed_u64;
+        let mut next = move |bound: u32| {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) as u32 % bound
+        };
+        for _ in 0..200 {
+            let (sw, sh, dw, dh) = (1 + next(40), 1 + next(24), 1 + next(40), 1 + next(24));
+            let pixels: Vec<Pixel> = (0..sw * sh).map(|_| next(u32::MAX)).collect();
+            let got = resample_pixels(&pixels, sw, sh, dw, dh);
+            let stride = (sw as usize).div_ceil(8);
+            let bits: Vec<u8> = (0..stride * sh as usize).map(|_| next(256) as u8).collect();
+            let got_bits = resample_bits(&bits, sw, sh, dw, dh);
+            let dst_stride = (dw as usize).div_ceil(8);
+            assert_eq!(got.len(), (dw * dh) as usize);
+            assert_eq!(got_bits.len(), dst_stride * dh as usize);
+            for y in 0..dh {
+                let sy = nearest(y, sh, dh);
+                for x in 0..dw {
+                    let sx = nearest(x, sw, dw);
+                    let at = (y * dw + x) as usize;
+                    assert_eq!(
+                        got[at],
+                        pixels[sy * sw as usize + sx],
+                        "{sw}x{sh}->{dw}x{dh}"
+                    );
+                    let want = bits[sy * stride + sx / 8] >> (7 - sx % 8) & 1;
+                    let have =
+                        got_bits[y as usize * dst_stride + x as usize / 8] >> (7 - x % 8) & 1;
+                    assert_eq!(have, want, "bit {x},{y} of {sw}x{sh}->{dw}x{dh}");
+                }
+            }
+            // Padding bits past the last column stay clear.
+            if dw % 8 != 0 {
+                for y in 0..dh as usize {
+                    let last = got_bits[y * dst_stride + dst_stride - 1];
+                    assert_eq!(last & (0xFF >> (dw % 8)), 0);
+                }
+            }
+        }
     }
 }

@@ -21,10 +21,9 @@ use dv_display::{DisplayCommand, Framebuffer, Screenshot};
 use dv_index::RankOrder;
 use dv_time::Timestamp;
 
-use crate::frame::{encode_frame, FrameDecoder, FrameError};
+use crate::frame::{frame_message, FrameDecoder, FrameError, RecvError};
 use crate::proto::{
-    decode_message, encode_message_vec, Message, ProtoError, VisualProbe, WireHit, WireVisualHit,
-    PROTOCOL_VERSION,
+    decode_message, Message, ProtoError, VisualProbe, WireHit, WireVisualHit, PROTOCOL_VERSION,
 };
 use crate::transport::{Transport, TransportError};
 
@@ -63,6 +62,15 @@ impl From<TransportError> for ClientError {
 impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
         ClientError::Frame(e)
+    }
+}
+
+impl From<RecvError> for ClientError {
+    fn from(e: RecvError) -> Self {
+        match e {
+            RecvError::Transport(e) => ClientError::Transport(e),
+            RecvError::Frame(e) => ClientError::Frame(e),
+        }
     }
 }
 
@@ -133,12 +141,11 @@ impl<T: Transport> NetClient<T> {
     }
 
     fn queue(&mut self, msg: &Message) {
-        let payload = encode_message_vec(msg);
         if self.outbox_off > 0 && self.outbox_off >= self.outbox.len() {
             self.outbox.clear();
             self.outbox_off = 0;
         }
-        encode_frame(&payload, &mut self.outbox);
+        frame_message(msg, &mut self.outbox);
     }
 
     /// Requests the live display stream (server answers with a
@@ -247,7 +254,10 @@ impl<T: Transport> NetClient<T> {
 
     /// Receive/apply counters.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        ClientStats {
+            bytes_received: self.decoder.received(),
+            ..self.stats
+        }
     }
 
     /// Pumps outbound bytes, drains inbound bytes, applies complete
@@ -280,25 +290,21 @@ impl<T: Transport> NetClient<T> {
             self.outbox.clear();
             self.outbox_off = 0;
         }
-        let mut buf = [0u8; 4096];
+        let mut applied = 0;
         loop {
-            match self.transport.recv(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.stats.bytes_received += n as u64;
-                    self.decoder.feed(&buf[..n]);
+            let msg = match self.decoder.recv_frame(&mut self.transport) {
+                Ok(Some(payload)) => {
+                    self.stats.frames_received += 1;
+                    decode_message(payload)?
                 }
-                Err(TransportError::Closed) => {
+                Ok(None) => break,
+                Err(RecvError::Transport(TransportError::Closed)) => {
                     self.closed = true;
                     break;
                 }
                 Err(e) => return Err(e.into()),
-            }
-        }
-        let mut applied = 0;
-        while let Some(payload) = self.decoder.next_frame()? {
-            self.stats.frames_received += 1;
-            self.apply(decode_message(&payload)?)?;
+            };
+            self.apply(msg)?;
             applied += 1;
         }
         Ok(applied)

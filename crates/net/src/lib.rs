@@ -53,7 +53,7 @@ pub mod transport;
 
 pub use client::{ClientError, ClientStats, NetClient};
 pub use frame::{
-    encode_frame, encode_frame_shared, encode_frame_vec, FrameDecoder, FrameError,
+    encode_frame, encode_frame_vec, frame_message, FrameDecoder, FrameError, RecvError,
     FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use proto::{

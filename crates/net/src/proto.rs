@@ -14,11 +14,11 @@
 //! travel server → client.
 
 use dv_display::{
-    decode_command, decode_input, encode_command, encode_input, CodecError, DisplayCommand,
-    InputEvent, Pixel, Rect, Screenshot,
+    decode_command, decode_input, decode_pixels, encode_command, encode_input, encode_pixels,
+    CodecError, DisplayCommand, InputEvent, Pixel, Rect, Screenshot,
 };
 use dv_index::RankOrder;
-use dv_record::{decode_screenshot, encode_screenshot};
+use dv_record::{decode_screenshot, encode_screenshot, screenshot_dims, MAX_SCREEN_SIDE};
 use dv_time::{Duration, Timestamp};
 
 /// Version carried in the handshake; a server rejects clients speaking
@@ -77,6 +77,14 @@ pub enum ProtoError {
     BadPayload(&'static str),
     /// An embedded display command failed to decode.
     Codec(CodecError),
+    /// A `VisualQuery` probe claims more pixels than the receiver
+    /// accepts; refused before any of them is materialised.
+    ProbeTooLarge {
+        /// Pixels the probe's header claims.
+        pixels: u64,
+        /// Most the receiver takes.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for ProtoError {
@@ -86,6 +94,9 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "truncated message body"),
             ProtoError::BadPayload(why) => write!(f, "malformed message: {why}"),
             ProtoError::Codec(e) => write!(f, "embedded command: {e}"),
+            ProtoError::ProbeTooLarge { pixels, limit } => {
+                write!(f, "probe of {pixels} pixels exceeds {limit}")
+            }
         }
     }
 }
@@ -291,6 +302,19 @@ pub enum Message {
     },
 }
 
+impl Message {
+    /// A lower bound on the encoded length, exact for `Command` — the
+    /// one message that carries video planes and pixel slices — so a
+    /// sender reserves once instead of doubling its buffer under a
+    /// video frame.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        match self {
+            Message::Command { cmd, .. } => 1 + 8 + cmd.wire_size(),
+            _ => 1,
+        }
+    }
+}
+
 fn put_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
@@ -487,9 +511,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
                 out.extend_from_slice(&rect.y.to_le_bytes());
                 out.extend_from_slice(&rect.w.to_le_bytes());
                 out.extend_from_slice(&rect.h.to_le_bytes());
-                for px in pixels {
-                    out.extend_from_slice(&px.to_le_bytes());
-                }
+                encode_pixels(pixels, out);
             }
         }
         Message::Ping { nonce } => {
@@ -516,6 +538,13 @@ pub fn encode_message_vec(msg: &Message) -> Vec<u8> {
     out
 }
 
+/// Whether a frame from a peer that has not yet said `Hello` is worth
+/// decoding at all: only the handshake and a goodbye act on such a
+/// connection, so nothing else it sends is parsed.
+pub(crate) fn acts_before_hello(payload: &[u8]) -> bool {
+    matches!(payload.first(), Some(&(TAG_HELLO | TAG_BYE)))
+}
+
 /// Decodes one message from a complete frame payload.
 ///
 /// # Errors
@@ -524,6 +553,22 @@ pub fn encode_message_vec(msg: &Message) -> Vec<u8> {
 /// be dropped (framing guarantees the payload arrived intact, so a
 /// decode failure is a peer bug, not line noise).
 pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
+    decode_message_within(payload, u64::from(MAX_SCREEN_SIDE).pow(2))
+}
+
+/// [`decode_message`] for a receiver that takes `VisualQuery` probes of
+/// at most `probe_pixels` pixels. A run-length probe costs its sender a
+/// few bytes however large it claims to be, so the serving side bounds
+/// the claim by its session screen: a larger probe carries no extra
+/// information, since it is resampled into fingerprint space anyway.
+///
+/// # Errors
+///
+/// As [`decode_message`], plus [`ProtoError::ProbeTooLarge`].
+pub(crate) fn decode_message_within(
+    payload: &[u8],
+    probe_pixels: u64,
+) -> Result<Message, ProtoError> {
     let mut buf = payload;
     let tag = get_u8(&mut buf)?;
     let msg = match tag {
@@ -603,7 +648,17 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
             let k = get_u32(&mut buf)?;
             let probe = match get_u8(&mut buf)? {
                 0 => {
-                    let shot = decode_screenshot(get_bytes(&mut buf)?)
+                    let encoded = get_bytes(&mut buf)?;
+                    if let Some((width, height)) = screenshot_dims(encoded) {
+                        let pixels = u64::from(width) * u64::from(height);
+                        if pixels > probe_pixels {
+                            return Err(ProtoError::ProbeTooLarge {
+                                pixels,
+                                limit: probe_pixels,
+                            });
+                        }
+                    }
+                    let shot = decode_screenshot(encoded)
                         .ok_or(ProtoError::BadPayload("undecodable probe"))?;
                     VisualProbe::Thumb(shot)
                 }
@@ -666,11 +721,7 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
                 }
                 let (body, rest) = buf.split_at(need);
                 buf = rest;
-                let pixels = body
-                    .chunks_exact(4)
-                    .map(|c| Pixel::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
-                rects.push((rect, pixels));
+                rects.push((rect, decode_pixels(body)));
             }
             Message::KeyframeDelta { ts, rects }
         }
@@ -708,6 +759,9 @@ mod tests {
 
     fn round_trip(msg: Message) {
         let bytes = encode_message_vec(&msg);
+        let exact = matches!(msg, Message::Command { .. });
+        let hint = msg.encoded_len_hint();
+        assert!(hint <= bytes.len() && (!exact || hint == bytes.len()));
         assert_eq!(decode_message(&bytes).expect("decode"), msg);
     }
 
@@ -897,6 +951,48 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_is_refused_by_its_header_past_the_receivers_limit() {
+        let query = |width: u32, height: u32| {
+            let mut bytes = vec![TAG_VISUAL_QUERY];
+            bytes.extend_from_slice(&1u32.to_le_bytes()); // req_id
+            bytes.extend_from_slice(&4u32.to_le_bytes()); // k
+            bytes.push(0); // VisualProbe::Thumb
+            bytes.extend_from_slice(&16u32.to_le_bytes());
+            for v in [width, height, width * height, 7] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            bytes
+        };
+        assert!(decode_message_within(&query(4, 2), 8).is_ok());
+        assert_eq!(
+            decode_message_within(&query(4, 3), 8),
+            Err(ProtoError::ProbeTooLarge {
+                pixels: 12,
+                limit: 8
+            })
+        );
+    }
+
+    #[test]
+    fn only_a_handshake_or_a_goodbye_acts_before_hello() {
+        let seek = encode_message_vec(&Message::Seek {
+            req_id: 1,
+            t: Timestamp::ZERO,
+        });
+        assert!(!acts_before_hello(&seek));
+        assert!(!acts_before_hello(&[]));
+        for msg in [
+            Message::Bye,
+            Message::Hello {
+                version: PROTOCOL_VERSION,
+                name: "x".into(),
+            },
+        ] {
+            assert!(acts_before_hello(&encode_message_vec(&msg)));
+        }
+    }
+
+    #[test]
     fn unknown_probe_kind_is_rejected() {
         let mut bytes = vec![19u8]; // TAG_VISUAL_QUERY
         bytes.extend_from_slice(&1u32.to_le_bytes());
@@ -906,6 +1002,43 @@ mod tests {
             decode_message(&bytes),
             Err(ProtoError::BadPayload("unknown probe kind"))
         );
+    }
+
+    /// A delta keyframe's pixels travel as the per-pixel loop wrote
+    /// them, at ragged sizes, and a body cut anywhere is `Truncated`.
+    #[test]
+    fn delta_encoding_is_pinned_to_the_per_pixel_layout() {
+        let ts = Timestamp::from_millis(1234);
+        let rects: Vec<(Rect, Vec<Pixel>)> = [(0u32, 0u32), (1, 1), (3, 5), (704, 32)]
+            .into_iter()
+            .map(|(w, h)| {
+                let pixels = (0..w * h)
+                    .map(|i| i.wrapping_mul(2_654_435_761) ^ 0x00C0_FFEE)
+                    .collect();
+                (Rect::new(w, h, w, h), pixels)
+            })
+            .collect();
+        let mut reference = vec![TAG_KEYFRAME_DELTA];
+        reference.extend_from_slice(&ts.as_nanos().to_le_bytes());
+        reference.extend_from_slice(&(rects.len() as u32).to_le_bytes());
+        for (rect, pixels) in &rects {
+            for v in [rect.x, rect.y, rect.w, rect.h] {
+                reference.extend_from_slice(&v.to_le_bytes());
+            }
+            for px in pixels {
+                reference.extend_from_slice(&px.to_le_bytes());
+            }
+        }
+        let msg = Message::KeyframeDelta { ts, rects };
+        assert_eq!(encode_message_vec(&msg), reference);
+        assert_eq!(decode_message(&reference), Ok(msg));
+        for cut in 1..reference.len() {
+            assert_eq!(
+                decode_message(&reference[..cut]),
+                Err(ProtoError::Truncated),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

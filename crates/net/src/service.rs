@@ -63,10 +63,10 @@ use dv_obs::{names, Obs};
 use dv_time::{Duration, Timestamp};
 use parking_lot::Mutex;
 
-use crate::frame::{encode_frame_shared, encode_frame_vec};
+use crate::frame::{frame_message, FrameDecoder, FrameError, RecvError};
 use crate::proto::{
-    encode_message_vec, Message, VisualProbe, WireHit, WireVisualHit, MAX_SEARCH_HITS,
-    MAX_VISUAL_HITS, PROTOCOL_VERSION,
+    acts_before_hello, decode_message_within, Message, ProtoError, VisualProbe, WireHit,
+    WireVisualHit, MAX_SEARCH_HITS, MAX_VISUAL_HITS, PROTOCOL_VERSION,
 };
 use crate::queue::{PushOutcome, SendQueue};
 use crate::transport::{Transport, TransportError};
@@ -190,7 +190,7 @@ struct ClientConn {
     id: u64,
     name: String,
     transport: Box<dyn Transport>,
-    decoder: crate::frame::FrameDecoder,
+    decoder: FrameDecoder,
     queue: SendQueue,
     /// Output scale this viewer attached at; identity for plain
     /// `AttachLive`.
@@ -276,7 +276,7 @@ impl NetService {
             id,
             name: String::new(),
             transport: Box::new(transport),
-            decoder: crate::frame::FrameDecoder::new(),
+            decoder: FrameDecoder::new(),
             queue: SendQueue::new(self.config.send_queue_frames),
             scale: ScaleFactor::ONE,
             hello_done: false,
@@ -329,7 +329,7 @@ impl NetService {
     /// Queues a graceful `Bye` to every client; they drop on the next
     /// polls once the goodbye flushes.
     pub fn shutdown(&mut self) {
-        let bye = encode_frame_shared(&encode_message_vec(&Message::Bye));
+        let bye = framed(&Message::Bye);
         for conn in &mut self.clients {
             conn.queue.push_control(bye.clone());
             conn.begin_close();
@@ -394,6 +394,8 @@ impl NetService {
     fn drain_inbound(&mut self, report: &mut PollReport) {
         let now = self.dv.now();
         let obs = self.obs.clone();
+        let (width, height) = self.dv.screen_size();
+        let probe_pixels = u64::from(width) * u64::from(height);
         let mut visited = 0u64;
         let mut skipped = 0u64;
         // Messages are collected first, then handled, because handling
@@ -404,74 +406,68 @@ impl NetService {
                 continue;
             }
             // The reactor edge: a connection with nothing readable and
-            // no pending EOF gets no recv at all. Any buffered frames
-            // were decoded the same poll their bytes were fed, so a
-            // quiet transport really does mean nothing to do.
+            // no pending EOF gets no recv at all. Every frame is cut
+            // the same poll its last byte arrives, so a quiet transport
+            // really does mean nothing to do.
             if conn.transport.readiness().inbound_quiet() {
                 skipped += 1;
                 continue;
             }
             visited += 1;
-            let mut buf = [0u8; 4096];
-            loop {
-                match conn.transport.recv(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        obs.add(names::NET_BYTES_RECEIVED, n as u64);
-                        conn.decoder.feed(&buf[..n]);
+            let received = conn.decoder.received();
+            // Whether to parse what this peer sends: it has said
+            // `Hello`, possibly earlier in this very drain (a client
+            // may queue its first RPC right behind the handshake).
+            let mut greeted = conn.hello_done;
+            let ended = loop {
+                let payload = match conn.decoder.recv_frame(&mut *conn.transport) {
+                    Ok(Some(payload)) => payload,
+                    Ok(None) => break None,
+                    Err(RecvError::Transport(TransportError::Closed)) => {
+                        break Some((DropReason::Graceful, String::new()));
                     }
-                    Err(TransportError::Closed) => {
-                        conn.begin_close();
-                        obs.event(
-                            "net",
-                            names::EV_NET_DISCONNECT,
-                            format!("client={} reason=graceful", conn.id),
-                        );
-                        report.dropped.push((conn.id, DropReason::Graceful));
-                        break;
+                    Err(RecvError::Transport(TransportError::Reset)) => {
+                        break Some((DropReason::Reset, String::new()));
                     }
-                    Err(TransportError::Reset) => {
-                        conn.begin_close();
-                        obs.incr(names::NET_RESETS);
-                        obs.event(
-                            "net",
-                            names::EV_NET_DISCONNECT,
-                            format!("client={} reason=reset", conn.id),
-                        );
-                        report.dropped.push((conn.id, DropReason::Reset));
-                        break;
+                    Err(RecvError::Frame(e)) => {
+                        let why = ProtoError::BadPayload(match e {
+                            FrameError::TooLarge(_) => "frame too large",
+                            FrameError::Corrupt { .. } => "frame CRC mismatch",
+                        });
+                        break Some((DropReason::Corrupt, format!(" {why}")));
                     }
-                }
-            }
-            loop {
-                let outcome = match conn.decoder.next_frame() {
-                    Ok(Some(payload)) => {
-                        obs.incr(names::NET_FRAMES_RECEIVED);
-                        conn.last_inbound = now;
-                        conn.pinged = false;
-                        crate::proto::decode_message(&payload).map(Some)
-                    }
-                    Ok(None) => Ok(None),
-                    Err(e) => Err(crate::proto::ProtoError::BadPayload(match e {
-                        crate::frame::FrameError::TooLarge(_) => "frame too large",
-                        crate::frame::FrameError::Corrupt { .. } => "frame CRC mismatch",
-                    })),
                 };
-                match outcome {
-                    Ok(Some(msg)) => todo.push((ci, msg)),
-                    Ok(None) => break,
-                    Err(e) => {
-                        conn.begin_close();
-                        obs.incr(names::NET_CORRUPT_FRAMES);
-                        obs.event(
-                            "net",
-                            names::EV_NET_DISCONNECT,
-                            format!("client={} reason=corrupt {e}", conn.id),
-                        );
-                        report.dropped.push((conn.id, DropReason::Corrupt));
-                        break;
-                    }
+                obs.incr(names::NET_FRAMES_RECEIVED);
+                conn.last_inbound = now;
+                conn.pinged = false;
+                if !greeted && !acts_before_hello(payload) {
+                    continue;
                 }
+                match decode_message_within(payload, probe_pixels) {
+                    Ok(msg) => {
+                        greeted |= matches!(msg, Message::Hello { .. });
+                        todo.push((ci, msg));
+                    }
+                    Err(e) => break Some((DropReason::Corrupt, format!(" {e}"))),
+                }
+            };
+            obs.add(
+                names::NET_BYTES_RECEIVED,
+                conn.decoder.received() - received,
+            );
+            if let Some((reason, why)) = ended {
+                match reason {
+                    DropReason::Reset => obs.incr(names::NET_RESETS),
+                    DropReason::Corrupt => obs.incr(names::NET_CORRUPT_FRAMES),
+                    _ => {}
+                }
+                conn.begin_close();
+                obs.event(
+                    "net",
+                    names::EV_NET_DISCONNECT,
+                    format!("client={} reason={}{why}", conn.id, reason.as_str()),
+                );
+                report.dropped.push((conn.id, reason));
             }
         }
         for (ci, msg) in todo {
@@ -731,12 +727,12 @@ impl NetService {
                     Some((_, f)) => f.clone(),
                     None => {
                         let wire = if conn.scale.is_identity() {
-                            encode_live(&Message::Command {
+                            framed(&Message::Command {
                                 ts,
                                 cmd: cmd.clone(),
                             })
                         } else {
-                            encode_live(&Message::Command {
+                            framed(&Message::Command {
                                 ts,
                                 cmd: scale_command(&cmd, conn.scale),
                             })
@@ -821,7 +817,7 @@ impl NetService {
                             .iter()
                             .map(|r| (*r, fb.read_rect(r)))
                             .collect();
-                        let f = encode_live(&Message::KeyframeDelta { ts, rects });
+                        let f = framed(&Message::KeyframeDelta { ts, rects });
                         encodes += 1;
                         delta_frame = Some(f.clone());
                         f
@@ -845,7 +841,7 @@ impl NetService {
                                 .map(|o| o.snapshot())
                                 .expect("scaled viewer always has its output registered")
                         };
-                        let f = encode_live(&Message::Keyframe { ts, shot: key_shot });
+                        let f = framed(&Message::Keyframe { ts, shot: key_shot });
                         encodes += 1;
                         full_frames.push((conn.scale, f.clone()));
                         f
@@ -1040,8 +1036,7 @@ impl NetService {
 
 impl ClientConn {
     fn push_control_msg(&mut self, msg: &Message) {
-        self.queue
-            .push_control(encode_frame_vec(&encode_message_vec(msg)));
+        self.queue.push_control(framed(msg));
     }
 
     /// Moves the connection into the closing state. The retry budget
@@ -1055,8 +1050,10 @@ impl ClientConn {
     }
 }
 
-/// Encodes a message to its shared wire frame, the unit of zero-copy
-/// fan-out.
-fn encode_live(msg: &Message) -> Arc<[u8]> {
-    encode_frame_shared(&encode_message_vec(msg))
+/// Frames a message into the shared slice every taker's queue holds a
+/// refcount on: the unit of zero-copy fan-out.
+fn framed(msg: &Message) -> Arc<[u8]> {
+    let mut wire = Vec::new();
+    frame_message(msg, &mut wire);
+    wire.into()
 }

@@ -106,6 +106,20 @@ impl CommandLog {
         Ok(Some((time, meta, offset + 8 + meta.len as u64)))
     }
 
+    /// [`CommandLog::read_at`] for playing forward to `t`: `None` also
+    /// when the entry lies after `t`, which its header says before its
+    /// payload is decoded. Fails exactly when `read_at` would.
+    pub fn read_until(
+        &self,
+        offset: u64,
+        t: Timestamp,
+    ) -> Result<Option<(Timestamp, DisplayCommand, u64)>, CodecError> {
+        match self.peek_at(offset)? {
+            Some((time, _, _)) if time <= t => self.read_at(offset),
+            _ => Ok(None),
+        }
+    }
+
     /// Overwrites the command tag of the entry at `offset` with one no
     /// decoder knows.
     #[cfg(test)]
@@ -194,6 +208,21 @@ mod tests {
         let mut log = CommandLog::new();
         log.append(Timestamp::ZERO, &fill(1));
         assert!(log.read_at(log.end_offset()).unwrap().is_none());
+    }
+
+    #[test]
+    fn read_until_stops_before_the_first_entry_past_t() {
+        let mut log = CommandLog::new();
+        let first = log.append(Timestamp::from_millis(10), &fill(1));
+        let second = log.append(Timestamp::from_millis(20), &fill(2));
+        let t = Timestamp::from_millis(10);
+        assert_eq!(log.read_until(first, t), log.read_at(first));
+        assert_eq!(log.read_until(second, t), Ok(None));
+        assert_eq!(log.read_until(log.end_offset(), t), Ok(None));
+        // An entry no decoder accepts fails whichever side of `t` it
+        // lies on, as it did when the whole entry was decoded first.
+        log.corrupt_tag_at(second);
+        assert_eq!(log.read_until(second, t), Err(CodecError::BadTag(0xEE)));
     }
 
     #[test]

@@ -186,11 +186,8 @@ impl PlaybackEngine {
         let record = self.record.clone();
         let store = record.read();
         loop {
-            match store.log.read_at(self.offset) {
+            match store.log.read_until(self.offset, t) {
                 Ok(Some((time, cmd, next))) => {
-                    if time > t {
-                        break;
-                    }
                     self.fb.apply(&cmd);
                     if let Some(s) = sink.as_deref_mut() {
                         s.submit(time, &cmd);
@@ -232,11 +229,8 @@ impl PlaybackEngine {
         let record = self.record.clone();
         let store = record.read();
         loop {
-            match store.log.read_at(self.offset) {
+            match store.log.read_until(self.offset, t) {
                 Ok(Some((time, cmd, next))) => {
-                    if time > t {
-                        break;
-                    }
                     if let Some(prev) = last_time {
                         let gap = time.saturating_since(prev).scale(1.0 / rate);
                         if gap > Duration::ZERO {

@@ -41,23 +41,38 @@ pub fn encode_screenshot(shot: &Screenshot) -> Vec<u8> {
     out
 }
 
+/// Reads the `(width, height)` an encoded screenshot claims, without
+/// looking at its runs.
+pub fn screenshot_dims(data: &[u8]) -> Option<(u32, u32)> {
+    let (width, height) = data.first_chunk::<8>()?.split_at(4);
+    let side = |bytes: &[u8]| bytes.try_into().map(u32::from_le_bytes).ok();
+    Some((side(width)?, side(height)?))
+}
+
 /// Decodes a screenshot produced by [`encode_screenshot`].
 ///
 /// Returns `None` if the data is malformed.
 pub fn decode_screenshot(data: &[u8]) -> Option<Screenshot> {
-    if data.len() < 8 {
-        return None;
-    }
-    let width = u32::from_le_bytes(data[..4].try_into().ok()?);
-    let height = u32::from_le_bytes(data[4..8].try_into().ok()?);
-    // Reject implausible dimensions before allocating: corrupt data
-    // must not drive allocation size.
+    let (width, height) = screenshot_dims(data)?;
     if width > MAX_SCREEN_SIDE || height > MAX_SCREEN_SIDE {
         return None;
     }
     let total = width as usize * height as usize;
-    let mut pixels = Vec::with_capacity(total);
     let mut rest = &data[8..];
+    // The header is a claim, not a size. A run is eight bytes, so an
+    // input with a run for every other pixel is as large as the vector
+    // it asks for; one made of longer runs is believed only once their
+    // lengths have been added up.
+    let runs = rest.chunks_exact(8);
+    if total > 2 * runs.len() {
+        let claimed: u64 = runs
+            .map(|run| u64::from(u32::from_le_bytes([run[0], run[1], run[2], run[3]])))
+            .sum();
+        if claimed != total as u64 {
+            return None;
+        }
+    }
+    let mut pixels = Vec::with_capacity(total);
     while pixels.len() < total {
         if rest.len() < 8 {
             return None;
@@ -222,6 +237,23 @@ mod tests {
         extra.extend_from_slice(&[0; 8]);
         assert!(decode_screenshot(&extra).is_none());
         assert!(decode_screenshot(&[1, 2, 3]).is_none());
+    }
+
+    /// A header alone reserves nothing: a few bytes claiming a huge
+    /// screen are refused on their run lengths before the vector exists.
+    #[test]
+    fn a_claim_the_runs_do_not_back_is_refused_before_reserving() {
+        let mut hostile = Vec::new();
+        for v in [MAX_SCREEN_SIDE, MAX_SCREEN_SIDE, MAX_SCREEN_SIDE, 7] {
+            hostile.extend_from_slice(&v.to_le_bytes());
+        }
+        // One run of 16,384 pixels under a header claiming 16,384².
+        assert!(decode_screenshot(&hostile).is_none());
+        assert_eq!(
+            screenshot_dims(&hostile),
+            Some((MAX_SCREEN_SIDE, MAX_SCREEN_SIDE))
+        );
+        assert_eq!(screenshot_dims(&hostile[..7]), None);
     }
 
     #[test]

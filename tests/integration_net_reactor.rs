@@ -178,7 +178,7 @@ fn duplicate_hello_from_admitted_client_is_ignored() {
     }
     let mut welcomes = 0;
     while let Some(payload) = dec.next_frame().unwrap() {
-        match decode_message(&payload).unwrap() {
+        match decode_message(payload).unwrap() {
             Message::Welcome { .. } => welcomes += 1,
             Message::Reject { reason } => {
                 panic!("admitted client rejected on duplicate Hello: {reason}")

@@ -33,7 +33,7 @@ fn decode_chunked(wire: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
     for pair in offsets.windows(2) {
         dec.feed(&wire[pair[0]..pair[1]]);
         while let Some(payload) = dec.next_frame().expect("clean stream") {
-            out.push(payload);
+            out.push(payload.to_vec());
         }
     }
     out
@@ -73,7 +73,7 @@ proptest! {
             dec.feed(&wire[..cut]);
             let mut got = Vec::new();
             while let Some(p) = dec.next_frame().expect("truncation is never corruption") {
-                got.push(p);
+                got.push(p.to_vec());
             }
             let complete = boundaries.iter().filter(|b| **b <= cut).count();
             prop_assert_eq!(got.len(), complete, "cut at {}", cut);
@@ -82,7 +82,7 @@ proptest! {
             dec.feed(&wire[cut..]);
             let mut rest = got;
             while let Some(p) = dec.next_frame().expect("clean stream") {
-                rest.push(p);
+                rest.push(p.to_vec());
             }
             prop_assert_eq!(&rest[..], &payloads[..]);
         }
