@@ -34,7 +34,7 @@ mod chunk;
 mod store;
 
 pub use chunk::{chunk_id, split, ChunkId, ChunkSpan, MAX_CHUNK, MIN_CHUNK};
-pub use store::{CasError, CasStats, ChunkStore, GcStep, ROOT_SLOTS};
+pub use store::{CasError, CasStats, ChunkStore, GcStep, RootManifests, ROOT_SLOTS};
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use dv_fault::{checksum, sites, FaultPlane, IoFault};
+use dv_fault::{checksum, sites, FaultPlane, IoFault, Put, ReadError, Reader};
 use dv_obs::Obs;
 
 use crate::chunk::{chunk_id, split, ChunkId, ChunkSpan};
@@ -17,7 +17,29 @@ pub const ROOT_SLOTS: usize = 2;
 
 /// A decoded root's manifest table: `(blob name, logical length,
 /// chunk spans)` per blob, exactly the shape `encode_root` wrote.
-type RootManifests = Vec<(String, u64, Vec<(ChunkId, u32)>)>;
+pub type RootManifests = Vec<(String, u64, Vec<(ChunkId, u32)>)>;
+
+/// Parses a root image (CRC already verified).
+fn read_root(image: &[u8]) -> Result<(u64, RootManifests), ReadError> {
+    let mut r = Reader::new(image);
+    r.magic(ROOT_MAGIC)?;
+    let generation = r.u64()?;
+    // A name length, a logical size and a span count.
+    let count = r.count_u64(4 + 8 + 4)?;
+    let mut names = Vec::with_capacity(count);
+    for _ in 0..count {
+        let name = r.str_u32()?.to_owned();
+        let logical = r.u64()?;
+        let span_count = r.count(16 + 4)?;
+        let mut spans = Vec::with_capacity(span_count);
+        for _ in 0..span_count {
+            spans.push((ChunkId(u128::from_le_bytes(*r.array()?)), r.u32()?));
+        }
+        names.push((name, logical, spans));
+    }
+    r.finish()?;
+    Ok((generation, names))
+}
 
 /// Failures surfaced by store operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -450,73 +472,36 @@ impl ChunkStore {
         names.sort();
         let mut out = Vec::new();
         out.extend_from_slice(ROOT_MAGIC);
-        out.extend_from_slice(&generation.to_le_bytes());
-        out.extend_from_slice(&(names.len() as u64).to_le_bytes());
+        out.put_u64(generation);
+        out.put_u64(names.len() as u64);
         for name in names {
             let entry = &self.table[&self.manifests[name]];
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&entry.logical.to_le_bytes());
-            out.extend_from_slice(&(entry.spans.len() as u32).to_le_bytes());
+            out.put_str_u32(name);
+            out.put_u64(entry.logical);
+            out.put_u32(entry.spans.len() as u32);
             for (chunk, len) in &entry.spans {
                 out.extend_from_slice(&chunk.0.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
+                out.put_u32(*len);
             }
         }
         out
     }
 
-    /// Decodes and validates one root slot.
-    fn decode_root(slot: &[u8]) -> Option<(u64, RootManifests)> {
-        if slot.len() < ROOT_MAGIC.len() + 8 + 8 + 4 {
+    /// Decodes and validates one root slot as
+    /// [`persist_root`](ChunkStore::persist_root) writes it: the root
+    /// image, then the CRC32 of the image. `None` when the slot is torn,
+    /// corrupt or malformed.
+    pub fn decode_root(slot: &[u8]) -> Option<(u64, RootManifests)> {
+        let (image, crc) = slot.split_last_chunk::<4>()?;
+        if checksum::crc32(image) != u32::from_le_bytes(*crc) {
             return None;
         }
-        let (body, crc_bytes) = slot.split_at(slot.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-        if checksum::crc32(body) != stored_crc {
-            return None;
-        }
-        let mut data = body;
-        if &data[..8] != ROOT_MAGIC {
-            return None;
-        }
-        data = &data[8..];
-        let generation = u64::from_le_bytes(data[..8].try_into().ok()?);
-        data = &data[8..];
-        let count = u64::from_le_bytes(data[..8].try_into().ok()?);
-        data = &data[8..];
-        let mut names = Vec::new();
-        for _ in 0..count {
-            if data.len() < 4 {
-                return None;
-            }
-            let name_len = u32::from_le_bytes(data[..4].try_into().ok()?) as usize;
-            data = &data[4..];
-            if data.len() < name_len + 8 + 4 {
-                return None;
-            }
-            let name = std::str::from_utf8(&data[..name_len]).ok()?.to_string();
-            data = &data[name_len..];
-            let logical = u64::from_le_bytes(data[..8].try_into().ok()?);
-            data = &data[8..];
-            let span_count = u32::from_le_bytes(data[..4].try_into().ok()?) as usize;
-            data = &data[4..];
-            if data.len() < span_count * 20 {
-                return None;
-            }
-            let mut spans = Vec::with_capacity(span_count);
-            for _ in 0..span_count {
-                let id = u128::from_le_bytes(data[..16].try_into().ok()?);
-                let len = u32::from_le_bytes(data[16..20].try_into().ok()?);
-                spans.push((ChunkId(id), len));
-                data = &data[20..];
-            }
-            names.push((name, logical, spans));
-        }
-        if !data.is_empty() {
-            return None;
-        }
-        Some((generation, names))
+        read_root(image).ok()
+    }
+
+    /// The root slots as last written, torn or not.
+    pub fn root_slots(&self) -> &[Vec<u8>; ROOT_SLOTS] {
+        &self.slots
     }
 
     /// Writes the next root generation into its slot and, on verified

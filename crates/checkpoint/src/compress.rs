@@ -21,6 +21,8 @@
 //! The leading `0x02` cannot open a plain stream (whose chunks start
 //! `0x00`/`0x01`), so [`decompress`] auto-detects the format.
 
+use dv_fault::{Put, Reader};
+
 /// Minimum run length worth encoding as a run chunk.
 const MIN_RUN: usize = 8;
 
@@ -57,8 +59,7 @@ fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
         return;
     }
     out.push(0x00);
-    out.extend_from_slice(&(lit.len() as u32).to_le_bytes());
-    out.extend_from_slice(lit);
+    out.put_bytes_u32(lit);
 }
 
 /// Largest output [`decompress`] will produce; corrupt run lengths must
@@ -74,8 +75,7 @@ pub fn assemble_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
     out.push(0x02);
     out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
     for chunk in chunks {
-        out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        out.extend_from_slice(chunk);
+        out.put_bytes_u32(chunk);
     }
     out
 }
@@ -86,65 +86,31 @@ pub fn assemble_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
 /// Returns `None` on malformed input or if the output would exceed
 /// [`MAX_DECOMPRESSED`].
 pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
     if data.first() == Some(&0x02) {
-        return decompress_container(&data[1..]);
-    }
-    let mut out = Vec::new();
-    decompress_stream(&mut out, data)?;
-    Some(out)
-}
-
-fn decompress_container(mut data: &[u8]) -> Option<Vec<u8>> {
-    if data.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(data[..4].try_into().ok()?) as usize;
-    data = &data[4..];
-    let mut out = Vec::new();
-    for _ in 0..count {
-        if data.len() < 4 {
-            return None;
+        let mut r = Reader::new(data);
+        r.u8().ok()?;
+        for _ in 0..r.count(4).ok()? {
+            decompress_stream(&mut out, r.bytes_u32().ok()?)?;
         }
-        let len = u32::from_le_bytes(data[..4].try_into().ok()?) as usize;
-        data = &data[4..];
-        if data.len() < len {
-            return None;
-        }
-        decompress_stream(&mut out, &data[..len])?;
-        data = &data[len..];
-    }
-    if !data.is_empty() {
-        return None;
+        r.finish().ok()?;
+    } else {
+        decompress_stream(&mut out, data)?;
     }
     Some(out)
 }
 
-fn decompress_stream(out: &mut Vec<u8>, mut data: &[u8]) -> Option<()> {
-    while !data.is_empty() {
-        if data.len() < 5 {
-            return None;
-        }
-        let tag = data[0];
-        let len = u32::from_le_bytes(data[1..5].try_into().ok()?) as usize;
-        data = &data[5..];
+fn decompress_stream(out: &mut Vec<u8>, data: &[u8]) -> Option<()> {
+    let mut r = Reader::new(data);
+    while !r.is_empty() {
+        let &[tag, l0, l1, l2, l3] = r.array().ok()?;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if out.len().saturating_add(len) > MAX_DECOMPRESSED {
             return None;
         }
         match tag {
-            0x00 => {
-                if data.len() < len {
-                    return None;
-                }
-                out.extend_from_slice(&data[..len]);
-                data = &data[len..];
-            }
-            0x01 => {
-                if data.is_empty() {
-                    return None;
-                }
-                out.extend(std::iter::repeat_n(data[0], len));
-                data = &data[1..];
-            }
+            0x00 => out.extend_from_slice(r.bytes(len).ok()?),
+            0x01 => out.extend(std::iter::repeat_n(r.u8().ok()?, len)),
             _ => return None,
         }
     }

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dv_fault::FaultPlane;
+use dv_fault::{FaultPlane, Put, Reader};
 use dv_lsfs::{FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, PhaseBreakdown, PhaseTimer, Sleeper, Timestamp};
@@ -434,90 +434,57 @@ impl Checkpointer {
     pub fn export_meta(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"DVENG001");
-        out.extend_from_slice(&self.counter.to_le_bytes());
-        out.extend_from_slice(&self.relink_seq.to_le_bytes());
-        out.extend_from_slice(&(self.blob_prefix.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.blob_prefix.as_bytes());
-        out.extend_from_slice(&(self.images.len() as u64).to_le_bytes());
+        out.put_u64(self.counter);
+        out.put_u64(self.relink_seq);
+        out.put_str_u32(&self.blob_prefix);
+        out.put_u64(self.images.len() as u64);
         for meta in self.images.values() {
-            out.extend_from_slice(&meta.counter.to_le_bytes());
-            out.extend_from_slice(&meta.time.as_nanos().to_le_bytes());
+            out.put_u64(meta.counter);
+            out.put_u64(meta.time.as_nanos());
             match meta.kind {
                 ImageKind::Full => {
                     out.push(0);
-                    out.extend_from_slice(&0u64.to_le_bytes());
+                    out.put_u64(0);
                 }
                 ImageKind::Incremental { prev } => {
                     out.push(1);
-                    out.extend_from_slice(&prev.to_le_bytes());
+                    out.put_u64(prev);
                 }
             }
-            out.extend_from_slice(&(meta.blob.len() as u32).to_le_bytes());
-            out.extend_from_slice(meta.blob.as_bytes());
-            out.extend_from_slice(&meta.stored_bytes.to_le_bytes());
-            out.extend_from_slice(&meta.raw_bytes.to_le_bytes());
+            out.put_str_u32(&meta.blob);
+            out.put_u64(meta.stored_bytes);
+            out.put_u64(meta.raw_bytes);
         }
         out
     }
 
     /// Restores image metadata from [`Checkpointer::export_meta`] output,
     /// replacing this engine's history. Returns `None` on malformed data.
-    pub fn import_meta(&mut self, mut data: &[u8]) -> Option<()> {
-        fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if data.len() < n {
-                return None;
-            }
-            let (head, rest) = data.split_at(n);
-            *data = rest;
-            Some(head)
-        }
-        fn u64_of(data: &mut &[u8]) -> Option<u64> {
-            take(data, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-        }
-        if take(&mut data, 8)? != b"DVENG001" {
-            return None;
-        }
-        let counter = u64_of(&mut data)?;
-        let relink_seq = u64_of(&mut data)?;
-        let prefix_len =
-            u32::from_le_bytes(take(&mut data, 4)?.try_into().expect("4 bytes")) as usize;
-        let blob_prefix = std::str::from_utf8(take(&mut data, prefix_len)?)
-            .ok()?
-            .to_string();
-        let count = u64_of(&mut data)?;
+    pub fn import_meta(&mut self, data: &[u8]) -> Option<()> {
+        let mut r = Reader::new(data);
+        r.magic(b"DVENG001").ok()?;
+        let counter = r.u64().ok()?;
+        let relink_seq = r.u64().ok()?;
+        let blob_prefix = r.str_u32().ok()?.to_owned();
         let mut images = BTreeMap::new();
-        for _ in 0..count {
-            let meta_counter = u64_of(&mut data)?;
-            let time = Timestamp::from_nanos(u64_of(&mut data)?);
-            let tag = take(&mut data, 1)?[0];
-            let prev = u64_of(&mut data)?;
-            let kind = match tag {
-                0 => ImageKind::Full,
-                1 => ImageKind::Incremental { prev },
-                _ => return None,
-            };
-            let blob_len =
-                u32::from_le_bytes(take(&mut data, 4)?.try_into().expect("4 bytes")) as usize;
-            let blob = std::str::from_utf8(take(&mut data, blob_len)?)
-                .ok()?
-                .to_string();
-            let stored_bytes = u64_of(&mut data)?;
-            let raw_bytes = u64_of(&mut data)?;
-            images.insert(
-                meta_counter,
-                ImageMeta {
-                    counter: meta_counter,
-                    time,
-                    kind,
-                    blob,
-                    stored_bytes,
-                    raw_bytes,
+        // Counter, time, kind, previous counter, blob name length and the
+        // two sizes.
+        for _ in 0..r.count_u64(8 + 8 + 1 + 8 + 4 + 8 + 8).ok()? {
+            let meta = ImageMeta {
+                counter: r.u64().ok()?,
+                time: Timestamp::from_nanos(r.u64().ok()?),
+                kind: match (r.u8().ok()?, r.u64().ok()?) {
+                    (0, _) => ImageKind::Full,
+                    (1, prev) => ImageKind::Incremental { prev },
+                    _ => return None,
                 },
-            );
+                blob: r.str_u32().ok()?.to_owned(),
+                stored_bytes: r.u64().ok()?,
+                raw_bytes: r.u64().ok()?,
+            };
+            images.insert(meta.counter, meta);
         }
-        if !data.is_empty() {
-            return None;
-        }
+        r.finish().ok()?;
         self.counter = counter;
         self.relink_seq = relink_seq;
         self.blob_prefix = blob_prefix;

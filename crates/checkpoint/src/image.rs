@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
-
+use dv_fault::{Put, ReadError, Reader};
 use dv_time::Timestamp;
 use dv_vee::{Credentials, FpuState, MemRegion, PageBuf, Prot, Registers, SchedParams, PAGE_SIZE};
 
@@ -159,30 +158,9 @@ impl std::error::Error for ImageError {}
 
 pub(crate) const MAGIC: &[u8; 8] = b"DVCKPT01";
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, ImageError> {
-    if buf.len() < 4 {
-        return Err(ImageError("truncated string"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.len() < len {
-        return Err(ImageError("truncated string body"));
-    }
-    let (s, rest) = buf.split_at(len);
-    let out = String::from_utf8(s.to_vec()).map_err(|_| ImageError("invalid utf-8"))?;
-    *buf = rest;
-    Ok(out)
-}
-
-fn need(buf: &[u8], n: usize) -> Result<(), ImageError> {
-    if buf.len() < n {
-        Err(ImageError("truncated image"))
-    } else {
-        Ok(())
+impl From<ReadError> for ImageError {
+    fn from(e: ReadError) -> Self {
+        ImageError(e.as_str())
     }
 }
 
@@ -207,21 +185,21 @@ pub fn encode_image_sections(image: &CheckpointImage) -> Vec<Vec<u8>> {
 
     let mut header = Vec::with_capacity(64 + image.hostname.len());
     header.extend_from_slice(MAGIC);
-    header.put_u64_le(image.counter);
-    header.put_u64_le(image.time.as_nanos());
+    header.put_u64(image.counter);
+    header.put_u64(image.time.as_nanos());
     match image.kind {
         ImageKind::Full => {
-            header.put_u8(0);
-            header.put_u64_le(0);
+            header.push(0);
+            header.put_u64(0);
         }
         ImageKind::Incremental { prev } => {
-            header.put_u8(1);
-            header.put_u64_le(prev);
+            header.push(1);
+            header.put_u64(prev);
         }
     }
-    put_str(&mut header, &image.hostname);
-    header.put_u8(image.network_enabled as u8);
-    header.put_u32_le(image.processes.len() as u32);
+    header.put_str_u32(&image.hostname);
+    header.push(image.network_enabled as u8);
+    header.put_u32(image.processes.len() as u32);
     sections.push(header);
 
     for p in &image.processes {
@@ -238,42 +216,41 @@ pub fn encode_image_sections(image: &CheckpointImage) -> Vec<Vec<u8>> {
 
 fn encode_process(out: &mut Vec<u8>, p: &ProcessRecord) {
     {
-        out.put_u64_le(p.vpid);
-        out.put_u64_le(p.parent.map(|v| v + 1).unwrap_or(0));
-        put_str(out, &p.name);
-        out.put_u64_le(p.regs.pc);
-        out.put_u64_le(p.regs.sp);
+        out.put_u64(p.vpid);
+        out.put_u64(p.parent.map(|v| v + 1).unwrap_or(0));
+        out.put_str_u32(&p.name);
+        out.put_u64(p.regs.pc);
+        out.put_u64(p.regs.sp);
         for r in p.regs.gpr {
-            out.put_u64_le(r);
+            out.put_u64(r);
         }
-        out.put_u32_le(p.fpu.control);
+        out.put_u32(p.fpu.control);
         for r in p.fpu.st {
-            out.put_u64_le(r);
+            out.put_u64(r);
         }
-        out.put_i8(p.sched.nice);
-        out.put_u8(p.sched.rt_priority);
-        out.put_u32_le(p.creds.uid);
-        out.put_u32_le(p.creds.gid);
-        out.put_u64_le(p.blocked);
-        out.put_u64_le(p.handled);
-        out.put_u32_le(p.pending.len() as u32);
-        out.extend_from_slice(&p.pending);
-        out.put_u64_le(p.ptraced_by.map(|v| v + 1).unwrap_or(0));
-        put_str(out, &p.cwd);
-        out.put_u8(p.net_allowed as u8);
+        out.push(p.sched.nice as u8);
+        out.push(p.sched.rt_priority);
+        out.put_u32(p.creds.uid);
+        out.put_u32(p.creds.gid);
+        out.put_u64(p.blocked);
+        out.put_u64(p.handled);
+        out.put_bytes_u32(&p.pending);
+        out.put_u64(p.ptraced_by.map(|v| v + 1).unwrap_or(0));
+        out.put_str_u32(&p.cwd);
+        out.push(p.net_allowed as u8);
 
-        out.put_u32_le(p.regions.len() as u32);
+        out.put_u32(p.regions.len() as u32);
         for region in &p.regions {
-            out.put_u64_le(region.start);
-            out.put_u64_le(region.len);
-            out.put_u8(matches!(region.prot, Prot::ReadWrite) as u8);
+            out.put_u64(region.start);
+            out.put_u64(region.len);
+            out.push(matches!(region.prot, Prot::ReadWrite) as u8);
         }
-        out.put_u32_le(p.pages.len() as u32);
+        out.put_u32(p.pages.len() as u32);
         for (addr, page) in &p.pages {
-            out.put_u64_le(*addr);
+            out.put_u64(*addr);
             out.extend_from_slice(&page[..]);
         }
-        out.put_u32_le(p.fds.len() as u32);
+        out.put_u32(p.fds.len() as u32);
         for fd in &p.fds {
             match fd {
                 FdRecord::File {
@@ -283,23 +260,23 @@ fn encode_process(out: &mut Vec<u8>, p: &ProcessRecord) {
                     unlinked,
                     relink,
                 } => {
-                    out.put_u8(0);
-                    out.put_u32_le(*fd);
-                    put_str(out, path);
-                    out.put_u64_le(*offset);
-                    out.put_u8(*unlinked as u8);
+                    out.push(0);
+                    out.put_u32(*fd);
+                    out.put_str_u32(path);
+                    out.put_u64(*offset);
+                    out.push(*unlinked as u8);
                     match relink {
                         Some(r) => {
-                            out.put_u8(1);
-                            put_str(out, r);
+                            out.push(1);
+                            out.put_str_u32(r);
                         }
-                        None => out.put_u8(0),
+                        None => out.push(0),
                     }
                 }
                 FdRecord::Socket { fd, id } => {
-                    out.put_u8(1);
-                    out.put_u32_le(*fd);
-                    out.put_u64_le(*id);
+                    out.push(1);
+                    out.put_u32(*fd);
+                    out.put_u64(*id);
                 }
             }
         }
@@ -307,210 +284,62 @@ fn encode_process(out: &mut Vec<u8>, p: &ProcessRecord) {
 }
 
 fn encode_sockets(out: &mut Vec<u8>, sockets: &[SocketRecord]) {
-    out.put_u32_le(sockets.len() as u32);
+    out.put_u32(sockets.len() as u32);
     for s in sockets {
-        out.put_u64_le(s.id);
-        out.put_u8(s.proto);
-        out.put_u16_le(s.local_port);
+        out.put_u64(s.id);
+        out.push(s.proto);
+        out.put_u16(s.local_port);
         match &s.remote {
             Some((host, port)) => {
-                out.put_u8(1);
-                put_str(out, host);
-                out.put_u16_le(*port);
+                out.push(1);
+                out.put_str_u32(host);
+                out.put_u16(*port);
             }
-            None => out.put_u8(0),
+            None => out.push(0),
         }
-        out.put_u8(s.state);
-        out.put_u64_le(s.tx_bytes);
-        out.put_u64_le(s.rx_bytes);
+        out.push(s.state);
+        out.put_u64(s.tx_bytes);
+        out.put_u64(s.rx_bytes);
     }
 }
 
 /// Deserializes an image.
-pub fn decode_image(mut buf: &[u8]) -> Result<CheckpointImage, ImageError> {
-    need(buf, 8)?;
-    if &buf[..8] != MAGIC {
-        return Err(ImageError("bad magic"));
-    }
-    buf.advance(8);
-    need(buf, 25)?;
-    let counter = buf.get_u64_le();
-    let time = Timestamp::from_nanos(buf.get_u64_le());
-    let kind = match buf.get_u8() {
-        0 => {
-            let _ = buf.get_u64_le();
-            ImageKind::Full
-        }
-        1 => ImageKind::Incremental {
-            prev: buf.get_u64_le(),
-        },
+pub fn decode_image(buf: &[u8]) -> Result<CheckpointImage, ImageError> {
+    let mut r = Reader::new(buf);
+    r.magic(MAGIC)?;
+    let counter = r.u64()?;
+    let time = Timestamp::from_nanos(r.u64()?);
+    let kind = match (r.u8()?, r.u64()?) {
+        (0, _) => ImageKind::Full,
+        (1, prev) => ImageKind::Incremental { prev },
         _ => return Err(ImageError("bad image kind")),
     };
-    let hostname = get_str(&mut buf)?;
-    need(buf, 1)?;
-    let network_enabled = buf.get_u8() != 0;
-
-    need(buf, 4)?;
-    let proc_count = buf.get_u32_le();
-    // Counts are untrusted: grow vectors as records validate rather
-    // than pre-allocating attacker-controlled sizes.
-    let mut processes = Vec::new();
+    let hostname = r.str_u32()?.to_owned();
+    let network_enabled = r.u8()? != 0;
+    let proc_count = r.count(PROCESS_MIN_LEN)?;
+    let mut processes = Vec::with_capacity(proc_count);
     for _ in 0..proc_count {
-        need(buf, 16)?;
-        let vpid = buf.get_u64_le();
-        let parent_raw = buf.get_u64_le();
-        let parent = parent_raw.checked_sub(1);
-        let name = get_str(&mut buf)?;
-        need(buf, 16 + 64 + 4 + 64 + 2 + 8 + 16 + 4)?;
-        let mut regs = Registers {
-            pc: buf.get_u64_le(),
-            sp: buf.get_u64_le(),
-            gpr: [0; 8],
-        };
-        for r in &mut regs.gpr {
-            *r = buf.get_u64_le();
-        }
-        let mut fpu = FpuState {
-            control: buf.get_u32_le(),
-            st: [0; 8],
-        };
-        for r in &mut fpu.st {
-            *r = buf.get_u64_le();
-        }
-        let sched = SchedParams {
-            nice: buf.get_i8(),
-            rt_priority: buf.get_u8(),
-        };
-        let creds = Credentials {
-            uid: buf.get_u32_le(),
-            gid: buf.get_u32_le(),
-        };
-        let blocked = buf.get_u64_le();
-        let handled = buf.get_u64_le();
-        let pending_len = buf.get_u32_le() as usize;
-        need(buf, pending_len)?;
-        let pending = buf[..pending_len].to_vec();
-        buf.advance(pending_len);
-        need(buf, 8)?;
-        let ptraced_by = buf.get_u64_le().checked_sub(1);
-        let cwd = get_str(&mut buf)?;
-        need(buf, 5)?;
-        let net_allowed = buf.get_u8() != 0;
-
-        let region_count = buf.get_u32_le() as usize;
-        let mut regions = Vec::new();
-        for _ in 0..region_count {
-            need(buf, 17)?;
-            let start = buf.get_u64_le();
-            let len = buf.get_u64_le();
-            let prot = if buf.get_u8() != 0 {
-                Prot::ReadWrite
-            } else {
-                Prot::ReadOnly
-            };
-            regions.push(MemRegion { start, len, prot });
-        }
-        need(buf, 4)?;
-        let page_count = buf.get_u32_le() as usize;
-        let mut pages = Vec::new();
-        for _ in 0..page_count {
-            need(buf, 8 + PAGE_SIZE)?;
-            let addr = buf.get_u64_le();
-            let mut page = [0u8; PAGE_SIZE];
-            page.copy_from_slice(&buf[..PAGE_SIZE]);
-            buf.advance(PAGE_SIZE);
-            pages.push((addr, Arc::new(page)));
-        }
-        need(buf, 4)?;
-        let fd_count = buf.get_u32_le() as usize;
-        let mut fds = Vec::new();
-        for _ in 0..fd_count {
-            need(buf, 5)?;
-            let tag = buf.get_u8();
-            let fd = buf.get_u32_le();
-            match tag {
-                0 => {
-                    let path = get_str(&mut buf)?;
-                    need(buf, 10)?;
-                    let offset = buf.get_u64_le();
-                    let unlinked = buf.get_u8() != 0;
-                    let relink = match buf.get_u8() {
-                        0 => None,
-                        1 => Some(get_str(&mut buf)?),
-                        _ => return Err(ImageError("bad relink flag")),
-                    };
-                    fds.push(FdRecord::File {
-                        fd,
-                        path,
-                        offset,
-                        unlinked,
-                        relink,
-                    });
-                }
-                1 => {
-                    need(buf, 8)?;
-                    fds.push(FdRecord::Socket {
-                        fd,
-                        id: buf.get_u64_le(),
-                    });
-                }
-                _ => return Err(ImageError("bad fd tag")),
-            }
-        }
-        processes.push(ProcessRecord {
-            vpid,
-            parent,
-            name,
-            regs,
-            fpu,
-            sched,
-            creds,
-            blocked,
-            handled,
-            pending,
-            ptraced_by,
-            cwd,
-            net_allowed,
-            regions,
-            pages,
-            fds,
-        });
+        processes.push(decode_process(&mut r)?);
     }
-
-    need(buf, 4)?;
-    let sock_count = buf.get_u32_le() as usize;
-    let mut sockets = Vec::new();
+    // Id, protocol, port, remote flag, state and two byte counts.
+    let sock_count = r.count(29)?;
+    let mut sockets = Vec::with_capacity(sock_count);
     for _ in 0..sock_count {
-        need(buf, 12)?;
-        let id = buf.get_u64_le();
-        let proto = buf.get_u8();
-        let local_port = buf.get_u16_le();
-        let remote = match buf.get_u8() {
-            0 => None,
-            1 => {
-                let host = get_str(&mut buf)?;
-                need(buf, 2)?;
-                Some((host, buf.get_u16_le()))
-            }
-            _ => return Err(ImageError("bad remote flag")),
-        };
-        need(buf, 17)?;
-        let state = buf.get_u8();
-        let tx_bytes = buf.get_u64_le();
-        let rx_bytes = buf.get_u64_le();
         sockets.push(SocketRecord {
-            id,
-            proto,
-            local_port,
-            remote,
-            state,
-            tx_bytes,
-            rx_bytes,
+            id: r.u64()?,
+            proto: r.u8()?,
+            local_port: r.u16()?,
+            remote: match r.u8()? {
+                0 => None,
+                1 => Some((r.str_u32()?.to_owned(), r.u16()?)),
+                _ => return Err(ImageError("bad remote flag")),
+            },
+            state: r.u8()?,
+            tx_bytes: r.u64()?,
+            rx_bytes: r.u64()?,
         });
     }
-    if !buf.is_empty() {
-        return Err(ImageError("trailing bytes"));
-    }
+    r.finish()?;
     Ok(CheckpointImage {
         counter,
         time,
@@ -519,6 +348,109 @@ pub fn decode_image(mut buf: &[u8]) -> Result<CheckpointImage, ImageError> {
         network_enabled,
         processes,
         sockets,
+    })
+}
+
+/// Bytes of a process record's fixed block: registers, FPU state,
+/// scheduling, credentials and the two signal masks.
+const PROCESS_FIXED_LEN: usize = 16 + 64 + 4 + 64 + 2 + 8 + 16;
+
+/// The fewest bytes a process record takes: vpid, parent, the fixed
+/// block, ptrace, the flag and six lengths and counts.
+const PROCESS_MIN_LEN: usize = 8 + 8 + PROCESS_FIXED_LEN + 8 + 1 + 6 * 4;
+
+fn decode_process(r: &mut Reader<'_>) -> Result<ProcessRecord, ImageError> {
+    let vpid = r.u64()?;
+    let parent = r.u64()?.checked_sub(1);
+    let name = r.str_u32()?.to_owned();
+    let mut fixed = Reader::new(r.array::<PROCESS_FIXED_LEN>()?);
+    let mut regs = Registers {
+        pc: fixed.u64()?,
+        sp: fixed.u64()?,
+        gpr: [0; 8],
+    };
+    for g in &mut regs.gpr {
+        *g = fixed.u64()?;
+    }
+    let mut fpu = FpuState {
+        control: fixed.u32()?,
+        st: [0; 8],
+    };
+    for st in &mut fpu.st {
+        *st = fixed.u64()?;
+    }
+    let sched = SchedParams {
+        nice: fixed.i8()?,
+        rt_priority: fixed.u8()?,
+    };
+    let creds = Credentials {
+        uid: fixed.u32()?,
+        gid: fixed.u32()?,
+    };
+    let blocked = fixed.u64()?;
+    let handled = fixed.u64()?;
+    let pending = r.bytes_u32()?.to_vec();
+    let ptraced_by = r.u64()?.checked_sub(1);
+    let cwd = r.str_u32()?.to_owned();
+    let net_allowed = r.u8()? != 0;
+
+    let region_count = r.count(17)?;
+    let mut regions = Vec::with_capacity(region_count);
+    for _ in 0..region_count {
+        regions.push(MemRegion {
+            start: r.u64()?,
+            len: r.u64()?,
+            prot: match r.u8()? {
+                0 => Prot::ReadOnly,
+                _ => Prot::ReadWrite,
+            },
+        });
+    }
+    let page_count = r.count(8 + PAGE_SIZE)?;
+    let mut pages = Vec::with_capacity(page_count);
+    for _ in 0..page_count {
+        let addr = r.u64()?;
+        pages.push((addr, Arc::new(*r.array::<PAGE_SIZE>()?)));
+    }
+    // A socket descriptor (tag, fd, id) is the shorter kind.
+    let fd_count = r.count(13)?;
+    let mut fds = Vec::with_capacity(fd_count);
+    for _ in 0..fd_count {
+        let tag = r.u8()?;
+        let fd = r.u32()?;
+        fds.push(match tag {
+            0 => FdRecord::File {
+                fd,
+                path: r.str_u32()?.to_owned(),
+                offset: r.u64()?,
+                unlinked: r.u8()? != 0,
+                relink: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.str_u32()?.to_owned()),
+                    _ => return Err(ImageError("bad relink flag")),
+                },
+            },
+            1 => FdRecord::Socket { fd, id: r.u64()? },
+            _ => return Err(ImageError("bad fd tag")),
+        });
+    }
+    Ok(ProcessRecord {
+        vpid,
+        parent,
+        name,
+        regs,
+        fpu,
+        sched,
+        creds,
+        blocked,
+        handled,
+        pending,
+        ptraced_by,
+        cwd,
+        net_allowed,
+        regions,
+        pages,
+        fds,
     })
 }
 

@@ -15,8 +15,7 @@
 //! accessibility mirror — is not archived; it is rebuilt as applications
 //! register, exactly as after a reboot of the original system.
 
-use bytes::{Buf, BufMut};
-
+use dv_fault::{Put, ReadError, Reader};
 use dv_lsfs::Lsfs;
 use dv_record::{decode_record, encode_record};
 use dv_time::Timestamp;
@@ -46,22 +45,10 @@ impl From<ArchiveError> for ServerError {
     }
 }
 
-fn put_section(out: &mut Vec<u8>, data: &[u8]) {
-    out.put_u64_le(data.len() as u64);
-    out.extend_from_slice(data);
-}
-
-fn get_section<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], ArchiveError> {
-    if buf.len() < 8 {
-        return Err(ArchiveError("truncated section length"));
+impl From<ReadError> for ArchiveError {
+    fn from(e: ReadError) -> Self {
+        ArchiveError(e.as_str())
     }
-    let len = buf.get_u64_le() as usize;
-    if buf.len() < len {
-        return Err(ArchiveError("truncated section"));
-    }
-    let (data, rest) = buf.split_at(len);
-    *buf = rest;
-    Ok(data)
 }
 
 impl DejaView {
@@ -77,31 +64,31 @@ impl DejaView {
         self.flush_checkpoints()?;
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.put_u32_le(self.screen_size().0);
-        out.put_u32_le(self.screen_size().1);
-        out.put_u64_le(self.now().as_nanos());
+        out.put_u32(self.screen_size().0);
+        out.put_u32(self.screen_size().1);
+        out.put_u64(self.now().as_nanos());
         // Display record.
         let record_bytes = {
             let record = self.record();
             let store = record.read();
             encode_record(&store)
         };
-        put_section(&mut out, &record_bytes);
+        out.put_bytes_u64(&record_bytes);
         // The two open buffers no seal has made durable yet: the text
         // shard, flushed through the fault plane with the server's
         // retry policy, and the visual strip (empty when recall is off).
         let index_bytes = self.flush_index_with_retry()?;
-        put_section(&mut out, &index_bytes);
+        out.put_bytes_u64(&index_bytes);
         let strip_bytes = self.vidx().map_or(Vec::new(), |v| v.export_open());
-        put_section(&mut out, &strip_bytes);
+        out.put_bytes_u64(&strip_bytes);
         // Checkpoint blobs + engine metadata.
         let blob_bytes = self.store_mut().export();
-        put_section(&mut out, &blob_bytes);
+        out.put_bytes_u64(&blob_bytes);
         let engine_bytes = self.engine().export_meta();
-        put_section(&mut out, &engine_bytes);
+        out.put_bytes_u64(&engine_bytes);
         // Session file system.
         let fs_bytes = self.session_fs_handle().with(|fs| fs.save())?;
-        put_section(&mut out, &fs_bytes);
+        out.put_bytes_u64(&fs_bytes);
         Ok(out)
     }
 
@@ -114,46 +101,38 @@ impl DejaView {
     /// # Errors
     ///
     /// Returns an error if any archive section is corrupt.
-    pub fn load_archive(mut config: Config, mut buf: &[u8]) -> Result<DejaView, ServerError> {
-        if buf.len() < 8 || &buf[..8] != MAGIC {
-            return Err(ArchiveError("bad magic").into());
-        }
-        buf.advance(8);
-        if buf.len() < 16 {
-            return Err(ArchiveError("truncated header").into());
-        }
-        config.width = buf.get_u32_le();
-        config.height = buf.get_u32_le();
+    pub fn load_archive(mut config: Config, buf: &[u8]) -> Result<DejaView, ServerError> {
+        let mut r = Reader::new(buf);
+        let archive = |e: ReadError| ServerError::from(ArchiveError::from(e));
+        r.magic(MAGIC).map_err(archive)?;
+        config.width = r.u32().map_err(archive)?;
+        config.height = r.u32().map_err(archive)?;
         // Every component sizes a framebuffer from these two fields, so
         // they are checked before any component is built.
         let plausible = 1..=dv_record::MAX_SCREEN_SIDE;
         if !plausible.contains(&config.width) || !plausible.contains(&config.height) {
             return Err(ArchiveError("implausible screen size").into());
         }
-        let now = Timestamp::from_nanos(buf.get_u64_le());
+        let now = Timestamp::from_nanos(r.u64().map_err(archive)?);
 
-        let record_bytes = get_section(&mut buf)?;
-        let record =
-            decode_record(record_bytes).map_err(|_| ArchiveError("corrupt display record"))?;
-        let index_bytes = get_section(&mut buf)?;
-        let index =
-            dv_index::decode_index(index_bytes).map_err(|_| ArchiveError("corrupt text index"))?;
-        let strip_bytes = get_section(&mut buf)?;
-        let blob_bytes = get_section(&mut buf)?.to_vec();
-        let engine_bytes = get_section(&mut buf)?.to_vec();
-        let fs_bytes = get_section(&mut buf)?;
-        let fs = Lsfs::load(fs_bytes).map_err(|_| ArchiveError("corrupt file system"))?;
-        if !buf.is_empty() {
-            return Err(ArchiveError("trailing bytes").into());
-        }
+        let record = decode_record(r.bytes_u64().map_err(archive)?)
+            .map_err(|_| ArchiveError("corrupt display record"))?;
+        let index = dv_index::decode_index(r.bytes_u64().map_err(archive)?)
+            .map_err(|_| ArchiveError("corrupt text index"))?;
+        let strip_bytes = r.bytes_u64().map_err(archive)?;
+        let blob_bytes = r.bytes_u64().map_err(archive)?;
+        let engine_bytes = r.bytes_u64().map_err(archive)?;
+        let fs = Lsfs::load(r.bytes_u64().map_err(archive)?)
+            .map_err(|_| ArchiveError("corrupt file system"))?;
+        r.finish().map_err(archive)?;
 
         let mut dv = DejaView::with_clock(config, dv_time::SimClock::starting_at(now));
         dv.install_record(record);
         dv.install_index(index);
-        if dv.store_mut().import(&blob_bytes).is_none() {
+        if dv.store_mut().import(blob_bytes).is_none() {
             return Err(ArchiveError("corrupt checkpoint store").into());
         }
-        if dv.engine_mut().import_meta(&engine_bytes).is_none() {
+        if dv.engine_mut().import_meta(engine_bytes).is_none() {
             return Err(ArchiveError("corrupt engine metadata").into());
         }
         dv.install_session_fs(fs);

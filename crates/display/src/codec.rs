@@ -11,7 +11,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
+use dv_fault::{Put, ReadError, Reader};
 
 use crate::command::{CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
 use crate::rect::Rect;
@@ -50,6 +50,15 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<ReadError> for CodecError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => CodecError::UnexpectedEof,
+            other => CodecError::BadPayload(other.as_str()),
+        }
+    }
+}
+
 /// Appends `pixels` to `out`, four little-endian bytes each — the one
 /// pixel layout of the log, the wire and delta keyframes. The whole
 /// slice moves in one pass the compiler can turn into a block copy.
@@ -64,10 +73,8 @@ pub fn encode_pixels(pixels: &[Pixel], out: &mut Vec<u8>) {
 /// Reads back what [`encode_pixels`] wrote; trailing bytes short of a
 /// pixel are ignored (callers check the length against a rectangle).
 pub fn decode_pixels(bytes: &[u8]) -> Vec<Pixel> {
-    bytes
-        .chunks_exact(4)
-        .map(|px| Pixel::from_le_bytes(px.try_into().expect("four bytes")))
-        .collect()
+    let (pixels, _) = bytes.as_chunks::<4>();
+    pixels.iter().map(|px| Pixel::from_le_bytes(*px)).collect()
 }
 
 /// Appends the encoded form of `cmd` to `out`.
@@ -80,33 +87,33 @@ pub fn encode_command(cmd: &DisplayCommand, out: &mut Vec<u8>) {
         DisplayCommand::Glyph { .. } => TAG_GLYPH,
         DisplayCommand::Video { .. } => TAG_VIDEO,
     };
-    out.put_u8(tag);
+    out.push(tag);
     let rect = cmd.rect();
-    out.put_u32_le(rect.x);
-    out.put_u32_le(rect.y);
-    out.put_u32_le(rect.w);
-    out.put_u32_le(rect.h);
-    out.put_u32_le(cmd.payload_size() as u32);
+    out.put_u32(rect.x);
+    out.put_u32(rect.y);
+    out.put_u32(rect.w);
+    out.put_u32(rect.h);
+    out.put_u32(cmd.payload_size() as u32);
     match cmd {
         DisplayCommand::Raw { pixels, .. } => encode_pixels(pixels, out),
         DisplayCommand::CopyArea { src_x, src_y, .. } => {
-            out.put_u32_le(*src_x);
-            out.put_u32_le(*src_y);
+            out.put_u32(*src_x);
+            out.put_u32(*src_y);
         }
-        DisplayCommand::SolidFill { color, .. } => out.put_u32_le(*color),
+        DisplayCommand::SolidFill { color, .. } => out.put_u32(*color),
         DisplayCommand::PatternFill { pattern, .. } => {
-            out.put_u64_le(pattern.bits);
-            out.put_u32_le(pattern.fg);
-            out.put_u32_le(pattern.bg);
+            out.put_u64(pattern.bits);
+            out.put_u32(pattern.fg);
+            out.put_u32(pattern.bg);
         }
         DisplayCommand::Glyph { bits, fg, bg, .. } => {
-            out.put_u32_le(*fg);
-            out.put_u32_le(*bg);
+            out.put_u32(*fg);
+            out.put_u32(*bg);
             out.extend_from_slice(bits);
         }
         DisplayCommand::Video { frame, .. } => {
-            out.put_u32_le(frame.width);
-            out.put_u32_le(frame.height);
+            out.put_u32(frame.width);
+            out.put_u32(frame.height);
             out.extend_from_slice(&frame.y);
             out.extend_from_slice(&frame.u);
             out.extend_from_slice(&frame.v);
@@ -127,26 +134,21 @@ struct Parts<'a> {
     tag: u8,
     rect: Rect,
     payload: &'a [u8],
+    /// What follows the command.
+    rest: &'a [u8],
 }
 
 /// Splits the command at the front of `buf` and validates its payload
 /// length, in constant time and without copying. Every length is
 /// computed in checked 64-bit arithmetic: the header comes from disk or
 /// the network.
+#[inline]
 fn split_command(buf: &[u8]) -> Result<Parts<'_>, CodecError> {
-    if buf.len() < HEADER_LEN {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let (mut head, rest) = buf.split_at(HEADER_LEN);
-    let tag = head.get_u8();
-    let rect = Rect::new(
-        head.get_u32_le(),
-        head.get_u32_le(),
-        head.get_u32_le(),
-        head.get_u32_le(),
-    );
-    let payload_len = head.get_u32_le() as usize;
-    let payload = rest.get(..payload_len).ok_or(CodecError::UnexpectedEof)?;
+    let mut r = Reader::new(buf);
+    let mut head = Reader::new(r.array::<HEADER_LEN>()?);
+    let tag = head.u8()?;
+    let rect = Rect::new(head.u32()?, head.u32()?, head.u32()?, head.u32()?);
+    let payload = r.bytes(head.u32()? as usize)?;
     let (expected, why) = match tag {
         TAG_RAW => (rect.area().checked_mul(4), "raw payload size mismatch"),
         TAG_COPY => (Some(8), "copy payload size mismatch"),
@@ -157,10 +159,10 @@ fn split_command(buf: &[u8]) -> Result<Parts<'_>, CodecError> {
             "glyph payload size mismatch",
         ),
         TAG_VIDEO => {
-            let Some(mut dims) = payload.get(..8) else {
+            let mut dims = Reader::new(payload);
+            let (Ok(width), Ok(height)) = (dims.u32(), dims.u32()) else {
                 return Err(CodecError::BadPayload("video payload too short"));
             };
-            let (width, height) = (dims.get_u32_le(), dims.get_u32_le());
             // Such a frame cannot be sampled; its planes would be empty
             // and the length check below would let it through.
             if width == 0 || height == 0 {
@@ -178,7 +180,12 @@ fn split_command(buf: &[u8]) -> Result<Parts<'_>, CodecError> {
     if expected != Some(payload.len() as u64) {
         return Err(CodecError::BadPayload(why));
     }
-    Ok(Parts { tag, rect, payload })
+    Ok(Parts {
+        tag,
+        rect,
+        payload,
+        rest: r.rest(),
+    })
 }
 
 /// Reads the pruning metadata of the command at the front of `buf`
@@ -186,18 +193,19 @@ fn split_command(buf: &[u8]) -> Result<Parts<'_>, CodecError> {
 /// [`decode_command`] would, and `len` is what it would consume.
 pub fn peek_command(buf: &[u8]) -> Result<CommandMeta, CodecError> {
     let Parts {
-        tag,
-        rect,
-        mut payload,
+        tag, rect, payload, ..
     } = split_command(buf)?;
-    let len = HEADER_LEN + payload.len();
-    let reads = (tag == TAG_COPY)
-        .then(|| Rect::new(payload.get_u32_le(), payload.get_u32_le(), rect.w, rect.h));
+    let reads = if tag == TAG_COPY {
+        let mut src = Reader::new(payload);
+        Some(Rect::new(src.u32()?, src.u32()?, rect.w, rect.h))
+    } else {
+        None
+    };
     Ok(CommandMeta {
         rect,
         opaque: tag != TAG_COPY,
         reads,
-        len,
+        len: HEADER_LEN + payload.len(),
     })
 }
 
@@ -206,59 +214,60 @@ pub fn decode_command(buf: &mut &[u8]) -> Result<DisplayCommand, CodecError> {
     let Parts {
         tag,
         rect,
-        mut payload,
+        payload,
+        rest,
     } = split_command(buf)?;
-    *buf = &buf[HEADER_LEN + payload.len()..];
-    Ok(match tag {
+    // `split_command` checked the payload's length against its tag, so
+    // none of these reads can come up short.
+    let mut p = Reader::new(payload);
+    let cmd = match tag {
         TAG_RAW => DisplayCommand::Raw {
             rect,
             pixels: Arc::new(decode_pixels(payload)),
         },
         TAG_COPY => DisplayCommand::CopyArea {
-            src_x: payload.get_u32_le(),
-            src_y: payload.get_u32_le(),
+            src_x: p.u32()?,
+            src_y: p.u32()?,
             rect,
         },
         TAG_SFILL => DisplayCommand::SolidFill {
             rect,
-            color: payload.get_u32_le(),
+            color: p.u32()?,
         },
         TAG_PFILL => DisplayCommand::PatternFill {
             rect,
             pattern: Pattern {
-                bits: payload.get_u64_le(),
-                fg: payload.get_u32_le(),
-                bg: payload.get_u32_le(),
+                bits: p.u64()?,
+                fg: p.u32()?,
+                bg: p.u32()?,
             },
         },
-        TAG_GLYPH => {
-            let fg = payload.get_u32_le();
-            let bg = payload.get_u32_le();
-            DisplayCommand::Glyph {
-                rect,
-                bits: Arc::new(payload.to_vec()),
-                fg,
-                bg,
-            }
-        }
+        TAG_GLYPH => DisplayCommand::Glyph {
+            fg: p.u32()?,
+            bg: p.u32()?,
+            bits: Arc::new(p.rest().to_vec()),
+            rect,
+        },
         // `split_command` admits no other tag.
         _ => {
-            let width = payload.get_u32_le();
-            let height = payload.get_u32_le();
-            let y_len = (width as usize) * (height as usize);
-            let c_len = (payload.len() - y_len) / 2;
+            let (width, height) = (p.u32()?, p.u32()?);
+            let y = p.bytes(width as usize * height as usize)?;
+            let chroma = p.rest();
+            let (u, v) = chroma.split_at(chroma.len() / 2);
             DisplayCommand::Video {
                 rect,
                 frame: Arc::new(YuvFrame {
                     width,
                     height,
-                    y: payload[..y_len].to_vec(),
-                    u: payload[y_len..y_len + c_len].to_vec(),
-                    v: payload[y_len + c_len..].to_vec(),
+                    y: y.to_vec(),
+                    u: u.to_vec(),
+                    v: v.to_vec(),
                 }),
             }
         }
-    })
+    };
+    *buf = rest;
+    Ok(cmd)
 }
 
 #[cfg(test)]
@@ -339,10 +348,10 @@ mod tests {
                 .collect();
             let mut reference = vec![TAG_RAW];
             for v in [rect.x, rect.y, rect.w, rect.h, w * h * 4] {
-                reference.put_u32_le(v);
+                reference.put_u32(v);
             }
             for px in &pixels {
-                reference.put_u32_le(*px);
+                reference.put_u32(*px);
             }
             let cmd = DisplayCommand::Raw {
                 rect,
@@ -378,12 +387,12 @@ mod tests {
     fn decode_rejects_inconsistent_raw() {
         // A raw command whose rect says 2x2 but carries 1 pixel.
         let mut out = Vec::new();
-        out.put_u8(1);
+        out.push(1);
         for v in [0u32, 0, 2, 2] {
-            out.put_u32_le(v);
+            out.put_u32(v);
         }
-        out.put_u32_le(4);
-        out.put_u32_le(0xAABB);
+        out.put_u32(4);
+        out.put_u32(0xAABB);
         let mut slice = out.as_slice();
         assert!(matches!(
             decode_command(&mut slice),
@@ -419,7 +428,7 @@ mod tests {
         // does not fit in 64 bits.
         let mut out = vec![TAG_RAW];
         for v in [0u32, 0, u32::MAX, u32::MAX, 0] {
-            out.put_u32_le(v);
+            out.put_u32(v);
         }
         assert!(matches!(peek_command(&out), Err(CodecError::BadPayload(_))));
         assert!(matches!(
@@ -436,7 +445,7 @@ mod tests {
         for (width, height) in [(0u32, 0u32), (0, 7), (7, 0)] {
             let mut out = vec![TAG_VIDEO];
             for v in [0u32, 0, 10, 10, 8, width, height] {
-                out.put_u32_le(v);
+                out.put_u32(v);
             }
             let why = CodecError::BadPayload("video frame has no pixels");
             assert_eq!(peek_command(&out), Err(why.clone()));

@@ -12,6 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use dv_fault::Reader;
 use parking_lot::Mutex;
 
 use crate::codec::CodecError;
@@ -144,52 +145,39 @@ pub fn encode_input(event: &InputEvent, out: &mut Vec<u8>) {
 /// Decodes one input event from the front of `buf`, advancing it.
 /// Returns `Ok(None)` when the buffer holds only a partial frame.
 pub fn decode_input(buf: &mut &[u8]) -> Result<Option<InputEvent>, CodecError> {
-    if buf.is_empty() {
-        return Ok(None);
+    let mut r = Reader::new(buf);
+    match read_input(&mut r) {
+        Ok(event) => {
+            *buf = r.rest();
+            Ok(Some(event))
+        }
+        Err(CodecError::UnexpectedEof) => Ok(None),
+        Err(e) => Err(e),
     }
-    let tag = buf[0];
-    let event = match tag {
+}
+
+fn read_input(r: &mut Reader<'_>) -> Result<InputEvent, CodecError> {
+    Ok(match r.u8()? {
         1 => {
-            if buf.len() < 7 {
-                return Ok(None);
+            let (code, ctrl, alt) = (r.u32()?, r.u8()?, r.u8()?);
+            InputEvent::Key {
+                ch: char::from_u32(code).ok_or(CodecError::BadPayload("invalid char"))?,
+                ctrl: ctrl != 0,
+                alt: alt != 0,
             }
-            let code = u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes"));
-            let ch = char::from_u32(code).ok_or(CodecError::BadPayload("invalid char"))?;
-            let event = InputEvent::Key {
-                ch,
-                ctrl: buf[5] != 0,
-                alt: buf[6] != 0,
-            };
-            *buf = &buf[7..];
-            event
         }
-        2 => {
-            if buf.len() < 9 {
-                return Ok(None);
-            }
-            let event = InputEvent::MouseMove {
-                x: u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")),
-                y: u32::from_le_bytes(buf[5..9].try_into().expect("4 bytes")),
-            };
-            *buf = &buf[9..];
-            event
-        }
-        3 => {
-            if buf.len() < 11 {
-                return Ok(None);
-            }
-            let event = InputEvent::MouseButton {
-                x: u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")),
-                y: u32::from_le_bytes(buf[5..9].try_into().expect("4 bytes")),
-                button: buf[9],
-                pressed: buf[10] != 0,
-            };
-            *buf = &buf[11..];
-            event
-        }
+        2 => InputEvent::MouseMove {
+            x: r.u32()?,
+            y: r.u32()?,
+        },
+        3 => InputEvent::MouseButton {
+            x: r.u32()?,
+            y: r.u32()?,
+            button: r.u8()?,
+            pressed: r.u8()? != 0,
+        },
         other => return Err(CodecError::BadTag(other)),
-    };
-    Ok(Some(event))
+    })
 }
 
 #[cfg(test)]

@@ -18,6 +18,8 @@
 //!   crash-consistency testing: truncate the log at an arbitrary byte
 //!   boundary and let recovery prove it lands on a valid prior state.
 //! - [`checksum`] — the CRC32 used by the journal record framing.
+//! - [`reader`] — the one checked reader every stored and wire format
+//!   is decoded through, and its write side.
 //!
 //! `dv-fault` is a leaf crate: the storage crates depend on it, never
 //! the reverse (its only dependency is the even deeper `dv-obs`
@@ -36,7 +38,10 @@ use parking_lot::Mutex;
 
 pub mod checksum;
 pub mod crash;
+pub mod reader;
 pub mod sites;
+
+pub use reader::{Put, ReadError, Reader};
 
 /// One kind of injectable IO failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

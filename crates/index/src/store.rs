@@ -16,9 +16,7 @@
 //!
 //! `scan` is the only reader of that layout.
 
-use bytes::{Buf, BufMut};
-
-use dv_fault::FaultPlane;
+use dv_fault::{FaultPlane, Put, ReadError, Reader};
 use dv_time::Timestamp;
 
 use crate::index::{IndexedInstance, TextIndex};
@@ -37,35 +35,23 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, StoreError> {
-    if buf.len() < 4 {
-        return Err(StoreError("truncated string length"));
+impl From<ReadError> for StoreError {
+    fn from(e: ReadError) -> Self {
+        StoreError(e.as_str())
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.len() < len {
-        return Err(StoreError("truncated string body"));
-    }
-    let (s, rest) = buf.split_at(len);
-    *buf = rest;
-    std::str::from_utf8(s).map_err(|_| StoreError("invalid utf-8"))
 }
 
 fn put_header(out: &mut Vec<u8>, horizon: Timestamp, instances: usize) {
     out.extend_from_slice(MAGIC);
-    out.put_u64_le(horizon.as_nanos());
-    out.put_u64_le(instances as u64);
+    out.put_u64(horizon.as_nanos());
+    out.put_u64(instances as u64);
 }
 
 fn put_focus(out: &mut Vec<u8>, focus: &[(u32, Timestamp)]) {
-    out.put_u64_le(focus.len() as u64);
+    out.put_u64(focus.len() as u64);
     for (app, t) in focus {
-        out.put_u32_le(*app);
-        out.put_u64_le(t.as_nanos());
+        out.put_u32(*app);
+        out.put_u64(t.as_nanos());
     }
 }
 
@@ -76,21 +62,21 @@ pub fn encode_index(index: &TextIndex) -> Vec<u8> {
     instances.sort_by_key(|i| i.id);
     put_header(&mut out, index.horizon(), instances.len());
     for inst in instances {
-        out.put_u64_le(inst.id);
-        out.put_u32_le(inst.app_id);
-        put_str(&mut out, &inst.app);
-        put_str(&mut out, &inst.window);
-        put_str(&mut out, &inst.role);
-        put_str(&mut out, &inst.text);
-        out.put_u64_le(inst.shown.as_nanos());
+        out.put_u64(inst.id);
+        out.put_u32(inst.app_id);
+        out.put_str_u32(&inst.app);
+        out.put_str_u32(&inst.window);
+        out.put_str_u32(&inst.role);
+        out.put_str_u32(&inst.text);
+        out.put_u64(inst.shown.as_nanos());
         match inst.hidden {
             Some(t) => {
-                out.put_u8(1);
-                out.put_u64_le(t.as_nanos());
+                out.push(1);
+                out.put_u64(t.as_nanos());
             }
-            None => out.put_u8(0),
+            None => out.push(0),
         }
-        out.put_u8(inst.annotation as u8);
+        out.push(inst.annotation as u8);
     }
     put_focus(&mut out, index.focus_history());
     out
@@ -155,79 +141,47 @@ struct Scanned<'a> {
     focus: Vec<(u32, Timestamp)>,
 }
 
-/// Validates an encoded index. No allocation is sized by a stored
-/// count: each entry is pushed only after its bytes were found.
-fn scan(mut buf: &[u8]) -> Result<Scanned<'_>, StoreError> {
-    if buf.len() < 8 || &buf[..8] != MAGIC {
-        return Err(StoreError("bad magic"));
-    }
-    buf.advance(8);
-    if buf.len() < 16 {
-        return Err(StoreError("truncated header"));
-    }
-    let mut horizon = Timestamp::from_nanos(buf.get_u64_le());
-    let count = buf.get_u64_le();
-    let mut records = Vec::new();
+/// Validates an encoded index. A stored count sizes a vector only once
+/// the bytes left could hold that many entries.
+fn scan(buf: &[u8]) -> Result<Scanned<'_>, StoreError> {
+    let mut r = Reader::new(buf);
+    r.magic(MAGIC)?;
+    let mut horizon = Timestamp::from_nanos(r.u64()?);
+    // Ids, four string lengths, the shown time and two flags.
+    let count = r.count_u64(8 + 4 + 16 + 8 + 2)?;
+    let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        let start = buf;
-        if buf.len() < 12 {
-            return Err(StoreError("truncated instance"));
-        }
-        let id = buf.get_u64_le();
-        let app_id = buf.get_u32_le();
-        let app = get_str(&mut buf)?;
-        let window = get_str(&mut buf)?;
-        let role = get_str(&mut buf)?;
-        let text = get_str(&mut buf)?;
-        if buf.len() < 9 {
-            return Err(StoreError("truncated instance times"));
-        }
-        let shown = Timestamp::from_nanos(buf.get_u64_le());
-        let hidden = match buf.get_u8() {
-            0 => None,
-            1 => {
-                if buf.len() < 8 {
-                    return Err(StoreError("truncated hidden time"));
-                }
-                Some(Timestamp::from_nanos(buf.get_u64_le()))
-            }
-            _ => return Err(StoreError("bad hidden flag")),
+        let start = r;
+        let record = Record {
+            id: r.u64()?,
+            app_id: r.u32()?,
+            app: r.str_u32()?,
+            window: r.str_u32()?,
+            role: r.str_u32()?,
+            text: r.str_u32()?,
+            shown: Timestamp::from_nanos(r.u64()?),
+            hidden: match r.u8()? {
+                0 => None,
+                1 => Some(Timestamp::from_nanos(r.u64()?)),
+                _ => return Err(StoreError("bad hidden flag")),
+            },
+            annotation: r.u8()? != 0,
+            bytes: r.since(start),
         };
-        if buf.is_empty() {
-            return Err(StoreError("truncated annotation flag"));
-        }
-        let annotation = buf.get_u8() != 0;
-        horizon = horizon.max(shown).max(hidden.unwrap_or(shown));
-        records.push(Record {
-            id,
-            app_id,
-            app,
-            window,
-            role,
-            text,
-            shown,
-            hidden,
-            annotation,
-            bytes: &start[..start.len() - buf.len()],
-        });
+        horizon = horizon
+            .max(record.shown)
+            .max(record.hidden.unwrap_or(record.shown));
+        records.push(record);
     }
-    if buf.len() < 8 {
-        return Err(StoreError("truncated focus history"));
-    }
-    let focus_count = buf.get_u64_le();
-    let mut focus = Vec::new();
+    let focus_count = r.count_u64(12)?;
+    let mut focus = Vec::with_capacity(focus_count);
     for _ in 0..focus_count {
-        if buf.len() < 12 {
-            return Err(StoreError("truncated focus entry"));
-        }
-        let app = buf.get_u32_le();
-        let t = Timestamp::from_nanos(buf.get_u64_le());
+        let app = r.u32()?;
+        let t = Timestamp::from_nanos(r.u64()?);
         horizon = horizon.max(t);
         focus.push((app, t));
     }
-    if !buf.is_empty() {
-        return Err(StoreError("trailing bytes"));
-    }
+    r.finish()?;
     Ok(Scanned {
         horizon,
         records,

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dv_cas::{CasError, CasStats, ChunkSpan, ChunkStore, GcStep};
-use dv_fault::{sites, FaultPlane, IoFault};
+use dv_fault::{sites, FaultPlane, IoFault, Put, Reader};
 use dv_obs::Obs;
 use dv_time::{Duration, Sleeper};
 use parking_lot::{Mutex, MutexGuard};
@@ -358,16 +358,14 @@ impl BlobStore {
         let mut names = self.names();
         names.sort();
         let mut out = Vec::new();
-        out.extend_from_slice(&(names.len() as u64).to_le_bytes());
+        out.put_u64(names.len() as u64);
         for name in names {
             let data = match &self.cas {
                 Some(cas) => cas.peek(&name).unwrap_or_default(),
                 None => self.backing[&name].to_vec(),
             };
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            out.extend_from_slice(&data);
+            out.put_str_u32(&name);
+            out.put_bytes_u64(&data);
         }
         out
     }
@@ -419,35 +417,17 @@ impl BlobStore {
     /// Loads blobs from an [`BlobStore::export`] image into this store
     /// (replacing same-named blobs). Returns the number of blobs loaded,
     /// or `None` on malformed data.
-    pub fn import(&mut self, mut data: &[u8]) -> Option<usize> {
-        if data.len() < 8 {
-            return None;
-        }
-        let count = u64::from_le_bytes(data[..8].try_into().ok()?);
-        data = &data[8..];
+    pub fn import(&mut self, data: &[u8]) -> Option<usize> {
+        let mut r = Reader::new(data);
+        // A name length and a blob length.
+        let count = r.count_u64(4 + 8).ok()?;
         for _ in 0..count {
-            if data.len() < 4 {
-                return None;
-            }
-            let name_len = u32::from_le_bytes(data[..4].try_into().ok()?) as usize;
-            data = &data[4..];
-            if data.len() < name_len + 8 {
-                return None;
-            }
-            let name = std::str::from_utf8(&data[..name_len]).ok()?.to_string();
-            data = &data[name_len..];
-            let blob_len = u64::from_le_bytes(data[..8].try_into().ok()?) as usize;
-            data = &data[8..];
-            if data.len() < blob_len {
-                return None;
-            }
-            self.put(&name, data[..blob_len].to_vec()).ok()?;
-            data = &data[blob_len..];
+            let name = r.str_u32().ok()?;
+            let blob = r.bytes_u64().ok()?;
+            self.put(name, blob.to_vec()).ok()?;
         }
-        if !data.is_empty() {
-            return None;
-        }
-        Some(count as usize)
+        r.finish().ok()?;
+        Some(count)
     }
 }
 

@@ -10,7 +10,7 @@
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-use dv_fault::{sites, FaultPlane, IoFault};
+use dv_fault::{sites, FaultPlane, IoFault, Reader};
 
 use crate::error::{FsError, FsResult};
 
@@ -171,9 +171,10 @@ impl Disk {
     /// live append's reservation), and each segment is built from the
     /// bytes actually present rather than reserved at `seg_capacity`.
     pub fn from_bytes(data: &[u8]) -> Option<Disk> {
-        let body = data.get(16..)?;
-        let seg_capacity = usize::try_from(u64::from_le_bytes(data[..8].try_into().ok()?)).ok()?;
-        let len = u64::from_le_bytes(data[8..16].try_into().ok()?);
+        let mut r = Reader::new(data);
+        let seg_capacity = usize::try_from(r.u64().ok()?).ok()?;
+        let len = r.u64().ok()?;
+        let body = r.rest();
         if seg_capacity == 0 || seg_capacity > MAX_SEGMENT_CAPACITY || body.len() as u64 != len {
             return None;
         }

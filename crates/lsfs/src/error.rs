@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use dv_fault::ReadError;
+
 /// Result alias for file system operations.
 pub type FsResult<T> = Result<T, FsError>;
 
@@ -64,6 +66,13 @@ impl fmt::Display for FsError {
 }
 
 impl std::error::Error for FsError {}
+
+/// A stored record that does not parse names no path.
+impl From<ReadError> for FsError {
+    fn from(_: ReadError) -> Self {
+        FsError::InvalidPath
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,8 @@
 //! checkpoint region plays in a real LFS — the entire operation history
 //! can be recovered and replayed.
 
+use dv_fault::{Put, Reader};
+
 use crate::error::{FsError, FsResult};
 
 /// Sentinel "no previous record" offset terminating the chain.
@@ -97,83 +99,41 @@ pub enum FsOp {
     },
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn u64(&mut self) -> FsResult<u64> {
-        if self.buf.len() < 8 {
-            return Err(FsError::InvalidPath);
-        }
-        let (head, rest) = self.buf.split_at(8);
-        self.buf = rest;
-        Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self) -> FsResult<String> {
-        if self.buf.len() < 4 {
-            return Err(FsError::InvalidPath);
-        }
-        let (head, rest) = self.buf.split_at(4);
-        let len = u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize;
-        if rest.len() < len {
-            return Err(FsError::InvalidPath);
-        }
-        let (s, rest) = rest.split_at(len);
-        self.buf = rest;
-        String::from_utf8(s.to_vec()).map_err(|_| FsError::InvalidPath)
-    }
-}
-
 impl FsOp {
     /// Appends the encoded operation to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             FsOp::Create { parent, name, ino } => {
                 out.push(1);
-                put_u64(out, *parent);
-                put_str(out, name);
-                put_u64(out, *ino);
+                out.put_u64(*parent);
+                out.put_str_u32(name);
+                out.put_u64(*ino);
             }
             FsOp::Mkdir { parent, name, ino } => {
                 out.push(2);
-                put_u64(out, *parent);
-                put_str(out, name);
-                put_u64(out, *ino);
+                out.put_u64(*parent);
+                out.put_str_u32(name);
+                out.put_u64(*ino);
             }
             FsOp::Write { ino, size, extents } => {
                 out.push(3);
-                put_u64(out, *ino);
-                put_u64(out, *size);
-                put_u64(out, extents.len() as u64);
+                out.put_u64(*ino);
+                out.put_u64(*size);
+                out.put_u64(extents.len() as u64);
                 for (idx, off) in extents {
-                    put_u64(out, *idx);
-                    put_u64(out, *off);
+                    out.put_u64(*idx);
+                    out.put_u64(*off);
                 }
             }
             FsOp::Unlink { parent, name } => {
                 out.push(4);
-                put_u64(out, *parent);
-                put_str(out, name);
+                out.put_u64(*parent);
+                out.put_str_u32(name);
             }
             FsOp::Rmdir { parent, name } => {
                 out.push(5);
-                put_u64(out, *parent);
-                put_str(out, name);
+                out.put_u64(*parent);
+                out.put_str_u32(name);
             }
             FsOp::Rename {
                 from_parent,
@@ -182,24 +142,24 @@ impl FsOp {
                 to_name,
             } => {
                 out.push(6);
-                put_u64(out, *from_parent);
-                put_str(out, from_name);
-                put_u64(out, *to_parent);
-                put_str(out, to_name);
+                out.put_u64(*from_parent);
+                out.put_str_u32(from_name);
+                out.put_u64(*to_parent);
+                out.put_str_u32(to_name);
             }
             FsOp::Link { ino, parent, name } => {
                 out.push(7);
-                put_u64(out, *ino);
-                put_u64(out, *parent);
-                put_str(out, name);
+                out.put_u64(*ino);
+                out.put_u64(*parent);
+                out.put_str_u32(name);
             }
             FsOp::Release { ino } => {
                 out.push(8);
-                put_u64(out, *ino);
+                out.put_u64(*ino);
             }
             FsOp::SnapshotMark { counter } => {
                 out.push(9);
-                put_u64(out, *counter);
+                out.put_u64(*counter);
             }
         }
     }
@@ -207,28 +167,22 @@ impl FsOp {
     /// Decodes an operation from bytes produced by
     /// [`FsOp::encode_into`].
     pub fn decode(buf: &[u8]) -> FsResult<FsOp> {
-        let (&tag, rest) = buf.split_first().ok_or(FsError::InvalidPath)?;
-        let mut r = Reader { buf: rest };
-        let op = match tag {
+        let mut r = Reader::new(buf);
+        let op = match r.u8()? {
             1 => FsOp::Create {
                 parent: r.u64()?,
-                name: r.string()?,
+                name: r.str_u32()?.to_owned(),
                 ino: r.u64()?,
             },
             2 => FsOp::Mkdir {
                 parent: r.u64()?,
-                name: r.string()?,
+                name: r.str_u32()?.to_owned(),
                 ino: r.u64()?,
             },
             3 => {
                 let ino = r.u64()?;
                 let size = r.u64()?;
-                let n = r.u64()? as usize;
-                // The count is untrusted; every extent consumes 16
-                // bytes, so bound it by the remaining payload.
-                if n > r.remaining() / 16 {
-                    return Err(FsError::InvalidPath);
-                }
+                let n = r.count_u64(16)?;
                 let mut extents = Vec::with_capacity(n);
                 for _ in 0..n {
                     extents.push((r.u64()?, r.u64()?));
@@ -237,27 +191,28 @@ impl FsOp {
             }
             4 => FsOp::Unlink {
                 parent: r.u64()?,
-                name: r.string()?,
+                name: r.str_u32()?.to_owned(),
             },
             5 => FsOp::Rmdir {
                 parent: r.u64()?,
-                name: r.string()?,
+                name: r.str_u32()?.to_owned(),
             },
             6 => FsOp::Rename {
                 from_parent: r.u64()?,
-                from_name: r.string()?,
+                from_name: r.str_u32()?.to_owned(),
                 to_parent: r.u64()?,
-                to_name: r.string()?,
+                to_name: r.str_u32()?.to_owned(),
             },
             7 => FsOp::Link {
                 ino: r.u64()?,
                 parent: r.u64()?,
-                name: r.string()?,
+                name: r.str_u32()?.to_owned(),
             },
             8 => FsOp::Release { ino: r.u64()? },
             9 => FsOp::SnapshotMark { counter: r.u64()? },
             _ => return Err(FsError::InvalidPath),
         };
+        r.finish()?;
         Ok(op)
     }
 }

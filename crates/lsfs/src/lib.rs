@@ -48,7 +48,7 @@ pub use disk::{shared_disk, Disk, SharedDisk};
 pub use dv_cas::{CasStats, GcStep as CasGcStep};
 pub use error::{FsError, FsResult};
 pub use gc::GcStats;
-pub use lsfs::{Lsfs, LsfsStats, BLOCK_SIZE};
+pub use lsfs::{Lsfs, LsfsStats, BLOCK_SIZE, MAX_FILE_SIZE};
 pub use memfs::MemFs;
 pub use ro::ReadOnlyFs;
 pub use sealed::{

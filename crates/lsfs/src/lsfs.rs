@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use dv_fault::{checksum, sites, FaultPlane, IoFault};
+use dv_fault::{checksum, sites, FaultPlane, IoFault, Reader};
 use dv_obs::Obs;
 use dv_time::Timestamp;
 
@@ -33,11 +33,21 @@ use crate::vfs::{DirEntry, FileType, Filesystem, Handle, Metadata};
 /// File data block size in bytes.
 pub const BLOCK_SIZE: usize = 4096;
 
+/// Largest file any file system here holds: 1 GiB. A file's block list
+/// is dense, so its size bounds that list — 2 MiB of block pointers at
+/// this size. Offsets come from processes (`seek`) and stored images, so
+/// a write, truncate or replayed size past it is refused with
+/// [`FsError::FileTooLarge`] instead of sizing an allocation.
+pub const MAX_FILE_SIZE: u64 = 1 << 30;
+
 /// Block pointer value marking a hole (unwritten, reads as zeros).
 pub(crate) const HOLE: u64 = u64::MAX;
 
 /// Inode number of the root directory.
 pub(crate) const ROOT_INO: u64 = 1;
+
+/// Magic of a [`Lsfs::save`] image.
+const SAVE_MAGIC: &[u8; 8] = b"DVLSF002";
 
 /// Magic prefix of every journal record on the log.
 pub(crate) const JOURNAL_MAGIC: &[u8; 4] = b"DVJR";
@@ -191,47 +201,61 @@ impl FsState {
             .collect())
     }
 
-    fn add_child(&mut self, parent: u64, name: &str, ino: u64) {
-        let dir = self.inodes.get_mut(parent).expect("parent exists");
-        Arc::make_mut(&mut dir.children).insert(name.to_string(), ino);
-    }
-
-    fn remove_child(&mut self, parent: u64, name: &str) -> Option<u64> {
-        let dir = self.inodes.get_mut(parent).expect("parent exists");
-        Arc::make_mut(&mut dir.children).remove(name)
-    }
-
-    /// Applies a journaled operation. Preconditions were validated when
-    /// the operation was logged, so application is infallible; this same
-    /// function drives both the live mutation path and log recovery.
-    pub(crate) fn apply(&mut self, op: &FsOp) {
-        match op {
-            FsOp::Create { parent, name, ino } => {
-                self.inodes.insert(*ino, LsInode::file());
-                self.add_child(*parent, name, *ino);
-                self.next_ino = self.next_ino.max(ino + 1);
+    /// The entries of directory `dir`, for a change.
+    fn children_mut(&mut self, dir: u64) -> FsResult<&mut BTreeMap<String, u64>> {
+        match self.inodes.get_mut(dir) {
+            Some(node) if node.ftype == FileType::Directory => {
+                Ok(Arc::make_mut(&mut node.children))
             }
-            FsOp::Mkdir { parent, name, ino } => {
-                self.inodes.insert(*ino, LsInode::dir());
-                self.add_child(*parent, name, *ino);
-                self.next_ino = self.next_ino.max(ino + 1);
+            _ => Err(FsError::Io),
+        }
+    }
+
+    fn remove_child(&mut self, parent: u64, name: &str) -> FsResult<u64> {
+        self.children_mut(parent)?.remove(name).ok_or(FsError::Io)
+    }
+
+    /// Applies a journaled operation, on the live path (preconditions
+    /// checked before logging) and in recovery, where the log is
+    /// untrusted: an operation that does not fit the state is refused
+    /// with [`FsError::Io`], a size past [`MAX_FILE_SIZE`] with
+    /// [`FsError::FileTooLarge`], possibly after changing part of a state
+    /// recovery then discards.
+    pub(crate) fn apply(&mut self, op: &FsOp) -> FsResult<()> {
+        match op {
+            FsOp::Create { parent, name, ino } | FsOp::Mkdir { parent, name, ino } => {
+                let next = ino.checked_add(1).ok_or(FsError::Io)?;
+                self.children_mut(*parent)?.insert(name.clone(), *ino);
+                let node = match op {
+                    FsOp::Mkdir { .. } => LsInode::dir(),
+                    _ => LsInode::file(),
+                };
+                self.inodes.insert(*ino, node);
+                self.next_ino = self.next_ino.max(next);
             }
             FsOp::Write { ino, size, extents } => {
-                let node = self.inodes.get_mut(*ino).expect("written inode exists");
+                if *size > MAX_FILE_SIZE {
+                    return Err(FsError::FileTooLarge);
+                }
+                let nblocks = size.div_ceil(BLOCK_SIZE as u64);
+                if extents.iter().any(|&(idx, _)| idx >= nblocks) {
+                    return Err(FsError::Io);
+                }
+                let node = self.inodes.get_mut(*ino).ok_or(FsError::Io)?;
                 node.size = *size;
-                let nblocks = (*size as usize).div_ceil(BLOCK_SIZE);
                 let blocks = Arc::make_mut(&mut node.blocks);
-                blocks.resize(nblocks, HOLE);
-                for (idx, off) in extents {
-                    blocks[*idx as usize] = *off;
+                blocks.resize(nblocks as usize, HOLE);
+                for &(idx, off) in extents {
+                    blocks[idx as usize] = off;
                 }
             }
             FsOp::Unlink { parent, name } => {
-                let ino = self.remove_child(*parent, name).expect("entry exists");
-                self.inodes.get_mut(ino).expect("target exists").nlink -= 1;
+                let ino = self.remove_child(*parent, name)?;
+                let node = self.inodes.get_mut(ino).ok_or(FsError::Io)?;
+                node.nlink = node.nlink.checked_sub(1).ok_or(FsError::Io)?;
             }
             FsOp::Rmdir { parent, name } => {
-                let ino = self.remove_child(*parent, name).expect("entry exists");
+                let ino = self.remove_child(*parent, name)?;
                 self.inodes.remove(ino);
             }
             FsOp::Rename {
@@ -240,15 +264,15 @@ impl FsState {
                 to_parent,
                 to_name,
             } => {
-                if let Some(existing) = self.remove_child(*to_parent, to_name) {
-                    let node = self.inodes.get_mut(existing).expect("target exists");
+                if let Some(existing) = self.children_mut(*to_parent)?.remove(to_name) {
+                    let node = self.inodes.get_mut(existing).ok_or(FsError::Io)?;
                     match node.ftype {
                         FileType::Regular => {
-                            node.nlink -= 1;
+                            node.nlink = node.nlink.checked_sub(1).ok_or(FsError::Io)?;
                             if node.nlink == 0 {
                                 // Pins are runtime state; during replay
                                 // nothing is pinned. The live path keeps
-                                // pinned orphans by re-inserting below.
+                                // pinned orphans by re-inserting them.
                                 self.inodes.remove(existing);
                             }
                         }
@@ -257,23 +281,20 @@ impl FsState {
                         }
                     }
                 }
-                let ino = self
-                    .remove_child(*from_parent, from_name)
-                    .expect("source exists");
-                self.add_child(*to_parent, to_name, ino);
+                let ino = self.remove_child(*from_parent, from_name)?;
+                self.children_mut(*to_parent)?.insert(to_name.clone(), ino);
             }
             FsOp::Link { ino, parent, name } => {
-                self.add_child(*parent, name, *ino);
-                self.inodes
-                    .get_mut(*ino)
-                    .expect("linked inode exists")
-                    .nlink += 1;
+                let node = self.inodes.get_mut(*ino).ok_or(FsError::Io)?;
+                node.nlink = node.nlink.checked_add(1).ok_or(FsError::Io)?;
+                self.children_mut(*parent)?.insert(name.clone(), *ino);
             }
             FsOp::Release { ino } => {
                 self.inodes.remove(*ino);
             }
             FsOp::SnapshotMark { .. } => {}
         }
+        Ok(())
     }
 }
 
@@ -371,7 +392,9 @@ impl Lsfs {
     /// Every record on the chain is validated — magic, CRC, bounds, and
     /// a strictly-decreasing back-pointer — so a torn or corrupted
     /// record anywhere on the chain yields [`FsError::Io`] instead of
-    /// replaying garbage. Callers fall back to [`Lsfs::recover_scan`].
+    /// replaying garbage, and an intact record whose operation does not
+    /// fit the state it is replayed onto is refused the same way
+    /// (`FsState::apply`). Callers fall back to [`Lsfs::recover_scan`].
     pub fn recover(disk: SharedDisk, head: u64) -> FsResult<Self> {
         let mut ops = Vec::new();
         {
@@ -392,7 +415,7 @@ impl Lsfs {
             if let FsOp::SnapshotMark { counter } = op {
                 fs.retain_snapshot(*counter);
             } else {
-                fs.state.apply(op);
+                fs.state.apply(op)?;
             }
         }
         fs.last_journal = head;
@@ -438,7 +461,7 @@ impl Lsfs {
     pub fn save(&mut self) -> FsResult<Vec<u8>> {
         self.sync()?;
         let mut out = Vec::new();
-        out.extend_from_slice(b"DVLSF002");
+        out.extend_from_slice(SAVE_MAGIC);
         out.extend_from_slice(&self.last_journal.to_le_bytes());
         out.extend_from_slice(&self.disk.read().to_bytes());
         Ok(out)
@@ -453,11 +476,10 @@ impl Lsfs {
     /// record — recovery falls back to [`Lsfs::recover_scan`] and lands
     /// on the newest intact prefix of the journal.
     pub fn load(data: &[u8]) -> FsResult<Lsfs> {
-        if data.len() < 16 || &data[..8] != b"DVLSF002" {
-            return Err(FsError::InvalidPath);
-        }
-        let head = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
-        let disk = crate::disk::Disk::from_bytes(&data[16..]).ok_or(FsError::InvalidPath)?;
+        let mut r = Reader::new(data);
+        r.magic(SAVE_MAGIC)?;
+        let head = r.u64()?;
+        let disk = Disk::from_bytes(r.rest()).ok_or(FsError::InvalidPath)?;
         let disk = std::sync::Arc::new(parking_lot::RwLock::new(disk));
         if head != NO_PREV {
             if let Ok(fs) = Lsfs::recover(disk.clone(), head) {
@@ -567,8 +589,7 @@ impl Lsfs {
     /// exactly as recovery would rebuild it.
     fn commit(&mut self, op: FsOp) -> FsResult<()> {
         self.log_op(&op)?;
-        self.state.apply(&op);
-        Ok(())
+        self.state.apply(&op)
     }
 
     fn effective_size(&self, ino: u64) -> u64 {
@@ -591,6 +612,7 @@ impl Lsfs {
         }
         let end = offset
             .checked_add(data.len() as u64)
+            .filter(|&end| end <= MAX_FILE_SIZE)
             .ok_or(FsError::FileTooLarge)?;
         let first = offset / BLOCK_SIZE as u64;
         let last = (end - 1) / BLOCK_SIZE as u64;
@@ -614,7 +636,10 @@ impl Lsfs {
         read_blocks(size, offset, len, |idx| self.load_block(ino, idx))
     }
 
-    fn do_truncate(&mut self, ino: u64, size: u64) {
+    fn do_truncate(&mut self, ino: u64, size: u64) -> FsResult<()> {
+        if size > MAX_FILE_SIZE {
+            return Err(FsError::FileTooLarge);
+        }
         let old = self.effective_size(ino);
         if size < old {
             // Drop buffered blocks beyond the new end and zero the tail
@@ -636,6 +661,7 @@ impl Lsfs {
             }
         }
         self.dirty_sizes.insert(ino, size);
+        Ok(())
     }
 
     fn pinned(&self, ino: u64) -> bool {
@@ -676,21 +702,18 @@ fn read_journal_record(d: &Disk, offset: u64) -> Option<(u64, Vec<u8>)> {
         return None;
     }
     let header = d.read(offset, JOURNAL_HEADER);
-    if &header[..4] != JOURNAL_MAGIC {
-        return None;
-    }
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes")) as u64;
-    if offset + JOURNAL_HEADER as u64 + len > disk_len {
+    let mut h = Reader::new(&header);
+    h.magic(JOURNAL_MAGIC).ok()?;
+    let (crc, prev, len) = (h.u32().ok()?, h.u64().ok()?, h.u32().ok()?);
+    if offset + JOURNAL_HEADER as u64 + u64::from(len) > disk_len {
         return None;
     }
     // The CRC covers prev || len || body: bytes 8.. of the record.
-    let payload = d.read(offset + 8, 12 + len as usize);
-    if checksum::crc32(&payload) != crc {
+    let mut covered = d.read(offset + 8, 12 + len as usize);
+    if checksum::crc32(&covered) != crc {
         return None;
     }
-    let prev = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    Some((prev, payload[12..].to_vec()))
+    Some((prev, covered.split_off(12)))
 }
 
 impl Default for Lsfs {
@@ -739,8 +762,7 @@ impl Filesystem for Lsfs {
         if self.state.inodes[ino].ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
         }
-        self.do_truncate(ino, size);
-        Ok(())
+        self.do_truncate(ino, size)
     }
 
     fn read_at(&self, p: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
@@ -1252,6 +1274,49 @@ mod tests {
         // /d/b's Create committed but its data Write was torn.
         if recovered.exists("/d/b") {
             assert_eq!(recovered.stat("/d/b").unwrap().size, 0);
+        }
+    }
+
+    /// An intact journal record whose operation does not fit the state
+    /// it replays onto — a missing parent, an extent past its file, a
+    /// missing entry, a size past the largest file — is refused like a
+    /// torn one, and `load` lands on the prefix before it. Replay used to
+    /// panic (or abort on the allocation) at each.
+    #[test]
+    fn replay_refuses_an_operation_that_does_not_fit_the_state() {
+        let misfits = [
+            FsOp::Create {
+                parent: 99,
+                name: "orphan".into(),
+                ino: 50,
+            },
+            FsOp::Write {
+                ino: 2,
+                size: 10,
+                extents: vec![(5, 0)],
+            },
+            FsOp::Unlink {
+                parent: ROOT_INO,
+                name: "missing".into(),
+            },
+            FsOp::Write {
+                ino: 2,
+                size: u64::MAX,
+                extents: Vec::new(),
+            },
+        ];
+        for op in misfits {
+            let mut fs = Lsfs::new();
+            fs.write_all("/kept", b"intact").unwrap();
+            fs.sync().unwrap();
+            fs.log_op(&op).unwrap();
+            assert!(
+                Lsfs::recover(fs.disk(), fs.journal_head()).is_err(),
+                "{op:?}"
+            );
+            let loaded = Lsfs::load(&fs.save().unwrap()).unwrap();
+            loaded.check().unwrap();
+            assert_eq!(loaded.read_all("/kept").unwrap(), b"intact", "{op:?}");
         }
     }
 

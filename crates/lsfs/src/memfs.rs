@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 use dv_time::Timestamp;
 
 use crate::error::{FsError, FsResult};
+use crate::lsfs::MAX_FILE_SIZE;
 use crate::path;
 use crate::vfs::{DirEntry, FileType, Filesystem, Handle, Metadata};
 
@@ -138,10 +139,14 @@ impl Default for MemFs {
     }
 }
 
-/// Writes `buf` into an in-memory file at `offset`, zero-filling a gap.
+/// Writes `buf` into an in-memory file at `offset`, zero-filling a gap;
+/// a file may not grow past [`MAX_FILE_SIZE`].
 pub(crate) fn write_into(data: &mut Vec<u8>, offset: u64, buf: &[u8]) -> FsResult<()> {
-    let start = usize::try_from(offset).map_err(|_| FsError::FileTooLarge)?;
-    let end = start.checked_add(buf.len()).ok_or(FsError::FileTooLarge)?;
+    let end = offset
+        .checked_add(buf.len() as u64)
+        .filter(|&end| end <= MAX_FILE_SIZE)
+        .ok_or(FsError::FileTooLarge)?;
+    let (start, end) = (offset as usize, end as usize);
     if data.len() < end {
         data.resize(end, 0);
     }
@@ -202,6 +207,9 @@ impl Filesystem for MemFs {
         let node = self.inodes.get_mut(&ino).expect("resolved");
         if node.ftype != FileType::Regular {
             return Err(FsError::IsADirectory);
+        }
+        if size > MAX_FILE_SIZE {
+            return Err(FsError::FileTooLarge);
         }
         node.data.resize(size as usize, 0);
         Ok(())

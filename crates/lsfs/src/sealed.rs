@@ -36,7 +36,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dv_fault::checksum::crc32;
-use dv_fault::{FaultPlane, IoFault};
+use dv_fault::{FaultPlane, IoFault, Put, ReadError, Reader};
 use dv_obs::Obs;
 use dv_time::{Duration, Timestamp};
 
@@ -145,51 +145,42 @@ pub struct Manifest {
     pub retired: Vec<(SegmentMeta, u64)>,
 }
 
+impl From<ReadError> for FrameError {
+    fn from(e: ReadError) -> Self {
+        FrameError(e.as_str())
+    }
+}
+
 /// Wraps a payload in magic + CRC framing.
 pub fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER);
     out.extend_from_slice(magic);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
+    out.put_u32(crc32(payload));
+    out.put_bytes_u64(payload);
     out
 }
 
 /// Verifies framing and returns the payload slice.
 pub fn unframe<'a>(magic: &[u8; 8], buf: &'a [u8]) -> Result<&'a [u8], FrameError> {
-    let mut rest = buf;
-    if &take::<8>(&mut rest, "bad magic")? != magic {
-        return Err(FrameError("bad magic"));
-    }
-    let crc = u32::from_le_bytes(take(&mut rest, "truncated frame header")?);
-    if take_u64(&mut rest, "truncated frame header")? != rest.len() as u64 {
+    let mut r = Reader::new(buf);
+    r.magic(magic)?;
+    let crc = r.u32()?;
+    if r.u64()? != r.remaining() as u64 {
         return Err(FrameError("length mismatch"));
     }
-    if crc32(rest) != crc {
+    let payload = r.rest();
+    if crc32(payload) != crc {
         return Err(FrameError("crc mismatch"));
     }
-    Ok(rest)
+    Ok(payload)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Splits `N` bytes off the front of `buf`, or reports `what` was cut
-/// short — the one place a decoded length is checked before use.
-fn take<const N: usize>(buf: &mut &[u8], what: &'static str) -> Result<[u8; N], FrameError> {
-    let (head, rest) = buf.split_first_chunk::<N>().ok_or(FrameError(what))?;
-    *buf = rest;
-    Ok(*head)
-}
-
-fn take_u64(buf: &mut &[u8], what: &'static str) -> Result<u64, FrameError> {
-    take(buf, what).map(u64::from_le_bytes)
-}
+/// Bytes of one encoded [`SegmentMeta`].
+const META_LEN: usize = 8 + 4 + 5 * 8;
 
 fn put_meta(out: &mut Vec<u8>, meta: &SegmentMeta) {
-    put_u64(out, meta.id);
-    out.extend_from_slice(&meta.level.to_le_bytes());
+    out.put_u64(meta.id);
+    out.put_u32(meta.level);
     for word in [
         meta.start.as_nanos(),
         meta.end.as_nanos(),
@@ -197,20 +188,20 @@ fn put_meta(out: &mut Vec<u8>, meta: &SegmentMeta) {
         meta.bytes,
         meta.instances,
     ] {
-        put_u64(out, word);
+        out.put_u64(word);
     }
 }
 
-fn take_meta(buf: &mut &[u8]) -> Result<SegmentMeta, FrameError> {
-    const WHAT: &str = "truncated segment meta";
+fn take_meta(r: &mut Reader<'_>) -> Result<SegmentMeta, ReadError> {
+    let mut m = Reader::new(r.array::<META_LEN>()?);
     Ok(SegmentMeta {
-        id: take_u64(buf, WHAT)?,
-        level: u32::from_le_bytes(take(buf, WHAT)?),
-        start: Timestamp::from_nanos(take_u64(buf, WHAT)?),
-        end: Timestamp::from_nanos(take_u64(buf, WHAT)?),
-        sealed_at: take_u64(buf, WHAT)?,
-        bytes: take_u64(buf, WHAT)?,
-        instances: take_u64(buf, WHAT)?,
+        id: m.u64()?,
+        level: m.u32()?,
+        start: Timestamp::from_nanos(m.u64()?),
+        end: Timestamp::from_nanos(m.u64()?),
+        sealed_at: m.u64()?,
+        bytes: m.u64()?,
+        instances: m.u64()?,
     })
 }
 
@@ -225,44 +216,38 @@ pub fn encode_manifest(man: &Manifest) -> Vec<u8> {
         man.oldest_revivable,
         man.live.len() as u64,
     ] {
-        put_u64(&mut payload, word);
+        payload.put_u64(word);
     }
     for meta in &man.live {
         put_meta(&mut payload, meta);
     }
-    put_u64(&mut payload, man.retired.len() as u64);
+    payload.put_u64(man.retired.len() as u64);
     for (meta, reclaim_after) in &man.retired {
         put_meta(&mut payload, meta);
-        put_u64(&mut payload, *reclaim_after);
+        payload.put_u64(*reclaim_after);
     }
     frame(MAN_MAGIC, &payload)
 }
 
 /// Verifies and parses a manifest blob.
 pub fn decode_manifest(buf: &[u8]) -> Result<Manifest, FrameError> {
-    const HEADER: &str = "truncated manifest header";
-    let mut payload = unframe(MAN_MAGIC, buf)?;
+    let mut r = Reader::new(unframe(MAN_MAGIC, buf)?);
     let mut man = Manifest {
-        counter: take_u64(&mut payload, HEADER)?,
-        next_segment: take_u64(&mut payload, HEADER)?,
-        next_instance: take_u64(&mut payload, HEADER)?,
-        open_start: Timestamp::from_nanos(take_u64(&mut payload, HEADER)?),
-        oldest_revivable: take_u64(&mut payload, HEADER)?,
+        counter: r.u64()?,
+        next_segment: r.u64()?,
+        next_instance: r.u64()?,
+        open_start: Timestamp::from_nanos(r.u64()?),
+        oldest_revivable: r.u64()?,
         ..Manifest::default()
     };
-    // A hostile count cannot size an allocation: each entry is pushed
-    // only after its bytes were found.
-    for _ in 0..take_u64(&mut payload, HEADER)? {
-        man.live.push(take_meta(&mut payload)?);
+    let short = |_| FrameError("truncated segment meta");
+    for _ in 0..r.count_u64(META_LEN).map_err(short)? {
+        man.live.push(take_meta(&mut r)?);
     }
-    for _ in 0..take_u64(&mut payload, "truncated retired count")? {
-        let meta = take_meta(&mut payload)?;
-        let reclaim_after = take_u64(&mut payload, "truncated reclaim counter")?;
-        man.retired.push((meta, reclaim_after));
+    for _ in 0..r.count_u64(META_LEN + 8).map_err(short)? {
+        man.retired.push((take_meta(&mut r)?, r.u64()?));
     }
-    if !payload.is_empty() {
-        return Err(FrameError("trailing bytes"));
-    }
+    r.finish()?;
     Ok(man)
 }
 

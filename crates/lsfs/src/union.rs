@@ -787,10 +787,12 @@ mod tests {
 
     /// Offsets come from processes (`seek`) and from stored images:
     /// the far end of the offset space reads as empty and refuses
-    /// writes, on every layer and through every kind of handle.
+    /// writes, on every layer and through every kind of handle — and so
+    /// does a representable offset past [`MAX_FILE_SIZE`], which used to
+    /// size a block list of 2^48 entries at the next sync.
     #[test]
     fn offsets_at_the_end_of_the_range_neither_panic_nor_wrap() {
-        use crate::lsfs::Lsfs;
+        use crate::lsfs::{Lsfs, MAX_FILE_SIZE};
         let mut base = Lsfs::new();
         base.write_all("/f", b"0123456789").unwrap();
         base.write_all("/g", b"lower only").unwrap();
@@ -808,16 +810,23 @@ mod tests {
                 let h = fs.open(path).unwrap();
                 assert_eq!(fs.read_handle(h, u64::MAX, 8).unwrap(), b"");
                 assert_eq!(fs.read_handle(h, 8, usize::MAX).unwrap().len(), 2);
-                let refused = fs.write_handle(h, u64::MAX, b"xy").unwrap_err();
-                assert!(matches!(refused, FsError::FileTooLarge | FsError::ReadOnly));
+                for offset in [u64::MAX, 1 << 60, MAX_FILE_SIZE] {
+                    let refused = fs.write_handle(h, offset, b"xy").unwrap_err();
+                    assert!(matches!(refused, FsError::FileTooLarge | FsError::ReadOnly));
+                }
                 assert_eq!(
                     fs.handle_size(h).unwrap(),
                     10,
                     "a refused write changes nothing"
                 );
                 fs.close(h).unwrap();
-                let refused = fs.write_at(path, u64::MAX - 1, b"xyz").unwrap_err();
+                for offset in [u64::MAX - 1, 1 << 60] {
+                    let refused = fs.write_at(path, offset, b"xyz").unwrap_err();
+                    assert!(matches!(refused, FsError::FileTooLarge | FsError::ReadOnly));
+                }
+                let refused = fs.truncate(path, MAX_FILE_SIZE + 1).unwrap_err();
                 assert!(matches!(refused, FsError::FileTooLarge | FsError::ReadOnly));
+                fs.sync().unwrap();
                 assert_eq!(fs.stat(path).unwrap().size, 10);
             }
         }
@@ -834,10 +843,12 @@ mod tests {
         let mut union = UnionFs::new(lower(), MemFs::new());
         let h = union.open("/data/a").unwrap();
         union.unlink("/data/a").unwrap();
-        assert_eq!(
-            union.write_handle(h, u64::MAX, b"x"),
-            Err(FsError::FileTooLarge)
-        );
+        for offset in [u64::MAX, 1 << 60] {
+            assert_eq!(
+                union.write_handle(h, offset, b"x"),
+                Err(FsError::FileTooLarge)
+            );
+        }
         assert_eq!(union.read_handle(h, u64::MAX, usize::MAX).unwrap(), b"");
         assert_eq!(union.read_handle(h, 1, usize::MAX).unwrap(), b"AA");
     }

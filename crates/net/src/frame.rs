@@ -25,6 +25,7 @@
 use std::ops::Range;
 
 use dv_fault::checksum::crc32;
+use dv_fault::Reader;
 
 use crate::proto::{encode_message, Message};
 use crate::transport::{Transport, TransportError};
@@ -216,15 +217,14 @@ impl FrameDecoder {
 
     /// Length and CRC of the frame at `head`, once its header is in.
     fn header(&self) -> Result<Option<(usize, u32)>, FrameError> {
-        let Some(header) = self.buf[self.head..self.filled].first_chunk::<FRAME_HEADER_LEN>()
-        else {
+        let mut r = Reader::new(&self.buf[self.head..self.filled]);
+        let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*header.first_chunk().expect("four bytes")) as usize;
+        let len = len as usize;
         if len > MAX_FRAME_LEN {
             return Err(FrameError::TooLarge(len));
         }
-        let crc = u32::from_le_bytes(*header.last_chunk().expect("four bytes"));
         Ok(Some((len, crc)))
     }
 
@@ -234,16 +234,16 @@ impl FrameDecoder {
         let Some((len, expected)) = self.header()? else {
             return Ok(None);
         };
-        let payload = self.head + FRAME_HEADER_LEN..self.head + FRAME_HEADER_LEN + len;
-        if payload.end > self.filled {
+        let start = self.head + FRAME_HEADER_LEN;
+        let Ok(payload) = Reader::new(&self.buf[start..self.filled]).bytes(len) else {
             return Ok(None);
-        }
-        let actual = crc32(&self.buf[payload.clone()]);
+        };
+        let actual = crc32(payload);
         if actual != expected {
             return Err(FrameError::Corrupt { expected, actual });
         }
-        self.head = payload.end;
-        Ok(Some(payload))
+        self.head = start + len;
+        Ok(Some(start..self.head))
     }
 
     /// Spare room of at least `min` bytes behind the buffered stream.

@@ -17,6 +17,7 @@ use dv_display::{
     decode_command, decode_input, decode_pixels, encode_command, encode_input, encode_pixels,
     CodecError, DisplayCommand, InputEvent, Pixel, Rect, Screenshot,
 };
+use dv_fault::{Put, ReadError, Reader};
 use dv_index::RankOrder;
 use dv_record::{decode_screenshot, encode_screenshot, screenshot_dims, MAX_SCREEN_SIDE};
 use dv_time::{Duration, Timestamp};
@@ -102,6 +103,16 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<ReadError> for ProtoError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => ProtoError::Truncated,
+            ReadError::Trailing => ProtoError::BadPayload("trailing bytes after message"),
+            other => ProtoError::BadPayload(other.as_str()),
+        }
+    }
+}
 
 impl From<CodecError> for ProtoError {
     fn from(e: CodecError) -> Self {
@@ -315,64 +326,6 @@ impl Message {
     }
 }
 
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(b: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, ProtoError> {
-    let (&first, rest) = buf.split_first().ok_or(ProtoError::Truncated)?;
-    *buf = rest;
-    Ok(first)
-}
-
-fn get_u16(buf: &mut &[u8]) -> Result<u16, ProtoError> {
-    if buf.len() < 2 {
-        return Err(ProtoError::Truncated);
-    }
-    let v = u16::from_le_bytes(buf[..2].try_into().expect("2 bytes"));
-    *buf = &buf[2..];
-    Ok(v)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, ProtoError> {
-    if buf.len() < 4 {
-        return Err(ProtoError::Truncated);
-    }
-    let v = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-    *buf = &buf[4..];
-    Ok(v)
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64, ProtoError> {
-    if buf.len() < 8 {
-        return Err(ProtoError::Truncated);
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    *buf = &buf[8..];
-    Ok(v)
-}
-
-fn get_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], ProtoError> {
-    let len = get_u32(buf)? as usize;
-    if buf.len() < len {
-        return Err(ProtoError::Truncated);
-    }
-    let (body, rest) = buf.split_at(len);
-    *buf = rest;
-    Ok(body)
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, ProtoError> {
-    let body = get_bytes(buf)?;
-    String::from_utf8(body.to_vec()).map_err(|_| ProtoError::BadPayload("invalid utf-8 string"))
-}
-
 fn order_tag(order: RankOrder) -> u8 {
     match order {
         RankOrder::Chronological => 0,
@@ -400,7 +353,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
         Message::Hello { version, name } => {
             out.push(TAG_HELLO);
             out.extend_from_slice(&version.to_le_bytes());
-            put_str(name, out);
+            out.put_str_u32(name);
         }
         Message::Welcome {
             version,
@@ -414,7 +367,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
         }
         Message::Reject { reason } => {
             out.push(TAG_REJECT);
-            put_str(reason, out);
+            out.put_str_u32(reason);
         }
         Message::AttachLive => out.push(TAG_ATTACH_LIVE),
         Message::AttachScaled { num, den } => {
@@ -435,7 +388,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
         Message::SeekReply { req_id, shot } => {
             out.push(TAG_SEEK_REPLY);
             out.extend_from_slice(&req_id.to_le_bytes());
-            put_bytes(&encode_screenshot(shot), out);
+            out.put_bytes_u32(&encode_screenshot(shot));
         }
         Message::Search {
             req_id,
@@ -445,7 +398,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
             out.push(TAG_SEARCH);
             out.extend_from_slice(&req_id.to_le_bytes());
             out.push(order_tag(*order));
-            put_str(query, out);
+            out.put_str_u32(query);
         }
         Message::SearchReply { req_id, hits } => {
             out.push(TAG_SEARCH_REPLY);
@@ -456,10 +409,10 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
                 out.extend_from_slice(&hit.until.as_nanos().to_le_bytes());
                 out.extend_from_slice(&hit.persistence.as_nanos().to_le_bytes());
                 out.extend_from_slice(&hit.matches.to_le_bytes());
-                put_str(&hit.snippet, out);
+                out.put_str_u32(&hit.snippet);
                 out.extend_from_slice(&(hit.apps.len() as u32).to_le_bytes());
                 for app in &hit.apps {
-                    put_str(app, out);
+                    out.put_str_u32(app);
                 }
             }
         }
@@ -470,7 +423,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
             match probe {
                 VisualProbe::Thumb(shot) => {
                     out.push(0);
-                    put_bytes(&encode_screenshot(shot), out);
+                    out.put_bytes_u32(&encode_screenshot(shot));
                 }
                 VisualProbe::At(t) => {
                     out.push(1);
@@ -488,7 +441,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
                 out.extend_from_slice(&hit.first.as_nanos().to_le_bytes());
                 out.extend_from_slice(&hit.last.as_nanos().to_le_bytes());
                 out.extend_from_slice(&hit.frames.to_le_bytes());
-                put_bytes(&hit.thumb, out);
+                out.put_bytes_u32(&hit.thumb);
             }
         }
         Message::Command { ts, cmd } => {
@@ -499,7 +452,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
         Message::Keyframe { ts, shot } => {
             out.push(TAG_KEYFRAME);
             out.extend_from_slice(&ts.as_nanos().to_le_bytes());
-            put_bytes(&encode_screenshot(shot), out);
+            out.put_bytes_u32(&encode_screenshot(shot));
         }
         Message::KeyframeDelta { ts, rects } => {
             out.push(TAG_KEYFRAME_DELTA);
@@ -526,7 +479,7 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
         Message::Error { req_id, message } => {
             out.push(TAG_ERROR);
             out.extend_from_slice(&req_id.to_le_bytes());
-            put_str(message, out);
+            out.put_str_u32(message);
         }
     }
 }
@@ -569,25 +522,24 @@ pub(crate) fn decode_message_within(
     payload: &[u8],
     probe_pixels: u64,
 ) -> Result<Message, ProtoError> {
-    let mut buf = payload;
-    let tag = get_u8(&mut buf)?;
-    let msg = match tag {
+    let mut r = Reader::new(payload);
+    let msg = match r.u8()? {
         TAG_HELLO => Message::Hello {
-            version: get_u16(&mut buf)?,
-            name: get_str(&mut buf)?,
+            version: r.u16()?,
+            name: r.str_u32()?.to_owned(),
         },
         TAG_WELCOME => Message::Welcome {
-            version: get_u16(&mut buf)?,
-            width: get_u32(&mut buf)?,
-            height: get_u32(&mut buf)?,
+            version: r.u16()?,
+            width: r.u32()?,
+            height: r.u32()?,
         },
         TAG_REJECT => Message::Reject {
-            reason: get_str(&mut buf)?,
+            reason: r.str_u32()?.to_owned(),
         },
         TAG_ATTACH_LIVE => Message::AttachLive,
         TAG_ATTACH_SCALED => {
-            let num = get_u32(&mut buf)?;
-            let den = get_u32(&mut buf)?;
+            let num = r.u32()?;
+            let den = r.u32()?;
             if num == 0 || den == 0 {
                 return Err(ProtoError::BadPayload("zero scale component"));
             }
@@ -595,60 +547,55 @@ pub(crate) fn decode_message_within(
         }
         TAG_DETACH => Message::Detach,
         TAG_INPUT => {
-            let event = decode_input(&mut buf)?.ok_or(ProtoError::Truncated)?;
+            let mut rest = r.rest();
+            let event = decode_input(&mut rest)?.ok_or(ProtoError::Truncated)?;
+            r = Reader::new(rest);
             Message::Input { event }
         }
         TAG_SEEK => Message::Seek {
-            req_id: get_u32(&mut buf)?,
-            t: Timestamp::from_nanos(get_u64(&mut buf)?),
+            req_id: r.u32()?,
+            t: Timestamp::from_nanos(r.u64()?),
         },
         TAG_SEEK_REPLY => {
-            let req_id = get_u32(&mut buf)?;
-            let shot = decode_screenshot(get_bytes(&mut buf)?)
+            let req_id = r.u32()?;
+            let shot = decode_screenshot(r.bytes_u32()?)
                 .ok_or(ProtoError::BadPayload("undecodable screenshot"))?;
             Message::SeekReply { req_id, shot }
         }
         TAG_SEARCH => {
-            let req_id = get_u32(&mut buf)?;
-            let order = order_from_tag(get_u8(&mut buf)?)?;
+            let req_id = r.u32()?;
+            let order = order_from_tag(r.u8()?)?;
             Message::Search {
                 req_id,
                 order,
-                query: get_str(&mut buf)?,
+                query: r.str_u32()?.to_owned(),
             }
         }
         TAG_SEARCH_REPLY => {
-            let req_id = get_u32(&mut buf)?;
-            let count = get_u32(&mut buf)? as usize;
-            let mut hits = Vec::with_capacity(count.min(1024));
+            let req_id = r.u32()?;
+            // Three times, a match count, a snippet length, an app count.
+            let count = r.count(36)?;
+            let mut hits = Vec::with_capacity(count);
             for _ in 0..count {
-                let time = Timestamp::from_nanos(get_u64(&mut buf)?);
-                let until = Timestamp::from_nanos(get_u64(&mut buf)?);
-                let persistence = Duration::from_nanos(get_u64(&mut buf)?);
-                let matches = get_u32(&mut buf)?;
-                let snippet = get_str(&mut buf)?;
-                let app_count = get_u32(&mut buf)? as usize;
-                let mut apps = Vec::with_capacity(app_count.min(64));
-                for _ in 0..app_count {
-                    apps.push(get_str(&mut buf)?);
-                }
                 hits.push(WireHit {
-                    time,
-                    until,
-                    persistence,
-                    matches,
-                    snippet,
-                    apps,
+                    time: Timestamp::from_nanos(r.u64()?),
+                    until: Timestamp::from_nanos(r.u64()?),
+                    persistence: Duration::from_nanos(r.u64()?),
+                    matches: r.u32()?,
+                    snippet: r.str_u32()?.to_owned(),
+                    apps: (0..r.count(4)?)
+                        .map(|_| r.str_u32().map(str::to_owned))
+                        .collect::<Result<_, _>>()?,
                 });
             }
             Message::SearchReply { req_id, hits }
         }
         TAG_VISUAL_QUERY => {
-            let req_id = get_u32(&mut buf)?;
-            let k = get_u32(&mut buf)?;
-            let probe = match get_u8(&mut buf)? {
+            let req_id = r.u32()?;
+            let k = r.u32()?;
+            let probe = match r.u8()? {
                 0 => {
-                    let encoded = get_bytes(&mut buf)?;
+                    let encoded = r.bytes_u32()?;
                     if let Some((width, height)) = screenshot_dims(encoded) {
                         let pixels = u64::from(width) * u64::from(height);
                         if pixels > probe_pixels {
@@ -662,85 +609,69 @@ pub(crate) fn decode_message_within(
                         .ok_or(ProtoError::BadPayload("undecodable probe"))?;
                     VisualProbe::Thumb(shot)
                 }
-                1 => VisualProbe::At(Timestamp::from_nanos(get_u64(&mut buf)?)),
+                1 => VisualProbe::At(Timestamp::from_nanos(r.u64()?)),
                 _ => return Err(ProtoError::BadPayload("unknown probe kind")),
             };
             Message::VisualQuery { req_id, k, probe }
         }
         TAG_VISUAL_REPLY => {
-            let req_id = get_u32(&mut buf)?;
-            let count = get_u32(&mut buf)? as usize;
-            let mut hits = Vec::with_capacity(count.min(MAX_VISUAL_HITS));
+            let req_id = r.u32()?;
+            // Id, distance, two times, frames, a thumbnail length.
+            let count = r.count(40)?;
+            let mut hits = Vec::with_capacity(count);
             for _ in 0..count {
-                let id = get_u64(&mut buf)?;
-                let distance = get_u32(&mut buf)?;
-                let first = Timestamp::from_nanos(get_u64(&mut buf)?);
-                let last = Timestamp::from_nanos(get_u64(&mut buf)?);
-                let frames = get_u64(&mut buf)?;
-                let thumb = get_bytes(&mut buf)?.to_vec();
-                if decode_screenshot(&thumb).is_none() {
+                let hit = WireVisualHit {
+                    id: r.u64()?,
+                    distance: r.u32()?,
+                    first: Timestamp::from_nanos(r.u64()?),
+                    last: Timestamp::from_nanos(r.u64()?),
+                    frames: r.u64()?,
+                    thumb: r.bytes_u32()?.to_vec(),
+                };
+                if decode_screenshot(&hit.thumb).is_none() {
                     return Err(ProtoError::BadPayload("undecodable thumbnail"));
                 }
-                hits.push(WireVisualHit {
-                    id,
-                    distance,
-                    first,
-                    last,
-                    frames,
-                    thumb,
-                });
+                hits.push(hit);
             }
             Message::VisualReply { req_id, hits }
         }
         TAG_COMMAND => {
-            let ts = Timestamp::from_nanos(get_u64(&mut buf)?);
-            let cmd = decode_command(&mut buf)?;
+            let ts = Timestamp::from_nanos(r.u64()?);
+            let mut rest = r.rest();
+            let cmd = decode_command(&mut rest)?;
+            r = Reader::new(rest);
             Message::Command { ts, cmd }
         }
         TAG_KEYFRAME => {
-            let ts = Timestamp::from_nanos(get_u64(&mut buf)?);
-            let shot = decode_screenshot(get_bytes(&mut buf)?)
+            let ts = Timestamp::from_nanos(r.u64()?);
+            let shot = decode_screenshot(r.bytes_u32()?)
                 .ok_or(ProtoError::BadPayload("undecodable screenshot"))?;
             Message::Keyframe { ts, shot }
         }
         TAG_KEYFRAME_DELTA => {
-            let ts = Timestamp::from_nanos(get_u64(&mut buf)?);
-            let count = get_u32(&mut buf)? as usize;
-            let mut rects = Vec::with_capacity(count.min(1024));
+            let ts = Timestamp::from_nanos(r.u64()?);
+            let count = r.count(16)?;
+            let mut rects = Vec::with_capacity(count);
             for _ in 0..count {
-                let x = get_u32(&mut buf)?;
-                let y = get_u32(&mut buf)?;
-                let w = get_u32(&mut buf)?;
-                let h = get_u32(&mut buf)?;
-                let rect = Rect::new(x, y, w, h);
-                let need = (rect.area() as usize)
-                    .checked_mul(4)
+                let rect = Rect::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+                let len = usize::try_from(rect.area())
+                    .ok()
+                    .and_then(|area| area.checked_mul(4))
                     .ok_or(ProtoError::BadPayload("delta rect overflows"))?;
-                if buf.len() < need {
-                    return Err(ProtoError::Truncated);
-                }
-                let (body, rest) = buf.split_at(need);
-                buf = rest;
-                rects.push((rect, decode_pixels(body)));
+                rects.push((rect, decode_pixels(r.bytes(len)?)));
             }
             Message::KeyframeDelta { ts, rects }
         }
-        TAG_PING => Message::Ping {
-            nonce: get_u64(&mut buf)?,
-        },
-        TAG_PONG => Message::Pong {
-            nonce: get_u64(&mut buf)?,
-        },
+        TAG_PING => Message::Ping { nonce: r.u64()? },
+        TAG_PONG => Message::Pong { nonce: r.u64()? },
         TAG_BYE => Message::Bye,
         TAG_ERROR => Message::Error {
-            req_id: get_u32(&mut buf)?,
-            message: get_str(&mut buf)?,
+            req_id: r.u32()?,
+            message: r.str_u32()?.to_owned(),
         },
         other => return Err(ProtoError::BadTag(other)),
     };
-    if !buf.is_empty() {
-        return Err(ProtoError::BadPayload("trailing bytes after message"));
-    }
+    r.finish()?;
     Ok(msg)
 }
 

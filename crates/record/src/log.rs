@@ -9,6 +9,7 @@
 use dv_display::{
     decode_command, encode_command, peek_command, CodecError, CommandMeta, DisplayCommand,
 };
+use dv_fault::Reader;
 use dv_time::Timestamp;
 
 /// The append-only command log.
@@ -65,11 +66,9 @@ impl CommandLog {
         else {
             return Ok(None);
         };
-        let (time, command) = entry
-            .split_first_chunk::<8>()
-            .ok_or(CodecError::UnexpectedEof)?;
-        let time = Timestamp::from_nanos(u64::from_le_bytes(*time));
-        Ok(Some((time, command)))
+        let mut r = Reader::new(entry);
+        let time = Timestamp::from_nanos(r.u64()?);
+        Ok(Some((time, r.rest())))
     }
 
     /// Reads the entry at `offset`, returning `(time, command,

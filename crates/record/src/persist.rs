@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use parking_lot::RwLock;
 
+use dv_fault::{Put, ReadError, Reader};
 use dv_time::Timestamp;
 
 use crate::log::CommandLog;
@@ -31,6 +31,12 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
+impl From<ReadError> for RecordError {
+    fn from(e: ReadError) -> Self {
+        RecordError(e.as_str())
+    }
+}
+
 /// Serializes a record store to an archival blob.
 pub fn encode_record(store: &RecordStore) -> Vec<u8> {
     let log = store.log.as_bytes();
@@ -38,72 +44,41 @@ pub fn encode_record(store: &RecordStore) -> Vec<u8> {
     let timeline = store.timeline.encode();
     let mut out = Vec::with_capacity(MAGIC.len() + 50 + log.len() + shots.len() + timeline.len());
     out.extend_from_slice(MAGIC);
-    out.put_u32_le(store.width);
-    out.put_u32_le(store.height);
+    out.put_u32(store.width);
+    out.put_u32(store.height);
     match store.start {
         Some(t) => {
-            out.put_u8(1);
-            out.put_u64_le(t.as_nanos());
+            out.push(1);
+            out.put_u64(t.as_nanos());
         }
-        None => out.put_u8(0),
+        None => out.push(0),
     }
-    out.put_u64_le(store.end.as_nanos());
-    out.put_u64_le(log.len() as u64);
-    out.extend_from_slice(log);
-    out.put_u64_le(shots.len() as u64);
-    out.extend_from_slice(shots);
-    out.put_u64_le(timeline.len() as u64);
-    out.extend_from_slice(&timeline);
+    out.put_u64(store.end.as_nanos());
+    out.put_bytes_u64(log);
+    out.put_bytes_u64(shots);
+    out.put_bytes_u64(&timeline);
     out
 }
 
 /// Deserializes a record store, validating the log, every screenshot,
 /// and the timeline ordering.
-pub fn decode_record(mut buf: &[u8]) -> Result<RecordStore, RecordError> {
-    if buf.len() < 8 || &buf[..8] != MAGIC {
-        return Err(RecordError("bad magic"));
-    }
-    buf.advance(8);
-    if buf.len() < 9 {
-        return Err(RecordError("truncated header"));
-    }
-    let width = buf.get_u32_le();
-    let height = buf.get_u32_le();
-    let start = match buf.get_u8() {
+pub fn decode_record(buf: &[u8]) -> Result<RecordStore, RecordError> {
+    let mut r = Reader::new(buf);
+    r.magic(MAGIC)?;
+    let width = r.u32()?;
+    let height = r.u32()?;
+    let start = match r.u8()? {
         0 => None,
-        1 => {
-            if buf.len() < 8 {
-                return Err(RecordError("truncated start time"));
-            }
-            Some(Timestamp::from_nanos(buf.get_u64_le()))
-        }
+        1 => Some(Timestamp::from_nanos(r.u64()?)),
         _ => return Err(RecordError("bad start flag")),
     };
-    if buf.len() < 8 {
-        return Err(RecordError("truncated end time"));
-    }
-    let end = Timestamp::from_nanos(buf.get_u64_le());
-    let section = |buf: &mut &[u8]| -> Result<Vec<u8>, RecordError> {
-        if buf.len() < 8 {
-            return Err(RecordError("truncated section length"));
-        }
-        let len = buf.get_u64_le() as usize;
-        if buf.len() < len {
-            return Err(RecordError("truncated section"));
-        }
-        let (data, rest) = buf.split_at(len);
-        let out = data.to_vec();
-        *buf = rest;
-        Ok(out)
-    };
-    let log = CommandLog::from_bytes(section(&mut buf)?)
+    let end = Timestamp::from_nanos(r.u64()?);
+    let log = CommandLog::from_bytes(r.bytes_u64()?.to_vec())
         .map_err(|_| RecordError("corrupt command log"))?;
-    let shots = ScreenshotStore::from_bytes(section(&mut buf)?)
+    let shots = ScreenshotStore::from_bytes(r.bytes_u64()?.to_vec())
         .ok_or(RecordError("corrupt screenshot store"))?;
-    let timeline = Timeline::decode(&section(&mut buf)?).ok_or(RecordError("corrupt timeline"))?;
-    if !buf.is_empty() {
-        return Err(RecordError("trailing bytes"));
-    }
+    let timeline = Timeline::decode(r.bytes_u64()?).ok_or(RecordError("corrupt timeline"))?;
+    r.finish()?;
     Ok(RecordStore {
         log,
         shots,

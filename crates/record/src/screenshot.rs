@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use dv_display::Screenshot;
+use dv_display::{Pixel, Screenshot};
+use dv_fault::{Put, Reader};
 
 /// The widest or tallest screen a stored header may claim. Decoders
 /// refuse anything larger before sizing an allocation from it.
@@ -44,48 +45,53 @@ pub fn encode_screenshot(shot: &Screenshot) -> Vec<u8> {
 /// Reads the `(width, height)` an encoded screenshot claims, without
 /// looking at its runs.
 pub fn screenshot_dims(data: &[u8]) -> Option<(u32, u32)> {
-    let (width, height) = data.first_chunk::<8>()?.split_at(4);
-    let side = |bytes: &[u8]| bytes.try_into().map(u32::from_le_bytes).ok();
-    Some((side(width)?, side(height)?))
+    let mut r = Reader::new(data);
+    Some((r.u32().ok()?, r.u32().ok()?))
+}
+
+/// One `[run_len u32][pixel u32]` run.
+fn split_run(run: &[u8; 8]) -> (usize, Pixel) {
+    let [l0, l1, l2, l3, p0, p1, p2, p3] = *run;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]) as usize,
+        Pixel::from_le_bytes([p0, p1, p2, p3]),
+    )
 }
 
 /// Decodes a screenshot produced by [`encode_screenshot`].
 ///
 /// Returns `None` if the data is malformed.
 pub fn decode_screenshot(data: &[u8]) -> Option<Screenshot> {
-    let (width, height) = screenshot_dims(data)?;
+    let mut r = Reader::new(data);
+    let (width, height) = (r.u32().ok()?, r.u32().ok()?);
     if width > MAX_SCREEN_SIDE || height > MAX_SCREEN_SIDE {
         return None;
     }
     let total = width as usize * height as usize;
-    let mut rest = &data[8..];
+    let (runs, partial) = r.rest().as_chunks::<8>();
+    if !partial.is_empty() {
+        return None;
+    }
     // The header is a claim, not a size. A run is eight bytes, so an
     // input with a run for every other pixel is as large as the vector
     // it asks for; one made of longer runs is believed only once their
     // lengths have been added up.
-    let runs = rest.chunks_exact(8);
     if total > 2 * runs.len() {
-        let claimed: u64 = runs
-            .map(|run| u64::from(u32::from_le_bytes([run[0], run[1], run[2], run[3]])))
-            .sum();
+        let claimed: u64 = runs.iter().map(|run| split_run(run).0 as u64).sum();
         if claimed != total as u64 {
             return None;
         }
     }
     let mut pixels = Vec::with_capacity(total);
-    while pixels.len() < total {
-        if rest.len() < 8 {
+    for run in runs {
+        let (len, pixel) = split_run(run);
+        // A run after the screen is full is a trailing byte.
+        if pixels.len() == total || len > total - pixels.len() {
             return None;
         }
-        let run_len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-        let pixel = u32::from_le_bytes(rest[4..8].try_into().ok()?);
-        rest = &rest[8..];
-        if pixels.len() + run_len > total {
-            return None;
-        }
-        pixels.extend(std::iter::repeat_n(pixel, run_len));
+        pixels.extend(std::iter::repeat_n(pixel, len));
     }
-    if !rest.is_empty() {
+    if pixels.len() != total {
         return None;
     }
     Some(Screenshot {
@@ -117,25 +123,19 @@ impl ScreenshotStore {
     /// returning its byte offset.
     pub fn append_encoded(&mut self, encoded: &[u8]) -> u64 {
         let offset = self.data.len() as u64;
-        self.data
-            .extend_from_slice(&(encoded.len() as u64).to_le_bytes());
-        self.data.extend_from_slice(encoded);
+        self.data.put_bytes_u64(encoded);
         self.count += 1;
         offset
     }
 
     /// Returns the encoded screenshot stored at `offset`, as
-    /// [`encode_screenshot`] wrote it.
-    ///
-    /// All offset arithmetic is checked: a corrupt or huge offset (e.g.
-    /// from a damaged timeline) or a corrupt length prefix returns
-    /// `None` instead of overflowing.
+    /// [`encode_screenshot`] wrote it, or `None` when a corrupt or huge
+    /// offset (e.g. from a damaged timeline) or length prefix names no
+    /// whole record.
     pub fn encoded_at(&self, offset: u64) -> Option<&[u8]> {
-        let start = usize::try_from(offset).ok()?;
-        let body = start.checked_add(8)?;
-        let prefix = self.data.get(start..body)?;
-        let len = usize::try_from(u64::from_le_bytes(prefix.try_into().ok()?)).ok()?;
-        self.data.get(body..body.checked_add(len)?)
+        let mut r = Reader::new(&self.data);
+        r.bytes(usize::try_from(offset).ok()?).ok()?;
+        r.bytes_u64().ok()
     }
 
     /// Loads the screenshot stored at `offset`; `None` if there is no
@@ -167,16 +167,13 @@ impl ScreenshotStore {
     /// Reconstructs a store from its on-disk bytes, validating every
     /// screenshot. Returns `None` on malformed data.
     pub fn from_bytes(data: Vec<u8>) -> Option<ScreenshotStore> {
-        let mut store = ScreenshotStore { data, count: 0 };
-        let mut offset = 0;
-        while offset < store.data.len() {
-            let encoded = store.encoded_at(offset as u64)?;
-            decode_screenshot(encoded)?;
-            // The record lies within `data`, so its end cannot overflow.
-            offset += 8 + encoded.len();
-            store.count += 1;
+        let mut r = Reader::new(&data);
+        let mut count = 0;
+        while !r.is_empty() {
+            decode_screenshot(r.bytes_u64().ok()?)?;
+            count += 1;
         }
-        Some(store)
+        Some(ScreenshotStore { data, count })
     }
 }
 

@@ -7,6 +7,7 @@
 //! that follows that screenshot" (§4.1). Fixed-size entries make the
 //! lookup a binary search.
 
+use dv_fault::Reader;
 use dv_time::Timestamp;
 
 /// One fixed-size timeline entry.
@@ -103,21 +104,18 @@ impl Timeline {
     /// Returns `None` if the data is not a whole number of entries or is
     /// out of order.
     pub fn decode(data: &[u8]) -> Option<Timeline> {
-        if !data.len().is_multiple_of(ENTRY_LEN) {
-            return None;
-        }
+        let mut r = Reader::new(data);
         let mut timeline = Timeline::new();
-        for chunk in data.chunks_exact(ENTRY_LEN) {
-            let time = Timestamp::from_nanos(u64::from_le_bytes(chunk[..8].try_into().ok()?));
-            let screenshot_offset = u64::from_le_bytes(chunk[8..16].try_into().ok()?);
-            let command_offset = u64::from_le_bytes(chunk[16..24].try_into().ok()?);
+        while !r.is_empty() {
+            let mut e = Reader::new(r.array::<ENTRY_LEN>().ok()?);
+            let time = Timestamp::from_nanos(e.u64().ok()?);
             if timeline.entries.last().is_some_and(|last| time < last.time) {
                 return None;
             }
             timeline.entries.push(TimelineEntry {
                 time,
-                screenshot_offset,
-                command_offset,
+                screenshot_offset: e.u64().ok()?,
+                command_offset: e.u64().ok()?,
             });
         }
         Some(timeline)

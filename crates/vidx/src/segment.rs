@@ -8,9 +8,7 @@
 //! this module says only what a strip's bytes are and how strips
 //! merge.
 
-use bytes::{Buf, BufMut};
-
-use dv_fault::sites;
+use dv_fault::{sites, Put, ReadError, Reader};
 use dv_lsfs::{MergeError, Payload, SegmentNames};
 use dv_obs::names;
 use dv_time::Timestamp;
@@ -47,49 +45,30 @@ struct Record<'a> {
     bytes: &'a [u8],
 }
 
-/// Validates an encoded strip — the only reader of its layout. No
-/// allocation is sized by the stored count: a record is pushed only
-/// after its bytes were found.
-fn scan(mut payload: &[u8]) -> Result<Vec<Record<'_>>, String> {
-    if payload.len() < 8 {
-        return Err("truncated instance count".into());
-    }
-    let count = payload.get_u64_le();
-    let mut out = Vec::new();
+/// Validates an encoded strip — the only reader of its layout. A stored
+/// count sizes a vector only once the bytes left could hold that many
+/// records.
+fn scan(payload: &[u8]) -> Result<Vec<Record<'_>>, ReadError> {
+    let mut r = Reader::new(payload);
+    // Fixed-size prefix: id + 4 fingerprint words + first + last +
+    // frames = 8 u64s; a thumbnail length follows.
+    const PREFIX: usize = 64;
+    let count = r.count_u64(PREFIX + 8)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let start = payload;
-        // Fixed-size prefix: id + 4 fingerprint words + first + last
-        // + frames + thumbnail length = 9 u64s.
-        if payload.len() < 72 {
-            return Err("truncated instance".into());
-        }
-        let id = payload.get_u64_le();
-        let mut words = [0u64; 4];
-        for word in &mut words {
-            *word = payload.get_u64_le();
-        }
-        let first = Timestamp::from_nanos(payload.get_u64_le());
-        let last = Timestamp::from_nanos(payload.get_u64_le());
-        let frames = payload.get_u64_le();
-        let thumb_len = payload.get_u64_le();
-        if (payload.len() as u64) < thumb_len {
-            return Err("truncated thumbnail".into());
-        }
-        let (thumb, rest) = payload.split_at(thumb_len as usize);
-        payload = rest;
+        let start = r;
+        let mut prefix = Reader::new(r.array::<PREFIX>()?);
         out.push(Record {
-            id,
-            fp: Fingerprint(words),
-            first,
-            last,
-            frames,
-            thumb,
-            bytes: &start[..start.len() - payload.len()],
+            id: prefix.u64()?,
+            fp: Fingerprint([prefix.u64()?, prefix.u64()?, prefix.u64()?, prefix.u64()?]),
+            first: Timestamp::from_nanos(prefix.u64()?),
+            last: Timestamp::from_nanos(prefix.u64()?),
+            frames: prefix.u64()?,
+            thumb: r.bytes_u64()?,
+            bytes: r.since(start),
         });
     }
-    if !payload.is_empty() {
-        return Err("trailing bytes".into());
-    }
+    r.finish()?;
     Ok(out)
 }
 
@@ -103,16 +82,16 @@ impl Payload for Strips {
     fn encode(&self, strip: &VisualStrip) -> Result<Vec<u8>, String> {
         let instances = strip.instances();
         let mut payload = Vec::new();
-        payload.put_u64_le(instances.len() as u64);
+        payload.put_u64(instances.len() as u64);
         for inst in instances {
-            payload.put_u64_le(inst.id);
+            payload.put_u64(inst.id);
             for word in inst.fp.0 {
-                payload.put_u64_le(word);
+                payload.put_u64(word);
             }
-            payload.put_u64_le(inst.first.as_nanos());
-            payload.put_u64_le(inst.last.as_nanos());
-            payload.put_u64_le(inst.frames);
-            payload.put_u64_le(inst.thumb.len() as u64);
+            payload.put_u64(inst.first.as_nanos());
+            payload.put_u64(inst.last.as_nanos());
+            payload.put_u64(inst.frames);
+            payload.put_u64(inst.thumb.len() as u64);
             payload.extend_from_slice(&inst.thumb);
         }
         Ok(payload)
@@ -127,7 +106,8 @@ impl Payload for Strips {
             frames: r.frames,
             thumb: r.thumb.to_vec(),
         };
-        let instances = scan(payload)?.into_iter().map(instance).collect();
+        let records = scan(payload).map_err(|e| e.to_string())?;
+        let instances = records.into_iter().map(instance).collect();
         Ok(VisualStrip::from_instances(instances))
     }
 
@@ -136,11 +116,11 @@ impl Payload for Strips {
     fn merge(&self, inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), MergeError> {
         let mut all = Vec::new();
         for (n, input) in inputs.iter().enumerate() {
-            all.extend(scan(input).map_err(|e| MergeError::Input(n, e))?);
+            all.extend(scan(input).map_err(|e| MergeError::Input(n, e.to_string()))?);
         }
         all.sort_by_key(|r| (r.first, r.id));
         let mut payload = Vec::with_capacity(inputs.iter().map(|input| input.len()).sum());
-        payload.put_u64_le(all.len() as u64);
+        payload.put_u64(all.len() as u64);
         for record in &all {
             payload.extend_from_slice(record.bytes);
         }

@@ -198,6 +198,28 @@ impl TermWindow {
     }
 }
 
+/// Deterministic corpus sentence `i`: a reproducible mix of vocabulary
+/// words plus a unique marker term. Every sentence is distinct (so a
+/// capture-time redundancy filter never collapses two of them) while
+/// sharing searchable vocabulary across the whole corpus — the shape an
+/// index benchmark needs to produce both broad and narrow queries.
+pub fn corpus_sentence(i: u64, words_per_sentence: usize) -> String {
+    let mut out = String::new();
+    let mut x = i
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(0xA076_1D64_78BD_642F);
+    for _ in 0..words_per_sentence {
+        // xorshift64: cheap, seedless, identical on every platform.
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        out.push_str(WORDS[(x % WORDS.len() as u64) as usize]);
+        out.push(' ');
+    }
+    out.push_str(&format!("m{i:06}"));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,26 +260,4 @@ mod tests {
         guard.advance_horizon(dv_time::Timestamp::from_secs(1));
         assert_eq!(guard.term_instances("compiling").len(), 1);
     }
-}
-
-/// Deterministic corpus sentence `i`: a reproducible mix of vocabulary
-/// words plus a unique marker term. Every sentence is distinct (so a
-/// capture-time redundancy filter never collapses two of them) while
-/// sharing searchable vocabulary across the whole corpus — the shape an
-/// index benchmark needs to produce both broad and narrow queries.
-pub fn corpus_sentence(i: u64, words_per_sentence: usize) -> String {
-    let mut out = String::new();
-    let mut x = i
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(0xA076_1D64_78BD_642F);
-    for _ in 0..words_per_sentence {
-        // xorshift64: cheap, seedless, identical on every platform.
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        out.push_str(WORDS[(x % WORDS.len() as u64) as usize]);
-        out.push(' ');
-    }
-    out.push_str(&format!("m{i:06}"));
-    out
 }

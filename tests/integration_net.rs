@@ -597,7 +597,7 @@ fn version_mismatch_is_rejected_cleanly() {
         .next_frame()
         .unwrap()
         .expect("no reply to bad handshake");
-    match decode_message(&reply).unwrap() {
+    match decode_message(reply).unwrap() {
         Message::Reject { reason } => assert!(reason.contains("version")),
         other => panic!("expected Reject, got {other:?}"),
     }

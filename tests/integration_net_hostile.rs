@@ -8,12 +8,10 @@
 //! `K × N` bytes plus one session screen, on top of what the smallest
 //! query of its kind costs — before the handshake or after it.
 //!
-//! The counting allocator is the pattern of `benchmark/src/alloc.rs`,
-//! cut down to what a test needs: bytes requested by the calling
-//! thread, so tests running beside each other do not see one another.
+//! The counting allocator is `tests/common/alloc.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/alloc.rs"]
+mod alloc;
 
 use dejaview::{Config, DejaView};
 use dv_net::{
@@ -21,50 +19,7 @@ use dv_net::{
     LoopbackTransport, Message, NetConfig, NetService, Transport, PROTOCOL_VERSION,
 };
 
-thread_local! {
-    /// Bytes this thread has asked the allocator for. A plain integer:
-    /// no lazy set-up, no destructor, safe inside the allocator.
-    static REQUESTED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter never touches
-// the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + layout.size() as u64));
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + layout.size() as u64));
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from a matching `alloc` on
-        // this allocator, which forwarded to `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + new_size as u64));
-        // SAFETY: `ptr` and `layout` come from a matching `alloc` on
-        // this allocator, which forwarded to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn requested() -> u64 {
-    REQUESTED.with(Cell::get)
-}
+use alloc::requested;
 
 const W: u32 = 320;
 const H: u32 = 240;
