@@ -832,6 +832,18 @@ pub struct DeferredRow {
     pub fingerprint: u64,
     /// Pages installed reviving the final checkpoint.
     pub pages_restored: usize,
+    /// The revive of the longest chain in the history — a full image
+    /// and the half-dirty incrementals after it — where a page read
+    /// from more than one image would show.
+    pub longest_chain: dv_checkpoint::ReviveReport,
+}
+
+impl DeferredRow {
+    /// Pages decoded per page installed reviving the longest chain.
+    pub fn pages_decoded_ratio(&self) -> f64 {
+        let r = &self.longest_chain;
+        r.pages_decoded as f64 / r.pages_installed.max(1) as f64
+    }
 }
 
 /// The session under the deferred and obs measurements: an empty
@@ -923,6 +935,22 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
     let (fingerprint, revived) =
         dv_checkpoint::restore_fingerprint(&engine, &mut store.lock(), &regions)
             .expect("restore fingerprint");
+    let chain = engine
+        .images()
+        .filter_map(|meta| engine.chain_for(meta.counter))
+        .max_by_key(Vec::len)
+        .expect("checkpointed");
+    let (_, longest_chain) = dv_checkpoint::revive(
+        &mut store.lock(),
+        engine.blob_prefix(),
+        &chain,
+        0,
+        clock.shared(),
+        Box::new(dv_lsfs::Lsfs::new()),
+        dv_vee::HostPidAllocator::new(),
+        &dv_checkpoint::NetworkPolicy::default(),
+    )
+    .expect("revive the longest chain");
     let sum: std::time::Duration = stalls.iter().sum();
     DeferredRow {
         config: if workers == 0 {
@@ -939,6 +967,7 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
         inline_fallbacks: stats.inline_fallbacks,
         fingerprint,
         pages_restored: revived.pages_installed,
+        longest_chain,
     }
 }
 
@@ -2839,6 +2868,12 @@ pub(crate) mod tests {
             );
             assert_eq!(row.checkpoints, rows[0].checkpoints);
             assert_eq!(row.pages_restored, rows[0].pages_restored);
+        }
+        // A full image and three half-dirty incrementals, each page
+        // read from one of them.
+        for row in rows {
+            assert_eq!(row.longest_chain.images_loaded, 4);
+            assert_eq!(row.pages_decoded_ratio(), 1.0, "{}", row.config);
         }
     }
 

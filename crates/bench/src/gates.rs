@@ -143,6 +143,9 @@ pub const SUITES: &[Suite] = &[
             // stall with none.
             ("deferred_stall_w*_ratio", AtMost(Baseline)),
             ("deferred_restore_identical", MustHold),
+            // Revive copies a page out of one image only: the newest
+            // that holds it. Decoding every image of the chain read 1.86.
+            ("revive_pages_decoded_ratio", AtMost(Is(1.0))),
             ("faults_browse_ok_fraction", MustHold),
             ("faults_search_ok_fraction", MustHold),
             ("crash_recovered_fraction", MustHold),
@@ -443,6 +446,13 @@ fn ci_metrics(
     m.extend(
         [
             ("deferred_restore_identical", flag(identical)),
+            (
+                "revive_pages_decoded_ratio",
+                deferred
+                    .iter()
+                    .map(DeferredRow::pages_decoded_ratio)
+                    .fold(0.0, f64::max),
+            ),
             (
                 "faults_browse_ok_fraction",
                 fraction(browse_ok, faults.len()),

@@ -49,6 +49,11 @@ pub fn print_deferred(rows: &[DeferredRow]) {
             "  restore results across configurations: {}",
             if matched { "identical" } else { "DIVERGED" }
         );
+        let longest = &inline.longest_chain;
+        println!(
+            "  longest chain: {} images, {} pages decoded for {} installed",
+            longest.images_loaded, longest.pages_decoded, longest.pages_installed
+        );
     }
 }
 

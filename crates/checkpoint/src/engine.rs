@@ -1128,7 +1128,9 @@ mod tests {
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, b"ablated but correct").unwrap();
         let report = engine.checkpoint(&mut vee, &store).unwrap();
-        let image = crate::restore::load_image(&mut store.lock(), "ckpt", report.counter).unwrap();
+        let image =
+            crate::restore::load_image(&mut store.lock(), "ckpt", report.counter, |_, _| true)
+                .unwrap();
         assert_eq!(&image.processes[0].pages[0].1[..19], b"ablated but correct");
     }
 

@@ -305,6 +305,18 @@ fn encode_sockets(out: &mut Vec<u8>, sockets: &[SocketRecord]) {
 
 /// Deserializes an image.
 pub fn decode_image(buf: &[u8]) -> Result<CheckpointImage, ImageError> {
+    decode_image_with(buf, |_, _| true)
+}
+
+/// Deserializes an image, copying out only the pages `keep(vpid, addr)`
+/// accepts; every other page is checked for length and stepped over in
+/// place. Revive reads the older images of a chain this way, so a page
+/// that a newer image already supplied costs neither a copy nor an
+/// allocation.
+pub(crate) fn decode_image_with(
+    buf: &[u8],
+    mut keep: impl FnMut(u64, u64) -> bool,
+) -> Result<CheckpointImage, ImageError> {
     let mut r = Reader::new(buf);
     r.magic(MAGIC)?;
     let counter = r.u64()?;
@@ -319,7 +331,7 @@ pub fn decode_image(buf: &[u8]) -> Result<CheckpointImage, ImageError> {
     let proc_count = r.count(PROCESS_MIN_LEN)?;
     let mut processes = Vec::with_capacity(proc_count);
     for _ in 0..proc_count {
-        processes.push(decode_process(&mut r)?);
+        processes.push(decode_process(&mut r, &mut keep)?);
     }
     // Id, protocol, port, remote flag, state and two byte counts.
     let sock_count = r.count(29)?;
@@ -359,7 +371,10 @@ const PROCESS_FIXED_LEN: usize = 16 + 64 + 4 + 64 + 2 + 8 + 16;
 /// block, ptrace, the flag and six lengths and counts.
 const PROCESS_MIN_LEN: usize = 8 + 8 + PROCESS_FIXED_LEN + 8 + 1 + 6 * 4;
 
-fn decode_process(r: &mut Reader<'_>) -> Result<ProcessRecord, ImageError> {
+fn decode_process(
+    r: &mut Reader<'_>,
+    keep: &mut impl FnMut(u64, u64) -> bool,
+) -> Result<ProcessRecord, ImageError> {
     let vpid = r.u64()?;
     let parent = r.u64()?.checked_sub(1);
     let name = r.str_u32()?.to_owned();
@@ -407,10 +422,13 @@ fn decode_process(r: &mut Reader<'_>) -> Result<ProcessRecord, ImageError> {
         });
     }
     let page_count = r.count(8 + PAGE_SIZE)?;
-    let mut pages = Vec::with_capacity(page_count);
+    let mut pages = Vec::new();
     for _ in 0..page_count {
         let addr = r.u64()?;
-        pages.push((addr, Arc::new(*r.array::<PAGE_SIZE>()?)));
+        let page = r.array::<PAGE_SIZE>()?;
+        if keep(vpid, addr) {
+            pages.push((addr, Arc::new(*page)));
+        }
     }
     // A socket descriptor (tag, fd, id) is the shorter kind.
     let fd_count = r.count(13)?;

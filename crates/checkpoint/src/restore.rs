@@ -11,18 +11,18 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dv_lsfs::{BlobStore, Filesystem, FsError};
 use dv_time::SharedClock;
 use dv_vee::{
-    FdObject, HostPidAllocator, PageBuf, Process, Proto, RunState, Signal, SockState, Socket,
-    SocketTable, Vee, Vpid,
+    FdObject, HostPidAllocator, Process, Proto, RunState, Signal, SockState, Socket, Vee, Vpid,
 };
 
 use crate::compress::decompress;
 use crate::engine::Checkpointer;
-use crate::image::{decode_image, CheckpointImage, FdRecord, ImageError, MAGIC};
+use crate::image::{
+    decode_image_with, CheckpointImage, FdRecord, ImageError, ProcessRecord, MAGIC,
+};
 
 /// Per-application network policy applied when reviving (§5.2: network
 /// access is disabled by default; the user can re-enable per app).
@@ -96,6 +96,9 @@ pub struct ReviveReport {
     pub images_loaded: usize,
     /// Processes recreated.
     pub processes: usize,
+    /// Pages copied out of images: the target's, and from each older
+    /// image only those still missing.
+    pub pages_decoded: usize,
     /// Pages installed.
     pub pages_installed: usize,
     /// TCP connections reset.
@@ -118,15 +121,33 @@ fn image_plaintext(counter: u64, data: &[u8]) -> Result<Cow<'_, [u8]>, ReviveErr
     }
 }
 
-/// Loads and decodes one image blob.
+/// Loads and decodes one image blob, copying out only the pages
+/// `keep(vpid, addr)` accepts (`|_, _| true` for all of them).
 pub fn load_image(
     store: &mut BlobStore,
     blob_prefix: &str,
     counter: u64,
+    keep: impl FnMut(u64, u64) -> bool,
 ) -> Result<CheckpointImage, ReviveError> {
     let blob = format!("{blob_prefix}-{counter:08}");
     let data = store.get(&blob).ok_or(ReviveError::MissingImage(counter))?;
-    decode_image(&image_plaintext(counter, &data)?).map_err(ReviveError::BadImage)
+    decode_image_with(&image_plaintext(counter, &data)?, keep).map_err(ReviveError::BadImage)
+}
+
+/// Installs each page of `processes` that its restored process maps and
+/// does not yet hold.
+fn install_pages(vee: &mut Vee, processes: Vec<ProcessRecord>, report: &mut ReviveReport) {
+    for proc_rec in processes {
+        report.pages_decoded += proc_rec.pages.len();
+        if let Ok(process) = vee.process_mut(Vpid(proc_rec.vpid)) {
+            for (addr, page) in proc_rec.pages {
+                if process.mem.lacks_page(addr) {
+                    process.mem.install_page(addr, page);
+                    report.pages_installed += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Revives a session from the image chain `chain` (as produced by
@@ -142,35 +163,25 @@ pub fn revive(
     chain: &[u64],
     vee_id: u64,
     clock: SharedClock,
-    mut fs: Box<dyn Filesystem>,
+    fs: Box<dyn Filesystem>,
     host_pids: HostPidAllocator,
     policy: &NetworkPolicy,
 ) -> Result<(Vee, ReviveReport), ReviveError> {
-    assert!(!chain.is_empty(), "revive needs at least one image");
-    let mut report = ReviveReport::default();
+    let (&newest, older) = chain.split_last().expect("revive needs at least one image");
+    let target = load_image(store, blob_prefix, newest, |_, _| true)?;
+    let mut report = ReviveReport {
+        images_loaded: chain.len(),
+        processes: target.processes.len(),
+        ..ReviveReport::default()
+    };
 
-    // Read every image in the chain; the newest version of each page
-    // wins ("reiterating this sequence as necessary, until the complete
-    // state of the desktop session has been reinstated").
-    let mut images = Vec::with_capacity(chain.len());
-    for &counter in chain {
-        images.push(load_image(store, blob_prefix, counter)?);
-        report.images_loaded += 1;
-    }
-    let target = images.last().expect("non-empty chain");
-
-    // Page resolution: walk oldest -> newest, newer pages overwrite.
-    let mut page_map: HashMap<(u64, u64), Arc<PageBuf>> = HashMap::new();
-    for image in &images {
-        for proc_rec in &image.processes {
-            for (addr, page) in &proc_rec.pages {
-                page_map.insert((proc_rec.vpid, *addr), page.clone());
-            }
-        }
-    }
+    // The new virtual execution environment.
+    let mut vee = Vee::new(vee_id, clock, fs, host_pids);
+    vee.namespace.hostname = target.hostname.clone();
+    vee.set_network_enabled(policy.default_enabled);
+    vee.net_default = policy.new_apps_enabled;
 
     // Restore sockets with the reset policy.
-    let mut sockets = SocketTable::new();
     for s in &target.sockets {
         let proto = if s.proto == 0 { Proto::Tcp } else { Proto::Udp };
         let mut state = match s.state {
@@ -178,17 +189,15 @@ pub fn revive(
             2 => SockState::Reset,
             _ => SockState::Unconnected,
         };
-        let external = match &s.remote {
-            Some((host, _)) => host != "localhost" && host != "127.0.0.1",
-            None => false,
-        };
+        let external =
+            matches!(&s.remote, Some((host, _)) if host != "localhost" && host != "127.0.0.1");
         // Stateful external connections are dropped; internal and
         // stateless sockets restore precisely.
         if proto == Proto::Tcp && external && state == SockState::Connected {
             state = SockState::Reset;
             report.connections_reset += 1;
         }
-        sockets.install(Socket {
+        vee.sockets.install(Socket {
             id: s.id,
             proto,
             local_port: s.local_port,
@@ -199,16 +208,14 @@ pub fn revive(
         });
     }
 
-    // Recreate the process forest. Files are reopened against the
-    // restored file system view; relinked orphans are reopened from
-    // their hidden names and immediately unlinked again, restoring
-    // checkpoint-time state.
-    let mut restored_processes = Vec::with_capacity(target.processes.len());
+    // Recreate the process forest from the target's records. Files are
+    // reopened against the restored file system view; relinked orphans
+    // are reopened from their hidden names and immediately unlinked
+    // again, restoring checkpoint-time state.
     for proc_rec in &target.processes {
-        let host_pid = host_pids.allocate();
         let mut process = Process::new(
             Vpid(proc_rec.vpid),
-            host_pid,
+            vee.allocate_host_pid(),
             proc_rec.parent.map(Vpid),
             &proc_rec.name,
         );
@@ -218,11 +225,8 @@ pub fn revive(
         process.creds = proc_rec.creds;
         process.signals.blocked = proc_rec.blocked;
         process.signals.handled = proc_rec.handled;
-        for sig in &proc_rec.pending {
-            if let Some(sig) = Signal::from_u8(*sig) {
-                process.signals.pending.push_back(sig);
-            }
-        }
+        let pending = proc_rec.pending.iter().filter_map(|&s| Signal::from_u8(s));
+        process.signals.pending.extend(pending);
         process.ptraced_by = proc_rec.ptraced_by.map(Vpid);
         process.cwd = proc_rec.cwd.clone();
         process.net_allowed = policy.allows(&proc_rec.name);
@@ -231,17 +235,8 @@ pub fn revive(
         for region in &proc_rec.regions {
             process.mem.install_region(region.clone());
         }
-        for region in &proc_rec.regions {
-            let mut addr = region.start;
-            while addr < region.end() {
-                if let Some(page) = page_map.get(&(proc_rec.vpid, addr)) {
-                    process.mem.install_page(addr, page.clone());
-                    report.pages_installed += 1;
-                }
-                addr += dv_vee::PAGE_SIZE as u64;
-            }
-        }
 
+        let fs = &mut vee.fs;
         for fd_rec in &proc_rec.fds {
             match fd_rec {
                 FdRecord::File {
@@ -278,18 +273,20 @@ pub fn revive(
                 }
             }
         }
-        restored_processes.push(process);
-        report.processes += 1;
+        vee.install_process(process);
     }
 
-    // Assemble the new virtual execution environment.
-    let mut vee = Vee::new(vee_id, clock, fs, host_pids);
-    vee.namespace.hostname = target.hostname.clone();
-    vee.set_network_enabled(policy.default_enabled);
-    vee.net_default = policy.new_apps_enabled;
-    vee.sockets = sockets;
-    for process in restored_processes {
-        vee.install_process(process);
+    // Each page comes from the newest image that holds it: the target's
+    // own, then from each older image only what the target maps and is
+    // still missing ("reiterating this sequence as necessary, until the
+    // complete state of the desktop session has been reinstated").
+    install_pages(&mut vee, target.processes, &mut report);
+    for &counter in older.iter().rev() {
+        let image = load_image(store, blob_prefix, counter, |vpid, addr| {
+            vee.process(Vpid(vpid))
+                .is_ok_and(|p| p.mem.lacks_page(addr))
+        })?;
+        install_pages(&mut vee, image.processes, &mut report);
     }
     Ok((vee, report))
 }
@@ -468,6 +465,86 @@ mod tests {
         assert_eq!(revived.mem_read(p, addr + 4096, 1).unwrap(), vec![2]);
         assert_eq!(revived.mem_read(p, addr + 2 * 4096, 1).unwrap(), vec![3]);
         assert_eq!(revived.mem_read(p, addr + 3 * 4096, 1).unwrap(), vec![1]);
+        // Each page is read from the newest image that holds it, once:
+        // 1 from image 3, 1 from image 2, the other 2 from image 1.
+        assert_eq!((report.pages_decoded, report.pages_installed), (4, 4));
+    }
+
+    /// Takes a checkpoint, revives it, and reads 4 bytes at `addr` of
+    /// `p` from the revived session and from the live one.
+    fn revived_and_live(
+        vee: &mut Vee,
+        engine: &mut Checkpointer,
+        store: &SharedBlobStore,
+        clock: &SimClock,
+        p: Vpid,
+        addr: u64,
+    ) -> (Vec<u8>, Vec<u8>) {
+        let counter = engine.checkpoint(vee, store).unwrap().counter;
+        let (revived, report) = revive(
+            &mut store.lock(),
+            "ckpt",
+            &engine.chain_for(counter).unwrap(),
+            2,
+            clock.shared(),
+            revive_fs(),
+            host_pids(),
+            &NetworkPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(report.pages_decoded, report.pages_installed);
+        (
+            revived.mem_read(p, addr, 4).unwrap(),
+            vee.mem_read(p, addr, 4).unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_region_moved_by_mremap_keeps_its_clean_pages() {
+        let (mut vee, clock, mut engine, store) = session();
+        let p = vee.spawn(None, "app").unwrap();
+        let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
+        vee.mmap(p, 4096, Prot::ReadWrite).unwrap(); // In the way.
+        vee.mem_write(p, addr, &[7; 4096]).unwrap();
+        engine.checkpoint(&mut vee, &store).unwrap(); // full
+        let moved = vee.mremap(p, addr, 3 * 4096).unwrap().unwrap();
+        assert_ne!(moved, addr, "the neighbour forces a move");
+        let (revived, live) = revived_and_live(&mut vee, &mut engine, &store, &clock, p, moved);
+        assert_eq!(live, [7; 4]);
+        assert_eq!(revived, live);
+    }
+
+    #[test]
+    fn a_shrunk_then_regrown_page_revives_as_zeros() {
+        let (mut vee, clock, mut engine, store) = session();
+        let p = vee.spawn(None, "app").unwrap();
+        let addr = vee.mmap(p, 2 * 4096, Prot::ReadWrite).unwrap();
+        vee.mem_write(p, addr, &[7; 2 * 4096]).unwrap();
+        engine.checkpoint(&mut vee, &store).unwrap(); // full
+        assert_eq!(vee.mremap(p, addr, 4096).unwrap(), Some(addr));
+        engine.checkpoint(&mut vee, &store).unwrap();
+        assert_eq!(vee.mremap(p, addr, 2 * 4096).unwrap(), Some(addr));
+        let (revived, live) =
+            revived_and_live(&mut vee, &mut engine, &store, &clock, p, addr + 4096);
+        assert_eq!(live, [0; 4]);
+        assert_eq!(revived, live);
+    }
+
+    #[test]
+    fn a_neighbour_grown_over_a_moved_away_range_revives_as_zeros() {
+        let (mut vee, clock, mut engine, store) = session();
+        let p = vee.spawn(None, "app").unwrap();
+        let below = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
+        let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
+        vee.mmap(p, 4096, Prot::ReadWrite).unwrap(); // In the way.
+        vee.mem_write(p, addr, &[7; 4096]).unwrap();
+        engine.checkpoint(&mut vee, &store).unwrap(); // full
+        assert_ne!(vee.mremap(p, addr, 3 * 4096).unwrap(), Some(addr));
+        // `below` grows in place over the range `addr` left.
+        assert_eq!(vee.mremap(p, below, 3 * 4096).unwrap(), Some(below));
+        let (revived, live) = revived_and_live(&mut vee, &mut engine, &store, &clock, p, addr);
+        assert_eq!(live, [0; 4]);
+        assert_eq!(revived, live);
     }
 
     #[test]

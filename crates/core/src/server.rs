@@ -1001,12 +1001,13 @@ impl DejaView {
             self.host_pids.clone(),
             &self.revive_network,
         )?;
-        // The new viewer window opens showing the display as recorded at
-        // the checkpoint.
-        let mut viewer = Viewer::new(self.width, self.height);
-        if let Ok(shot) = self.screenshot_at(revived_from) {
-            viewer.present(&shot);
-        }
+        // The new viewer window opens on the seek's frame — the display
+        // as recorded at the checkpoint — and is black only when there
+        // is no display record.
+        let viewer = match self.screenshot_at(revived_from) {
+            Ok(shot) => Viewer::from_screenshot(&shot),
+            Err(_) => Viewer::new(self.width, self.height),
+        };
         // The session's own engine writes under a distinct blob prefix,
         // nested under the server's own prefix when a host namespaced
         // it (so revived sessions of different tenants sharing one

@@ -84,8 +84,18 @@ impl Viewer {
     ///
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
+        Viewer::with(Framebuffer::new(width, height))
+    }
+
+    /// Creates a viewer showing `shot`, sharing its pixels until the
+    /// first command lands.
+    pub fn from_screenshot(shot: &Screenshot) -> Self {
+        Viewer::with(Framebuffer::from_screenshot(shot))
+    }
+
+    fn with(fb: Framebuffer) -> Self {
         Viewer {
-            fb: Framebuffer::new(width, height),
+            fb,
             stats: ViewerStats::default(),
             pending_input: Vec::new(),
             last_command_at: None,
@@ -121,12 +131,6 @@ impl Viewer {
     /// Drains queued input events; called by the server's input path.
     pub fn take_input(&mut self) -> Vec<InputEvent> {
         std::mem::take(&mut self.pending_input)
-    }
-
-    /// Replaces the viewer's contents wholesale from a screenshot, used
-    /// when seeking during playback.
-    pub fn present(&mut self, shot: &Screenshot) {
-        self.fb = Framebuffer::from_screenshot(shot);
     }
 }
 
@@ -176,18 +180,26 @@ mod tests {
     }
 
     #[test]
-    fn present_replaces_contents() {
+    fn a_viewer_opened_on_a_screenshot_shares_its_pixels() {
         let mut a = Viewer::new(8, 8);
         a.submit(
             Timestamp::ZERO,
             &DisplayCommand::SolidFill {
-                rect: Rect::new(0, 0, 8, 8),
-                color: 9,
+                rect: Rect::new(0, 0, 4, 4),
+                color: 5,
             },
         );
         let shot = a.screenshot();
-        let mut b = Viewer::new(8, 8);
-        b.present(&shot);
-        assert_eq!(b.screenshot().content_hash(), shot.content_hash());
+        let mut b = Viewer::from_screenshot(&shot);
+        assert!(std::sync::Arc::ptr_eq(&b.screenshot().pixels, &shot.pixels));
+        b.submit(
+            Timestamp::ZERO,
+            &DisplayCommand::SolidFill {
+                rect: Rect::new(0, 0, 8, 8),
+                color: 1,
+            },
+        );
+        assert_eq!(b.framebuffer().pixel(0, 0), 1);
+        assert_eq!(shot.pixels[0], 5, "the screenshot is left as it was");
     }
 }

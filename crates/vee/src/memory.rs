@@ -20,7 +20,7 @@
 //! `mprotect`, `mremap`) adjust the tracking state so dirty accounting
 //! stays exact.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Page size in bytes.
@@ -89,6 +89,10 @@ pub struct AddressSpace {
     armed: HashSet<u64>,
     /// Pages written since the last incremental checkpoint.
     dirty: HashSet<u64>,
+    /// Addresses whose resident page was dropped (`munmap`, a shrinking
+    /// or moving `mremap`) since tracking was armed: an earlier image
+    /// of the chain may still hold their old contents.
+    dropped: BTreeSet<u64>,
     /// Whether tracking is active (affects writes to not-yet-allocated
     /// pages of writable regions).
     tracking: bool,
@@ -141,6 +145,32 @@ impl AddressSpace {
             .filter(|r| r.contains(addr))
     }
 
+    /// Removes the page at `page` and its tracking state, returning its
+    /// buffer. While tracking, a dropped resident page's address is
+    /// remembered until the next full pass.
+    fn drop_page(&mut self, page: u64) -> Option<Arc<PageBuf>> {
+        self.armed.remove(&page);
+        self.dirty.remove(&page);
+        let buf = self.pages.remove(&page);
+        if self.tracking && buf.is_some() {
+            self.dropped.insert(page);
+        }
+        buf
+    }
+
+    /// `[start, end)` has just been mapped again. A dropped address in
+    /// it reads as zeros, but an earlier image may hold its old page:
+    /// it gets a dirty zero page, so the next image records the zeros.
+    fn cover_dropped(&mut self, start: u64, end: u64) {
+        while let Some(page) = self.dropped.range(start..end).next().copied() {
+            self.dropped.remove(&page);
+            self.pages
+                .entry(page)
+                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
+            self.dirty.insert(page);
+        }
+    }
+
     /// Maps `len` bytes (rounded up to pages) with the given protection,
     /// returning the start address.
     ///
@@ -169,9 +199,7 @@ impl AddressSpace {
         self.regions.remove(&addr);
         let mut page = addr;
         while page < addr + len {
-            self.pages.remove(&page);
-            self.armed.remove(&page);
-            self.dirty.remove(&page);
+            self.drop_page(page);
             page += PAGE_SIZE as u64;
         }
         true
@@ -223,15 +251,14 @@ impl AddressSpace {
             region.len = new_len;
             let mut page = addr + new_len;
             while page < addr + old_len {
-                self.pages.remove(&page);
-                self.armed.remove(&page);
-                self.dirty.remove(&page);
+                self.drop_page(page);
                 page += PAGE_SIZE as u64;
             }
             return Some(addr);
         }
         // Growing: stay in place when the guard gap allows, move
-        // otherwise.
+        // otherwise. Only growing in place can cover addresses that were
+        // mapped before: every new mapping starts past `next_addr`.
         let next_start = self
             .regions
             .range(addr + 1..)
@@ -241,6 +268,7 @@ impl AddressSpace {
         if addr + new_len <= next_start {
             self.regions.get_mut(&addr).expect("checked above").len = new_len;
             self.next_addr = self.next_addr.max(addr + new_len + PAGE_SIZE as u64);
+            self.cover_dropped(addr + old_len, addr + new_len);
             return Some(addr);
         }
         let prot = self.regions.get(&addr).expect("checked above").prot;
@@ -255,19 +283,16 @@ impl AddressSpace {
                 prot,
             },
         );
-        // Move pages and their tracking state to the new range.
+        // Move the pages. While tracking, no image holds a moved page at
+        // its new address yet, so there it is dirty.
         let mut offset = 0;
         while offset < old_len {
-            let old_page = addr + offset;
-            let new_page = new_start + offset;
-            if let Some(buf) = self.pages.remove(&old_page) {
+            if let Some(buf) = self.drop_page(addr + offset) {
+                let new_page = new_start + offset;
                 self.pages.insert(new_page, buf);
-            }
-            if self.armed.remove(&old_page) {
-                self.armed.insert(new_page);
-            }
-            if self.dirty.remove(&old_page) {
-                self.dirty.insert(new_page);
+                if self.tracking {
+                    self.dirty.insert(new_page);
+                }
             }
             offset += PAGE_SIZE as u64;
         }
@@ -354,6 +379,7 @@ impl AddressSpace {
         self.tracking = true;
         self.armed.clear();
         self.dirty.clear();
+        self.dropped.clear();
         for region in self.regions.values() {
             if region.prot != Prot::ReadWrite {
                 continue;
@@ -400,6 +426,12 @@ impl AddressSpace {
             .iter()
             .map(|&a| (a, self.pages.get(&a).cloned()))
             .collect()
+    }
+
+    /// Whether `addr` starts a mapped page that has nothing resident —
+    /// the question restore asks before taking a page from an image.
+    pub fn lacks_page(&self, addr: u64) -> bool {
+        page_of(addr) == addr && self.region_of(addr).is_some() && !self.pages.contains_key(&addr)
     }
 
     /// Installs page contents during restore.

@@ -347,10 +347,10 @@ proptest! {
         viewer.submit(Timestamp::ZERO, &second);
         assert_isolated(&shot, &before, "viewer");
         prop_assert_eq!(viewer.screenshot(), after.clone());
-        // Presenting a screenshot shares it too.
-        viewer.present(&shot);
+        // A viewer opened on a screenshot shares it too.
+        let mut viewer = Viewer::from_screenshot(&shot);
         viewer.submit(Timestamp::ZERO, &second);
-        assert_isolated(&shot, &before, "presented viewer");
+        assert_isolated(&shot, &before, "viewer opened on a screenshot");
         prop_assert_eq!(viewer.screenshot(), after.clone());
 
         let seed = Screenshot { width: W, height: H, pixels: Arc::new(before.clone()) };
