@@ -233,10 +233,10 @@ fn bench_index(c: &mut Criterion) {
     let simple = parse_query("alpha").unwrap();
     let complex = parse_query("app:app1 alpha beta -gamma from:1 to:50").unwrap();
     group.bench_function("query_single_term_5k_instances", |b| {
-        b.iter(|| dv_index::search(&index, &simple, RankOrder::Chronological));
+        b.iter(|| dv_index::search(&[&index], &simple, RankOrder::Chronological));
     });
     group.bench_function("query_contextual_5k_instances", |b| {
-        b.iter(|| dv_index::search(&index, &complex, RankOrder::PersistenceAscending));
+        b.iter(|| dv_index::search(&[&index], &complex, RankOrder::PersistenceAscending));
     });
     let segments: Vec<Vec<u8>> = quarters.iter().map(dv_index::encode_index).collect();
     let inputs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();

@@ -412,7 +412,7 @@ pub fn fig5_browse_search(scale: f64) -> Vec<BrowseSearchRow> {
                 let started = Instant::now();
                 for q in &queries {
                     let query = parse_query(q).expect("valid query");
-                    let _ = dv_index::search(&guard, &query, RankOrder::Chronological);
+                    let _ = dv_index::search(&[&guard], &query, RankOrder::Chronological);
                 }
                 started.elapsed() / queries.len() as u32
             };
@@ -1081,7 +1081,7 @@ pub fn obs_experiment(scale: f64) -> ObsReport {
             ..RunOptions::default()
         },
     );
-    // A search populates the index.query histogram alongside the
+    // A search populates the tidx.query histogram alongside the
     // recording-side streams.
     let _ = dv.search("the", RankOrder::Chronological);
     let snapshot = dv.observability();

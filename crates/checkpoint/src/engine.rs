@@ -1045,63 +1045,79 @@ mod tests {
         assert!(restored.import_meta(&meta[..10]).is_none());
     }
 
+    /// Each ablation puts work back inside the stop window. Checked by
+    /// what the checkpoint did there, not by comparing wall-clock
+    /// downtimes, which a deschedule spike inflates at random.
     #[test]
-    fn ablations_increase_downtime() {
-        let run_once = |config: EngineConfig| -> Duration {
-            let clock = SimClock::new();
-            let mut vee = Vee::new(
-                1,
-                clock.shared(),
-                Box::new(Lsfs::new()),
-                HostPidAllocator::new(),
-            );
-            let mut engine = Checkpointer::with_sim_clock(config, clock);
+    fn ablations_move_work_into_the_stop_window() {
+        const PAGES: usize = 64;
+        let run = |config: EngineConfig| -> (CheckpointReport, u64) {
+            let (mut vee, mut engine, p) = session(config, &FaultPlane::disabled());
             let store = SharedBlobStore::in_memory();
-            let p = vee.spawn(None, "app").unwrap();
-            let addr = vee.mmap(p, 8 << 20, Prot::ReadWrite).unwrap();
-            vee.mem_write(p, addr, &vec![5u8; 8 << 20]).unwrap();
-            // Warm up, then measure an incremental with a fresh dirty set.
+            let (pipe, neighbour, gate) = parked_pool(&store, 0);
+            engine.attach_pipeline(pipe.clone(), 1);
+            let addr = vee.mmap(p, (PAGES * 4096) as u64, Prot::ReadWrite).unwrap();
+            vee.mem_write(p, addr, &vec![5u8; PAGES * 4096]).unwrap();
             engine.checkpoint(&mut vee, &store).unwrap();
-            vee.mem_write(p, addr, &vec![6u8; 4 << 20]).unwrap();
-            engine.checkpoint(&mut vee, &store).unwrap().downtime
+            vee.mem_write(p, addr, &vec![6u8; PAGES / 2 * 4096])
+                .unwrap();
+            let report = engine.checkpoint(&mut vee, &store).unwrap();
+            // The first write after resume copies a page only if a
+            // pending capture still shares it.
+            let copies = |vee: &Vee| vee.process(p).unwrap().mem.stats().cow_copies;
+            let before = copies(&vee);
+            vee.mem_write(p, addr, &[7]).unwrap();
+            let cow_copies = copies(&vee) - before;
+            engine.flush().unwrap();
+            drop(gate);
+            pipe.drain(neighbour);
+            (report, cow_copies)
         };
-        // Downtime is wall time: a deschedule spike inflates a single
-        // sample arbitrarily, so compare the minimum of several runs
-        // (spikes only ever add time; the minimum is the clean signal),
-        // taken turn about so that a slow spell of the machine falls on
-        // every configuration alike.
-        let configs = [
-            EngineConfig::default(),
-            EngineConfig {
-                full_every: 1,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                disable_deferred_writeback: true,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                disable_cow: true,
-                ..EngineConfig::default()
-            },
-        ];
-        let mut best = [Duration::from_nanos(u64::MAX); 4];
-        for _ in 0..5 {
-            for (best, config) in best.iter_mut().zip(configs) {
-                *best = run_once(config).min(*best);
-            }
-        }
-        let [optimized, no_incremental, no_defer, no_cow] = best;
-        assert!(
-            no_defer > optimized,
-            "synchronous writeback must add downtime ({no_defer} vs {optimized})"
+        let order = |report: &CheckpointReport| {
+            let names: Vec<&str> = report.phases.phases().iter().map(|p| p.0).collect();
+            names.join(" ")
+        };
+        let stopped = ["quiesce", "capture", "fs-snapshot"];
+
+        let (optimized, cow_copies) = run(EngineConfig::default());
+        assert_eq!(optimized.pages_saved, PAGES / 2, "the dirty subset");
+        assert!(optimized.deferred, "the commit is left to the pool");
+        assert_eq!(
+            order(&optimized),
+            "pre-checkpoint quiesce capture fs-snapshot resume writeback"
         );
-        assert!(
-            no_cow > optimized,
-            "eager copy must add downtime ({no_cow} vs {optimized})"
+        assert_eq!(optimized.downtime, optimized.phases.subset_total(&stopped));
+        assert_eq!(cow_copies, 1, "the session pays the copy after resume");
+
+        let no_incremental = run(EngineConfig {
+            full_every: 1,
+            ..EngineConfig::default()
+        })
+        .0;
+        assert!(no_incremental.full);
+        assert_eq!(no_incremental.pages_saved, PAGES, "every resident page");
+
+        let no_defer = run(EngineConfig {
+            disable_deferred_writeback: true,
+            ..EngineConfig::default()
+        })
+        .0;
+        assert!(!no_defer.deferred, "the commit settled before resume");
+        assert_eq!(
+            order(&no_defer),
+            "pre-checkpoint quiesce capture fs-snapshot writeback resume"
         );
-        // Full-every-time saves more pages than the dirty subset.
-        assert!(no_incremental >= optimized);
+        assert_eq!(
+            no_defer.downtime,
+            no_defer.phases.subset_total(&stopped) + no_defer.phases.get("writeback")
+        );
+
+        let (no_cow, cow_copies) = run(EngineConfig {
+            disable_cow: true,
+            ..EngineConfig::default()
+        });
+        assert!(no_cow.deferred);
+        assert_eq!(cow_copies, 0, "the capture copied while stopped");
     }
 
     #[test]
@@ -1145,6 +1161,32 @@ mod tests {
         let mut engine = Checkpointer::with_sim_clock(config, clock);
         engine.set_fault_plane(plane.clone());
         (vee, engine, p)
+    }
+
+    /// A one-worker pool over `store` whose worker is parked on a
+    /// neighbour's lane: nothing commits unless the session thread does
+    /// it. Returns the pool, the neighbour's lane and the gate; drop the
+    /// gate, then drain the neighbour, to release the worker.
+    fn parked_pool(
+        store: &SharedBlobStore,
+        retry_limit: u32,
+    ) -> (Arc<CommitPipeline>, LaneId, std::sync::mpsc::Sender<()>) {
+        let pipe = Arc::new(CommitPipeline::new(
+            PipelineConfig {
+                workers: 1,
+                retry_limit,
+                retry_backoff: Duration::ZERO,
+                compress: false,
+                fairness: FairPolicy::RoundRobin,
+            },
+            store.clone(),
+            Sleeper::Wall,
+        ));
+        let neighbour = pipe.add_lane(1, 1);
+        let (parked, started, gate) = crate::writeback::tests::parked_task();
+        pipe.submit_aux(neighbour, parked);
+        started.recv().unwrap();
+        (pipe, neighbour, gate)
     }
 
     #[test]
@@ -1193,23 +1235,7 @@ mod tests {
         };
         let (mut vee, mut engine, _p) = session(config, &FaultPlane::disabled());
         let store = SharedBlobStore::in_memory();
-        // A pool whose only worker is parked on a neighbour's lane:
-        // nothing commits unless the session thread does it.
-        let pipe = Arc::new(CommitPipeline::new(
-            PipelineConfig {
-                workers: 1,
-                retry_limit: 0,
-                retry_backoff: Duration::ZERO,
-                compress: false,
-                fairness: FairPolicy::RoundRobin,
-            },
-            store.clone(),
-            Sleeper::Wall,
-        ));
-        let neighbour = pipe.add_lane(1, 1);
-        let (parked, started, gate) = crate::writeback::tests::parked_task();
-        pipe.submit_aux(neighbour, parked);
-        started.recv().unwrap();
+        let (pipe, neighbour, gate) = parked_pool(&store, 0);
         engine.attach_pipeline(pipe.clone(), 1);
         let deferred: Vec<bool> = (0..5)
             .map(|_| engine.checkpoint(&mut vee, &store).unwrap().deferred)
@@ -1304,40 +1330,25 @@ mod tests {
         );
     }
 
+    /// The commits stay pending on a parked pool until `flush` runs
+    /// them on the session thread, so no worker races the fault plan.
     #[test]
     fn async_failure_forces_full_reanchor() {
-        let clock = SimClock::new();
-        let mut vee = Vee::new(
-            1,
-            clock.shared(),
-            Box::new(Lsfs::new()),
-            HostPidAllocator::new(),
-        );
-        let mut engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                full_every: 100,
-                commit_workers: 2,
-                commit_retry_limit: 1,
-                commit_retry_backoff: Duration::from_millis(1),
-                ..EngineConfig::default()
-            },
-            clock,
-        );
         // Checkpoint 2's commit fails on both attempts (checks 2 and 3
         // at the writeback site); checkpoint 3 chains through it and
         // must cascade-fail without a store write.
-        engine.set_fault_plane(
-            FaultPlan::new(3)
-                .fail_nth(sites::CHECKPOINT_WRITEBACK, 2, IoFault::Enospc)
-                .fail_nth(sites::CHECKPOINT_WRITEBACK, 3, IoFault::Enospc)
-                .build(),
-        );
+        let plane = FaultPlan::new(3)
+            .fail_nth(sites::CHECKPOINT_WRITEBACK, 2, IoFault::Enospc)
+            .fail_nth(sites::CHECKPOINT_WRITEBACK, 3, IoFault::Enospc)
+            .build();
+        let (mut vee, mut engine, p) = session(EngineConfig::default(), &plane);
         let store = SharedBlobStore::in_memory();
-        let p = vee.spawn(None, "app").unwrap();
+        let (pipe, neighbour, gate) = parked_pool(&store, 1);
+        engine.attach_pipeline(pipe.clone(), 1);
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         for i in 0..3u8 {
             vee.mem_write(p, addr, &[i + 1]).unwrap();
-            engine.checkpoint(&mut vee, &store).unwrap();
+            assert!(engine.checkpoint(&mut vee, &store).unwrap().deferred);
         }
         assert_eq!(
             engine.flush(),
@@ -1360,6 +1371,8 @@ mod tests {
             vec![1, 4]
         );
         assert_eq!(engine.chain_for(4).unwrap(), vec![4]);
+        drop(gate);
+        pipe.drain(neighbour);
     }
 
     #[test]

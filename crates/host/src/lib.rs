@@ -562,7 +562,7 @@ impl Host {
         let mut merged = self.fan_out("cross-query", |dv| {
             dv.tidx().map(|_| dv.search_hits(&query, order))
         });
-        dv_tidx::rank_by(&mut merged, order, |c| &c.hit);
+        dv_index::rank_by(&mut merged, order, |c| &c.hit);
         merged.truncate(limit);
         self.obs.incr(names::HOST_CROSS_QUERIES);
         Ok(merged)

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use dv_obs::{names, Obs};
-use dv_time::Timestamp;
+use dv_time::{Duration, Timestamp};
 
 use crate::interval::{Interval, IntervalSet};
 use crate::tokenizer::index_tokens;
@@ -37,6 +37,21 @@ pub struct IndexedInstance {
     pub hidden: Option<Timestamp>,
     /// Whether this is an explicit user annotation (a point event).
     pub annotation: bool,
+}
+
+/// The visibility interval of `instance` in a record that ends at
+/// `horizon`: an open instance closes at the horizon, and an annotation
+/// widens to a small query window.
+pub(crate) fn visibility(instance: &IndexedInstance, horizon: Timestamp) -> Interval {
+    let after = |ms| instance.shown.saturating_add(Duration::from_millis(ms));
+    if instance.annotation {
+        return Interval::new(instance.shown, after(ANNOTATION_WINDOW_MS));
+    }
+    let end = instance.hidden.unwrap_or(horizon);
+    // An instance shown at the horizon is visible for an in-progress
+    // moment; give it a minimal non-empty interval.
+    let end = if end <= instance.shown { after(1) } else { end };
+    Interval::new(instance.shown, end)
 }
 
 /// Storage accounting for the index (Figure 4's index series).
@@ -92,8 +107,8 @@ impl TextIndex {
         TextIndex::default()
     }
 
-    /// Installs the observability handle: indexed bytes, flushes, and
-    /// query evaluations report into the `index.*` metrics.
+    /// Installs the observability handle: indexed bytes and flushes
+    /// report into the `index.*` metrics.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -159,25 +174,7 @@ impl TextIndex {
     /// instances at the horizon and widening annotations to a small
     /// query window.
     pub fn visibility(&self, instance: &IndexedInstance) -> Interval {
-        if instance.annotation {
-            return Interval::new(
-                instance.shown,
-                instance
-                    .shown
-                    .saturating_add(dv_time::Duration::from_millis(ANNOTATION_WINDOW_MS)),
-            );
-        }
-        let end = instance.hidden.unwrap_or(self.horizon);
-        // An instance shown at the horizon is visible for an in-progress
-        // moment; give it a minimal non-empty interval.
-        let end = if end <= instance.shown {
-            instance
-                .shown
-                .saturating_add(dv_time::Duration::from_millis(1))
-        } else {
-            end
-        };
-        Interval::new(instance.shown, end)
+        visibility(instance, self.horizon)
     }
 
     /// Returns the instances whose text contains `term` (already

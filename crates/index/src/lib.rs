@@ -7,7 +7,8 @@
 //! contextual [`Query`] language with a string syntax, interval-algebra
 //! evaluation ("locate the times in the display record in which the
 //! query is satisfied"), ranked results, and a binary persistence
-//! format.
+//! format. Evaluation takes a set of time shards; `dv-tidx` owns how a
+//! session's record is cut into them, and one index is `&[&index]`.
 
 #![deny(unsafe_code)]
 
@@ -21,9 +22,7 @@ pub mod tokenizer;
 pub use index::{IndexStats, IndexedInstance, TextIndex};
 pub use interval::{Interval, IntervalSet};
 pub use query::{parse_query, ParseError, Query};
-pub use search::{
-    contains_phrase, evaluate, query_terms, search, snippet_of, RankOrder, SearchHit,
-};
+pub use search::{evaluate, rank_by, search, RankOrder, SearchHit};
 pub use store::{
     decode_index, encode_index, flush_encoded, flush_segment, merge_segments, StoreError,
 };

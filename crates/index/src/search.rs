@@ -6,10 +6,26 @@
 //! according to several user-defined criteria ... chronological ordering,
 //! persistence information (ie. how long the text was on the screen),
 //! number of times the words appear" (§4.4).
+//!
+//! A query runs over a set of **shards**, oldest first: complete
+//! [`TextIndex`]es over consecutive windows of time (dv-tidx's sealed
+//! segments, then its open shard). A single index is the one-shard
+//! case. An instance that stayed visible across a seal appears in
+//! consecutive shards with the same id and its original `shown` time,
+//! so the union of its per-shard visibility intervals is exactly its
+//! global visibility. Leaves (`Term`/`Phrase`/`Any`) therefore union
+//! their [`IntervalSet`]s across shards, while the boolean structure —
+//! `And`/`Or`/`Not`/`During` and the context modifiers — is applied
+//! once. `Not` in particular complements against the one global
+//! horizon, never per shard: a per-shard complement would claim times a
+//! later shard knows nothing about.
+
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use dv_time::{Duration, Timestamp};
 
-use crate::index::{IndexedInstance, TextIndex};
+use crate::index::{visibility, IndexedInstance, TextIndex};
 use crate::interval::{Interval, IntervalSet};
 use crate::query::Query;
 
@@ -41,75 +57,76 @@ impl Ctx {
     }
 }
 
-/// Evaluates a query to the set of times it is satisfied.
-pub fn evaluate(index: &TextIndex, query: &Query) -> IntervalSet {
-    eval(index, query, &Ctx::default())
+/// Evaluates a query over the shards to the set of times it is
+/// satisfied.
+pub fn evaluate(shards: &[&TextIndex], query: &Query) -> IntervalSet {
+    eval(shards, horizon(shards), query, &Ctx::default())
 }
 
-fn instance_times(index: &TextIndex, instance: &IndexedInstance, ctx: &Ctx) -> IntervalSet {
-    let visible = IntervalSet::from_intervals([index.visibility(instance)]);
-    if ctx.focused {
-        visible.intersect(&index.focus_intervals(instance.app_id))
-    } else {
-        visible
-    }
+/// The latest time any shard knows about.
+fn horizon(shards: &[&TextIndex]) -> Timestamp {
+    shards
+        .iter()
+        .map(|s| s.horizon())
+        .max()
+        .unwrap_or(Timestamp::ZERO)
 }
 
-fn eval(index: &TextIndex, query: &Query, ctx: &Ctx) -> IntervalSet {
-    match query {
-        Query::Any => {
-            let sets = index
-                .all_instances()
-                .filter(|i| ctx.admits(i))
-                .map(|i| instance_times(index, i, ctx));
-            sets.fold(IntervalSet::new(), |acc, s| acc.union(&s))
-        }
-        Query::Term(term) => {
-            let sets = index
-                .term_instances(term)
-                .into_iter()
-                .filter(|i| ctx.admits(i))
-                .map(|i| instance_times(index, i, ctx));
-            sets.fold(IntervalSet::new(), |acc, s| acc.union(&s))
-        }
-        Query::Phrase(words) => {
-            // Candidates come from the rarest-looking term's postings;
-            // adjacency is verified against the instance text.
-            let first = match words.first() {
-                Some(w) => w,
-                None => return IntervalSet::new(),
+/// Unions the times of every admitted instance `leaf` picks out of each
+/// shard, each visible up to its own shard's horizon.
+fn leaf_union<'a, I>(
+    shards: &[&'a TextIndex],
+    ctx: &Ctx,
+    leaf: impl Fn(&'a TextIndex) -> I,
+) -> IntervalSet
+where
+    I: IntoIterator<Item = &'a IndexedInstance>,
+{
+    let mut acc = IntervalSet::new();
+    for shard in shards {
+        for instance in leaf(shard).into_iter().filter(|i| ctx.admits(i)) {
+            let visible = IntervalSet::from_intervals([shard.visibility(instance)]);
+            let times = if ctx.focused {
+                visible.intersect(&shard.focus_intervals(instance.app_id))
+            } else {
+                visible
             };
-            let sets = index
-                .term_instances(first)
-                .into_iter()
-                .filter(|i| ctx.admits(i) && contains_phrase(&i.text, words))
-                .map(|i| instance_times(index, i, ctx));
-            sets.fold(IntervalSet::new(), |acc, s| acc.union(&s))
+            acc = acc.union(&times);
         }
-        Query::And(a, b) => eval(index, a, ctx).intersect(&eval(index, b, ctx)),
-        Query::Or(a, b) => eval(index, a, ctx).union(&eval(index, b, ctx)),
-        Query::Not(q) => eval(index, q, ctx).complement(Timestamp::ZERO, index.horizon()),
-        Query::App(name, q) => {
-            let mut ctx = ctx.clone();
-            ctx.app = Some(name.clone());
-            eval(index, q, &ctx)
+    }
+    acc
+}
+
+fn eval(shards: &[&TextIndex], horizon: Timestamp, query: &Query, ctx: &Ctx) -> IntervalSet {
+    let sub = |q| eval(shards, horizon, q, ctx);
+    let narrowed = |q, narrow: &dyn Fn(&mut Ctx)| {
+        let mut ctx = ctx.clone();
+        narrow(&mut ctx);
+        eval(shards, horizon, q, &ctx)
+    };
+    match query {
+        Query::Any => leaf_union(shards, ctx, |s| s.all_instances()),
+        Query::Term(term) => leaf_union(shards, ctx, |s| s.term_instances(term)),
+        Query::Phrase(words) => {
+            // Candidates come from the first word's postings; adjacency
+            // is verified against the instance text.
+            let Some(first) = words.first() else {
+                return IntervalSet::new();
+            };
+            leaf_union(shards, ctx, |s| {
+                s.term_instances(first)
+                    .into_iter()
+                    .filter(|i| contains_phrase(&i.text, words))
+            })
         }
-        Query::Window(title, q) => {
-            let mut ctx = ctx.clone();
-            ctx.window = Some(title.clone());
-            eval(index, q, &ctx)
-        }
-        Query::Focused(q) => {
-            let mut ctx = ctx.clone();
-            ctx.focused = true;
-            eval(index, q, &ctx)
-        }
-        Query::Annotated(q) => {
-            let mut ctx = ctx.clone();
-            ctx.annotated = true;
-            eval(index, q, &ctx)
-        }
-        Query::During { from, to, q } => eval(index, q, ctx).clip(*from, *to),
+        Query::And(a, b) => sub(a).intersect(&sub(b)),
+        Query::Or(a, b) => sub(a).union(&sub(b)),
+        Query::Not(q) => sub(q).complement(Timestamp::ZERO, horizon),
+        Query::App(name, q) => narrowed(q, &|c| c.app = Some(name.clone())),
+        Query::Window(title, q) => narrowed(q, &|c| c.window = Some(title.clone())),
+        Query::Focused(q) => narrowed(q, &|c| c.focused = true),
+        Query::Annotated(q) => narrowed(q, &|c| c.annotated = true),
+        Query::During { from, to, q } => sub(q).clip(*from, *to),
     }
 }
 
@@ -151,68 +168,62 @@ pub enum RankOrder {
     PersistenceWeighted,
 }
 
-impl RankOrder {
-    /// The persistence-weighted score used by
-    /// [`RankOrder::PersistenceWeighted`]; exposed so multi-shard
-    /// mergers rank globally with the same key.
-    pub fn weighted_score(hit: &SearchHit) -> u128 {
-        hit.persistence.as_nanos() as u128 * hit.matches.max(1) as u128
-    }
-}
-
-/// Evaluates a query and builds ranked hits.
-pub fn search(index: &TextIndex, query: &Query, order: RankOrder) -> Vec<SearchHit> {
-    let obs = index.obs();
-    obs.incr(dv_obs::names::INDEX_QUERIES);
-    let _span = obs.span("index", dv_obs::names::INDEX_QUERY);
-    let satisfied = evaluate(index, query);
-    let mut term_instances = collect_matching_instances(index, query);
-    term_instances.sort_by_key(|i| i.shown);
+/// Evaluates a query over the shards and builds ranked hits.
+pub fn search(shards: &[&TextIndex], query: &Query, order: RankOrder) -> Vec<SearchHit> {
+    let horizon = horizon(shards);
+    let satisfied = eval(shards, horizon, query, &Ctx::default());
+    let candidates = candidates(shards, query);
     let mut hits: Vec<SearchHit> = satisfied
         .intervals()
         .iter()
-        .map(|iv| build_hit(index, *iv, &term_instances))
+        .map(|iv| build_hit(*iv, &candidates, horizon))
         .collect();
-    match order {
-        RankOrder::Chronological => hits.sort_by_key(|h| h.time),
-        RankOrder::ReverseChronological => hits.sort_by_key(|h| std::cmp::Reverse(h.time)),
-        RankOrder::PersistenceAscending => hits.sort_by_key(|h| h.persistence),
-        RankOrder::MatchCount => hits.sort_by_key(|h| std::cmp::Reverse(h.matches)),
-        RankOrder::PersistenceWeighted => {
-            hits.sort_by_key(|h| std::cmp::Reverse(RankOrder::weighted_score(h)))
-        }
-    }
+    rank_by(&mut hits, order, |h| h);
     hits
 }
 
-fn collect_matching_instances<'a>(index: &'a TextIndex, query: &Query) -> Vec<&'a IndexedInstance> {
-    let mut out = Vec::new();
-    let terms = query_terms(query);
-    if terms.is_empty() {
-        out.extend(index.all_instances());
-    } else {
-        for term in terms {
-            out.extend(index.term_instances(&term));
+/// Sorts any carrier of a hit (the hit itself, or a `(tenant, hit)`
+/// pair when merging tenants) by the rank under `order` of the
+/// [`SearchHit`] that `hit` projects out. A stable sort, so equal-ranked
+/// items keep their input order — merge in tenant order for
+/// deterministic results.
+pub fn rank_by<T>(items: &mut [T], order: RankOrder, hit: impl Fn(&T) -> &SearchHit) {
+    match order {
+        RankOrder::Chronological => items.sort_by_key(|t| hit(t).time),
+        RankOrder::ReverseChronological => items.sort_by_key(|t| Reverse(hit(t).time)),
+        RankOrder::PersistenceAscending => items.sort_by_key(|t| hit(t).persistence),
+        RankOrder::MatchCount => items.sort_by_key(|t| Reverse(hit(t).matches)),
+        RankOrder::PersistenceWeighted => items.sort_by_key(|t| {
+            let h = hit(t);
+            Reverse(h.persistence.as_nanos() as u128 * h.matches.max(1) as u128)
+        }),
+    }
+}
+
+/// The instances a hit can credit: those holding a positive query term
+/// (every instance when the query has none), deduplicated by id, in
+/// order of appearance. Shards are oldest first, so a carried
+/// instance's newest copy — the one that saw its hide, if any — wins.
+fn candidates<'a>(shards: &[&'a TextIndex], query: &Query) -> Vec<&'a IndexedInstance> {
+    let mut terms = Vec::new();
+    collect_terms(query, &mut terms);
+    let mut by_id = BTreeMap::new();
+    for shard in shards {
+        if terms.is_empty() {
+            by_id.extend(shard.all_instances().map(|i| (i.id, i)));
+        }
+        for term in &terms {
+            by_id.extend(shard.term_instances(term).into_iter().map(|i| (i.id, i)));
         }
     }
-    out.sort_by_key(|i| i.id);
-    out.dedup_by_key(|i| i.id);
+    let mut out: Vec<&IndexedInstance> = by_id.into_values().collect();
+    out.sort_by_key(|i| (i.shown, i.id));
     out
 }
 
-/// The positive terms a query can match snippets against, in query
-/// order. Public so multi-shard engines collect hit candidates with
-/// the same rules as [`search`].
-pub fn query_terms(query: &Query) -> Vec<String> {
-    let mut terms = Vec::new();
-    collect_terms(query, &mut terms);
-    terms
-}
-
 /// Returns whether `text` contains the words adjacently (ignoring
-/// stopwords, matching the indexing-side normalization). Public so
-/// multi-shard engines verify phrase adjacency identically.
-pub fn contains_phrase(text: &str, words: &[String]) -> bool {
+/// stopwords, matching the indexing-side normalization).
+fn contains_phrase(text: &str, words: &[String]) -> bool {
     let tokens = crate::tokenizer::index_tokens(text);
     if words.is_empty() || tokens.len() < words.len() {
         return false;
@@ -222,11 +233,13 @@ pub fn contains_phrase(text: &str, words: &[String]) -> bool {
         .any(|window| window.iter().zip(words).all(|(a, b)| a == b))
 }
 
-fn collect_terms(query: &Query, out: &mut Vec<String>) {
+/// The positive terms a query can match snippets against, in query
+/// order.
+fn collect_terms<'q>(query: &'q Query, out: &mut Vec<&'q str>) {
     match query {
         Query::Any => {}
-        Query::Term(t) => out.push(t.clone()),
-        Query::Phrase(words) => out.extend(words.iter().cloned()),
+        Query::Term(t) => out.push(t),
+        Query::Phrase(words) => out.extend(words.iter().map(String::as_str)),
         Query::And(a, b) | Query::Or(a, b) => {
             collect_terms(a, out);
             collect_terms(b, out);
@@ -242,14 +255,15 @@ fn collect_terms(query: &Query, out: &mut Vec<String>) {
     }
 }
 
-fn build_hit(index: &TextIndex, iv: Interval, candidates: &[&IndexedInstance]) -> SearchHit {
+/// Builds the hit for one satisfied interval, crediting every candidate
+/// visible (up to the global `horizon`) during it.
+fn build_hit(iv: Interval, candidates: &[&IndexedInstance], horizon: Timestamp) -> SearchHit {
     let mut snippet = String::new();
     let mut apps: Vec<String> = Vec::new();
     let mut matches = 0;
     for instance in candidates {
-        let vis = index.visibility(instance);
-        let overlaps = vis.start < iv.end && iv.start < vis.end;
-        if overlaps {
+        let vis = visibility(instance, horizon);
+        if vis.start < iv.end && iv.start < vis.end {
             matches += 1;
             if snippet.is_empty() {
                 snippet = snippet_of(&instance.text);
@@ -269,9 +283,8 @@ fn build_hit(index: &TextIndex, iv: Interval, candidates: &[&IndexedInstance]) -
     }
 }
 
-/// Truncates instance text to a display snippet (shared with
-/// multi-shard hit builders).
-pub fn snippet_of(text: &str) -> String {
+/// Truncates instance text to a display snippet.
+fn snippet_of(text: &str) -> String {
     const MAX: usize = 120;
     if text.len() <= MAX {
         return text.to_string();
@@ -349,7 +362,7 @@ mod tests {
     }
 
     fn eval_str(index: &TextIndex, q: &str) -> IntervalSet {
-        evaluate(index, &parse_query(q).unwrap())
+        evaluate(&[index], &parse_query(q).unwrap())
     }
 
     #[test]
@@ -430,7 +443,7 @@ mod tests {
     fn search_builds_ranked_hits() {
         let index = sample_index();
         let q = parse_query("virtual").unwrap();
-        let hits = search(&index, &q, RankOrder::Chronological);
+        let hits = search(&[&index], &q, RankOrder::Chronological);
         assert_eq!(hits.len(), 1, "overlapping visibilities merge");
         let hit = &hits[0];
         assert_eq!(hit.time, Timestamp::from_millis(1_000));
@@ -447,7 +460,7 @@ mod tests {
         index.add_instance(inst(2, 1, "a", "w", "needle brief", 200_000, Some(201_000)));
         index.advance_horizon(Timestamp::from_millis(300_000));
         let q = parse_query("needle").unwrap();
-        let hits = search(&index, &q, RankOrder::PersistenceAscending);
+        let hits = search(&[&index], &q, RankOrder::PersistenceAscending);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].time, Timestamp::from_millis(200_000), "brief first");
     }
@@ -459,7 +472,7 @@ mod tests {
         index.add_instance(inst(2, 1, "a", "w", "needle long", 10_000, Some(110_000)));
         index.advance_horizon(Timestamp::from_millis(200_000));
         let q = parse_query("needle").unwrap();
-        let hits = search(&index, &q, RankOrder::PersistenceWeighted);
+        let hits = search(&[&index], &q, RankOrder::PersistenceWeighted);
         assert_eq!(hits.len(), 2);
         assert_eq!(
             hits[0].time,
@@ -476,7 +489,7 @@ mod tests {
         index.add_instance(inst(3, 1, "a", "w", "needle two", 150, Some(200)));
         index.advance_horizon(Timestamp::from_millis(300));
         let q = parse_query("needle").unwrap();
-        let hits = search(&index, &q, RankOrder::MatchCount);
+        let hits = search(&[&index], &q, RankOrder::MatchCount);
         assert_eq!(hits[0].matches, 2);
         assert_eq!(hits[1].matches, 1);
     }
@@ -505,12 +518,12 @@ mod tests {
         index.advance_horizon(Timestamp::from_millis(400));
         // "computer recorder" is adjacent only in the first instance.
         let q = parse_query("\"computer recorder\"").unwrap();
-        let set = evaluate(&index, &q);
+        let set = evaluate(&[&index], &q);
         assert!(set.contains(Timestamp::from_millis(50)));
         assert!(!set.contains(Timestamp::from_millis(250)));
         // Individual terms match both.
         let q = parse_query("computer recorder").unwrap();
-        let set = evaluate(&index, &q);
+        let set = evaluate(&[&index], &q);
         assert!(set.contains(Timestamp::from_millis(250)));
     }
 
@@ -529,17 +542,17 @@ mod tests {
         index.advance_horizon(Timestamp::from_millis(200));
         // Indexing drops "of"/"the"; the phrase matcher does too.
         let q = parse_query("\"state art recorder\"").unwrap();
-        assert!(evaluate(&index, &q).contains(Timestamp::from_millis(10)));
+        assert!(evaluate(&[&index], &q).contains(Timestamp::from_millis(10)));
     }
 
     #[test]
     fn phrase_with_context_filter() {
         let index = sample_index();
         let q = parse_query("app:acroread \"computer recorder\"").unwrap();
-        let set = evaluate(&index, &q);
+        let set = evaluate(&[&index], &q);
         assert!(set.contains(Timestamp::from_millis(10_000)));
         let q = parse_query("app:firefox \"computer recorder\"").unwrap();
-        assert!(evaluate(&index, &q).is_empty());
+        assert!(evaluate(&[&index], &q).is_empty());
     }
 
     #[test]

@@ -315,8 +315,8 @@ mod tests {
         ] {
             let query = parse_query(q).unwrap();
             assert_eq!(
-                evaluate(&decoded, &query),
-                evaluate(&index, &query),
+                evaluate(&[&decoded], &query),
+                evaluate(&[&index], &query),
                 "query {q:?} diverged after round trip"
             );
         }

@@ -553,20 +553,24 @@ mod tests {
 
     #[test]
     fn latency_model_slows_uncached_reads() {
-        let mut store = BlobStore::with_latency(ReadLatency {
+        use dv_time::{Clock, SimClock, Timestamp};
+        let model = ReadLatency {
             seek: Duration::from_millis(5),
             per_mib: Duration::from_millis(1),
-        });
+        };
+        let clock = SimClock::new();
+        let mut store = BlobStore::with_latency(model);
+        store.set_sleeper(Sleeper::Sim(clock.clone()));
         store.put("a", vec![0; 1024]).unwrap();
-        let t0 = std::time::Instant::now();
         store.get("a");
-        let cached = t0.elapsed();
+        assert_eq!(clock.now(), Timestamp::ZERO, "a cached read is free");
         store.drop_caches();
-        let t1 = std::time::Instant::now();
         store.get("a");
-        let uncached = t1.elapsed();
-        assert!(uncached >= std::time::Duration::from_millis(5));
-        assert!(uncached > cached);
+        assert_eq!(
+            clock.now(),
+            Timestamp::ZERO.saturating_add(model.cost(1024))
+        );
+        assert!(model.cost(1024) > Duration::from_millis(5));
     }
 
     #[test]

@@ -355,12 +355,8 @@ pub mod names {
     pub const INDEX_BYTES: &str = "index.bytes";
     /// Segment flushes completed.
     pub const INDEX_FLUSHES: &str = "index.flushes";
-    /// Queries evaluated.
-    pub const INDEX_QUERIES: &str = "index.queries";
     /// Span: one segment flush (encode + persist).
     pub const INDEX_FLUSH: &str = "index.flush";
-    /// Span: one search evaluation.
-    pub const INDEX_QUERY: &str = "index.query";
 
     /// Checkpoints taken.
     pub const CHECKPOINT_COUNT: &str = "checkpoint.count";

@@ -10,8 +10,8 @@
 //! Publish order, compaction, retirement, GC and recovery are the
 //! lifecycle's; what is this crate's is the open shard, what carries
 //! across a seal (still-visible instances and the focus state), how
-//! text segments merge (the newest copy of an instance wins), and
-//! query evaluation.
+//! text segments merge (the newest copy of an instance wins), and which
+//! shards a query probes. Evaluation is `dv_index::search` over them.
 
 use std::sync::Arc;
 
@@ -28,8 +28,6 @@ use dv_lsfs::{
 };
 use dv_obs::{names, Obs};
 use dv_time::Timestamp;
-
-use crate::search::{build_ranked_hits, eval_sharded, query_bounds};
 
 /// A sharded-index operation failure.
 pub type TidxError = SegmentError;
@@ -255,8 +253,8 @@ impl TidxEngine {
             .log
             .segments_at(at, |m| bounds.is_none_or(|(s, e)| m.start < e && s < m.end))?;
         let open = at.is_none().then(|| self.open.lock());
-        // Oldest first, open shard last: the dedup in hit building
-        // keeps the most recent copy of a carried instance.
+        // Oldest first, open shard last: the evaluator keeps the most
+        // recent copy of a carried instance.
         let shards: Vec<&TextIndex> = segments
             .iter()
             .map(|a| a.as_ref())
@@ -264,15 +262,7 @@ impl TidxEngine {
             .collect();
         self.obs
             .observe(names::TIDX_SEGMENT_PROBES, shards.len() as u64);
-        let horizon = shards
-            .iter()
-            .map(|s| s.horizon())
-            .max()
-            .unwrap_or(Timestamp::ZERO);
-        let satisfied = eval_sharded(&shards, horizon, query);
-        Ok(build_ranked_hits(
-            &shards, &satisfied, query, horizon, order,
-        ))
+        Ok(dv_index::search(&shards, query, order))
     }
 
     /// Rebuilds the shard layout from the newest durable manifest (an
@@ -280,6 +270,37 @@ impl TidxEngine {
     /// checkpoint counter, or `None` when the store has no manifests.
     pub fn recover_latest(&self) -> Result<Option<u64>, TidxError> {
         Ok(self.log.recover_latest()?.map(|m| m.counter))
+    }
+}
+
+/// The time window a query can possibly be satisfied in, used to prune
+/// the segment probe set. `None` means unbounded (any `Not` — absence
+/// is checkable anywhere — or a bare leaf). Conservative by design:
+/// pruning only ever shrinks work, never results.
+fn query_bounds(query: &Query) -> Option<(Timestamp, Timestamp)> {
+    fn meet(
+        a: Option<(Timestamp, Timestamp)>,
+        b: Option<(Timestamp, Timestamp)>,
+    ) -> Option<(Timestamp, Timestamp)> {
+        match (a, b) {
+            (None, other) | (other, None) => other,
+            (Some((s1, e1)), Some((s2, e2))) => {
+                let s = s1.max(s2);
+                Some((s, e1.min(e2).max(s)))
+            }
+        }
+    }
+    match query {
+        Query::During { from, to, q } => meet(Some((*from, *to)), query_bounds(q)),
+        Query::And(a, b) => meet(query_bounds(a), query_bounds(b)),
+        Query::Or(a, b) => match (query_bounds(a), query_bounds(b)) {
+            (Some((s1, e1)), Some((s2, e2))) => Some((s1.min(s2), e1.max(e2))),
+            _ => None,
+        },
+        Query::App(_, q) | Query::Window(_, q) | Query::Focused(q) | Query::Annotated(q) => {
+            query_bounds(q)
+        }
+        Query::Any | Query::Term(_) | Query::Phrase(_) | Query::Not(_) => None,
     }
 }
 
@@ -372,7 +393,7 @@ mod tests {
                 RankOrder::PersistenceWeighted,
             ] {
                 let sharded = eng.search(&query, order).unwrap();
-                let single = dv_index::search(&oracle, &query, order);
+                let single = dv_index::search(&[&oracle], &query, order);
                 assert_eq!(sharded, single, "query {q:?} order {order:?} diverged");
             }
         }

@@ -17,10 +17,8 @@
 //!   higher levels to bound per-query probe counts — the lifecycle
 //!   picks, retires and reclaims; this crate says how text segments
 //!   merge;
-//! - queries fan out across the open shard plus the overlapping sealed
-//!   segments, evaluating the boolean structure once globally and
-//!   merging per-shard interval sets, then rank hits with
-//!   persistence-weighted ordering.
+//! - queries run `dv-index`'s one evaluator over the open shard plus
+//!   the sealed segments overlapping the query's time bounds.
 //!
 //! The crate is deliberately storage-agnostic: segments and manifests
 //! are blobs in a [`SharedBlobStore`](dv_lsfs::SharedBlobStore), which
@@ -30,8 +28,6 @@
 #![deny(unsafe_code)]
 
 mod engine;
-mod search;
 
 pub use dv_lsfs::SegmentMeta;
 pub use engine::{TextShards, TidxConfig, TidxEngine, TidxError, TidxStats};
-pub use search::{rank_by, rank_hits};

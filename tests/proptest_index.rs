@@ -2,14 +2,24 @@
 //!
 //! * Query evaluation must agree with a naive per-instant scan of the
 //!   text record ("is the query satisfied at time t?") for arbitrary
-//!   indexed content and query shapes.
+//!   indexed content and query shapes — over one index and over the
+//!   same record cut into time shards by a `TidxEngine`.
 //! * The capture daemon's mirror tree must stay an exact replica of the
 //!   real accessible trees under arbitrary event sequences (§4.2).
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use dv_access::{AccessibleTree, AppId, MirrorTree, NodeId, Role};
-use dv_index::{evaluate, parse_query, IndexedInstance, Interval, IntervalSet, Query, TextIndex};
+use dv_fault::FaultPlane;
+use dv_index::{
+    evaluate, parse_query, IndexedInstance, Interval, IntervalSet, Query, RankOrder, TextIndex,
+};
+use dv_lsfs::SharedBlobStore;
+use dv_obs::Obs;
+use dv_tidx::{TidxConfig, TidxEngine};
 use dv_time::Timestamp;
 
 // ---------------------------------------------------------------------
@@ -95,6 +105,64 @@ fn build_index(specs: &[Spec]) -> (TextIndex, Vec<IndexedInstance>) {
     (index, instances)
 }
 
+/// Feeds `instances` to a sharded engine the way the capture daemon
+/// does — each added open when shown and closed when hidden, in time
+/// order — and seals the open shard at every time in `seals`
+/// (ascending, counters 1, 2, …). An instance still visible at a seal
+/// is carried into the next shard and closed there.
+fn build_sharded(instances: &[IndexedInstance], seals: &[u64]) -> TidxEngine {
+    let engine = TidxEngine::new(
+        Arc::new(Mutex::new(TextIndex::new())),
+        SharedBlobStore::in_memory(),
+        FaultPlane::disabled(),
+        Obs::disabled(),
+        TidxConfig::default(),
+    );
+    let mut events: Vec<(Timestamp, &IndexedInstance, bool)> = instances
+        .iter()
+        .flat_map(|i| [(i.shown, i, true), (i.hidden.expect("closed"), i, false)])
+        .collect();
+    events.sort_by_key(|&(t, ..)| t);
+    let mut events = events.into_iter().peekable();
+    let open = engine.open_index();
+    let apply = |(t, instance, shown): (Timestamp, &IndexedInstance, bool)| {
+        if shown {
+            open.lock().add_instance(IndexedInstance {
+                hidden: None,
+                ..instance.clone()
+            });
+        } else {
+            open.lock().close_instance(instance.id, t);
+        }
+    };
+    for (counter, &ms) in (1..).zip(seals) {
+        let seal = Timestamp::from_millis(ms);
+        while let Some(event) = events.next_if(|&(t, ..)| t < seal) {
+            apply(event);
+        }
+        open.lock().advance_horizon(seal);
+        engine.seal(counter).expect("an in-memory seal");
+    }
+    events.for_each(apply);
+    open.lock()
+        .advance_horizon(Timestamp::from_millis(HORIZON_MS));
+    engine
+}
+
+/// `evaluate` over the engine's shards: every live segment, oldest
+/// first, then the open shard.
+fn evaluate_sharded(engine: &TidxEngine, query: &Query) -> IntervalSet {
+    let segments = engine.log().segments_at(None, |_| true).expect("readable");
+    let open = engine.open_index();
+    let open = open.lock();
+    let shards: Vec<&TextIndex> = segments
+        .iter()
+        .map(|s| s.as_ref())
+        .chain([&*open])
+        .collect();
+    evaluate(&shards, query)
+}
+
 /// The oracle: is `q` satisfied at `t`, by definition?
 fn naive_satisfied(
     index: &TextIndex,
@@ -162,15 +230,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Interval-algebra evaluation agrees with the naive per-instant
-    /// oracle at sampled times (including interval boundaries).
+    /// oracle at sampled times (including interval boundaries), over
+    /// one index and over the same record sealed into one to four time
+    /// shards: both `evaluate` over the shards and the hit intervals of
+    /// the engine's search.
     #[test]
     fn evaluation_matches_naive_scan(
         specs in prop::collection::vec(arb_instance(), 0..8),
         query in arb_query(),
         probes in prop::collection::vec(0..HORIZON_MS, 8),
+        seals in prop::collection::vec(1..HORIZON_MS, 0..4),
     ) {
         let (index, instances) = build_index(&specs);
-        let satisfied = evaluate(&index, &query);
+        let satisfied = evaluate(&[&index], &query);
+        let mut seals = seals;
+        seals.sort_unstable();
+        seals.dedup();
+        let engine = build_sharded(&instances, &seals);
+        let sharded = evaluate_sharded(&engine, &query);
+        let hits = engine.search(&query, RankOrder::Chronological).expect("in memory");
+        prop_assert_eq!(
+            &hits,
+            &dv_index::search(&[&index], &query, RankOrder::Chronological),
+            "hits diverged at seals {:?}", seals
+        );
         // Probe at random times plus every boundary.
         let mut times: Vec<u64> = probes;
         for spec in &specs {
@@ -188,6 +271,16 @@ proptest! {
                 satisfied.contains(t),
                 expected,
                 "query {:?} at t={}ms", query, ms
+            );
+            prop_assert_eq!(
+                sharded.contains(t),
+                expected,
+                "query {:?} at t={}ms over seals {:?}", query, ms, seals
+            );
+            prop_assert_eq!(
+                hits.iter().any(|h| h.time <= t && t < h.until),
+                expected,
+                "hits of {:?} at t={}ms over seals {:?}", query, ms, seals
             );
         }
     }
