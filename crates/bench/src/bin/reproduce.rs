@@ -6,8 +6,9 @@
 //!
 //! EXPERIMENT: a paper experiment (table1, fig2..fig7, policy, quality,
 //!             deferred, faults, ablation), `all` of those (the
-//!             default), a gate suite (ci, obs, net, host, dedup,
-//!             index, visual) or `summary`. `--help` lists them.
+//!             default), the report-only `micro`, a gate suite (ci,
+//!             obs, net, host, dedup, index, visual) or `summary`.
+//!             `--help` lists them.
 //! --scale S:    workload scale factor, 1.0 = paper-sized (default 0.25;
 //!               gate suites default to 1.0 for stable ratios)
 //! --out P:      gate suites: where to write the metrics
@@ -35,10 +36,10 @@ use dv_bench::gates::{failures, parse_flat_json, to_flat_json, Gate, Rule, Suite
 use dv_bench::{
     ablation_checkpoint_optimizations, ablation_mirror_tree, crash_consistency,
     deferred_experiment, faults_experiment, fig2_overhead, fig3_checkpoint_latency, fig4_storage,
-    fig5_browse_search, fig6_playback, fig7_revive, policy_effectiveness, print_ablation,
-    print_crash, print_deferred, print_faults, print_fig2, print_fig3, print_fig4, print_fig5,
-    print_fig6, print_fig7, print_mirror_ablation, print_policy, print_quality, print_table1,
-    quality_tradeoff, table1,
+    fig5_browse_search, fig6_playback, fig7_revive, micro_experiment, policy_effectiveness,
+    print_ablation, print_crash, print_deferred, print_faults, print_fig2, print_fig3, print_fig4,
+    print_fig5, print_fig6, print_fig7, print_micro, print_mirror_ablation, print_policy,
+    print_quality, print_table1, quality_tradeoff, table1,
 };
 
 /// A paper experiment: its subcommand, and a function that runs it at a
@@ -68,6 +69,9 @@ const PAPER: &[Experiment] = &[
         print_mirror_ablation(&ablation_mirror_tree((400.0 * s) as usize));
     }),
 ];
+
+/// Report-only experiments outside `all`: absolute times, no gate.
+const REPORTS: &[Experiment] = &[("micro", |s| print_micro(&micro_experiment(s)))];
 
 fn die(message: String) -> ! {
     eprintln!("{message}");
@@ -165,11 +169,12 @@ fn main() {
                     .unwrap_or_else(|| die("--baseline requires a path".to_string()));
             }
             "--help" | "-h" => {
-                let paper: Vec<&str> = PAPER.iter().map(|p| p.0).collect();
+                let names = |list: &[Experiment]| list.iter().map(|p| p.0).collect::<Vec<_>>();
                 let suites: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
                 eprintln!(
-                    "usage: reproduce [{}|all|{}|summary] [--scale S] [--out P] [--baseline P]",
-                    paper.join("|"),
+                    "usage: reproduce [{}|all|{}|{}|summary] [--scale S] [--out P] [--baseline P]",
+                    names(PAPER).join("|"),
+                    names(REPORTS).join("|"),
                     suites.join("|"),
                 );
                 return;
@@ -185,7 +190,8 @@ fn main() {
     }
     let suite = SUITES.iter().find(|s| s.name == experiment);
     let all = experiment == "all";
-    if suite.is_none() && !all && !PAPER.iter().any(|p| p.0 == experiment) {
+    let known = PAPER.iter().chain(REPORTS).any(|p| p.0 == experiment);
+    if suite.is_none() && !all && !known {
         die(format!(
             "unknown experiment {experiment:?}; --help lists them"
         ));
@@ -207,6 +213,11 @@ fn main() {
         if all || experiment == *name {
             run(scale);
             println!();
+        }
+    }
+    for (name, run) in REPORTS {
+        if experiment == *name {
+            run(scale);
         }
     }
     eprintln!("done in {:?}", started.elapsed());

@@ -80,6 +80,28 @@ fn warm_core() {
     }
 }
 
+/// The least of `rounds` timed rounds, on a warmed core: scheduler
+/// noise only ever inflates. Each round returns what it timed, so
+/// untimed setup can share a round ([`timed`]).
+pub(crate) fn least_of(
+    rounds: usize,
+    mut round: impl FnMut() -> std::time::Duration,
+) -> std::time::Duration {
+    warm_core();
+    (0..rounds)
+        .map(|_| round())
+        .min()
+        .expect("at least one round")
+}
+
+/// How long `f` takes; its result goes through `black_box`, so the
+/// work that made it cannot be optimized away.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> std::time::Duration {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed()
+}
+
 /// Measures two modes of one workload as three interleaved pairs —
 /// `run(false)` then `run(true)` — so drift hits both modes alike.
 /// Returns the first pair, for the deterministic outputs, and each
@@ -1366,17 +1388,7 @@ pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
     const LONG: usize = 448 << 10;
     const SHORT: usize = 2 << 10;
     let rounds = ((64.0 * scale) as usize).max(8);
-    let least = |run: &mut dyn FnMut()| {
-        warm_core();
-        (0..rounds)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed()
-            })
-            .min()
-            .expect("at least eight rounds")
-    };
+    let least = |run: &mut dyn FnMut()| least_of(rounds, || timed(&mut *run));
     let data: Vec<u8> = (0..LONG).map(|i| (i * 131 + i / 7) as u8).collect();
     let (_, (short, long)) = three_pairs(
         |whole| {
@@ -2299,7 +2311,7 @@ fn index_run_once(sessions: usize, rounds: u64, queries: usize) -> IndexRunOutco
     for &id in &ids {
         let server = host.session_mut(id).expect("registered tenant");
         if let Some(tidx) = server.tidx() {
-            segments += tidx.stats().live_segments as u64;
+            segments += tidx.log().layout().live.len() as u64;
         }
     }
     IndexRunOutcome {
@@ -2351,10 +2363,11 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
     let open = Arc::new(parking_lot::Mutex::new(TextIndex::new()));
     let engine = dv_tidx::TidxEngine::new(
         open.clone(),
+        Default::default(),
         dv_lsfs::SharedBlobStore::in_memory(),
         dv_fault::FaultPlane::disabled(),
         obs.clone(),
-        dv_tidx::TidxConfig::default(),
+        Default::default(),
     );
 
     let segs = ((24.0 * scale) as u64).max(8);
@@ -2380,9 +2393,9 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
             id += 1;
         }
         open.lock().advance_horizon(Timestamp::from_millis(now_ms));
-        engine.seal(s + 1).expect("seal");
+        engine.log().seal(s + 1).expect("seal");
     }
-    let segments_before = engine.stats().live_segments;
+    let segments_before = engine.log().layout().live.len();
 
     let queries = ((128.0 * scale) as usize).max(32);
     // One query round: sorted latencies, every answer, and the mean
@@ -2424,8 +2437,8 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
     // checkpoint is durable — mirror that by sealing once more.
     open.lock()
         .advance_horizon(Timestamp::from_millis(now_ms + 10));
-    engine.seal(segs + 1).expect("post-compaction seal");
-    let segments_after = engine.stats().live_segments;
+    engine.log().seal(segs + 1).expect("post-compaction seal");
+    let segments_after = engine.log().layout().live.len();
 
     let (lat_after, answers_after, probes_after) = run_queries(&engine);
 

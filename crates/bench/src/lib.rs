@@ -13,7 +13,9 @@
 
 pub mod experiments;
 pub mod gates;
+pub mod micro;
 pub mod report;
 
 pub use experiments::*;
+pub use micro::*;
 pub use report::*;

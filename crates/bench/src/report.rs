@@ -5,6 +5,7 @@ use crate::experiments::{
     FsSnapshotRow, HostReport, IndexReport, KernelRow, MirrorAblationRow, NetRow, ObsReport,
     OverheadRow, PlaybackRow, QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
 };
+use crate::micro::MicroRow;
 use dv_checkpoint::PolicyStats;
 
 fn ms(d: std::time::Duration) -> f64 {
@@ -128,6 +129,21 @@ pub fn print_kernels(rows: &[KernelRow]) {
             row.kernel.as_secs_f64() * 1e6,
             row.yardstick.as_secs_f64() * 1e6,
             row.ratio(),
+        );
+    }
+}
+
+/// Prints the micro-benchmarks.
+pub fn print_micro(rows: &[MicroRow]) {
+    println!("Micro-benchmarks: least time of one round (report-only)");
+    println!("{:<12} {:<40} {:>12}", "group", "round", "least");
+    println!("{:-<66}", "");
+    for row in rows {
+        println!(
+            "{:<12} {:<40} {:>9.1} us",
+            row.group,
+            row.name,
+            row.least.as_secs_f64() * 1e6,
         );
     }
 }

@@ -17,6 +17,7 @@
 
 use dv_fault::{Put, ReadError, Reader};
 use dv_lsfs::Lsfs;
+use dv_obs::names;
 use dv_record::{decode_record, encode_record};
 use dv_time::Timestamp;
 
@@ -74,13 +75,20 @@ impl DejaView {
             encode_record(&store)
         };
         out.put_bytes_u64(&record_bytes);
-        // The two open buffers no seal has made durable yet: the text
-        // shard, flushed through the fault plane with the server's
-        // retry policy, and the visual strip (empty when recall is off).
-        let index_bytes = self.flush_index_with_retry()?;
-        out.put_bytes_u64(&index_bytes);
-        let strip_bytes = self.vidx().map_or(Vec::new(), |v| v.export_open());
-        out.put_bytes_u64(&strip_bytes);
+        // The open buffers no seal has made durable yet, under the
+        // server's retry policy: the text shard with its horizon at save
+        // time (its flush passes the fault plane), then the visual strip
+        // (empty when recall is off).
+        for at in 0..self.logs().len() {
+            let section =
+                self.with_retry("index-flush", names::SERVER_INDEX_FLUSH_RETRIES, |dv| {
+                    dv.sync_text_horizon();
+                    dv.logs()[at]
+                        .1
+                        .map_or(Ok(Vec::new()), |log| log.export_open())
+                })?;
+            out.put_bytes_u64(&section);
+        }
         // Checkpoint blobs + engine metadata.
         let blob_bytes = self.store_mut().export();
         out.put_bytes_u64(&blob_bytes);
@@ -94,8 +102,8 @@ impl DejaView {
 
     /// Reopens an archived session: a fresh server (built from `config`,
     /// with the archive's screen size and clock position) whose display
-    /// record, text index, checkpoint history, and file system are
-    /// restored. The returned server can browse, search, revive, and
+    /// record, text index, visual strips, checkpoint history, and file
+    /// system are restored. The returned server can browse, search, revive, and
     /// continue recording.
     ///
     /// # Errors
@@ -117,9 +125,10 @@ impl DejaView {
 
         let record = decode_record(r.bytes_u64().map_err(archive)?)
             .map_err(|_| ArchiveError("corrupt display record"))?;
-        let index = dv_index::decode_index(r.bytes_u64().map_err(archive)?)
-            .map_err(|_| ArchiveError("corrupt text index"))?;
-        let strip_bytes = r.bytes_u64().map_err(archive)?;
+        let open_buffers = [
+            r.bytes_u64().map_err(archive)?,
+            r.bytes_u64().map_err(archive)?,
+        ];
         let blob_bytes = r.bytes_u64().map_err(archive)?;
         let engine_bytes = r.bytes_u64().map_err(archive)?;
         let fs = Lsfs::load(r.bytes_u64().map_err(archive)?)
@@ -128,7 +137,6 @@ impl DejaView {
 
         let mut dv = DejaView::with_clock(config, dv_time::SimClock::starting_at(now));
         dv.install_record(record);
-        dv.install_index(index);
         if dv.store_mut().import(blob_bytes).is_none() {
             return Err(ArchiveError("corrupt checkpoint store").into());
         }
@@ -137,9 +145,16 @@ impl DejaView {
         }
         dv.install_session_fs(fs);
         // Sealed text and visual segments and their manifests travel
-        // inside the blob store export; rebuild both layouts from the
-        // newest manifests so queries span the archive.
-        dv.recover_indexes(strip_bytes)?;
+        // inside the blob store export: rebuild both layouts from the
+        // newest manifests so queries span the archive, then the open
+        // buffers beside them.
+        for ((_, log), open) in dv.logs().into_iter().zip(open_buffers) {
+            let Some(log) = log else { continue };
+            log.recover_latest()?;
+            if !open.is_empty() {
+                log.restore_open(open)?;
+            }
+        }
         Ok(dv)
     }
 }
@@ -290,6 +305,72 @@ mod tests {
             before.iter().all(|h| h.id < hit.id),
             "{before:?} vs {hit:?}"
         );
+    }
+
+    /// The open text shard — instances no seal has made durable yet —
+    /// travels in the archive like the open strip, and the capture
+    /// daemon's allocator continues past every restored id, open or
+    /// sealed.
+    #[test]
+    fn archive_carries_the_open_text_shard() {
+        let mut dv = DejaView::new(Config {
+            width: 64,
+            height: 64,
+            index_shard_window: Duration::from_secs(1),
+            ..Config::default()
+        });
+        let app = dv.desktop_mut().register_app("editor");
+        let root = dv.desktop_mut().root(app).unwrap();
+        let closed = dv
+            .desktop_mut()
+            .add_node(app, root, Role::Paragraph, "sealed phrase");
+        dv.clock().advance(Duration::from_secs(1));
+        dv.desktop_mut().remove_subtree(app, closed);
+        dv.clock().advance(Duration::from_secs(1));
+        dv.checkpoint_now().unwrap();
+        dv.desktop_mut()
+            .add_node(app, root, Role::Paragraph, "open phrase");
+        dv.clock().advance(Duration::from_secs(1));
+        let tidx = dv.tidx().unwrap();
+        assert_eq!(tidx.log().layout().live.len(), 1, "the closed one sealed");
+        let open_ids = |dv: &DejaView| -> Vec<u64> {
+            let mut ids: Vec<u64> = dv.index().lock().all_instances().map(|i| i.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let open_before = open_ids(&dv);
+        let every_id = tidx.log().with_shards(
+            None,
+            |_| true,
+            |shards| {
+                let all = shards.iter().flat_map(|shard| shard.all_instances());
+                all.map(|i| i.id).max()
+            },
+        );
+        let max_before = every_id.unwrap().expect("instances were captured");
+        assert!(!open_before.is_empty() && open_before.last() == Some(&max_before));
+
+        let archive = dv.save_archive().unwrap();
+        let mut restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+        assert_eq!(open_ids(&restored), open_before);
+        for phrase in ["open phrase", "sealed phrase"] {
+            let query = dv_index::parse_query(phrase).unwrap();
+            let hits = restored.search_hits(&query, RankOrder::Chronological);
+            assert_eq!(hits.unwrap().len(), 1, "{phrase}");
+        }
+        // A new capture allocates past every restored instance id.
+        let app = restored.desktop_mut().register_app("editor");
+        let root = restored.desktop_mut().root(app).unwrap();
+        restored
+            .desktop_mut()
+            .add_node(app, root, Role::Paragraph, "fresh phrase");
+        let index = restored.index();
+        let fresh = index.lock().all_instances().map(|i| i.id).max().unwrap();
+        assert!(fresh > max_before, "{fresh} after {max_before}");
+        assert!(index
+            .lock()
+            .instance(fresh)
+            .is_some_and(|i| i.text.contains("fresh")));
     }
 
     #[test]

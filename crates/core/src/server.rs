@@ -19,13 +19,16 @@ use dv_checkpoint::{
 use dv_display::{InputEvent, Screenshot, Viewer, VirtualDisplayDriver};
 use dv_fault::FaultPlane;
 use dv_index::{parse_query, RankOrder, SearchHit, TextIndex};
-use dv_lsfs::{BlobStore, Lsfs, ReadOnlyFs, SegmentError, SharedBlobStore, SharedFs, UnionFs};
+use dv_lsfs::{
+    BlobStore, Lifecycle, Lsfs, ReadOnlyFs, SealedConfig, SegmentError, SharedBlobStore, SharedFs,
+    UnionFs,
+};
 use dv_obs::{names, Obs, ObsSnapshot};
 use dv_record::{DisplayRecord, DisplayRecorder, LruCache, PlaybackEngine};
-use dv_tidx::{TidxConfig, TidxEngine};
+use dv_tidx::TidxEngine;
 use dv_time::{Duration, SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Vee, Vpid};
-use dv_vidx::{VidxConfig, VidxEngine, VisualHit};
+use dv_vidx::{VidxEngine, VisualHit};
 
 use crate::config::Config;
 use crate::error::ServerError;
@@ -62,10 +65,12 @@ pub struct DejaView {
     driver: VirtualDisplayDriver,
     recorder: Arc<Mutex<DisplayRecorder>>,
     record: DisplayRecord,
-    index: Arc<Mutex<TextIndex>>,
-    /// The sharded temporal index over `index` (None when text
-    /// capture is off).
-    tidx: Option<Arc<TidxEngine>>,
+    /// The sharded temporal index over the open text shard the capture
+    /// sink writes to. It exists with text capture off too — the shard
+    /// then stays empty — so an archive always carries the shard;
+    /// [`DejaView::tidx`] reports it only when capture is on.
+    tidx: Arc<TidxEngine>,
+    text_capture: bool,
     /// Thumbnail-keyed visual recall over the keyframe stream (None
     /// when disabled or when display recording is off).
     vidx: Option<Arc<VidxEngine>>,
@@ -76,7 +81,6 @@ pub struct DejaView {
     policy: CheckpointPolicy,
     store: SharedBlobStore,
     host_pids: HostPidAllocator,
-    instance_counter: std::sync::Arc<std::sync::atomic::AtomicU64>,
     playback: PlaybackEngine,
     search_cache: LruCache<u64, Screenshot>,
     revived: std::collections::BTreeMap<u64, RevivedSession>,
@@ -211,20 +215,19 @@ impl DejaView {
         let segment_prefix = blob_prefix
             .as_ref()
             .map_or(String::new(), |prefix| format!("{prefix}."));
-        // The sharded index shares the open index with the capture
-        // sink.
-        let tidx = enable_text_capture.then(|| {
-            Arc::new(TidxEngine::new(
-                index.clone(),
-                store.clone(),
-                fault_plane.clone(),
-                obs.clone(),
-                TidxConfig {
-                    window: index_shard_window,
-                    blob_prefix: segment_prefix.clone(),
-                },
-            ))
-        });
+        // The sharded index shares the open index and the instance
+        // allocator with the capture sink.
+        let tidx = Arc::new(TidxEngine::new(
+            index,
+            instance_counter,
+            store.clone(),
+            fault_plane.clone(),
+            obs.clone(),
+            SealedConfig {
+                window: index_shard_window,
+                blob_prefix: segment_prefix.clone(),
+            },
+        ));
         // Visual recall hangs off the recorder's keyframe hook: every
         // *persisted* keyframe (suppressed duplicates never fire it)
         // is thumbnailed and fingerprinted into the strip.
@@ -233,7 +236,7 @@ impl DejaView {
                 store.clone(),
                 fault_plane.clone(),
                 obs.clone(),
-                VidxConfig {
+                SealedConfig {
                     window: index_shard_window,
                     blob_prefix: segment_prefix,
                 },
@@ -255,14 +258,13 @@ impl DejaView {
             driver,
             recorder,
             record,
-            index,
             tidx,
+            text_capture: enable_text_capture,
             vidx,
             vee,
             session_fs,
             store,
             host_pids,
-            instance_counter,
             playback,
             search_cache: LruCache::new(search_cache),
             revived: std::collections::BTreeMap::new(),
@@ -351,9 +353,9 @@ impl DejaView {
         self.record.clone()
     }
 
-    /// Returns the shared text index.
+    /// Returns the shared text index: the open shard.
     pub fn index(&self) -> Arc<Mutex<TextIndex>> {
-        self.index.clone()
+        self.tidx.log().open().clone()
     }
 
     /// Returns the checkpoint store, locked (Figure 7's cached/uncached
@@ -416,22 +418,6 @@ impl DejaView {
             .set_counter(names::DISPLAY_SCREENSHOT_BYTES, stats.screenshot_bytes);
         self.obs
             .set_counter(names::DISPLAY_TIMELINE_BYTES, stats.timeline_bytes);
-    }
-
-    /// Replaces the text index's contents (archive restore) and bumps
-    /// the capture daemon's instance counter past the archived ids. The
-    /// restored index inherits the server's observability handle and
-    /// the `index.bytes` counter resynchronizes to its footprint.
-    pub fn install_index(&mut self, index: TextIndex) {
-        let next = index.max_instance_id() + 1;
-        self.instance_counter
-            .store(next, std::sync::atomic::Ordering::Relaxed);
-        let bytes = index.stats().bytes;
-        let mut slot = self.index.lock();
-        *slot = index;
-        slot.set_obs(self.obs.clone());
-        drop(slot);
-        self.obs.set_counter(names::INDEX_BYTES, bytes);
     }
 
     /// Replaces the session file system's contents (archive restore);
@@ -531,7 +517,7 @@ impl DejaView {
     /// retried — counted under `retries`, traced as `label` — after an
     /// exponential backoff on the session clock, and the error is
     /// returned only once that budget is exhausted.
-    fn with_retry<T, E: std::fmt::Debug>(
+    pub(crate) fn with_retry<T, E: std::fmt::Debug>(
         &mut self,
         label: &str,
         retries: &'static str,
@@ -576,15 +562,10 @@ impl DejaView {
     /// seal degrades (the open buffer stays authoritative and the seal
     /// retries at the next checkpoint) but never fails the checkpoint
     /// itself.
-    fn seal_indexes(&mut self, counter: u64) {
-        let now = self.now();
-        self.index.lock().advance_horizon(now);
-        let sealed = [
-            ("index", self.tidx.as_ref().map(|e| e.maybe_seal(counter))),
-            ("visual", self.vidx.as_ref().map(|e| e.maybe_seal(counter))),
-        ];
-        for (what, outcome) in sealed {
-            if let Some(Err(e)) = outcome {
+    fn seal_indexes(&self, counter: u64) {
+        self.sync_text_horizon();
+        for (what, log) in self.logs() {
+            if let Some(Err(e)) = log.map(|log| log.maybe_seal(counter)) {
                 self.obs.incr(names::SERVER_DEGRADED_EVENTS);
                 self.obs.event(
                     "server",
@@ -595,17 +576,19 @@ impl DejaView {
         }
     }
 
-    /// Flushes the text index as a storable segment under the same
-    /// retry policy as checkpoints. Corrupt flushes succeed here (silent
-    /// corruption) and are caught by `decode_index` on reload.
-    pub(crate) fn flush_index_with_retry(&mut self) -> Result<Vec<u8>, ServerError> {
-        self.with_retry("index-flush", names::SERVER_INDEX_FLUSH_RETRIES, |dv| {
-            let now = dv.now();
-            let mut index = dv.index.lock();
-            index.advance_horizon(now);
-            dv_index::flush_segment(&index, &dv.fault_plane)
-        })
-        .map_err(|e| SegmentError::Failed(e.to_string()).into())
+    /// The lifecycles of the open buffers, labelled, in archive order:
+    /// the text shard, then the visual strip (`None` when recall is
+    /// off).
+    pub(crate) fn logs(&self) -> [(&'static str, Option<&dyn Lifecycle>); 2] {
+        let strip = self.vidx.as_deref().map(|v| v.log() as &dyn Lifecycle);
+        [("index", Some(self.tidx.log())), ("visual", strip)]
+    }
+
+    /// Advances the open text shard's horizon to now: instances still
+    /// open are visible up to here.
+    pub(crate) fn sync_text_horizon(&self) {
+        let now = self.now();
+        self.tidx.log().open().lock().advance_horizon(now);
     }
 
     /// Takes a checkpoint unconditionally (with the storage retry
@@ -627,7 +610,7 @@ impl DejaView {
     /// the last tick.
     pub fn policy_tick(&mut self) -> Result<PolicyTick, ServerError> {
         let now = self.now();
-        self.index.lock().advance_horizon(now);
+        self.sync_text_horizon();
         let damage = self.driver.take_damage();
         let input = PolicyInput {
             now,
@@ -752,14 +735,14 @@ impl DejaView {
         query: &dv_index::Query,
         order: RankOrder,
     ) -> Result<Vec<SearchHit>, ServerError> {
-        let now = self.now();
-        self.index.lock().advance_horizon(now);
-        Ok(Self::enabled(&self.tidx, "text")?.search(query, order)?)
+        self.sync_text_horizon();
+        Ok(Self::enabled(&self.tidx(), "text")?.search(query, order)?)
     }
 
-    /// Returns the sharded temporal index engine, when enabled.
+    /// Returns the sharded temporal index engine, when text capture is
+    /// on.
     pub fn tidx(&self) -> Option<Arc<TidxEngine>> {
-        self.tidx.clone()
+        self.text_capture.then(|| self.tidx.clone())
     }
 
     /// Returns the visual-recall engine, when enabled.
@@ -844,30 +827,7 @@ impl DejaView {
         order: RankOrder,
     ) -> Result<Vec<SearchHit>, ServerError> {
         let query = parse_query(query)?;
-        Ok(Self::enabled(&self.tidx, "text")?.search_at(counter, &query, order)?)
-    }
-
-    /// Rebuilds both sealed-segment layouts from the manifests in the
-    /// checkpoint store, and the open visual strip from its archive
-    /// section (archive restore; the open text shard arrives through
-    /// [`DejaView::install_index`]). The capture daemon's instance
-    /// counter is bumped past every sealed instance so new ones can
-    /// never collide.
-    pub(crate) fn recover_indexes(&mut self, open_strip: &[u8]) -> Result<(), ServerError> {
-        if let Some(tidx) = &self.tidx {
-            tidx.recover_latest()?;
-            self.instance_counter.fetch_max(
-                tidx.stats().next_instance,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
-        if let Some(vidx) = &self.vidx {
-            vidx.recover_latest()?;
-            if !open_strip.is_empty() {
-                vidx.restore_open(open_strip)?;
-            }
-        }
-        Ok(())
+        Ok(Self::enabled(&self.tidx(), "text")?.search_at(counter, &query, order)?)
     }
 
     fn screenshot_at(&mut self, t: Timestamp) -> Result<Screenshot, ServerError> {
@@ -1640,10 +1600,10 @@ mod tests {
             assert!(tick.report.is_some(), "round {i} checkpointed");
         }
         let tidx = dv.tidx().expect("sharding on by default");
+        let layout = tidx.log().layout();
         assert!(
-            tidx.stats().live_segments >= 2,
-            "2s window over 6s of checkpoints sealed multiple shards, got {:?}",
-            tidx.stats()
+            layout.live.len() >= 2,
+            "2s window over 6s of checkpoints sealed multiple shards, got {layout:?}"
         );
         // Live search spans every shard plus the open one.
         for i in 0..6u32 {
@@ -1654,7 +1614,7 @@ mod tests {
         }
         // Snapshot consistency: at the first sealing checkpoint, later
         // batches do not exist yet.
-        let first_sealed = tidx.segments()[0].sealed_at;
+        let first_sealed = layout.live[0].sealed_at;
         assert!(dv
             .search_at_checkpoint(first_sealed, "batch5", RankOrder::Chronological)
             .unwrap()

@@ -969,7 +969,8 @@ mod tests {
         }
         host.flush_session(id).unwrap();
         let engine = host.session(id).unwrap().tidx().unwrap();
-        let before = engine.stats().live_segments;
+        let live = || engine.log().layout().live.len();
+        let before = live();
         assert!(before >= 4, "1s window sealed per checkpoint: {before}");
         let scheduled = host.compact_round();
         assert_eq!(scheduled, 1);
@@ -977,17 +978,16 @@ mod tests {
         show_and_checkpoint(&mut host, id, prev, "page6 words");
         if commit_workers == 0 {
             // Nobody else will run them: both are done already.
-            assert!(engine.stats().live_segments < before);
+            assert!(live() < before);
             assert_eq!(host.session(id).unwrap().engine().inflight(), 0);
             assert!(host.store().lock().contains("compacted-00000007"));
         }
         // Draining the lane waits for aux tasks too.
         host.flush_session(id).unwrap();
         assert!(
-            engine.stats().live_segments < before,
-            "compaction merged a batch: {} -> {}",
-            before,
-            engine.stats().live_segments
+            live() < before,
+            "compaction merged a batch: {before} -> {}",
+            live()
         );
         // Every page is still findable after compaction.
         for i in 0..7 {

@@ -20,9 +20,9 @@
 //!   ([`BlobStore::enable_cas`]) so blobs dedup across checkpoints and
 //!   tenants.
 //! * [`SealedLog`] — the checkpoint-anchored sealed-segment lifecycle
-//!   (seal → publish → recover → compact → retire) the text and visual
-//!   indexes keep their immutable segments under, over a
-//!   [`SharedBlobStore`].
+//!   (open buffer → seal → publish → recover → compact → retire) the
+//!   text and visual indexes keep their open buffers and immutable
+//!   segments under, over a [`SharedBlobStore`].
 
 #![deny(unsafe_code)]
 
@@ -52,8 +52,8 @@ pub use lsfs::{Lsfs, LsfsStats, BLOCK_SIZE, MAX_FILE_SIZE};
 pub use memfs::MemFs;
 pub use ro::ReadOnlyFs;
 pub use sealed::{
-    Manifest, MergeError, Names as SegmentNames, Payload, Sealed, SealedConfig, SealedLog,
-    SegmentError, SegmentMeta,
+    Lifecycle, Manifest, MergeError, Names as SegmentNames, Payload, Sealed, SealedConfig,
+    SealedLog, SegmentError, SegmentMeta,
 };
 pub use shared::SharedFs;
 pub use snapshot::SnapshotView;

@@ -5,7 +5,7 @@
 //! log, metadata operations to the journal — so nothing ever overwrites
 //! the state an earlier snapshot depends on. A snapshot point is a root
 //! pointer: metadata lives in a persistent inode table
-//! ([`crate::table`]) that the snapshot and the live state share until
+//! (the private `table` module) that the snapshot and the live state share until
 //! one of them writes, and all file *data* is shared through the
 //! append-only disk. Snapshots are identified by the checkpoint counter
 //! DejaView stores in both the checkpoint image and the file system log.

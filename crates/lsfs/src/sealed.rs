@@ -1,13 +1,16 @@
 //! The sealed-segment lifecycle shared by every checkpoint-anchored
 //! index (dv-tidx text shards, dv-vidx thumbnail strips).
 //!
-//! An engine keeps a mutable *open buffer*; at a checkpoint boundary
-//! [`SealedLog::publish`] persists it as an immutable CRC-framed
-//! **segment** blob and then a **manifest** blob named by the
-//! checkpoint counter — segment first, so a manifest never names a
-//! segment that is not durable. A manifest is the whole layout as of
-//! its counter: a revive at checkpoint N reads the newest manifest at
-//! or before N and sees exactly the segments sealed by then.
+//! A [`SealedLog`] owns its index's mutable *open buffer*. At a
+//! checkpoint boundary whose window has elapsed ([`Lifecycle::maybe_seal`])
+//! it persists the buffer as an immutable CRC-framed **segment** blob and
+//! then a **manifest** blob named by the checkpoint counter — segment
+//! first, so a manifest never names a segment that is not durable — and
+//! swaps in the buffer that continues. A manifest is the whole layout as
+//! of its counter: a revive at checkpoint N reads the newest manifest at
+//! or before N and sees exactly the segments sealed by then. An archive
+//! carries the open buffer beside the manifests
+//! ([`Lifecycle::export_open`], [`Lifecycle::restore_open`]).
 //!
 //! ```text
 //! segment   [magic 8][crc32(payload) u32 LE][len u64 LE][payload ...]
@@ -26,9 +29,8 @@
 //! segments, so they go in the same pass and a query below the floor
 //! reports [`SegmentError::OutOfRetention`] rather than a missing blob.
 //!
-//! What a segment *contains* enters only through the three [`Payload`]
-//! functions and the [`Sealed`] values an engine passes at publish;
-//! nothing here knows which index it serves.
+//! What a segment *contains* enters only through the [`Payload`]
+//! functions; nothing here knows which index it serves.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -263,9 +265,10 @@ pub enum MergeError {
 }
 
 /// What one kind of segment holds: how a decoded segment turns into
-/// payload bytes and back, and how several encoded ones merge into one.
+/// payload bytes and back, how several encoded ones merge into one, and
+/// what of the open buffer a seal covers and leaves open.
 pub trait Payload {
-    /// A decoded segment — also the type of the engine's open buffer.
+    /// A decoded segment — also the type of the open buffer.
     type Segment;
 
     /// Serializes a segment's contents (unframed).
@@ -280,6 +283,17 @@ pub trait Payload {
     /// bytes are as untrusted as [`Self::decode`]'s: an input `decode`
     /// rejects must be rejected here too.
     fn merge(&self, inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), MergeError>;
+
+    /// What sealing `open` now covers; its window began at
+    /// `open_start`.
+    fn extent(&self, open: &Self::Segment, open_start: Timestamp) -> Sealed;
+
+    /// What of a buffer just sealed stays open in the next one.
+    fn carry(&self, sealed: &Self::Segment) -> Self::Segment;
+
+    /// Continues `open` after durable history: ids allocate from at
+    /// least `next_instance` and its horizon is at least `horizon`.
+    fn resume(&self, open: &mut Self::Segment, next_instance: u64, horizon: Timestamp);
 }
 
 /// The strings one index's lifecycle is known by.
@@ -294,6 +308,8 @@ pub struct Names {
     pub seal_site: &'static str,
     /// Fault site checked before a merged segment is written.
     pub compact_site: &'static str,
+    /// Span: one seal.
+    pub seal_span: &'static str,
     /// Span: one compaction merge.
     pub compact_span: &'static str,
     /// Counter: seals completed.
@@ -337,7 +353,7 @@ impl Default for SealedConfig {
     }
 }
 
-/// What an engine knows about the buffer it is sealing.
+/// What a seal of the open buffer covers ([`Payload::extent`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Sealed {
     /// Earliest time the buffer covers.
@@ -376,10 +392,14 @@ fn sort_live(live: &mut [SegmentMeta]) {
     live.sort_by_key(|m| (m.start, m.id));
 }
 
-/// One index's sealed segments over a shared blob store.
+/// One index's open buffer and sealed segments over a shared blob
+/// store.
 pub struct SealedLog<P: Payload> {
     payload: P,
     names: &'static Names,
+    /// The buffer entries enter before any seal. Lock order: `open`,
+    /// then `state`.
+    open: Arc<Mutex<P::Segment>>,
     store: SharedBlobStore,
     plane: FaultPlane,
     obs: Obs,
@@ -388,10 +408,12 @@ pub struct SealedLog<P: Payload> {
 }
 
 impl<P: Payload> SealedLog<P> {
-    /// Creates an empty layout over `store`.
+    /// Creates an empty layout over `store` around the open buffer
+    /// `open`.
     pub fn new(
         payload: P,
         names: &'static Names,
+        open: Arc<Mutex<P::Segment>>,
         store: SharedBlobStore,
         plane: FaultPlane,
         obs: Obs,
@@ -407,6 +429,7 @@ impl<P: Payload> SealedLog<P> {
         SealedLog {
             payload,
             names,
+            open,
             store,
             plane,
             obs,
@@ -418,6 +441,11 @@ impl<P: Payload> SealedLog<P> {
     /// The strings this index's lifecycle is known by.
     pub fn names(&self) -> &'static Names {
         self.names
+    }
+
+    /// The open buffer.
+    pub fn open(&self) -> &Arc<Mutex<P::Segment>> {
+        &self.open
     }
 
     /// The layout serving queries now.
@@ -440,19 +468,13 @@ impl<P: Payload> SealedLog<P> {
             .collect()
     }
 
-    /// Whether the open buffer's window has elapsed at `horizon`, so
-    /// the checkpoint being committed should seal it. An empty buffer
-    /// slides its window without sealing.
-    pub fn seal_due(&self, horizon: Timestamp, is_empty: impl FnOnce() -> bool) -> bool {
-        let layout = &mut self.state.lock().layout;
-        if horizon < layout.open_start.saturating_add(self.config.window) {
-            return false;
-        }
-        let empty = is_empty();
-        if empty {
-            layout.open_start = horizon;
-        }
-        !empty
+    /// Seals the open buffer now, whatever its window. On any error the
+    /// open buffer and the previous layout stay authoritative.
+    pub fn seal(&self, counter: u64) -> Result<SegmentMeta, SegmentError> {
+        let mut open = self.open.lock();
+        let open_start = self.state.lock().layout.open_start;
+        let sealed = self.payload.extent(&open, open_start);
+        self.seal_open(counter, &mut open, sealed)
     }
 
     /// Frames `payload`, passes it through the fault site guarding the
@@ -489,19 +511,21 @@ impl<P: Payload> SealedLog<P> {
             .gauge_set(self.names.sealed_bytes, live.iter().map(|m| m.bytes).sum());
     }
 
-    /// Seals `open` into an immutable segment anchored to checkpoint
-    /// `counter`, makes a manifest naming it durable, and reclaims
-    /// whatever that manifest made reclaimable.
+    /// Persists `open` as an immutable segment anchored to checkpoint
+    /// `counter`, makes a manifest naming it durable, reclaims whatever
+    /// that manifest made reclaimable, and swaps in the buffer that
+    /// continues `open`.
     ///
-    /// On any error nothing of this seal remains in the store and the
-    /// previous layout stays authoritative; the caller keeps serving
-    /// from `open` and retries at the next checkpoint.
-    pub fn publish(
+    /// On any error nothing of this seal remains in the store, and the
+    /// previous layout and the open buffer stay authoritative: the seal
+    /// retries at the next checkpoint.
+    fn seal_open(
         &self,
         counter: u64,
-        open: &P::Segment,
+        open: &mut P::Segment,
         sealed: Sealed,
     ) -> Result<SegmentMeta, SegmentError> {
+        let _span = self.obs.span(self.names.stem, self.names.seal_span);
         let payload = self.payload.encode(open).map_err(SegmentError::Failed)?;
         let mut st = self.state.lock();
         let id = st.layout.next_segment;
@@ -552,6 +576,10 @@ impl<P: Payload> SealedLog<P> {
                 meta.instances, meta.bytes
             ),
         );
+        let mut next = self.payload.carry(open);
+        self.payload
+            .resume(&mut next, sealed.next_instance, sealed.end);
+        *open = next;
         Ok(meta)
     }
 
@@ -762,14 +790,17 @@ impl<P: Payload> SealedLog<P> {
         Ok(segment)
     }
 
-    /// The decoded segments a query reads, ordered by start time: the
-    /// live layout (`at` = `None`), or the layout as of checkpoint
-    /// `at`. `overlaps` prunes by metadata before anything is decoded.
-    pub fn segments_at(
+    /// Runs `f` over the shards a query reads, oldest first: the
+    /// sealed segments of the live layout plus the open buffer (`at` =
+    /// `None`), or those of the layout as of checkpoint `at` alone.
+    /// `overlaps` prunes segments by metadata before anything is
+    /// decoded.
+    pub fn with_shards<R>(
         &self,
         at: Option<u64>,
         overlaps: impl Fn(&SegmentMeta) -> bool,
-    ) -> Result<Vec<Arc<P::Segment>>, SegmentError> {
+        f: impl FnOnce(&[&P::Segment]) -> R,
+    ) -> Result<R, SegmentError> {
         let metas = match at {
             None => self.state.lock().layout.live.clone(),
             Some(counter) => self
@@ -777,7 +808,16 @@ impl<P: Payload> SealedLog<P> {
                 .map_or(Vec::new(), |m| m.live),
         };
         let wanted = metas.iter().filter(|m| overlaps(m));
-        wanted.map(|m| self.segment(m.id)).collect()
+        let sealed = wanted
+            .map(|m| self.segment(m.id))
+            .collect::<Result<Vec<_>, _>>()?;
+        let open = at.is_none().then(|| self.open.lock());
+        let shards: Vec<&P::Segment> = sealed
+            .iter()
+            .map(|s| s.as_ref())
+            .chain(open.as_deref())
+            .collect();
+        Ok(f(&shards))
     }
 
     /// The layout as of checkpoint `counter`: the newest durable
@@ -805,24 +845,83 @@ impl<P: Payload> SealedLog<P> {
             .ok_or_else(|| SegmentError::Failed(format!("manifest {found} missing")))?;
         Ok(Some(decode_manifest(&blob)?))
     }
+}
+
+/// The steps of a sealed log that do not depend on its payload: what a
+/// server drives for every index alike.
+pub trait Lifecycle {
+    /// Seals the open buffer if its window has elapsed, anchoring the
+    /// segment to checkpoint `counter`. Call after each durable
+    /// checkpoint. An empty buffer slides its window without sealing.
+    fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, SegmentError>;
+
+    /// The open buffer in segment-payload form, so an archive carries
+    /// what no seal has made durable yet.
+    fn export_open(&self) -> Result<Vec<u8>, SegmentError>;
+
+    /// Replaces the open buffer with [`Lifecycle::export_open`] bytes,
+    /// continuing after the layout [`Lifecycle::recover_latest`]
+    /// restored.
+    fn restore_open(&self, payload: &[u8]) -> Result<(), SegmentError>;
 
     /// Rebuilds the layout from the newest durable manifest (an
-    /// archive import or restored store) and finishes any reclaim that
-    /// manifest had made due. Returns the recovered layout — the
-    /// engine restores its open buffer's allocator and window from it
-    /// — or `None` when the store has no manifest.
-    pub fn recover_latest(&self) -> Result<Option<Manifest>, SegmentError> {
+    /// archive import or restored store), finishes any reclaim that
+    /// manifest had made due, and resumes the open buffer's id
+    /// allocator and window from it. Returns the recovered layout, or
+    /// `None` when the store has no manifest.
+    fn recover_latest(&self) -> Result<Option<Manifest>, SegmentError>;
+}
+
+impl<P: Payload> Lifecycle for SealedLog<P> {
+    fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, SegmentError> {
+        let mut open = self.open.lock();
+        let sealed = {
+            let layout = &mut self.state.lock().layout;
+            let sealed = self.payload.extent(&open, layout.open_start);
+            if sealed.end < layout.open_start.saturating_add(self.config.window) {
+                return Ok(None);
+            }
+            if sealed.instances == 0 {
+                layout.open_start = sealed.end;
+                return Ok(None);
+            }
+            sealed
+        };
+        self.seal_open(counter, &mut open, sealed).map(Some)
+    }
+
+    fn export_open(&self) -> Result<Vec<u8>, SegmentError> {
+        let open = self.open.lock();
+        self.payload.encode(&open).map_err(SegmentError::Failed)
+    }
+
+    fn restore_open(&self, payload: &[u8]) -> Result<(), SegmentError> {
+        let mut restored = self.payload.decode(payload).map_err(SegmentError::Failed)?;
+        let layout = self.layout();
+        self.payload
+            .resume(&mut restored, layout.next_instance, layout.open_start);
+        *self.open.lock() = restored;
+        Ok(())
+    }
+
+    fn recover_latest(&self) -> Result<Option<Manifest>, SegmentError> {
         let Some(manifest) = self.manifest_at_or_before(u64::MAX)? else {
             return Ok(None);
         };
-        let mut st = self.state.lock();
-        st.layout = manifest;
-        st.damaged.clear();
-        st.cache.clear();
-        st.cache_order.clear();
-        self.gc_locked(&mut st);
-        self.report_layout(&st.layout);
-        Ok(Some(st.layout.clone()))
+        let layout = {
+            let mut st = self.state.lock();
+            st.layout = manifest;
+            st.damaged.clear();
+            st.cache.clear();
+            st.cache_order.clear();
+            self.gc_locked(&mut st);
+            self.report_layout(&st.layout);
+            st.layout.clone()
+        };
+        let mut open = self.open.lock();
+        self.payload
+            .resume(&mut open, layout.next_instance, layout.open_start);
+        Ok(Some(layout))
     }
 }
 
@@ -944,6 +1043,23 @@ mod tests {
             all.sort_unstable();
             Ok((self.encode(&all).expect("infallible"), all.len() as u64))
         }
+
+        /// Id `n` was seen at `n` ms.
+        fn extent(&self, ids: &Vec<u64>, open_start: Timestamp) -> Sealed {
+            let at = |id: Option<&u64>| id.map_or(open_start, |&id| Timestamp::from_millis(id));
+            Sealed {
+                start: at(ids.first()),
+                end: at(ids.last()),
+                instances: ids.len() as u64,
+                next_instance: ids.iter().max().map_or(0, |id| id + 1),
+            }
+        }
+
+        fn carry(&self, _: &Vec<u64>) -> Vec<u64> {
+            Vec::new()
+        }
+
+        fn resume(&self, _: &mut Vec<u64>, _: u64, _: Timestamp) {}
     }
 
     static IDS: Names = Names {
@@ -951,6 +1067,7 @@ mod tests {
         seg_magic: b"DVISEG01",
         seal_site: "ids.seal",
         compact_site: "ids.compact",
+        seal_span: "ids.seal",
         compact_span: "ids.compact",
         seals: "ids.seals",
         compactions: "ids.compactions",
@@ -967,6 +1084,7 @@ mod tests {
         SealedLog::new(
             Ids,
             &IDS,
+            Default::default(),
             store.clone(),
             plane,
             obs,
@@ -977,14 +1095,8 @@ mod tests {
     /// Seals `[10 * n, 10 * n + 1]` as segment `n` for each `n`.
     fn publish(log: &SealedLog<Ids>, segments: std::ops::Range<u64>) {
         for n in segments {
-            let sealed = Sealed {
-                start: Timestamp::from_millis(10 * n),
-                end: Timestamp::from_millis(10 * n + 2),
-                instances: 2,
-                next_instance: 10 * n + 2,
-            };
-            let meta = log.publish(n + 1, &vec![10 * n, 10 * n + 1], sealed);
-            assert_eq!(meta.unwrap().id, n);
+            *log.open().lock() = vec![10 * n, 10 * n + 1];
+            assert_eq!(log.seal(n + 1).unwrap().id, n);
         }
     }
 
@@ -1051,13 +1163,8 @@ mod tests {
         let store = SharedBlobStore::in_memory();
         let log = ids_log(&store, FaultPlane::disabled(), Obs::disabled());
         publish(&log, 0..3);
-        let sealed = Sealed {
-            start: Timestamp::from_millis(30),
-            end: Timestamp::from_millis(32),
-            instances: 2,
-            next_instance: 32,
-        };
-        log.publish(4, &vec![31, 30], sealed).unwrap();
+        *log.open().lock() = vec![31, 30];
+        log.seal(4).unwrap();
         let err = log.maybe_compact().unwrap_err();
         assert!(err
             .to_string()

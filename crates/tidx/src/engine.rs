@@ -2,17 +2,18 @@
 //!
 //! One engine serves one session (tenant). Text states route into the
 //! **open shard** — the same mutable [`TextIndex`] the capture daemon
-//! already writes into — and at checkpoint boundaries the open shard
-//! **seals** into an immutable segment under the shared
-//! [`SealedLog`] lifecycle, so index durability is snapshot-consistent
-//! with the filesystem: a revive at checkpoint N queries exactly the
-//! segments sealed at or before N ([`TidxEngine::search_at`]).
-//! Publish order, compaction, retirement, GC and recovery are the
-//! lifecycle's; what is this crate's is the open shard, what carries
-//! across a seal (still-visible instances and the focus state), how
-//! text segments merge (the newest copy of an instance wins), and which
+//! already writes into — which the shared [`SealedLog`] lifecycle owns:
+//! at checkpoint boundaries it **seals** into an immutable segment, so
+//! index durability is snapshot-consistent with the filesystem: a
+//! revive at checkpoint N queries exactly the segments sealed at or
+//! before N ([`TidxEngine::search_at`]). Sealing, publish order,
+//! compaction, retirement, GC, recovery and the archive's open shard
+//! are the lifecycle's; what is this crate's is what a text seal covers
+//! and carries (still-visible instances and the focus state), how text
+//! segments merge (the newest copy of an instance wins), and which
 //! shards a query probes. Evaluation is `dv_index::search` over them.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -23,41 +24,18 @@ use dv_index::{
     TextIndex,
 };
 use dv_lsfs::{
-    MergeError, Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentMeta, SegmentNames,
+    MergeError, Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentNames,
     SharedBlobStore,
 };
 use dv_obs::{names, Obs};
 use dv_time::Timestamp;
-
-/// A sharded-index operation failure.
-pub type TidxError = SegmentError;
-
-/// Engine tuning: the open shard's window and the blob namespace.
-pub type TidxConfig = SealedConfig;
-
-/// Aggregate shard-layout accounting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct TidxStats {
-    /// Sealed segments serving queries.
-    pub live_segments: usize,
-    /// Superseded segments awaiting GC.
-    pub retired_segments: usize,
-    /// The checkpoint counter of the newest durable manifest (0 when
-    /// nothing has sealed).
-    pub last_sealed: u64,
-    /// Next segment id to allocate.
-    pub next_segment: u64,
-    /// One past the greatest instance id any seal has seen — an
-    /// archive restore bumps the capture daemon's allocator to it so
-    /// new instances never collide with sealed ones.
-    pub next_instance: u64,
-}
 
 static NAMES: SegmentNames = SegmentNames {
     stem: "tidx",
     seg_magic: b"DVTSEG01",
     seal_site: sites::TIDX_SEAL,
     compact_site: sites::TIDX_COMPACT,
+    seal_span: names::TIDX_SEAL,
     compact_span: names::TIDX_COMPACT,
     seals: names::TIDX_SEALS,
     compactions: names::TIDX_COMPACTIONS,
@@ -72,9 +50,12 @@ static NAMES: SegmentNames = SegmentNames {
 
 /// Text shards as sealed-segment payloads: a segment is a whole
 /// [`TextIndex`] in the `dv-index` flush format, written through the
-/// `index.segment.flush` fault site `plane` arms.
+/// `index.segment.flush` fault site `plane` arms. The open shard's ids
+/// come from `ids`, the capture daemon's instance allocator.
 pub struct TextShards {
     plane: FaultPlane,
+    obs: Obs,
+    ids: Arc<AtomicU64>,
 }
 
 impl Payload for TextShards {
@@ -98,130 +79,95 @@ impl Payload for TextShards {
             flush_encoded(merged, &self.plane).map_err(|e| MergeError::Output(e.to_string()))?;
         Ok((merged, instances))
     }
+
+    /// An instance carried across a seal keeps its original `shown`
+    /// time, so a segment can start before its window.
+    fn extent(&self, index: &TextIndex, open_start: Timestamp) -> Sealed {
+        let (start, instances, max_id) = index
+            .all_instances()
+            .fold((open_start, 0, 0), |(start, n, max_id), i| {
+                (start.min(i.shown), n + 1, max_id.max(i.id))
+            });
+        Sealed {
+            start,
+            end: index.horizon(),
+            instances,
+            next_instance: max_id.saturating_add(1),
+        }
+    }
+
+    /// Still-visible instances carry over with their original ids and
+    /// shown times, so their global visibility is the contiguous union
+    /// across shards; so does the focus state.
+    fn carry(&self, sealed: &TextIndex) -> TextIndex {
+        let mut next = TextIndex::new();
+        for instance in sealed.all_instances() {
+            if instance.hidden.is_none() && !instance.annotation {
+                next.add_instance(instance.clone());
+            }
+        }
+        if let Some(&(app, _)) = sealed.focus_history().last() {
+            next.focus_change(app, sealed.horizon());
+        }
+        next
+    }
+
+    /// Carried bytes were already counted when first indexed, so the
+    /// gauge-like `index.bytes` counter restarts at the shard's own
+    /// footprint.
+    fn resume(&self, index: &mut TextIndex, next_instance: u64, horizon: Timestamp) {
+        index.advance_horizon(horizon);
+        index.set_obs(self.obs.clone());
+        self.obs
+            .set_counter(names::INDEX_BYTES, index.stats().bytes);
+        let next = next_instance.max(index.max_instance_id().saturating_add(1));
+        self.ids.fetch_max(next, Ordering::Relaxed);
+    }
 }
 
 /// The sharded temporal index engine for one session.
 pub struct TidxEngine {
-    open: Arc<Mutex<TextIndex>>,
     obs: Obs,
     log: SealedLog<TextShards>,
 }
 
 impl TidxEngine {
-    /// Wraps an existing open index (shared with the capture daemon)
-    /// over `store`.
+    /// Wraps an existing open index (shared with the capture daemon,
+    /// which allocates instance ids from `ids`) over `store`.
     pub fn new(
         open: Arc<Mutex<TextIndex>>,
+        ids: Arc<AtomicU64>,
         store: SharedBlobStore,
         plane: FaultPlane,
         obs: Obs,
-        config: TidxConfig,
+        config: SealedConfig,
     ) -> Self {
         let payload = TextShards {
             plane: plane.clone(),
+            obs: obs.clone(),
+            ids,
         };
-        let log = SealedLog::new(payload, &NAMES, store, plane, obs.clone(), config);
-        TidxEngine { open, obs, log }
+        let log = SealedLog::new(payload, &NAMES, open, store, plane, obs.clone(), config);
+        TidxEngine { obs, log }
     }
 
-    /// The open-shard index handle (the capture daemon's sink target).
-    pub fn open_index(&self) -> Arc<Mutex<TextIndex>> {
-        self.open.clone()
-    }
-
-    /// The sealed-segment lifecycle under this engine (layouts by
-    /// checkpoint, recovery, GC).
+    /// The sealed-segment lifecycle under this engine: the open shard,
+    /// seals, layouts by checkpoint, recovery and GC.
     pub fn log(&self) -> &SealedLog<TextShards> {
         &self.log
-    }
-
-    /// Shard-layout accounting.
-    pub fn stats(&self) -> TidxStats {
-        let layout = self.log.layout();
-        TidxStats {
-            live_segments: layout.live.len(),
-            retired_segments: layout.retired.len(),
-            last_sealed: layout.counter,
-            next_segment: layout.next_segment,
-            next_instance: layout.next_instance,
-        }
-    }
-
-    /// Live segment metadata, ordered by start time.
-    pub fn segments(&self) -> Vec<SegmentMeta> {
-        self.log.layout().live
-    }
-
-    /// Seals the open shard if its window has elapsed, anchoring the
-    /// segment to checkpoint `counter`. Call after each durable
-    /// checkpoint. An empty shard slides its window without sealing.
-    pub fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, TidxError> {
-        let mut idx = self.open.lock();
-        let is_empty = || idx.all_instances().next().is_none();
-        if !self.log.seal_due(idx.horizon(), is_empty) {
-            return Ok(None);
-        }
-        self.seal_open(counter, &mut idx).map(Some)
-    }
-
-    /// Unconditionally seals the open shard into an immutable segment
-    /// anchored to checkpoint `counter` and swaps in a fresh open
-    /// shard carrying still-visible instances (original ids and
-    /// `shown` times) plus the current focus state.
-    ///
-    /// On any error the open shard and the previous layout stay
-    /// authoritative; the seal retries at the next checkpoint.
-    pub fn seal(&self, counter: u64) -> Result<SegmentMeta, TidxError> {
-        self.seal_open(counter, &mut self.open.lock())
-    }
-
-    fn seal_open(&self, counter: u64, idx: &mut TextIndex) -> Result<SegmentMeta, TidxError> {
-        let _span = self.obs.span("tidx", names::TIDX_SEAL);
-        let horizon = idx.horizon();
-        let open_start = self.log.layout().open_start;
-        let sealed = Sealed {
-            start: idx
-                .all_instances()
-                .map(|i| i.shown)
-                .fold(open_start, Timestamp::min),
-            end: horizon,
-            instances: idx.stats().instances,
-            next_instance: idx.max_instance_id().saturating_add(1),
-        };
-        let meta = self.log.publish(counter, idx, sealed)?;
-        // Rebuild the open shard: still-visible instances carry over
-        // with their original ids and shown times, so their global
-        // visibility is the contiguous union across shards.
-        let mut fresh = TextIndex::new();
-        for instance in idx.all_instances() {
-            if instance.hidden.is_none() && !instance.annotation {
-                fresh.add_instance(instance.clone());
-            }
-        }
-        if let Some(&(app, _)) = idx.focus_history().last() {
-            fresh.focus_change(app, horizon);
-        }
-        fresh.advance_horizon(horizon);
-        // Carried bytes were already counted when first indexed; reset
-        // the gauge-like byte counter to the fresh shard's footprint.
-        let obs = idx.obs().clone();
-        obs.set_counter(names::INDEX_BYTES, fresh.stats().bytes);
-        fresh.set_obs(obs);
-        *idx = fresh;
-        Ok(meta)
     }
 
     /// Merges one batch of small same-level segments into a
     /// higher-level segment if any level has enough of them
     /// ([`SealedLog::maybe_compact`]). Returns whether one ran.
-    pub fn maybe_compact(&self) -> Result<bool, TidxError> {
+    pub fn maybe_compact(&self) -> Result<bool, SegmentError> {
         self.log.maybe_compact()
     }
 
     /// Evaluates `query` over the open shard plus every live segment
     /// overlapping the query's time bounds, returning globally ranked
     /// hits.
-    pub fn search(&self, query: &Query, order: RankOrder) -> Result<Vec<SearchHit>, TidxError> {
+    pub fn search(&self, query: &Query, order: RankOrder) -> Result<Vec<SearchHit>, SegmentError> {
         self.search_layout(None, query, order)
     }
 
@@ -234,42 +180,30 @@ impl TidxEngine {
         counter: u64,
         query: &Query,
         order: RankOrder,
-    ) -> Result<Vec<SearchHit>, TidxError> {
+    ) -> Result<Vec<SearchHit>, SegmentError> {
         self.search_layout(Some(counter), query, order)
     }
 
     /// The one query body: the live layout plus the open shard
-    /// (`at` = `None`), or the layout as of a checkpoint alone.
+    /// (`at` = `None`), or the layout as of a checkpoint alone. Oldest
+    /// first, open shard last: the evaluator keeps the most recent copy
+    /// of a carried instance.
     fn search_layout(
         &self,
         at: Option<u64>,
         query: &Query,
         order: RankOrder,
-    ) -> Result<Vec<SearchHit>, TidxError> {
+    ) -> Result<Vec<SearchHit>, SegmentError> {
         self.obs.incr(names::TIDX_QUERIES);
         let _span = self.obs.span("tidx", names::TIDX_QUERY);
         let bounds = query_bounds(query);
-        let segments = self
-            .log
-            .segments_at(at, |m| bounds.is_none_or(|(s, e)| m.start < e && s < m.end))?;
-        let open = at.is_none().then(|| self.open.lock());
-        // Oldest first, open shard last: the evaluator keeps the most
-        // recent copy of a carried instance.
-        let shards: Vec<&TextIndex> = segments
-            .iter()
-            .map(|a| a.as_ref())
-            .chain(open.as_deref())
-            .collect();
-        self.obs
-            .observe(names::TIDX_SEGMENT_PROBES, shards.len() as u64);
-        Ok(dv_index::search(&shards, query, order))
-    }
-
-    /// Rebuilds the shard layout from the newest durable manifest (an
-    /// archive import or restored store). Returns the manifest's
-    /// checkpoint counter, or `None` when the store has no manifests.
-    pub fn recover_latest(&self) -> Result<Option<u64>, TidxError> {
-        Ok(self.log.recover_latest()?.map(|m| m.counter))
+        let overlaps =
+            |m: &dv_lsfs::SegmentMeta| bounds.is_none_or(|(s, e)| m.start < e && s < m.end);
+        self.log.with_shards(at, overlaps, |shards| {
+            self.obs
+                .observe(names::TIDX_SEGMENT_PROBES, shards.len() as u64);
+            dv_index::search(shards, query, order)
+        })
     }
 }
 
@@ -309,15 +243,36 @@ mod tests {
     use super::*;
     use dv_fault::{FaultPlan, IoFault};
     use dv_index::{parse_query, IndexedInstance};
+    use dv_lsfs::Lifecycle;
 
-    fn engine(config: TidxConfig) -> TidxEngine {
+    fn engine(config: SealedConfig) -> TidxEngine {
         TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
+            Default::default(),
+            Default::default(),
             SharedBlobStore::in_memory(),
             FaultPlane::disabled(),
             Obs::disabled(),
             config,
         )
+    }
+
+    fn engine_over(store: SharedBlobStore, plane: FaultPlane, obs: Obs) -> TidxEngine {
+        TidxEngine::new(
+            Default::default(),
+            Default::default(),
+            store,
+            plane,
+            obs,
+            SealedConfig::default(),
+        )
+    }
+
+    fn live(eng: &TidxEngine) -> usize {
+        eng.log().layout().live.len()
+    }
+
+    fn retired(eng: &TidxEngine) -> usize {
+        eng.log().layout().retired.len()
     }
 
     fn inst(
@@ -344,7 +299,7 @@ mod tests {
     /// a single oracle index; queries must agree exactly.
     #[test]
     fn sharded_search_matches_unsharded_oracle() {
-        let eng = engine(TidxConfig::default());
+        let eng = engine(SealedConfig::default());
         let mut oracle = TextIndex::new();
         let stream = [
             inst(1, "firefox", "alpha beta conference", 0, Some(5_000)),
@@ -354,26 +309,28 @@ mod tests {
             inst(5, "editor", "alpha delta final", 16_000, None),
         ];
         let feed = |eng: &TidxEngine, oracle: &mut TextIndex, i: &IndexedInstance| {
-            eng.open_index().lock().add_instance(i.clone());
+            eng.log().open().lock().add_instance(i.clone());
             oracle.add_instance(i.clone());
         };
         for i in &stream[..3] {
             feed(&eng, &mut oracle, i);
         }
-        eng.open_index()
+        eng.log()
+            .open()
             .lock()
             .advance_horizon(Timestamp::from_millis(10_000));
         oracle.advance_horizon(Timestamp::from_millis(10_000));
-        eng.seal(1).unwrap();
+        eng.log().seal(1).unwrap();
         for i in &stream[3..] {
             feed(&eng, &mut oracle, i);
         }
-        eng.open_index()
+        eng.log()
+            .open()
             .lock()
             .advance_horizon(Timestamp::from_millis(20_000));
         oracle.advance_horizon(Timestamp::from_millis(20_000));
-        eng.seal(2).unwrap();
-        assert_eq!(eng.stats().live_segments, 2);
+        eng.log().seal(2).unwrap();
+        assert_eq!(live(&eng), 2);
         for q in [
             "alpha",
             "delta",
@@ -403,16 +360,16 @@ mod tests {
     /// before N.
     #[test]
     fn search_at_is_snapshot_consistent() {
-        let eng = engine(TidxConfig::default());
-        let open = eng.open_index();
+        let eng = engine(SealedConfig::default());
+        let open = eng.log().open();
         open.lock()
             .add_instance(inst(1, "a", "early needle", 0, Some(1_000)));
         open.lock().advance_horizon(Timestamp::from_millis(2_000));
-        eng.seal(3).unwrap();
+        eng.log().seal(3).unwrap();
         open.lock()
             .add_instance(inst(2, "a", "late needle", 3_000, Some(4_000)));
         open.lock().advance_horizon(Timestamp::from_millis(5_000));
-        eng.seal(7).unwrap();
+        eng.log().seal(7).unwrap();
         let query = parse_query("needle").unwrap();
         assert!(eng
             .search_at(2, &query, RankOrder::Chronological)
@@ -439,8 +396,8 @@ mod tests {
 
     #[test]
     fn compaction_preserves_results_and_reclaims_after_checkpoint() {
-        let eng = engine(TidxConfig::default());
-        let open = eng.open_index();
+        let eng = engine(SealedConfig::default());
+        let open = eng.log().open();
         for k in 0..4u64 {
             let base = k * 10_000;
             open.lock().add_instance(inst(
@@ -452,15 +409,15 @@ mod tests {
             ));
             open.lock()
                 .advance_horizon(Timestamp::from_millis(base + 2_000));
-            eng.seal(k + 1).unwrap();
+            eng.log().seal(k + 1).unwrap();
         }
         let query = parse_query("needle").unwrap();
         let before = eng.search(&query, RankOrder::Chronological).unwrap();
         assert_eq!(before.len(), 4);
-        assert_eq!(eng.stats().live_segments, 4);
+        assert_eq!(live(&eng), 4);
         assert!(eng.maybe_compact().unwrap());
-        assert_eq!(eng.stats().live_segments, 1);
-        assert_eq!(eng.stats().retired_segments, 4);
+        assert_eq!(live(&eng), 1);
+        assert_eq!(retired(&eng), 4);
         let after = eng.search(&query, RankOrder::Chronological).unwrap();
         assert_eq!(before, after, "compaction must not change results");
         assert!(!eng.maybe_compact().unwrap(), "nothing left to merge");
@@ -468,8 +425,8 @@ mod tests {
         open.lock()
             .add_instance(inst(9, "app", "needle fresh", 50_000, Some(51_000)));
         open.lock().advance_horizon(Timestamp::from_millis(52_000));
-        eng.seal(5).unwrap();
-        assert_eq!(eng.stats().retired_segments, 0, "GC ran at the next seal");
+        eng.log().seal(5).unwrap();
+        assert_eq!(retired(&eng), 0, "GC ran at the next seal");
         let final_hits = eng.search(&query, RankOrder::Chronological).unwrap();
         assert_eq!(final_hits.len(), 5);
     }
@@ -480,26 +437,26 @@ mod tests {
     /// segment's still-open copy has a "later" (unbounded) end.
     #[test]
     fn compaction_keeps_the_closed_copy_of_a_carried_instance() {
-        let eng = engine(TidxConfig::default());
-        let open = eng.open_index();
+        let eng = engine(SealedConfig::default());
+        let open = eng.log().open();
         // Still open at the first seal: segment 0 records hidden=None.
         open.lock()
             .add_instance(inst(1, "app", "carried needle", 0, None));
         open.lock().advance_horizon(Timestamp::from_millis(5_000));
-        eng.seal(1).unwrap();
+        eng.log().seal(1).unwrap();
         // Closed before the second seal: segment 1 records hidden=6s.
         open.lock().close_instance(1, Timestamp::from_millis(6_000));
         open.lock()
             .add_instance(inst(2, "app", "later needle", 8_000, Some(9_000)));
         open.lock().advance_horizon(Timestamp::from_millis(10_000));
-        eng.seal(2).unwrap();
+        eng.log().seal(2).unwrap();
         // Two more shards fill the compaction batch.
         for k in 3..=4u64 {
             open.lock()
                 .add_instance(inst(k, "app", "filler", k * 10_000, Some(k * 10_000 + 500)));
             open.lock()
                 .advance_horizon(Timestamp::from_millis(k * 10_000 + 1_000));
-            eng.seal(k).unwrap();
+            eng.log().seal(k).unwrap();
         }
         let all = parse_query("needle").unwrap();
         let window = parse_query("from:6 to:8 carried").unwrap();
@@ -509,7 +466,7 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(eng.maybe_compact().unwrap());
-        assert_eq!(eng.stats().live_segments, 1);
+        assert_eq!(live(&eng), 1);
         let after = eng.search(&all, RankOrder::Chronological).unwrap();
         assert_eq!(before, after, "compaction must not change results");
         assert!(
@@ -531,14 +488,8 @@ mod tests {
             .fail_nth(sites::INDEX_SEGMENT_FLUSH, 1, IoFault::Corrupt)
             .build();
         let obs = Obs::sim();
-        let eng = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            SharedBlobStore::in_memory(),
-            plane,
-            obs.clone(),
-            TidxConfig::default(),
-        );
-        let open = eng.open_index();
+        let eng = engine_over(SharedBlobStore::in_memory(), plane, obs.clone());
+        let open = eng.log().open();
         for k in 0..9u64 {
             let base = k * 10_000;
             let text = format!("needle batch{k}");
@@ -546,7 +497,7 @@ mod tests {
                 .add_instance(inst(k + 1, "app", &text, base, Some(base + 1_000)));
             open.lock()
                 .advance_horizon(Timestamp::from_millis(base + 2_000));
-            eng.seal(k + 1).unwrap();
+            eng.log().seal(k + 1).unwrap();
         }
         let later = parse_query("from:10 to:90 needle").unwrap();
         let hits = eng.search(&later, RankOrder::Chronological).unwrap();
@@ -562,13 +513,13 @@ mod tests {
         assert!(event
             .detail
             .starts_with("inputs=[0, 1, 2, 3] error=segment 0 unreadable"));
-        assert_eq!(eng.stats().live_segments, 9, "the inputs stay live");
+        assert_eq!(live(&eng), 9, "the inputs stay live");
         assert_eq!(eng.search(&later, RankOrder::Chronological).unwrap(), hits);
 
         assert_eq!(eng.maybe_compact(), Ok(true), "segments 1-4 merge");
         assert_eq!(eng.maybe_compact(), Ok(true), "segments 5-8 merge");
         assert_eq!(eng.maybe_compact(), Ok(false));
-        assert_eq!(eng.stats().live_segments, 3);
+        assert_eq!(live(&eng), 3);
         assert_eq!(obs.counter(names::TIDX_COMPACT_FAILURES), 1);
         assert_eq!(eng.search(&later, RankOrder::Chronological).unwrap(), hits);
     }
@@ -582,27 +533,21 @@ mod tests {
         let plane = FaultPlan::new(7)
             .fail_nth(sites::INDEX_SEGMENT_FLUSH, 5, IoFault::Enospc)
             .build();
-        let eng = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            SharedBlobStore::in_memory(),
-            plane.clone(),
-            Obs::disabled(),
-            TidxConfig::default(),
-        );
-        let open = eng.open_index();
+        let eng = engine_over(SharedBlobStore::in_memory(), plane.clone(), Obs::disabled());
+        let open = eng.log().open();
         for k in 0..4u64 {
             open.lock()
                 .add_instance(inst(k + 1, "app", "needle", k * 10_000, None));
             open.lock()
                 .advance_horizon(Timestamp::from_millis(k * 10_000 + 2_000));
-            eng.seal(k + 1).unwrap();
+            eng.log().seal(k + 1).unwrap();
         }
         let err = eng.maybe_compact().unwrap_err();
         assert!(err.to_string().contains("no space left"), "{err}");
         assert_eq!(plane.injected_at(sites::INDEX_SEGMENT_FLUSH), 1);
-        assert_eq!(eng.stats().live_segments, 4);
+        assert_eq!(live(&eng), 4);
         assert_eq!(eng.maybe_compact(), Ok(true));
-        assert_eq!(eng.stats().live_segments, 1);
+        assert_eq!(live(&eng), 1);
     }
 
     /// GC reclaims manifests along with the segments they reference,
@@ -611,14 +556,8 @@ mod tests {
     #[test]
     fn gc_reclaims_stale_manifests_and_flags_out_of_retention() {
         let store = SharedBlobStore::in_memory();
-        let eng = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            store.clone(),
-            FaultPlane::disabled(),
-            Obs::disabled(),
-            TidxConfig::default(),
-        );
-        let open = eng.open_index();
+        let eng = engine_over(store.clone(), FaultPlane::disabled(), Obs::disabled());
+        let open = eng.log().open();
         for k in 0..4u64 {
             let base = k * 10_000;
             open.lock().add_instance(inst(
@@ -630,7 +569,7 @@ mod tests {
             ));
             open.lock()
                 .advance_horizon(Timestamp::from_millis(base + 2_000));
-            eng.seal(k + 1).unwrap();
+            eng.log().seal(k + 1).unwrap();
         }
         assert!(eng.maybe_compact().unwrap());
         let query = parse_query("needle").unwrap();
@@ -647,10 +586,10 @@ mod tests {
         open.lock()
             .add_instance(inst(9, "app", "needle fresh", 50_000, Some(51_000)));
         open.lock().advance_horizon(Timestamp::from_millis(52_000));
-        eng.seal(5).unwrap();
-        assert_eq!(eng.stats().retired_segments, 0, "GC ran at the seal");
+        eng.log().seal(5).unwrap();
+        assert_eq!(retired(&eng), 0, "GC ran at the seal");
         match eng.search_at(4, &query, RankOrder::Chronological) {
-            Err(TidxError::OutOfRetention {
+            Err(SegmentError::OutOfRetention {
                 requested: 4,
                 oldest: 5,
             }) => {}
@@ -669,17 +608,14 @@ mod tests {
         );
         // A recovered engine learns the retention floor from the
         // manifest and reports the same clean error.
-        let fresh = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            store,
-            FaultPlane::disabled(),
-            Obs::disabled(),
-            TidxConfig::default(),
+        let fresh = engine_over(store, FaultPlane::disabled(), Obs::disabled());
+        assert_eq!(
+            fresh.log().recover_latest().unwrap().map(|m| m.counter),
+            Some(5)
         );
-        assert_eq!(fresh.recover_latest().unwrap(), Some(5));
         assert!(matches!(
             fresh.search_at(2, &query, RankOrder::Chronological),
-            Err(TidxError::OutOfRetention { .. })
+            Err(SegmentError::OutOfRetention { .. })
         ));
     }
 
@@ -688,19 +624,13 @@ mod tests {
         let plane = FaultPlan::new(11)
             .always(sites::TIDX_SEAL, IoFault::Enospc)
             .build();
-        let eng = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            SharedBlobStore::in_memory(),
-            plane,
-            Obs::disabled(),
-            TidxConfig::default(),
-        );
-        let open = eng.open_index();
+        let eng = engine_over(SharedBlobStore::in_memory(), plane, Obs::disabled());
+        let open = eng.log().open();
         open.lock()
             .add_instance(inst(1, "a", "survivor text", 0, Some(500)));
         open.lock().advance_horizon(Timestamp::from_millis(1_000));
-        assert!(eng.seal(1).is_err());
-        assert_eq!(eng.stats().live_segments, 0);
+        assert!(eng.log().seal(1).is_err());
+        assert_eq!(live(&eng), 0);
         let query = parse_query("survivor").unwrap();
         assert_eq!(
             eng.search(&query, RankOrder::Chronological).unwrap().len(),
@@ -714,18 +644,12 @@ mod tests {
         let plane = FaultPlan::new(13)
             .always(sites::TIDX_SEAL, IoFault::Corrupt)
             .build();
-        let eng = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            SharedBlobStore::in_memory(),
-            plane,
-            Obs::disabled(),
-            TidxConfig::default(),
-        );
-        let open = eng.open_index();
+        let eng = engine_over(SharedBlobStore::in_memory(), plane, Obs::disabled());
+        let open = eng.log().open();
         open.lock()
             .add_instance(inst(1, "a", "mangled words", 0, Some(500)));
         open.lock().advance_horizon(Timestamp::from_millis(1_000));
-        eng.seal(1).unwrap();
+        eng.log().seal(1).unwrap();
         let query = parse_query("mangled").unwrap();
         assert!(
             eng.search(&query, RankOrder::Chronological).is_err(),
@@ -736,29 +660,20 @@ mod tests {
     #[test]
     fn recover_latest_rebuilds_layout_from_manifest() {
         let store = SharedBlobStore::in_memory();
-        let eng = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            store.clone(),
-            FaultPlane::disabled(),
-            Obs::disabled(),
-            TidxConfig::default(),
-        );
-        let open = eng.open_index();
+        let eng = engine_over(store.clone(), FaultPlane::disabled(), Obs::disabled());
+        let open = eng.log().open();
         open.lock()
             .add_instance(inst(1, "a", "persisted needle", 0, Some(500)));
         open.lock().advance_horizon(Timestamp::from_millis(1_000));
-        eng.seal(5).unwrap();
+        eng.log().seal(5).unwrap();
         // A second engine over the same store recovers the layout.
-        let fresh = TidxEngine::new(
-            Arc::new(Mutex::new(TextIndex::new())),
-            store,
-            FaultPlane::disabled(),
-            Obs::disabled(),
-            TidxConfig::default(),
+        let fresh = engine_over(store, FaultPlane::disabled(), Obs::disabled());
+        assert_eq!(
+            fresh.log().recover_latest().unwrap().map(|m| m.counter),
+            Some(5)
         );
-        assert_eq!(fresh.recover_latest().unwrap(), Some(5));
-        assert_eq!(fresh.stats().live_segments, 1);
-        assert_eq!(fresh.stats().next_segment, 1);
+        assert_eq!(live(&fresh), 1);
+        assert_eq!(fresh.log().layout().next_segment, 1);
         let query = parse_query("needle").unwrap();
         assert_eq!(
             fresh
@@ -771,8 +686,8 @@ mod tests {
 
     #[test]
     fn during_queries_prune_the_probe_set() {
-        let eng = engine(TidxConfig::default());
-        let open = eng.open_index();
+        let eng = engine(SealedConfig::default());
+        let open = eng.log().open();
         for k in 0..4u64 {
             let base = k * 10_000;
             open.lock().add_instance(inst(
@@ -784,7 +699,7 @@ mod tests {
             ));
             open.lock()
                 .advance_horizon(Timestamp::from_millis(base + 2_000));
-            eng.seal(k + 1).unwrap();
+            eng.log().seal(k + 1).unwrap();
         }
         // Bounded query: only the first segment overlaps 0..2s.
         let query = parse_query("from:0 to:2 needle").unwrap();

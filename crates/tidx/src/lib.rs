@@ -6,10 +6,10 @@
 //! index along the time axis:
 //!
 //! - text states route into the mutable **open shard** (the same index
-//!   the capture daemon already writes into);
-//! - at checkpoint boundaries the open shard **seals** into an
-//!   immutable segment under the shared sealed-segment lifecycle
-//!   ([`dv_lsfs::SealedLog`]: CRC-framed blob, then a manifest named
+//!   the capture daemon already writes into), which the shared
+//!   sealed-segment lifecycle ([`dv_lsfs::SealedLog`]) owns;
+//! - at checkpoint boundaries the lifecycle **seals** the open shard
+//!   into an immutable segment (CRC-framed blob, then a manifest named
 //!   by the checkpoint counter), so index durability is
 //!   snapshot-consistent with the recorded execution: a revive at
 //!   checkpoint N queries exactly the segments sealed at or before N;
@@ -29,5 +29,4 @@
 
 mod engine;
 
-pub use dv_lsfs::SegmentMeta;
-pub use engine::{TextShards, TidxConfig, TidxEngine, TidxError, TidxStats};
+pub use engine::{TextShards, TidxEngine};

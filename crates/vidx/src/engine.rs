@@ -3,12 +3,13 @@
 //! One engine serves one session (tenant). Persisted keyframes route
 //! into the **open strip** — thumbnail + fingerprint, consecutive
 //! near-duplicates coalescing into interval-carrying visual instances
-//! — and at checkpoint boundaries the open strip **seals** into an
-//! immutable segment under the shared [`SealedLog`] lifecycle (the
-//! one dv-tidx uses: publish order, compaction, retirement, GC and
-//! recovery are its), so visual recall is snapshot-consistent with
-//! the filesystem: a revive at checkpoint N queries exactly the
-//! instances sealed at or before N ([`VidxEngine::query_at`]).
+//! — which the shared [`SealedLog`] lifecycle owns: at checkpoint
+//! boundaries it **seals** the strip into an immutable segment (the
+//! lifecycle dv-tidx uses: sealing, publish order, compaction,
+//! retirement, GC, recovery and the archive's open strip are its), so
+//! visual recall is snapshot-consistent with the filesystem: a revive
+//! at checkpoint N queries exactly the instances sealed at or before N
+//! ([`VidxEngine::query_at`]).
 //!
 //! Queries are nearest-thumbnail searches. Candidates come from the
 //! band-partitioned Hamming index; when at least `k` candidates fall
@@ -22,13 +23,9 @@
 
 use std::cmp::Reverse;
 
-use parking_lot::Mutex;
-
 use dv_display::{resample_screenshot, Screenshot};
 use dv_fault::FaultPlane;
-use dv_lsfs::{
-    Payload, Sealed, SealedConfig, SealedLog, SegmentError, SegmentMeta, SharedBlobStore,
-};
+use dv_lsfs::{SealedConfig, SealedLog, SegmentError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_record::encode_screenshot;
 use dv_time::Timestamp;
@@ -47,12 +44,6 @@ pub const THUMB_H: u32 = 48;
 pub const NEAR_DUP_BITS: u32 = 8;
 const _: () = assert!(NEAR_DUP_BITS <= EXACT_RADIUS);
 
-/// A visual-index operation failure.
-pub type VidxError = SegmentError;
-
-/// Engine tuning: the open strip's window and the blob namespace.
-pub type VidxConfig = SealedConfig;
-
 /// Aggregate strip-layout accounting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct VidxStats {
@@ -64,11 +55,6 @@ pub struct VidxStats {
     pub sealed_instances: u64,
     /// Bytes of sealed strip blobs.
     pub strip_bytes: u64,
-    /// The checkpoint counter of the newest durable manifest (0 when
-    /// nothing has sealed).
-    pub last_sealed: u64,
-    /// Next segment id to allocate.
-    pub next_segment: u64,
 }
 
 /// One nearest-thumbnail hit.
@@ -104,45 +90,42 @@ impl VisualHit {
 
 /// Ranks hits by distance, most-recent-first among ties, newest id
 /// last for full determinism, and truncates to `k`.
-pub fn rank_visual_hits(hits: &mut Vec<VisualHit>, k: usize) {
+fn rank_visual_hits(hits: &mut Vec<VisualHit>, k: usize) {
     hits.sort_by_key(|h| (h.distance, Reverse(h.last), Reverse(h.id)));
     hits.truncate(k);
 }
 
 /// The visual-recall engine for one session.
 pub struct VidxEngine {
-    open: Mutex<VisualStrip>,
     obs: Obs,
     log: SealedLog<Strips>,
 }
 
 impl VidxEngine {
     /// Creates an engine over `store`.
-    pub fn new(store: SharedBlobStore, plane: FaultPlane, obs: Obs, config: VidxConfig) -> Self {
+    pub fn new(store: SharedBlobStore, plane: FaultPlane, obs: Obs, config: SealedConfig) -> Self {
+        let open = Default::default();
         VidxEngine {
-            open: Mutex::new(VisualStrip::new(0)),
-            log: SealedLog::new(Strips, &NAMES, store, plane, obs.clone(), config),
+            log: SealedLog::new(Strips, &NAMES, open, store, plane, obs.clone(), config),
             obs,
         }
     }
 
-    /// The sealed-segment lifecycle under this engine (layouts by
-    /// checkpoint, recovery, GC).
+    /// The sealed-segment lifecycle under this engine: the open strip,
+    /// seals, layouts by checkpoint, recovery and GC.
     pub fn log(&self) -> &SealedLog<Strips> {
         &self.log
     }
 
     /// Strip-layout accounting.
     pub fn stats(&self) -> VidxStats {
-        let open_instances = self.open.lock().instances().len();
+        let open_instances = self.log.open().lock().instances().len();
         let layout = self.log.layout();
         VidxStats {
             open_instances,
             live_segments: layout.live.len(),
             sealed_instances: layout.live.iter().map(|m| m.instances).sum(),
             strip_bytes: layout.live.iter().map(|m| m.bytes).sum(),
-            last_sealed: layout.counter,
-            next_segment: layout.next_segment,
         }
     }
 
@@ -161,57 +144,21 @@ impl VidxEngine {
         let thumb = resample_screenshot(shot, THUMB_W, THUMB_H);
         let fp = Fingerprint::from_screenshot(&thumb);
         let encoded = encode_screenshot(&thumb);
-        let outcome = self.open.lock().observe(now, fp, encoded, NEAR_DUP_BITS);
+        let outcome = self
+            .log
+            .open()
+            .lock()
+            .observe(now, fp, encoded, NEAR_DUP_BITS);
         match outcome {
             Observed::Coalesced => self.obs.incr(names::VIDX_COALESCED),
             Observed::New => self.obs.incr(names::VIDX_KEYFRAMES),
         }
     }
 
-    /// Seals the open strip if its window has elapsed, anchoring the
-    /// segment to checkpoint `counter`. Call after each durable
-    /// checkpoint. An empty strip slides its window without sealing.
-    pub fn maybe_seal(&self, counter: u64) -> Result<Option<SegmentMeta>, VidxError> {
-        let mut strip = self.open.lock();
-        if !self.log.seal_due(strip.horizon, || strip.is_empty()) {
-            return Ok(None);
-        }
-        self.seal_open(counter, &mut strip).map(Some)
-    }
-
-    /// Unconditionally seals the open strip into an immutable segment
-    /// anchored to checkpoint `counter` and swaps in a fresh empty
-    /// strip. Coalescing never spans a seal: a screen still showing
-    /// afterwards opens a new instance, exactly like a fresh
-    /// appearance.
-    ///
-    /// On any error the open strip and the previous layout stay
-    /// authoritative; the seal retries at the next checkpoint.
-    pub fn seal(&self, counter: u64) -> Result<SegmentMeta, VidxError> {
-        self.seal_open(counter, &mut self.open.lock())
-    }
-
-    fn seal_open(&self, counter: u64, strip: &mut VisualStrip) -> Result<SegmentMeta, VidxError> {
-        let _span = self.obs.span("vidx", names::VIDX_SEAL);
-        let sealed = Sealed {
-            start: strip
-                .instances()
-                .first()
-                .map_or(self.log.layout().open_start, |i| i.first),
-            end: strip.horizon,
-            instances: strip.instances().len() as u64,
-            next_instance: strip.next_id(),
-        };
-        let meta = self.log.publish(counter, strip, sealed)?;
-        *strip = VisualStrip::new(sealed.next_instance);
-        strip.horizon = sealed.end;
-        Ok(meta)
-    }
-
     /// Merges one batch of small same-level strip segments into a
     /// higher-level one if any level has enough of them
     /// ([`SealedLog::maybe_compact`]). Returns whether one ran.
-    pub fn maybe_compact(&self) -> Result<bool, VidxError> {
+    pub fn maybe_compact(&self) -> Result<bool, SegmentError> {
         self.log.maybe_compact()
     }
 
@@ -252,28 +199,10 @@ impl VidxEngine {
             .collect()
     }
 
-    /// Runs `f` over the strips a query reads, oldest first: the live
-    /// sealed layout plus the open strip (`at` = `None`), or the
-    /// layout as of a checkpoint alone.
-    fn with_shards<R>(
-        &self,
-        at: Option<u64>,
-        f: impl FnOnce(&[&VisualStrip]) -> R,
-    ) -> Result<R, VidxError> {
-        let sealed = self.log.segments_at(at, |_| true)?;
-        let open = at.is_none().then(|| self.open.lock());
-        let shards: Vec<&VisualStrip> = sealed
-            .iter()
-            .map(|s| s.as_ref())
-            .chain(open.as_deref())
-            .collect();
-        Ok(f(&shards))
-    }
-
     /// The `k` nearest visual instances to a query screenshot, over
     /// every sealed segment plus the open strip. Byte-identical to
     /// [`VidxEngine::query_linear`] by the exactness rule above.
-    pub fn query(&self, probe: &Screenshot, k: usize) -> Result<Vec<VisualHit>, VidxError> {
+    pub fn query(&self, probe: &Screenshot, k: usize) -> Result<Vec<VisualHit>, SegmentError> {
         self.query_layout(None, probe, k)
     }
 
@@ -286,7 +215,7 @@ impl VidxEngine {
         counter: u64,
         probe: &Screenshot,
         k: usize,
-    ) -> Result<Vec<VisualHit>, VidxError> {
+    ) -> Result<Vec<VisualHit>, SegmentError> {
         self.query_layout(Some(counter), probe, k)
     }
 
@@ -295,11 +224,13 @@ impl VidxEngine {
         at: Option<u64>,
         probe: &Screenshot,
         k: usize,
-    ) -> Result<Vec<VisualHit>, VidxError> {
+    ) -> Result<Vec<VisualHit>, SegmentError> {
         let fp = self.fingerprint(probe);
         self.obs.incr(names::VIDX_QUERIES);
         let _span = self.obs.span("vidx", names::VIDX_QUERY);
-        let (hits, probes) = self.with_shards(at, |shards| Self::query_shards(shards, &fp, k))?;
+        let (hits, probes) =
+            self.log
+                .with_shards(at, |_| true, |shards| Self::query_shards(shards, &fp, k))?;
         self.obs.observe(names::VIDX_PROBES, probes);
         Ok(hits)
     }
@@ -307,9 +238,15 @@ impl VidxEngine {
     /// The linear-scan oracle: ranks every instance with no index.
     /// The bench compares [`VidxEngine::query`] against this for
     /// recall and counts its probes as the brute-force baseline.
-    pub fn query_linear(&self, probe: &Screenshot, k: usize) -> Result<Vec<VisualHit>, VidxError> {
+    pub fn query_linear(
+        &self,
+        probe: &Screenshot,
+        k: usize,
+    ) -> Result<Vec<VisualHit>, SegmentError> {
         let fp = self.fingerprint(probe);
-        let mut hits = self.with_shards(None, |shards| Self::scan(shards, &fp))?;
+        let mut hits = self
+            .log
+            .with_shards(None, |_| true, |shards| Self::scan(shards, &fp))?;
         rank_visual_hits(&mut hits, k);
         Ok(hits)
     }
@@ -319,47 +256,16 @@ impl VidxEngine {
         let stats = self.stats();
         stats.sealed_instances + stats.open_instances as u64
     }
-
-    /// The open strip in segment-payload form, so an archive carries
-    /// what no seal has made durable yet.
-    pub fn export_open(&self) -> Vec<u8> {
-        Strips
-            .encode(&self.open.lock())
-            .expect("strip encoding cannot fail")
-    }
-
-    /// Rebuilds the strip layout from the newest durable manifest (an
-    /// archive import or restored store). Returns the manifest's
-    /// checkpoint counter, or `None` when the store has no manifests.
-    pub fn recover_latest(&self) -> Result<Option<u64>, VidxError> {
-        let Some(manifest) = self.log.recover_latest()? else {
-            return Ok(None);
-        };
-        let mut strip = self.open.lock();
-        *strip = VisualStrip::new(manifest.next_instance);
-        strip.horizon = manifest.open_start;
-        Ok(Some(manifest.counter))
-    }
-
-    /// Replaces the open strip with [`VidxEngine::export_open`] bytes,
-    /// continuing after whatever [`VidxEngine::recover_latest`]
-    /// restored.
-    pub fn restore_open(&self, payload: &[u8]) -> Result<(), VidxError> {
-        let mut restored = Strips.decode(payload).map_err(VidxError::Failed)?;
-        let mut strip = self.open.lock();
-        restored.resume(strip.next_id(), strip.horizon);
-        *strip = restored;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dv_fault::{sites, FaultPlan, IoFault};
+    use dv_lsfs::Lifecycle;
     use std::sync::Arc as StdArc;
 
-    fn engine(config: VidxConfig) -> VidxEngine {
+    fn engine(config: SealedConfig) -> VidxEngine {
         VidxEngine::new(
             SharedBlobStore::in_memory(),
             FaultPlane::disabled(),
@@ -409,7 +315,7 @@ mod tests {
 
     #[test]
     fn near_duplicates_coalesce_and_distinct_scenes_do_not() {
-        let eng = engine(VidxConfig::default());
+        let eng = engine(SealedConfig::default());
         eng.observe(ts(0), &scene(1));
         eng.observe(ts(100), &perturbed(1));
         eng.observe(ts(200), &scene(1));
@@ -425,11 +331,11 @@ mod tests {
 
     #[test]
     fn query_matches_linear_oracle_exactly() {
-        let eng = engine(VidxConfig::default());
+        let eng = engine(SealedConfig::default());
         for i in 0..40u64 {
             eng.observe(ts(i * 100), &scene(i));
         }
-        eng.seal(1).unwrap();
+        eng.log().seal(1).unwrap();
         for i in 40..60u64 {
             eng.observe(ts(i * 100), &scene(i));
         }
@@ -445,7 +351,7 @@ mod tests {
 
     #[test]
     fn perturbed_probe_finds_its_scene_at_distance_zero_or_near() {
-        let eng = engine(VidxConfig::default());
+        let eng = engine(SealedConfig::default());
         for i in 0..20u64 {
             eng.observe(ts(i * 100), &scene(i));
         }
@@ -459,11 +365,11 @@ mod tests {
 
     #[test]
     fn query_at_is_snapshot_consistent() {
-        let eng = engine(VidxConfig::default());
+        let eng = engine(SealedConfig::default());
         eng.observe(ts(0), &scene(1));
-        eng.seal(3).unwrap();
+        eng.log().seal(3).unwrap();
         eng.observe(ts(1_000), &scene(2));
-        eng.seal(7).unwrap();
+        eng.log().seal(7).unwrap();
         eng.observe(ts(2_000), &scene(3));
         // Before any seal: nothing visible.
         assert!(eng.query_at(2, &scene(1), 5).unwrap().is_empty());
@@ -489,10 +395,10 @@ mod tests {
             SharedBlobStore::in_memory(),
             plane,
             Obs::disabled(),
-            VidxConfig::default(),
+            SealedConfig::default(),
         );
         eng.observe(ts(0), &scene(5));
-        assert!(eng.seal(1).is_err());
+        assert!(eng.log().seal(1).is_err());
         assert_eq!(eng.stats().live_segments, 0);
         assert_eq!(eng.stats().open_instances, 1);
         let hits = eng.query(&scene(5), 1).unwrap();
@@ -509,10 +415,10 @@ mod tests {
             SharedBlobStore::in_memory(),
             plane,
             Obs::disabled(),
-            VidxConfig::default(),
+            SealedConfig::default(),
         );
         eng.observe(ts(0), &scene(5));
-        eng.seal(1).unwrap();
+        eng.log().seal(1).unwrap();
         assert!(
             eng.query(&scene(5), 1).is_err(),
             "CRC framing catches the mangled segment"
@@ -526,18 +432,21 @@ mod tests {
             store.clone(),
             FaultPlane::disabled(),
             Obs::disabled(),
-            VidxConfig::default(),
+            SealedConfig::default(),
         );
         eng.observe(ts(0), &scene(1));
         eng.observe(ts(100), &scene(2));
-        eng.seal(5).unwrap();
+        eng.log().seal(5).unwrap();
         let fresh = VidxEngine::new(
             store,
             FaultPlane::disabled(),
             Obs::disabled(),
-            VidxConfig::default(),
+            SealedConfig::default(),
         );
-        assert_eq!(fresh.recover_latest().unwrap(), Some(5));
+        assert_eq!(
+            fresh.log().recover_latest().unwrap().map(|m| m.counter),
+            Some(5)
+        );
         assert_eq!(fresh.stats().live_segments, 1);
         assert_eq!(fresh.stats().sealed_instances, 2);
         assert_eq!(fresh.query(&scene(2), 1).unwrap()[0].distance, 0);
@@ -554,24 +463,27 @@ mod tests {
 
     #[test]
     fn maybe_seal_respects_the_strip_window() {
-        let eng = engine(VidxConfig {
+        let eng = engine(SealedConfig {
             window: dv_time::Duration::from_secs(10),
-            ..VidxConfig::default()
+            ..SealedConfig::default()
         });
         eng.observe(ts(1_000), &scene(1));
-        assert!(eng.maybe_seal(1).unwrap().is_none(), "window not elapsed");
+        assert!(
+            eng.log().maybe_seal(1).unwrap().is_none(),
+            "window not elapsed"
+        );
         eng.observe(ts(11_000), &scene(2));
-        assert!(eng.maybe_seal(2).unwrap().is_some());
+        assert!(eng.log().maybe_seal(2).unwrap().is_some());
         assert_eq!(eng.stats().open_instances, 0);
         // Empty strip slides its window instead of sealing.
-        assert!(eng.maybe_seal(3).unwrap().is_none());
+        assert!(eng.log().maybe_seal(3).unwrap().is_none());
     }
 
     #[test]
     fn coalescing_breaks_at_seal_boundaries() {
-        let eng = engine(VidxConfig::default());
+        let eng = engine(SealedConfig::default());
         eng.observe(ts(0), &scene(1));
-        eng.seal(1).unwrap();
+        eng.log().seal(1).unwrap();
         // Same screen still showing: a new instance, not a carried one.
         eng.observe(ts(1_000), &scene(1));
         let hits = eng.query(&scene(1), 5).unwrap();
@@ -581,7 +493,7 @@ mod tests {
 
     #[test]
     fn thumbnails_decode_and_match_the_scene() {
-        let eng = engine(VidxConfig::default());
+        let eng = engine(SealedConfig::default());
         eng.observe(ts(0), &scene(4));
         let hits = eng.query(&scene(4), 1).unwrap();
         let thumb = dv_record::decode_screenshot(&hits[0].thumb).expect("decodable thumbnail");

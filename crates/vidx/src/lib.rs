@@ -16,11 +16,12 @@
 //! `query(probe, k)` probes the union of sixteen exact-match buckets —
 //! sub-linear in the number of instances — and is still byte-identical
 //! to a linear-scan oracle (the pigeonhole exactness rule documented on
-//! [`VidxEngine::query`]). Strips seal at checkpoint boundaries into
-//! immutable segments under the same sealed-segment lifecycle as the
-//! sharded text index ([`dv_lsfs::SealedLog`]), so a revived session's
-//! visual recall is snapshot-consistent with its filesystem, strips
-//! compact, and manifests below the retention floor are reclaimed.
+//! [`VidxEngine::query`]). The open strip belongs to the same
+//! sealed-segment lifecycle as the sharded text index's open shard
+//! ([`dv_lsfs::SealedLog`]), which seals it at checkpoint boundaries
+//! into immutable segments, so a revived session's visual recall is
+//! snapshot-consistent with its filesystem, strips compact, and
+//! manifests below the retention floor are reclaimed.
 
 #![deny(unsafe_code)]
 
@@ -30,11 +31,7 @@ pub mod index;
 pub mod segment;
 pub mod strip;
 
-pub use dv_lsfs::SegmentMeta;
-pub use engine::{
-    rank_visual_hits, VidxConfig, VidxEngine, VidxError, VidxStats, VisualHit, NEAR_DUP_BITS,
-    THUMB_H, THUMB_W,
-};
+pub use engine::{VidxEngine, VidxStats, VisualHit, NEAR_DUP_BITS, THUMB_H, THUMB_W};
 pub use fingerprint::{Fingerprint, BANDS, BAND_BITS, EXACT_RADIUS, FP_BITS};
 pub use index::BandIndex;
 pub use segment::Strips;

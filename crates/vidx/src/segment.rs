@@ -4,12 +4,12 @@
 //! instance id, fingerprint, interval, frame count and RLE thumbnail,
 //! all little-endian — inside the shared CRC frame
 //! ([`dv_lsfs::sealed`]) under magic `DVVSEG01`. Framing, manifests,
-//! blob names, publish order, GC and recovery are the lifecycle's;
-//! this module says only what a strip's bytes are and how strips
-//! merge.
+//! blob names, sealing, publish order, GC, recovery and the archive's
+//! open strip are the lifecycle's; this module says only what a
+//! strip's bytes are, how strips merge, and what a strip seal covers.
 
 use dv_fault::{sites, Put, ReadError, Reader};
-use dv_lsfs::{MergeError, Payload, SegmentNames};
+use dv_lsfs::{MergeError, Payload, Sealed, SegmentNames};
 use dv_obs::names;
 use dv_time::Timestamp;
 
@@ -21,6 +21,7 @@ pub(crate) static NAMES: SegmentNames = SegmentNames {
     seg_magic: b"DVVSEG01",
     seal_site: sites::VIDX_FLUSH,
     compact_site: sites::VIDX_COMPACT,
+    seal_span: names::VIDX_SEAL,
     compact_span: names::VIDX_COMPACT,
     seals: names::VIDX_SEALS,
     compactions: names::VIDX_COMPACTIONS,
@@ -125,6 +126,27 @@ impl Payload for Strips {
             payload.extend_from_slice(record.bytes);
         }
         Ok((payload, all.len() as u64))
+    }
+
+    fn extent(&self, strip: &VisualStrip, open_start: Timestamp) -> Sealed {
+        let instances = strip.instances();
+        Sealed {
+            start: instances.first().map_or(open_start, |i| i.first),
+            end: strip.horizon,
+            instances: instances.len() as u64,
+            next_instance: strip.next_id(),
+        }
+    }
+
+    /// Coalescing never spans a seal: a screen still showing afterwards
+    /// opens a new instance, exactly like a fresh appearance.
+    fn carry(&self, _: &VisualStrip) -> VisualStrip {
+        VisualStrip::default()
+    }
+
+    fn resume(&self, strip: &mut VisualStrip, next_instance: u64, horizon: Timestamp) {
+        strip.next_id = strip.next_id.max(next_instance);
+        strip.horizon = strip.horizon.max(horizon);
     }
 }
 

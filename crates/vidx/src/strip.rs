@@ -45,22 +45,12 @@ pub enum Observed {
 pub struct VisualStrip {
     instances: Vec<VisualInstance>,
     index: BandIndex,
-    next_id: u64,
+    pub(crate) next_id: u64,
     /// Latest keyframe time observed (the seal horizon).
     pub horizon: Timestamp,
 }
 
 impl VisualStrip {
-    /// Creates an empty strip allocating ids from `next_id`.
-    pub fn new(next_id: u64) -> Self {
-        VisualStrip {
-            instances: Vec::new(),
-            index: BandIndex::default(),
-            next_id,
-            horizon: Timestamp::ZERO,
-        }
-    }
-
     /// Rebuilds a strip (and its band index) around decoded
     /// `instances`, oldest first: the horizon is the last keyframe
     /// they saw and ids allocate past the greatest one.
@@ -79,13 +69,6 @@ impl VisualStrip {
                 .unwrap_or(Timestamp::ZERO),
             instances,
         }
-    }
-
-    /// Continues after sealed history: ids allocate from at least
-    /// `next_id` and the horizon is at least `horizon`.
-    pub fn resume(&mut self, next_id: u64, horizon: Timestamp) {
-        self.next_id = self.next_id.max(next_id);
-        self.horizon = self.horizon.max(horizon);
     }
 
     /// Observes one keyframe. A fingerprint within `near_dup_bits` of
@@ -157,7 +140,10 @@ mod tests {
 
     #[test]
     fn near_duplicates_coalesce_into_one_interval() {
-        let mut strip = VisualStrip::new(7);
+        let mut strip = VisualStrip {
+            next_id: 7,
+            ..VisualStrip::default()
+        };
         assert_eq!(strip.observe(ts(0), fp(0), b"a".to_vec(), 8), Observed::New);
         // 3 bits away: same screen, lingering.
         assert_eq!(
@@ -178,7 +164,7 @@ mod tests {
 
     #[test]
     fn distant_screens_and_returns_open_new_instances() {
-        let mut strip = VisualStrip::new(0);
+        let mut strip = VisualStrip::default();
         strip.observe(ts(0), fp(0), Vec::new(), 8);
         // Far away: new instance.
         strip.observe(ts(100), fp(u64::MAX), Vec::new(), 8);

@@ -33,23 +33,30 @@ use dv_checkpoint::{
 };
 use dv_display::{
     decode_command, decode_input, decode_pixels, encode_command, encode_command_vec, encode_input,
-    encode_pixels, peek_command, DisplayCommand, InputEvent, Pattern, Rect, Screenshot, YuvFrame,
+    encode_pixels, peek_command, CommandSink, DisplayCommand, Framebuffer, InputEvent, Pattern,
+    Rect, Screenshot, Viewer, YuvFrame,
 };
 use dv_fault::checksum::crc32;
-use dv_fault::{Put, Reader};
-use dv_index::{decode_index, encode_index, merge_segments, IndexedInstance, RankOrder, TextIndex};
+use dv_fault::{FaultPlane, Put, Reader};
+use dv_index::{
+    decode_index, encode_index, merge_segments, parse_query, IndexedInstance, RankOrder, TextIndex,
+};
 use dv_lsfs::journal::FsOp;
 use dv_lsfs::sealed::{decode_manifest, encode_manifest, frame, unframe};
-use dv_lsfs::{BlobStore, Disk, Filesystem, Lsfs, Manifest, Payload, SegmentMeta, SharedBlobStore};
+use dv_lsfs::{
+    BlobStore, Disk, Filesystem, Lifecycle, Lsfs, Manifest, Payload, SegmentMeta, SharedBlobStore,
+};
 use dv_net::{
     decode_message, encode_frame_vec, encode_message_vec, FrameDecoder, Message, VisualProbe,
     WireHit, WireVisualHit,
 };
+use dv_obs::Obs;
 use dv_record::{
     decode_record, decode_screenshot, encode_record, encode_screenshot, screenshot_dims,
     CommandLog, DisplayRecorder, RecorderConfig, ScreenshotStore, Timeline, TimelineEntry,
     MAX_SCREEN_SIDE,
 };
+use dv_tidx::TidxEngine;
 use dv_time::{Duration, SimClock, Timestamp};
 use dv_vee::{Credentials, FpuState, MemRegion, Prot, Registers, SchedParams, PAGE_SIZE};
 use dv_vidx::{Fingerprint, Strips, VidxEngine, VisualInstance, VisualStrip};
@@ -283,6 +290,75 @@ fn command_stream(seed: u64) -> Vec<u8> {
     out
 }
 
+/// Well-framed commands over degenerate geometry: every tag with a
+/// payload as long as its rectangle and (for video) its frame call for,
+/// with sides of zero, one or two.
+fn degenerate_commands(seed: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (tag, w, h) in [
+        (1u8, 0u32, 2u32),
+        (2, 1, 0),
+        (3, 2, 1),
+        (4, 0, 0),
+        (5, 2, 2),
+        (6, 1, 2),
+    ] {
+        let (fw, fh) = (h, w);
+        let payload_len = match tag {
+            1 => 4 * w * h,
+            2 => 8,
+            3 => 4,
+            4 => 16,
+            5 => 8 + w.div_ceil(8) * h,
+            _ => 8 + fw * fh + 2 * fw.div_ceil(2) * fh.div_ceil(2),
+        };
+        out.push(tag);
+        for field in [seed as u32 % 3, 1, w, h, payload_len] {
+            out.put_u32(field);
+        }
+        let mut payload = vec![seed as u8; payload_len as usize];
+        if tag == 6 {
+            payload[..4].copy_from_slice(&fw.to_le_bytes());
+            payload[4..8].copy_from_slice(&fh.to_le_bytes());
+        }
+        out.extend_from_slice(&payload);
+    }
+    out
+}
+
+/// The header peek and the full decode, command by command: both
+/// accept or both refuse with one error; what decodes has the peeked
+/// header and length, applies, reads back from a one-entry log, and
+/// paints a viewer as it paints a framebuffer.
+fn peek_agrees_with_decode(mut b: &[u8]) -> bool {
+    let (mut fb, mut viewer) = (Framebuffer::new(48, 48), Viewer::new(48, 48));
+    while !b.is_empty() {
+        let mut rest = b;
+        match (peek_command(b), decode_command(&mut rest)) {
+            (Ok(meta), Ok(cmd)) => {
+                assert_eq!(meta, cmd.meta());
+                assert_eq!(meta.len, b.len() - rest.len());
+                fb.apply(&cmd);
+                let entry = [&7u64.to_le_bytes()[..], &b[..meta.len]].concat();
+                let log = CommandLog::from_bytes(entry).expect("a one-entry log");
+                let (_, logged, _) = log.read_at(0).expect("read").expect("entry");
+                assert_eq!(logged, cmd);
+                viewer.submit(Timestamp::ZERO, &logged);
+                assert_eq!(viewer.screenshot(), fb.snapshot());
+            }
+            (Err(peeked), Err(decoded)) => {
+                assert_eq!(peeked, decoded);
+                return false;
+            }
+            (peeked, decoded) => {
+                panic!("peek {peeked:?} but decode {:?}", decoded.map(|c| c.meta()))
+            }
+        }
+        b = rest;
+    }
+    true
+}
+
 fn text_index(seed: u64) -> TextIndex {
     let mut index = TextIndex::new();
     for (id, text, hidden) in [
@@ -436,6 +512,12 @@ fn archive() -> &'static [u8] {
         }
         dv.save_archive().unwrap()
     })
+}
+
+/// An archive's open-buffer section through the lifecycle: restored
+/// into a fresh log's open buffer, then exported again.
+fn restore_and_export(log: &dyn Lifecycle, b: &[u8]) -> bool {
+    log.restore_open(b).and_then(|()| log.export_open()).is_ok()
 }
 
 fn nothing(_: &[u8]) -> u64 {
@@ -628,17 +710,9 @@ table! {
     },
     display_peek => Row {
         name: "peek_command",
-        valid: command_stream,
+        valid: |seed| [command_stream(seed), degenerate_commands(seed)].concat(),
         frame: None,
-        decode: |mut b| {
-            while !b.is_empty() {
-                match peek_command(b) {
-                    Ok(meta) => b = &b[meta.len..],
-                    Err(_) => return false,
-                }
-            }
-            true
-        },
+        decode: peek_agrees_with_decode,
         expands: nothing,
         positions: EVERYWHERE,
     },
@@ -768,7 +842,7 @@ table! {
             };
             let mut rec = DisplayRecorder::new(16, 12, config);
             for (i, cmd) in commands(seed).iter().enumerate() {
-                dv_display::CommandSink::submit(&mut rec, Timestamp::from_millis(i as u64 * 200), cmd);
+                CommandSink::submit(&mut rec, Timestamp::from_millis(i as u64 * 200), cmd);
             }
             let record = rec.record();
             let store = record.read();
@@ -845,17 +919,35 @@ table! {
         positions: EVERYWHERE,
     },
     open_strip => Row {
-        name: "VidxEngine::restore_open",
+        name: "SealedLog::restore_open/strip",
         valid: |seed| Strips.encode(&strip(seed)).unwrap(),
         frame: None,
         decode: |b| {
             let engine = VidxEngine::new(
                 SharedBlobStore::in_memory(),
-                dv_fault::FaultPlane::disabled(),
-                dv_obs::Obs::disabled(),
+                FaultPlane::disabled(),
+                Obs::disabled(),
                 Default::default(),
             );
-            engine.restore_open(b).is_ok()
+            restore_and_export(engine.log(), b)
+        },
+        expands: nothing,
+        positions: EVERYWHERE,
+    },
+    open_text => Row {
+        name: "SealedLog::restore_open/text",
+        valid: |seed| encode_index(&text_index(seed)),
+        frame: None,
+        decode: |b| {
+            let engine = TidxEngine::new(
+                Default::default(),
+                Default::default(),
+                SharedBlobStore::in_memory(),
+                FaultPlane::disabled(),
+                Obs::disabled(),
+                Default::default(),
+            );
+            restore_and_export(engine.log(), b)
         },
         expands: nothing,
         positions: EVERYWHERE,
@@ -1000,6 +1092,14 @@ table! {
         },
         frame: None,
         decode: |b| engine().import_meta(b).is_some(),
+        expands: nothing,
+        positions: EVERYWHERE,
+    },
+    query_text => Row {
+        name: "parse_query",
+        valid: |seed| format!("app:editor \"quick fox\" -lazy from:{} to:90", seed % 50).into_bytes(),
+        frame: None,
+        decode: |b| parse_query(&String::from_utf8_lossy(b)).is_ok(),
         expands: nothing,
         positions: EVERYWHERE,
     },

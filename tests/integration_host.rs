@@ -463,7 +463,7 @@ fn strips_compact_and_age_out_like_text_shards() {
     let (newest, _) = round(&mut host, 5);
     assert_eq!(
         vidx.query_at(old, &probes[1], 4),
-        Err(dv_vidx::VidxError::OutOfRetention {
+        Err(dv_lsfs::SegmentError::OutOfRetention {
             requested: old,
             oldest: newest
         })

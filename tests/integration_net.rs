@@ -635,12 +635,12 @@ fn oversize_cross_shard_search_truncates_by_global_rank() {
         // Seal every 128 states so the hits span many immutable
         // segments rather than one big open shard.
         if (i + 1) % 128 == 0 {
-            tidx.seal(counter).expect("seal");
+            tidx.log().seal(counter).expect("seal");
             counter += 1;
         }
     }
     assert!(
-        tidx.stats().live_segments >= 4,
+        tidx.log().layout().live.len() >= 4,
         "test setup must spread hits across sealed shards"
     );
 

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use dv_display::Screenshot;
 use dv_fault::FaultPlane;
 use dv_lsfs::sealed::{decode_manifest, encode_manifest, frame};
-use dv_lsfs::{Manifest, Payload, SealedLog, SegmentMeta, SharedBlobStore};
+use dv_lsfs::{Lifecycle, Manifest, Payload, SealedLog, SegmentMeta, SharedBlobStore};
 use dv_obs::Obs;
 use dv_record::{decode_screenshot, encode_screenshot};
 use dv_time::Timestamp;

@@ -1,17 +1,22 @@
 //! Model test for the sealed-segment lifecycle (DESIGN.md §16) under
 //! dv-tidx and dv-vidx.
 //!
-//! Random interleavings of publish / compact / gc / crash-and-recover
-//! run against one shared blob store, with `Enospc`, `Corrupt` and
-//! `TornWrite` firing at random at the seal and compaction sites, next
-//! to a plain-list model. After every step:
+//! Random interleavings of fill-and-seal / compact / gc /
+//! crash-and-recover / archive-and-restore run against one shared blob
+//! store, with `Enospc`, `Corrupt` and `TornWrite` firing at random at
+//! the seal and compaction sites, next to a plain-list model. Entries
+//! enter the lifecycle's open buffer and seal through its own
+//! seal-if-due and seal-now. After every step:
 //!
 //! - the layout at checkpoint `N` equals the model's for every `N` at
 //!   or above the retention floor and is `OutOfRetention` below it;
 //! - every segment a surviving manifest names exists and decodes to
 //!   the model's contents — or fails its CRC if the model saw it
 //!   mangled; manifests below the floor are gone;
-//! - a failed publish leaves the store and the layout as they were;
+//! - a failed seal leaves the store, the layout and the open buffer as
+//!   they were;
+//! - the open buffer holds the model's entries — across an archive
+//!   round trip too;
 //! - an engine recovered from the store equals the last durable state.
 //!
 //! Beside it, the byte-level merges are held to the decode → merge →
@@ -20,25 +25,39 @@
 mod common;
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use proptest::prelude::*;
 
 use dv_fault::{FaultPlan, FaultPlane, IoFault};
 use dv_index::{decode_index, encode_index, merge_segments, IndexedInstance, TextIndex};
 use dv_lsfs::sealed::COMPACT_FANIN;
-use dv_lsfs::{Manifest, Payload, Sealed, SealedLog, SegmentError, SharedBlobStore};
+use dv_lsfs::{
+    Lifecycle, Manifest, Payload, SealedConfig, SealedLog, SegmentError, SharedBlobStore,
+};
 use dv_obs::Obs;
-use dv_time::Timestamp;
-use dv_vidx::{Fingerprint, Strips, VisualInstance, VisualStrip};
+use dv_time::{Duration, Timestamp};
+use dv_vidx::{Fingerprint, Observed, Strips, VisualInstance, VisualStrip, NEAR_DUP_BITS};
+
+/// The open buffer's window: entry `n` is seen at `n` ms.
+const WINDOW_MS: u64 = 4;
+
+fn config() -> SealedConfig {
+    SealedConfig {
+        window: Duration::from_millis(WINDOW_MS),
+        ..SealedConfig::default()
+    }
+}
 
 /// One index: how to open an engine over a store and reach its log,
-/// how to build a segment holding entries `ids`, and how to list a
-/// decoded segment's entries.
+/// how to add entries to its open buffer, and how to list a segment's
+/// entries.
 trait Kind: Sized {
     type P: Payload;
     fn open(store: &SharedBlobStore, plane: &FaultPlane) -> Self;
     fn log(&self) -> &SealedLog<Self::P>;
-    fn segment(ids: &[u64]) -> <Self::P as Payload>::Segment;
+    /// Adds entries `ids` to the open buffer, entry `n` seen at `n` ms.
+    fn fill(open: &mut <Self::P as Payload>::Segment, ids: Range<u64>);
     fn ids(segment: &<Self::P as Payload>::Segment) -> Vec<u64>;
 }
 
@@ -47,22 +66,17 @@ impl Kind for dv_tidx::TidxEngine {
 
     fn open(store: &SharedBlobStore, plane: &FaultPlane) -> Self {
         let (store, plane) = (store.clone(), plane.clone());
-        Self::new(
-            Default::default(),
-            store,
-            plane,
-            Obs::disabled(),
-            Default::default(),
-        )
+        let (open, ids) = Default::default();
+        Self::new(open, ids, store, plane, Obs::disabled(), config())
     }
 
     fn log(&self) -> &SealedLog<Self::P> {
         self.log()
     }
 
-    fn segment(ids: &[u64]) -> TextIndex {
-        let mut index = TextIndex::new();
-        for &id in ids {
+    /// Closed instances: none carries across a seal.
+    fn fill(index: &mut TextIndex, ids: Range<u64>) {
+        for id in ids {
             index.add_instance(IndexedInstance {
                 id,
                 app_id: 1,
@@ -71,11 +85,10 @@ impl Kind for dv_tidx::TidxEngine {
                 role: "paragraph".into(),
                 text: format!("entry {id}"),
                 shown: Timestamp::from_millis(id),
-                hidden: Some(Timestamp::from_millis(id + 1)),
+                hidden: Some(Timestamp::from_millis(id)),
                 annotation: false,
             });
         }
-        index
     }
 
     fn ids(index: &TextIndex) -> Vec<u64> {
@@ -89,28 +102,24 @@ impl Kind for dv_vidx::VidxEngine {
     type P = dv_vidx::Strips;
 
     fn open(store: &SharedBlobStore, plane: &FaultPlane) -> Self {
-        Self::new(
-            store.clone(),
-            plane.clone(),
-            Obs::disabled(),
-            Default::default(),
-        )
+        Self::new(store.clone(), plane.clone(), Obs::disabled(), config())
     }
 
     fn log(&self) -> &SealedLog<Self::P> {
         self.log()
     }
 
-    fn segment(ids: &[u64]) -> VisualStrip {
-        let instance = |&id: &u64| VisualInstance {
-            id,
-            fp: Fingerprint([id, !id, id << 7, 0]),
-            first: Timestamp::from_millis(id),
-            last: Timestamp::from_millis(id),
-            frames: 1,
-            thumb: vec![id as u8; 3],
-        };
-        VisualStrip::from_instances(ids.iter().map(instance).collect())
+    /// Far-apart fingerprints, so every keyframe opens an instance and
+    /// the strip's own allocator hands out exactly `ids`.
+    fn fill(strip: &mut VisualStrip, ids: Range<u64>) {
+        for id in ids {
+            assert_eq!(strip.next_id(), id, "the strip allocates the model's id");
+            let word = |k: u64| id.wrapping_add(k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let fp = Fingerprint([word(1), word(2), word(3), word(4)]);
+            let now = Timestamp::from_millis(id);
+            let observed = strip.observe(now, fp, vec![id as u8; 3], NEAR_DUP_BITS);
+            assert_eq!(observed, Observed::New);
+        }
     }
 
     fn ids(strip: &VisualStrip) -> Vec<u64> {
@@ -120,23 +129,31 @@ impl Kind for dv_vidx::VidxEngine {
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// Seal `entries` fresh entries at a checkpoint `gap` past the last.
-    Publish {
+    /// Add `entries` fresh entries to the open buffer, then seal at a
+    /// checkpoint `gap` past the last: now when `force` (and the buffer
+    /// holds anything), else only if the window has elapsed.
+    Seal {
         gap: u64,
         entries: u64,
+        force: bool,
     },
     Compact,
     Gc,
     /// Drop the engine; a fresh one recovers from the store.
     Crash,
+    /// Export the open buffer, drop the engine, and restore the buffer
+    /// into a fresh one recovered from the store.
+    Archive,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => (1..4u64, 1..4u64).prop_map(|(gap, entries)| Op::Publish { gap, entries }),
+        6 => (1..4u64, 0..4u64, any::<bool>())
+            .prop_map(|(gap, entries, force)| Op::Seal { gap, entries, force }),
         3 => Just(Op::Compact),
         1 => Just(Op::Gc),
         1 => Just(Op::Crash),
+        1 => Just(Op::Archive),
     ]
 }
 
@@ -154,6 +171,10 @@ struct Model {
     floor: u64,
     /// Segments a compaction of this engine found unreadable.
     damaged: Vec<u64>,
+    /// Where the open buffer's window began, in ms.
+    open_start: u64,
+    /// The id the open buffer allocates next.
+    next_entry: u64,
 }
 
 impl Model {
@@ -176,8 +197,9 @@ fn live_ids(layout: &Manifest) -> Vec<u64> {
     ids
 }
 
-fn check<K: Kind>(engine: &K, store: &SharedBlobStore, model: &Model, durable: u64) {
+fn check<K: Kind>(engine: &K, store: &SharedBlobStore, model: &Model, durable: u64, open: &[u64]) {
     let log = engine.log();
+    assert_eq!(K::ids(&log.open().lock()), open, "open buffer");
     let layout = log.layout();
     assert_eq!(live_ids(&layout), model.live, "live layout");
     let retired: Vec<(u64, u64)> = layout.retired.iter().map(|(m, r)| (m.id, *r)).collect();
@@ -219,6 +241,23 @@ fn check<K: Kind>(engine: &K, store: &SharedBlobStore, model: &Model, durable: u
     }
 }
 
+/// A fresh engine over `store` that recovered the newest manifest.
+fn recovered<K: Kind>(store: &SharedBlobStore, plane: &FaultPlane, durable: &Model) -> K {
+    let engine = K::open(store, plane);
+    let recovered = engine
+        .log()
+        .recover_latest()
+        .expect("newest manifest is intact");
+    assert_eq!(recovered.is_some(), durable.next_entry > 0);
+    let layout = engine.log().layout();
+    assert_eq!(layout.next_instance, durable.next_entry);
+    assert_eq!(
+        layout.open_start,
+        Timestamp::from_millis(durable.open_start)
+    );
+    engine
+}
+
 fn run<K: Kind>(seed: u64, ops: &[Op]) {
     let store = SharedBlobStore::in_memory();
     let names = K::open(&store, &FaultPlane::disabled()).log().names();
@@ -232,26 +271,45 @@ fn run<K: Kind>(seed: u64, ops: &[Op]) {
     let injected = || plane.injected_at(names.seal_site) + plane.injected_at(names.compact_site);
     let mut engine = K::open(&store, &plane);
     // `model` follows the engine; `durable` is the model as of the last
-    // successful publish — what a crash falls back to.
+    // successful seal — what a crash falls back to. `open` is the open
+    // buffer's entries.
     let (mut model, mut durable) = (Model::default(), Model::default());
-    let (mut counter, mut sealed_at, mut next_entry) = (0u64, 0u64, 1u64);
+    let (mut counter, mut sealed_at, mut open) = (0u64, 0u64, Vec::new());
     for op in ops {
         let (blobs_before, faults_before) = (store.lock().names(), injected());
         match *op {
-            Op::Publish { gap, entries } => {
+            Op::Seal {
+                gap,
+                entries,
+                force,
+            } => {
                 counter += gap;
-                let ids: Vec<u64> = (next_entry..next_entry + entries).collect();
-                let sealed = Sealed {
-                    start: Timestamp::from_millis(next_entry),
-                    end: Timestamp::from_millis(next_entry + entries),
-                    instances: entries,
-                    next_instance: next_entry + entries,
+                let ids = model.next_entry..model.next_entry + entries;
+                K::fill(&mut engine.log().open().lock(), ids.clone());
+                open.extend(ids);
+                model.next_entry += entries;
+                let horizon = open
+                    .last()
+                    .map_or(model.open_start, |&last| last.max(model.open_start));
+                let log = engine.log();
+                let sealed = if force && !open.is_empty() {
+                    log.seal(counter).map(Some)
+                } else {
+                    let due = horizon >= model.open_start + WINDOW_MS && !open.is_empty();
+                    let sealed = log.maybe_seal(counter);
+                    assert!(
+                        due || sealed == Ok(None),
+                        "sealed before the window: {sealed:?}"
+                    );
+                    sealed
                 };
-                match engine.log().publish(counter, &K::segment(&ids), sealed) {
+                match sealed {
+                    Ok(None) => {}
                     Err(_) => assert_eq!(store.lock().names(), blobs_before, "orphan blob"),
-                    Ok(meta) => {
+                    Ok(Some(meta)) => {
                         let intact = injected() == faults_before;
-                        model.blobs.insert(meta.id, (0, intact.then_some(ids)));
+                        let entries = std::mem::take(&mut open);
+                        model.blobs.insert(meta.id, (0, intact.then_some(entries)));
                         model.live.push(meta.id);
                         model.live.sort_unstable();
                         model.manifests.insert(counter, model.live.clone());
@@ -260,7 +318,8 @@ fn run<K: Kind>(seed: u64, ops: &[Op]) {
                             model.floor = counter;
                             model.manifests = model.manifests.split_off(&counter);
                         }
-                        (sealed_at, next_entry) = (counter, next_entry + entries);
+                        model.open_start = horizon;
+                        sealed_at = counter;
                         durable = model.clone();
                     }
                 }
@@ -304,27 +363,28 @@ fn run<K: Kind>(seed: u64, ops: &[Op]) {
                 assert_eq!(
                     engine.log().gc(),
                     0,
-                    "every publish already reclaimed all it could"
+                    "every seal already reclaimed all it could"
                 );
                 assert_eq!(store.lock().names(), blobs_before);
             }
-            Op::Crash => {
-                engine = K::open(&store, &plane);
-                let recovered = engine
-                    .log()
-                    .recover_latest()
-                    .expect("newest manifest is intact");
-                assert_eq!(recovered.is_some(), sealed_at > 0);
-                let next_instance = engine.log().layout().next_instance;
-                assert_eq!(next_instance, if sealed_at > 0 { next_entry } else { 0 });
+            Op::Crash | Op::Archive => {
+                let exported = engine.log().export_open().expect("in-memory export");
+                engine = recovered(&store, &plane, &durable);
                 // Blobs of an undone compaction stay behind unreferenced.
                 let blobs = std::mem::take(&mut model.blobs);
+                let next_entry = model.next_entry;
                 model = durable.clone();
                 model.blobs = blobs;
                 model.damaged.clear();
+                if matches!(op, Op::Archive) {
+                    engine.log().restore_open(&exported).expect("restore");
+                    model.next_entry = next_entry;
+                } else {
+                    open.clear();
+                }
             }
         }
-        check(&engine, &store, &model, sealed_at);
+        check(&engine, &store, &model, sealed_at, &open);
     }
 }
 
