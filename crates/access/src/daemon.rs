@@ -119,11 +119,6 @@ impl<S: TextSink> CaptureDaemon<S> {
         &self.sink
     }
 
-    /// Returns a mutable reference to the sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Returns cumulative statistics.
     pub fn stats(&self) -> DaemonStats {
         self.stats

@@ -870,25 +870,31 @@ impl DeferredRow {
 
 /// The session under the deferred and obs measurements: an empty
 /// environment and a compressing engine (full image every fourth) that
-/// commits through `workers` pipeline workers and can queue every round.
+/// commits into a fresh store through `workers` pipeline workers and
+/// can queue every round.
 fn pipeline_session(
     workers: usize,
     rounds: u64,
-) -> (SimClock, dv_vee::Vee, dv_checkpoint::Checkpointer) {
+) -> (
+    SimClock,
+    dv_vee::Vee,
+    dv_checkpoint::Checkpointer,
+    dv_lsfs::SharedBlobStore,
+) {
     let clock = SimClock::new();
     let fs = Box::new(dv_lsfs::Lsfs::new());
     let vee = dv_vee::Vee::new(1, clock.shared(), fs, dv_vee::HostPidAllocator::new());
-    let engine = dv_checkpoint::Checkpointer::with_sim_clock(
-        dv_checkpoint::EngineConfig {
-            compress: true,
-            full_every: 4,
-            commit_workers: workers,
-            commit_queue_depth: rounds as usize + 1,
-            ..dv_checkpoint::EngineConfig::default()
-        },
-        clock.clone(),
-    );
-    (clock, vee, engine)
+    let config = dv_checkpoint::EngineConfig {
+        compress: true,
+        full_every: 4,
+        commit_workers: workers,
+        commit_queue_depth: rounds as usize + 1,
+        ..dv_checkpoint::EngineConfig::default()
+    };
+    let store = dv_lsfs::SharedBlobStore::in_memory();
+    let pool = config.commit_pool(store.clone(), &clock);
+    let engine = dv_checkpoint::Checkpointer::new(config, pool, clock.clone());
+    (clock, vee, engine, store)
 }
 
 /// Runs one memory-heavy session under a pipeline configuration: every
@@ -899,8 +905,7 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
     let procs = 4usize;
     let pages_per_proc = ((192.0 * scale) as usize).max(24);
     let rounds = ((12.0 * scale) as u64).max(6);
-    let (clock, mut vee, mut engine) = pipeline_session(workers, rounds);
-    let store = dv_lsfs::SharedBlobStore::in_memory();
+    let (clock, mut vee, mut engine, store) = pipeline_session(workers, rounds);
 
     // Deterministic, poorly compressible page contents (xorshift64) —
     // the same in every configuration.
@@ -944,7 +949,7 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
             }
         }
         let started = Instant::now();
-        engine.checkpoint(&mut vee, &store).expect("checkpoint");
+        engine.checkpoint(&mut vee).expect("checkpoint");
         stalls.push(started.elapsed());
         clock.advance(Duration::from_secs(1));
     }
@@ -1040,13 +1045,12 @@ fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
     const PAGE: usize = 4096;
     let pages = ((256.0 * scale) as usize).max(32);
     let rounds = ((10.0 * scale) as u64).max(5);
-    let (clock, mut vee, mut engine) = pipeline_session(2, rounds);
+    let (clock, mut vee, mut engine, _store) = pipeline_session(2, rounds);
     engine.set_obs(if instrumented {
         Obs::wall(clock.shared())
     } else {
         Obs::disabled()
     });
-    let store = dv_lsfs::SharedBlobStore::in_memory();
 
     let p = vee.spawn(None, "obs-worker").expect("spawn");
     let addr = vee
@@ -1066,7 +1070,7 @@ fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
             vee.mem_write(p, addr + (page * PAGE) as u64, &page_buf)
                 .expect("dirty pages");
         }
-        engine.checkpoint(&mut vee, &store).expect("checkpoint");
+        engine.checkpoint(&mut vee).expect("checkpoint");
         clock.advance(Duration::from_secs(1));
     }
     engine.flush().expect("flush");

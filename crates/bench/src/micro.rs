@@ -47,7 +47,8 @@ fn noise_fb(width: u32, height: u32) -> Framebuffer {
     fb
 }
 
-/// A session of one process with 16 MiB written, and an engine over it.
+/// A session of one process with 16 MiB written, and an engine over it
+/// on a pool of its own.
 fn process_16mb(config: EngineConfig) -> (Vee, Checkpointer, dv_vee::Vpid, u64) {
     let clock = SimClock::new();
     let fs = Box::new(Lsfs::new());
@@ -55,7 +56,8 @@ fn process_16mb(config: EngineConfig) -> (Vee, Checkpointer, dv_vee::Vpid, u64) 
     let p = vee.spawn(None, "app").unwrap();
     let addr = vee.mmap(p, 16 << 20, Prot::ReadWrite).unwrap();
     vee.mem_write(p, addr, &vec![3u8; 16 << 20]).unwrap();
-    let engine = Checkpointer::with_sim_clock(config, clock);
+    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+    let engine = Checkpointer::new(config, pool, clock);
     (vee, engine, p, addr)
 }
 
@@ -296,15 +298,13 @@ pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
     // A fresh 16 MiB process each round; only the checkpoint is timed.
     rows.add("checkpoint", "full_checkpoint_16mb", || {
         let (mut vee, mut engine, ..) = process_16mb(EngineConfig::default());
-        let store = SharedBlobStore::in_memory();
-        timed(|| engine.checkpoint(&mut vee, &store).unwrap())
+        timed(|| engine.checkpoint(&mut vee).unwrap())
     });
     let (mut vee, mut engine, p, addr) = process_16mb(EngineConfig {
         full_every: u64::MAX,
         ..EngineConfig::default()
     });
-    let store = SharedBlobStore::in_memory();
-    engine.checkpoint(&mut vee, &store).unwrap();
+    engine.checkpoint(&mut vee).unwrap();
     rows.add(
         "checkpoint",
         "incremental_checkpoint_64_dirty_pages",
@@ -313,7 +313,7 @@ pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
                 for i in 0..64u64 {
                     vee.mem_write(p, addr + i * 4096, &[1]).unwrap();
                 }
-                engine.checkpoint(&mut vee, &store).unwrap()
+                engine.checkpoint(&mut vee).unwrap()
             })
         },
     );

@@ -50,13 +50,6 @@ const GEAR: [u64; 256] = {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u128);
 
-impl ChunkId {
-    /// Hex rendering for logs and events.
-    pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
-    }
-}
-
 impl std::fmt::Debug for ChunkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ChunkId({:032x})", self.0)

@@ -27,11 +27,11 @@ use std::sync::Arc;
 use dv_fault::{FaultPlane, Put, Reader};
 use dv_lsfs::{FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
-use dv_time::{Duration, PhaseBreakdown, PhaseTimer, Sleeper, Timestamp};
+use dv_time::{Duration, PhaseBreakdown, PhaseTimer, SimClock, Sleeper, Timestamp};
 use dv_vee::{FdObject, Process, RunState, Signal, SockState, Vee};
 
 use crate::image::{CheckpointImage, FdRecord, ImageKind, ProcessRecord, SocketRecord};
-use crate::writeback::{CommitPipeline, FairPolicy, LaneId, PipelineConfig};
+use crate::writeback::{CommitPipeline, LaneId, PipelineConfig};
 
 /// Hidden directory unlinked-open files are relinked into.
 pub const RELINK_DIR: &str = "/.dejaview";
@@ -62,19 +62,18 @@ pub struct EngineConfig {
     /// Ablation: skip the pre-snapshot file system sync, leaving all
     /// dirty data to be written during the snapshot (downtime) window.
     pub disable_pre_snapshot: bool,
-    /// Worker threads in the engine's own commit pool. `0` (the
-    /// default) is no threads: the session thread runs the commit steps
-    /// itself, after resume. `>= 1` moves them — encode, per-section
-    /// compression, the in-order store write — off the session thread.
-    /// What is stored, and which checkpoints survive a fault, does not
-    /// depend on the count. Unused while the engine is attached to
-    /// another pool ([`Checkpointer::attach_pipeline`]).
+    /// Worker threads in the pool [`EngineConfig::commit_pool`] builds.
+    /// `0` (the default) is no threads: the session thread runs the
+    /// commit steps itself, after resume. `>= 1` moves them — encode,
+    /// per-section compression, the in-order store write — off the
+    /// session thread. What is stored, and which checkpoints survive a
+    /// fault, does not depend on the count.
     pub commit_workers: usize,
     /// Maximum captures pending on the engine's lane before
     /// backpressure: the session thread settles the lane and the new
     /// capture before it moves on (bounds captured-page memory).
     pub commit_queue_depth: usize,
-    /// Store-write retries per commit in the engine's own pool.
+    /// Store-write retries per commit in the pool this config builds.
     pub commit_retry_limit: u32,
     /// Backoff before a commit retry; doubles per attempt.
     pub commit_retry_backoff: Duration,
@@ -95,6 +94,25 @@ impl Default for EngineConfig {
             commit_retry_limit: 3,
             commit_retry_backoff: Duration::from_millis(50),
         }
+    }
+}
+
+impl EngineConfig {
+    /// Builds the commit pool a lone session's engines share — its own
+    /// and every revived session's: `commit_workers` threads writing
+    /// into `store` with this config's retries and compression. A
+    /// multi-tenant host builds its pool from its own config instead.
+    pub fn commit_pool(&self, store: SharedBlobStore, clock: &SimClock) -> Arc<CommitPipeline> {
+        Arc::new(CommitPipeline::new(
+            PipelineConfig {
+                workers: self.commit_workers,
+                retry_limit: self.commit_retry_limit,
+                retry_backoff: self.commit_retry_backoff,
+                compress: self.compress,
+            },
+            store,
+            Sleeper::Sim(clock.clone()),
+        ))
     }
 }
 
@@ -170,11 +188,13 @@ pub struct EngineStats {
     /// fs-snapshot) across all checkpoints, in wall nanoseconds.
     pub sync_downtime_nanos: u64,
     /// Total enqueue-to-resolve time of commits, in nanoseconds on the
-    /// engine's sleeper timebase (session time under a sim clock).
+    /// pool's sleeper timebase (session time under a sim clock).
     pub async_commit_nanos: u64,
 }
 
-/// The checkpoint engine for one session.
+/// The checkpoint engine for one session. It commits through the lane
+/// it opens on its pool when constructed; dropping it settles the lane
+/// and closes it.
 pub struct Checkpointer {
     config: EngineConfig,
     blob_prefix: String,
@@ -183,10 +203,9 @@ pub struct Checkpointer {
     stats: EngineStats,
     relink_seq: u64,
     plane: FaultPlane,
-    /// The pool this engine commits through and its lane there: the
-    /// engine's own pool, built at the first checkpoint, or one it was
-    /// attached to.
-    lane: Option<(Arc<CommitPipeline>, LaneId)>,
+    /// The pool this engine commits through, and its lane there.
+    pool: Arc<CommitPipeline>,
+    lane: LaneId,
     force_full: bool,
     sleeper: Sleeper,
     last_async_error: Option<FsError>,
@@ -194,10 +213,11 @@ pub struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// Creates an engine on a [`dv_time::SimClock`]: the pre-quiesce
-    /// wait, commit-retry backoff and injected latency spikes advance
-    /// the clock instead of really sleeping.
-    pub fn with_sim_clock(config: EngineConfig, clock: dv_time::SimClock) -> Self {
+    /// Creates an engine committing into `pool`'s store on a lane of
+    /// its own, with `commit_queue_depth` as the lane's quota. The
+    /// pre-quiesce wait advances `clock` instead of really sleeping.
+    pub fn new(config: EngineConfig, pool: Arc<CommitPipeline>, clock: SimClock) -> Self {
+        let lane = pool.add_lane(config.commit_queue_depth);
         Checkpointer {
             config,
             blob_prefix: "ckpt".to_string(),
@@ -206,7 +226,8 @@ impl Checkpointer {
             stats: EngineStats::default(),
             relink_seq: 0,
             plane: FaultPlane::disabled(),
-            lane: None,
+            pool,
+            lane,
             force_full: false,
             sleeper: Sleeper::Sim(clock),
             last_async_error: None,
@@ -249,60 +270,20 @@ impl Checkpointer {
         self.stats
     }
 
-    /// Attaches this engine to `pipe` on a lane of its own — with
-    /// `commit_queue_depth` as its queue quota and `weight` as its
-    /// scheduling weight — after detaching from any pool it was on.
-    /// Returns the lane. Checkpoints into the pool's store commit
-    /// through it, whatever `commit_workers` says.
-    pub fn attach_pipeline(&mut self, pipe: Arc<CommitPipeline>, weight: u32) -> LaneId {
-        self.detach_pipeline();
-        let lane = pipe.add_lane(self.config.commit_queue_depth, weight);
-        self.lane = Some((pipe, lane));
-        lane
+    /// The pool this engine commits through; sessions revived from
+    /// this one open their engines' lanes on it too.
+    pub fn pool(&self) -> &Arc<CommitPipeline> {
+        &self.pool
     }
 
-    /// Detaches from the pool: settles this engine's lane, absorbs the
-    /// outcomes (a failure is kept for the next
-    /// [`Checkpointer::flush`] to report), and closes the lane.
-    pub fn detach_pipeline(&mut self) {
-        self.settle();
-        if let Some((pipe, lane)) = self.lane.take() {
-            pipe.remove_lane(lane);
-        }
-    }
-
-    /// The pool this engine commits to `store` through. An engine that
-    /// is not attached to one builds its own here, with
-    /// `commit_workers` threads; sessions revived from this one attach
-    /// their engines to the same pool.
-    pub fn pipeline(&mut self, store: &SharedBlobStore) -> Arc<CommitPipeline> {
-        self.attachment(store).0
-    }
-
-    fn attachment(&mut self, store: &SharedBlobStore) -> (Arc<CommitPipeline>, LaneId) {
-        let attached = |(pipe, _): &(Arc<CommitPipeline>, LaneId)| pipe.writes_to(store);
-        if !self.lane.as_ref().is_some_and(attached) {
-            let own = CommitPipeline::new(
-                PipelineConfig {
-                    workers: self.config.commit_workers,
-                    retry_limit: self.config.commit_retry_limit,
-                    retry_backoff: self.config.commit_retry_backoff,
-                    compress: self.config.compress,
-                    fairness: FairPolicy::RoundRobin,
-                },
-                store.clone(),
-                self.sleeper.clone(),
-            );
-            self.attach_pipeline(Arc::new(own), 1);
-        }
-        self.lane.clone().expect("attached above")
+    /// This engine's lane of [`Checkpointer::pool`].
+    pub fn lane(&self) -> LaneId {
+        self.lane
     }
 
     /// Commits still pending in the pipeline.
     pub fn inflight(&self) -> usize {
-        self.lane
-            .as_ref()
-            .map_or(0, |(pipe, lane)| pipe.inflight(*lane))
+        self.pool.inflight(self.lane)
     }
 
     /// Barrier: blocks until every pending commit has resolved, then
@@ -316,17 +297,9 @@ impl Checkpointer {
     /// chained through it are not retained, and the next checkpoint
     /// re-anchors with a forced full).
     pub fn flush(&mut self) -> Result<(), FsError> {
-        self.settle();
-        self.last_async_error.take().map_or(Ok(()), Err)
-    }
-
-    /// Blocks until this engine's lane is idle (running its steps here
-    /// when one is ready) and absorbs the outcomes.
-    fn settle(&mut self) {
-        if let Some((pipe, lane)) = self.lane.as_ref() {
-            pipe.drain(*lane);
-        }
+        self.pool.drain(self.lane);
         self.reap(None);
+        self.last_async_error.take().map_or(Ok(()), Err)
     }
 
     /// Folds already-resolved commits into the engine without
@@ -336,12 +309,11 @@ impl Checkpointer {
     /// `awaited` if it was among them; any other failure is kept for
     /// [`Checkpointer::flush`].
     fn reap(&mut self, awaited: Option<u64>) -> Option<Result<(u64, u64), FsError>> {
-        let (pipe, lane) = self.lane.as_ref()?;
-        let outcomes = pipe.take_finished(*lane);
+        let outcomes = self.pool.take_finished(self.lane);
         if outcomes.is_empty() {
             return None;
         }
-        let depth = pipe.inflight(*lane) as u64;
+        let depth = self.pool.inflight(self.lane) as u64;
         let mut awaited_result = None;
         for outcome in outcomes {
             self.stats.async_commit_nanos += outcome.commit_nanos;
@@ -492,7 +464,8 @@ impl Checkpointer {
         Some(())
     }
 
-    /// Takes one checkpoint of `vee`, storing the image in `store`.
+    /// Takes one checkpoint of `vee`, storing the image in the pool's
+    /// store.
     ///
     /// Capture, snapshot and resume happen here; the captured image
     /// then takes the engine's lane of its commit pipeline. The call
@@ -513,11 +486,7 @@ impl Checkpointer {
     /// [`EngineStats::write_failures`], and the next checkpoint is
     /// full. Failures of commits still pending on return surface
     /// through [`Checkpointer::flush`].
-    pub fn checkpoint(
-        &mut self,
-        vee: &mut Vee,
-        store: &SharedBlobStore,
-    ) -> Result<CheckpointReport, FsError> {
+    pub fn checkpoint(&mut self, vee: &mut Vee) -> Result<CheckpointReport, FsError> {
         // Absorb any commits that resolved since the last call: a failed
         // one forces this checkpoint full so the chain re-anchors.
         self.reap(None);
@@ -571,7 +540,7 @@ impl Checkpointer {
         }
         let submitted = captured.map(|(image, pages_saved)| {
             timer.enter("writeback");
-            (self.submit(image, store, !defer), pages_saved)
+            (self.submit(image, !defer), pages_saved)
         });
         if !defer {
             timer.enter("resume");
@@ -749,8 +718,8 @@ impl Checkpointer {
     /// has resolved on return — `now` asked for it (the ablation),
     /// the lane was full, or the pool has no workers and `enqueue` ran
     /// the steps on this thread.
-    fn submit(&mut self, image: CheckpointImage, store: &SharedBlobStore, now: bool) -> bool {
-        let (pipe, lane) = self.attachment(store);
+    fn submit(&mut self, image: CheckpointImage, now: bool) -> bool {
+        let (pipe, lane) = (&self.pool, self.lane);
         // Backpressure: a full lane is settled before it takes another
         // capture, and this capture before the session moves on, so
         // captured-page memory stays bounded by the quota and commit
@@ -799,6 +768,17 @@ impl Checkpointer {
         );
         self.obs
             .add(names::CHECKPOINT_SYNC_DOWNTIME_NANOS, downtime.as_nanos());
+    }
+}
+
+impl Drop for Checkpointer {
+    /// Settles the lane — running its ready steps on this thread — and
+    /// closes it. While unwinding the lane is left to the pool instead:
+    /// waiting on it there could hang, and a second panic would abort.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.pool.remove_lane(self.lane);
+        }
     }
 }
 
@@ -861,14 +841,19 @@ mod tests {
             Box::new(Lsfs::new()),
             HostPidAllocator::new(),
         );
-        let engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                full_every: 4,
-                ..EngineConfig::default()
-            },
-            clock.clone(),
-        );
-        (vee, clock, engine, SharedBlobStore::in_memory())
+        let config = EngineConfig {
+            full_every: 4,
+            ..EngineConfig::default()
+        };
+        let (engine, store) = engine_on(config, &clock);
+        (vee, clock, engine, store)
+    }
+
+    /// An engine with `config` on a pool of its own over a fresh store.
+    fn engine_on(config: EngineConfig, clock: &SimClock) -> (Checkpointer, SharedBlobStore) {
+        let store = SharedBlobStore::in_memory();
+        let pool = config.commit_pool(store.clone(), clock);
+        (Checkpointer::new(config, pool, clock.clone()), store)
     }
 
     #[test]
@@ -877,7 +862,7 @@ mod tests {
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 8192, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, b"state").unwrap();
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(report.counter, 1);
         assert!(report.full);
         assert_eq!(report.pages_saved, 1);
@@ -891,31 +876,31 @@ mod tests {
 
     #[test]
     fn incrementals_save_only_dirty_pages() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 16 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &vec![1u8; 16 * 4096]).unwrap();
-        let full = engine.checkpoint(&mut vee, &store).unwrap();
+        let full = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(full.pages_saved, 16);
         // Touch two pages.
         vee.mem_write(p, addr + 4096, b"x").unwrap();
         vee.mem_write(p, addr + 5 * 4096, b"y").unwrap();
-        let inc = engine.checkpoint(&mut vee, &store).unwrap();
+        let inc = engine.checkpoint(&mut vee).unwrap();
         assert!(!inc.full);
         assert_eq!(inc.pages_saved, 2);
         assert!(inc.raw_bytes < full.raw_bytes / 4);
         // No writes: empty incremental.
-        let idle = engine.checkpoint(&mut vee, &store).unwrap();
+        let idle = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(idle.pages_saved, 0);
     }
 
     #[test]
     fn full_checkpoints_recur_periodically() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         vee.spawn(None, "app").unwrap();
         let mut fulls = Vec::new();
         for _ in 0..9 {
-            fulls.push(engine.checkpoint(&mut vee, &store).unwrap().full);
+            fulls.push(engine.checkpoint(&mut vee).unwrap().full);
         }
         assert_eq!(
             fulls,
@@ -925,10 +910,10 @@ mod tests {
 
     #[test]
     fn chain_resolution() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         vee.spawn(None, "app").unwrap();
         for _ in 0..6 {
-            engine.checkpoint(&mut vee, &store).unwrap();
+            engine.checkpoint(&mut vee).unwrap();
         }
         assert_eq!(engine.chain_for(3).unwrap(), vec![1, 2, 3]);
         assert_eq!(engine.chain_for(5).unwrap(), vec![5]);
@@ -938,11 +923,11 @@ mod tests {
 
     #[test]
     fn counter_lookup_by_time() {
-        let (mut vee, clock, mut engine, store) = setup();
+        let (mut vee, clock, mut engine, _) = setup();
         vee.spawn(None, "app").unwrap();
         for _ in 0..3 {
             clock.advance(Duration::from_secs(1));
-            engine.checkpoint(&mut vee, &store).unwrap();
+            engine.checkpoint(&mut vee).unwrap();
         }
         // Checkpoints at t=1s, 2s, 3s.
         assert_eq!(
@@ -961,10 +946,10 @@ mod tests {
 
     #[test]
     fn pre_quiesce_waits_for_disk_sleepers() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         let p = vee.spawn(None, "io").unwrap();
         vee.enter_disk_sleep(p, Duration::from_millis(20)).unwrap();
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         // The engine advanced the clock past the sleep and stopped the
         // process cleanly.
         assert!(report.phases.get("pre-checkpoint") > Duration::ZERO);
@@ -973,12 +958,12 @@ mod tests {
 
     #[test]
     fn fs_snapshot_ties_to_counter() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         vee.spawn(None, "app").unwrap();
         vee.fs.write_all("/doc", b"v1").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         vee.fs.write_all("/doc", b"v2").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         // The Lsfs inside the VEE has snapshots 1 and 2; verified at the
         // session layer (core) which holds a typed handle. Here we check
         // the counters advanced.
@@ -987,13 +972,13 @@ mod tests {
 
     #[test]
     fn relinks_unlinked_open_files() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         let p = vee.spawn(None, "app").unwrap();
         vee.fs.write_all("/tmp_scratch", b"precious bytes").unwrap();
         let fd = vee.open(p, "/tmp_scratch").unwrap();
         vee.unlink("/tmp_scratch").unwrap();
         let _ = fd;
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         assert_eq!(engine.stats().relinks, 1);
         // The relinked name exists in the live fs (and so in the
         // snapshot taken at the same counter).
@@ -1004,31 +989,33 @@ mod tests {
 
     #[test]
     fn compression_reduces_stored_size() {
-        let (mut vee, clock, _engine, store) = setup();
-        let mut engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                compress: true,
-                ..EngineConfig::default()
-            },
-            clock,
-        );
+        let (mut vee, clock, _, _) = setup();
+        let config = EngineConfig {
+            compress: true,
+            ..EngineConfig::default()
+        };
+        let (mut engine, _store) = engine_on(config, &clock);
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 64 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &vec![7u8; 64 * 4096]).unwrap();
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         assert!(report.stored_bytes < report.raw_bytes / 10);
     }
 
     #[test]
     fn engine_meta_round_trips() {
-        let (mut vee, clock, mut engine, store) = setup();
+        let (mut vee, clock, mut engine, _) = setup();
         vee.spawn(None, "app").unwrap();
         for _ in 0..6 {
             clock.advance(Duration::from_secs(1));
-            engine.checkpoint(&mut vee, &store).unwrap();
+            engine.checkpoint(&mut vee).unwrap();
         }
         let meta = engine.export_meta();
-        let mut restored = Checkpointer::with_sim_clock(EngineConfig::default(), SimClock::new());
+        let mut restored = Checkpointer::new(
+            EngineConfig::default(),
+            engine.pool().clone(),
+            SimClock::new(),
+        );
         restored.import_meta(&meta).expect("import");
         assert_eq!(
             restored.images().map(|m| m.counter).collect::<Vec<_>>(),
@@ -1040,7 +1027,7 @@ mod tests {
             engine.counter_at_or_before(Timestamp::from_secs(3))
         );
         // A further checkpoint continues the numbering.
-        let report = restored.checkpoint(&mut vee, &store).unwrap();
+        let report = restored.checkpoint(&mut vee).unwrap();
         assert_eq!(report.counter, 7);
         assert!(restored.import_meta(&meta[..10]).is_none());
     }
@@ -1052,16 +1039,14 @@ mod tests {
     fn ablations_move_work_into_the_stop_window() {
         const PAGES: usize = 64;
         let run = |config: EngineConfig| -> (CheckpointReport, u64) {
-            let (mut vee, mut engine, p) = session(config, &FaultPlane::disabled());
-            let store = SharedBlobStore::in_memory();
-            let (pipe, neighbour, gate) = parked_pool(&store, 0);
-            engine.attach_pipeline(pipe.clone(), 1);
+            let (pipe, neighbour, gate) = parked_pool(0);
+            let (mut vee, mut engine, p) = session_on(config, &FaultPlane::disabled(), &pipe);
             let addr = vee.mmap(p, (PAGES * 4096) as u64, Prot::ReadWrite).unwrap();
             vee.mem_write(p, addr, &vec![5u8; PAGES * 4096]).unwrap();
-            engine.checkpoint(&mut vee, &store).unwrap();
+            engine.checkpoint(&mut vee).unwrap();
             vee.mem_write(p, addr, &vec![6u8; PAGES / 2 * 4096])
                 .unwrap();
-            let report = engine.checkpoint(&mut vee, &store).unwrap();
+            let report = engine.checkpoint(&mut vee).unwrap();
             // The first write after resume copies a page only if a
             // pending capture still shares it.
             let copies = |vee: &Vee| vee.process(p).unwrap().mem.stats().cow_copies;
@@ -1129,21 +1114,18 @@ mod tests {
             Box::new(Lsfs::new()),
             HostPidAllocator::new(),
         );
-        let mut engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                disable_cow: true,
-                disable_deferred_writeback: true,
-                disable_pre_snapshot: true,
-                full_every: 1,
-                ..EngineConfig::default()
-            },
-            clock,
-        );
-        let store = SharedBlobStore::in_memory();
+        let config = EngineConfig {
+            disable_cow: true,
+            disable_deferred_writeback: true,
+            disable_pre_snapshot: true,
+            full_every: 1,
+            ..EngineConfig::default()
+        };
+        let (mut engine, store) = engine_on(config, &clock);
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, b"ablated but correct").unwrap();
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         let image =
             crate::restore::load_image(&mut store.lock(), "ckpt", report.counter, |_, _| true)
                 .unwrap();
@@ -1151,38 +1133,51 @@ mod tests {
     }
 
     /// A session of one process over an `Lsfs` carrying `plane`, and
-    /// an engine with `config` on the same clock.
-    fn session(config: EngineConfig, plane: &FaultPlane) -> (Vee, Checkpointer, dv_vee::Vpid) {
+    /// an engine with `config` on a pool of its own over a fresh store,
+    /// on the same clock.
+    fn session(
+        config: EngineConfig,
+        plane: &FaultPlane,
+    ) -> (Vee, Checkpointer, dv_vee::Vpid, SharedBlobStore) {
+        let clock = SimClock::new();
+        let store = SharedBlobStore::in_memory();
+        let pool = config.commit_pool(store.clone(), &clock);
+        let (vee, engine, p) = session_on(config, plane, &pool);
+        (vee, engine, p, store)
+    }
+
+    /// A session as [`session`] builds it, with its engine on `pool`.
+    fn session_on(
+        config: EngineConfig,
+        plane: &FaultPlane,
+        pool: &Arc<CommitPipeline>,
+    ) -> (Vee, Checkpointer, dv_vee::Vpid) {
         let clock = SimClock::new();
         let mut fs = Lsfs::new();
         fs.set_fault_plane(plane.clone());
         let mut vee = Vee::new(1, clock.shared(), Box::new(fs), HostPidAllocator::new());
         let p = vee.spawn(None, "app").unwrap();
-        let mut engine = Checkpointer::with_sim_clock(config, clock);
+        let mut engine = Checkpointer::new(config, pool.clone(), clock);
         engine.set_fault_plane(plane.clone());
         (vee, engine, p)
     }
 
-    /// A one-worker pool over `store` whose worker is parked on a
+    /// A one-worker pool over a fresh store whose worker is parked on a
     /// neighbour's lane: nothing commits unless the session thread does
     /// it. Returns the pool, the neighbour's lane and the gate; drop the
     /// gate, then drain the neighbour, to release the worker.
-    fn parked_pool(
-        store: &SharedBlobStore,
-        retry_limit: u32,
-    ) -> (Arc<CommitPipeline>, LaneId, std::sync::mpsc::Sender<()>) {
+    fn parked_pool(retry_limit: u32) -> (Arc<CommitPipeline>, LaneId, std::sync::mpsc::Sender<()>) {
         let pipe = Arc::new(CommitPipeline::new(
             PipelineConfig {
                 workers: 1,
                 retry_limit,
                 retry_backoff: Duration::ZERO,
                 compress: false,
-                fairness: FairPolicy::RoundRobin,
             },
-            store.clone(),
+            SharedBlobStore::in_memory(),
             Sleeper::Wall,
         ));
-        let neighbour = pipe.add_lane(1, 1);
+        let neighbour = pipe.add_lane(1);
         let (parked, started, gate) = crate::writeback::tests::parked_task();
         pipe.submit_aux(neighbour, parked);
         started.recv().unwrap();
@@ -1201,13 +1196,12 @@ mod tests {
                 commit_queue_depth: 8,
                 ..EngineConfig::default()
             };
-            let (mut vee, mut engine, p) = session(config, &FaultPlane::disabled());
-            let store = SharedBlobStore::in_memory();
+            let (mut vee, mut engine, p, store) = session(config, &FaultPlane::disabled());
             let addr = vee.mmap(p, 32 * 4096, Prot::ReadWrite).unwrap();
             for i in 0..5u8 {
                 vee.mem_write(p, addr + u64::from(i) * 4096, &vec![i + 1; 4096])
                     .unwrap();
-                let report = engine.checkpoint(&mut vee, &store).unwrap();
+                let report = engine.checkpoint(&mut vee).unwrap();
                 assert_eq!(report.deferred, workers > 0);
                 assert_eq!(report.raw_bytes > 0, workers == 0);
             }
@@ -1233,12 +1227,10 @@ mod tests {
             commit_queue_depth: 1,
             ..EngineConfig::default()
         };
-        let (mut vee, mut engine, _p) = session(config, &FaultPlane::disabled());
-        let store = SharedBlobStore::in_memory();
-        let (pipe, neighbour, gate) = parked_pool(&store, 0);
-        engine.attach_pipeline(pipe.clone(), 1);
+        let (pipe, neighbour, gate) = parked_pool(0);
+        let (mut vee, mut engine, _p) = session_on(config, &FaultPlane::disabled(), &pipe);
         let deferred: Vec<bool> = (0..5)
-            .map(|_| engine.checkpoint(&mut vee, &store).unwrap().deferred)
+            .map(|_| engine.checkpoint(&mut vee).unwrap().deferred)
             .collect();
         // Every second capture finds the depth-1 lane full, settles it
         // and commits itself before the call returns.
@@ -1264,18 +1256,14 @@ mod tests {
             .always(sites::LSFS_JOURNAL_COMMIT, IoFault::Enospc)
             .build();
         plane.disarm();
-        let (mut vee, mut engine, p) = session(EngineConfig::default(), &plane);
-        let store = SharedBlobStore::in_memory();
+        let (mut vee, mut engine, p, store) = session(EngineConfig::default(), &plane);
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &[1]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
 
         vee.mem_write(p, addr, &[2]).unwrap();
         plane.arm();
-        assert_eq!(
-            engine.checkpoint(&mut vee, &store).unwrap_err(),
-            FsError::NoSpace
-        );
+        assert_eq!(engine.checkpoint(&mut vee).unwrap_err(), FsError::NoSpace);
         plane.disarm();
         assert_eq!(vee.process(p).unwrap().state, RunState::Runnable);
         assert_eq!(engine.stats().write_failures, 1);
@@ -1285,7 +1273,7 @@ mod tests {
             "the counter was not consumed"
         );
 
-        let retried = engine.checkpoint(&mut vee, &store).unwrap();
+        let retried = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(retried.counter, 2);
         assert!(retried.full, "the failed capture's dirty set is gone");
         assert_eq!(vee.process(p).unwrap().state, RunState::Runnable);
@@ -1311,15 +1299,11 @@ mod tests {
         let plane = FaultPlan::new(23)
             .fail_nth(sites::CHECKPOINT_IMAGE_ENCODE, 2, IoFault::TornWrite)
             .build();
-        let (mut vee, mut engine, _p) = session(EngineConfig::default(), &plane);
-        let store = SharedBlobStore::in_memory();
-        engine.checkpoint(&mut vee, &store).unwrap();
-        assert_eq!(
-            engine.checkpoint(&mut vee, &store).unwrap_err(),
-            FsError::Io
-        );
+        let (mut vee, mut engine, _p, _store) = session(EngineConfig::default(), &plane);
+        engine.checkpoint(&mut vee).unwrap();
+        assert_eq!(engine.checkpoint(&mut vee).unwrap_err(), FsError::Io);
         assert_eq!(engine.flush(), Ok(()));
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         assert!(report.full && report.counter == 3);
         let stats = engine.stats();
         assert_eq!((stats.checkpoints, stats.committed), (3, 2));
@@ -1341,14 +1325,13 @@ mod tests {
             .fail_nth(sites::CHECKPOINT_WRITEBACK, 2, IoFault::Enospc)
             .fail_nth(sites::CHECKPOINT_WRITEBACK, 3, IoFault::Enospc)
             .build();
-        let (mut vee, mut engine, p) = session(EngineConfig::default(), &plane);
-        let store = SharedBlobStore::in_memory();
-        let (pipe, neighbour, gate) = parked_pool(&store, 1);
-        engine.attach_pipeline(pipe.clone(), 1);
+        let (pipe, neighbour, gate) = parked_pool(1);
+        let (mut vee, mut engine, p) = session_on(EngineConfig::default(), &plane, &pipe);
+        let store = pipe.store().clone();
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         for i in 0..3u8 {
             vee.mem_write(p, addr, &[i + 1]).unwrap();
-            assert!(engine.checkpoint(&mut vee, &store).unwrap().deferred);
+            assert!(engine.checkpoint(&mut vee).unwrap().deferred);
         }
         assert_eq!(
             engine.flush(),
@@ -1362,7 +1345,7 @@ mod tests {
         assert!(!store.lock().contains("ckpt-00000003"));
         // The chain re-anchors: the next checkpoint is forced full and
         // restorable on its own.
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         assert!(report.full, "re-anchor after a lost incremental");
         assert_eq!(report.counter, 4);
         engine.flush().unwrap();
@@ -1377,11 +1360,11 @@ mod tests {
 
     #[test]
     fn downtime_excludes_writeback() {
-        let (mut vee, _clock, mut engine, store) = setup();
+        let (mut vee, _clock, mut engine, _) = setup();
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 256 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &vec![3u8; 256 * 4096]).unwrap();
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(
             report.downtime,
             report

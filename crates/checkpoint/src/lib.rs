@@ -33,6 +33,4 @@ pub use policy::{
 pub use restore::{
     load_image, restore_fingerprint, revive, NetworkPolicy, ReviveError, ReviveReport,
 };
-pub use writeback::{
-    AuxTask, CommitError, CommitOutcome, CommitPipeline, FairPolicy, LaneId, PipelineConfig,
-};
+pub use writeback::{AuxTask, CommitError, CommitOutcome, CommitPipeline, LaneId, PipelineConfig};

@@ -365,14 +365,14 @@ mod tests {
     fn session() -> (Vee, SimClock, Checkpointer, SharedBlobStore) {
         let clock = SimClock::new();
         let vee = Vee::new(1, clock.shared(), Box::new(Lsfs::new()), host_pids());
-        let engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                full_every: 3,
-                ..EngineConfig::default()
-            },
-            clock.clone(),
-        );
-        (vee, clock, engine, SharedBlobStore::in_memory())
+        let config = EngineConfig {
+            full_every: 3,
+            ..EngineConfig::default()
+        };
+        let store = SharedBlobStore::in_memory();
+        let pool = config.commit_pool(store.clone(), &clock);
+        let engine = Checkpointer::new(config, pool, clock.clone());
+        (vee, clock, engine, store)
     }
 
     /// One "machine"-wide host PID allocator shared by the original and
@@ -397,7 +397,7 @@ mod tests {
         let addr = vee.mmap(child, 8 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(child, addr, b"document text v1").unwrap();
         vee.process_mut(child).unwrap().regs.pc = 0x1234;
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         // Mutate after the checkpoint: the revive must not see this.
         vee.mem_write(child, addr, b"DOCUMENT TEXT V2").unwrap();
 
@@ -441,11 +441,11 @@ mod tests {
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 4 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &[1u8; 4 * 4096]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap(); // full (1)
+        engine.checkpoint(&mut vee).unwrap(); // full (1)
         vee.mem_write(p, addr + 4096, &[2u8; 4096]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap(); // inc (2)
+        engine.checkpoint(&mut vee).unwrap(); // inc (2)
         vee.mem_write(p, addr + 2 * 4096, &[3u8; 4096]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap(); // inc (3)
+        engine.checkpoint(&mut vee).unwrap(); // inc (3)
 
         let chain = engine.chain_for(3).unwrap();
         assert_eq!(chain, vec![1, 2, 3]);
@@ -480,7 +480,7 @@ mod tests {
         p: Vpid,
         addr: u64,
     ) -> (Vec<u8>, Vec<u8>) {
-        let counter = engine.checkpoint(vee, store).unwrap().counter;
+        let counter = engine.checkpoint(vee).unwrap().counter;
         let (revived, report) = revive(
             &mut store.lock(),
             "ckpt",
@@ -506,7 +506,7 @@ mod tests {
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mmap(p, 4096, Prot::ReadWrite).unwrap(); // In the way.
         vee.mem_write(p, addr, &[7; 4096]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap(); // full
+        engine.checkpoint(&mut vee).unwrap(); // full
         let moved = vee.mremap(p, addr, 3 * 4096).unwrap().unwrap();
         assert_ne!(moved, addr, "the neighbour forces a move");
         let (revived, live) = revived_and_live(&mut vee, &mut engine, &store, &clock, p, moved);
@@ -520,9 +520,9 @@ mod tests {
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 2 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &[7; 2 * 4096]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap(); // full
+        engine.checkpoint(&mut vee).unwrap(); // full
         assert_eq!(vee.mremap(p, addr, 4096).unwrap(), Some(addr));
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         assert_eq!(vee.mremap(p, addr, 2 * 4096).unwrap(), Some(addr));
         let (revived, live) =
             revived_and_live(&mut vee, &mut engine, &store, &clock, p, addr + 4096);
@@ -538,7 +538,7 @@ mod tests {
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mmap(p, 4096, Prot::ReadWrite).unwrap(); // In the way.
         vee.mem_write(p, addr, &[7; 4096]).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap(); // full
+        engine.checkpoint(&mut vee).unwrap(); // full
         assert_ne!(vee.mremap(p, addr, 3 * 4096).unwrap(), Some(addr));
         // `below` grows in place over the range `addr` left.
         assert_eq!(vee.mremap(p, below, 3 * 4096).unwrap(), Some(below));
@@ -553,11 +553,11 @@ mod tests {
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, b"v1").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         vee.mem_write(p, addr, b"v2").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         vee.mem_write(p, addr, b"v3").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
 
         let chain = engine.chain_for(2).unwrap();
         let (revived, _) = revive(
@@ -584,7 +584,7 @@ mod tests {
         vee.connect(p, db, "localhost", 5432).unwrap();
         let dns = vee.socket(p, Proto::Udp).unwrap();
         vee.connect(p, dns, "8.8.8.8", 53).unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
 
         let chain = engine.chain_for(1).unwrap();
         let (mut revived, report) = revive(
@@ -615,7 +615,7 @@ mod tests {
         let (mut vee, clock, mut engine, store) = session();
         vee.spawn(None, "mailer").unwrap();
         vee.spawn(None, "browser").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         let mut policy = NetworkPolicy {
             default_enabled: true,
             ..NetworkPolicy::default()
@@ -654,7 +654,7 @@ mod tests {
         vee.fs.write_all("/scratch", b"orphan contents").unwrap();
         let sfd = vee.open(p, "/scratch").unwrap();
         vee.unlink("/scratch").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
 
         // Build the revive fs view: for the test, a fresh Lsfs populated
         // from the live fs snapshot (the session manager normally mounts
@@ -714,18 +714,17 @@ mod tests {
             Box::new(Lsfs::new()),
             HostPidAllocator::new(),
         );
-        let mut engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                compress: true,
-                ..EngineConfig::default()
-            },
-            clock.clone(),
-        );
+        let config = EngineConfig {
+            compress: true,
+            ..EngineConfig::default()
+        };
         let store = SharedBlobStore::in_memory();
+        let pool = config.commit_pool(store.clone(), &clock);
+        let mut engine = Checkpointer::new(config, pool, clock.clone());
         let p = vee.spawn(None, "app").unwrap();
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, b"compressed state").unwrap();
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
         clock.advance(Duration::from_secs(1));
         let revive_first = || {
             let (revived, _) = revive(

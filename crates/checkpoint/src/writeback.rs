@@ -22,14 +22,16 @@
 //! runs another lane's step, so one tenant's fault or compaction never
 //! stalls a neighbour's session thread.
 //!
-//! A pipeline serves one or more **lanes**. A single-session engine
-//! builds a pool and opens one lane on it, and each session revived
-//! from it opens another; a multi-tenant host shares one pool across
-//! many sessions, one lane each ([`CommitPipeline::add_lane`]). Each
-//! lane carries its own commit ordering, failure set, and queue-depth
-//! quota, and every capture travels with its engine's fault plane and
-//! observability handle, so tenants are isolated even though they share
-//! threads and a store.
+//! A pipeline serves one or more **lanes**. Whoever owns the store
+//! builds the pool once — a lone session from its engine config, a
+//! multi-tenant host from its own — and every engine it creates opens
+//! a lane on it when it is constructed and closes it when it is
+//! dropped: the session's own, each session revived from it, each
+//! tenant's ([`CommitPipeline::add_lane`]). Each lane carries its own
+//! commit ordering, failure set, and queue-depth quota, and every
+//! capture travels with its engine's fault plane and observability
+//! handle, so tenants are isolated even though they share threads and
+//! a store.
 //!
 //! Invariants:
 //!
@@ -47,9 +49,7 @@
 //!   `checkpoint.writeback` once per store-write attempt, at the
 //!   in-order commit turn.
 //! * **Fair scheduling.** Workers draw ready work from lanes in a
-//!   round-robin ring; with [`FairPolicy::DeficitWeighted`] a lane
-//!   runs up to `weight` consecutive tasks per turn, so commit
-//!   bandwidth follows the configured weights. Commit turns drain a
+//!   round-robin ring, one task per lane per turn. Commit turns drain a
 //!   FIFO of commit-ready lanes — a lane re-queues behind every other
 //!   waiting lane after each commit it lands — so one tenant's retry
 //!   storm cannot monopolize the committer, and picking work stays
@@ -84,17 +84,6 @@ use crate::image::{encode_image_sections, CheckpointImage, ImageKind};
 /// Identifies one lane (one session's engine) of a pipeline.
 pub type LaneId = u64;
 
-/// How the worker pool divides its attention between lanes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FairPolicy {
-    /// One task per lane per turn.
-    #[default]
-    RoundRobin,
-    /// Up to `weight` consecutive tasks per lane per turn — a lane
-    /// with weight 2 gets twice the worker bandwidth of weight 1.
-    DeficitWeighted,
-}
-
 /// Commit-pipeline tuning, lifted from the engine or host config.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
@@ -107,8 +96,6 @@ pub struct PipelineConfig {
     pub retry_backoff: Duration,
     /// Whether images are compressed (chunked container format).
     pub compress: bool,
-    /// How worker bandwidth is divided between lanes.
-    pub fairness: FairPolicy,
 }
 
 /// What the engine needs back once a commit resolves.
@@ -168,7 +155,7 @@ enum Task {
     /// Compress section `.2` of job `(.0, .1)`.
     Compress(LaneId, u64, usize),
     /// Run an auxiliary closure on lane `.0`'s budget. Aux work shares
-    /// the fairness ring with commit work but is accounted separately
+    /// the round-robin ring with commit work but is accounted separately
     /// (`aux_pending`, not `inflight`), so it never perturbs commit
     /// ordering or queue-depth backpressure.
     Aux(LaneId, AuxTask),
@@ -213,10 +200,6 @@ struct Lane {
     finished: Vec<CommitOutcome>,
     /// Queue-depth quota: captures pending before backpressure.
     quota: usize,
-    /// Scheduling weight under [`FairPolicy::DeficitWeighted`].
-    weight: u32,
-    /// Task credits remaining in the lane's current turn.
-    credit: u32,
     /// Whether the lane is already queued in `commit_ready`.
     commit_queued: bool,
     /// Auxiliary tasks queued or running on this lane. Kept apart from
@@ -311,27 +294,18 @@ impl State {
         Some(Step::Commit(id, job, cascade_from))
     }
 
-    /// Picks a worker's next step under the fairness policy: one task
-    /// from the lane at the head of the ready ring (a deficit-weighted
-    /// lane keeps the head for up to `weight` tasks), else a commit
+    /// Picks a worker's next step: one task from the lane at the head
+    /// of the ready ring, which then moves to the back, else a commit
     /// turn from the FIFO of commit-ready lanes. Both picks are O(1) in
     /// the lane count, so the scheduler's cost does not grow with
     /// tenants.
-    fn pick(&mut self, fairness: FairPolicy) -> Option<Step> {
+    fn pick(&mut self) -> Option<Step> {
         if let Some(&lane_id) = self.ready.front() {
             let lane = self.lane_mut(lane_id);
             let task = lane.queue.pop_front().expect("ready lane has tasks");
-            if lane.credit == 0 {
-                lane.credit = match fairness {
-                    FairPolicy::RoundRobin => 1,
-                    FairPolicy::DeficitWeighted => lane.weight.max(1),
-                };
-            }
-            lane.credit -= 1;
             if lane.queue.is_empty() {
-                lane.credit = 0;
                 self.ready.pop_front();
-            } else if lane.credit == 0 {
+            } else {
                 self.ready.rotate_left(1);
             }
             return Some(Step::Run(task));
@@ -351,7 +325,7 @@ impl State {
     }
 
     /// Picks the next step of lane `id` alone, for a caller draining
-    /// it: the lane's own thread is outside the fairness accounting. A
+    /// it: the lane's own thread is outside the ring's rotation. A
     /// commit turn taken here leaves the lane's `commit_ready` entry
     /// (and its `commit_queued` flag) behind for `pick` to drop, so the
     /// FIFO holds a lane at most once however many turns are taken.
@@ -359,7 +333,6 @@ impl State {
         let lane = self.lanes.get_mut(&id)?;
         if let Some(task) = lane.queue.pop_front() {
             if lane.queue.is_empty() {
-                lane.credit = 0;
                 self.ready.retain(|ready| *ready != id);
             }
             return Some(Step::Run(task));
@@ -427,9 +400,9 @@ impl CommitPipeline {
         self.workers.len()
     }
 
-    /// Opens a lane with queue-depth `quota` and scheduling `weight`,
-    /// returning its id (never reused within this pipeline).
-    pub fn add_lane(&self, quota: usize, weight: u32) -> LaneId {
+    /// Opens a lane with queue-depth `quota`, returning its id (never
+    /// reused within this pipeline).
+    pub fn add_lane(&self, quota: usize) -> LaneId {
         let mut state = self.shared.lock();
         let id = state.next_lane;
         state.next_lane += 1;
@@ -443,8 +416,6 @@ impl CommitPipeline {
                 failed: HashSet::new(),
                 finished: Vec::new(),
                 quota,
-                weight,
-                credit: 0,
                 commit_queued: false,
                 aux_pending: 0,
             },
@@ -467,9 +438,9 @@ impl CommitPipeline {
         self.shared.lock().lanes.keys().copied().collect()
     }
 
-    /// Whether this pipeline writes into `store`.
-    pub fn writes_to(&self, store: &SharedBlobStore) -> bool {
-        self.shared.store.ptr_eq(store)
+    /// The store this pipeline writes into.
+    pub fn store(&self) -> &SharedBlobStore {
+        &self.shared.store
     }
 
     /// Captures pending in one lane.
@@ -553,7 +524,7 @@ impl CommitPipeline {
     }
 
     /// Schedules an auxiliary closure on `lane`'s budget. The closure
-    /// is drawn from the same fairness ring as the lane's commit work,
+    /// is drawn from the same round-robin ring as the lane's commit work,
     /// so heavy maintenance (segment compaction) competes fairly with —
     /// and never starves — other tenants' commits. Aux work is
     /// accounted apart from captures: it neither consumes the
@@ -666,7 +637,7 @@ impl Shared {
             let step = {
                 let mut state = self.lock();
                 loop {
-                    if let Some(step) = state.pick(self.config.fairness) {
+                    if let Some(step) = state.pick() {
                         break step;
                     }
                     if state.shutdown
@@ -876,7 +847,6 @@ pub(crate) mod tests {
             retry_limit: 2,
             retry_backoff: Duration::from_millis(1),
             compress: true,
-            fairness: FairPolicy::RoundRobin,
         };
         let pipe = CommitPipeline::new(config, store.clone(), Sleeper::Sim(SimClock::new()));
         (pipe, store)
@@ -918,7 +888,7 @@ pub(crate) mod tests {
     #[test]
     fn commits_land_in_counter_order() {
         let (pipe, store) = pool(4);
-        let lane = pipe.add_lane(8, 1);
+        let lane = pipe.add_lane(8);
         for c in 1..=6u64 {
             push(&pipe, lane, "ckpt", c, &FaultPlane::disabled());
         }
@@ -938,7 +908,7 @@ pub(crate) mod tests {
     #[test]
     fn failed_commit_cascades_to_dependents() {
         let (pipe, store) = pool(2);
-        let lane = pipe.add_lane(8, 1);
+        let lane = pipe.add_lane(8);
         // Every writeback from the 2nd onward fails, exhausting retries.
         let plane = FaultPlan::new(7)
             .from_nth(sites::CHECKPOINT_WRITEBACK, 2, IoFault::Enospc)
@@ -967,7 +937,7 @@ pub(crate) mod tests {
     #[test]
     fn encode_fault_resolves_without_store_write() {
         let (pipe, store) = pool(1);
-        let lane = pipe.add_lane(8, 1);
+        let lane = pipe.add_lane(8);
         let plane = FaultPlan::new(1)
             .always(sites::CHECKPOINT_IMAGE_ENCODE, IoFault::Enospc)
             .build();
@@ -982,7 +952,7 @@ pub(crate) mod tests {
     #[test]
     fn lanes_commit_independently_and_in_order() {
         let (pipe, store) = pool(3);
-        let lanes: Vec<LaneId> = (0..3).map(|_| pipe.add_lane(8, 1)).collect();
+        let lanes: Vec<LaneId> = (0..3).map(|_| pipe.add_lane(8)).collect();
         for c in 1..=4u64 {
             for &lane in &lanes {
                 push(&pipe, lane, &format!("t{lane}"), c, &FaultPlane::disabled());
@@ -1008,7 +978,7 @@ pub(crate) mod tests {
         let faulty = FaultPlan::new(5)
             .always(sites::CHECKPOINT_WRITEBACK, IoFault::Enospc)
             .build();
-        let (bad_lane, ok_lane) = (pipe.add_lane(8, 1), pipe.add_lane(8, 1));
+        let (bad_lane, ok_lane) = (pipe.add_lane(8), pipe.add_lane(8));
         for c in 1..=3u64 {
             push(&pipe, bad_lane, "bad", c, &faulty);
             push(&pipe, ok_lane, "ok", c, &FaultPlane::disabled());
@@ -1030,7 +1000,7 @@ pub(crate) mod tests {
     #[test]
     fn aux_tasks_run_without_perturbing_commit_order() {
         let (pipe, _store) = pool(2);
-        let lane = pipe.add_lane(8, 1);
+        let lane = pipe.add_lane(8);
         let ran = Arc::new(AtomicUsize::new(0));
         let count = |ran: &Arc<AtomicUsize>| {
             let ran = ran.clone();
@@ -1057,7 +1027,7 @@ pub(crate) mod tests {
     #[test]
     fn aux_tasks_do_not_consume_capture_quota() {
         let (pipe, _store) = pool(1);
-        let lane = pipe.add_lane(1, 1);
+        let lane = pipe.add_lane(1);
         // The single worker is parked inside an aux task; capacity must
         // still read free (quota tracks captures, not aux work).
         let (task, started, gate) = parked_task();
@@ -1072,15 +1042,15 @@ pub(crate) mod tests {
     #[test]
     fn removed_lane_frees_its_state() {
         let (pipe, _store) = pool(1);
-        let kept = pipe.add_lane(2, 1);
-        let lane = pipe.add_lane(2, 1);
+        let kept = pipe.add_lane(2);
+        let lane = pipe.add_lane(2);
         push(&pipe, lane, "x", 1, &FaultPlane::disabled());
         pipe.drain(lane);
         assert_eq!(pipe.take_finished(lane).len(), 1);
         pipe.remove_lane(lane);
         assert_eq!(pipe.lanes(), vec![kept]);
         assert!(!pipe.has_capacity(lane), "unknown lane has no capacity");
-        assert_ne!(pipe.add_lane(2, 1), lane, "lane ids are not reused");
+        assert_ne!(pipe.add_lane(2), lane, "lane ids are not reused");
     }
 
     /// Zero workers means zero threads: the thread that enqueues runs
@@ -1089,7 +1059,7 @@ pub(crate) mod tests {
     fn a_pool_without_workers_runs_every_step_on_the_caller() {
         let (pipe, store) = pool(0);
         assert_eq!(pipe.workers(), 0);
-        let lane = pipe.add_lane(1, 1);
+        let lane = pipe.add_lane(1);
         let plane = FaultPlan::new(3)
             .fail_nth(sites::CHECKPOINT_WRITEBACK, 2, IoFault::Enospc)
             .build();
@@ -1115,7 +1085,7 @@ pub(crate) mod tests {
     #[test]
     fn a_draining_caller_runs_its_own_lane_and_no_other() {
         let (pipe, store) = pool(1);
-        let (busy, mine) = (pipe.add_lane(8, 1), pipe.add_lane(8, 1));
+        let (busy, mine) = (pipe.add_lane(8), pipe.add_lane(8));
         let (task, started, gate) = parked_task();
         pipe.submit_aux(busy, task);
         started.recv().unwrap();

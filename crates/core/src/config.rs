@@ -8,7 +8,7 @@
 
 use dv_checkpoint::{EngineConfig, NetworkPolicy, PolicyConfig};
 use dv_fault::FaultPlane;
-use dv_lsfs::{ReadLatency, SharedBlobStore};
+use dv_lsfs::ReadLatency;
 use dv_obs::Obs;
 use dv_record::RecorderConfig;
 use dv_time::Duration;
@@ -22,11 +22,12 @@ pub struct Config {
     /// Display recording quality (resolution scale, update frequency,
     /// keyframe cadence).
     pub recorder: RecorderConfig,
-    /// Checkpoint engine parameters (full cadence, compression,
-    /// pre-quiesce bounds, and the commit pipeline's worker count,
-    /// queue depth and retry policy — with `commit_workers == 0` the
-    /// session thread runs the commit steps itself). Sessions revived
-    /// from this one commit through the same pool.
+    /// Checkpoint engine parameters (full cadence, pre-quiesce bounds,
+    /// the lane's queue depth, and — for a lone session, which builds
+    /// its commit pool from them — compression and the pool's worker
+    /// count and retry policy; with `commit_workers == 0` the session
+    /// thread runs the commit steps itself). Sessions revived from this
+    /// one commit through the same pool.
     pub engine: EngineConfig,
     /// Checkpoint policy parameters and extension rules.
     pub policy: PolicyConfig,
@@ -35,8 +36,8 @@ pub struct Config {
     /// Capacity of the search-result screenshot cache (the paper's
     /// tunable LRU, §4.4).
     pub search_cache: usize,
-    /// Optional read-latency model for the checkpoint store (used by the
-    /// Figure 7 cached/uncached comparison).
+    /// Optional read-latency model for a lone session's checkpoint
+    /// store (used by the Figure 7 cached/uncached comparison).
     pub store_latency: Option<ReadLatency>,
     /// Attach the display recorder (disable to measure a run without
     /// display recording, as in Figure 2's component isolation).
@@ -65,12 +66,6 @@ pub struct Config {
     /// works; pass [`Obs::wall`] to profile with wall-clock span
     /// durations instead.
     pub obs: Obs,
-    /// Checkpoint blob store to record into. `None` (the default) gives
-    /// the server its own private in-memory store; a multi-tenant host
-    /// passes one shared store to every session it creates, so blobs
-    /// from all tenants land in one host-wide store (namespaced by
-    /// [`Config::blob_prefix`]).
-    pub shared_store: Option<SharedBlobStore>,
     /// Blob-name prefix for this session's checkpoints. `None` keeps
     /// the engine default (`ckpt`); a host sets a per-tenant prefix so
     /// tenants sharing a store can never collide.
@@ -100,7 +95,6 @@ impl Default for Config {
             enable_visual_index: true,
             fault_plane: FaultPlane::disabled(),
             obs: Obs::disabled(),
-            shared_store: None,
             blob_prefix: None,
             io_retry_limit: 3,
             io_retry_backoff: Duration::from_millis(50),

@@ -14,7 +14,8 @@ use parking_lot::{Mutex, MutexGuard};
 
 use dv_access::{CaptureDaemon, Desktop};
 use dv_checkpoint::{
-    revive, CheckpointPolicy, CheckpointReport, Checkpointer, Decision, NetworkPolicy, PolicyInput,
+    revive, CheckpointPolicy, CheckpointReport, Checkpointer, CommitPipeline, Decision,
+    NetworkPolicy, PolicyInput,
 };
 use dv_display::{InputEvent, Screenshot, Viewer, VirtualDisplayDriver};
 use dv_fault::FaultPlane;
@@ -109,8 +110,30 @@ impl DejaView {
     }
 
     /// Creates a server over an existing session clock (shared with the
-    /// workload driver).
+    /// workload driver), recording into a private in-memory store
+    /// through a commit pool built from `config.engine`.
     pub fn with_clock(config: Config, clock: SimClock) -> Self {
+        let store = match config.store_latency {
+            Some(latency) => SharedBlobStore::with_latency(latency),
+            None => SharedBlobStore::in_memory(),
+        };
+        let pool = config.engine.commit_pool(store.clone(), &clock);
+        let dv = DejaView::with_pool(config, clock, pool);
+        // The private store reports into this session's fault plane and
+        // registry; a host's shared store keeps its own wiring.
+        store.with(|s| {
+            s.set_fault_plane(dv.fault_plane.clone());
+            s.set_obs(dv.obs.clone());
+        });
+        dv
+    }
+
+    /// Creates a server whose checkpoints — and those of the sessions
+    /// it revives — commit through `pool`, each engine on a lane of its
+    /// own, into the pool's store. A multi-tenant host hands every
+    /// tenant its one pool; `config.store_latency` and the pool knobs
+    /// of `config.engine` are then unused.
+    pub fn with_pool(config: Config, clock: SimClock, pool: Arc<CommitPipeline>) -> Self {
         let Config {
             width,
             height,
@@ -119,14 +142,13 @@ impl DejaView {
             policy,
             revive_network,
             search_cache,
-            store_latency,
+            store_latency: _,
             enable_display_recording,
             enable_text_capture,
             index_shard_window,
             enable_visual_index,
             fault_plane,
             obs,
-            shared_store,
             blob_prefix,
             io_retry_limit,
             io_retry_backoff,
@@ -183,24 +205,8 @@ impl DejaView {
         // (the display server runs inside the environment, §3).
         vee.spawn(None, "session-init").expect("empty namespace");
 
-        // A host-provided shared store keeps its own fault plane and
-        // obs wiring (it serves many tenants); a private store is wired
-        // to this session's.
-        let store = match shared_store {
-            Some(store) => store,
-            None => {
-                let store = match store_latency {
-                    Some(latency) => SharedBlobStore::with_latency(latency),
-                    None => SharedBlobStore::in_memory(),
-                };
-                store.with(|s| {
-                    s.set_fault_plane(fault_plane.clone());
-                    s.set_obs(obs.clone());
-                });
-                store
-            }
-        };
-        let mut checkpointer = Checkpointer::with_sim_clock(engine, clock.clone());
+        let store = pool.store().clone();
+        let mut checkpointer = Checkpointer::new(engine, pool, clock.clone());
         if let Some(prefix) = &blob_prefix {
             checkpointer = checkpointer.with_blob_prefix(prefix);
         }
@@ -551,7 +557,7 @@ impl DejaView {
     /// and failed (its own store-write retries exhausted, or cascaded).
     fn checkpoint_with_retry(&mut self) -> Result<CheckpointReport, ServerError> {
         let report = self.with_retry("checkpoint", names::SERVER_CHECKPOINT_RETRIES, |dv| {
-            dv.engine.checkpoint(&mut dv.vee, &dv.store)
+            dv.engine.checkpoint(&mut dv.vee)
         })?;
         self.seal_indexes(report.counter);
         Ok(report)
@@ -895,8 +901,7 @@ impl DejaView {
             .revived
             .get_mut(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        let report = session.engine.checkpoint(&mut session.vee, &self.store)?;
-        Ok(report)
+        Ok(session.engine.checkpoint(&mut session.vee)?)
     }
 
     /// Revives a new session from a checkpoint of a *revived* session —
@@ -977,12 +982,12 @@ impl DejaView {
         } else {
             format!("{}.s{id}", self.engine.blob_prefix())
         };
-        let mut engine = Checkpointer::with_sim_clock(self.engine_config, self.clock.clone())
+        // One pool per server, however many sessions it revives: the
+        // session's engine takes a lane on the main engine's pool.
+        let pool = self.engine.pool().clone();
+        let mut engine = Checkpointer::new(self.engine_config, pool, self.clock.clone())
             .with_blob_prefix(&revived_prefix);
         engine.set_fault_plane(self.fault_plane.clone());
-        // One pool per server, however many sessions it revives: the
-        // session's engine takes a lane on the main engine's pipeline.
-        engine.attach_pipeline(self.engine.pipeline(&self.store), 1);
         self.revived.insert(
             id,
             RevivedSession {
@@ -1017,13 +1022,14 @@ impl DejaView {
         self.revived.keys().copied().collect()
     }
 
-    /// Closes a revived session, settling and closing its commit lane.
+    /// Closes a revived session; dropping its engine settles and closes
+    /// its commit lane.
     pub fn close_session(&mut self, id: u64) -> Result<(), ServerError> {
-        let mut session = self
+        let session = self
             .revived
             .remove(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        session.engine.detach_pipeline();
+        drop(session);
         Ok(())
     }
 
@@ -1551,7 +1557,7 @@ mod tests {
         dv.clock().advance(Duration::from_secs(1));
         assert!(dv.policy_tick().unwrap().report.is_some());
         let store = dv.store_handle();
-        let pool = dv.engine_mut().pipeline(&store);
+        let pool = dv.engine().pool().clone();
         assert_eq!((pool.workers(), pool.lanes().len()), (2, 1));
 
         // One lane per live revived session; still two threads.
@@ -1560,8 +1566,8 @@ mod tests {
             .collect();
         assert_eq!((pool.workers(), pool.lanes().len()), (2, 4));
         for &id in &revived {
-            let engine = &mut dv.session_mut(id).unwrap().engine;
-            assert!(Arc::ptr_eq(&engine.pipeline(&store), &pool));
+            let engine = &dv.session(id).unwrap().engine;
+            assert!(Arc::ptr_eq(engine.pool(), &pool));
         }
         // A revived session's image takes the same path to the store
         // as the main session's: deferred to the pool, same format.

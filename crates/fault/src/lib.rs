@@ -8,7 +8,9 @@
 //! - [`IoFault`] — the failure vocabulary: torn writes, short reads,
 //!   out-of-space, silent corruption, latency spikes.
 //! - [`FaultPlane`] — a cloneable handle threaded through every IO site
-//!   in `dv-lsfs`, `dv-checkpoint`, `dv-record`, and `dv-index`. A
+//!   in `dv-lsfs`, `dv-cas`, `dv-checkpoint`, `dv-record`, `dv-index`
+//!   and `dv-net`, and through `dv_lsfs::sealed`, which checks the seal
+//!   and compaction sites on behalf of `dv-tidx` and `dv-vidx`. A
 //!   disabled plane (the default) is a `None` and costs one branch per
 //!   IO operation.
 //! - [`FaultPlan`] — a seeded builder describing *which* site fails,
@@ -106,11 +108,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total injections across all sites.
-    pub fn total_injected(&self) -> u64 {
-        self.sites.values().map(|s| s.injected).sum()
-    }
-
     /// Total checks across all sites.
     pub fn total_checks(&self) -> u64 {
         self.sites.values().map(|s| s.checks).sum()

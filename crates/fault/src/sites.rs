@@ -65,11 +65,13 @@ pub const CAS_GC: &str = "cas.gc";
 /// shape (and baselines).
 pub const CAS_ALL: [&str; 3] = [CAS_CHUNK, CAS_ROOT, CAS_GC];
 
-/// Shard seal in `dv-tidx` — the open shard's encode-and-persist into
-/// an immutable segment at a checkpoint boundary.
+/// Text-shard seal — the open shard's encode-and-persist into an
+/// immutable segment at a checkpoint boundary. Checked in
+/// `dv_lsfs::sealed::SealedLog::put_segment` on behalf of `dv-tidx`.
 pub const TIDX_SEAL: &str = "tidx.seal";
-/// Segment compaction in `dv-tidx` — merging small sealed segments
-/// into one; a faulted merge leaves the inputs authoritative.
+/// Text-segment compaction — merging small sealed segments into one; a
+/// faulted merge leaves the inputs authoritative. Checked in
+/// `SealedLog::put_segment` on behalf of `dv-tidx`.
 pub const TIDX_COMPACT: &str = "tidx.compact";
 
 /// The temporal-index sites. Kept out of [`ALL`]: sealing and
@@ -78,12 +80,13 @@ pub const TIDX_COMPACT: &str = "tidx.compact";
 /// shape (and baselines).
 pub const TIDX_ALL: [&str; 2] = [TIDX_SEAL, TIDX_COMPACT];
 
-/// Thumbnail-strip seal in `dv-vidx` — the open visual strip's
-/// encode-and-persist into an immutable segment at a checkpoint
-/// boundary.
+/// Thumbnail-strip seal — the open visual strip's encode-and-persist
+/// into an immutable segment at a checkpoint boundary. Checked in
+/// `SealedLog::put_segment` on behalf of `dv-vidx`.
 pub const VIDX_FLUSH: &str = "vidx.flush";
-/// Strip compaction in `dv-vidx` — merging small sealed strips into
-/// one; a faulted merge leaves the inputs authoritative.
+/// Strip compaction — merging small sealed strips into one; a faulted
+/// merge leaves the inputs authoritative. Checked in
+/// `SealedLog::put_segment` on behalf of `dv-vidx`.
 pub const VIDX_COMPACT: &str = "vidx.compact";
 
 /// The visual-index sites. Kept out of [`ALL`] for the same reason as

@@ -12,15 +12,17 @@
 //!   so counters can never collide;
 //! * the **commit pool**: one [`dv_checkpoint::CommitPipeline`] serves
 //!   every tenant's checkpoint commits — the tenant's own session and
-//!   every session revived from it, one *lane* each — scheduled fairly
-//!   (round-robin or deficit-weighted) so a slow or faulted tenant
-//!   cannot monopolize the workers. Index compaction
+//!   every session revived from it, one *lane* each, opened when the
+//!   engine is built and closed when it is dropped — scheduled
+//!   round-robin so a slow or faulted tenant cannot monopolize the
+//!   workers. Index compaction
 //!   ([`Host::compact_round`]) rides the same lanes as aux tasks.
 //!
 //! Isolation is the contract: each tenant carries its own
 //! [`dv_fault::FaultPlane`] and [`dv_obs::Obs`] handle, its commit lane
-//! has its own ordering, failure set, and queue-depth quota, and quota
-//! or fault-induced degradation is confined to the tenant that caused
+//! has its own ordering, failure set, and queue-depth quota (the
+//! tenant config's `engine.commit_queue_depth`), and quota or
+//! fault-induced degradation is confined to the tenant that caused
 //! it. The host's own registry records `host.*` lifecycle and quota
 //! metrics; [`Host::observability`] returns per-tenant snapshots plus a
 //! host-level rollup built with [`dv_obs::ObsSnapshot::merge`].
@@ -31,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dejaview::{Config, DejaView, ServerError};
-use dv_checkpoint::{CheckpointReport, CommitPipeline, FairPolicy, LaneId, PipelineConfig};
+use dv_checkpoint::{CheckpointReport, CommitPipeline, PipelineConfig};
 use dv_display::Screenshot;
 use dv_index::{parse_query, RankOrder, SearchHit};
 use dv_lsfs::{CasGcStep, CasStats, FsError, SharedBlobStore};
@@ -43,24 +45,16 @@ use dv_vidx::VisualHit;
 /// Per-tenant resource limits.
 #[derive(Clone, Copy, Debug)]
 pub struct TenantQuotas {
-    /// Captures the tenant may have pending in the shared commit pool
-    /// before backpressure settles its lane on its own session thread.
-    pub commit_queue_depth: usize,
     /// Stored checkpoint bytes after which the host rejects further
     /// checkpoints for this tenant (enforced against committed bytes,
     /// so in-flight commits may briefly overshoot).
     pub storage_bytes: u64,
-    /// Scheduling weight of the tenant's commit lane under
-    /// [`FairPolicy::DeficitWeighted`]; ignored under round-robin.
-    pub commit_weight: u32,
 }
 
 impl Default for TenantQuotas {
     fn default() -> Self {
         TenantQuotas {
-            commit_queue_depth: 4,
             storage_bytes: u64::MAX,
-            commit_weight: 1,
         }
     }
 }
@@ -71,13 +65,12 @@ pub struct HostConfig {
     /// Worker threads in the shared commit pool; with `0` each
     /// tenant's session thread runs its own commits and compactions.
     pub commit_workers: usize,
-    /// How the pool divides bandwidth between tenant lanes.
-    pub fairness: FairPolicy,
     /// Store-write retries per commit before a commit fails.
     pub commit_retry_limit: u32,
     /// Backoff before the first commit retry; doubles per attempt.
     pub commit_retry_backoff: Duration,
-    /// Whether checkpoint images are compressed.
+    /// Whether checkpoint images are compressed (the pool's setting;
+    /// a tenant config's `engine.compress` is unused).
     pub compress: bool,
     /// Whether the shared blob store dedups through the `dv-cas`
     /// content-addressed chunk store. Tenant-visible semantics are
@@ -94,7 +87,6 @@ impl Default for HostConfig {
     fn default() -> Self {
         HostConfig {
             commit_workers: 2,
-            fairness: FairPolicy::RoundRobin,
             commit_retry_limit: 3,
             commit_retry_backoff: Duration::from_millis(50),
             compress: true,
@@ -169,8 +161,6 @@ pub type CrossVisualHit = Cross<VisualHit>;
 struct Tenant {
     label: String,
     server: DejaView,
-    /// The main session's lane of the shared pool.
-    lane: LaneId,
     obs: Obs,
     quotas: TenantQuotas,
 }
@@ -220,7 +210,7 @@ impl HostObservability {
 /// blob store and the shared, fairly scheduled commit pool.
 pub struct Host {
     clock: SimClock,
-    store: SharedBlobStore,
+    /// The shared commit pool; it names the shared store.
     pool: Arc<CommitPipeline>,
     tenants: BTreeMap<u64, Tenant>,
     next_tenant: u64,
@@ -256,15 +246,13 @@ impl Host {
                 retry_limit: config.commit_retry_limit,
                 retry_backoff: config.commit_retry_backoff,
                 compress: config.compress,
-                fairness: config.fairness,
             },
-            store.clone(),
+            store,
             Sleeper::Sim(clock.clone()),
         ));
         Host {
             obs,
             clock,
-            store,
             pool,
             tenants: BTreeMap::new(),
             next_tenant: 1,
@@ -280,7 +268,7 @@ impl Host {
 
     /// Returns the shared blob store every tenant records into.
     pub fn store(&self) -> SharedBlobStore {
-        self.store.clone()
+        self.pool.store().clone()
     }
 
     /// Returns the host's own observability handle (`host.*` metrics).
@@ -293,7 +281,7 @@ impl Host {
     /// number the host reports for capacity planning, while per-tenant
     /// quotas stay logical.
     pub fn storage_physical_bytes(&self) -> u64 {
-        self.store.with(|s| match s.cas_stats() {
+        self.pool.store().with(|s| match s.cas_stats() {
             Some(cas) => cas.physical_bytes,
             None => s
                 .names()
@@ -306,7 +294,7 @@ impl Host {
 
     /// Sum of the logical lengths of every blob in the shared store.
     pub fn storage_logical_bytes(&self) -> u64 {
-        self.store.with(|s| match s.cas_stats() {
+        self.pool.store().with(|s| match s.cas_stats() {
             Some(cas) => cas.logical_bytes,
             None => s
                 .names()
@@ -324,7 +312,7 @@ impl Host {
     /// checkpoints, so their physical share also benefits from
     /// cross-tenant dedup.
     pub fn storage_visual_bytes(&self) -> u64 {
-        self.store.with(|s| {
+        self.pool.store().with(|s| {
             s.names()
                 .iter()
                 .filter(|n| n.contains("vidxseg-") || n.contains("vidxman-"))
@@ -337,7 +325,7 @@ impl Host {
     /// Statistics of the shared store's content-addressed layer
     /// (`None` when [`HostConfig::dedup`] is off).
     pub fn storage_cas_stats(&self) -> Option<CasStats> {
-        self.store.with(|s| s.cas_stats())
+        self.pool.store().with(|s| s.cas_stats())
     }
 
     /// Runs one storage GC round: persists the chunk-store metadata
@@ -347,8 +335,8 @@ impl Host {
     /// and commit workers interleave with the sweep — GC never stops
     /// writes. Errors with [`FsError::Unsupported`] when dedup is off.
     pub fn storage_gc(&self, batch: usize) -> Result<CasGcStep, FsError> {
-        self.store.with(|s| s.cas_persist_root())?;
-        let (step, err) = self.store.gc_sweep(batch);
+        self.pool.store().with(|s| s.cas_persist_root())?;
+        let (step, err) = self.pool.store().gc_sweep(batch);
         match err {
             Some(e) => Err(e),
             None => Ok(step),
@@ -375,9 +363,9 @@ impl Host {
     /// recording into the shared store under `label` as its blob
     /// prefix, with its commits — and those of sessions revived from
     /// it — flowing through the shared pool on lanes of their own. The
-    /// caller's `config` keeps its
-    /// per-tenant knobs (fault plane, policy, recorder); the host
-    /// overrides the storage wiring, installs a per-tenant
+    /// caller's `config` keeps its per-tenant knobs (fault plane,
+    /// policy, recorder, the lanes' queue depth); the pool's knobs are
+    /// the host's. The host sets the blob prefix, installs a per-tenant
     /// observability handle if the config's is disabled, and applies
     /// `quotas`. Returns the tenant id.
     pub fn create_session_with_quotas(
@@ -394,20 +382,13 @@ impl Host {
             Obs::new(self.clock.shared())
         };
         config.obs = obs.clone();
-        config.shared_store = Some(self.store.clone());
         config.blob_prefix = Some(label.to_string());
-        config.engine.commit_queue_depth = quotas.commit_queue_depth;
-        config.engine.compress = self.config.compress;
-        let mut server = DejaView::with_clock(config, self.clock.clone());
-        let lane = server
-            .engine_mut()
-            .attach_pipeline(self.pool.clone(), quotas.commit_weight);
+        let server = DejaView::with_pool(config, self.clock.clone(), self.pool.clone());
         self.tenants.insert(
             id,
             Tenant {
                 label: label.to_string(),
                 server,
-                lane,
                 obs,
                 quotas,
             },
@@ -423,22 +404,16 @@ impl Host {
         id
     }
 
-    /// Drops a session: drains its commit lanes (its own and its
-    /// revived sessions'), removes them from the pool, and unregisters
-    /// the tenant. The tenant's blobs stay in the shared store (the
-    /// record outlives the live session).
+    /// Drops a session and unregisters the tenant. Its engines — its
+    /// own and its revived sessions' — settle and close their commit
+    /// lanes as they are dropped. The tenant's blobs stay in the shared
+    /// store (the record outlives the live session).
     pub fn drop_session(&mut self, id: u64) -> Result<(), HostError> {
-        let mut tenant = self
+        let tenant = self
             .tenants
             .remove(&id)
             .ok_or(HostError::UnknownTenant(id))?;
-        // A degraded tenant still drops cleanly; its failure was
-        // already counted against its own registry.
-        let _ = tenant.server.flush_checkpoints();
-        for revived in tenant.server.sessions() {
-            let _ = tenant.server.close_session(revived);
-        }
-        tenant.server.engine_mut().detach_pipeline();
+        drop(tenant.server);
         self.obs.incr(names::HOST_SESSIONS_DROPPED);
         self.obs
             .gauge_set(names::HOST_SESSIONS, self.tenants.len() as u64);
@@ -623,7 +598,7 @@ impl Host {
                 let _ = text.map(|e| e.maybe_compact());
                 let _ = strips.map(|e| e.maybe_compact());
             };
-            if self.pool.submit_aux(tenant.lane, compact) {
+            if self.pool.submit_aux(tenant.server.engine().lane(), compact) {
                 scheduled += 1;
             }
         }
@@ -654,9 +629,13 @@ impl Host {
         // Settle the lane first so the fingerprint covers every commit.
         let _ = self.flush_session(id);
         let tenant = self.tenants.get(&id).ok_or(HostError::UnknownTenant(id))?;
-        dv_checkpoint::restore_fingerprint(tenant.server.engine(), &mut self.store.lock(), regions)
-            .map(|(fingerprint, _)| fingerprint)
-            .map_err(|e| HostError::Server(e.into()))
+        dv_checkpoint::restore_fingerprint(
+            tenant.server.engine(),
+            &mut self.pool.store().lock(),
+            regions,
+        )
+        .map(|(fingerprint, _)| fingerprint)
+        .map_err(|e| HostError::Server(e.into()))
     }
 
     /// Snapshots observability across the host: the host's own
@@ -814,10 +793,7 @@ mod tests {
         let capped = host.create_session_with_quotas(
             "capped",
             tiny_config(),
-            TenantQuotas {
-                storage_bytes: 1,
-                ..TenantQuotas::default()
-            },
+            TenantQuotas { storage_bytes: 1 },
         );
         let free = host.create_session("free", tiny_config());
         dirty_and_checkpoint(&mut host, capped, 1);
@@ -1021,6 +997,45 @@ mod tests {
         }
         host.drop_session(id).unwrap();
         assert!(host.pool.lanes().is_empty(), "every lane left with it");
+    }
+
+    /// Each engine opens its lane on the host's pool when it is built
+    /// and closes it when it is dropped — the tenant's own, and each
+    /// revived session's — after settling what it still had pending.
+    #[test]
+    fn lanes_follow_the_engines_that_own_them() {
+        let mut host = Host::new(HostConfig {
+            commit_workers: 1,
+            ..HostConfig::default()
+        });
+        let lanes = |host: &Host| host.pool.lanes();
+        let id = host.create_session("tenant", tiny_config());
+        let main = host.session(id).unwrap().engine().lane();
+        assert_eq!(lanes(&host), vec![main]);
+        dirty_and_checkpoint(&mut host, id, 2);
+        let revive = |host: &mut Host, counter| {
+            let server = host.session_mut(id).unwrap();
+            let revived = server.revive_counter(counter).unwrap();
+            (revived, server.session(revived).unwrap().engine.lane())
+        };
+        let (first, first_lane) = revive(&mut host, 1);
+        assert_eq!(lanes(&host), vec![main, first_lane]);
+        let (second, second_lane) = revive(&mut host, 2);
+        assert_eq!(lanes(&host), vec![main, first_lane, second_lane]);
+        let server = host.session_mut(id).unwrap();
+        server.checkpoint_session(first).unwrap();
+        server.close_session(first).unwrap();
+        assert_eq!(lanes(&host), vec![main, second_lane]);
+        // Commits still pending when the tenant goes land first.
+        host.session_mut(id)
+            .unwrap()
+            .checkpoint_session(second)
+            .unwrap();
+        host.drop_session(id).unwrap();
+        assert!(lanes(&host).is_empty());
+        for blob in ["tenant.s1-00000001", "tenant.s2-00000001"] {
+            assert!(host.store().lock().contains(blob), "{blob} committed");
+        }
     }
 
     #[test]

@@ -597,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_is_usable_from_clones() {
+    fn shared_blob_store_is_usable_from_clones() {
         let shared = SharedBlobStore::in_memory();
         let other = shared.clone();
         shared.with(|s| s.put("a", vec![7; 3]).unwrap());

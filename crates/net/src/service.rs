@@ -374,23 +374,6 @@ impl NetService {
         report
     }
 
-    /// Polls until every client queue drains or `max_polls` elapses.
-    /// Convenience for tests and the bench inner loop.
-    pub fn poll_until_quiet(&mut self, max_polls: usize) -> PollReport {
-        let mut total = PollReport::default();
-        for _ in 0..max_polls {
-            let r = self.poll();
-            let quiet = r.messages_handled == 0 && r.bytes_sent == 0 && r.dropped.is_empty();
-            total.messages_handled += r.messages_handled;
-            total.bytes_sent += r.bytes_sent;
-            total.dropped.extend(r.dropped);
-            if quiet && self.clients.iter().all(|c| c.queue.is_idle()) {
-                break;
-            }
-        }
-        total
-    }
-
     fn drain_inbound(&mut self, report: &mut PollReport) {
         let now = self.dv.now();
         let obs = self.obs.clone();

@@ -98,12 +98,6 @@ impl PlaybackEngine {
         self
     }
 
-    /// Sets the screenshot cache capacity (the paper's tunable LRU).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.shot_cache = LruCache::new(capacity);
-        self
-    }
-
     /// Returns the current playback position.
     pub fn position(&self) -> Timestamp {
         self.position

@@ -191,11 +191,6 @@ impl TermWindow {
             dv.desktop_mut().set_text(self.app, self.output, line);
         }
     }
-
-    /// Changes the window title (e.g. a browser's current page).
-    pub fn set_title(&self, dv: &mut DejaView, title: &str) {
-        dv.desktop_mut().set_text(self.app, self.window, title);
-    }
 }
 
 /// Deterministic corpus sentence `i`: a reproducible mix of vocabulary

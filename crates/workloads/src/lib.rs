@@ -32,20 +32,6 @@ pub use untar::UntarScenario;
 pub use video::VideoScenario;
 pub use web::WebScenario;
 
-/// Builds the seven individual application scenarios of Table 1 (the
-/// `desktop` trace is created separately, as it runs under the policy).
-pub fn application_scenarios(scale: f64) -> Vec<Box<dyn Scenario>> {
-    vec![
-        Box::new(WebScenario::new(scale)),
-        Box::new(VideoScenario::new(scale)),
-        Box::new(UntarScenario::new(scale)),
-        Box::new(GzipScenario::new(scale)),
-        Box::new(MakeScenario::new(scale)),
-        Box::new(OctaveScenario::new(scale)),
-        Box::new(CatScenario::new(scale)),
-    ]
-}
-
 /// Creates one application scenario by Table 1 name; `None` for unknown
 /// names.
 pub fn scenario_by_name(name: &str, scale: f64) -> Option<Box<dyn Scenario>> {

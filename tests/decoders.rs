@@ -569,7 +569,9 @@ fn archive_screens(b: &[u8]) -> u64 {
 }
 
 fn engine() -> Checkpointer {
-    Checkpointer::with_sim_clock(EngineConfig::default(), SimClock::new())
+    let (config, clock) = (EngineConfig::default(), SimClock::new());
+    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+    Checkpointer::new(config, pool, clock)
 }
 
 fn man_magic() -> [u8; 8] {
@@ -1083,10 +1085,10 @@ table! {
                 full_every: 2,
                 ..EngineConfig::default()
             };
-            let mut engine = Checkpointer::with_sim_clock(config, clock).with_blob_prefix("tenant");
-            let store = SharedBlobStore::in_memory();
+            let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+            let mut engine = Checkpointer::new(config, pool, clock).with_blob_prefix("tenant");
             for _ in 0..3 {
-                engine.checkpoint(&mut vee, &store).unwrap();
+                engine.checkpoint(&mut vee).unwrap();
             }
             engine.export_meta()
         },

@@ -51,23 +51,22 @@ fn fill(vee: &mut Vee, p: Vpid, addr: u64, round: u64) {
 fn commits_in_flight_are_isolated_from_later_writes() {
     let clock = SimClock::new();
     let (mut vee, p, addr) = session(&clock);
-    let mut engine = Checkpointer::with_sim_clock(
-        EngineConfig {
-            full_every: 3,
-            compress: true,
-            commit_workers: 2,
-            commit_queue_depth: 32,
-            ..EngineConfig::default()
-        },
-        clock.clone(),
-    );
+    let config = EngineConfig {
+        full_every: 3,
+        compress: true,
+        commit_workers: 2,
+        commit_queue_depth: 32,
+        ..EngineConfig::default()
+    };
     let store = SharedBlobStore::in_memory();
+    let pool = config.commit_pool(store.clone(), &clock);
+    let mut engine = Checkpointer::new(config, pool, clock.clone());
 
     let rounds = 8u64;
     let mut captured = Vec::new();
     for round in 1..=rounds {
         fill(&mut vee, p, addr, round);
-        let report = engine.checkpoint(&mut vee, &store).unwrap();
+        let report = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(report.counter, round);
         captured.push(
             vee.mem_read(p, addr, (PAGES * PAGE_SIZE as u64) as usize)
@@ -119,21 +118,20 @@ fn drain_under_fault_accounts_every_queued_image() {
         .build();
     let clock = SimClock::new();
     let (mut vee, p, addr) = session(&clock);
-    let mut engine = Checkpointer::with_sim_clock(
-        EngineConfig {
-            // One long incremental chain so the failed commit cascades
-            // into every later one still in the queue.
-            full_every: 100,
-            compress: true,
-            commit_workers: 1,
-            commit_queue_depth: 8,
-            commit_retry_limit: 0,
-            ..EngineConfig::default()
-        },
-        clock.clone(),
-    );
-    engine.set_fault_plane(plane);
+    let config = EngineConfig {
+        // One long incremental chain so the failed commit cascades
+        // into every later one still in the queue.
+        full_every: 100,
+        compress: true,
+        commit_workers: 1,
+        commit_queue_depth: 8,
+        commit_retry_limit: 0,
+        ..EngineConfig::default()
+    };
     let store = SharedBlobStore::in_memory();
+    let pool = config.commit_pool(store.clone(), &clock);
+    let mut engine = Checkpointer::new(config, pool, clock.clone());
+    engine.set_fault_plane(plane);
 
     // Hold the store lock while every round enqueues: the worker's
     // first commit blocks on the store, so the faulted third commit
@@ -145,7 +143,7 @@ fn drain_under_fault_accounts_every_queued_image() {
         let _pin_commits = store.lock();
         for round in 1..=rounds {
             fill(&mut vee, p, addr, round);
-            engine.checkpoint(&mut vee, &store).unwrap();
+            engine.checkpoint(&mut vee).unwrap();
             clock.advance(dv_time::Duration::from_secs(1));
         }
     }
@@ -172,7 +170,7 @@ fn drain_under_fault_accounts_every_queued_image() {
     let expected = vee
         .mem_read(p, addr, (PAGES * PAGE_SIZE as u64) as usize)
         .unwrap();
-    let report = engine.checkpoint(&mut vee, &store).unwrap();
+    let report = engine.checkpoint(&mut vee).unwrap();
     assert!(report.full, "post-failure checkpoint must re-anchor full");
     engine.flush().unwrap();
     let chain = engine.chain_for(report.counter).expect("chain");

@@ -12,12 +12,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dv_checkpoint::{
-    load_image, revive, Checkpointer, CommitPipeline, EngineConfig, FairPolicy, NetworkPolicy,
-    PipelineConfig, ReviveReport,
+    load_image, revive, Checkpointer, CommitPipeline, EngineConfig, NetworkPolicy, ReviveReport,
 };
 use dv_fault::{sites, FaultPlan, FaultPlane, IoFault};
 use dv_lsfs::{Lsfs, SharedBlobStore};
-use dv_time::{SimClock, Sleeper};
+use dv_time::SimClock;
 use dv_vee::{HostPidAllocator, PageBuf, Prot, Vee, Vpid, PAGE_SIZE};
 
 /// A memory operation over a bounded set of region slots.
@@ -86,13 +85,21 @@ impl Harness {
         Harness::alone(engine_config(false, 0))
     }
 
+    /// A session whose engine has a pool of its own.
     fn alone(config: EngineConfig) -> Self {
-        Harness::with_engine(config, SharedBlobStore::in_memory(), SimClock::new())
+        let clock = SimClock::new();
+        let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+        Harness::on_pool(config, &pool, clock, "ckpt")
     }
 
-    /// A session recording into `store` through an engine with
-    /// `config`, whose pool (built at its first checkpoint) is its own.
-    fn with_engine(config: EngineConfig, store: SharedBlobStore, clock: SimClock) -> Self {
+    /// A session recording through an engine with `config` on `pool`,
+    /// under blob prefix `prefix`.
+    fn on_pool(
+        config: EngineConfig,
+        pool: &Arc<CommitPipeline>,
+        clock: SimClock,
+        prefix: &str,
+    ) -> Self {
         let mut vee = Vee::new(
             1,
             clock.shared(),
@@ -100,12 +107,13 @@ impl Harness {
             HostPidAllocator::new(),
         );
         let p = vee.spawn(None, "app").unwrap();
-        let engine = Checkpointer::with_sim_clock(config, clock.clone());
+        let engine =
+            Checkpointer::new(config, pool.clone(), clock.clone()).with_blob_prefix(prefix);
         Harness {
             vee,
             clock,
             engine,
-            store,
+            store: pool.store().clone(),
             p,
             slots: [None; SLOTS],
             checkpoints: 0,
@@ -117,27 +125,13 @@ impl Harness {
     /// threads: the session under test and a neighbour (blob prefix
     /// `other`) that keeps its own lane busy.
     fn on_a_shared_pool(compress: bool, workers: usize) -> (Self, Self) {
-        let (store, clock) = (SharedBlobStore::in_memory(), SimClock::new());
-        let pool = Arc::new(CommitPipeline::new(
-            PipelineConfig {
-                workers,
-                retry_limit: EngineConfig::default().commit_retry_limit,
-                retry_backoff: EngineConfig::default().commit_retry_backoff,
-                compress,
-                fairness: FairPolicy::RoundRobin,
-            },
-            store.clone(),
-            Sleeper::Sim(clock.clone()),
-        ));
-        let config = engine_config(compress, 0);
-        let mut main = Harness::with_engine(config, store.clone(), clock);
+        let clock = SimClock::new();
+        let config = engine_config(compress, workers);
+        let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+        let main = Harness::on_pool(config, &pool, clock, "ckpt");
         // The neighbour keeps session time of its own, so the session
         // under test reads the clock it would read alone.
-        let mut neighbour = Harness::with_engine(config, store, SimClock::new());
-        neighbour.engine =
-            Checkpointer::with_sim_clock(config, neighbour.clock.clone()).with_blob_prefix("other");
-        main.engine.attach_pipeline(pool.clone(), 1);
-        neighbour.engine.attach_pipeline(pool, 1);
+        let neighbour = Harness::on_pool(config, &pool, SimClock::new(), "other");
         (main, neighbour)
     }
 
@@ -228,7 +222,7 @@ impl Harness {
             }
             MemOp::Checkpoint => {
                 self.clock.advance(dv_time::Duration::from_secs(1));
-                let taken = self.engine.checkpoint(&mut self.vee, &self.store);
+                let taken = self.engine.checkpoint(&mut self.vee);
                 if self.settle_each {
                     let _ = self.engine.flush();
                 } else {

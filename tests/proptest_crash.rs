@@ -208,19 +208,17 @@ proptest! {
         let p = vee.spawn(None, "app").unwrap();
         const PAGES: u64 = 8;
         let addr = vee.mmap(p, PAGES * PAGE_SIZE as u64, Prot::ReadWrite).unwrap();
-        let mut engine = Checkpointer::with_sim_clock(
-            EngineConfig {
-                full_every: 3,
-                compress: true,
-                commit_workers: 2,
-                commit_queue_depth: 16,
-                commit_retry_limit: 0,
-                ..EngineConfig::default()
-            },
-            clock.clone(),
-        );
-        engine.set_fault_plane(plane);
+        let config = EngineConfig {
+            full_every: 3,
+            compress: true,
+            commit_workers: 2,
+            commit_queue_depth: 16,
+            commit_retry_limit: 0,
+            ..EngineConfig::default()
+        };
         let store = SharedBlobStore::in_memory();
+        let mut engine = Checkpointer::new(config, config.commit_pool(store.clone(), &clock), clock.clone());
+        engine.set_fault_plane(plane);
 
         // Deterministic writes per round, captured-state snapshots taken
         // at checkpoint time (what each capture must preserve).
@@ -233,7 +231,7 @@ proptest! {
                 let byte = (x >> 8) as u8;
                 vee.mem_write(p, addr + page * PAGE_SIZE as u64 + (x % 100), &[byte; 64]).unwrap();
             }
-            engine.checkpoint(&mut vee, &store).expect("capture never fails");
+            engine.checkpoint(&mut vee).expect("capture never fails");
             captured.push(vee.mem_read(p, addr, (PAGES * PAGE_SIZE as u64) as usize).unwrap());
             clock.advance(dv_time::Duration::from_secs(1));
         }
@@ -257,7 +255,8 @@ proptest! {
 
         // Restart: a fresh engine over the exported metadata revives
         // the last committed counter to its capture-time state.
-        let mut restarted = Checkpointer::with_sim_clock(EngineConfig::default(), clock.clone());
+        let mut restarted =
+            Checkpointer::new(EngineConfig::default(), engine.pool().clone(), clock.clone());
         prop_assert!(restarted.import_meta(&engine.export_meta()).is_some());
         let last = crash_at - 1;
         let chain = restarted.chain_for(last).expect("committed chain resolves");

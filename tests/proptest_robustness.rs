@@ -17,7 +17,9 @@ use dv_vee::{HostPidAllocator, Vee};
 use dv_vidx::{Fingerprint, Strips, VisualInstance, VisualStrip};
 
 fn engine() -> Checkpointer {
-    Checkpointer::with_sim_clock(EngineConfig::default(), SimClock::new())
+    let (config, clock) = (EngineConfig::default(), SimClock::new());
+    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+    Checkpointer::new(config, pool, clock)
 }
 
 /// The metadata of an engine that has taken a few checkpoints.
@@ -30,10 +32,10 @@ fn valid_engine_meta() -> Vec<u8> {
         full_every: 2,
         ..EngineConfig::default()
     };
-    let mut engine = Checkpointer::with_sim_clock(config, clock).with_blob_prefix("tenant");
-    let store = SharedBlobStore::in_memory();
+    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+    let mut engine = Checkpointer::new(config, pool, clock).with_blob_prefix("tenant");
     for _ in 0..3 {
-        engine.checkpoint(&mut vee, &store).unwrap();
+        engine.checkpoint(&mut vee).unwrap();
     }
     engine.export_meta()
 }
