@@ -1353,6 +1353,116 @@ pub fn fs_snapshot_experiment(scale: f64) -> Vec<FsSnapshotRow> {
 }
 
 // ---------------------------------------------------------------------
+// What a keyframe seek copies from its keyframe
+// ---------------------------------------------------------------------
+
+/// Keyframe seeks over an office-shaped session, and the pixels they
+/// copied from their keyframes.
+pub struct SeekRestoreReport {
+    /// Screen width in pixels.
+    pub width: u32,
+    /// Screen height in pixels.
+    pub height: u32,
+    /// Seeks issued.
+    pub seeks: u64,
+    /// Of those, seeks that started from a keyframe.
+    pub keyframe_seeks: u64,
+    /// `record.seek.pixels_restored` over all of them.
+    pub pixels_restored: u64,
+}
+
+impl SeekRestoreReport {
+    /// Pixels restored per keyframe seek, over the frame's pixels.
+    pub fn restored_frac(&self) -> f64 {
+        let frame = u64::from(self.width) * u64::from(self.height);
+        self.pixels_restored as f64 / (self.keyframe_seeks * frame).max(1) as f64
+    }
+}
+
+/// Browses an office-shaped 1280x1024 session, the one `office_text`
+/// records: four windows tile the screen above a 16-row panel, and a
+/// burst switches to each in turn (a window fill, an image, a page of
+/// glyph lines) before a reading spell of small scrolls in one of them.
+/// A keyframe opens every fourth burst, so a seek replays one to four
+/// bursts. One seek lands in each burst's reading spell, newest first,
+/// so every seek starts from a keyframe. Counts only, no timing: the
+/// fraction is the same on any machine. A seek that copies its whole
+/// keyframe before replaying reads 1.
+pub fn seek_restore_experiment(scale: f64) -> SeekRestoreReport {
+    use dv_display::Rect;
+    const KEYFRAME_EVERY: u64 = 4;
+    const LINES: u32 = 12;
+    let (width, height) = (1280, 1024);
+    let bursts = ((32.0 * scale) as u64).max(KEYFRAME_EVERY * 2);
+    let mut dv = DejaView::new(Config {
+        width,
+        height,
+        enable_text_capture: false,
+        enable_visual_index: false,
+        ..Config::default()
+    });
+    let clock = dv.clock();
+    let (ww, wh) = (width / 2, (height - 16) / 2);
+    let windows: Vec<Rect> = (0..4)
+        .map(|i| Rect::new(i % 2 * ww, i / 2 * wh, ww, wh))
+        .collect();
+    let mut reading = Vec::new();
+    for burst in 0..bursts {
+        if burst % KEYFRAME_EVERY == 0 {
+            dv.force_keyframe();
+        }
+        for i in 0..4 {
+            let r = windows[(i + burst as usize) % 4];
+            let color = (burst as u32 * 4 + i as u32).wrapping_mul(0x9E37_79B9) & 0x00FF_FFFF;
+            let driver = dv.driver_mut();
+            driver.fill_rect(r, color);
+            let tile = (0..64 * 64).map(|p| p ^ color).collect();
+            driver.put_image(Rect::new(r.x + ww - 80, r.y + 8, 64, 64), tile);
+            for line in 0..LINES {
+                let text = format!("burst {burst} window {i} line {line} of the page");
+                driver.draw_text(r.x + 8, r.y + 80 + line * 10, &text, 0x00FF_FFFF, color);
+            }
+            clock.advance(Duration::from_secs(5));
+        }
+        let r = windows[0];
+        for step in 0..6u32 {
+            let driver = dv.driver_mut();
+            driver.copy_area(r.x, r.y + 16, Rect::new(r.x, r.y, ww, 56));
+            driver.draw_text(
+                r.x + 8,
+                r.y + 48,
+                &format!("scrolled {step}"),
+                0x00FF_FFFF,
+                0,
+            );
+            clock.advance(Duration::from_secs(10));
+            if step == 2 {
+                reading.push(dv.now());
+            }
+        }
+        let clock_text = format!("{:02}:{:02}", 9 + burst / 30, burst * 2 % 60);
+        dv.driver_mut()
+            .draw_text(width - 48, height - 12, &clock_text, 0x00FF_FFFF, 0);
+        clock.advance(Duration::from_secs(10));
+    }
+    let counter = |dv: &DejaView, name| dv.obs().counter(name);
+    let (loads, restored) = (
+        counter(&dv, dv_obs::names::RECORD_SEEK_KEYFRAME_LOADS),
+        counter(&dv, dv_obs::names::RECORD_SEEK_PIXELS_RESTORED),
+    );
+    for &t in reading.iter().rev() {
+        dv.browse(t).expect("a recorded moment");
+    }
+    SeekRestoreReport {
+        width,
+        height,
+        seeks: reading.len() as u64,
+        keyframe_seeks: counter(&dv, dv_obs::names::RECORD_SEEK_KEYFRAME_LOADS) - loads,
+        pixels_restored: counter(&dv, dv_obs::names::RECORD_SEEK_PIXELS_RESTORED) - restored,
+    }
+}
+
+// ---------------------------------------------------------------------
 // Byte kernels of the wire and the log, each against its own yardstick
 // ---------------------------------------------------------------------
 
@@ -2865,6 +2975,8 @@ pub(crate) mod tests {
     pub(crate) static FS_SNAPSHOT: LazyLock<Vec<FsSnapshotRow>> =
         LazyLock::new(|| fs_snapshot_experiment(0.02));
     pub(crate) static KERNELS: LazyLock<Vec<KernelRow>> = LazyLock::new(|| kernel_experiment(0.02));
+    pub(crate) static SEEK_RESTORE: LazyLock<SeekRestoreReport> =
+        LazyLock::new(|| seek_restore_experiment(0.02));
     pub(crate) static NET: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_experiment(0.05));
     pub(crate) static NET_WIDE: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_wide_experiment(0.02));
     pub(crate) static HOST: LazyLock<HostReport> = LazyLock::new(|| host_experiment(0.05));
@@ -2915,6 +3027,14 @@ pub(crate) mod tests {
         }
         // The full image keeps the most snapshots.
         assert!(rows.last().unwrap().snapshots >= rows[0].snapshots);
+    }
+
+    #[test]
+    fn seek_restore_smoke() {
+        let report: &SeekRestoreReport = &SEEK_RESTORE;
+        assert_eq!(report.keyframe_seeks, report.seeks, "a seek resumed");
+        // The four windows leave the panel, 16 rows of 1024, to copy.
+        assert_eq!(report.restored_frac(), 16.0 / 1024.0);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 use crate::experiments::{
     crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
     fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
-    net_wide_experiment, obs_experiment, visual_experiment, CrashRow, DedupRow, DeferredRow,
-    FaultRow, FsSnapshotRow, HostReport, IndexReport, KernelRow, NetRow, ObsReport, VisualReport,
-    VisualRow,
+    net_wide_experiment, obs_experiment, seek_restore_experiment, visual_experiment, CrashRow,
+    DedupRow, DeferredRow, FaultRow, FsSnapshotRow, HostReport, IndexReport, KernelRow, NetRow,
+    ObsReport, SeekRestoreReport, VisualReport, VisualRow,
 };
 use crate::report::{
     print_crash, print_dedup, print_deferred, print_faults, print_fs_snapshot, print_host,
-    print_index, print_kernels, print_net, print_obs, print_visual,
+    print_index, print_kernels, print_net, print_obs, print_seek_restore, print_visual,
 };
 
 /// How far over its baseline an at-most metric may run before its gate
@@ -158,6 +158,10 @@ pub const SUITES: &[Suite] = &[
             // Pixels move as a slice: a zero-fill and a copy, not a
             // push per pixel (which read 46).
             ("raw_strip_encode_memcpy_ratio", AtMost(Is(8.0))),
+            // A keyframe seek copies from its keyframe only what its
+            // replay does not paint over first. Copying the keyframe
+            // whole before replaying read 1.0.
+            ("seek_restored_frac", AtMost(Is(0.25))),
         ],
         measure: |scale| {
             let deferred = deferred_experiment(scale);
@@ -174,7 +178,17 @@ pub const SUITES: &[Suite] = &[
             println!();
             let kernels = kernel_experiment(scale);
             print_kernels(&kernels);
-            ci_metrics(&deferred, &faults, &crash, &fs_snapshot, &kernels)
+            println!();
+            let seek_restore = seek_restore_experiment(scale);
+            print_seek_restore(&seek_restore);
+            ci_metrics(
+                &deferred,
+                &faults,
+                &crash,
+                &fs_snapshot,
+                &kernels,
+                &seek_restore,
+            )
         },
     },
     Suite {
@@ -418,14 +432,15 @@ fn flag(holds: bool) -> f64 {
 }
 
 /// The deferred write-back comparison, the fault and power-cut
-/// matrices, snapshot cost against file-system size, and the byte
-/// kernels against their yardsticks.
+/// matrices, snapshot cost against file-system size, the byte kernels
+/// against their yardsticks, and what a keyframe seek copies.
 fn ci_metrics(
     deferred: &[DeferredRow],
     faults: &[FaultRow],
     crash: &[CrashRow],
     fs_snapshot: &[FsSnapshotRow],
     kernels: &[KernelRow],
+    seek_restore: &SeekRestoreReport,
 ) -> Vec<(String, f64)> {
     let inline = &deferred[0];
     let stall = |r: &DeferredRow| r.mean_stall.as_secs_f64();
@@ -470,6 +485,10 @@ fn ci_metrics(
         m.push((key, row.unit_ratio));
     }
     m.extend(kernels.iter().map(|row| (row.key.to_string(), row.ratio())));
+    m.push((
+        "seek_restored_frac".to_string(),
+        seek_restore.restored_frac(),
+    ));
     m
 }
 
@@ -681,6 +700,7 @@ mod tests {
                 &smoke::CRASH,
                 &smoke::FS_SNAPSHOT,
                 &smoke::KERNELS,
+                &smoke::SEEK_RESTORE,
             ),
             obs_metrics(&obs_experiment(0.01)),
             net_metrics(&smoke::NET, &smoke::NET_WIDE),

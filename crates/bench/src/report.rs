@@ -3,7 +3,8 @@
 use crate::experiments::{
     AblationRow, BrowseSearchRow, CheckpointRow, CrashRow, DedupRow, DeferredRow, FaultRow,
     FsSnapshotRow, HostReport, IndexReport, KernelRow, MirrorAblationRow, NetRow, ObsReport,
-    OverheadRow, PlaybackRow, QualityRow, ReviveRow, StorageRow, Table1Row, VisualReport,
+    OverheadRow, PlaybackRow, QualityRow, ReviveRow, SeekRestoreReport, StorageRow, Table1Row,
+    VisualReport,
 };
 use crate::micro::MicroRow;
 use dv_checkpoint::PolicyStats;
@@ -112,6 +113,28 @@ pub fn print_fs_snapshot(rows: &[FsSnapshotRow]) {
             row.unit_ratio,
         );
     }
+}
+
+/// Prints what keyframe seeks copied from their keyframes.
+pub fn print_seek_restore(report: &SeekRestoreReport) {
+    println!(
+        "Seek restore: keyframe seeks over an office-shaped {}x{} session",
+        report.width, report.height
+    );
+    println!(
+        "{:>6} {:>15} {:>18} {:>14}",
+        "seeks", "keyframe seeks", "pixels restored", "of the frame"
+    );
+    println!("{:-<56}", "");
+    let frame = u64::from(report.width) * u64::from(report.height);
+    println!(
+        "{:>6} {:>15} {:>18} {:>14.3}",
+        report.seeks,
+        report.keyframe_seeks,
+        report.pixels_restored,
+        report.restored_frac(),
+    );
+    println!("(a seek that copies its keyframe whole restores {frame} pixels)");
 }
 
 /// Prints the byte kernels beside their yardsticks.

@@ -848,16 +848,17 @@ impl DejaView {
             };
             t.min(store.end)
         };
-        if self.search_cache.get(&t.as_nanos()).is_none() {
-            self.playback.seek(t)?;
-            let shot = self.playback.screenshot();
-            self.search_cache.put(t.as_nanos(), shot);
+        if let Some(shot) = self.search_cache.get(&t.as_nanos()) {
+            return Ok(shot.clone());
         }
-        Ok(self
-            .search_cache
-            .get(&t.as_nanos())
-            .expect("just inserted")
-            .clone())
+        self.playback.seek(t)?;
+        let shot = self.playback.screenshot();
+        // The portal pushed out goes back to the engine, which keeps
+        // its frame only if no result or viewer still holds it.
+        if let Some(evicted) = self.search_cache.put(t.as_nanos(), shot.clone()) {
+            self.playback.recycle(evicted);
+        }
+        Ok(shot)
     }
 
     /// Revives the desktop as it was at time `t` — the "Take me back"

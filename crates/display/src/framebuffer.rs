@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use crate::command::{yuv_to_rgb, DisplayCommand, Pattern, Pixel, YuvFrame};
+use crate::coverage::{CoveragePass, BLOCK_H};
 use crate::rect::Rect;
 
 /// A full-screen pixel snapshot.
@@ -70,7 +71,8 @@ fn fnv1a(pixels: &[Pixel]) -> u64 {
 /// the first [`Framebuffer::apply`] while a screenshot still holds it
 /// copies the frame once. A screenshot therefore never changes after it
 /// is taken, and taking one costs nothing if it is dropped before the
-/// next command.
+/// next command. [`Framebuffer::rebase`] brings a frame to a screenshot
+/// copying only what a command run will not paint over.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Framebuffer {
     width: u32,
@@ -152,6 +154,45 @@ impl Framebuffer {
         fnv1a(&self.pixels)
     }
 
+    /// Returns whether a screenshot still holds the frame's pixels, so
+    /// that the next command landing on screen copies them first.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.pixels) > 1
+    }
+
+    /// Makes the frame private and equal to `base` everywhere but the
+    /// blocks `cover` marks — those the commands it was run over paint
+    /// over before anything reads them — and returns how many pixels
+    /// it copied from `base`. Applying those commands next gives what
+    /// applying them to `base` itself gives.
+    ///
+    /// The pixels go into the frame's own buffer when no screenshot
+    /// holds it, else into `spare`, a frame handed back; a marked block
+    /// keeps whatever that buffer held. With neither, the frame is left
+    /// as it was and `None` returned. A screenshot never changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base`, `cover` or `spare` is of another size than the
+    /// frame.
+    pub fn rebase(
+        &mut self,
+        base: &Screenshot,
+        cover: &CoveragePass,
+        spare: &mut Option<Vec<Pixel>>,
+    ) -> Option<u64> {
+        let (width, height) = (self.width, self.height);
+        assert_eq!((base.width, base.height), (width, height), "base size");
+        assert_eq!(cover.screen(), (width, height), "coverage size");
+        if Arc::get_mut(&mut self.pixels).is_none() {
+            let buffer = spare.take()?;
+            assert_eq!(buffer.len(), base.pixels.len(), "spare frame size");
+            self.pixels = Arc::new(buffer);
+        }
+        let pixels = Arc::get_mut(&mut self.pixels).expect("the buffer is private");
+        Some(copy_kept(pixels, &base.pixels, width, height, cover))
+    }
+
     /// Applies one display command, clamping it to the screen.
     pub fn apply(&mut self, cmd: &DisplayCommand) {
         let screen = self.screen_rect();
@@ -162,6 +203,38 @@ impl Framebuffer {
         let pixels = Arc::make_mut(&mut self.pixels);
         paint(pixels, self.width, &screen, cmd);
     }
+}
+
+/// Copies every pixel of `src` that `cover` does not mark into `dst`
+/// and returns how many it copied. Spans that follow on from each other
+/// in memory — whole rows, band after band — are copied as one.
+fn copy_kept(
+    dst: &mut [Pixel],
+    src: &[Pixel],
+    width: u32,
+    height: u32,
+    cover: &CoveragePass,
+) -> u64 {
+    let stride = width as usize;
+    let mut copied = 0u64;
+    let mut run = 0..0;
+    for band in 0..height.div_ceil(BLOCK_H) {
+        let rows = band * BLOCK_H..(band * BLOCK_H + BLOCK_H).min(height);
+        cover.kept_spans(band, |x0, x1| {
+            for y in rows.clone() {
+                let at = y as usize * stride;
+                let (start, end) = (at + x0 as usize, at + x1 as usize);
+                if start != run.end {
+                    dst[run.clone()].copy_from_slice(&src[run.clone()]);
+                    run.start = start;
+                }
+                run.end = end;
+            }
+            copied += u64::from(x1 - x0) * rows.len() as u64;
+        });
+    }
+    dst[run.clone()].copy_from_slice(&src[run]);
+    copied
 }
 
 /// Paints `cmd` into the row-major `pixels` of a `width`-wide `screen`.
@@ -851,6 +924,158 @@ mod tests {
             };
             let (kernel, reference) = kernel_and_reference(&cmd, clip, seed);
             prop_assert_eq!(kernel, reference, "{:?} clipped by {:?}", cmd, clip);
+        }
+    }
+
+    /// A coordinate on an axis of `len` pixels cut in blocks of `side`:
+    /// on a block edge, one pixel either side of one, or anywhere up to
+    /// a little past the screen's edge.
+    fn coordinate(rng: &mut TestRng, len: u32, side: u32) -> u32 {
+        let edge = rng.below(u64::from(len / side + 2)) as u32 * side;
+        match rng.below(4) {
+            0 => edge,
+            1 => edge + 1,
+            2 => edge.saturating_sub(1),
+            _ => rng.below(u64::from(len + 8)) as u32,
+        }
+    }
+
+    /// `count` commands on a `width` x `height` screen: rectangles that
+    /// straddle block edges and hang over the screen's, whole-screen
+    /// fills, and copies that read anywhere, on screen or not.
+    fn command_run(width: u32, height: u32, count: usize, seed: u64) -> Vec<DisplayCommand> {
+        use crate::coverage::{BLOCK_H, BLOCK_W};
+        let mut rng = TestRng::from_seed(seed);
+        (0..count)
+            .map(|_| {
+                let rng = &mut rng;
+                let x = coordinate(rng, width, BLOCK_W);
+                let y = coordinate(rng, height, BLOCK_H);
+                let w = coordinate(rng, width, BLOCK_W).max(1);
+                let h = coordinate(rng, height, BLOCK_H).max(1);
+                let rect = Rect::new(x, y, w, h);
+                let colour = rng.next_u64() as Pixel;
+                match rng.below(9) {
+                    0..=1 => DisplayCommand::SolidFill {
+                        rect,
+                        color: colour,
+                    },
+                    2 => DisplayCommand::SolidFill {
+                        rect: Rect::screen(width, height),
+                        color: colour,
+                    },
+                    3..=4 => DisplayCommand::CopyArea {
+                        src_x: coordinate(rng, width, BLOCK_W),
+                        src_y: coordinate(rng, height, BLOCK_H),
+                        rect,
+                    },
+                    5 => DisplayCommand::PatternFill {
+                        rect,
+                        pattern: Pattern {
+                            bits: rng.next_u64(),
+                            fg: colour,
+                            bg: !colour,
+                        },
+                    },
+                    6 => DisplayCommand::Raw {
+                        rect,
+                        pixels: Arc::new(
+                            (0..rect.area()).map(|_| rng.next_u64() as Pixel).collect(),
+                        ),
+                    },
+                    7 => DisplayCommand::Glyph {
+                        rect,
+                        bits: Arc::new(
+                            (0..(w as usize).div_ceil(8) * h as usize)
+                                .map(|_| rng.next_u64() as u8)
+                                .collect(),
+                        ),
+                        fg: colour,
+                        bg: !colour,
+                    },
+                    _ => DisplayCommand::Video {
+                        rect,
+                        frame: Arc::new(noise_frame(
+                            1 + rng.below(9) as u32,
+                            1 + rng.below(9) as u32,
+                            rng.next_u64(),
+                        )),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// A `width` x `height` buffer of noise.
+    fn noise(width: u32, height: u32, seed: u64) -> Vec<Pixel> {
+        let mut rng = TestRng::from_seed(seed);
+        (0..width * height)
+            .map(|_| rng.next_u64() as Pixel)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Rebasing on a keyframe, then applying a run, equals applying
+        /// the run to the keyframe itself (shared, so the first command
+        /// copies it whole) — whether the rebase writes into the frame's
+        /// own stale buffer or, because a screenshot holds the frame,
+        /// into a handed-back one full of garbage. Screens of any width,
+        /// most not a multiple of a block or of a word of blocks; runs
+        /// that read what they later cover, and the reverse. No
+        /// screenshot changes, a held frame with nothing handed back is
+        /// left alone, and a run that paints nothing over leaves the
+        /// whole frame to copy.
+        #[test]
+        fn rebase_then_replay_equals_replay_on_the_base(
+            size in (1..=150u32, 1..=40u32),
+            count in 0..20usize,
+            seed in any::<u64>(),
+        ) {
+            let (width, height) = size;
+            let run = command_run(width, height, count, seed);
+            let frame = |seed: u64| Framebuffer {
+                width,
+                height,
+                pixels: Arc::new(noise(width, height, seed)),
+            };
+            let base = frame(seed ^ 1).snapshot();
+            let keyframe = base.pixels.as_ref().clone();
+            let mut cover = CoveragePass::new();
+            let painted = cover.cover(width, height, &run, DisplayCommand::meta);
+            let mut oracle = Framebuffer::from_screenshot(&base);
+            for cmd in &run {
+                oracle.apply(cmd);
+            }
+
+            let mut own = frame(seed ^ 2);
+            let restored = own.rebase(&base, &cover, &mut None).expect("a private frame");
+            let whole = u64::from(width * height);
+            prop_assert!(restored <= whole);
+            prop_assert_eq!(painted == 0, restored == whole);
+
+            let mut handed = frame(seed ^ 3);
+            let holder = handed.snapshot();
+            let held = holder.pixels.as_ref().clone();
+            prop_assert_eq!(handed.rebase(&base, &cover, &mut None), None);
+            prop_assert!(handed.is_shared(), "a held frame was replaced with nothing to write into");
+            let mut spare = Some(noise(width, height, seed ^ 4));
+            prop_assert_eq!(handed.rebase(&base, &cover, &mut spare), Some(restored));
+            prop_assert!(spare.is_none(), "the handed-back frame was not used");
+
+            for (what, fb) in [("own", &mut own), ("handed-back", &mut handed)] {
+                prop_assert!(!fb.is_shared(), "the {} frame is shared", what);
+                for cmd in &run {
+                    fb.apply(cmd);
+                }
+                prop_assert!(
+                    *fb == oracle,
+                    "the {} frame differs: {}x{} after {:?}", what, width, height, run
+                );
+            }
+            prop_assert_eq!(base.pixels.as_ref(), &keyframe);
+            prop_assert_eq!(holder.pixels.as_ref(), &held);
         }
     }
 

@@ -4,8 +4,9 @@
 //! (paper §3 and §4): a display protocol command set, a software
 //! framebuffer they apply to, a virtual display driver that intercepts
 //! drawing at the video-driver interface and fans commands out to viewer
-//! and recorder sinks, command queueing/merging, resolution scaling, a
-//! wire codec, and the stateless client viewer.
+//! and recorder sinks, command queueing/merging and the coverage pass a
+//! seek uses to skip what it repaints, resolution scaling, a wire codec,
+//! and the stateless client viewer.
 //!
 //! # Example
 //!
@@ -34,6 +35,7 @@
 
 pub mod codec;
 pub mod command;
+pub mod coverage;
 pub mod driver;
 pub mod font;
 pub mod framebuffer;
@@ -49,6 +51,7 @@ pub use codec::{
     CodecError, HEADER_LEN,
 };
 pub use command::{rgb, CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
+pub use coverage::CoveragePass;
 pub use driver::{CommandSink, DriverStats, SharedSink, VirtualDisplayDriver};
 pub use framebuffer::{Framebuffer, Screenshot};
 pub use output::{OutputPool, VirtualOutput};

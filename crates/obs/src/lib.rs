@@ -335,6 +335,9 @@ pub mod names {
     pub const RECORD_SEEK_COMMANDS_SCANNED: &str = "record.seek.commands_scanned";
     /// Commands seeks decoded and applied after pruning (useful work).
     pub const RECORD_SEEK_COMMANDS_APPLIED: &str = "record.seek.commands_applied";
+    /// Pixels seeks copied from a base frame (a keyframe, or a frame a
+    /// screenshot still held) instead of leaving them to be painted.
+    pub const RECORD_SEEK_PIXELS_RESTORED: &str = "record.seek.pixels_restored";
     /// Command headers scanned by the recorder's keyframe catch-up.
     pub const RECORD_CATCHUP_COMMANDS_SCANNED: &str = "record.catchup.commands_scanned";
     /// Commands the catch-up decoded and applied after pruning.

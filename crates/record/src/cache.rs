@@ -86,9 +86,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Inserts a value, evicting the least recently used entry if full.
-    pub fn put(&mut self, key: K, value: V) {
+    /// Inserts a value and returns the one it pushed out: the key's
+    /// previous value, or the least recently used entry when the cache
+    /// was full.
+    pub fn put(&mut self, key: K, value: V) -> Option<V> {
         self.tick += 1;
+        let mut evicted = None;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             if let Some(victim) = self
                 .map
@@ -96,10 +99,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 .min_by_key(|(_, (_, used))| *used)
                 .map(|(k, _)| k.clone())
             {
-                self.map.remove(&victim);
+                evicted = self.map.remove(&victim);
             }
         }
-        self.map.insert(key, (value, self.tick));
+        let replaced = self.map.insert(key, (value, self.tick));
+        replaced.or(evicted).map(|(value, _)| value)
     }
 
     /// Looks up a key or computes, caches and returns its value.
@@ -143,11 +147,22 @@ mod tests {
     }
 
     #[test]
+    fn put_returns_what_it_pushed_out() {
+        let mut cache = LruCache::new(2);
+        assert_eq!(cache.put(1, "a"), None);
+        assert_eq!(cache.put(2, "b"), None);
+        cache.get(&1);
+        assert_eq!(cache.put(3, "c"), Some("b"), "2 was LRU");
+        assert_eq!(cache.put(3, "C"), Some("c"), "the replaced value");
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
     fn reinsert_updates_value_without_evicting() {
         let mut cache = LruCache::new(2);
         cache.put(1, "a");
         cache.put(2, "b");
-        cache.put(1, "A");
+        assert_eq!(cache.put(1, "A"), Some("a"));
         assert_eq!(cache.get(&1), Some(&"A"));
         assert_eq!(cache.get(&2), Some(&"b"));
     }

@@ -8,7 +8,8 @@
 //! A seek costs what changed since the nearest state the engine already
 //! holds: it continues from its own position when that lies between the
 //! target's keyframe and the target, reads only command headers to find
-//! what a newer command overwrote, and decodes just the survivors.
+//! what a newer command overwrote, decodes just the survivors, and
+//! copies from its base frame only what they do not paint over.
 
 use std::sync::Arc;
 
@@ -113,6 +114,19 @@ impl PlaybackEngine {
         &self.fb
     }
 
+    /// Takes back the frame of a screenshot its holder is done with,
+    /// for a later seek to write into instead of allocating one. The
+    /// frame is kept only when nothing else holds it and it is of the
+    /// record's size, and at most one is kept.
+    pub fn recycle(&mut self, shot: Screenshot) {
+        if (shot.width, shot.height) != (self.fb.width(), self.fb.height()) {
+            return;
+        }
+        if let Ok(pixels) = Arc::try_unwrap(shot.pixels) {
+            self.replay.spare.get_or_insert(pixels);
+        }
+    }
+
     fn load_keyframe(
         &mut self,
         store: &RecordStore,
@@ -143,19 +157,20 @@ impl PlaybackEngine {
             .entry_at_or_before(t)
             .ok_or(PlaybackError::BeforeRecord)?;
         let mut stats = PlayStats::default();
-        let from = if resumable && entry.time <= self.position && self.position <= t {
+        let (from, base) = if resumable && entry.time <= self.position && self.position <= t {
             self.obs.incr(names::RECORD_SEEK_RESUMED);
-            self.offset
+            // A frame nobody else holds is replayed in place; one a
+            // portal still holds is the base of a fresh one.
+            (self.offset, self.fb.is_shared().then(|| self.fb.snapshot()))
         } else {
             let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
-            self.fb = Framebuffer::from_screenshot(&shot);
             stats.keyframes_presented = 1;
             self.obs.incr(names::RECORD_SEEK_KEYFRAME_LOADS);
-            entry.command_offset
+            (entry.command_offset, Some(shot))
         };
         let done = self
             .replay
-            .run(&store.log, from, t, &mut self.fb)
+            .run(&store.log, from, t, &mut self.fb, base.as_ref())
             .map_err(|_| PlaybackError::Corrupt)?;
         stats.commands_applied = done.applied;
         stats.commands_pruned = done.scanned - done.applied;
@@ -163,6 +178,8 @@ impl PlaybackEngine {
             .add(names::RECORD_SEEK_COMMANDS_SCANNED, done.scanned);
         self.obs
             .add(names::RECORD_SEEK_COMMANDS_APPLIED, done.applied);
+        self.obs
+            .add(names::RECORD_SEEK_PIXELS_RESTORED, done.restored);
         self.position = t;
         self.offset = done.next;
         self.primed = true;

@@ -273,10 +273,13 @@ impl DisplayRecorder {
         let store = self.record.read();
         // The log holds only what this recorder encoded; should it not
         // read back, the framebuffer stays where it stands.
-        if let Ok(done) = self
-            .replay
-            .run(&store.log, self.fb_offset, Timestamp::MAX, &mut self.fb)
-        {
+        if let Ok(done) = self.replay.run(
+            &store.log,
+            self.fb_offset,
+            Timestamp::MAX,
+            &mut self.fb,
+            None,
+        ) {
             self.fb_offset = done.next;
             self.obs
                 .add(names::RECORD_CATCHUP_COMMANDS_SCANNED, done.scanned);

@@ -322,7 +322,8 @@ proptest! {
 
     /// Copy-on-write isolation: a screenshot shares the framebuffer's
     /// pixels, yet no later command shows through it — for the driver,
-    /// a viewer, a virtual output and the playback engine.
+    /// a viewer, a virtual output and the playback engine, also when
+    /// the engine is handed back the frame a screenshot still holds.
     #[test]
     fn screenshots_are_isolated_from_later_commands(
         first in arb_command(),
@@ -374,7 +375,92 @@ proptest! {
         let shot = engine.screenshot();
         engine.play_until(Timestamp::from_millis(2), None).expect("play");
         assert_isolated(&shot, &before, "playback play");
-        prop_assert_eq!(engine.screenshot(), after);
+        prop_assert_eq!(engine.screenshot(), after.clone());
+        // A frame handed back while a screenshot still holds it is not
+        // taken: neither a resumed seek nor one from the keyframe writes
+        // into it.
+        engine.seek(Timestamp::from_millis(1)).expect("seek back");
+        let shot = engine.screenshot();
+        engine.recycle(shot.clone());
+        engine.seek(Timestamp::from_millis(2)).expect("resumed seek");
+        assert_isolated(&shot, &before, "playback seek, frame handed back");
+        let at_two = engine.screenshot();
+        engine.recycle(at_two.clone());
+        engine.seek(Timestamp::from_millis(1)).expect("seek back");
+        assert_isolated(&at_two, after.pixels.as_slice(), "playback seek back, frame handed back");
+        let back = engine.screenshot();
+        prop_assert_eq!(back.pixels.as_slice(), before.as_slice());
+    }
+
+    /// A seek copies from its base only what its replay does not paint
+    /// over first, and shows the same screen whatever frame it writes:
+    /// the engine's own stale one; a handed-back one full of garbage,
+    /// because a screenshot still holds the engine's; or — held, with
+    /// nothing handed back — the copy-on-write copy of the whole base.
+    /// Screen widths mostly not a multiple of 16 or 64 pixels, so
+    /// rectangles are clipped at the edge or stop short of it; keyframe
+    /// seeks and resumed ones, in any order. No held screenshot changes,
+    /// and a screenshot handed back while held is not taken.
+    #[test]
+    fn seeks_equal_linear_replay_whatever_frame_they_write(
+        size in (17..=90u32, 9..=60u32),
+        cmds in prop::collection::vec(arb_command(), 1..60),
+        probes in prop::collection::vec(0..=1000u64, 1..8),
+        noise in any::<u32>(),
+    ) {
+        let (width, height) = size;
+        let config = RecorderConfig {
+            keyframe_interval: Duration::from_millis(300),
+            keyframe_min_change: 0.0,
+            ..RecorderConfig::default()
+        };
+        let mut recorder = DisplayRecorder::new(width, height, config);
+        let stamped: Vec<(Timestamp, &DisplayCommand)> = cmds
+            .iter()
+            .enumerate()
+            .map(|(i, cmd)| (Timestamp::from_millis(i as u64 * 40), cmd))
+            .collect();
+        for &(at, cmd) in &stamped {
+            recorder.submit(at, cmd);
+        }
+        let linear = |t: Timestamp| {
+            let mut fb = Framebuffer::new(width, height);
+            for (_, cmd) in stamped.iter().filter(|(at, _)| *at <= t) {
+                fb.apply(cmd);
+            }
+            fb.snapshot()
+        };
+        let garbage = || Screenshot {
+            width,
+            height,
+            pixels: Arc::new((0..width * height).map(|i| i.wrapping_mul(noise | 1)).collect()),
+        };
+        let end_ms = stamped.last().expect("a command").0.as_millis();
+        let mut own = PlaybackEngine::new(recorder.record());
+        let mut handed = PlaybackEngine::new(recorder.record());
+        let mut held = PlaybackEngine::new(recorder.record());
+        let mut holds = Vec::new();
+        for &p in &probes {
+            let t = Timestamp::from_millis(end_ms * p / 1000);
+            let want = linear(t);
+            handed.recycle(garbage());
+            for (what, engine) in [("own", &mut own), ("handed-back", &mut handed), ("held", &mut held)] {
+                engine.seek(t).expect("seek");
+                prop_assert!(
+                    engine.screenshot() == want,
+                    "the {} frame differs at {:?} on a {}x{} screen", what, t, width, height
+                );
+            }
+            // The two held frames stay held: their next seek must write
+            // elsewhere. One is also handed back, which must not take it.
+            let shot = handed.screenshot();
+            handed.recycle(shot.clone());
+            holds.push((shot, want.clone()));
+            holds.push((held.screenshot(), want));
+        }
+        for (shot, want) in &holds {
+            prop_assert!(shot == want, "a held screenshot changed");
+        }
     }
 
     /// Round-trip through the wire codec is lossless for every command
@@ -546,6 +632,10 @@ proptest! {
     /// back in rank order: with more portals than the search cache
     /// holds and a rank order that is not chronological, every result
     /// still carries the screens a fresh engine reconstructs for it.
+    /// Portals still held — by these results, or as the screen a
+    /// revived session's viewer opened on — are never handed back to
+    /// the engine or written: a second search and a revive that push
+    /// them out of the cache leave them as they were.
     #[test]
     fn search_portals_match_per_hit_reconstruction(
         shown_secs in prop::collection::vec(1..9u64, 36..44),
@@ -560,8 +650,13 @@ proptest! {
         let root = dv.desktop_mut().root(app).expect("root");
         let node = dv.desktop_mut().add_node(app, root, Role::Paragraph, "idle");
         dv.desktop_mut().focus(app);
+        let mut checkpointed = Timestamp::ZERO;
         for (i, &secs) in shown_secs.iter().enumerate() {
             let i = i as u32;
+            if i == 2 {
+                dv.checkpoint_now().expect("checkpoint");
+                checkpointed = dv.now();
+            }
             clock.advance(Duration::from_secs(1));
             dv.desktop_mut().set_text(app, node, &format!("needle number{i}"));
             dv.driver_mut().fill_rect(Rect::new(i % W, 0, 1, H), 0x10_0000 + i);
@@ -575,6 +670,9 @@ proptest! {
 
         let query = dv_index::parse_query("needle").expect("query");
         let hits = dv.search_hits(&query, order).expect("hits");
+        let revived = dv.take_me_back(checkpointed).expect("revive");
+        let opened_on = dv.session(revived).expect("revived").viewer.screenshot();
+        let opened_pixels = opened_on.pixels.as_ref().clone();
         let results = dv.search_query(&query, order).expect("search");
         prop_assert_eq!(results.len(), shown_secs.len());
         prop_assert!(
@@ -583,6 +681,19 @@ proptest! {
         );
         let portals: usize = results.iter().map(|r| 1 + r.last_screenshot.iter().count()).sum();
         prop_assert!(portals > Config::default().search_cache, "only {} portals", portals);
+        let unheld: Vec<Vec<u32>> = results
+            .iter()
+            .map(|r| r.screenshot.pixels.as_ref().clone())
+            .collect();
+        let again = dv.search_query(&query, RankOrder::Chronological).expect("search again");
+        prop_assert_eq!(again.len(), results.len());
+        dv.close_session(revived).expect("close");
+        let now = dv.now();
+        dv.take_me_back(now).expect("revive again");
+        prop_assert!(opened_on.pixels.as_slice() == opened_pixels.as_slice(), "the revived viewer's screen changed");
+        for (result, pixels) in results.iter().zip(&unheld) {
+            prop_assert!(result.screenshot.pixels.as_slice() == pixels.as_slice(), "a held portal changed");
+        }
 
         let (start, end) = {
             let record = dv.record();
