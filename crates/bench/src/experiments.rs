@@ -1463,6 +1463,99 @@ pub fn seek_restore_experiment(scale: f64) -> SeekRestoreReport {
 }
 
 // ---------------------------------------------------------------------
+// What a replay writes for a scrolling terminal
+// ---------------------------------------------------------------------
+
+/// One playback pass over a terminal-shaped session, and the rows its
+/// scroll ring wrote.
+pub struct ReplayScrollReport {
+    /// Terminal height in lines.
+    pub term_lines: u32,
+    /// Lines printed, each a one-line scroll.
+    pub lines: u64,
+    /// `play_until` calls the pass was played in.
+    pub slices: u64,
+    /// Commands the pass played.
+    pub commands: u64,
+    /// `record.replay.ring_rows` over the pass.
+    pub ring_rows: u64,
+    /// `record.replay.copy_rows` over the pass.
+    pub copy_rows: u64,
+}
+
+impl ReplayScrollReport {
+    /// Rows the ring wrote over the rows one copy per scroll would have.
+    pub fn rows_frac(&self) -> f64 {
+        self.ring_rows as f64 / self.copy_rows.max(1) as f64
+    }
+}
+
+/// Plays back a ten-line terminal, the shape `build_churn` records: a
+/// 640x80 xterm at the top of a 640x480 screen prints a line every
+/// 200 ms (a one-line scroll up, then a fill and a glyph row on the
+/// bottom line) while a clock below it ticks every second. One pass
+/// from the start, in slices of sixteen lines: like the benchmark's
+/// slices of a `build_churn` pass, each ends part-way round the ring,
+/// which it then puts back in order, and the fraction is the same at
+/// any scale. Counts only, no timing: the same on any machine. A replay
+/// that moves every row of every scroll reads 1.
+pub fn replay_scroll_experiment(scale: f64) -> ReplayScrollReport {
+    use dv_display::Rect;
+    const LINE: u32 = 8;
+    const TERM_LINES: u32 = 10;
+    const SLICE_LINES: u64 = 16;
+    let (width, height) = (640, 480);
+    let slices = ((32.0 * scale) as u64).max(8);
+    let lines = slices * SLICE_LINES;
+    let mut dv = DejaView::new(Config {
+        width,
+        height,
+        enable_text_capture: false,
+        enable_visual_index: false,
+        ..Config::default()
+    });
+    let clock = dv.clock();
+    let start = dv.now();
+    let term = Rect::new(0, 0, width, TERM_LINES * LINE);
+    let bottom = Rect::new(0, term.h - LINE, width, LINE);
+    for i in 0..lines {
+        let driver = dv.driver_mut();
+        driver.copy_area(0, LINE, Rect::new(0, 0, width, term.h - LINE));
+        driver.fill_rect(bottom, 0x0010_1014);
+        let text = format!("  CC      kernel/unit_{i}.o");
+        driver.draw_text(0, bottom.y, &text, 0x00DC_DCDC, 0x0010_1014);
+        if i % 5 == 0 {
+            let clock_text = format!("{:02}:{:02}", i / 300 % 24, i / 5 % 60);
+            driver.draw_text(width - 48, height - 12, &clock_text, 0x00FF_FFFF, 0);
+        }
+        clock.advance(Duration::from_millis(200));
+    }
+    dv.force_keyframe();
+    let counter = |dv: &DejaView, name| dv.obs().counter(name);
+    let (ring, copy) = (
+        counter(&dv, dv_obs::names::RECORD_REPLAY_RING_ROWS),
+        counter(&dv, dv_obs::names::RECORD_REPLAY_COPY_ROWS),
+    );
+    let mut engine = dv.playback();
+    let mut commands = 0;
+    for k in 1..=slices {
+        let until = start + Duration::from_millis(200 * SLICE_LINES * k);
+        commands += engine
+            .play_until(until, None)
+            .expect("play")
+            .commands_applied;
+    }
+    ReplayScrollReport {
+        term_lines: TERM_LINES,
+        lines,
+        slices,
+        commands,
+        ring_rows: counter(&dv, dv_obs::names::RECORD_REPLAY_RING_ROWS) - ring,
+        copy_rows: counter(&dv, dv_obs::names::RECORD_REPLAY_COPY_ROWS) - copy,
+    }
+}
+
+// ---------------------------------------------------------------------
 // Byte kernels of the wire and the log, each against its own yardstick
 // ---------------------------------------------------------------------
 
@@ -2977,6 +3070,8 @@ pub(crate) mod tests {
     pub(crate) static KERNELS: LazyLock<Vec<KernelRow>> = LazyLock::new(|| kernel_experiment(0.02));
     pub(crate) static SEEK_RESTORE: LazyLock<SeekRestoreReport> =
         LazyLock::new(|| seek_restore_experiment(0.02));
+    pub(crate) static REPLAY_SCROLL: LazyLock<ReplayScrollReport> =
+        LazyLock::new(|| replay_scroll_experiment(0.02));
     pub(crate) static NET: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_experiment(0.05));
     pub(crate) static NET_WIDE: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_wide_experiment(0.02));
     pub(crate) static HOST: LazyLock<HostReport> = LazyLock::new(|| host_experiment(0.05));
@@ -3027,6 +3122,20 @@ pub(crate) mod tests {
         }
         // The full image keeps the most snapshots.
         assert!(rows.last().unwrap().snapshots >= rows[0].snapshots);
+    }
+
+    #[test]
+    fn replay_scroll_smoke() {
+        let report: &ReplayScrollReport = &REPLAY_SCROLL;
+        // Every line is a scroll, a fill and a glyph row; a clock every
+        // fifth, all of them played.
+        assert_eq!(report.commands, report.lines * 3 + report.lines.div_ceil(5));
+        // One copy a scroll moves nine of the ten eight-row lines; the
+        // ring copies the one left in place, and every slice ends
+        // part-way round, so puts all ten back.
+        assert_eq!(report.copy_rows, report.lines * 9 * 8);
+        assert_eq!(report.ring_rows, report.lines * 8 + report.slices * 80);
+        assert_eq!(report.rows_frac(), (16.0 * 8.0 + 80.0) / (16.0 * 72.0));
     }
 
     #[test]

@@ -11,13 +11,15 @@
 use crate::experiments::{
     crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
     fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
-    net_wide_experiment, obs_experiment, seek_restore_experiment, visual_experiment, CrashRow,
-    DedupRow, DeferredRow, FaultRow, FsSnapshotRow, HostReport, IndexReport, KernelRow, NetRow,
-    ObsReport, SeekRestoreReport, VisualReport, VisualRow,
+    net_wide_experiment, obs_experiment, replay_scroll_experiment, seek_restore_experiment,
+    visual_experiment, CrashRow, DedupRow, DeferredRow, FaultRow, FsSnapshotRow, HostReport,
+    IndexReport, KernelRow, NetRow, ObsReport, ReplayScrollReport, SeekRestoreReport, VisualReport,
+    VisualRow,
 };
 use crate::report::{
     print_crash, print_dedup, print_deferred, print_faults, print_fs_snapshot, print_host,
-    print_index, print_kernels, print_net, print_obs, print_seek_restore, print_visual,
+    print_index, print_kernels, print_net, print_obs, print_replay_scroll, print_seek_restore,
+    print_visual,
 };
 
 /// How far over its baseline an at-most metric may run before its gate
@@ -162,6 +164,10 @@ pub const SUITES: &[Suite] = &[
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.
             ("seek_restored_frac", AtMost(Is(0.25))),
+            // A replay scrolls a terminal by moving its row origin and
+            // copies only the line each scroll leaves in place, plus one
+            // restore a slice. One copy per scroll read 1.0.
+            ("replay_scroll_rows_frac", AtMost(Is(0.25))),
         ],
         measure: |scale| {
             let deferred = deferred_experiment(scale);
@@ -181,6 +187,9 @@ pub const SUITES: &[Suite] = &[
             println!();
             let seek_restore = seek_restore_experiment(scale);
             print_seek_restore(&seek_restore);
+            println!();
+            let replay_scroll = replay_scroll_experiment(scale);
+            print_replay_scroll(&replay_scroll);
             ci_metrics(
                 &deferred,
                 &faults,
@@ -188,6 +197,7 @@ pub const SUITES: &[Suite] = &[
                 &fs_snapshot,
                 &kernels,
                 &seek_restore,
+                &replay_scroll,
             )
         },
     },
@@ -433,7 +443,8 @@ fn flag(holds: bool) -> f64 {
 
 /// The deferred write-back comparison, the fault and power-cut
 /// matrices, snapshot cost against file-system size, the byte kernels
-/// against their yardsticks, and what a keyframe seek copies.
+/// against their yardsticks, what a keyframe seek copies, and the rows
+/// a replay of a scrolling terminal writes.
 fn ci_metrics(
     deferred: &[DeferredRow],
     faults: &[FaultRow],
@@ -441,6 +452,7 @@ fn ci_metrics(
     fs_snapshot: &[FsSnapshotRow],
     kernels: &[KernelRow],
     seek_restore: &SeekRestoreReport,
+    replay_scroll: &ReplayScrollReport,
 ) -> Vec<(String, f64)> {
     let inline = &deferred[0];
     let stall = |r: &DeferredRow| r.mean_stall.as_secs_f64();
@@ -488,6 +500,10 @@ fn ci_metrics(
     m.push((
         "seek_restored_frac".to_string(),
         seek_restore.restored_frac(),
+    ));
+    m.push((
+        "replay_scroll_rows_frac".to_string(),
+        replay_scroll.rows_frac(),
     ));
     m
 }
@@ -701,6 +717,7 @@ mod tests {
                 &smoke::FS_SNAPSHOT,
                 &smoke::KERNELS,
                 &smoke::SEEK_RESTORE,
+                &smoke::REPLAY_SCROLL,
             ),
             obs_metrics(&obs_experiment(0.01)),
             net_metrics(&smoke::NET, &smoke::NET_WIDE),

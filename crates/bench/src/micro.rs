@@ -12,7 +12,7 @@ use std::time::Duration;
 use dv_checkpoint::{compress, decompress, Checkpointer, EngineConfig};
 use dv_display::{
     decode_command, encode_command_vec, CommandSink, DisplayCommand, Framebuffer, Pattern, Rect,
-    YuvFrame,
+    ScrollRing, YuvFrame,
 };
 use dv_index::{parse_query, IndexedInstance, RankOrder, TextIndex};
 use dv_lsfs::{Filesystem, Lsfs, SharedBlobStore};
@@ -163,6 +163,40 @@ pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
     for (name, mut fb, cmd) in applies {
         rows.add("display", name, || timed(|| fb.apply(black_box(&cmd))));
     }
+    // A replay of 64 lines on an 800x160 terminal (ten lines of the
+    // 8x16 font) at the top of an 800x600 screen: per line a scroll, a
+    // fill and a glyph row on the bottom line, written through one
+    // scroll ring, as playback writes them.
+    let line = Rect::new(0, 144, 800, 16);
+    let terminal = [
+        DisplayCommand::CopyArea {
+            src_x: 0,
+            src_y: 16,
+            rect: Rect::new(0, 0, 800, 144),
+        },
+        DisplayCommand::SolidFill {
+            rect: line,
+            color: 0x0010_1010,
+        },
+        DisplayCommand::Glyph {
+            rect: line,
+            bits: Arc::new((0..100 * 16u32).map(|i| (i * 37) as u8).collect()),
+            fg: 0x00FF_FFFF,
+            bg: 0x0010_1010,
+        },
+    ];
+    let mut fb = noise_fb(800, 600);
+    rows.add("display", "replay_scroll_64_lines_800x160", || {
+        timed(|| {
+            let mut ring = ScrollRing::new(&mut fb);
+            for _ in 0..64 {
+                for cmd in &terminal {
+                    ring.apply(black_box(cmd));
+                }
+            }
+            ring.finish()
+        })
+    });
     // A keyframe falling due over a screen that has not changed since
     // the last one: what the recorder pays to find that out.
     let mut recorder = DisplayRecorder::new(1024, 768, RecorderConfig::default());
@@ -334,6 +368,6 @@ mod tests {
         let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 20);
     }
 }

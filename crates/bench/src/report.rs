@@ -3,8 +3,8 @@
 use crate::experiments::{
     AblationRow, BrowseSearchRow, CheckpointRow, CrashRow, DedupRow, DeferredRow, FaultRow,
     FsSnapshotRow, HostReport, IndexReport, KernelRow, MirrorAblationRow, NetRow, ObsReport,
-    OverheadRow, PlaybackRow, QualityRow, ReviveRow, SeekRestoreReport, StorageRow, Table1Row,
-    VisualReport,
+    OverheadRow, PlaybackRow, QualityRow, ReplayScrollReport, ReviveRow, SeekRestoreReport,
+    StorageRow, Table1Row, VisualReport,
 };
 use crate::micro::MicroRow;
 use dv_checkpoint::PolicyStats;
@@ -135,6 +135,29 @@ pub fn print_seek_restore(report: &SeekRestoreReport) {
         report.restored_frac(),
     );
     println!("(a seek that copies its keyframe whole restores {frame} pixels)");
+}
+
+/// Prints the rows a replay of a scrolling terminal wrote.
+pub fn print_replay_scroll(report: &ReplayScrollReport) {
+    println!(
+        "Replay scroll: one playback pass over a {}-line terminal",
+        report.term_lines
+    );
+    println!(
+        "{:>6} {:>7} {:>9} {:>10} {:>10} {:>9}",
+        "lines", "slices", "commands", "ring rows", "copy rows", "fraction"
+    );
+    println!("{:-<56}", "");
+    println!(
+        "{:>6} {:>7} {:>9} {:>10} {:>10} {:>9.3}",
+        report.lines,
+        report.slices,
+        report.commands,
+        report.ring_rows,
+        report.copy_rows,
+        report.rows_frac(),
+    );
+    println!("(a replay that moves every row of every scroll reads 1)");
 }
 
 /// Prints the byte kernels beside their yardsticks.

@@ -201,8 +201,170 @@ impl Framebuffer {
             return;
         }
         let pixels = Arc::make_mut(&mut self.pixels);
-        paint(pixels, self.width, &screen, cmd);
+        paint(pixels, self.width, &screen, cmd, &cmd.rect());
     }
+}
+
+/// A replay's frame writer: applies commands as [`Framebuffer::apply`]
+/// does, but scrolls a region by moving its row origin, not its rows.
+///
+/// A scroll is a copy straight up or down by `d` rows whose source and
+/// destination lie wholly on screen and fill a region T between them,
+/// with `2·d <= T.h`. The writer keeps T as a ring: logical row `y` of T
+/// lives at physical row `(y + k) mod T.h`. A scroll of T adds `d` (up)
+/// or `T.h - d` (down) to `k` and copies only the `d` rows the copy
+/// leaves in place; a command that reads nothing and lies wholly inside
+/// T, not across the seam where the physical rows wrap, is drawn at its
+/// physical rows. T's rows go back in order, in one pass, before any
+/// other command touches T — another region's scroll, a command partly
+/// in T or across the seam, a copy reading or writing T — and when the
+/// writer is finished or dropped.
+///
+/// Between commands the frame is out of order, so only a replay that
+/// shows nobody the frames in between writes through one; the borrow
+/// keeps anyone from looking. A screenshot taken before never changes.
+pub struct ScrollRing<'a> {
+    fb: &'a mut Framebuffer,
+    /// T and its origin `k`.
+    ring: Option<(Rect, u32)>,
+    rows: RingRows,
+    /// The rows a partial-width restore puts aside.
+    aside: Vec<Pixel>,
+}
+
+/// The rows a [`ScrollRing`] wrote, beside the rows one copy per
+/// command would have.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct RingRows {
+    /// Rows the ring wrote: those each scroll left in place, and all of
+    /// T's on each restore.
+    pub written: u64,
+    /// Rows the scrolls it took would have moved, one copy each.
+    pub per_command: u64,
+}
+
+impl<'a> ScrollRing<'a> {
+    /// Starts writing into `fb`.
+    pub fn new(fb: &'a mut Framebuffer) -> Self {
+        ScrollRing {
+            fb,
+            ring: None,
+            rows: RingRows::default(),
+            aside: Vec::new(),
+        }
+    }
+
+    /// Applies one display command, clamping it to the screen.
+    pub fn apply(&mut self, cmd: &DisplayCommand) {
+        let screen = self.fb.screen_rect();
+        if let Some((region, d, up)) = scroll(cmd, &screen) {
+            if self.ring.is_some_and(|(t, _)| t != region) {
+                self.restore();
+            }
+            let (h, k) = (region.h, self.ring.map_or(0, |(_, k)| k));
+            // Up, the bottom `d` rows stay put; down, the top `d`.
+            let (kept, shift) = if up { (h - d, d) } else { (0, h - d) };
+            let width = self.fb.width as usize;
+            let row = |y: u32| (region.y + y) as usize * width + region.x as usize;
+            let pixels = Arc::make_mut(&mut self.fb.pixels);
+            for y in kept..kept + d {
+                let from = row((y + k) % h);
+                pixels.copy_within(from..from + region.w as usize, row((y + k + shift) % h));
+            }
+            self.rows.written += u64::from(d);
+            self.rows.per_command += u64::from(h - d);
+            self.ring = Some((region, (k + shift) % h));
+            return;
+        }
+        if let Some((t, k)) = self.ring {
+            let rect = cmd.rect();
+            let reads = cmd.reads();
+            if reads.is_none() && !rect.is_empty() && t.contains(&rect) {
+                let top = (rect.y - t.y + k) % t.h;
+                if top + rect.h <= t.h {
+                    let at = Rect {
+                        y: t.y + top,
+                        ..rect
+                    };
+                    let pixels = Arc::make_mut(&mut self.fb.pixels);
+                    paint(pixels, self.fb.width, &screen, cmd, &at);
+                    return;
+                }
+            }
+            if rect.overlaps(&t) || reads.is_some_and(|src| src.overlaps(&t)) {
+                self.restore();
+            }
+        }
+        self.fb.apply(cmd);
+    }
+
+    /// Puts T's rows back in order and returns what the writer wrote.
+    pub fn finish(mut self) -> RingRows {
+        self.restore();
+        self.rows
+    }
+
+    /// Rotates T's rows left by `k`: one `rotate_left` when they are
+    /// whole screen rows, else through `min(k, T.h - k)` rows set aside.
+    fn restore(&mut self) {
+        let Some((t, k)) = self.ring.take().filter(|&(_, k)| k != 0) else {
+            return;
+        };
+        let (width, w, h, k) = (
+            self.fb.width as usize,
+            t.w as usize,
+            t.h as usize,
+            k as usize,
+        );
+        let start = t.y as usize * width + t.x as usize;
+        let pixels = Arc::get_mut(&mut self.fb.pixels).expect("a scroll made the frame private");
+        if w == width {
+            pixels[start..start + h * width].rotate_left(k * width);
+        } else {
+            let row = |y: usize| start + y * width;
+            let (aside, put) = if 2 * k <= h { (0..k, h - k) } else { (k..h, 0) };
+            self.aside.clear();
+            for y in aside {
+                self.aside.extend_from_slice(&pixels[row(y)..row(y) + w]);
+            }
+            if 2 * k <= h {
+                for y in 0..h - k {
+                    pixels.copy_within(row(y + k)..row(y + k) + w, row(y));
+                }
+            } else {
+                for y in (h - k..h).rev() {
+                    pixels.copy_within(row(y + k - h)..row(y + k - h) + w, row(y));
+                }
+            }
+            for (j, saved) in self.aside.chunks_exact(w).enumerate() {
+                pixels[row(put + j)..row(put + j) + w].copy_from_slice(saved);
+            }
+        }
+        self.rows.written += u64::from(t.h);
+    }
+}
+
+impl Drop for ScrollRing<'_> {
+    fn drop(&mut self) {
+        self.restore();
+    }
+}
+
+/// The region T a pure vertical scroll fills, how many rows `d` it
+/// moves, and whether up: `cmd` copies straight up or down, source and
+/// destination wholly on screen, and `2·d <= T.h`.
+fn scroll(cmd: &DisplayCommand, screen: &Rect) -> Option<(Rect, u32, bool)> {
+    let DisplayCommand::CopyArea { src_x, src_y, rect } = *cmd else {
+        return None;
+    };
+    let d = src_y.abs_diff(rect.y);
+    let on_screen =
+        screen.contains(&Rect::new(src_x, src_y, rect.w, rect.h)) && screen.contains(&rect);
+    if src_x != rect.x || d == 0 || d > rect.h || rect.is_empty() || !on_screen {
+        return None;
+    }
+    let region = Rect::new(rect.x, src_y.min(rect.y), rect.w, rect.h + d);
+    Some((region, d, src_y > rect.y))
 }
 
 /// Copies every pixel of `src` that `cover` does not mark into `dst`
@@ -237,32 +399,34 @@ fn copy_kept(
     copied
 }
 
-/// Paints `cmd` into the row-major `pixels` of a `width`-wide `screen`.
+/// Paints `cmd` into the row-major `pixels` of a `width`-wide `screen`,
+/// at `rect`: the command's own rectangle, or, for a command that reads
+/// nothing, that rectangle moved by whole rows.
 ///
 /// Kept apart from [`Framebuffer::apply`], like the per-kind helpers
 /// below, so the pixel loops see `pixels` as a `noalias` parameter:
 /// written against the `Arc::make_mut` borrow directly, the glyph loop
 /// reloaded its bitmap's pointer per pixel and ran 11 % slower.
-fn paint(pixels: &mut [Pixel], width: u32, screen: &Rect, cmd: &DisplayCommand) {
+fn paint(pixels: &mut [Pixel], width: u32, screen: &Rect, cmd: &DisplayCommand, rect: &Rect) {
     match cmd {
-        DisplayCommand::Raw { rect, pixels: data } => apply_raw(pixels, width, screen, rect, data),
-        DisplayCommand::CopyArea { src_x, src_y, rect } => {
+        DisplayCommand::Raw { pixels: data, .. } => apply_raw(pixels, width, screen, rect, data),
+        DisplayCommand::CopyArea { src_x, src_y, .. } => {
             apply_copy(pixels, width, screen, *src_x, *src_y, rect)
         }
-        DisplayCommand::SolidFill { rect, color } => {
+        DisplayCommand::SolidFill { color, .. } => {
             let r = rect.intersect(screen);
             for y in r.y..r.bottom() {
                 let start = (y * width + r.x) as usize;
                 pixels[start..start + r.w as usize].fill(*color);
             }
         }
-        DisplayCommand::PatternFill { rect, pattern } => {
+        DisplayCommand::PatternFill { pattern, .. } => {
             apply_pattern(pixels, width, screen, rect, pattern)
         }
-        DisplayCommand::Glyph { rect, bits, fg, bg } => {
+        DisplayCommand::Glyph { bits, fg, bg, .. } => {
             apply_glyph(pixels, width, screen, rect, bits, *fg, *bg)
         }
-        DisplayCommand::Video { rect, frame } => apply_video(pixels, width, screen, rect, frame),
+        DisplayCommand::Video { frame, .. } => apply_video(pixels, width, screen, rect, frame),
     }
 }
 
@@ -828,7 +992,7 @@ mod tests {
         let mut rng = TestRng::from_seed(seed);
         let mut kernel: Vec<Pixel> = (0..SIDE * SIDE).map(|_| rng.next_u64() as Pixel).collect();
         let mut reference = kernel.clone();
-        paint(&mut kernel, SIDE, &clip, cmd);
+        paint(&mut kernel, SIDE, &clip, cmd, &cmd.rect());
         reference_paint(&mut reference, SIDE, &clip, cmd);
         (kernel, reference)
     }
@@ -954,53 +1118,117 @@ mod tests {
                 let w = coordinate(rng, width, BLOCK_W).max(1);
                 let h = coordinate(rng, height, BLOCK_H).max(1);
                 let rect = Rect::new(x, y, w, h);
-                let colour = rng.next_u64() as Pixel;
                 match rng.below(9) {
-                    0..=1 => DisplayCommand::SolidFill {
-                        rect,
-                        color: colour,
-                    },
-                    2 => DisplayCommand::SolidFill {
-                        rect: Rect::screen(width, height),
-                        color: colour,
-                    },
+                    0..=1 => drawn(rng, rect, 0),
+                    2 => drawn(rng, Rect::screen(width, height), 0),
                     3..=4 => DisplayCommand::CopyArea {
                         src_x: coordinate(rng, width, BLOCK_W),
                         src_y: coordinate(rng, height, BLOCK_H),
                         rect,
                     },
-                    5 => DisplayCommand::PatternFill {
-                        rect,
-                        pattern: Pattern {
-                            bits: rng.next_u64(),
-                            fg: colour,
-                            bg: !colour,
-                        },
-                    },
-                    6 => DisplayCommand::Raw {
-                        rect,
-                        pixels: Arc::new(
-                            (0..rect.area()).map(|_| rng.next_u64() as Pixel).collect(),
+                    kind => drawn(rng, rect, kind - 4),
+                }
+            })
+            .collect()
+    }
+
+    /// A command that reads nothing at `rect`: by `kind`, a fill, a
+    /// pattern, raw pixels, a glyph or a video frame.
+    fn drawn(rng: &mut TestRng, rect: Rect, kind: u64) -> DisplayCommand {
+        let colour = rng.next_u64() as Pixel;
+        match kind {
+            0 => DisplayCommand::SolidFill {
+                rect,
+                color: colour,
+            },
+            1 => DisplayCommand::PatternFill {
+                rect,
+                pattern: Pattern {
+                    bits: rng.next_u64(),
+                    fg: colour,
+                    bg: !colour,
+                },
+            },
+            2 => DisplayCommand::Raw {
+                rect,
+                pixels: Arc::new((0..rect.area()).map(|_| rng.next_u64() as Pixel).collect()),
+            },
+            3 => DisplayCommand::Glyph {
+                rect,
+                bits: Arc::new(
+                    (0..(rect.w as usize).div_ceil(8) * rect.h as usize)
+                        .map(|_| rng.next_u64() as u8)
+                        .collect(),
+                ),
+                fg: colour,
+                bg: !colour,
+            },
+            _ => DisplayCommand::Video {
+                rect,
+                frame: Arc::new(noise_frame(
+                    1 + rng.below(9) as u32,
+                    1 + rng.below(9) as u32,
+                    rng.next_u64(),
+                )),
+            },
+        }
+    }
+
+    /// `count` commands on a `width` x `height` screen with one to three
+    /// regions that scroll, full-width or not: scrolls of a region up or
+    /// down by up to all but one of its rows, draws wholly inside one
+    /// (across its seam or not), copies that read one, and whatever
+    /// [`command_run`] makes — partly in a region, or off screen.
+    fn scroll_run(width: u32, height: u32, count: usize, seed: u64) -> Vec<DisplayCommand> {
+        let mut rng = TestRng::from_seed(seed);
+        let within = |rng: &mut TestRng, from: u32, len: u32| {
+            let at = from + rng.below(u64::from(len)) as u32;
+            (at, 1 + rng.below(u64::from(from + len - at)) as u32)
+        };
+        let regions: Vec<Rect> = (0..1 + rng.below(3))
+            .map(|_| {
+                let (y, h) = within(&mut rng, 0, height);
+                let (x, w) = match rng.below(2) {
+                    0 => (0, width),
+                    _ => within(&mut rng, 0, width),
+                };
+                Rect::new(x, y, w, h)
+            })
+            .collect();
+        let mut others = command_run(width, height, count, seed ^ 0x5C20).into_iter();
+        (0..count)
+            .map(|_| {
+                let t = regions[rng.below(regions.len() as u64) as usize];
+                match rng.below(8) {
+                    0..=3 if t.h > 1 => {
+                        let d = 1 + rng.below(u64::from(t.h - 1)) as u32;
+                        let (src_y, y) = match rng.below(2) {
+                            0 => (t.y + d, t.y),
+                            _ => (t.y, t.y + d),
+                        };
+                        DisplayCommand::CopyArea {
+                            src_x: t.x,
+                            src_y,
+                            rect: Rect::new(t.x, y, t.w, t.h - d),
+                        }
+                    }
+                    4..=5 => {
+                        let (x, w) = within(&mut rng, t.x, t.w);
+                        let (y, h) = within(&mut rng, t.y, t.h);
+                        let kind = rng.below(5);
+                        drawn(&mut rng, Rect::new(x, y, w, h), kind)
+                    }
+                    6 => DisplayCommand::CopyArea {
+                        src_x: within(&mut rng, t.x, t.w).0,
+                        src_y: within(&mut rng, t.y, t.h).0,
+                        rect: Rect::new(
+                            rng.below(u64::from(width)) as u32,
+                            rng.below(u64::from(height)) as u32,
+                            1 + rng.below(u64::from(width)) as u32,
+                            1 + rng.below(u64::from(height)) as u32,
                         ),
                     },
-                    7 => DisplayCommand::Glyph {
-                        rect,
-                        bits: Arc::new(
-                            (0..(w as usize).div_ceil(8) * h as usize)
-                                .map(|_| rng.next_u64() as u8)
-                                .collect(),
-                        ),
-                        fg: colour,
-                        bg: !colour,
-                    },
-                    _ => DisplayCommand::Video {
-                        rect,
-                        frame: Arc::new(noise_frame(
-                            1 + rng.below(9) as u32,
-                            1 + rng.below(9) as u32,
-                            rng.next_u64(),
-                        )),
-                    },
+                    _ => others.next().expect("one per command"),
                 }
             })
             .collect()
@@ -1076,6 +1304,89 @@ mod tests {
             }
             prop_assert_eq!(base.pixels.as_ref(), &keyframe);
             prop_assert_eq!(holder.pixels.as_ref(), &held);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Writing a run through a scroll ring equals applying each
+        /// command to the frame, whether the writer is finished or
+        /// dropped part-way, and a screenshot held from before never
+        /// changes.
+        #[test]
+        fn scroll_ring_equals_applying_each_command(
+            size in (1..=150u32, 1..=60u32),
+            count in 0..48usize,
+            cut in 0..48usize,
+            seed in any::<u64>(),
+        ) {
+            let (width, height) = size;
+            let run = scroll_run(width, height, count, seed);
+            let start = Framebuffer {
+                width,
+                height,
+                pixels: Arc::new(noise(width, height, seed)),
+            };
+            let held = start.snapshot();
+            let before = held.pixels.as_ref().clone();
+            let mut oracle = start.clone();
+            for cmd in &run {
+                oracle.apply(cmd);
+            }
+
+            let mut own = Framebuffer {
+                pixels: Arc::new(before.clone()),
+                ..start.clone()
+            };
+            let mut ring = ScrollRing::new(&mut own);
+            for cmd in &run {
+                ring.apply(cmd);
+            }
+            let rows = ring.finish();
+            prop_assert!(own == oracle, "{}x{} after {:?}", width, height, run);
+            let scrolls = run.iter().filter(|cmd| scroll(cmd, &start.screen_rect()).is_some());
+            prop_assert_eq!(rows.per_command == 0, scrolls.count() == 0);
+
+            let cut = cut.min(count);
+            let mut shared = start.clone();
+            let mut ring = ScrollRing::new(&mut shared);
+            for cmd in &run[..cut] {
+                ring.apply(cmd);
+            }
+            drop(ring);
+            let mut prefix = start.clone();
+            for cmd in &run[..cut] {
+                prefix.apply(cmd);
+            }
+            prop_assert!(shared == prefix, "{}x{} after {:?}", width, height, &run[..cut]);
+            prop_assert_eq!(held.pixels.as_ref(), &before);
+        }
+    }
+
+    /// A ten-line terminal that scrolls a line at a time writes the
+    /// line each scroll leaves in place and, once, every row to put the
+    /// ring back in order.
+    #[test]
+    fn ring_writes_the_rows_a_scroll_leaves_in_place() {
+        for width in [64, 80] {
+            let mut f = Framebuffer::new(80, 80);
+            let mut ring = ScrollRing::new(&mut f);
+            for _ in 0..9 {
+                ring.apply(&DisplayCommand::CopyArea {
+                    src_x: 0,
+                    src_y: 8,
+                    rect: Rect::new(0, 0, width, 72),
+                });
+            }
+            let rows = ring.finish();
+            assert_eq!(
+                rows,
+                RingRows {
+                    written: 9 * 8 + 80,
+                    per_command: 9 * 72
+                }
+            );
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! This crate is the display substrate of the DejaView reproduction
 //! (paper §3 and §4): a display protocol command set, a software
-//! framebuffer they apply to, a virtual display driver that intercepts
-//! drawing at the video-driver interface and fans commands out to viewer
-//! and recorder sinks, command queueing/merging and the coverage pass a
-//! seek uses to skip what it repaints, resolution scaling, a wire codec,
-//! and the stateless client viewer.
+//! framebuffer they apply to and the scroll ring a replay writes
+//! through, a virtual display driver that intercepts drawing at the
+//! video-driver interface and fans commands out to viewer and recorder
+//! sinks, command queueing/merging and the coverage pass a seek uses to
+//! skip what it repaints, resolution scaling, a wire codec, and the
+//! stateless client viewer.
 //!
 //! # Example
 //!
@@ -53,7 +54,7 @@ pub use codec::{
 pub use command::{rgb, CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
 pub use coverage::CoveragePass;
 pub use driver::{CommandSink, DriverStats, SharedSink, VirtualDisplayDriver};
-pub use framebuffer::{Framebuffer, Screenshot};
+pub use framebuffer::{Framebuffer, RingRows, Screenshot, ScrollRing};
 pub use output::{OutputPool, VirtualOutput};
 pub use queue::{CommandQueue, OverwritePass, QueuedCommand};
 pub use rect::{Rect, Region};

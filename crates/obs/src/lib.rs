@@ -338,6 +338,14 @@ pub mod names {
     /// Pixels seeks copied from a base frame (a keyframe, or a frame a
     /// screenshot still held) instead of leaving them to be painted.
     pub const RECORD_SEEK_PIXELS_RESTORED: &str = "record.seek.pixels_restored";
+    /// Rows replays wrote through the scroll ring: the rows each scroll
+    /// left in place, and every row of a region put back in order.
+    pub const RECORD_REPLAY_RING_ROWS: &str = "record.replay.ring_rows";
+    /// Rows the scrolls those replays took would have moved, one copy
+    /// per command.
+    pub const RECORD_REPLAY_COPY_ROWS: &str = "record.replay.copy_rows";
+    /// Commands playback applied (`play_until` and its kin).
+    pub const RECORD_PLAYBACK_COMMANDS: &str = "record.playback.commands";
     /// Command headers scanned by the recorder's keyframe catch-up.
     pub const RECORD_CATCHUP_COMMANDS_SCANNED: &str = "record.catchup.commands_scanned";
     /// Commands the catch-up decoded and applied after pruning.

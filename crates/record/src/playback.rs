@@ -9,17 +9,19 @@
 //! holds: it continues from its own position when that lies between the
 //! target's keyframe and the target, reads only command headers to find
 //! what a newer command overwrote, decodes just the survivors, and
-//! copies from its base frame only what they do not paint over.
+//! copies from its base frame only what they do not paint over. Seeks
+//! and play alike write through a scroll ring, so a replayed scroll
+//! moves a region's row origin, not its rows.
 
 use std::sync::Arc;
 
-use dv_display::{CommandSink, DisplayCommand, Framebuffer, Rect, Screenshot};
+use dv_display::{CommandSink, DisplayCommand, Framebuffer, Rect, Screenshot, ScrollRing};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, Timestamp};
 
 use crate::cache::LruCache;
 use crate::recorder::{DisplayRecord, RecordStore};
-use crate::replay::PrunedReplay;
+use crate::replay::{count_rows, PrunedReplay};
 
 /// Errors produced by playback operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,6 +182,7 @@ impl PlaybackEngine {
             .add(names::RECORD_SEEK_COMMANDS_APPLIED, done.applied);
         self.obs
             .add(names::RECORD_SEEK_PIXELS_RESTORED, done.restored);
+        count_rows(&self.obs, done.rows);
         self.position = t;
         self.offset = done.next;
         self.primed = true;
@@ -191,31 +194,9 @@ impl PlaybackEngine {
     pub fn play_until(
         &mut self,
         t: Timestamp,
-        mut sink: Option<&mut dyn CommandSink>,
+        sink: Option<&mut dyn CommandSink>,
     ) -> Result<PlayStats, PlaybackError> {
-        let mut stats = PlayStats::default();
-        let record = self.record.clone();
-        let store = record.read();
-        loop {
-            match store.log.read_until(self.offset, t) {
-                Ok(Some((time, cmd, next))) => {
-                    self.fb.apply(&cmd);
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.submit(time, &cmd);
-                    }
-                    stats.commands_applied += 1;
-                    self.offset = next;
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // `fb` is now ahead of `position`.
-                    self.primed = false;
-                    return Err(PlaybackError::Corrupt);
-                }
-            }
-        }
-        self.position = self.position.max(t);
-        Ok(stats)
+        self.play(t, sink, None)
     }
 
     /// Plays from the current position to `t` at `rate` times real time,
@@ -234,38 +215,55 @@ impl PlaybackEngine {
         mut sleeper: impl FnMut(Duration),
     ) -> Result<PlayStats, PlaybackError> {
         assert!(rate > 0.0, "playback rate must be positive");
+        self.play(t, sink, Some((rate, &mut sleeper)))
+    }
+
+    /// The one play loop: applies every command from the cursor up to
+    /// `t` through a scroll ring and forwards it to `sink`; with a
+    /// `pace`, first hands its sleeper the gap since the previous
+    /// command scaled by `1 / rate`.
+    fn play(
+        &mut self,
+        t: Timestamp,
+        mut sink: Option<&mut dyn CommandSink>,
+        mut pace: Option<(f64, &mut dyn FnMut(Duration))>,
+    ) -> Result<PlayStats, PlaybackError> {
         let mut stats = PlayStats::default();
         let mut last_time: Option<Timestamp> = None;
-        let mut sink = sink;
         let record = self.record.clone();
         let store = record.read();
-        loop {
+        let mut ring = ScrollRing::new(&mut self.fb);
+        let played = loop {
             match store.log.read_until(self.offset, t) {
                 Ok(Some((time, cmd, next))) => {
-                    if let Some(prev) = last_time {
-                        let gap = time.saturating_since(prev).scale(1.0 / rate);
+                    if let (Some((rate, sleeper)), Some(prev)) = (pace.as_mut(), last_time) {
+                        let gap = time.saturating_since(prev).scale(1.0 / *rate);
                         if gap > Duration::ZERO {
                             sleeper(gap);
                         }
                     }
                     last_time = Some(time);
-                    self.fb.apply(&cmd);
+                    ring.apply(&cmd);
                     if let Some(s) = sink.as_deref_mut() {
                         s.submit(time, &cmd);
                     }
                     stats.commands_applied += 1;
                     self.offset = next;
                 }
-                Ok(None) => break,
-                Err(_) => {
-                    // `fb` is now ahead of `position`.
-                    self.primed = false;
-                    return Err(PlaybackError::Corrupt);
-                }
+                Ok(None) => break Ok(stats),
+                Err(_) => break Err(PlaybackError::Corrupt),
             }
+        };
+        count_rows(&self.obs, ring.finish());
+        self.obs
+            .add(names::RECORD_PLAYBACK_COMMANDS, stats.commands_applied);
+        if played.is_err() {
+            // `fb` is now ahead of `position`.
+            self.primed = false;
+        } else {
+            self.position = self.position.max(t);
         }
-        self.position = self.position.max(t);
-        Ok(stats)
+        played
     }
 
     /// Fast-forwards to `t` (§4.3): present each intervening keyframe in

@@ -22,7 +22,7 @@ use dv_display::{
 use dv_time::{Duration, Timestamp};
 
 use crate::log::CommandLog;
-use crate::replay::PrunedReplay;
+use crate::replay::{count_rows, PrunedReplay};
 use crate::screenshot::{encode_screenshot, ScreenshotStore};
 use crate::timeline::{Timeline, TimelineEntry};
 
@@ -285,6 +285,7 @@ impl DisplayRecorder {
                 .add(names::RECORD_CATCHUP_COMMANDS_SCANNED, done.scanned);
             self.obs
                 .add(names::RECORD_CATCHUP_COMMANDS_APPLIED, done.applied);
+            count_rows(&self.obs, done.rows);
         }
     }
 

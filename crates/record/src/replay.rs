@@ -8,11 +8,14 @@
 //! [`OverwritePass`] rule, and decode and apply just the survivors.
 //! A seek that starts from a base frame — a keyframe, or a frame a
 //! screenshot still holds — copies from it only what the survivors do
-//! not paint over first ([`CoveragePass`]).
+//! not paint over first ([`CoveragePass`]). The survivors are written
+//! through a [`ScrollRing`], so a scroll moves a row origin, not rows.
 
 use dv_display::{
-    CodecError, CommandMeta, CoveragePass, Framebuffer, OverwritePass, Pixel, Screenshot,
+    CodecError, CommandMeta, CoveragePass, Framebuffer, OverwritePass, Pixel, RingRows, Screenshot,
+    ScrollRing,
 };
+use dv_obs::{names, Obs};
 use dv_time::Timestamp;
 
 use crate::log::CommandLog;
@@ -28,6 +31,8 @@ pub(crate) struct Replayed {
     pub applied: u64,
     /// Pixels copied from the base.
     pub restored: u64,
+    /// Rows the survivors' scrolls wrote.
+    pub rows: RingRows,
 }
 
 /// A pruned replay's scratch, kept between runs so a replay allocates
@@ -114,10 +119,12 @@ impl PrunedReplay {
                 }
             }
         }
+        let mut ring = ScrollRing::new(fb);
         for &(at, _) in &self.scan {
             let (_, cmd, _) = log.read_at(at)?.ok_or(CodecError::UnexpectedEof)?;
-            fb.apply(&cmd);
+            ring.apply(&cmd);
         }
+        let rows = ring.finish();
         // The first survivor to land on a shared base copied it whole.
         if let Some(base) = shared.filter(|_| !fb.is_shared()) {
             restored = base.pixels.len() as u64;
@@ -127,6 +134,13 @@ impl PrunedReplay {
             scanned,
             applied: self.scan.len() as u64,
             restored,
+            rows,
         })
     }
+}
+
+/// Counts the rows a replay's scroll ring wrote into `obs`.
+pub(crate) fn count_rows(obs: &Obs, rows: RingRows) {
+    obs.add(names::RECORD_REPLAY_RING_ROWS, rows.written);
+    obs.add(names::RECORD_REPLAY_COPY_ROWS, rows.per_command);
 }

@@ -19,6 +19,7 @@ use dv_display::{
 };
 use dv_fault::{sites, FaultPlan, IoFault};
 use dv_index::RankOrder;
+use dv_obs::{names, Obs};
 use dv_record::{CommandLog, DisplayRecorder, PlaybackEngine, PlaybackError, RecorderConfig};
 use dv_time::{Duration, SimClock, Timestamp};
 
@@ -148,6 +149,60 @@ fn linear_replay(submitted: &[(Timestamp, DisplayCommand)], t: Timestamp) -> Fra
         fb.apply(cmd);
     }
     fb
+}
+
+/// A terminal's log in region `t`, 20 ms a command: per entry of
+/// `lines`, by kind, a line printed (a scroll up by `line` rows, a fill
+/// and a glyph row at the bottom), a burst that jumps several lines at
+/// once, a reverse scroll that opens a line at the top, or a fill that
+/// lies partly in the region.
+fn terminal_log(t: Rect, line: u32, lines: &[(u32, u32)]) -> Vec<(Timestamp, DisplayCommand)> {
+    let mut cmds = Vec::new();
+    let scroll = |src_y: u32, y: u32, d: u32| DisplayCommand::CopyArea {
+        src_x: t.x,
+        src_y,
+        rect: Rect::new(t.x, y, t.w, t.h - d),
+    };
+    for &(kind, color) in lines {
+        match kind {
+            0..=4 => {
+                let bottom = Rect::new(t.x, t.bottom() - line, t.w, line);
+                cmds.push(scroll(t.y + line, t.y, line));
+                cmds.push(DisplayCommand::SolidFill {
+                    rect: bottom,
+                    color,
+                });
+                let bits = (0..t.w.div_ceil(8) * line).map(|i| (color >> (i % 4 * 8)) as u8);
+                cmds.push(DisplayCommand::Glyph {
+                    rect: Rect::new(t.x, bottom.y, t.w, line),
+                    bits: Arc::new(bits.collect()),
+                    fg: color,
+                    bg: !color,
+                });
+            }
+            5 => {
+                let jump = (2 + color % 8) * line;
+                if jump < t.h {
+                    cmds.push(scroll(t.y + jump, t.y, jump));
+                }
+                let rect = Rect::new(t.x, t.bottom() - jump.min(t.h), t.w, jump.min(t.h));
+                cmds.push(DisplayCommand::SolidFill { rect, color });
+            }
+            6 => {
+                cmds.push(scroll(t.y, t.y + line, line));
+                let rect = Rect::new(t.x, t.y, t.w, line);
+                cmds.push(DisplayCommand::SolidFill { rect, color });
+            }
+            _ => {
+                let rect = Rect::new(t.x + t.w / 2, t.y + color % t.h, 24, 6);
+                cmds.push(DisplayCommand::SolidFill { rect, color });
+            }
+        }
+    }
+    cmds.into_iter()
+        .enumerate()
+        .map(|(i, cmd)| (Timestamp::from_millis(i as u64 * 20), cmd))
+        .collect()
 }
 
 /// Asserts that `shot` still holds the pixels it was taken with.
@@ -457,6 +512,90 @@ proptest! {
             handed.recycle(shot.clone());
             holds.push((shot, want.clone()));
             holds.push((held.screenshot(), want));
+        }
+        for (shot, want) in &holds {
+            prop_assert!(shot == want, "a held screenshot changed");
+        }
+    }
+
+    /// On a terminal-shaped log — a region scrolled a line at a time,
+    /// with bursts past half its height, reverse scrolls, and draws
+    /// partly in it — keyframe seeks, resumed seeks, seeks while a
+    /// screenshot holds the frame, `play_until` in slices,
+    /// `fast_forward` and `rewind` all show what linear replay shows,
+    /// every command is played, and no held screenshot changes.
+    #[test]
+    fn terminal_scroll_log_plays_as_linear_replay(
+        term in (0..12u32, 0..12u32, 8..=64u32, 2..=6u32, 2..=12u32),
+        lines in prop::collection::vec((0..8u32, any::<u32>()), 4..120),
+        probes in prop::collection::vec(0..=1000u64, 1..6),
+        slices in 1..8u64,
+    ) {
+        const SIDE: u32 = 64;
+        let (x, y, w, line, rows) = term;
+        let rows = rows.min((SIDE - y) / line).max(2);
+        let t = Rect::new(x, y, w.min(SIDE - x), rows * line);
+        let log = terminal_log(t, line, &lines);
+        let config = RecorderConfig {
+            keyframe_interval: Duration::from_millis(300),
+            keyframe_min_change: 0.0,
+            ..RecorderConfig::default()
+        };
+        let mut recorder = DisplayRecorder::new(SIDE, SIDE, config);
+        for (at, cmd) in &log {
+            recorder.submit(*at, cmd);
+        }
+        recorder.flush();
+        let linear = |t: Timestamp| {
+            let mut fb = Framebuffer::new(SIDE, SIDE);
+            for (_, cmd) in log.iter().filter(|(at, _)| *at <= t) {
+                fb.apply(cmd);
+            }
+            fb.snapshot()
+        };
+        let end = log.last().expect("a command").0;
+        let mut targets: Vec<Timestamp> = probes
+            .iter()
+            .map(|p| Timestamp::from_millis(end.as_millis() * p / 1000))
+            .collect();
+        let engine = || PlaybackEngine::new(recorder.record());
+
+        let obs = Obs::sim();
+        let mut sliced = engine().with_obs(obs.clone());
+        let mut played = 0;
+        for k in 1..=slices {
+            let until = Timestamp::from_millis(end.as_millis() * k / slices);
+            played += sliced.play_until(until, None).expect("play").commands_applied;
+            prop_assert!(sliced.screenshot() == linear(until), "slice {} of {}", k, slices);
+        }
+        prop_assert_eq!(played, log.len() as u64);
+        prop_assert_eq!(obs.counter(names::RECORD_PLAYBACK_COMMANDS), played);
+        if lines.iter().any(|&(kind, _)| kind <= 4 || kind == 6) {
+            prop_assert!(obs.counter(names::RECORD_REPLAY_COPY_ROWS) > 0, "no scroll went round the ring");
+        }
+
+        let mut holds = Vec::new();
+        let mut held = engine();
+        for &t in &targets {
+            let mut fresh = engine();
+            fresh.seek(t).expect("keyframe seek");
+            prop_assert!(fresh.screenshot() == linear(t), "keyframe seek to {:?}", t);
+            held.seek(t).expect("held seek");
+            prop_assert!(held.screenshot() == linear(t), "held seek to {:?}", t);
+            holds.push((held.screenshot(), linear(t)));
+            let mut back = engine();
+            back.seek(end).expect("seek");
+            back.rewind(t, None).expect("rewind");
+            prop_assert!(back.screenshot() == linear(t), "rewind to {:?}", t);
+        }
+        targets.sort();
+        let (mut resumed, mut forward) = (engine(), engine());
+        forward.seek(Timestamp::ZERO).expect("seek");
+        for &t in &targets {
+            resumed.seek(t).expect("resumed seek");
+            prop_assert!(resumed.screenshot() == linear(t), "resumed seek to {:?}", t);
+            forward.fast_forward(t, None).expect("fast forward");
+            prop_assert!(forward.screenshot() == linear(t), "fast forward to {:?}", t);
         }
         for (shot, want) in &holds {
             prop_assert!(shot == want, "a held screenshot changed");
