@@ -866,15 +866,23 @@ impl DeferredRow {
         let r = &self.longest_chain;
         r.pages_decoded as f64 / r.pages_installed.max(1) as f64
     }
+
+    /// Pages copied into a buffer of their own per page installed
+    /// reviving the longest chain.
+    pub fn pages_copied_frac(&self) -> f64 {
+        let r = &self.longest_chain;
+        r.pages_copied as f64 / r.pages_installed.max(1) as f64
+    }
 }
 
 /// The session under the deferred and obs measurements: an empty
-/// environment and a compressing engine (full image every fourth) that
-/// commits into a fresh store through `workers` pipeline workers and
-/// can queue every round.
+/// environment and an engine (full image every fourth, compressing or
+/// not) that commits into a fresh store through `workers` pipeline
+/// workers and can queue every round.
 fn pipeline_session(
     workers: usize,
     rounds: u64,
+    compress: bool,
 ) -> (
     SimClock,
     dv_vee::Vee,
@@ -885,7 +893,7 @@ fn pipeline_session(
     let fs = Box::new(dv_lsfs::Lsfs::new());
     let vee = dv_vee::Vee::new(1, clock.shared(), fs, dv_vee::HostPidAllocator::new());
     let config = dv_checkpoint::EngineConfig {
-        compress: true,
+        compress,
         full_every: 4,
         commit_workers: workers,
         commit_queue_depth: rounds as usize + 1,
@@ -900,12 +908,12 @@ fn pipeline_session(
 /// Runs one memory-heavy session under a pipeline configuration: every
 /// configuration dirties byte-identical pages, so the committed blobs
 /// must decompress to identical plaintexts and revive identically.
-fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
+fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRow {
     const PAGE: usize = 4096;
     let procs = 4usize;
     let pages_per_proc = ((192.0 * scale) as usize).max(24);
     let rounds = ((12.0 * scale) as u64).max(6);
-    let (clock, mut vee, mut engine, store) = pipeline_session(workers, rounds);
+    let (clock, mut vee, mut engine, store) = pipeline_session(workers, rounds, compress);
 
     // Deterministic, poorly compressible page contents (xorshift64) —
     // the same in every configuration.
@@ -980,10 +988,10 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
     .expect("revive the longest chain");
     let sum: std::time::Duration = stalls.iter().sum();
     DeferredRow {
-        config: if workers == 0 {
-            "inline".to_string()
-        } else {
-            format!("deferred x{workers}")
+        config: match (workers, compress) {
+            (0, true) => "inline".to_string(),
+            (0, false) => "inline, raw".to_string(),
+            _ => format!("deferred x{workers}"),
         },
         workers,
         checkpoints: stats.checkpoints,
@@ -1004,8 +1012,14 @@ fn deferred_run(workers: usize, scale: f64) -> DeferredRow {
 pub fn deferred_experiment(scale: f64) -> Vec<DeferredRow> {
     [0usize, 1, 2, 4]
         .iter()
-        .map(|&workers| deferred_run(workers, scale))
+        .map(|&workers| deferred_run(workers, true, scale))
         .collect()
+}
+
+/// The deferred session committed inline by an engine that stores its
+/// images uncompressed, so revive can install their pages in place.
+pub fn raw_revive_experiment(scale: f64) -> DeferredRow {
+    deferred_run(0, false, scale)
 }
 
 // ---------------------------------------------------------------------
@@ -1045,7 +1059,7 @@ fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
     const PAGE: usize = 4096;
     let pages = ((256.0 * scale) as usize).max(32);
     let rounds = ((10.0 * scale) as u64).max(5);
-    let (clock, mut vee, mut engine, _store) = pipeline_session(2, rounds);
+    let (clock, mut vee, mut engine, _store) = pipeline_session(2, rounds, true);
     engine.set_obs(if instrumented {
         Obs::wall(clock.shared())
     } else {
@@ -3063,6 +3077,8 @@ pub(crate) mod tests {
     // (`gates::tests`) that keys them.
     pub(crate) static DEFERRED: LazyLock<Vec<DeferredRow>> =
         LazyLock::new(|| deferred_experiment(0.05));
+    pub(crate) static RAW_REVIVE: LazyLock<DeferredRow> =
+        LazyLock::new(|| raw_revive_experiment(0.05));
     pub(crate) static FAULTS: LazyLock<Vec<FaultRow>> = LazyLock::new(|| faults_experiment(0.02));
     pub(crate) static CRASH: LazyLock<Vec<CrashRow>> = LazyLock::new(|| crash_consistency(0.02));
     pub(crate) static FS_SNAPSHOT: LazyLock<Vec<FsSnapshotRow>> =
@@ -3099,6 +3115,21 @@ pub(crate) mod tests {
             assert_eq!(row.longest_chain.images_loaded, 4);
             assert_eq!(row.pages_decoded_ratio(), 1.0, "{}", row.config);
         }
+    }
+
+    #[test]
+    fn raw_revive_smoke() {
+        let (raw, inline) = (&*RAW_REVIVE, &DEFERRED[0]);
+        // The same history stored raw: the same plaintexts, revived alike.
+        assert_eq!(raw.fingerprint, inline.fingerprint);
+        assert_eq!(
+            raw.longest_chain.pages_installed,
+            inline.longest_chain.pages_installed
+        );
+        // Every raw page is installed in place; every compressed one is
+        // copied out of its plaintext.
+        assert_eq!(raw.longest_chain.pages_copied, 0);
+        assert_eq!(inline.pages_copied_frac(), 1.0);
     }
 
     #[test]

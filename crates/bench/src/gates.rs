@@ -11,15 +11,15 @@
 use crate::experiments::{
     crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
     fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
-    net_wide_experiment, obs_experiment, replay_scroll_experiment, seek_restore_experiment,
-    visual_experiment, CrashRow, DedupRow, DeferredRow, FaultRow, FsSnapshotRow, HostReport,
-    IndexReport, KernelRow, NetRow, ObsReport, ReplayScrollReport, SeekRestoreReport, VisualReport,
-    VisualRow,
+    net_wide_experiment, obs_experiment, raw_revive_experiment, replay_scroll_experiment,
+    seek_restore_experiment, visual_experiment, CrashRow, DedupRow, DeferredRow, FaultRow,
+    FsSnapshotRow, HostReport, IndexReport, KernelRow, NetRow, ObsReport, ReplayScrollReport,
+    SeekRestoreReport, VisualReport, VisualRow,
 };
 use crate::report::{
     print_crash, print_dedup, print_deferred, print_faults, print_fs_snapshot, print_host,
-    print_index, print_kernels, print_net, print_obs, print_replay_scroll, print_seek_restore,
-    print_visual,
+    print_index, print_kernels, print_net, print_obs, print_raw_revive, print_replay_scroll,
+    print_seek_restore, print_visual,
 };
 
 /// How far over its baseline an at-most metric may run before its gate
@@ -148,6 +148,9 @@ pub const SUITES: &[Suite] = &[
             // Revive copies a page out of one image only: the newest
             // that holds it. Decoding every image of the chain read 1.86.
             ("revive_pages_decoded_ratio", AtMost(Is(1.0))),
+            // Revive installs a raw image's pages as windows into the
+            // stored blob. Copying each page out read 1.0.
+            ("revive_pages_copied_frac", AtMost(Is(0.0))),
             ("faults_browse_ok_fraction", MustHold),
             ("faults_search_ok_fraction", MustHold),
             ("crash_recovered_fraction", MustHold),
@@ -172,6 +175,8 @@ pub const SUITES: &[Suite] = &[
         measure: |scale| {
             let deferred = deferred_experiment(scale);
             print_deferred(&deferred);
+            let raw_revive = raw_revive_experiment(scale);
+            print_raw_revive(&raw_revive);
             println!();
             let faults = faults_experiment(scale.min(0.25));
             print_faults(&faults);
@@ -191,7 +196,7 @@ pub const SUITES: &[Suite] = &[
             let replay_scroll = replay_scroll_experiment(scale);
             print_replay_scroll(&replay_scroll);
             ci_metrics(
-                &deferred,
+                (&deferred, &raw_revive),
                 &faults,
                 &crash,
                 &fs_snapshot,
@@ -441,12 +446,13 @@ fn flag(holds: bool) -> f64 {
     f64::from(u8::from(holds))
 }
 
-/// The deferred write-back comparison, the fault and power-cut
-/// matrices, snapshot cost against file-system size, the byte kernels
-/// against their yardsticks, what a keyframe seek copies, and the rows
-/// a replay of a scrolling terminal writes.
+/// The deferred write-back comparison and what a revive of its raw run
+/// copied, the fault and power-cut matrices, snapshot cost against
+/// file-system size, the byte kernels against their yardsticks, what a
+/// keyframe seek copies, and the rows a replay of a scrolling terminal
+/// writes.
 fn ci_metrics(
-    deferred: &[DeferredRow],
+    (deferred, raw_revive): (&[DeferredRow], &DeferredRow),
     faults: &[FaultRow],
     crash: &[CrashRow],
     fs_snapshot: &[FsSnapshotRow],
@@ -480,6 +486,7 @@ fn ci_metrics(
                     .map(DeferredRow::pages_decoded_ratio)
                     .fold(0.0, f64::max),
             ),
+            ("revive_pages_copied_frac", raw_revive.pages_copied_frac()),
             (
                 "faults_browse_ok_fraction",
                 fraction(browse_ok, faults.len()),
@@ -711,7 +718,7 @@ mod tests {
         let baseline = checked_in_baseline();
         let metrics = [
             ci_metrics(
-                &smoke::DEFERRED,
+                (&smoke::DEFERRED, &smoke::RAW_REVIVE),
                 &smoke::FAULTS,
                 &smoke::CRASH,
                 &smoke::FS_SNAPSHOT,

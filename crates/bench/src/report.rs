@@ -59,6 +59,15 @@ pub fn print_deferred(rows: &[DeferredRow]) {
     }
 }
 
+/// Prints what reviving the longest chain of the uncompressed run copied.
+pub fn print_raw_revive(row: &DeferredRow) {
+    let longest = &row.longest_chain;
+    println!(
+        "  stored raw ({}): {} pages installed, {} copied into a buffer of their own",
+        row.config, longest.pages_installed, longest.pages_copied
+    );
+}
+
 /// Prints the fault-injection matrix.
 pub fn print_faults(rows: &[FaultRow]) {
     println!("Fault injection: every storage site x every fault kind (every 2nd check fails)");

@@ -28,7 +28,7 @@ use dv_fault::{FaultPlane, Put, Reader};
 use dv_lsfs::{FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, PhaseBreakdown, PhaseTimer, SimClock, Sleeper, Timestamp};
-use dv_vee::{FdObject, Process, RunState, Signal, SockState, Vee};
+use dv_vee::{FdObject, Page, Process, RunState, Signal, SockState, Vee};
 
 use crate::image::{CheckpointImage, FdRecord, ImageKind, ProcessRecord, SocketRecord};
 use crate::writeback::{CommitPipeline, LaneId, PipelineConfig};
@@ -653,7 +653,7 @@ impl Checkpointer {
                 // Ablation: pay the full memory copy while stopped.
                 captured
                     .into_iter()
-                    .filter_map(|(addr, page)| page.map(|p| (addr, Arc::new(*p))))
+                    .filter_map(|(addr, page)| page.map(|p| (addr, Page::from(*p))))
                     .collect()
             } else {
                 captured
@@ -784,7 +784,7 @@ impl Drop for Checkpointer {
 
 fn record_process(
     process: &Process,
-    pages: Vec<(u64, Arc<dv_vee::PageBuf>)>,
+    pages: Vec<(u64, Page)>,
     relink_of: impl Fn(u32) -> Option<String>,
 ) -> ProcessRecord {
     ProcessRecord {

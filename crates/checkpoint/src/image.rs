@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dv_fault::{Put, ReadError, Reader};
 use dv_time::Timestamp;
-use dv_vee::{Credentials, FpuState, MemRegion, PageBuf, Prot, Registers, SchedParams, PAGE_SIZE};
+use dv_vee::{Credentials, FpuState, MemRegion, Page, Prot, Registers, SchedParams, PAGE_SIZE};
 
 /// Whether an image is self-contained or a delta.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,8 +107,9 @@ pub struct ProcessRecord {
     pub regions: Vec<MemRegion>,
     /// Saved pages (all resident pages for a full image; dirty pages for
     /// an incremental one). Shared so the COW capture stays zero-copy
-    /// until serialization.
-    pub pages: Vec<(u64, Arc<PageBuf>)>,
+    /// until serialization, and a decoded page is a window into the
+    /// image buffer it was read from.
+    pub pages: Vec<(u64, Page)>,
     /// Descriptor table.
     pub fds: Vec<FdRecord>,
 }
@@ -303,21 +304,21 @@ fn encode_sockets(out: &mut Vec<u8>, sockets: &[SocketRecord]) {
     }
 }
 
-/// Deserializes an image.
+/// Deserializes an image. Its pages share one copy of `buf`.
 pub fn decode_image(buf: &[u8]) -> Result<CheckpointImage, ImageError> {
-    decode_image_with(buf, |_, _| true)
+    decode_image_with(&Arc::new(buf.to_vec()), |_, _| true)
 }
 
-/// Deserializes an image, copying out only the pages `keep(vpid, addr)`
-/// accepts; every other page is checked for length and stepped over in
-/// place. Revive reads the older images of a chain this way, so a page
-/// that a newer image already supplied costs neither a copy nor an
-/// allocation.
+/// Deserializes an image, keeping only the pages `keep(vpid, addr)`
+/// accepts, each as a window into `image`; every other page is checked
+/// for length and stepped over in place. Revive reads the older images
+/// of a chain this way, so a page that a newer image already supplied
+/// costs nothing, and a kept one costs no copy.
 pub(crate) fn decode_image_with(
-    buf: &[u8],
+    image: &Arc<Vec<u8>>,
     mut keep: impl FnMut(u64, u64) -> bool,
 ) -> Result<CheckpointImage, ImageError> {
-    let mut r = Reader::new(buf);
+    let mut r = Reader::new(image);
     r.magic(MAGIC)?;
     let counter = r.u64()?;
     let time = Timestamp::from_nanos(r.u64()?);
@@ -331,7 +332,7 @@ pub(crate) fn decode_image_with(
     let proc_count = r.count(PROCESS_MIN_LEN)?;
     let mut processes = Vec::with_capacity(proc_count);
     for _ in 0..proc_count {
-        processes.push(decode_process(&mut r, &mut keep)?);
+        processes.push(decode_process(&mut r, image, &mut keep)?);
     }
     // Id, protocol, port, remote flag, state and two byte counts.
     let sock_count = r.count(29)?;
@@ -373,6 +374,7 @@ const PROCESS_MIN_LEN: usize = 8 + 8 + PROCESS_FIXED_LEN + 8 + 1 + 6 * 4;
 
 fn decode_process(
     r: &mut Reader<'_>,
+    image: &Arc<Vec<u8>>,
     keep: &mut impl FnMut(u64, u64) -> bool,
 ) -> Result<ProcessRecord, ImageError> {
     let vpid = r.u64()?;
@@ -425,9 +427,12 @@ fn decode_process(
     let mut pages = Vec::new();
     for _ in 0..page_count {
         let addr = r.u64()?;
-        let page = r.array::<PAGE_SIZE>()?;
+        let at = image.len() - r.remaining();
+        r.array::<PAGE_SIZE>()?;
         if keep(vpid, addr) {
-            pages.push((addr, Arc::new(*page)));
+            let page =
+                Page::in_image(image.clone(), at).ok_or(ImageError("page past the image"))?;
+            pages.push((addr, page));
         }
     }
     // A socket descriptor (tag, fd, id) is the shorter kind.
@@ -526,10 +531,7 @@ mod tests {
                         prot: Prot::ReadOnly,
                     },
                 ],
-                pages: vec![
-                    (0x1000_0000, Arc::new(page_a)),
-                    (0x1000_1000, Arc::new(page_b)),
-                ],
+                pages: vec![(0x1000_0000, page_a.into()), (0x1000_1000, page_b.into())],
                 fds: vec![
                     FdRecord::File {
                         fd: 3,

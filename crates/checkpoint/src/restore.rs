@@ -11,11 +11,13 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dv_lsfs::{BlobStore, Filesystem, FsError};
 use dv_time::SharedClock;
 use dv_vee::{
-    FdObject, HostPidAllocator, Process, Proto, RunState, Signal, SockState, Socket, Vee, Vpid,
+    FdObject, HostPidAllocator, Page, Process, Proto, RunState, Signal, SockState, Socket, Vee,
+    Vpid,
 };
 
 use crate::compress::decompress;
@@ -96,11 +98,14 @@ pub struct ReviveReport {
     pub images_loaded: usize,
     /// Processes recreated.
     pub processes: usize,
-    /// Pages copied out of images: the target's, and from each older
+    /// Pages taken out of images: the target's, and from each older
     /// image only those still missing.
     pub pages_decoded: usize,
     /// Pages installed.
     pub pages_installed: usize,
+    /// Pages installed in a buffer of their own rather than as a window
+    /// into a stored image: those of compressed images.
+    pub pages_copied: usize,
     /// TCP connections reset.
     pub connections_reset: usize,
     /// Files reopened.
@@ -121,8 +126,11 @@ fn image_plaintext(counter: u64, data: &[u8]) -> Result<Cow<'_, [u8]>, ReviveErr
     }
 }
 
-/// Loads and decodes one image blob, copying out only the pages
-/// `keep(vpid, addr)` accepts (`|_, _| true` for all of them).
+/// Loads and decodes one image blob, keeping only the pages
+/// `keep(vpid, addr)` accepts (`|_, _| true` for all of them). A raw
+/// image's pages are windows into the stored blob. A compressed image's
+/// are copied out of the plaintext, so that what they keep alive is
+/// never more than the store already holds.
 pub fn load_image(
     store: &mut BlobStore,
     blob_prefix: &str,
@@ -131,7 +139,16 @@ pub fn load_image(
 ) -> Result<CheckpointImage, ReviveError> {
     let blob = format!("{blob_prefix}-{counter:08}");
     let data = store.get(&blob).ok_or(ReviveError::MissingImage(counter))?;
-    decode_image_with(&image_plaintext(counter, &data)?, keep).map_err(ReviveError::BadImage)
+    let image = match image_plaintext(counter, &data)? {
+        Cow::Borrowed(_) => decode_image_with(&data, keep),
+        Cow::Owned(plaintext) => decode_image_with(&Arc::new(plaintext), keep).map(|mut image| {
+            for (_, page) in image.processes.iter_mut().flat_map(|p| &mut p.pages) {
+                *page = Page::from(**page);
+            }
+            image
+        }),
+    };
+    image.map_err(ReviveError::BadImage)
 }
 
 /// Installs each page of `processes` that its restored process maps and
@@ -142,6 +159,7 @@ fn install_pages(vee: &mut Vee, processes: Vec<ProcessRecord>, report: &mut Revi
         if let Ok(process) = vee.process_mut(Vpid(proc_rec.vpid)) {
             for (addr, page) in proc_rec.pages {
                 if process.mem.lacks_page(addr) {
+                    report.pages_copied += usize::from(!page.in_image_buffer());
                     process.mem.install_page(addr, page);
                     report.pages_installed += 1;
                 }
@@ -466,8 +484,10 @@ mod tests {
         assert_eq!(revived.mem_read(p, addr + 2 * 4096, 1).unwrap(), vec![3]);
         assert_eq!(revived.mem_read(p, addr + 3 * 4096, 1).unwrap(), vec![1]);
         // Each page is read from the newest image that holds it, once:
-        // 1 from image 3, 1 from image 2, the other 2 from image 1.
+        // 1 from image 3, 1 from image 2, the other 2 from image 1. None
+        // is copied: each is a window into its stored image.
         assert_eq!((report.pages_decoded, report.pages_installed), (4, 4));
+        assert_eq!(report.pages_copied, 0);
     }
 
     /// Takes a checkpoint, revives it, and reads 4 bytes at `addr` of
@@ -727,7 +747,7 @@ mod tests {
         engine.checkpoint(&mut vee).unwrap();
         clock.advance(Duration::from_secs(1));
         let revive_first = || {
-            let (revived, _) = revive(
+            let (revived, report) = revive(
                 &mut store.lock(),
                 "ckpt",
                 &[1],
@@ -738,6 +758,8 @@ mod tests {
                 &NetworkPolicy::default(),
             )
             .unwrap();
+            // Copied out of the plaintext, which the store does not hold.
+            assert_eq!((report.pages_installed, report.pages_copied), (1, 1));
             revived.mem_read(p, addr, 16).unwrap()
         };
         assert_eq!(revive_first(), b"compressed state");

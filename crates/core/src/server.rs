@@ -967,6 +967,10 @@ impl DejaView {
             self.host_pids.clone(),
             &self.revive_network,
         )?;
+        self.obs.add(
+            names::CHECKPOINT_REVIVE_PAGES_COPIED,
+            report.pages_copied as u64,
+        );
         // The new viewer window opens on the seek's frame — the display
         // as recorded at the checkpoint — and is black only when there
         // is no display record.
@@ -1309,6 +1313,22 @@ mod tests {
         let clock = dv.clock();
         let gen1 = dv.take_me_back(Timestamp::from_secs(1)).unwrap();
 
+        // Generation 1's pages are windows into the stored images it was
+        // revived from, and its own engine captures them by reference.
+        let editor = Vpid(2);
+        let shares_images = |dv: &DejaView, id| {
+            let mem = &dv.session(id).unwrap().vee.process(editor).unwrap().mem;
+            let pages = mem.capture_pages(&mem.resident_page_addrs());
+            pages
+                .iter()
+                .all(|(_, page)| page.as_ref().unwrap().in_image_buffer())
+        };
+        let cow_copies = |dv: &DejaView, id| {
+            let vee = &dv.session(id).unwrap().vee;
+            vee.process(editor).unwrap().mem.stats().cow_copies
+        };
+        assert!(shares_images(&dv, gen1));
+
         // Generation 1 diverges and is checkpointed with its own engine.
         dv.session_mut(gen1)
             .unwrap()
@@ -1319,6 +1339,9 @@ mod tests {
         clock.advance(Duration::from_secs(1));
         let report = dv.checkpoint_session(gen1).unwrap();
         assert_eq!(report.counter, 1);
+        assert!(report.pages_saved > 0);
+        assert_eq!(cow_copies(&dv, gen1), 0, "captured without a copy");
+        assert!(shares_images(&dv, gen1));
 
         // Generation 1 keeps working after its checkpoint.
         dv.session_mut(gen1)
@@ -1358,7 +1381,6 @@ mod tests {
         );
         assert_eq!(dv.vee().fs.read_all("/home/doc.txt").unwrap(), b"draft one");
         // Processes and memory carried through both generations.
-        let editor = Vpid(2);
         assert_eq!(
             dv.session(gen2)
                 .unwrap()
@@ -1367,6 +1389,35 @@ mod tests {
                 .unwrap(),
             b"buffer v1"
         );
+
+        // Generation 1's first write to a page copies it, once; a revive
+        // of its next checkpoint holds exactly its live memory.
+        let vee = &mut dv.session_mut(gen1).unwrap().vee;
+        vee.mem_write(editor, 0x1000_0002, b"FFER").unwrap();
+        vee.mem_write(editor, 0x1000_0000, b"bu").unwrap();
+        assert_eq!(cow_copies(&dv, gen1), 1);
+        clock.advance(Duration::from_secs(1));
+        let counter = dv.checkpoint_session(gen1).unwrap().counter;
+        let gen3 = dv.revive_from_session(gen1, counter).unwrap();
+        let (live, branch) = (
+            &dv.session(gen1).unwrap().vee,
+            &dv.session(gen3).unwrap().vee,
+        );
+        for process in live.processes() {
+            for region in process.mem.regions() {
+                let (vpid, len) = (process.vpid, region.len as usize);
+                let bytes = live.mem_read(vpid, region.start, len).unwrap();
+                assert_eq!(branch.mem_read(vpid, region.start, len).unwrap(), bytes);
+            }
+        }
+        assert_eq!(
+            branch.mem_read(editor, 0x1000_0000, 9).unwrap(),
+            b"buFFER v1"
+        );
+        let copied = dv
+            .observability()
+            .counter(names::CHECKPOINT_REVIVE_PAGES_COPIED);
+        assert_eq!(copied, 0, "every revived page shares its image");
     }
 
     #[test]

@@ -403,6 +403,9 @@ pub mod names {
     pub const CHECKPOINT_FS_SNAPSHOT: &str = "checkpoint.fs_snapshot";
     /// Span: per-worker compress + store time in the pipeline.
     pub const CHECKPOINT_WORKER_COMPRESS: &str = "checkpoint.worker_compress";
+    /// Pages revives installed in a buffer of their own rather than as
+    /// a window into a stored image.
+    pub const CHECKPOINT_REVIVE_PAGES_COPIED: &str = "checkpoint.revive_pages_copied";
 
     /// Data bytes appended to the lsfs log.
     pub const LSFS_DATA_BYTES: &str = "lsfs.data_bytes";

@@ -19,7 +19,7 @@ pub mod sockets;
 
 pub use container::{HostPidAllocator, Vee, VeeError, VeeResult};
 pub use files::{FdObject, FdTable};
-pub use memory::{AddressSpace, MemFault, MemRegion, MemStats, PageBuf, Prot, PAGE_SIZE};
+pub use memory::{AddressSpace, MemFault, MemRegion, MemStats, Page, PageBuf, Prot, PAGE_SIZE};
 pub use namespace::Namespace;
 pub use process::{
     Credentials, FpuState, Process, Registers, RunState, SchedParams, SigState, Signal, Vpid,

@@ -9,10 +9,12 @@
 //!
 //! Both mechanisms are modelled with real costs:
 //!
-//! * pages are `Arc<PageBuf>`; a checkpoint *capture* clones the `Arc`s
-//!   (cheap, proportional to page count, no data copy), and a later
-//!   write to a captured page pays the real 4 KiB copy through
-//!   `Arc::make_mut` — exactly the deferred COW copy;
+//! * pages are [`Page`]s, shared handles to 4 KiB; a checkpoint
+//!   *capture* clones them (cheap, proportional to page count, no data
+//!   copy), and a later write to a captured page pays the real 4 KiB
+//!   copy — exactly the deferred COW copy. A revived page is a window
+//!   into the image it was read from and is copied the same way, on its
+//!   first write;
 //! * write-protect tracking is a set of armed pages; the first write to
 //!   an armed page is counted as a fault and marks the page dirty.
 //!
@@ -28,6 +30,89 @@ pub const PAGE_SIZE: usize = 4096;
 
 /// One memory page.
 pub type PageBuf = [u8; PAGE_SIZE];
+
+/// A resident page: a buffer of its own, or a window into the image
+/// buffer a revive read it from. It reads as a [`PageBuf`] either way.
+/// A write copies a window into a buffer of its own, and an owned
+/// buffer only while something else (a capture) still holds it.
+#[derive(Clone)]
+pub struct Page(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Own(Arc<PageBuf>),
+    /// `image[off..off + PAGE_SIZE]`, checked by [`Page::in_image`].
+    Image {
+        image: Arc<Vec<u8>>,
+        off: usize,
+    },
+}
+
+fn window(image: &[u8], off: usize) -> &PageBuf {
+    image[off..]
+        .first_chunk()
+        .expect("in_image checked the window")
+}
+
+impl Page {
+    /// The page at `image[off..off + PAGE_SIZE]`, sharing the buffer, or
+    /// `None` if the image ends before it.
+    pub fn in_image(image: Arc<Vec<u8>>, off: usize) -> Option<Page> {
+        let end = off.checked_add(PAGE_SIZE)?;
+        (end <= image.len()).then_some(Page(Repr::Image { image, off }))
+    }
+
+    /// Whether the page is a window into an image buffer rather than a
+    /// buffer of its own.
+    pub fn in_image_buffer(&self) -> bool {
+        matches!(self.0, Repr::Image { .. })
+    }
+
+    /// Writes `bytes` at `off`, first copying the page into a buffer of
+    /// its own unless it has one nothing else holds. Returns whether it
+    /// copied.
+    fn write(&mut self, off: usize, bytes: &[u8]) -> bool {
+        match &mut self.0 {
+            Repr::Own(buf) => {
+                let shared = Arc::strong_count(buf) > 1;
+                Arc::make_mut(buf)[off..off + bytes.len()].copy_from_slice(bytes);
+                shared
+            }
+            Repr::Image { image, off: at } => {
+                let mut buf = *window(image, *at);
+                buf[off..off + bytes.len()].copy_from_slice(bytes);
+                self.0 = Repr::Own(Arc::new(buf));
+                true
+            }
+        }
+    }
+}
+
+impl From<PageBuf> for Page {
+    fn from(buf: PageBuf) -> Self {
+        Page(Repr::Own(Arc::new(buf)))
+    }
+}
+
+impl std::ops::Deref for Page {
+    type Target = PageBuf;
+
+    fn deref(&self) -> &PageBuf {
+        match &self.0 {
+            Repr::Own(buf) => buf,
+            Repr::Image { image, off } => window(image, *off),
+        }
+    }
+}
+
+impl std::fmt::Debug for Page {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            Repr::Own(_) => f.write_str("Page(own)"),
+            Repr::Image { off, .. } => write!(f, "Page(image @ {off})"),
+        }
+    }
+}
 
 /// Page protection bits (simplified to the write axis the checkpoint
 /// machinery cares about; everything mapped is readable).
@@ -76,7 +161,9 @@ pub enum MemFault {
 pub struct MemStats {
     /// Write-protect faults taken for dirty tracking.
     pub tracking_faults: u64,
-    /// Pages physically copied by deferred COW after a capture.
+    /// Pages physically copied on their first write because something
+    /// else still held their bytes: a checkpoint capture (the deferred
+    /// COW copy) or the image buffer a revive installed them from.
     pub cow_copies: u64,
 }
 
@@ -84,7 +171,7 @@ pub struct MemStats {
 #[derive(Clone, Debug, Default)]
 pub struct AddressSpace {
     regions: BTreeMap<u64, MemRegion>,
-    pages: HashMap<u64, Arc<PageBuf>>,
+    pages: HashMap<u64, Page>,
     /// Pages currently armed for dirty tracking.
     armed: HashSet<u64>,
     /// Pages written since the last incremental checkpoint.
@@ -148,7 +235,7 @@ impl AddressSpace {
     /// Removes the page at `page` and its tracking state, returning its
     /// buffer. While tracking, a dropped resident page's address is
     /// remembered until the next full pass.
-    fn drop_page(&mut self, page: u64) -> Option<Arc<PageBuf>> {
+    fn drop_page(&mut self, page: u64) -> Option<Page> {
         self.armed.remove(&page);
         self.dirty.remove(&page);
         let buf = self.pages.remove(&page);
@@ -166,7 +253,7 @@ impl AddressSpace {
             self.dropped.remove(&page);
             self.pages
                 .entry(page)
-                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
+                .or_insert_with(|| Page::from([0u8; PAGE_SIZE]));
             self.dirty.insert(page);
         }
     }
@@ -360,14 +447,12 @@ impl AddressSpace {
             let entry = self
                 .pages
                 .entry(page)
-                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
-            if Arc::strong_count(entry) > 1 {
-                // Deferred COW copy: a checkpoint capture still holds
-                // this page; pay the real copy now.
+                .or_insert_with(|| Page::from([0u8; PAGE_SIZE]));
+            // Deferred COW copy: a checkpoint capture or a revive's image
+            // still holds this page; pay the real copy now.
+            if entry.write(off, &data[(cur - addr) as usize..][..take]) {
                 self.stats.cow_copies += 1;
             }
-            let buf = Arc::make_mut(entry);
-            buf[off..off + take].copy_from_slice(&data[(cur - addr) as usize..][..take]);
             cur += take as u64;
         }
         Ok(())
@@ -419,9 +504,9 @@ impl AddressSpace {
     }
 
     /// Captures the given pages by reference (the COW capture): cheap
-    /// `Arc` clones, no data copy. Missing pages capture as `None`
+    /// handle clones, no data copy. Missing pages capture as `None`
     /// (zero pages).
-    pub fn capture_pages(&self, addrs: &[u64]) -> Vec<(u64, Option<Arc<PageBuf>>)> {
+    pub fn capture_pages(&self, addrs: &[u64]) -> Vec<(u64, Option<Page>)> {
         addrs
             .iter()
             .map(|&a| (a, self.pages.get(&a).cloned()))
@@ -435,7 +520,7 @@ impl AddressSpace {
     }
 
     /// Installs page contents during restore.
-    pub fn install_page(&mut self, addr: u64, data: Arc<PageBuf>) {
+    pub fn install_page(&mut self, addr: u64, data: Page) {
         self.pages.insert(addr, data);
     }
 
@@ -601,6 +686,70 @@ mod tests {
         assert_eq!(*first_addr, addr);
         assert_eq!(first_page.as_ref().unwrap()[0], 9, "capture unchanged");
         assert_eq!(mem.read(addr, 7).unwrap(), b"changed");
+    }
+
+    /// An image of `pages` pages, page `i` filled with `i + 1`, behind
+    /// an 8-byte header.
+    fn image(pages: usize) -> Arc<Vec<u8>> {
+        let mut image = vec![0xee; 8];
+        for i in 0..pages {
+            image.extend_from_slice(&[i as u8 + 1; PAGE_SIZE]);
+        }
+        Arc::new(image)
+    }
+
+    #[test]
+    fn a_page_is_two_words() {
+        assert!(std::mem::size_of::<Page>() <= 16);
+    }
+
+    #[test]
+    fn in_image_refuses_windows_past_the_end() {
+        let image = image(2);
+        let last = 8 + PAGE_SIZE;
+        assert_eq!(Page::in_image(image.clone(), last).unwrap()[0], 2);
+        assert!(Page::in_image(image.clone(), last + 1).is_none());
+        assert!(Page::in_image(image.clone(), image.len()).is_none());
+        for off in [usize::MAX, usize::MAX - PAGE_SIZE + 1, usize::MAX - 15] {
+            assert!(Page::in_image(image.clone(), off).is_none(), "{off:#x}");
+        }
+        assert!(Page::in_image(Arc::new(Vec::new()), 0).is_none());
+    }
+
+    #[test]
+    fn first_write_to_an_image_page_copies_it_once() {
+        let image = image(2);
+        let mut mem = AddressSpace::new();
+        let addr = mem.mmap(2 * PAGE_SIZE as u64, Prot::ReadWrite);
+        for (i, page) in [addr, addr + PAGE_SIZE as u64].into_iter().enumerate() {
+            let off = 8 + i * PAGE_SIZE;
+            mem.install_page(page, Page::in_image(image.clone(), off).unwrap());
+        }
+        let captured = mem.capture_pages(&[addr]);
+        assert_eq!(mem.stats().cow_copies, 0, "install and capture share");
+        mem.write(addr + 5, b"new").unwrap();
+        mem.write(addr + 9, b"again").unwrap();
+        assert_eq!(mem.stats().cow_copies, 1, "one copy, on the first write");
+        assert_eq!(mem.read(addr + 4, 10).unwrap(), b"\x01new\x01again");
+        assert!(captured[0].1.as_ref().unwrap().in_image_buffer());
+        assert_eq!(captured[0].1.as_ref().unwrap()[5], 1, "capture unchanged");
+        assert_eq!(image[8 + 5], 1, "the image is never written");
+        assert_eq!(mem.read(addr + PAGE_SIZE as u64, 1).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn an_image_page_outlives_the_other_holders_of_its_image() {
+        let mut mem = AddressSpace::new();
+        let addr = mem.mmap(PAGE_SIZE as u64, Prot::ReadWrite);
+        let image = image(1);
+        mem.install_page(addr, Page::in_image(image.clone(), 8).unwrap());
+        let weak = Arc::downgrade(&image);
+        drop(image);
+        assert!(weak.upgrade().is_some(), "the page holds its image");
+        assert_eq!(mem.read(addr, PAGE_SIZE).unwrap(), vec![1; PAGE_SIZE]);
+        mem.write(addr, b"x").unwrap();
+        assert!(weak.upgrade().is_none(), "the copy let the image go");
+        assert_eq!(mem.read(addr, 2).unwrap(), b"x\x01");
     }
 
     #[test]

@@ -434,7 +434,7 @@ fn image(seed: u64) -> CheckpointImage {
                 len: PAGE_SIZE as u64,
                 prot: Prot::ReadWrite,
             }],
-            pages: vec![(0x1000, Arc::new(page))],
+            pages: vec![(0x1000, page.into())],
             fds: vec![
                 FdRecord::File {
                     fd: 3,

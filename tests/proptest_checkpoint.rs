@@ -8,16 +8,19 @@
 
 use proptest::prelude::*;
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dv_checkpoint::{
-    load_image, revive, Checkpointer, CommitPipeline, EngineConfig, NetworkPolicy, ReviveReport,
+    load_image, restore_fingerprint, revive, Checkpointer, CommitPipeline, EngineConfig,
+    NetworkPolicy, ReviveReport,
 };
 use dv_fault::{sites, FaultPlan, FaultPlane, IoFault};
 use dv_lsfs::{Lsfs, SharedBlobStore};
 use dv_time::SimClock;
-use dv_vee::{HostPidAllocator, PageBuf, Prot, Vee, Vpid, PAGE_SIZE};
+use dv_vee::{HostPidAllocator, Page, Prot, Vee, Vpid, PAGE_SIZE};
 
 /// A memory operation over a bounded set of region slots.
 #[derive(Clone, Debug)]
@@ -238,10 +241,7 @@ impl Harness {
 /// the chain oldest first, each page replacing what older images held.
 /// Returns every page the target image maps, `None` where no image
 /// holds one (it reads as zeros).
-fn overwrite_model(
-    store: &SharedBlobStore,
-    chain: &[u64],
-) -> Vec<(Vpid, u64, Option<Arc<PageBuf>>)> {
+fn overwrite_model(store: &SharedBlobStore, chain: &[u64]) -> Vec<(Vpid, u64, Option<Page>)> {
     let mut store = store.lock();
     let images: Vec<_> = chain
         .iter()
@@ -336,6 +336,70 @@ proptest! {
             let held = model.iter().filter(|(.., page)| page.is_some()).count();
             prop_assert_eq!(report.pages_installed, held);
             prop_assert_eq!(report.pages_decoded, report.pages_installed);
+        }
+    }
+
+    /// A revived page shares the stored image it came from until it is
+    /// written, and a write reaches neither the store nor a later revive:
+    /// pages taken from the target image and from older ones are all
+    /// written, and every blob, a second revive and the restore
+    /// fingerprint read as before — compressed or not.
+    #[test]
+    fn writes_to_revived_pages_stay_in_the_revived_session(
+        ops in prop::collection::vec(arb_op(), 1..50),
+        off in 0..PAGE_SIZE,
+        salt in any::<u8>(),
+    ) {
+        for compress in [false, true] {
+            let mut h = Harness::alone(engine_config(compress, 0));
+            for op in ops.iter().chain([&MemOp::Checkpoint]) {
+                h.apply(op);
+            }
+            let chain = h.engine.chain_for(h.checkpoints).expect("chain");
+            let regions: Vec<_> = h
+                .slots
+                .iter()
+                .flatten()
+                .map(|&(addr, pages, _)| (h.p, addr, pages as usize * PAGE_SIZE))
+                .collect();
+            let blobs = |h: &Harness| -> Vec<(String, u64)> {
+                let mut store = h.store.lock();
+                h.engine
+                    .images()
+                    .map(|m| {
+                        let mut hasher = DefaultHasher::new();
+                        store.get(&m.blob).expect("blob").hash(&mut hasher);
+                        (m.blob.clone(), hasher.finish())
+                    })
+                    .collect()
+            };
+            let stored = blobs(&h);
+            let fingerprint = |h: &Harness| {
+                restore_fingerprint(&h.engine, &mut h.store.lock(), &regions).map(|(f, _)| f)
+            };
+            let before = fingerprint(&h);
+            let model = overwrite_model(&h.store, &chain);
+
+            let (mut revived, report) = h.revive(h.checkpoints);
+            prop_assert_eq!(report.pages_copied, if compress { report.pages_installed } else { 0 });
+            let mut written = 0;
+            for (vpid, addr, page) in &model {
+                let Some(page) = page else { continue };
+                if revived.mem_write(*vpid, addr + off as u64, &[page[off] ^ salt | 1]).is_ok() {
+                    written += 1;
+                }
+            }
+            let copies = revived.process(h.p).expect("revived").mem.stats().cow_copies;
+            prop_assert_eq!(copies, if compress { 0 } else { written });
+
+            prop_assert_eq!(blobs(&h), stored);
+            let (again, _) = h.revive(h.checkpoints);
+            for (vpid, addr, page) in &model {
+                let restored = again.mem_read(*vpid, *addr, PAGE_SIZE).unwrap();
+                let expected = page.as_ref().map_or([0; PAGE_SIZE], |page| **page);
+                prop_assert!(restored == expected, "page {addr:#x}, compress={compress}");
+            }
+            prop_assert_eq!(fingerprint(&h), before);
         }
     }
 
