@@ -140,6 +140,7 @@ pub fn split(data: &[u8]) -> Vec<ChunkSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dv_fault::checksum::crc32;
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
@@ -152,6 +153,20 @@ mod tests {
         }
         out.truncate(len);
         out
+    }
+
+    /// Cut points and ids are stored in every chunk manifest already
+    /// written, and dedup against them depends on their staying put.
+    #[test]
+    fn cuts_and_ids_are_pinned() {
+        let spans = split(&pseudo_random(1 << 20, 39));
+        let mut listed = Vec::new();
+        for s in &spans {
+            listed.extend_from_slice(&(s.offset as u64).to_le_bytes());
+            listed.extend_from_slice(&(s.len as u64).to_le_bytes());
+            listed.extend_from_slice(&s.id.0.to_le_bytes());
+        }
+        assert_eq!((spans.len(), crc32(&listed)), (94, 0xB78B_B8A7));
     }
 
     #[test]

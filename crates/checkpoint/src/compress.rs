@@ -120,6 +120,46 @@ fn decompress_stream(out: &mut Vec<u8>, data: &[u8]) -> Option<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dv_fault::checksum::crc32;
+
+    /// Runs of 1 to 64 equal bytes, each followed by 0 to 63 bytes of
+    /// noise: the shape of a build heap.
+    fn run_noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut out = Vec::with_capacity(len + 128);
+        while out.len() < len {
+            let r = next();
+            out.extend(std::iter::repeat_n(r as u8, 1 + (r >> 8) as usize % 64));
+            for _ in 0..(r >> 16) % 64 {
+                out.push(next() as u8);
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    fn incompressible(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect()
+    }
+
+    /// The stored format: these bytes are in every compressed image
+    /// already written.
+    #[test]
+    fn output_is_pinned() {
+        let mixed = compress(&run_noise(1 << 16, 39));
+        assert_eq!((mixed.len(), crc32(&mixed)), (41_866, 0xB8E9_4EFC));
+        let literal = compress(&incompressible(4096));
+        assert_eq!(literal.len(), 4096 + 5, "one literal chunk");
+        assert_eq!(crc32(&literal), 0x6C30_1574);
+    }
 
     #[test]
     fn round_trips() {
@@ -143,9 +183,7 @@ mod tests {
 
     #[test]
     fn incompressible_data_grows_bounded() {
-        let data: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
+        let data = incompressible(4096);
         let compressed = compress(&data);
         assert!(compressed.len() <= data.len() + data.len() / 100 + 64);
         assert_eq!(decompress(&compressed).unwrap(), data);
