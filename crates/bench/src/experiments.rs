@@ -1592,8 +1592,9 @@ impl KernelRow {
     }
 }
 
-/// The two byte kernels every viewer frame and log append pays, each as
-/// a ratio taken within one run so the limit holds on any machine:
+/// The byte kernels every viewer frame, log append and compressed,
+/// deduplicated commit pays, each as a ratio taken within one run so
+/// the limit holds on any machine:
 ///
 /// - CRC32 per byte over a 448 KiB buffer (a `Video` frame) against the
 ///   same bytes summed 2 KiB at a time, where only the single
@@ -1602,6 +1603,9 @@ impl KernelRow {
 /// - Encoding a 704x32 `Raw` scroll strip against a `memcpy` of its
 ///   90 KB. A slice-wise encode is a zero-fill plus a copy; a push per
 ///   pixel read about 46.
+/// - RLE-compressing, and CAS-splitting and hashing, 448 KiB of a build
+///   tenant's heap ([`run_noise`]) against a `memcpy` of it: the two
+///   commit-path kernels of DESIGN.md §6, each a word at a time.
 pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
     use dv_display::{encode_command, DisplayCommand, Rect};
     use dv_fault::checksum::crc32;
@@ -1651,6 +1655,27 @@ pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
         },
         |&took| took,
     );
+    let heap = run_noise(LONG);
+    let mut heap_copy = vec![0u8; LONG];
+    let mut against_memcpy = |kernel: &dyn Fn(&[u8])| {
+        let run = |run_kernel| {
+            least(&mut || {
+                if run_kernel {
+                    kernel(std::hint::black_box(&heap));
+                } else {
+                    heap_copy.copy_from_slice(std::hint::black_box(&heap));
+                    std::hint::black_box(&heap_copy);
+                }
+            })
+        };
+        three_pairs(run, |&took| took).1
+    };
+    let (compress_memcpy, compress) = against_memcpy(&|heap| {
+        std::hint::black_box(dv_checkpoint::compress(heap));
+    });
+    let (split_memcpy, split) = against_memcpy(&|heap| {
+        std::hint::black_box(dv_cas::split(heap));
+    });
     vec![
         KernelRow {
             key: "crc_per_byte_448k_ratio",
@@ -1664,7 +1689,40 @@ pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
             yardstick: memcpy,
             kernel: encode,
         },
+        KernelRow {
+            key: "image_compress_memcpy_ratio",
+            what: "RLE compress of 448 KiB heap / memcpy",
+            yardstick: compress_memcpy,
+            kernel: compress,
+        },
+        KernelRow {
+            key: "cas_split_memcpy_ratio",
+            what: "CAS split and ids of 448 KiB heap / memcpy",
+            yardstick: split_memcpy,
+            kernel: split,
+        },
     ]
+}
+
+/// `len` bytes shaped like a build tenant's heap: segments of 8 to 63
+/// bytes, each one byte repeated or noise. Real images take RLE's
+/// short-segment path, which long zero runs never do. Deterministic.
+pub(crate) fn run_noise(len: usize) -> Vec<u8> {
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    let mut out = Vec::with_capacity(len + 64);
+    while out.len() < len {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let n = 8 + (s >> 8) as usize % 56;
+        if s & 1 == 0 {
+            out.extend(std::iter::repeat_n((s >> 16) as u8, n));
+        } else {
+            out.extend((0..n).map(|i| (s >> (i % 8 * 8)) as u8 ^ i as u8));
+        }
+    }
+    out.truncate(len);
+    out
 }
 
 // ---------------------------------------------------------------------

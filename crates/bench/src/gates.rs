@@ -163,6 +163,13 @@ pub const SUITES: &[Suite] = &[
             // Pixels move as a slice: a zero-fill and a copy, not a
             // push per pixel (which read 46).
             ("raw_strip_encode_memcpy_ratio", AtMost(Is(8.0))),
+            // The commit path's RLE scan tests two aligned 4-byte groups
+            // per word load (22-27). A scan a byte at a time read 47-68.
+            ("image_compress_memcpy_ratio", AtMost(Is(36.0))),
+            // Chunking starts each chunk's gear hash 64 bytes before
+            // MIN_CHUNK and takes both id halves in one pass (29-35).
+            // Hashing every byte and each chunk twice read 46-59.
+            ("cas_split_memcpy_ratio", AtMost(Is(40.0))),
             // A keyframe seek copies from its keyframe only what its
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.

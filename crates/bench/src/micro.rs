@@ -1,9 +1,11 @@
 //! Component micro-benchmarks: the hot paths under each figure, each
 //! timed alone as the least of its rounds on a warmed core. Report-only:
 //! absolute times hold on one machine, so nothing here is gated. The
-//! CRC, `Raw` strip encode and snapshot-point kernels are timed, and
-//! gated, by [`kernel_experiment`](crate::kernel_experiment) and
-//! [`fs_snapshot_experiment`](crate::fs_snapshot_experiment).
+//! CRC, `Raw` strip encode, commit-path RLE and CAS split, and
+//! snapshot-point kernels are timed, and gated, by
+//! [`kernel_experiment`](crate::kernel_experiment) and
+//! [`fs_snapshot_experiment`](crate::fs_snapshot_experiment); the
+//! micro rows of the two commit-path kernels repeat them on 1 MiB.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -21,7 +23,7 @@ use dv_record::{decode_screenshot, encode_screenshot, DisplayRecorder, RecorderC
 use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Prot, Vee};
 
-use crate::experiments::{least_of, timed};
+use crate::experiments::{least_of, run_noise, timed};
 
 /// One micro-benchmark's least time.
 pub struct MicroRow {
@@ -357,6 +359,13 @@ pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
     rows.add("checkpoint", "rle_compress_1mb_page_data", || {
         timed(|| decompress(&compress(black_box(&data))).unwrap())
     });
+    let heap = run_noise(1 << 20);
+    rows.add("checkpoint", "rle_compress_run_noise_1mb", || {
+        timed(|| compress(black_box(&heap)))
+    });
+    rows.add("cas", "cas_split_1mb", || {
+        timed(|| dv_cas::split(black_box(&heap)))
+    });
     rows.rows
 }
 
@@ -368,6 +377,6 @@ mod tests {
         let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 20);
+        assert_eq!(names.len(), 22);
     }
 }

@@ -56,29 +56,37 @@ impl std::fmt::Debug for ChunkId {
     }
 }
 
-fn hash64(data: &[u8], seed: u64) -> u64 {
-    let mut h = seed ^ (data.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut chunks = data.chunks_exact(8);
-    for word in &mut chunks {
-        let w = u64::from_le_bytes(word.try_into().unwrap());
-        h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 29;
-    }
-    let mut tail = 0u64;
-    for (i, b) in chunks.remainder().iter().enumerate() {
-        tail |= (*b as u64) << (8 * i);
-    }
-    h = (h ^ tail).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    h ^= h >> 32;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+const HI_SEED: u64 = 0x0C0F_FEE0_DEAD_BEEF;
+const LO_SEED: u64 = 0x5EED_CA5C_ADE5_1DEA;
+
+fn mix_word(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 29)
+}
+
+fn finish(h: u64, tail: u64) -> u64 {
+    let h = (h ^ tail).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    let h = (h ^ (h >> 32)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^ (h >> 29)
 }
 
 /// Computes the content address of one chunk.
+///
+/// Both 64-bit halves are taken in one pass over the chunk, so their
+/// two multiply chains overlap.
 pub fn chunk_id(data: &[u8]) -> ChunkId {
-    let hi = hash64(data, 0x0C0F_FEE0_DEAD_BEEF);
-    let lo = hash64(data, 0x5EED_CA5C_ADE5_1DEA);
-    ChunkId(((hi as u128) << 64) | lo as u128)
+    let length = (data.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let (mut hi, mut lo) = (HI_SEED ^ length, LO_SEED ^ length);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        hi = mix_word(hi, w);
+        lo = mix_word(lo, w);
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let tail = u64::from_le_bytes(tail);
+    ChunkId(((finish(hi, tail) as u128) << 64) | finish(lo, tail) as u128)
 }
 
 /// One chunk of a split blob: its content address and the byte range it
@@ -110,31 +118,41 @@ pub struct ChunkSpan {
 /// ```
 pub fn split(data: &[u8]) -> Vec<ChunkSpan> {
     let mut spans = Vec::new();
-    let mut start = 0usize;
-    let mut state = 0u64;
-    let mut pos = 0usize;
-    while pos < data.len() {
-        state = (state << 1).wrapping_add(GEAR[data[pos] as usize]);
-        pos += 1;
-        let len = pos - start;
-        if (len >= MIN_CHUNK && state & BOUNDARY_MASK == 0) || len >= MAX_CHUNK {
-            spans.push(ChunkSpan {
-                id: chunk_id(&data[start..pos]),
-                offset: start,
-                len,
-            });
-            start = pos;
-            state = 0;
-        }
-    }
-    if start < data.len() {
+    let mut offset = 0;
+    while offset < data.len() {
+        let len = cut(&data[offset..data.len().min(offset + MAX_CHUNK)]);
         spans.push(ChunkSpan {
-            id: chunk_id(&data[start..]),
-            offset: start,
-            len: data.len() - start,
+            id: chunk_id(&data[offset..offset + len]),
+            offset,
+            len,
         });
+        offset += len;
     }
     spans
+}
+
+/// Length of the chunk at the front of `window`, which holds at most
+/// [`MAX_CHUNK`] bytes: the first content-defined boundary at or past
+/// [`MIN_CHUNK`], else the whole window.
+///
+/// Each step shifts the gear state left by one, so the state after a
+/// byte depends only on the last 64 bytes hashed. Hashing from 64 bytes
+/// before `MIN_CHUNK` therefore gives the state at every tested byte
+/// that hashing the chunk from its start would, and the bytes before
+/// are skipped.
+fn cut(window: &[u8]) -> usize {
+    if window.len() <= MIN_CHUNK {
+        return window.len();
+    }
+    let gear = |state: u64, &b: &u8| (state << 1).wrapping_add(GEAR[b as usize]);
+    let mut state = window[MIN_CHUNK - 64..MIN_CHUNK - 1].iter().fold(0, gear);
+    for (i, b) in window[MIN_CHUNK - 1..].iter().enumerate() {
+        state = gear(state, b);
+        if state & BOUNDARY_MASK == 0 {
+            return MIN_CHUNK + i;
+        }
+    }
+    window.len()
 }
 
 #[cfg(test)]
@@ -153,6 +171,96 @@ mod tests {
         }
         out.truncate(len);
         out
+    }
+
+    /// The two-pass hash the one-pass `chunk_id` replaced.
+    fn reference_hash64(data: &[u8], seed: u64) -> u64 {
+        let mut h = seed ^ (data.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut chunks = data.chunks_exact(8);
+        for word in &mut chunks {
+            let w = u64::from_le_bytes(word.try_into().unwrap());
+            h = (h ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            h ^= h >> 29;
+        }
+        let mut tail = 0u64;
+        for (i, b) in chunks.remainder().iter().enumerate() {
+            tail |= (*b as u64) << (8 * i);
+        }
+        h = (h ^ tail).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^= h >> 32;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^ (h >> 29)
+    }
+
+    fn reference_chunk_id(data: &[u8]) -> ChunkId {
+        let hi = reference_hash64(data, HI_SEED);
+        let lo = reference_hash64(data, LO_SEED);
+        ChunkId(((hi as u128) << 64) | lo as u128)
+    }
+
+    /// The byte-at-a-time split the skipping one replaced: the gear
+    /// state is stepped, and both bounds tested, on every byte.
+    fn reference_split(data: &[u8]) -> Vec<ChunkSpan> {
+        let mut spans = Vec::new();
+        let mut start = 0usize;
+        let mut state = 0u64;
+        let mut pos = 0usize;
+        while pos < data.len() {
+            state = (state << 1).wrapping_add(GEAR[data[pos] as usize]);
+            pos += 1;
+            let len = pos - start;
+            if (len >= MIN_CHUNK && state & BOUNDARY_MASK == 0) || len >= MAX_CHUNK {
+                spans.push(ChunkSpan {
+                    id: reference_chunk_id(&data[start..pos]),
+                    offset: start,
+                    len,
+                });
+                start = pos;
+                state = 0;
+            }
+        }
+        if start < data.len() {
+            spans.push(ChunkSpan {
+                id: reference_chunk_id(&data[start..]),
+                offset: start,
+                len: data.len() - start,
+            });
+        }
+        spans
+    }
+
+    #[test]
+    fn split_matches_the_reference() {
+        let random = pseudo_random(1 << 20, 5);
+        // Byte index of the first boundary past `MIN_CHUNK` in `random`.
+        let first_cut = reference_split(&random)[0].len;
+        let mut at_min = random.clone();
+        // Moving the chunk start `first_cut - MIN_CHUNK` bytes on puts
+        // that boundary exactly at `MIN_CHUNK`.
+        at_min.drain(..first_cut - MIN_CHUNK);
+        let inputs = [
+            Vec::new(),
+            random[..1].to_vec(),
+            random[..MIN_CHUNK - 1].to_vec(),
+            random[..MIN_CHUNK].to_vec(),
+            random[..MIN_CHUNK + 1].to_vec(),
+            vec![0; 3 * MAX_CHUNK + 100],
+            vec![0xA5; MAX_CHUNK],
+            at_min.clone(),
+            random.clone(),
+        ];
+        assert_eq!(split(&at_min)[0].len, MIN_CHUNK, "a cut at MIN_CHUNK");
+        assert!(split(&inputs[5])
+            .iter()
+            .rev()
+            .skip(1)
+            .all(|s| s.len == MAX_CHUNK));
+        for data in &inputs {
+            assert_eq!(split(data), reference_split(data), "{} bytes", data.len());
+        }
+        for len in 0..=70 {
+            assert_eq!(chunk_id(&random[..len]), reference_chunk_id(&random[..len]));
+        }
     }
 
     /// Cut points and ids are stored in every chunk manifest already

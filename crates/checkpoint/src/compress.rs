@@ -26,32 +26,69 @@ use dv_fault::{Put, Reader};
 /// Minimum run length worth encoding as a run chunk.
 const MIN_RUN: usize = 8;
 
-/// Compresses `data`.
+/// Compresses `data`: a run chunk for every maximal run of at least
+/// [`MIN_RUN`] equal bytes, literal chunks between them.
+///
+/// The scan works a word at a time. Every run of eight or more bytes
+/// wholly contains a 4-byte group starting at a multiple of 4, so one
+/// `u64` load tests two groups for four equal bytes, and a hit backs up
+/// at most three bytes to the start of its run.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 4 + 16);
     let mut literal_start = 0;
-    let mut i = 0;
-    while i < data.len() {
-        // Measure the run at i.
-        let b = data[i];
-        let mut j = i + 1;
-        while j < data.len() && data[j] == b {
-            j += 1;
+    // The end of the last run measured: no run starts before it.
+    let mut floor = 0;
+    while let Some(group) = next_equal_group(data, floor) {
+        let b = data[group];
+        let mut start = group;
+        while start > group.saturating_sub(3).max(floor) && data[start - 1] == b {
+            start -= 1;
         }
-        let run = j - i;
-        if run >= MIN_RUN {
-            flush_literal(&mut out, &data[literal_start..i]);
+        let end = run_end(data, group + 4, b);
+        if end - start >= MIN_RUN {
+            flush_literal(&mut out, &data[literal_start..start]);
             out.push(0x01);
-            out.extend_from_slice(&(run as u32).to_le_bytes());
+            out.extend_from_slice(&((end - start) as u32).to_le_bytes());
             out.push(b);
-            i = j;
-            literal_start = i;
-        } else {
-            i = j;
+            literal_start = end;
         }
+        floor = end;
     }
     flush_literal(&mut out, &data[literal_start..]);
     out
+}
+
+/// Start of the first 4-byte group of equal bytes that begins at a
+/// multiple of 4 no lower than `from`.
+fn next_equal_group(data: &[u8], from: usize) -> Option<usize> {
+    let mut group = from.next_multiple_of(4);
+    while let Some(word) = data.get(group..group + 8) {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        // Byte k of `diff` is zero when bytes k and k + 1 are equal.
+        let diff = x ^ (x >> 8);
+        if diff & 0x00FF_FFFF == 0 {
+            return Some(group);
+        }
+        if diff & 0x00FF_FFFF_0000_0000 == 0 {
+            return Some(group + 4);
+        }
+        group += 8;
+    }
+    let tail = data.get(group..group + 4)?;
+    tail.iter().all(|&c| c == tail[0]).then_some(group)
+}
+
+/// End of the run of `b` that reaches `from`.
+fn run_end(data: &[u8], mut from: usize, b: u8) -> usize {
+    let fill = u64::from_ne_bytes([b; 8]);
+    while let Some(word) = data.get(from..from + 8) {
+        let diff = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ fill;
+        if diff != 0 {
+            return from + diff.trailing_zeros() as usize / 8;
+        }
+        from += 8;
+    }
+    from + data[from..].iter().take_while(|&&c| c == b).count()
 }
 
 fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
@@ -148,6 +185,75 @@ mod tests {
         (0..len as u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect()
+    }
+
+    /// The byte-at-a-time scan the word kernel replaced.
+    fn reference_compress(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() / 4 + 16);
+        let mut literal_start = 0;
+        let mut i = 0;
+        while i < data.len() {
+            let b = data[i];
+            let mut j = i + 1;
+            while j < data.len() && data[j] == b {
+                j += 1;
+            }
+            let run = j - i;
+            if run >= MIN_RUN {
+                flush_literal(&mut out, &data[literal_start..i]);
+                out.push(0x01);
+                out.extend_from_slice(&(run as u32).to_le_bytes());
+                out.push(b);
+                literal_start = j;
+            }
+            i = j;
+        }
+        flush_literal(&mut out, &data[literal_start..]);
+        out
+    }
+
+    fn assert_matches_reference(data: &[u8]) {
+        assert_eq!(compress(data), reference_compress(data), "input {data:?}");
+    }
+
+    #[test]
+    fn runs_at_every_offset_match_the_reference() {
+        let noise = incompressible(300);
+        for len in 0..=300 {
+            assert_matches_reference(&noise[..len]);
+            assert_matches_reference(&vec![5; len]);
+            for run in [7, 8, 9] {
+                for at in 0..len.saturating_sub(run) {
+                    let mut data = noise[..len].to_vec();
+                    data[at..at + run].fill(0xAA);
+                    assert_matches_reference(&data);
+                    // A short run of another byte right before it.
+                    data[at.saturating_sub(4)..at].fill(0xBB);
+                    assert_matches_reference(&data);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_touching_either_end_match_the_reference() {
+        for len in 8..=40 {
+            for run in 1..=len {
+                let mut data = incompressible(len);
+                data[..run].fill(0);
+                assert_matches_reference(&data);
+                let mut data = incompressible(len);
+                data[len - run..].fill(0);
+                assert_matches_reference(&data);
+            }
+        }
+    }
+
+    #[test]
+    fn megabyte_run_noise_matches_the_reference() {
+        for seed in 1..=4 {
+            assert_matches_reference(&run_noise(1 << 20, seed));
+        }
     }
 
     /// The stored format: these bytes are in every compressed image

@@ -47,7 +47,10 @@ pub struct EngineConfig {
     /// are incremental ("full checkpoints are taken periodically ...
     /// for redundancy", §5.1.2). `1` disables incremental checkpoints.
     pub full_every: u64,
-    /// Compress images before storing.
+    /// Compress images before storing. An image whose plaintext would
+    /// exceed [`MAX_DECOMPRESSED`](crate::compress::MAX_DECOMPRESSED),
+    /// which revive refuses, fails its commit with
+    /// [`FsError::FileTooLarge`] instead.
     pub compress: bool,
     /// Upper bound on pre-quiesce waiting.
     pub pre_quiesce_timeout: Duration,
@@ -831,7 +834,7 @@ mod tests {
     use dv_fault::{sites, FaultPlan, IoFault};
     use dv_lsfs::Lsfs;
     use dv_time::SimClock;
-    use dv_vee::{HostPidAllocator, Prot};
+    use dv_vee::{HostPidAllocator, Prot, PAGE_SIZE};
 
     fn setup() -> (Vee, SimClock, Checkpointer, SharedBlobStore) {
         let clock = SimClock::new();
@@ -1000,6 +1003,38 @@ mod tests {
         vee.mem_write(p, addr, &vec![7u8; 64 * 4096]).unwrap();
         let report = engine.checkpoint(&mut vee).unwrap();
         assert!(report.stored_bytes < report.raw_bytes / 10);
+    }
+
+    /// Revive refuses to decompress more than `MAX_DECOMPRESSED`, so a
+    /// compressing engine does not store such an image: the commit
+    /// fails, is counted, and the next checkpoint is full.
+    #[test]
+    fn an_image_revive_would_refuse_is_not_stored() {
+        let (mut vee, clock, _, _) = setup();
+        let config = EngineConfig {
+            compress: true,
+            full_every: 4,
+            ..EngineConfig::default()
+        };
+        let (mut engine, store) = engine_on(config, &clock);
+        let p = vee.spawn(None, "app").unwrap();
+        // One page more than the limit holds, all sharing one buffer.
+        let pages = (crate::compress::MAX_DECOMPRESSED / PAGE_SIZE + 1) as u64;
+        let len = pages * PAGE_SIZE as u64;
+        let addr = vee.mmap(p, len, Prot::ReadWrite).unwrap();
+        let page = Page::from([1u8; PAGE_SIZE]);
+        let mem = &mut vee.process_mut(p).unwrap().mem;
+        for i in 0..pages {
+            mem.install_page(addr + i * PAGE_SIZE as u64, page.clone());
+        }
+        let refused = engine.checkpoint(&mut vee).unwrap_err();
+        assert_eq!(refused, FsError::FileTooLarge);
+        assert_eq!(engine.stats().write_failures, 1);
+        assert!(!store.lock().contains("ckpt-00000001"));
+        assert!(vee.munmap(p, addr, len).unwrap());
+        let report = engine.checkpoint(&mut vee).unwrap();
+        assert!(report.full, "the next checkpoint re-anchors the chain");
+        assert!(store.lock().contains("ckpt-00000002"));
     }
 
     #[test]

@@ -78,7 +78,7 @@ use dv_lsfs::{FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, Sleeper, Timestamp};
 
-use crate::compress::{assemble_chunks, compress};
+use crate::compress::{assemble_chunks, compress, MAX_DECOMPRESSED};
 use crate::image::{encode_image_sections, CheckpointImage, ImageKind};
 
 /// Identifies one lane (one session's engine) of a pipeline.
@@ -672,12 +672,20 @@ impl Shared {
     }
 
     fn run_encode(&self, lane: LaneId, seq: u64) {
-        let (image, fault, plane) = {
+        let (image, mut fault, plane) = {
             let mut state = self.lock();
             let job = state.job_mut(lane, seq);
             let image = job.image.take().expect("image present until encode");
             (image, job.encode_fault, job.plane.clone())
         };
+        // Revive refuses to decompress more than `MAX_DECOMPRESSED`, so
+        // a compressed image that large fails its commit instead of
+        // being stored. One whose pages alone reach the limit fails
+        // before it is encoded: the rest of the image only adds to them.
+        let limit = self.config.compress.then_some(MAX_DECOMPRESSED as u64);
+        if limit.is_some_and(|limit| image.page_bytes() >= limit) {
+            fault = Some(EncodeFault::Fail(FsError::FileTooLarge));
+        }
         let mut sections = Vec::new();
         if !matches!(fault, Some(EncodeFault::Fail(_))) {
             sections = encode_image_sections(&image);
@@ -687,10 +695,16 @@ impl Shared {
                     plane.mangle(victim);
                 }
             }
+            let raw_bytes: u64 = sections.iter().map(|s| s.len() as u64).sum();
+            if limit.is_some_and(|limit| raw_bytes > limit) {
+                fault = Some(EncodeFault::Fail(FsError::FileTooLarge));
+                sections.clear();
+            }
         }
         drop(image); // release the COW page references promptly
         let mut state = self.lock();
         let job = state.job_mut(lane, seq);
+        job.encode_fault = fault;
         job.raw_bytes = sections.iter().map(|s| s.len() as u64).sum();
         job.encoded = true;
         if self.config.compress {
