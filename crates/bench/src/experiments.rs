@@ -1604,8 +1604,13 @@ impl KernelRow {
 ///   90 KB. A slice-wise encode is a zero-fill plus a copy; a push per
 ///   pixel read about 46.
 /// - RLE-compressing, and CAS-splitting and hashing, 448 KiB of a build
-///   tenant's heap ([`run_noise`]) against a `memcpy` of it: the two
+///   tenant's heap (`run_noise`) against a `memcpy` of it: the two
 ///   commit-path kernels of DESIGN.md §6, each a word at a time.
+/// - Revive's `load_image` of one compressed 1 MiB heap image keeping
+///   no page, against `decompress` of the same blob: a skipped page
+///   costs its token headers only, so the ratio sits well under 1.
+///   Decompressing the image before stepping over its pages made it at
+///   least 1.
 pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
     use dv_display::{encode_command, DisplayCommand, Rect};
     use dv_fault::checksum::crc32;
@@ -1676,6 +1681,23 @@ pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
     let (split_memcpy, split) = against_memcpy(&|heap| {
         std::hint::black_box(dv_cas::split(heap));
     });
+    let store = compressed_heap_image(1 << 20);
+    let blob = store
+        .lock()
+        .get(&format!("ckpt-{HEAP_IMAGE:08}"))
+        .expect("the image is stored");
+    let (_, (decompress, keep_none)) = three_pairs(
+        |skip| {
+            least(&mut || {
+                if skip {
+                    std::hint::black_box(load_heap_image(&store, false));
+                } else {
+                    std::hint::black_box(dv_checkpoint::decompress(&blob));
+                }
+            })
+        },
+        |&took| took,
+    );
     vec![
         KernelRow {
             key: "crc_per_byte_448k_ratio",
@@ -1701,7 +1723,41 @@ pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
             yardstick: split_memcpy,
             kernel: split,
         },
+        KernelRow {
+            key: "revive_compressed_skip_ratio",
+            what: "1 MiB RLE image: load keeping none / decompress",
+            yardstick: decompress,
+            kernel: keep_none,
+        },
     ]
+}
+
+/// A store holding one image of a process whose `len` bytes of memory
+/// are a build tenant's heap ([`run_noise`]), committed by a
+/// compressing engine: each section compressed, framed in a container.
+pub(crate) fn compressed_heap_image(len: usize) -> dv_lsfs::SharedBlobStore {
+    let (_, mut vee, mut engine, store) = pipeline_session(0, 1, true);
+    let p = vee.spawn(None, "cc1").expect("spawn");
+    let addr = vee
+        .mmap(p, len as u64, dv_vee::Prot::ReadWrite)
+        .expect("mmap");
+    vee.mem_write(p, addr, &run_noise(len))
+        .expect("write the heap");
+    let counter = engine.checkpoint(&mut vee).expect("checkpoint").counter;
+    engine.flush().expect("flush");
+    assert_eq!(counter, HEAP_IMAGE);
+    store
+}
+
+/// Counter of the image [`compressed_heap_image`] stores: the first.
+const HEAP_IMAGE: u64 = 1;
+
+/// Reads [`compressed_heap_image`]'s image back through revive's
+/// `load_image`, keeping every page or none; returns the pages kept.
+pub(crate) fn load_heap_image(store: &dv_lsfs::SharedBlobStore, keep: bool) -> usize {
+    dv_checkpoint::load_image(&mut store.lock(), "ckpt", HEAP_IMAGE, |_, _| keep)
+        .expect("the stored image loads")
+        .page_count()
 }
 
 /// `len` bytes shaped like a build tenant's heap: segments of 8 to 63

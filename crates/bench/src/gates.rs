@@ -170,6 +170,11 @@ pub const SUITES: &[Suite] = &[
             // MIN_CHUNK and takes both id halves in one pass (29-35).
             // Hashing every byte and each chunk twice read 46-59.
             ("cas_split_memcpy_ratio", AtMost(Is(40.0))),
+            // Revive steps over a compressed page it does not keep by
+            // its RLE token headers (0.45-0.55). Decoding each skipped
+            // page into a scratch buffer read 0.71-0.79; decompressing
+            // the image before stepping over its pages, 1.01-1.08.
+            ("revive_compressed_skip_ratio", AtMost(Is(0.65))),
             // A keyframe seek copies from its keyframe only what its
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.

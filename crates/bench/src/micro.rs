@@ -2,10 +2,11 @@
 //! timed alone as the least of its rounds on a warmed core. Report-only:
 //! absolute times hold on one machine, so nothing here is gated. The
 //! CRC, `Raw` strip encode, commit-path RLE and CAS split, and
-//! snapshot-point kernels are timed, and gated, by
-//! [`kernel_experiment`](crate::kernel_experiment) and
+//! snapshot-point kernels and revive's compressed-image read are timed,
+//! and gated, by [`kernel_experiment`](crate::kernel_experiment) and
 //! [`fs_snapshot_experiment`](crate::fs_snapshot_experiment); the
-//! micro rows of the two commit-path kernels repeat them on 1 MiB.
+//! micro rows of the two commit-path kernels repeat them on 1 MiB, and
+//! those of the image read give its two arms.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use dv_record::{decode_screenshot, encode_screenshot, DisplayRecorder, RecorderC
 use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Prot, Vee};
 
-use crate::experiments::{least_of, run_noise, timed};
+use crate::experiments::{compressed_heap_image, least_of, load_heap_image, run_noise, timed};
 
 /// One micro-benchmark's least time.
 pub struct MicroRow {
@@ -366,6 +367,13 @@ pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
     rows.add("cas", "cas_split_1mb", || {
         timed(|| dv_cas::split(black_box(&heap)))
     });
+    let store = compressed_heap_image(1 << 20);
+    rows.add("checkpoint", "load_compressed_1mb_keep_all", || {
+        timed(|| load_heap_image(&store, true))
+    });
+    rows.add("checkpoint", "load_compressed_1mb_keep_none", || {
+        timed(|| load_heap_image(&store, false))
+    });
     rows.rows
 }
 
@@ -377,6 +385,6 @@ mod tests {
         let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), 24);
     }
 }

@@ -20,6 +20,11 @@
 //! interchangeable with a plain stream over the concatenated input.
 //! The leading `0x02` cannot open a plain stream (whose chunks start
 //! `0x00`/`0x01`), so [`decompress`] auto-detects the format.
+//!
+//! Revive does not decompress: it reads an image through an
+//! `RleCursor`, which copies the plaintext of the pages it keeps
+//! straight into their buffers and steps over the others by the chunk
+//! headers alone, checking everything [`decompress`] checks.
 
 use dv_fault::{Put, Reader};
 
@@ -27,7 +32,7 @@ use dv_fault::{Put, Reader};
 const MIN_RUN: usize = 8;
 
 /// Compresses `data`: a run chunk for every maximal run of at least
-/// [`MIN_RUN`] equal bytes, literal chunks between them.
+/// eight equal bytes, literal chunks between them.
 ///
 /// The scan works a word at a time. Every run of eight or more bytes
 /// wholly contains a 4-byte group starting at a multiple of 4, so one
@@ -152,6 +157,209 @@ fn decompress_stream(out: &mut Vec<u8>, data: &[u8]) -> Option<()> {
         }
     }
     Some(())
+}
+
+/// How far a short chunk may be copied past its end in one move: a
+/// literal or run of at most this many bytes is written as exactly this
+/// many when the destination (and, for a literal, the stream) has room,
+/// and the bytes past its end are overwritten by the chunks after it.
+const SLACK: usize = 64;
+
+/// Why an [`RleCursor`] stopped.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum CursorError {
+    /// The plaintext ended first.
+    End,
+    /// The compressed bytes are malformed: anything [`decompress`]
+    /// refuses.
+    Corrupt,
+}
+
+/// A checked cursor over the plaintext of a [`compress`] stream or an
+/// [`assemble_chunks`] container, read without building it: `read`
+/// copies literals and splats runs into the caller's buffer, and `skip`
+/// steps over plaintext by the RLE chunk headers alone (a *token*
+/// below, to tell it from a container's chunk). A token is checked when
+/// it is reached, so a cursor refuses everything [`decompress`] does
+/// once it has been read (or drained) to the end.
+#[derive(Clone)]
+pub(crate) struct RleCursor<'a> {
+    /// The container's chunks not yet opened; empty for a bare stream.
+    chunks: Reader<'a>,
+    /// How many chunks are left in `chunks`.
+    chunks_left: usize,
+    /// The open stream from the current token's next byte on: a
+    /// literal's unread bytes lead it.
+    stream: &'a [u8],
+    /// The current token's byte if it is a run, `None` for a literal.
+    run: Option<u8>,
+    /// Bytes of the current token not yet read.
+    left: usize,
+    /// Plaintext declared by the tokens reached so far.
+    declared: usize,
+}
+
+impl<'a> RleCursor<'a> {
+    /// A cursor at the start of `data`'s plaintext, or `None` if `data`
+    /// is a container whose chunk count its bytes cannot back.
+    pub(crate) fn new(data: &'a [u8]) -> Option<Self> {
+        let mut cursor = RleCursor {
+            chunks: Reader::new(&[]),
+            chunks_left: 0,
+            stream: data,
+            run: None,
+            left: 0,
+            declared: 0,
+        };
+        if data.first() == Some(&0x02) {
+            let mut chunks = Reader::new(&data[1..]);
+            cursor.chunks_left = chunks.count(4).ok()?;
+            cursor.chunks = chunks;
+            cursor.stream = &[];
+        }
+        Some(cursor)
+    }
+
+    /// Plaintext bytes read or skipped so far.
+    pub(crate) fn position(&self) -> usize {
+        self.declared - self.left
+    }
+
+    /// Plaintext declared by the tokens reached so far.
+    #[cfg(test)]
+    pub(crate) fn declared(&self) -> usize {
+        self.declared
+    }
+
+    /// Moves to the next token that holds plaintext, opening the next
+    /// chunk of a container when the open stream ends.
+    fn next_token(&mut self) -> Result<(), CursorError> {
+        use CursorError::{Corrupt, End};
+        while self.left == 0 {
+            while self.stream.is_empty() {
+                if self.chunks_left == 0 {
+                    return Err(if self.chunks.is_empty() { End } else { Corrupt });
+                }
+                self.chunks_left -= 1;
+                self.stream = self.chunks.bytes_u32().map_err(|_| Corrupt)?;
+            }
+            let (&[tag, l0, l1, l2, l3], rest) = self.stream.split_first_chunk().ok_or(Corrupt)?;
+            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+            if self.declared.saturating_add(len) > MAX_DECOMPRESSED {
+                return Err(Corrupt);
+            }
+            (self.run, self.stream) = match (tag, rest) {
+                (0x00, rest) if rest.len() >= len => (None, rest),
+                (0x01, [b, rest @ ..]) => (Some(*b), rest),
+                _ => return Err(Corrupt),
+            };
+            self.declared += len;
+            self.left = len;
+        }
+        Ok(())
+    }
+
+    /// Fills `out` with the next plaintext bytes.
+    pub(crate) fn read(&mut self, mut out: &mut [u8]) -> Result<(), CursorError> {
+        loop {
+            let n = self.left.min(out.len());
+            put(out, n, self.run, self.stream);
+            self.consume(n);
+            out = &mut out[n..];
+            if out.is_empty() {
+                return Ok(());
+            }
+            self.pass(out.len(), |len, run, rest| {
+                put(out, len, run, rest);
+                out = &mut std::mem::take(&mut out)[len..];
+            })?;
+        }
+    }
+
+    /// Steps over the next `n` plaintext bytes, reading only the headers
+    /// of the tokens it passes.
+    pub(crate) fn skip(&mut self, mut n: usize) -> Result<(), CursorError> {
+        loop {
+            let k = self.left.min(n);
+            self.consume(k);
+            n -= k;
+            if n == 0 {
+                return Ok(());
+            }
+            n -= self.pass(n, |_, _, _| {})?;
+        }
+    }
+
+    /// From a token edge, hands `each` the whole tokens that end before
+    /// the `n`th byte — length, run byte (`None` for a literal) and the
+    /// bytes after the header — straight off the open stream, and opens
+    /// the token after them; returns the bytes passed. A chunk edge, the
+    /// stream's end or a token past the limit or malformed is left to
+    /// [`RleCursor::next_token`].
+    #[inline(always)]
+    fn pass(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(usize, Option<u8>, &[u8]),
+    ) -> Result<usize, CursorError> {
+        let (mut stream, mut passed) = (self.stream, 0);
+        let limit = MAX_DECOMPRESSED - self.declared;
+        while let Some((&[tag, l0, l1, l2, l3], rest)) = stream.split_first_chunk() {
+            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+            let body = if tag == 0 { len } else { 1 };
+            if tag > 1 || rest.len() < body || len > limit - passed {
+                break;
+            }
+            let run = (tag == 1).then(|| rest[0]);
+            if passed + len >= n {
+                self.run = run;
+                self.left = len;
+                // A literal's bytes stay at the front of the stream.
+                self.stream = &rest[usize::from(run.is_some())..];
+                self.declared += passed + len;
+                return Ok(passed);
+            }
+            each(len, run, rest);
+            passed += len;
+            stream = &rest[body..];
+        }
+        (self.stream, self.declared) = (stream, self.declared + passed);
+        self.next_token()?;
+        Ok(passed)
+    }
+
+    /// Takes `k` bytes, at most `left`, off the current token.
+    fn consume(&mut self, k: usize) {
+        if self.run.is_none() {
+            self.stream = &self.stream[k..];
+        }
+        self.left -= k;
+    }
+
+    /// Steps over the rest of the plaintext: its whole length, or `None`
+    /// if the bytes behind the cursor are malformed.
+    pub(crate) fn drain(&mut self) -> Option<usize> {
+        // No stream holds `usize::MAX` bytes: only its end or a
+        // malformed token stops this skip.
+        match self.skip(usize::MAX) {
+            Err(CursorError::End) => Some(self.declared),
+            Ok(()) | Err(CursorError::Corrupt) => None,
+        }
+    }
+}
+
+/// Writes `n` bytes of a token to the front of `out`: its run byte, or
+/// the front of `literal`. A short token is written as [`SLACK`] bytes
+/// when `out` (and `literal`) have room.
+#[inline(always)]
+fn put(out: &mut [u8], n: usize, run: Option<u8>, literal: &[u8]) {
+    let short = n <= SLACK && out.len() >= SLACK;
+    match run {
+        Some(b) if short => out[..SLACK].fill(b),
+        Some(b) => out[..n].fill(b),
+        None if short && literal.len() >= SLACK => out[..SLACK].copy_from_slice(&literal[..SLACK]),
+        None => out[..n].copy_from_slice(&literal[..n]),
+    }
 }
 
 #[cfg(test)]
@@ -345,5 +553,119 @@ mod tests {
             Vec::<u8>::new(),
             "empty container is the empty plaintext"
         );
+    }
+
+    /// Compressed forms of `data`: a bare stream, and containers cut at
+    /// every `cut` bytes of plaintext (so tokens end at chunk edges
+    /// wherever the cuts fall).
+    fn forms(data: &[u8]) -> Vec<Vec<u8>> {
+        let mut forms = vec![compress(data)];
+        for cut in [1, 7, 100, 4096] {
+            let chunks: Vec<Vec<u8>> = data.chunks(cut).map(compress).collect();
+            forms.push(assemble_chunks(&chunks));
+        }
+        forms.push(assemble_chunks(&[compress(data), Vec::new()]));
+        forms
+    }
+
+    /// The plaintext a cursor reads from `data`, checked to its end.
+    fn cursor_plaintext(data: &[u8]) -> Option<Vec<u8>> {
+        let mut cursor = RleCursor::new(data)?;
+        let mut out = vec![0; cursor.clone().drain()?];
+        cursor.read(&mut out).ok()?;
+        Some(out)
+    }
+
+    /// A cursor reads what `decompress` makes of a valid stream and of
+    /// each of its damaged versions, and refuses what it refuses.
+    #[test]
+    fn cursor_matches_decompress_on_damaged_input() {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let samples = [
+            run_noise(3000, 7),
+            incompressible(300),
+            vec![0; 5000],
+            Vec::new(),
+        ];
+        for sample in &samples {
+            for form in forms(sample) {
+                assert_eq!(cursor_plaintext(&form).as_deref(), Some(&sample[..]));
+                for cut in 0..form.len().min(64) {
+                    let cut = &form[..form.len() - cut];
+                    assert_eq!(cursor_plaintext(cut), decompress(cut));
+                }
+                for _ in 0..200 {
+                    let mut bad = form.clone();
+                    for _ in 0..1 + next() % 3 {
+                        if bad.is_empty() {
+                            break;
+                        }
+                        let at = next() as usize % bad.len();
+                        bad[at] = next() as u8;
+                    }
+                    // A changed length byte can declare up to a GiB, which
+                    // both would build. Those are left to the limit case
+                    // below.
+                    let declared = RleCursor::new(&bad).map_or(0, |mut c| {
+                        c.drain();
+                        c.declared()
+                    });
+                    if declared <= 1 << 16 {
+                        assert_eq!(cursor_plaintext(&bad), decompress(&bad), "{bad:02x?}");
+                    }
+                }
+            }
+        }
+        for bad in [
+            &[0x00, 0, 0, 0, 0x40][..],
+            &[0x01, 0, 0, 0, 0x40, 1],
+            &[0x00, 0, 0, 0, 0],
+            &[0x02, 0, 0, 0, 0, 0],
+            &[0x02, 1, 0, 0, 0, 0, 0, 0, 0],
+            // One byte past the limit.
+            &[0x01, 1, 0, 0, 0x40, 7],
+        ] {
+            assert_eq!(cursor_plaintext(bad), decompress(bad), "{bad:02x?}");
+        }
+    }
+
+    /// Any sequence of reads and skips sees the plaintext, whatever the
+    /// token and chunk edges, and ends where the plaintext does.
+    #[test]
+    fn cursor_reads_and_skips_across_every_edge() {
+        let mut data = run_noise(6000, 3);
+        data.extend_from_slice(&[9; 40]);
+        data.extend_from_slice(&incompressible(50));
+        for form in forms(&data) {
+            for step in [1, 7, 8, 9, 31, 32, 33, 4096] {
+                for skip_every in [2, 3] {
+                    let mut cursor = RleCursor::new(&form).unwrap();
+                    let mut at = 0;
+                    let mut i = 0;
+                    while at < data.len() {
+                        let n = step.min(data.len() - at);
+                        if i % skip_every == 0 {
+                            cursor.skip(n).unwrap();
+                        } else {
+                            let mut out = vec![0xEE; n];
+                            cursor.read(&mut out).unwrap();
+                            assert_eq!(out, &data[at..at + n], "step {step} at {at}");
+                        }
+                        at += n;
+                        i += 1;
+                        assert_eq!(cursor.position(), at);
+                    }
+                    assert_eq!(cursor.clone().read(&mut [0]), Err(CursorError::End));
+                    assert_eq!(cursor.clone().skip(1), Err(CursorError::End));
+                    assert_eq!(cursor.drain(), Some(data.len()));
+                }
+            }
+        }
     }
 }

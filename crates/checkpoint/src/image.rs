@@ -15,7 +15,11 @@ use std::sync::Arc;
 
 use dv_fault::{Put, ReadError, Reader};
 use dv_time::Timestamp;
-use dv_vee::{Credentials, FpuState, MemRegion, Page, Prot, Registers, SchedParams, PAGE_SIZE};
+use dv_vee::{
+    Credentials, FpuState, MemRegion, Page, PageBuf, Prot, Registers, SchedParams, PAGE_SIZE,
+};
+
+use crate::compress::{CursorError, RleCursor};
 
 /// Whether an image is self-contained or a delta.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -316,43 +320,280 @@ pub fn decode_image(buf: &[u8]) -> Result<CheckpointImage, ImageError> {
 /// costs nothing, and a kept one costs no copy.
 pub(crate) fn decode_image_with(
     image: &Arc<Vec<u8>>,
+    keep: impl FnMut(u64, u64) -> bool,
+) -> Result<CheckpointImage, ImageError> {
+    let mut src = Plain {
+        image,
+        r: Reader::new(image),
+    };
+    decode_from(&mut src, keep)
+}
+
+/// Deserializes a compressed image — a [`crate::compress`] container
+/// or bare stream — as its plaintext streams past, keeping only the
+/// pages `keep(vpid, addr)` accepts, each decoded straight into a
+/// buffer of its own. Every other page costs only the headers of the
+/// RLE tokens it spans, and no plaintext buffer is built.
+///
+/// `None` when the compressed bytes are malformed. That wins over a
+/// malformed image inside them, and the image errors are the ones
+/// [`decode_image_with`] gives on the plaintext, so this refuses what
+/// [`decompress`](crate::compress::decompress) followed by it refuses,
+/// for the same reason.
+pub(crate) fn decode_compressed_with(
+    blob: &[u8],
+    keep: impl FnMut(u64, u64) -> bool,
+) -> Option<Result<CheckpointImage, ImageError>> {
+    let mut src = Stream {
+        cursor: RleCursor::new(blob)?,
+        corrupt: false,
+        claimed_end: 0,
+    };
+    let decoded = decode_from(&mut src, keep);
+    if src.corrupt {
+        return None;
+    }
+    match decoded {
+        Ok(image) => Some(Ok(image)),
+        // The stream is checked to its end whatever the image decoder
+        // made of it. A count whose entries the plaintext could not
+        // hold is refused as truncated, as the plaintext reader refuses
+        // it before reading any entry.
+        Err(e) => {
+            let total = src.cursor.drain()?;
+            Some(Err(if src.claimed_end > total {
+                ReadError::Truncated.into()
+            } else {
+                e
+            }))
+        }
+    }
+}
+
+/// The bytes an image is decoded from: its plaintext, or a compressed
+/// stream of it. Either reads like [`Reader`]: the same checks in the
+/// same order, refused with the same errors.
+trait Source {
+    /// Fills `out` with the next bytes.
+    fn read(&mut self, out: &mut [u8]) -> Result<(), ImageError>;
+
+    /// The next `n` bytes.
+    fn vec(&mut self, n: usize) -> Result<Vec<u8>, ImageError>;
+
+    /// A `u32` count of entries at least `min_entry_len` bytes each,
+    /// refused as truncated when the bytes left could not hold them (a
+    /// stream learns that only at its end).
+    fn count(&mut self, min_entry_len: usize) -> Result<usize, ImageError>;
+
+    /// An empty vector for `count` entries: sized up front where the
+    /// count was checked against the bytes at hand, grown as entries
+    /// arrive where it was not.
+    fn vec_for<T>(&self, count: usize) -> Vec<T>;
+
+    /// The next page if `keep`, else `None` once it is stepped over.
+    fn page(&mut self, keep: bool) -> Result<Option<Page>, ImageError>;
+
+    /// Ends the image: refuses bytes left over.
+    fn finish(&mut self) -> Result<(), ImageError>;
+
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ImageError> {
+        let mut out = [0; N];
+        self.read(&mut out)?;
+        Ok(out)
+    }
+
+    /// One byte.
+    fn u8(&mut self) -> Result<u8, ImageError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// A little-endian `u16`.
+    fn u16(&mut self) -> Result<u16, ImageError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    fn u32(&mut self) -> Result<u32, ImageError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    fn u64(&mut self) -> Result<u64, ImageError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Bytes behind a `u32` length.
+    fn bytes_u32(&mut self) -> Result<Vec<u8>, ImageError> {
+        let n = self.u32()? as usize;
+        self.vec(n)
+    }
+
+    /// A UTF-8 string behind a `u32` length.
+    fn string(&mut self) -> Result<String, ImageError> {
+        String::from_utf8(self.bytes_u32()?).map_err(|_| ReadError::Utf8.into())
+    }
+
+    /// Steps over [`MAGIC`], or refuses an image that does not open
+    /// with it.
+    fn magic(&mut self) -> Result<(), ImageError> {
+        match self.array() {
+            Ok(magic) if &magic == MAGIC => Ok(()),
+            _ => Err(ReadError::Magic.into()),
+        }
+    }
+}
+
+/// A raw image: its kept pages are windows into it.
+struct Plain<'a> {
+    image: &'a Arc<Vec<u8>>,
+    r: Reader<'a>,
+}
+
+impl Source for Plain<'_> {
+    fn read(&mut self, out: &mut [u8]) -> Result<(), ImageError> {
+        out.copy_from_slice(self.r.bytes(out.len())?);
+        Ok(())
+    }
+
+    fn vec(&mut self, n: usize) -> Result<Vec<u8>, ImageError> {
+        Ok(self.r.bytes(n)?.to_vec())
+    }
+
+    fn count(&mut self, min_entry_len: usize) -> Result<usize, ImageError> {
+        Ok(self.r.count(min_entry_len)?)
+    }
+
+    fn vec_for<T>(&self, count: usize) -> Vec<T> {
+        Vec::with_capacity(count)
+    }
+
+    fn page(&mut self, keep: bool) -> Result<Option<Page>, ImageError> {
+        let at = self.image.len() - self.r.remaining();
+        self.r.array::<PAGE_SIZE>()?;
+        if !keep {
+            return Ok(None);
+        }
+        let page =
+            Page::in_image(self.image.clone(), at).ok_or(ImageError("page past the image"))?;
+        Ok(Some(page))
+    }
+
+    fn finish(&mut self) -> Result<(), ImageError> {
+        Ok(self.r.finish()?)
+    }
+}
+
+/// A compressed image read through an [`RleCursor`]. How much
+/// plaintext is left is known only at its end, so a count is checked
+/// then: `claimed_end` is where the most demanding count read so far
+/// says the plaintext reaches at least.
+struct Stream<'a> {
+    cursor: RleCursor<'a>,
+    /// Whether the cursor found the compressed bytes malformed.
+    corrupt: bool,
+    claimed_end: usize,
+}
+
+impl Stream<'_> {
+    fn refused(&mut self, e: CursorError) -> ImageError {
+        self.corrupt |= e == CursorError::Corrupt;
+        ReadError::Truncated.into()
+    }
+}
+
+impl Source for Stream<'_> {
+    fn read(&mut self, out: &mut [u8]) -> Result<(), ImageError> {
+        self.cursor.read(out).map_err(|e| self.refused(e))
+    }
+
+    /// Grows the vector as the plaintext arrives, so a corrupt length
+    /// costs no more than the bytes that are there.
+    fn vec(&mut self, n: usize) -> Result<Vec<u8>, ImageError> {
+        let mut out = Vec::new();
+        while out.len() < n {
+            let at = out.len();
+            out.resize(at + (n - at).min(at.max(64)), 0);
+            self.read(&mut out[at..])?;
+        }
+        Ok(out)
+    }
+
+    fn count(&mut self, min_entry_len: usize) -> Result<usize, ImageError> {
+        let n = self.u32()? as usize;
+        let end = n
+            .saturating_mul(min_entry_len)
+            .saturating_add(self.cursor.position());
+        self.claimed_end = self.claimed_end.max(end);
+        Ok(n)
+    }
+
+    fn vec_for<T>(&self, _: usize) -> Vec<T> {
+        Vec::new()
+    }
+
+    fn page(&mut self, keep: bool) -> Result<Option<Page>, ImageError> {
+        if !keep {
+            return self
+                .cursor
+                .skip(PAGE_SIZE)
+                .map(|()| None)
+                .map_err(|e| self.refused(e));
+        }
+        let mut page: Arc<PageBuf> = Arc::new([0; PAGE_SIZE]);
+        self.read(&mut Arc::make_mut(&mut page)[..])?;
+        Ok(Some(Page::from(page)))
+    }
+
+    fn finish(&mut self) -> Result<(), ImageError> {
+        let at = self.cursor.position();
+        match self.cursor.drain() {
+            Some(end) if end == at => Ok(()),
+            Some(_) => Err(ReadError::Trailing.into()),
+            None => Err(self.refused(CursorError::Corrupt)),
+        }
+    }
+}
+
+/// The one image decoder, over either [`Source`].
+fn decode_from(
+    src: &mut impl Source,
     mut keep: impl FnMut(u64, u64) -> bool,
 ) -> Result<CheckpointImage, ImageError> {
-    let mut r = Reader::new(image);
-    r.magic(MAGIC)?;
-    let counter = r.u64()?;
-    let time = Timestamp::from_nanos(r.u64()?);
-    let kind = match (r.u8()?, r.u64()?) {
+    src.magic()?;
+    let counter = src.u64()?;
+    let time = Timestamp::from_nanos(src.u64()?);
+    let kind = match (src.u8()?, src.u64()?) {
         (0, _) => ImageKind::Full,
         (1, prev) => ImageKind::Incremental { prev },
         _ => return Err(ImageError("bad image kind")),
     };
-    let hostname = r.str_u32()?.to_owned();
-    let network_enabled = r.u8()? != 0;
-    let proc_count = r.count(PROCESS_MIN_LEN)?;
-    let mut processes = Vec::with_capacity(proc_count);
+    let hostname = src.string()?;
+    let network_enabled = src.u8()? != 0;
+    let proc_count = src.count(PROCESS_MIN_LEN)?;
+    let mut processes = src.vec_for(proc_count);
     for _ in 0..proc_count {
-        processes.push(decode_process(&mut r, image, &mut keep)?);
+        processes.push(decode_process(src, &mut keep)?);
     }
     // Id, protocol, port, remote flag, state and two byte counts.
-    let sock_count = r.count(29)?;
-    let mut sockets = Vec::with_capacity(sock_count);
+    let sock_count = src.count(29)?;
+    let mut sockets = src.vec_for(sock_count);
     for _ in 0..sock_count {
         sockets.push(SocketRecord {
-            id: r.u64()?,
-            proto: r.u8()?,
-            local_port: r.u16()?,
-            remote: match r.u8()? {
+            id: src.u64()?,
+            proto: src.u8()?,
+            local_port: src.u16()?,
+            remote: match src.u8()? {
                 0 => None,
-                1 => Some((r.str_u32()?.to_owned(), r.u16()?)),
+                1 => Some((src.string()?, src.u16()?)),
                 _ => return Err(ImageError("bad remote flag")),
             },
-            state: r.u8()?,
-            tx_bytes: r.u64()?,
-            rx_bytes: r.u64()?,
+            state: src.u8()?,
+            tx_bytes: src.u64()?,
+            rx_bytes: src.u64()?,
         });
     }
-    r.finish()?;
+    src.finish()?;
     Ok(CheckpointImage {
         counter,
         time,
@@ -373,14 +614,14 @@ const PROCESS_FIXED_LEN: usize = 16 + 64 + 4 + 64 + 2 + 8 + 16;
 const PROCESS_MIN_LEN: usize = 8 + 8 + PROCESS_FIXED_LEN + 8 + 1 + 6 * 4;
 
 fn decode_process(
-    r: &mut Reader<'_>,
-    image: &Arc<Vec<u8>>,
+    src: &mut impl Source,
     keep: &mut impl FnMut(u64, u64) -> bool,
 ) -> Result<ProcessRecord, ImageError> {
-    let vpid = r.u64()?;
-    let parent = r.u64()?.checked_sub(1);
-    let name = r.str_u32()?.to_owned();
-    let mut fixed = Reader::new(r.array::<PROCESS_FIXED_LEN>()?);
+    let vpid = src.u64()?;
+    let parent = src.u64()?.checked_sub(1);
+    let name = src.string()?;
+    let fixed = src.array::<PROCESS_FIXED_LEN>()?;
+    let mut fixed = Reader::new(&fixed);
     let mut regs = Registers {
         pc: fixed.u64()?,
         sp: fixed.u64()?,
@@ -406,54 +647,50 @@ fn decode_process(
     };
     let blocked = fixed.u64()?;
     let handled = fixed.u64()?;
-    let pending = r.bytes_u32()?.to_vec();
-    let ptraced_by = r.u64()?.checked_sub(1);
-    let cwd = r.str_u32()?.to_owned();
-    let net_allowed = r.u8()? != 0;
+    let pending = src.bytes_u32()?;
+    let ptraced_by = src.u64()?.checked_sub(1);
+    let cwd = src.string()?;
+    let net_allowed = src.u8()? != 0;
 
-    let region_count = r.count(17)?;
-    let mut regions = Vec::with_capacity(region_count);
+    let region_count = src.count(17)?;
+    let mut regions = src.vec_for(region_count);
     for _ in 0..region_count {
         regions.push(MemRegion {
-            start: r.u64()?,
-            len: r.u64()?,
-            prot: match r.u8()? {
+            start: src.u64()?,
+            len: src.u64()?,
+            prot: match src.u8()? {
                 0 => Prot::ReadOnly,
                 _ => Prot::ReadWrite,
             },
         });
     }
-    let page_count = r.count(8 + PAGE_SIZE)?;
+    let page_count = src.count(8 + PAGE_SIZE)?;
     let mut pages = Vec::new();
     for _ in 0..page_count {
-        let addr = r.u64()?;
-        let at = image.len() - r.remaining();
-        r.array::<PAGE_SIZE>()?;
-        if keep(vpid, addr) {
-            let page =
-                Page::in_image(image.clone(), at).ok_or(ImageError("page past the image"))?;
+        let addr = src.u64()?;
+        if let Some(page) = src.page(keep(vpid, addr))? {
             pages.push((addr, page));
         }
     }
     // A socket descriptor (tag, fd, id) is the shorter kind.
-    let fd_count = r.count(13)?;
-    let mut fds = Vec::with_capacity(fd_count);
+    let fd_count = src.count(13)?;
+    let mut fds = src.vec_for(fd_count);
     for _ in 0..fd_count {
-        let tag = r.u8()?;
-        let fd = r.u32()?;
+        let tag = src.u8()?;
+        let fd = src.u32()?;
         fds.push(match tag {
             0 => FdRecord::File {
                 fd,
-                path: r.str_u32()?.to_owned(),
-                offset: r.u64()?,
-                unlinked: r.u8()? != 0,
-                relink: match r.u8()? {
+                path: src.string()?,
+                offset: src.u64()?,
+                unlinked: src.u8()? != 0,
+                relink: match src.u8()? {
                     0 => None,
-                    1 => Some(r.str_u32()?.to_owned()),
+                    1 => Some(src.string()?),
                     _ => return Err(ImageError("bad relink flag")),
                 },
             },
-            1 => FdRecord::Socket { fd, id: r.u64()? },
+            1 => FdRecord::Socket { fd, id: src.u64()? },
             _ => return Err(ImageError("bad fd tag")),
         });
     }

@@ -11,19 +11,18 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dv_lsfs::{BlobStore, Filesystem, FsError};
 use dv_time::SharedClock;
 use dv_vee::{
-    FdObject, HostPidAllocator, Page, Process, Proto, RunState, Signal, SockState, Socket, Vee,
-    Vpid,
+    FdObject, HostPidAllocator, Process, Proto, RunState, Signal, SockState, Socket, Vee, Vpid,
 };
 
 use crate::compress::decompress;
 use crate::engine::Checkpointer;
 use crate::image::{
-    decode_image_with, CheckpointImage, FdRecord, ImageError, ProcessRecord, MAGIC,
+    decode_compressed_with, decode_image_with, CheckpointImage, FdRecord, ImageError,
+    ProcessRecord, MAGIC,
 };
 
 /// Per-application network policy applied when reviving (§5.2: network
@@ -116,8 +115,13 @@ pub struct ReviveReport {
 /// raw image opens with its `DVCKPT01` magic, and anything else is
 /// compressed — a chunked container, or the bare stream older archives
 /// hold, neither of which can start with that magic's `D`.
+fn is_raw(data: &[u8]) -> bool {
+    data.starts_with(MAGIC)
+}
+
+/// The plaintext of a stored image, for the history fingerprint.
 fn image_plaintext(counter: u64, data: &[u8]) -> Result<Cow<'_, [u8]>, ReviveError> {
-    if data.starts_with(MAGIC) {
+    if is_raw(data) {
         Ok(Cow::Borrowed(data))
     } else {
         decompress(data)
@@ -128,9 +132,11 @@ fn image_plaintext(counter: u64, data: &[u8]) -> Result<Cow<'_, [u8]>, ReviveErr
 
 /// Loads and decodes one image blob, keeping only the pages
 /// `keep(vpid, addr)` accepts (`|_, _| true` for all of them). A raw
-/// image's pages are windows into the stored blob. A compressed image's
-/// are copied out of the plaintext, so that what they keep alive is
-/// never more than the store already holds.
+/// image's pages are windows into the stored blob. A compressed image
+/// is decoded as it streams: a kept page is decoded into a buffer of
+/// its own, so that what it keeps alive is never more than the store
+/// already holds, and every other page is stepped over by the headers
+/// of its RLE tokens.
 pub fn load_image(
     store: &mut BlobStore,
     blob_prefix: &str,
@@ -139,14 +145,10 @@ pub fn load_image(
 ) -> Result<CheckpointImage, ReviveError> {
     let blob = format!("{blob_prefix}-{counter:08}");
     let data = store.get(&blob).ok_or(ReviveError::MissingImage(counter))?;
-    let image = match image_plaintext(counter, &data)? {
-        Cow::Borrowed(_) => decode_image_with(&data, keep),
-        Cow::Owned(plaintext) => decode_image_with(&Arc::new(plaintext), keep).map(|mut image| {
-            for (_, page) in image.processes.iter_mut().flat_map(|p| &mut p.pages) {
-                *page = Page::from(**page);
-            }
-            image
-        }),
+    let image = if is_raw(&data) {
+        decode_image_with(&data, keep)
+    } else {
+        decode_compressed_with(&data, keep).ok_or(ReviveError::BadCompression(counter))?
     };
     image.map_err(ReviveError::BadImage)
 }
@@ -773,5 +775,265 @@ mod tests {
         assert!(bare[0] <= 0x01);
         store.lock().put(&blob, bare).unwrap();
         assert_eq!(revive_first(), b"compressed state");
+    }
+
+    mod streaming {
+        //! The streaming `load_image` against the one it replaced.
+
+        use std::sync::Arc;
+
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::compress::{assemble_chunks, compress, RleCursor};
+        use crate::image::{encode_image, encode_image_sections, ImageKind, SocketRecord};
+        use dv_time::Timestamp;
+        use dv_vee::{Credentials, FpuState, MemRegion, Page, Registers, SchedParams, PAGE_SIZE};
+
+        /// `load_image` before it streamed: the whole plaintext, the
+        /// plaintext decoder over it, then each kept page copied out of
+        /// the plaintext.
+        fn oracle_load(
+            data: &Arc<Vec<u8>>,
+            counter: u64,
+            keep: impl FnMut(u64, u64) -> bool,
+        ) -> Result<CheckpointImage, ReviveError> {
+            if is_raw(data) {
+                return decode_image_with(data, keep).map_err(ReviveError::BadImage);
+            }
+            let plaintext = decompress(data).ok_or(ReviveError::BadCompression(counter))?;
+            let mut image =
+                decode_image_with(&Arc::new(plaintext), keep).map_err(ReviveError::BadImage)?;
+            for (_, page) in image.processes.iter_mut().flat_map(|p| &mut p.pages) {
+                *page = Page::from(**page);
+            }
+            Ok(image)
+        }
+
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0
+            }
+
+            fn below(&mut self, n: usize) -> usize {
+                (self.next() % n.max(1) as u64) as usize
+            }
+
+            fn bytes(&mut self, n: usize) -> Vec<u8> {
+                (0..n).map(|_| self.next() as u8).collect()
+            }
+        }
+
+        /// A page of runs and noise whose tokens meet its edges every
+        /// way. Addresses are page-aligned and small, so the byte after
+        /// a page (an address's low byte) and the bytes before it (the
+        /// last address's high bytes) are zero, and a zero run at either
+        /// end reaches past the edge, one of `0xAA` stops at it, and
+        /// one with its last byte changed stops a byte before it.
+        fn edge_page(rng: &mut Rng) -> [u8; PAGE_SIZE] {
+            let mut page = [0u8; PAGE_SIZE];
+            let mut at = 0;
+            while at < PAGE_SIZE {
+                let n = (1 + rng.below(80)).min(PAGE_SIZE - at);
+                if rng.below(2) == 0 {
+                    page[at..at + n].fill([0, 0xAA, rng.next() as u8][rng.below(3)]);
+                } else {
+                    page[at..at + n].copy_from_slice(&rng.bytes(n));
+                }
+                at += n;
+            }
+            let b = [0, 0xAA][rng.below(2)];
+            let len = [7, 8, 9, 40, PAGE_SIZE][rng.below(5)];
+            match rng.below(4) {
+                0 => page[PAGE_SIZE - len..].fill(b),
+                1 => {
+                    page[PAGE_SIZE - len..].fill(b);
+                    page[PAGE_SIZE - 1] ^= 0x55;
+                }
+                2 => page[..len].fill(b),
+                _ => {}
+            }
+            page
+        }
+
+        fn random_image(rng: &mut Rng) -> CheckpointImage {
+            let processes = (0..1 + rng.below(3) as u64)
+                .map(|vpid| {
+                    let base = [0, 0x1000, 0x1_0000, 0x10_0000][rng.below(4)];
+                    let pages: Vec<(u64, Page)> = (0..rng.below(7) as u64)
+                        .map(|k| (base + k * PAGE_SIZE as u64, Page::from(edge_page(rng))))
+                        .collect();
+                    let fds = (0..rng.below(3) as u32)
+                        .map(|fd| match rng.below(2) {
+                            0 => FdRecord::Socket { fd, id: rng.next() },
+                            _ => FdRecord::File {
+                                fd,
+                                path: format!("/f{}", rng.below(1000)),
+                                offset: rng.next() % 10_000,
+                                unlinked: rng.below(2) == 0,
+                                relink: (rng.below(2) == 0).then(|| "/.dejaview/r".into()),
+                            },
+                        })
+                        .collect();
+                    ProcessRecord {
+                        vpid,
+                        parent: vpid.checked_sub(1),
+                        name: format!("p{vpid}"),
+                        regs: Registers {
+                            pc: rng.next(),
+                            sp: rng.next(),
+                            gpr: [rng.next(); 8],
+                        },
+                        fpu: FpuState {
+                            control: 0x37f,
+                            st: [0; 8],
+                        },
+                        sched: SchedParams {
+                            nice: 0,
+                            rt_priority: 0,
+                        },
+                        creds: Credentials { uid: 1, gid: 1 },
+                        blocked: 0,
+                        handled: rng.next(),
+                        pending: vec![rng.next() as u8; rng.below(3)],
+                        ptraced_by: None,
+                        cwd: "/".into(),
+                        net_allowed: true,
+                        regions: vec![MemRegion {
+                            start: base,
+                            len: (pages.len().max(1) * PAGE_SIZE) as u64,
+                            prot: Prot::ReadWrite,
+                        }],
+                        pages,
+                        fds,
+                    }
+                })
+                .collect();
+            let sockets = (0..rng.below(3) as u64)
+                .map(|id| SocketRecord {
+                    id,
+                    proto: 0,
+                    local_port: 80,
+                    remote: (rng.below(2) == 0).then(|| ("peer".into(), 443)),
+                    state: 1,
+                    tx_bytes: rng.next(),
+                    rx_bytes: 0,
+                })
+                .collect();
+            CheckpointImage {
+                counter: 2,
+                time: Timestamp::from_secs(1),
+                kind: ImageKind::Incremental { prev: 1 },
+                hostname: "host".into(),
+                network_enabled: true,
+                processes,
+                sockets,
+            }
+        }
+
+        /// The stored forms of `plain`: raw, the bare stream older
+        /// archives hold, and a container cut at random plaintext
+        /// offsets (the engine's cuts, at section edges, are another
+        /// form the caller adds).
+        fn forms(plain: &[u8], rng: &mut Rng) -> Vec<Vec<u8>> {
+            let mut cuts = vec![0, plain.len()];
+            cuts.extend((0..rng.below(6)).map(|_| rng.below(plain.len() + 1)));
+            cuts.sort_unstable();
+            let chunks: Vec<Vec<u8>> = cuts
+                .windows(2)
+                .map(|w| compress(&plain[w[0]..w[1]]))
+                .collect();
+            vec![plain.to_vec(), compress(plain), assemble_chunks(&chunks)]
+        }
+
+        /// One to three bytes changed, half the time near the start,
+        /// and half the time cut short.
+        fn damage(mut bytes: Vec<u8>, rng: &mut Rng) -> Vec<u8> {
+            for _ in 0..1 + rng.below(3) {
+                let at = if rng.below(2) == 0 {
+                    rng.below(64)
+                } else {
+                    rng.below(bytes.len())
+                };
+                if let Some(b) = bytes.get_mut(at) {
+                    *b = rng.next() as u8;
+                }
+            }
+            if rng.below(2) == 0 {
+                bytes.truncate(rng.below(bytes.len() + 1));
+            }
+            bytes
+        }
+
+        /// Both decoders give the same image, with the same kept pages
+        /// and regions, or refuse `blob` with the same error; a kept
+        /// page of a compressed image is a buffer of its own.
+        fn same_as_oracle(blob: Vec<u8>, keep: impl Fn(u64, u64) -> bool) -> Result<(), String> {
+            // A changed length byte can declare up to a GiB, which the
+            // oracle would build; the limit itself is tested in
+            // `compress`.
+            if RleCursor::new(&blob).is_some_and(|mut c| {
+                c.drain();
+                c.declared() > 1 << 20
+            }) {
+                return Ok(());
+            }
+            let data = Arc::new(blob);
+            let mut store = BlobStore::in_memory();
+            store.put("img-00000002", data.to_vec()).unwrap();
+            let got = load_image(&mut store, "img", 2, &keep);
+            let want = oracle_load(&data, 2, &keep);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(encode_image(&got), encode_image(&want));
+                    let compressed = !is_raw(&data);
+                    let pages = got.processes.iter().flat_map(|p| &p.pages);
+                    for (_, page) in pages {
+                        prop_assert_eq!(page.in_image_buffer(), !compressed);
+                    }
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The streaming `load_image` is the old one: over random
+            /// images and keep filters, raw, container and bare-stream
+            /// forms, tokens meeting page edges every way, and damaged
+            /// forms — compressed bytes changed or cut, or plaintext
+            /// changed or cut under a valid stream.
+            #[test]
+            fn streaming_load_matches_decompress_then_decode(seed in any::<u64>()) {
+                let mut rng = Rng(seed | 1);
+                let image = random_image(&mut rng);
+                let plain = encode_image(&image);
+                let engine_form =
+                    assemble_chunks(&encode_image_sections(&image).iter().map(|s| compress(s)).collect::<Vec<_>>());
+                let mut blobs = forms(&plain, &mut rng);
+                blobs.push(engine_form.clone());
+                for _ in 0..8 {
+                    blobs.push(damage(engine_form.clone(), &mut rng));
+                    let plain = damage(plain.clone(), &mut rng);
+                    blobs.extend(forms(&plain, &mut rng).into_iter().skip(1));
+                }
+                let blobs: Vec<Vec<u8>> = blobs.iter().flat_map(|b| [b.clone(), damage(b.clone(), &mut rng)]).collect();
+                for blob in blobs {
+                    let (mode, salt) = (rng.below(3), rng.next());
+                    same_as_oracle(blob, move |vpid, addr| match mode {
+                        0 => false,
+                        1 => true,
+                        _ => (vpid ^ addr >> 12 ^ salt).count_ones() % 2 == 0,
+                    })?;
+                }
+            }
+        }
     }
 }

@@ -94,6 +94,13 @@ impl From<PageBuf> for Page {
     }
 }
 
+/// A buffer already on the heap becomes a page without a copy.
+impl From<Arc<PageBuf>> for Page {
+    fn from(buf: Arc<PageBuf>) -> Self {
+        Page(Repr::Own(buf))
+    }
+}
+
 impl std::ops::Deref for Page {
     type Target = PageBuf;
 

@@ -27,6 +27,7 @@ use std::sync::{Arc, OnceLock};
 use dejaview::{Config, DejaView};
 use dv_cas::ChunkStore;
 use dv_checkpoint::compress::MAX_DECOMPRESSED;
+use dv_checkpoint::image::encode_image_sections;
 use dv_checkpoint::{
     assemble_chunks, compress, decode_image, decompress, encode_image, load_image, CheckpointImage,
     Checkpointer, EngineConfig, FdRecord, ImageKind, ProcessRecord, SocketRecord,
@@ -431,10 +432,13 @@ fn image(seed: u64) -> CheckpointImage {
             net_allowed: true,
             regions: vec![MemRegion {
                 start: 0x1000,
-                len: PAGE_SIZE as u64,
+                len: 2 * PAGE_SIZE as u64,
                 prot: Prot::ReadWrite,
             }],
-            pages: vec![(0x1000, page.into())],
+            pages: vec![
+                (0x1000, page.into()),
+                (0x2000, [seed as u8; PAGE_SIZE].into()),
+            ],
             fds: vec![
                 FdRecord::File {
                     fd: 3,
@@ -518,6 +522,14 @@ fn archive() -> &'static [u8] {
 /// into a fresh log's open buffer, then exported again.
 fn restore_and_export(log: &dyn Lifecycle, b: &[u8]) -> bool {
     log.restore_open(b).and_then(|()| log.export_open()).is_ok()
+}
+
+/// `load_image` of `b` stored as image 2, keeping the pages of even
+/// page numbers.
+fn load_kept(b: &[u8]) -> Result<CheckpointImage, dv_checkpoint::ReviveError> {
+    let mut store = BlobStore::in_memory();
+    store.put("img-00000002", b.to_vec()).unwrap();
+    load_image(&mut store, "img", 2, |_, addr| addr & 0x1000 == 0)
 }
 
 fn nothing(_: &[u8]) -> u64 {
@@ -1045,16 +1057,27 @@ table! {
     },
     stored_image => Row {
         name: "load_image",
-        // Raw: the compressed path is `decompress` then `decode_image`,
-        // both rows of their own. Every other page is stepped over, as
-        // revive steps over what a newer image already supplied.
+        // Raw, so kept pages are windows into the blob. Every other page
+        // is stepped over, as revive steps over what a newer image
+        // already supplied.
         valid: |seed| encode_image(&image(seed)),
         frame: None,
-        decode: |b| {
-            let mut store = BlobStore::in_memory();
-            store.put("img-00000002", b.to_vec()).unwrap();
-            load_image(&mut store, "img", 2, |_, addr| addr & 0x1000 == 0).is_ok()
+        decode: |b| load_kept(b).is_ok(),
+        expands: plaintext,
+        positions: 512,
+    },
+    stored_compressed_image => Row {
+        name: "load_image/compressed",
+        // The engine's form: each section compressed, framed in a
+        // container. Read as a stream, the kept page decoded into a
+        // buffer of its own and the other stepped over by its token
+        // headers; no plaintext is built.
+        valid: |seed| {
+            let sections = encode_image_sections(&image(seed));
+            assemble_chunks(&sections.iter().map(|s| compress(s)).collect::<Vec<_>>())
         },
+        frame: None,
+        decode: |b| load_kept(b).is_ok(),
         expands: plaintext,
         positions: 512,
     },
@@ -1149,7 +1172,7 @@ fn every_decoder_has_a_row() {
         .filter(|(_, name)| !named.contains(&name.as_str()))
         .collect();
     assert!(missing.is_empty(), "decoders without a row: {missing:?}");
-    assert!(ROWS.len() >= 22);
+    assert!(ROWS.len() >= 37);
 }
 
 /// The decoders a source file defines, `Type::fn` for a method.
