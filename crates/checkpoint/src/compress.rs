@@ -624,7 +624,7 @@ mod tests {
         }
         for bad in [
             &[0x00, 0, 0, 0, 0x40][..],
-            &[0x01, 0, 0, 0, 0x40, 1],
+            &[0x01, 0, 0, 0, 0x40],
             &[0x00, 0, 0, 0, 0],
             &[0x02, 0, 0, 0, 0, 0],
             &[0x02, 1, 0, 0, 0, 0, 0, 0, 0],

@@ -111,7 +111,7 @@ pub struct ReviveReport {
     pub files_reopened: usize,
 }
 
-/// The encoded image inside a stored blob, which describes itself: a
+/// Whether a stored blob holds a raw image. A blob describes itself: a
 /// raw image opens with its `DVCKPT01` magic, and anything else is
 /// compressed — a chunked container, or the bare stream older archives
 /// hold, neither of which can start with that magic's `D`.
