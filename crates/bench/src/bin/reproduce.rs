@@ -24,54 +24,16 @@
 //! ([`dv_bench::gates::SUITES`]) gives each metric. It exits 1 if a gate
 //! fails and 2 if a file it needs cannot be read or written; the
 //! baseline file is needed exactly when a rule takes its limit from it.
-//! What each suite measures is said where its metrics are computed, in
-//! `gates.rs`.
+//! What each metric measures is said where it is emitted, in the
+//! experiment that measures it (`experiments.rs`).
 //!
 //! `summary` runs no workload: it reads the `BENCH_<suite>.json` files
 //! in the current directory and prints one GitHub-flavored markdown
 //! table (metric, value, baseline, threshold) for `$GITHUB_STEP_SUMMARY`,
 //! the threshold column rendered from the same gate table.
 
+use dv_bench::experiments::{run, Experiment, PAPER, REPORTS};
 use dv_bench::gates::{failures, parse_flat_json, to_flat_json, Gate, Rule, Suite, SUITES};
-use dv_bench::{
-    ablation_checkpoint_optimizations, ablation_mirror_tree, crash_consistency,
-    deferred_experiment, faults_experiment, fig2_overhead, fig3_checkpoint_latency, fig4_storage,
-    fig5_browse_search, fig6_playback, fig7_revive, micro_experiment, policy_effectiveness,
-    print_ablation, print_crash, print_deferred, print_faults, print_fig2, print_fig3, print_fig4,
-    print_fig5, print_fig6, print_fig7, print_micro, print_mirror_ablation, print_policy,
-    print_quality, print_table1, quality_tradeoff, table1,
-};
-
-/// A paper experiment: its subcommand, and a function that runs it at a
-/// scale and prints its table.
-type Experiment = (&'static str, fn(f64));
-
-/// The paper experiments `all` runs, in the paper's order.
-const PAPER: &[Experiment] = &[
-    ("table1", |s| print_table1(&table1(s))),
-    ("fig2", |s| print_fig2(&fig2_overhead(s))),
-    ("fig3", |s| print_fig3(&fig3_checkpoint_latency(s))),
-    ("fig4", |s| print_fig4(&fig4_storage(s))),
-    ("fig5", |s| print_fig5(&fig5_browse_search(s))),
-    ("fig6", |s| print_fig6(&fig6_playback(s))),
-    ("fig7", |s| print_fig7(&fig7_revive(s))),
-    ("policy", |s| print_policy(&policy_effectiveness(s))),
-    ("quality", |s| print_quality(&quality_tradeoff(s))),
-    ("deferred", |s| print_deferred(&deferred_experiment(s))),
-    ("faults", |s| {
-        print_faults(&faults_experiment(s));
-        println!();
-        print_crash(&crash_consistency(s));
-    }),
-    ("ablation", |s| {
-        print_ablation(&ablation_checkpoint_optimizations(s));
-        println!();
-        print_mirror_ablation(&ablation_mirror_tree((400.0 * s) as usize));
-    }),
-];
-
-/// Report-only experiments outside `all`: absolute times, no gate.
-const REPORTS: &[Experiment] = &[("micro", |s| print_micro(&micro_experiment(s)))];
 
 fn die(message: String) -> ! {
     eprintln!("{message}");
@@ -92,7 +54,7 @@ fn run_suite(suite: &Suite, scale: f64, out: &str, baseline_path: &str) {
     if let Err(e) = std::fs::write(out, &json) {
         die(format!("failed to write {out}: {e}"));
     }
-    println!("\nwrote {out}:\n{json}");
+    println!("wrote {out}:\n{json}");
     let baseline = if gates.iter().any(|g| g.rule.reads_baseline()) {
         read_baseline(baseline_path)
     } else {
@@ -169,7 +131,9 @@ fn main() {
                     .unwrap_or_else(|| die("--baseline requires a path".to_string()));
             }
             "--help" | "-h" => {
-                let names = |list: &[Experiment]| list.iter().map(|p| p.0).collect::<Vec<_>>();
+                let names = |list: &[(&'static str, &[Experiment])]| {
+                    list.iter().map(|p| p.0).collect::<Vec<_>>()
+                };
                 let suites: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
                 eprintln!(
                     "usage: reproduce [{}|all|{}|{}|summary] [--scale S] [--out P] [--baseline P]",
@@ -209,15 +173,14 @@ fn main() {
         let out = out.unwrap_or_else(|| format!("BENCH_{}.json", suite.name));
         run_suite(suite, scale, &out, &baseline);
     }
-    for (name, run) in PAPER {
+    for (name, experiments) in PAPER {
         if all || experiment == *name {
-            run(scale);
-            println!();
+            run(experiments, scale);
         }
     }
-    for (name, run) in REPORTS {
+    for (name, experiments) in REPORTS {
         if experiment == *name {
-            run(scale);
+            run(experiments, scale);
         }
     }
     eprintln!("done in {:?}", started.elapsed());

@@ -1,9 +1,10 @@
-//! The experiments, one function per table/figure.
+//! The experiments, one function per table or figure. Each runs its
+//! workload and builds, in the same place, the table it prints and the
+//! gate metrics it emits.
 
 use std::time::Instant;
 
 use dejaview::{Config, DejaView};
-use dv_checkpoint::PolicyStats;
 use dv_index::{parse_query, RankOrder};
 use dv_lsfs::ReadLatency;
 use dv_obs::Obs;
@@ -11,11 +12,13 @@ use dv_record::PlaybackEngine;
 use dv_time::{Duration, SimClock, Timestamp};
 use dv_workloads::{run_scenario, scenario_by_name, CheckpointMode, RunOptions, RunSummary};
 
+use crate::report::{Report, Table};
+
 /// The Table 1 application scenario names, paper order.
-pub const APP_SCENARIOS: &[&str] = &["web", "video", "untar", "gzip", "make", "octave", "cat"];
+const APP_SCENARIOS: &[&str] = &["web", "video", "untar", "gzip", "make", "octave", "cat"];
 
 /// All scenario names including the real-usage trace.
-pub const ALL_SCENARIOS: &[&str] = &[
+const ALL_SCENARIOS: &[&str] = &[
     "web", "video", "untar", "gzip", "make", "octave", "cat", "desktop",
 ];
 
@@ -60,6 +63,31 @@ fn record_scenario(
 fn max_downtime(summary: &RunSummary) -> Duration {
     let longest = summary.downtimes.iter().copied().max();
     longest.unwrap_or(Duration::ZERO)
+}
+
+/// Wall milliseconds.
+fn ms(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Wall microseconds.
+fn us(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// Session-time milliseconds.
+fn vms(d: Duration) -> f64 {
+    d.as_nanos() as f64 / 1e6
+}
+
+/// `x` over `of`, or 0 when `of` is 0.
+fn frac(x: u64, of: u64) -> f64 {
+    x as f64 / of.max(1) as f64
+}
+
+/// A check's cell: `ok`, or `FAIL`.
+fn ok(holds: bool) -> String {
+    if holds { "ok" } else { "FAIL" }.to_string()
 }
 
 // ---------------------------------------------------------------------
@@ -173,516 +201,393 @@ fn interleaved_sweep<O>(
 }
 
 // ---------------------------------------------------------------------
-// Table 1
+// Table 1 and Figures 2-7
 // ---------------------------------------------------------------------
 
-/// One Table 1 row plus the load the scenario actually generated.
-pub struct Table1Row {
-    /// Scenario name.
-    pub name: &'static str,
-    /// The paper's description.
-    pub description: String,
-    /// Steps executed at this scale.
-    pub steps: u64,
-    /// Virtual duration.
-    pub duration: Duration,
-    /// Display commands generated.
-    pub commands: u64,
-    /// Text instances indexed.
-    pub text_instances: u64,
-}
-
-/// Regenerates Table 1 with per-scenario load statistics.
-pub fn table1(scale: f64) -> Vec<Table1Row> {
-    ALL_SCENARIOS
-        .iter()
-        .map(|name| {
-            let scenario = scenario_by_name(name, scale).expect("known scenario");
-            let description = scenario.description().to_string();
-            let (mut dv, summary) = record_scenario(name, scale, CheckpointMode::Disabled, |_| {});
-            let commands = dv.driver_mut().stats().commands;
-            let text_instances = dv.index().lock().stats().instances;
-            Table1Row {
-                name,
-                description,
-                steps: summary.steps,
-                duration: summary.virtual_elapsed,
-                commands,
-                text_instances,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 2: recording runtime overhead
-// ---------------------------------------------------------------------
-
-/// Normalized execution times for one scenario (baseline = 1.0).
-pub struct OverheadRow {
-    /// Scenario name.
-    pub name: &'static str,
-    /// Baseline wall time (no recording).
-    pub baseline: std::time::Duration,
-    /// Display recording only.
-    pub display: f64,
-    /// Checkpointing only (1/s).
-    pub process: f64,
-    /// Text capture + indexing only.
-    pub index: f64,
-    /// Everything on.
-    pub full: f64,
+/// Table 1, with the load each scenario generated at this scale.
+pub(crate) fn table1(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Table 1: Application scenarios",
+        &[
+            "scenario",
+            "steps",
+            "over",
+            "display commands",
+            "text instances",
+            "description",
+        ],
+    );
+    for name in ALL_SCENARIOS {
+        let scenario = scenario_by_name(name, scale).expect("known scenario");
+        let description = scenario.description().to_string();
+        let (mut dv, summary) = record_scenario(name, scale, CheckpointMode::Disabled, |_| {});
+        let commands = dv.driver_mut().stats().commands;
+        let text_instances = dv.index().lock().stats().instances;
+        table.row([
+            name.to_string(),
+            summary.steps.to_string(),
+            summary.virtual_elapsed.to_string(),
+            commands.to_string(),
+            text_instances.to_string(),
+            description,
+        ]);
+    }
+    table.into()
 }
 
 /// Figure 2: runs each scenario five times — baseline, display-only,
 /// checkpoint-only, index-only, full recording — and reports wall time
 /// normalized to the baseline.
-pub fn fig2_overhead(scale: f64) -> Vec<OverheadRow> {
-    APP_SCENARIOS
-        .iter()
-        .map(|name| {
-            let time_with = |display: bool, text: bool, ckpt: bool| -> std::time::Duration {
-                let mode = if ckpt {
-                    paper_mode(name)
-                } else {
-                    CheckpointMode::Disabled
-                };
-                let (_dv, summary) = record_scenario(name, scale, mode, |config| {
-                    config.enable_display_recording = display;
-                    config.enable_text_capture = text;
-                });
-                summary.wall
+pub(crate) fn fig2_overhead(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Figure 2: Recording runtime overhead (normalized execution time, baseline = 1.00)",
+        &[
+            "scenario", "base(ms)", "display", "process", "index", "full",
+        ],
+    );
+    for name in APP_SCENARIOS {
+        let time_with = |display: bool, text: bool, ckpt: bool| -> std::time::Duration {
+            let mode = if ckpt {
+                paper_mode(name)
+            } else {
+                CheckpointMode::Disabled
             };
-            let baseline = time_with(false, false, false);
-            let norm = |t: std::time::Duration| t.as_secs_f64() / baseline.as_secs_f64();
-            OverheadRow {
-                name,
-                baseline,
-                display: norm(time_with(true, false, false)),
-                process: norm(time_with(false, false, true)),
-                index: norm(time_with(false, true, false)),
-                full: norm(time_with(true, true, true)),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 3: checkpoint latency breakdown
-// ---------------------------------------------------------------------
-
-/// Mean per-phase checkpoint latency for one scenario.
-pub struct CheckpointRow {
-    /// Scenario name.
-    pub name: &'static str,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Mean pre-checkpoint (pre-snapshot + pre-quiesce) time.
-    pub pre_checkpoint: Duration,
-    /// Mean quiesce time.
-    pub quiesce: Duration,
-    /// Mean capture time.
-    pub capture: Duration,
-    /// Mean file system snapshot time.
-    pub fs_snapshot: Duration,
-    /// Mean writeback time.
-    pub writeback: Duration,
-    /// Mean downtime (quiesce + capture + fs snapshot).
-    pub downtime: Duration,
-    /// Largest single downtime observed.
-    pub max_downtime: Duration,
+            let (_dv, summary) = record_scenario(name, scale, mode, |config| {
+                config.enable_display_recording = display;
+                config.enable_text_capture = text;
+            });
+            summary.wall
+        };
+        let baseline = time_with(false, false, false);
+        let norm =
+            |t: std::time::Duration| format!("{:.2}", t.as_secs_f64() / baseline.as_secs_f64());
+        table.row([
+            name.to_string(),
+            format!("{:.1}", ms(baseline)),
+            norm(time_with(true, false, false)),
+            norm(time_with(false, false, true)),
+            norm(time_with(false, true, false)),
+            norm(time_with(true, true, true)),
+        ]);
+    }
+    table.into()
 }
 
 /// Figure 3: average checkpoint time decomposed into the five phases.
-pub fn fig3_checkpoint_latency(scale: f64) -> Vec<CheckpointRow> {
-    ALL_SCENARIOS
-        .iter()
-        .map(|name| {
-            let (_dv, summary) = record_scenario(name, scale, paper_mode(name), |_| {});
-            let phases = summary.mean_phases();
-            CheckpointRow {
-                name,
-                checkpoints: summary.checkpoints,
-                pre_checkpoint: phases.get("pre-checkpoint"),
-                quiesce: phases.get("quiesce"),
-                capture: phases.get("capture"),
-                fs_snapshot: phases.get("fs-snapshot"),
-                writeback: phases.get("writeback"),
-                downtime: summary.mean_downtime(),
-                max_downtime: max_downtime(&summary),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 4: storage growth rates
-// ---------------------------------------------------------------------
-
-/// Storage growth rates (MB/s of virtual time) for one scenario.
-pub struct StorageRow {
-    /// Scenario name.
-    pub name: &'static str,
-    /// Display stream.
-    pub display_mbps: f64,
-    /// Index stream.
-    pub index_mbps: f64,
-    /// File system log.
-    pub fs_mbps: f64,
-    /// Uncompressed checkpoint images.
-    pub process_mbps: f64,
-    /// Compressed checkpoint images.
-    pub process_compressed_mbps: f64,
-}
-
-impl StorageRow {
-    /// Total with uncompressed checkpoints.
-    pub fn total_mbps(&self) -> f64 {
-        self.display_mbps + self.index_mbps + self.fs_mbps + self.process_mbps
+pub(crate) fn fig3_checkpoint_latency(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Figure 3: Total checkpoint latency (mean per checkpoint, ms)",
+        &[
+            "scenario",
+            "ckpts",
+            "pre-ckpt",
+            "quiesce",
+            "capture",
+            "fs-snap",
+            "writeback",
+            "downtime",
+            "max-down",
+        ],
+    );
+    for name in ALL_SCENARIOS {
+        let (_dv, summary) = record_scenario(name, scale, paper_mode(name), |_| {});
+        let phases = summary.mean_phases();
+        let mut cells = vec![name.to_string(), summary.checkpoints.to_string()];
+        let phase = |p| phases.get(p);
+        let times = [
+            "pre-checkpoint",
+            "quiesce",
+            "capture",
+            "fs-snapshot",
+            "writeback",
+        ]
+        .map(phase);
+        let downtimes = [summary.mean_downtime(), max_downtime(&summary)];
+        cells.extend(
+            times
+                .iter()
+                .chain(&downtimes)
+                .map(|&d| format!("{:.3}", vms(d))),
+        );
+        table.row(cells);
     }
-
-    /// Total with compressed checkpoints.
-    pub fn total_compressed_mbps(&self) -> f64 {
-        self.display_mbps + self.index_mbps + self.fs_mbps + self.process_compressed_mbps
-    }
+    table.into()
 }
 
 /// Figure 4: per-stream storage growth per scenario, compressed
 /// checkpoints overlaid on raw.
-pub fn fig4_storage(scale: f64) -> Vec<StorageRow> {
-    ALL_SCENARIOS
-        .iter()
-        .map(|name| {
-            let (mut dv, summary) =
-                record_scenario(name, scale, paper_mode(name), |c| c.engine.compress = true);
-            dv.vee_mut().fs.sync().expect("sync");
-            // Growth during the measured window only: setup-time input
-            // seeding (gzip's access log, cat's syslog) is excluded.
-            let storage = dv.storage().delta_since(&summary.storage_at_setup);
-            let rates = storage.rates(summary.virtual_elapsed);
-            StorageRow {
-                name,
-                display_mbps: rates.display_mbps,
-                index_mbps: rates.index_mbps,
-                fs_mbps: rates.fs_mbps,
-                process_mbps: rates.checkpoint_raw_mbps,
-                process_compressed_mbps: rates.checkpoint_stored_mbps,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 5: browse and search latency
-// ---------------------------------------------------------------------
-
-/// Browse and search latency for one scenario.
-pub struct BrowseSearchRow {
-    /// Scenario name.
-    pub name: &'static str,
-    /// Mean query latency.
-    pub search: std::time::Duration,
-    /// Mean browse (seek + reconstruct) latency.
-    pub browse: std::time::Duration,
-    /// Queries issued.
-    pub queries: usize,
-    /// Browse points probed.
-    pub browse_points: usize,
+pub(crate) fn fig4_storage(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Figure 4: Recording storage growth (MB/s of session time)",
+        &[
+            "scenario",
+            "display",
+            "index",
+            "fs",
+            "process",
+            "proc(gz)",
+            "total",
+            "total(gz)",
+        ],
+    );
+    for name in ALL_SCENARIOS {
+        let (mut dv, summary) =
+            record_scenario(name, scale, paper_mode(name), |c| c.engine.compress = true);
+        dv.vee_mut().fs.sync().expect("sync");
+        // Growth during the measured window only: setup-time input
+        // seeding (gzip's access log, cat's syslog) is excluded.
+        let storage = dv.storage().delta_since(&summary.storage_at_setup);
+        let r = storage.rates(summary.virtual_elapsed);
+        let streams = r.display_mbps + r.index_mbps + r.fs_mbps;
+        let rates = [
+            r.display_mbps,
+            r.index_mbps,
+            r.fs_mbps,
+            r.checkpoint_raw_mbps,
+            r.checkpoint_stored_mbps,
+            streams + r.checkpoint_raw_mbps,
+            streams + r.checkpoint_stored_mbps,
+        ];
+        let cells = rates.iter().map(|mbps| format!("{mbps:.3}"));
+        table.row([name.to_string()].into_iter().chain(cells));
+    }
+    table.into()
 }
 
 /// Figure 5: indexes each scenario, then measures single-word query
 /// latency (multi-word contextual for `desktop`, per §6) and browse
 /// latency at regular points with at least 100 commands in between.
-pub fn fig5_browse_search(scale: f64) -> Vec<BrowseSearchRow> {
-    ALL_SCENARIOS
-        .iter()
-        .map(|name| {
-            let (dv, _) = record_scenario(name, scale, paper_mode(name), |_| {});
+pub(crate) fn fig5_browse_search(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Figure 5: Browse and search latency (mean, ms)",
+        &["scenario", "search", "browse", "queries", "browse-points"],
+    );
+    for name in ALL_SCENARIOS {
+        let (dv, _) = record_scenario(name, scale, paper_mode(name), |_| {});
 
-            // --- Search: pick words actually present in the record. ----
-            let index = dv.index();
-            let queries: Vec<String> = {
-                let mut guard = index.lock();
-                guard.advance_horizon(dv.now());
-                let present: Vec<String> = dv_workloads::common::WORDS
-                    .iter()
-                    .filter(|w| !guard.term_instances(w).is_empty())
-                    .take(10)
-                    .map(|w| w.to_string())
-                    .collect();
-                if *name == "desktop" {
-                    // Ten multi-word contextual queries, as in §6.
-                    present
-                        .chunks(2)
-                        .take(5)
-                        .flat_map(|pair| {
-                            let joined = pair.join(" ");
-                            [
-                                format!("app:firefox {joined}"),
-                                format!("from:10 to:200 {joined}"),
-                            ]
-                        })
-                        .collect()
-                } else {
-                    present.into_iter().take(5).collect()
-                }
-            };
-            let search = if queries.is_empty() {
-                std::time::Duration::ZERO
+        // --- Search: pick words actually present in the record. ----
+        let index = dv.index();
+        let queries: Vec<String> = {
+            let mut guard = index.lock();
+            guard.advance_horizon(dv.now());
+            let present: Vec<String> = dv_workloads::common::WORDS
+                .iter()
+                .filter(|w| !guard.term_instances(w).is_empty())
+                .take(10)
+                .map(|w| w.to_string())
+                .collect();
+            if *name == "desktop" {
+                // Ten multi-word contextual queries, as in §6.
+                present
+                    .chunks(2)
+                    .take(5)
+                    .flat_map(|pair| {
+                        let joined = pair.join(" ");
+                        [
+                            format!("app:firefox {joined}"),
+                            format!("from:10 to:200 {joined}"),
+                        ]
+                    })
+                    .collect()
             } else {
-                let guard = index.lock();
-                let started = Instant::now();
-                for q in &queries {
-                    let query = parse_query(q).expect("valid query");
-                    let _ = dv_index::search(&[&guard], &query, RankOrder::Chronological);
-                }
-                started.elapsed() / queries.len() as u32
-            };
-
-            // --- Browse: points with >= 100 commands in between. -------
-            let record = dv.record();
-            let probes: Vec<Timestamp> = {
-                let store = record.read();
-                let mut probes = Vec::new();
-                let mut offset = 0u64;
-                let mut since_last = 0u64;
-                while let Ok(Some((time, _cmd, next))) = store.log.read_at(offset) {
-                    since_last += 1;
-                    if since_last >= 100 {
-                        probes.push(time);
-                        since_last = 0;
-                    }
-                    offset = next;
-                }
-                probes
-            };
-            let browse = if probes.is_empty() {
-                std::time::Duration::ZERO
-            } else {
-                let mut engine = PlaybackEngine::new(record);
-                let started = Instant::now();
-                for t in &probes {
-                    engine.seek(*t).expect("seek");
-                }
-                started.elapsed() / probes.len() as u32
-            };
-            BrowseSearchRow {
-                name,
-                search,
-                browse,
-                queries: queries.len(),
-                browse_points: probes.len(),
+                present.into_iter().take(5).collect()
             }
-        })
-        .collect()
-}
+        };
+        let search = if queries.is_empty() {
+            std::time::Duration::ZERO
+        } else {
+            let guard = index.lock();
+            let started = Instant::now();
+            for q in &queries {
+                let query = parse_query(q).expect("valid query");
+                let _ = dv_index::search(&[&guard], &query, RankOrder::Chronological);
+            }
+            started.elapsed() / queries.len() as u32
+        };
 
-// ---------------------------------------------------------------------
-// Figure 6: playback speedup
-// ---------------------------------------------------------------------
-
-/// Playback speedup for one scenario.
-pub struct PlaybackRow {
-    /// Scenario name.
-    pub name: &'static str,
-    /// Recorded virtual span.
-    pub recorded: Duration,
-    /// Wall time to replay the entire record at the fastest rate.
-    pub wall: std::time::Duration,
-    /// `recorded / wall`.
-    pub speedup: f64,
+        // --- Browse: points with >= 100 commands in between. -------
+        let record = dv.record();
+        let probes: Vec<Timestamp> = {
+            let store = record.read();
+            let mut probes = Vec::new();
+            let mut offset = 0u64;
+            let mut since_last = 0u64;
+            while let Ok(Some((time, _cmd, next))) = store.log.read_at(offset) {
+                since_last += 1;
+                if since_last >= 100 {
+                    probes.push(time);
+                    since_last = 0;
+                }
+                offset = next;
+            }
+            probes
+        };
+        let browse = if probes.is_empty() {
+            std::time::Duration::ZERO
+        } else {
+            let mut engine = PlaybackEngine::new(record);
+            let started = Instant::now();
+            for t in &probes {
+                engine.seek(*t).expect("seek");
+            }
+            started.elapsed() / probes.len() as u32
+        };
+        table.row([
+            name.to_string(),
+            format!("{:.3}", ms(search)),
+            format!("{:.3}", ms(browse)),
+            queries.len().to_string(),
+            probes.len().to_string(),
+        ]);
+    }
+    table.into()
 }
 
 /// Figure 6: replays each scenario's entire record as fast as possible.
-pub fn fig6_playback(scale: f64) -> Vec<PlaybackRow> {
-    ALL_SCENARIOS
-        .iter()
-        .map(|name| {
-            let (dv, _) = record_scenario(name, scale, paper_mode(name), |_| {});
-            let record = dv.record();
-            let recorded = record.read().duration();
-            let end = Timestamp::ZERO + recorded + Duration::from_secs(1);
-            let mut engine = PlaybackEngine::new(record);
-            let started = Instant::now();
-            engine.seek(Timestamp::ZERO).expect("seek");
-            engine.play_until(end, None).expect("play");
-            let wall = started.elapsed();
-            PlaybackRow {
-                name,
-                recorded,
-                wall,
-                speedup: recorded.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 7: revive latency
-// ---------------------------------------------------------------------
-
-/// Revive latency at one point in a scenario's history.
-pub struct RevivePoint {
-    /// Checkpoint counter revived from.
-    pub counter: u64,
-    /// Wall time with cold checkpoint-store caches (disk-latency model).
-    pub uncached: std::time::Duration,
-    /// Wall time with warm caches.
-    pub cached: std::time::Duration,
-    /// Pages installed.
-    pub pages: usize,
-}
-
-/// Revive latencies for one scenario.
-pub struct ReviveRow {
-    /// Scenario name.
-    pub name: &'static str,
-    /// Up to five evenly spaced points, chronological.
-    pub points: Vec<RevivePoint>,
+pub(crate) fn fig6_playback(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Figure 6: Playback speedup (entire record, fastest rate)",
+        &["scenario", "recorded(s)", "wall(ms)", "speedup"],
+    );
+    for name in ALL_SCENARIOS {
+        let (dv, _) = record_scenario(name, scale, paper_mode(name), |_| {});
+        let record = dv.record();
+        let recorded = record.read().duration();
+        let end = Timestamp::ZERO + recorded + Duration::from_secs(1);
+        let mut engine = PlaybackEngine::new(record);
+        let started = Instant::now();
+        engine.seek(Timestamp::ZERO).expect("seek");
+        engine.play_until(end, None).expect("play");
+        let wall = started.elapsed();
+        table.row([
+            name.to_string(),
+            format!("{:.2}", recorded.as_secs_f64()),
+            format!("{:.1}", ms(wall)),
+            format!(
+                "{:.0}x",
+                recorded.as_secs_f64() / wall.as_secs_f64().max(1e-9)
+            ),
+        ]);
+    }
+    table.into()
 }
 
 /// Figure 7: revives each scenario at five evenly spaced checkpoints,
 /// cold (checkpoint files uncached, disk-latency model) and warm.
-pub fn fig7_revive(scale: f64) -> Vec<ReviveRow> {
-    ALL_SCENARIOS
-        .iter()
-        .map(|name| {
-            let (mut dv, _) = record_scenario(name, scale, paper_mode(name), |config| {
-                config.store_latency = Some(ReadLatency::desktop_disk_2007());
-            });
-            let counters: Vec<u64> = dv.engine().images().map(|m| m.counter).collect();
-            let picks: Vec<u64> = if counters.len() <= 5 {
-                counters.clone()
-            } else {
-                (0..5)
-                    .map(|i| counters[i * (counters.len() - 1) / 4])
-                    .collect()
-            };
-            let points = picks
-                .iter()
-                .map(|&counter| {
-                    // Cold: drop the store cache first.
-                    dv.store_mut().drop_caches();
-                    let started = Instant::now();
-                    let sid = dv.revive_counter(counter).expect("revive");
-                    let uncached = started.elapsed();
-                    let pages = dv.session(sid).expect("session").report.pages_installed;
-                    dv.close_session(sid).expect("close");
-                    // Warm: the images were just read.
-                    let started = Instant::now();
-                    let sid = dv.revive_counter(counter).expect("revive");
-                    let cached = started.elapsed();
-                    dv.close_session(sid).expect("close");
-                    RevivePoint {
-                        counter,
-                        uncached,
-                        cached,
-                        pages,
-                    }
-                })
-                .collect();
-            ReviveRow { name, points }
-        })
-        .collect()
+pub(crate) fn fig7_revive(scale: f64) -> Report {
+    let mut table = Table::new(
+        "Figure 7: Revive latency (ms) at five points, uncached / cached",
+        &["scenario", "[#checkpoint uncached/cached]"],
+    );
+    for name in ALL_SCENARIOS {
+        let (mut dv, _) = record_scenario(name, scale, paper_mode(name), |config| {
+            config.store_latency = Some(ReadLatency::desktop_disk_2007());
+        });
+        let counters: Vec<u64> = dv.engine().images().map(|m| m.counter).collect();
+        let picks: Vec<u64> = if counters.len() <= 5 {
+            counters.clone()
+        } else {
+            (0..5)
+                .map(|i| counters[i * (counters.len() - 1) / 4])
+                .collect()
+        };
+        let points: Vec<String> = picks
+            .iter()
+            .map(|&counter| {
+                // Cold: drop the store cache first.
+                dv.store_mut().drop_caches();
+                let started = Instant::now();
+                let sid = dv.revive_counter(counter).expect("revive");
+                let uncached = started.elapsed();
+                dv.close_session(sid).expect("close");
+                // Warm: the images were just read.
+                let started = Instant::now();
+                let sid = dv.revive_counter(counter).expect("revive");
+                let cached = started.elapsed();
+                dv.close_session(sid).expect("close");
+                format!("[#{counter} {:.0}/{:.1}]", ms(uncached), ms(cached))
+            })
+            .collect();
+        table.row([name.to_string(), points.join("  ")]);
+    }
+    table.note("(uncached = checkpoint-store cache dropped, 2007-disk latency model)");
+    table.into()
 }
 
 // ---------------------------------------------------------------------
-// Ablation: the §5.1.2 downtime optimizations
+// Ablations, the quality trade-off and the policy analysis
 // ---------------------------------------------------------------------
-
-/// Downtime with one optimization disabled.
-pub struct AblationRow {
-    /// Configuration label.
-    pub config: &'static str,
-    /// Mean downtime per checkpoint.
-    pub mean_downtime: Duration,
-    /// Worst downtime.
-    pub max_downtime: Duration,
-    /// Mean total checkpoint time.
-    pub mean_total: Duration,
-}
 
 /// The "without these optimizations" comparison of §6: runs the
 /// memory-heavy `octave` scenario with each §5.1.2 optimization
 /// disabled in turn, and everything disabled at once.
-pub fn ablation_checkpoint_optimizations(scale: f64) -> Vec<AblationRow> {
-    let configs: Vec<(&'static str, dv_checkpoint::EngineConfig)> = vec![
-        ("all optimizations", dv_checkpoint::EngineConfig::default()),
+pub(crate) fn ablation_checkpoint_optimizations(scale: f64) -> Report {
+    use dv_checkpoint::EngineConfig;
+    let configs: Vec<(&'static str, EngineConfig)> = vec![
+        ("all optimizations", EngineConfig::default()),
         (
             "no incremental (full every ckpt)",
-            dv_checkpoint::EngineConfig {
+            EngineConfig {
                 full_every: 1,
-                ..dv_checkpoint::EngineConfig::default()
+                ..EngineConfig::default()
             },
         ),
         (
             "no COW capture (eager copy)",
-            dv_checkpoint::EngineConfig {
+            EngineConfig {
                 disable_cow: true,
-                ..dv_checkpoint::EngineConfig::default()
+                ..EngineConfig::default()
             },
         ),
         (
             "no deferred writeback",
-            dv_checkpoint::EngineConfig {
+            EngineConfig {
                 disable_deferred_writeback: true,
-                ..dv_checkpoint::EngineConfig::default()
+                ..EngineConfig::default()
             },
         ),
         (
             "no pre-snapshot sync",
-            dv_checkpoint::EngineConfig {
+            EngineConfig {
                 disable_pre_snapshot: true,
-                ..dv_checkpoint::EngineConfig::default()
+                ..EngineConfig::default()
             },
         ),
         (
             "none (unoptimized)",
-            dv_checkpoint::EngineConfig {
+            EngineConfig {
                 full_every: 1,
                 disable_cow: true,
                 disable_deferred_writeback: true,
                 disable_pre_snapshot: true,
-                ..dv_checkpoint::EngineConfig::default()
+                ..EngineConfig::default()
             },
         ),
     ];
-    configs
-        .into_iter()
-        .map(|(label, engine)| {
-            let (_dv, summary) =
-                record_scenario("octave", scale, CheckpointMode::EverySecond, |c| {
-                    c.engine = engine;
-                });
-            let total = summary.mean_phases().total();
-            AblationRow {
-                config: label,
-                mean_downtime: summary.mean_downtime(),
-                max_downtime: max_downtime(&summary),
-                mean_total: total,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Recording-quality trade-off (§2/§4.1)
-// ---------------------------------------------------------------------
-
-/// Display storage under one quality setting.
-pub struct QualityRow {
-    /// Setting label.
-    pub setting: &'static str,
-    /// Display stream bytes.
-    pub display_bytes: u64,
-    /// Commands logged.
-    pub commands: u64,
+    let mut table = Table::new(
+        "Ablation: checkpoint downtime with §5.1.2 optimizations disabled (octave, ms)",
+        &["configuration", "mean-down", "max-down", "mean-total"],
+    );
+    for (label, engine) in configs {
+        let (_dv, summary) = record_scenario("octave", scale, CheckpointMode::EverySecond, |c| {
+            c.engine = engine;
+        });
+        let times = [
+            summary.mean_downtime(),
+            max_downtime(&summary),
+            summary.mean_phases().total(),
+        ];
+        let cells = times.map(|d| format!("{:.3}", vms(d)));
+        table.row([label.to_string()].into_iter().chain(cells));
+    }
+    table.note("(the paper reports the unoptimized mechanism could not sustain 1 checkpoint/s)");
+    table.into()
 }
 
 /// The §2 quality/storage trade-off: the web workload recorded at full
 /// fidelity, at half and quarter resolution, and with update-frequency
 /// limiting.
-pub fn quality_tradeoff(scale: f64) -> Vec<QualityRow> {
+pub(crate) fn quality_tradeoff(scale: f64) -> Report {
     use dv_display::ScaleFactor;
     use dv_record::RecorderConfig;
     let settings: Vec<(&'static str, RecorderConfig)> = vec![
@@ -717,47 +622,32 @@ pub fn quality_tradeoff(scale: f64) -> Vec<QualityRow> {
             },
         ),
     ];
-    settings
-        .into_iter()
-        .map(|(setting, recorder)| {
-            let (dv, _) = record_scenario("web", scale, CheckpointMode::Disabled, |c| {
-                c.recorder = recorder;
-            });
-            let storage = dv.storage();
-            let record = dv.record();
-            let store = record.read();
-            QualityRow {
-                setting,
-                display_bytes: storage.display_bytes,
-                commands: store.log.len(),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Ablation: the mirror tree (§4.2)
-// ---------------------------------------------------------------------
-
-/// Event-processing cost with and without the mirror tree.
-pub struct MirrorAblationRow {
-    /// Daemon variant.
-    pub daemon: &'static str,
-    /// Events delivered.
-    pub events: u64,
-    /// Total synchronous delivery time charged to the application.
-    pub total_delivery: Duration,
-    /// Mean per-event cost.
-    pub per_event: Duration,
-    /// Charged accesses against the real tree.
-    pub tree_accesses: u64,
+    let mut table = Table::new(
+        "Recording quality vs storage (§2 trade-off, web workload)",
+        &["setting", "display(KB)", "commands", "rel-size"],
+    );
+    let mut full = None;
+    for (setting, recorder) in settings {
+        let (dv, _) = record_scenario("web", scale, CheckpointMode::Disabled, |c| {
+            c.recorder = recorder;
+        });
+        let bytes = dv.storage().display_bytes;
+        let full = *full.get_or_insert(bytes.max(1));
+        table.row([
+            setting.to_string(),
+            format!("{:.1}", bytes as f64 / 1e3),
+            dv.record().read().log.len().to_string(),
+            format!("{:.2}x", bytes as f64 / full as f64),
+        ]);
+    }
+    table.into()
 }
 
 /// The §4.2 ablation: a text-heavy application (a tree growing to
-/// `nodes` components) updates text while the capture daemon listens —
-/// once with the mirror, once re-traversing the real tree per event.
-/// The per-access IPC delay makes the traversal cost real.
-pub fn ablation_mirror_tree(nodes: usize) -> Vec<MirrorAblationRow> {
+/// `400 * scale` components) updates text while the capture daemon
+/// listens — once with the mirror, once re-traversing the real tree per
+/// event. The per-access IPC delay makes the traversal cost real.
+pub(crate) fn ablation_mirror_tree(scale: f64) -> Report {
     use dv_access::{CaptureDaemon, Desktop, NaiveCaptureDaemon, Role, TextInstance, TextSink};
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -769,7 +659,18 @@ pub fn ablation_mirror_tree(nodes: usize) -> Vec<MirrorAblationRow> {
         fn focus_changed(&mut self, _app: dv_access::AppId, _time: Timestamp) {}
     }
 
-    let run = |naive: bool| -> MirrorAblationRow {
+    let nodes = (400.0 * scale) as usize;
+    let mut table = Table::new(
+        "Ablation: capture daemon with vs without the mirror tree (§4.2)",
+        &[
+            "daemon",
+            "events",
+            "delivery(ms)",
+            "per-evt(us)",
+            "tree-accesses",
+        ],
+    );
+    for naive in [false, true] {
         let clock = SimClock::new();
         let mut desktop = Desktop::new();
         if naive {
@@ -796,32 +697,56 @@ pub fn ablation_mirror_tree(nodes: usize) -> Vec<MirrorAblationRow> {
         for (i, id) in ids.iter().enumerate() {
             desktop.set_text(app, *id, &format!("update {i}"));
         }
-        let (events, total_delivery) = desktop.delivery_stats();
-        let tree_accesses = desktop.tree(app).expect("registered").accesses();
-        MirrorAblationRow {
-            daemon: if naive {
+        let (events, delivery) = desktop.delivery_stats();
+        let per_event = Duration::from_nanos(delivery.as_nanos() / events.max(1));
+        table.row([
+            if naive {
                 "naive (re-traverse per event)"
             } else {
                 "mirror tree"
-            },
-            events,
-            total_delivery,
-            per_event: Duration::from_nanos(total_delivery.as_nanos() / events.max(1)),
-            tree_accesses,
-        }
-    };
-    vec![run(false), run(true)]
+            }
+            .to_string(),
+            events.to_string(),
+            format!("{:.3}", vms(delivery)),
+            format!("{:.1}", per_event.as_nanos() as f64 / 1e3),
+            desktop
+                .tree(app)
+                .expect("registered")
+                .accesses()
+                .to_string(),
+        ]);
+    }
+    table.note("(events are delivered synchronously: delivery time blocks the application)");
+    table.into()
 }
 
-// ---------------------------------------------------------------------
-// Policy effectiveness (the §6 analysis)
-// ---------------------------------------------------------------------
-
 /// §6's checkpoint-policy analysis: runs the desktop trace under the
-/// policy and returns its decision statistics.
-pub fn policy_effectiveness(scale: f64) -> PolicyStats {
+/// policy and reports its decisions. Emits the fraction of evaluations
+/// that checkpointed as `policy_checkpoint_fraction`.
+pub(crate) fn policy_effectiveness(scale: f64) -> Report {
     let (dv, _) = record_scenario("desktop", scale, CheckpointMode::Policy, |_| {});
-    dv.policy_stats()
+    let stats = dv.policy_stats();
+    let skips = (stats.total() - stats.checkpoints) as f64;
+    let mut table = Table::new("Checkpoint policy effectiveness (desktop trace, §6)", &[]);
+    table.note(format!(
+        "evaluations: {}   checkpoints taken: {} ({:.0}% of the time; paper: ~20%)",
+        stats.total(),
+        stats.checkpoints,
+        100.0 * stats.checkpoint_fraction()
+    ));
+    if skips > 0.0 {
+        let pct = |n: u64| 100.0 * n as f64 / skips;
+        table.note(format!(
+            "skips: {:.0}% no display activity (paper 13%), {:.0}% low display activity (paper 69%), {:.0}% text-edit rate (paper 18%), {:.0}% fullscreen/rate/other",
+            pct(stats.no_display),
+            pct(stats.low_display),
+            pct(stats.text_edit),
+            pct(stats.fullscreen + stats.rate_limited + stats.custom_rule),
+        ));
+    }
+    let mut report = Report::from(table);
+    report.metric("policy_checkpoint_fraction", stats.checkpoint_fraction());
+    report
 }
 
 // ---------------------------------------------------------------------
@@ -829,49 +754,34 @@ pub fn policy_effectiveness(scale: f64) -> PolicyStats {
 // the session thread entirely)
 // ---------------------------------------------------------------------
 
-/// One deferred-pipeline configuration's measurements.
-pub struct DeferredRow {
+/// One deferred-pipeline configuration's run.
+pub(crate) struct DeferredRun {
     /// Configuration label.
-    pub config: String,
-    /// Commit workers (0 = inline commit on the session thread).
-    pub workers: usize,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Mean session-thread stall per checkpoint call (wall time the
-    /// session is held off the CPU by `checkpoint()` itself).
-    pub mean_stall: std::time::Duration,
-    /// Worst single stall.
-    pub max_stall: std::time::Duration,
+    config: String,
+    checkpoints: u64,
+    /// Session-thread stall of every `checkpoint()` call.
+    stalls: Vec<std::time::Duration>,
     /// Wall time from the first capture until the pipeline flushed.
-    pub total_wall: std::time::Duration,
-    /// Raw image bytes committed per wall second.
-    pub throughput_mbps: f64,
-    /// Captures committed inline because the queue was full.
-    pub inline_fallbacks: u64,
+    total_wall: std::time::Duration,
+    raw_bytes: u64,
+    inline_fallbacks: u64,
     /// [`dv_checkpoint::restore_fingerprint`] of the committed history
     /// and the revived final state — identical across configurations if
     /// and only if deferral changes nothing but timing.
-    pub fingerprint: u64,
-    /// Pages installed reviving the final checkpoint.
-    pub pages_restored: usize,
+    fingerprint: u64,
+    /// Pages installed reviving the final checkpoint; the tests hold
+    /// it equal across configurations.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pages_restored: usize,
     /// The revive of the longest chain in the history — a full image
     /// and the half-dirty incrementals after it — where a page read
     /// from more than one image would show.
-    pub longest_chain: dv_checkpoint::ReviveReport,
+    longest_chain: dv_checkpoint::ReviveReport,
 }
 
-impl DeferredRow {
-    /// Pages decoded per page installed reviving the longest chain.
-    pub fn pages_decoded_ratio(&self) -> f64 {
-        let r = &self.longest_chain;
-        r.pages_decoded as f64 / r.pages_installed.max(1) as f64
-    }
-
-    /// Pages copied into a buffer of their own per page installed
-    /// reviving the longest chain.
-    pub fn pages_copied_frac(&self) -> f64 {
-        let r = &self.longest_chain;
-        r.pages_copied as f64 / r.pages_installed.max(1) as f64
+impl DeferredRun {
+    fn mean_stall(&self) -> std::time::Duration {
+        self.stalls.iter().sum::<std::time::Duration>() / self.stalls.len().max(1) as u32
     }
 }
 
@@ -908,7 +818,7 @@ fn pipeline_session(
 /// Runs one memory-heavy session under a pipeline configuration: every
 /// configuration dirties byte-identical pages, so the committed blobs
 /// must decompress to identical plaintexts and revive identically.
-fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRow {
+fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRun {
     const PAGE: usize = 4096;
     let procs = 4usize;
     let pages_per_proc = ((192.0 * scale) as usize).max(24);
@@ -986,19 +896,16 @@ fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRow {
         &dv_checkpoint::NetworkPolicy::default(),
     )
     .expect("revive the longest chain");
-    let sum: std::time::Duration = stalls.iter().sum();
-    DeferredRow {
+    DeferredRun {
         config: match (workers, compress) {
             (0, true) => "inline".to_string(),
             (0, false) => "inline, raw".to_string(),
             _ => format!("deferred x{workers}"),
         },
-        workers,
         checkpoints: stats.checkpoints,
-        mean_stall: sum / stalls.len().max(1) as u32,
-        max_stall: stalls.iter().copied().max().unwrap_or_default(),
+        stalls,
         total_wall,
-        throughput_mbps: stats.raw_bytes as f64 / 1e6 / total_wall.as_secs_f64().max(1e-9),
+        raw_bytes: stats.raw_bytes,
         inline_fallbacks: stats.inline_fallbacks,
         fingerprint,
         pages_restored: revived.pages_installed,
@@ -1006,50 +913,94 @@ fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRow {
     }
 }
 
+/// Commit-worker counts of the deferred comparison; 0 is inline.
+const DEFERRED_WORKERS: [usize; 4] = [0, 1, 2, 4];
+
 /// The deferred write-back comparison: the commit pipeline with no
 /// workers (the session thread commits, "inline") versus 1, 2 and 4
-/// workers, over byte-identical sessions.
-pub fn deferred_experiment(scale: f64) -> Vec<DeferredRow> {
-    [0usize, 1, 2, 4]
-        .iter()
-        .map(|&workers| deferred_run(workers, true, scale))
-        .collect()
+/// workers, over byte-identical sessions. Emits the cores the workers
+/// could run on (`nproc`), each stall as a ratio to inline's, whether
+/// every configuration restored the same history, and the most pages
+/// any revive of the longest chain decoded per page it installed.
+/// Returns the runs too, for the checks the report does not carry.
+pub(crate) fn deferred_experiment(scale: f64) -> (Report, [DeferredRun; 4]) {
+    let runs = DEFERRED_WORKERS.map(|workers| deferred_run(workers, true, scale));
+    let mut table = Table::new(
+        "Deferred write-back: per-checkpoint session-thread stall, 0 commit workers (inline) vs 1/2/4",
+        &["config", "ckpts", "stall(ms)", "max(ms)", "wall(ms)", "MB/s", "fallback", "fingerprint"],
+    );
+    for run in &runs {
+        let max_stall = run.stalls.iter().copied().max().unwrap_or_default();
+        let mbps = run.raw_bytes as f64 / 1e6 / run.total_wall.as_secs_f64().max(1e-9);
+        table.row([
+            run.config.clone(),
+            run.checkpoints.to_string(),
+            format!("{:.3}", ms(run.mean_stall())),
+            format!("{:.3}", ms(max_stall)),
+            format!("{:.1}", ms(run.total_wall)),
+            format!("{mbps:.1}"),
+            run.inline_fallbacks.to_string(),
+            format!("{:016x}", run.fingerprint),
+        ]);
+    }
+    let mut report = Report::default();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    report.metric("nproc", cores as f64);
+    let inline = &runs[0];
+    let stall = |run: &DeferredRun| run.mean_stall().as_secs_f64();
+    for (workers, run) in DEFERRED_WORKERS.iter().zip(&runs).skip(1) {
+        let lower = stall(inline) / stall(run).max(1e-12);
+        table.note(format!(
+            "  {}: stall {lower:.2}x lower than inline",
+            run.config
+        ));
+        let ratio = stall(run) / stall(inline).max(1e-12);
+        report.metric(format!("deferred_stall_w{workers}_ratio"), ratio);
+    }
+    let identical = runs.iter().all(|r| r.fingerprint == inline.fingerprint);
+    let restored = if identical { "identical" } else { "DIVERGED" };
+    table.note(format!(
+        "  restore results across configurations: {restored}"
+    ));
+    let longest = &inline.longest_chain;
+    table.note(format!(
+        "  longest chain: {} images, {} pages decoded for {} installed",
+        longest.images_loaded, longest.pages_decoded, longest.pages_installed
+    ));
+    report.flag("deferred_restore_identical", identical);
+    let decoded = |r: &DeferredRun| {
+        frac(
+            r.longest_chain.pages_decoded as u64,
+            r.longest_chain.pages_installed as u64,
+        )
+    };
+    let most_decoded = runs.iter().map(decoded).fold(0.0, f64::max);
+    report.metric("revive_pages_decoded_ratio", most_decoded);
+    report.tables.push(table);
+    (report, runs)
 }
 
 /// The deferred session committed inline by an engine that stores its
 /// images uncompressed, so revive can install their pages in place.
-pub fn raw_revive_experiment(scale: f64) -> DeferredRow {
-    deferred_run(0, false, scale)
+/// Emits the pages reviving its longest chain copied into a buffer of
+/// their own, per page installed. Returns the run too.
+pub(crate) fn raw_revive_experiment(scale: f64) -> (Report, DeferredRun) {
+    let run = deferred_run(0, false, scale);
+    let longest = &run.longest_chain;
+    let mut table = Table::new("", &[]);
+    table.note(format!(
+        "  stored raw ({}): {} pages installed, {} copied into a buffer of their own",
+        run.config, longest.pages_installed, longest.pages_copied
+    ));
+    let mut report = Report::from(table);
+    let copied = frac(longest.pages_copied as u64, longest.pages_installed as u64);
+    report.metric("revive_pages_copied_frac", copied);
+    (report, run)
 }
 
 // ---------------------------------------------------------------------
 // Observability: per-stream profile and instrumentation overhead
 // ---------------------------------------------------------------------
-
-/// The observability experiment's result: a profiled session snapshot
-/// plus the cost of the instrumentation itself.
-pub struct ObsReport {
-    /// Registry + trace-ring snapshot of a fully recorded session,
-    /// profiled with wall-clock spans; the per-stream breakdown table
-    /// is derived entirely from this.
-    pub snapshot: dv_obs::ObsSnapshot,
-    /// Checkpoints the profiled session took (from the registry).
-    pub checkpoints: u64,
-    /// Wall time of the deferred-pipeline workload with instrumentation
-    /// enabled (min of three runs).
-    pub instrumented_wall: std::time::Duration,
-    /// Wall time of the identical workload with instrumentation
-    /// disabled (min of three runs).
-    pub baseline_wall: std::time::Duration,
-}
-
-impl ObsReport {
-    /// Instrumented over baseline wall time; 1.0 means the
-    /// instrumentation was free at this workload's granularity.
-    pub fn overhead_ratio(&self) -> f64 {
-        self.instrumented_wall.as_secs_f64() / self.baseline_wall.as_secs_f64().max(1e-9)
-    }
-}
 
 /// One deferred-pipeline engine run with instrumentation on or off,
 /// returning its wall time. The work (page dirtying, compression,
@@ -1094,8 +1045,9 @@ fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
 /// The observability experiment: profiles a fully recorded web session
 /// through dv-obs (wall-clock spans, so busy times are real), then
 /// measures the instrumentation's own cost on the deferred-pipeline
-/// workload, instrumented versus disabled.
-pub fn obs_experiment(scale: f64) -> ObsReport {
+/// workload, instrumented versus disabled. Emits instrumented over
+/// uninstrumented wall time as `overhead_ratio`.
+pub(crate) fn obs_experiment(scale: f64) -> Report {
     let mut scenario = scenario_by_name("web", scale).expect("known scenario");
     let (width, height) = scenario.screen();
     let clock = SimClock::new();
@@ -1125,45 +1077,42 @@ pub fn obs_experiment(scale: f64) -> ObsReport {
     // recording-side streams.
     let _ = dv.search("the", RankOrder::Chronological);
     let snapshot = dv.observability();
-    let checkpoints = snapshot.counter(dv_obs::names::CHECKPOINT_COUNT);
 
     // Warm up once per mode (allocator growth, lazy init, page faults).
     obs_overhead_run(false, scale);
     obs_overhead_run(true, scale);
-    let (_, (baseline_wall, instrumented_wall)) = three_pairs(
+    let (_, (baseline, instrumented)) = three_pairs(
         |instrumented| obs_overhead_run(instrumented, scale),
         |wall| *wall,
     );
-    ObsReport {
-        snapshot,
-        checkpoints,
-        instrumented_wall,
-        baseline_wall,
+    let overhead = instrumented.as_secs_f64() / baseline.as_secs_f64().max(1e-9);
+
+    let mut table = Table::new(
+        "Observability: per-stream instrumented busy time (wall-clock spans, web workload)",
+        &[],
+    );
+    for line in snapshot.render_breakdown().lines() {
+        table.note(line);
     }
+    table.note(format!(
+        "trace ring: {} events ({} dropped), checkpoints profiled: {}",
+        snapshot.events.len(),
+        snapshot.dropped_events,
+        snapshot.counter(dv_obs::names::CHECKPOINT_COUNT),
+    ));
+    table.note(format!(
+        "instrumentation overhead: {overhead:.3}x wall ({:.1} ms instrumented vs {:.1} ms disabled, deferred-pipeline workload, min of 3)",
+        ms(instrumented),
+        ms(baseline),
+    ));
+    let mut report = Report::from(table);
+    report.metric("overhead_ratio", overhead);
+    report
 }
 
 // ---------------------------------------------------------------------
 // Fault injection and crash consistency
 // ---------------------------------------------------------------------
-
-/// One fault-injection run: a single site × fault pair armed against a
-/// live session, every other check at the site failing.
-pub struct FaultRow {
-    /// Injection site.
-    pub site: &'static str,
-    /// Fault kind injected.
-    pub fault: &'static str,
-    /// Faults actually injected.
-    pub injected: u64,
-    /// Degradation events the server absorbed (retried or dropped work).
-    pub degraded: u64,
-    /// Checkpoints that still completed under fault.
-    pub checkpoints: u64,
-    /// Whether browsing the pre-fault record still works afterwards.
-    pub browse_ok: bool,
-    /// Whether search still works afterwards.
-    pub search_ok: bool,
-}
 
 /// Drives mixed activity — painting, file writes, syncs, policy ticks —
 /// tolerating injected storage errors the way the server does.
@@ -1186,9 +1135,11 @@ fn drive_activity(dv: &mut DejaView, steps: u64, phase: u64) {
 }
 
 /// Exercises every fault site with every fault kind against a live
-/// session: the session must absorb the faults as degradation (never a
-/// panic) and keep its pre-fault record browsable and searchable.
-pub fn faults_experiment(scale: f64) -> Vec<FaultRow> {
+/// session, every other check at the site failing: the session must
+/// absorb the faults as degradation (never a panic) and keep its
+/// pre-fault record browsable and searchable. Emits the fractions of
+/// runs that could still browse and search.
+pub(crate) fn faults_experiment(scale: f64) -> Report {
     use dv_fault::{sites, FaultPlan, IoFault};
     let kinds = [
         (IoFault::Enospc, "enospc"),
@@ -1198,7 +1149,13 @@ pub fn faults_experiment(scale: f64) -> Vec<FaultRow> {
         (IoFault::LatencySpike, "latency"),
     ];
     let steps = ((20.0 * scale) as u64).max(5);
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Fault injection: every storage site x every fault kind (every 2nd check fails)",
+        &[
+            "site", "fault", "injected", "degraded", "ckpts", "browse", "search",
+        ],
+    );
+    let (mut runs, mut browsed, mut searched) = (0, 0, 0);
     for (si, site) in sites::ALL.iter().enumerate() {
         for (ki, (fault, fault_name)) in kinds.iter().enumerate() {
             let plane = FaultPlan::new(((si as u64) << 8) | ki as u64)
@@ -1229,36 +1186,32 @@ pub fn faults_experiment(scale: f64) -> Vec<FaultRow> {
             let _ = dv.save_archive();
             let _ = dv.save_archive();
             plane.disarm();
-            rows.push(FaultRow {
-                site,
-                fault: fault_name,
-                injected: plane.injected_at(site),
-                degraded: dv.storage().degraded_events,
-                checkpoints: dv.engine().stats().checkpoints,
-                browse_ok: dv.browse(Timestamp::from_millis(1_500)).is_ok(),
-                search_ok: dv.search("data", RankOrder::Chronological).is_ok(),
-            });
+            let cells = [
+                site.to_string(),
+                fault_name.to_string(),
+                plane.injected_at(site).to_string(),
+                dv.storage().degraded_events.to_string(),
+                dv.engine().stats().checkpoints.to_string(),
+            ];
+            let browse_ok = dv.browse(Timestamp::from_millis(1_500)).is_ok();
+            let search_ok = dv.search("data", RankOrder::Chronological).is_ok();
+            runs += 1;
+            browsed += u64::from(browse_ok);
+            searched += u64::from(search_ok);
+            table.row(cells.into_iter().chain([ok(browse_ok), ok(search_ok)]));
         }
     }
-    rows
-}
-
-/// One power-cut recovery run: the session file system image truncated
-/// after `cut_bytes` of its log.
-pub struct CrashRow {
-    /// Fraction of the log that reached stable storage.
-    pub cut_fraction: f64,
-    /// Bytes of log kept.
-    pub cut_bytes: u64,
-    /// Whether `Lsfs::load` recovered a state that passes `check()`.
-    pub recovered: bool,
-    /// Snapshots still resolvable in the recovered state.
-    pub snapshots: usize,
+    let mut report = Report::from(table);
+    report.metric("faults_browse_ok_fraction", frac(browsed, runs));
+    report.metric("faults_search_ok_fraction", frac(searched, runs));
+    report
 }
 
 /// Crash-consistency sweep: records a session, then simulates power
-/// cuts at increasing log prefixes and reopens each truncated image.
-pub fn crash_consistency(scale: f64) -> Vec<CrashRow> {
+/// cuts at increasing log prefixes and reopens each truncated image;
+/// it recovered if `Lsfs::load` returns a state that passes `check()`.
+/// Emits the fraction of cuts that recovered.
+pub(crate) fn crash_consistency(scale: f64) -> Report {
     use dv_fault::crash;
     let steps = ((30.0 * scale) as u64).max(8);
     let mut dv = DejaView::new(Config {
@@ -1273,23 +1226,33 @@ pub fn crash_consistency(scale: f64) -> Vec<CrashRow> {
         .with(|fs| fs.save())
         .expect("serialize fs");
     let log_len = crash::log_len(&image);
-    [0.0, 0.25, 0.5, 0.75, 1.0]
-        .iter()
-        .map(|fraction| {
-            let cut = (log_len as f64 * fraction) as usize;
-            let cut_image = crash::power_cut(&image, cut);
-            let (recovered, snapshots) = match dv_lsfs::Lsfs::load(&cut_image) {
-                Ok(fs) => (fs.check().is_ok(), fs.snapshot_counters().len()),
-                Err(_) => (false, 0),
-            };
-            CrashRow {
-                cut_fraction: *fraction,
-                cut_bytes: cut as u64,
-                recovered,
-                snapshots,
-            }
-        })
-        .collect()
+    let mut table = Table::new(
+        "Crash consistency: power cut at increasing log prefixes, then reopen",
+        &["cut", "log-bytes", "recovered", "snapshots"],
+    );
+    let cuts = [0.0, 0.25, 0.5, 0.75, 1.0];
+    let mut recovered_cuts = 0;
+    for fraction in cuts {
+        let cut = (log_len as f64 * fraction) as usize;
+        let cut_image = crash::power_cut(&image, cut);
+        let (recovered, snapshots) = match dv_lsfs::Lsfs::load(&cut_image) {
+            Ok(fs) => (fs.check().is_ok(), fs.snapshot_counters().len()),
+            Err(_) => (false, 0),
+        };
+        recovered_cuts += u64::from(recovered);
+        table.row([
+            format!("{:.0}%", fraction * 100.0),
+            cut.to_string(),
+            ok(recovered),
+            snapshots.to_string(),
+        ]);
+    }
+    let mut report = Report::from(table);
+    report.metric(
+        "crash_recovered_fraction",
+        frac(recovered_cuts, cuts.len() as u64),
+    );
+    report
 }
 
 // ---------------------------------------------------------------------
@@ -1297,24 +1260,16 @@ pub fn crash_consistency(scale: f64) -> Vec<CrashRow> {
 // ---------------------------------------------------------------------
 
 /// Inode counts of the snapshot-cost sweep; the first is the anchor.
-pub const FS_SNAPSHOT_SWEEP: &[usize] = &[256, 16_384];
-
-/// One point of the snapshot-cost sweep.
-pub struct FsSnapshotRow {
-    /// Files in the tree the snapshots were taken of.
-    pub inodes: usize,
-    /// Median `snapshot_point` after one 4 KiB write.
-    pub snapshot_p50: std::time::Duration,
-    /// That median over the first point's, same interleaved pass.
-    pub unit_ratio: f64,
-}
+const FS_SNAPSHOT_SWEEP: &[usize] = &[256, 16_384];
 
 /// What a snapshot point costs as the file system grows: one 4 KiB
 /// write to one file, then `snapshot_point` (timed: it syncs the block,
 /// journals the mark and retains the state), on trees of each size of
 /// [`FS_SNAPSHOT_SWEEP`]. The previous snapshot stays retained, as in a
 /// recording session, so the write pays whatever un-sharing costs.
-pub fn fs_snapshot_experiment(scale: f64) -> Vec<FsSnapshotRow> {
+/// Emits each larger tree's median over the first's, same interleaved
+/// pass, as `fs_snapshot_i<inodes>_ratio`.
+pub(crate) fn fs_snapshot_experiment(scale: f64) -> Report {
     use dv_lsfs::{Filesystem, Lsfs};
     let rounds = ((256.0 * scale) as u64).max(16);
     let block = vec![0x5au8; dv_lsfs::BLOCK_SIZE];
@@ -1355,43 +1310,29 @@ pub fn fs_snapshot_experiment(scale: f64) -> Vec<FsSnapshotRow> {
         },
         |samples| samples,
     );
-    FS_SNAPSHOT_SWEEP
-        .iter()
-        .zip(sweep)
-        .map(|(&inodes, (best, unit_ratio))| FsSnapshotRow {
-            inodes,
-            snapshot_p50: percentile(&best, 0.50),
-            unit_ratio,
-        })
-        .collect()
+    let mut table = Table::new(
+        "File-system snapshot: one 4 KiB write, then snapshot_point, by tree size",
+        &["inodes", "snapshot-p50", "ratio"],
+    );
+    let mut report = Report::default();
+    for (i, (&inodes, (best, ratio))) in FS_SNAPSHOT_SWEEP.iter().zip(sweep).enumerate() {
+        let p50 = us(percentile(&best, 0.50));
+        table.row([
+            inodes.to_string(),
+            format!("{p50:.1} us"),
+            format!("{ratio:.2}"),
+        ]);
+        if i > 0 {
+            report.metric(format!("fs_snapshot_i{inodes}_ratio"), ratio);
+        }
+    }
+    report.tables.push(table);
+    report
 }
 
 // ---------------------------------------------------------------------
 // What a keyframe seek copies from its keyframe
 // ---------------------------------------------------------------------
-
-/// Keyframe seeks over an office-shaped session, and the pixels they
-/// copied from their keyframes.
-pub struct SeekRestoreReport {
-    /// Screen width in pixels.
-    pub width: u32,
-    /// Screen height in pixels.
-    pub height: u32,
-    /// Seeks issued.
-    pub seeks: u64,
-    /// Of those, seeks that started from a keyframe.
-    pub keyframe_seeks: u64,
-    /// `record.seek.pixels_restored` over all of them.
-    pub pixels_restored: u64,
-}
-
-impl SeekRestoreReport {
-    /// Pixels restored per keyframe seek, over the frame's pixels.
-    pub fn restored_frac(&self) -> f64 {
-        let frame = u64::from(self.width) * u64::from(self.height);
-        self.pixels_restored as f64 / (self.keyframe_seeks * frame).max(1) as f64
-    }
-}
 
 /// Browses an office-shaped 1280x1024 session, the one `office_text`
 /// records: four windows tile the screen above a 16-row panel, and a
@@ -1400,9 +1341,10 @@ impl SeekRestoreReport {
 /// A keyframe opens every fourth burst, so a seek replays one to four
 /// bursts. One seek lands in each burst's reading spell, newest first,
 /// so every seek starts from a keyframe. Counts only, no timing: the
-/// fraction is the same on any machine. A seek that copies its whole
-/// keyframe before replaying reads 1.
-pub fn seek_restore_experiment(scale: f64) -> SeekRestoreReport {
+/// fraction is the same on any machine. Emits the pixels restored per
+/// keyframe seek over the frame's pixels as `seek_restored_frac`; a
+/// seek that copies its whole keyframe before replaying reads 1.
+pub(crate) fn seek_restore_experiment(scale: f64) -> Report {
     use dv_display::Rect;
     const KEYFRAME_EVERY: u64 = 4;
     const LINES: u32 = 12;
@@ -1467,42 +1409,31 @@ pub fn seek_restore_experiment(scale: f64) -> SeekRestoreReport {
     for &t in reading.iter().rev() {
         dv.browse(t).expect("a recorded moment");
     }
-    SeekRestoreReport {
-        width,
-        height,
-        seeks: reading.len() as u64,
-        keyframe_seeks: counter(&dv, dv_obs::names::RECORD_SEEK_KEYFRAME_LOADS) - loads,
-        pixels_restored: counter(&dv, dv_obs::names::RECORD_SEEK_PIXELS_RESTORED) - restored,
-    }
+    let keyframe_seeks = counter(&dv, dv_obs::names::RECORD_SEEK_KEYFRAME_LOADS) - loads;
+    let restored = counter(&dv, dv_obs::names::RECORD_SEEK_PIXELS_RESTORED) - restored;
+    let frame = u64::from(width) * u64::from(height);
+    let restored_frac = frac(restored, keyframe_seeks * frame);
+    let mut table = Table::new(
+        format!("Seek restore: keyframe seeks over an office-shaped {width}x{height} session"),
+        &["seeks", "keyframe seeks", "pixels restored", "of the frame"],
+    );
+    table.row([
+        reading.len().to_string(),
+        keyframe_seeks.to_string(),
+        restored.to_string(),
+        format!("{restored_frac:.3}"),
+    ]);
+    table.note(format!(
+        "(a seek that copies its keyframe whole restores {frame} pixels)"
+    ));
+    let mut report = Report::from(table);
+    report.metric("seek_restored_frac", restored_frac);
+    report
 }
 
 // ---------------------------------------------------------------------
 // What a replay writes for a scrolling terminal
 // ---------------------------------------------------------------------
-
-/// One playback pass over a terminal-shaped session, and the rows its
-/// scroll ring wrote.
-pub struct ReplayScrollReport {
-    /// Terminal height in lines.
-    pub term_lines: u32,
-    /// Lines printed, each a one-line scroll.
-    pub lines: u64,
-    /// `play_until` calls the pass was played in.
-    pub slices: u64,
-    /// Commands the pass played.
-    pub commands: u64,
-    /// `record.replay.ring_rows` over the pass.
-    pub ring_rows: u64,
-    /// `record.replay.copy_rows` over the pass.
-    pub copy_rows: u64,
-}
-
-impl ReplayScrollReport {
-    /// Rows the ring wrote over the rows one copy per scroll would have.
-    pub fn rows_frac(&self) -> f64 {
-        self.ring_rows as f64 / self.copy_rows.max(1) as f64
-    }
-}
 
 /// Plays back a ten-line terminal, the shape `build_churn` records: a
 /// 640x80 xterm at the top of a 640x480 screen prints a line every
@@ -1511,9 +1442,11 @@ impl ReplayScrollReport {
 /// from the start, in slices of sixteen lines: like the benchmark's
 /// slices of a `build_churn` pass, each ends part-way round the ring,
 /// which it then puts back in order, and the fraction is the same at
-/// any scale. Counts only, no timing: the same on any machine. A replay
-/// that moves every row of every scroll reads 1.
-pub fn replay_scroll_experiment(scale: f64) -> ReplayScrollReport {
+/// any scale. Counts only, no timing: the same on any machine. Emits
+/// the rows the scroll ring wrote over the rows one copy per scroll
+/// would have as `replay_scroll_rows_frac`; a replay that moves every
+/// row of every scroll reads 1.
+pub(crate) fn replay_scroll_experiment(scale: f64) -> Report {
     use dv_display::Rect;
     const LINE: u32 = 8;
     const TERM_LINES: u32 = 10;
@@ -1559,42 +1492,41 @@ pub fn replay_scroll_experiment(scale: f64) -> ReplayScrollReport {
             .expect("play")
             .commands_applied;
     }
-    ReplayScrollReport {
-        term_lines: TERM_LINES,
-        lines,
-        slices,
-        commands,
-        ring_rows: counter(&dv, dv_obs::names::RECORD_REPLAY_RING_ROWS) - ring,
-        copy_rows: counter(&dv, dv_obs::names::RECORD_REPLAY_COPY_ROWS) - copy,
-    }
+    let ring_rows = counter(&dv, dv_obs::names::RECORD_REPLAY_RING_ROWS) - ring;
+    let copy_rows = counter(&dv, dv_obs::names::RECORD_REPLAY_COPY_ROWS) - copy;
+    let rows_frac = frac(ring_rows, copy_rows);
+    let mut table = Table::new(
+        format!("Replay scroll: one playback pass over a {TERM_LINES}-line terminal"),
+        &[
+            "lines",
+            "slices",
+            "commands",
+            "ring rows",
+            "copy rows",
+            "fraction",
+        ],
+    );
+    table.row([
+        lines.to_string(),
+        slices.to_string(),
+        commands.to_string(),
+        ring_rows.to_string(),
+        copy_rows.to_string(),
+        format!("{rows_frac:.3}"),
+    ]);
+    table.note("(a replay that moves every row of every scroll reads 1)");
+    let mut report = Report::from(table);
+    report.metric("replay_scroll_rows_frac", rows_frac);
+    report
 }
 
 // ---------------------------------------------------------------------
 // Byte kernels of the wire and the log, each against its own yardstick
 // ---------------------------------------------------------------------
 
-/// One byte kernel timed beside the yardstick it is held to.
-pub struct KernelRow {
-    /// Gate key of the ratio.
-    pub key: &'static str,
-    /// What is divided by what.
-    pub what: &'static str,
-    /// Least time of the yardstick over the same bytes.
-    pub yardstick: std::time::Duration,
-    /// Least time of the kernel.
-    pub kernel: std::time::Duration,
-}
-
-impl KernelRow {
-    /// Kernel time over yardstick time.
-    pub fn ratio(&self) -> f64 {
-        self.kernel.as_secs_f64() / self.yardstick.as_secs_f64().max(1e-12)
-    }
-}
-
 /// The byte kernels every viewer frame, log append and compressed,
 /// deduplicated commit pays, each as a ratio taken within one run so
-/// the limit holds on any machine:
+/// the limit holds on any machine, and emitted under its own key:
 ///
 /// - CRC32 per byte over a 448 KiB buffer (a `Video` frame) against the
 ///   same bytes summed 2 KiB at a time, where only the single
@@ -1611,7 +1543,7 @@ impl KernelRow {
 ///   costs its token headers only, so the ratio sits well under 1.
 ///   Decompressing the image before stepping over its pages made it at
 ///   least 1.
-pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
+pub(crate) fn kernel_experiment(scale: f64) -> Report {
     use dv_display::{encode_command, DisplayCommand, Rect};
     use dv_fault::checksum::crc32;
     use std::sync::Arc;
@@ -1698,38 +1630,54 @@ pub fn kernel_experiment(scale: f64) -> Vec<KernelRow> {
         },
         |&took| took,
     );
-    vec![
-        KernelRow {
-            key: "crc_per_byte_448k_ratio",
-            what: "CRC32 of 448 KiB whole / 2 KiB at a time",
-            yardstick: short,
-            kernel: long,
-        },
-        KernelRow {
-            key: "raw_strip_encode_memcpy_ratio",
-            what: "704x32 Raw encode / memcpy of its bytes",
-            yardstick: memcpy,
-            kernel: encode,
-        },
-        KernelRow {
-            key: "image_compress_memcpy_ratio",
-            what: "RLE compress of 448 KiB heap / memcpy",
-            yardstick: compress_memcpy,
-            kernel: compress,
-        },
-        KernelRow {
-            key: "cas_split_memcpy_ratio",
-            what: "CAS split and ids of 448 KiB heap / memcpy",
-            yardstick: split_memcpy,
-            kernel: split,
-        },
-        KernelRow {
-            key: "revive_compressed_skip_ratio",
-            what: "1 MiB RLE image: load keeping none / decompress",
-            yardstick: decompress,
-            kernel: keep_none,
-        },
-    ]
+    let mut table = Table::new(
+        "Byte kernels: least time of each beside its yardstick, same run",
+        &["kernel / yardstick", "kernel", "yardstick", "ratio"],
+    );
+    let mut report = Report::default();
+    for (key, what, kernel, yardstick) in [
+        (
+            "crc_per_byte_448k_ratio",
+            "CRC32 of 448 KiB whole / 2 KiB at a time",
+            long,
+            short,
+        ),
+        (
+            "raw_strip_encode_memcpy_ratio",
+            "704x32 Raw encode / memcpy of its bytes",
+            encode,
+            memcpy,
+        ),
+        (
+            "image_compress_memcpy_ratio",
+            "RLE compress of 448 KiB heap / memcpy",
+            compress,
+            compress_memcpy,
+        ),
+        (
+            "cas_split_memcpy_ratio",
+            "CAS split and ids of 448 KiB heap / memcpy",
+            split,
+            split_memcpy,
+        ),
+        (
+            "revive_compressed_skip_ratio",
+            "1 MiB RLE image: load keeping none / decompress",
+            keep_none,
+            decompress,
+        ),
+    ] {
+        let ratio = kernel.as_secs_f64() / yardstick.as_secs_f64().max(1e-12);
+        table.row([
+            what.to_string(),
+            format!("{:.1} us", us(kernel)),
+            format!("{:.1} us", us(yardstick)),
+            format!("{ratio:.2}"),
+        ]);
+        report.metric(key, ratio);
+    }
+    report.tables.push(table);
+    report
 }
 
 /// A store holding one image of a process whose `len` bytes of memory
@@ -1785,72 +1733,64 @@ pub(crate) fn run_noise(len: usize) -> Vec<u8> {
 // Remote access: client fan-out over dv-net
 // ---------------------------------------------------------------------
 
-/// One dv-net fan-out measurement: a live session served to `fanout`
-/// loopback viewers at once.
-pub struct NetRow {
-    /// Concurrent clients.
-    pub fanout: usize,
+/// One dv-net fan-out run: a live session served to `fanout` loopback
+/// viewers at once.
+struct NetRun {
+    fanout: usize,
     /// Live display commands the session generated.
-    pub commands: u64,
+    commands: u64,
     /// Frames fully delivered to client transports (all clients).
-    pub frames_delivered: u64,
-    /// Bytes accepted by client transports.
-    pub bytes_sent: u64,
+    frames_delivered: u64,
+    bytes_sent: u64,
     /// Times a slow client's backlog collapsed into a keyframe.
-    pub coalesce_events: u64,
+    coalesce_events: u64,
     /// Tapped command batches that reached at least one live viewer.
-    pub live_batches: u64,
+    live_batches: u64,
     /// Wire encodes performed for those batches. With identity-scale
     /// viewers this must equal `live_batches` whatever the fan-out:
     /// the zero-copy invariant.
-    pub live_encodes: u64,
+    live_encodes: u64,
     /// Wall time of the whole serving loop, including the simulated
     /// viewers applying their frames.
-    pub wall: std::time::Duration,
+    wall: std::time::Duration,
     /// Wall time spent inside the server's `poll` — the server-side
     /// cost of fanning the session out, excluding work that in a real
     /// deployment runs on the viewers' own machines.
-    pub server_wall: std::time::Duration,
-    /// Median per-round delivery latency: one server poll from draw
-    /// burst to every frame handed to its client transport.
-    pub round_p50: std::time::Duration,
-    /// 99th-percentile per-round delivery latency.
-    pub round_p99: std::time::Duration,
+    server_wall: std::time::Duration,
+    /// Per-round delivery latency (one server poll from draw burst to
+    /// every frame handed to its client transport): median and p99.
+    round_p50: std::time::Duration,
+    round_p99: std::time::Duration,
     /// Whether every client's final framebuffer fingerprint matched
     /// the server's local view.
-    pub all_converged: bool,
+    all_converged: bool,
 }
 
-impl NetRow {
-    /// Frames delivered per wall second, across all clients.
-    pub fn throughput_fps(&self) -> f64 {
-        self.frames_delivered as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Coalesce events per live frame offered (commands x fanout).
-    pub fn coalesce_rate(&self) -> f64 {
-        self.coalesce_events as f64 / (self.commands as f64 * self.fanout as f64).max(1.0)
-    }
-
+impl NetRun {
     /// Server-side microseconds per client per command — the unit cost
     /// whose growth with fan-out the CI gate bounds. Server time only:
     /// the harness simulates every viewer in-process, and a viewer's
     /// own framebuffer application is not the server's scaling story.
-    pub fn per_client_command_us(&self) -> f64 {
-        self.server_wall.as_secs_f64() * 1e6 / (self.commands as f64 * self.fanout as f64).max(1.0)
+    fn per_client_command_us(&self) -> f64 {
+        let offered = (self.commands as f64 * self.fanout as f64).max(1.0);
+        (us(self.server_wall) / offered).max(1e-9)
     }
 
     /// Wire encodes per live batch. Exactly 1.0 when every viewer
     /// shares the session scale — the proof that fan-out is refcount
     /// bumps, not per-viewer encodes.
-    pub fn encode_ratio(&self) -> f64 {
-        self.live_encodes as f64 / self.live_batches.max(1) as f64
+    fn encode_ratio(&self) -> f64 {
+        frac(self.live_encodes, self.live_batches)
     }
 
-    /// p99 round latency divided by fan-out — the per-viewer share of
-    /// a delivery round, comparable across sweep points.
-    pub fn p99_per_viewer_us(&self) -> f64 {
-        self.round_p99.as_secs_f64() * 1e6 / self.fanout.max(1) as f64
+    /// Frames delivered per wall second, across all clients.
+    fn throughput_fps(&self) -> f64 {
+        self.frames_delivered as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// Coalesce events per live frame offered (commands x fan-out).
+    fn coalesce_rate(&self) -> f64 {
+        frac(self.coalesce_events, self.commands * self.fanout as u64)
     }
 }
 
@@ -1860,7 +1800,7 @@ impl NetRow {
 /// coalescing path to run; without it, drawing trickles inside the
 /// queue bound so the measurement isolates fan-out delivery cost from
 /// keyframe bandwidth.
-fn net_run_at(fanout: usize, rounds: usize, w: u32, h: u32, bursty: bool) -> NetRow {
+fn net_run_at(fanout: usize, rounds: usize, w: u32, h: u32, bursty: bool) -> NetRun {
     use dv_net::{LoopbackTransport, NetClient, NetConfig, NetService};
 
     let clock = SimClock::new();
@@ -1949,7 +1889,7 @@ fn net_run_at(fanout: usize, rounds: usize, w: u32, h: u32, bursty: bool) -> Net
     let obs = svc.dv().obs().clone();
     latencies.sort_unstable();
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-    NetRow {
+    NetRun {
         fanout,
         commands,
         frames_delivered: obs.counter(dv_obs::names::NET_FRAMES_SENT),
@@ -1965,26 +1905,57 @@ fn net_run_at(fanout: usize, rounds: usize, w: u32, h: u32, bursty: bool) -> Net
     }
 }
 
-/// The dv-net fan-out experiment: 1, 4, 16, and 64 concurrent viewers
-/// of one live session.
-pub fn net_experiment(scale: f64) -> Vec<NetRow> {
-    let rounds = ((240.0 * scale) as usize).max(40);
-    [1usize, 4, 16, 64]
-        .iter()
-        .map(|&fanout| net_run_at(fanout, rounds, 320, 240, true))
-        .collect()
+/// One table row per fan-out point.
+fn net_table(runs: &[NetRun]) -> Table {
+    let mut table = Table::new(
+        "Remote access: dv-net loopback fan-out (one live session, N viewers)",
+        &[
+            "clients",
+            "commands",
+            "frames",
+            "KB-sent",
+            "p50(ms)",
+            "p99(ms)",
+            "thru(f/s)",
+            "coalesce%",
+            "enc/batch",
+            "converged",
+        ],
+    );
+    for run in runs {
+        table.row([
+            run.fanout.to_string(),
+            run.commands.to_string(),
+            run.frames_delivered.to_string(),
+            format!("{:.1}", run.bytes_sent as f64 / 1e3),
+            format!("{:.3}", ms(run.round_p50)),
+            format!("{:.3}", ms(run.round_p99)),
+            format!("{:.0}", run.throughput_fps()),
+            format!("{:.2}%", 100.0 * run.coalesce_rate()),
+            format!("{:.3}", run.encode_ratio()),
+            if run.all_converged { "ok" } else { "DIVERGED" }.to_string(),
+        ]);
+    }
+    table
 }
 
-/// The wide dv-net sweep: 64, 256, and 1024 live viewers of one
-/// smaller session. The 64-viewer point anchors the per-viewer
-/// unit-cost and per-viewer p99 ratios the CI gate bounds. The screen
-/// is smaller, the rounds fewer, and the drawing trickles inside the
-/// queue bound (no coalescing keyframes) because the cost under test
-/// is reactor and fan-out bookkeeping per connection, not pixel
-/// bandwidth — the classic sweep already gates the coalescing path.
-pub fn net_wide_experiment(scale: f64) -> Vec<NetRow> {
+/// The dv-net fan-out experiment. First 1, 4, 16 and 64 concurrent
+/// viewers of one live session, bursting past the send queue. Then the
+/// wide sweep: 64, 256 and 1024 live viewers of one smaller session,
+/// the 64-viewer point anchoring its per-viewer unit-cost and p99
+/// ratios. Its screen is smaller, its rounds fewer, and its drawing
+/// trickles inside the queue bound (no coalescing keyframes) because
+/// the cost under test is reactor and fan-out bookkeeping per
+/// connection, not pixel bandwidth — the classic sweep already gates
+/// the coalescing path.
+pub(crate) fn net_experiment(scale: f64) -> Report {
+    let rounds = ((240.0 * scale) as usize).max(40);
+    let classic: Vec<NetRun> = [1usize, 4, 16, 64]
+        .iter()
+        .map(|&fanout| net_run_at(fanout, rounds, 320, 240, true))
+        .collect();
     let rounds = ((80.0 * scale) as usize).max(24);
-    [64usize, 256, 1024]
+    let wide: Vec<NetRun> = [64usize, 256, 1024]
         .iter()
         .map(|&fanout| {
             // Min of 3 (the obs experiment's de-noising): a p99 over
@@ -1995,82 +1966,62 @@ pub fn net_wide_experiment(scale: f64) -> Vec<NetRow> {
                 .min_by(|a, b| (a.round_p99, a.server_wall).cmp(&(b.round_p99, b.server_wall)))
                 .expect("three wide runs")
         })
-        .collect()
+        .collect();
+
+    let mut report = Report::default();
+    for run in &classic {
+        let f = run.fanout;
+        report.flag(format!("net_converged_f{f}"), run.all_converged);
+        report.metric(format!("net_throughput_fps_f{f}"), run.throughput_fps());
+        report.metric(format!("net_round_p99_ms_f{f}"), ms(run.round_p99));
+        report.metric(format!("net_coalesce_rate_f{f}"), run.coalesce_rate());
+    }
+    let cost = NetRun::per_client_command_us;
+    for run in &classic[1..] {
+        let ratio = cost(run) / cost(&classic[0]);
+        report.metric(
+            format!("net_per_client_overhead_f{}_ratio", run.fanout),
+            ratio,
+        );
+    }
+    // The 64-viewer row anchors the wide ratios, so the 256- and
+    // 1024-viewer points gate reactor scaling, not machine speed.
+    let anchor = &wide[0];
+    let p99 = |run: &NetRun| (us(run.round_p99) / run.fanout.max(1) as f64).max(1e-9);
+    report.flag(
+        format!("net_wide_converged_f{}", anchor.fanout),
+        anchor.all_converged,
+    );
+    for run in &wide[1..] {
+        let f = run.fanout;
+        report.flag(format!("net_wide_converged_f{f}"), run.all_converged);
+        report.metric(format!("net_encodes_per_batch_f{f}"), run.encode_ratio());
+        report.metric(
+            format!("net_per_viewer_cpu_f{f}_ratio"),
+            cost(run) / cost(anchor),
+        );
+        report.metric(
+            format!("net_round_p99_per_viewer_f{f}_ratio"),
+            p99(run) / p99(anchor),
+        );
+    }
+    // Every row of both sweeps: fan-out is refcount bumps, never a
+    // second encode.
+    let once = |run: &NetRun| (run.encode_ratio() - 1.0).abs() < 1e-9;
+    report.flag(
+        "net_one_encode_per_batch",
+        classic.iter().chain(&wide).all(once),
+    );
+    report.tables = vec![net_table(&classic), net_table(&wide)];
+    report
 }
 
 // ---------------------------------------------------------------------
 // Multi-tenant host: 1 -> 1024 sessions over one shared commit pool
 // ---------------------------------------------------------------------
 
-/// One point of the dv-host session sweep: `sessions` concurrent
-/// tenants recording through one shared, fairly scheduled commit pool.
-pub struct HostRow {
-    /// Concurrent sessions.
-    pub sessions: usize,
-    /// Checkpoints taken across all tenants in the kept repetition.
-    pub checkpoints: u64,
-    /// Deferred commits that resolved through the shared pool.
-    pub committed: u64,
-    /// Captures committed inline because the tenant's lane was full.
-    pub inline_fallbacks: u64,
-    /// Median duration of one `checkpoint()` call — the session-thread
-    /// overhead a tenant actually experiences. A median over thousands
-    /// of ~10us calls shrugs off the millisecond descheduling spikes
-    /// that make wall-time sums useless on a shared machine.
-    pub checkpoint_p50: std::time::Duration,
-    /// Per-session overhead vs the single-session point, computed
-    /// within each interleaved sweep pass (so machine drift between
-    /// passes cancels) and minimised across passes. 1.0 for the
-    /// single-session row itself.
-    pub per_session_ratio: f64,
-    /// Restore fingerprint of the first tenant. The per-tenant workload
-    /// is identical at every sweep point, so this must not vary with
-    /// the number of neighbours sharing the pool.
-    pub fingerprint: u64,
-}
-
-/// The cross-tenant interference measurement: clean neighbours
-/// recording next to one tenant whose every store write fails.
-pub struct HostInterferenceRow {
-    /// Clean neighbours sharing the pool with the faulted tenant.
-    pub neighbors: usize,
-    /// Median neighbour `checkpoint()` call duration with every tenant
-    /// healthy. Medians over hundreds of ~10us calls are immune to the
-    /// millisecond descheduling spikes that dominate wall-time sums on
-    /// a shared machine.
-    pub clean_stall_p50: std::time::Duration,
-    /// The same median with tenant 0 failing every store write.
-    pub faulted_stall_p50: std::time::Duration,
-    /// Neighbour degradations (degraded events + write failures) in
-    /// the faulted run; isolation demands zero.
-    pub neighbors_degraded: u64,
-    /// The faulted tenant's own degradations; the fault demands > 0.
-    pub faulted_degraded: u64,
-    /// Whether every neighbour's restore fingerprint was identical
-    /// between the clean and the faulted run.
-    pub fingerprints_match: bool,
-    /// Whether the faulted tenant's failure surfaced in its own
-    /// labelled observability registry.
-    pub faulted_traced: bool,
-}
-
-impl HostInterferenceRow {
-    /// Median neighbour stall under fault over the clean median.
-    pub fn interference_ratio(&self) -> f64 {
-        self.faulted_stall_p50.as_secs_f64() / self.clean_stall_p50.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The full dv-host report: the session sweep plus interference.
-pub struct HostReport {
-    /// One row per sweep point.
-    pub rows: Vec<HostRow>,
-    /// The one-faulted-vs-clean-neighbours interference measurement.
-    pub interference: HostInterferenceRow,
-}
-
 /// Session counts the host sweep visits.
-pub const HOST_SWEEP: &[usize] = &[1, 16, 128, 1024];
+const HOST_SWEEP: &[usize] = &[1, 16, 128, 1024];
 
 /// A tenant of the host sweeps: a small screen recording nothing but
 /// checkpoints; the index and visual sweeps switch their stream on.
@@ -2101,33 +2052,132 @@ fn host_pool_config() -> dv_host::HostConfig {
     }
 }
 
-/// Gives every tenant one `app` process with `pages` mapped pages.
-fn spawn_apps(host: &mut dv_host::Host, ids: &[u64], pages: u64) -> Vec<(dv_vee::Vpid, u64)> {
-    let map = |&id: &u64| {
-        let vee = host.session_mut(id).expect("registered tenant").vee_mut();
-        let p = vee.spawn(None, "app").expect("spawn");
-        let addr = vee.mmap(p, pages * 4096, dv_vee::Prot::ReadWrite);
-        (p, addr.expect("mmap"))
-    };
-    ids.iter().map(map).collect()
+/// The tenants of one multi-tenant host, recording in lockstep rounds
+/// on its shared sim clock: the host, dedup, index and visual runs.
+struct Tenants {
+    clock: SimClock,
+    host: dv_host::Host,
+    ids: Vec<u64>,
 }
 
-/// The restore fingerprint of each of `ids` over its `app` mapping.
-fn app_fingerprints(
-    host: &mut dv_host::Host,
-    ids: &[u64],
-    procs: &[(dv_vee::Vpid, u64)],
-    pages: u64,
-) -> Vec<u64> {
-    let one = |(&id, &(p, addr)): (&u64, &(dv_vee::Vpid, u64))| {
-        let fingerprint = host.restore_fingerprint(id, &[(p, addr, (pages * 4096) as usize)]);
-        fingerprint.expect("restore fingerprint")
-    };
-    ids.iter().zip(procs).map(one).collect()
+impl Tenants {
+    /// A host over `pool` on `clock` with `sessions` tenants labelled
+    /// `{tag}{slot:04}`, tenant `slot` configured by `config(slot)`.
+    fn new(
+        clock: SimClock,
+        pool: dv_host::HostConfig,
+        tag: char,
+        sessions: usize,
+        mut config: impl FnMut(usize) -> Config,
+    ) -> Self {
+        let mut host = dv_host::Host::with_clock(pool, clock.clone());
+        let ids = (0..sessions)
+            .map(|slot| host.create_session(&format!("{tag}{slot:04}"), config(slot)))
+            .collect();
+        Tenants { clock, host, ids }
+    }
+
+    fn server(&mut self, slot: usize) -> &mut DejaView {
+        self.host
+            .session_mut(self.ids[slot])
+            .expect("registered tenant")
+    }
+
+    /// Runs `rounds` lockstep rounds. Each moves the clock on by
+    /// `before`, runs `act(self, round, slot)` for every tenant in
+    /// turn, moves the clock on by `after` and — with `seal` —
+    /// checkpoints every tenant, which seals the round's segment once
+    /// the clock has moved past the shard window.
+    fn lockstep(
+        &mut self,
+        rounds: u64,
+        [before, after]: [Duration; 2],
+        seal: bool,
+        mut act: impl FnMut(&mut Self, u64, usize),
+    ) {
+        for round in 0..rounds {
+            self.clock.advance(before);
+            for slot in 0..self.ids.len() {
+                act(self, round, slot);
+            }
+            self.clock.advance(after);
+            if seal {
+                for &id in &self.ids {
+                    self.host.checkpoint(id).expect("checkpoint");
+                }
+            }
+        }
+    }
+
+    /// Settles every tenant's commits; only a `faulted` one may fail.
+    fn flush(&mut self, faulted: Option<usize>) {
+        for (slot, &id) in self.ids.iter().enumerate() {
+            let flushed = self.host.flush_session(id);
+            if faulted != Some(slot) {
+                flushed.expect("clean tenant flush");
+            }
+        }
+    }
+
+    /// Every tenant's checkpoint-engine stats, slot order.
+    fn stats(&self) -> Vec<dv_checkpoint::EngineStats> {
+        let engine = |&id: &u64| {
+            self.host
+                .session(id)
+                .expect("registered tenant")
+                .engine()
+                .stats()
+        };
+        self.ids.iter().map(engine).collect()
+    }
+
+    /// Gives every tenant one `app` process with `pages` mapped pages.
+    fn spawn_apps(&mut self, pages: u64) -> Vec<(dv_vee::Vpid, u64)> {
+        (0..self.ids.len())
+            .map(|slot| {
+                let vee = self.server(slot).vee_mut();
+                let p = vee.spawn(None, "app").expect("spawn");
+                let addr = vee.mmap(p, pages * 4096, dv_vee::Prot::ReadWrite);
+                (p, addr.expect("mmap"))
+            })
+            .collect()
+    }
+
+    /// Writes `fill(page)` into each of tenant `slot`'s `app` pages.
+    fn write_pages(
+        &mut self,
+        slot: usize,
+        app: (dv_vee::Vpid, u64),
+        pages: u64,
+        fill: impl Fn(u64) -> Vec<u8>,
+    ) {
+        let (p, addr) = app;
+        for page in 0..pages {
+            let vee = self.server(slot).vee_mut();
+            vee.mem_write(p, addr + page * 4096, &fill(page))
+                .expect("mem_write");
+        }
+    }
+
+    /// The restore fingerprint of the first `tenants` tenants over their
+    /// `app` mappings.
+    fn fingerprints(
+        &mut self,
+        tenants: usize,
+        apps: &[(dv_vee::Vpid, u64)],
+        pages: u64,
+    ) -> Vec<u64> {
+        let len = (pages * 4096) as usize;
+        let one = |(&id, &(p, addr)): (&u64, &(dv_vee::Vpid, u64))| {
+            let fingerprint = self.host.restore_fingerprint(id, &[(p, addr, len)]);
+            fingerprint.expect("restore fingerprint")
+        };
+        self.ids[..tenants].iter().zip(apps).map(one).collect()
+    }
 }
 
 /// What one lockstep recording run over a fresh host produced.
-struct HostRunOutcome {
+struct HostRun {
     /// Every timed clean-tenant `checkpoint()` call (for a faulted run,
     /// neighbours only), sorted ascending; the median is the metric.
     samples: Vec<std::time::Duration>,
@@ -2150,95 +2200,61 @@ fn host_run_once(
     pages: u64,
     fault_tenant0: bool,
     fingerprint_all: bool,
-) -> HostRunOutcome {
-    let clock = SimClock::new();
-    let mut host = dv_host::Host::with_clock(host_pool_config(), clock.clone());
-    let ids: Vec<u64> = (0..sessions)
-        .map(|slot| {
-            let mut config = host_session_config();
-            if fault_tenant0 && slot == 0 {
-                config.fault_plane = dv_fault::FaultPlan::new(0x7057)
-                    .always(
-                        dv_fault::sites::CHECKPOINT_WRITEBACK,
-                        dv_fault::IoFault::Enospc,
-                    )
-                    .build();
-            }
-            host.create_session(&format!("t{slot:04}"), config)
-        })
-        .collect();
-    let procs = spawn_apps(&mut host, &ids, pages);
+) -> HostRun {
+    let faulted = fault_tenant0.then_some(0);
+    let pool = host_pool_config();
+    let mut tenants = Tenants::new(SimClock::new(), pool, 't', sessions, |slot| {
+        let mut config = host_session_config();
+        if faulted == Some(slot) {
+            config.fault_plane = dv_fault::FaultPlan::new(0x7057)
+                .always(
+                    dv_fault::sites::CHECKPOINT_WRITEBACK,
+                    dv_fault::IoFault::Enospc,
+                )
+                .build();
+        }
+        config
+    });
+    let apps = tenants.spawn_apps(pages);
 
     warm_core();
 
     // One sample per timed checkpoint call; the median is the metric.
     // In a faulted run only neighbours (slot > 0) contribute samples.
     let mut samples: Vec<std::time::Duration> = Vec::new();
-    for round in 0..rounds {
-        for (slot, &id) in ids.iter().enumerate() {
-            let (p, addr) = procs[slot];
-            for page in 0..pages {
-                let fill = vec![
-                    (round as u8)
-                        .wrapping_mul(31)
-                        .wrapping_add(slot as u8)
-                        .wrapping_add(page as u8);
-                    4096
-                ];
-                host.session_mut(id)
-                    .expect("registered tenant")
-                    .vee_mut()
-                    .mem_write(p, addr + page * 4096, &fill)
-                    .expect("mem_write");
-            }
-            if fault_tenant0 && slot == 0 {
-                // The faulted tenant's checkpoints may fail once its
-                // lane saturates into the inline path; that is the
-                // degradation under test.
-                let _ = host.checkpoint(id);
-            } else {
-                let t0 = Instant::now();
-                host.checkpoint(id).expect("clean tenant checkpoint");
-                let dt = t0.elapsed();
-                if !fault_tenant0 || slot > 0 {
-                    samples.push(dt);
-                }
-            }
-        }
-        clock.advance(Duration::from_millis(100));
-    }
-    for (slot, &id) in ids.iter().enumerate() {
-        if fault_tenant0 && slot == 0 {
-            let _ = host.flush_session(id);
+    let rhythm = [Duration::ZERO, Duration::from_millis(100)];
+    tenants.lockstep(rounds, rhythm, false, |t, round, slot| {
+        let base = (round as u8).wrapping_mul(31).wrapping_add(slot as u8);
+        t.write_pages(slot, apps[slot], pages, |page| {
+            vec![base.wrapping_add(page as u8); 4096]
+        });
+        let id = t.ids[slot];
+        if faulted == Some(slot) {
+            // The faulted tenant's checkpoints may fail once its
+            // lane saturates into the inline path; that is the
+            // degradation under test.
+            let _ = t.host.checkpoint(id);
         } else {
-            host.flush_session(id).expect("clean tenant flush");
+            let t0 = Instant::now();
+            t.host.checkpoint(id).expect("clean tenant checkpoint");
+            samples.push(t0.elapsed());
         }
-    }
+    });
+    tenants.flush(faulted);
     samples.sort_unstable();
 
-    let mut checkpoints = 0u64;
-    let mut committed = 0u64;
-    let mut inline_fallbacks = 0u64;
-    let mut neighbors_degraded = 0u64;
-    let mut faulted_degraded = 0u64;
-    for (slot, &id) in ids.iter().enumerate() {
-        let stats = host
-            .session(id)
-            .expect("registered tenant")
-            .engine()
-            .stats();
-        checkpoints += stats.checkpoints;
-        committed += stats.committed;
-        inline_fallbacks += stats.inline_fallbacks;
-        let degraded = host.degraded_events(id).expect("registered tenant") + stats.write_failures;
-        if slot == 0 {
-            faulted_degraded = degraded;
-        } else {
-            neighbors_degraded += degraded;
-        }
-    }
+    let stats = tenants.stats();
+    let sum = |of: fn(&dv_checkpoint::EngineStats) -> u64| stats.iter().map(of).sum();
+    let degraded: Vec<u64> = tenants
+        .ids
+        .iter()
+        .zip(&stats)
+        .map(|(&id, s)| {
+            tenants.host.degraded_events(id).expect("registered tenant") + s.write_failures
+        })
+        .collect();
     let faulted_traced = fault_tenant0 && {
-        let obs = host.observability();
+        let obs = tenants.host.observability();
         obs.tenants.first().is_some_and(|(label, snap)| {
             label == "t0000"
                 && (snap.counter(dv_obs::names::CHECKPOINT_WRITE_FAILURES) > 0
@@ -2246,126 +2262,123 @@ fn host_run_once(
         })
     };
     let fingerprinted = if fingerprint_all { sessions } else { 1 };
-    let fingerprints = app_fingerprints(&mut host, &ids[..fingerprinted], &procs, pages);
-
-    HostRunOutcome {
+    HostRun {
         samples,
-        checkpoints,
-        committed,
-        inline_fallbacks,
-        fingerprints,
-        neighbors_degraded,
-        faulted_degraded,
+        checkpoints: sum(|s| s.checkpoints),
+        committed: sum(|s| s.committed),
+        inline_fallbacks: sum(|s| s.inline_fallbacks),
+        fingerprints: tenants.fingerprints(fingerprinted, &apps, pages),
+        neighbors_degraded: degraded[1..].iter().sum(),
+        faulted_degraded: degraded[0],
         faulted_traced,
     }
 }
 
-/// The 1..=1024-session sweep over the median `checkpoint()` call.
-fn host_sweep(scale: f64) -> Vec<HostRow> {
+/// The dv-host experiment. First the 1/16/128/1024-session sweep over
+/// the median `checkpoint()` call, each point's per-session overhead a
+/// ratio to the single session's in the same interleaved pass. Then the
+/// interference measurement: 16 tenants, one of which fails every store
+/// write, against the identical all-clean run; each side's stall is the
+/// least over three iterations of the median neighbour `checkpoint()`
+/// call, and the deterministic outputs come from the first pair.
+pub(crate) fn host_experiment(scale: f64) -> Report {
     let rounds = ((12.0 * scale) as u64).max(3);
     // Two pages per tenant keeps even the 1024-session working set
     // cache-resident, so the overhead ratio isolates host-layer
     // scheduling cost (the thing a regression would break) instead of
     // measuring the machine's cache hierarchy.
-    let pages = 2;
     let sweep = interleaved_sweep(
         HOST_SWEEP,
         4,
         16,
         0.50,
-        |sessions| host_run_once(sessions, rounds, pages, false, false),
-        |outcome| &outcome.samples,
+        |sessions| host_run_once(sessions, rounds, 2, false, false),
+        |run| &run.samples,
     );
-    HOST_SWEEP
-        .iter()
-        .zip(sweep)
-        .map(|(&sessions, (best, per_session_ratio))| HostRow {
-            sessions,
-            checkpoints: best.checkpoints,
-            committed: best.committed,
-            inline_fallbacks: best.inline_fallbacks,
-            checkpoint_p50: percentile(&best.samples, 0.50),
-            per_session_ratio,
-            fingerprint: best.fingerprints[0],
-        })
-        .collect()
-}
+    let mut table = Table::new(
+        "Multi-tenant host: N sessions over one shared commit pool",
+        &[
+            "sessions",
+            "checkpoints",
+            "committed",
+            "inline",
+            "us/ckpt",
+            "fingerprint",
+        ],
+    );
+    let mut report = Report::default();
+    for (&sessions, (best, _)) in HOST_SWEEP.iter().zip(&sweep) {
+        table.row([
+            sessions.to_string(),
+            best.checkpoints.to_string(),
+            best.committed.to_string(),
+            best.inline_fallbacks.to_string(),
+            format!("{:.2}", us(percentile(&best.samples, 0.50))),
+            format!("{:x}", best.fingerprints[0]),
+        ]);
+        report.metric(
+            format!("host_checkpoints_s{sessions}"),
+            best.checkpoints as f64,
+        );
+        report.metric(format!("host_committed_s{sessions}"), best.committed as f64);
+    }
+    for (&sessions, (_, ratio)) in HOST_SWEEP.iter().zip(&sweep).skip(1) {
+        report.metric(
+            format!("host_per_session_overhead_s{sessions}_ratio"),
+            *ratio,
+        );
+    }
+    // The per-tenant workload is the same at every point, so a tenant's
+    // record must not depend on how many neighbours share the pool.
+    let first = sweep[0].0.fingerprints[0];
+    let stable = sweep.iter().all(|(run, _)| run.fingerprints[0] == first);
+    // Freed before the interference runs, which would otherwise start
+    // from a different allocator state (the kept runs hold ~200 KB).
+    drop(sweep);
 
-/// The interference measurement: 16 tenants, one of which fails every
-/// store write, against the identical all-clean run. Each side's stall
-/// is the min over three iterations of the median per-checkpoint call
-/// duration, so neither side's number carries scheduler noise; the
-/// deterministic outputs come from the first pair.
-fn host_interference(scale: f64) -> HostInterferenceRow {
     const TENANTS: usize = 16;
-    let rounds = ((12.0 * scale) as u64).max(3);
     let pages = ((16.0 * scale) as u64).max(2);
-    let ((clean, faulted), (clean_stall_p50, faulted_stall_p50)) = three_pairs(
+    let ((clean, faulted), (clean_p50, faulted_p50)) = three_pairs(
         |fault| host_run_once(TENANTS, rounds, pages, fault, true),
-        |outcome| percentile(&outcome.samples, 0.50),
+        |run| percentile(&run.samples, 0.50),
     );
-    HostInterferenceRow {
-        neighbors: TENANTS - 1,
-        clean_stall_p50,
-        faulted_stall_p50,
-        neighbors_degraded: faulted.neighbors_degraded,
-        faulted_degraded: faulted.faulted_degraded,
-        fingerprints_match: clean.fingerprints[1..] == faulted.fingerprints[1..],
-        faulted_traced: faulted.faulted_traced,
-    }
-}
-
-/// The dv-host experiment: the 1/16/128/1024-session sweep over one
-/// shared commit pool, plus the cross-tenant interference measurement.
-pub fn host_experiment(scale: f64) -> HostReport {
-    HostReport {
-        rows: host_sweep(scale),
-        interference: host_interference(scale),
-    }
+    let interference = faulted_p50.as_secs_f64() / clean_p50.as_secs_f64().max(1e-9);
+    let unchanged = clean.fingerprints[1..] == faulted.fingerprints[1..];
+    table.note(format!(
+        "  interference ({} clean neighbours of 1 faulted tenant): median neighbour \
+         checkpoint {:.2}us clean vs {:.2}us faulted ({interference:.3}x)",
+        TENANTS - 1,
+        us(clean_p50),
+        us(faulted_p50),
+    ));
+    table.note(format!(
+        "  neighbour degradations {}, faulted tenant degradations {}, neighbour \
+         fingerprints {}, fault trace {}",
+        faulted.neighbors_degraded,
+        faulted.faulted_degraded,
+        if unchanged { "unchanged" } else { "CHANGED" },
+        if faulted.faulted_traced {
+            "labelled"
+        } else {
+            "MISSING"
+        },
+    ));
+    report.flag("host_fingerprint_stable", stable);
+    report.metric("host_interference_ratio", interference);
+    report.flag("host_fingerprints_match", unchanged);
+    report.flag("host_neighbors_isolated", faulted.neighbors_degraded == 0);
+    report.flag("host_faulted_tenant_degraded", faulted.faulted_degraded > 0);
+    report.flag("host_fault_traced", faulted.faulted_traced);
+    report.tables.push(table);
+    report
 }
 
 // ---------------------------------------------------------------------
 // Dedup: the dv-cas chunk store under real checkpoint traffic
 // ---------------------------------------------------------------------
 
-/// One dedup workload measured with the content-addressed store on,
-/// against the identical workload with it off.
-pub struct DedupRow {
-    /// Workload name (`repetitive-1`, `similar-16`).
-    pub workload: &'static str,
-    /// Concurrent tenants.
-    pub tenants: usize,
-    /// Checkpoints taken across all tenants.
-    pub checkpoints: u64,
-    /// Bytes the tenants logically stored (what quotas account).
-    pub logical_bytes: u64,
-    /// Bytes physically resident in the chunk arena after dedup.
-    pub physical_bytes: u64,
-    /// Chunk lookups that hit an already-stored chunk.
-    pub dedup_hits: u64,
-    /// Distinct live chunks backing the whole store.
-    pub live_chunks: u64,
-    /// Logical storage throughput with dedup on (MB of checkpoint
-    /// data stored per wall second).
-    pub dedup_mbps: f64,
-    /// The same workload's throughput with dedup off.
-    pub plain_mbps: f64,
-    /// Whether every tenant's restore fingerprint was identical
-    /// between the deduped and the plain run — dedup must be invisible
-    /// to restored state.
-    pub fingerprints_match: bool,
-}
-
-impl DedupRow {
-    /// Logical bytes over physical bytes — how many times the store
-    /// shrank the workload. 1.0 means no redundancy was found.
-    pub fn dedup_ratio(&self) -> f64 {
-        self.logical_bytes as f64 / self.physical_bytes.max(1) as f64
-    }
-}
-
 /// What one dedup workload run produced.
-struct DedupRunOutcome {
+struct DedupRun {
     checkpoints: u64,
     logical_bytes: u64,
     physical_bytes: u64,
@@ -2380,97 +2393,48 @@ struct DedupRunOutcome {
 /// period 2 across rounds, so the same checkpoint images recur both
 /// across tenants and across a single tenant's history. Compression is
 /// off so the chunker sees the raw page bytes.
-fn dedup_run_once(tenants: usize, rounds: u64, pages: u64, dedup: bool) -> DedupRunOutcome {
-    let clock = SimClock::new();
-    let mut host = dv_host::Host::with_clock(
-        dv_host::HostConfig {
-            dedup,
-            compress: false,
-            ..host_pool_config()
-        },
-        clock.clone(),
-    );
-    let ids: Vec<u64> = (0..tenants)
-        .map(|slot| host.create_session(&format!("t{slot:04}"), host_session_config()))
-        .collect();
-    let procs = spawn_apps(&mut host, &ids, pages);
+fn dedup_run_once(sessions: usize, rounds: u64, pages: u64, dedup: bool) -> DedupRun {
+    let pool = dv_host::HostConfig {
+        dedup,
+        compress: false,
+        ..host_pool_config()
+    };
+    let mut tenants = Tenants::new(SimClock::new(), pool, 't', sessions, |_| {
+        host_session_config()
+    });
+    let apps = tenants.spawn_apps(pages);
 
     let started = Instant::now();
-    for round in 0..rounds {
-        for (slot, &id) in ids.iter().enumerate() {
-            let (p, addr) = procs[slot];
-            for page in 0..pages {
-                let key = (round % 2) ^ (page << 8);
-                // Mixed (non-periodic) bytes: periodic fills starve the
-                // gear chunker of cut points and degrade it to max-size
-                // chunks, which is not the shape real state has.
-                let fill: Vec<u8> = (0..4096u64)
-                    .map(|i| {
-                        let mut x = i ^ (key << 32);
-                        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        x ^= x >> 29;
-                        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                        (x >> 32) as u8
-                    })
-                    .collect();
-                host.session_mut(id)
-                    .expect("registered tenant")
-                    .vee_mut()
-                    .mem_write(p, addr + page * 4096, &fill)
-                    .expect("mem_write");
-            }
-            host.checkpoint(id).expect("checkpoint");
-        }
-        clock.advance(Duration::from_millis(100));
-    }
-    for &id in &ids {
-        host.flush_session(id).expect("flush");
-    }
+    let rhythm = [Duration::ZERO, Duration::from_millis(100)];
+    tenants.lockstep(rounds, rhythm, false, |t, round, slot| {
+        t.write_pages(slot, apps[slot], pages, |page| {
+            let key = (round % 2) ^ (page << 8);
+            // Mixed (non-periodic) bytes: periodic fills starve the
+            // gear chunker of cut points and degrade it to max-size
+            // chunks, which is not the shape real state has.
+            (0..4096u64)
+                .map(|i| {
+                    let mut x = i ^ (key << 32);
+                    x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    x ^= x >> 29;
+                    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    (x >> 32) as u8
+                })
+                .collect()
+        });
+        t.host.checkpoint(t.ids[slot]).expect("checkpoint");
+    });
+    tenants.flush(None);
     let wall = started.elapsed();
 
-    let checkpoints = ids
-        .iter()
-        .map(|&id| {
-            host.session(id)
-                .expect("registered tenant")
-                .engine()
-                .stats()
-                .checkpoints
-        })
-        .sum();
-    let fingerprints = app_fingerprints(&mut host, &ids, &procs, pages);
-    DedupRunOutcome {
-        checkpoints,
+    let host = &tenants.host;
+    DedupRun {
+        checkpoints: tenants.stats().iter().map(|s| s.checkpoints).sum(),
         logical_bytes: host.storage_logical_bytes(),
         physical_bytes: host.storage_physical_bytes(),
         cas: host.storage_cas_stats(),
         wall,
-        fingerprints,
-    }
-}
-
-/// Measures one workload with dedup on and off and folds both into a
-/// row. The throughput numbers are the min-noise side of three
-/// repetitions each; the deduped run's stats come from the first pair.
-fn dedup_point(workload: &'static str, tenants: usize, rounds: u64, pages: u64) -> DedupRow {
-    let ((deduped, plain), (dedup_wall, plain_wall)) = three_pairs(
-        |plain| dedup_run_once(tenants, rounds, pages, !plain),
-        |outcome| outcome.wall,
-    );
-    let cas = deduped.cas.expect("dedup run has a chunk store");
-    let mbps =
-        |bytes: u64, wall: std::time::Duration| bytes as f64 / 1e6 / wall.as_secs_f64().max(1e-9);
-    DedupRow {
-        workload,
-        tenants,
-        checkpoints: deduped.checkpoints,
-        logical_bytes: deduped.logical_bytes,
-        physical_bytes: deduped.physical_bytes,
-        dedup_hits: cas.dedup_hits,
-        live_chunks: cas.live_chunks,
-        dedup_mbps: mbps(deduped.logical_bytes, dedup_wall),
-        plain_mbps: mbps(plain.logical_bytes, plain_wall),
-        fingerprints_match: deduped.fingerprints == plain.fingerprints,
+        fingerprints: tenants.fingerprints(sessions, &apps, pages),
     }
 }
 
@@ -2478,88 +2442,83 @@ fn dedup_point(workload: &'static str, tenants: usize, rounds: u64, pages: u64) 
 /// content repeats over time (the paper's observation that desktop
 /// state is highly redundant across checkpoints), and 16 tenants
 /// running similar workloads (the multi-tenant redundancy a shared
-/// host can exploit). Both compare against the identical run with
-/// dedup off: the ratio says how much the store shrank, the
-/// fingerprints say restored state didn't notice.
-pub fn dedup_experiment(scale: f64) -> Vec<DedupRow> {
+/// host can exploit). Both run against the identical workload with
+/// dedup off, three pairs each: the throughputs are each side's
+/// least-noise run, the stats come from the first pair. The factor
+/// says how much the store shrank the workload (logical over physical
+/// bytes), the fingerprints that restored state did not notice.
+pub(crate) fn dedup_experiment(scale: f64) -> Report {
     let pages = 16;
-    vec![
-        dedup_point("repetitive-1", 1, ((32.0 * scale) as u64).max(12), pages),
-        dedup_point("similar-16", 16, ((12.0 * scale) as u64).max(6), pages),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// Sharded index: ingest, fan-out query latency, compaction
-// ---------------------------------------------------------------------
-
-/// One point of the sharded-index session sweep: `sessions` tenants
-/// ingesting text states through checkpoint-sealed shards, then served
-/// cross-session queries merged by global rank.
-pub struct IndexRow {
-    /// Concurrent sessions.
-    pub sessions: usize,
-    /// Text states indexed across all tenants in the kept repetition.
-    pub states: u64,
-    /// Sealed segments across all tenants at the end of ingest.
-    pub segments: u64,
-    /// Ingest throughput (states routed through capture, sealing
-    /// included) of the best repetition.
-    pub ingest_per_s: f64,
-    /// Median cross-session query latency.
-    pub query_p50: std::time::Duration,
-    /// 99th-percentile cross-session query latency.
-    pub query_p99: std::time::Duration,
-    /// Per-tenant p99 unit cost vs the single-session point — p99(N)
-    /// over N x p99(1), computed within each interleaved sweep pass and
-    /// minimised across passes so machine drift cancels. 1.0 for the
-    /// single-session row itself.
-    pub unit_ratio: f64,
-}
-
-/// The with/without-compaction comparison on one engine whose sealed
-/// segments would otherwise accumulate without bound.
-pub struct IndexCompactionRow {
-    /// Live sealed segments before background compaction.
-    pub segments_before: usize,
-    /// Live sealed segments after compaction runs to quiescence.
-    pub segments_after: usize,
-    /// Mean shards probed per query before compaction.
-    pub probes_before: f64,
-    /// Mean shards probed per query after compaction.
-    pub probes_after: f64,
-    /// 99th-percentile query latency before compaction.
-    pub query_p99_before: std::time::Duration,
-    /// 99th-percentile query latency after compaction.
-    pub query_p99_after: std::time::Duration,
-    /// Compaction throughput: framed bytes of every segment merged on
-    /// the way to quiescence over the wall time of doing so, in MB/s.
-    pub compact_mb_per_s: f64,
-    /// Whether every probe query returned identical hits before and
-    /// after — compaction must never change an answer.
-    pub results_identical: bool,
-}
-
-impl IndexCompactionRow {
-    /// How many fewer shards a query probes after compaction.
-    pub fn probe_reduction(&self) -> f64 {
-        self.probes_before / self.probes_after.max(1e-9)
+    let workloads = [
+        ("repetitive-1", 1, ((32.0 * scale) as u64).max(12)),
+        ("similar-16", 16, ((12.0 * scale) as u64).max(6)),
+    ];
+    let mut table = Table::new(
+        "Dedup: content-addressed chunk store under checkpoint traffic (vs dedup off)",
+        &[
+            "workload",
+            "tenants",
+            "ckpts",
+            "logical(KB)",
+            "physical(KB)",
+            "ratio",
+            "chunks",
+            "MB/s",
+            "plain-MB/s",
+            "restores",
+        ],
+    );
+    let mut report = Report::default();
+    let mut hits = Vec::new();
+    let mut identical = true;
+    for (workload, tenants, rounds) in workloads {
+        let ((deduped, plain), (dedup_wall, plain_wall)) = three_pairs(
+            |plain| dedup_run_once(tenants, rounds, pages, !plain),
+            |run| run.wall,
+        );
+        let cas = deduped.cas.expect("dedup run has a chunk store");
+        let mbps = |run: &DedupRun, wall: std::time::Duration| {
+            run.logical_bytes as f64 / 1e6 / wall.as_secs_f64().max(1e-9)
+        };
+        let (dedup_mbps, plain_mbps) = (mbps(&deduped, dedup_wall), mbps(&plain, plain_wall));
+        let factor = frac(deduped.logical_bytes, deduped.physical_bytes);
+        let matched = deduped.fingerprints == plain.fingerprints;
+        identical &= matched;
+        table.row([
+            workload.to_string(),
+            tenants.to_string(),
+            deduped.checkpoints.to_string(),
+            format!("{:.1}", deduped.logical_bytes as f64 / 1e3),
+            format!("{:.1}", deduped.physical_bytes as f64 / 1e3),
+            format!("{factor:.2}x"),
+            cas.live_chunks.to_string(),
+            format!("{dedup_mbps:.1}"),
+            format!("{plain_mbps:.1}"),
+            if matched { "identical" } else { "DIVERGED" }.to_string(),
+        ]);
+        hits.push(format!(
+            "  {workload}: {} chunk hits, stored {factor:.1}x less than dedup-off",
+            cas.dedup_hits
+        ));
+        let tag = workload.replace('-', "_");
+        report.metric(format!("dedup_factor_{tag}"), factor);
+        report.metric(format!("dedup_mbps_{tag}"), dedup_mbps);
+        report.metric(format!("dedup_plain_mbps_{tag}"), plain_mbps);
     }
+    for line in hits {
+        table.note(line);
+    }
+    report.flag("dedup_restore_identical", identical);
+    report.tables.push(table);
+    report
 }
 
-/// The full sharded-index report.
-pub struct IndexReport {
-    /// One row per session-sweep point.
-    pub rows: Vec<IndexRow>,
-    /// The compaction comparison.
-    pub compaction: IndexCompactionRow,
-    /// Whether a revive from an archive answered queries with exactly
-    /// the hits sealed at or before the revived checkpoint.
-    pub snapshot_consistent: bool,
-}
+// ---------------------------------------------------------------------
+// Sharded index and visual recall: ingest, fan-out queries, revive
+// ---------------------------------------------------------------------
 
-/// Session counts the index sweep visits.
-pub const INDEX_SWEEP: &[usize] = &[1, 16, 128];
+/// Session counts the index and visual sweeps visit.
+const INDEX_SWEEP: &[usize] = &[1, 16, 128];
 
 fn index_session_config() -> Config {
     Config {
@@ -2571,8 +2530,48 @@ fn index_session_config() -> Config {
     }
 }
 
+/// Seals four batches across four checkpoints of `dv` (`batch(dv, i)`
+/// shows batch `i` and returns its probe), archives the session and
+/// revives it under `config()`. True when `sound` accepts the original
+/// session's `views` — its answers at the four checkpoints, given
+/// their counters and the probes — and the revived session answers
+/// exactly alike.
+fn survives_revive<P, V: PartialEq>(
+    mut dv: DejaView,
+    config: impl Fn() -> Config,
+    mut batch: impl FnMut(&mut DejaView, u64) -> Option<P>,
+    views: impl Fn(&mut DejaView, &[u64], &[P]) -> Option<V>,
+    sound: impl Fn(&V) -> bool,
+) -> bool {
+    let mut counters = Vec::new();
+    let mut probes = Vec::new();
+    for i in 0..4 {
+        let Some(probe) = batch(&mut dv, i) else {
+            return false;
+        };
+        probes.push(probe);
+        match dv.checkpoint_now() {
+            Ok(report) => counters.push(report.counter),
+            Err(_) => return false,
+        }
+    }
+    let Some(expected) = views(&mut dv, &counters, &probes) else {
+        return false;
+    };
+    if !sound(&expected) {
+        return false;
+    }
+    let Ok(archive) = dv.save_archive() else {
+        return false;
+    };
+    match DejaView::load_archive(config(), &archive) {
+        Ok(mut revived) => views(&mut revived, &counters, &probes) == Some(expected),
+        Err(_) => false,
+    }
+}
+
 /// What one index ingest+query run over a fresh host produced.
-struct IndexRunOutcome {
+struct IndexRun {
     ingest_per_s: f64,
     /// Per-query latencies, sorted ascending.
     samples: Vec<std::time::Duration>,
@@ -2584,57 +2583,43 @@ struct IndexRunOutcome {
 /// sentence per round (hiding the previous one) and checkpoints — which
 /// seals the round's shard — then `queries` cross-session term queries
 /// fan out over all tenants' shards and merge by global rank.
-fn index_run_once(sessions: usize, rounds: u64, queries: usize) -> IndexRunOutcome {
-    let clock = SimClock::new();
-    let mut host = dv_host::Host::with_clock(host_pool_config(), clock.clone());
-    let ids: Vec<u64> = (0..sessions)
-        .map(|slot| host.create_session(&format!("q{slot:04}"), index_session_config()))
+fn index_run_once(sessions: usize, rounds: u64, queries: usize) -> IndexRun {
+    let pool = host_pool_config();
+    let mut tenants = Tenants::new(SimClock::new(), pool, 'q', sessions, |_| {
+        index_session_config()
+    });
+    let apps: Vec<_> = (0..sessions)
+        .map(|slot| {
+            let desktop = tenants.server(slot).desktop_mut();
+            let app = desktop.register_app("editor");
+            (app, desktop.root(app).expect("app root"))
+        })
         .collect();
-    let mut apps = Vec::with_capacity(sessions);
-    for &id in &ids {
-        let server = host.session_mut(id).expect("registered tenant");
-        let app = server.desktop_mut().register_app("editor");
-        let root = server.desktop_mut().root(app).expect("app root");
-        apps.push((app, root));
-    }
 
     warm_core();
 
     let mut prev: Vec<Option<dv_access::NodeId>> = vec![None; sessions];
-    let mut states = 0u64;
     let started = Instant::now();
-    for round in 0..rounds {
-        for (slot, &id) in ids.iter().enumerate() {
-            let (app, root) = apps[slot];
-            let server = host.session_mut(id).expect("registered tenant");
-            if let Some(node) = prev[slot].take() {
-                server.desktop_mut().remove_subtree(app, node);
-            }
-            let text = dv_workloads::corpus_sentence(round * sessions as u64 + slot as u64, 6);
-            prev[slot] = Some(server.desktop_mut().add_node(
-                app,
-                root,
-                dv_access::Role::Paragraph,
-                &text,
-            ));
-            states += 1;
+    let rhythm = [Duration::ZERO, Duration::from_millis(1100)];
+    tenants.lockstep(rounds, rhythm, true, |t, round, slot| {
+        let (app, root) = apps[slot];
+        let desktop = t.server(slot).desktop_mut();
+        if let Some(node) = prev[slot].take() {
+            desktop.remove_subtree(app, node);
         }
-        // Past the shard window, so every tenant's checkpoint seals.
-        clock.advance(Duration::from_millis(1100));
-        for &id in &ids {
-            host.checkpoint(id).expect("checkpoint");
-        }
-    }
-    for &id in &ids {
-        host.flush_session(id).expect("flush");
-    }
+        let text = dv_workloads::corpus_sentence(round * sessions as u64 + slot as u64, 6);
+        prev[slot] = Some(desktop.add_node(app, root, dv_access::Role::Paragraph, &text));
+    });
+    tenants.flush(None);
     let ingest_wall = started.elapsed();
+    let states = rounds * sessions as u64;
 
     let mut samples: Vec<std::time::Duration> = Vec::with_capacity(queries);
     for qi in 0..queries {
         let term = dv_workloads::common::WORDS[qi % dv_workloads::common::WORDS.len()];
         let t0 = Instant::now();
-        let hits = host
+        let hits = tenants
+            .host
             .search_all(term, RankOrder::PersistenceWeighted, 1024)
             .expect("cross-session query");
         std::hint::black_box(hits.len());
@@ -2642,14 +2627,11 @@ fn index_run_once(sessions: usize, rounds: u64, queries: usize) -> IndexRunOutco
     }
     samples.sort_unstable();
 
-    let mut segments = 0u64;
-    for &id in &ids {
-        let server = host.session_mut(id).expect("registered tenant");
-        if let Some(tidx) = server.tidx() {
-            segments += tidx.log().layout().live.len() as u64;
-        }
-    }
-    IndexRunOutcome {
+    let segments = (0..sessions)
+        .filter_map(|slot| tenants.server(slot).tidx())
+        .map(|tidx| tidx.log().layout().live.len() as u64)
+        .sum();
+    IndexRun {
         ingest_per_s: states as f64 / ingest_wall.as_secs_f64().max(1e-9),
         samples,
         states,
@@ -2657,39 +2639,12 @@ fn index_run_once(sessions: usize, rounds: u64, queries: usize) -> IndexRunOutco
     }
 }
 
-/// The 1/16/128-session sweep over the p99 cross-session query. The
-/// unit cost is per tenant: p99(N) over N x p99(1).
-fn index_sweep(scale: f64) -> Vec<IndexRow> {
-    let rounds = ((10.0 * scale) as u64).max(4);
-    let queries = ((64.0 * scale) as usize).max(16);
-    let sweep = interleaved_sweep(
-        INDEX_SWEEP,
-        3,
-        8,
-        0.99,
-        |sessions| index_run_once(sessions, rounds, queries),
-        |outcome| &outcome.samples,
-    );
-    INDEX_SWEEP
-        .iter()
-        .zip(sweep)
-        .map(|(&sessions, (best, ratio))| IndexRow {
-            sessions,
-            states: best.states,
-            segments: best.segments,
-            ingest_per_s: best.ingest_per_s,
-            query_p50: percentile(&best.samples, 0.50),
-            query_p99: percentile(&best.samples, 0.99),
-            unit_ratio: ratio / sessions as f64,
-        })
-        .collect()
-}
-
 /// The compaction comparison: one engine accumulates many small sealed
 /// segments; queries are measured (latency and shards probed, via the
 /// `tidx.segment_probes` histogram) before and after compaction runs to
-/// quiescence, and every probe query's hits must be identical.
-fn index_compaction(scale: f64) -> IndexCompactionRow {
+/// quiescence, and every probe query's hits must be identical. Adds
+/// its line to `table` and its metrics to `report`.
+fn index_compaction(scale: f64, table: &mut Table, report: &mut Report) {
     use dv_index::{IndexedInstance, TextIndex};
     use std::sync::Arc;
 
@@ -2776,31 +2731,34 @@ fn index_compaction(scale: f64) -> IndexCompactionRow {
     let segments_after = engine.log().layout().live.len();
 
     let (lat_after, answers_after, probes_after) = run_queries(&engine);
-
-    IndexCompactionRow {
-        segments_before,
-        segments_after,
-        probes_before,
-        probes_after,
-        query_p99_before: percentile(&lat_before, 0.99),
-        query_p99_after: percentile(&lat_after, 0.99),
-        compact_mb_per_s: merged_bytes as f64 / 1e6 / compact_wall.as_secs_f64().max(1e-9),
-        results_identical: answers_before == answers_after,
-    }
+    let reduction = probes_before / probes_after.max(1e-9);
+    let merged_mbps = merged_bytes as f64 / 1e6 / compact_wall.as_secs_f64().max(1e-9);
+    let identical = answers_before == answers_after;
+    table.note(format!(
+        "  compaction: {segments_before} -> {segments_after} live segments, \
+         {probes_before:.1} -> {probes_after:.1} probes/query ({reduction:.2}x fewer), \
+         p99 {:.2}us -> {:.2}us, merged at {merged_mbps:.0} MB/s, answers {}",
+        us(percentile(&lat_before, 0.99)),
+        us(percentile(&lat_after, 0.99)),
+        if identical { "identical" } else { "CHANGED" },
+    ));
+    report.metric("index_probe_reduction", reduction);
+    report.metric("index_compact_mb_per_s", merged_mbps);
+    report.flag("index_segments_reduced", segments_after < segments_before);
+    report.flag("index_compaction_identical", identical);
 }
 
-/// The snapshot-consistency check: a session seals shards across
-/// several checkpoints, archives, and revives; the revived session must
-/// answer exactly like the original — both the full query and the
-/// per-checkpoint `search_at_checkpoint` views.
+/// The snapshot-consistency check: a session seals shards across four
+/// checkpoints, archives, and revives; the revived session must answer
+/// exactly like the original — both the full query and the
+/// per-checkpoint `search_at_checkpoint` views, where checkpoint `i`
+/// sees exactly the batches sealed at or before it.
 fn index_snapshot_consistent() -> bool {
     let mut dv = DejaView::with_clock(index_session_config(), SimClock::new());
     let app = dv.desktop_mut().register_app("editor");
     let root = dv.desktop_mut().root(app).expect("app root");
-
-    let mut counters = Vec::new();
     let mut prev: Option<dv_access::NodeId> = None;
-    for batch in 0..4u64 {
+    let batch = |dv: &mut DejaView, batch: u64| {
         if let Some(node) = prev.take() {
             dv.desktop_mut().remove_subtree(app, node);
         }
@@ -2809,104 +2767,87 @@ fn index_snapshot_consistent() -> bool {
         // into one hit).
         dv.clock().advance(Duration::from_millis(100));
         let text = format!("snapshot evidence batch{batch}");
-        prev = Some(
-            dv.desktop_mut()
-                .add_node(app, root, dv_access::Role::Paragraph, &text),
-        );
+        let desktop = dv.desktop_mut();
+        prev = Some(desktop.add_node(app, root, dv_access::Role::Paragraph, &text));
         dv.clock().advance(Duration::from_millis(1100));
-        let report = dv.checkpoint_now().expect("checkpoint");
-        counters.push(report.counter);
-    }
-
+        Some(())
+    };
     // The full answer, then the answer at each checkpoint.
-    let views = |dv: &mut DejaView| -> Option<Vec<Vec<(Timestamp, usize)>>> {
+    let views = |dv: &mut DejaView, counters: &[u64], _: &[()]| {
         let order = RankOrder::Chronological;
         let query = parse_query("evidence").ok()?;
         let mut views = vec![dv.search_hits(&query, order).ok()?];
-        for &c in &counters {
+        for &c in counters {
             views.push(dv.search_at_checkpoint(c, "evidence", order).ok()?);
         }
-        let key =
-            |hits: Vec<dv_index::SearchHit>| hits.iter().map(|h| (h.time, h.matches)).collect();
-        Some(views.into_iter().map(key).collect())
-    };
-    let Some(expected) = views(&mut dv) else {
-        return false;
+        let key = |hits: Vec<dv_index::SearchHit>| {
+            hits.iter().map(|h| (h.time, h.matches)).collect::<Vec<_>>()
+        };
+        Some(views.into_iter().map(key).collect::<Vec<_>>())
     };
     // The full view has one hit per batch; the view at checkpoint i
     // sees exactly the batches sealed at or before it, nothing later.
-    let sizes: Vec<usize> = expected.iter().map(Vec::len).collect();
-    if sizes != [4, 1, 2, 3, 4] {
-        return false;
+    let sound = |views: &Vec<Vec<_>>| views.iter().map(Vec::len).eq([4, 1, 2, 3, 4]);
+    survives_revive(dv, index_session_config, batch, views, sound)
+}
+
+/// The dv-tidx experiment. The 1/16/128-session ingest+query sweep,
+/// whose unit cost is per tenant: p99(N) over N x p99(1). Then the
+/// with/without-compaction comparison, and the archive-revive snapshot
+/// check.
+pub(crate) fn index_experiment(scale: f64) -> Report {
+    let rounds = ((10.0 * scale) as u64).max(4);
+    let queries = ((64.0 * scale) as usize).max(16);
+    let sweep = interleaved_sweep(
+        INDEX_SWEEP,
+        3,
+        8,
+        0.99,
+        |sessions| index_run_once(sessions, rounds, queries),
+        |run| &run.samples,
+    );
+    let mut table = Table::new(
+        "Sharded index: ingest + cross-session query fan-out",
+        &[
+            "sessions",
+            "states",
+            "segments",
+            "states/s",
+            "qry p50 us",
+            "qry p99 us",
+        ],
+    );
+    let mut report = Report::default();
+    for (&sessions, (best, _)) in INDEX_SWEEP.iter().zip(&sweep) {
+        table.row([
+            sessions.to_string(),
+            best.states.to_string(),
+            best.segments.to_string(),
+            format!("{:.0}", best.ingest_per_s),
+            format!("{:.2}", us(percentile(&best.samples, 0.50))),
+            format!("{:.2}", us(percentile(&best.samples, 0.99))),
+        ]);
+        report.metric(format!("index_states_s{sessions}"), best.states as f64);
+        report.metric(format!("index_segments_s{sessions}"), best.segments as f64);
     }
-    let Ok(archive) = dv.save_archive() else {
-        return false;
-    };
-    match DejaView::load_archive(index_session_config(), &archive) {
-        Ok(mut revived) => views(&mut revived) == Some(expected),
-        Err(_) => false,
+    for (&sessions, (_, ratio)) in INDEX_SWEEP.iter().zip(&sweep).skip(1) {
+        let unit = ratio / sessions as f64;
+        report.metric(format!("index_query_p99_s{sessions}_ratio"), unit);
     }
+    index_compaction(scale, &mut table, &mut report);
+    let consistent = index_snapshot_consistent();
+    table.note(format!(
+        "  revive snapshot consistency: {}",
+        if consistent {
+            "exactly the hits sealed at or before each checkpoint"
+        } else {
+            "VIOLATED"
+        },
+    ));
+    report.flag("index_snapshot_consistent", consistent);
+    report.tables.push(table);
+    report
 }
-
-/// The dv-tidx experiment: the 1/16/128-session ingest+query sweep, the
-/// with/without-compaction comparison, and the revive snapshot check.
-pub fn index_experiment(scale: f64) -> IndexReport {
-    IndexReport {
-        rows: index_sweep(scale),
-        compaction: index_compaction(scale),
-        snapshot_consistent: index_snapshot_consistent(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Visual recall: fingerprint ingest, nearest-thumbnail query fan-out
-// ---------------------------------------------------------------------
-
-/// One point of the visual-recall session sweep: `sessions` tenants
-/// each recording distinct scenes through keyframes and checkpoints,
-/// then served cross-tenant nearest-thumbnail queries merged by global
-/// (distance, recency) order and checked against a per-tenant
-/// linear-scan oracle.
-pub struct VisualRow {
-    /// Concurrent sessions.
-    pub sessions: usize,
-    /// Keyframes forced across all tenants in the kept repetition.
-    pub keyframes: u64,
-    /// Visual instances (open + sealed) across all tenants.
-    pub instances: u64,
-    /// Sealed strip segments across all tenants.
-    pub segments: u64,
-    /// Fraction of queries whose nearest hit matched the linear-scan
-    /// oracle's nearest hit (recall@1).
-    pub recall: f64,
-    /// Fraction of queries whose full reply was byte-identical to the
-    /// oracle merge, deterministic tie-break included.
-    pub identical: f64,
-    /// Fingerprint comparisons a full linear scan would have made over
-    /// the same queries, divided by the comparisons the band index
-    /// actually made (from the `vidx.probes` histogram).
-    pub probe_reduction: f64,
-    /// Median cross-session query latency.
-    pub query_p50: std::time::Duration,
-    /// 99th-percentile cross-session query latency.
-    pub query_p99: std::time::Duration,
-    /// Per-tenant p99 unit cost vs the single-session point, computed
-    /// within each interleaved sweep pass and minimised across passes.
-    /// 1.0 for the single-session row itself.
-    pub unit_ratio: f64,
-}
-
-/// The full visual-recall report.
-pub struct VisualReport {
-    /// One row per session-sweep point.
-    pub rows: Vec<VisualRow>,
-    /// Whether an archive+revive answered `visual_at_checkpoint` with
-    /// exactly the hits sealed at or before each checkpoint.
-    pub snapshot_consistent: bool,
-}
-
-/// Session counts the visual sweep visits.
-pub const VISUAL_SWEEP: &[usize] = &[1, 16, 128];
 
 fn visual_session_config(obs: Obs) -> Config {
     Config {
@@ -2938,14 +2879,21 @@ fn paint_visual_scene(server: &mut DejaView, seed: u64) {
 }
 
 /// What one visual ingest+query run over a fresh host produced.
-struct VisualRunOutcome {
+struct VisualRun {
     /// Per-query latencies, sorted ascending.
     samples: Vec<std::time::Duration>,
     keyframes: u64,
     instances: u64,
     segments: u64,
+    /// Fraction of queries whose nearest hit matched the linear-scan
+    /// oracle's nearest hit (recall@1).
     recall: f64,
+    /// Fraction of queries whose full reply was byte-identical to the
+    /// oracle merge, deterministic tie-break included.
     identical: f64,
+    /// Fingerprint comparisons a full linear scan would have made over
+    /// the same queries, divided by the comparisons the band index
+    /// actually made (from the `vidx.probes` histogram).
     probe_reduction: f64,
 }
 
@@ -2960,86 +2908,75 @@ struct VisualRunOutcome {
 /// every tenant, each engine holds a within-radius candidate and the
 /// pigeonhole rule never forces a full scan — the sweep measures the
 /// band index, not the fallback.
-fn visual_run_once(sessions: usize, rounds: u64, queries: usize) -> VisualRunOutcome {
+fn visual_run_once(sessions: usize, rounds: u64, queries: usize) -> VisualRun {
     let clock = SimClock::new();
     // One shared obs across tenants, so every engine's probe counts
     // land in a single `vidx.probes` histogram this run can read.
     let obs = Obs::new(clock.shared());
-    let mut host = dv_host::Host::with_clock(host_pool_config(), clock.clone());
-    let ids: Vec<u64> = (0..sessions)
-        .map(|slot| host.create_session(&format!("v{slot:04}"), visual_session_config(obs.clone())))
-        .collect();
-
-    let mut keyframes = 0u64;
-    for round in 0..rounds {
-        clock.advance(Duration::from_millis(1100));
-        for &id in &ids {
-            let server = host.session_mut(id).expect("registered tenant");
-            paint_visual_scene(server, round + 1);
-            server.force_keyframe();
-            keyframes += 1;
-        }
-        // Past the strip window, so every tenant's checkpoint seals.
-        for &id in &ids {
-            host.checkpoint(id).expect("checkpoint");
-        }
-    }
+    let mut tenants = Tenants::new(clock, host_pool_config(), 'v', sessions, |_| {
+        visual_session_config(obs.clone())
+    });
+    let rhythm = [Duration::from_millis(1100), Duration::ZERO];
+    tenants.lockstep(rounds, rhythm, true, |t, round, slot| {
+        let server = t.server(slot);
+        paint_visual_scene(server, round + 1);
+        server.force_keyframe();
+    });
+    tenants.flush(None);
+    let keyframes = rounds * sessions as u64;
 
     // Probes reconstruct recorded screens across tenants and rounds —
     // collected before timing so playback cost stays out of the query
     // measurement.
-    let mut probes = Vec::with_capacity(queries);
-    for qi in 0..queries {
-        let slot = qi % sessions;
-        let round = qi as u64 % rounds;
-        let t = Timestamp::from_millis((round + 1) * 1100);
-        let server = host.session_mut(ids[slot]).expect("registered tenant");
-        probes.push(server.browse(t).expect("recorded screen"));
-    }
+    let probes: Vec<_> = (0..queries)
+        .map(|qi| {
+            let t = Timestamp::from_millis((qi as u64 % rounds + 1) * 1100);
+            tenants
+                .server(qi % sessions)
+                .browse(t)
+                .expect("recorded screen")
+        })
+        .collect();
 
     // The comparisons one query would cost without the band index.
-    let mut linear_cost = 0u64;
-    for &id in &ids {
-        let server = host.session_mut(id).expect("registered tenant");
-        linear_cost += server.vidx().expect("visual index on").linear_probe_cost();
-    }
+    let vidx = |t: &mut Tenants, slot| t.server(slot).vidx().expect("visual index on");
+    let linear_cost: u64 = (0..sessions)
+        .map(|slot| vidx(&mut tenants, slot).linear_probe_cost())
+        .sum();
 
     warm_core();
 
-    let probes_before = obs
-        .histogram(dv_obs::names::VIDX_PROBES)
-        .unwrap_or_default();
+    let probed = || {
+        let h = obs.histogram(dv_obs::names::VIDX_PROBES);
+        h.unwrap_or_default().sum_nanos
+    };
+    let probed_before = probed();
     let mut samples = Vec::with_capacity(queries);
     let mut answers = Vec::with_capacity(queries);
     for shot in &probes {
         let t0 = Instant::now();
-        let hits = host.visual_all(shot, 1);
+        let hits = tenants.host.visual_all(shot, 1);
         samples.push(t0.elapsed());
         std::hint::black_box(hits.len());
         answers.push(hits);
     }
-    let probes_after = obs
-        .histogram(dv_obs::names::VIDX_PROBES)
-        .unwrap_or_default();
-    let probed = (probes_after.sum_nanos - probes_before.sum_nanos) as f64;
+    let probed = (probed() - probed_before) as f64;
     let probe_reduction = (linear_cost as f64 * probes.len() as f64) / probed.max(1.0);
     samples.sort_unstable();
 
     // The oracle: every tenant linear-scanned, merged with the same
     // global (distance, recency, tenant, id) order `visual_all` uses.
-    let mut recalled = 0usize;
-    let mut matched = 0usize;
+    let mut recalled = 0;
+    let mut matched = 0;
     for (shot, got) in probes.iter().zip(&answers) {
         let mut oracle: Vec<dv_host::CrossVisualHit> = Vec::new();
-        for (slot, &id) in ids.iter().enumerate() {
-            let server = host.session_mut(id).expect("registered tenant");
-            let hits = server
-                .vidx()
-                .expect("visual index on")
+        for slot in 0..sessions {
+            let tenant = tenants.ids[slot];
+            let hits = vidx(&mut tenants, slot)
                 .query_linear(shot, 1)
                 .expect("linear scan");
             oracle.extend(hits.into_iter().map(|hit| dv_host::CrossVisualHit {
-                tenant: id,
+                tenant,
                 label: format!("v{slot:04}"),
                 hit,
             }));
@@ -3052,133 +2989,193 @@ fn visual_run_once(sessions: usize, rounds: u64, queries: usize) -> VisualRunOut
         oracle.truncate(1);
         let got_top = got.first().map(|h| (h.tenant, h.hit.id));
         let want_top = oracle.first().map(|h| (h.tenant, h.hit.id));
-        if got_top == want_top {
-            recalled += 1;
-        }
-        if *got == oracle {
-            matched += 1;
-        }
+        recalled += u64::from(got_top == want_top);
+        matched += u64::from(*got == oracle);
     }
 
-    let mut instances = 0u64;
-    let mut segments = 0u64;
-    for &id in &ids {
-        let server = host.session_mut(id).expect("registered tenant");
-        let stats = server.vidx().expect("visual index on").stats();
+    let (mut instances, mut segments) = (0, 0);
+    for slot in 0..sessions {
+        let stats = vidx(&mut tenants, slot).stats();
         instances += stats.open_instances as u64 + stats.sealed_instances;
         segments += stats.live_segments as u64;
     }
-    VisualRunOutcome {
+    VisualRun {
         samples,
         keyframes,
         instances,
         segments,
-        recall: recalled as f64 / probes.len().max(1) as f64,
-        identical: matched as f64 / probes.len().max(1) as f64,
+        recall: frac(recalled, probes.len() as u64),
+        identical: frac(matched, probes.len() as u64),
         probe_reduction,
     }
 }
 
-/// The 1/16/128-session visual sweep over the p99 nearest-thumbnail
-/// query; per-tenant unit cost as in the index sweep.
-fn visual_sweep(scale: f64) -> Vec<VisualRow> {
-    let rounds = ((10.0 * scale) as u64).max(4);
-    let queries = ((64.0 * scale) as usize).max(16);
-    let sweep = interleaved_sweep(
-        VISUAL_SWEEP,
-        3,
-        8,
-        0.99,
-        |sessions| visual_run_once(sessions, rounds, queries),
-        |outcome| &outcome.samples,
-    );
-    VISUAL_SWEEP
-        .iter()
-        .zip(sweep)
-        .map(|(&sessions, (best, ratio))| VisualRow {
-            sessions,
-            keyframes: best.keyframes,
-            instances: best.instances,
-            segments: best.segments,
-            recall: best.recall,
-            identical: best.identical,
-            probe_reduction: best.probe_reduction,
-            query_p50: percentile(&best.samples, 0.50),
-            query_p99: percentile(&best.samples, 0.99),
-            unit_ratio: ratio / sessions as f64,
-        })
-        .collect()
-}
-
 /// The visual snapshot-consistency check: a session seals strips
-/// across several checkpoints, archives, and revives; the revived
+/// across four checkpoints, archives, and revives; the revived
 /// session's `visual_at_checkpoint` must answer exactly like the
 /// original at every counter — each checkpoint seeing its own batch
 /// and every earlier one, never a later one.
 fn visual_snapshot_consistent() -> bool {
-    let mut dv = DejaView::with_clock(visual_session_config(Obs::disabled()), SimClock::new());
-    let clock = dv.clock();
-    let batches = 4u64;
-    let mut counters = Vec::new();
-    let mut probes = Vec::new();
-    for batch in 0..batches {
+    let config = || visual_session_config(Obs::disabled());
+    let dv = DejaView::with_clock(config(), SimClock::new());
+    let batch = |dv: &mut DejaView, batch: u64| {
         // Past the strip window before each keyframe, so the
         // checkpoint that follows seals exactly this batch.
-        clock.advance(Duration::from_millis(1100));
-        paint_visual_scene(&mut dv, batch + 1);
+        dv.clock().advance(Duration::from_millis(1100));
+        paint_visual_scene(dv, batch + 1);
         dv.force_keyframe();
-        match dv.browse(Timestamp::from_millis((batch + 1) * 1100)) {
-            Ok(shot) => probes.push(shot),
-            Err(_) => return false,
-        }
-        match dv.checkpoint_now() {
-            Ok(report) => counters.push(report.counter),
-            Err(_) => return false,
-        }
-    }
-
+        dv.browse(Timestamp::from_millis((batch + 1) * 1100)).ok()
+    };
     // Every probe's answer — `(instance, distance)` hits — at every
     // checkpoint.
-    type Answer = Vec<(u64, u32)>;
-    let views = |dv: &DejaView| -> Option<Vec<Vec<Answer>>> {
+    let views = |dv: &mut DejaView, counters: &[u64], probes: &[_]| {
         let at = |counter: u64, shot| {
-            let hits = dv.visual_at_checkpoint(counter, shot, batches as usize);
-            Some(hits.ok()?.iter().map(|h| (h.id, h.distance)).collect())
+            let hits = dv.visual_at_checkpoint(counter, shot, probes.len());
+            Some(
+                hits.ok()?
+                    .iter()
+                    .map(|h| (h.id, h.distance))
+                    .collect::<Vec<_>>(),
+            )
         };
-        counters
-            .iter()
-            .map(|&c| probes.iter().map(|shot| at(c, shot)).collect())
-            .collect()
-    };
-    let Some(expected) = views(&dv) else {
-        return false;
+        let at_each = |&c: &u64| {
+            probes
+                .iter()
+                .map(|shot| at(c, shot))
+                .collect::<Option<Vec<_>>>()
+        };
+        counters.iter().map(at_each).collect::<Option<Vec<_>>>()
     };
     // Checkpoint i sees a distance-0 instance for its own batch and
     // every earlier one, and for no later batch.
-    for (i, at_checkpoint) in expected.iter().enumerate() {
-        for (j, hits) in at_checkpoint.iter().enumerate() {
-            if hits.iter().any(|&(_, d)| d == 0) != (j <= i) {
-                return false;
-            }
-        }
-    }
-    let Ok(archive) = dv.save_archive() else {
-        return false;
+    let sound = |views: &Vec<Vec<Vec<(u64, u32)>>>| {
+        views.iter().enumerate().all(|(i, at_checkpoint)| {
+            let exact = |hits: &Vec<(u64, u32)>| hits.iter().any(|&(_, d)| d == 0);
+            at_checkpoint
+                .iter()
+                .enumerate()
+                .all(|(j, hits)| exact(hits) == (j <= i))
+        })
     };
-    match DejaView::load_archive(visual_session_config(Obs::disabled()), &archive) {
-        Ok(revived) => views(&revived) == Some(expected),
-        Err(_) => false,
-    }
+    survives_revive(dv, config, batch, views, sound)
 }
 
 /// The dv-vidx experiment: the 1/16/128-session ingest+query sweep
-/// with oracle-exactness and probe accounting, and the archive+revive
-/// snapshot check.
-pub fn visual_experiment(scale: f64) -> VisualReport {
-    VisualReport {
-        rows: visual_sweep(scale),
-        snapshot_consistent: visual_snapshot_consistent(),
+/// with oracle-exactness and probe accounting, its per-tenant unit cost
+/// as in the index sweep, and the archive+revive snapshot check. The
+/// recall and exactness metrics are the weakest sweep point's: one bad
+/// point is a correctness bug however the others look.
+pub(crate) fn visual_experiment(scale: f64) -> Report {
+    let rounds = ((10.0 * scale) as u64).max(4);
+    let queries = ((64.0 * scale) as usize).max(16);
+    let sweep = interleaved_sweep(
+        INDEX_SWEEP,
+        3,
+        8,
+        0.99,
+        |sessions| visual_run_once(sessions, rounds, queries),
+        |run| &run.samples,
+    );
+    let mut table = Table::new(
+        "Visual recall: nearest-thumbnail query fan-out vs the linear-scan oracle",
+        &[
+            "sessions",
+            "keyframes",
+            "instances",
+            "segments",
+            "recall",
+            "identical",
+            "probe dn",
+            "qry p50 us",
+            "qry p99 us",
+        ],
+    );
+    let mut report = Report::default();
+    for (&sessions, (best, _)) in INDEX_SWEEP.iter().zip(&sweep) {
+        table.row([
+            sessions.to_string(),
+            best.keyframes.to_string(),
+            best.instances.to_string(),
+            best.segments.to_string(),
+            format!("{:.3}", best.recall),
+            format!("{:.3}", best.identical),
+            format!("{:.1}x", best.probe_reduction),
+            format!("{:.2}", us(percentile(&best.samples, 0.50))),
+            format!("{:.2}", us(percentile(&best.samples, 0.99))),
+        ]);
+        report.metric(
+            format!("visual_keyframes_s{sessions}"),
+            best.keyframes as f64,
+        );
+        report.metric(
+            format!("visual_instances_s{sessions}"),
+            best.instances as f64,
+        );
+        report.metric(format!("visual_segments_s{sessions}"), best.segments as f64);
     }
+    let weakest =
+        |of: fn(&VisualRun) -> f64| sweep.iter().map(|(run, _)| of(run)).fold(1.0, f64::min);
+    report.metric("visual_recall", weakest(|r| r.recall));
+    report.metric("visual_identical", weakest(|r| r.identical));
+    for (&sessions, (_, ratio)) in INDEX_SWEEP.iter().zip(&sweep).skip(1) {
+        let unit = ratio / sessions as f64;
+        report.metric(format!("visual_query_p99_s{sessions}_ratio"), unit);
+    }
+    // The widest point is where the band index has to earn its keep.
+    let (widest, _) = sweep.last().expect("sweep has points");
+    report.metric("visual_probe_reduction", widest.probe_reduction);
+    let consistent = visual_snapshot_consistent();
+    table.note(format!(
+        "  revive snapshot consistency: {}",
+        if consistent {
+            "exactly the instances sealed at or before each checkpoint"
+        } else {
+            "VIOLATED"
+        },
+    ));
+    report.flag("visual_snapshot_consistent", consistent);
+    report.tables.push(table);
+    report
+}
+
+/// An experiment: runs at a scale and reports its tables and metrics.
+pub type Experiment = fn(f64) -> Report;
+
+/// The paper experiments `all` runs, in the paper's order: each
+/// subcommand and what it runs.
+pub const PAPER: &[(&str, &[Experiment])] = &[
+    ("table1", &[table1]),
+    ("fig2", &[fig2_overhead]),
+    ("fig3", &[fig3_checkpoint_latency]),
+    ("fig4", &[fig4_storage]),
+    ("fig5", &[fig5_browse_search]),
+    ("fig6", &[fig6_playback]),
+    ("fig7", &[fig7_revive]),
+    ("policy", &[policy_effectiveness]),
+    ("quality", &[quality_tradeoff]),
+    ("deferred", &[|scale| deferred_experiment(scale).0]),
+    ("faults", &[faults_experiment, crash_consistency]),
+    (
+        "ablation",
+        &[ablation_checkpoint_optimizations, ablation_mirror_tree],
+    ),
+];
+
+/// Report-only experiments outside `all`: absolute times, no gate.
+pub const REPORTS: &[(&str, &[Experiment])] = &[("micro", &[crate::micro::micro_experiment])];
+
+/// Runs `experiments` at `scale` in order, prints every table they
+/// report, and returns their metrics in order.
+pub fn run(experiments: &[Experiment], scale: f64) -> Vec<(String, f64)> {
+    let mut metrics = Vec::new();
+    for experiment in experiments {
+        let report = experiment(scale);
+        for table in &report.tables {
+            println!("{table}");
+        }
+        metrics.extend(report.metrics);
+    }
+    metrics
 }
 
 #[cfg(test)]
@@ -3186,161 +3183,181 @@ pub(crate) mod tests {
     use super::*;
     use std::sync::LazyLock;
 
-    // One smoke-scale run of each gate experiment, shared by the test
-    // below that asserts on its rows and the gate-table test
-    // (`gates::tests`) that keys them.
-    pub(crate) static DEFERRED: LazyLock<Vec<DeferredRow>> =
+    // One smoke-scale run of each gate experiment, shared by the tests
+    // below that assert on its tables and metrics and the gate-table
+    // test (`gates::tests`) that keys them.
+    pub(crate) static DEFERRED: LazyLock<(Report, [DeferredRun; 4])> =
         LazyLock::new(|| deferred_experiment(0.05));
-    pub(crate) static RAW_REVIVE: LazyLock<DeferredRow> =
+    pub(crate) static RAW_REVIVE: LazyLock<(Report, DeferredRun)> =
         LazyLock::new(|| raw_revive_experiment(0.05));
-    pub(crate) static FAULTS: LazyLock<Vec<FaultRow>> = LazyLock::new(|| faults_experiment(0.02));
-    pub(crate) static CRASH: LazyLock<Vec<CrashRow>> = LazyLock::new(|| crash_consistency(0.02));
-    pub(crate) static FS_SNAPSHOT: LazyLock<Vec<FsSnapshotRow>> =
+    pub(crate) static FAULTS: LazyLock<Report> = LazyLock::new(|| faults_experiment(0.02));
+    pub(crate) static CRASH: LazyLock<Report> = LazyLock::new(|| crash_consistency(0.02));
+    pub(crate) static FS_SNAPSHOT: LazyLock<Report> =
         LazyLock::new(|| fs_snapshot_experiment(0.02));
-    pub(crate) static KERNELS: LazyLock<Vec<KernelRow>> = LazyLock::new(|| kernel_experiment(0.02));
-    pub(crate) static SEEK_RESTORE: LazyLock<SeekRestoreReport> =
+    pub(crate) static KERNELS: LazyLock<Report> = LazyLock::new(|| kernel_experiment(0.02));
+    pub(crate) static SEEK_RESTORE: LazyLock<Report> =
         LazyLock::new(|| seek_restore_experiment(0.02));
-    pub(crate) static REPLAY_SCROLL: LazyLock<ReplayScrollReport> =
+    pub(crate) static REPLAY_SCROLL: LazyLock<Report> =
         LazyLock::new(|| replay_scroll_experiment(0.02));
-    pub(crate) static NET: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_experiment(0.05));
-    pub(crate) static NET_WIDE: LazyLock<Vec<NetRow>> = LazyLock::new(|| net_wide_experiment(0.02));
-    pub(crate) static HOST: LazyLock<HostReport> = LazyLock::new(|| host_experiment(0.05));
-    pub(crate) static DEDUP: LazyLock<Vec<DedupRow>> = LazyLock::new(|| dedup_experiment(0.05));
-    pub(crate) static INDEX: LazyLock<IndexReport> = LazyLock::new(|| index_experiment(0.1));
-    pub(crate) static VISUAL: LazyLock<VisualReport> = LazyLock::new(|| visual_experiment(0.1));
+    pub(crate) static NET: LazyLock<Report> = LazyLock::new(|| net_experiment(0.05));
+    pub(crate) static HOST: LazyLock<Report> = LazyLock::new(|| host_experiment(0.05));
+    pub(crate) static DEDUP: LazyLock<Report> = LazyLock::new(|| dedup_experiment(0.05));
+    pub(crate) static INDEX: LazyLock<Report> = LazyLock::new(|| index_experiment(0.1));
+    pub(crate) static VISUAL: LazyLock<Report> = LazyLock::new(|| visual_experiment(0.1));
 
     #[test]
     fn deferred_modes_commit_identical_histories() {
-        let rows: &[DeferredRow] = &DEFERRED;
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].workers, 0);
-        for row in &rows[1..] {
+        let (report, runs) = &*DEFERRED;
+        let inline = &runs[0];
+        assert_eq!(inline.config, "inline");
+        for run in &runs[1..] {
             assert_eq!(
-                row.fingerprint, rows[0].fingerprint,
+                run.fingerprint, inline.fingerprint,
                 "{} diverged from inline",
-                row.config
+                run.config
             );
-            assert_eq!(row.checkpoints, rows[0].checkpoints);
-            assert_eq!(row.pages_restored, rows[0].pages_restored);
+            assert_eq!(run.checkpoints, inline.checkpoints);
+            assert_eq!(run.pages_restored, inline.pages_restored);
         }
         // A full image and three half-dirty incrementals, each page
         // read from one of them.
-        for row in rows {
-            assert_eq!(row.longest_chain.images_loaded, 4);
-            assert_eq!(row.pages_decoded_ratio(), 1.0, "{}", row.config);
+        for run in runs {
+            let chain = &run.longest_chain;
+            assert_eq!(chain.images_loaded, 4);
+            assert_eq!(chain.pages_decoded, chain.pages_installed, "{}", run.config);
         }
+        // The printed table and the gate say the same.
+        let configs = report.tables[0].column("config");
+        assert_eq!(
+            configs,
+            ["inline", "deferred x1", "deferred x2", "deferred x4"]
+        );
+        assert_eq!(report.get("deferred_restore_identical"), 1.0);
+        assert_eq!(report.get("revive_pages_decoded_ratio"), 1.0);
     }
 
     #[test]
     fn raw_revive_smoke() {
-        let (raw, inline) = (&*RAW_REVIVE, &DEFERRED[0]);
+        let ((report, raw), inline) = (&*RAW_REVIVE, &DEFERRED.1[0]);
+        let (raw_chain, inline_chain) = (&raw.longest_chain, &inline.longest_chain);
         // The same history stored raw: the same plaintexts, revived alike.
         assert_eq!(raw.fingerprint, inline.fingerprint);
-        assert_eq!(
-            raw.longest_chain.pages_installed,
-            inline.longest_chain.pages_installed
-        );
+        assert_eq!(raw_chain.pages_installed, inline_chain.pages_installed);
         // Every raw page is installed in place; every compressed one is
         // copied out of its plaintext.
-        assert_eq!(raw.longest_chain.pages_copied, 0);
-        assert_eq!(inline.pages_copied_frac(), 1.0);
+        assert_eq!(raw_chain.pages_copied, 0);
+        let copied = frac(
+            inline_chain.pages_copied as u64,
+            inline_chain.pages_installed as u64,
+        );
+        assert_eq!(copied, 1.0);
+        assert_eq!(report.get("revive_pages_copied_frac"), 0.0);
     }
 
     #[test]
     fn faults_smoke() {
-        let rows: &[FaultRow] = &FAULTS;
-        assert_eq!(rows.len(), dv_fault::sites::ALL.len() * 5);
-        for row in rows {
-            assert!(row.browse_ok, "{}/{}: browse survived", row.site, row.fault);
-            assert!(row.search_ok, "{}/{}: search survived", row.site, row.fault);
+        let report: &Report = &FAULTS;
+        let table = &report.tables[0];
+        assert_eq!(table.column("site").len(), dv_fault::sites::ALL.len() * 5);
+        for (i, (browse, search)) in table
+            .column("browse")
+            .iter()
+            .zip(table.column("search"))
+            .enumerate()
+        {
+            assert_eq!(
+                (*browse, search),
+                ("ok", "ok"),
+                "row {i}: browse and search survived"
+            );
         }
+        assert_eq!(report.get("faults_browse_ok_fraction"), 1.0);
+        assert_eq!(report.get("faults_search_ok_fraction"), 1.0);
         // At least some rows actually injected faults.
-        assert!(rows.iter().any(|r| r.injected > 0));
+        assert!(table.numbers("injected").iter().any(|&n| n > 0.0));
     }
 
     #[test]
     fn crash_smoke() {
-        let rows: &[CrashRow] = &CRASH;
-        assert_eq!(rows.len(), 5);
-        for row in rows {
-            assert!(row.recovered, "cut at {} bytes recovered", row.cut_bytes);
-        }
+        let report: &Report = &CRASH;
+        let table = &report.tables[0];
+        assert_eq!(table.column("recovered"), ["ok"; 5]);
+        assert_eq!(report.get("crash_recovered_fraction"), 1.0);
         // The full image keeps the most snapshots.
-        assert!(rows.last().unwrap().snapshots >= rows[0].snapshots);
+        let snapshots = table.numbers("snapshots");
+        assert!(snapshots[4] >= snapshots[0]);
     }
 
     #[test]
     fn replay_scroll_smoke() {
-        let report: &ReplayScrollReport = &REPLAY_SCROLL;
+        let report: &Report = &REPLAY_SCROLL;
+        let table = &report.tables[0];
+        let count = |name| table.numbers(name)[0];
+        let (lines, slices) = (count("lines"), count("slices"));
         // Every line is a scroll, a fill and a glyph row; a clock every
         // fifth, all of them played.
-        assert_eq!(report.commands, report.lines * 3 + report.lines.div_ceil(5));
+        assert_eq!(count("commands"), lines * 3.0 + (lines / 5.0).ceil());
         // One copy a scroll moves nine of the ten eight-row lines; the
         // ring copies the one left in place, and every slice ends
         // part-way round, so puts all ten back.
-        assert_eq!(report.copy_rows, report.lines * 9 * 8);
-        assert_eq!(report.ring_rows, report.lines * 8 + report.slices * 80);
-        assert_eq!(report.rows_frac(), (16.0 * 8.0 + 80.0) / (16.0 * 72.0));
+        assert_eq!(count("copy rows"), lines * 9.0 * 8.0);
+        assert_eq!(count("ring rows"), lines * 8.0 + slices * 80.0);
+        let rows_frac = report.get("replay_scroll_rows_frac");
+        assert_eq!(rows_frac, (16.0 * 8.0 + 80.0) / (16.0 * 72.0));
     }
 
     #[test]
     fn seek_restore_smoke() {
-        let report: &SeekRestoreReport = &SEEK_RESTORE;
-        assert_eq!(report.keyframe_seeks, report.seeks, "a seek resumed");
+        let report: &Report = &SEEK_RESTORE;
+        let table = &report.tables[0];
+        let seeks = table.numbers("seeks");
+        assert_eq!(table.numbers("keyframe seeks"), seeks, "a seek resumed");
         // The four windows leave the panel, 16 rows of 1024, to copy.
-        assert_eq!(report.restored_frac(), 16.0 / 1024.0);
+        assert_eq!(report.get("seek_restored_frac"), 16.0 / 1024.0);
     }
 
     #[test]
     fn fig3_smoke() {
         // One cheap scenario end to end through the harness path.
-        let rows = fig3_checkpoint_latency(0.02);
-        assert_eq!(rows.len(), ALL_SCENARIOS.len());
-        for row in &rows {
-            if row.checkpoints > 0 {
-                assert!(row.downtime <= row.downtime + row.writeback);
+        let report = fig3_checkpoint_latency(0.02);
+        let table = &report.tables[0];
+        assert_eq!(table.column("scenario"), ALL_SCENARIOS);
+        let downtimes = table.numbers("downtime").into_iter();
+        let phases = downtimes
+            .zip(table.numbers("writeback"))
+            .zip(table.numbers("ckpts"));
+        for ((downtime, writeback), checkpoints) in phases {
+            if checkpoints > 0.0 {
+                assert!(downtime <= downtime + writeback);
             }
         }
     }
 
     #[test]
     fn net_smoke() {
-        let rows: &[NetRow] = &NET;
-        assert_eq!(rows.len(), 4);
-        for row in rows {
-            assert!(row.all_converged, "fanout {} diverged", row.fanout);
-            assert!(row.frames_delivered > 0);
-        }
+        let report: &Report = &NET;
+        let table = &report.tables[0];
+        assert_eq!(table.column("clients"), ["1", "4", "16", "64"]);
+        assert_eq!(table.column("converged"), ["ok"; 4], "a fan-out diverged");
+        assert!(table.numbers("frames").iter().all(|&n| n > 0.0));
         // Bursts past the queue bound must exercise coalescing at the
         // wider fan-outs.
-        assert!(rows.iter().any(|r| r.coalesce_events > 0));
+        let coalesced = |f: &str| report.get(&format!("net_coalesce_rate_f{f}")) > 0.0;
+        assert!(table.column("clients").into_iter().any(coalesced));
         // Identity-scale viewers: one encode per live batch, whatever
-        // the fan-out.
-        for row in rows {
-            assert!(
-                (row.encode_ratio() - 1.0).abs() < 1e-9,
-                "fanout {}: {} encodes for {} batches",
-                row.fanout,
-                row.live_encodes,
-                row.live_batches
-            );
-        }
+        // the fan-out, on every row of both sweeps.
+        assert_eq!(table.column("enc/batch"), ["1.000"; 4]);
+        assert_eq!(report.get("net_one_encode_per_batch"), 1.0);
     }
 
     #[test]
     fn net_wide_smoke() {
-        let rows: &[NetRow] = &NET_WIDE;
-        assert_eq!(rows.len(), 3);
-        for row in rows {
-            assert!(row.all_converged, "fanout {} diverged", row.fanout);
-            assert!(
-                (row.encode_ratio() - 1.0).abs() < 1e-9,
-                "fanout {}: {} encodes for {} batches",
-                row.fanout,
-                row.live_encodes,
-                row.live_batches
-            );
-        }
+        let report: &Report = &NET;
+        let table = &report.tables[1];
+        assert_eq!(table.column("clients"), ["64", "256", "1024"]);
+        assert_eq!(table.column("converged"), ["ok"; 3], "a fan-out diverged");
+        assert_eq!(table.column("enc/batch"), ["1.000"; 3]);
+        assert_eq!(report.get("net_one_encode_per_batch"), 1.0);
     }
 
     #[test]
@@ -3352,103 +3369,117 @@ pub(crate) mod tests {
             one.fingerprints[0], sixteen.fingerprints[0],
             "a tenant's record must not depend on how many neighbours it has"
         );
-        let interference = &HOST.interference;
-        assert_eq!(interference.neighbors_degraded, 0, "neighbours degraded");
-        assert!(interference.faulted_degraded > 0, "fault did not bite");
-        assert!(interference.fingerprints_match, "neighbour records changed");
-        assert!(interference.faulted_traced, "fault left no labelled trace");
+        let report: &Report = &HOST;
+        for (key, what) in [
+            ("host_neighbors_isolated", "neighbours degraded"),
+            ("host_faulted_tenant_degraded", "fault did not bite"),
+            ("host_fingerprints_match", "neighbour records changed"),
+            ("host_fault_traced", "fault left no labelled trace"),
+        ] {
+            assert_eq!(report.get(key), 1.0, "{what}");
+        }
     }
 
     #[test]
     fn dedup_smoke() {
-        let rows: &[DedupRow] = &DEDUP;
-        assert_eq!(rows.len(), 2);
-        for row in rows {
+        let report: &Report = &DEDUP;
+        let table = &report.tables[0];
+        assert_eq!(table.column("workload"), ["repetitive-1", "similar-16"]);
+        assert_eq!(
+            table.column("restores"),
+            ["identical"; 2],
+            "restores diverged"
+        );
+        let factor = |tag| report.get(&format!("dedup_factor_{tag}"));
+        for tag in ["repetitive_1", "similar_16"] {
             assert!(
-                row.dedup_ratio() >= 2.0,
-                "{}: dedup ratio {:.2} under 2x (logical={} physical={})",
-                row.workload,
-                row.dedup_ratio(),
-                row.logical_bytes,
-                row.physical_bytes
+                factor(tag) >= 2.0,
+                "{tag}: dedup ratio {:.2} under 2x",
+                factor(tag)
             );
-            assert!(
-                row.fingerprints_match,
-                "{}: restores diverged",
-                row.workload
-            );
-            assert!(row.dedup_hits > 0);
+        }
+        for note in table.notes() {
+            let hits = note.split(": ").nth(1).and_then(|n| n.split(' ').next());
+            assert!(hits.is_some_and(|n| n != "0"), "no chunk hits: {note}");
         }
         // The multi-tenant point must dedup harder than the single
         // tenant: 16 identical histories share one chunk set.
-        assert!(rows[1].dedup_ratio() > rows[0].dedup_ratio());
+        assert!(factor("similar_16") > factor("repetitive_1"));
     }
 
     #[test]
     fn index_experiment_compacts_and_revives_consistently() {
-        let report: &IndexReport = &INDEX;
-        assert_eq!(report.rows.len(), INDEX_SWEEP.len());
-        for row in &report.rows {
-            assert!(row.states > 0 && row.segments > 0);
-            assert!(row.query_p50 <= row.query_p99);
+        let report: &Report = &INDEX;
+        let table = &report.tables[0];
+        assert_eq!(table.column("sessions"), ["1", "16", "128"]);
+        for sessions in INDEX_SWEEP {
+            assert!(report.get(&format!("index_states_s{sessions}")) > 0.0);
+            assert!(report.get(&format!("index_segments_s{sessions}")) > 0.0);
         }
-        let c = &report.compaction;
-        assert!(
-            c.segments_after < c.segments_before,
-            "compaction left {} of {} segments",
-            c.segments_after,
-            c.segments_before
+        let p50s = table.numbers("qry p50 us").into_iter();
+        assert!(p50s
+            .zip(table.numbers("qry p99 us"))
+            .all(|(p50, p99)| p50 <= p99));
+        assert_eq!(
+            report.get("index_segments_reduced"),
+            1.0,
+            "compaction left as many segments"
         );
-        assert!(
-            c.probe_reduction() > 1.0,
-            "probes/query {:.1} -> {:.1}",
-            c.probes_before,
-            c.probes_after
+        let reduction = report.get("index_probe_reduction");
+        assert!(reduction > 1.0, "probes/query fell {reduction:.2}x");
+        assert_eq!(
+            report.get("index_compaction_identical"),
+            1.0,
+            "compaction changed a query answer"
         );
-        assert!(c.results_identical, "compaction changed a query answer");
-        assert!(
-            report.snapshot_consistent,
+        assert_eq!(
+            report.get("index_snapshot_consistent"),
+            1.0,
             "revive saw hits not sealed at or before its checkpoint"
         );
     }
 
     #[test]
     fn visual_experiment_is_oracle_exact_and_revives_consistently() {
-        let report: &VisualReport = &VISUAL;
-        assert_eq!(report.rows.len(), VISUAL_SWEEP.len());
-        for row in &report.rows {
-            assert!(row.keyframes > 0 && row.instances > 0 && row.segments > 0);
-            assert!(row.query_p50 <= row.query_p99);
-            assert!(
-                row.recall >= 1.0 - 1e-9,
-                "{} sessions: recall@1 {:.3} against the linear-scan oracle",
-                row.sessions,
-                row.recall
-            );
-            assert!(
-                row.identical >= 1.0 - 1e-9,
-                "{} sessions: {:.3} of replies matched the oracle merge exactly",
-                row.sessions,
-                row.identical
-            );
+        let report: &Report = &VISUAL;
+        let table = &report.tables[0];
+        assert_eq!(table.column("sessions"), ["1", "16", "128"]);
+        for sessions in INDEX_SWEEP {
+            for stat in ["keyframes", "instances", "segments"] {
+                assert!(report.get(&format!("visual_{stat}_s{sessions}")) > 0.0);
+            }
         }
-        // The widest point must show the band index earning its keep.
-        let widest = report.rows.last().unwrap();
+        let p50s = table.numbers("qry p50 us").into_iter();
+        assert!(p50s
+            .zip(table.numbers("qry p99 us"))
+            .all(|(p50, p99)| p50 <= p99));
+        // The weakest sweep point against the linear-scan oracle.
+        let recall = report.get("visual_recall");
         assert!(
-            widest.probe_reduction > 1.0,
-            "128 sessions: probe reduction {:.2}x",
-            widest.probe_reduction
+            recall >= 1.0 - 1e-9,
+            "recall@1 {recall:.3} against the linear-scan oracle"
         );
+        let identical = report.get("visual_identical");
         assert!(
-            report.snapshot_consistent,
+            identical >= 1.0 - 1e-9,
+            "{identical:.3} of replies matched the oracle merge"
+        );
+        // The widest point must show the band index earning its keep.
+        let reduction = report.get("visual_probe_reduction");
+        assert!(
+            reduction > 1.0,
+            "128 sessions: probe reduction {reduction:.2}x"
+        );
+        assert_eq!(
+            report.get("visual_snapshot_consistent"),
+            1.0,
             "revive saw visual hits not sealed at or before its checkpoint"
         );
     }
 
     #[test]
     fn policy_effectiveness_matches_paper_shape() {
-        let stats = policy_effectiveness(0.06);
-        let frac = stats.checkpoint_fraction();
+        let frac = policy_effectiveness(0.06).get("policy_checkpoint_fraction");
         assert!((0.1..0.4).contains(&frac), "checkpoint fraction {frac}");
     }
 }

@@ -1,25 +1,19 @@
 //! The gate table: what each `reproduce` gate suite measures and what
 //! every metric it emits must satisfy.
 //!
-//! A [`Suite`] is a name, a measurement (runs its experiments, prints
-//! their tables, returns flat `(key, value)` metrics) and the [`Rule`]
-//! for each metric name. [`SUITES`] is the only place a threshold is
-//! written down: the runner, `reproduce summary`, CI and the docs all
-//! read it. A rule also fixes which way its metric is compared with
-//! `BENCH_baseline.json`, so a metric name carries no meaning.
+//! A [`Suite`] is a name, the experiments it runs (each builds its
+//! tables and flat `(key, value)` metrics where it measures them) and
+//! the [`Rule`] for each metric name. [`SUITES`] is the only place a
+//! threshold is written down: the runner, `reproduce summary`, CI and
+//! the docs all read it. A rule also fixes which way its metric is
+//! compared with `BENCH_baseline.json`, so a metric name carries no
+//! meaning.
 
 use crate::experiments::{
     crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
     fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
-    net_wide_experiment, obs_experiment, raw_revive_experiment, replay_scroll_experiment,
-    seek_restore_experiment, visual_experiment, CrashRow, DedupRow, DeferredRow, FaultRow,
-    FsSnapshotRow, HostReport, IndexReport, KernelRow, NetRow, ObsReport, ReplayScrollReport,
-    SeekRestoreReport, VisualReport, VisualRow,
-};
-use crate::report::{
-    print_crash, print_dedup, print_deferred, print_faults, print_fs_snapshot, print_host,
-    print_index, print_kernels, print_net, print_obs, print_raw_revive, print_replay_scroll,
-    print_seek_restore, print_visual,
+    obs_experiment, raw_revive_experiment, replay_scroll_experiment, run, seek_restore_experiment,
+    visual_experiment, Experiment,
 };
 
 /// How far over its baseline an at-most metric may run before its gate
@@ -126,9 +120,9 @@ pub struct Suite {
     /// The rule for every metric the suite emits. A `*` in a metric
     /// name stands for a sweep point or a workload tag.
     pub rules: &'static [(&'static str, Rule)],
-    /// Runs the suite's experiments at a scale, prints their tables,
-    /// and returns the metrics in output order.
-    measure: fn(f64) -> Vec<(String, f64)>,
+    /// The experiments the suite runs, in order; each emits its
+    /// metrics where it measures them.
+    experiments: &'static [Experiment],
 }
 
 /// The gate table.
@@ -141,6 +135,9 @@ pub const SUITES: &[Suite] = &[
     Suite {
         name: "ci",
         rules: &[
+            // The cores the commit workers could run on: the deferred
+            // stall ratios are read beside it.
+            ("nproc", Report),
             // Session-thread stall with N commit workers over the
             // stall with none.
             ("deferred_stall_w*_ratio", AtMost(Baseline)),
@@ -184,49 +181,22 @@ pub const SUITES: &[Suite] = &[
             // restore a slice. One copy per scroll read 1.0.
             ("replay_scroll_rows_frac", AtMost(Is(0.25))),
         ],
-        measure: |scale| {
-            let deferred = deferred_experiment(scale);
-            print_deferred(&deferred);
-            let raw_revive = raw_revive_experiment(scale);
-            print_raw_revive(&raw_revive);
-            println!();
-            let faults = faults_experiment(scale.min(0.25));
-            print_faults(&faults);
-            println!();
-            let crash = crash_consistency(scale.min(0.25));
-            print_crash(&crash);
-            println!();
-            let fs_snapshot = fs_snapshot_experiment(scale);
-            print_fs_snapshot(&fs_snapshot);
-            println!();
-            let kernels = kernel_experiment(scale);
-            print_kernels(&kernels);
-            println!();
-            let seek_restore = seek_restore_experiment(scale);
-            print_seek_restore(&seek_restore);
-            println!();
-            let replay_scroll = replay_scroll_experiment(scale);
-            print_replay_scroll(&replay_scroll);
-            ci_metrics(
-                (&deferred, &raw_revive),
-                &faults,
-                &crash,
-                &fs_snapshot,
-                &kernels,
-                &seek_restore,
-                &replay_scroll,
-            )
-        },
+        experiments: &[
+            |scale| deferred_experiment(scale).0,
+            |scale| raw_revive_experiment(scale).0,
+            |scale| faults_experiment(scale.min(0.25)),
+            |scale| crash_consistency(scale.min(0.25)),
+            fs_snapshot_experiment,
+            kernel_experiment,
+            seek_restore_experiment,
+            replay_scroll_experiment,
+        ],
     },
     Suite {
         name: "obs",
         // Instrumented over uninstrumented wall time.
         rules: &[("overhead_ratio", AtMost(Is(1.05)))],
-        measure: |scale| {
-            let report = obs_experiment(scale);
-            print_obs(&report);
-            obs_metrics(&report)
-        },
+        experiments: &[obs_experiment],
     },
     Suite {
         name: "net",
@@ -246,14 +216,7 @@ pub const SUITES: &[Suite] = &[
             // never a second encode.
             ("net_one_encode_per_batch", MustHold),
         ],
-        measure: |scale| {
-            let classic = net_experiment(scale);
-            print_net(&classic);
-            println!();
-            let wide = net_wide_experiment(scale);
-            print_net(&wide);
-            net_metrics(&classic, &wide)
-        },
+        experiments: &[net_experiment],
     },
     Suite {
         name: "host",
@@ -272,11 +235,7 @@ pub const SUITES: &[Suite] = &[
             ("host_faulted_tenant_degraded", MustHold),
             ("host_fault_traced", MustHold),
         ],
-        measure: |scale| {
-            let report = host_experiment(scale);
-            print_host(&report);
-            host_metrics(&report)
-        },
+        experiments: &[host_experiment],
     },
     Suite {
         name: "dedup",
@@ -288,11 +247,7 @@ pub const SUITES: &[Suite] = &[
             ("dedup_plain_mbps_*", Report),
             ("dedup_restore_identical", MustHold),
         ],
-        measure: |scale| {
-            let rows = dedup_experiment(scale);
-            print_dedup(&rows);
-            dedup_metrics(&rows)
-        },
+        experiments: &[dedup_experiment],
     },
     Suite {
         name: "index",
@@ -306,11 +261,7 @@ pub const SUITES: &[Suite] = &[
             ("index_compaction_identical", MustHold),
             ("index_snapshot_consistent", MustHold),
         ],
-        measure: |scale| {
-            let report = index_experiment(scale);
-            print_index(&report);
-            index_metrics(&report)
-        },
+        experiments: &[index_experiment],
     },
     Suite {
         name: "visual",
@@ -326,11 +277,7 @@ pub const SUITES: &[Suite] = &[
             ("visual_probe_reduction", AtLeast(Baseline)),
             ("visual_snapshot_consistent", MustHold),
         ],
-        measure: |scale| {
-            let report = visual_experiment(scale);
-            print_visual(&report);
-            visual_metrics(&report)
-        },
+        experiments: &[visual_experiment],
     },
 ];
 
@@ -358,9 +305,10 @@ impl Suite {
             .map(|&(_, rule)| rule)
     }
 
-    /// Runs the suite and pairs every metric with its rule.
+    /// Runs the suite's experiments, prints their tables, and pairs
+    /// every metric they emitted with its rule.
     pub fn gates(&self, scale: f64) -> Vec<Gate> {
-        self.pair((self.measure)(scale))
+        self.pair(run(self.experiments, scale))
     }
 
     /// Pairs measured metrics with their rules.
@@ -454,254 +402,6 @@ pub fn parse_flat_json(text: &str) -> Option<Vec<(String, f64)>> {
     Some(metrics)
 }
 
-fn flag(holds: bool) -> f64 {
-    f64::from(u8::from(holds))
-}
-
-/// The deferred write-back comparison and what a revive of its raw run
-/// copied, the fault and power-cut matrices, snapshot cost against
-/// file-system size, the byte kernels against their yardsticks, what a
-/// keyframe seek copies, and the rows a replay of a scrolling terminal
-/// writes.
-fn ci_metrics(
-    (deferred, raw_revive): (&[DeferredRow], &DeferredRow),
-    faults: &[FaultRow],
-    crash: &[CrashRow],
-    fs_snapshot: &[FsSnapshotRow],
-    kernels: &[KernelRow],
-    seek_restore: &SeekRestoreReport,
-    replay_scroll: &ReplayScrollReport,
-) -> Vec<(String, f64)> {
-    let inline = &deferred[0];
-    let stall = |r: &DeferredRow| r.mean_stall.as_secs_f64();
-    let mut m: Vec<(String, f64)> = deferred[1..]
-        .iter()
-        .map(|r| {
-            (
-                format!("deferred_stall_w{}_ratio", r.workers),
-                stall(r) / stall(inline).max(1e-12),
-            )
-        })
-        .collect();
-    let identical = deferred.iter().all(|r| r.fingerprint == inline.fingerprint);
-    let fraction = |passed: usize, of: usize| passed as f64 / of.max(1) as f64;
-    let browse_ok = faults.iter().filter(|r| r.browse_ok).count();
-    let search_ok = faults.iter().filter(|r| r.search_ok).count();
-    let recovered = crash.iter().filter(|r| r.recovered).count();
-    m.extend(
-        [
-            ("deferred_restore_identical", flag(identical)),
-            (
-                "revive_pages_decoded_ratio",
-                deferred
-                    .iter()
-                    .map(DeferredRow::pages_decoded_ratio)
-                    .fold(0.0, f64::max),
-            ),
-            ("revive_pages_copied_frac", raw_revive.pages_copied_frac()),
-            (
-                "faults_browse_ok_fraction",
-                fraction(browse_ok, faults.len()),
-            ),
-            (
-                "faults_search_ok_fraction",
-                fraction(search_ok, faults.len()),
-            ),
-            ("crash_recovered_fraction", fraction(recovered, crash.len())),
-        ]
-        .map(|(key, value)| (key.to_string(), value)),
-    );
-    for row in &fs_snapshot[1..] {
-        let key = format!("fs_snapshot_i{}_ratio", row.inodes);
-        m.push((key, row.unit_ratio));
-    }
-    m.extend(kernels.iter().map(|row| (row.key.to_string(), row.ratio())));
-    m.push((
-        "seek_restored_frac".to_string(),
-        seek_restore.restored_frac(),
-    ));
-    m.push((
-        "replay_scroll_rows_frac".to_string(),
-        replay_scroll.rows_frac(),
-    ));
-    m
-}
-
-/// The per-stream profile and the cost of the instrumentation itself.
-fn obs_metrics(report: &ObsReport) -> Vec<(String, f64)> {
-    vec![("overhead_ratio".to_string(), report.overhead_ratio())]
-}
-
-/// The classic 1/4/16/64 fan-out at full resolution, then the wide
-/// 64/256/1024 sweep that stresses the readiness reactor.
-fn net_metrics(classic: &[NetRow], wide: &[NetRow]) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for row in classic {
-        let f = row.fanout;
-        m.extend([
-            (format!("net_converged_f{f}"), flag(row.all_converged)),
-            (format!("net_throughput_fps_f{f}"), row.throughput_fps()),
-            (
-                format!("net_round_p99_ms_f{f}"),
-                row.round_p99.as_secs_f64() * 1e3,
-            ),
-            (format!("net_coalesce_rate_f{f}"), row.coalesce_rate()),
-        ]);
-    }
-    let cost = |row: &NetRow| row.per_client_command_us().max(1e-9);
-    for row in &classic[1..] {
-        let key = format!("net_per_client_overhead_f{}_ratio", row.fanout);
-        m.push((key, cost(row) / cost(&classic[0])));
-    }
-    // The 64-viewer row anchors the wide ratios, so the 256- and
-    // 1024-viewer points gate reactor scaling, not machine speed.
-    let anchor = &wide[0];
-    let p99 = |row: &NetRow| row.p99_per_viewer_us().max(1e-9);
-    m.push((
-        format!("net_wide_converged_f{}", anchor.fanout),
-        flag(anchor.all_converged),
-    ));
-    for row in &wide[1..] {
-        let f = row.fanout;
-        m.extend([
-            (format!("net_wide_converged_f{f}"), flag(row.all_converged)),
-            (format!("net_encodes_per_batch_f{f}"), row.encode_ratio()),
-            (
-                format!("net_per_viewer_cpu_f{f}_ratio"),
-                cost(row) / cost(anchor),
-            ),
-            (
-                format!("net_round_p99_per_viewer_f{f}_ratio"),
-                p99(row) / p99(anchor),
-            ),
-        ]);
-    }
-    let once = |row: &NetRow| (row.encode_ratio() - 1.0).abs() < 1e-9;
-    let all_once = classic.iter().chain(wide).all(once);
-    m.push(("net_one_encode_per_batch".to_string(), flag(all_once)));
-    m
-}
-
-/// The 1/16/128/1024-session sweep over one shared commit pool, plus
-/// clean neighbours beside one tenant whose every store write fails.
-fn host_metrics(report: &HostReport) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for row in &report.rows {
-        m.push((
-            format!("host_checkpoints_s{}", row.sessions),
-            row.checkpoints as f64,
-        ));
-        m.push((
-            format!("host_committed_s{}", row.sessions),
-            row.committed as f64,
-        ));
-    }
-    for row in &report.rows[1..] {
-        let key = format!("host_per_session_overhead_s{}_ratio", row.sessions);
-        m.push((key, row.per_session_ratio));
-    }
-    // The per-tenant workload is the same at every point, so a tenant's
-    // record must not depend on how many neighbours share the pool.
-    let first = report.rows[0].fingerprint;
-    let stable = report.rows.iter().all(|r| r.fingerprint == first);
-    let i = &report.interference;
-    m.extend(
-        [
-            ("host_fingerprint_stable", flag(stable)),
-            ("host_interference_ratio", i.interference_ratio()),
-            ("host_fingerprints_match", flag(i.fingerprints_match)),
-            ("host_neighbors_isolated", flag(i.neighbors_degraded == 0)),
-            ("host_faulted_tenant_degraded", flag(i.faulted_degraded > 0)),
-            ("host_fault_traced", flag(i.faulted_traced)),
-        ]
-        .map(|(key, value)| (key.to_string(), value)),
-    );
-    m
-}
-
-/// A repetitive single tenant and sixteen similar tenants through the
-/// content-addressed store, each against the same run with dedup off.
-fn dedup_metrics(rows: &[DedupRow]) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for row in rows {
-        let tag = row.workload.replace('-', "_");
-        m.extend([
-            (format!("dedup_factor_{tag}"), row.dedup_ratio()),
-            (format!("dedup_mbps_{tag}"), row.dedup_mbps),
-            (format!("dedup_plain_mbps_{tag}"), row.plain_mbps),
-        ]);
-    }
-    let identical = rows.iter().all(|r| r.fingerprints_match);
-    m.push(("dedup_restore_identical".to_string(), flag(identical)));
-    m
-}
-
-/// The 1/16/128-session sharded-index sweep, the with/without
-/// compaction comparison, and the archive-revive snapshot check.
-fn index_metrics(report: &IndexReport) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for row in &report.rows {
-        m.push((format!("index_states_s{}", row.sessions), row.states as f64));
-        m.push((
-            format!("index_segments_s{}", row.sessions),
-            row.segments as f64,
-        ));
-    }
-    for row in &report.rows[1..] {
-        m.push((
-            format!("index_query_p99_s{}_ratio", row.sessions),
-            row.unit_ratio,
-        ));
-    }
-    let c = &report.compaction;
-    m.extend(
-        [
-            ("index_probe_reduction", c.probe_reduction()),
-            ("index_compact_mb_per_s", c.compact_mb_per_s),
-            (
-                "index_segments_reduced",
-                flag(c.segments_after < c.segments_before),
-            ),
-            ("index_compaction_identical", flag(c.results_identical)),
-            (
-                "index_snapshot_consistent",
-                flag(report.snapshot_consistent),
-            ),
-        ]
-        .map(|(key, value)| (key.to_string(), value)),
-    );
-    m
-}
-
-/// The 1/16/128-session visual-recall sweep against the linear-scan
-/// oracle, and the archive-revive snapshot check.
-fn visual_metrics(report: &VisualReport) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for row in &report.rows {
-        let s = row.sessions;
-        m.extend([
-            (format!("visual_keyframes_s{s}"), row.keyframes as f64),
-            (format!("visual_instances_s{s}"), row.instances as f64),
-            (format!("visual_segments_s{s}"), row.segments as f64),
-        ]);
-    }
-    let weakest = |of: fn(&VisualRow) -> f64| report.rows.iter().map(of).fold(1.0, f64::min);
-    m.push(("visual_recall".to_string(), weakest(|r| r.recall)));
-    m.push(("visual_identical".to_string(), weakest(|r| r.identical)));
-    for row in &report.rows[1..] {
-        m.push((
-            format!("visual_query_p99_s{}_ratio", row.sessions),
-            row.unit_ratio,
-        ));
-    }
-    // The widest point is where the band index has to earn its keep.
-    let widest = report.rows.last().expect("sweep has points");
-    m.push(("visual_probe_reduction".to_string(), widest.probe_reduction));
-    let consistent = flag(report.snapshot_consistent);
-    m.push(("visual_snapshot_consistent".to_string(), consistent));
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,26 +427,36 @@ mod tests {
     #[test]
     fn suites_emit_exactly_their_table_and_the_baseline_agrees() {
         use crate::experiments::tests as smoke;
+        use crate::report::Report;
         let baseline = checked_in_baseline();
-        let metrics = [
-            ci_metrics(
-                (&smoke::DEFERRED, &smoke::RAW_REVIVE),
+        let obs = obs_experiment(0.01);
+        let reports: [Vec<&Report>; 7] = [
+            vec![
+                &smoke::DEFERRED.0,
+                &smoke::RAW_REVIVE.0,
                 &smoke::FAULTS,
                 &smoke::CRASH,
                 &smoke::FS_SNAPSHOT,
                 &smoke::KERNELS,
                 &smoke::SEEK_RESTORE,
                 &smoke::REPLAY_SCROLL,
-            ),
-            obs_metrics(&obs_experiment(0.01)),
-            net_metrics(&smoke::NET, &smoke::NET_WIDE),
-            host_metrics(&smoke::HOST),
-            dedup_metrics(&smoke::DEDUP),
-            index_metrics(&smoke::INDEX),
-            visual_metrics(&smoke::VISUAL),
+            ],
+            vec![&obs],
+            vec![&smoke::NET],
+            vec![&smoke::HOST],
+            vec![&smoke::DEDUP],
+            vec![&smoke::INDEX],
+            vec![&smoke::VISUAL],
         ];
         let mut emitted: Vec<Gate> = Vec::new();
-        for (suite, metrics) in SUITES.iter().zip(metrics) {
+        for (suite, reports) in SUITES.iter().zip(reports) {
+            assert_eq!(
+                reports.len(),
+                suite.experiments.len(),
+                "suite {}",
+                suite.name
+            );
+            let metrics = reports.iter().flat_map(|r| r.metrics.clone()).collect();
             // `pair` itself panics on a rule with no metric or a metric
             // with no rule.
             for gate in suite.pair(metrics) {

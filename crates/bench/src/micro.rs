@@ -3,10 +3,9 @@
 //! absolute times hold on one machine, so nothing here is gated. The
 //! CRC, `Raw` strip encode, commit-path RLE and CAS split, and
 //! snapshot-point kernels and revive's compressed-image read are timed,
-//! and gated, by [`kernel_experiment`](crate::kernel_experiment) and
-//! [`fs_snapshot_experiment`](crate::fs_snapshot_experiment); the
-//! micro rows of the two commit-path kernels repeat them on 1 MiB, and
-//! those of the image read give its two arms.
+//! and gated, by the `ci` suite's kernel and file-system snapshot
+//! experiments; the micro rows of the two commit-path kernels repeat
+//! them on 1 MiB, and those of the image read give its two arms.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -25,16 +24,7 @@ use dv_time::{SimClock, Timestamp};
 use dv_vee::{HostPidAllocator, Prot, Vee};
 
 use crate::experiments::{compressed_heap_image, least_of, load_heap_image, run_noise, timed};
-
-/// One micro-benchmark's least time.
-pub struct MicroRow {
-    /// Component group.
-    pub group: &'static str,
-    /// What one round does.
-    pub name: &'static str,
-    /// Least time of one round.
-    pub least: Duration,
-}
+use crate::report::{Report, Table};
 
 /// A framebuffer of pixels that differ from their neighbours.
 fn noise_fb(width: u32, height: u32) -> Framebuffer {
@@ -64,26 +54,34 @@ fn process_16mb(config: EngineConfig) -> (Vee, Checkpointer, dv_vee::Vpid, u64) 
     (vee, engine, p, addr)
 }
 
-/// The rows so far, and how many rounds each gets.
+/// The table so far, and how many rounds each row gets.
 struct Rows {
     rounds: usize,
-    rows: Vec<MicroRow>,
+    table: Table,
 }
 
 impl Rows {
     /// Adds the least of `round`'s times; each round returns what it
     /// timed.
-    fn add(&mut self, group: &'static str, name: &'static str, round: impl FnMut() -> Duration) {
-        let least = least_of(self.rounds, round);
-        self.rows.push(MicroRow { group, name, least });
+    fn add(&mut self, group: &str, name: &str, round: impl FnMut() -> Duration) {
+        let least = least_of(self.rounds, round).as_secs_f64() * 1e6;
+        let cells = [
+            group.to_string(),
+            name.to_string(),
+            format!("{least:.1} us"),
+        ];
+        self.table.row(cells);
     }
 }
 
 /// Runs every micro-benchmark `64 * scale` rounds (at least eight).
-pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
+pub(crate) fn micro_experiment(scale: f64) -> Report {
     let mut rows = Rows {
         rounds: ((64.0 * scale) as usize).max(8),
-        rows: Vec::new(),
+        table: Table::new(
+            "Micro-benchmarks: least time of one round (report-only)",
+            &["group", "round", "least"],
+        ),
     };
 
     let raw = DisplayCommand::Raw {
@@ -374,15 +372,15 @@ pub fn micro_experiment(scale: f64) -> Vec<MicroRow> {
     rows.add("checkpoint", "load_compressed_1mb_keep_none", || {
         timed(|| load_heap_image(&store, false))
     });
-    rows.rows
+    rows.table.into()
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn every_micro_benchmark_runs_once_named() {
-        let rows = super::micro_experiment(0.01);
-        let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+        let report = super::micro_experiment(0.01);
+        let mut names = report.tables[0].column("round");
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 24);

@@ -36,6 +36,12 @@ use crate::writeback::{CommitPipeline, LaneId, PipelineConfig};
 /// Hidden directory unlinked-open files are relinked into.
 pub const RELINK_DIR: &str = "/.dejaview";
 
+/// Upper bound on pre-quiesce waiting.
+const PRE_QUIESCE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Step session time advances by while pre-quiescing.
+const PRE_QUIESCE_STEP: Duration = Duration::from_millis(1);
+
 /// Engine configuration.
 ///
 /// The three `disable_*` flags ablate the §5.1.2 downtime optimizations
@@ -52,10 +58,6 @@ pub struct EngineConfig {
     /// which revive refuses, fails its commit with
     /// [`FsError::FileTooLarge`] instead.
     pub compress: bool,
-    /// Upper bound on pre-quiesce waiting.
-    pub pre_quiesce_timeout: Duration,
-    /// Step session time advances by while pre-quiescing.
-    pub pre_quiesce_step: Duration,
     /// Ablation: copy page contents eagerly during capture instead of
     /// the deferred COW capture.
     pub disable_cow: bool,
@@ -87,8 +89,6 @@ impl Default for EngineConfig {
         EngineConfig {
             full_every: 100,
             compress: false,
-            pre_quiesce_timeout: Duration::from_millis(100),
-            pre_quiesce_step: Duration::from_millis(1),
             disable_cow: false,
             disable_deferred_writeback: false,
             disable_pre_snapshot: false,
@@ -507,9 +507,9 @@ impl Checkpointer {
         }
         // Pre-quiesce: wait for uninterruptible sleepers, bounded.
         let mut waited = Duration::ZERO;
-        while !vee.all_signal_ready() && waited < self.config.pre_quiesce_timeout {
-            self.sleeper.sleep(self.config.pre_quiesce_step);
-            waited += self.config.pre_quiesce_step;
+        while !vee.all_signal_ready() && waited < PRE_QUIESCE_TIMEOUT {
+            self.sleeper.sleep(PRE_QUIESCE_STEP);
+            waited += PRE_QUIESCE_STEP;
             vee.tick();
         }
 

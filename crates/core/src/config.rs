@@ -22,12 +22,12 @@ pub struct Config {
     /// Display recording quality (resolution scale, update frequency,
     /// keyframe cadence).
     pub recorder: RecorderConfig,
-    /// Checkpoint engine parameters (full cadence, pre-quiesce bounds,
-    /// the lane's queue depth, and — for a lone session, which builds
-    /// its commit pool from them — compression and the pool's worker
-    /// count and retry policy; with `commit_workers == 0` the session
-    /// thread runs the commit steps itself). Sessions revived from this
-    /// one commit through the same pool.
+    /// Checkpoint engine parameters (full cadence, the lane's queue
+    /// depth, and — for a lone session, which builds its commit pool
+    /// from them — compression and the pool's worker count and retry
+    /// policy; with `commit_workers == 0` the session thread runs the
+    /// commit steps itself). Sessions revived from this one commit
+    /// through the same pool.
     pub engine: EngineConfig,
     /// Checkpoint policy parameters and extension rules.
     pub policy: PolicyConfig,
@@ -70,9 +70,6 @@ pub struct Config {
     /// the engine default (`ckpt`); a host sets a per-tenant prefix so
     /// tenants sharing a store can never collide.
     pub blob_prefix: Option<String>,
-    /// How many times a failed checkpoint or index flush is retried
-    /// before the server gives up on that attempt and degrades.
-    pub io_retry_limit: u32,
     /// Initial backoff between storage retries; doubles per attempt
     /// (advanced on the session clock, so it is deterministic).
     pub io_retry_backoff: Duration,
@@ -96,7 +93,6 @@ impl Default for Config {
             fault_plane: FaultPlane::disabled(),
             obs: Obs::disabled(),
             blob_prefix: None,
-            io_retry_limit: 3,
             io_retry_backoff: Duration::from_millis(50),
         }
     }

@@ -37,6 +37,10 @@ use crate::session::RevivedSession;
 use crate::sink::IndexSink;
 use crate::stats::{PipelineBreakdown, StorageBreakdown};
 
+/// How many times a failed checkpoint or index flush is retried before
+/// the server gives up on that attempt and degrades.
+const IO_RETRY_LIMIT: u32 = 3;
+
 /// One search result: a hit plus the screenshot portal the user clicks
 /// through, and — for substream results — the last screenshot of the
 /// matching period (§4.4's first-last pair).
@@ -98,7 +102,6 @@ pub struct DejaView {
     system_load: f64,
     substream_threshold: Duration,
     fault_plane: FaultPlane,
-    io_retry_limit: u32,
     io_retry_backoff: Duration,
     obs: Obs,
 }
@@ -150,7 +153,6 @@ impl DejaView {
             fault_plane,
             obs,
             blob_prefix,
-            io_retry_limit,
             io_retry_backoff,
         } = config;
         // The server always records observability: a disabled config
@@ -284,7 +286,6 @@ impl DejaView {
             system_load: 0.0,
             substream_threshold: Duration::from_secs(5),
             fault_plane,
-            io_retry_limit,
             io_retry_backoff,
             obs,
         }
@@ -519,7 +520,7 @@ impl DejaView {
     }
 
     /// Runs `op` under the storage retry policy: each failure counts as
-    /// one degradation event; up to `io_retry_limit` failures are
+    /// one degradation event; up to [`IO_RETRY_LIMIT`] failures are
     /// retried — counted under `retries`, traced as `label` — after an
     /// exponential backoff on the session clock, and the error is
     /// returned only once that budget is exhausted.
@@ -537,7 +538,7 @@ impl DejaView {
                 Err(e) => e,
             };
             self.obs.incr(names::SERVER_DEGRADED_EVENTS);
-            if attempt >= self.io_retry_limit {
+            if attempt >= IO_RETRY_LIMIT {
                 return Err(e);
             }
             attempt += 1;
@@ -1580,7 +1581,7 @@ mod tests {
         assert!(tick.report.is_none(), "exhausted retries degrade the tick");
         // Initial attempt plus the full retry budget, all counted —
         // each one a commit that spent its own store-write retries.
-        let attempts = 1 + Config::default().io_retry_limit as u64;
+        let attempts = 1 + IO_RETRY_LIMIT as u64;
         assert_eq!(dv.degraded_events(), attempts);
         assert_eq!(dv.engine().stats().write_failures, attempts);
         assert_eq!(

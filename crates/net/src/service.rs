@@ -54,7 +54,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dejaview::DejaView;
+use dejaview::{DejaView, ServerError};
 use dv_display::driver::CommandSink;
 use dv_display::{
     scale_command, DisplayCommand, OutputPool, Rect, Region, ScaleFactor, Screenshot,
@@ -572,7 +572,11 @@ impl NetService {
                         .obs
                         .span("net", names::NET_RPC_SEARCH)
                         .with_event(format!("client={} query={query:?}", self.clients[ci].id));
-                    self.dv.search(&query, order)
+                    // Hits only: `search` would also rebuild a portal per
+                    // hit, which the wire reply does not carry.
+                    dv_index::parse_query(&query)
+                        .map_err(ServerError::from)
+                        .and_then(|query| self.dv.search_hits(&query, order))
                 };
                 let msg = match reply {
                     Ok(results) => {
@@ -590,13 +594,13 @@ impl NetService {
                         let hits = results
                             .into_iter()
                             .take(MAX_SEARCH_HITS)
-                            .map(|r| WireHit {
-                                time: r.hit.time,
-                                until: r.hit.until,
-                                persistence: r.hit.persistence,
-                                matches: r.hit.matches.min(u32::MAX as usize) as u32,
-                                snippet: r.hit.snippet,
-                                apps: r.hit.apps,
+                            .map(|hit| WireHit {
+                                time: hit.time,
+                                until: hit.until,
+                                persistence: hit.persistence,
+                                matches: hit.matches.min(u32::MAX as usize) as u32,
+                                snippet: hit.snippet,
+                                apps: hit.apps,
                             })
                             .collect();
                         Message::SearchReply { req_id, hits }

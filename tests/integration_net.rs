@@ -26,7 +26,8 @@ use dv_fault::{sites, FaultPlan, IoFault};
 use dv_index::RankOrder;
 use dv_net::{
     decode_message, encode_frame_vec, encode_message_vec, FrameDecoder, LoopbackTransport, Message,
-    NetClient, NetConfig, NetService, Transport, VisualProbe, MAX_SEARCH_HITS, PROTOCOL_VERSION,
+    NetClient, NetConfig, NetService, Transport, VisualProbe, WireHit, MAX_SEARCH_HITS,
+    PROTOCOL_VERSION,
 };
 use dv_obs::names;
 use dv_time::{Duration, Timestamp};
@@ -270,6 +271,60 @@ fn seek_and_search_rpcs_agree_with_the_server() {
     clients[0].bye();
     converge(&mut svc, &mut clients);
     assert_eq!(svc.client_count(), 0);
+}
+
+#[test]
+fn search_rpc_answers_from_the_index_without_building_portals() {
+    let mut svc = service();
+    let app = svc.dv_mut().desktop_mut().register_app("notes");
+    let root = svc.dv_mut().desktop_mut().root(app).unwrap();
+    svc.dv_mut()
+        .desktop_mut()
+        .add_node(app, root, dv_access::Role::Paragraph, "deadline friday");
+    for salt in 0..10 {
+        draw(&mut svc, salt);
+    }
+    let (server_end, client_end) = LoopbackTransport::pair();
+    svc.accept(server_end);
+    let mut clients = vec![NetClient::connect(client_end, "searcher")];
+    converge(&mut svc, &mut clients);
+
+    let seeks = |svc: &NetService| {
+        let obs = svc.dv().obs();
+        obs.counter(names::RECORD_SEEK_RESUMED) + obs.counter(names::RECORD_SEEK_KEYFRAME_LOADS)
+    };
+    let before = seeks(&svc);
+    let req = clients[0].search("deadline", RankOrder::Chronological);
+    converge(&mut svc, &mut clients);
+    let remote_hits = clients[0]
+        .take_search_reply(req)
+        .expect("search reply never arrived");
+    assert_eq!(seeks(&svc), before, "the search RPC seeked the record");
+
+    let query = dv_index::parse_query("deadline").unwrap();
+    let local_hits = svc
+        .dv_mut()
+        .search_hits(&query, RankOrder::Chronological)
+        .unwrap();
+    assert!(!local_hits.is_empty(), "indexed text not found");
+    let expected: Vec<WireHit> = local_hits
+        .into_iter()
+        .map(|h| WireHit {
+            time: h.time,
+            until: h.until,
+            persistence: h.persistence,
+            matches: h.matches as u32,
+            snippet: h.snippet,
+            apps: h.apps,
+        })
+        .collect();
+    assert_eq!(remote_hits, expected);
+
+    // The counters do see a portal being built: a local `search` does.
+    svc.dv_mut()
+        .search("deadline", RankOrder::Chronological)
+        .unwrap();
+    assert!(seeks(&svc) > before, "a portal build went uncounted");
 }
 
 #[test]
