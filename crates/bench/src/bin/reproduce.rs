@@ -2,35 +2,31 @@
 //! CI gate suites.
 //!
 //! ```text
-//! reproduce [EXPERIMENT] [--scale S] [--out P] [--baseline P]
+//! reproduce [EXPERIMENT] [--scale S] [--out P]
 //!
 //! EXPERIMENT: a paper experiment (table1, fig2..fig7, policy, quality,
 //!             deferred, faults, ablation), `all` of those (the
 //!             default), the report-only `micro`, a gate suite (ci,
 //!             obs, net, host, dedup, index, visual) or `summary`.
 //!             `--help` lists them.
-//! --scale S:    workload scale factor, 1.0 = paper-sized (default 0.25;
-//!               gate suites default to 1.0 for stable ratios)
-//! --out P:      gate suites: where to write the metrics
-//!               (default BENCH_<suite>.json)
-//! --baseline P: gate suites and summary: the checked-in baseline
-//!               (default BENCH_baseline.json)
+//! --scale S: workload scale factor, 1.0 = paper-sized (default 0.25;
+//!            gate suites default to 1.0 for stable ratios)
+//! --out P:   gate suites: where to write the metrics
+//!            (default BENCH_<suite>.json)
 //! ```
 //!
 //! A gate suite runs its experiments, prints their tables, writes every
 //! metric to `--out` as flat `{key: number}` JSON — ratios, fractions
-//! and counts, never absolute times, so one machine's run can be held to
-//! another machine's baseline — and applies the rule the gate table
-//! ([`dv_bench::gates::SUITES`]) gives each metric. It exits 1 if a gate
-//! fails and 2 if a file it needs cannot be read or written; the
-//! baseline file is needed exactly when a rule takes its limit from it.
-//! What each metric measures is said where it is emitted, in the
+//! and counts, never absolute times, so one limit holds on any machine —
+//! and applies the rule the gate table ([`dv_bench::gates::SUITES`])
+//! gives each metric. It exits 1 if a gate fails and 2 on a bad
+//! argument or an `--out` it cannot write. What each metric measures is said where it is emitted, in the
 //! experiment that measures it (`experiments.rs`).
 //!
 //! `summary` runs no workload: it reads the `BENCH_<suite>.json` files
 //! in the current directory and prints one GitHub-flavored markdown
-//! table (metric, value, baseline, threshold) for `$GITHUB_STEP_SUMMARY`,
-//! the threshold column rendered from the same gate table.
+//! table (metric, value, limit) for `$GITHUB_STEP_SUMMARY`, the limit
+//! column rendered from the same gate table.
 
 use dv_bench::experiments::{run, Experiment, PAPER, REPORTS};
 use dv_bench::gates::{failures, parse_flat_json, to_flat_json, Gate, Rule, Suite, SUITES};
@@ -40,27 +36,16 @@ fn die(message: String) -> ! {
     std::process::exit(2);
 }
 
-fn read_baseline(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(format!("cannot read the baseline {path}: {e}")));
-    parse_flat_json(&text).unwrap_or_else(|| die(format!("{path} is not valid metrics JSON")))
-}
-
 /// Runs one gate suite: prints its tables, writes the flat metrics
 /// JSON, applies every rule, lists the failures, sets the exit code.
-fn run_suite(suite: &Suite, scale: f64, out: &str, baseline_path: &str) {
+fn run_suite(suite: &Suite, scale: f64, out: &str) {
     let gates = suite.gates(scale);
     let json = to_flat_json(&gates);
     if let Err(e) = std::fs::write(out, &json) {
         die(format!("failed to write {out}: {e}"));
     }
     println!("wrote {out}:\n{json}");
-    let baseline = if gates.iter().any(|g| g.rule.reads_baseline()) {
-        read_baseline(baseline_path)
-    } else {
-        Vec::new()
-    };
-    let failed = failures(&gates, &baseline);
+    let failed = failures(&gates);
     if failed.is_empty() {
         let gated = gates.iter().filter(|g| g.rule != Rule::Report).count();
         println!(
@@ -79,28 +64,25 @@ fn run_suite(suite: &Suite, scale: f64, out: &str, baseline_path: &str) {
 
 /// Prints one markdown table over every `BENCH_<suite>.json` in the
 /// working directory. Runs no workload.
-fn run_summary(baseline_path: &str) {
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|t| parse_flat_json(&t))
-    };
-    let baseline = read(baseline_path).unwrap_or_default();
+fn run_summary() {
     println!("### Benchmark summary\n");
-    println!("| metric | value | baseline | threshold |");
-    println!("|---|---:|---:|---|");
+    println!("| metric | value | limit |");
+    println!("|---|---:|---|");
     let mut printed = 0usize;
     for suite in SUITES {
-        for (key, value) in read(&format!("BENCH_{}.json", suite.name)).unwrap_or_default() {
+        let metrics = std::fs::read_to_string(format!("BENCH_{}.json", suite.name))
+            .ok()
+            .and_then(|t| parse_flat_json(&t));
+        for (key, value) in metrics.unwrap_or_default() {
             // A key the table no longer names (a file from an older
             // build) is shown, not gated.
             let rule = suite.rule_for(&key).unwrap_or(Rule::Report);
-            println!("{}", Gate { key, value, rule }.summary_row(&baseline));
+            println!("{}", Gate { key, value, rule }.summary_row());
             printed += 1;
         }
     }
     if printed == 0 {
-        println!("| _no BENCH_*.json files found_ | | | |");
+        println!("| _no BENCH_*.json files found_ | | |");
     }
 }
 
@@ -108,7 +90,6 @@ fn main() {
     let mut experiment = "all".to_string();
     let mut scale: Option<f64> = None;
     let mut out: Option<String> = None;
-    let mut baseline = "BENCH_baseline.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -125,18 +106,13 @@ fn main() {
                         .unwrap_or_else(|| die("--out requires a path".to_string())),
                 );
             }
-            "--baseline" => {
-                baseline = args
-                    .next()
-                    .unwrap_or_else(|| die("--baseline requires a path".to_string()));
-            }
             "--help" | "-h" => {
                 let names = |list: &[(&'static str, &[Experiment])]| {
                     list.iter().map(|p| p.0).collect::<Vec<_>>()
                 };
                 let suites: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
                 eprintln!(
-                    "usage: reproduce [{}|all|{}|{}|summary] [--scale S] [--out P] [--baseline P]",
+                    "usage: reproduce [{}|all|{}|{}|summary] [--scale S] [--out P]",
                     names(PAPER).join("|"),
                     names(REPORTS).join("|"),
                     suites.join("|"),
@@ -149,7 +125,7 @@ fn main() {
     if experiment == "summary" {
         // Pure markdown to stdout: no banner, so the output can be
         // appended to $GITHUB_STEP_SUMMARY as-is.
-        run_summary(&baseline);
+        run_summary();
         return;
     }
     let suite = SUITES.iter().find(|s| s.name == experiment);
@@ -171,7 +147,7 @@ fn main() {
     let started = std::time::Instant::now();
     if let Some(suite) = suite {
         let out = out.unwrap_or_else(|| format!("BENCH_{}.json", suite.name));
-        run_suite(suite, scale, &out, &baseline);
+        run_suite(suite, scale, &out);
     }
     for (name, experiments) in PAPER {
         if all || experiment == *name {
