@@ -95,7 +95,10 @@ pub struct Suite {
 ///
 /// Unit-cost ratios divide one sweep point by the sweep's first point
 /// measured in the same run (or the same interleaved pass), so a fixed
-/// limit holds across machines.
+/// limit holds across machines. A ceiling fitted on runs is the worst
+/// read over 40 runs on a 2-vCPU VM (20 unpinned, 20 pinned to one
+/// CPU) times 1.2, rounded up to 0.01; the row's comment gives the
+/// range read.
 pub const SUITES: &[Suite] = &[
     Suite {
         name: "ci",
@@ -180,8 +183,18 @@ pub const SUITES: &[Suite] = &[
             ("net_per_client_overhead_f*_ratio", AtMost(1.20)),
             ("net_wide_converged_f*", MustHold),
             ("net_encodes_per_batch_f*", Report),
-            ("net_per_viewer_cpu_f*_ratio", AtMost(1.20)),
-            ("net_round_p99_per_viewer_f*_ratio", AtMost(1.50)),
+            // Server CPU per viewer at 256 and 1024 viewers over the
+            // 64-viewer row's: 0.52-0.91 and 0.52-0.96. (One run of
+            // the 40 read 1.48 at 256 viewers, and 10.1 on the p99 row
+            // below, under a stall that broke 1.20 and 1.50 as well;
+            // it is left out of the fit.)
+            ("net_per_viewer_cpu_f256_ratio", AtMost(1.10)),
+            ("net_per_viewer_cpu_f1024_ratio", AtMost(1.16)),
+            // Round p99 per viewer over the 64-viewer row's: 0.46-0.82
+            // (0.85 in 20 earlier runs, which the 256-viewer ceiling
+            // takes) and 0.48-0.78.
+            ("net_round_p99_per_viewer_f256_ratio", AtMost(1.02)),
+            ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.94)),
             // Every row of both sweeps: fan-out is refcount bumps,
             // never a second encode.
             ("net_one_encode_per_batch", MustHold),
@@ -224,8 +237,15 @@ pub const SUITES: &[Suite] = &[
         rules: &[
             ("index_states_s*", Report),
             ("index_segments_s*", Report),
-            ("index_query_p99_s*_ratio", AtMost(1.20)),
-            ("index_probe_reduction", AtLeast(2.0)),
+            // Query p99 at 16 and 128 sessions over 16 and 128 times
+            // the one-session p99: 0.027-0.097 and 0.051-0.106.
+            // Decoding every segment for every query (no decoded-segment
+            // cache) read 0.72-0.81.
+            ("index_query_p99_s16_ratio", AtMost(0.12)),
+            ("index_query_p99_s128_ratio", AtMost(0.13)),
+            // Compaction cuts probes per query from 25 to 5, every run.
+            // Compaction that stops at the first level read 3.12.
+            ("index_probe_reduction", AtLeast(5.0)),
             ("index_compact_mb_per_s", Report),
             ("index_segments_reduced", MustHold),
             ("index_compaction_identical", MustHold),
@@ -243,8 +263,14 @@ pub const SUITES: &[Suite] = &[
             // bug however the others look.
             ("visual_recall", MustHold),
             ("visual_identical", MustHold),
-            ("visual_query_p99_s*_ratio", AtMost(1.20)),
-            ("visual_probe_reduction", AtLeast(2.0)),
+            // Query p99 at 16 and 128 sessions over 16 and 128 times
+            // the one-session p99: 0.089-0.272 and 0.082-0.477. With no
+            // decoded-segment cache: 0.64-0.82 and 0.85-0.96.
+            ("visual_query_p99_s16_ratio", AtMost(0.33)),
+            ("visual_query_p99_s128_ratio", AtMost(0.58)),
+            // A linear scan's comparisons over the band index's: 9.2632
+            // every run. Buckets keyed on 8 of a band's 16 bits read 3.03.
+            ("visual_probe_reduction", AtLeast(9.26)),
             ("visual_snapshot_consistent", MustHold),
         ],
         experiments: &[visual_experiment],
@@ -478,9 +504,9 @@ mod tests {
         };
         assert_eq!(
             threshold(2, "net_round_p99_per_viewer_f1024_ratio"),
-            "<= 1.50"
+            "<= 0.94"
         );
-        assert_eq!(threshold(5, "index_query_p99_s128_ratio"), "<= 1.20");
+        assert_eq!(threshold(5, "index_query_p99_s128_ratio"), "<= 0.13");
     }
 
     #[test]
