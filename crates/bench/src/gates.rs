@@ -167,7 +167,8 @@ pub const SUITES: &[Suite] = &[
     },
     Suite {
         name: "obs",
-        // Instrumented over uninstrumented wall time.
+        // Instrumented over uninstrumented wall time, the median of 15
+        // order-alternating pairs.
         rules: &[("overhead_ratio", AtMost(1.05))],
         experiments: &[obs_experiment],
     },
