@@ -102,37 +102,17 @@ impl BlobStore {
         }
     }
 
-    /// Creates a store backed by the content-addressed chunk store —
-    /// see [`enable_cas`](BlobStore::enable_cas).
-    pub fn in_memory_deduped() -> Self {
-        let mut store = BlobStore::in_memory();
-        store.enable_cas();
-        store
-    }
-
-    /// Layers the store on a [`dv_cas::ChunkStore`]: from now on blobs
-    /// are split into content-defined chunks deduplicated across names
-    /// (and, through [`SharedBlobStore`], across tenants). Existing
-    /// blobs migrate into the chunk store. Logical semantics —
-    /// contents, names, `bytes_written` accounting — are unchanged;
+    /// Creates a store layered on a [`dv_cas::ChunkStore`]: blobs are
+    /// split into content-defined chunks deduplicated across names
+    /// (and, through [`SharedBlobStore`], across tenants). Logical
+    /// semantics — contents, names, `bytes_written` accounting — are
+    /// those of [`in_memory`](BlobStore::in_memory);
     /// [`cas_stats`](BlobStore::cas_stats) exposes the physical side.
-    pub fn enable_cas(&mut self) {
-        if self.cas.is_some() {
-            return;
+    pub fn in_memory_deduped() -> Self {
+        BlobStore {
+            cas: Some(ChunkStore::new()),
+            ..BlobStore::in_memory()
         }
-        let mut cas = ChunkStore::new();
-        // Migration is internal bookkeeping, not a new write: the
-        // plane and obs are attached only after it, so it neither
-        // triggers fault checks nor counts as `bytes_written`.
-        let mut names: Vec<String> = self.backing.keys().cloned().collect();
-        names.sort();
-        for name in names {
-            let data = self.backing.remove(&name).unwrap();
-            let _ = cas.put(&name, &data);
-        }
-        cas.set_obs(self.obs.clone());
-        cas.set_fault_plane(self.plane.clone());
-        self.cas = Some(cas);
     }
 
     /// Whether this store dedups through the content-addressed layer.
@@ -684,23 +664,6 @@ mod tests {
         assert!(cas.dedup_ratio() > 7.0, "ratio {}", cas.dedup_ratio());
         assert_eq!(cas.logical_bytes, 8 * data.len() as u64);
         assert_eq!(cas.physical_bytes, data.len() as u64);
-    }
-
-    #[test]
-    fn enable_cas_migrates_existing_blobs() {
-        let mut store = BlobStore::in_memory();
-        let data = pseudo_random(50_000, 3);
-        store.put("pre", data.clone()).unwrap();
-        store.enable_cas();
-        assert!(store.cas_enabled());
-        store.drop_caches();
-        assert_eq!(&**store.get("pre").unwrap(), &data);
-        store.put("post", data.clone()).unwrap();
-        assert_eq!(
-            store.cas_stats().unwrap().physical_bytes,
-            data.len() as u64,
-            "migrated blob dedups against new writes"
-        );
     }
 
     #[test]

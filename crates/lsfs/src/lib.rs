@@ -17,8 +17,8 @@
 //! * [`BlobStore`] — checkpoint-image storage with a droppable cache and
 //!   a disk-latency model (the cached/uncached axis of Figure 7),
 //!   optionally layered on the `dv-cas` content-addressed chunk store
-//!   ([`BlobStore::enable_cas`]) so blobs dedup across checkpoints and
-//!   tenants.
+//!   ([`BlobStore::in_memory_deduped`]) so blobs dedup across
+//!   checkpoints and tenants.
 //! * [`SealedLog`] — the checkpoint-anchored sealed-segment lifecycle
 //!   (open buffer → seal → publish → recover → compact → retire) the
 //!   text and visual indexes keep their open buffers and immutable
