@@ -59,7 +59,7 @@ impl Default for TenantQuotas {
     }
 }
 
-/// Host-wide configuration: the shared commit pool and default quotas.
+/// Host-wide configuration: the shared commit pool and the store.
 #[derive(Clone, Debug)]
 pub struct HostConfig {
     /// Worker threads in the shared commit pool; with `0` each
@@ -79,8 +79,6 @@ pub struct HostConfig {
     /// ([`Host::storage_physical_bytes`]) shrinks by whatever
     /// redundancy exists across checkpoints and tenants.
     pub dedup: bool,
-    /// Quotas applied to tenants created without explicit quotas.
-    pub default_quotas: TenantQuotas,
 }
 
 impl Default for HostConfig {
@@ -91,7 +89,6 @@ impl Default for HostConfig {
             commit_retry_backoff: Duration::from_millis(50),
             compress: true,
             dedup: true,
-            default_quotas: TenantQuotas::default(),
         }
     }
 }
@@ -217,7 +214,6 @@ pub struct Host {
     obs: Obs,
     /// Which tenant leads the next background-compaction round.
     compact_cursor: u64,
-    config: HostConfig,
 }
 
 impl Host {
@@ -257,7 +253,6 @@ impl Host {
             tenants: BTreeMap::new(),
             next_tenant: 1,
             compact_cursor: 0,
-            config,
         }
     }
 
@@ -353,10 +348,10 @@ impl Host {
         self.tenants.get(&id).map(|t| t.label.as_str())
     }
 
-    /// Creates a session under the default quotas. See
-    /// [`Host::create_session_with_quotas`].
+    /// Creates a session with no quotas ([`TenantQuotas::default`]).
+    /// See [`Host::create_session_with_quotas`].
     pub fn create_session(&mut self, label: &str, config: Config) -> u64 {
-        self.create_session_with_quotas(label, config, self.config.default_quotas)
+        self.create_session_with_quotas(label, config, TenantQuotas::default())
     }
 
     /// Creates a session: a full [`DejaView`] server on the host clock,
