@@ -20,8 +20,9 @@
 //! and counts, never absolute times, so one limit holds on any machine —
 //! and applies the rule the gate table ([`dv_bench::gates::SUITES`])
 //! gives each metric. It exits 1 if a gate fails and 2 on a bad
-//! argument or an `--out` it cannot write. What each metric measures is said where it is emitted, in the
-//! experiment that measures it (`experiments.rs`).
+//! argument or an `--out` it cannot write. What each metric measures is
+//! said where it is emitted, in the experiment that measures it
+//! (`experiments.rs`).
 //!
 //! `summary` runs no workload: it reads the `BENCH_<suite>.json` files
 //! in the current directory and prints one GitHub-flavored markdown

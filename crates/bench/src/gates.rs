@@ -107,10 +107,9 @@ pub const SUITES: &[Suite] = &[
             // stall ratios are read beside it.
             ("nproc", Report),
             // Session-thread stall with N commit workers over the
-            // stall with none.
-            // Calibrated on a one-core container (0.10 / 0.42 / 1.00
-            // there, plus a fifth); see DESIGN.md §6 for what two
-            // cores read.
+            // stall with none. Fitted on a one-core container (0.10 /
+            // 0.42 / 1.00 there, plus a fifth); DESIGN.md §6 has what
+            // two cores read.
             ("deferred_stall_w1_ratio", AtMost(0.12)),
             ("deferred_stall_w2_ratio", AtMost(0.504)),
             ("deferred_stall_w4_ratio", AtMost(1.20)),
