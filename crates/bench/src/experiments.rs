@@ -148,6 +148,37 @@ fn three_pairs<O>(
     (first.expect("three iterations ran"), least)
 }
 
+/// Pairs [`alternating_pairs`] takes: odd, so the median is one pair's.
+const MEDIAN_PAIRS: usize = 15;
+
+/// Measures a mode of one workload against its yardstick as
+/// [`MEDIAN_PAIRS`] pairs, `run(true)` beside `run(false)`, and returns
+/// each pair's `(ratio, measured, yardstick)`, sorted by ratio: the
+/// median is the ratio to gate. A pair's two runs share their moment of
+/// the machine, alternating which runs first cancels any edge the
+/// second run of a pair has, and the median sheds the pairs a
+/// preemption hit.
+fn alternating_pairs(
+    mut run: impl FnMut(bool) -> std::time::Duration,
+) -> Vec<(f64, std::time::Duration, std::time::Duration)> {
+    let mut pairs: Vec<_> = (0..MEDIAN_PAIRS)
+        .map(|pair| {
+            let measured_first = pair % 2 == 1;
+            let first = run(measured_first);
+            let second = run(!measured_first);
+            let (measured, yardstick) = if measured_first {
+                (first, second)
+            } else {
+                (second, first)
+            };
+            let ratio = measured.as_secs_f64() / yardstick.as_secs_f64().max(1e-12);
+            (ratio, measured, yardstick)
+        })
+        .collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    pairs
+}
+
 fn percentile(sorted: &[std::time::Duration], p: f64) -> std::time::Duration {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
@@ -1002,10 +1033,6 @@ pub(crate) fn raw_revive_experiment(scale: f64) -> (Report, DeferredRun) {
 // Observability: per-stream profile and instrumentation overhead
 // ---------------------------------------------------------------------
 
-/// Instrumented/uninstrumented pairs `obs_experiment` takes the median
-/// of: odd, so the median is one pair's.
-const OBS_PAIRS: usize = 15;
-
 /// One deferred-pipeline engine run with instrumentation on or off,
 /// returning its wall time. The work (page dirtying, compression,
 /// deferred commits) is byte-identical in both modes, so the wall-time
@@ -1050,7 +1077,7 @@ fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
 /// through dv-obs (wall-clock spans, so busy times are real), then
 /// measures the instrumentation's own cost on the deferred-pipeline
 /// workload, instrumented versus disabled. Emits instrumented over
-/// uninstrumented wall time, the median of [`OBS_PAIRS`] pairs, as
+/// uninstrumented wall time, the median of [`MEDIAN_PAIRS`] pairs, as
 /// `overhead_ratio`.
 pub(crate) fn obs_experiment(scale: f64) -> Report {
     let mut scenario = scenario_by_name("web", scale).expect("known scenario");
@@ -1086,27 +1113,10 @@ pub(crate) fn obs_experiment(scale: f64) -> Report {
     // Warm up once per mode (allocator growth, lazy init, page faults).
     obs_overhead_run(false, scale);
     obs_overhead_run(true, scale);
-    // Each pair's ratio shares its moment of the machine; alternating
-    // which mode runs first cancels any edge the second run of a pair
-    // has, and the median sheds the pairs a preemption hit. (The least
-    // of three pairs broke 1.05 on noise alone in a third of the runs on
-    // two vCPUs.)
-    let mut pairs: Vec<(f64, std::time::Duration, std::time::Duration)> = (0..OBS_PAIRS)
-        .map(|pair| {
-            let instrumented_first = pair % 2 == 1;
-            let first = obs_overhead_run(instrumented_first, scale);
-            let second = obs_overhead_run(!instrumented_first, scale);
-            let (instrumented, baseline) = if instrumented_first {
-                (first, second)
-            } else {
-                (second, first)
-            };
-            let ratio = instrumented.as_secs_f64() / baseline.as_secs_f64().max(1e-9);
-            (ratio, instrumented, baseline)
-        })
-        .collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (overhead, instrumented, baseline) = pairs[OBS_PAIRS / 2];
+    // The median of alternating pairs: the least of three pairs broke
+    // 1.05 on noise alone in a third of the runs on two vCPUs.
+    let pairs = alternating_pairs(|instrumented| obs_overhead_run(instrumented, scale));
+    let (overhead, instrumented, baseline) = pairs[MEDIAN_PAIRS / 2];
 
     let mut table = Table::new(
         "Observability: per-stream instrumented busy time (wall-clock spans, web workload)",
@@ -1122,11 +1132,11 @@ pub(crate) fn obs_experiment(scale: f64) -> Report {
         snapshot.counter(dv_obs::names::CHECKPOINT_COUNT),
     ));
     table.note(format!(
-        "instrumentation overhead: {overhead:.3}x wall ({:.1} ms instrumented vs {:.1} ms disabled, deferred-pipeline workload, median of {OBS_PAIRS} alternating pairs, {:.3}-{:.3}x)",
+        "instrumentation overhead: {overhead:.3}x wall ({:.1} ms instrumented vs {:.1} ms disabled, deferred-pipeline workload, median of {MEDIAN_PAIRS} alternating pairs, {:.3}-{:.3}x)",
         ms(instrumented),
         ms(baseline),
         pairs[0].0,
-        pairs[OBS_PAIRS - 1].0,
+        pairs[MEDIAN_PAIRS - 1].0,
     ));
     let mut report = Report::from(table);
     report.metric("overhead_ratio", overhead);
@@ -1455,6 +1465,93 @@ pub(crate) fn seek_restore_experiment(scale: f64) -> Report {
 }
 
 // ---------------------------------------------------------------------
+// What a keyframe seek writes from keyframes once the cache is full
+// ---------------------------------------------------------------------
+
+/// Browses a 640x480 session with twice as many keyframes as the
+/// playback engine caches: a burst opens with a keyframe, repaints a
+/// window and loads six glyph lines into it, and one seek lands after
+/// its third line. The seeks visit the bursts in a scrambled order (a
+/// stride coprime to their count, so each starts from a keyframe), and
+/// the first sixteen — enough to fill the cache — are not counted.
+/// Counts only, no timing: the same on any machine. Emits the pixels
+/// written from keyframes per keyframe seek over the frame's pixels as
+/// `seek_keyframe_writes_frac`: decoded into a cache entry
+/// (`record.seek.pixels_cached`), or copied out of one or decoded into
+/// the frame (`record.seek.pixels_restored`). Its replay paints little,
+/// so a seek writes about a frame; a miss that decodes its keyframe
+/// into the cache and then copies it out writes two.
+pub(crate) fn seek_keyframe_writes_experiment(scale: f64) -> Report {
+    use dv_display::Rect;
+    const KEYFRAMES: usize = 32;
+    const WARM: usize = 16;
+    let (width, height) = (640, 480);
+    let seeks = ((64.0 * scale) as usize).max(KEYFRAMES);
+    let mut dv = DejaView::new(Config {
+        width,
+        height,
+        enable_text_capture: false,
+        enable_visual_index: false,
+        ..Config::default()
+    });
+    let clock = dv.clock();
+    let mut reading = Vec::new();
+    for burst in 0..KEYFRAMES as u32 {
+        dv.force_keyframe();
+        let color = burst.wrapping_mul(0x9E37_79B9) & 0x00FF_FFFF;
+        let window = Rect::new(burst % 4 * 40, burst % 3 * 30, 400, 300);
+        dv.driver_mut().fill_rect(window, color);
+        for line in 0..6 {
+            let text = format!("burst {burst} line {line}");
+            let y = window.y + 8 + line * 10;
+            dv.driver_mut()
+                .draw_text(window.x + 8, y, &text, 0x00FF_FFFF, color);
+            clock.advance(Duration::from_secs(5));
+            if line == 2 {
+                reading.push(dv.now());
+            }
+        }
+    }
+    let counter = |dv: &DejaView, name| dv.obs().counter(name);
+    let written = |dv: &DejaView| {
+        counter(dv, dv_obs::names::RECORD_SEEK_PIXELS_CACHED)
+            + counter(dv, dv_obs::names::RECORD_SEEK_PIXELS_RESTORED)
+    };
+    let mut order = (0..).map(|i| reading[i * 13 % KEYFRAMES]);
+    for t in order.by_ref().take(WARM) {
+        dv.browse(t).expect("a recorded moment");
+    }
+    let (loads, before) = (
+        counter(&dv, dv_obs::names::RECORD_SEEK_KEYFRAME_LOADS),
+        written(&dv),
+    );
+    for t in order.take(seeks) {
+        dv.browse(t).expect("a recorded moment");
+    }
+    let keyframe_seeks = counter(&dv, dv_obs::names::RECORD_SEEK_KEYFRAME_LOADS) - loads;
+    let written = written(&dv) - before;
+    let frame = u64::from(width) * u64::from(height);
+    let writes_frac = frac(written, keyframe_seeks * frame);
+    let mut table = Table::new(
+        format!("Seek writes: keyframe seeks over {KEYFRAMES} keyframes of a {width}x{height} session, cache full"),
+        &["seeks", "keyframe seeks", "pixels written", "of the frame"],
+    );
+    table.row([
+        seeks.to_string(),
+        keyframe_seeks.to_string(),
+        written.to_string(),
+        format!("{writes_frac:.3}"),
+    ]);
+    table.note(format!(
+        "(a miss decoded into the cache and copied out writes {} pixels)",
+        2 * frame
+    ));
+    let mut report = Report::from(table);
+    report.metric("seek_keyframe_writes_frac", writes_frac);
+    report
+}
+
+// ---------------------------------------------------------------------
 // What a replay writes for a scrolling terminal
 // ---------------------------------------------------------------------
 
@@ -1560,7 +1657,8 @@ pub(crate) fn replay_scroll_experiment(scale: f64) -> Report {
 ///   pixel read about 46.
 /// - RLE-compressing, and CAS-splitting and hashing, 448 KiB of a build
 ///   tenant's heap (`run_noise`) against a `memcpy` of it: the two
-///   commit-path kernels of DESIGN.md §6, each a word at a time.
+///   commit-path kernels of DESIGN.md §6, each a word at a time. Each
+///   is the median of [`MEDIAN_PAIRS`] alternating pairs' ratios.
 /// - Revive's `load_image` of one compressed 1 MiB heap image keeping
 ///   no page, against `decompress` of the same blob: a skipped page
 ///   costs its token headers only, so the ratio sits well under 1.
@@ -1617,8 +1715,10 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
     );
     let heap = run_noise(LONG);
     let mut heap_copy = vec![0u8; LONG];
+    // The median pair's ratio: the least of three pairs broke the
+    // split's limit on noise alone once in 49 runs on two vCPUs.
     let mut against_memcpy = |kernel: &dyn Fn(&[u8])| {
-        let run = |run_kernel| {
+        alternating_pairs(|run_kernel| {
             least(&mut || {
                 if run_kernel {
                     kernel(std::hint::black_box(&heap));
@@ -1627,13 +1727,12 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
                     std::hint::black_box(&heap_copy);
                 }
             })
-        };
-        three_pairs(run, |&took| took).1
+        })[MEDIAN_PAIRS / 2]
     };
-    let (compress_memcpy, compress) = against_memcpy(&|heap| {
+    let compress = against_memcpy(&|heap| {
         std::hint::black_box(dv_checkpoint::compress(heap));
     });
-    let (split_memcpy, split) = against_memcpy(&|heap| {
+    let split = against_memcpy(&|heap| {
         std::hint::black_box(dv_cas::split(heap));
     });
     let store = compressed_heap_image(1 << 20);
@@ -1654,43 +1753,41 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
         |&took| took,
     );
     let mut table = Table::new(
-        "Byte kernels: least time of each beside its yardstick, same run",
+        "Byte kernels: least time of each beside its yardstick, same run or pair",
         &["kernel / yardstick", "kernel", "yardstick", "ratio"],
     );
     let mut report = Report::default();
-    for (key, what, kernel, yardstick) in [
+    let least_over = |kernel: std::time::Duration, yardstick: std::time::Duration| {
+        let ratio = kernel.as_secs_f64() / yardstick.as_secs_f64().max(1e-12);
+        (ratio, kernel, yardstick)
+    };
+    for (key, what, (ratio, kernel, yardstick)) in [
         (
             "crc_per_byte_448k_ratio",
             "CRC32 of 448 KiB whole / 2 KiB at a time",
-            long,
-            short,
+            least_over(long, short),
         ),
         (
             "raw_strip_encode_memcpy_ratio",
             "704x32 Raw encode / memcpy of its bytes",
-            encode,
-            memcpy,
+            least_over(encode, memcpy),
         ),
         (
             "image_compress_memcpy_ratio",
-            "RLE compress of 448 KiB heap / memcpy",
+            "RLE compress of 448 KiB heap / memcpy (median pair)",
             compress,
-            compress_memcpy,
         ),
         (
             "cas_split_memcpy_ratio",
-            "CAS split and ids of 448 KiB heap / memcpy",
+            "CAS split and ids of 448 KiB heap / memcpy (median pair)",
             split,
-            split_memcpy,
         ),
         (
             "revive_compressed_skip_ratio",
             "1 MiB RLE image: load keeping none / decompress",
-            keep_none,
-            decompress,
+            least_over(keep_none, decompress),
         ),
     ] {
-        let ratio = kernel.as_secs_f64() / yardstick.as_secs_f64().max(1e-12);
         table.row([
             what.to_string(),
             format!("{:.1} us", us(kernel)),
@@ -3220,6 +3317,8 @@ pub(crate) mod tests {
     pub(crate) static KERNELS: LazyLock<Report> = LazyLock::new(|| kernel_experiment(0.02));
     pub(crate) static SEEK_RESTORE: LazyLock<Report> =
         LazyLock::new(|| seek_restore_experiment(0.02));
+    pub(crate) static SEEK_WRITES: LazyLock<Report> =
+        LazyLock::new(|| seek_keyframe_writes_experiment(0.02));
     pub(crate) static REPLAY_SCROLL: LazyLock<Report> =
         LazyLock::new(|| replay_scroll_experiment(0.02));
     pub(crate) static NET: LazyLock<Report> = LazyLock::new(|| net_experiment(0.05));
@@ -3337,6 +3436,20 @@ pub(crate) mod tests {
         assert_eq!(table.numbers("keyframe seeks"), seeks, "a seek resumed");
         // The four windows leave the panel, 16 rows of 1024, to copy.
         assert_eq!(report.get("seek_restored_frac"), 16.0 / 1024.0);
+    }
+
+    #[test]
+    fn seek_keyframe_writes_smoke() {
+        let report: &Report = &SEEK_WRITES;
+        let table = &report.tables[0];
+        assert_eq!(
+            table.numbers("keyframe seeks"),
+            table.numbers("seeks"),
+            "a seek resumed"
+        );
+        // Each seek's three glyph lines paint little: a hit copies its
+        // keyframe whole and a miss decodes it into the frame once.
+        assert_eq!(report.get("seek_keyframe_writes_frac"), 1.0);
     }
 
     #[test]

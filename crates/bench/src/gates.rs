@@ -11,8 +11,8 @@
 use crate::experiments::{
     crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
     fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
-    obs_experiment, raw_revive_experiment, replay_scroll_experiment, run, seek_restore_experiment,
-    visual_experiment, Experiment,
+    obs_experiment, raw_revive_experiment, replay_scroll_experiment, run,
+    seek_keyframe_writes_experiment, seek_restore_experiment, visual_experiment, Experiment,
 };
 
 /// What a metric must satisfy. Every limit is a literal in [`SUITES`].
@@ -148,6 +148,11 @@ pub const SUITES: &[Suite] = &[
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.
             ("seek_restored_frac", AtMost(0.25)),
+            // Once the engine's keyframe cache is full, a keyframe seek
+            // writes its frame from a keyframe once: copied out of the
+            // cache, or decoded straight into the frame. Decoding a miss
+            // into an evicting cache first read 1 + the miss fraction.
+            ("seek_keyframe_writes_frac", AtMost(1.0)),
             // A replay scrolls a terminal by moving its row origin and
             // copies only the line each scroll leaves in place, plus one
             // restore a slice. One copy per scroll read 1.0.
@@ -161,6 +166,7 @@ pub const SUITES: &[Suite] = &[
             fs_snapshot_experiment,
             kernel_experiment,
             seek_restore_experiment,
+            seek_keyframe_writes_experiment,
             replay_scroll_experiment,
         ],
     },
@@ -405,6 +411,7 @@ mod tests {
                 &smoke::FS_SNAPSHOT,
                 &smoke::KERNELS,
                 &smoke::SEEK_RESTORE,
+                &smoke::SEEK_WRITES,
                 &smoke::REPLAY_SCROLL,
             ],
             vec![&obs],

@@ -23,6 +23,34 @@ pub struct Screenshot {
 }
 
 impl Screenshot {
+    /// Builds a `width` x `height` screenshot from `(length, pixel)`
+    /// runs, row-major, extending its pixels run by run rather than
+    /// zero-filling them first. Runs past the screen's end are cut;
+    /// pixels they fall short of are black.
+    pub fn from_runs(
+        width: u32,
+        height: u32,
+        runs: impl IntoIterator<Item = (usize, Pixel)>,
+    ) -> Self {
+        let total = width as usize * height as usize;
+        let mut pixels = Vec::with_capacity(total);
+        for (len, pixel) in runs {
+            let end = total.min(pixels.len().saturating_add(len));
+            // Sixteen at a time, as `rebase_runs` stores a run, then cut
+            // back to its end (made up to it near the screen's).
+            while pixels.len() < end && pixels.len() + 16 <= total {
+                pixels.extend_from_slice(&[pixel; 16]);
+            }
+            pixels.resize(end, pixel);
+        }
+        pixels.resize(total, 0);
+        Screenshot {
+            width,
+            height,
+            pixels: Arc::new(pixels),
+        }
+    }
+
     /// Returns a 64-bit FNV-1a hash of the pixel contents; used to decide
     /// whether "the screen has changed enough since the previous"
     /// screenshot, and by tests to compare replays.
@@ -72,7 +100,8 @@ fn fnv1a(pixels: &[Pixel]) -> u64 {
 /// copies the frame once. A screenshot therefore never changes after it
 /// is taken, and taking one costs nothing if it is dropped before the
 /// next command. [`Framebuffer::rebase`] brings a frame to a screenshot
-/// copying only what a command run will not paint over.
+/// copying only what a command run will not paint over, and
+/// [`Framebuffer::rebase_runs`] to a screen given as pixel runs.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Framebuffer {
     width: u32,
@@ -190,7 +219,70 @@ impl Framebuffer {
             self.pixels = Arc::new(buffer);
         }
         let pixels = Arc::get_mut(&mut self.pixels).expect("the buffer is private");
-        Some(copy_kept(pixels, &base.pixels, width, height, cover))
+        let mut copied = 0;
+        kept_ranges(width, height, cover, |kept| {
+            copied += kept.len() as u64;
+            pixels[kept.clone()].copy_from_slice(&base.pixels[kept]);
+        });
+        Some(copied)
+    }
+
+    /// [`Framebuffer::rebase`] on a screen given as `(length, pixel)`
+    /// runs, row-major, whose lengths add up to the frame's pixels: a
+    /// keyframe decoded straight into the frame. Returns how many pixels
+    /// it wrote. With neither a private buffer nor `spare`, the runs
+    /// fill a new buffer ([`Screenshot::from_runs`]). A marked block, and
+    /// any pixel the runs fall short of, is left undefined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cover` or `spare` is of another size than the frame.
+    pub fn rebase_runs(
+        &mut self,
+        runs: impl IntoIterator<Item = (usize, Pixel)>,
+        cover: &CoveragePass,
+        spare: &mut Option<Vec<Pixel>>,
+    ) -> u64 {
+        let (width, height) = (self.width, self.height);
+        assert_eq!(cover.screen(), (width, height), "coverage size");
+        if Arc::get_mut(&mut self.pixels).is_none() {
+            let Some(buffer) = spare.take() else {
+                self.pixels = Screenshot::from_runs(width, height, runs).pixels;
+                return self.pixels.len() as u64;
+            };
+            assert_eq!(buffer.len(), self.pixels.len(), "spare frame size");
+            self.pixels = Arc::new(buffer);
+        }
+        let pixels = Arc::get_mut(&mut self.pixels).expect("the buffer is private");
+        let mut runs = runs.into_iter();
+        // The run last taken ends at `end`.
+        let (mut end, mut pixel, mut written) = (0usize, 0, 0u64);
+        kept_ranges(width, height, cover, |kept| {
+            written += kept.len() as u64;
+            let mut at = kept.start;
+            while at < kept.end {
+                while end <= at {
+                    let Some((len, next)) = runs.next() else {
+                        return;
+                    };
+                    (end, pixel) = (end.saturating_add(len), next);
+                }
+                let stop = end.min(kept.end);
+                // Sixteen at a time beats a fill's call on the short runs
+                // of text and video. A store past `stop` lands where a
+                // later run writes or in a marked block.
+                if stop + 16 <= pixels.len() {
+                    while at < stop {
+                        pixels[at..at + 16].fill(pixel);
+                        at += 16;
+                    }
+                } else {
+                    pixels[at..stop].fill(pixel);
+                }
+                at = stop;
+            }
+        });
+        written
     }
 
     /// Applies one display command, clamping it to the screen.
@@ -367,36 +459,29 @@ fn scroll(cmd: &DisplayCommand, screen: &Rect) -> Option<(Rect, u32, bool)> {
     Some((region, d, src_y > rect.y))
 }
 
-/// Copies every pixel of `src` that `cover` does not mark into `dst`
-/// and returns how many it copied. Spans that follow on from each other
-/// in memory — whole rows, band after band — are copied as one.
-fn copy_kept(
-    dst: &mut [Pixel],
-    src: &[Pixel],
+/// Calls `kept` with each range of row-major pixel indices whose block
+/// `cover` does not mark, in memory order. Spans that follow on from
+/// each other — whole rows, band after band — come as one.
+fn kept_ranges(
     width: u32,
     height: u32,
     cover: &CoveragePass,
-) -> u64 {
+    mut kept: impl FnMut(std::ops::Range<usize>),
+) {
     let stride = width as usize;
-    let mut copied = 0u64;
     let mut run = 0..0;
-    for band in 0..height.div_ceil(BLOCK_H) {
-        let rows = band * BLOCK_H..(band * BLOCK_H + BLOCK_H).min(height);
-        cover.kept_spans(band, |x0, x1| {
-            for y in rows.clone() {
-                let at = y as usize * stride;
-                let (start, end) = (at + x0 as usize, at + x1 as usize);
-                if start != run.end {
-                    dst[run.clone()].copy_from_slice(&src[run.clone()]);
-                    run.start = start;
-                }
-                run.end = end;
+    for y in 0..height {
+        let at = y as usize * stride;
+        cover.kept_spans(y / BLOCK_H, |x0, x1| {
+            let (start, end) = (at + x0 as usize, at + x1 as usize);
+            if start != run.end {
+                kept(run.clone());
+                run.start = start;
             }
-            copied += u64::from(x1 - x0) * rows.len() as u64;
+            run.end = end;
         });
     }
-    dst[run.clone()].copy_from_slice(&src[run]);
-    copied
+    kept(run);
 }
 
 /// Paints `cmd` into the row-major `pixels` of a `width`-wide `screen`,
@@ -1254,7 +1339,9 @@ mod tests {
         /// that read what they later cover, and the reverse. No
         /// screenshot changes, a held frame with nothing handed back is
         /// left alone, and a run that paints nothing over leaves the
-        /// whole frame to copy.
+        /// whole frame to copy. Decoding the keyframe's pixel runs
+        /// instead writes what the copy does, into the same buffers, or
+        /// into a new one when the frame is held and nothing handed back.
         #[test]
         fn rebase_then_replay_equals_replay_on_the_base(
             size in (1..=150u32, 1..=40u32),
@@ -1292,7 +1379,34 @@ mod tests {
             prop_assert_eq!(handed.rebase(&base, &cover, &mut spare), Some(restored));
             prop_assert!(spare.is_none(), "the handed-back frame was not used");
 
-            for (what, fb) in [("own", &mut own), ("handed-back", &mut handed)] {
+            // The same screen as runs, decoded straight into the frame:
+            // its own buffer, a handed-back one, or — held, with nothing
+            // handed back — a new one the runs fill whole.
+            let mut runs: Vec<(usize, Pixel)> = Vec::new();
+            for &px in base.pixels.iter() {
+                match runs.last_mut() {
+                    Some((len, last)) if *last == px => *len += 1,
+                    _ => runs.push((1, px)),
+                }
+            }
+            let mut decoded = frame(seed ^ 5);
+            prop_assert_eq!(decoded.rebase_runs(runs.iter().copied(), &cover, &mut None), restored);
+            let mut decoded_handed = frame(seed ^ 6);
+            let decoded_holder = decoded_handed.snapshot();
+            let mut spare = Some(noise(width, height, seed ^ 7));
+            prop_assert_eq!(decoded_handed.rebase_runs(runs.iter().copied(), &cover, &mut spare), restored);
+            prop_assert!(spare.is_none(), "the handed-back frame was not used");
+            let mut decoded_fresh = frame(seed ^ 8);
+            let fresh_holder = decoded_fresh.snapshot();
+            prop_assert_eq!(decoded_fresh.rebase_runs(runs.iter().copied(), &cover, &mut None), whole);
+            prop_assert!(decoded_fresh == Framebuffer::from_screenshot(&base));
+            for (what, fb) in [
+                ("own", &mut own),
+                ("handed-back", &mut handed),
+                ("own, from runs", &mut decoded),
+                ("handed-back, from runs", &mut decoded_handed),
+                ("new, from runs", &mut decoded_fresh),
+            ] {
                 prop_assert!(!fb.is_shared(), "the {} frame is shared", what);
                 for cmd in &run {
                     fb.apply(cmd);
@@ -1304,6 +1418,8 @@ mod tests {
             }
             prop_assert_eq!(base.pixels.as_ref(), &keyframe);
             prop_assert_eq!(holder.pixels.as_ref(), &held);
+            prop_assert_eq!(decoded_holder.pixels.as_ref(), &noise(width, height, seed ^ 6));
+            prop_assert_eq!(fresh_holder.pixels.as_ref(), &noise(width, height, seed ^ 8));
         }
     }
 

@@ -335,9 +335,13 @@ pub mod names {
     pub const RECORD_SEEK_COMMANDS_SCANNED: &str = "record.seek.commands_scanned";
     /// Commands seeks decoded and applied after pruning (useful work).
     pub const RECORD_SEEK_COMMANDS_APPLIED: &str = "record.seek.commands_applied";
-    /// Pixels seeks copied from a base frame (a keyframe, or a frame a
-    /// screenshot still held) instead of leaving them to be painted.
+    /// Pixels seeks copied or decoded from a base (a keyframe, or a
+    /// frame a screenshot still held) instead of leaving them to be
+    /// painted.
     pub const RECORD_SEEK_PIXELS_RESTORED: &str = "record.seek.pixels_restored";
+    /// Pixels decoded from stored keyframes into the playback engine's
+    /// keyframe cache.
+    pub const RECORD_SEEK_PIXELS_CACHED: &str = "record.seek.pixels_cached";
     /// Rows replays wrote through the scroll ring: the rows each scroll
     /// left in place, and every row of a region put back in order.
     pub const RECORD_REPLAY_RING_ROWS: &str = "record.replay.ring_rows";

@@ -28,7 +28,8 @@ pub use persist::{decode_record, encode_record, open_record, RecordError};
 pub use playback::{PlayStats, PlaybackEngine, PlaybackError};
 pub use recorder::{DisplayRecord, DisplayRecorder, RecordStats, RecordStore, RecorderConfig};
 pub use screenshot::{
-    decode_screenshot, encode_screenshot, screenshot_dims, ScreenshotStore, MAX_SCREEN_SIDE,
+    decode_screenshot, decode_screenshot_runs, encode_screenshot, screenshot_dims, ScreenshotRuns,
+    ScreenshotStore, MAX_SCREEN_SIDE,
 };
 pub use substream::Substream;
 pub use timeline::{Timeline, TimelineEntry, ENTRY_LEN};

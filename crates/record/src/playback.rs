@@ -12,6 +12,8 @@
 //! copies from its base frame only what they do not paint over. Seeks
 //! and play alike write through a scroll ring, so a replayed scroll
 //! moves a region's row origin, not its rows.
+//! The cache keeps the first keyframes decoded and never evicts one; a
+//! keyframe it cannot serve is decoded straight into the seek's frame.
 
 use std::sync::Arc;
 
@@ -21,7 +23,8 @@ use dv_time::{Duration, Timestamp};
 
 use crate::cache::LruCache;
 use crate::recorder::{DisplayRecord, RecordStore};
-use crate::replay::{count_rows, PrunedReplay};
+use crate::replay::{count_rows, Base, PrunedReplay};
+use crate::screenshot::decode_screenshot_runs;
 
 /// Errors produced by playback operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -129,17 +132,43 @@ impl PlaybackEngine {
         }
     }
 
-    fn load_keyframe(
+    /// The keyframe stored at `offset`, as a replay's base: the cached
+    /// frame, or one decoded and cached while the cache has room, or
+    /// else its checked runs, left for the replay to decode into its
+    /// frame. A full cache is left as it is.
+    fn keyframe<'s>(
+        &mut self,
+        store: &'s RecordStore,
+        offset: u64,
+    ) -> Result<Base<'s>, PlaybackError> {
+        if let Some(shot) = self.shot_cache.get(&offset) {
+            return Ok(Base::Frame(shot.clone()));
+        }
+        let runs = store
+            .shots
+            .encoded_at(offset)
+            .and_then(|encoded| decode_screenshot_runs(encoded, store.width, store.height))
+            .ok_or(PlaybackError::Corrupt)?;
+        if self.shot_cache.len() == self.shot_cache.capacity() {
+            return Ok(Base::Runs(runs));
+        }
+        let shot = runs.to_screenshot();
+        self.obs
+            .add(names::RECORD_SEEK_PIXELS_CACHED, shot.pixels.len() as u64);
+        self.shot_cache.put(offset, shot.clone());
+        Ok(Base::Frame(shot))
+    }
+
+    /// The keyframe stored at `offset`, decoded for a sink.
+    fn keyframe_shot(
         &mut self,
         store: &RecordStore,
         offset: u64,
     ) -> Result<Screenshot, PlaybackError> {
-        if let Some(shot) = self.shot_cache.get(&offset) {
-            return Ok(shot.clone());
-        }
-        let shot = store.shots.load(offset).ok_or(PlaybackError::Corrupt)?;
-        self.shot_cache.put(offset, shot.clone());
-        Ok(shot)
+        Ok(match self.keyframe(store, offset)? {
+            Base::Frame(shot) => shot,
+            Base::Runs(runs) => runs.to_screenshot(),
+        })
     }
 
     /// Skips directly to time `t` (§4.3): binary-search the timeline for
@@ -163,16 +192,19 @@ impl PlaybackEngine {
             self.obs.incr(names::RECORD_SEEK_RESUMED);
             // A frame nobody else holds is replayed in place; one a
             // portal still holds is the base of a fresh one.
-            (self.offset, self.fb.is_shared().then(|| self.fb.snapshot()))
+            (
+                self.offset,
+                self.fb.is_shared().then(|| Base::Frame(self.fb.snapshot())),
+            )
         } else {
-            let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
+            let keyframe = self.keyframe(&store, entry.screenshot_offset)?;
             stats.keyframes_presented = 1;
             self.obs.incr(names::RECORD_SEEK_KEYFRAME_LOADS);
-            (entry.command_offset, Some(shot))
+            (entry.command_offset, Some(keyframe))
         };
         let done = self
             .replay
-            .run(&store.log, from, t, &mut self.fb, base.as_ref())
+            .run(&store.log, from, t, &mut self.fb, base)
             .map_err(|_| PlaybackError::Corrupt)?;
         stats.commands_applied = done.applied;
         stats.commands_pruned = done.scanned - done.applied;
@@ -280,7 +312,7 @@ impl PlaybackEngine {
             let record = self.record.clone();
             let store = record.read();
             for entry in store.timeline.entries_in(self.position, t) {
-                let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
+                let shot = self.keyframe_shot(&store, entry.screenshot_offset)?;
                 if let Some(s) = sink.as_deref_mut() {
                     s.submit(entry.time, &present_command(&shot));
                 }
@@ -311,7 +343,7 @@ impl PlaybackEngine {
             let record = self.record.clone();
             let store = record.read();
             for entry in store.timeline.entries_in(t, self.position).iter().rev() {
-                let shot = self.load_keyframe(&store, entry.screenshot_offset)?;
+                let shot = self.keyframe_shot(&store, entry.screenshot_offset)?;
                 if let Some(s) = sink.as_deref_mut() {
                     s.submit(entry.time, &present_command(&shot));
                 }
@@ -343,6 +375,7 @@ fn present_command(shot: &Screenshot) -> DisplayCommand {
 mod tests {
     use super::*;
     use crate::recorder::{DisplayRecorder, RecorderConfig};
+    use crate::screenshot::ScreenshotStore;
     use dv_display::Rect;
     use dv_time::Duration;
 
@@ -357,6 +390,13 @@ mod tests {
     /// Builds a record: color column i painted at t = i*100ms, keyframes
     /// every second.
     fn sample_record() -> (DisplayRecord, Framebuffer) {
+        record_of(50)
+    }
+
+    /// A record of `columns` one-pixel columns painted as in
+    /// [`sample_record`], wrapping round the 64-pixel screen: a
+    /// keyframe a second, one per ten columns.
+    fn record_of(columns: u32) -> (DisplayRecord, Framebuffer) {
         let config = RecorderConfig {
             keyframe_interval: Duration::from_secs(1),
             keyframe_min_change: 0.0,
@@ -364,12 +404,21 @@ mod tests {
         };
         let mut rec = DisplayRecorder::new(64, 64, config);
         let mut reference = Framebuffer::new(64, 64);
-        for i in 0..50u32 {
-            let cmd = fill(Rect::new(i, 0, 1, 64), i + 1);
+        for i in 0..columns {
+            let cmd = fill(Rect::new(i % 64, 0, 1, 64), i + 1);
             rec.submit(ts(i as u64 * 100), &cmd);
             reference.apply(&cmd);
         }
         (rec.record(), reference)
+    }
+
+    /// The screen at `t` of a [`record_of`] record, by linear replay.
+    fn linear(t: Timestamp) -> Framebuffer {
+        let mut fb = Framebuffer::new(64, 64);
+        for i in 0..=(t.as_millis() / 100) as u32 {
+            fb.apply(&fill(Rect::new(i % 64, 0, 1, 64), i + 1));
+        }
+        fb
     }
 
     #[test]
@@ -542,6 +591,90 @@ mod tests {
         let mut fresh = PlaybackEngine::new(record);
         fresh.seek(ts(2_500)).unwrap();
         assert_eq!(engine.framebuffer(), fresh.framebuffer());
+    }
+
+    /// A keyframe seek the full cache cannot serve decodes in place:
+    /// it neither evicts a cached keyframe nor admits its own, and a
+    /// second seek to it misses again.
+    #[test]
+    fn a_miss_on_a_full_cache_neither_evicts_nor_admits() {
+        let (record, _) = record_of(200);
+        let obs = Obs::sim();
+        let mut engine = PlaybackEngine::new(record).with_obs(obs.clone());
+        let capacity = engine.shot_cache.capacity() as u64;
+        // Keyframes at 0, 1, 2 ... s: the first `capacity` fill the
+        // cache, newest first.
+        let warm: Vec<u64> = (0..capacity).rev().map(|k| k * 1_000 + 500).collect();
+        for &t in &warm {
+            engine.seek(ts(t)).unwrap();
+        }
+        let full = obs.counter(names::RECORD_SEEK_PIXELS_CACHED);
+        assert_eq!(full, capacity * 64 * 64);
+        assert_eq!(engine.shot_cache.stats(), (0, capacity));
+        for t in [18_500, 3_500, 18_700, 19_100, 19_400, 2_200] {
+            engine.seek(ts(t)).unwrap();
+            assert_eq!(engine.framebuffer(), &linear(ts(t)), "at {t} ms");
+        }
+        // 18 s twice and 19 s missed; 3 s and 2 s hit. The seek to
+        // 19.4 s resumed from 19.1 s and looked nothing up.
+        assert_eq!(engine.shot_cache.stats(), (2, capacity + 3));
+        // An uncached keyframe presented to a sink is decoded for it,
+        // not admitted.
+        engine.fast_forward(ts(19_900), None).unwrap();
+        engine.rewind(ts(17_050), None).unwrap();
+        assert_eq!(engine.framebuffer(), &linear(ts(17_050)));
+        // Nothing was admitted, and every keyframe the cache took first
+        // is still there.
+        assert_eq!(obs.counter(names::RECORD_SEEK_PIXELS_CACHED), full);
+        assert_eq!(engine.shot_cache.len() as u64, capacity);
+        let (hits, misses) = engine.shot_cache.stats();
+        for &t in &warm {
+            engine.seek(ts(t)).unwrap();
+        }
+        assert_eq!(engine.shot_cache.stats(), (hits + capacity, misses));
+    }
+
+    /// A keyframe whose stored runs overrun the screen, on the in-place
+    /// path, fails the seek before it writes: a screenshot taken before
+    /// is unchanged and the engine is left unprimed.
+    #[test]
+    fn corrupt_keyframe_decoded_in_place_fails_the_seek() {
+        let (record, _) = record_of(200);
+        let target = *record
+            .read()
+            .timeline
+            .entry_at_or_before(ts(18_000))
+            .unwrap();
+        {
+            let mut store = record.write();
+            let mut shots = ScreenshotStore::new();
+            for entry in store.timeline.entries() {
+                let mut encoded = store
+                    .shots
+                    .encoded_at(entry.screenshot_offset)
+                    .unwrap()
+                    .to_vec();
+                if entry.time == target.time {
+                    // The first run's length: eight bytes past the header.
+                    encoded[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+                }
+                assert_eq!(shots.append_encoded(&encoded), entry.screenshot_offset);
+            }
+            store.shots = shots;
+        }
+        let mut engine = PlaybackEngine::new(record);
+        for k in 0..engine.shot_cache.capacity() as u64 {
+            engine.seek(ts(k * 1_000 + 500)).unwrap();
+        }
+        let shot = engine.screenshot();
+        let before = shot.pixels.as_ref().clone();
+        assert_eq!(engine.seek(ts(18_300)), Err(PlaybackError::Corrupt));
+        assert_eq!(shot.pixels.as_ref(), &before);
+        assert!(!engine.primed);
+        // The frame it was left with seeds nothing: the next seek starts
+        // from a keyframe.
+        assert_eq!(engine.seek(ts(15_800)).unwrap().keyframes_presented, 1);
+        assert_eq!(engine.framebuffer(), &linear(ts(15_800)));
     }
 
     #[test]

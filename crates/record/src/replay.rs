@@ -6,10 +6,11 @@
 //! and show nobody the frames in between, so both read only the headers
 //! in range, drop what a newer command overwrote by the
 //! [`OverwritePass`] rule, and decode and apply just the survivors.
-//! A seek that starts from a base frame — a keyframe, or a frame a
-//! screenshot still holds — copies from it only what the survivors do
-//! not paint over first ([`CoveragePass`]). The survivors are written
-//! through a [`ScrollRing`], so a scroll moves a row origin, not rows.
+//! A seek that starts from a base — a keyframe, decoded or as its
+//! stored runs, or a frame a screenshot still holds — writes from it
+//! only what the survivors do not paint over first ([`CoveragePass`]).
+//! The survivors are written through a [`ScrollRing`], so a scroll
+//! moves a row origin, not rows.
 
 use dv_display::{
     CodecError, CommandMeta, CoveragePass, Framebuffer, OverwritePass, Pixel, RingRows, Screenshot,
@@ -19,6 +20,15 @@ use dv_obs::{names, Obs};
 use dv_time::Timestamp;
 
 use crate::log::CommandLog;
+use crate::screenshot::ScreenshotRuns;
+
+/// The screen a [`PrunedReplay::run`] starts from, when not its own.
+pub(crate) enum Base<'a> {
+    /// A cached keyframe, or a frame's own pixels a screenshot holds.
+    Frame(Screenshot),
+    /// A keyframe's checked runs, decoded straight into the frame.
+    Runs(ScreenshotRuns<'a>),
+}
 
 /// What one [`PrunedReplay::run`] did.
 #[derive(Clone, Copy, Debug)]
@@ -29,7 +39,7 @@ pub(crate) struct Replayed {
     pub scanned: u64,
     /// Commands decoded and applied after pruning (useful work).
     pub applied: u64,
-    /// Pixels copied from the base.
+    /// Pixels copied or decoded from the base.
     pub restored: u64,
     /// Rows the survivors' scrolls wrote.
     pub rows: RingRows,
@@ -53,15 +63,15 @@ impl PrunedReplay {
     /// screen after the last entry timed at or before `until`; the result
     /// is pixel-identical to applying every entry in between.
     ///
-    /// The screen before `from` is `base` when there is one — a
-    /// keyframe, or `fb`'s own pixels while a screenshot holds them —
-    /// and `fb` otherwise, replayed in place. From a base, `fb` is
-    /// rebased on it ([`Framebuffer::rebase`]), into its own buffer or
-    /// the spare, skipping the blocks the survivors paint over first
-    /// when that is at least half of them; and when `fb` is held
-    /// elsewhere, a survivor is to land and there is a spare, the whole
-    /// base is copied into the spare. Otherwise `fb` shares the base and
-    /// the first survivor to land copies it whole into a new buffer.
+    /// The screen before `from` is `base` when there is one and `fb`
+    /// otherwise, replayed in place. From a base, `fb` is rebased on it
+    /// ([`Framebuffer::rebase`], [`Framebuffer::rebase_runs`]), into its
+    /// own buffer or the spare, skipping the blocks the survivors paint
+    /// over first when that is at least half of them. Runs are always
+    /// decoded so, or, with neither buffer, into a new one. A frame is
+    /// copied so too when `fb` is held elsewhere, a survivor is to land
+    /// and there is a spare; otherwise `fb` shares it and the first
+    /// survivor to land copies it whole into a new buffer.
     ///
     /// # Errors
     ///
@@ -73,7 +83,7 @@ impl PrunedReplay {
         from: u64,
         until: Timestamp,
         fb: &mut Framebuffer,
-        base: Option<&Screenshot>,
+        base: Option<Base<'_>>,
     ) -> Result<Replayed, CodecError> {
         // Headers only: a command fully overwritten by a newer one (and
         // not read in between) is never decoded, let alone applied.
@@ -92,9 +102,8 @@ impl PrunedReplay {
         // The base `fb` shares instead of being rebased.
         let mut shared = None;
         if let Some(base) = base {
-            let (width, height) = (base.width, base.height);
             let meta = |&(_, meta): &(u64, CommandMeta)| meta;
-            let painted = self.cover.cover(width, height, &self.scan, meta);
+            let painted = self.cover.cover(fb.width(), fb.height(), &self.scan, meta);
             // Copying around what the survivors paint pays once they
             // paint over half the frame. Below that, one copy of the
             // whole base measured as fast, and it leaves the lines the
@@ -102,21 +111,24 @@ impl PrunedReplay {
             let skip = painted * 2 >= self.cover.blocks();
             if !skip {
                 // An empty run paints nothing over: a rebase copies all.
-                self.cover.cover(width, height, &[], meta);
+                self.cover.cover(fb.width(), fb.height(), &[], meta);
             }
-            // A frame held elsewhere needs another buffer for a survivor
-            // to land in: the spare beats a new one.
-            let rebased = if skip || (fb.is_shared() && !self.scan.is_empty()) {
-                fb.rebase(base, &self.cover, &mut self.spare)
-            } else {
-                None
-            };
-            match rebased {
-                Some(copied) => restored = copied,
-                None => {
-                    *fb = Framebuffer::from_screenshot(base);
-                    shared = Some(base);
+            match base {
+                Base::Runs(runs) => {
+                    restored = fb.rebase_runs(runs.iter(), &self.cover, &mut self.spare)
                 }
+                // A frame held elsewhere needs another buffer for a
+                // survivor to land in: the spare beats a new one.
+                Base::Frame(base) => match (skip || (fb.is_shared() && !self.scan.is_empty()))
+                    .then(|| fb.rebase(&base, &self.cover, &mut self.spare))
+                    .flatten()
+                {
+                    Some(copied) => restored = copied,
+                    None => {
+                        *fb = Framebuffer::from_screenshot(&base);
+                        shared = Some(base);
+                    }
+                },
             }
         }
         let mut ring = ScrollRing::new(fb);

@@ -7,8 +7,6 @@
 //! compresses it well without the cost or loss of a video codec, which
 //! the paper explicitly argues against.
 
-use std::sync::Arc;
-
 use dv_display::{Pixel, Screenshot};
 use dv_fault::{Put, Reader};
 
@@ -58,47 +56,69 @@ fn split_run(run: &[u8; 8]) -> (usize, Pixel) {
     )
 }
 
-/// Decodes a screenshot produced by [`encode_screenshot`].
+/// The runs of an encoded screenshot, checked against a screen size.
+#[derive(Clone, Copy, Debug)]
+pub struct ScreenshotRuns<'a> {
+    width: u32,
+    height: u32,
+    runs: &'a [[u8; 8]],
+}
+
+impl ScreenshotRuns<'_> {
+    /// Returns the `(length, pixel)` runs, row-major. Their lengths add
+    /// up to the screen's pixels.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Pixel)> + '_ {
+        self.runs.iter().map(split_run)
+    }
+
+    /// Decodes the runs into a screenshot of their own.
+    pub fn to_screenshot(&self) -> Screenshot {
+        Screenshot::from_runs(self.width, self.height, self.iter())
+    }
+}
+
+/// Checks a screenshot produced by [`encode_screenshot`] against a
+/// `width` x `height` screen without decoding it: its header must name
+/// that size and its run lengths add up to exactly the screen's pixels,
+/// with no byte to spare, before anything is written from them.
 ///
-/// Returns `None` if the data is malformed.
-pub fn decode_screenshot(data: &[u8]) -> Option<Screenshot> {
+/// Returns `None` if the data is malformed or of another size.
+pub fn decode_screenshot_runs(data: &[u8], width: u32, height: u32) -> Option<ScreenshotRuns<'_>> {
     let mut r = Reader::new(data);
-    let (width, height) = (r.u32().ok()?, r.u32().ok()?);
-    if width > MAX_SCREEN_SIDE || height > MAX_SCREEN_SIDE {
+    if (r.u32().ok()?, r.u32().ok()?) != (width, height) {
         return None;
     }
-    let total = width as usize * height as usize;
     let (runs, partial) = r.rest().as_chunks::<8>();
     if !partial.is_empty() {
         return None;
     }
-    // The header is a claim, not a size. A run is eight bytes, so an
-    // input with a run for every other pixel is as large as the vector
-    // it asks for; one made of longer runs is believed only once their
-    // lengths have been added up.
-    if total > 2 * runs.len() {
-        let claimed: u64 = runs.iter().map(|run| split_run(run).0 as u64).sum();
-        if claimed != total as u64 {
-            return None;
-        }
-    }
-    let mut pixels = Vec::with_capacity(total);
+    let mut left = width as usize * height as usize;
     for run in runs {
-        let (len, pixel) = split_run(run);
         // A run after the screen is full is a trailing byte.
-        if pixels.len() == total || len > total - pixels.len() {
+        let len = split_run(run).0;
+        if left == 0 || len > left {
             return None;
         }
-        pixels.extend(std::iter::repeat_n(pixel, len));
+        left -= len;
     }
-    if pixels.len() != total {
-        return None;
-    }
-    Some(Screenshot {
+    (left == 0).then_some(ScreenshotRuns {
         width,
         height,
-        pixels: Arc::new(pixels),
+        runs,
     })
+}
+
+/// Decodes a screenshot produced by [`encode_screenshot`].
+///
+/// Returns `None` if the data is malformed. The header is a claim, not
+/// a size: its pixels are reserved only once the run lengths add up to
+/// them.
+pub fn decode_screenshot(data: &[u8]) -> Option<Screenshot> {
+    let (width, height) = screenshot_dims(data)?;
+    if width > MAX_SCREEN_SIDE || height > MAX_SCREEN_SIDE {
+        return None;
+    }
+    Some(decode_screenshot_runs(data, width, height)?.to_screenshot())
 }
 
 /// Append-only storage for encoded screenshots.
@@ -181,6 +201,7 @@ impl ScreenshotStore {
 mod tests {
     use super::*;
     use dv_display::{DisplayCommand, Framebuffer, Rect};
+    use std::sync::Arc;
 
     fn test_shot() -> Screenshot {
         let mut fb = Framebuffer::new(64, 48);
@@ -251,6 +272,36 @@ mod tests {
             Some((MAX_SCREEN_SIDE, MAX_SCREEN_SIDE))
         );
         assert_eq!(screenshot_dims(&hostile[..7]), None);
+    }
+
+    /// The run view is checked against the record's size: a header
+    /// naming another size, runs that overrun or under-fill the screen,
+    /// a run past its end and a cut run are refused.
+    #[test]
+    fn runs_are_checked_against_the_record_size() {
+        let shot = test_shot();
+        let encoded = encode_screenshot(&shot);
+        let runs = decode_screenshot_runs(&encoded, 64, 48).unwrap();
+        assert_eq!(runs.to_screenshot(), shot);
+        assert_eq!(runs.iter().map(|(len, _)| len).sum::<usize>(), 64 * 48);
+        assert!(decode_screenshot_runs(&encoded, 48, 64).is_none());
+        assert!(decode_screenshot_runs(&encoded, 64, 47).is_none());
+        let first_run = |len: u32| {
+            let mut bad = encoded.clone();
+            bad[8..12].copy_from_slice(&len.to_le_bytes());
+            bad
+        };
+        let first = u32::from_le_bytes(encoded[8..12].try_into().unwrap());
+        for len in [first + 1, u32::MAX, first - 1, 0] {
+            assert!(
+                decode_screenshot_runs(&first_run(len), 64, 48).is_none(),
+                "{len}"
+            );
+        }
+        let mut past = encoded.clone();
+        past.extend_from_slice(&[0; 8]);
+        assert!(decode_screenshot_runs(&past, 64, 48).is_none());
+        assert!(decode_screenshot_runs(&encoded[..encoded.len() - 3], 64, 48).is_none());
     }
 
     #[test]

@@ -53,9 +53,9 @@ use dv_net::{
 };
 use dv_obs::Obs;
 use dv_record::{
-    decode_record, decode_screenshot, encode_record, encode_screenshot, screenshot_dims,
-    CommandLog, DisplayRecorder, RecorderConfig, ScreenshotStore, Timeline, TimelineEntry,
-    MAX_SCREEN_SIDE,
+    decode_record, decode_screenshot, decode_screenshot_runs, encode_record, encode_screenshot,
+    screenshot_dims, CommandLog, DisplayRecorder, RecorderConfig, ScreenshotStore, Timeline,
+    TimelineEntry, MAX_SCREEN_SIDE,
 };
 use dv_tidx::TidxEngine;
 use dv_time::{Duration, SimClock, Timestamp};
@@ -776,6 +776,23 @@ table! {
         decode: |b| {
             let _ = screenshot_dims(b);
             decode_screenshot(b).map(|s| encode_screenshot(&s)).is_some()
+        },
+        expands: nothing,
+        positions: EVERYWHERE,
+    },
+    screenshot_runs => Row {
+        name: "decode_screenshot_runs",
+        // Every seed's screenshot at the one size the record has.
+        valid: |seed| encode_screenshot(&shot(seed - seed % 3)),
+        frame: None,
+        decode: |b| {
+            let runs = decode_screenshot_runs(b, 6, 4);
+            // The view takes exactly what the decoder takes at that size:
+            // runs that overrun or under-fill the screen, and a header
+            // naming another size, are refused.
+            let decoded = decode_screenshot(b).filter(|s| (s.width, s.height) == (6, 4));
+            assert_eq!(runs.map(|r| r.to_screenshot()), decoded);
+            runs.is_some_and(|r| r.iter().map(|(len, _)| len).sum::<usize>() == 24)
         },
         expands: nothing,
         positions: EVERYWHERE,

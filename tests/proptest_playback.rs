@@ -454,18 +454,22 @@ proptest! {
     /// nothing handed back — the copy-on-write copy of the whole base.
     /// Screen widths mostly not a multiple of 16 or 64 pixels, so
     /// rectangles are clipped at the edge or stop short of it; keyframe
-    /// seeks and resumed ones, in any order. No held screenshot changes,
-    /// and a screenshot handed back while held is not taken.
+    /// seeks and resumed ones, in any order. Records of up to 40
+    /// keyframes, more than the engine caches: once its cache is full,
+    /// a keyframe it does not hold is decoded straight into the frame —
+    /// the engine's own, the handed-back one, or a new one while a
+    /// screenshot holds the frame. No held screenshot changes, and a
+    /// screenshot handed back while held is not taken.
     #[test]
     fn seeks_equal_linear_replay_whatever_frame_they_write(
         size in (17..=90u32, 9..=60u32),
-        cmds in prop::collection::vec(arb_command(), 1..60),
-        probes in prop::collection::vec(0..=1000u64, 1..8),
+        cmds in prop::collection::vec(arb_command(), 1..120),
+        probes in prop::collection::vec(0..=1000u64, 20..48),
         noise in any::<u32>(),
     ) {
         let (width, height) = size;
         let config = RecorderConfig {
-            keyframe_interval: Duration::from_millis(300),
+            keyframe_interval: Duration::from_millis(100),
             keyframe_min_change: 0.0,
             ..RecorderConfig::default()
         };
