@@ -107,12 +107,14 @@ pub const SUITES: &[Suite] = &[
             // stall ratios are read beside it.
             ("nproc", Report),
             // Session-thread stall with N commit workers over the
-            // stall with none. Fitted on a one-core container (0.10 /
-            // 0.42 / 1.00 there, plus a fifth); DESIGN.md §6 has what
-            // two cores read.
-            ("deferred_stall_w1_ratio", AtMost(0.12)),
-            ("deferred_stall_w2_ratio", AtMost(0.504)),
-            ("deferred_stall_w4_ratio", AtMost(1.20)),
+            // stall with none, the median of 16 order-alternating
+            // pairs: 0.028-0.034, 0.028-0.034 and 0.074-0.153 on two
+            // vCPUs, 0.37-0.47, 0.49-0.70 and 0.58-0.90 pinned to one.
+            // Every configuration forced inline reads ~1.0, which w4's
+            // ceiling passes (DESIGN.md §6).
+            ("deferred_stall_w1_ratio", AtMost(0.57)),
+            ("deferred_stall_w2_ratio", AtMost(0.84)),
+            ("deferred_stall_w4_ratio", AtMost(1.09)),
             ("deferred_restore_identical", MustHold),
             // Revive copies a page out of one image only: the newest
             // that holds it. Decoding every image of the chain read 1.86.
@@ -127,11 +129,11 @@ pub const SUITES: &[Suite] = &[
             // one, not what the file system holds.
             ("fs_snapshot_i*_ratio", AtMost(2.0)),
             // A frame-sized CRC runs interleaved lanes; a short one
-            // cannot. One chain at every length reads 1.0.
-            ("crc_per_byte_448k_ratio", AtMost(0.7)),
-            // Pixels move as a slice: a zero-fill and a copy, not a
-            // push per pixel (which read 46).
-            ("raw_strip_encode_memcpy_ratio", AtMost(8.0)),
+            // cannot (0.38-0.61). One chain at every length reads 1.0.
+            ("crc_per_byte_448k_ratio", AtMost(0.74)),
+            // Pixels move as a slice: a zero-fill and a copy (1.78-1.95),
+            // not a push per pixel (which read 40-46).
+            ("raw_strip_encode_memcpy_ratio", AtMost(2.35)),
             // The commit path's RLE scan tests two aligned 4-byte groups
             // per word load (22-27). A scan a byte at a time read 47-68.
             ("image_compress_memcpy_ratio", AtMost(36.0)),
@@ -140,10 +142,11 @@ pub const SUITES: &[Suite] = &[
             // Hashing every byte and each chunk twice read 46-59.
             ("cas_split_memcpy_ratio", AtMost(40.0)),
             // Revive steps over a compressed page it does not keep by
-            // its RLE token headers (0.45-0.55). Decoding each skipped
-            // page into a scratch buffer read 0.71-0.79; decompressing
-            // the image before stepping over its pages, 1.01-1.08.
-            ("revive_compressed_skip_ratio", AtMost(0.65)),
+            // its RLE token headers (0.50-0.58). Decoding each skipped
+            // page into a scratch buffer read 0.71-0.79 under the least
+            // of three pairs; decompressing the image before stepping
+            // over its pages, 1.01-1.08.
+            ("revive_compressed_skip_ratio", AtMost(0.70)),
             // A keyframe seek copies from its keyframe only what its
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.
@@ -172,7 +175,7 @@ pub const SUITES: &[Suite] = &[
     },
     Suite {
         name: "obs",
-        // Instrumented over uninstrumented wall time, the median of 15
+        // Instrumented over uninstrumented wall time, the median of 16
         // order-alternating pairs.
         rules: &[("overhead_ratio", AtMost(1.05))],
         experiments: &[obs_experiment],
@@ -190,17 +193,14 @@ pub const SUITES: &[Suite] = &[
             ("net_wide_converged_f*", MustHold),
             ("net_encodes_per_batch_f*", Report),
             // Server CPU per viewer at 256 and 1024 viewers over the
-            // 64-viewer row's: 0.52-0.91 and 0.52-0.96. (One run of
-            // the 40 read 1.48 at 256 viewers, and 10.1 on the p99 row
-            // below, under a stall that broke 1.20 and 1.50 as well;
-            // it is left out of the fit.)
-            ("net_per_viewer_cpu_f256_ratio", AtMost(1.10)),
-            ("net_per_viewer_cpu_f1024_ratio", AtMost(1.16)),
-            // Round p99 per viewer over the 64-viewer row's: 0.46-0.82
-            // (0.85 in 20 earlier runs, which the 256-viewer ceiling
-            // takes) and 0.48-0.78.
-            ("net_round_p99_per_viewer_f256_ratio", AtMost(1.02)),
-            ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.94)),
+            // 64-viewer row's, of the runs the sweep kept: 0.62-0.94
+            // and 0.58-0.81.
+            ("net_per_viewer_cpu_f256_ratio", AtMost(1.13)),
+            ("net_per_viewer_cpu_f1024_ratio", AtMost(0.98)),
+            // Round p99 per viewer over the 64-viewer row's, the least
+            // of three interleaved passes: 0.38-0.70 and 0.34-0.58.
+            ("net_round_p99_per_viewer_f256_ratio", AtMost(0.85)),
+            ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.70)),
             // Every row of both sweeps: fan-out is refcount bumps,
             // never a second encode.
             ("net_one_encode_per_batch", MustHold),
@@ -215,8 +215,9 @@ pub const SUITES: &[Suite] = &[
             ("host_per_session_overhead_s*_ratio", AtMost(1.25)),
             ("host_fingerprint_stable", MustHold),
             // Fair lane scheduling keeps a faulted tenant's retry storm
-            // off its neighbours' threads; a healthy host sits near 1.
-            ("host_interference_ratio", AtMost(1.50)),
+            // off its neighbours' threads; a healthy host sits near 1
+            // (0.93-1.10, the median of 16 order-alternating pairs).
+            ("host_interference_ratio", AtMost(1.33)),
             ("host_fingerprints_match", MustHold),
             ("host_neighbors_isolated", MustHold),
             // The interference run proves nothing unless the fault bit
@@ -511,7 +512,7 @@ mod tests {
         };
         assert_eq!(
             threshold(2, "net_round_p99_per_viewer_f1024_ratio"),
-            "<= 0.94"
+            "<= 0.70"
         );
         assert_eq!(threshold(5, "index_query_p99_s128_ratio"), "<= 0.13");
     }
