@@ -96,9 +96,8 @@ pub struct Suite {
 /// Unit-cost ratios divide one sweep point by the sweep's first point
 /// measured in the same run (or the same interleaved pass), so a fixed
 /// limit holds across machines. A ceiling fitted on runs is the worst
-/// read over 40 runs on a 2-vCPU VM (20 unpinned, 20 pinned to one
-/// CPU) times 1.2, rounded up to 0.01; the row's comment gives the
-/// range read.
+/// read over 20 runs on a 2-vCPU VM times 1.2, rounded up to 0.01; the
+/// row's comment gives the range read.
 pub const SUITES: &[Suite] = &[
     Suite {
         name: "ci",
@@ -108,13 +107,13 @@ pub const SUITES: &[Suite] = &[
             ("nproc", Report),
             // Session-thread stall with N commit workers over the
             // stall with none, the median of 16 order-alternating
-            // pairs: 0.028-0.034, 0.028-0.034 and 0.074-0.153 on two
-            // vCPUs, 0.37-0.47, 0.49-0.70 and 0.58-0.90 pinned to one.
-            // Every configuration forced inline reads ~1.0, which w4's
-            // ceiling passes (DESIGN.md §6).
-            ("deferred_stall_w1_ratio", AtMost(0.57)),
-            ("deferred_stall_w2_ratio", AtMost(0.84)),
-            ("deferred_stall_w4_ratio", AtMost(1.09)),
+            // pairs: 0.028-0.034, 0.028-0.034 and 0.074-0.153. Every
+            // configuration forced inline reads ~1.0. The workers need
+            // a core of their own: on one CPU the rows read 0.37-0.90
+            // and fail (DESIGN.md §6).
+            ("deferred_stall_w1_ratio", AtMost(0.05)),
+            ("deferred_stall_w2_ratio", AtMost(0.05)),
+            ("deferred_stall_w4_ratio", AtMost(0.19)),
             ("deferred_restore_identical", MustHold),
             // Revive copies a page out of one image only: the newest
             // that holds it. Decoding every image of the chain read 1.86.
@@ -129,11 +128,11 @@ pub const SUITES: &[Suite] = &[
             // one, not what the file system holds.
             ("fs_snapshot_i*_ratio", AtMost(2.0)),
             // A frame-sized CRC runs interleaved lanes; a short one
-            // cannot (0.38-0.61). One chain at every length reads 1.0.
-            ("crc_per_byte_448k_ratio", AtMost(0.74)),
-            // Pixels move as a slice: a zero-fill and a copy (1.78-1.95),
-            // not a push per pixel (which read 40-46).
-            ("raw_strip_encode_memcpy_ratio", AtMost(2.35)),
+            // cannot (0.38-0.57). One chain at every length reads 1.0.
+            ("crc_per_byte_448k_ratio", AtMost(0.69)),
+            // Pixels move as a slice: a zero-fill and a copy (1.78-1.92),
+            // not a push per pixel (which read 8.6-15).
+            ("raw_strip_encode_memcpy_ratio", AtMost(2.31)),
             // The commit path's RLE scan tests two aligned 4-byte groups
             // per word load (22-27). A scan a byte at a time read 47-68.
             ("image_compress_memcpy_ratio", AtMost(36.0)),
@@ -143,10 +142,11 @@ pub const SUITES: &[Suite] = &[
             ("cas_split_memcpy_ratio", AtMost(40.0)),
             // Revive steps over a compressed page it does not keep by
             // its RLE token headers (0.50-0.58). Decoding each skipped
-            // page into a scratch buffer read 0.71-0.79 under the least
-            // of three pairs; decompressing the image before stepping
-            // over its pages, 1.01-1.08.
-            ("revive_compressed_skip_ratio", AtMost(0.70)),
+            // page into a scratch buffer read 0.68-0.91, under the
+            // fitted 0.70 once in ten, so the limit sits below it;
+            // decompressing the image before stepping over its pages
+            // read 1.02.
+            ("revive_compressed_skip_ratio", AtMost(0.65)),
             // A keyframe seek copies from its keyframe only what its
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.
@@ -193,14 +193,14 @@ pub const SUITES: &[Suite] = &[
             ("net_wide_converged_f*", MustHold),
             ("net_encodes_per_batch_f*", Report),
             // Server CPU per viewer at 256 and 1024 viewers over the
-            // 64-viewer row's, of the runs the sweep kept: 0.62-0.94
-            // and 0.58-0.81.
-            ("net_per_viewer_cpu_f256_ratio", AtMost(1.13)),
-            ("net_per_viewer_cpu_f1024_ratio", AtMost(0.98)),
+            // 64-viewer run's of the same pass, the least of three
+            // interleaved passes: 0.57-0.79 and 0.56-0.74.
+            ("net_per_viewer_cpu_f256_ratio", AtMost(0.95)),
+            ("net_per_viewer_cpu_f1024_ratio", AtMost(0.90)),
             // Round p99 per viewer over the 64-viewer row's, the least
-            // of three interleaved passes: 0.38-0.70 and 0.34-0.58.
-            ("net_round_p99_per_viewer_f256_ratio", AtMost(0.85)),
-            ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.70)),
+            // of three interleaved passes: 0.21-0.71 and 0.21-0.79.
+            ("net_round_p99_per_viewer_f256_ratio", AtMost(0.86)),
+            ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.96)),
             // Every row of both sweeps: fan-out is refcount bumps,
             // never a second encode.
             ("net_one_encode_per_batch", MustHold),
@@ -512,7 +512,7 @@ mod tests {
         };
         assert_eq!(
             threshold(2, "net_round_p99_per_viewer_f1024_ratio"),
-            "<= 0.70"
+            "<= 0.96"
         );
         assert_eq!(threshold(5, "index_query_p99_s128_ratio"), "<= 0.13");
     }
