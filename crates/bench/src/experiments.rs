@@ -1133,8 +1133,9 @@ pub(crate) fn obs_experiment(scale: f64) -> Report {
         },
     );
     // A search populates the tidx.query histogram alongside the
-    // recording-side streams.
-    let _ = dv.search("the", RankOrder::Chronological);
+    // recording-side streams; "kernel" is a word the pages show.
+    dv.search("kernel", RankOrder::Chronological)
+        .expect("an indexed word is a valid query");
     let snapshot = dv.observability();
 
     // Warm up once per mode (allocator growth, lazy init, page faults).

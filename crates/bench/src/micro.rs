@@ -64,14 +64,46 @@ impl Rows {
     /// Adds the least of `round`'s times; each round returns what it
     /// timed.
     fn add(&mut self, group: &str, name: &str, round: impl FnMut() -> Duration) {
-        let least = least_of(self.rounds, round).as_secs_f64() * 1e6;
-        let cells = [
-            group.to_string(),
-            name.to_string(),
-            format!("{least:.1} us"),
-        ];
-        self.table.row(cells);
+        self.add_as(group, name, round, |least| {
+            format!("{:.1} us", least.as_secs_f64() * 1e6)
+        });
     }
+
+    /// [`Rows::add`], with the least time shown by `cell`.
+    fn add_as(
+        &mut self,
+        group: &str,
+        name: &str,
+        round: impl FnMut() -> Duration,
+        cell: impl FnOnce(Duration) -> String,
+    ) {
+        let least = least_of(self.rounds, round);
+        self.table
+            .row([group.to_string(), name.to_string(), cell(least)]);
+    }
+}
+
+/// Paragraph `i` of a page: 27 words in about 200 bytes, the first
+/// capitalized and some of them stopwords, as a text-heavy page shows
+/// them.
+fn paragraph(i: usize) -> String {
+    const WORDS: &str = "the storage latency of checkpoint throughput and index budget \
+        virtual desktop recorder reviewers asked whether search holds while session grows \
+        display record revive portal query segment kernel driver module a paper draft";
+    let words: Vec<&str> = WORDS.split(' ').collect();
+    let mut text = String::new();
+    for k in 0..27 {
+        let word = words[(i * 7 + k * 13 + k * k) % words.len()];
+        if k == 0 {
+            text.push_str(&word[..1].to_uppercase());
+            text.push_str(&word[1..]);
+        } else {
+            text.push(' ');
+            text.push_str(word);
+        }
+    }
+    text.push('.');
+    text
 }
 
 /// Runs every micro-benchmark `64 * scale` rounds (at least eight).
@@ -306,6 +338,56 @@ pub(crate) fn micro_experiment(scale: f64) -> Report {
             timed(|| dv_index::search(&[&index], black_box(&query), order))
         });
     }
+    // A page's paragraphs into an index that already holds their words:
+    // the capture path's per-paragraph cost.
+    let paragraphs = |ids: std::ops::Range<u64>| -> Vec<IndexedInstance> {
+        ids.map(|i| IndexedInstance {
+            text: paragraph(i as usize),
+            ..instance(i)
+        })
+        .collect()
+    };
+    let (seen, page) = (paragraphs(0..256), paragraphs(256..512));
+    rows.add_as(
+        "index",
+        "add_instance_paragraph",
+        || {
+            let mut index = TextIndex::new();
+            for p in &seen {
+                index.add_instance(p.clone());
+            }
+            let batch = page.clone();
+            timed(|| {
+                for p in batch {
+                    index.add_instance(black_box(p));
+                }
+            })
+        },
+        |least| {
+            let per = least.as_secs_f64() * 1e9 / page.len() as f64;
+            format!("{per:.0} ns/paragraph")
+        },
+    );
+    // Loading a sealed text segment: the cold decode of a first search.
+    let mut sealed = TextIndex::new();
+    for p in paragraphs(0..1_024) {
+        sealed.add_instance(p);
+    }
+    let segment = dv_index::encode_index(&sealed);
+    rows.add_as(
+        "index",
+        "decode_segment",
+        || {
+            let mut loaded = None;
+            let took = timed(|| loaded = Some(dv_index::decode_index(black_box(&segment))));
+            assert!(matches!(loaded, Some(Ok(_))), "the segment decodes");
+            took
+        },
+        |least| {
+            let rate = segment.len() as f64 / least.as_secs_f64() / 1e6;
+            format!("{rate:.0} MB/s")
+        },
+    );
     let segments: Vec<Vec<u8>> = quarters.iter().map(dv_index::encode_index).collect();
     let inputs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
     rows.add("index", "compact_4x", || {
@@ -383,6 +465,6 @@ mod tests {
         let mut names = report.tables[0].column("round");
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 24);
+        assert_eq!(names.len(), 26);
     }
 }

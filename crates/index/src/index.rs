@@ -11,7 +11,7 @@ use dv_obs::{names, Obs};
 use dv_time::{Duration, Timestamp};
 
 use crate::interval::{Interval, IntervalSet};
-use crate::tokenizer::index_tokens;
+use crate::tokenizer::{for_each_token, is_stopword};
 
 /// How long a point annotation is considered "visible" for queries.
 const ANNOTATION_WINDOW_MS: u64 = 1;
@@ -99,6 +99,9 @@ pub struct TextIndex {
     horizon: Timestamp,
     bytes: u64,
     obs: Obs,
+    /// Where the tokenizer folds a token that is not lowercase ASCII;
+    /// kept so that folding stops allocating once it is large enough.
+    fold: String,
 }
 
 impl TextIndex {
@@ -122,20 +125,33 @@ impl TextIndex {
         self.horizon = self.horizon.max(t);
     }
 
-    /// Indexes a new text instance.
+    /// Indexes a new text instance, in one pass over its text.
+    ///
+    /// Each token is looked up by `&str`; only a term the index has not
+    /// seen is tested against the stopwords and given a key of its own.
+    /// A posting list is in id order as instances are added, so a term
+    /// that repeats within this instance finds this instance's id at
+    /// its tail and is skipped: that is the per-instance dedup. An id
+    /// is expected once per index (the capture daemon allocates them).
     pub fn add_instance(&mut self, instance: IndexedInstance) {
         let bytes_before = self.bytes;
         self.observe(instance.shown);
         if let Some(hidden) = instance.hidden {
             self.observe(hidden);
         }
-        let mut terms = index_tokens(&instance.text);
-        terms.sort_unstable();
-        terms.dedup();
-        for term in terms {
-            self.bytes += term.len() as u64 + 8;
-            self.postings.entry(term).or_default().push(instance.id);
-        }
+        let id = instance.id;
+        let (postings, bytes) = (&mut self.postings, &mut self.bytes);
+        for_each_token(&instance.text, &mut self.fold, |term| {
+            match postings.get_mut(term) {
+                Some(ids) if ids.last() == Some(&id) => return,
+                Some(ids) => ids.push(id),
+                None if is_stopword(term) => return,
+                None => {
+                    postings.insert(term.to_owned(), vec![id]);
+                }
+            }
+            *bytes += term.len() as u64 + 8;
+        });
         self.bytes +=
             (instance.text.len() + instance.app.len() + instance.window.len() + 32) as u64;
         self.instances.insert(instance.id, instance);

@@ -11,6 +11,9 @@
 //!
 //! Terms within a group AND together; `OR` separates groups. A quoted
 //! `"word sequence"` matches only text containing those words adjacently.
+//! An unquoted atom that tokenizes to several words (`e-mail`,
+//! `annotation:follow-up`) means the same as its quoted form, and an atom
+//! of stopwords alone is refused, quoted or not.
 
 use dv_time::{Duration, Timestamp};
 
@@ -65,7 +68,7 @@ impl std::error::Error for ParseError {}
 struct GroupSpec {
     terms: Vec<String>,
     phrases: Vec<Vec<String>>,
-    negated: Vec<String>,
+    negated: Vec<Vec<String>>,
     app: Option<String>,
     window: Option<String>,
     focused: bool,
@@ -106,6 +109,15 @@ impl GroupSpec {
         q
     }
 
+    /// Adds an atom's words: one word is a term, several a phrase.
+    fn push_words(&mut self, mut words: Vec<String>) {
+        if words.len() == 1 {
+            self.terms.extend(words.pop());
+        } else {
+            self.phrases.push(words);
+        }
+    }
+
     fn build(&self) -> Result<Query, ParseError> {
         let mut conj: Option<Query> = None;
         let push = |q: Query, conj: &mut Option<Query>| {
@@ -120,11 +132,8 @@ impl GroupSpec {
         for phrase in &self.phrases {
             push(self.wrap(Query::Phrase(phrase.clone())), &mut conj);
         }
-        for term in &self.negated {
-            push(
-                Query::Not(Box::new(self.wrap(Query::Term(term.clone())))),
-                &mut conj,
-            );
+        for words in &self.negated {
+            push(Query::Not(Box::new(self.wrap(leaf(words)))), &mut conj);
         }
         let mut q = conj.unwrap_or_else(|| self.wrap(Query::Any));
         if self.from.is_some() || self.to.is_some() {
@@ -135,6 +144,24 @@ impl GroupSpec {
             };
         }
         Ok(q)
+    }
+}
+
+/// The indexed words of an atom's text, or an error naming `raw` when
+/// it has none (only punctuation or stopwords).
+fn atom_words(text: &str, raw: &str) -> Result<Vec<String>, ParseError> {
+    let words = crate::tokenizer::index_tokens(text);
+    if words.is_empty() {
+        return Err(ParseError(format!("no indexable word in {raw:?}")));
+    }
+    Ok(words)
+}
+
+/// The leaf matching an atom's words.
+fn leaf(words: &[String]) -> Query {
+    match words {
+        [word] => Query::Term(word.clone()),
+        _ => Query::Phrase(words.to_vec()),
     }
 }
 
@@ -201,18 +228,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
             // Quoted atoms are phrases.
             if let Some(inner) = raw.strip_prefix('"') {
                 let inner = inner.strip_suffix('"').unwrap_or(inner);
-                let words: Vec<String> = crate::tokenizer::tokenize(inner)
-                    .into_iter()
-                    .filter(|w| !crate::tokenizer::is_stopword(w))
-                    .collect();
-                if words.is_empty() {
-                    return Err(ParseError(format!("unusable phrase {raw:?}")));
-                }
-                if words.len() == 1 {
-                    spec.terms.push(words.into_iter().next().expect("one word"));
-                } else {
-                    spec.phrases.push(words);
-                }
+                spec.push_words(atom_words(inner, raw)?);
                 continue;
             }
             let (negated, atom) = match raw.strip_prefix('-') {
@@ -230,7 +246,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
                     "annotation" => {
                         spec.annotated = true;
                         if !value.is_empty() {
-                            spec.terms.push(crate::tokenizer::normalize_term(value));
+                            spec.push_words(atom_words(value, raw)?);
                         }
                     }
                     "from" => spec.from = Some(parse_seconds(value)?),
@@ -240,14 +256,11 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
                     }
                 }
             } else {
-                let term = crate::tokenizer::normalize_term(atom);
-                if term.is_empty() {
-                    return Err(ParseError(format!("unusable term {atom:?}")));
-                }
+                let words = atom_words(atom, raw)?;
                 if negated {
-                    spec.negated.push(term);
+                    spec.negated.push(words);
                 } else {
-                    spec.terms.push(term);
+                    spec.push_words(words);
                 }
             }
         }
@@ -360,6 +373,52 @@ mod tests {
         // Phrases combine with terms and modifiers.
         let q = parse_query("app:acroread \"take me back\" revive").unwrap();
         assert!(matches!(q, Query::And(_, _)));
+    }
+
+    #[test]
+    fn multi_word_atoms_mean_their_quoted_phrase() {
+        let phrase = |words: &[&str]| Query::Phrase(words.iter().map(|w| w.to_string()).collect());
+        for (plain, quoted) in [
+            ("e-mail", "\"e mail\""),
+            ("foo-bar", "\"foo bar\""),
+            ("state-of-the-art", "\"state of the art\""),
+            ("annotation:follow-up", "annotation: \"follow up\""),
+        ] {
+            assert_eq!(parse_query(plain), parse_query(quoted), "{plain}");
+        }
+        assert_eq!(parse_query("e-mail").unwrap(), phrase(&["e", "mail"]));
+        assert_eq!(
+            parse_query("-foo-bar baz").unwrap(),
+            Query::And(
+                Box::new(Query::Term("baz".into())),
+                Box::new(Query::Not(Box::new(phrase(&["foo", "bar"]))))
+            )
+        );
+        assert_eq!(
+            parse_query("annotation:follow-up").unwrap(),
+            Query::Annotated(Box::new(phrase(&["follow", "up"])))
+        );
+        // A stopword inside an atom is dropped, as indexing drops it.
+        assert_eq!(parse_query("the-milk").unwrap(), Query::Term("milk".into()));
+    }
+
+    #[test]
+    fn stopword_atoms_are_refused_like_their_quoted_form() {
+        for q in [
+            "the",
+            "-the",
+            "of-the",
+            "annotation:the",
+            "milk the",
+            "annotation:...",
+        ] {
+            assert!(parse_query(q).is_err(), "{q:?} accepted");
+        }
+        assert!(parse_query("\"the\"").is_err());
+        assert_eq!(
+            parse_query("annotation:").unwrap(),
+            Query::Annotated(Box::new(Query::Any))
+        );
     }
 
     #[test]

@@ -222,15 +222,26 @@ fn candidates<'a>(shards: &[&'a TextIndex], query: &Query) -> Vec<&'a IndexedIns
 }
 
 /// Returns whether `text` contains the words adjacently (ignoring
-/// stopwords, matching the indexing-side normalization).
+/// stopwords, matching the indexing-side normalization), streaming the
+/// text's tokens: `open[k]` says the last `k` tokens are the first `k`
+/// words.
 fn contains_phrase(text: &str, words: &[String]) -> bool {
-    let tokens = crate::tokenizer::index_tokens(text);
-    if words.is_empty() || tokens.len() < words.len() {
+    let Some(last) = words.len().checked_sub(1) else {
         return false;
-    }
-    tokens
-        .windows(words.len())
-        .any(|window| window.iter().zip(words).all(|(a, b)| a == b))
+    };
+    let mut open = vec![false; words.len()];
+    open[0] = true;
+    let mut found = false;
+    crate::tokenizer::for_each_token(text, &mut String::new(), |token| {
+        if found || crate::tokenizer::is_stopword(token) {
+            return;
+        }
+        found = open[last] && words[last] == token;
+        for k in (1..=last).rev() {
+            open[k] = open[k - 1] && words[k - 1] == token;
+        }
+    });
+    found
 }
 
 /// The positive terms a query can match snippets against, in query

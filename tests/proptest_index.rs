@@ -6,6 +6,14 @@
 //!   same record cut into time shards by a `TidxEngine`.
 //! * The capture daemon's mirror tree must stay an exact replica of the
 //!   real accessible trees under arbitrary event sequences (§4.2).
+//! * One-pass indexing must build exactly the postings, stats and
+//!   phrase answers of the pipeline it replaced, and must not allocate
+//!   per token.
+
+#[path = "common/alloc.rs"]
+mod alloc;
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -388,17 +396,205 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// One-pass indexing vs the reference pipeline.
+// ---------------------------------------------------------------------
+
+/// Fragments a captured text is built from: lowercase and capitalized
+/// ASCII, digits, stopwords, scripts without case, and chars whose
+/// lowercase is longer than themselves (`İ` → `i̇`) or a different
+/// letter (`ẞ` → `ß`, `Σ` → `σ`).
+const FRAGMENTS: &[&str] = &[
+    "alpha",
+    "Beta",
+    "GAMMA",
+    "the",
+    "Of",
+    "42",
+    "x7",
+    "İ",
+    "ẞ",
+    "Σ",
+    "ǅ",
+    "naïve",
+    "Straße",
+    "İstanbul",
+    "日本",
+    "ﬁle",
+    "٣",
+    "½",
+    "x²",
+];
+const SEPARATORS: &[&str] = &[" ", "-", ", ", "\n", "_", "…", "\u{0}"];
+
+fn arb_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        3 => (0..FRAGMENTS.len()).prop_map(|i| FRAGMENTS[i].to_string()),
+        2 => (0..SEPARATORS.len()).prop_map(|i| SEPARATORS[i].to_string()),
+        // Any char at all, invalid scalars as U+FFFD.
+        1 => any::<u32>().prop_map(|c| {
+            char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}').to_string()
+        }),
+        1 => any::<u8>().prop_map(|b| char::from(b & 0x7f).to_string()),
+    ];
+    prop::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+}
+
+/// The tokenizer before the one-pass visitor: a char at a time, each
+/// lowercased by `char::to_lowercase`.
+fn reference_tokens(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut current = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            current.extend(ch.to_lowercase());
+        } else if !current.is_empty() {
+            out.push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        out.push(current);
+    }
+    out
+}
+
+/// The indexed words of `text` by the reference pipeline.
+fn reference_words(text: &str) -> Vec<String> {
+    reference_tokens(text)
+        .into_iter()
+        .filter(|t| !dv_index::tokenizer::is_stopword(t))
+        .collect()
+}
+
+/// Instance `n` (from 0) of a one-pass test: visible alone over
+/// `[10n, 10n + 5)` ms, so a query's answer at `10n` is this instance's.
+fn text_instance(n: usize, text: &str) -> IndexedInstance {
+    IndexedInstance {
+        id: n as u64 + 1,
+        app_id: 1,
+        app: "editor".to_string(),
+        window: format!("window {n}"),
+        role: "paragraph".to_string(),
+        text: text.to_string(),
+        shown: Timestamp::from_millis(n as u64 * 10),
+        hidden: Some(Timestamp::from_millis(n as u64 * 10 + 5)),
+        annotation: false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `add_instance` in one pass builds the postings of `tokenize` →
+    /// drop stopwords → sort → dedup → push, term by term and in id
+    /// order, with the same `stats()`; and a phrase check streaming
+    /// tokens answers as adjacency over the reference words does.
+    #[test]
+    fn one_pass_indexing_matches_the_reference_pipeline(
+        texts in prop::collection::vec(arb_text(), 1..6),
+        picks in prop::collection::vec((0..6usize, 0..24usize, 1..4usize), 0..6),
+    ) {
+        let mut index = TextIndex::new();
+        let mut postings: HashMap<String, Vec<u64>> = HashMap::new();
+        let mut bytes = 0u64;
+        let mut words = Vec::new();
+        for (n, text) in texts.iter().enumerate() {
+            let instance = text_instance(n, text);
+            prop_assert_eq!(dv_index::tokenizer::tokenize(text), reference_tokens(text));
+            let mut terms = reference_words(text);
+            words.push(terms.clone());
+            terms.sort_unstable();
+            terms.dedup();
+            for term in terms {
+                bytes += term.len() as u64 + 8;
+                postings.entry(term).or_default().push(instance.id);
+            }
+            bytes += (text.len() + instance.app.len() + instance.window.len() + 32) as u64;
+            index.add_instance(instance);
+        }
+        let stats = index.stats();
+        prop_assert_eq!(stats.terms, postings.len() as u64);
+        prop_assert_eq!(stats.postings, postings.values().map(|v| v.len() as u64).sum::<u64>());
+        prop_assert_eq!(stats.bytes, bytes);
+        for (term, ids) in &postings {
+            let found: Vec<u64> = index.term_instances(term).iter().map(|i| i.id).collect();
+            prop_assert_eq!(&found, ids, "postings of {:?}", term);
+        }
+        // Phrases cut from the instances' own words, and so often found
+        // in one instance and not another.
+        index.advance_horizon(Timestamp::from_millis(texts.len() as u64 * 10));
+        for &(from, start, len) in &picks {
+            let source = &words[from % words.len()];
+            if source.is_empty() {
+                continue;
+            }
+            let start = start % source.len();
+            let phrase = source[start..source.len().min(start + len)].to_vec();
+            let satisfied = evaluate(&[&index], &Query::Phrase(phrase.clone()));
+            for (n, words) in words.iter().enumerate() {
+                let expected = words.windows(phrase.len()).any(|w| w == &phrase[..]);
+                prop_assert_eq!(
+                    satisfied.contains(Timestamp::from_millis(n as u64 * 10)),
+                    expected,
+                    "phrase {:?} in {:?}", phrase, texts[n]
+                );
+            }
+        }
+    }
+}
+
+/// A paragraph of 27 words in 192 bytes, as a page shows it: some
+/// capitalized, some repeated, four of them stopwords.
+const PARAGRAPH: &str = "The Quarterly report draft covers storage latency, \
+    checkpoint throughput and the index budget of our Virtual desktop \
+    recorder; reviewers asked whether search latency holds while storage grows.";
+
+/// Indexing text whose words are all indexed already takes no
+/// allocation per token: each term is found by `&str`, the instance
+/// moves into the index, and a capitalized token is folded into a
+/// buffer the index keeps. Under a `String` per token each add would
+/// make at least one call per token.
+#[test]
+fn add_instance_allocates_nothing_per_token() {
+    assert_eq!(
+        (
+            PARAGRAPH.len(),
+            dv_index::tokenizer::tokenize(PARAGRAPH).len()
+        ),
+        (192, 27)
+    );
+    let mut index = TextIndex::new();
+    // 65 copies: every posting list has grown to hold 128 ids, so the
+    // adds below push without growing one.
+    for n in 0..65 {
+        index.add_instance(text_instance(n, PARAGRAPH));
+    }
+    let adds: Vec<IndexedInstance> = (65..128).map(|n| text_instance(n, PARAGRAPH)).collect();
+    let count = adds.len() as u64;
+    let before = alloc::calls();
+    for instance in adds {
+        index.add_instance(instance);
+    }
+    let calls = alloc::calls() - before;
+    assert!(
+        calls < count,
+        "{calls} allocation calls for {count} adds of a 27-token paragraph"
+    );
+    assert_eq!(index.term_instances("storage").len(), 128);
+}
+
+// ---------------------------------------------------------------------
 // Query-parser error paths.
 // ---------------------------------------------------------------------
 
-/// Strings the parser must reject, one strategy arm per `ParseError`
-/// construction site in `dv_index::parse_query`.
+/// Strings the parser must reject, at least one strategy arm per
+/// `ParseError` construction site in `dv_index::parse_query`.
 fn arb_malformed_query() -> impl Strategy<Value = String> {
     const WORDS: &[&str] = &["alpha", "beta", "gamma", "query", "x7"];
     const BAD_KEYS: &[&str] = &["zzz", "tag", "color", "shape"];
     const MOD_KEYS: &[&str] = &["app", "window", "focused", "from", "to"];
     const BAD_TIMES: &[&str] = &["abc", "-1", "-0.5", "inf", "nan", "1e999", "12x", ""];
     const PUNCT: &[&str] = &["...", "!!!", "?;", ",."];
+    const STOPS: &[&str] = &["the", "of", "A", "is", "With"];
     prop_oneof![
         // Whitespace-only input: no group survives -> "empty query".
         (0..3usize).prop_map(|n| " ".repeat(n)),
@@ -421,6 +617,17 @@ fn arb_malformed_query() -> impl Strategy<Value = String> {
         Just("\"...\"".to_string()),
         // Terms that normalize to nothing.
         (0..PUNCT.len()).prop_map(|p| PUNCT[p].to_string()),
+        // Unquoted atoms of stopwords alone, as the quoted form above:
+        // plain, negated, joined by punctuation or as an annotation.
+        (0..STOPS.len(), 0..STOPS.len(), 0..4usize).prop_map(|(a, b, shape)| {
+            let (a, b) = (STOPS[a], STOPS[b]);
+            match shape {
+                0 => a.to_string(),
+                1 => format!("-{a}"),
+                2 => format!("{a}-{b}"),
+                _ => format!("annotation:{a}"),
+            }
+        }),
     ]
 }
 
