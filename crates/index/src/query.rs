@@ -65,9 +65,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// One OR-group's atoms: each positive or negated atom is its indexed
+/// words, one word a term and several a phrase.
 struct GroupSpec {
-    terms: Vec<String>,
-    phrases: Vec<Vec<String>>,
+    atoms: Vec<Vec<String>>,
     negated: Vec<Vec<String>>,
     app: Option<String>,
     window: Option<String>,
@@ -80,8 +81,7 @@ struct GroupSpec {
 impl GroupSpec {
     fn new() -> Self {
         GroupSpec {
-            terms: Vec::new(),
-            phrases: Vec::new(),
+            atoms: Vec::new(),
             negated: Vec::new(),
             app: None,
             window: None,
@@ -109,15 +109,6 @@ impl GroupSpec {
         q
     }
 
-    /// Adds an atom's words: one word is a term, several a phrase.
-    fn push_words(&mut self, mut words: Vec<String>) {
-        if words.len() == 1 {
-            self.terms.extend(words.pop());
-        } else {
-            self.phrases.push(words);
-        }
-    }
-
     fn build(&self) -> Result<Query, ParseError> {
         let mut conj: Option<Query> = None;
         let push = |q: Query, conj: &mut Option<Query>| {
@@ -126,11 +117,8 @@ impl GroupSpec {
                 None => q,
             });
         };
-        for term in &self.terms {
-            push(self.wrap(Query::Term(term.clone())), &mut conj);
-        }
-        for phrase in &self.phrases {
-            push(self.wrap(Query::Phrase(phrase.clone())), &mut conj);
+        for words in &self.atoms {
+            push(self.wrap(leaf(words)), &mut conj);
         }
         for words in &self.negated {
             push(Query::Not(Box::new(self.wrap(leaf(words)))), &mut conj);
@@ -228,7 +216,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
             // Quoted atoms are phrases.
             if let Some(inner) = raw.strip_prefix('"') {
                 let inner = inner.strip_suffix('"').unwrap_or(inner);
-                spec.push_words(atom_words(inner, raw)?);
+                spec.atoms.push(atom_words(inner, raw)?);
                 continue;
             }
             let (negated, atom) = match raw.strip_prefix('-') {
@@ -246,7 +234,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
                     "annotation" => {
                         spec.annotated = true;
                         if !value.is_empty() {
-                            spec.push_words(atom_words(value, raw)?);
+                            spec.atoms.push(atom_words(value, raw)?);
                         }
                     }
                     "from" => spec.from = Some(parse_seconds(value)?),
@@ -260,7 +248,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
                 if negated {
                     spec.negated.push(words);
                 } else {
-                    spec.push_words(words);
+                    spec.atoms.push(words);
                 }
             }
         }
