@@ -1807,7 +1807,7 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
 
 /// A store holding one image of a process whose `len` bytes of memory
 /// are a build tenant's heap ([`run_noise`]), committed by a
-/// compressing engine: each section compressed, framed in a container.
+/// compressing engine: each section compressed, the streams joined.
 pub(crate) fn compressed_heap_image(len: usize) -> dv_lsfs::SharedBlobStore {
     let (_, mut vee, mut engine, store) = pipeline_session(0, 1, true);
     let p = vee.spawn(None, "cc1").expect("spawn");

@@ -7,23 +7,17 @@
 //! the trade-off the paper's storage analysis assumes is cheap enough to
 //! run online.
 //!
-//! Format: a stream of chunks, either `[0x00][len u32][literal bytes]`
-//! or `[0x01][len u32][byte]` (a run).
-//!
-//! [`compress`] is the per-section codec: the commit pipeline compresses
-//! the sections of an image (header, one per process, sockets) one
-//! subtask each, and frames the results in a *chunked container* — the
-//! one format a compressed image is stored in:
-//! `[0x02][chunk count u32]` then, per chunk,
-//! `[compressed len u32][compressed RLE stream]`. Decompressing the
-//! container concatenates the chunks' plaintexts, so it is
-//! interchangeable with a plain stream over the concatenated input.
-//! The leading `0x02` cannot open a plain stream (whose chunks start
-//! `0x00`/`0x01`), so [`decompress`] auto-detects the format.
+//! Format: a stream of tokens (chunks), either
+//! `[0x00][len u32][literal bytes]` or `[0x01][len u32][byte]` (a run).
+//! Tokens delimit themselves, so two streams joined end to end are the
+//! stream of their plaintexts joined: the commit pipeline compresses an
+//! image's sections (header, one per process, sockets) one at a time
+//! and stores their concatenation, one stream whose plaintext is the
+//! raw image.
 //!
 //! Revive does not decompress: it reads an image through an
 //! `RleCursor`, which copies the plaintext of the pages it keeps
-//! straight into their buffers and steps over the others by the chunk
+//! straight into their buffers and steps over the others by the token
 //! headers alone, checking everything [`decompress`] checks.
 
 use dv_fault::{Put, Reader};
@@ -108,41 +102,12 @@ fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
 /// not drive unbounded allocation. Checkpoint images are far smaller.
 pub const MAX_DECOMPRESSED: usize = 1 << 30;
 
-/// Frames independently [`compress`]ed chunks into one container blob.
-/// [`decompress`] of the result yields the concatenation of the chunks'
-/// plaintexts.
-pub fn assemble_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(5 + chunks.len() * 4 + total);
-    out.push(0x02);
-    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    for chunk in chunks {
-        out.put_bytes_u32(chunk);
-    }
-    out
-}
-
-/// Decompresses a [`compress`] stream or an [`assemble_chunks`]
-/// container (auto-detected by the leading byte).
+/// Decompresses a [`compress`] stream, or several joined end to end.
 ///
 /// Returns `None` on malformed input or if the output would exceed
 /// [`MAX_DECOMPRESSED`].
 pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::new();
-    if data.first() == Some(&0x02) {
-        let mut r = Reader::new(data);
-        r.u8().ok()?;
-        for _ in 0..r.count(4).ok()? {
-            decompress_stream(&mut out, r.bytes_u32().ok()?)?;
-        }
-        r.finish().ok()?;
-    } else {
-        decompress_stream(&mut out, data)?;
-    }
-    Some(out)
-}
-
-fn decompress_stream(out: &mut Vec<u8>, data: &[u8]) -> Option<()> {
     let mut r = Reader::new(data);
     while !r.is_empty() {
         let &[tag, l0, l1, l2, l3] = r.array().ok()?;
@@ -156,7 +121,7 @@ fn decompress_stream(out: &mut Vec<u8>, data: &[u8]) -> Option<()> {
             _ => return None,
         }
     }
-    Some(())
+    Some(out)
 }
 
 /// How far a short chunk may be copied past its end in one move: a
@@ -175,21 +140,16 @@ pub(crate) enum CursorError {
     Corrupt,
 }
 
-/// A checked cursor over the plaintext of a [`compress`] stream or an
-/// [`assemble_chunks`] container, read without building it: `read`
-/// copies literals and splats runs into the caller's buffer, and `skip`
-/// steps over plaintext by the RLE chunk headers alone (a *token*
-/// below, to tell it from a container's chunk). A token is checked when
-/// it is reached, so a cursor refuses everything [`decompress`] does
-/// once it has been read (or drained) to the end.
+/// A checked cursor over the plaintext of a [`compress`] stream, read
+/// without building it: `read` copies literals and splats runs into the
+/// caller's buffer, and `skip` steps over plaintext by the token
+/// headers alone. A token is checked when it is reached, so a cursor
+/// refuses everything [`decompress`] does once it has been read (or
+/// drained) to the end.
 #[derive(Clone)]
 pub(crate) struct RleCursor<'a> {
-    /// The container's chunks not yet opened; empty for a bare stream.
-    chunks: Reader<'a>,
-    /// How many chunks are left in `chunks`.
-    chunks_left: usize,
-    /// The open stream from the current token's next byte on: a
-    /// literal's unread bytes lead it.
+    /// The stream from the current token's next byte on: a literal's
+    /// unread bytes lead it.
     stream: &'a [u8],
     /// The current token's byte if it is a run, `None` for a literal.
     run: Option<u8>,
@@ -200,24 +160,14 @@ pub(crate) struct RleCursor<'a> {
 }
 
 impl<'a> RleCursor<'a> {
-    /// A cursor at the start of `data`'s plaintext, or `None` if `data`
-    /// is a container whose chunk count its bytes cannot back.
-    pub(crate) fn new(data: &'a [u8]) -> Option<Self> {
-        let mut cursor = RleCursor {
-            chunks: Reader::new(&[]),
-            chunks_left: 0,
+    /// A cursor at the start of `data`'s plaintext.
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        RleCursor {
             stream: data,
             run: None,
             left: 0,
             declared: 0,
-        };
-        if data.first() == Some(&0x02) {
-            let mut chunks = Reader::new(&data[1..]);
-            cursor.chunks_left = chunks.count(4).ok()?;
-            cursor.chunks = chunks;
-            cursor.stream = &[];
         }
-        Some(cursor)
     }
 
     /// Plaintext bytes read or skipped so far.
@@ -231,17 +181,12 @@ impl<'a> RleCursor<'a> {
         self.declared
     }
 
-    /// Moves to the next token that holds plaintext, opening the next
-    /// chunk of a container when the open stream ends.
+    /// Moves to the next token that holds plaintext.
     fn next_token(&mut self) -> Result<(), CursorError> {
         use CursorError::{Corrupt, End};
         while self.left == 0 {
-            while self.stream.is_empty() {
-                if self.chunks_left == 0 {
-                    return Err(if self.chunks.is_empty() { End } else { Corrupt });
-                }
-                self.chunks_left -= 1;
-                self.stream = self.chunks.bytes_u32().map_err(|_| Corrupt)?;
+            if self.stream.is_empty() {
+                return Err(End);
             }
             let (&[tag, l0, l1, l2, l3], rest) = self.stream.split_first_chunk().ok_or(Corrupt)?;
             let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
@@ -292,9 +237,9 @@ impl<'a> RleCursor<'a> {
 
     /// From a token edge, hands `each` the whole tokens that end before
     /// the `n`th byte — length, run byte (`None` for a literal) and the
-    /// bytes after the header — straight off the open stream, and opens
-    /// the token after them; returns the bytes passed. A chunk edge, the
-    /// stream's end or a token past the limit or malformed is left to
+    /// bytes after the header — straight off the stream, and opens the
+    /// token after them; returns the bytes passed. The stream's end, or
+    /// a token past the limit or malformed, is left to
     /// [`RleCursor::next_token`].
     #[inline(always)]
     fn pass(
@@ -518,59 +463,53 @@ mod tests {
         assert!(decompress(&[0x01, 1, 0, 0, 0]).is_none());
     }
 
+    /// How an image is stored: its sections compressed one at a time
+    /// and joined end to end.
     #[test]
-    fn chunked_container_round_trips_to_concatenation() {
+    fn joined_streams_decompress_to_the_joined_plaintext() {
         let sections = [
             vec![0u8; 5000],
             (0..200u8).collect::<Vec<u8>>(),
             Vec::new(),
             vec![7u8; 64],
         ];
-        let chunks: Vec<Vec<u8>> = sections.iter().map(|s| compress(s)).collect();
-        let container = assemble_chunks(&chunks);
-        assert_eq!(container[0], 0x02);
-        assert_eq!(decompress(&container).unwrap(), sections.concat());
+        let joined: Vec<u8> = sections.iter().flat_map(|s| compress(s)).collect();
+        assert_eq!(decompress(&joined).unwrap(), sections.concat());
     }
 
+    /// The chunked container older builds framed images in — `0x02`, a
+    /// chunk count, then length-prefixed streams — is not a stream: no
+    /// token opens with `0x02`.
     #[test]
     fn malformed_containers_rejected() {
-        assert!(decompress(&[0x02]).is_none(), "truncated count");
-        assert!(
-            decompress(&[0x02, 1, 0, 0, 0]).is_none(),
-            "missing chunk header"
-        );
-        assert!(
-            decompress(&[0x02, 1, 0, 0, 0, 9, 0, 0, 0, 0x00]).is_none(),
-            "chunk shorter than its length"
-        );
-        let good = assemble_chunks(&[compress(&[1, 2, 3])]);
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(decompress(&trailing).is_none(), "trailing bytes");
-        assert_eq!(decompress(&good).unwrap(), vec![1, 2, 3]);
-        assert_eq!(
-            decompress(&assemble_chunks(&[])).unwrap(),
-            Vec::<u8>::new(),
-            "empty container is the empty plaintext"
-        );
+        let stream = compress(&[1, 2, 3]);
+        let container = [
+            &[0x02, 1, 0, 0, 0][..],
+            &(stream.len() as u32).to_le_bytes(),
+            &stream,
+        ]
+        .concat();
+        for bad in [&[0x02][..], &[0x02, 0, 0, 0, 0], &container] {
+            assert!(decompress(bad).is_none(), "{bad:02x?}");
+            assert_eq!(RleCursor::new(bad).drain(), None, "{bad:02x?}");
+        }
+        assert_eq!(decompress(&stream).unwrap(), vec![1, 2, 3]);
     }
 
-    /// Compressed forms of `data`: a bare stream, and containers cut at
-    /// every `cut` bytes of plaintext (so tokens end at chunk edges
+    /// Compressed forms of `data`: one stream, and streams of pieces cut
+    /// at every `cut` bytes of plaintext joined end to end (so tokens end
     /// wherever the cuts fall).
     fn forms(data: &[u8]) -> Vec<Vec<u8>> {
         let mut forms = vec![compress(data)];
         for cut in [1, 7, 100, 4096] {
-            let chunks: Vec<Vec<u8>> = data.chunks(cut).map(compress).collect();
-            forms.push(assemble_chunks(&chunks));
+            forms.push(data.chunks(cut).flat_map(compress).collect());
         }
-        forms.push(assemble_chunks(&[compress(data), Vec::new()]));
         forms
     }
 
     /// The plaintext a cursor reads from `data`, checked to its end.
     fn cursor_plaintext(data: &[u8]) -> Option<Vec<u8>> {
-        let mut cursor = RleCursor::new(data)?;
+        let mut cursor = RleCursor::new(data);
         let mut out = vec![0; cursor.clone().drain()?];
         cursor.read(&mut out).ok()?;
         Some(out)
@@ -612,10 +551,9 @@ mod tests {
                     // A changed length byte can declare up to a GiB, which
                     // both would build. Those are left to the limit case
                     // below.
-                    let declared = RleCursor::new(&bad).map_or(0, |mut c| {
-                        c.drain();
-                        c.declared()
-                    });
+                    let mut cursor = RleCursor::new(&bad);
+                    cursor.drain();
+                    let declared = cursor.declared();
                     if declared <= 1 << 16 {
                         assert_eq!(cursor_plaintext(&bad), decompress(&bad), "{bad:02x?}");
                     }
@@ -636,7 +574,7 @@ mod tests {
     }
 
     /// Any sequence of reads and skips sees the plaintext, whatever the
-    /// token and chunk edges, and ends where the plaintext does.
+    /// token edges, and ends where the plaintext does.
     #[test]
     fn cursor_reads_and_skips_across_every_edge() {
         let mut data = run_noise(6000, 3);
@@ -645,7 +583,7 @@ mod tests {
         for form in forms(&data) {
             for step in [1, 7, 8, 9, 31, 32, 33, 4096] {
                 for skip_every in [2, 3] {
-                    let mut cursor = RleCursor::new(&form).unwrap();
+                    let mut cursor = RleCursor::new(&form);
                     let mut at = 0;
                     let mut i = 0;
                     while at < data.len() {

@@ -69,8 +69,8 @@ pub struct EngineConfig {
     pub disable_pre_snapshot: bool,
     /// Worker threads in the pool [`EngineConfig::commit_pool`] builds.
     /// `0` (the default) is no threads: the session thread runs the
-    /// commit steps itself, after resume. `>= 1` moves them — encode,
-    /// per-section compression, the in-order store write — off the
+    /// commit steps itself, after resume. `>= 1` moves them — encode
+    /// (and compression), the in-order store write — off the
     /// session thread. What is stored, and which checkpoints survive a
     /// fault, does not depend on the count.
     pub commit_workers: usize,
@@ -1252,7 +1252,7 @@ mod tests {
         };
         let on_the_caller = run(0);
         assert_eq!(on_the_caller.len(), 5);
-        assert_eq!(on_the_caller[0].1[0], 0x02, "the chunked container");
+        assert!(on_the_caller[0].1[0] <= 0x01, "one RLE stream");
         assert_eq!(on_the_caller, run(2), "same bytes from two workers");
     }
 

@@ -171,20 +171,14 @@ impl From<ReadError> for ImageError {
 
 /// Serializes an image.
 pub fn encode_image(image: &CheckpointImage) -> Vec<u8> {
-    let sections = encode_image_sections(image);
-    let total = sections.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for section in sections {
-        out.extend_from_slice(&section);
-    }
-    out
+    encode_image_sections(image).concat()
 }
 
 /// Serializes an image as independent byte sections: one header, one
 /// per process, one socket table. Concatenated in order they are
-/// byte-identical to [`encode_image`]; kept separate they are the unit
-/// of parallel compression in the deferred write-back pipeline (each
-/// worker subtask compresses one process's pages).
+/// byte-identical to [`encode_image`]; kept separate they are what the
+/// commit pipeline compresses one at a time, and an injected encode
+/// fault mangles a byte of the largest.
 pub fn encode_image_sections(image: &CheckpointImage) -> Vec<Vec<u8>> {
     let mut sections = Vec::with_capacity(image.processes.len() + 2);
 
@@ -329,11 +323,11 @@ pub(crate) fn decode_image_with(
     decode_from(&mut src, keep)
 }
 
-/// Deserializes a compressed image — a [`crate::compress`] container
-/// or bare stream — as its plaintext streams past, keeping only the
-/// pages `keep(vpid, addr)` accepts, each decoded straight into a
-/// buffer of its own. Every other page costs only the headers of the
-/// RLE tokens it spans, and no plaintext buffer is built.
+/// Deserializes a compressed image — a [`crate::compress`] stream — as
+/// its plaintext streams past, keeping only the pages `keep(vpid,
+/// addr)` accepts, each decoded straight into a buffer of its own.
+/// Every other page costs only the headers of the RLE tokens it spans,
+/// and no plaintext buffer is built.
 ///
 /// `None` when the compressed bytes are malformed. That wins over a
 /// malformed image inside them, and the image errors are the ones
@@ -345,7 +339,7 @@ pub(crate) fn decode_compressed_with(
     keep: impl FnMut(u64, u64) -> bool,
 ) -> Option<Result<CheckpointImage, ImageError>> {
     let mut src = Stream {
-        cursor: RleCursor::new(blob)?,
+        cursor: RleCursor::new(blob),
         corrupt: false,
         claimed_end: 0,
     };

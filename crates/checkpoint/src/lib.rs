@@ -18,7 +18,7 @@ pub mod policy;
 pub mod restore;
 pub mod writeback;
 
-pub use compress::{assemble_chunks, compress, decompress};
+pub use compress::{compress, decompress};
 pub use engine::{
     CheckpointReport, Checkpointer, EngineConfig, EngineStats, ImageMeta, RELINK_DIR,
 };

@@ -112,9 +112,9 @@ pub struct ReviveReport {
 }
 
 /// Whether a stored blob holds a raw image. A blob describes itself: a
-/// raw image opens with its `DVCKPT01` magic, and anything else is
-/// compressed — a chunked container, or the bare stream older archives
-/// hold, neither of which can start with that magic's `D`.
+/// raw image opens with its `DVCKPT01` magic, and anything else is one
+/// RLE stream, whose first token opens `0x00` or `0x01`, never that
+/// magic's `D`.
 fn is_raw(data: &[u8]) -> bool {
     data.starts_with(MAGIC)
 }
@@ -766,14 +766,13 @@ mod tests {
         };
         assert_eq!(revive_first(), b"compressed state");
 
-        // The same image as older archives hold it: one bare stream,
-        // no container around it.
+        // The engine stores one stream, its sections compressed one at
+        // a time; the image compressed whole revives the same.
         let blob = engine.images().next().unwrap().blob.clone();
         let stored = store.lock().get(&blob).unwrap().to_vec();
-        assert_eq!(stored[0], 0x02, "the engine stores a chunked container");
-        let bare = crate::compress::compress(&decompress(&stored).unwrap());
-        assert!(bare[0] <= 0x01);
-        store.lock().put(&blob, bare).unwrap();
+        assert!(stored[0] <= 0x01, "one RLE stream");
+        let whole = crate::compress::compress(&decompress(&stored).unwrap());
+        store.lock().put(&blob, whole).unwrap();
         assert_eq!(revive_first(), b"compressed state");
     }
 
@@ -785,7 +784,7 @@ mod tests {
         use proptest::prelude::*;
 
         use super::*;
-        use crate::compress::{assemble_chunks, compress, RleCursor};
+        use crate::compress::{compress, RleCursor};
         use crate::image::{encode_image, encode_image_sections, ImageKind, SocketRecord};
         use dv_time::Timestamp;
         use dv_vee::{Credentials, FpuState, MemRegion, Page, Registers, SchedParams, PAGE_SIZE};
@@ -936,19 +935,19 @@ mod tests {
             }
         }
 
-        /// The stored forms of `plain`: raw, the bare stream older
-        /// archives hold, and a container cut at random plaintext
-        /// offsets (the engine's cuts, at section edges, are another
+        /// The stored forms of `plain`: raw, one stream of the whole,
+        /// and streams of pieces cut at random plaintext offsets joined
+        /// end to end (the engine's cuts, at section edges, are another
         /// form the caller adds).
         fn forms(plain: &[u8], rng: &mut Rng) -> Vec<Vec<u8>> {
             let mut cuts = vec![0, plain.len()];
             cuts.extend((0..rng.below(6)).map(|_| rng.below(plain.len() + 1)));
             cuts.sort_unstable();
-            let chunks: Vec<Vec<u8>> = cuts
+            let joined = cuts
                 .windows(2)
-                .map(|w| compress(&plain[w[0]..w[1]]))
+                .flat_map(|w| compress(&plain[w[0]..w[1]]))
                 .collect();
-            vec![plain.to_vec(), compress(plain), assemble_chunks(&chunks)]
+            vec![plain.to_vec(), compress(plain), joined]
         }
 
         /// One to three bytes changed, half the time near the start,
@@ -977,10 +976,9 @@ mod tests {
             // A changed length byte can declare up to a GiB, which the
             // oracle would build; the limit itself is tested in
             // `compress`.
-            if RleCursor::new(&blob).is_some_and(|mut c| {
-                c.drain();
-                c.declared() > 1 << 20
-            }) {
+            let mut cursor = RleCursor::new(&blob);
+            cursor.drain();
+            if cursor.declared() > 1 << 20 {
                 return Ok(());
             }
             let data = Arc::new(blob);
@@ -1006,8 +1004,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// The streaming `load_image` is the old one: over random
-            /// images and keep filters, raw, container and bare-stream
-            /// forms, tokens meeting page edges every way, and damaged
+            /// images and keep filters, raw, whole-stream and
+            /// joined-stream forms, tokens meeting page edges every way, and damaged
             /// forms — compressed bytes changed or cut, or plaintext
             /// changed or cut under a valid stream.
             #[test]
@@ -1015,8 +1013,8 @@ mod tests {
                 let mut rng = Rng(seed | 1);
                 let image = random_image(&mut rng);
                 let plain = encode_image(&image);
-                let engine_form =
-                    assemble_chunks(&encode_image_sections(&image).iter().map(|s| compress(s)).collect::<Vec<_>>());
+                let engine_form: Vec<u8> =
+                    encode_image_sections(&image).iter().flat_map(|s| compress(s)).collect();
                 let mut blobs = forms(&plain, &mut rng);
                 blobs.push(engine_form.clone());
                 for _ in 0..8 {

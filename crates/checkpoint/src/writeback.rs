@@ -4,11 +4,13 @@
 //! out of the downtime window. [`Checkpointer::checkpoint`](crate::Checkpointer)
 //! is a cheap synchronous **capture** (COW page grab, process forest
 //! walk, FS snapshot pin) followed by a **commit**: the captured image
-//! is handed to a [`CommitPipeline`], which encodes the image sections,
-//! compresses them (one subtask per process section), and writes the
-//! blob through the fault-instrumented store. Every image takes these
-//! steps, under the same ordering gate, cascade set and retry loop;
-//! the worker count only decides *who* runs them.
+//! is handed to a [`CommitPipeline`], whose one encode step turns the
+//! image into sections and, on a compressing pool, compresses each of
+//! them; the in-order commit turn then writes their concatenation — the
+//! raw image, or one RLE stream whose plaintext is the raw image —
+//! through the fault-instrumented store. Every image takes these steps,
+//! under the same ordering gate, cascade set and retry loop; the worker
+//! count only decides *who* runs them.
 //!
 //! **Who runs a step.** A pool with `workers >= 1` runs steps on its
 //! worker threads, off the session thread. A pool with `workers == 0`
@@ -36,8 +38,8 @@
 //! Invariants:
 //!
 //! * **In-order commit per lane.** Blobs land in checkpoint-counter
-//!   order within a lane, one at a time, no matter how compression
-//!   subtasks interleave. A per-lane "committer" token plus a
+//!   order within a lane, one at a time, no matter how encode steps
+//!   interleave. A per-lane "committer" token plus a
 //!   next-counter gate serializes the final fault-site check and store
 //!   write, so fault-injection schedules on `checkpoint.writeback`
 //!   observe the same call order at every worker count and the
@@ -78,7 +80,7 @@ use dv_lsfs::{FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, Sleeper, Timestamp};
 
-use crate::compress::{assemble_chunks, compress, MAX_DECOMPRESSED};
+use crate::compress::{compress, MAX_DECOMPRESSED};
 use crate::image::{encode_image_sections, CheckpointImage, ImageKind};
 
 /// Identifies one lane (one session's engine) of a pipeline.
@@ -87,14 +89,14 @@ pub type LaneId = u64;
 /// Commit-pipeline tuning, lifted from the engine or host config.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Worker threads encoding, compressing, and committing images;
+    /// Worker threads encoding and committing images;
     /// with `0` the threads that enqueue and drain run the steps.
     pub workers: usize,
     /// Store-write retries before a commit is declared failed.
     pub retry_limit: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Whether images are compressed (chunked container format).
+    /// Whether images are stored as one RLE stream.
     pub compress: bool,
 }
 
@@ -150,10 +152,8 @@ enum EncodeFault {
 pub type AuxTask = Box<dyn FnOnce() + Send>;
 
 enum Task {
-    /// Turn job `.1`'s image into sections, then fan out compression.
+    /// Turn job `.1`'s image into the sections to store.
     Encode(LaneId, u64),
-    /// Compress section `.2` of job `(.0, .1)`.
-    Compress(LaneId, u64, usize),
     /// Run an auxiliary closure on lane `.0`'s budget. Aux work shares
     /// the round-robin ring with commit work but is accounted separately
     /// (`aux_pending`, not `inflight`), so it never perturbs commit
@@ -171,22 +171,15 @@ struct Job {
     /// The enqueuing engine's fault plane and observability handle.
     plane: FaultPlane,
     obs: Obs,
-    /// Raw (encoded, uncompressed) sections awaiting compression.
+    /// The image's sections, encoded and, on a compressing pool, each
+    /// compressed: the blob is their concatenation.
     sections: Vec<Vec<u8>>,
-    /// Per-section output; `None` until its subtask finishes.
-    chunks: Vec<Option<Vec<u8>>>,
-    remaining: usize,
+    /// Whether the encode step has run: the job is ready to commit.
     encoded: bool,
     raw_bytes: u64,
     /// Sleeper-timebase reading at enqueue (see
     /// [`dv_time::Sleeper::now_nanos`]).
     started_nanos: u64,
-}
-
-impl Job {
-    fn ready(&self) -> bool {
-        self.encoded && self.remaining == 0
-    }
 }
 
 /// Per-lane scheduling and isolation state.
@@ -229,7 +222,7 @@ struct State {
     /// Lanes with queued tasks, in round-robin order.
     ready: VecDeque<LaneId>,
     /// Lanes whose next-in-order job is ready to commit, FIFO. Kept
-    /// event-driven (updated when a job finishes encoding or a commit
+    /// event-driven (updated when a job is encoded or a commit
     /// lands) so picking a commit is O(1) in the lane count.
     commit_ready: VecDeque<LaneId>,
     /// Auxiliary tasks queued or running across all lanes.
@@ -257,7 +250,7 @@ impl State {
     }
 
     /// Queues a lane for a commit turn if its next-in-order job is
-    /// fully encoded and its committer token is free. FIFO arrival
+    /// encoded and its committer token is free. FIFO arrival
     /// order is the rotation: a lane that lands a commit re-queues
     /// behind every other waiting lane.
     fn mark_commit_ready(&mut self, id: LaneId) {
@@ -270,7 +263,7 @@ impl State {
         if self
             .jobs
             .get(&(id, lane.next_commit))
-            .is_some_and(|job| job.ready())
+            .is_some_and(|job| job.encoded)
         {
             self.lane_mut(id).commit_queued = true;
             self.commit_ready.push_back(id);
@@ -282,7 +275,7 @@ impl State {
     fn claim_commit(&mut self, id: LaneId) -> Option<Step> {
         let lane = self.lanes.get_mut(&id)?;
         let next = lane.next_commit;
-        if lane.committing || !self.jobs.get(&(id, next)).is_some_and(|job| job.ready()) {
+        if lane.committing || !self.jobs.get(&(id, next)).is_some_and(|job| job.encoded) {
             return None;
         }
         lane.committing = true;
@@ -512,8 +505,6 @@ impl CommitPipeline {
                 plane,
                 obs,
                 sections: Vec::new(),
-                chunks: Vec::new(),
-                remaining: 0,
                 encoded: false,
                 raw_bytes: 0,
                 started_nanos,
@@ -665,18 +656,17 @@ impl Shared {
     fn run(&self, step: Step) {
         match step {
             Step::Run(Task::Encode(lane, seq)) => self.run_encode(lane, seq),
-            Step::Run(Task::Compress(lane, seq, i)) => self.run_compress(lane, seq, i),
             Step::Run(Task::Aux(lane, task)) => self.run_aux(lane, task),
             Step::Commit(lane, job, cascade_from) => self.run_commit(lane, *job, cascade_from),
         }
     }
 
     fn run_encode(&self, lane: LaneId, seq: u64) {
-        let (image, mut fault, plane) = {
+        let (image, mut fault, plane, obs) = {
             let mut state = self.lock();
             let job = state.job_mut(lane, seq);
             let image = job.image.take().expect("image present until encode");
-            (image, job.encode_fault, job.plane.clone())
+            (image, job.encode_fault, job.plane.clone(), job.obs.clone())
         };
         // Revive refuses to decompress more than `MAX_DECOMPRESSED`, so
         // a compressed image that large fails its commit instead of
@@ -695,59 +685,29 @@ impl Shared {
                     plane.mangle(victim);
                 }
             }
-            let raw_bytes: u64 = sections.iter().map(|s| s.len() as u64).sum();
-            if limit.is_some_and(|limit| raw_bytes > limit) {
-                fault = Some(EncodeFault::Fail(FsError::FileTooLarge));
-                sections.clear();
-            }
         }
         drop(image); // release the COW page references promptly
+        let raw_bytes: u64 = sections.iter().map(|s| s.len() as u64).sum();
+        if limit.is_some_and(|limit| raw_bytes > limit) {
+            fault = Some(EncodeFault::Fail(FsError::FileTooLarge));
+            sections.clear();
+        }
+        if self.config.compress && !sections.is_empty() {
+            // Each section's stream ends on a token edge, so the streams
+            // concatenate into one stream of the whole image.
+            let _span = obs.span("checkpoint", names::CHECKPOINT_WORKER_COMPRESS);
+            for section in &mut sections {
+                *section = compress(section);
+            }
+        }
         let mut state = self.lock();
         let job = state.job_mut(lane, seq);
         job.encode_fault = fault;
-        job.raw_bytes = sections.iter().map(|s| s.len() as u64).sum();
+        job.raw_bytes = raw_bytes;
+        job.sections = sections;
         job.encoded = true;
-        if self.config.compress {
-            job.chunks = vec![None; sections.len()];
-            job.remaining = sections.len();
-            job.sections = sections;
-        } else {
-            // Uncompressed sections pass straight to the commit's
-            // concatenation.
-            job.chunks = sections.into_iter().map(Some).collect();
-        }
-        let fanout = job.remaining;
-        if fanout == 0 {
-            state.mark_commit_ready(lane);
-        } else {
-            let l = state.lane_mut(lane);
-            for i in 0..fanout {
-                l.queue.push_back(Task::Compress(lane, seq, i));
-            }
-            state.mark_ready(lane);
-        }
-        self.release(state, fanout.max(1), false);
-    }
-
-    fn run_compress(&self, lane: LaneId, seq: u64, index: usize) {
-        let (section, obs) = {
-            let mut state = self.lock();
-            let job = state.job_mut(lane, seq);
-            (std::mem::take(&mut job.sections[index]), job.obs.clone())
-        };
-        let compressed = {
-            let _span = obs.span("checkpoint", names::CHECKPOINT_WORKER_COMPRESS);
-            compress(&section)
-        };
-        drop(section);
-        let mut state = self.lock();
-        let job = state.job_mut(lane, seq);
-        job.chunks[index] = Some(compressed);
-        job.remaining -= 1;
-        if job.ready() {
-            state.mark_commit_ready(lane);
-            self.release(state, 1, false);
-        }
+        state.mark_commit_ready(lane);
+        self.release(state, 1, false);
     }
 
     fn run_aux(&self, lane: LaneId, task: AuxTask) {
@@ -768,11 +728,6 @@ impl Shared {
         } else if let Some(EncodeFault::Fail(e)) = job.encode_fault {
             Err(CommitError::Io(e))
         } else {
-            let chunks: Vec<Vec<u8>> = job
-                .chunks
-                .into_iter()
-                .map(|c| c.expect("all sections resolved"))
-                .collect();
             let mut backoff = config.retry_backoff;
             let mut attempt = 0u32;
             loop {
@@ -789,12 +744,8 @@ impl Shared {
                         }
                     }
                     // The store takes ownership of what it writes, so
-                    // every attempt frames its own copy of the sections.
-                    let mut bytes = if config.compress {
-                        assemble_chunks(&chunks)
-                    } else {
-                        chunks.concat()
-                    };
+                    // every attempt joins its own copy of the sections.
+                    let mut bytes = job.sections.concat();
                     if fault == Some(IoFault::Corrupt) {
                         job.plane.mangle(&mut bytes);
                     }
@@ -838,19 +789,25 @@ impl Shared {
         l.next_commit += 1;
         l.committing = false;
         l.inflight -= 1;
-        // The lane's next counter may already be fully compressed; and
-        // every idle worker looks again, for shutdown's sake.
+        // The lane's next counter may already be encoded: one step. At
+        // shutdown every idle worker looks again, to see if it may exit;
+        // before it, waking them all would only have them contend with
+        // the session threads for the lock and the cores.
         state.mark_commit_ready(lane);
-        self.release(state, usize::MAX, true);
+        let steps = if state.shutdown { usize::MAX } else { 1 };
+        self.release(state, steps, true);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::image::decode_image;
+    use crate::compress::decompress;
+    use crate::image::{decode_image, encode_image, FdRecord, ProcessRecord};
+    use dv_fault::checksum::crc32;
     use dv_fault::FaultPlan;
     use dv_time::SimClock;
+    use dv_vee::{Credentials, FpuState, MemRegion, Page, Prot, Registers, SchedParams, PAGE_SIZE};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -885,6 +842,114 @@ pub(crate) mod tests {
         };
         let blob = format!("{prefix}-{c:08}");
         pipe.enqueue(lane, image, blob, plane.clone(), Obs::disabled());
+    }
+
+    /// A fixed image of three processes, each with a zero page, a page
+    /// of short runs and noise, and a page of one byte.
+    fn three_process_image() -> CheckpointImage {
+        let page = |vpid: u64, k: u64| {
+            let mut bytes = [0u8; PAGE_SIZE];
+            for (i, b) in bytes.iter_mut().enumerate() {
+                *b = match k {
+                    0 => 0,
+                    1 if i / 16 % 2 == 0 => vpid as u8,
+                    1 => (i * 37 % 251) as u8,
+                    _ => 0xA0 | vpid as u8,
+                };
+            }
+            Page::from(bytes)
+        };
+        let base = 0x10_000;
+        let processes = (1..=3u64)
+            .map(|vpid| ProcessRecord {
+                vpid,
+                parent: (vpid > 1).then_some(1),
+                name: format!("proc{vpid}"),
+                regs: Registers {
+                    pc: 0x1000 * vpid,
+                    ..Registers::default()
+                },
+                fpu: FpuState::default(),
+                sched: SchedParams::default(),
+                creds: Credentials::default(),
+                blocked: 0,
+                handled: vpid,
+                pending: Vec::new(),
+                ptraced_by: None,
+                cwd: "/".into(),
+                net_allowed: true,
+                regions: vec![MemRegion {
+                    start: base,
+                    len: 3 * PAGE_SIZE as u64,
+                    prot: Prot::ReadWrite,
+                }],
+                pages: (0..3)
+                    .map(|k| (base + k * PAGE_SIZE as u64, page(vpid, k)))
+                    .collect(),
+                fds: vec![FdRecord::File {
+                    fd: 3,
+                    path: "/doc".into(),
+                    offset: vpid,
+                    unlinked: false,
+                    relink: None,
+                }],
+            })
+            .collect();
+        CheckpointImage {
+            counter: 1,
+            time: Timestamp::from_millis(1),
+            kind: ImageKind::Full,
+            hostname: "pin".into(),
+            network_enabled: false,
+            processes,
+            sockets: Vec::new(),
+        }
+    }
+
+    /// What a pool stores for an image, whoever runs the steps: the raw
+    /// image, or — compressing — its sections each compressed and joined
+    /// end to end, one stream whose plaintext is the raw image. The
+    /// pinned bytes are those of the chunked container earlier builds
+    /// stored, less its 25 bytes of framing.
+    #[test]
+    fn a_committed_image_is_its_sections_joined() {
+        let image = three_process_image();
+        let sections = encode_image_sections(&image);
+        assert_eq!(sections.len(), 5, "a header, three processes, sockets");
+        for compress_images in [false, true] {
+            for workers in [0, 2] {
+                let store = SharedBlobStore::in_memory();
+                let config = PipelineConfig {
+                    workers,
+                    retry_limit: 0,
+                    retry_backoff: Duration::from_millis(1),
+                    compress: compress_images,
+                };
+                let pipe =
+                    CommitPipeline::new(config, store.clone(), Sleeper::Sim(SimClock::new()));
+                let lane = pipe.add_lane(1);
+                pipe.enqueue(
+                    lane,
+                    image.clone(),
+                    "pin".into(),
+                    FaultPlane::disabled(),
+                    Obs::disabled(),
+                );
+                pipe.drain(lane);
+                assert!(pipe.take_finished(lane)[0].result.is_ok());
+                let stored = store.lock().get("pin").unwrap().to_vec();
+                let pin = (stored.len(), crc32(&stored));
+                if compress_images {
+                    let joined: Vec<u8> = sections.iter().flat_map(|s| compress(s)).collect();
+                    assert_eq!(stored, joined);
+                    assert_eq!(decompress(&stored).unwrap(), encode_image(&image));
+                    assert_eq!(pin, (10_866, 0x887E_F921));
+                } else {
+                    assert_eq!(stored, encode_image(&image));
+                    assert_eq!(pin, (37_792, 0x4D1C_1036));
+                }
+            }
+        }
     }
 
     /// Parks whichever thread runs the returned aux task until the

@@ -1628,7 +1628,7 @@ mod tests {
         dv.session_mut(revived[0]).unwrap().engine.flush().unwrap();
         for blob in ["ckpt-00000001", "s1-00000001"] {
             let first = store.lock().get(blob).expect("committed")[0];
-            assert_eq!(first, 0x02, "{blob} is the chunked container");
+            assert!(first <= 0x01, "{blob} is one RLE stream");
         }
         // Closing a session closes its lane.
         dv.close_session(revived[1]).unwrap();

@@ -130,8 +130,8 @@ struct Record<'a> {
     bytes: &'a [u8],
 }
 
-/// An encoded index with every length, string, flag and the trailing
-/// bytes checked.
+/// An encoded index with every length, string, flag, the id order and
+/// the trailing bytes checked.
 struct Scanned<'a> {
     /// What the index's horizon is once loaded: the stored one, or any
     /// later time a record or focus entry carries.
@@ -141,8 +141,10 @@ struct Scanned<'a> {
     focus: Vec<(u32, Timestamp)>,
 }
 
-/// Validates an encoded index. A stored count sizes a vector only once
-/// the bytes left could hold that many entries.
+/// Validates an encoded index: records must be in strictly increasing
+/// id order, as [`encode_index`] writes them, so no id is stored twice.
+/// A stored count sizes a vector only once the bytes left could hold
+/// that many entries.
 fn scan(buf: &[u8]) -> Result<Scanned<'_>, StoreError> {
     let mut r = Reader::new(buf);
     r.magic(MAGIC)?;
@@ -168,6 +170,12 @@ fn scan(buf: &[u8]) -> Result<Scanned<'_>, StoreError> {
             annotation: r.u8()? != 0,
             bytes: r.since(start),
         };
+        if records
+            .last()
+            .is_some_and(|last: &Record| last.id >= record.id)
+        {
+            return Err(StoreError("instances out of id order"));
+        }
         horizon = horizon
             .max(record.shown)
             .max(record.hidden.unwrap_or(record.shown));
@@ -230,12 +238,7 @@ pub fn decode_index(buf: &[u8]) -> Result<TextIndex, StoreError> {
 pub fn merge_segments(inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), (usize, StoreError)> {
     let mut scanned = Vec::with_capacity(inputs.len());
     for (n, input) in inputs.iter().enumerate() {
-        let s = scan(input).map_err(|e| (n, e))?;
-        // The merge below is only right over sorted streams.
-        if s.records.windows(2).any(|w| w[0].id >= w[1].id) {
-            return Err((n, StoreError("instances out of id order")));
-        }
-        scanned.push(s);
+        scanned.push(scan(input).map_err(|e| (n, e))?);
     }
     let mut streams: Vec<&[Record]> = scanned.iter().map(|s| &s.records[..]).collect();
     let mut winners: Vec<&[u8]> = Vec::new();
@@ -270,7 +273,7 @@ pub fn merge_segments(inputs: &[&[u8]]) -> Result<(Vec<u8>, u64), (usize, StoreE
 mod tests {
     use super::*;
     use crate::query::parse_query;
-    use crate::search::evaluate;
+    use crate::search::{evaluate, search, RankOrder};
 
     fn sample() -> TextIndex {
         let mut index = TextIndex::new();
@@ -365,6 +368,52 @@ mod tests {
         assert!(decode_index(&extra).is_err());
     }
 
+    /// One instance per index, both with id 1.
+    fn one_instance(text: &str) -> Vec<u8> {
+        let mut index = TextIndex::new();
+        index.add_instance(IndexedInstance {
+            id: 1,
+            app_id: 7,
+            app: "editor".into(),
+            window: "notes".into(),
+            role: "paragraph".into(),
+            text: text.into(),
+            shown: Timestamp::from_millis(100),
+            hidden: None,
+            annotation: false,
+        });
+        encode_index(&index)
+    }
+
+    /// A segment holding two records of one id is refused: loaded, the
+    /// first copy's postings would point at the second copy's text, and
+    /// a search for `alpha` would answer with the snippet `beta`.
+    #[test]
+    fn a_segment_with_two_records_of_one_id_is_refused() {
+        let (alpha, beta) = (one_instance("alpha"), one_instance("beta"));
+        // Header (magic, horizon, count), one record, one empty focus list.
+        let record = |segment: &[u8]| segment[24..segment.len() - 8].to_vec();
+        let mut joined = alpha[..24].to_vec();
+        joined[16..24].copy_from_slice(&2u64.to_le_bytes());
+        joined.extend(record(&alpha));
+        joined.extend(record(&beta));
+        joined.extend_from_slice(&0u64.to_le_bytes());
+        let err = decode_index(&joined).err();
+        assert_eq!(err, Some(StoreError("instances out of id order")));
+        let err = merge_segments(&[&alpha, &joined]).unwrap_err();
+        assert_eq!(err, (1, StoreError("instances out of id order")));
+        // The same records under two ids load, and `alpha` finds its own.
+        joined[24 + record(&alpha).len()] = 2;
+        let index = decode_index(&joined).unwrap();
+        let hits = search(
+            &[&index],
+            &parse_query("alpha").unwrap(),
+            RankOrder::Chronological,
+        );
+        let snippets: Vec<&str> = hits.iter().map(|h| h.snippet.as_str()).collect();
+        assert_eq!(snippets, ["alpha"]);
+    }
+
     #[test]
     fn merge_takes_the_newest_copy_and_rejects_unsorted_records() {
         let older = sample();
@@ -386,9 +435,10 @@ mod tests {
         // The first record's id sits right after the 24-byte header.
         let mut unsorted = older.clone();
         unsorted[24] = 5;
-        assert!(
-            decode_index(&unsorted).is_ok(),
-            "loading does not need the order"
+        assert_eq!(
+            decode_index(&unsorted).err(),
+            Some(StoreError("instances out of id order")),
+            "one validator: loading refuses what merging refuses"
         );
         let err = merge_segments(&[&newer, &unsorted]).unwrap_err();
         assert_eq!(err, (1, StoreError("instances out of id order")));

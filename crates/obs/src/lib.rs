@@ -405,7 +405,7 @@ pub mod names {
     pub const CHECKPOINT_QUIESCE: &str = "checkpoint.quiesce";
     /// Span: filesystem snapshot phase.
     pub const CHECKPOINT_FS_SNAPSHOT: &str = "checkpoint.fs_snapshot";
-    /// Span: per-worker compress + store time in the pipeline.
+    /// Span: compressing one image's sections in the commit pipeline.
     pub const CHECKPOINT_WORKER_COMPRESS: &str = "checkpoint.worker_compress";
     /// Pages revives installed in a buffer of their own rather than as
     /// a window into a stored image.

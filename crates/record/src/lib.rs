@@ -7,8 +7,7 @@
 //! independent frames ... and commands in the log represent dependent
 //! frames". The [`DisplayRecorder`] sink produces the record from the
 //! live command stream; the [`PlaybackEngine`] seeks, plays, fast
-//! forwards and rewinds over it; [`Substream`] exposes PVR controls
-//! restricted to a query-result time range.
+//! forwards and rewinds over it.
 
 #![deny(unsafe_code)]
 
@@ -19,7 +18,6 @@ pub mod playback;
 pub mod recorder;
 mod replay;
 pub mod screenshot;
-pub mod substream;
 pub mod timeline;
 
 pub use cache::LruCache;
@@ -31,5 +29,4 @@ pub use screenshot::{
     decode_screenshot, decode_screenshot_runs, encode_screenshot, screenshot_dims, ScreenshotRuns,
     ScreenshotStore, MAX_SCREEN_SIDE,
 };
-pub use substream::Substream;
 pub use timeline::{Timeline, TimelineEntry, ENTRY_LEN};

@@ -1,5 +1,6 @@
 //! PVR controls over a recorded session: pause/seek, fast forward,
-//! rewind, rate-scaled play, and substreams (§4.3, §4.4).
+//! rewind, rate-scaled play, and a result interval's first and last
+//! screens (§4.3, §4.4).
 //!
 //! Drives the `cat` workload to build a display-intensive record, then
 //! exercises every time-shifting operation the paper describes.
@@ -7,7 +8,7 @@
 //! Run with: `cargo run --example pvr_playback`
 
 use dejaview::{Config, DejaView};
-use dv_record::{PlaybackEngine, RecorderConfig, Substream};
+use dv_record::{PlaybackEngine, RecorderConfig};
 use dv_time::{Duration, Timestamp};
 use dv_workloads::{run_scenario, CatScenario, RunOptions};
 
@@ -81,14 +82,14 @@ fn main() {
         rw.keyframes_presented
     );
 
-    // --- A substream: PVR controls clamped to a result interval. --------
-    let mut sub = Substream::new(record, mid, end);
-    let first = sub.first_screenshot().unwrap();
-    let last = sub.last_screenshot().unwrap();
+    // --- A result interval's first and last screens: two seeks. --------
+    let mut engine = PlaybackEngine::new(record);
+    engine.seek(mid).unwrap();
+    let first = engine.screenshot();
+    engine.seek(end).unwrap();
+    let last = engine.screenshot();
     println!(
-        "substream [{} .. {}]: first/last screenshots {} / {}",
-        sub.start(),
-        sub.end(),
+        "interval [{mid} .. {end}]: first/last screenshots {} / {}",
         first.content_hash(),
         last.content_hash()
     );

@@ -29,8 +29,8 @@ use dv_cas::ChunkStore;
 use dv_checkpoint::compress::MAX_DECOMPRESSED;
 use dv_checkpoint::image::encode_image_sections;
 use dv_checkpoint::{
-    assemble_chunks, compress, decode_image, decompress, encode_image, load_image, CheckpointImage,
-    Checkpointer, EngineConfig, FdRecord, ImageKind, ProcessRecord, SocketRecord,
+    compress, decode_image, decompress, encode_image, load_image, CheckpointImage, Checkpointer,
+    EngineConfig, FdRecord, ImageKind, ProcessRecord, ReviveError, SocketRecord,
 };
 use dv_display::{
     decode_command, decode_input, decode_pixels, encode_command, encode_command_vec, encode_input,
@@ -536,35 +536,25 @@ fn nothing(_: &[u8]) -> u64 {
     0
 }
 
-/// What `decompress` may ask for before it refuses `b`: what the chunk
-/// headers of a bare stream, or of each stream in a container, claim up
-/// to the first that does not parse — capped where `decompress` stops —
-/// four times over, for a vector that grows by doubling and counts every
-/// reallocation whole.
+/// What `decompress` may ask for before it refuses `b`: what the token
+/// headers claim up to the first that does not parse — capped where
+/// `decompress` stops — four times over, for a vector that grows by
+/// doubling and counts every reallocation whole.
 fn plaintext(b: &[u8]) -> u64 {
-    fn stream(bytes: &[u8]) -> u64 {
-        let mut r = Reader::new(bytes);
-        let mut claimed = 0;
-        while let Ok(&[tag, l0, l1, l2, l3]) = r.array::<5>() {
-            let len = u32::from_le_bytes([l0, l1, l2, l3]);
-            claimed += u64::from(len);
-            let read = match tag {
-                0 => r.bytes(len as usize).map(drop),
-                1 => r.u8().map(drop),
-                _ => break,
-            };
-            if read.is_err() {
-                break;
-            }
-        }
-        claimed
-    }
     let mut r = Reader::new(b);
-    let claimed = if b.first() == Some(&0x02) && r.array::<5>().is_ok() {
-        std::iter::from_fn(|| r.bytes_u32().ok()).map(stream).sum()
-    } else {
-        stream(b)
-    };
+    let mut claimed = 0;
+    while let Ok(&[tag, l0, l1, l2, l3]) = r.array::<5>() {
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        claimed += u64::from(len);
+        let read = match tag {
+            0 => r.bytes(len as usize).map(drop),
+            1 => r.u8().map(drop),
+            _ => break,
+        };
+        if read.is_err() {
+            break;
+        }
+    }
     4 * claimed.min(MAX_DECOMPRESSED as u64)
 }
 
@@ -1085,13 +1075,13 @@ table! {
     },
     stored_compressed_image => Row {
         name: "load_image/compressed",
-        // The engine's form: each section compressed, framed in a
-        // container. Read as a stream, the kept page decoded into a
-        // buffer of its own and the other stepped over by its token
-        // headers; no plaintext is built.
+        // The engine's form: each section compressed, the streams
+        // joined. Read as a stream, the kept page decoded into a buffer
+        // of its own and the other stepped over by its token headers; no
+        // plaintext is built.
         valid: |seed| {
             let sections = encode_image_sections(&image(seed));
-            assemble_chunks(&sections.iter().map(|s| compress(s)).collect::<Vec<_>>())
+            sections.iter().flat_map(|s| compress(s)).collect()
         },
         frame: None,
         decode: |b| load_kept(b).is_ok(),
@@ -1107,10 +1097,20 @@ table! {
         positions: EVERYWHERE,
     },
     rle_container => Row {
-        name: "decompress/container",
-        valid: |seed| assemble_chunks(&[compress(&Rng(seed).bytes(100)), compress(b"plain text")]),
+        // Joined streams, the engine's form. Behind a `0x02` — the tag of
+        // the chunked container earlier builds framed streams in — every
+        // input is refused as malformed: by `decompress`, and by the
+        // cursor `load_image` reads a compressed image through.
+        name: "decompress/joined streams",
+        valid: |seed| [compress(&Rng(seed).bytes(100)), compress(b"plain text")].concat(),
         frame: None,
-        decode: |b| decompress(b).is_some(),
+        decode: |b| {
+            let tagged = [&[0x02][..], b].concat();
+            assert!(decompress(&tagged).is_none(), "a container is refused");
+            let loaded = load_kept(&tagged);
+            assert!(matches!(loaded, Err(ReviveError::BadCompression(2))), "{loaded:?}");
+            decompress(b).is_some()
+        },
         expands: plaintext,
         positions: EVERYWHERE,
     },
