@@ -53,19 +53,6 @@ pub trait TextSink: Send {
     fn focus_changed(&mut self, app: AppId, time: Timestamp);
 }
 
-/// Cumulative daemon statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DaemonStats {
-    /// Events processed.
-    pub events: u64,
-    /// Text instances emitted.
-    pub shown: u64,
-    /// Text instances closed.
-    pub hidden: u64,
-    /// Annotations captured.
-    pub annotations: u64,
-}
-
 /// The capture daemon: an [`AccessListener`] maintaining the mirror and
 /// feeding the index.
 pub struct CaptureDaemon<S: TextSink> {
@@ -74,7 +61,6 @@ pub struct CaptureDaemon<S: TextSink> {
     sink: S,
     live: HashMap<(AppId, NodeId), u64>,
     instance_counter: Arc<AtomicU64>,
-    stats: DaemonStats,
     obs: Obs,
 }
 
@@ -98,7 +84,6 @@ impl<S: TextSink> CaptureDaemon<S> {
             sink,
             live: HashMap::new(),
             instance_counter,
-            stats: DaemonStats::default(),
             obs: Obs::disabled(),
         }
     }
@@ -117,11 +102,6 @@ impl<S: TextSink> CaptureDaemon<S> {
     /// Returns the sink.
     pub fn sink(&self) -> &S {
         &self.sink
-    }
-
-    /// Returns cumulative statistics.
-    pub fn stats(&self) -> DaemonStats {
-        self.stats
     }
 
     fn emit_shown(
@@ -148,10 +128,8 @@ impl<S: TextSink> CaptureDaemon<S> {
             annotation,
         };
         self.sink.text_shown(instance);
-        self.stats.shown += 1;
         self.obs.incr(names::TEXT_SHOWN);
         if annotation {
-            self.stats.annotations += 1;
             self.obs.incr(names::TEXT_ANNOTATIONS);
         } else {
             self.live.insert((app, node), id);
@@ -161,7 +139,6 @@ impl<S: TextSink> CaptureDaemon<S> {
     fn emit_hidden(&mut self, app: AppId, node: NodeId, now: Timestamp) {
         if let Some(id) = self.live.remove(&(app, node)) {
             self.sink.text_hidden(id, now);
-            self.stats.hidden += 1;
             self.obs.incr(names::TEXT_HIDDEN);
         }
     }
@@ -169,7 +146,6 @@ impl<S: TextSink> CaptureDaemon<S> {
 
 impl<S: TextSink> AccessListener for CaptureDaemon<S> {
     fn on_event(&mut self, tree: Option<&AccessibleTree>, event: &AccessEvent) {
-        self.stats.events += 1;
         self.obs.incr(names::TEXT_EVENTS);
         let _span = self.obs.span("text", names::TEXT_MIRROR_APPLY);
         let now = self.clock.now();

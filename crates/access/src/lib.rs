@@ -16,7 +16,7 @@ pub mod naive;
 pub mod registry;
 pub mod tree;
 
-pub use daemon::{CaptureDaemon, DaemonStats, TextInstance, TextSink};
+pub use daemon::{CaptureDaemon, TextInstance, TextSink};
 pub use mirror::{MirrorNode, MirrorTree};
 pub use naive::NaiveCaptureDaemon;
 pub use registry::{AccessEvent, AccessListener, AppId, Desktop, SharedListener};

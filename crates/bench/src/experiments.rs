@@ -7,7 +7,7 @@ use std::time::Instant;
 use dejaview::{Config, DejaView};
 use dv_index::{parse_query, RankOrder};
 use dv_lsfs::ReadLatency;
-use dv_obs::Obs;
+use dv_obs::{names, Obs};
 use dv_record::PlaybackEngine;
 use dv_time::{Duration, SimClock, Timestamp};
 use dv_workloads::{run_scenario, scenario_by_name, CheckpointMode, RunOptions, RunSummary};
@@ -246,8 +246,8 @@ pub(crate) fn table1(scale: f64) -> Report {
     for name in ALL_SCENARIOS {
         let scenario = scenario_by_name(name, scale).expect("known scenario");
         let description = scenario.description().to_string();
-        let (mut dv, summary) = record_scenario(name, scale, CheckpointMode::Disabled, |_| {});
-        let commands = dv.driver_mut().stats().commands;
+        let (dv, summary) = record_scenario(name, scale, CheckpointMode::Disabled, |_| {});
+        let commands = dv.obs().counter(names::DISPLAY_DRIVER_COMMANDS);
         let text_instances = dv.index().lock().stats().instances;
         table.row([
             name.to_string(),
@@ -784,7 +784,8 @@ pub(crate) fn policy_effectiveness(scale: f64) -> Report {
 pub(crate) struct DeferredRun {
     /// Configuration label.
     config: String,
-    stats: dv_checkpoint::EngineStats,
+    /// The engine's registry.
+    obs: Obs,
     /// Session-thread stall of every `checkpoint()` call.
     stalls: Vec<std::time::Duration>,
     /// Wall time from the first capture until the pipeline flushed.
@@ -854,15 +855,16 @@ struct CommitLoop {
 
 /// Runs the deferred session's commit loop — dirty half of every
 /// process's pages, checkpoint, `rounds` times — through `workers`
-/// commit workers, and flushes. Every configuration dirties
-/// byte-identical pages, so the committed blobs must decompress to
-/// identical plaintexts and revive identically.
-fn commit_loop(workers: usize, compress: bool, scale: f64) -> CommitLoop {
+/// commit workers counting into `obs`, and flushes. Every
+/// configuration dirties byte-identical pages, so the committed blobs
+/// must decompress to identical plaintexts and revive identically.
+fn commit_loop(workers: usize, compress: bool, scale: f64, obs: Obs) -> CommitLoop {
     const PAGE: usize = 4096;
     let procs = 4usize;
     let pages_per_proc = ((192.0 * scale) as usize).max(24);
     let rounds = ((12.0 * scale) as u64).max(6);
     let (clock, mut vee, mut engine, store) = pipeline_session(workers, rounds, compress);
+    engine.set_obs(obs);
 
     // Deterministic, poorly compressible page contents (xorshift64) —
     // the same in every configuration.
@@ -925,7 +927,8 @@ fn commit_loop(workers: usize, compress: bool, scale: f64) -> CommitLoop {
 /// configuration, then restores what it committed: every image's
 /// plaintext and the final state, and the longest chain.
 fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRun {
-    let run = commit_loop(workers, compress, scale);
+    let obs = Obs::sim();
+    let run = commit_loop(workers, compress, scale, obs.clone());
     let CommitLoop { engine, store, .. } = &run;
     let (fingerprint, revived) =
         dv_checkpoint::restore_fingerprint(engine, &mut store.lock(), &run.regions)
@@ -952,7 +955,7 @@ fn deferred_run(workers: usize, compress: bool, scale: f64) -> DeferredRun {
             (0, false) => "inline, raw".to_string(),
             _ => format!("deferred x{workers}"),
         },
-        stats: engine.stats(),
+        obs,
         stalls: run.stalls,
         total_wall: run.total_wall,
         fingerprint,
@@ -978,7 +981,7 @@ const DEFERRED_WORKERS: [usize; 4] = [0, 1, 2, 4];
 /// it installed. Returns the restored runs too, for the checks the
 /// report does not carry.
 pub(crate) fn deferred_experiment(scale: f64) -> (Report, [DeferredRun; 4]) {
-    let stall = |workers| mean_stall(&commit_loop(workers, true, scale).stalls);
+    let stall = |workers| mean_stall(&commit_loop(workers, true, scale, Obs::disabled()).stalls);
     let ratios: Vec<_> = DEFERRED_WORKERS[1..]
         .iter()
         .map(|&workers| alternating_pairs(|deferred| stall(if deferred { workers } else { 0 })))
@@ -990,15 +993,17 @@ pub(crate) fn deferred_experiment(scale: f64) -> (Report, [DeferredRun; 4]) {
     );
     for run in &runs {
         let max_stall = run.stalls.iter().copied().max().unwrap_or_default();
-        let mbps = run.stats.raw_bytes as f64 / 1e6 / run.total_wall.as_secs_f64().max(1e-9);
+        let c = |name| run.obs.counter(name);
+        let mbps =
+            c(names::CHECKPOINT_RAW_BYTES) as f64 / 1e6 / run.total_wall.as_secs_f64().max(1e-9);
         table.row([
             run.config.clone(),
-            run.stats.checkpoints.to_string(),
+            c(names::CHECKPOINT_COUNT).to_string(),
             format!("{:.3}", ms(mean_stall(&run.stalls))),
             format!("{:.3}", ms(max_stall)),
             format!("{:.1}", ms(run.total_wall)),
             format!("{mbps:.1}"),
-            run.stats.inline_fallbacks.to_string(),
+            c(names::CHECKPOINT_INLINE_FALLBACKS).to_string(),
             format!("{:016x}", run.fingerprint),
         ]);
     }
@@ -1060,15 +1065,18 @@ pub(crate) fn raw_revive_experiment(scale: f64) -> (Report, DeferredRun) {
 // Observability: per-stream profile and instrumentation overhead
 // ---------------------------------------------------------------------
 
-/// One deferred-pipeline engine run with instrumentation on or off,
-/// returning its wall time. The work (page dirtying, compression,
-/// deferred commits) is byte-identical in both modes, so the wall-time
-/// ratio isolates what the dv-obs counters, spans, and ring cost.
+/// One commit-loop engine run with instrumentation on or off, returning
+/// its wall time. The session thread runs every commit step (zero
+/// workers), so no thread hand-off varies the timing, and small
+/// checkpoints make the per-checkpoint instrumentation a large share of
+/// it. The work (page dirtying, compression, commits) is byte-identical
+/// in both modes, so the wall-time ratio isolates what the dv-obs
+/// counters, spans, and ring cost.
 fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
     const PAGE: usize = 4096;
-    let pages = ((256.0 * scale) as usize).max(32);
-    let rounds = ((10.0 * scale) as u64).max(5);
-    let (clock, mut vee, mut engine, _store) = pipeline_session(2, rounds, true);
+    let pages = 32;
+    let rounds = ((320.0 * scale) as u64).max(16);
+    let (clock, mut vee, mut engine, _store) = pipeline_session(0, rounds, true);
     engine.set_obs(if instrumented {
         Obs::wall(clock.shared())
     } else {
@@ -1102,8 +1110,8 @@ fn obs_overhead_run(instrumented: bool, scale: f64) -> std::time::Duration {
 
 /// The observability experiment: profiles a fully recorded web session
 /// through dv-obs (wall-clock spans, so busy times are real), then
-/// measures the instrumentation's own cost on the deferred-pipeline
-/// workload, instrumented versus disabled. Emits instrumented over
+/// measures the instrumentation's own cost on a commit loop of small
+/// checkpoints, instrumented versus disabled. Emits instrumented over
 /// uninstrumented wall time, the median of [`MEDIAN_PAIRS`] pairs, as
 /// `overhead_ratio`.
 pub(crate) fn obs_experiment(scale: f64) -> Report {
@@ -1158,7 +1166,7 @@ pub(crate) fn obs_experiment(scale: f64) -> Report {
         snapshot.counter(dv_obs::names::CHECKPOINT_COUNT),
     ));
     table.note(format!(
-        "instrumentation overhead: {overhead:.3}x wall ({:.1} ms instrumented vs {:.1} ms disabled, deferred-pipeline workload, median of {MEDIAN_PAIRS} alternating pairs, {:.3}-{:.3}x)",
+        "instrumentation overhead: {overhead:.3}x wall ({:.1} ms instrumented vs {:.1} ms disabled, commit-loop workload, median of {MEDIAN_PAIRS} alternating pairs, {:.3}-{:.3}x)",
         ms(instrumented),
         ms(baseline),
         pairs[0].0,
@@ -1250,7 +1258,7 @@ pub(crate) fn faults_experiment(scale: f64) -> Report {
                 fault_name.to_string(),
                 plane.injected_at(site).to_string(),
                 dv.storage().degraded_events.to_string(),
-                dv.engine().stats().checkpoints.to_string(),
+                dv.obs().counter(names::CHECKPOINT_COUNT).to_string(),
             ];
             let browse_ok = dv.browse(Timestamp::from_millis(1_500)).is_ok();
             let search_ok = dv.search("data", RankOrder::Chronological).is_ok();
@@ -2238,16 +2246,16 @@ impl Tenants {
         }
     }
 
-    /// Every tenant's checkpoint-engine stats, slot order.
-    fn stats(&self) -> Vec<dv_checkpoint::EngineStats> {
-        let engine = |&id: &u64| {
+    /// Every tenant's registry counter `name`, slot order.
+    fn counts(&self, name: &str) -> Vec<u64> {
+        let count = |&id: &u64| {
             self.host
                 .session(id)
                 .expect("registered tenant")
-                .engine()
-                .stats()
+                .obs()
+                .counter(name)
         };
-        self.ids.iter().map(engine).collect()
+        self.ids.iter().map(count).collect()
     }
 
     /// Gives every tenant one `app` process with `pages` mapped pages.
@@ -2362,15 +2370,13 @@ fn host_run_once(
     tenants.flush(faulted);
     samples.sort_unstable();
 
-    let stats = tenants.stats();
-    let sum = |of: fn(&dv_checkpoint::EngineStats) -> u64| stats.iter().map(of).sum();
+    let sum = |name| tenants.counts(name).iter().sum();
+    let failures = tenants.counts(names::CHECKPOINT_WRITE_FAILURES);
     let degraded: Vec<u64> = tenants
         .ids
         .iter()
-        .zip(&stats)
-        .map(|(&id, s)| {
-            tenants.host.degraded_events(id).expect("registered tenant") + s.write_failures
-        })
+        .zip(failures)
+        .map(|(&id, failed)| tenants.host.degraded_events(id).expect("registered tenant") + failed)
         .collect();
     let faulted_traced = fault_tenant0 && {
         let obs = tenants.host.observability();
@@ -2383,9 +2389,9 @@ fn host_run_once(
     let fingerprinted = if fingerprint_all { sessions } else { 1 };
     HostRun {
         samples,
-        checkpoints: sum(|s| s.checkpoints),
-        committed: sum(|s| s.committed),
-        inline_fallbacks: sum(|s| s.inline_fallbacks),
+        checkpoints: sum(names::CHECKPOINT_COUNT),
+        committed: sum(names::CHECKPOINT_COMMITTED),
+        inline_fallbacks: sum(names::CHECKPOINT_INLINE_FALLBACKS),
         fingerprints: tenants.fingerprints(fingerprinted, &apps, pages),
         neighbors_degraded: degraded[1..].iter().sum(),
         faulted_degraded: degraded[0],
@@ -2551,7 +2557,7 @@ fn dedup_run_once(sessions: usize, rounds: u64, pages: u64, dedup: bool) -> Dedu
 
     let host = &tenants.host;
     DedupRun {
-        checkpoints: tenants.stats().iter().map(|s| s.checkpoints).sum(),
+        checkpoints: tenants.counts(names::CHECKPOINT_COUNT).iter().sum(),
         logical_bytes: host.storage_logical_bytes(),
         physical_bytes: host.storage_physical_bytes(),
         cas: host.storage_cas_stats(),
@@ -3385,7 +3391,8 @@ pub(crate) mod tests {
                 "{} diverged from inline",
                 run.config
             );
-            assert_eq!(run.stats.checkpoints, inline.stats.checkpoints);
+            let count = |run: &DeferredRun| run.obs.counter(names::CHECKPOINT_COUNT);
+            assert_eq!(count(run), count(inline));
             assert_eq!(run.pages_restored, inline.pages_restored);
         }
         // A full image and three half-dirty incrementals, each page

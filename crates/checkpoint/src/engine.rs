@@ -157,42 +157,10 @@ pub struct CheckpointReport {
     /// Whether this was a full checkpoint.
     pub full: bool,
     /// Whether the commit was still pending when the call returned. If
-    /// so, `stored_bytes`/`raw_bytes` are 0 here and land in
-    /// [`EngineStats`] once the commit resolves (see
+    /// so, `stored_bytes`/`raw_bytes` are 0 here and land in the
+    /// image's [`ImageMeta`] once the commit resolves (see
     /// [`Checkpointer::flush`]).
     pub deferred: bool,
-}
-
-/// Cumulative engine statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineStats {
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Full checkpoints taken.
-    pub full_checkpoints: u64,
-    /// Total stored bytes.
-    pub stored_bytes: u64,
-    /// Total raw (uncompressed) bytes.
-    pub raw_bytes: u64,
-    /// Unlinked files relinked.
-    pub relinks: u64,
-    /// Checkpoints lost after the session was quiesced: a failed
-    /// capture or snapshot point, or a commit that failed or cascaded
-    /// (the session keeps running; the image is not retained).
-    pub write_failures: u64,
-    /// Captures handed to the commit pipeline.
-    pub queued: u64,
-    /// Commits that resolved successfully.
-    pub committed: u64,
-    /// Captures the session thread settled before moving on because
-    /// the lane's queue was full.
-    pub inline_fallbacks: u64,
-    /// Total session-thread unresponsiveness (quiesce + capture +
-    /// fs-snapshot) across all checkpoints, in wall nanoseconds.
-    pub sync_downtime_nanos: u64,
-    /// Total enqueue-to-resolve time of commits, in nanoseconds on the
-    /// pool's sleeper timebase (session time under a sim clock).
-    pub async_commit_nanos: u64,
 }
 
 /// The checkpoint engine for one session. It commits through the lane
@@ -203,7 +171,6 @@ pub struct Checkpointer {
     blob_prefix: String,
     counter: u64,
     images: BTreeMap<u64, ImageMeta>,
-    stats: EngineStats,
     relink_seq: u64,
     plane: FaultPlane,
     /// The pool this engine commits through, and its lane there.
@@ -226,7 +193,6 @@ impl Checkpointer {
             blob_prefix: "ckpt".to_string(),
             counter: 0,
             images: BTreeMap::new(),
-            stats: EngineStats::default(),
             relink_seq: 0,
             plane: FaultPlane::disabled(),
             pool,
@@ -268,11 +234,6 @@ impl Checkpointer {
         &self.blob_prefix
     }
 
-    /// Returns cumulative statistics.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
     /// The pool this engine commits through; sessions revived from
     /// this one open their engines' lanes on it too.
     pub fn pool(&self) -> &Arc<CommitPipeline> {
@@ -290,7 +251,7 @@ impl Checkpointer {
     }
 
     /// Barrier: blocks until every pending commit has resolved, then
-    /// folds the outcomes into the image metadata and statistics.
+    /// folds the outcomes into the image metadata and the registry.
     ///
     /// # Errors
     ///
@@ -319,7 +280,6 @@ impl Checkpointer {
         let depth = self.pool.inflight(self.lane) as u64;
         let mut awaited_result = None;
         for outcome in outcomes {
-            self.stats.async_commit_nanos += outcome.commit_nanos;
             self.obs
                 .add(names::CHECKPOINT_ASYNC_COMMIT_NANOS, outcome.commit_nanos);
             let is_awaited = awaited == Some(outcome.counter);
@@ -337,9 +297,6 @@ impl Checkpointer {
                             raw_bytes,
                         },
                     );
-                    self.stats.committed += 1;
-                    self.stats.stored_bytes += stored_bytes;
-                    self.stats.raw_bytes += raw_bytes;
                     self.obs.incr(names::CHECKPOINT_COMMITTED);
                     self.obs.add(names::CHECKPOINT_STORED_BYTES, stored_bytes);
                     self.obs.add(names::CHECKPOINT_RAW_BYTES, raw_bytes);
@@ -362,7 +319,6 @@ impl Checkpointer {
     /// A quiesced checkpoint did not become an image: its dirty-page
     /// set is gone, so the next checkpoint must be full.
     fn note_lost_checkpoint(&mut self) {
-        self.stats.write_failures += 1;
         self.obs.incr(names::CHECKPOINT_WRITE_FAILURES);
         self.force_full = true;
     }
@@ -486,7 +442,7 @@ impl Checkpointer {
     /// resolved within the call failed. Whatever fails once the session
     /// is quiesced, every process that was runnable is running again
     /// when this returns, the failure is counted in
-    /// [`EngineStats::write_failures`], and the next checkpoint is
+    /// `checkpoint.write_failures`, and the next checkpoint is
     /// full. Failures of commits still pending on return surface
     /// through [`Checkpointer::flush`].
     pub fn checkpoint(&mut self, vee: &mut Vee) -> Result<CheckpointReport, FsError> {
@@ -562,10 +518,6 @@ impl Checkpointer {
 
         self.counter = counter;
         self.force_full = false;
-        self.stats.checkpoints += 1;
-        if full {
-            self.stats.full_checkpoints += 1;
-        }
         let committed = if resolved {
             self.reap(Some(counter))
         } else {
@@ -576,7 +528,6 @@ impl Checkpointer {
         if !defer {
             downtime += phases.get("writeback");
         }
-        self.stats.sync_downtime_nanos += downtime.as_nanos();
         self.observe_checkpoint(&phases, downtime, full);
         // A commit that failed within the call consumed its counter
         // like one that fails later would; the caller decides whether
@@ -639,7 +590,6 @@ impl Checkpointer {
                         }
                     };
                     vee.fs.link_handle(handle, relink_path)?;
-                    self.stats.relinks += 1;
                     self.obs.incr(names::CHECKPOINT_RELINKS);
                 }
             }
@@ -729,7 +679,6 @@ impl Checkpointer {
         // order stays strict.
         let full_lane = !pipe.has_capacity(lane);
         if full_lane {
-            self.stats.inline_fallbacks += 1;
             self.obs.incr(names::CHECKPOINT_INLINE_FALLBACKS);
             self.obs.event(
                 "checkpoint",
@@ -740,7 +689,6 @@ impl Checkpointer {
         }
         let blob = format!("{}-{:08}", self.blob_prefix, image.counter);
         pipe.enqueue(lane, image, blob, self.plane.clone(), self.obs.clone());
-        self.stats.queued += 1;
         self.obs.incr(names::CHECKPOINT_QUEUED);
         if now || full_lane {
             pipe.drain(lane);
@@ -856,7 +804,14 @@ mod tests {
     fn engine_on(config: EngineConfig, clock: &SimClock) -> (Checkpointer, SharedBlobStore) {
         let store = SharedBlobStore::in_memory();
         let pool = config.commit_pool(store.clone(), clock);
-        (Checkpointer::new(config, pool, clock.clone()), store)
+        let mut engine = Checkpointer::new(config, pool, clock.clone());
+        engine.set_obs(Obs::sim());
+        (engine, store)
+    }
+
+    /// Reads counter `name` off the engine's registry.
+    fn count(engine: &Checkpointer, name: &str) -> u64 {
+        engine.obs.counter(name)
     }
 
     #[test]
@@ -982,7 +937,7 @@ mod tests {
         vee.unlink("/tmp_scratch").unwrap();
         let _ = fd;
         engine.checkpoint(&mut vee).unwrap();
-        assert_eq!(engine.stats().relinks, 1);
+        assert_eq!(count(&engine, names::CHECKPOINT_RELINKS), 1);
         // The relinked name exists in the live fs (and so in the
         // snapshot taken at the same counter).
         let entries = vee.fs.readdir(RELINK_DIR).unwrap();
@@ -1029,7 +984,7 @@ mod tests {
         }
         let refused = engine.checkpoint(&mut vee).unwrap_err();
         assert_eq!(refused, FsError::FileTooLarge);
-        assert_eq!(engine.stats().write_failures, 1);
+        assert_eq!(count(&engine, names::CHECKPOINT_WRITE_FAILURES), 1);
         assert!(!store.lock().contains("ckpt-00000001"));
         assert!(vee.munmap(p, addr, len).unwrap());
         let report = engine.checkpoint(&mut vee).unwrap();
@@ -1193,6 +1148,7 @@ mod tests {
         let mut vee = Vee::new(1, clock.shared(), Box::new(fs), HostPidAllocator::new());
         let p = vee.spawn(None, "app").unwrap();
         let mut engine = Checkpointer::new(config, pool.clone(), clock);
+        engine.set_obs(Obs::sim());
         engine.set_fault_plane(plane.clone());
         (vee, engine, p)
     }
@@ -1241,10 +1197,23 @@ mod tests {
                 assert_eq!(report.raw_bytes > 0, workers == 0);
             }
             engine.flush().unwrap();
-            let stats = engine.stats();
-            assert_eq!((stats.queued, stats.committed), (5, 5));
-            assert_eq!((stats.write_failures, stats.inline_fallbacks), (0, 0));
-            assert!(stats.stored_bytes > 0 && stats.raw_bytes > stats.stored_bytes);
+            let c = |name| count(&engine, name);
+            assert_eq!(
+                (c(names::CHECKPOINT_QUEUED), c(names::CHECKPOINT_COMMITTED)),
+                (5, 5)
+            );
+            assert_eq!(
+                (
+                    c(names::CHECKPOINT_WRITE_FAILURES),
+                    c(names::CHECKPOINT_INLINE_FALLBACKS)
+                ),
+                (0, 0)
+            );
+            let (stored, raw) = (
+                c(names::CHECKPOINT_STORED_BYTES),
+                c(names::CHECKPOINT_RAW_BYTES),
+            );
+            assert!(stored > 0 && raw > stored);
             engine
                 .images()
                 .map(|m| (m.counter, store.lock().get(&m.blob).unwrap().to_vec()))
@@ -1270,7 +1239,7 @@ mod tests {
         // Every second capture finds the depth-1 lane full, settles it
         // and commits itself before the call returns.
         assert_eq!(deferred, vec![true, false, true, false, true]);
-        assert_eq!(engine.stats().inline_fallbacks, 2);
+        assert_eq!(count(&engine, names::CHECKPOINT_INLINE_FALLBACKS), 2);
         assert_eq!(engine.inflight(), 1);
         engine.flush().unwrap();
         assert_eq!(
@@ -1301,9 +1270,9 @@ mod tests {
         assert_eq!(engine.checkpoint(&mut vee).unwrap_err(), FsError::NoSpace);
         plane.disarm();
         assert_eq!(vee.process(p).unwrap().state, RunState::Runnable);
-        assert_eq!(engine.stats().write_failures, 1);
+        assert_eq!(count(&engine, names::CHECKPOINT_WRITE_FAILURES), 1);
         assert_eq!(
-            engine.stats().checkpoints,
+            count(&engine, names::CHECKPOINT_COUNT),
             1,
             "the counter was not consumed"
         );
@@ -1340,9 +1309,12 @@ mod tests {
         assert_eq!(engine.flush(), Ok(()));
         let report = engine.checkpoint(&mut vee).unwrap();
         assert!(report.full && report.counter == 3);
-        let stats = engine.stats();
-        assert_eq!((stats.checkpoints, stats.committed), (3, 2));
-        assert_eq!(stats.write_failures, 1);
+        let c = |name| count(&engine, name);
+        assert_eq!(
+            (c(names::CHECKPOINT_COUNT), c(names::CHECKPOINT_COMMITTED)),
+            (3, 2)
+        );
+        assert_eq!(c(names::CHECKPOINT_WRITE_FAILURES), 1);
         assert_eq!(
             engine.images().map(|m| m.counter).collect::<Vec<_>>(),
             vec![1, 3]
@@ -1373,9 +1345,12 @@ mod tests {
             Err(FsError::NoSpace),
             "flush surfaces the async commit failure"
         );
-        let stats = engine.stats();
-        assert_eq!(stats.committed, 1);
-        assert_eq!(stats.write_failures, 2, "direct failure + cascade");
+        assert_eq!(count(&engine, names::CHECKPOINT_COMMITTED), 1);
+        assert_eq!(
+            count(&engine, names::CHECKPOINT_WRITE_FAILURES),
+            2,
+            "direct failure + cascade"
+        );
         assert!(!store.lock().contains("ckpt-00000002"));
         assert!(!store.lock().contains("ckpt-00000003"));
         // The chain re-anchors: the next checkpoint is forced full and

@@ -19,9 +19,7 @@ pub mod restore;
 pub mod writeback;
 
 pub use compress::{compress, decompress};
-pub use engine::{
-    CheckpointReport, Checkpointer, EngineConfig, EngineStats, ImageMeta, RELINK_DIR,
-};
+pub use engine::{CheckpointReport, Checkpointer, EngineConfig, ImageMeta, RELINK_DIR};
 pub use image::{
     decode_image, encode_image, CheckpointImage, FdRecord, ImageError, ImageKind, ProcessRecord,
     SocketRecord,

@@ -12,6 +12,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+use dv_fault::checksum::{fnv1a_update, FNV1A_BASIS};
 use dv_lsfs::{BlobStore, Filesystem, FsError};
 use dv_time::SharedClock;
 use dv_vee::{
@@ -311,14 +312,6 @@ pub fn revive(
     Ok((vee, report))
 }
 
-/// FNV-1a over `bytes`, folded into `hash`.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Fingerprints an engine's committed history and the state revived
 /// from its final checkpoint: FNV-1a over every image's counter and
 /// plaintext, then over the revived memory of each `(vpid, addr, len)`
@@ -334,14 +327,14 @@ pub fn restore_fingerprint(
     store: &mut BlobStore,
     regions: &[(Vpid, u64, usize)],
 ) -> Result<(u64, ReviveReport), ReviveError> {
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+    let mut fingerprint = FNV1A_BASIS;
     let mut last = None;
     for meta in engine.images() {
         let data = store
             .get(&meta.blob)
             .ok_or(ReviveError::MissingImage(meta.counter))?;
-        fnv1a(&mut fingerprint, &meta.counter.to_le_bytes());
-        fnv1a(&mut fingerprint, &image_plaintext(meta.counter, &data)?);
+        fingerprint = fnv1a_update(fingerprint, &meta.counter.to_le_bytes());
+        fingerprint = fnv1a_update(fingerprint, &image_plaintext(meta.counter, &data)?);
         last = Some(meta.counter);
     }
     let Some(last) = last else {
@@ -366,8 +359,8 @@ pub fn restore_fingerprint(
         let memory = revived
             .mem_read(vpid, addr, len)
             .map_err(|_| ReviveError::UnmappedRegion(vpid.0, addr))?;
-        fnv1a(&mut fingerprint, &vpid.0.to_le_bytes());
-        fnv1a(&mut fingerprint, &memory);
+        fingerprint = fnv1a_update(fingerprint, &vpid.0.to_le_bytes());
+        fingerprint = fnv1a_update(fingerprint, &memory);
     }
     Ok((fingerprint, report))
 }

@@ -157,8 +157,8 @@ impl DejaView {
         } = config;
         // The server always records observability: a disabled config
         // handle is upgraded to a session-time one so
-        // `DejaView::observability` and the registry-derived breakdowns
-        // work out of the box. A caller-supplied enabled handle (e.g.
+        // `DejaView::observability` and the registry-derived pipeline
+        // breakdown work out of the box. A caller-supplied enabled handle (e.g.
         // `Obs::wall` for profiling) is used as-is.
         let obs = if obs.is_enabled() {
             obs
@@ -299,9 +299,10 @@ impl DejaView {
 
     /// Snapshots the unified observability state: every counter, gauge
     /// and latency histogram in the registry plus the trace-event ring.
-    /// This replaces the ad-hoc per-component counters; the
-    /// [`DejaView::storage`] and [`DejaView::pipeline_stats`] breakdowns
-    /// are derived from the same registry.
+    /// The registry is the only copy of every work count (checkpoints,
+    /// commits, syncs, text events, driver commands);
+    /// [`DejaView::pipeline_stats`] reads it, while
+    /// [`DejaView::storage`] reads stored bytes off the stores.
     pub fn observability(&self) -> ObsSnapshot {
         self.obs.snapshot()
     }
@@ -412,37 +413,22 @@ impl DejaView {
 
     /// Replaces the display record's contents (archive restore); the
     /// recorder continues appending to it and playback state resets.
-    /// The `display.*` byte counters resynchronize to the restored
-    /// store so the registry-derived [`DejaView::storage`] stays exact.
+    /// [`DejaView::storage`] reads the restored store's bytes.
     pub fn install_record(&mut self, store: dv_record::RecordStore) {
         *self.record.write() = store;
         self.playback = self.playback();
         self.search_cache.clear();
-        let stats = self.recorder.lock().stats();
-        self.obs
-            .set_counter(names::DISPLAY_COMMAND_BYTES, stats.command_bytes);
-        self.obs
-            .set_counter(names::DISPLAY_SCREENSHOT_BYTES, stats.screenshot_bytes);
-        self.obs
-            .set_counter(names::DISPLAY_TIMELINE_BYTES, stats.timeline_bytes);
     }
 
     /// Replaces the session file system's contents (archive restore);
     /// the VEE's shared handle observes the restored state. The restored
-    /// file system inherits the server's observability handle and the
-    /// `lsfs.*` accounting resynchronizes to its recovered state.
+    /// file system inherits the server's observability handle, which
+    /// sets the `lsfs.snapshots` gauge to the snapshots it retains;
+    /// [`DejaView::storage`] reads the restored log's length.
     pub fn install_session_fs(&mut self, fs: Lsfs) {
         self.session_fs.with(|inner| *inner = fs);
         let obs = self.obs.clone();
-        let stats = self.session_fs.with(|fs| {
-            fs.set_obs(obs);
-            fs.stats()
-        });
-        self.obs
-            .set_counter(names::LSFS_DATA_BYTES, stats.data_bytes);
-        self.obs
-            .set_counter(names::LSFS_JOURNAL_BYTES, stats.journal_bytes);
-        self.obs.gauge_set(names::LSFS_SNAPSHOTS, stats.snapshots);
+        self.session_fs.with(|fs| fs.set_obs(obs));
     }
 
     /// The shared clipboard: "the user can copy and paste content
@@ -1059,19 +1045,24 @@ impl DejaView {
     }
 
     /// Returns the storage breakdown across all four record streams
-    /// (Figure 4), derived entirely from the observability registry:
-    /// every stream bumps its byte counters at the same points it
-    /// mutates its internal accounting, so the registry view is exact.
+    /// (Figure 4). Stored bytes are read off the stores that hold them —
+    /// the display record's three files, the main engine's image
+    /// metadata and the session disk's log — so an archive restore or a
+    /// log compaction, which replace a store wholesale, leave nothing to
+    /// resynchronize. The index bytes and the degradation events are
+    /// registry counters.
     pub fn storage(&self) -> StorageBreakdown {
         let c = |name| self.obs.counter(name);
+        let (checkpoint_raw_bytes, checkpoint_stored_bytes) =
+            self.engine.images().fold((0, 0), |(raw, stored), m| {
+                (raw + m.raw_bytes, stored + m.stored_bytes)
+            });
         StorageBreakdown {
-            display_bytes: c(names::DISPLAY_COMMAND_BYTES)
-                + c(names::DISPLAY_SCREENSHOT_BYTES)
-                + c(names::DISPLAY_TIMELINE_BYTES),
+            display_bytes: self.recorder.lock().total_bytes(),
             index_bytes: c(names::INDEX_BYTES),
-            checkpoint_raw_bytes: c(names::CHECKPOINT_RAW_BYTES),
-            checkpoint_stored_bytes: c(names::CHECKPOINT_STORED_BYTES),
-            fs_bytes: c(names::LSFS_DATA_BYTES) + c(names::LSFS_JOURNAL_BYTES),
+            checkpoint_raw_bytes,
+            checkpoint_stored_bytes,
+            fs_bytes: self.session_fs.with(|fs| fs.disk().read().bytes_written()),
             degraded_events: c(names::SERVER_DEGRADED_EVENTS)
                 + c(names::DISPLAY_DROPPED_COMMANDS)
                 + c(names::DISPLAY_DROPPED_KEYFRAMES),
@@ -1549,7 +1540,7 @@ mod tests {
         assert_eq!(obs.counter(names::CHECKPOINT_COMMIT_RETRIES), 1);
         assert_eq!(obs.events_named(names::EV_COMMIT_RETRY).len(), 1);
         assert_eq!(dv.degraded_events(), 0);
-        assert_eq!(dv.engine().stats().write_failures, 0);
+        assert_eq!(obs.counter(names::CHECKPOINT_WRITE_FAILURES), 0);
         // With no commit retries to spend the commit fails, and the
         // server's retry takes a second, forced-full checkpoint.
         let (dv, report) = tick_under(dv_checkpoint::EngineConfig {
@@ -1559,7 +1550,7 @@ mod tests {
         assert!(report.full && report.counter == 2);
         assert_eq!(dv.degraded_events(), 1);
         assert_eq!(dv.storage().degraded_events, 1);
-        assert_eq!(dv.engine().stats().write_failures, 1);
+        assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), 1);
     }
 
     #[test]
@@ -1583,7 +1574,7 @@ mod tests {
         // each one a commit that spent its own store-write retries.
         let attempts = 1 + IO_RETRY_LIMIT as u64;
         assert_eq!(dv.degraded_events(), attempts);
-        assert_eq!(dv.engine().stats().write_failures, attempts);
+        assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), attempts);
         assert_eq!(
             dv.observability().counter(names::CHECKPOINT_COMMIT_RETRIES),
             attempts * Config::default().engine.commit_retry_limit as u64

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dv_access::{AppId, Role, TextInstance, TextSink};
+use dv_fault::checksum::{fnv1a_update, FNV1A_BASIS};
 use dv_index::{IndexedInstance, TextIndex};
 use dv_obs::{names, Obs};
 use dv_time::Timestamp;
@@ -41,17 +42,10 @@ pub fn role_tag(role: Role) -> &'static str {
 /// Content fingerprint of a captured text state (FNV-1a over the
 /// fields that determine what the user saw).
 fn fingerprint(instance: &TextInstance) -> u64 {
-    fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-        for b in bytes {
-            h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = eat(h, &instance.app.0.to_le_bytes());
-    h = eat(h, instance.window.as_bytes());
-    h = eat(h, &[instance.role as u8]);
-    eat(h, instance.text.as_bytes())
+    let mut h = fnv1a_update(FNV1A_BASIS, &instance.app.0.to_le_bytes());
+    h = fnv1a_update(h, instance.window.as_bytes());
+    h = fnv1a_update(h, &[instance.role as u8]);
+    fnv1a_update(h, instance.text.as_bytes())
 }
 
 /// The live captures sharing one content fingerprint: the indexed

@@ -37,13 +37,10 @@ pub trait CommandSink: Send {
 /// (e.g. the recorder) after attaching it to the driver.
 pub type SharedSink = Arc<Mutex<dyn CommandSink>>;
 
-/// Cumulative driver statistics.
+/// Commands generated since creation, by kind. Their number and wire
+/// bytes are the `display.driver_*` counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DriverStats {
-    /// Commands generated since creation.
-    pub commands: u64,
-    /// Sum of wire sizes of generated commands.
-    pub bytes: u64,
     /// Raw pixel update commands.
     pub raw: u64,
     /// Screen-to-screen copies.
@@ -185,7 +182,7 @@ impl VirtualDisplayDriver {
     }
 
     /// Applies a pre-built command: updates the framebuffer, damage
-    /// tracking and statistics, then fans it out to all sinks.
+    /// tracking and counts, then fans it out to all sinks.
     pub fn submit(&mut self, cmd: DisplayCommand) {
         // A frame without pixels shows nothing, and the codec refuses to
         // decode one: it must not reach the sinks that encode what they
@@ -197,8 +194,6 @@ impl VirtualDisplayDriver {
         self.fb.apply(&cmd);
         self.damage
             .add(cmd.rect().intersect(&self.fb.screen_rect()));
-        self.stats.commands += 1;
-        self.stats.bytes += cmd.wire_size() as u64;
         self.obs.incr(names::DISPLAY_DRIVER_COMMANDS);
         self.obs
             .add(names::DISPLAY_DRIVER_BYTES, cmd.wire_size() as u64);
@@ -243,12 +238,20 @@ mod tests {
         (driver, log, clock)
     }
 
+    /// Installs a registry on `driver` and returns it.
+    fn counted(driver: &mut VirtualDisplayDriver) -> Obs {
+        let obs = Obs::sim();
+        driver.set_obs(obs.clone());
+        obs
+    }
+
     #[test]
     fn video_frame_without_pixels_reaches_no_sink() {
         let (mut driver, log, _clock) = driver_with_sink();
+        let obs = counted(&mut driver);
         driver.video_frame(Rect::new(0, 0, 8, 8), YuvFrame::from_luma(0, 3, Vec::new()));
         assert!(log.lock().is_empty());
-        assert_eq!(driver.stats().commands, 0);
+        assert_eq!(obs.counter(names::DISPLAY_DRIVER_COMMANDS), 0);
     }
 
     #[test]
@@ -299,15 +302,16 @@ mod tests {
     #[test]
     fn stats_count_kinds_and_bytes() {
         let (mut driver, _sink, _clock) = driver_with_sink();
+        let obs = counted(&mut driver);
         driver.fill_rect(Rect::new(0, 0, 2, 2), 1);
         driver.put_image(Rect::new(0, 0, 2, 2), vec![1, 2, 3, 4]);
         driver.copy_area(0, 0, Rect::new(5, 5, 2, 2));
         let stats = driver.stats();
-        assert_eq!(stats.commands, 3);
+        assert_eq!(obs.counter(names::DISPLAY_DRIVER_COMMANDS), 3);
         assert_eq!(stats.fills, 1);
         assert_eq!(stats.raw, 1);
         assert_eq!(stats.copies, 1);
-        assert!(stats.bytes > 0);
+        assert!(obs.counter(names::DISPLAY_DRIVER_BYTES) > 0);
     }
 
     #[test]

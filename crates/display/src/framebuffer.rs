@@ -2,6 +2,8 @@
 
 use std::sync::Arc;
 
+use dv_fault::checksum::{fnv1a_update, FNV1A_BASIS};
+
 use crate::command::{yuv_to_rgb, DisplayCommand, Pattern, Pixel, YuvFrame};
 use crate::coverage::{CoveragePass, BLOCK_H};
 use crate::rect::Rect;
@@ -79,14 +81,9 @@ impl Screenshot {
 
 /// FNV-1a over the little-endian bytes of `pixels`.
 fn fnv1a(pixels: &[Pixel]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for px in pixels {
-        for b in px.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    pixels.iter().fold(FNV1A_BASIS, |hash, px| {
+        fnv1a_update(hash, &px.to_le_bytes())
+    })
 }
 
 /// A `width` x `height` software framebuffer.

@@ -2,7 +2,8 @@
 //! checksum guarding journal record frames in `dv-lsfs`, `dv-net` wire
 //! frames, `dv-cas` root slots and the tidx/vidx segments. Lives here so
 //! the stores and the crash harness agree on one implementation without
-//! a dependency cycle.
+//! a dependency cycle. [`fnv1a_update`], the one FNV-1a, lives beside it
+//! for the same reason.
 //!
 //! The update is slicing-by-8: eight input bytes fold into the state
 //! with eight independent table loads, where the classic loop needs one
@@ -166,10 +167,36 @@ pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
+/// The FNV-1a (64-bit) state before any byte: its offset basis.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a (64-bit), streaming form: folds `data` into `state`. Start
+/// from [`FNV1A_BASIS`]; the state after the last chunk is the hash, so
+/// a hash over several fields is one update per field. Not a checksum
+/// for stored bytes — the content keys (screens, captured text,
+/// restored histories) that equality is judged by.
+#[inline]
+pub fn fnv1a_update(mut state: u64, data: &[u8]) -> u64 {
+    for &byte in data {
+        state = (state ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+    }
+    state
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::splitmix64;
+
+    /// The published FNV-1a 64-bit vectors, fed whole and in pieces.
+    #[test]
+    fn fnv1a_is_pinned() {
+        assert_eq!(fnv1a_update(FNV1A_BASIS, b""), FNV1A_BASIS);
+        assert_eq!(fnv1a_update(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_update(FNV1A_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        let pieces = fnv1a_update(fnv1a_update(FNV1A_BASIS, b"foo"), b"bar");
+        assert_eq!(pieces, 0x8594_4171_f739_67e8);
+    }
 
     /// The byte-at-a-time loop `crc32_update` replaced, kept as the
     /// reference the word-wise kernel must equal.

@@ -19,7 +19,8 @@
 //! - [`crash`] — power-cut surgery on serialized `Lsfs` images for
 //!   crash-consistency testing: truncate the log at an arbitrary byte
 //!   boundary and let recovery prove it lands on a valid prior state.
-//! - [`checksum`] — the CRC32 used by the journal record framing.
+//! - [`checksum`] — the CRC32 used by the journal record framing, and
+//!   the FNV-1a content hash.
 //! - [`reader`] — the one checked reader every stored and wire format
 //!   is decoded through, and its write side.
 //!

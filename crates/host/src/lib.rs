@@ -443,7 +443,12 @@ impl Host {
             .tenants
             .get_mut(&id)
             .ok_or(HostError::UnknownTenant(id))?;
-        let used = tenant.server.engine().stats().stored_bytes;
+        let used: u64 = tenant
+            .server
+            .engine()
+            .images()
+            .map(|m| m.stored_bytes)
+            .sum();
         if used >= tenant.quotas.storage_bytes {
             self.obs.incr(names::HOST_QUOTA_REJECTIONS);
             self.obs.event(
@@ -706,8 +711,10 @@ mod tests {
                 );
             }
         }
-        assert_eq!(host.session(a).unwrap().engine().stats().committed, 3);
-        assert_eq!(host.session(b).unwrap().engine().stats().committed, 3);
+        for id in [a, b] {
+            let obs = host.session(id).unwrap().obs();
+            assert_eq!(obs.counter(names::CHECKPOINT_COMMITTED), 3);
+        }
     }
 
     #[test]
@@ -800,7 +807,8 @@ mod tests {
         ));
         dirty_and_checkpoint(&mut host, free, 2);
         host.flush_session(free).unwrap();
-        assert_eq!(host.session(free).unwrap().engine().stats().committed, 2);
+        let free_obs = host.session(free).unwrap().obs();
+        assert_eq!(free_obs.counter(names::CHECKPOINT_COMMITTED), 2);
         let snap = host.obs().snapshot();
         assert_eq!(snap.counter(names::HOST_QUOTA_REJECTIONS), 1);
         let quota_events = snap.events_named(names::EV_HOST_QUOTA);

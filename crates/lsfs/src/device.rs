@@ -54,17 +54,6 @@ impl ReadLatency {
     }
 }
 
-/// Cumulative blob store statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BlobStats {
-    /// Total bytes written.
-    pub bytes_written: u64,
-    /// Reads served from the cache.
-    pub cache_hits: u64,
-    /// Reads that went to the backing store.
-    pub cache_misses: u64,
-}
-
 /// A named-blob store with a droppable read cache.
 ///
 /// # Examples
@@ -81,7 +70,6 @@ pub struct BlobStore {
     cas: Option<ChunkStore>,
     cache: HashMap<String, Arc<Vec<u8>>>,
     latency: Option<ReadLatency>,
-    stats: BlobStats,
     plane: FaultPlane,
     sleeper: Sleeper,
     obs: Obs,
@@ -95,7 +83,6 @@ impl BlobStore {
             cas: None,
             cache: HashMap::new(),
             latency: None,
-            stats: BlobStats::default(),
             plane: FaultPlane::disabled(),
             sleeper: Sleeper::Wall,
             obs: Obs::disabled(),
@@ -105,7 +92,7 @@ impl BlobStore {
     /// Creates a store layered on a [`dv_cas::ChunkStore`]: blobs are
     /// split into content-defined chunks deduplicated across names
     /// (and, through [`SharedBlobStore`], across tenants). Logical
-    /// semantics — contents, names, `bytes_written` accounting — are
+    /// semantics — contents, names, `lsfs.blob_put_bytes` accounting — are
     /// those of [`in_memory`](BlobStore::in_memory);
     /// [`cas_stats`](BlobStore::cas_stats) exposes the physical side.
     pub fn in_memory_deduped() -> Self {
@@ -201,7 +188,6 @@ impl BlobStore {
                 mutated = true;
             }
         }
-        self.stats.bytes_written += data.len() as u64;
         if let Some(cas) = &mut self.cas {
             // A blob-layer fault invalidates any precomputed split.
             let result = match spans.filter(|_| !mutated) {
@@ -241,14 +227,12 @@ impl BlobStore {
             return None;
         }
         let data = if let Some(data) = self.cache.get(name) {
-            self.stats.cache_hits += 1;
             data.clone()
         } else {
             let data = match &mut self.cas {
                 Some(cas) => Arc::new(cas.get(name)?),
                 None => self.backing.get(name)?.clone(),
             };
-            self.stats.cache_misses += 1;
             if let Some(model) = self.latency {
                 let mut cost = model.cost(data.len());
                 if let Some(IoFault::LatencySpike) = fault {
@@ -294,7 +278,7 @@ impl BlobStore {
     /// Clones a blob to a new name in O(1) — under dedup a manifest
     /// refcount bump (the rucksdb snapshot trick), otherwise an `Arc`
     /// clone. Returns `false` if `src` does not exist. Clones are not
-    /// writes: `bytes_written` is unchanged.
+    /// writes: `lsfs.blob_put_bytes` is unchanged.
     pub fn clone_blob(&mut self, src: &str, dst: &str) -> bool {
         let ok = match &mut self.cas {
             Some(cas) => cas.clone_blob(src, dst),
@@ -316,11 +300,6 @@ impl BlobStore {
     /// the "uncached" condition of Figure 7.
     pub fn drop_caches(&mut self) {
         self.cache.clear();
-    }
-
-    /// Returns cumulative statistics.
-    pub fn stats(&self) -> BlobStats {
-        self.stats
     }
 
     /// Lists blob names in unspecified order.
@@ -519,19 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_miss_accounting() {
-        let mut store = BlobStore::in_memory();
-        store.put("a", vec![0; 100]).unwrap();
-        store.get("a");
-        assert_eq!(store.stats().cache_hits, 1);
-        store.drop_caches();
-        store.get("a");
-        assert_eq!(store.stats().cache_misses, 1);
-        store.get("a");
-        assert_eq!(store.stats().cache_hits, 2, "miss refills the cache");
-    }
-
-    #[test]
     fn latency_model_slows_uncached_reads() {
         use dv_time::{Clock, SimClock, Timestamp};
         let model = ReadLatency {
@@ -546,11 +512,11 @@ mod tests {
         assert_eq!(clock.now(), Timestamp::ZERO, "a cached read is free");
         store.drop_caches();
         store.get("a");
-        assert_eq!(
-            clock.now(),
-            Timestamp::ZERO.saturating_add(model.cost(1024))
-        );
+        let missed = Timestamp::ZERO.saturating_add(model.cost(1024));
+        assert_eq!(clock.now(), missed);
         assert!(model.cost(1024) > Duration::from_millis(5));
+        store.get("a");
+        assert_eq!(clock.now(), missed, "a miss refills the cache");
     }
 
     #[test]
@@ -608,11 +574,13 @@ mod tests {
 
     #[test]
     fn bytes_written_accumulates() {
+        let obs = Obs::sim();
         let mut store = BlobStore::in_memory();
+        store.set_obs(obs.clone());
         store.put("a", vec![0; 10]).unwrap();
         store.put("b", vec![0; 30]).unwrap();
         store.put("a", vec![0; 5]).unwrap();
-        assert_eq!(store.stats().bytes_written, 45);
+        assert_eq!(obs.counter(dv_obs::names::LSFS_BLOB_PUT_BYTES), 45);
     }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -631,14 +599,16 @@ mod tests {
     #[test]
     fn deduped_store_keeps_logical_semantics() {
         let data = pseudo_random(100_000, 1);
+        let obs = Obs::sim();
         let mut store = BlobStore::in_memory_deduped();
+        store.set_obs(obs.clone());
         store.put("a", data.clone()).unwrap();
         store.put("b", data.clone()).unwrap();
         store.put("a", vec![0; 10]).unwrap();
         assert_eq!(
-            store.stats().bytes_written,
+            obs.counter(dv_obs::names::LSFS_BLOB_PUT_BYTES),
             2 * data.len() as u64 + 10,
-            "bytes_written stays logical under dedup"
+            "bytes written stay logical under dedup"
         );
         store.drop_caches();
         assert_eq!(&**store.get("b").unwrap(), &data);
@@ -670,16 +640,19 @@ mod tests {
     fn clone_blob_works_in_both_modes() {
         let data = pseudo_random(60_000, 4);
         for deduped in [false, true] {
+            let obs = Obs::sim();
             let mut store = if deduped {
                 BlobStore::in_memory_deduped()
             } else {
                 BlobStore::in_memory()
             };
+            store.set_obs(obs.clone());
             store.put("src", data.clone()).unwrap();
-            let written = store.stats().bytes_written;
+            let written = || obs.counter(dv_obs::names::LSFS_BLOB_PUT_BYTES);
+            let before = written();
             assert!(store.clone_blob("src", "snap"));
             assert!(!store.clone_blob("missing", "x"));
-            assert_eq!(store.stats().bytes_written, written, "clone is not a write");
+            assert_eq!(written(), before, "clone is not a write");
             store.drop_caches();
             assert_eq!(&**store.get("snap").unwrap(), &data);
             assert!(store.delete("src"));

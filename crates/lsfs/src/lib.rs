@@ -43,12 +43,12 @@ mod table;
 pub mod union;
 pub mod vfs;
 
-pub use device::{BlobStats, BlobStore, ReadLatency, SharedBlobStore};
+pub use device::{BlobStore, ReadLatency, SharedBlobStore};
 pub use disk::{shared_disk, Disk, SharedDisk};
 pub use dv_cas::{CasStats, GcStep as CasGcStep};
 pub use error::{FsError, FsResult};
 pub use gc::GcStats;
-pub use lsfs::{Lsfs, LsfsStats, BLOCK_SIZE, MAX_FILE_SIZE};
+pub use lsfs::{Lsfs, BLOCK_SIZE, MAX_FILE_SIZE};
 pub use memfs::MemFs;
 pub use ro::ReadOnlyFs;
 pub use sealed::{

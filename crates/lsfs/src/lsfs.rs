@@ -298,19 +298,6 @@ impl FsState {
     }
 }
 
-/// Storage accounting for the file system log (Figure 4's "FS" series).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LsfsStats {
-    /// Bytes of file data appended to the log.
-    pub data_bytes: u64,
-    /// Bytes of journal records appended to the log.
-    pub journal_bytes: u64,
-    /// Number of snapshot points taken.
-    pub snapshots: u64,
-    /// Number of sync transactions committed.
-    pub syncs: u64,
-}
-
 /// The live, writable log-structured file system.
 ///
 /// # Examples
@@ -338,7 +325,6 @@ pub struct Lsfs {
     pins: HashMap<u64, u32>,
     pub(crate) snapshots: BTreeMap<u64, FsState>,
     pub(crate) last_journal: u64,
-    stats: LsfsStats,
     plane: FaultPlane,
     obs: Obs,
 }
@@ -361,7 +347,6 @@ impl Lsfs {
             pins: HashMap::new(),
             snapshots: BTreeMap::new(),
             last_journal: NO_PREV,
-            stats: LsfsStats::default(),
             plane: FaultPlane::disabled(),
             obs: Obs::disabled(),
         }
@@ -377,10 +362,14 @@ impl Lsfs {
     }
 
     /// Installs the observability handle: journal, data, and snapshot
-    /// commits are mirrored into the `lsfs.*` metrics, and injected
-    /// faults on this filesystem's plane become traced events.
+    /// commits are counted into the `lsfs.*` metrics, the
+    /// `lsfs.snapshots` gauge starts at the snapshots this file system
+    /// retains (so a recovered or loaded one reports its own level),
+    /// and injected faults on this filesystem's plane become traced
+    /// events.
     pub fn set_obs(&mut self, obs: Obs) {
         self.plane.set_obs(obs.clone());
+        obs.gauge_set(dv_obs::names::LSFS_SNAPSHOTS, self.snapshots.len() as u64);
         self.obs = obs;
     }
 
@@ -491,11 +480,6 @@ impl Lsfs {
         Ok(Lsfs::recover_scan(disk))
     }
 
-    /// Returns storage accounting counters.
-    pub fn stats(&self) -> LsfsStats {
-        self.stats
-    }
-
     /// Returns the offset of the most recent journal record, for
     /// [`Lsfs::recover`]. [`crate::journal::NO_PREV`] if none.
     pub fn journal_head(&self) -> u64 {
@@ -512,7 +496,6 @@ impl Lsfs {
     /// already names a snapshot is re-pointed, not counted again.
     fn retain_snapshot(&mut self, counter: u64) {
         if self.snapshots.insert(counter, self.state.clone()).is_none() {
-            self.stats.snapshots += 1;
             self.obs.gauge_add(dv_obs::names::LSFS_SNAPSHOTS, 1);
         }
     }
@@ -522,7 +505,6 @@ impl Lsfs {
     pub fn drop_snapshot(&mut self, counter: u64) -> bool {
         let removed = self.snapshots.remove(&counter).is_some();
         if removed {
-            self.stats.snapshots -= 1;
             self.obs.gauge_sub(dv_obs::names::LSFS_SNAPSHOTS, 1);
         }
         removed
@@ -575,7 +557,6 @@ impl Lsfs {
         }
         let offset = self.disk.write().append(&record)?;
         self.last_journal = offset;
-        self.stats.journal_bytes += record.len() as u64;
         self.obs
             .add(dv_obs::names::LSFS_JOURNAL_BYTES, record.len() as u64);
         self.obs.incr(dv_obs::names::LSFS_JOURNAL_COMMITS);
@@ -963,7 +944,6 @@ impl Filesystem for Lsfs {
                     }
                     match disk.append(block) {
                         Ok(off) => {
-                            self.stats.data_bytes += block.len() as u64;
                             self.obs
                                 .add(dv_obs::names::LSFS_DATA_BYTES, block.len() as u64);
                             extents.push((*idx, off));
@@ -994,7 +974,6 @@ impl Filesystem for Lsfs {
                 return Err(e);
             }
         }
-        self.stats.syncs += 1;
         self.obs.incr(dv_obs::names::LSFS_SYNCS);
         Ok(())
     }
@@ -1149,17 +1128,23 @@ mod tests {
 
     #[test]
     fn data_log_grows_monotonically() {
+        use dv_obs::names::{LSFS_DATA_BYTES, LSFS_JOURNAL_BYTES};
+        let obs = Obs::sim();
         let mut fs = Lsfs::new();
+        fs.set_obs(obs.clone());
         fs.write_all("/f", &vec![1u8; 8192]).unwrap();
         fs.sync().unwrap();
-        let s1 = fs.stats();
-        assert_eq!(s1.data_bytes, 8192);
+        let journal = obs.counter(LSFS_JOURNAL_BYTES);
+        assert_eq!(obs.counter(LSFS_DATA_BYTES), 8192);
         fs.write_at("/f", 0, &[2u8; 1]).unwrap();
         fs.sync().unwrap();
-        let s2 = fs.stats();
         // Overwriting one byte rewrites exactly one block to the log.
-        assert_eq!(s2.data_bytes, 8192 + BLOCK_SIZE as u64);
-        assert!(s2.journal_bytes > s1.journal_bytes);
+        assert_eq!(obs.counter(LSFS_DATA_BYTES), 8192 + BLOCK_SIZE as u64);
+        assert!(obs.counter(LSFS_JOURNAL_BYTES) > journal);
+        assert_eq!(
+            fs.disk().read().bytes_written(),
+            obs.counter(LSFS_DATA_BYTES) + obs.counter(LSFS_JOURNAL_BYTES)
+        );
     }
 
     #[test]
@@ -1203,14 +1188,16 @@ mod tests {
 
     #[test]
     fn sync_is_idempotent_when_clean() {
+        use dv_obs::names::{LSFS_DATA_BYTES, LSFS_SYNCS};
+        let obs = Obs::sim();
         let mut fs = Lsfs::new();
+        fs.set_obs(obs.clone());
         fs.write_all("/f", b"x").unwrap();
         fs.sync().unwrap();
-        let before = fs.stats();
+        let before = (obs.counter(LSFS_DATA_BYTES), obs.counter(LSFS_SYNCS));
         fs.sync().unwrap();
-        let after = fs.stats();
-        assert_eq!(before.data_bytes, after.data_bytes);
-        assert_eq!(before.syncs, after.syncs);
+        let after = (obs.counter(LSFS_DATA_BYTES), obs.counter(LSFS_SYNCS));
+        assert_eq!(before, after);
     }
 
     #[test]
@@ -1362,14 +1349,17 @@ mod tests {
         fs.write_all("/f", b"two").unwrap();
         fs.snapshot_point(1).unwrap();
         assert_eq!(fs.snapshot_counters(), vec![1]);
-        assert_eq!(fs.stats().snapshots, 1);
         assert_eq!(obs.gauge(dv_obs::names::LSFS_SNAPSHOTS), 1);
         assert_eq!(fs.snapshot(1).unwrap().read_all("/f").unwrap(), b"two");
-        // Replay of the two marks agrees.
-        let recovered = Lsfs::recover(fs.disk(), fs.journal_head()).unwrap();
-        assert_eq!(recovered.stats().snapshots, 1);
+        // Replay of the two marks agrees, and the recovered file system
+        // reports its own level to the handle it is given.
+        let mut recovered = Lsfs::recover(fs.disk(), fs.journal_head()).unwrap();
+        assert_eq!(recovered.snapshot_counters(), vec![1]);
+        let reopened = Obs::sim();
+        recovered.set_obs(reopened.clone());
+        assert_eq!(reopened.gauge(dv_obs::names::LSFS_SNAPSHOTS), 1);
         assert!(fs.drop_snapshot(1));
-        assert_eq!(fs.stats().snapshots, 0);
+        assert!(fs.snapshot_counters().is_empty());
         assert_eq!(obs.gauge(dv_obs::names::LSFS_SNAPSHOTS), 0);
     }
 }

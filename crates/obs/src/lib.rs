@@ -131,8 +131,10 @@ impl Obs {
         }
     }
 
-    /// Overwrites counter `name` — used to resynchronize the registry
-    /// when an archive restore replaces component state wholesale.
+    /// Overwrites counter `name`, for a counter that restarts at a
+    /// component's own footprint: `index.bytes` when the sharded index
+    /// resumes a shard. Stored bytes are not resynchronized this way;
+    /// they are read off the stores that hold them.
     pub fn set_counter(&self, name: &'static str, v: u64) {
         if let Some(inner) = &self.inner {
             inner.registry.counter_set(name, v);

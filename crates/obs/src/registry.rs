@@ -167,8 +167,7 @@ impl Registry {
         cell(&self.counters, name).fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Overwrites the counter `name` (used to resynchronize after an
-    /// archive restore replaces component state wholesale).
+    /// Overwrites the counter `name` (see `Obs::set_counter`).
     pub fn counter_set(&self, name: &'static str, v: u64) {
         cell(&self.counters, name).store(v, Ordering::Relaxed);
     }

@@ -107,12 +107,6 @@ pub struct RecordStats {
     pub keyframes: u64,
     /// Bytes in the timeline index.
     pub timeline_bytes: u64,
-    /// Commands lost to injected log-append failures; recording
-    /// continued past them.
-    pub dropped_commands: u64,
-    /// Keyframes skipped because persisting the screenshot or timeline
-    /// entry failed.
-    pub dropped_keyframes: u64,
     /// Keyframes skipped because the screen content was byte-identical
     /// to the previous keyframe (a full-screen redraw of unchanged
     /// content passes the damage gate but stores nothing new).
@@ -141,8 +135,6 @@ pub struct DisplayRecorder {
     damage_since_keyframe: Region,
     plane: FaultPlane,
     obs: Obs,
-    dropped_commands: u64,
-    dropped_keyframes: u64,
     skipped_identical_keyframes: u64,
     /// Called with every persisted keyframe (time + screenshot); the
     /// visual-recall index hangs off this without the recorder knowing
@@ -178,8 +170,6 @@ impl DisplayRecorder {
             damage_since_keyframe: Region::new(),
             plane: FaultPlane::disabled(),
             obs: Obs::disabled(),
-            dropped_commands: 0,
-            dropped_keyframes: 0,
             skipped_identical_keyframes: 0,
             keyframe_hook: None,
         }
@@ -221,8 +211,6 @@ impl DisplayRecorder {
             screenshot_bytes: store.shots.byte_len(),
             keyframes: store.shots.len(),
             timeline_bytes: store.timeline.byte_len(),
-            dropped_commands: self.dropped_commands,
-            dropped_keyframes: self.dropped_keyframes,
             skipped_identical_keyframes: self.skipped_identical_keyframes,
         }
     }
@@ -245,7 +233,6 @@ impl DisplayRecorder {
         let _span = self.obs.span("display", names::DISPLAY_FLUSH);
         match self.plane.check(sites::RECORD_LOG_APPEND) {
             Some(IoFault::Enospc) | Some(IoFault::TornWrite) | Some(IoFault::ShortRead) => {
-                self.dropped_commands += entries.len() as u64;
                 self.obs
                     .add(names::DISPLAY_DROPPED_COMMANDS, entries.len() as u64);
                 return;
@@ -327,7 +314,6 @@ impl DisplayRecorder {
             Some(IoFault::Enospc) | Some(IoFault::TornWrite) | Some(IoFault::ShortRead)
         );
         if screenshot_fault {
-            self.dropped_keyframes += 1;
             self.obs.incr(names::DISPLAY_DROPPED_KEYFRAMES);
             self.last_keyframe = Some(now);
             return;
@@ -347,7 +333,6 @@ impl DisplayRecorder {
             Some(IoFault::Enospc) | Some(IoFault::TornWrite) | Some(IoFault::ShortRead) => {
                 // The screenshot bytes are orphaned but unreferenced; the
                 // timeline stays consistent with only complete keyframes.
-                self.dropped_keyframes += 1;
                 self.obs.incr(names::DISPLAY_DROPPED_KEYFRAMES);
                 self.last_keyframe = Some(now);
                 return;
@@ -590,7 +575,10 @@ mod tests {
     #[test]
     fn orphaned_screenshot_is_not_the_comparison_target() {
         use dv_fault::FaultPlan;
+        let obs = Obs::sim();
+        let dropped = || obs.counter(names::DISPLAY_DROPPED_KEYFRAMES);
         let mut rec = DisplayRecorder::new(64, 64, RecorderConfig::default());
+        rec.set_obs(obs.clone());
         // The initial keyframe is the timeline write's first check.
         rec.set_fault_plane(
             FaultPlan::new(1)
@@ -599,14 +587,13 @@ mod tests {
         );
         rec.submit(ts(0), &fill(Rect::new(0, 0, 64, 64), 7));
         rec.force_keyframe(ts(1_000));
-        let orphaned = rec.stats();
-        assert_eq!((orphaned.keyframes, orphaned.dropped_keyframes), (2, 1));
+        assert_eq!((rec.stats().keyframes, dropped()), (2, 1));
         assert_eq!(rec.record().read().timeline.len(), 1);
         // Same screen as the orphan, but not as the keyframe at ts(0).
         rec.force_keyframe(ts(2_000));
         let stored = rec.stats();
         assert_eq!(stored.skipped_identical_keyframes, 0);
-        assert_eq!((stored.keyframes, stored.dropped_keyframes), (3, 1));
+        assert_eq!((stored.keyframes, dropped()), (3, 1));
         rec.force_keyframe(ts(3_000));
         assert_eq!(rec.stats().skipped_identical_keyframes, 1);
         let record = rec.record();
@@ -634,7 +621,9 @@ mod tests {
             .fail_nth(sites::RECORD_SCREENSHOT_PERSIST, 3, IoFault::TornWrite)
             .fail_nth(sites::RECORD_TIMELINE_PERSIST, 3, IoFault::ShortRead)
             .build();
+        let obs = Obs::sim();
         let mut rec = DisplayRecorder::new(64, 64, RecorderConfig::default());
+        rec.set_obs(obs.clone());
         rec.set_fault_plane(plane.clone());
         // (draw this colour first, or nothing) then force a keyframe.
         let script = [
@@ -662,7 +651,7 @@ mod tests {
                 checks(sites::RECORD_TIMELINE_PERSIST),
                 stats.keyframes,
                 stats.skipped_identical_keyframes,
-                stats.dropped_keyframes,
+                obs.counter(names::DISPLAY_DROPPED_KEYFRAMES),
             ));
         }
         assert_eq!(

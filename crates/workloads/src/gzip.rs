@@ -149,6 +149,6 @@ mod tests {
         let output = dv.vee().fs.stat("/var/log/access.log.gz").unwrap().size;
         assert!(output > 0 && output < input);
         // Very little display activity.
-        assert!(dv.driver_mut().stats().commands < 30);
+        assert!(dv.obs().counter(dv_obs::names::DISPLAY_DRIVER_COMMANDS) < 30);
     }
 }

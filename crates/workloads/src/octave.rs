@@ -118,6 +118,6 @@ mod tests {
         let report = summary.reports.last().unwrap();
         assert!(report.raw_bytes > 1 << 20, "{}", report.raw_bytes);
         // Display stream is tiny.
-        assert!(dv.driver_mut().stats().commands < 20);
+        assert!(dv.obs().counter(dv_obs::names::DISPLAY_DRIVER_COMMANDS) < 20);
     }
 }

@@ -126,7 +126,7 @@ mod tests {
         let stats = dv.driver_mut().stats();
         assert_eq!(stats.video_frames, 72);
         // ~24 commands per second: a modest rate.
-        assert!(stats.commands < 80);
+        assert!(dv.obs().counter(dv_obs::names::DISPLAY_DRIVER_COMMANDS) < 80);
         assert!(summary.checkpoints >= 2);
     }
 

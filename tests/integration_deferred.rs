@@ -15,6 +15,7 @@ mod common;
 use dv_checkpoint::{revive, Checkpointer, EngineConfig, NetworkPolicy};
 use dv_fault::{sites, FaultPlan, IoFault};
 use dv_lsfs::{FsError, Lsfs, SharedBlobStore};
+use dv_obs::{names, Obs};
 use dv_time::SimClock;
 use dv_vee::{HostPidAllocator, Prot, Vee, Vpid, PAGE_SIZE};
 
@@ -61,6 +62,8 @@ fn commits_in_flight_are_isolated_from_later_writes() {
     let store = SharedBlobStore::in_memory();
     let pool = config.commit_pool(store.clone(), &clock);
     let mut engine = Checkpointer::new(config, pool, clock.clone());
+    let obs = Obs::sim();
+    engine.set_obs(obs.clone());
 
     let rounds = 8u64;
     let mut captured = Vec::new();
@@ -79,10 +82,9 @@ fn commits_in_flight_are_isolated_from_later_writes() {
     }
     engine.flush().unwrap();
 
-    let stats = engine.stats();
-    assert_eq!(stats.queued, rounds);
-    assert_eq!(stats.committed, rounds);
-    assert_eq!(stats.write_failures, 0);
+    assert_eq!(obs.counter(names::CHECKPOINT_QUEUED), rounds);
+    assert_eq!(obs.counter(names::CHECKPOINT_COMMITTED), rounds);
+    assert_eq!(obs.counter(names::CHECKPOINT_WRITE_FAILURES), 0);
 
     for round in 1..=rounds {
         let chain = engine.chain_for(round).expect("chain");
@@ -131,6 +133,8 @@ fn drain_under_fault_accounts_every_queued_image() {
     let store = SharedBlobStore::in_memory();
     let pool = config.commit_pool(store.clone(), &clock);
     let mut engine = Checkpointer::new(config, pool, clock.clone());
+    let obs = Obs::sim();
+    engine.set_obs(obs.clone());
     engine.set_fault_plane(plane);
 
     // Hold the store lock while every round enqueues: the worker's
@@ -150,12 +154,14 @@ fn drain_under_fault_accounts_every_queued_image() {
     assert_eq!(engine.flush(), Err(FsError::NoSpace));
 
     // Accounting: nothing queued goes missing.
-    let stats = engine.stats();
-    assert_eq!(stats.queued, rounds);
-    assert_eq!(stats.queued, stats.committed + stats.write_failures);
-    assert_eq!(stats.committed, 2, "commits before the fault survive");
+    let queued = obs.counter(names::CHECKPOINT_QUEUED);
+    let committed = obs.counter(names::CHECKPOINT_COMMITTED);
+    let write_failures = obs.counter(names::CHECKPOINT_WRITE_FAILURES);
+    assert_eq!(queued, rounds);
+    assert_eq!(queued, committed + write_failures);
+    assert_eq!(committed, 2, "commits before the fault survive");
     assert_eq!(
-        stats.write_failures, 4,
+        write_failures, 4,
         "one direct failure plus three cascaded incrementals"
     );
 

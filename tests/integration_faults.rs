@@ -135,7 +135,7 @@ fn every_site_and_fault_degrades_gracefully() {
                 // A store fault the commit step's retry absorbed is
                 // counted there.
                 let visible = dv.storage().degraded_events
-                    + dv.engine().stats().write_failures
+                    + dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES)
                     + dv.observability().counter(names::CHECKPOINT_COMMIT_RETRIES)
                     + fs_errors;
                 assert!(visible > 0, "{label}: {injected} faults left no trace");
@@ -194,7 +194,7 @@ fn failed_snapshot_point_is_retried_into_a_faithful_checkpoint() {
     }
     assert_eq!(plane.injected_at(sites::LSFS_JOURNAL_COMMIT), 1);
     assert_eq!(dv.degraded_events(), 1, "one failed attempt, counted");
-    assert_eq!(dv.engine().stats().write_failures, 1);
+    assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), 1);
     assert_eq!(runnable(&dv), running);
     assert!(
         reports[1].full,

@@ -129,16 +129,15 @@ fn run(fault: Option<IoFault>, pool: HostConfig) -> RunOutcome {
         degraded: Vec::new(),
     };
     for (slot, &id) in ids.iter().enumerate() {
-        let stats = host
-            .session(id)
-            .expect("registered tenant")
-            .engine()
-            .stats();
-        out.checkpoints.push(stats.checkpoints);
-        out.committed.push(stats.committed);
-        out.async_commit_nanos.push(stats.async_commit_nanos);
-        out.degraded
-            .push(host.degraded_events(id).expect("registered tenant") + stats.write_failures);
+        let obs = host.session(id).expect("registered tenant").obs();
+        out.checkpoints.push(obs.counter(names::CHECKPOINT_COUNT));
+        out.committed.push(obs.counter(names::CHECKPOINT_COMMITTED));
+        out.async_commit_nanos
+            .push(obs.counter(names::CHECKPOINT_ASYNC_COMMIT_NANOS));
+        out.degraded.push(
+            host.degraded_events(id).expect("registered tenant")
+                + obs.counter(names::CHECKPOINT_WRITE_FAILURES),
+        );
         let (vpid, addr) = procs[slot];
         let fp = if slot == 0 && fault.is_some() {
             // The faulted tenant's record is allowed to be partial (or

@@ -1,7 +1,8 @@
 //! Observability integration: the dv-obs spine must give one coherent
 //! account of a session — injected storage faults surface as BOTH
-//! traced ring events AND bumped counters, and the server's breakdown
-//! accessors agree with the registry they are derived from.
+//! traced ring events AND bumped counters, the pipeline breakdown
+//! agrees with the registry it reads, and the storage breakdown with
+//! the stores it reads, also after a store is replaced wholesale.
 
 mod common;
 
@@ -138,4 +139,81 @@ fn storage_breakdown_matches_registry_counters() {
         pipeline.sync_downtime.as_nanos(),
         snap.counter(names::CHECKPOINT_SYNC_DOWNTIME_NANOS)
     );
+}
+
+/// What the stores hold, as `(display, checkpoint raw, checkpoint
+/// stored, fs)`: the display record's three files, the main engine's
+/// image metadata and the session disk's log.
+fn held(dv: &DejaView) -> (u64, u64, u64, u64) {
+    let record = dv.record();
+    let record = record.read();
+    let images = || dv.engine().images();
+    (
+        record.log.byte_len() + record.shots.byte_len() + record.timeline.byte_len(),
+        images().map(|m| m.raw_bytes).sum(),
+        images().map(|m| m.stored_bytes).sum(),
+        dv.session_fs_handle()
+            .with(|fs| fs.disk().read().bytes_written()),
+    )
+}
+
+/// [`DejaView::storage`] in the order [`held`] reads the stores.
+fn split(dv: &DejaView) -> (u64, u64, u64, u64) {
+    let s = dv.storage();
+    (
+        s.display_bytes,
+        s.checkpoint_raw_bytes,
+        s.checkpoint_stored_bytes,
+        s.fs_bytes,
+    )
+}
+
+/// An archive restore and a log compaction each replace a store
+/// wholesale; the storage split still reports what the stores hold.
+#[test]
+fn storage_split_matches_the_stores_after_restore_and_compaction() {
+    let mut dv = server_with(FaultPlane::disabled());
+    setup(&mut dv);
+    dv.vee_mut().fs.mkdir_all("/data").unwrap();
+    for round in 1..=3u8 {
+        dv.vee_mut()
+            .fs
+            .write_all("/data/file", &vec![round; 8 << 10])
+            .unwrap();
+        dv.driver_mut()
+            .fill_rect(Rect::new(0, 0, W, H), u32::from(round));
+        dv.clock().advance(Duration::from_secs(1));
+        dv.checkpoint_now().unwrap();
+    }
+    dv.force_keyframe();
+    let recorded = split(&dv);
+    assert_eq!(recorded, held(&dv));
+    let (display, raw, stored, fs) = recorded;
+    assert!(
+        display > 0 && raw > 0 && stored > 0 && fs > 0,
+        "{recorded:?}"
+    );
+
+    // The restored server holds what the saved one did.
+    let archive = dv.save_archive().unwrap();
+    let saved = split(&dv);
+    let mut restored = DejaView::load_archive(
+        Config {
+            width: W,
+            height: H,
+            ..Config::default()
+        },
+        &archive,
+    )
+    .unwrap();
+    assert_eq!(split(&restored), held(&restored));
+    assert_eq!(split(&restored), saved);
+
+    // Compaction shrinks the log, and the split follows it down.
+    let last = restored.engine().images().last().unwrap().counter;
+    assert!(restored.retire_snapshots_before(last) > 0);
+    let reclaimed = restored.compact_storage().unwrap();
+    assert!(reclaimed > 0);
+    assert_eq!(split(&restored), held(&restored));
+    assert_eq!(split(&restored).3, saved.3 - reclaimed);
 }

@@ -19,6 +19,7 @@ use dv_checkpoint::{
 };
 use dv_fault::{sites, FaultPlan, FaultPlane, IoFault};
 use dv_lsfs::{Lsfs, SharedBlobStore};
+use dv_obs::{names, Obs};
 use dv_time::SimClock;
 use dv_vee::{HostPidAllocator, Page, Prot, Vee, Vpid, PAGE_SIZE};
 
@@ -476,15 +477,22 @@ proptest! {
                 commit_retry_limit,
                 ..engine_config(true, workers)
             });
+            let obs = Obs::sim();
+            h.engine.set_obs(obs.clone());
             h.engine.set_fault_plane(plane.clone());
             h.settle_each = true;
             for op in ops.iter().chain([&MemOp::Checkpoint]) {
                 h.apply(op);
             }
-            let stats = h.engine.stats();
+            let c = |name| obs.counter(name);
             (
                 h.retained(),
-                (stats.checkpoints, stats.full_checkpoints, stats.committed, stats.write_failures),
+                (
+                    c(names::CHECKPOINT_COUNT),
+                    c(names::CHECKPOINT_FULL),
+                    c(names::CHECKPOINT_COMMITTED),
+                    c(names::CHECKPOINT_WRITE_FAILURES),
+                ),
                 plane.injected_at(sites::CHECKPOINT_IMAGE_ENCODE),
                 plane.injected_at(sites::CHECKPOINT_WRITEBACK),
             )

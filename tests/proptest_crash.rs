@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use dv_checkpoint::{revive, Checkpointer, EngineConfig, NetworkPolicy};
 use dv_fault::{crash, sites, FaultPlan, IoFault};
 use dv_lsfs::{FileType, Filesystem, Lsfs, SharedBlobStore};
+use dv_obs::{names, Obs};
 use dv_time::SimClock;
 use dv_vee::{HostPidAllocator, Prot, Vee, PAGE_SIZE};
 
@@ -218,6 +219,8 @@ proptest! {
         };
         let store = SharedBlobStore::in_memory();
         let mut engine = Checkpointer::new(config, config.commit_pool(store.clone(), &clock), clock.clone());
+        let obs = Obs::sim();
+        engine.set_obs(obs.clone());
         engine.set_fault_plane(plane);
 
         // Deterministic writes per round, captured-state snapshots taken
@@ -238,8 +241,7 @@ proptest! {
 
         // The crash: at least one deferred commit failed.
         prop_assert!(engine.flush().is_err());
-        let stats = engine.stats();
-        prop_assert_eq!(stats.write_failures, rounds - crash_at + 1);
+        prop_assert_eq!(obs.counter(names::CHECKPOINT_WRITE_FAILURES), rounds - crash_at + 1);
 
         // Retained history is exactly the committed prefix; failed and
         // cascaded counters leave no metadata and no blob behind.
