@@ -498,6 +498,32 @@ mod tests {
     }
 
     #[test]
+    fn cache_hit_miss_accounting() {
+        // Reads are counted by `lsfs.blob_gets`; misses are the reads
+        // that paid the latency model, hits the rest.
+        use dv_time::{Clock, SimClock};
+        let model = ReadLatency {
+            seek: Duration::from_millis(5),
+            per_mib: Duration::from_millis(1),
+        };
+        let obs = Obs::sim();
+        let clock = SimClock::new();
+        let mut store = BlobStore::with_latency(model);
+        store.set_obs(obs.clone());
+        store.set_sleeper(Sleeper::Sim(clock.clone()));
+        store.put("a", vec![0; 100]).unwrap();
+        let misses = || clock.now().as_nanos() / model.cost(100).as_nanos();
+        let hits = || obs.counter(dv_obs::names::LSFS_BLOB_GETS) - misses();
+        store.get("a");
+        assert_eq!(hits(), 1);
+        store.drop_caches();
+        store.get("a");
+        assert_eq!(misses(), 1);
+        store.get("a");
+        assert_eq!(hits(), 2, "miss refills the cache");
+    }
+
+    #[test]
     fn latency_model_slows_uncached_reads() {
         use dv_time::{Clock, SimClock, Timestamp};
         let model = ReadLatency {
@@ -512,11 +538,11 @@ mod tests {
         assert_eq!(clock.now(), Timestamp::ZERO, "a cached read is free");
         store.drop_caches();
         store.get("a");
-        let missed = Timestamp::ZERO.saturating_add(model.cost(1024));
-        assert_eq!(clock.now(), missed);
+        assert_eq!(
+            clock.now(),
+            Timestamp::ZERO.saturating_add(model.cost(1024))
+        );
         assert!(model.cost(1024) > Duration::from_millis(5));
-        store.get("a");
-        assert_eq!(clock.now(), missed, "a miss refills the cache");
     }
 
     #[test]
