@@ -24,13 +24,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dv_fault::{FaultPlane, Put, Reader};
-use dv_lsfs::{FsError, SharedBlobStore};
+use dv_fault::FaultPlane;
+use dv_lsfs::{BlobStore, FsError, SharedBlobStore};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, PhaseBreakdown, PhaseTimer, SimClock, Sleeper, Timestamp};
 use dv_vee::{FdObject, Page, Process, RunState, Signal, SockState, Vee};
 
 use crate::image::{CheckpointImage, FdRecord, ImageKind, ProcessRecord, SocketRecord};
+use crate::restore::stored_meta;
 use crate::writeback::{CommitPipeline, LaneId, PipelineConfig};
 
 /// Hidden directory unlinked-open files are relinked into.
@@ -120,7 +121,7 @@ impl EngineConfig {
 }
 
 /// Metadata the engine keeps about each stored image.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ImageMeta {
     /// Checkpoint counter.
     pub counter: u64,
@@ -360,67 +361,47 @@ impl Checkpointer {
         Some(chain)
     }
 
-    /// Serializes the engine's image metadata (counters, kinds, blob
-    /// names, times) so a record can be reopened across restarts.
-    pub fn export_meta(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"DVENG001");
-        out.put_u64(self.counter);
-        out.put_u64(self.relink_seq);
-        out.put_str_u32(&self.blob_prefix);
-        out.put_u64(self.images.len() as u64);
-        for meta in self.images.values() {
-            out.put_u64(meta.counter);
-            out.put_u64(meta.time.as_nanos());
-            match meta.kind {
-                ImageKind::Full => {
-                    out.push(0);
-                    out.put_u64(0);
-                }
-                ImageKind::Incremental { prev } => {
-                    out.push(1);
-                    out.put_u64(prev);
-                }
-            }
-            out.put_str_u32(&meta.blob);
-            out.put_u64(meta.stored_bytes);
-            out.put_u64(meta.raw_bytes);
-        }
-        out
-    }
-
-    /// Restores image metadata from [`Checkpointer::export_meta`] output,
-    /// replacing this engine's history. Returns `None` on malformed data.
-    pub fn import_meta(&mut self, data: &[u8]) -> Option<()> {
-        let mut r = Reader::new(data);
-        r.magic(b"DVENG001").ok()?;
-        let counter = r.u64().ok()?;
-        let relink_seq = r.u64().ok()?;
-        let blob_prefix = r.str_u32().ok()?.to_owned();
-        let mut images = BTreeMap::new();
-        // Counter, time, kind, previous counter, blob name length and the
-        // two sizes.
-        for _ in 0..r.count_u64(8 + 8 + 1 + 8 + 4 + 8 + 8).ok()? {
-            let meta = ImageMeta {
-                counter: r.u64().ok()?,
-                time: Timestamp::from_nanos(r.u64().ok()?),
-                kind: match (r.u8().ok()?, r.u64().ok()?) {
-                    (0, _) => ImageKind::Full,
-                    (1, prev) => ImageKind::Incremental { prev },
-                    _ => return None,
-                },
-                blob: r.str_u32().ok()?.to_owned(),
-                stored_bytes: r.u64().ok()?,
-                raw_bytes: r.u64().ok()?,
+    /// Rebuilds the history from the images stored under `blob_prefix`,
+    /// the one place a checkpoint history is kept (DESIGN.md §6): every
+    /// blob named `{blob_prefix}-{counter:08}` that [`load_image`]
+    /// accepts and whose header names the same counter, with the time
+    /// and kind its header gives, less each image whose chain does not
+    /// resolve. The engine adopts `blob_prefix`, resumes past every
+    /// counter a blob under it or one of `snapshots` (the session file
+    /// system's snapshot points) names, and takes its next checkpoint
+    /// full: it holds no dirty-page state of the processes its images
+    /// captured. Call it before the engine's first checkpoint.
+    ///
+    /// [`load_image`]: crate::load_image
+    pub fn reopen(&mut self, blob_prefix: &str, store: &mut BlobStore, snapshots: &[u64]) {
+        let mut counters: Vec<u64> = store
+            .names()
+            .iter()
+            .filter_map(|name| {
+                let digits = name.strip_prefix(blob_prefix)?.strip_prefix('-')?;
+                let counter = digits.parse().ok()?;
+                (format!("{counter:08}") == digits).then_some(counter)
+            })
+            .collect();
+        counters.sort_unstable();
+        self.images.clear();
+        for &counter in &counters {
+            let Some(meta) = stored_meta(store, blob_prefix, counter) else {
+                continue;
             };
-            images.insert(meta.counter, meta);
+            let resolves = match meta.kind {
+                ImageKind::Full => true,
+                ImageKind::Incremental { prev } => {
+                    prev < counter && self.images.contains_key(&prev)
+                }
+            };
+            if resolves {
+                self.images.insert(counter, meta);
+            }
         }
-        r.finish().ok()?;
-        self.counter = counter;
-        self.relink_seq = relink_seq;
-        self.blob_prefix = blob_prefix;
-        self.images = images;
-        Some(())
+        self.blob_prefix = blob_prefix.to_string();
+        self.counter = counters.iter().chain(snapshots).copied().max().unwrap_or(0);
+        self.force_full = true;
     }
 
     /// Takes one checkpoint of `vee`, storing the image in the pool's
@@ -992,34 +973,47 @@ mod tests {
         assert!(store.lock().contains("ckpt-00000002"));
     }
 
+    /// A fresh engine reopened over the store lists what the writer
+    /// listed, field for field, and re-anchors with a full.
     #[test]
-    fn engine_meta_round_trips() {
-        let (mut vee, clock, mut engine, _) = setup();
+    fn reopen_rebuilds_the_history_from_the_store() {
+        let (mut vee, clock, mut engine, store) = setup();
         vee.spawn(None, "app").unwrap();
         for _ in 0..6 {
             clock.advance(Duration::from_secs(1));
             engine.checkpoint(&mut vee).unwrap();
         }
-        let meta = engine.export_meta();
-        let mut restored = Checkpointer::new(
-            EngineConfig::default(),
-            engine.pool().clone(),
-            SimClock::new(),
-        );
-        restored.import_meta(&meta).expect("import");
-        assert_eq!(
-            restored.images().map(|m| m.counter).collect::<Vec<_>>(),
-            engine.images().map(|m| m.counter).collect::<Vec<_>>()
-        );
+        let reopened = |snapshots: &[u64]| {
+            let mut fresh = Checkpointer::new(
+                EngineConfig::default(),
+                engine.pool().clone(),
+                SimClock::new(),
+            );
+            fresh.reopen("ckpt", &mut store.lock(), snapshots);
+            fresh
+        };
+        let mut restored = reopened(&[]);
+        assert!(restored.images().eq(engine.images()));
         assert_eq!(restored.chain_for(6), engine.chain_for(6));
         assert_eq!(
             restored.counter_at_or_before(Timestamp::from_secs(3)),
             engine.counter_at_or_before(Timestamp::from_secs(3))
         );
-        // A further checkpoint continues the numbering.
         let report = restored.checkpoint(&mut vee).unwrap();
-        assert_eq!(report.counter, 7);
-        assert!(restored.import_meta(&meta[..10]).is_none());
+        assert_eq!((report.counter, report.full), (7, true));
+
+        // A name off the pattern is not read; a blob whose header names
+        // another counter is refused, and the numbering still resumes
+        // past it and past every snapshot point.
+        let six = store.lock().get("ckpt-00000006").unwrap().to_vec();
+        store.lock().put("ckpt-6", six.clone()).unwrap();
+        store.lock().put("ckpt-00000009", six).unwrap();
+        // Image 2 is gone: 3 and 4 chain through it.
+        store.lock().delete("ckpt-00000002");
+        let mut restored = reopened(&[12]);
+        let listed: Vec<u64> = restored.images().map(|m| m.counter).collect();
+        assert_eq!(listed, [1, 5, 6, 7]);
+        assert_eq!(restored.checkpoint(&mut vee).unwrap().counter, 13);
     }
 
     /// Each ablation puts work back inside the stop window. Checked by

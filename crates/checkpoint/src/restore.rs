@@ -11,6 +11,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dv_fault::checksum::{fnv1a_update, FNV1A_BASIS};
 use dv_lsfs::{BlobStore, Filesystem, FsError};
@@ -19,8 +20,8 @@ use dv_vee::{
     FdObject, HostPidAllocator, Process, Proto, RunState, Signal, SockState, Socket, Vee, Vpid,
 };
 
-use crate::compress::decompress;
-use crate::engine::Checkpointer;
+use crate::compress::{decompress, RleCursor};
+use crate::engine::{Checkpointer, ImageMeta};
 use crate::image::{
     decode_compressed_with, decode_image_with, CheckpointImage, FdRecord, ImageError,
     ProcessRecord, MAGIC,
@@ -146,12 +147,48 @@ pub fn load_image(
 ) -> Result<CheckpointImage, ReviveError> {
     let blob = format!("{blob_prefix}-{counter:08}");
     let data = store.get(&blob).ok_or(ReviveError::MissingImage(counter))?;
-    let image = if is_raw(&data) {
-        decode_image_with(&data, keep)
+    decode_blob(counter, &data, keep)
+}
+
+/// Decodes the stored blob of image `counter`, as [`load_image`] does.
+fn decode_blob(
+    counter: u64,
+    data: &Arc<Vec<u8>>,
+    keep: impl FnMut(u64, u64) -> bool,
+) -> Result<CheckpointImage, ReviveError> {
+    let image = if is_raw(data) {
+        decode_image_with(data, keep)
     } else {
-        decode_compressed_with(&data, keep).ok_or(ReviveError::BadCompression(counter))?
+        decode_compressed_with(data, keep).ok_or(ReviveError::BadCompression(counter))?
     };
     image.map_err(ReviveError::BadImage)
+}
+
+/// The metadata of image `counter` read off its stored blob: `None`
+/// unless [`load_image`] accepts the blob and its header names
+/// `counter`. The stored size is the blob's length, the raw size its
+/// plaintext's.
+pub(crate) fn stored_meta(
+    store: &mut BlobStore,
+    blob_prefix: &str,
+    counter: u64,
+) -> Option<ImageMeta> {
+    let blob = format!("{blob_prefix}-{counter:08}");
+    let data = store.get(&blob)?;
+    let image = decode_blob(counter, &data, |_, _| false).ok()?;
+    let raw_bytes = if is_raw(&data) {
+        data.len()
+    } else {
+        RleCursor::new(&data).drain()?
+    };
+    (image.counter == counter).then(|| ImageMeta {
+        counter,
+        time: image.time,
+        kind: image.kind,
+        blob,
+        stored_bytes: data.len() as u64,
+        raw_bytes: raw_bytes as u64,
+    })
 }
 
 /// Installs each page of `processes` that its restored process maps and

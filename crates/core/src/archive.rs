@@ -7,9 +7,12 @@
 //! log, keyframes, timeline), the open text shard and the open visual
 //! strip (each in its sealed-segment payload form), the checkpoint
 //! image store — which also holds every sealed index segment and
-//! manifest — and the engine's image metadata, and the session file
-//! system's journaled log. A restored server can browse, search, **and revive**
-//! from the archived history, then continue recording into it.
+//! manifest — and the session file system's journaled log. The
+//! checkpoint history is not a section: the restored engine rebuilds
+//! it from the images in the store, under the blob prefix the header
+//! names, and its first checkpoint is full. A restored server can
+//! browse, search, **and revive** from the archived history, then
+//! continue recording into it.
 //!
 //! Live runtime state — revived sessions, open descriptors, the
 //! accessibility mirror — is not archived; it is rebuilt as applications
@@ -25,8 +28,9 @@ use crate::config::Config;
 use crate::error::ServerError;
 use crate::server::DejaView;
 
-/// `DVARC001` archives lack the open-strip section and are rejected.
-const MAGIC: &[u8; 8] = b"DVARC002";
+/// `DVARC001` archives lack the open-strip section and `DVARC002`
+/// ones carry an engine-metadata section; both are rejected.
+const MAGIC: &[u8; 8] = b"DVARC003";
 
 /// An archive decoding error.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -59,15 +63,15 @@ impl DejaView {
     ///
     /// Propagates file system errors from the final sync.
     pub fn save_archive(&mut self) -> Result<Vec<u8>, ServerError> {
-        // Deferred checkpoint commits must land before the store and the
-        // engine metadata are exported, or the archive would reference
-        // images that are still in flight.
+        // Deferred checkpoint commits must land before the store is
+        // exported, or the archive would miss images still in flight.
         self.flush_checkpoints()?;
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.put_u32(self.screen_size().0);
         out.put_u32(self.screen_size().1);
         out.put_u64(self.now().as_nanos());
+        out.put_str_u32(self.engine().blob_prefix());
         // Display record.
         let record_bytes = {
             let record = self.record();
@@ -89,11 +93,9 @@ impl DejaView {
                 })?;
             out.put_bytes_u64(&section);
         }
-        // Checkpoint blobs + engine metadata.
+        // Checkpoint images and sealed segments.
         let blob_bytes = self.store_mut().export();
         out.put_bytes_u64(&blob_bytes);
-        let engine_bytes = self.engine().export_meta();
-        out.put_bytes_u64(&engine_bytes);
         // Session file system.
         let fs_bytes = self.session_fs_handle().with(|fs| fs.save())?;
         out.put_bytes_u64(&fs_bytes);
@@ -104,7 +106,11 @@ impl DejaView {
     /// with the archive's screen size and clock position) whose display
     /// record, text index, visual strips, checkpoint history, and file
     /// system are restored. The returned server can browse, search, revive, and
-    /// continue recording.
+    /// continue recording. Its engine rebuilds the history from the
+    /// archived images ([`Checkpointer::reopen`]), so its first
+    /// checkpoint is full.
+    ///
+    /// [`Checkpointer::reopen`]: dv_checkpoint::Checkpointer::reopen
     ///
     /// # Errors
     ///
@@ -122,6 +128,7 @@ impl DejaView {
             return Err(ArchiveError("implausible screen size").into());
         }
         let now = Timestamp::from_nanos(r.u64().map_err(archive)?);
+        let blob_prefix = r.str_u32().map_err(archive)?;
 
         let record = decode_record(r.bytes_u64().map_err(archive)?)
             .map_err(|_| ArchiveError("corrupt display record"))?;
@@ -130,7 +137,6 @@ impl DejaView {
             r.bytes_u64().map_err(archive)?,
         ];
         let blob_bytes = r.bytes_u64().map_err(archive)?;
-        let engine_bytes = r.bytes_u64().map_err(archive)?;
         let fs = Lsfs::load(r.bytes_u64().map_err(archive)?)
             .map_err(|_| ArchiveError("corrupt file system"))?;
         r.finish().map_err(archive)?;
@@ -140,14 +146,13 @@ impl DejaView {
         if dv.store_mut().import(blob_bytes).is_none() {
             return Err(ArchiveError("corrupt checkpoint store").into());
         }
-        if dv.engine_mut().import_meta(engine_bytes).is_none() {
-            return Err(ArchiveError("corrupt engine metadata").into());
-        }
         dv.install_session_fs(fs);
-        // Sealed text and visual segments and their manifests travel
-        // inside the blob store export: rebuild both layouts from the
-        // newest manifests so queries span the archive, then the open
-        // buffers beside them.
+        // Checkpoint images, sealed text and visual segments and their
+        // manifests travel inside the blob store export: rebuild the
+        // checkpoint history from the images, and both index layouts
+        // from the newest manifests so queries span the archive, then
+        // the open buffers beside them.
+        dv.reopen_checkpoints(blob_prefix);
         for ((_, log), open) in dv.logs().into_iter().zip(open_buffers) {
             let Some(log) = log else { continue };
             log.recover_latest()?;
@@ -398,11 +403,13 @@ mod tests {
         let mut original = recorded_server();
         let archive = original.save_archive().unwrap();
         assert!(DejaView::load_archive(Config::default(), b"junk").is_err());
-        // The previous format (no open-strip section) is refused by
-        // its magic, not misparsed.
-        let mut old_magic = archive.clone();
-        old_magic[..8].copy_from_slice(b"DVARC001");
-        assert!(DejaView::load_archive(Config::default(), &old_magic).is_err());
+        // The previous formats (no open-strip section, an engine
+        // section) are refused by their magic, not misparsed.
+        for old in [b"DVARC001", b"DVARC002"] {
+            let mut old_magic = archive.clone();
+            old_magic[..8].copy_from_slice(old);
+            assert!(DejaView::load_archive(Config::default(), &old_magic).is_err());
+        }
         assert!(DejaView::load_archive(Config::default(), &archive[..archive.len() / 3]).is_err());
         let mut extra = archive.clone();
         extra.push(0);

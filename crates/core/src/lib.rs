@@ -67,5 +67,5 @@ pub use error::ServerError;
 pub use server::{DejaView, PolicyTick, SearchResult};
 pub use session::{BranchFs, RevivedSession};
 pub use sink::{role_tag, IndexSink};
-pub use stats::{PipelineBreakdown, StorageBreakdown, StorageRates};
+pub use stats::{StorageBreakdown, StorageRates};
 pub use ui::{ViewMode, ViewerUi};

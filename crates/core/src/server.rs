@@ -35,7 +35,7 @@ use crate::config::Config;
 use crate::error::ServerError;
 use crate::session::RevivedSession;
 use crate::sink::IndexSink;
-use crate::stats::{PipelineBreakdown, StorageBreakdown};
+use crate::stats::StorageBreakdown;
 
 /// How many times a failed checkpoint or index flush is retried before
 /// the server gives up on that attempt and degrades.
@@ -157,9 +157,9 @@ impl DejaView {
         } = config;
         // The server always records observability: a disabled config
         // handle is upgraded to a session-time one so
-        // `DejaView::observability` and the registry-derived pipeline
-        // breakdown work out of the box. A caller-supplied enabled handle (e.g.
-        // `Obs::wall` for profiling) is used as-is.
+        // `DejaView::observability` works out of the box. A
+        // caller-supplied enabled handle (e.g. `Obs::wall` for
+        // profiling) is used as-is.
         let obs = if obs.is_enabled() {
             obs
         } else {
@@ -300,8 +300,7 @@ impl DejaView {
     /// Snapshots the unified observability state: every counter, gauge
     /// and latency histogram in the registry plus the trace-event ring.
     /// The registry is the only copy of every work count (checkpoints,
-    /// commits, syncs, text events, driver commands);
-    /// [`DejaView::pipeline_stats`] reads it, while
+    /// commits, syncs, text events, driver commands), while
     /// [`DejaView::storage`] reads stored bytes off the stores.
     pub fn observability(&self) -> ObsSnapshot {
         self.obs.snapshot()
@@ -396,9 +395,14 @@ impl DejaView {
         &self.engine
     }
 
-    /// Returns the checkpoint engine mutably (archive restore).
-    pub fn engine_mut(&mut self) -> &mut Checkpointer {
-        &mut self.engine
+    /// Reopens the checkpoint history from the images under
+    /// `blob_prefix` in the store, past the session file system's
+    /// snapshot points (archive restore; see [`Checkpointer::reopen`]).
+    pub(crate) fn reopen_checkpoints(&mut self, blob_prefix: &str) {
+        let snapshots = self.session_fs.with(|fs| fs.snapshot_counters());
+        let engine = &mut self.engine;
+        self.store
+            .with(|store| engine.reopen(blob_prefix, store, &snapshots));
     }
 
     /// Returns the live screen size.
@@ -1023,25 +1027,6 @@ impl DejaView {
             .ok_or(ServerError::UnknownSession(id))?;
         drop(session);
         Ok(())
-    }
-
-    /// Returns the commit pipeline accounting for the main session's
-    /// engine, derived from the observability registry. Only
-    /// `inflight` is a live queue-depth query; everything else is the
-    /// `checkpoint.*` counters the engine bumps as it works.
-    pub fn pipeline_stats(&self) -> PipelineBreakdown {
-        PipelineBreakdown {
-            queued: self.obs.counter(names::CHECKPOINT_QUEUED),
-            committed: self.obs.counter(names::CHECKPOINT_COMMITTED),
-            inflight: self.engine.inflight() as u64,
-            inline_fallbacks: self.obs.counter(names::CHECKPOINT_INLINE_FALLBACKS),
-            sync_downtime: Duration::from_nanos(
-                self.obs.counter(names::CHECKPOINT_SYNC_DOWNTIME_NANOS),
-            ),
-            async_commit: Duration::from_nanos(
-                self.obs.counter(names::CHECKPOINT_ASYNC_COMMIT_NANOS),
-            ),
-        }
     }
 
     /// Returns the storage breakdown across all four record streams

@@ -72,42 +72,6 @@ impl StorageBreakdown {
     }
 }
 
-/// Deferred write-back pipeline accounting for one checkpoint engine
-/// (§5.1.2: "deferring writing the checkpoint image to disk until after
-/// the session resumes").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipelineBreakdown {
-    /// Captures handed to the commit pipeline.
-    pub queued: u64,
-    /// Captures whose blobs have committed.
-    pub committed: u64,
-    /// Captures currently queued or committing.
-    pub inflight: u64,
-    /// Captures the session thread settled because the queue was full.
-    pub inline_fallbacks: u64,
-    /// Session-thread downtime: quiesce + capture + snapshot (and,
-    /// with write-back deferral ablated, the commit).
-    pub sync_downtime: Duration,
-    /// Enqueue-to-resolve time of commits, on the engine's sleeper
-    /// timebase — work deferred past the downtime window.
-    pub async_commit: Duration,
-}
-
-impl PipelineBreakdown {
-    /// Fraction of total checkpoint work overlapped with the running
-    /// session. A zero denominator (no checkpoint work at all) yields
-    /// 0.0 rather than NaN, so the value is always a finite fraction in
-    /// `[0, 1]`.
-    pub fn overlap_fraction(&self) -> f64 {
-        let sync = self.sync_downtime.as_secs_f64();
-        let async_ = self.async_commit.as_secs_f64();
-        if sync + async_ <= 0.0 {
-            return 0.0;
-        }
-        async_ / (sync + async_)
-    }
-}
-
 /// Per-stream growth rates in MB/s.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StorageRates {
@@ -189,30 +153,5 @@ mod tests {
         assert_eq!(r.fs_mbps, 0.0);
         assert!(r.total_mbps().is_finite());
         assert!(r.total_raw_mbps().is_finite());
-    }
-
-    #[test]
-    fn overlap_fraction_zero_denominator_is_zero_not_nan() {
-        let p = PipelineBreakdown {
-            queued: 3,
-            committed: 3,
-            sync_downtime: Duration::ZERO,
-            async_commit: Duration::ZERO,
-            ..PipelineBreakdown::default()
-        };
-        let f = p.overlap_fraction();
-        assert_eq!(f, 0.0);
-        assert!(f.is_finite());
-    }
-
-    #[test]
-    fn overlap_fraction_splits_sync_and_async_work() {
-        let p = PipelineBreakdown {
-            sync_downtime: Duration::from_millis(10),
-            async_commit: Duration::from_millis(30),
-            ..PipelineBreakdown::default()
-        };
-        assert!((p.overlap_fraction() - 0.75).abs() < 1e-9);
-        assert_eq!(PipelineBreakdown::default().overlap_fraction(), 0.0);
     }
 }

@@ -537,10 +537,6 @@ pub mod names {
     pub const CAS_GENERATION: &str = "cas.generation";
     /// Deduplicating blob writes completed.
     pub const CAS_PUTS: &str = "cas.puts";
-    /// Chunk writes absorbed by an already-resident chunk.
-    pub const CAS_DEDUP_HITS: &str = "cas.dedup_hits";
-    /// Chunk writes that stored new data.
-    pub const CAS_DEDUP_MISSES: &str = "cas.dedup_misses";
     /// Root generations made durable.
     pub const CAS_ROOT_WRITES: &str = "cas.root_writes";
     /// GC sweep steps executed.

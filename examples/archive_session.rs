@@ -15,6 +15,7 @@ use dv_display::{rgb, Rect};
 use dv_index::RankOrder;
 use dv_lsfs::Filesystem;
 use dv_time::{Duration, Timestamp};
+use dv_vee::Prot;
 
 fn main() {
     // --- Day one: record a session. -------------------------------------
@@ -75,13 +76,30 @@ fn main() {
         String::from_utf8_lossy(&session.vee.fs.read_all("/home/user/thesis.txt").unwrap())
     );
 
-    // And recording continues into the same history.
+    // And recording continues into the same history: a process started
+    // after the restore is checkpointed — in full, as the restored
+    // engine has no dirty-page state to chain onto — and revives with
+    // exactly the memory it wrote.
+    let init = dv.init_vpid();
+    let app = dv.vee_mut().spawn(Some(init), "notes").unwrap();
+    let addr = dv.vee_mut().mmap(app, 16 << 10, Prot::ReadWrite).unwrap();
+    dv.vee_mut()
+        .mem_write(app, addr, b"written after the restore")
+        .unwrap();
     dv.driver_mut()
         .fill_rect(Rect::new(0, 0, 1024, 768), rgb(60, 24, 28));
     dv.clock().advance(Duration::from_secs(1));
-    let tick = dv.policy_tick().unwrap();
+    let report = dv.policy_tick().unwrap().report.expect("active display");
+    let written = dv.vee().mem_read(app, addr, 16 << 10).unwrap();
+    let sid = dv.revive_counter(report.counter).unwrap();
+    let revived = dv.session(sid).unwrap().vee.mem_read(app, addr, 16 << 10);
+    assert!(report.full, "the first checkpoint after a restore is full");
+    assert!(
+        revived.unwrap() == written,
+        "the revive reads back what was written"
+    );
     println!(
-        "continued recording: checkpoint #{} taken after restore",
-        tick.report.expect("active display").counter
+        "continued recording: checkpoint #{} (full) taken after restore revives the new process's memory",
+        report.counter
     );
 }

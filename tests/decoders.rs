@@ -570,10 +570,47 @@ fn archive_screens(b: &[u8]) -> u64 {
     4 * 4 * side(8) * side(12)
 }
 
-fn engine() -> Checkpointer {
+/// `image` as an engine stores it: raw, or each section compressed
+/// and the streams joined.
+fn stored(image: &CheckpointImage, compressed: bool) -> Vec<u8> {
+    if compressed {
+        let sections = encode_image_sections(image);
+        sections.iter().flat_map(|s| compress(s)).collect()
+    } else {
+        encode_image(image)
+    }
+}
+
+/// Reopens an engine over a store holding `b` as image 2, a sound full
+/// image 1 and a sound image 3 chained through 2 (stored compressed
+/// when `compressed`); whether image 2 is listed. A blob `load_image`
+/// refuses is not listed, and image 3 is listed exactly when 2 is.
+fn reopen_over(b: &[u8], compressed: bool) -> bool {
+    let sound = |counter, kind| CheckpointImage {
+        counter,
+        kind,
+        ..image(counter)
+    };
+    let mut store = BlobStore::in_memory();
+    let one = stored(&sound(1, ImageKind::Full), compressed);
+    let three = stored(&sound(3, ImageKind::Incremental { prev: 2 }), compressed);
+    store.put("img-00000001", one).unwrap();
+    store.put("img-00000002", b.to_vec()).unwrap();
+    store.put("img-00000003", three).unwrap();
     let (config, clock) = (EngineConfig::default(), SimClock::new());
     let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
-    Checkpointer::new(config, pool, clock)
+    let mut engine = Checkpointer::new(config, pool, clock);
+    engine.reopen("img", &mut store, &[]);
+    let listed: Vec<u64> = engine.images().map(|m| m.counter).collect();
+    let two = listed.contains(&2);
+    assert!(
+        listed.contains(&1) && listed.contains(&3) == two,
+        "{listed:?}"
+    );
+    if two {
+        assert!(load_image(&mut store, "img", 2, |_, _| false).is_ok());
+    }
+    two
 }
 
 fn man_magic() -> [u8; 8] {
@@ -1079,10 +1116,7 @@ table! {
         // joined. Read as a stream, the kept page decoded into a buffer
         // of its own and the other stepped over by its token headers; no
         // plaintext is built.
-        valid: |seed| {
-            let sections = encode_image_sections(&image(seed));
-            sections.iter().flat_map(|s| compress(s)).collect()
-        },
+        valid: |seed| stored(&image(seed), true),
         frame: None,
         decode: |b| load_kept(b).is_ok(),
         expands: plaintext,
@@ -1114,28 +1148,23 @@ table! {
         expands: plaintext,
         positions: EVERYWHERE,
     },
-    engine_meta => Row {
-        name: "Checkpointer::import_meta",
-        valid: |_| {
-            let clock = SimClock::new();
-            let fs = Box::new(Lsfs::new());
-            let mut vee = dv_vee::Vee::new(1, clock.shared(), fs, dv_vee::HostPidAllocator::new());
-            vee.spawn(None, "app").unwrap();
-            let config = EngineConfig {
-                full_every: 2,
-                ..EngineConfig::default()
-            };
-            let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
-            let mut engine = Checkpointer::new(config, pool, clock).with_blob_prefix("tenant");
-            for _ in 0..3 {
-                engine.checkpoint(&mut vee).unwrap();
-            }
-            engine.export_meta()
-        },
+    engine_reopen => Row {
+        // An engine reopened over a store holding the input as image 2,
+        // between a full image 1 and an image 3 chained through it.
+        name: "Checkpointer::reopen",
+        valid: |seed| encode_image(&image(seed)),
         frame: None,
-        decode: |b| engine().import_meta(b).is_some(),
-        expands: nothing,
-        positions: EVERYWHERE,
+        decode: |b| reopen_over(b, false),
+        expands: plaintext,
+        positions: 512,
+    },
+    engine_reopen_compressed => Row {
+        name: "Checkpointer::reopen/compressed",
+        valid: |seed| stored(&image(seed), true),
+        frame: None,
+        decode: |b| reopen_over(b, true),
+        expands: plaintext,
+        positions: 512,
     },
     query_text => Row {
         name: "parse_query",
@@ -1246,11 +1275,12 @@ fn an_archive_whose_journal_names_a_missing_directory_loads() {
     assert_eq!(session.vee.fs.read_all("/doc").unwrap(), b"draft");
 }
 
-/// Where the last section's bytes begin: walk the six length-prefixed
-/// sections behind the 24-byte header.
+/// Where the last section's bytes begin: walk the four length-prefixed
+/// sections behind the header, which ends in the engine's blob prefix.
 fn fs_section_start(archive: &[u8]) -> usize {
-    let mut at = 24;
-    for _ in 0..5 {
+    let prefix = u32::from_le_bytes(archive[24..28].try_into().unwrap());
+    let mut at = 28 + prefix as usize;
+    for _ in 0..4 {
         let len = u64::from_le_bytes(archive[at..at + 8].try_into().unwrap());
         at += 8 + len as usize;
     }

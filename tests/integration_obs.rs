@@ -104,7 +104,7 @@ fn storage_breakdown_matches_registry_counters() {
         .unwrap();
     dv.vee_mut().fs.sync().unwrap();
     dv.clock().advance(Duration::from_secs(1));
-    dv.policy_tick().unwrap();
+    let report = dv.policy_tick().unwrap().report.expect("checkpoint");
     dv.force_keyframe();
 
     let snap = dv.observability();
@@ -128,17 +128,20 @@ fn storage_breakdown_matches_registry_counters() {
     assert!(storage.fs_bytes > 0, "fs stream recorded");
     assert!(storage.checkpoint_stored_bytes > 0, "checkpoint recorded");
 
-    // The pipeline view is registry-derived too: with no commit
+    // The commit path's counts are in the registry too: with no commit
     // workers the one capture was queued, committed by the session
     // thread, and is no longer in flight when the tick returns.
-    let pipeline = dv.pipeline_stats();
-    assert!(pipeline.sync_downtime > Duration::ZERO);
-    assert_eq!((pipeline.queued, pipeline.committed), (1, 1));
-    assert_eq!(pipeline.inflight, 0);
+    let sync_downtime = snap.counter(names::CHECKPOINT_SYNC_DOWNTIME_NANOS);
+    assert!(sync_downtime > 0);
     assert_eq!(
-        pipeline.sync_downtime.as_nanos(),
-        snap.counter(names::CHECKPOINT_SYNC_DOWNTIME_NANOS)
+        (
+            snap.counter(names::CHECKPOINT_QUEUED),
+            snap.counter(names::CHECKPOINT_COMMITTED)
+        ),
+        (1, 1)
     );
+    assert_eq!(dv.engine().inflight(), 0);
+    assert_eq!(sync_downtime, report.downtime.as_nanos());
 }
 
 /// What the stores hold, as `(display, checkpoint raw, checkpoint

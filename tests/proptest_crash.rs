@@ -185,9 +185,9 @@ proptest! {
     /// Deferred write-back crash consistency: if the store dies between
     /// a capture and its commit (every write-back from check `crash_at`
     /// onward fails), the retained history is exactly the chain up to
-    /// the last committed counter — and a fresh engine restarted from
-    /// the exported metadata revives that counter to the state the
-    /// session had at capture time.
+    /// the last committed counter — and a fresh engine reopened over
+    /// the store lists that chain and revives its last counter to the
+    /// state the session had at capture time.
     #[test]
     fn deferred_crash_recovers_the_last_committed_chain(
         rounds in 3..7u64,
@@ -255,11 +255,14 @@ proptest! {
             );
         }
 
-        // Restart: a fresh engine over the exported metadata revives
-        // the last committed counter to its capture-time state.
+        // Restart: a fresh engine reopened over the store lists the
+        // committed prefix and revives the last committed counter to
+        // its capture-time state.
         let mut restarted =
             Checkpointer::new(EngineConfig::default(), engine.pool().clone(), clock.clone());
-        prop_assert!(restarted.import_meta(&engine.export_meta()).is_some());
+        restarted.reopen("ckpt", &mut store.lock(), &[]);
+        let listed: Vec<u64> = restarted.images().map(|m| m.counter).collect();
+        prop_assert_eq!(&listed, &expected);
         let last = crash_at - 1;
         let chain = restarted.chain_for(last).expect("committed chain resolves");
         let (revived, _) = revive(

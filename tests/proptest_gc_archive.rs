@@ -6,10 +6,17 @@
 //!   the log.
 //! * Save/load must be lossless: a reloaded file system equals the
 //!   original, including snapshots.
+//! * A session archive reopens the checkpoint history from its images:
+//!   the restored engine lists what the saved one listed, field for
+//!   field, and its first checkpoint is full.
 
 use proptest::prelude::*;
 
+use dejaview::{Config, DejaView};
+use dv_checkpoint::{EngineConfig, ImageKind};
 use dv_lsfs::{FileType, Filesystem, Lsfs};
+use dv_time::Duration;
+use dv_vee::{Prot, Vpid};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -185,5 +192,88 @@ proptest! {
             .filter(|(p, _)| !p.starts_with("snap"))
             .collect();
         prop_assert_eq!(live_before, live_after);
+    }
+}
+
+/// A small server over `engine`.
+fn server(engine: EngineConfig) -> DejaView {
+    DejaView::new(Config {
+        width: 64,
+        height: 48,
+        engine,
+        ..Config::default()
+    })
+}
+
+/// Spawns an `app` under the session's init process with `len` bytes
+/// mapped; its vpid and the mapping's address.
+fn spawn_app(dv: &mut DejaView, len: usize) -> (Vpid, u64) {
+    let init = dv.init_vpid();
+    let vee = dv.vee_mut();
+    let app = vee.spawn(Some(init), "app").unwrap();
+    let addr = vee.mmap(app, len as u64, Prot::ReadWrite).unwrap();
+    (app, addr)
+}
+
+/// The checkpoint taken after `load_archive` is full, and reviving it
+/// reads back the new session's memory. An incremental there would
+/// chain onto dirty-page state the restored engine never had: the
+/// revive would fill the new process's pages from the archived image.
+#[test]
+fn the_first_checkpoint_after_a_restore_is_full() {
+    const LEN: usize = 16 << 10;
+    let mut dv = server(EngineConfig::default());
+    let (app, addr) = spawn_app(&mut dv, LEN);
+    dv.vee_mut().mem_write(app, addr, &[0xAA; LEN]).unwrap();
+    dv.clock().advance(Duration::from_secs(1));
+    dv.checkpoint_now().unwrap();
+    let archive = dv.save_archive().unwrap();
+
+    let mut restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+    let (again, at) = spawn_app(&mut restored, LEN);
+    assert_eq!((again, at), (app, addr), "the same vpid and address");
+    restored
+        .vee_mut()
+        .mem_write(again, at, &[0xBB; 16])
+        .unwrap();
+    restored.clock().advance(Duration::from_secs(1));
+    let report = restored.checkpoint_now().unwrap();
+    assert_eq!((report.counter, report.full), (2, true));
+    let written = restored.vee().mem_read(again, at, LEN).unwrap();
+    let sid = restored.revive_counter(report.counter).unwrap();
+    let revived = restored.session(sid).unwrap().vee.mem_read(again, at, LEN);
+    let revived = revived.unwrap();
+    let differ = written.iter().zip(&revived).filter(|(a, b)| a != b).count();
+    assert_eq!(differ, 0, "{differ} of {LEN} bytes differ");
+}
+
+/// An archive round trip leaves the engine's image list equal field
+/// for field — counter, time, kind, blob, stored and raw size — for a
+/// raw and a compressing engine.
+#[test]
+fn an_archive_round_trip_keeps_the_image_list() {
+    for compress in [false, true] {
+        let mut dv = server(EngineConfig {
+            full_every: 3,
+            compress,
+            ..EngineConfig::default()
+        });
+        let (app, addr) = spawn_app(&mut dv, 4 << 12);
+        for round in 0..5u8 {
+            dv.vee_mut().mem_write(app, addr, &[round; 64]).unwrap();
+            dv.clock().advance(Duration::from_secs(1));
+            dv.checkpoint_now().unwrap();
+        }
+        let archive = dv.save_archive().unwrap();
+        let restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+        let saved: Vec<_> = dv.engine().images().cloned().collect();
+        let listed: Vec<_> = restored.engine().images().cloned().collect();
+        assert_eq!(listed, saved, "compress: {compress}");
+        assert_eq!(saved.len(), 5);
+        assert!(saved
+            .iter()
+            .any(|m| matches!(m.kind, ImageKind::Incremental { .. })));
+        let shrunk = saved.iter().all(|m| m.stored_bytes < m.raw_bytes);
+        assert_eq!(shrunk, compress, "compress: {compress}");
     }
 }

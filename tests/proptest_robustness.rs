@@ -3,9 +3,9 @@
 //! `tests/decoders.rs` runs every decoder over random, mutated,
 //! truncated and length-inflated bytes. This file keeps the properties
 //! that table does not state: a compaction merge refuses whatever the
-//! decoder of the same layout refuses, an engine that refuses metadata
-//! keeps the history it had, and every proper prefix of an image is
-//! refused.
+//! decoder of the same layout refuses, an engine reopened over a cut
+//! image lists neither it nor what chains through it, and every proper
+//! prefix of an image is refused.
 
 use proptest::prelude::*;
 
@@ -13,31 +13,39 @@ use dv_checkpoint::{decode_image, Checkpointer, EngineConfig};
 use dv_index::{decode_index, encode_index, merge_segments, IndexedInstance, TextIndex};
 use dv_lsfs::{Lsfs, MergeError, Payload, SharedBlobStore};
 use dv_time::{SimClock, Timestamp};
-use dv_vee::{HostPidAllocator, Vee};
+use dv_vee::{HostPidAllocator, Prot, Vee, PAGE_SIZE};
 use dv_vidx::{Fingerprint, Strips, VisualInstance, VisualStrip};
 
-fn engine() -> Checkpointer {
-    let (config, clock) = (EngineConfig::default(), SimClock::new());
-    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
-    Checkpointer::new(config, pool, clock)
-}
-
-/// The metadata of an engine that has taken a few checkpoints.
-fn valid_engine_meta() -> Vec<u8> {
+/// A store holding the four images of an engine that checkpointed
+/// a process with one dirty page four times, a full every second
+/// checkpoint: `1 <- 2`, `3 <- 4`.
+fn four_images() -> SharedBlobStore {
     let clock = SimClock::new();
     let fs = Box::new(Lsfs::new());
     let mut vee = Vee::new(1, clock.shared(), fs, HostPidAllocator::new());
-    vee.spawn(None, "app").unwrap();
+    let app = vee.spawn(None, "app").unwrap();
+    let addr = vee.mmap(app, PAGE_SIZE as u64, Prot::ReadWrite).unwrap();
     let config = EngineConfig {
         full_every: 2,
         ..EngineConfig::default()
     };
-    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
-    let mut engine = Checkpointer::new(config, pool, clock).with_blob_prefix("tenant");
-    for _ in 0..3 {
+    let store = SharedBlobStore::in_memory();
+    let pool = config.commit_pool(store.clone(), &clock);
+    let mut engine = Checkpointer::new(config, pool, clock);
+    for round in 0..4u8 {
+        vee.mem_write(app, addr, &[round; 64]).unwrap();
         engine.checkpoint(&mut vee).unwrap();
     }
-    engine.export_meta()
+    store
+}
+
+/// The counters an engine reopened over `store` lists.
+fn reopened(store: &SharedBlobStore) -> Vec<u64> {
+    let (config, clock) = (EngineConfig::default(), SimClock::new());
+    let pool = config.commit_pool(SharedBlobStore::in_memory(), &clock);
+    let mut engine = Checkpointer::new(config, pool, clock);
+    engine.reopen("ckpt", &mut store.lock(), &[]);
+    engine.images().map(|m| m.counter).collect()
 }
 
 /// One byte edit: anywhere, or — as often — within the first 40 bytes,
@@ -180,19 +188,21 @@ proptest! {
     }
 }
 
-/// Every truncation of an engine's exported metadata is refused whole:
-/// the engine keeps the history it had.
+/// Every truncation of a stored image drops it on reopen, with the
+/// incremental chained through it; the other chain stays listed.
 #[test]
-fn truncated_engine_meta_is_refused_cleanly() {
-    let bytes = valid_engine_meta();
-    let mut target = engine();
-    for cut in 0..bytes.len() {
-        assert!(target.import_meta(&bytes[..cut]).is_none(), "cut at {cut}");
-        assert_eq!(target.images().count(), 0);
+fn truncated_image_blobs_are_dropped_on_reopen() {
+    let store = four_images();
+    assert_eq!(reopened(&store), [1, 2, 3, 4]);
+    for (name, kept) in [("ckpt-00000001", [3, 4]), ("ckpt-00000003", [1, 2])] {
+        let bytes = store.lock().get(name).unwrap().to_vec();
+        for cut in 0..bytes.len() {
+            store.lock().put(name, bytes[..cut].to_vec()).unwrap();
+            assert_eq!(reopened(&store), kept, "{name} cut at {cut}");
+        }
+        store.lock().put(name, bytes).unwrap();
     }
-    assert!(target.import_meta(&bytes).is_some());
-    assert_eq!(target.images().count(), 3);
-    assert_eq!(target.blob_prefix(), "tenant");
+    assert_eq!(reopened(&store), [1, 2, 3, 4]);
 }
 
 /// Every truncation of a sound payload, and every 4- and 8-byte field
