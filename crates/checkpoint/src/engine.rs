@@ -72,8 +72,10 @@ pub struct EngineConfig {
     /// `0` (the default) is no threads: the session thread runs the
     /// commit steps itself, after resume. `>= 1` moves them — encode
     /// (and compression), the in-order store write — off the
-    /// session thread. What is stored, and which checkpoints survive a
-    /// fault, does not depend on the count.
+    /// session thread. What is stored, which checkpoints survive a
+    /// fault, and how a failed commit is reported (counted when the
+    /// engine reaps it, returned by [`Checkpointer::flush`]) do not
+    /// depend on the count.
     pub commit_workers: usize,
     /// Maximum captures pending on the engine's lane before
     /// backpressure: the session thread settles the lane and the new
@@ -151,17 +153,8 @@ pub struct CheckpointReport {
     pub downtime: Duration,
     /// Pages saved.
     pub pages_saved: usize,
-    /// Stored image size.
-    pub stored_bytes: u64,
-    /// Uncompressed image size.
-    pub raw_bytes: u64,
     /// Whether this was a full checkpoint.
     pub full: bool,
-    /// Whether the commit was still pending when the call returned. If
-    /// so, `stored_bytes`/`raw_bytes` are 0 here and land in the
-    /// image's [`ImageMeta`] once the commit resolves (see
-    /// [`Checkpointer::flush`]).
-    pub deferred: bool,
 }
 
 /// The checkpoint engine for one session. It commits through the lane
@@ -256,36 +249,27 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// Returns the first commit failure observed since the previous
-    /// flush that no `checkpoint` call already returned (the session
-    /// keeps running either way; the failed image and any incrementals
-    /// chained through it are not retained, and the next checkpoint
-    /// re-anchors with a forced full).
+    /// Returns the first commit failure reaped since the previous
+    /// flush; at every worker count this is the one call that returns
+    /// a commit failure (the session keeps running either way; the
+    /// failed image and any incrementals chained through it are not
+    /// retained, and the next checkpoint re-anchors with a forced full).
     pub fn flush(&mut self) -> Result<(), FsError> {
         self.pool.drain(self.lane);
-        self.reap(None);
+        self.reap();
         self.last_async_error.take().map_or(Ok(()), Err)
     }
 
     /// Folds already-resolved commits into the engine without
     /// blocking. Successful commits become visible in
     /// [`Checkpointer::images`] here — and only here — so the metadata
-    /// map grows in counter order. Returns the result of counter
-    /// `awaited` if it was among them; any other failure is kept for
-    /// [`Checkpointer::flush`].
-    fn reap(&mut self, awaited: Option<u64>) -> Option<Result<(u64, u64), FsError>> {
-        let outcomes = self.pool.take_finished(self.lane);
-        if outcomes.is_empty() {
-            return None;
-        }
-        let depth = self.pool.inflight(self.lane) as u64;
-        let mut awaited_result = None;
-        for outcome in outcomes {
+    /// map grows in counter order. A failure is counted here and kept
+    /// for [`Checkpointer::flush`].
+    fn reap(&mut self) {
+        for outcome in self.pool.take_finished(self.lane) {
             self.obs
                 .add(names::CHECKPOINT_ASYNC_COMMIT_NANOS, outcome.commit_nanos);
-            let is_awaited = awaited == Some(outcome.counter);
-            let result = outcome.result.map_err(|e| e.as_fs_error());
-            match result {
+            match outcome.result {
                 Ok((raw_bytes, stored_bytes)) => {
                     self.images.insert(
                         outcome.counter,
@@ -304,17 +288,14 @@ impl Checkpointer {
                 }
                 Err(e) => {
                     self.note_lost_checkpoint();
-                    if !is_awaited && self.last_async_error.is_none() {
-                        self.last_async_error = Some(e);
-                    }
+                    self.last_async_error.get_or_insert(e.as_fs_error());
                 }
             }
-            if is_awaited {
-                awaited_result = Some(result);
-            }
         }
-        self.obs.gauge_set(names::CHECKPOINT_QUEUE_DEPTH, depth);
-        awaited_result
+        self.obs.gauge_set(
+            names::CHECKPOINT_QUEUE_DEPTH,
+            self.pool.inflight(self.lane) as u64,
+        );
     }
 
     /// A quiesced checkpoint did not become an image: its dirty-page
@@ -408,28 +389,27 @@ impl Checkpointer {
     /// store.
     ///
     /// Capture, snapshot and resume happen here; the captured image
-    /// then takes the engine's lane of its commit pipeline. The call
-    /// returns with the commit still pending
-    /// ([`CheckpointReport::deferred`]) when the pool's workers will
-    /// finish it off-thread; call [`Checkpointer::flush`] to wait for
-    /// (and account) such commits. It returns with the commit resolved
-    /// when the session thread ran the steps itself: the pool has no
-    /// workers, the lane was full, or write-back deferral is ablated.
+    /// then takes the engine's lane of its commit pipeline, and its
+    /// outcome reaches the engine only through that lane, at every
+    /// worker count: [`Checkpointer::images`] lists the image once its
+    /// commit is reaped, and [`Checkpointer::flush`] returns a failed
+    /// commit. When the session thread ran the steps itself — the pool
+    /// has no workers, the lane was full, or write-back deferral is
+    /// ablated — the commit is reaped before the call returns.
     ///
     /// # Errors
     ///
-    /// Returns the file system error if the pre-snapshot sync fails; if
-    /// a relink or the snapshot point fails; or if a commit that
-    /// resolved within the call failed. Whatever fails once the session
-    /// is quiesced, every process that was runnable is running again
-    /// when this returns, the failure is counted in
-    /// `checkpoint.write_failures`, and the next checkpoint is
-    /// full. Failures of commits still pending on return surface
-    /// through [`Checkpointer::flush`].
+    /// Returns the file system error if the pre-snapshot sync fails, or
+    /// if a relink or the snapshot point fails: only what fails before
+    /// the capture reaches the pipeline, and the counter is not
+    /// consumed. Whatever fails once the session is quiesced, every
+    /// process that was runnable is running again when this returns,
+    /// the failure is counted in `checkpoint.write_failures`, and the
+    /// next checkpoint is full.
     pub fn checkpoint(&mut self, vee: &mut Vee) -> Result<CheckpointReport, FsError> {
         // Absorb any commits that resolved since the last call: a failed
         // one forces this checkpoint full so the chain re-anchors.
-        self.reap(None);
+        self.reap();
         let mut timer = PhaseTimer::new();
         // A zero cadence would divide by zero; treat it as "always full".
         let full = self.force_full || self.counter.is_multiple_of(self.config.full_every.max(1));
@@ -480,14 +460,15 @@ impl Checkpointer {
         }
         let submitted = captured.map(|(image, pages_saved)| {
             timer.enter("writeback");
-            (self.submit(image, !defer), pages_saved)
+            self.submit(image, !defer);
+            pages_saved
         });
         if !defer {
             timer.enter("resume");
             resume(vee);
         }
-        let (resolved, pages_saved) = match submitted {
-            Ok(submitted) => submitted,
+        let pages_saved = match submitted {
+            Ok(pages_saved) => pages_saved,
             Err(e) => {
                 // The one exit for a checkpoint that was quiesced but
                 // never reached the pipeline: the counter is not
@@ -499,30 +480,21 @@ impl Checkpointer {
 
         self.counter = counter;
         self.force_full = false;
-        let committed = if resolved {
-            self.reap(Some(counter))
-        } else {
-            None
-        };
+        // A commit the session thread ran is reaped here, so `images()`
+        // is current on return; a failed one forces the next full.
+        self.reap();
         let phases = timer.finish();
         let mut downtime = phases.subset_total(&["quiesce", "capture", "fs-snapshot"]);
         if !defer {
             downtime += phases.get("writeback");
         }
         self.observe_checkpoint(&phases, downtime, full);
-        // A commit that failed within the call consumed its counter
-        // like one that fails later would; the caller decides whether
-        // to retry, and the retry re-anchors with a full image.
-        let (raw_bytes, stored_bytes) = committed.transpose()?.unwrap_or((0, 0));
         Ok(CheckpointReport {
             counter,
             phases,
             downtime,
             pages_saved,
-            stored_bytes,
-            raw_bytes,
             full,
-            deferred: committed.is_none(),
         })
     }
 
@@ -648,11 +620,11 @@ impl Checkpointer {
         Ok((image, pages_saved))
     }
 
-    /// Hands a capture to the engine's lane. Returns whether its commit
-    /// has resolved on return — `now` asked for it (the ablation),
-    /// the lane was full, or the pool has no workers and `enqueue` ran
-    /// the steps on this thread.
-    fn submit(&mut self, image: CheckpointImage, now: bool) -> bool {
+    /// Hands a capture to the engine's lane, and settles the lane
+    /// before returning when `now` asks for it (the ablation) or the
+    /// lane was full; on a pool with no workers `enqueue` runs the
+    /// steps on this thread.
+    fn submit(&mut self, image: CheckpointImage, now: bool) {
         let (pipe, lane) = (&self.pool, self.lane);
         // Backpressure: a full lane is settled before it takes another
         // capture, and this capture before the session moves on, so
@@ -674,12 +646,6 @@ impl Checkpointer {
         if now || full_lane {
             pipe.drain(lane);
         }
-        let resolved = now || full_lane || pipe.workers() == 0;
-        if !resolved {
-            self.obs
-                .gauge_set(names::CHECKPOINT_QUEUE_DEPTH, pipe.inflight(lane) as u64);
-        }
-        resolved
     }
 
     /// Folds one checkpoint's phase breakdown into the observability
@@ -827,7 +793,8 @@ mod tests {
         let inc = engine.checkpoint(&mut vee).unwrap();
         assert!(!inc.full);
         assert_eq!(inc.pages_saved, 2);
-        assert!(inc.raw_bytes < full.raw_bytes / 4);
+        let raw = |counter| engine.image_meta(counter).unwrap().raw_bytes;
+        assert!(raw(inc.counter) < raw(full.counter) / 4);
         // No writes: empty incremental.
         let idle = engine.checkpoint(&mut vee).unwrap();
         assert_eq!(idle.pages_saved, 0);
@@ -938,12 +905,14 @@ mod tests {
         let addr = vee.mmap(p, 64 * 4096, Prot::ReadWrite).unwrap();
         vee.mem_write(p, addr, &vec![7u8; 64 * 4096]).unwrap();
         let report = engine.checkpoint(&mut vee).unwrap();
-        assert!(report.stored_bytes < report.raw_bytes / 10);
+        let meta = engine.image_meta(report.counter).unwrap();
+        assert!(meta.stored_bytes < meta.raw_bytes / 10);
     }
 
     /// Revive refuses to decompress more than `MAX_DECOMPRESSED`, so a
     /// compressing engine does not store such an image: the commit
-    /// fails, is counted, and the next checkpoint is full.
+    /// fails, is counted, `flush` returns it, and the next checkpoint
+    /// is full.
     #[test]
     fn an_image_revive_would_refuse_is_not_stored() {
         let (mut vee, clock, _, _) = setup();
@@ -963,9 +932,9 @@ mod tests {
         for i in 0..pages {
             mem.install_page(addr + i * PAGE_SIZE as u64, page.clone());
         }
-        let refused = engine.checkpoint(&mut vee).unwrap_err();
-        assert_eq!(refused, FsError::FileTooLarge);
+        engine.checkpoint(&mut vee).unwrap();
         assert_eq!(count(&engine, names::CHECKPOINT_WRITE_FAILURES), 1);
+        assert_eq!(engine.flush(), Err(FsError::FileTooLarge));
         assert!(!store.lock().contains("ckpt-00000001"));
         assert!(vee.munmap(p, addr, len).unwrap());
         let report = engine.checkpoint(&mut vee).unwrap();
@@ -1022,7 +991,9 @@ mod tests {
     #[test]
     fn ablations_move_work_into_the_stop_window() {
         const PAGES: usize = 64;
-        let run = |config: EngineConfig| -> (CheckpointReport, u64) {
+        // The report, the commits left pending on the parked pool when
+        // the call returned, and the copies the session paid after it.
+        let run = |config: EngineConfig| -> (CheckpointReport, usize, u64) {
             let (pipe, neighbour, gate) = parked_pool(0);
             let (mut vee, mut engine, p) = session_on(config, &FaultPlane::disabled(), &pipe);
             let addr = vee.mmap(p, (PAGES * 4096) as u64, Prot::ReadWrite).unwrap();
@@ -1031,6 +1002,7 @@ mod tests {
             vee.mem_write(p, addr, &vec![6u8; PAGES / 2 * 4096])
                 .unwrap();
             let report = engine.checkpoint(&mut vee).unwrap();
+            let pending = engine.inflight();
             // The first write after resume copies a page only if a
             // pending capture still shares it.
             let copies = |vee: &Vee| vee.process(p).unwrap().mem.stats().cow_copies;
@@ -1038,9 +1010,10 @@ mod tests {
             vee.mem_write(p, addr, &[7]).unwrap();
             let cow_copies = copies(&vee) - before;
             engine.flush().unwrap();
+            assert_eq!(count(&engine, names::CHECKPOINT_INLINE_FALLBACKS), 0);
             drop(gate);
             pipe.drain(neighbour);
-            (report, cow_copies)
+            (report, pending, cow_copies)
         };
         let order = |report: &CheckpointReport| {
             let names: Vec<&str> = report.phases.phases().iter().map(|p| p.0).collect();
@@ -1048,9 +1021,9 @@ mod tests {
         };
         let stopped = ["quiesce", "capture", "fs-snapshot"];
 
-        let (optimized, cow_copies) = run(EngineConfig::default());
+        let (optimized, pending, cow_copies) = run(EngineConfig::default());
         assert_eq!(optimized.pages_saved, PAGES / 2, "the dirty subset");
-        assert!(optimized.deferred, "the commit is left to the pool");
+        assert_eq!(pending, 2, "the commits are left to the pool");
         assert_eq!(
             order(&optimized),
             "pre-checkpoint quiesce capture fs-snapshot resume writeback"
@@ -1066,12 +1039,11 @@ mod tests {
         assert!(no_incremental.full);
         assert_eq!(no_incremental.pages_saved, PAGES, "every resident page");
 
-        let no_defer = run(EngineConfig {
+        let (no_defer, pending, _) = run(EngineConfig {
             disable_deferred_writeback: true,
             ..EngineConfig::default()
-        })
-        .0;
-        assert!(!no_defer.deferred, "the commit settled before resume");
+        });
+        assert_eq!(pending, 0, "the commit settled before resume");
         assert_eq!(
             order(&no_defer),
             "pre-checkpoint quiesce capture fs-snapshot writeback resume"
@@ -1081,11 +1053,11 @@ mod tests {
             no_defer.phases.subset_total(&stopped) + no_defer.phases.get("writeback")
         );
 
-        let (no_cow, cow_copies) = run(EngineConfig {
+        let (_, pending, cow_copies) = run(EngineConfig {
             disable_cow: true,
             ..EngineConfig::default()
         });
-        assert!(no_cow.deferred);
+        assert_eq!(pending, 2);
         assert_eq!(cow_copies, 0, "the capture copied while stopped");
     }
 
@@ -1187,8 +1159,10 @@ mod tests {
                 vee.mem_write(p, addr + u64::from(i) * 4096, &vec![i + 1; 4096])
                     .unwrap();
                 let report = engine.checkpoint(&mut vee).unwrap();
-                assert_eq!(report.deferred, workers > 0);
-                assert_eq!(report.raw_bytes > 0, workers == 0);
+                if workers == 0 {
+                    // The session thread committed it before returning.
+                    assert!(engine.image_meta(report.counter).unwrap().raw_bytes > 0);
+                }
             }
             engine.flush().unwrap();
             let c = |name| count(&engine, name);
@@ -1227,12 +1201,15 @@ mod tests {
         };
         let (pipe, neighbour, gate) = parked_pool(0);
         let (mut vee, mut engine, _p) = session_on(config, &FaultPlane::disabled(), &pipe);
-        let deferred: Vec<bool> = (0..5)
-            .map(|_| engine.checkpoint(&mut vee).unwrap().deferred)
+        let pending: Vec<usize> = (0..5)
+            .map(|_| {
+                engine.checkpoint(&mut vee).unwrap();
+                engine.inflight()
+            })
             .collect();
         // Every second capture finds the depth-1 lane full, settles it
         // and commits itself before the call returns.
-        assert_eq!(deferred, vec![true, false, true, false, true]);
+        assert_eq!(pending, vec![1, 0, 1, 0, 1]);
         assert_eq!(count(&engine, names::CHECKPOINT_INLINE_FALLBACKS), 2);
         assert_eq!(engine.inflight(), 1);
         engine.flush().unwrap();
@@ -1289,30 +1266,38 @@ mod tests {
         assert_eq!(revived.mem_read(p, addr, 1).unwrap(), [2]);
     }
 
-    /// A commit that fails inside the call is returned by the call, not
-    /// again by `flush`, and consumes its counter like any failed
-    /// commit — at every worker count the same images survive.
+    /// A failed commit reaches the caller one way at every worker
+    /// count: the call that captured it returns `Ok`, `flush` returns
+    /// the failure once, and its counter is consumed.
     #[test]
-    fn a_commit_failure_within_the_call_is_reported_once() {
-        let plane = FaultPlan::new(23)
-            .fail_nth(sites::CHECKPOINT_IMAGE_ENCODE, 2, IoFault::TornWrite)
-            .build();
-        let (mut vee, mut engine, _p, _store) = session(EngineConfig::default(), &plane);
-        engine.checkpoint(&mut vee).unwrap();
-        assert_eq!(engine.checkpoint(&mut vee).unwrap_err(), FsError::Io);
-        assert_eq!(engine.flush(), Ok(()));
-        let report = engine.checkpoint(&mut vee).unwrap();
-        assert!(report.full && report.counter == 3);
-        let c = |name| count(&engine, name);
-        assert_eq!(
-            (c(names::CHECKPOINT_COUNT), c(names::CHECKPOINT_COMMITTED)),
-            (3, 2)
-        );
-        assert_eq!(c(names::CHECKPOINT_WRITE_FAILURES), 1);
-        assert_eq!(
-            engine.images().map(|m| m.counter).collect::<Vec<_>>(),
-            vec![1, 3]
-        );
+    fn a_failed_commit_is_returned_once_by_flush() {
+        for workers in 0..3 {
+            let plane = FaultPlan::new(23)
+                .fail_nth(sites::CHECKPOINT_IMAGE_ENCODE, 2, IoFault::TornWrite)
+                .build();
+            let config = EngineConfig {
+                commit_workers: workers,
+                ..EngineConfig::default()
+            };
+            let (mut vee, mut engine, _p, _store) = session(config, &plane);
+            engine.checkpoint(&mut vee).unwrap();
+            engine.checkpoint(&mut vee).unwrap();
+            assert_eq!(engine.flush(), Err(FsError::Io), "workers={workers}");
+            assert_eq!(engine.flush(), Ok(()), "returned once");
+            let report = engine.checkpoint(&mut vee).unwrap();
+            assert!(report.full && report.counter == 3);
+            engine.flush().unwrap();
+            let c = |name| count(&engine, name);
+            assert_eq!(
+                (c(names::CHECKPOINT_COUNT), c(names::CHECKPOINT_COMMITTED)),
+                (3, 2)
+            );
+            assert_eq!(c(names::CHECKPOINT_WRITE_FAILURES), 1);
+            assert_eq!(
+                engine.images().map(|m| m.counter).collect::<Vec<_>>(),
+                vec![1, 3]
+            );
+        }
     }
 
     /// The commits stay pending on a parked pool until `flush` runs
@@ -1332,8 +1317,9 @@ mod tests {
         let addr = vee.mmap(p, 4096, Prot::ReadWrite).unwrap();
         for i in 0..3u8 {
             vee.mem_write(p, addr, &[i + 1]).unwrap();
-            assert!(engine.checkpoint(&mut vee).unwrap().deferred);
+            engine.checkpoint(&mut vee).unwrap();
         }
+        assert_eq!(engine.inflight(), 3, "every commit left to the pool");
         assert_eq!(
             engine.flush(),
             Err(FsError::NoSpace),

@@ -22,7 +22,9 @@
 //! waiting thread run its *own* lane's steps instead of sleeping
 //! whenever one is ready, whatever the worker count. A caller never
 //! runs another lane's step, so one tenant's fault or compaction never
-//! stalls a neighbour's session thread.
+//! stalls a neighbour's session thread. Whoever ran the steps, a
+//! commit's outcome goes back one way: [`CommitPipeline::take_finished`],
+//! which the lane's engine reaps. No call that ran a step returns it.
 //!
 //! A pipeline serves one or more **lanes**. Whoever owns the store
 //! builds the pool once — a lone session from its engine config, a

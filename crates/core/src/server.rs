@@ -58,7 +58,9 @@ pub struct SearchResult {
 pub struct PolicyTick {
     /// What the policy decided.
     pub decision: Decision,
-    /// The checkpoint report, when one was taken.
+    /// The checkpoint report, when a capture reached the commit
+    /// pipeline; its commit's failure, if any, is returned by the next
+    /// [`DejaView::flush_checkpoints`].
     pub report: Option<CheckpointReport>,
 }
 
@@ -380,9 +382,8 @@ impl DejaView {
 
     /// Drains the main engine's lane of the commit pipeline, blocking
     /// until every captured image has committed (or failed). The first
-    /// commit failure since the last flush that no checkpoint call
-    /// already returned is surfaced here and counted as one
-    /// degradation event.
+    /// commit failure since the last flush is surfaced here, at every
+    /// worker count, and counted as one degradation event.
     pub fn flush_checkpoints(&mut self) -> Result<(), ServerError> {
         self.engine.flush().map_err(|e| {
             self.obs.incr(names::SERVER_DEGRADED_EVENTS);
@@ -397,12 +398,26 @@ impl DejaView {
 
     /// Reopens the checkpoint history from the images under
     /// `blob_prefix` in the store, past the session file system's
-    /// snapshot points (archive restore; see [`Checkpointer::reopen`]).
+    /// snapshot points (archive restore; see [`Checkpointer::reopen`]),
+    /// and resumes session ids past every revived session's
+    /// `{blob_prefix}.s{id}-` blob, so a session revived now writes
+    /// over none of theirs.
     pub(crate) fn reopen_checkpoints(&mut self, blob_prefix: &str) {
         let snapshots = self.session_fs.with(|fs| fs.snapshot_counters());
         let engine = &mut self.engine;
-        self.store
-            .with(|store| engine.reopen(blob_prefix, store, &snapshots));
+        let revived = format!("{blob_prefix}.s");
+        let last_id = self.store.with(|store| {
+            engine.reopen(blob_prefix, store, &snapshots);
+            store
+                .names()
+                .iter()
+                .filter_map(|name| {
+                    let (id, _) = name.strip_prefix(&revived)?.split_once('-')?;
+                    id.parse::<u64>().ok()
+                })
+                .max()
+        });
+        self.next_session_id = last_id.map_or(1, |id| id + 1);
     }
 
     /// Returns the live screen size.
@@ -543,9 +558,11 @@ impl DejaView {
         }
     }
 
-    /// Takes a checkpoint, retrying what the engine could not absorb: a
-    /// failed snapshot point, or a commit that resolved within the call
-    /// and failed (its own store-write retries exhausted, or cascaded).
+    /// Takes a checkpoint, retrying what fails before the capture
+    /// reaches the commit pipeline: the pre-snapshot sync, a relink or
+    /// the snapshot point, none of which consumes a counter. A commit's
+    /// failure is the pipeline's to retry; it is returned by the next
+    /// [`DejaView::flush_checkpoints`], not here.
     fn checkpoint_with_retry(&mut self) -> Result<CheckpointReport, ServerError> {
         let report = self.with_retry("checkpoint", names::SERVER_CHECKPOINT_RETRIES, |dv| {
             dv.engine.checkpoint(&mut dv.vee)
@@ -589,7 +606,9 @@ impl DejaView {
     }
 
     /// Takes a checkpoint unconditionally (with the storage retry
-    /// policy).
+    /// policy). `Err` means no capture reached the commit pipeline
+    /// after the retries; a failed commit is returned by the next
+    /// [`DejaView::flush_checkpoints`] instead.
     pub fn checkpoint_now(&mut self) -> Result<CheckpointReport, ServerError> {
         self.checkpoint_with_retry()
     }
@@ -621,7 +640,7 @@ impl DejaView {
         self.pending_keyboard_input = false;
         let decision = self.policy.evaluate(&input);
         let report = match decision {
-            // A checkpoint that still fails after retries degrades the
+            // A capture that still fails after retries degrades the
             // record (this moment is not revivable) but never stops
             // recording: the tick reports no checkpoint and the failure
             // is visible in `degraded_events` / engine `write_failures`.
@@ -969,15 +988,10 @@ impl DejaView {
             Ok(shot) => Viewer::from_screenshot(&shot),
             Err(_) => Viewer::new(self.width, self.height),
         };
-        // The session's own engine writes under a distinct blob prefix,
-        // nested under the server's own prefix when a host namespaced
-        // it (so revived sessions of different tenants sharing one
-        // store cannot collide either).
-        let revived_prefix = if self.engine.blob_prefix() == "ckpt" {
-            format!("s{id}")
-        } else {
-            format!("{}.s{id}", self.engine.blob_prefix())
-        };
+        // The session's own engine writes under a distinct blob prefix
+        // nested under the server's own (so revived sessions of
+        // different tenants sharing one store cannot collide either).
+        let revived_prefix = format!("{}.s{id}", self.engine.blob_prefix());
         // One pool per server, however many sessions it revives: the
         // session's engine takes a lane on the main engine's pool.
         let pool = self.engine.pool().clone();
@@ -1515,7 +1529,7 @@ mod tests {
             dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 64), 1);
             dv.clock().advance(Duration::from_secs(1));
             let report = dv.policy_tick().unwrap().report;
-            (dv, report.expect("a retry recovered the checkpoint"))
+            (dv, report.expect("the capture reached the pipeline"))
         };
         // The commit step's own retry absorbs it — counted and traced,
         // not silent — and the server never sees a failed checkpoint.
@@ -1526,16 +1540,21 @@ mod tests {
         assert_eq!(obs.events_named(names::EV_COMMIT_RETRY).len(), 1);
         assert_eq!(dv.degraded_events(), 0);
         assert_eq!(obs.counter(names::CHECKPOINT_WRITE_FAILURES), 0);
-        // With no commit retries to spend the commit fails, and the
-        // server's retry takes a second, forced-full checkpoint.
-        let (dv, report) = tick_under(dv_checkpoint::EngineConfig {
+        // With no commit retries to spend the commit fails: it is
+        // counted at once, consumes its counter, and the next flush
+        // returns it as one degraded event. The server takes no second
+        // checkpoint.
+        let (mut dv, report) = tick_under(dv_checkpoint::EngineConfig {
             commit_retry_limit: 0,
             ..dv_checkpoint::EngineConfig::default()
         });
-        assert!(report.full && report.counter == 2);
+        assert!(report.full && report.counter == 1);
+        assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), 1);
+        assert_eq!(dv.degraded_events(), 0);
+        assert!(dv.flush_checkpoints().is_err());
         assert_eq!(dv.degraded_events(), 1);
         assert_eq!(dv.storage().degraded_events, 1);
-        assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), 1);
+        assert_eq!(dv.engine().images().count(), 0);
     }
 
     #[test]
@@ -1554,20 +1573,22 @@ mod tests {
         dv.clock().advance(Duration::from_secs(1));
         let tick = dv.policy_tick().unwrap();
         assert_eq!(tick.decision, Decision::Checkpoint);
-        assert!(tick.report.is_none(), "exhausted retries degrade the tick");
-        // Initial attempt plus the full retry budget, all counted —
-        // each one a commit that spent its own store-write retries.
-        let attempts = 1 + IO_RETRY_LIMIT as u64;
-        assert_eq!(dv.degraded_events(), attempts);
-        assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), attempts);
+        assert_eq!(tick.report.map(|r| r.counter), Some(1));
+        // One commit, which spent its own store-write retries; the
+        // server retries no commit.
+        assert_eq!(dv.obs().counter(names::CHECKPOINT_WRITE_FAILURES), 1);
         assert_eq!(
             dv.observability().counter(names::CHECKPOINT_COMMIT_RETRIES),
-            attempts * Config::default().engine.commit_retry_limit as u64
+            Config::default().engine.commit_retry_limit as u64
         );
         // Recording and browsing continue past the degraded moment.
         assert!(dv.browse(Timestamp::from_millis(500)).is_ok());
-        // An explicit checkpoint propagates the error instead.
-        assert!(dv.checkpoint_now().is_err());
+        // The flush returns the failure, counted as one degraded event.
+        assert!(dv.flush_checkpoints().is_err());
+        assert_eq!(dv.degraded_events(), 1);
+        // An explicit checkpoint captures too; its commit fails alike.
+        assert!(dv.checkpoint_now().is_ok());
+        assert!(dv.flush_checkpoints().is_err());
     }
 
     #[test]
@@ -1599,10 +1620,10 @@ mod tests {
             assert!(Arc::ptr_eq(engine.pool(), &pool));
         }
         // A revived session's image takes the same path to the store
-        // as the main session's: deferred to the pool, same format.
-        assert!(dv.checkpoint_session(revived[0]).unwrap().deferred);
+        // as the main session's: through the pool, same format.
+        dv.checkpoint_session(revived[0]).unwrap();
         dv.session_mut(revived[0]).unwrap().engine.flush().unwrap();
-        for blob in ["ckpt-00000001", "s1-00000001"] {
+        for blob in ["ckpt-00000001", "ckpt.s1-00000001"] {
             let first = store.lock().get(blob).expect("committed")[0];
             assert!(first <= 0x01, "{blob} is one RLE stream");
         }

