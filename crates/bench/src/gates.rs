@@ -206,7 +206,8 @@ pub const SUITES: &[Suite] = &[
             ("net_round_p99_per_viewer_f256_ratio", AtMost(0.86)),
             ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.96)),
             // Every row of both sweeps: fan-out is refcount bumps,
-            // never a second encode.
+            // never a second encode — one per live batch, and at most
+            // one catch-up keyframe per poll at the sweeps' one scale.
             ("net_one_encode_per_batch", MustHold),
         ],
         experiments: &[net_experiment],

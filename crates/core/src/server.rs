@@ -17,7 +17,7 @@ use dv_checkpoint::{
     revive, CheckpointPolicy, CheckpointReport, Checkpointer, CommitPipeline, Decision,
     NetworkPolicy, PolicyInput,
 };
-use dv_display::{InputEvent, Screenshot, Viewer, VirtualDisplayDriver};
+use dv_display::{Framebuffer, InputEvent, Screenshot, VirtualDisplayDriver};
 use dv_fault::FaultPlane;
 use dv_index::{parse_query, RankOrder, SearchHit, TextIndex};
 use dv_lsfs::{
@@ -864,7 +864,7 @@ impl DejaView {
         self.playback.seek(t)?;
         let shot = self.playback.screenshot();
         // The portal pushed out goes back to the engine, which keeps
-        // its frame only if no result or viewer still holds it.
+        // its frame only if no result or revived session still holds it.
         if let Some(evicted) = self.search_cache.put(t.as_nanos(), shot.clone()) {
             self.playback.recycle(evicted);
         }
@@ -984,10 +984,9 @@ impl DejaView {
         // The new viewer window opens on the seek's frame — the display
         // as recorded at the checkpoint — and is black only when there
         // is no display record.
-        let viewer = match self.screenshot_at(revived_from) {
-            Ok(shot) => Viewer::from_screenshot(&shot),
-            Err(_) => Viewer::new(self.width, self.height),
-        };
+        let screen = self
+            .screenshot_at(revived_from)
+            .unwrap_or_else(|_| Framebuffer::new(self.width, self.height).snapshot());
         // The session's own engine writes under a distinct blob prefix
         // nested under the server's own (so revived sessions of
         // different tenants sharing one store cannot collide either).
@@ -1007,7 +1006,7 @@ impl DejaView {
                 vee,
                 fs: branch,
                 lower,
-                viewer,
+                screen,
                 report,
                 engine,
             },
@@ -1225,6 +1224,19 @@ mod tests {
             dv.vee().fs.read_all("/home/doc.txt").unwrap(),
             b"draft two, changed"
         );
+    }
+
+    /// A revived session's window opens on the frame recorded at its
+    /// checkpoint, sharing the seek's pixels instead of copying them.
+    #[test]
+    fn a_revived_session_opens_on_the_recorded_screen() {
+        let mut dv = populated_server();
+        let id = dv.take_me_back(Timestamp::from_secs(2)).unwrap();
+        let at = dv.session(id).unwrap().revived_from;
+        let shot = dv.screenshot_at(at).unwrap();
+        let screen = &dv.session(id).unwrap().screen;
+        assert!(Arc::ptr_eq(&screen.pixels, &shot.pixels));
+        assert!(screen.pixels.contains(&0x202020), "not the painted screen");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sequence of events that occurred in the original recording" (§2).
 
 use dv_checkpoint::{Checkpointer, ReviveReport};
-use dv_display::Viewer;
+use dv_display::Screenshot;
 use dv_lsfs::{Lsfs, ReadOnlyFs, SharedFs, UnionFs};
 use dv_time::Timestamp;
 use dv_vee::{Vee, VeeResult, Vpid};
@@ -32,8 +32,9 @@ pub struct RevivedSession {
     /// The read-only layer stack under the branch, kept cloneable so
     /// this session can itself be revived from (§5.2).
     pub lower: Box<dyn ReadOnlyFs>,
-    /// The viewer window attached to the session.
-    pub viewer: Viewer,
+    /// The screen the session's viewer window opened on: the display
+    /// as recorded at the checkpoint.
+    pub screen: Screenshot,
     /// Statistics from the revive itself.
     pub report: ReviveReport,
     /// This session's own checkpoint engine: a revived session "retains

@@ -6,30 +6,36 @@
 //! through, a virtual display driver that intercepts drawing at the
 //! video-driver interface and fans commands out to viewer and recorder
 //! sinks, command queueing/merging and the coverage pass a seek uses to
-//! skip what it repaints, resolution scaling, a wire codec, and the
-//! stateless client viewer.
+//! skip what it repaints, resolution scaling and the headless outputs
+//! built on it, a wire codec, and the input events a viewer sends back.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
-//! use dv_display::{Rect, Viewer, VirtualDisplayDriver};
+//! use dv_display::{OutputPool, Rect, ScaleFactor, VirtualDisplayDriver};
 //! use dv_time::SimClock;
 //! use parking_lot::Mutex;
 //!
 //! let clock = SimClock::new();
 //! let mut driver = VirtualDisplayDriver::new(640, 480, clock.shared());
-//! let viewer = Arc::new(Mutex::new(Viewer::new(640, 480)));
-//! driver.attach_sink(viewer.clone());
+//! // A headless screen at the session's own size, and one at half.
+//! let half = ScaleFactor::new(1, 2);
+//! let outputs = Arc::new(Mutex::new(OutputPool::new()));
+//! outputs.lock().ensure(ScaleFactor::ONE, &driver.snapshot());
+//! outputs.lock().ensure(half, &driver.snapshot());
+//! driver.attach_sink(outputs.clone());
 //!
 //! driver.fill_rect(Rect::new(0, 0, 640, 480), dv_display::rgb(32, 32, 32));
 //! driver.draw_text(10, 10, "hello dejaview", 0xFFFFFF, 0);
 //!
-//! // The viewer mirrors the server's screen exactly.
+//! // The identity output mirrors the server's screen exactly.
+//! let pool = outputs.lock();
 //! assert_eq!(
-//!     viewer.lock().screenshot().content_hash(),
+//!     pool.get(ScaleFactor::ONE).unwrap().fingerprint(),
 //!     driver.snapshot().content_hash(),
 //! );
+//! assert_eq!(pool.get(half).unwrap().size(), (320, 240));
 //! ```
 
 #![deny(unsafe_code)]
@@ -59,5 +65,5 @@ pub use output::{OutputPool, VirtualOutput};
 pub use queue::{CommandQueue, OverwritePass, QueuedCommand};
 pub use rect::{Rect, Region};
 pub use scale::{resample_screenshot, scale_command, scale_screenshot, ScaleFactor};
-pub use viewer::{InputEvent, Viewer, ViewerStats};
+pub use viewer::InputEvent;
 pub use wire::{decode_input, encode_input, ByteChannel, ChannelClosed};

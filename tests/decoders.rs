@@ -35,7 +35,7 @@ use dv_checkpoint::{
 use dv_display::{
     decode_command, decode_input, decode_pixels, encode_command, encode_command_vec, encode_input,
     encode_pixels, peek_command, CommandSink, DisplayCommand, Framebuffer, InputEvent, Pattern,
-    Rect, Screenshot, Viewer, YuvFrame,
+    Rect, ScaleFactor, Screenshot, VirtualOutput, YuvFrame,
 };
 use dv_fault::checksum::crc32;
 use dv_fault::{FaultPlane, Put, Reader};
@@ -330,9 +330,10 @@ fn degenerate_commands(seed: u64) -> Vec<u8> {
 /// The header peek and the full decode, command by command: both
 /// accept or both refuse with one error; what decodes has the peeked
 /// header and length, applies, reads back from a one-entry log, and
-/// paints a viewer as it paints a framebuffer.
+/// paints a headless output as it paints a framebuffer.
 fn peek_agrees_with_decode(mut b: &[u8]) -> bool {
-    let (mut fb, mut viewer) = (Framebuffer::new(48, 48), Viewer::new(48, 48));
+    let mut fb = Framebuffer::new(48, 48);
+    let mut output = VirtualOutput::new(ScaleFactor::ONE, &fb.snapshot());
     while !b.is_empty() {
         let mut rest = b;
         match (peek_command(b), decode_command(&mut rest)) {
@@ -344,8 +345,8 @@ fn peek_agrees_with_decode(mut b: &[u8]) -> bool {
                 let log = CommandLog::from_bytes(entry).expect("a one-entry log");
                 let (_, logged, _) = log.read_at(0).expect("read").expect("entry");
                 assert_eq!(logged, cmd);
-                viewer.submit(Timestamp::ZERO, &logged);
-                assert_eq!(viewer.screenshot(), fb.snapshot());
+                output.apply(&logged);
+                assert_eq!(output.snapshot(), fb.snapshot());
             }
             (Err(peeked), Err(decoded)) => {
                 assert_eq!(peeked, decoded);

@@ -14,8 +14,8 @@ use dejaview::{Config, DejaView};
 use dv_access::Role;
 use dv_display::{
     decode_command, encode_command_vec, peek_command, CodecError, CommandQueue, CommandSink,
-    DisplayCommand, Framebuffer, Pattern, Rect, ScaleFactor, Screenshot, Viewer,
-    VirtualDisplayDriver, VirtualOutput, YuvFrame, HEADER_LEN,
+    DisplayCommand, Framebuffer, Pattern, Rect, ScaleFactor, Screenshot, VirtualDisplayDriver,
+    VirtualOutput, YuvFrame, HEADER_LEN,
 };
 use dv_fault::{sites, FaultPlan, IoFault};
 use dv_index::RankOrder;
@@ -359,15 +359,16 @@ proptest! {
                     let mut fb = Framebuffer::new(W, H);
                     fb.apply(&cmd);
                     // The same bytes as a stored log entry and as a
-                    // live command on the way to a viewer.
+                    // live command on the way to a headless screen.
                     let mut entry = 7u64.to_le_bytes().to_vec();
                     entry.extend_from_slice(&buf[..meta.len]);
                     let log = CommandLog::from_bytes(entry).expect("a one-entry log");
                     let (_, logged, _) = log.read_at(0).expect("read").expect("entry");
                     prop_assert_eq!(&logged, &cmd);
-                    let mut viewer = Viewer::new(W, H);
-                    viewer.submit(Timestamp::ZERO, &logged);
-                    prop_assert_eq!(viewer.screenshot(), fb.snapshot());
+                    let black = Framebuffer::new(W, H).snapshot();
+                    let mut output = VirtualOutput::new(ScaleFactor::ONE, &black);
+                    output.apply(&logged);
+                    prop_assert_eq!(output.snapshot(), fb.snapshot());
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(false, "peek {:?} but decode {:?}", a, b.map(|c| c.meta())),
@@ -377,7 +378,7 @@ proptest! {
 
     /// Copy-on-write isolation: a screenshot shares the framebuffer's
     /// pixels, yet no later command shows through it — for the driver,
-    /// a viewer, a virtual output and the playback engine, also when
+    /// a framebuffer, a virtual output and the playback engine, also when
     /// the engine is handed back the frame a screenshot still holds.
     #[test]
     fn screenshots_are_isolated_from_later_commands(
@@ -397,17 +398,17 @@ proptest! {
         assert_isolated(&shot, &before, "driver");
         prop_assert_eq!(driver.snapshot(), after.clone());
 
-        let mut viewer = Viewer::new(W, H);
-        viewer.submit(Timestamp::ZERO, &first);
-        let shot = viewer.screenshot();
-        viewer.submit(Timestamp::ZERO, &second);
-        assert_isolated(&shot, &before, "viewer");
-        prop_assert_eq!(viewer.screenshot(), after.clone());
-        // A viewer opened on a screenshot shares it too.
-        let mut viewer = Viewer::from_screenshot(&shot);
-        viewer.submit(Timestamp::ZERO, &second);
-        assert_isolated(&shot, &before, "viewer opened on a screenshot");
-        prop_assert_eq!(viewer.screenshot(), after.clone());
+        let mut fb = Framebuffer::new(W, H);
+        fb.apply(&first);
+        let shot = fb.snapshot();
+        fb.apply(&second);
+        assert_isolated(&shot, &before, "framebuffer");
+        prop_assert_eq!(fb.snapshot(), after.clone());
+        // A framebuffer opened on a screenshot shares it too.
+        let mut fb = Framebuffer::from_screenshot(&shot);
+        fb.apply(&second);
+        assert_isolated(&shot, &before, "framebuffer opened on a screenshot");
+        prop_assert_eq!(fb.snapshot(), after.clone());
 
         let seed = Screenshot { width: W, height: H, pixels: Arc::new(before.clone()) };
         let mut output = VirtualOutput::new(ScaleFactor::ONE, &seed);
@@ -814,7 +815,7 @@ proptest! {
         let query = dv_index::parse_query("needle").expect("query");
         let hits = dv.search_hits(&query, order).expect("hits");
         let revived = dv.take_me_back(checkpointed).expect("revive");
-        let opened_on = dv.session(revived).expect("revived").viewer.screenshot();
+        let opened_on = dv.session(revived).expect("revived").screen.clone();
         let opened_pixels = opened_on.pixels.as_ref().clone();
         let results = dv.search_query(&query, order).expect("search");
         prop_assert_eq!(results.len(), shown_secs.len());
