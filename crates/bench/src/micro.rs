@@ -17,7 +17,7 @@ use dv_display::{
     ScrollRing, YuvFrame,
 };
 use dv_index::{parse_query, IndexedInstance, RankOrder, TextIndex};
-use dv_lsfs::{Filesystem, Lsfs, SharedBlobStore};
+use dv_lsfs::{Filesystem, Lsfs, SharedBlobStore, SharedFs};
 use dv_net::{decode_message, frame_message, FrameDecoder, LoopbackTransport, Message, Transport};
 use dv_record::{decode_screenshot, encode_screenshot, DisplayRecorder, RecorderConfig};
 use dv_time::{SimClock, Timestamp};
@@ -403,6 +403,34 @@ pub(crate) fn micro_experiment(scale: f64) -> Report {
             fs.sync().unwrap();
         })
     });
+    // A build step's file overwrite, through the session's boxed shared
+    // handle: 2 KiB over a synced 4 KiB file, then the sync. Each round
+    // takes the next of 4,096 files in a 16 MiB log, so the old block is
+    // as cold as a build tree's.
+    let mut fs: Box<dyn Filesystem> = Box::new(SharedFs::new(Lsfs::new()));
+    let files: Vec<String> = (0..4_096)
+        .map(|i| format!("/src/d{}/f{i}.c", i % 16))
+        .collect();
+    for dir in 0..16 {
+        fs.mkdir_all(&format!("/src/d{dir}")).unwrap();
+    }
+    for file in &files {
+        fs.write_all(file, &[1u8; 4096]).unwrap();
+    }
+    fs.sync().unwrap();
+    let (mut files, new) = (files.iter().cycle(), vec![2u8; 2048]);
+    rows.add_as(
+        "lsfs",
+        "overwrite_small_file",
+        || {
+            let file = files.next().unwrap();
+            timed(|| {
+                fs.write_all(file, black_box(&new)).unwrap();
+                fs.sync().unwrap();
+            })
+        },
+        |least| format!("{:.2} us", least.as_secs_f64() * 1e6),
+    );
     let mut fs = Lsfs::new();
     for i in 0..16_384 {
         fs.write_all(&format!("/file_{i}"), b"contents").unwrap();
@@ -465,6 +493,6 @@ mod tests {
         let mut names = report.tables[0].column("round");
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 27);
     }
 }

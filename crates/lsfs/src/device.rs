@@ -348,7 +348,7 @@ impl BlobStore {
     /// Runs one bounded GC sweep step over retired chunks; see
     /// [`dv_cas::ChunkStore::gc_step`]. Errors with
     /// [`FsError::Unsupported`] when dedup is disabled.
-    pub fn cas_gc_step(&mut self, max_chunks: usize) -> FsResult<GcStep> {
+    fn cas_gc_step(&mut self, max_chunks: usize) -> FsResult<GcStep> {
         match &mut self.cas {
             Some(cas) => cas.gc_step(max_chunks).map_err(cas_err),
             None => Err(FsError::Unsupported),
@@ -359,7 +359,8 @@ impl BlobStore {
     /// volatile chunk-store metadata are dropped, and the store is
     /// rebuilt from the durable root slots plus the chunk arena.
     /// No-op (returning `false`) when dedup is disabled.
-    pub fn simulate_cas_crash(&mut self) -> bool {
+    #[cfg(test)]
+    fn simulate_cas_crash(&mut self) -> bool {
         match &self.cas {
             Some(cas) => {
                 let mut recovered = cas.crash();

@@ -15,6 +15,7 @@
 //! meaningful: syncing before quiescing the session moves most data-log
 //! appends out of the downtime window (§5.1.2).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -298,6 +299,24 @@ impl FsState {
     }
 }
 
+/// A file's size since the last sync, and its truncation floor: the
+/// smallest size it has had since then. A block that starts at or past
+/// the floor was cut away, so it starts from zeros when it is next
+/// written and reads as zeros until then; `sync` journals the ones the
+/// file has grown back over as holes, so the log agrees.
+#[derive(Clone, Copy)]
+struct Resized {
+    size: u64,
+    floor: u64,
+}
+
+impl Resized {
+    /// The first block that starts from zeros.
+    fn fresh_block(self) -> u64 {
+        self.floor.div_ceil(BLOCK_SIZE as u64)
+    }
+}
+
 /// The live, writable log-structured file system.
 ///
 /// # Examples
@@ -319,7 +338,7 @@ pub struct Lsfs {
     disk: SharedDisk,
     pub(crate) state: FsState,
     dirty: BTreeMap<(u64, u64), Vec<u8>>,
-    dirty_sizes: HashMap<u64, u64>,
+    dirty_sizes: HashMap<u64, Resized>,
     handles: HashMap<u64, u64>,
     next_handle: u64,
     pins: HashMap<u64, u32>,
@@ -383,7 +402,8 @@ impl Lsfs {
     /// record anywhere on the chain yields [`FsError::Io`] instead of
     /// replaying garbage, and an intact record whose operation does not
     /// fit the state it is replayed onto is refused the same way
-    /// (`FsState::apply`). Callers fall back to [`Lsfs::recover_scan`].
+    /// (`FsState::apply`). [`Lsfs::load`] then falls back to a scan of
+    /// the raw log for the newest intact chain.
     pub fn recover(disk: SharedDisk, head: u64) -> FsResult<Self> {
         let mut ops = Vec::new();
         {
@@ -419,7 +439,7 @@ impl Lsfs {
     /// intact committed transaction — a prefix of the pre-crash history.
     /// Falls back to an empty file system on the same disk when no
     /// intact record exists.
-    pub fn recover_scan(disk: SharedDisk) -> Self {
+    fn recover_scan(disk: SharedDisk) -> Self {
         let candidates: Vec<u64> = {
             let d = disk.read();
             let len = d.bytes_written() as usize;
@@ -462,7 +482,7 @@ impl Lsfs {
     ///
     /// The stored head pointer is advisory: if the chain it names fails
     /// validation or fsck — a torn tail after a power cut, a mangled
-    /// record — recovery falls back to [`Lsfs::recover_scan`] and lands
+    /// record — recovery falls back to a scan of the raw log and lands
     /// on the newest intact prefix of the journal.
     pub fn load(data: &[u8]) -> FsResult<Lsfs> {
         let mut r = Reader::new(data);
@@ -573,16 +593,55 @@ impl Lsfs {
         self.state.apply(&op)
     }
 
+    /// Creates an empty regular file and returns its inode number.
+    fn create_file(&mut self, p: &str) -> FsResult<u64> {
+        let (parent, name) = self.state.resolve_parent(p)?;
+        if self.state.inodes[parent].children.contains_key(name) {
+            return Err(FsError::AlreadyExists);
+        }
+        let ino = self.state.next_ino;
+        self.commit(FsOp::Create {
+            parent,
+            name: name.to_string(),
+            ino,
+        })?;
+        Ok(ino)
+    }
+
     fn effective_size(&self, ino: u64) -> u64 {
+        match self.dirty_sizes.get(&ino) {
+            Some(resized) => resized.size,
+            None => self.state.inodes[ino].size,
+        }
+    }
+
+    /// Sets the size of `ino` until the next sync, lowering its
+    /// truncation floor with it.
+    fn resize(&mut self, ino: u64, size: u64) {
+        let committed = self.state.inodes[ino].size;
+        let resized = self.dirty_sizes.entry(ino).or_insert(Resized {
+            size: committed,
+            floor: committed,
+        });
+        resized.size = size;
+        resized.floor = resized.floor.min(size);
+    }
+
+    /// The first block of `ino` that starts from zeros instead of from
+    /// the log: none while the file has not been resized since the last
+    /// sync (blocks past its committed list read as zeros anyway).
+    fn fresh_block(&self, ino: u64) -> u64 {
         self.dirty_sizes
             .get(&ino)
-            .copied()
-            .unwrap_or_else(|| self.state.inodes[ino].size)
+            .map_or(u64::MAX, |resized| resized.fresh_block())
     }
 
     fn load_block(&self, ino: u64, idx: u64) -> Vec<u8> {
         if let Some(buf) = self.dirty.get(&(ino, idx)) {
             return buf.clone();
+        }
+        if idx >= self.fresh_block(ino) {
+            return vec![0; BLOCK_SIZE];
         }
         self.state.inodes[ino].block(&self.disk, idx)
     }
@@ -597,17 +656,26 @@ impl Lsfs {
             .ok_or(FsError::FileTooLarge)?;
         let first = offset / BLOCK_SIZE as u64;
         let last = (end - 1) / BLOCK_SIZE as u64;
+        let fresh = self.fresh_block(ino);
         for idx in first..=last {
             let block_start = idx * BLOCK_SIZE as u64;
-            let mut block = self.load_block(ino, idx);
             let from = offset.max(block_start);
             let to = end.min(block_start + BLOCK_SIZE as u64);
+            // A buffered block is written in place; any other starts
+            // from zeros past the truncation floor, from the log before it.
+            let block = match self.dirty.entry((ino, idx)) {
+                Entry::Occupied(buffered) => buffered.into_mut(),
+                Entry::Vacant(slot) => slot.insert(if idx >= fresh {
+                    vec![0; BLOCK_SIZE]
+                } else {
+                    self.state.inodes[ino].block(&self.disk, idx)
+                }),
+            };
             let src = &data[(from - offset) as usize..(to - offset) as usize];
             block[(from - block_start) as usize..(to - block_start) as usize].copy_from_slice(src);
-            self.dirty.insert((ino, idx), block);
         }
         if end > self.effective_size(ino) {
-            self.dirty_sizes.insert(ino, end);
+            self.resize(ino, end);
         }
         Ok(())
     }
@@ -641,7 +709,7 @@ impl Lsfs {
                 self.dirty.insert((ino, idx), block);
             }
         }
-        self.dirty_sizes.insert(ino, size);
+        self.resize(ino, size);
         Ok(())
     }
 
@@ -705,16 +773,7 @@ impl Default for Lsfs {
 
 impl Filesystem for Lsfs {
     fn create(&mut self, p: &str) -> FsResult<()> {
-        let (parent, name) = self.state.resolve_parent(p)?;
-        if self.state.inodes[parent].children.contains_key(name) {
-            return Err(FsError::AlreadyExists);
-        }
-        let ino = self.state.next_ino;
-        self.commit(FsOp::Create {
-            parent,
-            name: name.to_string(),
-            ino,
-        })
+        self.create_file(p).map(drop)
     }
 
     fn mkdir(&mut self, p: &str) -> FsResult<()> {
@@ -744,6 +803,22 @@ impl Filesystem for Lsfs {
             return Err(FsError::IsADirectory);
         }
         self.do_truncate(ino, size)
+    }
+
+    /// The trait's create-truncate-write in one pass: the path is
+    /// resolved once (a missing file is created, with the errors
+    /// `create` gives), and the truncation to 0 means no block of the
+    /// old contents is read back.
+    fn write_all(&mut self, p: &str, data: &[u8]) -> FsResult<()> {
+        let ino = match self.state.resolve(p) {
+            Ok(ino) => ino,
+            Err(_) => self.create_file(p)?,
+        };
+        if self.state.inodes[ino].ftype != FileType::Regular {
+            return Err(FsError::IsADirectory);
+        }
+        self.do_truncate(ino, 0)?;
+        self.buffer_write(ino, 0, data)
     }
 
     fn read_at(&self, p: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
@@ -928,11 +1003,13 @@ impl Filesystem for Lsfs {
         inos.dedup();
         let dirty = std::mem::take(&mut self.dirty);
         let dirty_sizes = std::mem::take(&mut self.dirty_sizes);
+        let mut appended = 0;
         for (i, &ino) in inos.iter().enumerate() {
             let Some(node) = self.state.inodes.get(ino) else {
                 continue; // Released while dirty; nothing to persist.
             };
-            let size = dirty_sizes.get(&ino).copied().unwrap_or(node.size);
+            let resized = dirty_sizes.get(&ino).copied();
+            let size = resized.map_or(node.size, |resized| resized.size);
             let nblocks = (size as usize).div_ceil(BLOCK_SIZE) as u64;
             let mut extents = Vec::new();
             let mut failed = None;
@@ -944,8 +1021,7 @@ impl Filesystem for Lsfs {
                     }
                     match disk.append(block) {
                         Ok(off) => {
-                            self.obs
-                                .add(dv_obs::names::LSFS_DATA_BYTES, block.len() as u64);
+                            appended += block.len() as u64;
                             extents.push((*idx, off));
                         }
                         Err(e) => {
@@ -955,11 +1031,24 @@ impl Filesystem for Lsfs {
                     }
                 }
             }
+            // A committed block past the truncation floor that the file
+            // has grown back over without writing it reads as zeros:
+            // journal it as a hole.
+            if let Some(resized) = resized {
+                let regrown = resized.fresh_block()..nblocks.min(node.blocks.len() as u64);
+                extents.extend(
+                    regrown
+                        .filter(|&idx| node.blocks[idx as usize] != HOLE)
+                        .filter(|&idx| !dirty.contains_key(&(ino, idx)))
+                        .map(|idx| (idx, HOLE)),
+                );
+            }
             let result = match failed {
                 Some(e) => Err(e),
                 None => self.commit(FsOp::Write { ino, size, extents }),
             };
             if let Err(e) = result {
+                self.obs.add(dv_obs::names::LSFS_DATA_BYTES, appended);
                 // Re-buffer everything not yet committed — this inode
                 // and all later ones — so the data survives in memory
                 // and a retry can complete the sync.
@@ -967,13 +1056,14 @@ impl Filesystem for Lsfs {
                     for (key, block) in dirty.range((ino, 0)..(ino + 1, 0)) {
                         self.dirty.insert(*key, block.clone());
                     }
-                    if let Some(&size) = dirty_sizes.get(&ino) {
-                        self.dirty_sizes.insert(ino, size);
+                    if let Some(&resized) = dirty_sizes.get(&ino) {
+                        self.dirty_sizes.insert(ino, resized);
                     }
                 }
                 return Err(e);
             }
         }
+        self.obs.add(dv_obs::names::LSFS_DATA_BYTES, appended);
         self.obs.incr(dv_obs::names::LSFS_SYNCS);
         Ok(())
     }
@@ -1047,6 +1137,125 @@ mod tests {
         let data = fs.read_all("/f").unwrap();
         assert_eq!(&data[..50], &vec![9u8; 50][..]);
         assert_eq!(&data[50..], &vec![0u8; 50][..], "regrown tail is zeros");
+    }
+
+    /// Writes `old_len` bytes of `A` to `/f` and syncs, applies
+    /// `change`, and returns where `/f` does not read `want`: live before
+    /// and after a sync, in the snapshot that sync was taken under, and
+    /// after a save/load round trip.
+    fn stale_views(old_len: usize, change: fn(&mut Lsfs), want: &[u8]) -> Vec<&'static str> {
+        let mut fs = Lsfs::new();
+        fs.write_all("/f", &vec![b'A'; old_len]).unwrap();
+        fs.sync().unwrap();
+        change(&mut fs);
+        let mut stale = Vec::new();
+        if fs.read_all("/f").unwrap() != want {
+            stale.push("before sync");
+        }
+        fs.snapshot_point(1).unwrap();
+        if fs.read_all("/f").unwrap() != want {
+            stale.push("after sync");
+        }
+        if fs.snapshot(1).unwrap().read_all("/f").unwrap() != want {
+            stale.push("snapshot");
+        }
+        let loaded = Lsfs::load(&fs.save().unwrap()).unwrap();
+        if loaded.read_all("/f").unwrap() != want {
+            stale.push("save/load");
+        }
+        fs.check().unwrap();
+        stale
+    }
+
+    /// A file cut back and grown again in one sync window reads zeros
+    /// past the cut, and keeps reading them once the window is synced:
+    /// the old bytes of a block the cut dropped must not come back.
+    #[test]
+    fn blocks_cut_away_and_regrown_read_zeros() {
+        let a = BLOCK_SIZE;
+        let mut short_then_gap = vec![0u8; 3 * a + 1];
+        short_then_gap[..5].copy_from_slice(b"short");
+        short_then_gap[3 * a] = b'x';
+        let mut cut_mid_block = vec![b'A'; 100];
+        cut_mid_block.resize(2 * a, 0);
+        let cases = [
+            (
+                "truncate to 0, grow to a block",
+                stale_views(
+                    a,
+                    |fs| {
+                        fs.truncate("/f", 0).unwrap();
+                        fs.truncate("/f", BLOCK_SIZE as u64).unwrap();
+                    },
+                    &vec![0u8; a],
+                ),
+            ),
+            (
+                "shorter write_all, then a write past a gap",
+                stale_views(
+                    3 * a,
+                    |fs| {
+                        fs.write_all("/f", b"short").unwrap();
+                        fs.write_at("/f", 3 * BLOCK_SIZE as u64, b"x").unwrap();
+                    },
+                    &short_then_gap,
+                ),
+            ),
+            (
+                "truncate inside block 0, grow to two blocks",
+                stale_views(
+                    2 * a,
+                    |fs| {
+                        fs.truncate("/f", 100).unwrap();
+                        fs.truncate("/f", 2 * BLOCK_SIZE as u64).unwrap();
+                    },
+                    &cut_mid_block,
+                ),
+            ),
+        ];
+        let stale: Vec<_> = cases
+            .iter()
+            .filter(|(_, views)| !views.is_empty())
+            .collect();
+        assert!(stale.is_empty(), "old bytes read back: {stale:?}");
+    }
+
+    /// `write_all` over a synced file journals the same `Write` the
+    /// trait's create-truncate-write did and reads nothing back.
+    #[test]
+    fn write_all_over_a_synced_file_reads_no_old_block() {
+        use dv_obs::names::{LSFS_DATA_BYTES, LSFS_JOURNAL_BYTES};
+        let obs = Obs::sim();
+        let mut fs = Lsfs::new();
+        fs.set_obs(obs.clone());
+        fs.write_all("/f", &[b'A'; BLOCK_SIZE]).unwrap();
+        fs.sync().unwrap();
+        let journal = obs.counter(LSFS_JOURNAL_BYTES);
+        fs.write_all("/f", &[b'B'; 2048]).unwrap();
+        let tail = &fs.dirty[&(2, 0)][2048..];
+        assert!(tail.iter().all(|&b| b == 0), "block 0 starts from zeros");
+        fs.sync().unwrap();
+        let FsOp::Write { size, extents, .. } = last_op(&fs) else {
+            panic!("the sync journals a write");
+        };
+        assert_eq!((size, extents.len()), (2048, 1), "one extent, no hole");
+        assert_eq!(obs.counter(LSFS_DATA_BYTES), 2 * BLOCK_SIZE as u64);
+        assert!(obs.counter(LSFS_JOURNAL_BYTES) > journal);
+        assert_eq!(fs.read_all("/f").unwrap(), vec![b'B'; 2048]);
+        // The errors are the trait's: a directory, a missing parent.
+        fs.mkdir("/d").unwrap();
+        assert_eq!(fs.write_all("/d", b"x"), Err(FsError::IsADirectory));
+        assert_eq!(fs.write_all("/no/f", b"x"), Err(FsError::NotFound));
+        assert_eq!(fs.write_all("/f/g", b"x"), Err(FsError::NotADirectory));
+        fs.write_all("/d/new", b"made").unwrap();
+        assert_eq!(fs.read_all("/d/new").unwrap(), b"made");
+    }
+
+    /// The operation of the journal's newest record.
+    fn last_op(fs: &Lsfs) -> FsOp {
+        let disk = fs.disk.read();
+        let (_, body) = read_journal_record(&disk, fs.last_journal).unwrap();
+        FsOp::decode(&body).unwrap()
     }
 
     #[test]

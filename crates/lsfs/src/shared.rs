@@ -111,6 +111,10 @@ impl<F: Filesystem> Filesystem for SharedFs<F> {
         self.inner.lock().close(h)
     }
 
+    fn write_all(&mut self, path: &str, data: &[u8]) -> FsResult<()> {
+        self.inner.lock().write_all(path, data)
+    }
+
     fn sync(&mut self) -> FsResult<()> {
         self.inner.lock().sync()
     }

@@ -225,6 +225,10 @@ impl<F: Filesystem + ?Sized> Filesystem for Box<F> {
         (**self).close(h)
     }
 
+    fn write_all(&mut self, path: &str, data: &[u8]) -> FsResult<()> {
+        (**self).write_all(path, data)
+    }
+
     fn sync(&mut self) -> FsResult<()> {
         (**self).sync()
     }

@@ -16,6 +16,7 @@ enum Op {
     Create(String),
     Mkdir(String),
     Write(String, u64, Vec<u8>),
+    WriteAll(String, Vec<u8>),
     Truncate(String, u64),
     Unlink(String),
     Rmdir(String),
@@ -35,6 +36,15 @@ fn arb_path() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A truncation size, on a block boundary a third of the time: a file
+/// cut to a boundary and grown again must read zeros past the cut.
+fn arb_size() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => prop_oneof![Just(0u64), Just(4096), Just(8192)],
+        2 => 0..8_000u64,
+    ]
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_path().prop_map(Op::Create),
@@ -45,7 +55,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
             prop::collection::vec(any::<u8>(), 1..600)
         )
             .prop_map(|(p, off, data)| Op::Write(p, off, data)),
-        (arb_path(), 0..8_000u64).prop_map(|(p, size)| Op::Truncate(p, size)),
+        (arb_path(), prop::collection::vec(any::<u8>(), 0..600))
+            .prop_map(|(p, data)| Op::WriteAll(p, data)),
+        (arb_path(), arb_size()).prop_map(|(p, size)| Op::Truncate(p, size)),
         arb_path().prop_map(Op::Unlink),
         arb_path().prop_map(Op::Rmdir),
         (arb_path(), arb_path()).prop_map(|(a, b)| Op::Rename(a, b)),
@@ -58,6 +70,7 @@ fn apply(fs: &mut dyn Filesystem, op: &Op) -> FsResult<()> {
         Op::Create(p) => fs.create(p),
         Op::Mkdir(p) => fs.mkdir(p),
         Op::Write(p, off, data) => fs.write_at(p, *off, data),
+        Op::WriteAll(p, data) => fs.write_all(p, data),
         Op::Truncate(p, size) => fs.truncate(p, *size),
         Op::Unlink(p) => fs.unlink(p),
         Op::Rmdir(p) => fs.rmdir(p),
@@ -112,7 +125,7 @@ fn assert_equivalent(a: &dyn Filesystem, b: &dyn Filesystem, path: &str) -> Resu
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The log-structured FS behaves exactly like the in-memory oracle.
     #[test]
