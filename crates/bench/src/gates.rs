@@ -9,10 +9,11 @@
 //! compared with its limit, so a metric name carries no meaning.
 
 use crate::experiments::{
-    crash_consistency, dedup_experiment, deferred_experiment, faults_experiment,
-    fs_snapshot_experiment, host_experiment, index_experiment, kernel_experiment, net_experiment,
-    obs_experiment, raw_revive_experiment, replay_scroll_experiment, run,
-    seek_keyframe_writes_experiment, seek_restore_experiment, visual_experiment, Experiment,
+    cpu_spin_experiment, crash_consistency, dedup_experiment, deferred_experiment,
+    faults_experiment, fs_snapshot_experiment, host_experiment, index_experiment,
+    kernel_experiment, net_experiment, obs_experiment, raw_revive_experiment,
+    replay_scroll_experiment, run, seek_keyframe_writes_experiment, seek_restore_experiment,
+    visual_experiment, Experiment,
 };
 
 /// What a metric must satisfy. Every limit is a literal in [`SUITES`].
@@ -105,6 +106,10 @@ pub const SUITES: &[Suite] = &[
             // The cores the commit workers could run on: the deferred
             // stall ratios are read beside it.
             ("nproc", Report),
+            // Two threads spinning at once over one alone: ~1.0 with a
+            // second core free. A timed row that fails while this reads
+            // well above 1 failed on a starved machine.
+            ("cpu_spin_ci_ratio", Report),
             // Session-thread stall with N commit workers over the
             // stall with none, the median of 16 order-alternating
             // pairs: 0.028-0.034, 0.028-0.034 and 0.074-0.153. Every
@@ -163,6 +168,7 @@ pub const SUITES: &[Suite] = &[
         ],
         experiments: &[
             |scale| deferred_experiment(scale).0,
+            |_| cpu_spin_experiment("ci"),
             |scale| raw_revive_experiment(scale).0,
             |scale| faults_experiment(scale.min(0.25)),
             |scale| crash_consistency(scale.min(0.25)),
@@ -183,6 +189,8 @@ pub const SUITES: &[Suite] = &[
     Suite {
         name: "net",
         rules: &[
+            // As `cpu_spin_ci_ratio`, read beside the timed net rows.
+            ("cpu_spin_net_ratio", Report),
             ("net_converged_f*", MustHold),
             ("net_throughput_fps_f*", Report),
             ("net_round_p99_ms_f*", Report),
@@ -196,21 +204,23 @@ pub const SUITES: &[Suite] = &[
             ("net_per_client_overhead_f64_ratio", AtMost(0.09)),
             ("net_wide_converged_f*", MustHold),
             ("net_encodes_per_batch_f*", Report),
-            // Server CPU per viewer at 256 and 1024 viewers over the
-            // 64-viewer run's of the same pass, the least of three
-            // interleaved passes: 0.57-0.79 and 0.56-0.74.
-            ("net_per_viewer_cpu_f256_ratio", AtMost(0.95)),
-            ("net_per_viewer_cpu_f1024_ratio", AtMost(0.90)),
-            // Round p99 per viewer over the 64-viewer row's, the least
-            // of three interleaved passes: 0.21-0.71 and 0.21-0.79.
-            ("net_round_p99_per_viewer_f256_ratio", AtMost(0.86)),
-            ("net_round_p99_per_viewer_f1024_ratio", AtMost(0.96)),
+            // Server CPU and round p50 per viewer at 256 and 1024
+            // viewers over the 64-viewer run's of the same pass, the
+            // median of three passes. A linear fan-out reads about 1.0:
+            // healthy builds read CPU 0.67-1.05 and 0.61-1.09, p50
+            // 0.67-1.00 and 0.62-1.13. Counting the live viewers before
+            // each viewer read 1.55-1.90 and 5.41-6.91; finding each
+            // viewer by its id 1.32-1.46 and 2.71-3.21.
+            ("net_per_viewer_cpu_median_f256_ratio", AtMost(1.26)),
+            ("net_per_viewer_cpu_median_f1024_ratio", AtMost(1.32)),
+            ("net_round_p50_per_viewer_f256_ratio", AtMost(1.20)),
+            ("net_round_p50_per_viewer_f1024_ratio", AtMost(1.36)),
             // Every row of both sweeps: fan-out is refcount bumps,
             // never a second encode — one per live batch, and at most
             // one catch-up keyframe per poll at the sweeps' one scale.
             ("net_one_encode_per_batch", MustHold),
         ],
-        experiments: &[net_experiment],
+        experiments: &[|_| cpu_spin_experiment("net"), net_experiment],
     },
     Suite {
         name: "host",
@@ -408,9 +418,11 @@ mod tests {
         use crate::experiments::tests as smoke;
         use crate::report::Report;
         let obs = obs_experiment(0.01);
+        let [spin_ci, spin_net] = ["ci", "net"].map(cpu_spin_experiment);
         let reports: [Vec<&Report>; 7] = [
             vec![
                 &smoke::DEFERRED.0,
+                &spin_ci,
                 &smoke::RAW_REVIVE.0,
                 &smoke::FAULTS,
                 &smoke::CRASH,
@@ -421,7 +433,7 @@ mod tests {
                 &smoke::REPLAY_SCROLL,
             ],
             vec![&obs],
-            vec![&smoke::NET],
+            vec![&spin_net, &smoke::NET],
             vec![&smoke::HOST],
             vec![&smoke::DEDUP],
             vec![&smoke::INDEX],
@@ -516,8 +528,8 @@ mod tests {
                 .threshold()
         };
         assert_eq!(
-            threshold(2, "net_round_p99_per_viewer_f1024_ratio"),
-            "<= 0.96"
+            threshold(2, "net_round_p50_per_viewer_f1024_ratio"),
+            "<= 1.36"
         );
         assert_eq!(threshold(5, "index_query_p99_s128_ratio"), "<= 0.13");
     }
