@@ -1122,9 +1122,10 @@ pub(crate) fn cpu_spin_experiment(suite: &str) -> Report {
         }
     }
     let ((ratio, _, _), _) = alternating_pairs(|two| {
+        let threads = if two { 2 } else { 1 };
         timed(|| {
             std::thread::scope(|scope| {
-                for _ in 0..if two { 2 } else { 1 } {
+                for _ in 0..threads {
                     scope.spawn(spin);
                 }
             })

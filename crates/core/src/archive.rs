@@ -160,6 +160,10 @@ impl DejaView {
                 log.restore_open(open)?;
             }
         }
+        // The accessibility state that would close the open shard's
+        // instances is not archived: whatever was on screen at the save
+        // leaves it there, as at a reboot.
+        dv.index().lock().close_all(now);
         Ok(dv)
     }
 }
@@ -396,6 +400,42 @@ mod tests {
         // And the new moment is browsable.
         let shot = restored.browse(Timestamp::from_secs(3)).unwrap();
         assert!(shot.pixels.contains(&0xABCDEF));
+    }
+
+    /// Live accessibility state is not archived, so text on screen at
+    /// the save leaves the screen there, and so does focus: the restored
+    /// session's applications register again and show what they show.
+    #[test]
+    fn text_open_at_the_save_closes_at_the_saved_horizon() {
+        let shows = |dv: &mut DejaView, text: &str| {
+            let app = dv.desktop_mut().register_app("editor");
+            let root = dv.desktop_mut().root(app).unwrap();
+            let win = dv.desktop_mut().add_node(app, root, Role::Window, "w");
+            dv.desktop_mut().add_node(app, win, Role::Paragraph, text);
+            app
+        };
+        let mut original = DejaView::new(Config::default());
+        let app = shows(&mut original, "alpha line");
+        original.desktop_mut().focus(app);
+        original.clock().advance(Duration::from_secs(1));
+        original.policy_tick().unwrap();
+        let archive = original.save_archive().unwrap();
+        let mut restored = DejaView::load_archive(Config::default(), &archive).unwrap();
+        restored.clock().advance(Duration::from_secs(2));
+        shows(&mut restored, "beta line");
+        restored.clock().advance(Duration::from_secs(7));
+        restored.policy_tick().unwrap();
+
+        let hits = |dv: &mut DejaView, query: &str| {
+            let query = dv_index::parse_query(query).unwrap();
+            let hits = dv.search_hits(&query, RankOrder::Chronological).unwrap();
+            hits.iter().map(|h| (h.time, h.until)).collect::<Vec<_>>()
+        };
+        let secs = Timestamp::from_secs;
+        assert_eq!(hits(&mut restored, "alpha"), [(secs(0), secs(1))]);
+        assert_eq!(hits(&mut restored, "beta"), [(secs(3), secs(10))]);
+        assert_eq!(hits(&mut restored, "focused: alpha"), [(secs(0), secs(1))]);
+        assert_eq!(hits(&mut restored, "focused: beta"), []);
     }
 
     #[test]

@@ -169,6 +169,19 @@ impl TextIndex {
         }
     }
 
+    /// Ends at `t` every instance still shown and the focus still held,
+    /// as when every application goes away at once: from `t` the focus
+    /// history names app id 0, which no application has.
+    pub fn close_all(&mut self, t: Timestamp) {
+        self.observe(t);
+        for instance in self.instances.values_mut() {
+            instance.hidden.get_or_insert(t);
+        }
+        if self.focus_history.last().is_some_and(|&(app, _)| app != 0) {
+            self.focus_history.push((0, t));
+        }
+    }
+
     /// Records that `app_id` gained window focus at `t`.
     pub fn focus_change(&mut self, app_id: u32, t: Timestamp) {
         self.observe(t);

@@ -14,10 +14,9 @@
 //! completes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dv_display::viewer::InputEvent;
-use dv_display::{DisplayCommand, Framebuffer, Screenshot};
+use dv_display::{Framebuffer, Screenshot};
 use dv_index::RankOrder;
 use dv_time::Timestamp;
 
@@ -59,12 +58,6 @@ impl From<TransportError> for ClientError {
     }
 }
 
-impl From<FrameError> for ClientError {
-    fn from(e: FrameError) -> Self {
-        ClientError::Frame(e)
-    }
-}
-
 impl From<RecvError> for ClientError {
     fn from(e: RecvError) -> Self {
         match e {
@@ -88,9 +81,6 @@ pub struct ClientStats {
     /// Catch-up keyframes applied (each one implies the server
     /// coalesced this client's backlog).
     pub keyframes_applied: u64,
-    /// Of those keyframes, how many arrived as damage deltas rather
-    /// than whole screens.
-    pub delta_keyframes_applied: u64,
     /// Complete frames received, of any kind.
     pub frames_received: u64,
     /// Raw bytes received off the transport.
@@ -149,7 +139,7 @@ impl<T: Transport> NetClient<T> {
     }
 
     /// Requests the live display stream (server answers with a
-    /// keyframe, then deltas).
+    /// keyframe, then display commands).
     pub fn attach_live(&mut self) {
         self.queue(&Message::AttachLive);
     }
@@ -329,21 +319,6 @@ impl<T: Transport> NetClient<T> {
             Message::Keyframe { shot, .. } => {
                 self.fb = Some(Framebuffer::from_screenshot(&shot));
                 self.stats.keyframes_applied += 1;
-            }
-            Message::KeyframeDelta { rects, .. } => {
-                // A delta keyframe patches only the damaged rects; the
-                // server guarantees the rest of our framebuffer already
-                // matches the screen (it saw our epoch ack).
-                if let Some(fb) = &mut self.fb {
-                    for (rect, pixels) in rects {
-                        fb.apply(&DisplayCommand::Raw {
-                            rect,
-                            pixels: Arc::new(pixels),
-                        });
-                    }
-                    self.stats.keyframes_applied += 1;
-                    self.stats.delta_keyframes_applied += 1;
-                }
             }
             Message::SeekReply { req_id, shot } => {
                 self.seek_replies.insert(req_id, shot);

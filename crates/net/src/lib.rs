@@ -24,13 +24,13 @@
 //!              become clean errors, never garbage messages
 //! proto      — tagged message vocabulary (handshake, live stream,
 //!              scaled outputs, input, seek/search RPCs, liveness,
-//!              delta keyframes, goodbye)
+//!              goodbye)
 //! queue      — per-client bounded SendQueue of shared Arc<[u8]>
 //!              frames with THINC-style slow-client coalescing to a
 //!              single catch-up keyframe
 //! service    — NetService: readiness reactor visiting only ready
 //!              connections, zero-copy fan-out (one encode per tapped
-//!              batch), damage-delta catch-up keyframes, RPC dispatch,
+//!              batch), one catch-up keyframe per scale per poll, RPC dispatch,
 //!              idle timeout, bounded-backoff stall recovery, dv-obs
 //!              instrumentation
 //! client     — NetClient: poll-driven remote viewer + RPC client

@@ -10,12 +10,12 @@
 //! Direction conventions: `Hello`, `AttachLive`, `AttachScaled`,
 //! `Detach`, `Input`, `Seek`, `Search`, `Ping`, and `Bye` travel
 //! client → server; `Welcome`, `Reject`, `Command`, `Keyframe`,
-//! `KeyframeDelta`, `SeekReply`, `SearchReply`, `Pong`, and `Error`
-//! travel server → client.
+//! `SeekReply`, `SearchReply`, `Pong`, and `Error` travel server →
+//! client.
 
 use dv_display::{
-    decode_command, decode_input, decode_pixels, encode_command, encode_input, encode_pixels,
-    CodecError, DisplayCommand, InputEvent, Pixel, Rect, Screenshot,
+    decode_command, decode_input, encode_command, encode_input, CodecError, DisplayCommand,
+    InputEvent, Screenshot,
 };
 use dv_fault::{Put, ReadError, Reader};
 use dv_index::RankOrder;
@@ -27,10 +27,11 @@ use dv_time::{Duration, Timestamp};
 ///
 /// Version 2 added `KeyframeDelta` (damage-rect catch-ups) and
 /// `AttachScaled` (independently-sized virtual outputs); version 3
-/// added the visual-recall RPC pair (`VisualQuery`/`VisualReply`).
-/// Each changes the wire vocabulary a peer must understand, so the
-/// bumps are incompatible by design.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// added the visual-recall RPC pair (`VisualQuery`/`VisualReply`);
+/// version 4 removed `KeyframeDelta`, so every catch-up is a whole
+/// `Keyframe`. Each changes the wire vocabulary a peer must understand,
+/// so the bumps are incompatible by design.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Most hits a single `SearchReply` carries. The server truncates to
 /// this bound so a broad query can never frame a payload past
@@ -62,7 +63,7 @@ const TAG_PING: u8 = 13;
 const TAG_PONG: u8 = 14;
 const TAG_BYE: u8 = 15;
 const TAG_ERROR: u8 = 16;
-const TAG_KEYFRAME_DELTA: u8 = 17;
+// 17 was `KeyframeDelta` (versions 2 and 3); it decodes as unknown.
 const TAG_ATTACH_SCALED: u8 = 18;
 const TAG_VISUAL_QUERY: u8 = 19;
 const TAG_VISUAL_REPLY: u8 = 20;
@@ -279,19 +280,6 @@ pub enum Message {
         /// The screen contents.
         shot: Screenshot,
     },
-    /// A catch-up keyframe expressed as a delta against the client's
-    /// last fully-delivered keyframe epoch: only the rects damaged
-    /// since that epoch's base snapshot, carrying their *current*
-    /// pixels. The client overwrites those rects in place — everything
-    /// outside them is untouched since the base, so the result is
-    /// exactly the current screen at a cost proportional to the
-    /// damage, not the screen.
-    KeyframeDelta {
-        /// Session time of the underlying snapshot.
-        ts: Timestamp,
-        /// Damaged rects with their current contents (row-major).
-        rects: Vec<(Rect, Vec<Pixel>)>,
-    },
     /// Liveness probe.
     Ping {
         /// Echoed in the `Pong`.
@@ -453,19 +441,6 @@ pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
             out.push(TAG_KEYFRAME);
             out.extend_from_slice(&ts.as_nanos().to_le_bytes());
             out.put_bytes_u32(&encode_screenshot(shot));
-        }
-        Message::KeyframeDelta { ts, rects } => {
-            out.push(TAG_KEYFRAME_DELTA);
-            out.extend_from_slice(&ts.as_nanos().to_le_bytes());
-            out.extend_from_slice(&(rects.len() as u32).to_le_bytes());
-            for (rect, pixels) in rects {
-                debug_assert_eq!(rect.area() as usize, pixels.len());
-                out.extend_from_slice(&rect.x.to_le_bytes());
-                out.extend_from_slice(&rect.y.to_le_bytes());
-                out.extend_from_slice(&rect.w.to_le_bytes());
-                out.extend_from_slice(&rect.h.to_le_bytes());
-                encode_pixels(pixels, out);
-            }
         }
         Message::Ping { nonce } => {
             out.push(TAG_PING);
@@ -648,20 +623,6 @@ pub(crate) fn decode_message_within(
                 .ok_or(ProtoError::BadPayload("undecodable screenshot"))?;
             Message::Keyframe { ts, shot }
         }
-        TAG_KEYFRAME_DELTA => {
-            let ts = Timestamp::from_nanos(r.u64()?);
-            let count = r.count(16)?;
-            let mut rects = Vec::with_capacity(count);
-            for _ in 0..count {
-                let rect = Rect::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-                let len = usize::try_from(rect.area())
-                    .ok()
-                    .and_then(|area| area.checked_mul(4))
-                    .ok_or(ProtoError::BadPayload("delta rect overflows"))?;
-                rects.push((rect, decode_pixels(r.bytes(len)?)));
-            }
-            Message::KeyframeDelta { ts, rects }
-        }
         TAG_PING => Message::Ping { nonce: r.u64()? },
         TAG_PONG => Message::Pong { nonce: r.u64()? },
         TAG_BYE => Message::Bye,
@@ -780,17 +741,6 @@ mod tests {
             ts: Timestamp::from_secs(2),
             shot: shot(),
         });
-        round_trip(Message::KeyframeDelta {
-            ts: Timestamp::from_secs(3),
-            rects: vec![
-                (Rect::new(0, 0, 2, 2), vec![1, 2, 3, 4]),
-                (Rect::new(5, 1, 3, 1), vec![7, 8, 9]),
-            ],
-        });
-        round_trip(Message::KeyframeDelta {
-            ts: Timestamp::from_secs(4),
-            rects: Vec::new(),
-        });
         round_trip(Message::Ping { nonce: 99 });
         round_trip(Message::Pong { nonce: 99 });
         round_trip(Message::Bye);
@@ -826,6 +776,8 @@ mod tests {
     #[test]
     fn unknown_tag_is_rejected() {
         assert_eq!(decode_message(&[200]), Err(ProtoError::BadTag(200)));
+        // The retired `KeyframeDelta` tag is not a message any more.
+        assert_eq!(decode_message(&[17, 0]), Err(ProtoError::BadTag(17)));
     }
 
     #[test]
@@ -933,53 +885,5 @@ mod tests {
             decode_message(&bytes),
             Err(ProtoError::BadPayload("unknown probe kind"))
         );
-    }
-
-    /// A delta keyframe's pixels travel as the per-pixel loop wrote
-    /// them, at ragged sizes, and a body cut anywhere is `Truncated`.
-    #[test]
-    fn delta_encoding_is_pinned_to_the_per_pixel_layout() {
-        let ts = Timestamp::from_millis(1234);
-        let rects: Vec<(Rect, Vec<Pixel>)> = [(0u32, 0u32), (1, 1), (3, 5), (704, 32)]
-            .into_iter()
-            .map(|(w, h)| {
-                let pixels = (0..w * h)
-                    .map(|i| i.wrapping_mul(2_654_435_761) ^ 0x00C0_FFEE)
-                    .collect();
-                (Rect::new(w, h, w, h), pixels)
-            })
-            .collect();
-        let mut reference = vec![TAG_KEYFRAME_DELTA];
-        reference.extend_from_slice(&ts.as_nanos().to_le_bytes());
-        reference.extend_from_slice(&(rects.len() as u32).to_le_bytes());
-        for (rect, pixels) in &rects {
-            for v in [rect.x, rect.y, rect.w, rect.h] {
-                reference.extend_from_slice(&v.to_le_bytes());
-            }
-            for px in pixels {
-                reference.extend_from_slice(&px.to_le_bytes());
-            }
-        }
-        let msg = Message::KeyframeDelta { ts, rects };
-        assert_eq!(encode_message_vec(&msg), reference);
-        assert_eq!(decode_message(&reference), Ok(msg));
-        for cut in 1..reference.len() {
-            assert_eq!(
-                decode_message(&reference[..cut]),
-                Err(ProtoError::Truncated),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_delta_pixels_error_cleanly() {
-        let full = encode_message_vec(&Message::KeyframeDelta {
-            ts: Timestamp::from_secs(1),
-            rects: vec![(Rect::new(0, 0, 2, 2), vec![1, 2, 3, 4])],
-        });
-        for cut in 0..full.len() {
-            assert!(decode_message(&full[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

@@ -21,10 +21,7 @@
 //! Frames are held as `Arc<[u8]>` slices, so fanning one encoded wire
 //! frame out to a thousand viewers is a thousand refcount bumps, not a
 //! thousand copies: the queue is the cheap half of the service's
-//! zero-copy fan-out. The queue also remembers the *epoch* of the last
-//! keyframe it fully handed to the transport, which is what lets the
-//! service answer a later coalesce with a small damage-delta instead of
-//! a full screen.
+//! zero-copy fan-out.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -56,9 +53,6 @@ enum Class {
 struct Outbound {
     bytes: Arc<[u8]>,
     class: Class,
-    /// Keyframe epoch this frame belongs to; meaningful only for
-    /// `Class::Keyframe` frames, zero otherwise.
-    epoch: u64,
 }
 
 /// Bounded outbound frame queue for one client connection.
@@ -69,22 +63,15 @@ pub struct SendQueue {
     /// never interleaves two frames.
     in_flight: Arc<[u8]>,
     in_flight_off: usize,
-    in_flight_class: Class,
-    in_flight_epoch: u64,
     max_live: usize,
     /// Live frames currently queued, maintained incrementally so
     /// `push_live` stays O(1) instead of rescanning the queue on every
     /// fan-out push.
     live_count: usize,
     needs_keyframe: bool,
-    /// Epoch of the last keyframe fully handed to the transport — the
-    /// client's last-acked screen state, as far as this side can know
-    /// without an application-level ack.
-    acked_keyframe_epoch: Option<u64>,
     coalesce_events: u64,
     dropped_frames: u64,
     sent_frames: u64,
-    sent_bytes: u64,
 }
 
 impl SendQueue {
@@ -94,16 +81,12 @@ impl SendQueue {
             queue: VecDeque::new(),
             in_flight: Arc::from(Vec::new()),
             in_flight_off: 0,
-            in_flight_class: Class::Control,
-            in_flight_epoch: 0,
             max_live: max_live.max(1),
             live_count: 0,
             needs_keyframe: false,
-            acked_keyframe_epoch: None,
             coalesce_events: 0,
             dropped_frames: 0,
             sent_frames: 0,
-            sent_bytes: 0,
         }
     }
 
@@ -112,7 +95,6 @@ impl SendQueue {
         self.queue.push_back(Outbound {
             bytes: bytes.into(),
             class: Class::Control,
-            epoch: 0,
         });
     }
 
@@ -134,7 +116,6 @@ impl SendQueue {
         self.queue.push_back(Outbound {
             bytes: bytes.into(),
             class: Class::Live,
-            epoch: 0,
         });
         self.live_count += 1;
         PushOutcome::Queued
@@ -160,17 +141,12 @@ impl SendQueue {
     /// is still queued: stale live frames and older keyframes are
     /// discarded, and nothing newer can outrun it (later commands only
     /// ever queue behind it).
-    ///
-    /// `epoch` names the keyframe epoch this catch-up belongs to; it is
-    /// recorded as the client's acked screen state once the frame fully
-    /// drains into the transport.
-    pub fn satisfy_keyframe(&mut self, bytes: impl Into<Arc<[u8]>>, epoch: u64) {
+    pub fn satisfy_keyframe(&mut self, bytes: impl Into<Arc<[u8]>>) {
         self.queue.retain(|o| o.class == Class::Control);
         self.live_count = 0;
         self.queue.push_back(Outbound {
             bytes: bytes.into(),
             class: Class::Keyframe,
-            epoch,
         });
         self.needs_keyframe = false;
     }
@@ -179,22 +155,6 @@ impl SendQueue {
     /// partially on the wire.
     pub fn depth(&self) -> usize {
         self.queue.len() + usize::from(self.in_flight_off < self.in_flight.len())
-    }
-
-    /// Live frames currently queued (the coalesceable backlog).
-    pub fn live_pending(&self) -> usize {
-        self.live_count
-    }
-
-    /// True when nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.in_flight_off >= self.in_flight.len() && !self.needs_keyframe
-    }
-
-    /// Epoch of the last keyframe fully handed to the transport, if
-    /// any. `None` until the first keyframe completes.
-    pub fn acked_keyframe_epoch(&self) -> Option<u64> {
-        self.acked_keyframe_epoch
     }
 
     /// Times the backlog collapsed into a keyframe.
@@ -210,11 +170,6 @@ impl SendQueue {
     /// Frames fully handed to the transport.
     pub fn sent_frames(&self) -> u64 {
         self.sent_frames
-    }
-
-    /// Bytes accepted by the transport.
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
     }
 
     /// Pushes queued bytes into `transport` until it stops accepting
@@ -234,8 +189,6 @@ impl SendQueue {
                         }
                         self.in_flight = next.bytes;
                         self.in_flight_off = 0;
-                        self.in_flight_class = next.class;
-                        self.in_flight_epoch = next.epoch;
                     }
                     None => return Ok(moved),
                 }
@@ -246,12 +199,8 @@ impl SendQueue {
             }
             self.in_flight_off += n;
             moved += n as u64;
-            self.sent_bytes += n as u64;
             if self.in_flight_off >= self.in_flight.len() {
                 self.sent_frames += 1;
-                if self.in_flight_class == Class::Keyframe {
-                    self.acked_keyframe_epoch = Some(self.in_flight_epoch);
-                }
             }
         }
     }
@@ -272,7 +221,7 @@ mod tests {
         assert_eq!(q.depth(), 0, "live backlog dropped");
         assert_eq!(q.coalesce_events(), 1);
         assert_eq!(q.dropped_frames(), 3);
-        q.satisfy_keyframe(vec![9], 1);
+        q.satisfy_keyframe(vec![9]);
         assert!(!q.needs_keyframe());
         assert_eq!(q.depth(), 1);
     }
@@ -292,7 +241,7 @@ mod tests {
         let mut q = SendQueue::new(1);
         q.push_live(vec![1]);
         q.push_live(vec![2]); // coalesce
-        q.satisfy_keyframe(vec![0xAB], 1);
+        q.satisfy_keyframe(vec![0xAB]);
         q.push_live(vec![3]);
         let (mut a, mut b) = LoopbackTransport::pair();
         q.pump(&mut a).unwrap();
@@ -317,8 +266,7 @@ mod tests {
             while b.recv(&mut sink).unwrap() > 0 {}
         }
         assert_eq!(q.sent_frames(), 1);
-        assert_eq!(q.sent_bytes(), 5000);
-        assert!(q.is_idle());
+        assert_eq!(q.depth(), 0);
     }
 
     /// Regression for the O(queue²) fan-out scan: the live counter is
@@ -327,16 +275,16 @@ mod tests {
     #[test]
     fn live_counter_tracks_pushes_pumps_and_retains() {
         let mut q = SendQueue::new(3);
-        assert_eq!(q.live_pending(), 0);
+        assert_eq!(q.live_count, 0);
         q.push_control(vec![0xC0]);
         q.push_live(vec![1]);
         q.push_live(vec![2]);
-        assert_eq!(q.live_pending(), 2, "controls don't count");
+        assert_eq!(q.live_count, 2, "controls don't count");
 
         // Pumping pops frames into flight: the counter follows.
         let (mut a, mut b) = LoopbackTransport::pair();
         q.pump(&mut a).unwrap();
-        assert_eq!(q.live_pending(), 0);
+        assert_eq!(q.live_count, 0);
         let mut sink = [0u8; 64];
         while b.recv(&mut sink).unwrap() > 0 {}
 
@@ -344,72 +292,19 @@ mod tests {
         q.push_live(vec![3]);
         q.push_live(vec![4]);
         q.push_live(vec![5]);
-        assert_eq!(q.live_pending(), 3);
+        assert_eq!(q.live_count, 3);
         assert_eq!(q.push_live(vec![6]), PushOutcome::Coalesced);
-        assert_eq!(q.live_pending(), 0);
+        assert_eq!(q.live_count, 0);
 
         // ...and so does satisfy_keyframe's retain, even with live
         // frames queued after the flag (keyframe supersedes them).
         q.push_live(vec![7]);
-        assert_eq!(q.live_pending(), 1);
-        q.satisfy_keyframe(vec![0xAB], 1);
-        assert_eq!(q.live_pending(), 0);
+        assert_eq!(q.live_count, 1);
+        q.satisfy_keyframe(vec![0xAB]);
+        assert_eq!(q.live_count, 0);
         q.push_live(vec![8]);
-        assert_eq!(q.live_pending(), 1);
+        assert_eq!(q.live_count, 1);
         assert_eq!(q.depth(), 2, "keyframe + one live");
-    }
-
-    /// A transport that accepts at most `cap` bytes per pump before
-    /// stalling (send returns `Ok(0)`), for exercising mid-frame
-    /// stalls deterministically.
-    struct CappedTransport {
-        cap: usize,
-        taken: usize,
-        accepted: Vec<u8>,
-    }
-
-    impl Transport for CappedTransport {
-        fn send(&mut self, bytes: &[u8]) -> Result<usize, TransportError> {
-            let n = bytes.len().min(self.cap.saturating_sub(self.taken));
-            self.taken += n;
-            self.accepted.extend_from_slice(&bytes[..n]);
-            Ok(n)
-        }
-
-        fn recv(&mut self, _buf: &mut [u8]) -> Result<usize, TransportError> {
-            Ok(0)
-        }
-
-        fn close(&mut self) {}
-
-        fn is_open(&self) -> bool {
-            true
-        }
-    }
-
-    /// The epoch of a keyframe counts as acked only once the frame
-    /// fully drains into the transport — a mid-frame stall is not an
-    /// ack.
-    #[test]
-    fn keyframe_epoch_acks_only_on_full_delivery() {
-        let mut q = SendQueue::new(2);
-        assert_eq!(q.acked_keyframe_epoch(), None);
-        q.satisfy_keyframe(vec![9; 3000], 7);
-        let mut t = CappedTransport {
-            cap: 1000,
-            taken: 0,
-            accepted: Vec::new(),
-        };
-        q.pump(&mut t).unwrap();
-        assert_eq!(
-            q.acked_keyframe_epoch(),
-            None,
-            "partial delivery is not an ack"
-        );
-        t.cap = 5000;
-        q.pump(&mut t).unwrap();
-        assert_eq!(q.acked_keyframe_epoch(), Some(7));
-        assert_eq!(t.accepted, vec![9; 3000]);
     }
 
     /// Fan-out shares one allocation: pushing the same Arc to many

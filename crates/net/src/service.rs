@@ -36,14 +36,10 @@
 //!   `Arc<[u8]>`; every viewer's [`SendQueue`] holds a refcount, not a
 //!   copy. `net.encodes_per_batch` against `net.live_batches` proves
 //!   the single encode regardless of viewer count.
-//! - **Delta keyframes.** Catch-up keyframes are delta-encoded against
-//!   the client's last fully-delivered keyframe *epoch*: the service
-//!   accumulates a damage [`Region`] since the epoch's base snapshot
-//!   and sends only those rects' current pixels, so the cost of
-//!   re-syncing a slow viewer tracks the damage, not the screen. A
-//!   client whose last keyframe predates the current epoch (or who
-//!   never completed one) gets a full keyframe, and the epoch re-bases
-//!   once damage stops earning the delta.
+//! - **One catch-up keyframe.** A viewer that attaches or falls behind
+//!   gets one full RLE keyframe of the present screen, encoded once per
+//!   output scale per poll and shared by every viewer catching up in
+//!   that poll. The live path accumulates nothing to serve it.
 //!
 //! Viewers may also attach through a scaled virtual output
 //! ([`Message::AttachScaled`]): the service registers a headless
@@ -56,9 +52,7 @@ use std::sync::Arc;
 
 use dejaview::{DejaView, ServerError};
 use dv_display::driver::CommandSink;
-use dv_display::{
-    scale_command, DisplayCommand, OutputPool, Rect, Region, ScaleFactor, Screenshot,
-};
+use dv_display::{scale_command, DisplayCommand, OutputPool, ScaleFactor};
 use dv_obs::{names, Obs};
 use dv_time::{Duration, Timestamp};
 use parking_lot::Mutex;
@@ -70,17 +64,6 @@ use crate::proto::{
 };
 use crate::queue::{PushOutcome, SendQueue};
 use crate::transport::{Transport, TransportError};
-
-/// Damage coverage of the screen beyond which a catch-up is sent as a
-/// full keyframe (and the epoch re-based) rather than a delta — past
-/// this point the delta would carry most of the screen anyway, without
-/// the RLE compression a full keyframe gets.
-const REBASE_DAMAGE_FRACTION: f64 = 0.5;
-
-/// Accumulated damage-rect count beyond which the epoch re-bases: the
-/// region stays disjoint by splitting, so a long-lived epoch under
-/// scattered damage fragments without bound otherwise.
-const MAX_DELTA_RECTS: usize = 96;
 
 /// Tuning knobs for the service.
 #[derive(Clone, Debug)]
@@ -202,7 +185,6 @@ struct ClientConn {
     pinged: bool,
     retries: u32,
     retry_at: Option<Timestamp>,
-    reported_frames: u64,
 }
 
 /// The multiplexing remote-access front end over an owned [`DejaView`].
@@ -216,15 +198,6 @@ pub struct NetService {
     outputs: Arc<Mutex<OutputPool>>,
     clients: Vec<ClientConn>,
     next_id: u64,
-    /// Current keyframe epoch; zero until the first keyframe is cut.
-    /// Bumped on every re-base, at which point all older epochs stop
-    /// earning deltas.
-    epoch_id: u64,
-    /// Screen damage accumulated since the current epoch's base
-    /// snapshot, in session-geometry coordinates. Only grows (modulo
-    /// re-base), so a client holding *any* command prefix from this
-    /// epoch differs from the current screen only inside it.
-    epoch_damage: Region,
 }
 
 impl NetService {
@@ -244,8 +217,6 @@ impl NetService {
             outputs,
             clients: Vec::new(),
             next_id: 1,
-            epoch_id: 0,
-            epoch_damage: Region::new(),
         }
     }
 
@@ -286,7 +257,6 @@ impl NetService {
             pinged: false,
             retries: 0,
             retry_at: None,
-            reported_frames: 0,
         });
         if over_backlog {
             let conn = self.clients.last_mut().expect("just pushed");
@@ -504,35 +474,10 @@ impl NetService {
                     height,
                 });
             }
-            Message::AttachLive => {
-                let conn = &mut self.clients[ci];
-                if conn.hello_done && !conn.attached {
-                    conn.scale = ScaleFactor::ONE;
-                    conn.attached = true;
-                    // Seed the new viewer via satisfy_keyframes, which
-                    // runs AFTER fan_out_live: commands tapped before
-                    // the snapshot must not queue behind it, or they
-                    // would be applied twice — fatal for CopyArea,
-                    // which reads the screen it scrolls.
-                    conn.queue.request_keyframe();
-                }
-            }
-            Message::AttachScaled { num, den }
-                if self.clients[ci].hello_done && !self.clients[ci].attached =>
-            {
+            Message::AttachLive => self.attach(ci, ScaleFactor::ONE),
+            Message::AttachScaled { num, den } => {
                 // num/den are validated nonzero at decode.
-                let scale = ScaleFactor::new(num, den);
-                if !scale.is_identity() {
-                    // Register (or reuse) the headless output for
-                    // this scale, seeded from the current screen so
-                    // its first keyframe is the present, not black.
-                    let seed = self.dv.driver().snapshot();
-                    self.outputs.lock().ensure(scale, &seed);
-                }
-                let conn = &mut self.clients[ci];
-                conn.scale = scale;
-                conn.attached = true;
-                conn.queue.request_keyframe();
+                self.attach(ci, ScaleFactor::new(num, den));
             }
             Message::Detach => {
                 self.clients[ci].attached = false;
@@ -682,6 +627,29 @@ impl NetService {
         }
     }
 
+    /// Subscribes a greeted, unattached client to the live stream at
+    /// `scale`.
+    fn attach(&mut self, ci: usize, scale: ScaleFactor) {
+        if !self.clients[ci].hello_done || self.clients[ci].attached {
+            return;
+        }
+        if !scale.is_identity() {
+            // Register (or reuse) the headless output for this scale,
+            // seeded from the current screen so its first keyframe is
+            // the present, not black.
+            let seed = self.dv.driver().snapshot();
+            self.outputs.lock().ensure(scale, &seed);
+        }
+        let conn = &mut self.clients[ci];
+        conn.scale = scale;
+        conn.attached = true;
+        // Seed the new viewer via satisfy_keyframes, which runs AFTER
+        // fan_out_live: commands tapped before the snapshot must not
+        // queue behind it, or they would be applied twice — fatal for
+        // CopyArea, which reads the screen it scrolls.
+        conn.queue.request_keyframe();
+    }
+
     fn fan_out_live(&mut self) {
         let drained: Vec<(Timestamp, DisplayCommand)> = {
             let mut tap = self.tap.lock();
@@ -690,17 +658,9 @@ impl NetService {
         if drained.is_empty() {
             return;
         }
-        let (w, h) = self.dv.screen_size();
-        let screen = Rect::new(0, 0, w, h);
         let mut batches = 0u64;
         let mut encodes = 0u64;
         for (ts, cmd) in drained {
-            // Every drained command's footprint joins the epoch damage
-            // (receivers or not): a viewer catching up later must cover
-            // everything since the base, including what it never saw.
-            if self.epoch_id > 0 {
-                self.epoch_damage.add(cmd.rect().intersect(&screen));
-            }
             // Zero-copy fan-out: the wire frame is encoded lazily, at
             // most once per active output scale, and shared by Arc —
             // a thousand identity viewers cost one encode and a
@@ -710,25 +670,15 @@ impl NetService {
                 if !conn.attached || conn.closing || conn.queue.needs_keyframe() {
                     continue;
                 }
-                let frame = match frames.iter().find(|(s, _)| *s == conn.scale) {
-                    Some((_, f)) => f.clone(),
-                    None => {
-                        let wire = if conn.scale.is_identity() {
-                            framed(&Message::Command {
-                                ts,
-                                cmd: cmd.clone(),
-                            })
-                        } else {
-                            framed(&Message::Command {
-                                ts,
-                                cmd: scale_command(&cmd, conn.scale),
-                            })
-                        };
-                        encodes += 1;
-                        frames.push((conn.scale, wire.clone()));
-                        wire
-                    }
-                };
+                let scale = conn.scale;
+                let frame = shared_frame(&mut frames, scale, || Message::Command {
+                    ts,
+                    cmd: if scale.is_identity() {
+                        cmd.clone()
+                    } else {
+                        scale_command(&cmd, scale)
+                    },
+                });
                 if conn.queue.push_live(frame) == PushOutcome::Coalesced {
                     self.obs.incr(names::NET_COALESCE_EVENTS);
                     self.obs.event(
@@ -744,6 +694,7 @@ impl NetService {
             }
             if !frames.is_empty() {
                 batches += 1;
+                encodes += frames.len() as u64;
             }
         }
         self.obs.add(names::NET_LIVE_BATCHES, batches);
@@ -751,100 +702,44 @@ impl NetService {
     }
 
     fn satisfy_keyframes(&mut self) {
-        if !self
-            .clients
-            .iter()
-            .any(|c| c.queue.needs_keyframe() && !c.closing)
-        {
-            return;
-        }
         let ts = self.dv.now();
-        let shot: Screenshot = self.dv.driver().snapshot();
-        // Re-base when there is no epoch yet, or the accumulated
-        // damage no longer earns a delta. Bumping the epoch id is what
-        // retires deltas: no client can have acked the new epoch, so
-        // everyone needing a catch-up this turn gets a full keyframe.
-        if self.epoch_id == 0
-            || self.epoch_damage.coverage_of(shot.width, shot.height) >= REBASE_DAMAGE_FRACTION
-            || self.epoch_damage.rects().len() > MAX_DELTA_RECTS
-        {
-            self.epoch_id += 1;
-            self.epoch_damage.clear();
-        }
-        let epoch = self.epoch_id;
-        // Encoded at most once each per poll, shared across all takers.
-        let mut delta_frame: Option<Arc<[u8]>> = None;
-        let mut full_frames: Vec<(ScaleFactor, Arc<[u8]>)> = Vec::new();
-        let mut encodes = 0u64;
-        let mut deltas = 0u64;
-        let fb = self.dv.driver().framebuffer();
-        let outputs = self.outputs.clone();
+        // Encoded at most once per scale per poll, shared by every taker.
+        let mut frames: Vec<(ScaleFactor, Arc<[u8]>)> = Vec::new();
         for conn in &mut self.clients {
             if !conn.queue.needs_keyframe() || conn.closing {
                 continue;
             }
-            // Delta soundness: an identity-scale client whose last
-            // fully-delivered keyframe belongs to the *current* epoch
-            // has applied that keyframe plus some prefix of the
-            // since-base command stream, so its screen differs from
-            // the present only inside epoch_damage (the region only
-            // grows). Overwriting those rects with their current
-            // pixels is therefore exact, whatever prefix the client
-            // reached.
-            let delta_ok =
-                conn.scale.is_identity() && conn.queue.acked_keyframe_epoch() == Some(epoch);
-            let frame = if delta_ok {
-                deltas += 1;
-                match &delta_frame {
-                    Some(f) => f.clone(),
-                    None => {
-                        let rects = self
-                            .epoch_damage
-                            .rects()
-                            .iter()
-                            .map(|r| (*r, fb.read_rect(r)))
-                            .collect();
-                        let f = framed(&Message::KeyframeDelta { ts, rects });
-                        encodes += 1;
-                        delta_frame = Some(f.clone());
-                        f
-                    }
-                }
-            } else {
-                match full_frames.iter().find(|(s, _)| *s == conn.scale) {
-                    Some((_, f)) => f.clone(),
-                    None => {
-                        // Scaled viewers get the headless output's
-                        // screen — the same state their scaled command
-                        // stream reproduces — never a resampled session
-                        // snapshot, which would disagree pixel-for-
-                        // pixel with the command-scaled stream.
-                        let key_shot = if conn.scale.is_identity() {
-                            shot.clone()
-                        } else {
-                            outputs
-                                .lock()
-                                .get(conn.scale)
-                                .map(|o| o.snapshot())
-                                .expect("scaled viewer always has its output registered")
-                        };
-                        let f = framed(&Message::Keyframe { ts, shot: key_shot });
-                        encodes += 1;
-                        full_frames.push((conn.scale, f.clone()));
-                        f
-                    }
-                }
-            };
-            conn.queue.satisfy_keyframe(frame, epoch);
+            let scale = conn.scale;
+            // Scaled viewers get the headless output's screen — the
+            // same state their scaled command stream reproduces — never
+            // a resampled session snapshot, which would disagree
+            // pixel-for-pixel with the command-scaled stream.
+            let frame = shared_frame(&mut frames, scale, || Message::Keyframe {
+                ts,
+                shot: if scale.is_identity() {
+                    self.dv.driver().snapshot()
+                } else {
+                    self.outputs
+                        .lock()
+                        .get(scale)
+                        .map(|o| o.snapshot())
+                        .expect("scaled viewer always has its output registered")
+                },
+            });
+            conn.queue.satisfy_keyframe(frame);
         }
-        self.obs.add(names::NET_KEYFRAME_ENCODES, encodes);
-        self.obs.add(names::NET_DELTA_KEYFRAMES, deltas);
+        if !frames.is_empty() {
+            self.obs
+                .add(names::NET_KEYFRAME_ENCODES, frames.len() as u64);
+        }
     }
 
     fn pump_queues(&mut self, report: &mut PollReport) {
         let now = self.dv.now();
         let mut visited = 0u64;
         let mut skipped = 0u64;
+        let mut bytes = 0u64;
+        let mut frames = 0u64;
         for conn in &mut self.clients {
             if conn.closing {
                 // reap() flushes the farewell; pumping here too would
@@ -865,16 +760,12 @@ impl NetService {
                 conn.retry_at = None;
             }
             visited += 1;
-            let had_pending = conn.queue.depth() > 0;
+            let sent_before = conn.queue.sent_frames();
             match conn.queue.pump(&mut *conn.transport) {
                 Ok(moved) => {
-                    report.bytes_sent += moved;
-                    self.obs.add(names::NET_BYTES_SENT, moved);
-                    let frames = conn.queue.sent_frames();
-                    self.obs
-                        .add(names::NET_FRAMES_SENT, frames - conn.reported_frames);
-                    conn.reported_frames = frames;
-                    if moved == 0 && had_pending {
+                    bytes += moved;
+                    frames += conn.queue.sent_frames() - sent_before;
+                    if moved == 0 {
                         // A stall with data pending: bounded backoff on
                         // the session clock before the next attempt.
                         conn.retries += 1;
@@ -926,6 +817,9 @@ impl NetService {
                 }
             }
         }
+        report.bytes_sent += bytes;
+        self.obs.add(names::NET_BYTES_SENT, bytes);
+        self.obs.add(names::NET_FRAMES_SENT, frames);
         self.obs.add(names::NET_CONN_VISITS, visited);
         self.obs.add(names::NET_CONN_SKIPS, skipped);
     }
@@ -1035,6 +929,21 @@ impl ClientConn {
         self.retries = 0;
         self.retry_at = None;
     }
+}
+
+/// The frame `frames` holds for `scale`, framing `msg()` into it the
+/// first time a scale asks: one encode per scale, shared by every taker.
+fn shared_frame(
+    frames: &mut Vec<(ScaleFactor, Arc<[u8]>)>,
+    scale: ScaleFactor,
+    msg: impl FnOnce() -> Message,
+) -> Arc<[u8]> {
+    if let Some((_, frame)) = frames.iter().find(|(s, _)| *s == scale) {
+        return frame.clone();
+    }
+    let frame = framed(&msg());
+    frames.push((scale, frame.clone()));
+    frame
 }
 
 /// Frames a message into the shared slice every taker's queue holds a

@@ -481,12 +481,9 @@ pub mod names {
     /// makes this equal `net.live_batches` per active output scale —
     /// one encode shared by every viewer — regardless of viewer count.
     pub const NET_ENCODES_PER_BATCH: &str = "net.encodes_per_batch";
-    /// Catch-up keyframe wire encodes (full or delta); shared across
-    /// every viewer needing one in the same poll.
+    /// Catch-up keyframe wire encodes, one per output scale per poll;
+    /// shared across every viewer needing one in the same poll.
     pub const NET_KEYFRAME_ENCODES: &str = "net.keyframe_encodes";
-    /// Catch-up keyframes sent as damage deltas rather than full
-    /// screens.
-    pub const NET_DELTA_KEYFRAMES: &str = "net.delta_keyframes";
     /// Connections the reactor visited (readiness or queued work).
     pub const NET_CONN_VISITS: &str = "net.conn_visits";
     /// Connections the reactor skipped without a syscall (quiet

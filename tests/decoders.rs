@@ -675,20 +675,6 @@ table! {
         expands: nothing,
         positions: EVERYWHERE,
     },
-    keyframe_delta => Row {
-        name: "decode_message/KeyframeDelta",
-        valid: |seed| message(Message::KeyframeDelta {
-            ts: Timestamp::from_secs(seed % 100),
-            rects: vec![
-                (Rect::new(0, 0, 2, 2), vec![1, 2, 3, 4]),
-                (Rect::new(5, 1, 3, 1), vec![7, 8, 9]),
-            ],
-        }),
-        frame: None,
-        decode: |b| decode_message(b).map(|m| encode_message_vec(&m)).is_ok(),
-        expands: nothing,
-        positions: EVERYWHERE,
-    },
     command_message => Row {
         name: "decode_message/Command",
         valid: |seed| message(Message::Command {

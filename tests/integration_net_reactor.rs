@@ -21,8 +21,8 @@
 //!   output scale no matter how many viewers share it
 //!   (`net.encodes_per_batch` == `net.live_batches` with any number of
 //!   identity viewers).
-//! - A coalesced client whose last keyframe is current-epoch catches
-//!   up with a damage-delta keyframe, not a full screen.
+//! - Viewers that fall behind in the same poll share one catch-up
+//!   keyframe per output scale, whatever keyframe each last received.
 //! - Viewers attached at different scales each converge to their own
 //!   virtual output's fingerprint.
 
@@ -331,10 +331,7 @@ fn one_encode_per_batch_regardless_of_fanout() {
 }
 
 #[test]
-fn small_damage_catch_up_is_a_delta_keyframe() {
-    // A stingy queue bound forces the coalesce; the client has a
-    // fully-delivered current-epoch keyframe, so the catch-up rides as
-    // a damage delta, not a full screen.
+fn one_catch_up_keyframe_per_scale_is_shared_by_every_lagging_viewer() {
     let mut svc = service_with(NetConfig {
         send_queue_frames: 4,
         ..NetConfig::default()
@@ -342,40 +339,61 @@ fn small_damage_catch_up_is_a_delta_keyframe() {
     for salt in 0..6 {
         draw(&mut svc, salt);
     }
-    let (server_end, client_end) = LoopbackTransport::pair();
-    svc.accept(server_end);
-    let mut clients = vec![NetClient::connect(client_end, "delta-taker")];
-    clients[0].attach_live();
+    let attach = |svc: &mut NetService, name: &str, half: bool| {
+        let (server_end, client_end) = LoopbackTransport::pair();
+        svc.accept(server_end);
+        let mut c = NetClient::connect(client_end, name);
+        if half {
+            c.attach_scaled(1, 2);
+        } else {
+            c.attach_live();
+        }
+        c
+    };
+    let mut clients = vec![
+        attach(&mut svc, "early-0", false),
+        attach(&mut svc, "early-1", false),
+        attach(&mut svc, "half", true),
+    ];
     converge(&mut svc, &mut clients);
-    assert_eq!(
-        clients[0].stats().keyframes_applied,
-        1,
-        "attach keyframe must have landed (and been acked) first"
-    );
+    // The screen is cleared before the last identity viewer attaches,
+    // so the identity viewers hold keyframes of different moments.
+    svc.dv_mut()
+        .driver_mut()
+        .fill_rect(Rect::new(0, 0, W, H), 0x0020_4060);
+    draw(&mut svc, 10);
+    converge(&mut svc, &mut clients);
+    clients.push(attach(&mut svc, "late", false));
+    converge(&mut svc, &mut clients);
+    let identity = [0, 1, 3];
+    let keyframes = |clients: &[NetClient<LoopbackTransport>]| {
+        identity.map(|i| clients[i].stats().keyframes_applied)
+    };
+    let before = keyframes(&clients);
 
-    // Six commands tapped before the next poll overflow the 4-frame
-    // bound and collapse to a catch-up; the damage is a few small
-    // rects, nowhere near the re-base threshold.
+    // Six commands tapped before one poll overflow every viewer's
+    // 4-frame bound; that poll catches all four up.
     let obs = svc.dv().obs().clone();
-    let deltas0 = obs.counter(names::NET_DELTA_KEYFRAMES);
+    let coalesces = obs.counter(names::NET_COALESCE_EVENTS);
+    let encodes = obs.counter(names::NET_KEYFRAME_ENCODES);
     for salt in 20..23 {
         draw(&mut svc, salt);
     }
+    svc.poll();
+    assert_eq!(obs.counter(names::NET_COALESCE_EVENTS) - coalesces, 4);
+    assert_eq!(
+        obs.counter(names::NET_KEYFRAME_ENCODES) - encodes,
+        2,
+        "one keyframe for the three identity viewers, one for the half-scale viewer"
+    );
     converge(&mut svc, &mut clients);
 
-    assert!(
-        obs.counter(names::NET_DELTA_KEYFRAMES) > deltas0,
-        "catch-up went out as a full keyframe despite a current-epoch ack"
-    );
-    assert!(
-        clients[0].stats().delta_keyframes_applied >= 1,
-        "client never applied a delta keyframe"
-    );
-    assert_eq!(
-        clients[0].fingerprint(),
-        Some(svc.dv().screen_fingerprint()),
-        "delta catch-up diverged from the server screen"
-    );
+    assert_eq!(keyframes(&clients), before.map(|k| k + 1));
+    let local = svc.dv().screen_fingerprint();
+    for i in identity {
+        assert_eq!(clients[i].fingerprint(), Some(local), "viewer {i} diverged");
+    }
+    assert_eq!(clients[2].fingerprint(), svc.output_fingerprint(1, 2));
 }
 
 #[test]

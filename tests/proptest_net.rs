@@ -156,7 +156,7 @@ proptest! {
                         if q.push_live(rec(0, seq)) == PushOutcome::Coalesced {
                             // The service answers a coalesce with a
                             // fresh keyframe covering everything so far.
-                            q.satisfy_keyframe(rec(1, seq), seq);
+                            q.satisfy_keyframe(rec(1, seq));
                         }
                     }
                 }
