@@ -94,16 +94,6 @@ impl<S: TextSink> CaptureDaemon<S> {
         self.obs = obs;
     }
 
-    /// Returns the daemon's mirror tree.
-    pub fn mirror(&self) -> &MirrorTree {
-        &self.mirror
-    }
-
-    /// Returns the sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
     fn emit_shown(
         &mut self,
         app: AppId,

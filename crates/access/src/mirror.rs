@@ -44,22 +44,6 @@ impl MirrorTree {
         MirrorTree::default()
     }
 
-    /// Returns how many charged queries against real trees the mirror
-    /// has issued over its lifetime.
-    pub fn tree_queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Returns the number of mirrored components.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns whether the mirror is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Returns the mirrored node for a component.
     pub fn node(&self, app: AppId, id: NodeId) -> Option<&MirrorNode> {
         self.nodes.get(&(app, id))
@@ -259,14 +243,13 @@ mod tests {
         let (mut tree, app) = build();
         let mut mirror = MirrorTree::new();
         mirror.mirror_app(app, &tree);
-        let before_queries = mirror.tree_queries();
+        let before_queries = mirror.queries;
         tree.remove_subtree(NodeId(2)); // The window and both paragraphs.
         let removed = mirror.mirror_removed(app, NodeId(2));
         assert_eq!(removed.len(), 3);
         assert!(mirror.matches(app, &tree));
         assert_eq!(
-            mirror.tree_queries(),
-            before_queries,
+            mirror.queries, before_queries,
             "removal must not query the real tree"
         );
     }
@@ -285,13 +268,13 @@ mod tests {
         let (mut tree, app) = build();
         let mut mirror = MirrorTree::new();
         mirror.mirror_app(app, &tree);
-        let full_cost = mirror.tree_queries();
+        let full_cost = mirror.queries;
         let win = NodeId(2);
         for i in 0..100 {
             let n = tree.add_node(win, Role::Paragraph, &format!("line {i}"));
             mirror.mirror_added(app, n, &tree);
         }
-        let incremental_cost = mirror.tree_queries() - full_cost;
+        let incremental_cost = mirror.queries - full_cost;
         assert_eq!(incremental_cost, 100, "one query per added node");
         assert!(mirror.matches(app, &tree));
     }
@@ -303,7 +286,7 @@ mod tests {
         mirror.mirror_app(app, &tree);
         let removed = mirror.remove_app(app);
         assert_eq!(removed.len(), 4);
-        assert!(mirror.is_empty());
+        assert!(mirror.nodes.is_empty());
         assert_eq!(mirror.app_name(app), None);
     }
 }

@@ -23,7 +23,6 @@ pub struct NaiveCaptureDaemon<S: TextSink> {
     /// Last-seen text per component, diffed against each traversal.
     seen: HashMap<(AppId, NodeId), (u64, String)>,
     next_instance: u64,
-    events: u64,
 }
 
 impl<S: TextSink> NaiveCaptureDaemon<S> {
@@ -34,18 +33,7 @@ impl<S: TextSink> NaiveCaptureDaemon<S> {
             sink,
             seen: HashMap::new(),
             next_instance: 1,
-            events: 0,
         }
-    }
-
-    /// Returns how many events were processed.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Returns the sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
     }
 
     fn rescan(&mut self, app: AppId, tree: &AccessibleTree, now: Timestamp) {
@@ -107,7 +95,6 @@ impl<S: TextSink> NaiveCaptureDaemon<S> {
 
 impl<S: TextSink> AccessListener for NaiveCaptureDaemon<S> {
     fn on_event(&mut self, tree: Option<&AccessibleTree>, event: &AccessEvent) {
-        self.events += 1;
         let now = self.clock.now();
         match event {
             AccessEvent::AppRegistered { app }

@@ -153,11 +153,6 @@ impl Desktop {
         ids
     }
 
-    /// Returns the currently focused application.
-    pub fn focused(&self) -> Option<AppId> {
-        self.focused
-    }
-
     /// Returns `(events_delivered, total_synchronous_delivery_time)` —
     /// the overhead charged to applications.
     pub fn delivery_stats(&self) -> (u64, Duration) {
@@ -346,7 +341,7 @@ mod tests {
         desktop.focus(a);
         desktop.focus(a);
         desktop.focus(b);
-        assert_eq!(desktop.focused(), Some(b));
+        assert_eq!(desktop.focused, Some(b));
         let focus_events = recorder
             .lock()
             .events
@@ -362,7 +357,7 @@ mod tests {
         let a = desktop.register_app("a");
         desktop.focus(a);
         desktop.unregister_app(a);
-        assert_eq!(desktop.focused(), None);
+        assert_eq!(desktop.focused, None);
         assert!(desktop.tree(a).is_none());
         assert!(desktop.apps().is_empty());
     }

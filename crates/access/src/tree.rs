@@ -110,16 +110,6 @@ impl AccessibleTree {
         self.root
     }
 
-    /// Returns the number of components.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns whether only the root exists.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
     /// Returns how many component accesses have been charged.
     pub fn accesses(&self) -> u64 {
         self.accesses.get()
@@ -225,18 +215,6 @@ impl AccessibleTree {
         }
         out
     }
-
-    /// Returns the nearest ancestor (or self) with [`Role::Window`],
-    /// through the charged interface.
-    pub fn enclosing_window(&self, mut id: NodeId) -> Option<NodeId> {
-        loop {
-            let node = self.node(id)?;
-            if node.role == Role::Window {
-                return Some(id);
-            }
-            id = node.parent?;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +232,7 @@ mod tests {
     #[test]
     fn construction_builds_structure() {
         let (tree, win, doc, para) = sample();
-        assert_eq!(tree.len(), 4);
+        assert_eq!(tree.nodes.len(), 4);
         let win_node = tree.node(win).unwrap();
         assert_eq!(win_node.parent, Some(tree.root()));
         assert_eq!(win_node.children, vec![doc]);
@@ -283,7 +261,7 @@ mod tests {
         let (mut tree, win, doc, para) = sample();
         let removed = tree.remove_subtree(doc);
         assert!(removed.contains(&doc) && removed.contains(&para));
-        assert_eq!(tree.len(), 2);
+        assert_eq!(tree.nodes.len(), 2);
         assert!(tree.node(para).is_none());
         assert!(tree.node(win).unwrap().children.is_empty());
     }
@@ -296,14 +274,6 @@ mod tests {
         let ids: Vec<NodeId> = all.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![tree.root(), win, doc, para]);
         assert_eq!(tree.accesses() - before, 4, "one charged access per node");
-    }
-
-    #[test]
-    fn enclosing_window_walks_up() {
-        let (tree, win, _, para) = sample();
-        assert_eq!(tree.enclosing_window(para), Some(win));
-        assert_eq!(tree.enclosing_window(win), Some(win));
-        assert_eq!(tree.enclosing_window(tree.root()), None);
     }
 
     #[test]

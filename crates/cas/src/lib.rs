@@ -62,7 +62,6 @@ mod tests {
         assert_eq!(store.get("a").unwrap(), data);
         assert!(store.get("missing").is_none());
         assert!(store.contains("a"));
-        assert_eq!(store.logical_len("a"), Some(data.len() as u64));
     }
 
     #[test]

@@ -215,12 +215,6 @@ impl ChunkStore {
         self.manifests.contains_key(name)
     }
 
-    /// Logical length of a named blob.
-    pub fn logical_len(&self, name: &str) -> Option<u64> {
-        let id = self.manifests.get(name)?;
-        Some(self.table[id].logical)
-    }
-
     /// Blob names in unspecified order.
     pub fn names(&self) -> Vec<String> {
         self.manifests.keys().cloned().collect()

@@ -546,11 +546,6 @@ impl CommitPipeline {
         }
     }
 
-    /// Auxiliary tasks queued or running across all lanes.
-    pub fn aux_inflight(&self) -> usize {
-        self.shared.lock().aux_inflight
-    }
-
     /// Blocks until one lane's captures have all resolved (committed
     /// or failed) and its auxiliary tasks have run; whenever one of the
     /// lane's own steps is ready the calling thread runs it instead of
@@ -1102,7 +1097,7 @@ pub(crate) mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 7, "all aux tasks ran");
         let counters: Vec<u64> = pipe.take_finished(lane).iter().map(|o| o.counter).collect();
         assert_eq!(counters, vec![1, 2, 3, 4], "commit order undisturbed");
-        assert_eq!(pipe.aux_inflight(), 0);
+        assert_eq!(pipe.shared.lock().aux_inflight, 0);
     }
 
     #[test]

@@ -68,4 +68,4 @@ pub use server::{DejaView, PolicyTick, SearchResult};
 pub use session::{BranchFs, RevivedSession};
 pub use sink::{role_tag, IndexSink};
 pub use stats::{StorageBreakdown, StorageRates};
-pub use ui::{ViewMode, ViewerUi};
+pub use ui::ViewerUi;

@@ -374,12 +374,6 @@ impl DejaView {
         self.store.lock()
     }
 
-    /// Returns a cloneable handle to the checkpoint store shared with
-    /// the commit pipeline.
-    pub fn store_handle(&self) -> SharedBlobStore {
-        self.store.clone()
-    }
-
     /// Drains the main engine's lane of the commit pipeline, blocking
     /// until every captured image has committed (or failed). The first
     /// commit failure since the last flush is surfaced here, at every
@@ -821,13 +815,6 @@ impl DejaView {
         .ok_or(ServerError::NoCheckpoint)?;
         let screenshot = self.screenshot_at(hit.last)?;
         Ok((entry, screenshot))
-    }
-
-    /// Pivots a visual hit into a revive: "Take me back" to when the
-    /// screen last looked like this.
-    pub fn visual_revive(&mut self, hit: &VisualHit) -> Result<u64, ServerError> {
-        let last = hit.last;
-        self.take_me_back(last)
     }
 
     /// Searches the shard layout as of checkpoint `counter` — exactly
@@ -1286,7 +1273,7 @@ mod tests {
         let id = dv.take_me_back(Timestamp::from_secs(1)).unwrap();
         let session = dv.session_mut(id).unwrap();
         assert!(!session.vee.network_enabled());
-        session.set_network_enabled(true);
+        session.vee.set_network_enabled(true);
         assert!(session.vee.network_enabled());
     }
 
@@ -1618,7 +1605,7 @@ mod tests {
         dv.driver_mut().fill_rect(Rect::new(0, 0, 64, 64), 1);
         dv.clock().advance(Duration::from_secs(1));
         assert!(dv.policy_tick().unwrap().report.is_some());
-        let store = dv.store_handle();
+        let store = dv.store.clone();
         let pool = dv.engine().pool().clone();
         assert_eq!((pool.workers(), pool.lanes().len()), (2, 1));
 
@@ -1773,7 +1760,7 @@ mod tests {
         assert_eq!(shot.content_hash(), expected.content_hash());
 
         // ...and into a revive at that moment.
-        let sid = dv.visual_revive(&hits[0].clone()).unwrap();
+        let sid = dv.take_me_back(hits[0].last).unwrap();
         assert!(dv.session(sid).is_ok());
     }
 

@@ -44,14 +44,6 @@ pub struct RevivedSession {
 }
 
 impl RevivedSession {
-    /// Enables or disables external network access for the whole
-    /// session ("the user can re-enable network access at any time,
-    /// either for the entire session, or on a per application basis",
-    /// §5.2).
-    pub fn set_network_enabled(&mut self, enabled: bool) {
-        self.vee.set_network_enabled(enabled);
-    }
-
     /// Enables or disables network access for one application by name.
     /// Returns how many processes matched.
     pub fn set_app_network(&mut self, app: &str, enabled: bool) -> usize {

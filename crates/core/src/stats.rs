@@ -87,19 +87,6 @@ pub struct StorageRates {
     pub fs_mbps: f64,
 }
 
-impl StorageRates {
-    /// Total stored growth rate.
-    pub fn total_mbps(&self) -> f64 {
-        self.display_mbps + self.index_mbps + self.checkpoint_stored_mbps + self.fs_mbps
-    }
-
-    /// Total growth rate with uncompressed checkpoints (the upper series
-    /// in Figure 4).
-    pub fn total_raw_mbps(&self) -> f64 {
-        self.display_mbps + self.index_mbps + self.checkpoint_raw_mbps + self.fs_mbps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,8 +105,8 @@ mod tests {
         assert!((r.display_mbps - 1.0).abs() < 1e-9);
         assert!((r.checkpoint_raw_mbps - 4.0).abs() < 1e-9);
         assert!((r.checkpoint_stored_mbps - 0.8).abs() < 1e-9);
-        assert!((r.total_mbps() - (1.0 + 0.1 + 0.8 + 0.2)).abs() < 1e-9);
-        assert!(r.total_raw_mbps() > r.total_mbps());
+        assert!((r.index_mbps - 0.1).abs() < 1e-9);
+        assert!((r.fs_mbps - 0.2).abs() < 1e-9);
     }
 
     #[test]
@@ -151,7 +138,5 @@ mod tests {
         assert_eq!(r.checkpoint_raw_mbps, 0.0);
         assert_eq!(r.checkpoint_stored_mbps, 0.0);
         assert_eq!(r.fs_mbps, 0.0);
-        assert!(r.total_mbps().is_finite());
-        assert!(r.total_raw_mbps().is_finite());
     }
 }

@@ -6,8 +6,8 @@
 //! screenshots; a slider provides PVR-like functionality ...; a *Take
 //! me back* button revives the desktop session at the point in time
 //! currently displayed" (§2). [`ViewerUi`] is that widget layer: it
-//! holds the UI-visible state (slider position, pause mode, the result
-//! gallery) and drives the server.
+//! holds the UI-visible state (slider position, the result gallery)
+//! and drives the server.
 
 use dv_display::Screenshot;
 use dv_index::RankOrder;
@@ -18,11 +18,10 @@ use crate::server::{DejaView, SearchResult};
 
 /// Whether the viewer shows the live session or a paused/past point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ViewMode {
+enum ViewMode {
     /// Tracking the live session.
     Live,
-    /// Paused at a point in the record (the slider was moved or the
-    /// display paused).
+    /// Paused at a point in the record (the slider was moved).
     Paused(Timestamp),
 }
 
@@ -39,11 +38,6 @@ impl ViewerUi {
             mode: ViewMode::Live,
             gallery: Vec::new(),
         }
-    }
-
-    /// Returns the current view mode.
-    pub fn mode(&self) -> ViewMode {
-        self.mode
     }
 
     /// Returns the time the viewer currently displays.
@@ -66,14 +60,6 @@ impl ViewerUi {
         Ok(shot)
     }
 
-    /// Pauses the display at the current instant "to view an item of
-    /// interest" (§2).
-    pub fn pause(&mut self, dv: &DejaView) {
-        if self.mode == ViewMode::Live {
-            self.mode = ViewMode::Paused(dv.now());
-        }
-    }
-
     /// Returns to following the live session.
     pub fn resume_live(&mut self) {
         self.mode = ViewMode::Live;
@@ -89,11 +75,6 @@ impl ViewerUi {
     ) -> Result<&[SearchResult], ServerError> {
         self.gallery = dv.search(query, order)?;
         Ok(&self.gallery)
-    }
-
-    /// Returns the current result gallery.
-    pub fn gallery(&self) -> &[SearchResult] {
-        &self.gallery
     }
 
     /// Clicking a gallery entry jumps the viewer to that result.
@@ -161,25 +142,15 @@ mod tests {
     fn slider_pauses_and_resume_returns_live() {
         let mut dv = recorded_server();
         let mut ui = ViewerUi::new();
-        assert_eq!(ui.mode(), ViewMode::Live);
+        assert_eq!(ui.mode, ViewMode::Live);
         assert_eq!(ui.position(&dv), dv.now());
         let shot = ui
             .slider_seek(&mut dv, Timestamp::from_millis(500))
             .unwrap();
         assert!(shot.pixels.contains(&0x111111));
-        assert_eq!(ui.mode(), ViewMode::Paused(Timestamp::from_millis(500)));
+        assert_eq!(ui.mode, ViewMode::Paused(Timestamp::from_millis(500)));
         ui.resume_live();
-        assert_eq!(ui.mode(), ViewMode::Live);
-    }
-
-    #[test]
-    fn pause_freezes_the_current_instant() {
-        let dv = recorded_server();
-        let mut ui = ViewerUi::new();
-        let before = dv.now();
-        ui.pause(&dv);
-        dv.clock().advance(Duration::from_secs(5));
-        assert_eq!(ui.position(&dv), before, "paused view does not advance");
+        assert_eq!(ui.mode, ViewMode::Live);
     }
 
     #[test]
@@ -192,7 +163,7 @@ mod tests {
         assert_eq!(results.len(), 1);
         let shot = ui.open_result(&mut dv, 0).unwrap();
         assert_eq!((shot.width, shot.height), (64, 64));
-        assert!(matches!(ui.mode(), ViewMode::Paused(_)));
+        assert!(matches!(ui.mode, ViewMode::Paused(_)));
         assert!(ui.open_result(&mut dv, 9).is_err());
     }
 

@@ -90,16 +90,18 @@ impl YuvFrame {
     }
 
     /// Returns the total payload size in bytes (≈1.5 bytes per pixel).
-    pub fn byte_len(&self) -> usize {
+    fn byte_len(&self) -> usize {
         self.y.len() + self.u.len() + self.v.len()
     }
 
-    /// Converts the pixel at `(x, y)` to RGB using integer BT.601 math.
+    /// Converts the pixel at `(x, y)` to RGB using integer BT.601 math:
+    /// the oracle the video kernel's property test checks against.
     ///
     /// # Panics
     ///
     /// Panics if `(x, y)` is outside the frame.
-    pub fn pixel_at(&self, x: u32, y: u32) -> Pixel {
+    #[cfg(test)]
+    pub(crate) fn pixel_at(&self, x: u32, y: u32) -> Pixel {
         assert!(x < self.width && y < self.height, "pixel out of frame");
         let cw = self.width.div_ceil(2);
         let ci = ((y / 2) * cw + x / 2) as usize;
@@ -281,18 +283,6 @@ impl DisplayCommand {
             DisplayCommand::PatternFill { .. } => 16,
             DisplayCommand::Glyph { bits, .. } => bits.len() + 8,
             DisplayCommand::Video { frame, .. } => frame.byte_len() + 8,
-        }
-    }
-
-    /// Returns a short name for statistics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            DisplayCommand::Raw { .. } => "raw",
-            DisplayCommand::CopyArea { .. } => "copy",
-            DisplayCommand::SolidFill { .. } => "sfill",
-            DisplayCommand::PatternFill { .. } => "pfill",
-            DisplayCommand::Glyph { .. } => "glyph",
-            DisplayCommand::Video { .. } => "video",
         }
     }
 }

@@ -43,11 +43,6 @@ pub struct CoveragePass {
 }
 
 impl CoveragePass {
-    /// Creates a pass.
-    pub fn new() -> Self {
-        CoveragePass::default()
-    }
-
     /// Marks the blocks `items` (oldest first) paint over on a
     /// `width` x `height` screen, replacing what an earlier run marked,
     /// and returns how many there are.
@@ -229,7 +224,7 @@ mod tests {
 
     #[test]
     fn a_fill_paints_the_blocks_it_contains() {
-        let mut pass = CoveragePass::new();
+        let mut pass = CoveragePass::default();
         // Columns 8..40 hold block 1 whole and half of 0 and 2.
         let n = pass.cover(64, 32, &[fill(8, 0, 32, 16)], |m| *m);
         assert_eq!((n, pass.blocks()), (2, 16));
@@ -238,7 +233,7 @@ mod tests {
 
     #[test]
     fn the_screen_edge_closes_a_partial_block() {
-        let mut pass = CoveragePass::new();
+        let mut pass = CoveragePass::default();
         // 20 x 10: block (1, 1) is 4 x 2 pixels, all of them filled.
         pass.cover(20, 10, &[fill(16, 8, 100, 100)], |m| *m);
         assert_eq!(painted(&pass), vec![(1, 1)]);
@@ -249,7 +244,7 @@ mod tests {
 
     #[test]
     fn a_block_read_or_written_first_is_kept() {
-        let mut pass = CoveragePass::new();
+        let mut pass = CoveragePass::default();
         let whole = fill(0, 0, 32, 8);
         // A copy reads block 0 before the fill covers it.
         pass.cover(
@@ -275,7 +270,7 @@ mod tests {
 
     #[test]
     fn spans_skip_painted_blocks_across_words() {
-        let mut pass = CoveragePass::new();
+        let mut pass = CoveragePass::default();
         // 1100 pixels: 69 blocks, two words a band; paint blocks 2..66.
         pass.cover(1100, 8, &[fill(32, 0, 64 * 16, 8)], |m| *m);
         let mut spans = Vec::new();

@@ -17,7 +17,7 @@ pub const GLYPH_HEIGHT: u32 = 8;
 ///
 /// Identical characters always map to identical bitmaps, and distinct
 /// printable ASCII characters map to distinct bitmaps.
-pub fn glyph_bitmap(ch: char) -> [u8; 8] {
+fn glyph_bitmap(ch: char) -> [u8; 8] {
     if ch == ' ' || ch == '\u{0}' {
         return [0; 8];
     }

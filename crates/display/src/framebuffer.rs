@@ -59,24 +59,6 @@ impl Screenshot {
     pub fn content_hash(&self) -> u64 {
         fnv1a(&self.pixels)
     }
-
-    /// Returns the number of pixels that differ from `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn diff_pixels(&self, other: &Screenshot) -> u64 {
-        assert_eq!(
-            (self.width, self.height),
-            (other.width, other.height),
-            "screenshot dimensions differ"
-        );
-        self.pixels
-            .iter()
-            .zip(other.pixels.iter())
-            .filter(|(a, b)| a != b)
-            .count() as u64
-    }
 }
 
 /// FNV-1a over the little-endian bytes of `pixels`.
@@ -991,7 +973,7 @@ mod tests {
             let shown = rect.intersect(&clip);
             for y in 0..SIDE {
                 for x in 0..SIDE {
-                    let expected = if shown.contains_point(x, y) {
+                    let expected = if shown.contains(&Rect::new(x, y, 1, 1)) {
                         frame.pixel_at((x - rect.x) * fw / rect.w, (y - rect.y) * fh / rect.h)
                     } else {
                         UNTOUCHED
@@ -1354,7 +1336,7 @@ mod tests {
             };
             let base = frame(seed ^ 1).snapshot();
             let keyframe = base.pixels.as_ref().clone();
-            let mut cover = CoveragePass::new();
+            let mut cover = CoveragePass::default();
             let painted = cover.cover(width, height, &run, DisplayCommand::meta);
             let mut oracle = Framebuffer::from_screenshot(&base);
             for cmd in &run {
@@ -1568,18 +1550,6 @@ mod tests {
         assert_eq!(f.pixel(0, 0), 1);
         let g = Framebuffer::from_screenshot(&shot);
         assert!(Arc::ptr_eq(&shot.pixels, &g.snapshot().pixels));
-    }
-
-    #[test]
-    fn diff_pixels_counts_changes() {
-        let mut f = fb();
-        let a = f.snapshot();
-        f.apply(&DisplayCommand::SolidFill {
-            rect: Rect::new(0, 0, 3, 1),
-            color: 5,
-        });
-        let b = f.snapshot();
-        assert_eq!(a.diff_pixels(&b), 3);
     }
 
     #[test]

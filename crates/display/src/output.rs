@@ -30,7 +30,6 @@ use crate::scale::{scale_command, scale_screenshot, ScaleFactor};
 pub struct VirtualOutput {
     scale: ScaleFactor,
     fb: Framebuffer,
-    commands: u64,
 }
 
 impl VirtualOutput {
@@ -41,13 +40,7 @@ impl VirtualOutput {
         VirtualOutput {
             scale,
             fb: Framebuffer::from_screenshot(&scale_screenshot(seed, scale)),
-            commands: 0,
         }
-    }
-
-    /// The output's scale factor.
-    pub fn scale(&self) -> ScaleFactor {
-        self.scale
     }
 
     /// The output's pixel geometry.
@@ -66,15 +59,9 @@ impl VirtualOutput {
         self.fb.content_hash()
     }
 
-    /// Commands applied since creation.
-    pub fn commands(&self) -> u64 {
-        self.commands
-    }
-
     /// Applies the scaled form of one session-geometry command.
     pub fn apply(&mut self, cmd: &DisplayCommand) {
         self.fb.apply(&scale_command(cmd, self.scale));
-        self.commands += 1;
     }
 }
 
@@ -101,22 +88,7 @@ impl OutputPool {
 
     /// The output at exactly `scale`, if registered.
     pub fn get(&self, scale: ScaleFactor) -> Option<&VirtualOutput> {
-        self.outputs.iter().find(|o| o.scale() == scale)
-    }
-
-    /// All registered outputs.
-    pub fn outputs(&self) -> &[VirtualOutput] {
-        &self.outputs
-    }
-
-    /// Number of registered outputs.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Whether no outputs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
+        self.outputs.iter().find(|o| o.scale == scale)
     }
 }
 
@@ -177,7 +149,6 @@ mod tests {
             out.apply(cmd);
         }
         assert_eq!(out.fingerprint(), fb.content_hash());
-        assert_eq!(out.commands(), 2);
     }
 
     #[test]
@@ -205,16 +176,16 @@ mod tests {
         pool.ensure(ScaleFactor::ONE, &session);
         pool.ensure(ScaleFactor::new(1, 2), &session);
         pool.ensure(ScaleFactor::new(1, 2), &session); // dedup
-        assert_eq!(pool.len(), 2);
-        pool.submit(
-            Timestamp::from_millis(1),
-            &DisplayCommand::SolidFill {
-                rect: Rect::new(0, 0, 16, 16),
-                color: rgb(1, 2, 3),
-            },
-        );
-        for out in pool.outputs() {
-            assert_eq!(out.commands(), 1);
+        assert_eq!(pool.outputs.len(), 2);
+        let cmd = DisplayCommand::SolidFill {
+            rect: Rect::new(0, 0, 16, 16),
+            color: rgb(1, 2, 3),
+        };
+        pool.submit(Timestamp::from_millis(1), &cmd);
+        for out in &pool.outputs {
+            let mut fresh = VirtualOutput::new(out.scale, &session);
+            fresh.apply(&cmd);
+            assert_eq!(out.fingerprint(), fresh.fingerprint());
         }
         assert_ne!(
             pool.get(ScaleFactor::ONE).unwrap().fingerprint(),

@@ -32,11 +32,6 @@ pub struct OverwritePass {
 }
 
 impl OverwritePass {
-    /// Creates a pass.
-    pub fn new() -> Self {
-        OverwritePass::default()
-    }
-
     /// Prunes `items` (oldest first) in place and returns how many were
     /// dropped; the survivors keep their order.
     pub fn prune<T>(&mut self, items: &mut Vec<T>, meta: impl Fn(&T) -> CommandMeta) -> usize {
@@ -99,7 +94,7 @@ pub struct QueuedCommand {
 /// queue.push(Timestamp::from_millis(1), DisplayCommand::SolidFill { rect, color: 1 });
 /// queue.push(Timestamp::from_millis(2), DisplayCommand::SolidFill { rect, color: 2 });
 /// // The first fill was completely overwritten and is merged away.
-/// assert_eq!(queue.len(), 1);
+/// assert_eq!(queue.flush().len(), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CommandQueue {
@@ -112,16 +107,6 @@ impl CommandQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         CommandQueue::default()
-    }
-
-    /// Returns the number of queued commands.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Returns how many commands merging has discarded over the queue's
@@ -146,11 +131,6 @@ impl CommandQueue {
     pub fn flush(&mut self) -> Vec<QueuedCommand> {
         std::mem::take(&mut self.entries)
     }
-
-    /// Returns the queued commands without removing them.
-    pub fn peek(&self) -> &[QueuedCommand] {
-        &self.entries
-    }
 }
 
 #[cfg(test)]
@@ -172,9 +152,9 @@ mod tests {
         q.push(ts(1), fill(Rect::new(0, 0, 4, 4), 1));
         q.push(ts(2), fill(Rect::new(1, 1, 2, 2), 2));
         q.push(ts(3), fill(Rect::new(0, 0, 8, 8), 3));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.entries.len(), 1);
         assert_eq!(q.merged_away(), 2);
-        assert_eq!(q.peek()[0].time, ts(3));
+        assert_eq!(q.entries[0].time, ts(3));
     }
 
     #[test]
@@ -182,7 +162,7 @@ mod tests {
         let mut q = CommandQueue::new();
         q.push(ts(1), fill(Rect::new(0, 0, 4, 4), 1));
         q.push(ts(2), fill(Rect::new(2, 2, 4, 4), 2));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.entries.len(), 2);
     }
 
     #[test]
@@ -201,7 +181,7 @@ mod tests {
         // ...so a later fill over the same area must not delete the
         // original fill, whose output the copy depends on.
         q.push(ts(3), fill(Rect::new(0, 0, 4, 4), 2));
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.entries.len(), 3);
     }
 
     #[test]
@@ -216,7 +196,7 @@ mod tests {
             },
         );
         q.push(ts(2), fill(Rect::new(0, 0, 4, 4), 1));
-        assert_eq!(q.len(), 1, "copy output fully overwritten");
+        assert_eq!(q.entries.len(), 1, "copy output fully overwritten");
     }
 
     #[test]
@@ -234,7 +214,7 @@ mod tests {
                 rect: Rect::new(0, 0, 8, 8),
             },
         );
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.entries.len(), 2);
     }
 
     #[test]
@@ -252,7 +232,7 @@ mod tests {
             .meta(),
             fill(Rect::new(0, 0, 16, 16), 2).meta(),
         ];
-        let dropped = OverwritePass::new().prune(&mut items, |m| *m);
+        let dropped = OverwritePass::default().prune(&mut items, |m| *m);
         assert_eq!(dropped, 2);
         assert_eq!(items, vec![fill(Rect::new(0, 0, 16, 16), 2).meta()]);
     }
@@ -263,12 +243,12 @@ mod tests {
         for i in 0..3 {
             q.push(ts(i), fill(Rect::new(i as u32 * 4, 0, 2, 2), 1));
         }
-        let buffer = q.peek().as_ptr();
+        let buffer = q.entries.as_ptr();
         // Covers the middle entry only; the vector has room for it.
         q.push(ts(3), fill(Rect::new(4, 0, 4, 4), 2));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek().as_ptr(), buffer, "entries were rebuilt");
-        let times: Vec<_> = q.peek().iter().map(|e| e.time).collect();
+        assert_eq!(q.entries.len(), 3);
+        assert_eq!(q.entries.as_ptr(), buffer, "entries were rebuilt");
+        let times: Vec<_> = q.entries.iter().map(|e| e.time).collect();
         assert_eq!(times, vec![ts(0), ts(2), ts(3)]);
     }
 
@@ -280,7 +260,7 @@ mod tests {
         let drained = q.flush();
         assert_eq!(drained.len(), 2);
         assert!(drained[0].time < drained[1].time);
-        assert!(q.is_empty());
+        assert!(q.entries.is_empty());
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Rect {
             && self.bottom() >= other.bottom()
     }
 
-    /// Returns whether the point `(px, py)` lies within the rectangle.
-    pub fn contains_point(&self, px: u32, py: u32) -> bool {
-        px >= self.x && px < self.right() && py >= self.y && py < self.bottom()
-    }
-
     /// Returns the overlap of two rectangles, or an empty rectangle if
     /// they are disjoint.
     pub fn intersect(&self, other: &Rect) -> Rect {
@@ -92,23 +87,8 @@ impl Rect {
         !self.intersect(other).is_empty()
     }
 
-    /// Returns the smallest rectangle containing both.
-    pub fn union_bounds(&self, other: &Rect) -> Rect {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        let x = self.x.min(other.x);
-        let y = self.y.min(other.y);
-        let right = self.right().max(other.right());
-        let bottom = self.bottom().max(other.bottom());
-        Rect::new(x, y, right - x, bottom - y)
-    }
-
     /// Returns `self` minus `other` as up to four disjoint rectangles.
-    pub fn subtract(&self, other: &Rect) -> Vec<Rect> {
+    fn subtract(&self, other: &Rect) -> Vec<Rect> {
         let inter = self.intersect(other);
         if inter.is_empty() {
             return if self.is_empty() { vec![] } else { vec![*self] };
@@ -168,7 +148,7 @@ impl Rect {
 /// A set of disjoint rectangles with exact area accounting.
 ///
 /// Insertion keeps the invariant that stored rectangles never overlap, so
-/// [`Region::area`] is exact even when callers add overlapping damage.
+/// its covered area is exact even when callers add overlapping damage.
 #[derive(Clone, Debug, Default)]
 pub struct Region {
     rects: Vec<Rect>,
@@ -180,18 +160,8 @@ impl Region {
         Region::default()
     }
 
-    /// Returns the stored disjoint rectangles.
-    pub fn rects(&self) -> &[Rect] {
-        &self.rects
-    }
-
-    /// Returns whether the region covers no pixels.
-    pub fn is_empty(&self) -> bool {
-        self.rects.is_empty()
-    }
-
     /// Returns the exact number of pixels covered.
-    pub fn area(&self) -> u64 {
+    pub(crate) fn area(&self) -> u64 {
         self.rects.iter().map(Rect::area).sum()
     }
 
@@ -229,13 +199,6 @@ impl Region {
         }
         self.area() as f64 / screen
     }
-
-    /// Returns the bounding box of the region, or an empty rectangle.
-    pub fn bounds(&self) -> Rect {
-        self.rects
-            .iter()
-            .fold(Rect::default(), |acc, r| acc.union_bounds(r))
-    }
 }
 
 #[cfg(test)]
@@ -263,8 +226,8 @@ mod tests {
         let a = Rect::new(2, 2, 4, 4);
         assert!(a.contains(&Rect::new(3, 3, 2, 2)));
         assert!(!a.contains(&Rect::new(3, 3, 4, 4)));
-        assert!(a.contains_point(2, 2));
-        assert!(!a.contains_point(6, 6));
+        assert!(a.contains(&Rect::new(2, 2, 1, 1)));
+        assert!(!a.contains(&Rect::new(6, 6, 1, 1)));
     }
 
     #[test]
@@ -288,15 +251,6 @@ mod tests {
         assert!(a.subtract(&Rect::new(0, 0, 10, 10)).is_empty());
     }
 
-    #[test]
-    fn union_bounds_covers_both() {
-        let a = Rect::new(0, 0, 2, 2);
-        let b = Rect::new(8, 8, 2, 2);
-        let u = a.union_bounds(&b);
-        assert!(u.contains(&a) && u.contains(&b));
-        assert_eq!(u, Rect::new(0, 0, 10, 10));
-    }
-
     /// Edges past `u32::MAX` saturate: clips stay exact and nothing
     /// overflows, in debug or release.
     #[test]
@@ -309,10 +263,6 @@ mod tests {
         let wide = Rect::new(10, 5, u32::MAX - 5, u32::MAX);
         assert_eq!(wide.intersect(&screen), Rect::new(10, 5, 90, 45));
         assert!(wide.contains(&Rect::new(10, 5, 90, 45)));
-        assert_eq!(
-            wide.union_bounds(&Rect::new(0, 0, 1, 1)),
-            Rect::new(0, 0, u32::MAX, u32::MAX)
-        );
         assert_eq!(
             screen.subtract(&wide).iter().map(Rect::area).sum::<u64>(),
             5_000 - 90 * 45
@@ -350,14 +300,5 @@ mod tests {
         region.add(Rect::new(1, 1, 4, 4));
         region.add(Rect::new(1, 1, 4, 4));
         assert_eq!(region.area(), 16);
-    }
-
-    #[test]
-    fn region_bounds() {
-        let mut region = Region::new();
-        assert!(region.bounds().is_empty());
-        region.add(Rect::new(1, 1, 2, 2));
-        region.add(Rect::new(7, 0, 1, 5));
-        assert_eq!(region.bounds(), Rect::new(1, 0, 7, 5));
     }
 }

@@ -101,11 +101,6 @@ impl ByteChannel {
         self.inner.lock().closed
     }
 
-    /// Returns the number of buffered bytes.
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
     /// Returns whether the channel is empty.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().queue.is_empty()

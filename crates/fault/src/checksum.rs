@@ -140,7 +140,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Streaming form: feed chunks into `state` (start from
 /// `0xFFFF_FFFF`, finish by XOR with `0xFFFF_FFFF`).
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(BLOCK);
     for block in &mut blocks {
         let (first, rest) = block.split_at(LANE);

@@ -108,13 +108,6 @@ pub struct FaultStats {
     pub sites: BTreeMap<String, SiteStats>,
 }
 
-impl FaultStats {
-    /// Total checks across all sites.
-    pub fn total_checks(&self) -> u64 {
-        self.sites.values().map(|s| s.checks).sum()
-    }
-}
-
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -153,11 +146,6 @@ impl FaultPlane {
     /// The no-op plane: never injects, costs one branch per check.
     pub fn disabled() -> Self {
         FaultPlane { inner: None }
-    }
-
-    /// Whether this handle carries an injection schedule at all.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Ask whether this IO operation should fail, and how.
@@ -263,7 +251,7 @@ impl FaultPlane {
 
     /// Deterministic index of the byte a [`IoFault::Corrupt`] flip
     /// should hit, for a buffer of `len` bytes.
-    pub fn corrupt_index(&self, len: usize) -> usize {
+    fn corrupt_index(&self, len: usize) -> usize {
         if len == 0 {
             return 0;
         }
@@ -306,7 +294,6 @@ impl FaultPlane {
 ///     .fail_nth(sites::LSFS_DISK_APPEND, 3, IoFault::TornWrite)
 ///     .probability(sites::LSFS_BLOB_PUT, 0.25, IoFault::Enospc)
 ///     .build();
-/// assert!(plane.is_enabled());
 /// assert_eq!(plane.check(sites::LSFS_DISK_APPEND), None);
 /// assert_eq!(plane.check(sites::LSFS_DISK_APPEND), None);
 /// assert_eq!(
@@ -390,11 +377,11 @@ mod tests {
     #[test]
     fn disabled_plane_never_injects() {
         let plane = FaultPlane::disabled();
-        assert!(!plane.is_enabled());
+        assert!(plane.inner.is_none());
         for _ in 0..100 {
             assert_eq!(plane.check(sites::LSFS_DISK_APPEND), None);
         }
-        assert_eq!(plane.stats().total_checks(), 0);
+        assert!(plane.stats().sites.is_empty());
     }
 
     #[test]

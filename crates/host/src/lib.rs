@@ -21,10 +21,10 @@
 //! Isolation is the contract: each tenant carries its own
 //! [`dv_fault::FaultPlane`] and [`dv_obs::Obs`] handle, its commit lane
 //! has its own ordering, failure set, and queue-depth quota (the
-//! tenant config's `engine.commit_queue_depth`), and quota or
-//! fault-induced degradation is confined to the tenant that caused
-//! it. The host's own registry records `host.*` lifecycle and quota
-//! metrics; [`Host::observability`] returns per-tenant snapshots plus a
+//! tenant config's `engine.commit_queue_depth`), and fault-induced
+//! degradation is confined to the tenant that caused it. The host's
+//! own registry records `host.*` lifecycle metrics;
+//! [`Host::observability`] returns per-tenant snapshots plus a
 //! host-level rollup built with [`dv_obs::ObsSnapshot::merge`].
 
 #![deny(unsafe_code)]
@@ -42,23 +42,6 @@ use dv_time::{Duration, SimClock, Sleeper};
 use dv_vee::Vpid;
 use dv_vidx::VisualHit;
 
-/// Per-tenant resource limits.
-#[derive(Clone, Copy, Debug)]
-pub struct TenantQuotas {
-    /// Stored checkpoint bytes after which the host rejects further
-    /// checkpoints for this tenant (enforced against committed bytes,
-    /// so in-flight commits may briefly overshoot).
-    pub storage_bytes: u64,
-}
-
-impl Default for TenantQuotas {
-    fn default() -> Self {
-        TenantQuotas {
-            storage_bytes: u64::MAX,
-        }
-    }
-}
-
 /// Host-wide configuration: the shared commit pool and the store.
 #[derive(Clone, Debug)]
 pub struct HostConfig {
@@ -74,8 +57,7 @@ pub struct HostConfig {
     pub compress: bool,
     /// Whether the shared blob store dedups through the `dv-cas`
     /// content-addressed chunk store. Tenant-visible semantics are
-    /// unchanged — per-tenant `storage_bytes` quotas keep accounting
-    /// *logical* bytes — but the host's physical footprint
+    /// unchanged, but the host's physical footprint
     /// ([`Host::storage_physical_bytes`]) shrinks by whatever
     /// redundancy exists across checkpoints and tenants.
     pub dedup: bool,
@@ -98,16 +80,6 @@ impl Default for HostConfig {
 pub enum HostError {
     /// No tenant with this id is registered.
     UnknownTenant(u64),
-    /// The tenant is over a quota; the operation was rejected before
-    /// touching the tenant's session.
-    QuotaExceeded {
-        /// Tenant label.
-        tenant: String,
-        /// Bytes (or units) used.
-        used: u64,
-        /// The configured limit.
-        limit: u64,
-    },
     /// The tenant's own server failed the operation.
     Server(ServerError),
 }
@@ -116,13 +88,6 @@ impl std::fmt::Display for HostError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HostError::UnknownTenant(id) => write!(f, "unknown tenant {id}"),
-            HostError::QuotaExceeded {
-                tenant,
-                used,
-                limit,
-            } => {
-                write!(f, "tenant {tenant} over quota ({used} used, limit {limit})")
-            }
             HostError::Server(e) => write!(f, "tenant server error: {e}"),
         }
     }
@@ -159,12 +124,11 @@ struct Tenant {
     label: String,
     server: DejaView,
     obs: Obs,
-    quotas: TenantQuotas,
 }
 
 /// Per-tenant observability snapshot plus the host-level rollup.
 pub struct HostObservability {
-    /// The host's own registry (`host.*` lifecycle and quota metrics).
+    /// The host's own registry (`host.*` lifecycle metrics).
     pub host: ObsSnapshot,
     /// The host registry merged with every tenant's, in tenant-id
     /// order ([`ObsSnapshot::merge`] is associative, so this equals any
@@ -256,25 +220,14 @@ impl Host {
         }
     }
 
-    /// Returns the host clock.
-    pub fn clock(&self) -> SimClock {
-        self.clock.clone()
-    }
-
     /// Returns the shared blob store every tenant records into.
     pub fn store(&self) -> SharedBlobStore {
         self.pool.store().clone()
     }
 
-    /// Returns the host's own observability handle (`host.*` metrics).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
     /// Bytes physically resident in the shared store — under dedup,
     /// the chunk arena; otherwise the sum of blob lengths. This is the
-    /// number the host reports for capacity planning, while per-tenant
-    /// quotas stay logical.
+    /// number the host reports for capacity planning.
     pub fn storage_physical_bytes(&self) -> u64 {
         self.pool.store().with(|s| match s.cas_stats() {
             Some(cas) => cas.physical_bytes,
@@ -322,19 +275,13 @@ impl Host {
     }
 
     /// Registered tenant ids, in creation order.
-    pub fn tenant_ids(&self) -> Vec<u64> {
+    fn tenant_ids(&self) -> Vec<u64> {
         self.tenants.keys().copied().collect()
     }
 
     /// A tenant's label.
     pub fn tenant_label(&self, id: u64) -> Option<&str> {
         self.tenants.get(&id).map(|t| t.label.as_str())
-    }
-
-    /// Creates a session with no quotas ([`TenantQuotas::default`]).
-    /// See [`Host::create_session_with_quotas`].
-    pub fn create_session(&mut self, label: &str, config: Config) -> u64 {
-        self.create_session_with_quotas(label, config, TenantQuotas::default())
     }
 
     /// Creates a session: a full [`DejaView`] server on the host clock,
@@ -344,14 +291,9 @@ impl Host {
     /// caller's `config` keeps its per-tenant knobs (fault plane,
     /// policy, recorder, the lanes' queue depth); the pool's knobs are
     /// the host's. The host sets the blob prefix, installs a per-tenant
-    /// observability handle if the config's is disabled, and applies
-    /// `quotas`. Returns the tenant id.
-    pub fn create_session_with_quotas(
-        &mut self,
-        label: &str,
-        mut config: Config,
-        quotas: TenantQuotas,
-    ) -> u64 {
+    /// observability handle if the config's is disabled. Returns the
+    /// tenant id.
+    pub fn create_session(&mut self, label: &str, mut config: Config) -> u64 {
         let id = self.next_tenant;
         self.next_tenant += 1;
         let obs = if config.obs.is_enabled() {
@@ -368,7 +310,6 @@ impl Host {
                 label: label.to_string(),
                 server,
                 obs,
-                quotas,
             },
         );
         self.obs.incr(names::HOST_SESSIONS_CREATED);
@@ -419,35 +360,12 @@ impl Host {
             .ok_or(HostError::UnknownTenant(id))
     }
 
-    /// Takes a checkpoint of one tenant through the shared pool,
-    /// enforcing the tenant's storage quota first.
+    /// Takes a checkpoint of one tenant through the shared pool.
     pub fn checkpoint(&mut self, id: u64) -> Result<CheckpointReport, HostError> {
         let tenant = self
             .tenants
             .get_mut(&id)
             .ok_or(HostError::UnknownTenant(id))?;
-        let used: u64 = tenant
-            .server
-            .engine()
-            .images()
-            .map(|m| m.stored_bytes)
-            .sum();
-        if used >= tenant.quotas.storage_bytes {
-            self.obs.incr(names::HOST_QUOTA_REJECTIONS);
-            self.obs.event(
-                "host",
-                names::EV_HOST_QUOTA,
-                format!(
-                    "tenant={} storage_bytes used={used} limit={}",
-                    tenant.label, tenant.quotas.storage_bytes
-                ),
-            );
-            return Err(HostError::QuotaExceeded {
-                tenant: tenant.label.clone(),
-                used,
-                limit: tenant.quotas.storage_bytes,
-            });
-        }
         tenant.server.checkpoint_now().map_err(HostError::Server)
     }
 
@@ -773,32 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_quota_rejects_only_the_offender() {
-        let mut host = Host::new(HostConfig::default());
-        let capped = host.create_session_with_quotas(
-            "capped",
-            tiny_config(),
-            TenantQuotas { storage_bytes: 1 },
-        );
-        let free = host.create_session("free", tiny_config());
-        dirty_and_checkpoint(&mut host, capped, 1);
-        host.flush_session(capped).unwrap();
-        // The first checkpoint committed >1 byte; the next is rejected.
-        assert!(matches!(
-            host.checkpoint(capped),
-            Err(HostError::QuotaExceeded { .. })
-        ));
-        dirty_and_checkpoint(&mut host, free, 2);
-        host.flush_session(free).unwrap();
-        let free_obs = host.session(free).unwrap().obs();
-        assert_eq!(free_obs.counter(names::CHECKPOINT_COMMITTED), 2);
-        let snap = host.obs().snapshot();
-        assert_eq!(snap.counter(names::HOST_QUOTA_REJECTIONS), 1);
-        let quota_events = snap.events_named(names::EV_HOST_QUOTA);
-        assert!(quota_events[0].detail.contains("tenant=capped"));
-    }
-
-    #[test]
     fn dropped_session_keeps_its_blobs() {
         let mut host = Host::new(HostConfig::default());
         let a = host.create_session("gone", tiny_config());
@@ -806,7 +698,7 @@ mod tests {
         host.drop_session(a).unwrap();
         assert!(host.session(a).is_err());
         assert!(host.store().lock().contains("gone-00000001"));
-        let snap = host.obs().snapshot();
+        let snap = host.obs.snapshot();
         assert_eq!(snap.counter(names::HOST_SESSIONS_DROPPED), 1);
         assert_eq!(snap.gauge(names::HOST_SESSIONS), 0);
     }
@@ -859,13 +751,13 @@ mod tests {
         if let Some(node) = prev {
             server.desktop_mut().remove_subtree(app, node);
         }
-        host.clock().advance(Duration::from_millis(100));
+        host.clock.advance(Duration::from_millis(100));
         let server = host.session_mut(id).unwrap();
         let root = server.desktop_mut().root(app).unwrap();
         let node = server
             .desktop_mut()
             .add_node(app, root, dv_access::Role::Paragraph, text);
-        host.clock().advance(Duration::from_secs(1));
+        host.clock.advance(Duration::from_secs(1));
         host.checkpoint(id).unwrap();
         node
     }
@@ -896,7 +788,7 @@ mod tests {
             .unwrap();
         assert_eq!(top[0].label, "alice");
         assert_eq!(top[0].hit.time, hits[0].hit.time);
-        assert_eq!(host.obs().snapshot().counter(names::HOST_CROSS_QUERIES), 2);
+        assert_eq!(host.obs.snapshot().counter(names::HOST_CROSS_QUERIES), 2);
         // A query matching nobody is empty, not an error.
         assert!(host
             .search_all("absent", RankOrder::Chronological, 16)
@@ -959,7 +851,7 @@ mod tests {
             assert_eq!(hits.len(), 1, "page{i} survived compaction");
         }
         assert_eq!(
-            host.obs().snapshot().counter(names::HOST_COMPACTION_ROUNDS),
+            host.obs.snapshot().counter(names::HOST_COMPACTION_ROUNDS),
             1
         );
     }
@@ -1079,7 +971,7 @@ mod tests {
             },
         );
         for round in 0..3u32 {
-            host.clock().advance(Duration::from_secs(1));
+            host.clock.advance(Duration::from_secs(1));
             paint_tenant_scene(&mut host, a, round);
             paint_tenant_scene(&mut host, b, round + 100);
             paint_tenant_scene(&mut host, c, round);
@@ -1108,7 +1000,7 @@ mod tests {
                     <= (pair[1].hit.distance, std::cmp::Reverse(pair[1].hit.last))
             );
         }
-        assert_eq!(host.obs().snapshot().counter(names::HOST_VISUAL_QUERIES), 1);
+        assert_eq!(host.obs.snapshot().counter(names::HOST_VISUAL_QUERIES), 1);
     }
 
     #[test]
@@ -1117,7 +1009,7 @@ mod tests {
         let id = host.create_session("vis", visual_config());
         // The one-second strip window seals at nearly every checkpoint.
         for round in 0..4u32 {
-            host.clock().advance(Duration::from_secs(1));
+            host.clock.advance(Duration::from_secs(1));
             paint_tenant_scene(&mut host, id, round);
             host.checkpoint(id).unwrap();
         }

@@ -361,7 +361,7 @@ mod tests {
         assert!(f1.contains(Timestamp::from_millis(250)));
         let f2 = index.focus_intervals(2);
         assert!(f2.contains(Timestamp::from_millis(150)));
-        assert!(index.focus_intervals(99).is_empty());
+        assert!(index.focus_intervals(99).intervals().is_empty());
     }
 
     #[test]

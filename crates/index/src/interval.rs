@@ -23,7 +23,7 @@ impl Interval {
     }
 
     /// Returns whether the interval contains no time.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.start >= self.end
     }
 
@@ -66,11 +66,6 @@ impl IntervalSet {
         &self.intervals
     }
 
-    /// Returns whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
-
     /// Returns whether `t` is a member.
     pub fn contains(&self, t: Timestamp) -> bool {
         let idx = self.intervals.partition_point(|i| i.start <= t);
@@ -80,7 +75,8 @@ impl IntervalSet {
     }
 
     /// Returns the total covered duration in nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
+    #[cfg(test)]
+    fn total_nanos(&self) -> u64 {
         self.intervals
             .iter()
             .map(|i| i.end.as_nanos() - i.start.as_nanos())
@@ -178,7 +174,7 @@ mod tests {
     #[test]
     fn intersection_with_empty_is_empty() {
         let a = set(&[(0, 10)]);
-        assert!(a.intersect(&IntervalSet::new()).is_empty());
+        assert!(a.intersect(&IntervalSet::new()).intervals().is_empty());
     }
 
     #[test]
@@ -200,7 +196,7 @@ mod tests {
     fn clip_restricts_range() {
         let a = set(&[(0, 100)]);
         assert_eq!(a.clip(ts(20), ts(30)), set(&[(20, 30)]));
-        assert!(a.clip(ts(200), ts(300)).is_empty());
+        assert!(a.clip(ts(200), ts(300)).intervals().is_empty());
     }
 
     #[test]

@@ -429,7 +429,7 @@ mod tests {
         let set = eval_str(&index, "window:dejaview checkpoint");
         assert!(set.contains(Timestamp::from_millis(9_500)));
         let none = eval_str(&index, "window:inbox checkpoint");
-        assert!(none.is_empty());
+        assert!(none.intervals().is_empty());
     }
 
     #[test]
@@ -563,7 +563,7 @@ mod tests {
         let set = evaluate(&[&index], &q);
         assert!(set.contains(Timestamp::from_millis(10_000)));
         let q = parse_query("app:firefox \"computer recorder\"").unwrap();
-        assert!(evaluate(&[&index], &q).is_empty());
+        assert!(evaluate(&[&index], &q).intervals().is_empty());
     }
 
     #[test]

@@ -98,15 +98,6 @@ pub fn index_tokens(text: &str) -> Vec<String> {
     out
 }
 
-/// Normalizes one query term the same way indexed tokens are normalized.
-pub fn normalize_term(term: &str) -> String {
-    let mut first = None;
-    for_each_token(term, &mut String::new(), |t| {
-        first.get_or_insert_with(|| t.to_owned());
-    });
-    first.unwrap_or_default()
-}
-
 /// Returns whether a (lowercased) token is a stopword.
 pub fn is_stopword(token: &str) -> bool {
     STOPWORDS.binary_search(&token).is_ok()
@@ -148,12 +139,6 @@ mod tests {
             index_tokens("the quick brown fox is at the door"),
             vec!["quick", "brown", "fox", "door"]
         );
-    }
-
-    #[test]
-    fn normalize_term_matches_indexing() {
-        assert_eq!(normalize_term("Firefox!"), "firefox");
-        assert_eq!(normalize_term(""), "");
     }
 
     #[test]

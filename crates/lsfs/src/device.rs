@@ -95,7 +95,7 @@ impl BlobStore {
     /// semantics — contents, names, `lsfs.blob_put_bytes` accounting — are
     /// those of [`in_memory`](BlobStore::in_memory);
     /// [`cas_stats`](BlobStore::cas_stats) exposes the physical side.
-    pub fn in_memory_deduped() -> Self {
+    fn in_memory_deduped() -> Self {
         BlobStore {
             cas: Some(ChunkStore::new()),
             ..BlobStore::in_memory()
@@ -103,7 +103,7 @@ impl BlobStore {
     }
 
     /// Whether this store dedups through the content-addressed layer.
-    pub fn cas_enabled(&self) -> bool {
+    fn cas_enabled(&self) -> bool {
         self.cas.is_some()
     }
 
@@ -114,14 +114,6 @@ impl BlobStore {
             cas.set_obs(obs.clone());
         }
         self.obs = obs;
-    }
-
-    /// Chooses how modelled latency (the [`ReadLatency`] cost and
-    /// [`IoFault::LatencySpike`] injections) is paid: really sleeping
-    /// (the default, for wall-clock benchmarks like Figure 7) or
-    /// advancing a simulation clock so deterministic tests never stall.
-    pub fn set_sleeper(&mut self, sleeper: Sleeper) {
-        self.sleeper = sleeper;
     }
 
     /// Installs the fault-injection plane (sites `lsfs.blob.put` and
@@ -135,7 +127,7 @@ impl BlobStore {
     }
 
     /// Creates a store whose cache misses pay `latency`.
-    pub fn with_latency(latency: ReadLatency) -> Self {
+    fn with_latency(latency: ReadLatency) -> Self {
         BlobStore {
             latency: Some(latency),
             ..BlobStore::in_memory()
@@ -157,7 +149,7 @@ impl BlobStore {
     /// this store — the deduplicating fast path used by checkpoint
     /// commit workers via [`SharedBlobStore::put_deduped`]. Identical
     /// to [`put`](BlobStore::put) when dedup is disabled.
-    pub fn put_presplit(&mut self, name: &str, data: Vec<u8>, spans: &[ChunkSpan]) -> FsResult<()> {
+    fn put_presplit(&mut self, name: &str, data: Vec<u8>, spans: &[ChunkSpan]) -> FsResult<()> {
         self.put_inner(name, data, Some(spans))
     }
 
@@ -275,27 +267,6 @@ impl BlobStore {
         }
     }
 
-    /// Clones a blob to a new name in O(1) — under dedup a manifest
-    /// refcount bump (the rucksdb snapshot trick), otherwise an `Arc`
-    /// clone. Returns `false` if `src` does not exist. Clones are not
-    /// writes: `lsfs.blob_put_bytes` is unchanged.
-    pub fn clone_blob(&mut self, src: &str, dst: &str) -> bool {
-        let ok = match &mut self.cas {
-            Some(cas) => cas.clone_blob(src, dst),
-            None => match self.backing.get(src).cloned() {
-                Some(data) => {
-                    self.backing.insert(dst.to_string(), data);
-                    true
-                }
-                None => false,
-            },
-        };
-        if ok && src != dst {
-            self.cache.remove(dst);
-        }
-        ok
-    }
-
     /// Drops the read cache: subsequent reads pay backing-store latency,
     /// the "uncached" condition of Figure 7.
     pub fn drop_caches(&mut self) {
@@ -408,7 +379,7 @@ pub struct SharedBlobStore {
 
 impl SharedBlobStore {
     /// Wraps an existing store.
-    pub fn new(store: BlobStore) -> Self {
+    fn new(store: BlobStore) -> Self {
         SharedBlobStore {
             inner: Arc::new(Mutex::new(store)),
         }
@@ -428,11 +399,6 @@ impl SharedBlobStore {
     /// A shared store whose cache misses pay `latency`.
     pub fn with_latency(latency: ReadLatency) -> Self {
         SharedBlobStore::new(BlobStore::with_latency(latency))
-    }
-
-    /// Whether two handles address the same underlying store.
-    pub fn ptr_eq(&self, other: &SharedBlobStore) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Locks the store for a sequence of operations.
@@ -511,7 +477,7 @@ mod tests {
         let clock = SimClock::new();
         let mut store = BlobStore::with_latency(model);
         store.set_obs(obs.clone());
-        store.set_sleeper(Sleeper::Sim(clock.clone()));
+        store.sleeper = Sleeper::Sim(clock.clone());
         store.put("a", vec![0; 100]).unwrap();
         let misses = || clock.now().as_nanos() / model.cost(100).as_nanos();
         let hits = || obs.counter(dv_obs::names::LSFS_BLOB_GETS) - misses();
@@ -533,7 +499,7 @@ mod tests {
         };
         let clock = SimClock::new();
         let mut store = BlobStore::with_latency(model);
-        store.set_sleeper(Sleeper::Sim(clock.clone()));
+        store.sleeper = Sleeper::Sim(clock.clone());
         store.put("a", vec![0; 1024]).unwrap();
         store.get("a");
         assert_eq!(clock.now(), Timestamp::ZERO, "a cached read is free");
@@ -554,7 +520,7 @@ mod tests {
             seek: Duration::from_secs(30),
             per_mib: Duration::from_millis(1),
         });
-        store.set_sleeper(Sleeper::Sim(clock.clone()));
+        store.sleeper = Sleeper::Sim(clock.clone());
         store.put("a", vec![0; 1024]).unwrap();
         store.drop_caches();
         let t0 = std::time::Instant::now();
@@ -661,30 +627,6 @@ mod tests {
         assert!(cas.dedup_ratio() > 7.0, "ratio {}", cas.dedup_ratio());
         assert_eq!(cas.logical_bytes, 8 * data.len() as u64);
         assert_eq!(cas.physical_bytes, data.len() as u64);
-    }
-
-    #[test]
-    fn clone_blob_works_in_both_modes() {
-        let data = pseudo_random(60_000, 4);
-        for deduped in [false, true] {
-            let obs = Obs::sim();
-            let mut store = if deduped {
-                BlobStore::in_memory_deduped()
-            } else {
-                BlobStore::in_memory()
-            };
-            store.set_obs(obs.clone());
-            store.put("src", data.clone()).unwrap();
-            let written = || obs.counter(dv_obs::names::LSFS_BLOB_PUT_BYTES);
-            let before = written();
-            assert!(store.clone_blob("src", "snap"));
-            assert!(!store.clone_blob("missing", "x"));
-            assert_eq!(written(), before, "clone is not a write");
-            store.drop_caches();
-            assert_eq!(&**store.get("snap").unwrap(), &data);
-            assert!(store.delete("src"));
-            assert_eq!(&**store.get("snap").unwrap(), &data);
-        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Disk {
     /// # Panics
     ///
     /// Panics if `seg_capacity` is zero.
-    pub fn with_segment_capacity(seg_capacity: usize) -> Self {
+    fn with_segment_capacity(seg_capacity: usize) -> Self {
         assert!(seg_capacity > 0, "segment capacity must be positive");
         Disk {
             segments: Vec::new(),
@@ -148,11 +148,6 @@ impl Disk {
         self.len
     }
 
-    /// Returns the number of allocated segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Serializes the log: `[seg_capacity u64][len u64][bytes...]`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.len as usize);
@@ -223,7 +218,7 @@ mod tests {
     fn appends_span_segments() {
         let mut disk = Disk::with_segment_capacity(4);
         let off = disk.append(b"0123456789").unwrap();
-        assert_eq!(disk.segment_count(), 3);
+        assert_eq!(disk.segments.len(), 3);
         assert_eq!(disk.read(off, 10), b"0123456789");
         assert_eq!(disk.read(3, 4), b"3456");
     }

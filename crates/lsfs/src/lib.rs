@@ -17,7 +17,7 @@
 //! * [`BlobStore`] — checkpoint-image storage with a droppable cache and
 //!   a disk-latency model (the cached/uncached axis of Figure 7),
 //!   optionally layered on the `dv-cas` content-addressed chunk store
-//!   ([`BlobStore::in_memory_deduped`]) so blobs dedup across
+//!   ([`SharedBlobStore::in_memory_deduped`]) so blobs dedup across
 //!   checkpoints and tenants.
 //! * [`SealedLog`] — the checkpoint-anchored sealed-segment lifecycle
 //!   (open buffer → seal → publish → recover → compact → retire) the

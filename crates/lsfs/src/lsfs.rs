@@ -355,7 +355,7 @@ impl Lsfs {
     }
 
     /// Creates an empty file system on an existing shared disk.
-    pub fn on_disk(disk: SharedDisk) -> Self {
+    fn on_disk(disk: SharedDisk) -> Self {
         Lsfs {
             disk,
             state: FsState::new(),

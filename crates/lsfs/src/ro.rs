@@ -95,7 +95,7 @@ mod tests {
         let base = snapshot_with(&[("/gone", b"old"), ("/kept", b"ok")]);
         let mut branch = UnionFs::new(base.clone_ro(), Lsfs::new());
         branch.unlink("/gone").unwrap();
-        branch.upper_mut().snapshot_point(7).unwrap();
+        branch.snapshot_point(7).unwrap();
         let frozen_upper = branch.upper().snapshot(7).unwrap();
         let stack: Box<dyn ReadOnlyFs> = Box::new(UnionFs::new(base.clone_ro(), frozen_upper));
         assert!(!stack.exists("/gone"), "whiteout applies through the stack");

@@ -27,11 +27,6 @@ impl<F: Filesystem> SharedFs<F> {
         }
     }
 
-    /// Returns the underlying shared handle for typed access.
-    pub fn handle(&self) -> Arc<Mutex<F>> {
-        self.inner.clone()
-    }
-
     /// Runs `f` with the locked file system.
     pub fn with<R>(&self, f: impl FnOnce(&mut F) -> R) -> R {
         f(&mut self.inner.lock())
@@ -134,8 +129,7 @@ mod tests {
         let shared = SharedFs::new(Lsfs::new());
         let mut as_trait: Box<dyn Filesystem> = Box::new(shared.clone());
         as_trait.write_all("/x", b"via trait").unwrap();
-        let direct = shared.handle();
-        assert_eq!(direct.lock().read_all("/x").unwrap(), b"via trait");
+        assert_eq!(shared.with(|fs| fs.read_all("/x")).unwrap(), b"via trait");
     }
 
     #[test]

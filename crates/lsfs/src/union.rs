@@ -99,12 +99,6 @@ impl<L: Filesystem, U: Filesystem> UnionFs<L, U> {
         &self.upper
     }
 
-    /// Returns a mutable reference to the upper layer, for maintenance
-    /// such as continued snapshotting of a revived session's branch.
-    pub fn upper_mut(&mut self) -> &mut U {
-        &mut self.upper
-    }
-
     /// Returns the lower (read-only) layer.
     pub fn lower(&self) -> &L {
         &self.lower

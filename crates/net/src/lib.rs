@@ -18,8 +18,9 @@
 //! ```text
 //! transport  — ordered non-blocking byte stream (Transport trait)
 //!              with an edge-level Readiness facet:
-//!              LoopbackTransport (deterministic, fault-injectable),
-//!              TcpTransport (real std::net), ByteChannel (legacy)
+//!              LoopbackTransport (deterministic, fault-injectable,
+//!              over a pair of dv-display ByteChannels) and
+//!              TcpTransport (real std::net)
 //! frame      — length-prefixed CRC32 framing; torn/corrupt bytes
 //!              become clean errors, never garbage messages
 //! proto      — tagged message vocabulary (handshake, live stream,

@@ -887,10 +887,15 @@ impl NetService {
             if !conn.closing {
                 return true;
             }
+            let sent_before = conn.queue.sent_frames();
             match conn.queue.pump(&mut *conn.transport) {
                 Ok(moved) => {
                     report.bytes_sent += moved;
                     obs.add(names::NET_BYTES_SENT, moved);
+                    obs.add(
+                        names::NET_FRAMES_SENT,
+                        conn.queue.sent_frames() - sent_before,
+                    );
                     if conn.queue.depth() == 0 {
                         conn.transport.close();
                         return false;

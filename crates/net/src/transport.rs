@@ -181,7 +181,8 @@ impl LoopbackTransport {
     }
 
     /// Overrides the per-call transfer cap (default 1400, MTU-ish).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
     }

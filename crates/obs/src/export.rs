@@ -30,7 +30,7 @@ pub struct ObsSnapshot {
 
 /// Aggregated busy time for one stream of the recorder.
 #[derive(Clone, PartialEq, Debug)]
-pub struct StreamBreakdown {
+struct StreamBreakdown {
     /// Stream name (first dot-separated component of the metric name).
     pub stream: String,
     /// Total spans recorded across the stream's histograms.
@@ -102,7 +102,7 @@ impl ObsSnapshot {
 
     /// Aggregates histogram time by stream (the leading dot-separated
     /// component of each histogram name), in report order.
-    pub fn stream_breakdown(&self) -> Vec<StreamBreakdown> {
+    fn stream_breakdown(&self) -> Vec<StreamBreakdown> {
         let mut agg: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for (name, h) in &self.histograms {
             let stream = name.split('.').next().unwrap_or(name);

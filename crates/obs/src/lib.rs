@@ -30,8 +30,8 @@ use parking_lot::Mutex;
 
 use dv_time::{SharedClock, SimClock, Timestamp};
 
-pub use export::{escape_json, ObsSnapshot, StreamBreakdown};
-pub use registry::{Histogram, HistogramSnapshot, Registry, BUCKETS, BUCKET_BOUNDS_NANOS};
+pub use export::{escape_json, ObsSnapshot};
+pub use registry::{HistogramSnapshot, Registry, BUCKETS, BUCKET_BOUNDS_NANOS};
 pub use trace::{TraceEvent, TraceRing, DEFAULT_RING_CAPACITY};
 
 /// Where span durations come from.
@@ -84,7 +84,7 @@ impl Obs {
 
     /// An enabled handle timestamping events with `clock` and
     /// measuring spans per `timing`, with a ring of `capacity` events.
-    pub fn with_capacity(clock: SharedClock, timing: Timing, capacity: usize) -> Self {
+    fn with_capacity(clock: SharedClock, timing: Timing, capacity: usize) -> Self {
         Obs {
             inner: Some(Arc::new(Inner {
                 clock,
@@ -515,11 +515,6 @@ pub mod names {
     pub const HOST_SESSIONS_CREATED: &str = "host.sessions_created";
     /// Sessions dropped from the host.
     pub const HOST_SESSIONS_DROPPED: &str = "host.sessions_dropped";
-    /// Checkpoints the host skipped because a tenant hit its
-    /// storage-bytes quota.
-    pub const HOST_QUOTA_REJECTIONS: &str = "host.quota_rejections";
-    /// Event name for one tenant hitting a quota.
-    pub const EV_HOST_QUOTA: &str = "host.quota_exceeded";
     /// Event name for one tenant lifecycle change (create/drop).
     pub const EV_HOST_SESSION: &str = "host.session";
 

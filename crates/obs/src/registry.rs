@@ -43,7 +43,7 @@ pub const BUCKET_BOUNDS_NANOS: [u64; BUCKETS] = [
 
 /// A fixed-bucket latency histogram with atomic updates.
 #[derive(Debug, Default)]
-pub struct Histogram {
+struct Histogram {
     counts: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -59,7 +59,7 @@ impl Histogram {
     }
 
     /// Records one observation of `nanos`.
-    pub fn observe(&self, nanos: u64) {
+    fn observe(&self, nanos: u64) {
         let bucket = BUCKET_BOUNDS_NANOS
             .iter()
             .position(|&b| nanos <= b)
@@ -74,7 +74,7 @@ impl Histogram {
     /// Takes a consistent-enough copy for reporting. (Individual fields
     /// are read independently; exactness under concurrent writers is
     /// not required for profiling output.)
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = [0u64; BUCKETS];
         for (dst, src) in counts.iter_mut().zip(self.counts.iter()) {
             *dst = src.load(Ordering::Relaxed);
@@ -89,7 +89,7 @@ impl Histogram {
     }
 }
 
-/// An immutable, mergeable copy of a [`Histogram`].
+/// An immutable, mergeable copy of one latency histogram.
 ///
 /// `merge` is associative and commutative, so snapshots taken from
 /// different workers (or different runs) can be folded in any order.
@@ -135,11 +135,6 @@ impl HistogramSnapshot {
             min_nanos: self.min_nanos.min(other.min_nanos),
             max_nanos: self.max_nanos.max(other.max_nanos),
         }
-    }
-
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_nanos(&self) -> u64 {
-        self.sum_nanos.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -324,6 +319,6 @@ mod tests {
         let id = HistogramSnapshot::default();
         assert_eq!(a.merge(&id), a);
         assert_eq!(id.merge(&a), a);
-        assert_eq!(id.mean_nanos(), 0);
+        assert_eq!((id.count, id.sum_nanos), (0, 0));
     }
 }

@@ -85,11 +85,6 @@ impl TraceRing {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Total events ever pushed.
-    pub fn total(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,7 @@ mod tests {
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
         assert_eq!(ring.dropped(), 3);
-        assert_eq!(ring.total(), 5);
+        assert_eq!(ring.next_seq, 5);
     }
 
     #[test]

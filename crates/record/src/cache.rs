@@ -55,17 +55,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Returns the current entry count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Returns whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Returns `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
@@ -107,7 +103,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Looks up a key or computes, caches and returns its value.
-    pub fn get_or_insert_with(&mut self, key: K, f: impl FnOnce() -> V) -> &V {
+    #[cfg(test)]
+    fn get_or_insert_with(&mut self, key: K, f: impl FnOnce() -> V) -> &V {
         if !self.map.contains_key(&key) {
             let value = f();
             self.put(key.clone(), value);
@@ -195,7 +192,7 @@ mod tests {
         let mut cache = LruCache::new(2);
         cache.put(1, "a");
         cache.clear();
-        assert!(cache.is_empty());
+        assert!(cache.map.is_empty());
     }
 
     #[test]

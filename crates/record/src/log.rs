@@ -155,13 +155,6 @@ pub struct LogIter<'a> {
     offset: u64,
 }
 
-impl LogIter<'_> {
-    /// Returns the offset of the next entry to be yielded.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-}
-
 impl Iterator for LogIter<'_> {
     type Item = (Timestamp, DisplayCommand);
 

@@ -147,7 +147,7 @@ mod tests {
         assert_eq!(a.end, b.end);
         assert_eq!(a.log.len(), b.log.len());
         assert_eq!(a.shots.len(), b.shots.len());
-        assert_eq!(a.timeline.len(), b.timeline.len());
+        assert_eq!(a.timeline.entries(), b.timeline.entries());
     }
 
     #[test]

@@ -588,7 +588,7 @@ mod tests {
         rec.submit(ts(0), &fill(Rect::new(0, 0, 64, 64), 7));
         rec.force_keyframe(ts(1_000));
         assert_eq!((rec.stats().keyframes, dropped()), (2, 1));
-        assert_eq!(rec.record().read().timeline.len(), 1);
+        assert_eq!(rec.record().read().timeline.entries().len(), 1);
         // Same screen as the orphan, but not as the keyframe at ts(0).
         rec.force_keyframe(ts(2_000));
         let stored = rec.stats();

@@ -52,11 +52,6 @@ impl Timeline {
         self.entries.push(entry);
     }
 
-    /// Returns the number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Returns whether the timeline is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -94,7 +94,7 @@ pub struct WallClock {
 
 impl WallClock {
     /// Creates a wall clock whose session time starts now.
-    pub fn new() -> Self {
+    fn new() -> Self {
         WallClock {
             origin: std::time::Instant::now(),
         }

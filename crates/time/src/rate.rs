@@ -35,14 +35,10 @@ impl RateLimiter {
         }
     }
 
-    /// Returns the configured minimum interval.
-    pub fn min_interval(&self) -> Duration {
-        self.min_interval
-    }
-
     /// Changes the minimum interval; the next acquisition is evaluated
     /// against the new value.
-    pub fn set_min_interval(&mut self, min_interval: Duration) {
+    #[cfg(test)]
+    fn set_min_interval(&mut self, min_interval: Duration) {
         self.min_interval = min_interval;
     }
 
@@ -59,7 +55,7 @@ impl RateLimiter {
 
     /// Returns whether an acquisition at `now` would be allowed, without
     /// consuming it.
-    pub fn would_allow(&self, now: Timestamp) -> bool {
+    fn would_allow(&self, now: Timestamp) -> bool {
         match self.last {
             None => true,
             Some(last) => now.saturating_since(last) >= self.min_interval,
@@ -73,7 +69,8 @@ impl RateLimiter {
 
     /// Forgets the last acquisition, letting the next attempt through
     /// immediately.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.last = None;
     }
 }

@@ -33,11 +33,6 @@ impl Sleeper {
         }
     }
 
-    /// Whether this sleeper stalls the calling thread for real.
-    pub fn is_wall(&self) -> bool {
-        matches!(self, Sleeper::Wall)
-    }
-
     /// Reads the timebase this sleeper advances, in nanoseconds:
     /// session time for [`Sleeper::Sim`], wall time since a fixed
     /// process origin for [`Sleeper::Wall`]. Only *differences* between
@@ -75,7 +70,6 @@ mod tests {
         sleeper.sleep(Duration::from_secs(3600));
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
         assert_eq!(clock.now(), Timestamp::from_secs(3600));
-        assert!(!sleeper.is_wall());
     }
 
     #[test]
@@ -84,7 +78,6 @@ mod tests {
         let started = std::time::Instant::now();
         sleeper.sleep(Duration::from_millis(5));
         assert!(started.elapsed() >= std::time::Duration::from_millis(5));
-        assert!(sleeper.is_wall());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 /// use dv_time::{Duration, Timestamp};
 ///
 /// let t = Timestamp::ZERO + Duration::from_millis(1_500);
-/// assert_eq!(t.as_secs_f64(), 1.5);
+/// assert_eq!(t.as_millis(), 1_500);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
@@ -63,7 +63,7 @@ impl Timestamp {
 
     /// Returns the timestamp as fractional seconds.
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 

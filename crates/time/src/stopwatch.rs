@@ -44,11 +44,6 @@ impl PhaseTimer {
         self.current = Some((name, Instant::now()));
     }
 
-    /// Ends the current phase without starting another.
-    pub fn pause(&mut self) {
-        self.close_current();
-    }
-
     /// Ends the current phase and returns the recorded breakdown.
     pub fn finish(mut self) -> PhaseBreakdown {
         self.close_current();
@@ -196,7 +191,6 @@ mod tests {
         for _ in 0..4 {
             let mut timer = PhaseTimer::new();
             timer.enter("p");
-            timer.pause();
             acc.accumulate(&timer.finish());
         }
         let before = acc.get("p");

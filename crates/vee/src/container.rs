@@ -37,7 +37,7 @@ impl HostPidAllocator {
     }
 
     /// Allocates the next host PID.
-    pub fn allocate(&self) -> u64 {
+    fn allocate(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
     }
 }
@@ -233,7 +233,8 @@ impl Vee {
     /// Replaces a process's program image (`execve`): new name, reset
     /// registers and FPU state, fresh address space; descriptors stay
     /// open (no close-on-exec modelling) and credentials persist.
-    pub fn exec(&mut self, vpid: Vpid, name: &str) -> VeeResult<()> {
+    #[cfg(test)]
+    fn exec(&mut self, vpid: Vpid, name: &str) -> VeeResult<()> {
         let process = self
             .processes
             .get_mut(&vpid)
@@ -246,7 +247,8 @@ impl Vee {
     }
 
     /// Changes a process's working directory.
-    pub fn chdir(&mut self, vpid: Vpid, path: &str) -> VeeResult<()> {
+    #[cfg(test)]
+    fn chdir(&mut self, vpid: Vpid, path: &str) -> VeeResult<()> {
         match self.fs.stat(path) {
             Ok(meta) if meta.ftype == dv_lsfs::FileType::Directory => {}
             Ok(_) => return Err(VeeError::Fs(FsError::NotADirectory)),
@@ -301,7 +303,8 @@ impl Vee {
     /// Blocks or unblocks a signal for a process. Unblocking delivers
     /// any pending instances of the signal immediately, as `sigprocmask`
     /// semantics require.
-    pub fn set_signal_blocked(&mut self, vpid: Vpid, sig: Signal, blocked: bool) -> VeeResult<()> {
+    #[cfg(test)]
+    fn set_signal_blocked(&mut self, vpid: Vpid, sig: Signal, blocked: bool) -> VeeResult<()> {
         let process = self
             .processes
             .get_mut(&vpid)
@@ -358,7 +361,8 @@ impl Vee {
     }
 
     /// Returns whether every process is stopped.
-    pub fn all_stopped(&self) -> bool {
+    #[cfg(test)]
+    fn all_stopped(&self) -> bool {
         self.processes
             .values()
             .all(|p| p.state == RunState::Stopped || p.state == RunState::Zombie)
@@ -373,7 +377,8 @@ impl Vee {
     }
 
     /// Sends SIGCONT to every process.
-    pub fn resume_all(&mut self) {
+    #[cfg(test)]
+    fn resume_all(&mut self) {
         let vpids: Vec<Vpid> = self.processes.keys().copied().collect();
         for vpid in vpids {
             let _ = self.send_signal(vpid, Signal::Cont);
@@ -458,7 +463,8 @@ impl Vee {
     }
 
     /// Repositions a descriptor's offset.
-    pub fn fd_seek(&mut self, vpid: Vpid, fd: u32, pos: u64) -> VeeResult<()> {
+    #[cfg(test)]
+    fn fd_seek(&mut self, vpid: Vpid, fd: u32, pos: u64) -> VeeResult<()> {
         match self.process_mut(vpid)?.fds.get_mut(fd) {
             Some(FdObject::File { offset, .. }) => {
                 *offset = pos;
@@ -470,7 +476,8 @@ impl Vee {
     }
 
     /// Closes a descriptor.
-    pub fn close_fd(&mut self, vpid: Vpid, fd: u32) -> VeeResult<()> {
+    #[cfg(test)]
+    fn close_fd(&mut self, vpid: Vpid, fd: u32) -> VeeResult<()> {
         let obj = self
             .process_mut(vpid)?
             .fds
@@ -805,10 +812,10 @@ mod tests {
         vee.fs.write_all("/f", b"z").unwrap();
         vee.open(p, "/f").unwrap();
         vee.socket(p, Proto::Udp).unwrap();
-        assert_eq!(vee.sockets.len(), 1);
+        assert_eq!(vee.sockets.iter().count(), 1);
         vee.exit(p).unwrap();
-        assert!(vee.sockets.is_empty());
+        assert_eq!(vee.sockets.iter().count(), 0);
         assert_eq!(vee.process_count(), 0);
-        assert!(vee.namespace.is_empty());
+        assert_eq!(vee.namespace.host_pid(p), None);
     }
 }

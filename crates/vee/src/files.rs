@@ -67,7 +67,8 @@ impl FdTable {
     }
 
     /// Removes a descriptor, returning its object.
-    pub fn remove(&mut self, fd: u32) -> Option<FdObject> {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, fd: u32) -> Option<FdObject> {
         self.entries.remove(&fd)
     }
 
@@ -79,16 +80,6 @@ impl FdTable {
     /// Iterates mutably.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut FdObject)> {
         self.entries.iter_mut().map(|(fd, obj)| (*fd, obj))
-    }
-
-    /// Returns the number of open descriptors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -125,7 +116,7 @@ mod tests {
         let mut fds = FdTable::new();
         let a = fds.insert(FdObject::Socket { id: 1 });
         let b = fds.insert(FdObject::Socket { id: 2 });
-        assert_eq!(fds.len(), 2);
+        assert_eq!(fds.entries.len(), 2);
         fds.remove(a);
         let remaining: Vec<u32> = fds.iter().map(|(fd, _)| fd).collect();
         assert_eq!(remaining, vec![b]);

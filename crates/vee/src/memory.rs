@@ -217,7 +217,8 @@ impl AddressSpace {
     }
 
     /// Returns the number of resident (allocated) pages.
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> usize {
         self.pages.len()
     }
 

@@ -57,21 +57,6 @@ impl Namespace {
     pub fn release_vpid(&mut self, vpid: Vpid) {
         self.vpid_to_host.remove(&vpid);
     }
-
-    /// Returns all virtual PIDs in order.
-    pub fn vpids(&self) -> Vec<Vpid> {
-        self.vpid_to_host.keys().copied().collect()
-    }
-
-    /// Returns the number of bound virtual PIDs.
-    pub fn len(&self) -> usize {
-        self.vpid_to_host.len()
-    }
-
-    /// Returns whether the namespace has no processes.
-    pub fn is_empty(&self) -> bool {
-        self.vpid_to_host.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -115,6 +100,6 @@ mod tests {
         let v = ns.allocate_vpid(1);
         ns.release_vpid(v);
         assert_eq!(ns.host_pid(v), None);
-        assert!(ns.is_empty());
+        assert!(ns.vpid_to_host.is_empty());
     }
 }

@@ -135,7 +135,8 @@ impl SigState {
     }
 
     /// Blocks or unblocks a signal.
-    pub fn set_blocked(&mut self, sig: Signal, blocked: bool) {
+    #[cfg(test)]
+    pub(crate) fn set_blocked(&mut self, sig: Signal, blocked: bool) {
         if blocked {
             self.blocked |= 1 << sig as u8;
         } else {

@@ -48,7 +48,8 @@ pub struct Socket {
 
 impl Socket {
     /// Returns whether the remote endpoint is outside the session.
-    pub fn is_external(&self) -> bool {
+    #[cfg(test)]
+    fn is_external(&self) -> bool {
         match &self.remote {
             Some((host, _)) => host != "localhost" && host != "127.0.0.1",
             None => false,
@@ -101,11 +102,6 @@ impl SocketTable {
         self.sockets.insert(socket.id, socket);
     }
 
-    /// Looks up a socket.
-    pub fn get(&self, id: u64) -> Option<&Socket> {
-        self.sockets.get(&id)
-    }
-
     /// Looks up a socket mutably.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut Socket> {
         self.sockets.get_mut(&id)
@@ -122,16 +118,6 @@ impl SocketTable {
         all.sort_by_key(|s| s.id);
         all.into_iter()
     }
-
-    /// Returns the number of sockets.
-    pub fn len(&self) -> usize {
-        self.sockets.len()
-    }
-
-    /// Returns whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sockets.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +131,7 @@ mod tests {
         let sock = table.get_mut(id).unwrap();
         sock.remote = Some(("example.com".into(), 80));
         sock.state = SockState::Connected;
-        assert!(table.get(id).unwrap().is_external());
+        assert!(table.sockets.get(&id).unwrap().is_external());
     }
 
     #[test]
@@ -153,9 +139,12 @@ mod tests {
         let mut table = SocketTable::new();
         let id = table.create(Proto::Tcp);
         table.get_mut(id).unwrap().remote = Some(("localhost".into(), 5432));
-        assert!(!table.get(id).unwrap().is_external());
+        assert!(!table.sockets.get(&id).unwrap().is_external());
         let id2 = table.create(Proto::Udp);
-        assert!(!table.get(id2).unwrap().is_external(), "unconnected");
+        assert!(
+            !table.sockets.get(&id2).unwrap().is_external(),
+            "unconnected"
+        );
     }
 
     #[test]
@@ -170,7 +159,7 @@ mod tests {
             tx_bytes: 0,
             rx_bytes: 0,
         });
-        assert_eq!(table.get(42).unwrap().local_port, 9999);
+        assert_eq!(table.sockets.get(&42).unwrap().local_port, 9999);
         let next = table.create(Proto::Tcp);
         assert_eq!(next, 43);
     }
@@ -181,8 +170,8 @@ mod tests {
         let a = table.create(Proto::Tcp);
         let b = table.create(Proto::Tcp);
         assert_ne!(
-            table.get(a).unwrap().local_port,
-            table.get(b).unwrap().local_port
+            table.sockets.get(&a).unwrap().local_port,
+            table.sockets.get(&b).unwrap().local_port
         );
     }
 }

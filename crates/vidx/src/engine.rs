@@ -133,7 +133,7 @@ impl VidxEngine {
     /// screenshot: resample to the thumbnail size, then hash — the
     /// exact capture path, so queries and stored instances live in the
     /// same space.
-    pub fn fingerprint(&self, shot: &Screenshot) -> Fingerprint {
+    fn fingerprint(&self, shot: &Screenshot) -> Fingerprint {
         Fingerprint::from_screenshot(&resample_screenshot(shot, THUMB_W, THUMB_H))
     }
 

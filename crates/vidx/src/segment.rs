@@ -177,7 +177,7 @@ mod tests {
         assert_eq!(decoded.instances(), instances);
         assert_eq!(decoded.next_id(), 10);
         assert_eq!(decoded.horizon, Timestamp::from_millis(95));
-        assert!(round_trip(Vec::new()).is_empty());
+        assert!(round_trip(Vec::new()).instances().is_empty());
         let payload = Strips
             .encode(&VisualStrip::from_instances(instances))
             .unwrap();

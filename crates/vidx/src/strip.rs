@@ -119,11 +119,6 @@ impl VisualStrip {
     pub fn next_id(&self) -> u64 {
         self.next_id
     }
-
-    /// Returns whether no keyframes have been observed.
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
-    }
 }
 
 #[cfg(test)]

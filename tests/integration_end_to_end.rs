@@ -3,6 +3,7 @@
 //! storage — exercising every layer of the stack together.
 
 use dejaview::{Config, DejaView};
+use dv_checkpoint::{Decision, LoadRule, SkipReason};
 use dv_display::Rect;
 use dv_index::RankOrder;
 use dv_lsfs::Filesystem;
@@ -145,6 +146,64 @@ fn policy_driven_recording_skips_idle_time() {
     let stats = dv.policy_stats();
     assert_eq!(stats.checkpoints, 3);
     assert_eq!(stats.no_display, 5);
+}
+
+/// §5.1.3's example extension rule, through the server: a `LoadRule`
+/// skips checkpoints while the load the server was told exceeds its
+/// threshold, and lets them through once it drops.
+#[test]
+fn a_load_rule_skips_checkpoints_under_high_system_load() {
+    let mut config = Config::default();
+    config.policy.rules = vec![Box::new(LoadRule { max_load: 0.5 })];
+    let mut dv = DejaView::new(config);
+    let clock = dv.clock();
+
+    dv.set_system_load(0.9);
+    dv.driver_mut().fill_rect(Rect::new(0, 0, 1024, 768), 1);
+    clock.advance(Duration::from_secs(1));
+    let tick = dv.policy_tick().unwrap();
+    assert_eq!(
+        tick.decision,
+        Decision::Skip(SkipReason::Rule("system-load"))
+    );
+    assert!(tick.report.is_none());
+
+    dv.set_system_load(0.1);
+    dv.driver_mut().fill_rect(Rect::new(0, 0, 1024, 768), 2);
+    clock.advance(Duration::from_secs(1));
+    let tick = dv.policy_tick().unwrap();
+    assert_eq!(tick.decision, Decision::Checkpoint);
+    assert!(tick.report.is_some());
+    assert_eq!(dv.policy_stats().custom_rule, 1);
+}
+
+/// An application that exits takes its text off the screen (§4.2): a
+/// search finds its text only up to the moment it closed, while an
+/// application still running keeps its text visible.
+#[test]
+fn a_closed_application_stops_matching_searches_when_it_exits() {
+    let mut dv = DejaView::new(Config::default());
+    let clock = dv.clock();
+    let closed = dv.desktop_mut().register_app("scratchpad");
+    let root = dv.desktop_mut().root(closed).unwrap();
+    dv.desktop_mut()
+        .add_node(closed, root, dv_access::Role::Paragraph, "ephemeral draft");
+    let open = dv.desktop_mut().register_app("notes");
+    let root = dv.desktop_mut().root(open).unwrap();
+    dv.desktop_mut()
+        .add_node(open, root, dv_access::Role::Paragraph, "durable draft");
+    dv.driver_mut().fill_rect(Rect::new(0, 0, 1024, 768), 1);
+    clock.advance(Duration::from_secs(2));
+    dv.desktop_mut().unregister_app(closed);
+    clock.advance(Duration::from_secs(3));
+    dv.policy_tick().unwrap();
+
+    let closed_hits = dv.search("ephemeral", RankOrder::Chronological).unwrap();
+    assert_eq!(closed_hits.len(), 1);
+    assert_eq!(closed_hits[0].hit.until, Timestamp::from_secs(2));
+    let open_hits = dv.search("durable", RankOrder::Chronological).unwrap();
+    assert_eq!(open_hits.len(), 1);
+    assert!(open_hits[0].hit.until >= Timestamp::from_secs(5));
 }
 
 #[test]

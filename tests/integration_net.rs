@@ -753,3 +753,80 @@ fn oversize_cross_shard_search_truncates_by_global_rank() {
         );
     }
 }
+
+#[test]
+fn shutdown_counts_the_farewell_among_the_frames_sent() {
+    let mut svc = service();
+    let (server_end, client_end) = LoopbackTransport::pair();
+    svc.accept(server_end);
+    let mut clients = vec![NetClient::connect(client_end, "leaver")];
+    clients[0].attach_live();
+    converge(&mut svc, &mut clients);
+
+    svc.shutdown();
+    for _ in 0..40 {
+        svc.poll();
+        let _ = clients[0].poll();
+        if clients[0].is_closed() {
+            break;
+        }
+    }
+    assert!(
+        clients[0].is_closed(),
+        "the farewell never closed the client"
+    );
+    assert_eq!(
+        svc.dv().obs().counter(names::NET_FRAMES_SENT),
+        clients[0].stats().frames_received,
+        "a frame the client received was never counted as sent"
+    );
+}
+
+#[test]
+fn a_detached_viewer_keeps_its_connection_and_catches_up_on_reattach() {
+    let mut svc = service();
+    draw(&mut svc, 1);
+    let (server_end, client_end) = LoopbackTransport::pair();
+    svc.accept(server_end);
+    let mut clients = vec![NetClient::connect(client_end, "napper")];
+    clients[0].attach_live();
+    converge(&mut svc, &mut clients);
+    assert_eq!(
+        clients[0].fingerprint(),
+        Some(svc.dv().screen_fingerprint())
+    );
+
+    clients[0].detach();
+    converge(&mut svc, &mut clients);
+    let before = clients[0].stats().frames_received;
+    for salt in 2..8 {
+        draw(&mut svc, salt);
+        svc.poll();
+        let _ = clients[0].poll();
+    }
+    converge(&mut svc, &mut clients);
+    assert_eq!(
+        clients[0].stats().frames_received,
+        before,
+        "a detached viewer still received the live stream"
+    );
+    assert!(!clients[0].is_closed(), "detach dropped the connection");
+    assert_eq!(svc.client_count(), 1);
+    assert_ne!(
+        clients[0].fingerprint(),
+        Some(svc.dv().screen_fingerprint())
+    );
+
+    // The connection still answers RPCs while detached.
+    let req = clients[0].seek(Timestamp::ZERO + Duration::from_millis(40));
+    converge(&mut svc, &mut clients);
+    assert!(clients[0].take_seek_reply(req).is_some(), "seek unanswered");
+
+    // Attaching again requests a keyframe of the current screen.
+    clients[0].attach_live();
+    converge(&mut svc, &mut clients);
+    assert_eq!(
+        clients[0].fingerprint(),
+        Some(svc.dv().screen_fingerprint())
+    );
+}

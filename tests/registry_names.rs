@@ -1,7 +1,8 @@
 //! Every metric and event name `dv_obs::names` declares is used: a
 //! `pub const` there that no code outside `crates/obs` mentions names a
 //! number nothing writes, and a reader of it sees a zero that means
-//! nothing.
+//! nothing. Every `pub fn` under `crates/` is named outside its file: a
+//! public function nothing else calls is surface nobody uses.
 
 use std::path::{Path, PathBuf};
 
@@ -84,4 +85,146 @@ fn a_longer_identifier_does_not_use_a_name() {
     assert_eq!(unused(&names, &longer), names);
     let exact = ["obs.counter(names::CHECKPOINT_COUNT)".to_string()];
     assert!(unused(&names, &exact).is_empty());
+}
+
+/// Public functions that nothing outside their own file calls, each
+/// kept on purpose, with the reason. The name check below matches the
+/// part after `::`. A compiler-resolved scan (a `#[deprecated]` note on
+/// every `pub fn` of a scratch copy, `cargo check`'s warnings grouped
+/// by note) finds exactly these.
+const UNCALLED_PUBLIC_FNS: &[(&str, &str)] = &[
+    (
+        "DejaView::clipboard",
+        "the shared clipboard between sessions, §2",
+    ),
+    (
+        "DejaView::set_clipboard",
+        "the shared clipboard between sessions, §2",
+    ),
+    (
+        "DejaView::browse_at_scale",
+        "viewing the record on a PDA-sized screen, §4.1",
+    ),
+    (
+        "DejaView::revive_from_session",
+        "branchable revives, DESIGN.md §7",
+    ),
+    (
+        "ViewerUi::resume_live",
+        "the viewer's return to the live session, §2",
+    ),
+    (
+        "TcpTransport::new",
+        "the only transport over a real socket, §3's remote access",
+    ),
+    (
+        "TcpTransport::connect",
+        "the only transport over a real socket, §3's remote access",
+    ),
+    (
+        "CommandLog::is_empty",
+        "clippy pairs it with the public len",
+    ),
+    (
+        "KeyframeStore::is_empty",
+        "clippy pairs it with the public len",
+    ),
+];
+
+/// The `pub fn` names `source` declares.
+fn public_fns(source: &str) -> Vec<String> {
+    source
+        .lines()
+        .filter_map(|line| {
+            let line = line.trim_start();
+            line.strip_prefix("pub fn ")
+                .or_else(|| line.strip_prefix("pub const fn "))
+        })
+        .map(|rest| {
+            rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .next()
+                .unwrap()
+                .to_string()
+        })
+        .collect()
+}
+
+/// `(file, name)` for each `pub fn` in `defining` that no other file
+/// of `files` mentions and `kept` does not name.
+fn uncalled(
+    defining: &[(PathBuf, String)],
+    files: &[(PathBuf, String)],
+    kept: &[&str],
+) -> Vec<(PathBuf, String)> {
+    let mut out = Vec::new();
+    for (path, text) in defining {
+        for name in public_fns(text) {
+            let called = files
+                .iter()
+                .any(|(other, text)| other != path && mentions(text, &name));
+            if !called && !kept.contains(&name.as_str()) {
+                out.push((path.clone(), name));
+            }
+        }
+    }
+    out
+}
+
+/// Every `pub fn` under `crates/` (bench and the shims left out) is
+/// named in some other file, or is on `UNCALLED_PUBLIC_FNS`. A name
+/// check sees only distinctive names: a `len` is "called" by every
+/// other `len`, so the compiler-resolved scan stays the full check.
+#[test]
+fn every_public_fn_is_named_outside_its_file() {
+    let mut paths = Vec::new();
+    let shims = root().join("crates/shims");
+    for dir in ["crates", "src", "tests", "examples", "benchmark"] {
+        sources(&root().join(dir), &shims, &mut paths);
+    }
+    // This file names the kept functions; that is not a call.
+    let this = root().join(file!());
+    let files: Vec<(PathBuf, String)> = paths
+        .iter()
+        .filter(|p| **p != this)
+        .map(|p| (p.clone(), read(p)))
+        .collect();
+    let bench = root().join("crates/bench");
+    let defining: Vec<(PathBuf, String)> = files
+        .iter()
+        .filter(|(path, _)| path.starts_with(root().join("crates")) && !path.starts_with(&bench))
+        .cloned()
+        .collect();
+    assert!(defining.len() >= 100, "only {} files found", defining.len());
+    let kept: Vec<&str> = UNCALLED_PUBLIC_FNS
+        .iter()
+        .map(|(name, _)| name.rsplit("::").next().unwrap())
+        .collect();
+    let uncalled = uncalled(&defining, &files, &kept);
+    assert!(
+        uncalled.is_empty(),
+        "public functions no other file names (make them private or delete them): {uncalled:?}"
+    );
+}
+
+/// A declaration is not a call, and a kept name is not reported.
+#[test]
+fn a_public_fn_named_only_in_its_own_file_is_uncalled() {
+    let lib = (
+        PathBuf::from("lib.rs"),
+        "pub fn lonely() {}\npub const fn kept() {}".to_string(),
+    );
+    let user = (PathBuf::from("user.rs"), "fn main() {}".to_string());
+    let files = [lib.clone(), user];
+    let found = uncalled(std::slice::from_ref(&lib), &files, &["kept"]);
+    assert_eq!(found, vec![(lib.0.clone(), "lonely".to_string())]);
+    let caller = (
+        PathBuf::from("user.rs"),
+        "fn main() { lonely() }".to_string(),
+    );
+    assert!(uncalled(
+        std::slice::from_ref(&lib),
+        &[lib.clone(), caller],
+        &["kept"]
+    )
+    .is_empty());
 }
