@@ -1426,6 +1426,45 @@ pub(crate) fn fs_snapshot_experiment(scale: f64) -> Report {
 }
 
 // ---------------------------------------------------------------------
+// What the file-system log keeps of a small file
+// ---------------------------------------------------------------------
+
+/// File sizes of the small-file sync, 1 B to a whole block in even
+/// steps: the range `build_churn`'s build files span.
+const SMALL_FILE_SIZES: &[usize] = &[1, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096];
+
+/// Writes one file of each of [`SMALL_FILE_SIZES`] and syncs. Emits the
+/// data bytes the log appended over the bytes the files hold, as
+/// `fs_small_file_log_bytes_ratio`.
+pub(crate) fn fs_small_file_experiment(_scale: f64) -> Report {
+    use dv_lsfs::{Filesystem, Lsfs};
+    let obs = Obs::sim();
+    let mut fs = Lsfs::new();
+    fs.set_obs(obs.clone());
+    for (i, &size) in SMALL_FILE_SIZES.iter().enumerate() {
+        fs.write_all(&format!("/f{i}"), &vec![0x5a; size])
+            .expect("write");
+    }
+    fs.sync().expect("sync");
+    let held: usize = SMALL_FILE_SIZES.iter().sum();
+    let logged = obs.counter(names::LSFS_DATA_BYTES);
+    let ratio = logged as f64 / held as f64;
+    let mut table = Table::new(
+        "File-system log: data bytes one sync appends for small files",
+        &["files", "file bytes", "log bytes", "ratio"],
+    );
+    table.row([
+        SMALL_FILE_SIZES.len().to_string(),
+        held.to_string(),
+        logged.to_string(),
+        format!("{ratio:.3}"),
+    ]);
+    let mut report = Report::from(table);
+    report.metric("fs_small_file_log_bytes_ratio", ratio);
+    report
+}
+
+// ---------------------------------------------------------------------
 // What a keyframe seek copies from its keyframe
 // ---------------------------------------------------------------------
 
@@ -3368,6 +3407,8 @@ pub(crate) mod tests {
     pub(crate) static CRASH: LazyLock<Report> = LazyLock::new(|| crash_consistency(0.02));
     pub(crate) static FS_SNAPSHOT: LazyLock<Report> =
         LazyLock::new(|| fs_snapshot_experiment(0.02));
+    pub(crate) static FS_SMALL_FILES: LazyLock<Report> =
+        LazyLock::new(|| fs_small_file_experiment(0.02));
     pub(crate) static KERNELS: LazyLock<Report> = LazyLock::new(|| kernel_experiment(0.02));
     pub(crate) static SEEK_RESTORE: LazyLock<Report> =
         LazyLock::new(|| seek_restore_experiment(0.02));
@@ -3511,6 +3552,17 @@ pub(crate) mod tests {
         // The full image keeps the most snapshots.
         let snapshots = table.numbers("snapshots");
         assert!(snapshots[4] >= snapshots[0]);
+    }
+
+    #[test]
+    fn fs_small_file_smoke() {
+        let report: &Report = &FS_SMALL_FILES;
+        let table = &report.tables[0];
+        // Nine files, 18,433 bytes: the log keeps those bytes, where a
+        // whole block each is 36,864.
+        assert_eq!(table.numbers("file bytes"), [18_433.0]);
+        assert_eq!(table.numbers("log bytes"), [18_433.0]);
+        assert_eq!(report.get("fs_small_file_log_bytes_ratio"), 1.0);
     }
 
     #[test]

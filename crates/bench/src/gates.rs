@@ -10,8 +10,8 @@
 
 use crate::experiments::{
     cpu_spin_experiment, crash_consistency, dedup_experiment, deferred_experiment,
-    faults_experiment, fs_snapshot_experiment, host_experiment, index_experiment,
-    kernel_experiment, net_experiment, obs_experiment, raw_revive_experiment,
+    faults_experiment, fs_small_file_experiment, fs_snapshot_experiment, host_experiment,
+    index_experiment, kernel_experiment, net_experiment, obs_experiment, raw_revive_experiment,
     replay_scroll_experiment, run, seek_keyframe_writes_experiment, seek_restore_experiment,
     visual_experiment, Experiment,
 };
@@ -132,6 +132,11 @@ pub const SUITES: &[Suite] = &[
             // A snapshot point costs what was written since the last
             // one, not what the file system holds.
             ("fs_snapshot_i*_ratio", AtMost(2.0)),
+            // Data bytes one sync appends for nine files of 1 B-4 KiB
+            // over the bytes they hold: the log keeps a file's own bytes,
+            // 1.0. Padding every block to 4 KiB read 2.0
+            // (`fs_small_file_smoke` pins the sizes).
+            ("fs_small_file_log_bytes_ratio", AtMost(1.0)),
             // A frame-sized CRC runs interleaved lanes; a short one
             // cannot (0.38-0.57). One chain at every length reads 1.0.
             ("crc_per_byte_448k_ratio", AtMost(0.69)),
@@ -173,6 +178,7 @@ pub const SUITES: &[Suite] = &[
             |scale| faults_experiment(scale.min(0.25)),
             |scale| crash_consistency(scale.min(0.25)),
             fs_snapshot_experiment,
+            fs_small_file_experiment,
             kernel_experiment,
             seek_restore_experiment,
             seek_keyframe_writes_experiment,
@@ -427,6 +433,7 @@ mod tests {
                 &smoke::FAULTS,
                 &smoke::CRASH,
                 &smoke::FS_SNAPSHOT,
+                &smoke::FS_SMALL_FILES,
                 &smoke::KERNELS,
                 &smoke::SEEK_RESTORE,
                 &smoke::SEEK_WRITES,

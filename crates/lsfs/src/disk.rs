@@ -122,12 +122,22 @@ impl Disk {
     /// Panics if the range extends past the end of the log; offsets come
     /// from [`Disk::append`], so an out-of-range read is a logic error.
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        self.read_into(offset, len, &mut out);
+        out
+    }
+
+    /// Appends the `len` bytes at `offset` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Disk::read`].
+    pub(crate) fn read_into(&self, offset: u64, len: usize, out: &mut Vec<u8>) {
         assert!(
             offset + len as u64 <= self.len,
             "read past end of log ({offset}+{len} > {})",
             self.len
         );
-        let mut out = Vec::with_capacity(len);
         let mut pos = offset;
         let mut remaining = len;
         while remaining > 0 {
@@ -139,7 +149,6 @@ impl Disk {
             pos += take as u64;
             remaining -= take;
         }
-        out
     }
 
     /// Returns the total bytes ever written; this drives the storage

@@ -25,7 +25,9 @@ use std::sync::Arc;
 use crate::disk::Disk;
 use crate::error::{FsError, FsResult};
 use crate::journal::{FsOp, NO_PREV};
-use crate::lsfs::{FsState, LsInode, Lsfs, BLOCK_SIZE, HOLE, ROOT_INO};
+use crate::lsfs::{
+    block_extent, block_in_log, block_pointer, FsState, LsInode, Lsfs, BLOCK_SIZE, HOLE, ROOT_INO,
+};
 use crate::table::{InodeTable, Rebuilt, Seen};
 use crate::vfs::{FileType, Filesystem};
 
@@ -34,8 +36,8 @@ use crate::vfs::{FileType, Filesystem};
 pub struct GcStats {
     /// Total bytes in the log.
     pub disk_bytes: u64,
-    /// Bytes of data blocks reachable from the live state or a retained
-    /// snapshot.
+    /// Bytes the log stores for the data blocks reachable from the live
+    /// state or a retained snapshot.
     pub live_data_bytes: u64,
     /// Dead bytes a [`Lsfs::compact`] would reclaim (superseded blocks
     /// plus journal records).
@@ -62,7 +64,11 @@ impl Lsfs {
     pub fn gc_stats(&self) -> GcStats {
         let live = live_blocks(self.states());
         let disk_bytes = self.disk().read().bytes_written();
-        let live_data_bytes = live.len() as u64 * BLOCK_SIZE as u64;
+        let live_data_bytes = live
+            .iter()
+            .filter_map(|&ptr| block_extent(ptr))
+            .map(|(_, len)| len as u64)
+            .sum();
         GcStats {
             disk_bytes,
             live_data_bytes,
@@ -102,9 +108,10 @@ impl Lsfs {
             let old_disk = old_disk.read();
             let mut live: Vec<u64> = live_blocks(self.states()).into_iter().collect();
             live.sort_unstable();
-            for block in live {
-                let data = old_disk.read(block, BLOCK_SIZE);
-                remap.insert(block, new_disk.append_raw(&data));
+            for ptr in live {
+                let (offset, len) = block_extent(ptr).expect("a live block is not a hole");
+                let data = old_disk.read(offset, len);
+                remap.insert(ptr, block_pointer(new_disk.append_raw(&data), len)?);
             }
         }
 
@@ -229,7 +236,7 @@ fn check_blocks(name: &str, ino: u64, inode: &LsInode, disk_len: u64) -> Result<
         ));
     }
     for &block in inode.blocks.iter() {
-        if block != HOLE && block.saturating_add(BLOCK_SIZE as u64) > disk_len {
+        if !block_in_log(block, disk_len) {
             return Err(format!(
                 "{name}: inode {ino} block {block:#x} beyond log end {disk_len:#x}"
             ));

@@ -44,6 +44,39 @@ pub const MAX_FILE_SIZE: u64 = 1 << 30;
 /// Block pointer value marking a hole (unwritten, reads as zeros).
 pub(crate) const HOLE: u64 = u64::MAX;
 
+/// The low bits of a block pointer, which hold its log offset. The 16
+/// bits above hold how many bytes of the block the log stores, 0 for a
+/// whole block, so a pointer written before short blocks reads as it
+/// did.
+const OFFSET_BITS: u32 = 48;
+
+/// The log offset and stored length of block pointer `ptr`: `None` for
+/// a hole, and for a length field no writer produces (a whole block is
+/// stored as 0).
+pub(crate) fn block_extent(ptr: u64) -> Option<(u64, usize)> {
+    let len = (ptr >> OFFSET_BITS) as usize;
+    match len {
+        0 => Some((ptr, BLOCK_SIZE)),
+        1..BLOCK_SIZE => Some((ptr & ((1 << OFFSET_BITS) - 1), len)),
+        _ => None,
+    }
+}
+
+/// The pointer to `len` (1 to [`BLOCK_SIZE`]) bytes stored at log
+/// `offset`; a log past 2^48 bytes is full.
+pub(crate) fn block_pointer(offset: u64, len: usize) -> FsResult<u64> {
+    if offset >> OFFSET_BITS != 0 {
+        return Err(FsError::NoSpace);
+    }
+    Ok(offset | ((len % BLOCK_SIZE) as u64) << OFFSET_BITS)
+}
+
+/// Whether block pointer `ptr` is a hole or names bytes that end inside
+/// a log of `log_len` bytes.
+pub(crate) fn block_in_log(ptr: u64, log_len: u64) -> bool {
+    ptr == HOLE || block_extent(ptr).is_some_and(|(offset, len)| offset + len as u64 <= log_len)
+}
+
 /// Inode number of the root directory.
 pub(crate) const ROOT_INO: u64 = 1;
 
@@ -94,12 +127,15 @@ impl LsInode {
         }
     }
 
-    /// Block `idx` as committed to the log; a hole reads as zeros.
+    /// Block `idx` as committed to the log: the bytes the log stores,
+    /// then zeros; a hole reads as zeros.
     pub(crate) fn block(&self, disk: &SharedDisk, idx: u64) -> Vec<u8> {
-        match self.blocks.get(idx as usize) {
-            Some(&off) if off != HOLE => disk.read().read(off, BLOCK_SIZE),
-            _ => vec![0; BLOCK_SIZE],
+        let mut block = Vec::with_capacity(BLOCK_SIZE);
+        if let Some((offset, len)) = self.blocks.get(idx as usize).and_then(|&p| block_extent(p)) {
+            disk.read().read_into(offset, len, &mut block);
         }
+        block.resize(BLOCK_SIZE, 0);
+        block
     }
 }
 
@@ -239,7 +275,10 @@ impl FsState {
                     return Err(FsError::FileTooLarge);
                 }
                 let nblocks = size.div_ceil(BLOCK_SIZE as u64);
-                if extents.iter().any(|&(idx, _)| idx >= nblocks) {
+                let misfit = |&(idx, ptr): &(u64, u64)| {
+                    idx >= nblocks || (ptr != HOLE && block_extent(ptr).is_none())
+                };
+                if extents.iter().any(misfit) {
                     return Err(FsError::Io);
                 }
                 let node = self.inodes.get_mut(*ino).ok_or(FsError::Io)?;
@@ -401,20 +440,28 @@ impl Lsfs {
     /// a strictly-decreasing back-pointer — so a torn or corrupted
     /// record anywhere on the chain yields [`FsError::Io`] instead of
     /// replaying garbage, and an intact record whose operation does not
-    /// fit the state it is replayed onto is refused the same way
-    /// (`FsState::apply`). [`Lsfs::load`] then falls back to a scan of
-    /// the raw log for the newest intact chain.
+    /// fit the state it is replayed onto (`FsState::apply`), or whose
+    /// block ends past the log, is refused the same way. [`Lsfs::load`]
+    /// then falls back to a scan of the raw log for the newest intact
+    /// chain.
     pub fn recover(disk: SharedDisk, head: u64) -> FsResult<Self> {
         let mut ops = Vec::new();
         {
             let d = disk.read();
+            let log_len = d.bytes_written();
             let mut offset = head;
             while offset != NO_PREV {
                 let (prev, body) = read_journal_record(&d, offset).ok_or(FsError::Io)?;
                 if prev != NO_PREV && prev >= offset {
                     return Err(FsError::Io);
                 }
-                ops.push(FsOp::decode(&body)?);
+                let op = FsOp::decode(&body)?;
+                if let FsOp::Write { extents, .. } = &op {
+                    if !extents.iter().all(|&(_, p)| block_in_log(p, log_len)) {
+                        return Err(FsError::Io);
+                    }
+                }
+                ops.push(op);
                 offset = prev;
             }
         }
@@ -1019,10 +1066,16 @@ impl Filesystem for Lsfs {
                     if *idx >= nblocks {
                         continue;
                     }
-                    match disk.append(block) {
-                        Ok(off) => {
-                            appended += block.len() as u64;
-                            extents.push((*idx, off));
+                    // Past the file's end a block holds zeros, which
+                    // its reads supply: the log keeps the file's bytes.
+                    // The pointer is made first: a full log is not written.
+                    let len = (size - idx * BLOCK_SIZE as u64).min(BLOCK_SIZE as u64) as usize;
+                    let stored = block_pointer(disk.bytes_written(), len)
+                        .and_then(|ptr| disk.append(&block[..len]).map(|_| ptr));
+                    match stored {
+                        Ok(ptr) => {
+                            appended += len as u64;
+                            extents.push((*idx, ptr));
                         }
                         Err(e) => {
                             failed = Some(e);
@@ -1163,6 +1216,13 @@ mod tests {
         if loaded.read_all("/f").unwrap() != want {
             stale.push("save/load");
         }
+        fs.compact().unwrap();
+        if fs.read_all("/f").unwrap() != want {
+            stale.push("compacted");
+        }
+        if fs.snapshot(1).unwrap().read_all("/f").unwrap() != want {
+            stale.push("compacted snapshot");
+        }
         fs.check().unwrap();
         stale
     }
@@ -1220,6 +1280,121 @@ mod tests {
         assert!(stale.is_empty(), "old bytes read back: {stale:?}");
     }
 
+    /// The log stores a block's bytes up to the file's end. A short tail
+    /// grown again — by a truncate, by a write past the end in its own
+    /// block or in a later one — reads zeros past its old end, not the
+    /// log bytes behind it, in every view.
+    #[test]
+    fn short_tails_grown_again_read_zeros() {
+        let mut fs = Lsfs::new();
+        fs.write_all("/f", &[b'A'; 100]).unwrap();
+        fs.sync().unwrap();
+        assert_eq!(fs.gc_stats().live_data_bytes, 100, "the file's bytes");
+        let grown = |len: usize, marks: &[usize]| {
+            let mut want = vec![b'A'; 100];
+            want.resize(len, 0);
+            for &at in marks {
+                want[at] = b'x';
+            }
+            want
+        };
+        let cases = [
+            (
+                "truncate past a block",
+                stale_views(
+                    100,
+                    |fs| fs.truncate("/f", 2 * BLOCK_SIZE as u64 + 10).unwrap(),
+                    &grown(2 * BLOCK_SIZE + 10, &[]),
+                ),
+            ),
+            (
+                "write past the end in the tail's block",
+                stale_views(
+                    100,
+                    |fs| fs.write_at("/f", 300, b"x").unwrap(),
+                    &grown(301, &[300]),
+                ),
+            ),
+            (
+                "write past the end in a later block",
+                stale_views(
+                    100,
+                    |fs| fs.write_at("/f", BLOCK_SIZE as u64 + 5, b"x").unwrap(),
+                    &grown(BLOCK_SIZE + 6, &[BLOCK_SIZE + 5]),
+                ),
+            ),
+        ];
+        let stale: Vec<_> = cases
+            .iter()
+            .filter(|(_, views)| !views.is_empty())
+            .collect();
+        assert!(stale.is_empty(), "log bytes read back: {stale:?}");
+    }
+
+    /// A pointer whose length field is 0 names a whole block, so a
+    /// whole block is journaled as its bare offset, as before short
+    /// blocks, and a log written then reads the same.
+    #[test]
+    fn a_zero_length_field_reads_a_whole_block() {
+        let data: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 251) as u8 + 1).collect();
+        let mut fs = Lsfs::new();
+        fs.write_all("/f", &data).unwrap();
+        fs.sync().unwrap();
+        let FsOp::Write { extents, .. } = last_op(&fs) else {
+            panic!("the sync journals a write");
+        };
+        let offset = extents[0].1;
+        assert_eq!(block_pointer(offset, BLOCK_SIZE), Ok(offset));
+        assert_eq!(block_extent(offset), Some((offset, BLOCK_SIZE)));
+        // An older log: a whole block behind a bare offset, and a second
+        // file pointing at it.
+        let at = fs.disk().write().append(&data).unwrap();
+        fs.create("/g").unwrap();
+        let size = BLOCK_SIZE as u64 + 1;
+        let ino = fs.state.resolve("/g").unwrap();
+        fs.log_op(&FsOp::Write {
+            ino,
+            size,
+            extents: vec![(0, at)],
+        })
+        .unwrap();
+        let recovered = Lsfs::recover(fs.disk(), fs.journal_head()).unwrap();
+        recovered.check().unwrap();
+        let mut want = data.clone();
+        want.push(0);
+        assert_eq!(recovered.read_all("/g").unwrap(), want);
+        assert_eq!(recovered.read_all("/f").unwrap(), data);
+        assert_eq!(block_pointer(1 << 48, 1), Err(FsError::NoSpace));
+    }
+
+    /// A `Write` whose block ends past the log is refused by `recover`
+    /// itself; the first read of the file used to panic in `Disk::read`.
+    #[test]
+    fn recover_refuses_a_block_past_the_log() {
+        let write = |ptr| FsOp::Write {
+            ino: 2,
+            size: 10,
+            extents: vec![(0, ptr)],
+        };
+        // Where the log ends once the `Write` is journaled: a short block
+        // starting 5 bytes before that end runs past it.
+        let mut body = Vec::new();
+        write(0).encode_into(&mut body);
+        let mut fs = Lsfs::new();
+        fs.create("/f").unwrap();
+        let end = fs.disk().read().bytes_written() + (JOURNAL_HEADER + body.len()) as u64;
+        for ptr in [1 << 40, block_pointer(end - 5, 10).unwrap()] {
+            let mut fs = Lsfs::new();
+            fs.create("/f").unwrap();
+            fs.log_op(&write(ptr)).unwrap();
+            assert_eq!(fs.disk().read().bytes_written(), end);
+            let recovered = Lsfs::recover(fs.disk(), fs.journal_head());
+            assert_eq!(recovered.err(), Some(FsError::Io), "{ptr:#x}");
+        }
+        assert!(block_in_log(block_pointer(end - 10, 10).unwrap(), end));
+        assert!(block_in_log(HOLE, 0));
+    }
+
     /// `write_all` over a synced file journals the same `Write` the
     /// trait's create-truncate-write did and reads nothing back.
     #[test]
@@ -1239,7 +1414,8 @@ mod tests {
             panic!("the sync journals a write");
         };
         assert_eq!((size, extents.len()), (2048, 1), "one extent, no hole");
-        assert_eq!(obs.counter(LSFS_DATA_BYTES), 2 * BLOCK_SIZE as u64);
+        // The log stores the 2 KiB the file holds, not the block's zeros.
+        assert_eq!(obs.counter(LSFS_DATA_BYTES), BLOCK_SIZE as u64 + 2048);
         assert!(obs.counter(LSFS_JOURNAL_BYTES) > journal);
         assert_eq!(fs.read_all("/f").unwrap(), vec![b'B'; 2048]);
         // The errors are the trait's: a directory, a missing parent.
@@ -1475,7 +1651,8 @@ mod tests {
 
     /// An intact journal record whose operation does not fit the state
     /// it replays onto — a missing parent, an extent past its file, a
-    /// missing entry, a size past the largest file — is refused like a
+    /// missing entry, a size past the largest file, a block pointer whose
+    /// length field no writer produces — is refused like a
     /// torn one, and `load` lands on the prefix before it. Replay used to
     /// panic (or abort on the allocation) at each.
     #[test]
@@ -1499,6 +1676,11 @@ mod tests {
                 ino: 2,
                 size: u64::MAX,
                 extents: Vec::new(),
+            },
+            FsOp::Write {
+                ino: 2,
+                size: 10,
+                extents: vec![(0, (BLOCK_SIZE as u64) << OFFSET_BITS)],
             },
         ];
         for op in misfits {

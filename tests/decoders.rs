@@ -46,6 +46,7 @@ use dv_lsfs::journal::FsOp;
 use dv_lsfs::sealed::{decode_manifest, encode_manifest, frame, unframe};
 use dv_lsfs::{
     BlobStore, Disk, Filesystem, Lifecycle, Lsfs, Manifest, Payload, SegmentMeta, SharedBlobStore,
+    BLOCK_SIZE, MAX_FILE_SIZE,
 };
 use dv_net::{
     decode_message, encode_frame_vec, encode_message_vec, FrameDecoder, Message, VisualProbe,
@@ -535,6 +536,12 @@ fn load_kept(b: &[u8]) -> Result<CheckpointImage, dv_checkpoint::ReviveError> {
 
 fn nothing(_: &[u8]) -> u64 {
     0
+}
+
+/// The dense block list of the largest file a replayed `Write` may
+/// size, twice over for the copy a resize makes.
+fn block_list(_: &[u8]) -> u64 {
+    2 * 8 * (MAX_FILE_SIZE / BLOCK_SIZE as u64)
 }
 
 /// What `decompress` may ask for before it refuses `b`: what the token
@@ -1038,6 +1045,29 @@ table! {
         frame: Some(|b| with_journal_record(fs_image(), b)),
         decode: |b| Lsfs::load(b).is_ok_and(|fs| fs.check().is_ok()),
         expands: nothing,
+        positions: EVERYWHERE,
+    },
+    journal_write => Row {
+        // A `Write` pointing `/d/c` at two short blocks: a block pointer
+        // holds the log offset in its low 48 bits and the bytes the log
+        // stores above them, so the mutations reach the length field.
+        name: "Lsfs::load/journal write of short blocks",
+        valid: |seed| {
+            let short = |offset: u64, len: u64| offset | len << 48;
+            let mut out = Vec::new();
+            FsOp::Write {
+                ino: 4,
+                size: 4096 + 900 - seed % 100,
+                extents: vec![(0, short(0, 5)), (1, short(64, 900 - seed % 100))],
+            }
+            .encode_into(&mut out);
+            out
+        },
+        frame: Some(|b| with_journal_record(fs_image(), b)),
+        // Reads the two blocks, not the whole file: a mutated size may
+        // name a sparse gigabyte.
+        decode: |b| Lsfs::load(b).is_ok_and(|fs| fs.check().is_ok() && fs.read_at("/d/c", 0, 8192).is_ok()),
+        expands: block_list,
         positions: EVERYWHERE,
     },
     disk => Row {

@@ -124,6 +124,24 @@ fn assert_equivalent(a: &dyn Filesystem, b: &dyn Filesystem, path: &str) -> Resu
     }
 }
 
+/// The bytes of every file under `path`, each inode counted once.
+fn file_bytes(fs: &dyn Filesystem, path: &str, seen: &mut Vec<u64>) -> u64 {
+    let meta = fs.stat(path).unwrap();
+    if meta.ftype == FileType::Regular {
+        if seen.contains(&meta.ino) {
+            return 0;
+        }
+        seen.push(meta.ino);
+        return meta.size;
+    }
+    let base = path.trim_end_matches('/');
+    fs.readdir(path)
+        .unwrap()
+        .iter()
+        .map(|entry| file_bytes(fs, &format!("{base}/{}", entry.name), seen))
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -144,6 +162,11 @@ proptest! {
         if let Err(why) = lsfs.check() {
             prop_assert!(false, "fsck: {}", why);
         }
+        // With no snapshot retained, the log keeps no byte past a file's
+        // end: a block stores the file's bytes, not its tail of zeros.
+        let live = lsfs.gc_stats().live_data_bytes;
+        let held = file_bytes(&lsfs, "/", &mut Vec::new());
+        prop_assert!(live <= held, "{} live log bytes for {} file bytes", live, held);
     }
 
     /// The union FS over a populated lower layer behaves like an oracle
