@@ -29,6 +29,8 @@
 //! table (metric, value, limit) for `$GITHUB_STEP_SUMMARY`, the limit
 //! column rendered from the same gate table.
 
+#![deny(unsafe_code)]
+
 use dv_bench::experiments::{run, Experiment, PAPER, REPORTS};
 use dv_bench::gates::{failures, parse_flat_json, to_flat_json, Gate, Rule, Suite, SUITES};
 

@@ -1751,10 +1751,15 @@ pub(crate) fn replay_scroll_experiment(scale: f64) -> Report {
 /// is the median of [`MEDIAN_PAIRS`] alternating pairs, a side of a
 /// pair the least of its rounds:
 ///
-/// - CRC32 per byte over a 448 KiB buffer (a `Video` frame) against the
-///   same bytes summed 2 KiB at a time, where only the single
-///   slicing-by-8 chain runs. Interleaved lanes put the long input
-///   well under 1; one chain for every length reads about 1.
+/// - The portable CRC32 kernel per byte over a 448 KiB buffer (a
+///   `Video` frame) against the same bytes summed 2 KiB at a time,
+///   where only the single slicing-by-8 chain runs. Interleaved lanes
+///   put the long input well under 1; one chain for every length reads
+///   about 1. The row times `crc32_portable` on every CPU, so it gates
+///   the table kernel whichever kernel `crc32` dispatches to.
+/// - The dispatched CRC32 of 448 KiB against a `memcpy` of it: a fold
+///   of 64 bytes per carry-less-multiply step stays within a few
+///   copies; the table kernel alone reads over ten.
 /// - Encoding a 704x32 `Raw` scroll strip against a `memcpy` of its
 ///   90 KB. A slice-wise encode is a zero-fill plus a copy; a push per
 ///   pixel read 9-15.
@@ -1768,7 +1773,7 @@ pub(crate) fn replay_scroll_experiment(scale: f64) -> Report {
 ///   least 1.
 pub(crate) fn kernel_experiment(scale: f64) -> Report {
     use dv_display::{encode_command, DisplayCommand, Rect};
-    use dv_fault::checksum::crc32;
+    use dv_fault::checksum::{crc32, crc32_portable};
     use std::sync::Arc;
     const LONG: usize = 448 << 10;
     const SHORT: usize = 2 << 10;
@@ -1781,7 +1786,7 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
     let crc_in = |piece: usize| {
         move || {
             for chunk in data.chunks(piece) {
-                std::hint::black_box(crc32(std::hint::black_box(chunk)));
+                std::hint::black_box(crc32_portable(std::hint::black_box(chunk)));
             }
         }
     };
@@ -1827,6 +1832,9 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
     let split = against_memcpy(&|heap| {
         std::hint::black_box(dv_cas::split(heap));
     });
+    let crc_copy = against_memcpy(&|heap| {
+        std::hint::black_box(crc32(heap));
+    });
     let store = compressed_heap_image(1 << 20);
     let blob = store
         .lock()
@@ -1844,8 +1852,13 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
     for (key, what, (ratio, kernel, yardstick)) in [
         (
             "crc_per_byte_448k_ratio",
-            "CRC32 of 448 KiB whole / 2 KiB at a time",
+            "portable CRC32 of 448 KiB whole / 2 KiB at a time",
             crc,
+        ),
+        (
+            "crc_memcpy_448k_ratio",
+            "CRC32 of 448 KiB heap / memcpy",
+            crc_copy,
         ),
         (
             "raw_strip_encode_memcpy_ratio",

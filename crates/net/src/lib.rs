@@ -26,7 +26,7 @@
 //! proto      — tagged message vocabulary (handshake, live stream,
 //!              scaled outputs, input, seek/search RPCs, liveness,
 //!              goodbye)
-//! queue      — per-client bounded SendQueue of shared Arc<[u8]>
+//! queue      — per-client bounded SendQueue of shared Arc<Vec<u8>>
 //!              frames with THINC-style slow-client coalescing to a
 //!              single catch-up keyframe
 //! service    — NetService: readiness reactor visiting only ready

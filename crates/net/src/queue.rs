@@ -18,10 +18,10 @@
 //! coalesced: they are small, latency-sensitive, and not expressible as
 //! framebuffer state.
 //!
-//! Frames are held as `Arc<[u8]>` slices, so fanning one encoded wire
-//! frame out to a thousand viewers is a thousand refcount bumps, not a
-//! thousand copies: the queue is the cheap half of the service's
-//! zero-copy fan-out.
+//! Frames are held as `Arc<Vec<u8>>`, the buffer the frame was encoded
+//! into, so fanning one encoded wire frame out to a thousand viewers is
+//! a thousand refcount bumps, not a thousand copies — nor one: the
+//! queue is the cheap half of the service's zero-copy fan-out.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ enum Class {
 }
 
 struct Outbound {
-    bytes: Arc<[u8]>,
+    bytes: Arc<Vec<u8>>,
     class: Class,
 }
 
@@ -61,7 +61,7 @@ pub struct SendQueue {
     /// Wire bytes of the frame currently being transmitted; a frame is
     /// popped from `queue` only once these drain, so a mid-frame stall
     /// never interleaves two frames.
-    in_flight: Arc<[u8]>,
+    in_flight: Arc<Vec<u8>>,
     in_flight_off: usize,
     max_live: usize,
     /// Live frames currently queued, maintained incrementally so
@@ -79,7 +79,7 @@ impl SendQueue {
     pub fn new(max_live: usize) -> Self {
         SendQueue {
             queue: VecDeque::new(),
-            in_flight: Arc::from(Vec::new()),
+            in_flight: Arc::new(Vec::new()),
             in_flight_off: 0,
             max_live: max_live.max(1),
             live_count: 0,
@@ -91,7 +91,7 @@ impl SendQueue {
     }
 
     /// Enqueues a control frame (never coalesced, never dropped).
-    pub fn push_control(&mut self, bytes: impl Into<Arc<[u8]>>) {
+    pub fn push_control(&mut self, bytes: impl Into<Arc<Vec<u8>>>) {
         self.queue.push_back(Outbound {
             bytes: bytes.into(),
             class: Class::Control,
@@ -104,7 +104,7 @@ impl SendQueue {
     ///
     /// The frame is shared, not owned: the service encodes each tapped
     /// command once and hands every viewer's queue the same `Arc`.
-    pub fn push_live(&mut self, bytes: impl Into<Arc<[u8]>>) -> PushOutcome {
+    pub fn push_live(&mut self, bytes: impl Into<Arc<Vec<u8>>>) -> PushOutcome {
         if self.live_count >= self.max_live {
             self.dropped_frames += self.live_count as u64 + 1;
             self.queue.retain(|o| o.class != Class::Live);
@@ -141,7 +141,7 @@ impl SendQueue {
     /// is still queued: stale live frames and older keyframes are
     /// discarded, and nothing newer can outrun it (later commands only
     /// ever queue behind it).
-    pub fn satisfy_keyframe(&mut self, bytes: impl Into<Arc<[u8]>>) {
+    pub fn satisfy_keyframe(&mut self, bytes: impl Into<Arc<Vec<u8>>>) {
         self.queue.retain(|o| o.class == Class::Control);
         self.live_count = 0;
         self.queue.push_back(Outbound {
@@ -311,7 +311,7 @@ mod tests {
     /// queues must not clone the payload.
     #[test]
     fn live_frames_share_the_encoded_allocation() {
-        let frame: Arc<[u8]> = vec![1, 2, 3].into();
+        let frame = Arc::new(vec![1, 2, 3]);
         let mut queues: Vec<SendQueue> = (0..64).map(|_| SendQueue::new(4)).collect();
         for q in &mut queues {
             q.push_live(frame.clone());

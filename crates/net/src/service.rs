@@ -32,10 +32,11 @@
 //!   empty queues without a send. The `net.conn_visits` /
 //!   `net.conn_skips` counters expose the ratio.
 //! - **Zero-copy fan-out.** Each tapped command batch is encoded into
-//!   its wire frame exactly once per active output scale, as an
-//!   `Arc<[u8]>`; every viewer's [`SendQueue`] holds a refcount, not a
-//!   copy. `net.encodes_per_batch` against `net.live_batches` proves
-//!   the single encode regardless of viewer count.
+//!   its wire frame exactly once per active output scale, into an
+//!   `Arc<Vec<u8>>` that is never copied again; every viewer's
+//!   [`SendQueue`] holds a refcount, not a copy. `net.encodes_per_batch`
+//!   against `net.live_batches` proves the single encode regardless of
+//!   viewer count.
 //! - **One catch-up keyframe.** A viewer that attaches or falls behind
 //!   gets one full RLE keyframe of the present screen, encoded once per
 //!   output scale per poll and shared by every viewer catching up in
@@ -665,7 +666,7 @@ impl NetService {
             // most once per active output scale, and shared by Arc —
             // a thousand identity viewers cost one encode and a
             // thousand refcount bumps.
-            let mut frames: Vec<(ScaleFactor, Arc<[u8]>)> = Vec::new();
+            let mut frames: Vec<(ScaleFactor, Arc<Vec<u8>>)> = Vec::new();
             for conn in &mut self.clients {
                 if !conn.attached || conn.closing || conn.queue.needs_keyframe() {
                     continue;
@@ -704,7 +705,7 @@ impl NetService {
     fn satisfy_keyframes(&mut self) {
         let ts = self.dv.now();
         // Encoded at most once per scale per poll, shared by every taker.
-        let mut frames: Vec<(ScaleFactor, Arc<[u8]>)> = Vec::new();
+        let mut frames: Vec<(ScaleFactor, Arc<Vec<u8>>)> = Vec::new();
         for conn in &mut self.clients {
             if !conn.queue.needs_keyframe() || conn.closing {
                 continue;
@@ -939,10 +940,10 @@ impl ClientConn {
 /// The frame `frames` holds for `scale`, framing `msg()` into it the
 /// first time a scale asks: one encode per scale, shared by every taker.
 fn shared_frame(
-    frames: &mut Vec<(ScaleFactor, Arc<[u8]>)>,
+    frames: &mut Vec<(ScaleFactor, Arc<Vec<u8>>)>,
     scale: ScaleFactor,
     msg: impl FnOnce() -> Message,
-) -> Arc<[u8]> {
+) -> Arc<Vec<u8>> {
     if let Some((_, frame)) = frames.iter().find(|(s, _)| *s == scale) {
         return frame.clone();
     }
@@ -951,10 +952,68 @@ fn shared_frame(
     frame
 }
 
-/// Frames a message into the shared slice every taker's queue holds a
-/// refcount on: the unit of zero-copy fan-out.
-fn framed(msg: &Message) -> Arc<[u8]> {
+/// Frames a message into the shared buffer every taker's queue holds a
+/// refcount on: the unit of zero-copy fan-out. The buffer is shared as
+/// encoded, without copying it into a slice of its own, so it must hold
+/// no spare capacity: a `Command` is reserved exactly, and the other
+/// messages, whose size is known only once encoded (a keyframe's runs),
+/// give back what their buffer grew past.
+fn framed(msg: &Message) -> Arc<Vec<u8>> {
     let mut wire = Vec::new();
     frame_message(msg, &mut wire);
-    wire.into()
+    wire.shrink_to_fit();
+    Arc::new(wire)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::encode_frame_vec;
+    use crate::proto::encode_message_vec;
+    use dv_display::{DisplayCommand, Rect, Screenshot};
+
+    /// The buffer every queue shares holds the wire frame and nothing
+    /// more: for the message sized exactly up front (`Command`), and
+    /// for those whose size is known only once encoded, where the
+    /// buffer grows by doubling. A small keyframe and a `Pong` end
+    /// short of a doubling; a slack buffer held by a lagging viewer's
+    /// queue is heap that a copy into a slice of its own never kept.
+    #[test]
+    fn a_shared_frame_holds_no_slack() {
+        let shot = |width: u32, height: u32| Screenshot {
+            width,
+            height,
+            pixels: (0..width * height)
+                .map(|i| i / 3 * 0x10101)
+                .collect::<Vec<_>>()
+                .into(),
+        };
+        let ts = Timestamp::from_nanos(7);
+        for msg in [
+            Message::Command {
+                ts,
+                cmd: DisplayCommand::Raw {
+                    rect: Rect::new(0, 0, 16, 8),
+                    pixels: Arc::new((0..128).collect()),
+                },
+            },
+            Message::Keyframe {
+                ts,
+                shot: shot(4, 3),
+            },
+            Message::Keyframe {
+                ts,
+                shot: shot(64, 32),
+            },
+            Message::SeekReply {
+                req_id: 3,
+                shot: shot(64, 32),
+            },
+            Message::Pong { nonce: 9 },
+        ] {
+            let frame = framed(&msg);
+            assert_eq!(frame.capacity(), frame.len(), "{msg:?}");
+            assert_eq!(*frame, encode_frame_vec(&encode_message_vec(&msg)));
+        }
+    }
 }
