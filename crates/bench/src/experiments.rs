@@ -1844,6 +1844,29 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
         &mut || _ = std::hint::black_box(load_heap_image(&store, false)),
         &mut || _ = std::hint::black_box(dv_checkpoint::decompress(&blob)),
     );
+    let (shot, encoded) = video_keyframe();
+    let (width, height) = (shot.width, shot.height);
+    let mut frame = dv_display::Framebuffer::new(width, height);
+    let mut cover = dv_display::CoveragePass::default();
+    cover.cover(width, height, &[], DisplayCommand::meta);
+    let pixels = shot.pixels.as_slice();
+    let mut pixels_copy = vec![0; pixels.len()];
+    let keyframe = against(
+        &mut || {
+            let runs =
+                dv_record::decode_screenshot_runs(std::hint::black_box(&encoded), width, height)
+                    .expect("the keyframe checks");
+            std::hint::black_box(runs.write_into(&mut frame, &cover, &mut None));
+        },
+        &mut || {
+            pixels_copy.copy_from_slice(std::hint::black_box(pixels));
+            std::hint::black_box(&pixels_copy);
+        },
+    );
+    assert!(
+        frame.snapshot() == shot,
+        "the keyframe decodes to its screen"
+    );
     let mut table = Table::new(
         "Byte kernels: each beside its yardstick, median of alternating pairs",
         &["kernel / yardstick", "kernel", "yardstick", "ratio"],
@@ -1880,6 +1903,11 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
             "1 MiB RLE image: load keeping none / decompress",
             skip,
         ),
+        (
+            "keyframe_decode_memcpy_ratio",
+            "1024x768 video keyframe: check and decode / memcpy",
+            keyframe,
+        ),
     ] {
         table.row([
             what.to_string(),
@@ -1891,6 +1919,30 @@ pub(crate) fn kernel_experiment(scale: f64) -> Report {
     }
     report.tables.push(table);
     report
+}
+
+/// A 1024x768 keyframe with a 640x480 region of video noise in a grey
+/// desktop, and its encoding: literals for the noise, one run for the
+/// desktop between its rows.
+pub(crate) fn video_keyframe() -> (dv_display::Screenshot, Vec<u8>) {
+    let (width, height) = (1024u32, 768u32);
+    let (x, y) = (192..192 + 640, 144..144 + 480);
+    let pixels = (0..width * height)
+        .map(|i| {
+            if x.contains(&(i % width)) && y.contains(&(i / width)) {
+                i.wrapping_mul(2_654_435_761) >> 8
+            } else {
+                0x0020_2020
+            }
+        })
+        .collect();
+    let shot = dv_display::Screenshot {
+        width,
+        height,
+        pixels: std::sync::Arc::new(pixels),
+    };
+    let encoded = dv_record::encode_screenshot(&shot);
+    (shot, encoded)
 }
 
 /// A store holding one image of a process whose `len` bytes of memory

@@ -166,6 +166,11 @@ pub const SUITES: &[Suite] = &[
             // decompressing the image before stepping over its pages
             // read 1.02.
             ("revive_compressed_skip_ratio", AtMost(0.65)),
+            // A keyframe seek copies a video stretch out of its literal
+            // span (0.77-0.80 over 20 runs; the worst x 1.2). Storing the
+            // video as one run per pixel, as before literals, read
+            // 5.01-5.43.
+            ("keyframe_decode_memcpy_ratio", AtMost(0.97)),
             // A keyframe seek copies from its keyframe only what its
             // replay does not paint over first. Copying the keyframe
             // whole before replaying read 1.0.

@@ -24,26 +24,65 @@ pub struct Screenshot {
     pub pixels: Arc<Vec<Pixel>>,
 }
 
+/// A stretch of a screen given row-major, as a keyframe stores it: one
+/// pixel repeated, or pixels given one by one as their little-endian
+/// bytes. [`Screenshot::from_runs`] and [`Framebuffer::rebase_runs`]
+/// take spans, or plain `(length, pixel)` runs, on which they are
+/// instantiated with no literal arm to test.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Span<'a> {
+    /// `length` copies of one pixel.
+    Run(usize, Pixel),
+    /// Pixels one by one.
+    Literal(&'a [[u8; 4]]),
+}
+
+impl Span<'_> {
+    /// Returns how many pixels the span covers.
+    pub fn pixel_count(self) -> usize {
+        match self {
+            Span::Run(len, _) => len,
+            Span::Literal(literal) => literal.len(),
+        }
+    }
+}
+
+impl From<(usize, Pixel)> for Span<'_> {
+    fn from((len, pixel): (usize, Pixel)) -> Self {
+        Span::Run(len, pixel)
+    }
+}
+
 impl Screenshot {
-    /// Builds a `width` x `height` screenshot from `(length, pixel)`
-    /// runs, row-major, extending its pixels run by run rather than
-    /// zero-filling them first. Runs past the screen's end are cut;
-    /// pixels they fall short of are black.
-    pub fn from_runs(
+    /// Builds a `width` x `height` screenshot from spans, row-major,
+    /// extending its pixels span by span rather than zero-filling them
+    /// first. Spans past the screen's end are cut; pixels they fall
+    /// short of are black.
+    pub fn from_runs<'a>(
         width: u32,
         height: u32,
-        runs: impl IntoIterator<Item = (usize, Pixel)>,
+        runs: impl IntoIterator<Item = impl Into<Span<'a>>>,
     ) -> Self {
         let total = width as usize * height as usize;
         let mut pixels = Vec::with_capacity(total);
-        for (len, pixel) in runs {
-            let end = total.min(pixels.len().saturating_add(len));
-            // Sixteen at a time, as `rebase_runs` stores a run, then cut
-            // back to its end (made up to it near the screen's).
-            while pixels.len() < end && pixels.len() + 16 <= total {
-                pixels.extend_from_slice(&[pixel; 16]);
+        for span in runs {
+            let span = span.into();
+            let end = total.min(pixels.len().saturating_add(span.pixel_count()));
+            match span {
+                Span::Run(_, pixel) => {
+                    // Sixteen at a time, as `rebase_runs` stores a run,
+                    // then cut back to its end (made up to it near the
+                    // screen's).
+                    while pixels.len() < end && pixels.len() + 16 <= total {
+                        pixels.extend_from_slice(&[pixel; 16]);
+                    }
+                    pixels.resize(end, pixel);
+                }
+                Span::Literal(literal) => {
+                    let kept = &literal[..end - pixels.len()];
+                    pixels.extend(kept.iter().map(|bytes| Pixel::from_le_bytes(*bytes)));
+                }
             }
-            pixels.resize(end, pixel);
         }
         pixels.resize(total, 0);
         Screenshot {
@@ -206,19 +245,19 @@ impl Framebuffer {
         Some(copied)
     }
 
-    /// [`Framebuffer::rebase`] on a screen given as `(length, pixel)`
-    /// runs, row-major, whose lengths add up to the frame's pixels: a
-    /// keyframe decoded straight into the frame. Returns how many pixels
-    /// it wrote. With neither a private buffer nor `spare`, the runs
-    /// fill a new buffer ([`Screenshot::from_runs`]). A marked block, and
-    /// any pixel the runs fall short of, is left undefined.
+    /// [`Framebuffer::rebase`] on a screen given as spans, row-major,
+    /// whose lengths add up to the frame's pixels: a keyframe decoded
+    /// straight into the frame. Returns how many pixels it wrote. With
+    /// neither a private buffer nor `spare`, the spans fill a new buffer
+    /// ([`Screenshot::from_runs`]). A marked block, and any pixel the
+    /// spans fall short of, is left undefined.
     ///
     /// # Panics
     ///
     /// Panics if `cover` or `spare` is of another size than the frame.
-    pub fn rebase_runs(
+    pub fn rebase_runs<'a>(
         &mut self,
-        runs: impl IntoIterator<Item = (usize, Pixel)>,
+        runs: impl IntoIterator<Item = impl Into<Span<'a>>>,
         cover: &CoveragePass,
         spare: &mut Option<Vec<Pixel>>,
     ) -> u64 {
@@ -233,30 +272,37 @@ impl Framebuffer {
             self.pixels = Arc::new(buffer);
         }
         let pixels = Arc::get_mut(&mut self.pixels).expect("the buffer is private");
-        let mut runs = runs.into_iter();
-        // The run last taken ends at `end`.
-        let (mut end, mut pixel, mut written) = (0usize, 0, 0u64);
+        let mut runs = runs.into_iter().map(Into::into);
+        // The span last taken covers `start..end`.
+        let (mut start, mut end, mut span, mut written) = (0usize, 0usize, Span::Run(0, 0), 0u64);
         kept_ranges(width, height, cover, |kept| {
             written += kept.len() as u64;
             let mut at = kept.start;
             while at < kept.end {
                 while end <= at {
-                    let Some((len, next)) = runs.next() else {
+                    let Some(next) = runs.next() else {
                         return;
                     };
-                    (end, pixel) = (end.saturating_add(len), next);
+                    (start, end, span) = (end, end.saturating_add(next.pixel_count()), next);
                 }
                 let stop = end.min(kept.end);
-                // Sixteen at a time beats a fill's call on the short runs
-                // of text and video. A store past `stop` lands where a
-                // later run writes or in a marked block.
-                if stop + 16 <= pixels.len() {
-                    while at < stop {
-                        pixels[at..at + 16].fill(pixel);
-                        at += 16;
+                match span {
+                    // Sixteen at a time beats a fill's call on the short
+                    // runs of text. A store past `stop` lands where a
+                    // later span writes or in a marked block.
+                    Span::Run(_, pixel) if stop + 16 <= pixels.len() => {
+                        while at < stop {
+                            pixels[at..at + 16].fill(pixel);
+                            at += 16;
+                        }
                     }
-                } else {
-                    pixels[at..stop].fill(pixel);
+                    Span::Run(_, pixel) => pixels[at..stop].fill(pixel),
+                    Span::Literal(literal) => {
+                        let from = &literal[at - start..];
+                        for (px, bytes) in pixels[at..stop].iter_mut().zip(from) {
+                            *px = Pixel::from_le_bytes(*bytes);
+                        }
+                    }
                 }
                 at = stop;
             }
@@ -1318,9 +1364,11 @@ mod tests {
         /// that read what they later cover, and the reverse. No
         /// screenshot changes, a held frame with nothing handed back is
         /// left alone, and a run that paints nothing over leaves the
-        /// whole frame to copy. Decoding the keyframe's pixel runs
-        /// instead writes what the copy does, into the same buffers, or
-        /// into a new one when the frame is held and nothing handed back.
+        /// whole frame to copy. Decoding the keyframe's pixel runs, or
+        /// spans mixing literals of up to 40 pixels with runs, so that
+        /// covered blocks cut through literals, instead writes what the
+        /// copy does, into the same buffers, or into a new one when the
+        /// frame is held and nothing handed back.
         #[test]
         fn rebase_then_replay_equals_replay_on_the_base(
             size in (1..=150u32, 1..=40u32),
@@ -1334,7 +1382,13 @@ mod tests {
                 height,
                 pixels: Arc::new(noise(width, height, seed)),
             };
-            let base = frame(seed ^ 1).snapshot();
+            // Noise, with a solid corner for runs longer than one.
+            let mut base = frame(seed ^ 1);
+            base.apply(&DisplayCommand::SolidFill {
+                rect: Rect::new(0, 0, width / 2 + 1, height / 2 + 1),
+                color: 5,
+            });
+            let base = base.snapshot();
             let keyframe = base.pixels.as_ref().clone();
             let mut cover = CoveragePass::default();
             let painted = cover.cover(width, height, &run, DisplayCommand::meta);
@@ -1379,12 +1433,47 @@ mod tests {
             let fresh_holder = decoded_fresh.snapshot();
             prop_assert_eq!(decoded_fresh.rebase_runs(runs.iter().copied(), &cover, &mut None), whole);
             prop_assert!(decoded_fresh == Framebuffer::from_screenshot(&base));
+
+            // The same screen as spans: stretches of 1 to 40 pixels, each
+            // a literal or that stretch's runs.
+            let bytes: Vec<[u8; 4]> = base.pixels.iter().map(|px| px.to_le_bytes()).collect();
+            let mut rng = TestRng::from_seed(seed ^ 9);
+            let (mut spans, mut at) = (Vec::new(), 0);
+            while at < bytes.len() {
+                let end = bytes.len().min(at + 1 + rng.next_u64() as usize % 40);
+                if rng.next_u64().is_multiple_of(2) {
+                    spans.push(Span::Literal(&bytes[at..end]));
+                } else {
+                    for &px in &base.pixels[at..end] {
+                        match spans.last_mut() {
+                            Some(Span::Run(len, last)) if *last == px => *len += 1,
+                            _ => spans.push(Span::Run(1, px)),
+                        }
+                    }
+                }
+                at = end;
+            }
+            prop_assert!(Screenshot::from_runs(width, height, spans.iter().copied()) == base);
+            let mut spanned = frame(seed ^ 10);
+            prop_assert_eq!(spanned.rebase_runs(spans.iter().copied(), &cover, &mut None), restored);
+            let mut spanned_handed = frame(seed ^ 11);
+            let spanned_holder = spanned_handed.snapshot();
+            let mut spare = Some(noise(width, height, seed ^ 12));
+            prop_assert_eq!(spanned_handed.rebase_runs(spans.iter().copied(), &cover, &mut spare), restored);
+            prop_assert!(spare.is_none(), "the handed-back frame was not used");
+            let mut spanned_fresh = frame(seed ^ 13);
+            let spanned_fresh_holder = spanned_fresh.snapshot();
+            prop_assert_eq!(spanned_fresh.rebase_runs(spans.iter().copied(), &cover, &mut None), whole);
+            prop_assert!(spanned_fresh == Framebuffer::from_screenshot(&base));
             for (what, fb) in [
                 ("own", &mut own),
                 ("handed-back", &mut handed),
                 ("own, from runs", &mut decoded),
                 ("handed-back, from runs", &mut decoded_handed),
                 ("new, from runs", &mut decoded_fresh),
+                ("own, from spans", &mut spanned),
+                ("handed-back, from spans", &mut spanned_handed),
+                ("new, from spans", &mut spanned_fresh),
             ] {
                 prop_assert!(!fb.is_shared(), "the {} frame is shared", what);
                 for cmd in &run {
@@ -1399,6 +1488,8 @@ mod tests {
             prop_assert_eq!(holder.pixels.as_ref(), &held);
             prop_assert_eq!(decoded_holder.pixels.as_ref(), &noise(width, height, seed ^ 6));
             prop_assert_eq!(fresh_holder.pixels.as_ref(), &noise(width, height, seed ^ 8));
+            prop_assert_eq!(spanned_holder.pixels.as_ref(), &noise(width, height, seed ^ 11));
+            prop_assert_eq!(spanned_fresh_holder.pixels.as_ref(), &noise(width, height, seed ^ 13));
         }
     }
 

@@ -60,7 +60,7 @@ pub use codec::{
 pub use command::{rgb, CommandMeta, DisplayCommand, Pattern, Pixel, YuvFrame};
 pub use coverage::CoveragePass;
 pub use driver::{CommandSink, DriverStats, SharedSink, VirtualDisplayDriver};
-pub use framebuffer::{Framebuffer, RingRows, Screenshot, ScrollRing};
+pub use framebuffer::{Framebuffer, RingRows, Screenshot, ScrollRing, Span};
 pub use output::{OutputPool, VirtualOutput};
 pub use queue::{CommandQueue, OverwritePass, QueuedCommand};
 pub use rect::{Rect, Region};

@@ -29,9 +29,11 @@ use dv_time::{Duration, Timestamp};
 /// `AttachScaled` (independently-sized virtual outputs); version 3
 /// added the visual-recall RPC pair (`VisualQuery`/`VisualReply`);
 /// version 4 removed `KeyframeDelta`, so every catch-up is a whole
-/// `Keyframe`. Each changes the wire vocabulary a peer must understand,
-/// so the bumps are incompatible by design.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// `Keyframe`; version 5 lets the screenshots `Keyframe`, `SeekReply`
+/// and visual thumbnails carry hold literal spans, which a version-4
+/// decoder refuses as over-long runs. Each changes what a peer must
+/// understand, so the bumps are incompatible by design.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Most hits a single `SearchReply` carries. The server truncates to
 /// this bound so a broad query can never frame a payload past

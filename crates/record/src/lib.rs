@@ -27,6 +27,6 @@ pub use playback::{PlayStats, PlaybackEngine, PlaybackError};
 pub use recorder::{DisplayRecord, DisplayRecorder, RecordStats, RecordStore, RecorderConfig};
 pub use screenshot::{
     decode_screenshot, decode_screenshot_runs, encode_screenshot, screenshot_dims, ScreenshotRuns,
-    ScreenshotStore, MAX_SCREEN_SIDE,
+    ScreenshotStore, LITERAL, MAX_SCREEN_SIDE, MIN_LITERAL,
 };
 pub use timeline::{Timeline, TimelineEntry, ENTRY_LEN};

@@ -26,7 +26,7 @@ use crate::screenshot::ScreenshotRuns;
 pub(crate) enum Base<'a> {
     /// A cached keyframe, or a frame's own pixels a screenshot holds.
     Frame(Screenshot),
-    /// A keyframe's checked runs, decoded straight into the frame.
+    /// A keyframe's checked spans, decoded straight into the frame.
     Runs(ScreenshotRuns<'a>),
 }
 
@@ -114,9 +114,7 @@ impl PrunedReplay {
                 self.cover.cover(fb.width(), fb.height(), &[], meta);
             }
             match base {
-                Base::Runs(runs) => {
-                    restored = fb.rebase_runs(runs.iter(), &self.cover, &mut self.spare)
-                }
+                Base::Runs(runs) => restored = runs.write_into(fb, &self.cover, &mut self.spare),
                 // A frame held elsewhere needs another buffer for a
                 // survivor to land in: the spare beats a new one.
                 Base::Frame(base) => match (skip || (fb.is_shared() && !self.scan.is_empty()))

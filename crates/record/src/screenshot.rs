@@ -5,37 +5,69 @@
 //! playback can start" (§4.1). Desktop content is synthetic — large
 //! uniform areas — so a simple run-length encoding of identical pixels
 //! compresses it well without the cost or loss of a video codec, which
-//! the paper explicitly argues against.
+//! the paper explicitly argues against. Video and photos have no runs:
+//! a stretch of them is stored as a literal, its pixels as they are.
 
-use dv_display::{Pixel, Screenshot};
+use dv_display::{CoveragePass, Framebuffer, Pixel, Screenshot, Span};
 use dv_fault::{Put, Reader};
 
 /// The widest or tallest screen a stored header may claim. Decoders
 /// refuse anything larger before sizing an allocation from it.
 pub const MAX_SCREEN_SIDE: u32 = 16_384;
 
-/// Encodes a screenshot as `[w u32][h u32]` followed by
-/// `[run_len u32][pixel u32]` pairs.
+/// The bit of a span's head that opens a literal. A head with it set
+/// reads as a run longer than any screen, so a decoder that knows only
+/// runs refuses a literal.
+pub const LITERAL: u32 = 1 << 31;
+
+/// The fewest pixels, each unlike the next, stored as a literal rather
+/// than as runs of one. Shorter stretches stay runs, so a screen with
+/// none this long encodes as it did before literals existed.
+pub const MIN_LITERAL: usize = 8;
+
+const _: () = assert!((MAX_SCREEN_SIDE as u64).pow(2) < LITERAL as u64);
+
+/// Encodes a screenshot as `[w u32][h u32]` followed by 8-byte chunks:
+/// a run `[len u32][pixel u32]` with `len < 2^31`, or a literal of `n`
+/// pixels, `[2^31 | n][first pixel u32]` and the other `n - 1` pixels,
+/// zero-padded to a whole chunk. A literal holds every stretch of at
+/// least [`MIN_LITERAL`] pixels that each differ from the next; every
+/// other pixel is in a run, as long as it can be.
 pub fn encode_screenshot(shot: &Screenshot) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&shot.width.to_le_bytes());
     out.extend_from_slice(&shot.height.to_le_bytes());
-    let mut pixels = shot.pixels.iter();
-    if let Some(&first) = pixels.next() {
-        let mut run_pixel = first;
-        let mut run_len: u32 = 1;
-        for &px in pixels {
-            if px == run_pixel && run_len < u32::MAX {
-                run_len += 1;
-            } else {
-                out.extend_from_slice(&run_len.to_le_bytes());
-                out.extend_from_slice(&run_pixel.to_le_bytes());
-                run_pixel = px;
-                run_len = 1;
+    let pixels = &shot.pixels[..];
+    let longest = (LITERAL - 1) as usize;
+    let mut at = 0;
+    while at < pixels.len() {
+        let pixel = pixels[at];
+        let same = pixels[at + 1..].iter().take(longest - 1);
+        let run = 1 + same.take_while(|&&px| px == pixel).count();
+        // Pixels from `at` on that each differ from the next: the runs
+        // of one that follow, the last pixel of the screen among them.
+        let singles = if run > 1 {
+            0
+        } else {
+            let pairs = pixels[at..].windows(2).take(longest);
+            let unlike = pairs.take_while(|pair| pair[0] != pair[1]).count();
+            let last = usize::from(at + unlike + 1 == pixels.len());
+            (unlike + last).min(longest)
+        };
+        if singles >= MIN_LITERAL {
+            out.extend_from_slice(&(LITERAL | singles as u32).to_le_bytes());
+            for px in &pixels[at..at + singles] {
+                out.extend_from_slice(&px.to_le_bytes());
             }
+            if singles % 2 == 0 {
+                out.extend_from_slice(&[0; 4]);
+            }
+            at += singles;
+        } else {
+            out.extend_from_slice(&(run as u32).to_le_bytes());
+            out.extend_from_slice(&pixel.to_le_bytes());
+            at += run;
         }
-        out.extend_from_slice(&run_len.to_le_bytes());
-        out.extend_from_slice(&run_pixel.to_le_bytes());
     }
     out
 }
@@ -47,7 +79,8 @@ pub fn screenshot_dims(data: &[u8]) -> Option<(u32, u32)> {
     Some((r.u32().ok()?, r.u32().ok()?))
 }
 
-/// One `[run_len u32][pixel u32]` run.
+/// One chunk read as a run, `[len u32][pixel u32]`; a literal's head
+/// reads as one of at least 2^31 pixels.
 fn split_run(run: &[u8; 8]) -> (usize, Pixel) {
     let [l0, l1, l2, l3, p0, p1, p2, p3] = *run;
     (
@@ -56,68 +89,149 @@ fn split_run(run: &[u8; 8]) -> (usize, Pixel) {
     )
 }
 
-/// The runs of an encoded screenshot, checked against a screen size.
+/// The chunks a literal of `n` pixels takes, its head's included.
+fn literal_chunks(n: usize) -> usize {
+    n / 2 + 1
+}
+
+/// The spans of an encoded screenshot, checked against a screen size.
 #[derive(Clone, Copy, Debug)]
 pub struct ScreenshotRuns<'a> {
     width: u32,
     height: u32,
-    runs: &'a [[u8; 8]],
+    chunks: &'a [[u8; 8]],
+    /// Whether any chunk opens a literal: if none does, the chunks are
+    /// decoded as plain runs, with no literal arm to test.
+    literals: bool,
 }
 
-impl ScreenshotRuns<'_> {
-    /// Returns the `(length, pixel)` runs, row-major. Their lengths add
-    /// up to the screen's pixels.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Pixel)> + '_ {
-        self.runs.iter().map(split_run)
+impl<'a> ScreenshotRuns<'a> {
+    /// Returns the spans, row-major. Their lengths add up to the
+    /// screen's pixels.
+    pub fn spans(&self) -> impl Iterator<Item = Span<'a>> + 'a {
+        let mut chunks = self.chunks;
+        std::iter::from_fn(move || {
+            let (head, rest) = chunks.split_first()?;
+            let (len, pixel) = split_run(head);
+            if len < LITERAL as usize {
+                chunks = rest;
+                return Some(Span::Run(len, pixel));
+            }
+            let n = len - LITERAL as usize;
+            let literal;
+            (literal, chunks) = chunks.split_at(literal_chunks(n));
+            Some(Span::Literal(
+                literal.as_flattened()[4..4 + 4 * n].as_chunks().0,
+            ))
+        })
     }
 
-    /// Decodes the runs into a screenshot of their own.
+    /// The chunks as `(length, pixel)` runs: the spans of a screenshot
+    /// that holds no literal.
+    fn runs(&self) -> impl Iterator<Item = (usize, Pixel)> + 'a {
+        self.chunks.iter().map(split_run)
+    }
+
+    /// Decodes the spans into a screenshot of their own.
     pub fn to_screenshot(&self) -> Screenshot {
-        Screenshot::from_runs(self.width, self.height, self.iter())
+        if self.literals {
+            Screenshot::from_runs(self.width, self.height, self.spans())
+        } else {
+            Screenshot::from_runs(self.width, self.height, self.runs())
+        }
+    }
+
+    /// Decodes the spans straight into `fb` around the blocks `cover`
+    /// marks ([`Framebuffer::rebase_runs`]); returns the pixels written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fb`, `cover` or `spare` is of another size than the
+    /// screen.
+    pub fn write_into(
+        &self,
+        fb: &mut Framebuffer,
+        cover: &CoveragePass,
+        spare: &mut Option<Vec<Pixel>>,
+    ) -> u64 {
+        assert_eq!(
+            (fb.width(), fb.height()),
+            (self.width, self.height),
+            "frame size"
+        );
+        if self.literals {
+            fb.rebase_runs(self.spans(), cover, spare)
+        } else {
+            fb.rebase_runs(self.runs(), cover, spare)
+        }
     }
 }
 
 /// Checks a screenshot produced by [`encode_screenshot`] against a
 /// `width` x `height` screen without decoding it: its header must name
-/// that size and its run lengths add up to exactly the screen's pixels,
-/// with no byte to spare, before anything is written from them.
+/// that size, no side may pass [`MAX_SCREEN_SIDE`], and its span
+/// lengths must add up to exactly the screen's pixels, with no byte to
+/// spare and a literal's padding zero, before anything is written from
+/// them.
+///
+/// The runs are walked at a fixed stride, a chunk each: the next
+/// chunk's address never waits on the last head. A literal's head stops
+/// that loop as a run longer than the screen, and is checked and
+/// stepped over on its own before the loop resumes.
 ///
 /// Returns `None` if the data is malformed or of another size.
 pub fn decode_screenshot_runs(data: &[u8], width: u32, height: u32) -> Option<ScreenshotRuns<'_>> {
     let mut r = Reader::new(data);
-    if (r.u32().ok()?, r.u32().ok()?) != (width, height) {
+    if (r.u32().ok()?, r.u32().ok()?) != (width, height)
+        || width > MAX_SCREEN_SIDE
+        || height > MAX_SCREEN_SIDE
+    {
         return None;
     }
-    let (runs, partial) = r.rest().as_chunks::<8>();
+    let (chunks, partial) = r.rest().as_chunks::<8>();
     if !partial.is_empty() {
         return None;
     }
     let mut left = width as usize * height as usize;
-    for run in runs {
-        // A run after the screen is full is a trailing byte.
-        let len = split_run(run).0;
-        if left == 0 || len > left {
+    let (mut at, mut literals) = (0, false);
+    loop {
+        for run in &chunks[at..] {
+            // A run after the screen is full is a trailing byte.
+            let len = split_run(run).0;
+            if left == 0 || len > left {
+                break;
+            }
+            left -= len;
+            at += 1;
+        }
+        let Some(head) = chunks.get(at) else {
+            break;
+        };
+        let n = split_run(head).0.checked_sub(LITERAL as usize)?;
+        let end = at + literal_chunks(n);
+        if n == 0 || n > left || end > chunks.len() {
             return None;
         }
-        left -= len;
+        if n % 2 == 0 && chunks[end - 1][4..] != [0; 4] {
+            return None;
+        }
+        (left, at, literals) = (left - n, end, true);
     }
     (left == 0).then_some(ScreenshotRuns {
         width,
         height,
-        runs,
+        chunks,
+        literals,
     })
 }
 
 /// Decodes a screenshot produced by [`encode_screenshot`].
 ///
 /// Returns `None` if the data is malformed. The header is a claim, not
-/// a size: its pixels are reserved only once the run lengths add up to
+/// a size: its pixels are reserved only once the span lengths add up to
 /// them.
 pub fn decode_screenshot(data: &[u8]) -> Option<Screenshot> {
     let (width, height) = screenshot_dims(data)?;
-    if width > MAX_SCREEN_SIDE || height > MAX_SCREEN_SIDE {
-        return None;
-    }
     Some(decode_screenshot_runs(data, width, height)?.to_screenshot())
 }
 
@@ -200,7 +314,7 @@ impl ScreenshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dv_display::{DisplayCommand, Framebuffer, Rect};
+    use dv_display::{DisplayCommand, Rect};
     use std::sync::Arc;
 
     fn test_shot() -> Screenshot {
@@ -283,7 +397,7 @@ mod tests {
         let encoded = encode_screenshot(&shot);
         let runs = decode_screenshot_runs(&encoded, 64, 48).unwrap();
         assert_eq!(runs.to_screenshot(), shot);
-        assert_eq!(runs.iter().map(|(len, _)| len).sum::<usize>(), 64 * 48);
+        assert_eq!(runs.spans().map(Span::pixel_count).sum::<usize>(), 64 * 48);
         assert!(decode_screenshot_runs(&encoded, 48, 64).is_none());
         assert!(decode_screenshot_runs(&encoded, 64, 47).is_none());
         let first_run = |len: u32| {
@@ -302,6 +416,49 @@ mod tests {
         past.extend_from_slice(&[0; 8]);
         assert!(decode_screenshot_runs(&past, 64, 48).is_none());
         assert!(decode_screenshot_runs(&encoded[..encoded.len() - 3], 64, 48).is_none());
+    }
+
+    /// A literal's head is checked out of the run loop: its length must
+    /// be at least one pixel and fit the screen and the stream, and the
+    /// padding of an even one must be zero. Runs resume after it.
+    #[test]
+    fn literals_are_checked_and_stepped_over() {
+        let mut pixels: Vec<Pixel> = (0..10).map(|i| 0x0100 + i).collect();
+        pixels.extend([4; 6]);
+        let shot = Screenshot {
+            width: 8,
+            height: 2,
+            pixels: Arc::new(pixels),
+        };
+        let encoded = encode_screenshot(&shot);
+        // Header, head and first pixel, nine pixels and the padding, run.
+        assert_eq!(encoded.len(), 8 + 8 + 40 + 8);
+        assert_eq!(encoded[8..12], (LITERAL | 10).to_le_bytes());
+        let runs = decode_screenshot_runs(&encoded, 8, 2).unwrap();
+        assert_eq!(runs.to_screenshot(), shot);
+        let lens: Vec<usize> = runs.spans().map(Span::pixel_count).collect();
+        assert_eq!(lens, [10, 6]);
+        let mut fb = Framebuffer::new(8, 2);
+        let mut cover = CoveragePass::default();
+        cover.cover(8, 2, &[] as &[DisplayCommand], DisplayCommand::meta);
+        assert_eq!(runs.write_into(&mut fb, &cover, &mut None), 16);
+        assert_eq!(fb.snapshot(), shot);
+        let with = |at: usize, bytes: [u8; 4]| {
+            let mut bad = encoded.clone();
+            bad[at..at + 4].copy_from_slice(&bytes);
+            decode_screenshot_runs(&bad, 8, 2).map(|r| r.to_screenshot())
+        };
+        for n in [0, 9, 11, 17, LITERAL - 1] {
+            assert_eq!(with(8, (LITERAL | n).to_le_bytes()), None, "{n}");
+        }
+        assert_eq!(with(52, [0, 0, 0, 1]), None, "padding");
+        assert_eq!(with(56, 7u32.to_le_bytes()), None, "the run after");
+        assert!(decode_screenshot_runs(&encoded[..56], 8, 2).is_none());
+        // A literal where the screen is already full is a trailing one.
+        let mut past = encode_screenshot(&Framebuffer::new(8, 2).snapshot());
+        past.extend_from_slice(&(LITERAL | 1).to_le_bytes());
+        past.extend_from_slice(&[0; 4]);
+        assert!(decode_screenshot_runs(&past, 8, 2).is_none());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use dv_checkpoint::{
 use dv_display::{
     decode_command, decode_input, decode_pixels, encode_command, encode_command_vec, encode_input,
     encode_pixels, peek_command, CommandSink, DisplayCommand, Framebuffer, InputEvent, Pattern,
-    Rect, ScaleFactor, Screenshot, VirtualOutput, YuvFrame,
+    Rect, ScaleFactor, Screenshot, Span, VirtualOutput, YuvFrame,
 };
 use dv_fault::checksum::crc32;
 use dv_fault::{FaultPlane, Put, Reader};
@@ -56,7 +56,7 @@ use dv_obs::Obs;
 use dv_record::{
     decode_record, decode_screenshot, decode_screenshot_runs, encode_record, encode_screenshot,
     screenshot_dims, CommandLog, DisplayRecorder, RecorderConfig, ScreenshotStore, Timeline,
-    TimelineEntry, MAX_SCREEN_SIDE,
+    TimelineEntry, LITERAL, MAX_SCREEN_SIDE,
 };
 use dv_tidx::TidxEngine;
 use dv_time::{Duration, SimClock, Timestamp};
@@ -241,6 +241,18 @@ fn shot(seed: u64) -> Screenshot {
         height: h,
         pixels: Arc::new(pixels.collect()),
     }
+}
+
+/// [`shot`] behind ten pixels that each differ from the next: the
+/// encoding opens with a literal, whose even length pads its last chunk.
+fn literal_shot(seed: u64) -> Screenshot {
+    let mut shot = shot(seed);
+    let pixels = Arc::make_mut(&mut shot.pixels);
+    for (i, px) in pixels[..10].iter_mut().enumerate() {
+        *px = 0x8000_0000 | (i as u32) << 8 | seed as u8 as u32;
+    }
+    pixels[10] = pixels[11];
+    shot
 }
 
 fn message(msg: Message) -> Vec<u8> {
@@ -792,7 +804,11 @@ table! {
     },
     screenshot => Row {
         name: "decode_screenshot",
-        valid: |seed| encode_screenshot(&shot(seed)),
+        valid: |seed| {
+            let encoded = encode_screenshot(&literal_shot(seed));
+            assert_eq!(encoded[8..12], (LITERAL | 10).to_le_bytes(), "a literal");
+            encoded
+        },
         frame: None,
         decode: |b| {
             let _ = screenshot_dims(b);
@@ -804,7 +820,7 @@ table! {
     screenshot_runs => Row {
         name: "decode_screenshot_runs",
         // Every seed's screenshot at the one size the record has.
-        valid: |seed| encode_screenshot(&shot(seed - seed % 3)),
+        valid: |seed| encode_screenshot(&literal_shot(seed - seed % 3)),
         frame: None,
         decode: |b| {
             let runs = decode_screenshot_runs(b, 6, 4);
@@ -813,7 +829,7 @@ table! {
             // naming another size, are refused.
             let decoded = decode_screenshot(b).filter(|s| (s.width, s.height) == (6, 4));
             assert_eq!(runs.map(|r| r.to_screenshot()), decoded);
-            runs.is_some_and(|r| r.iter().map(|(len, _)| len).sum::<usize>() == 24)
+            runs.is_some_and(|r| r.spans().map(Span::pixel_count).sum::<usize>() == 24)
         },
         expands: nothing,
         positions: EVERYWHERE,

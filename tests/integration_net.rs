@@ -622,14 +622,15 @@ fn client_clips_commands_past_the_coordinate_space() {
     assert!(fb.read_rect(&Rect::new(0, 3, W, H)).iter().all(|&p| p == 0));
 }
 
-#[test]
-fn version_mismatch_is_rejected_cleanly() {
+/// Sends a `Hello` at `version` to a new service and returns the reason
+/// of the `Reject` it answers with; asserts the client is gone.
+fn rejected_hello(version: u16) -> String {
     let mut svc = service();
     let (server_end, mut wire) = LoopbackTransport::pair();
     svc.accept(server_end);
 
     let hello = encode_frame_vec(&encode_message_vec(&Message::Hello {
-        version: PROTOCOL_VERSION + 1,
+        version,
         name: "time traveler".to_string(),
     }));
     let mut off = 0;
@@ -652,11 +653,29 @@ fn version_mismatch_is_rejected_cleanly() {
         .next_frame()
         .unwrap()
         .expect("no reply to bad handshake");
+    assert_eq!(svc.client_count(), 0, "rejected client lingered");
     match decode_message(reply).unwrap() {
-        Message::Reject { reason } => assert!(reason.contains("version")),
+        Message::Reject { reason } => reason,
         other => panic!("expected Reject, got {other:?}"),
     }
-    assert_eq!(svc.client_count(), 0, "rejected client lingered");
+}
+
+#[test]
+fn version_mismatch_is_rejected_cleanly() {
+    assert!(rejected_hello(PROTOCOL_VERSION + 1).contains("version"));
+}
+
+/// Version 5 keyframes may hold literal spans, which a version-4 peer
+/// would refuse as over-long runs: a version-4 client is turned away at
+/// the handshake, not at its first keyframe.
+#[test]
+fn a_version_4_hello_is_refused() {
+    assert_eq!(PROTOCOL_VERSION, 5);
+    let reason = rejected_hello(4);
+    assert!(
+        reason.contains("protocol version 4 unsupported"),
+        "{reason}"
+    );
 }
 
 #[test]

@@ -8,6 +8,11 @@
 //!   is `tests/decoders.rs`'s table.)
 //! - **Round trips**: what a seal writes is what recovery decodes,
 //!   for arbitrary instances, manifests, and screenshot geometries.
+//! - **Keyframe spans**: a stream the runs-only encoder wrote still
+//!   decodes; a screen with no stretch of [`MIN_LITERAL`] pixels that
+//!   each differ from the next encodes to exactly those bytes; no
+//!   screen encodes larger; and a decoder that knows only runs refuses
+//!   a literal.
 //! - **Fingerprint geometry**: the properties the dHash-style
 //!   fingerprint must hold for near-duplicate coalescing and
 //!   band-index search to be meaningful — determinism, symmetry,
@@ -26,7 +31,10 @@ use dv_fault::FaultPlane;
 use dv_lsfs::sealed::{decode_manifest, encode_manifest, frame};
 use dv_lsfs::{Lifecycle, Manifest, Payload, SealedLog, SegmentMeta, SharedBlobStore};
 use dv_obs::Obs;
-use dv_record::{decode_screenshot, encode_screenshot};
+use dv_record::{
+    decode_screenshot, decode_screenshot_runs, encode_screenshot, LITERAL, MAX_SCREEN_SIDE,
+    MIN_LITERAL,
+};
 use dv_time::Timestamp;
 use dv_vidx::{Fingerprint, Strips, VidxEngine, VisualInstance, VisualStrip, EXACT_RADIUS};
 
@@ -119,6 +127,178 @@ fn valid_segment_bytes() -> Vec<u8> {
         thumb: encode_screenshot(&mosaic(1)),
     }]);
     frame(b"DVVSEG01", &Strips.encode(&strip).expect("strips encode"))
+}
+
+/// The keyframe encoder before literals: `[w][h]`, then one
+/// `[len u32][pixel u32]` run per stretch of equal pixels.
+fn runs_only_encoding(shot: &Screenshot) -> Vec<u8> {
+    let mut out = [shot.width, shot.height].map(u32::to_le_bytes).concat();
+    for run in shot.pixels.chunk_by(|a, b| a == b) {
+        out.extend_from_slice(&(run.len() as u32).to_le_bytes());
+        out.extend_from_slice(&run[0].to_le_bytes());
+    }
+    out
+}
+
+/// The rule the runs-only decoder checked a stream by: whole chunks,
+/// each a run no longer than what is left of the screen, adding up to
+/// the screen.
+fn old_rule_accepts(encoded: &[u8]) -> bool {
+    let (header, body) = encoded.split_at(8);
+    let side = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+    if side(0) > MAX_SCREEN_SIDE || side(4) > MAX_SCREEN_SIDE {
+        return false;
+    }
+    let (chunks, partial) = body.as_chunks::<8>();
+    let mut left = side(0) as usize * side(4) as usize;
+    for chunk in chunks {
+        let len = u32::from_le_bytes(chunk[..4].try_into().unwrap()) as usize;
+        if left == 0 || len > left {
+            return false;
+        }
+        left -= len;
+    }
+    partial.is_empty() && left == 0
+}
+
+/// Whether `shot` has [`MIN_LITERAL`] pixels in a row that each differ
+/// from the next, the last pixel of the screen differing from none.
+fn has_literal_stretch(shot: &Screenshot) -> bool {
+    let px = &shot.pixels;
+    let single =
+        |i: usize| (i == 0 || px[i - 1] != px[i]) && (i + 1 == px.len() || px[i] != px[i + 1]);
+    let mut stretch = 0;
+    (0..px.len()).any(|i| {
+        stretch = if single(i) { stretch + 1 } else { 0 };
+        stretch >= MIN_LITERAL
+    })
+}
+
+/// A `w` x `h` screen of one of four kinds, from `seed`: noise, one
+/// colour, text-like (runs of 1 to 5 pixels from four colours, never
+/// [`MIN_LITERAL`] single pixels in a row) or rows of each mixed.
+fn keyframe_screen(kind: u8, w: u32, h: u32, seed: u64) -> Screenshot {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let n = (w * h) as usize;
+    let mut pixels = Vec::with_capacity(n);
+    let mut singles = 0;
+    while pixels.len() < n {
+        let row_kind = match kind {
+            3 => (pixels.len() / w as usize * 7 + seed as usize) % 3,
+            kind => kind as usize,
+        };
+        let r = next();
+        match row_kind {
+            0 => pixels.push(r as u32),
+            1 => pixels.push(0x0020_2020),
+            _ => {
+                let mut len = 1 + (r >> 8) as usize % 5;
+                singles = if len == 1 { singles + 1 } else { 0 };
+                if singles == MIN_LITERAL - 2 {
+                    (len, singles) = (2, 0);
+                }
+                let color = [0x00FF_FFFF, 0, 0x0033_3333, 0x0080_8080][(r >> 16) as usize % 4];
+                let color = match pixels.last() {
+                    Some(&last) if last == color => color ^ 1,
+                    _ => color,
+                };
+                pixels.extend(std::iter::repeat_n(color, len));
+            }
+        }
+    }
+    pixels.truncate(n);
+    Screenshot {
+        width: w,
+        height: h,
+        pixels: Arc::new(pixels),
+    }
+}
+
+/// A 12x3 keyframe as the runs-only encoder wrote it, pinned: twelve
+/// pixels each unlike the next (runs of one), a row of one colour, and
+/// a row of short runs.
+const RUNS_ONLY_FIXTURE: &str = "0c00000003000000010000000000a000010000000302a100010000000604a2000100\
+    00000906a300010000000c08a400010000000f0aa50001000000120ca60001000000150ea700010000001810a800010000\
+    001b12a900010000001e14aa00010000002116ab000c000000050000000100000001000000010000000200000001000000\
+    0100000001000000020000000300000003000000020000000700000001000000010000000200000002000000";
+
+#[test]
+fn a_runs_only_stream_decodes_to_the_same_pixels() {
+    let bytes: Vec<u8> = (0..RUNS_ONLY_FIXTURE.len())
+        .step_by(2)
+        .map(|at| u8::from_str_radix(&RUNS_ONLY_FIXTURE[at..at + 2], 16).unwrap())
+        .collect();
+    let mut pixels: Vec<u32> = (0..12).map(|i| 0x00A0_0000 + i * 0x0001_0203).collect();
+    pixels.extend([5; 12]);
+    pixels.extend([1, 2, 1, 2, 3, 3, 3, 7, 7, 1, 2, 2]);
+    let shot = Screenshot {
+        width: 12,
+        height: 3,
+        pixels: Arc::new(pixels),
+    };
+    assert_eq!(bytes.len(), 176);
+    assert_eq!(bytes, runs_only_encoding(&shot));
+    assert_eq!(decode_screenshot(&bytes), Some(shot.clone()));
+    let runs = decode_screenshot_runs(&bytes, 12, 3).expect("the runs check");
+    assert_eq!(runs.to_screenshot(), shot);
+    // Today the twelve pixels are one literal: a head and 12 pixels,
+    // padded to 56 bytes where twelve runs took 96.
+    let encoded = encode_screenshot(&shot);
+    assert_eq!(encoded[8..12], (LITERAL | 12).to_le_bytes());
+    assert_eq!(encoded.len(), 176 - 96 + 56);
+    assert_eq!(decode_screenshot(&encoded), Some(shot));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Over noise, one colour, text-like and mixed screens of any size:
+    /// a keyframe decodes to its screen, never encodes larger than the
+    /// runs-only encoder wrote it, and encodes to exactly those bytes
+    /// when no stretch makes a literal. The runs-only rule accepts it
+    /// exactly then: a literal's head reads as a run longer than any
+    /// screen.
+    #[test]
+    fn keyframe_spans_round_trip_no_larger_and_only_where_they_pay(
+        kind in 0u8..4,
+        w in 1u32..80,
+        h in 1u32..24,
+        seed in any::<u64>(),
+    ) {
+        let shot = keyframe_screen(kind, w, h, seed);
+        let encoded = encode_screenshot(&shot);
+        let runs_only = runs_only_encoding(&shot);
+        prop_assert_eq!(decode_screenshot(&encoded), Some(shot.clone()));
+        prop_assert!(encoded.len() <= runs_only.len(), "{} > {}", encoded.len(), runs_only.len());
+        let literal = has_literal_stretch(&shot);
+        prop_assert_eq!(encoded == runs_only, !literal);
+        prop_assert_eq!(old_rule_accepts(&encoded), !literal);
+        prop_assert!(old_rule_accepts(&runs_only));
+        if kind == 2 {
+            prop_assert!(!literal, "a text-like screen has no literal");
+        }
+        let heads = encoded[8..].as_chunks::<8>().0.iter();
+        let longest = heads.map(|c| u32::from_le_bytes(c[..4].try_into().unwrap())).max();
+        prop_assert_eq!(longest.is_some_and(|len| len >= LITERAL), literal);
+    }
+}
+
+/// A literal's head is longer than the largest screen a header may
+/// claim, so the runs-only rule stops on it whatever the screen.
+#[test]
+fn a_literal_head_is_a_run_longer_than_any_screen() {
+    assert!(LITERAL as u64 > MAX_SCREEN_SIDE as u64 * MAX_SCREEN_SIDE as u64);
+    let shot = keyframe_screen(0, 40, 3, 7);
+    let encoded = encode_screenshot(&shot);
+    assert_eq!(encoded.len(), 8 + 4 + 4 * 120 + 4);
+    assert!(!old_rule_accepts(&encoded));
+    assert!(old_rule_accepts(&runs_only_encoding(&shot)));
 }
 
 proptest! {
